@@ -27,8 +27,9 @@
 //     and phase spans nest.
 //   - ctxflow: request-path parallel loops stay cancellable; handler
 //     paths never manufacture detached contexts.
-//   - narrowconv: int->int32/uint32 narrowing in the MST kernels is
-//     dominated by a bounds guard or routed through audited helpers.
+//   - narrowconv: int->int32/uint32 narrowing in the MST kernels (and
+//     ->uint8 narrowing in internal/mst) is dominated by a bounds guard
+//     or routed through audited helpers.
 //
 // The suite is wired into cmd/holisticlint, which runs either standalone
 // (`holisticlint [-sarif out.sarif] ./...`) or as a `go vet -vettool=`

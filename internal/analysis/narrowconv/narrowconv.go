@@ -22,6 +22,12 @@
 // [0, n]), so only upper bounds are checked; a lower-bound analysis would
 // add noise without catching a real wrap.
 //
+// In internal/mst the same discipline covers uint8: the merge-origin stripes
+// store child-run indices in one byte per element, so a conversion
+// uint8(v) from any wider integer is checked against the bound 255 with the
+// same guard/narrow/funnel rules (the audited funnel there is mst.u8, sound
+// because stripes are only built for fanouts of at most 256).
+//
 // Everything else must either go through an audited funnel helper whose
 // declaration carries `//lint:narrowconv-entry <reason>` (the helper's
 // body is exempt; the reason documents why the quantity fits — e.g.
@@ -46,7 +52,7 @@ import (
 // Analyzer is the narrowconv analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "narrowconv",
-	Doc:  "reports unguarded int->int32/uint32 narrowing conversions in the merge-sort-tree kernels and the core operator",
+	Doc:  "reports unguarded int->int32/uint32 narrowing conversions in the merge-sort-tree kernels and the core operator, and unguarded ->uint8 conversions in the merge sort tree",
 	Run:  run,
 }
 
@@ -54,12 +60,21 @@ var Analyzer = &analysis.Analyzer{
 // format packages.
 var pkgSuffixes = []string{"internal/mst", "internal/core", "internal/segment"}
 
+// bytePkgSuffixes scopes the uint8 check to the package that stores
+// one-byte child indices (the merge-origin stripes).
+var bytePkgSuffixes = []string{"internal/mst"}
+
 // state is the per-variable must-fact: properties holding on every path.
 type state uint8
 
 const (
-	guarded state = 1 << iota // a dominating comparison bounds it by <= math.MaxInt32
-	narrow                    // assigned from a value that provably fits 32 bits
+	guarded  state = 1 << iota // a dominating comparison bounds it by <= math.MaxInt32
+	narrow                     // assigned from a value that provably fits 32 bits
+	guarded8                   // a dominating comparison bounds it by <= math.MaxUint8
+	narrow8                    // assigned from a value that provably fits 8 bits
+
+	fits8  = guarded8 | narrow8
+	fits32 = guarded | narrow | fits8 // a byte bound is a 32-bit bound too
 )
 
 type fact map[types.Object]state
@@ -156,18 +171,21 @@ func (p problem) Refine(f fact, e *cfg.Edge) fact {
 	if e.Kind == cfg.False {
 		op = negate(op)
 	}
-	max := constant.MakeInt64(math.MaxInt32)
-	bounded := false
+	// Normalize v < c to v <= c-1; the edge then bounds v by cval.
 	switch op {
-	case token.LSS: // v < c: bounded when c <= MaxInt32+1
-		bounded = constant.Compare(cval, token.LEQ, constant.MakeInt64(math.MaxInt32+1))
-	case token.LEQ, token.EQL: // v <= c, v == c: bounded when c <= MaxInt32
-		bounded = constant.Compare(cval, token.LEQ, max)
-	}
-	if !bounded {
+	case token.LSS:
+		cval = constant.BinaryOp(cval, token.SUB, constant.MakeInt64(1))
+	case token.LEQ, token.EQL:
+	default:
 		return f
 	}
-	return set(f, obj, f[obj]|guarded)
+	switch {
+	case constant.Compare(cval, token.LEQ, constant.MakeInt64(math.MaxUint8)):
+		return set(f, obj, f[obj]|guarded|guarded8)
+	case constant.Compare(cval, token.LEQ, constant.MakeInt64(math.MaxInt32)):
+		return set(f, obj, f[obj]|guarded)
+	}
+	return f
 }
 
 // flip mirrors a comparison when its operands swap sides.
@@ -249,7 +267,10 @@ func (p problem) Transfer(f fact, n ast.Node) fact {
 func (p problem) classify(f fact, expr ast.Expr) state {
 	expr = ast.Unparen(expr)
 	if cval, ok := constVal(p.pass, expr); ok {
-		if inInt32Range(cval) {
+		switch {
+		case inRange(cval, 0, math.MaxUint8):
+			return narrow | narrow8
+		case inRange(cval, math.MinInt32, math.MaxInt32):
 			return narrow
 		}
 		return 0
@@ -271,7 +292,9 @@ func (p problem) classify(f fact, expr ast.Expr) state {
 		}
 		if src, ok := p.pass.TypesInfo.TypeOf(e.Args[0]).Underlying().(*types.Basic); ok {
 			switch src.Kind() {
-			case types.Int8, types.Int16, types.Int32, types.Uint8, types.Uint16:
+			case types.Uint8:
+				return narrow | narrow8
+			case types.Int8, types.Int16, types.Int32, types.Uint16:
 				return narrow
 			}
 		}
@@ -294,8 +317,9 @@ func analyzeGraph(pass *analysis.Pass, g *cfg.Graph) {
 	})
 }
 
-// checkConversion reports an int32/uint32 conversion from a wider integer
-// whose operand is not provably bounded.
+// checkConversion reports an int32/uint32 conversion from a wider integer —
+// and, in the byte-scoped packages, a uint8 conversion from any wider
+// integer — whose operand is not provably bounded.
 func checkConversion(pass *analysis.Pass, f fact, call *ast.CallExpr) {
 	if len(call.Args) != 1 {
 		return
@@ -305,7 +329,7 @@ func checkConversion(pass *analysis.Pass, f fact, call *ast.CallExpr) {
 		return
 	}
 	dst, ok := tv.Type.Underlying().(*types.Basic)
-	if !ok || (dst.Kind() != types.Int32 && dst.Kind() != types.Uint32) {
+	if !ok {
 		return
 	}
 	operand := ast.Unparen(call.Args[0])
@@ -313,23 +337,48 @@ func checkConversion(pass *analysis.Pass, f fact, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	switch src.Kind() {
-	case types.Int, types.Int64, types.Uint, types.Uint64:
+	// need is the set of facts any of which proves the operand fits dst;
+	// lo and hi bound the constants that fit.
+	var need state
+	var lo, hi int64
+	switch dst.Kind() {
+	case types.Int32, types.Uint32:
+		switch src.Kind() {
+		case types.Int, types.Int64, types.Uint, types.Uint64:
+		default:
+			return // already at most 32 bits (or not an integer)
+		}
+		need, lo, hi = fits32, math.MinInt32, math.MaxInt32
+	case types.Uint8:
+		if !hasAnySuffix(pass.Pkg.Path(), bytePkgSuffixes) {
+			return
+		}
+		switch src.Kind() {
+		case types.Int, types.Int64, types.Uint, types.Uint64,
+			types.Int32, types.Uint32, types.Int16, types.Uint16:
+		default:
+			return // already one byte (or not an integer)
+		}
+		need, lo, hi = fits8, 0, math.MaxUint8
 	default:
-		return // already at most 32 bits (or not an integer)
+		return
 	}
-	if cval, ok := constVal(pass, operand); ok && inInt32Range(cval) {
+	if cval, ok := constVal(pass, operand); ok && inRange(cval, lo, hi) {
 		return
 	}
 	if id, ok := operand.(*ast.Ident); ok {
-		if obj := pass.TypesInfo.ObjectOf(id); obj != nil && f[obj] != 0 {
+		if obj := pass.TypesInfo.ObjectOf(id); obj != nil && f[obj]&need != 0 {
 			return // guarded or narrow on every path
 		}
 	}
 	if _, ok := pass.Suppression(call.Pos(), analysis.DirectiveNarrowConvOK); ok {
 		return
 	}
-	pass.Reportf(call.Pos(), "unguarded narrowing conversion to %s: a >2³¹ value would wrap silently; bound the value first, route it through an audited //lint:narrowconv-entry helper, or annotate //lint:narrowconv-ok <reason>", dst.Name())
+	wrap := "2³¹"
+	if dst.Kind() == types.Uint8 {
+		wrap = "255"
+	}
+	pass.Reportf(call.Pos(), "unguarded narrowing conversion to %s: a >%s value would wrap silently; bound the value first, route it through an audited //lint:narrowconv-entry helper, or annotate //lint:narrowconv-ok <reason>", dst.Name(), wrap)
 }
 
 func identObj(pass *analysis.Pass, e ast.Expr) types.Object {
@@ -348,9 +397,9 @@ func constVal(pass *analysis.Pass, e ast.Expr) (constant.Value, bool) {
 	return tv.Value, true
 }
 
-func inInt32Range(v constant.Value) bool {
-	return constant.Compare(v, token.GEQ, constant.MakeInt64(math.MinInt32)) &&
-		constant.Compare(v, token.LEQ, constant.MakeInt64(math.MaxInt32))
+func inRange(v constant.Value, lo, hi int64) bool {
+	return constant.Compare(v, token.GEQ, constant.MakeInt64(lo)) &&
+		constant.Compare(v, token.LEQ, constant.MakeInt64(hi))
 }
 
 func hasAnySuffix(path string, suffixes []string) bool {

@@ -160,6 +160,91 @@ func loopKills(v int) int32 {
 	return acc
 }
 
+// --- uint8: the merge-origin stripe entries (internal/mst only) ---
+
+func unguardedByte(v int) uint8 {
+	return uint8(v) // want "unguarded narrowing conversion to uint8"
+}
+
+// Every wider integer narrows into a byte, 32-bit ones included.
+func unguardedByteFromInt32(v int32, w uint16) {
+	sink(uint8(v)) // want "unguarded narrowing conversion to uint8"
+	sink(uint8(w)) // want "unguarded narrowing conversion to uint8"
+}
+
+func byteAlreadyNarrow(v uint8, w int8) {
+	sink(uint8(v), uint8(w), uint8(200))
+}
+
+func byteConstantTooLarge() uint8 {
+	const big = 300
+	v := big
+	return uint8(v) // want "unguarded narrowing conversion to uint8"
+}
+
+func byteGuardedByEarlyOut(v int) uint8 {
+	if v > math.MaxUint8 {
+		return 0
+	}
+	return uint8(v)
+}
+
+func byteGuardedStrictLess(v int32) uint8 {
+	if v < 256 {
+		return uint8(v)
+	}
+	return 0
+}
+
+// A 32-bit guard says nothing about the byte bound.
+func byteGuardTooLoose(v int) uint8 {
+	if v > math.MaxInt32 {
+		return 0
+	}
+	return uint8(v) // want "unguarded narrowing conversion to uint8"
+}
+
+// A byte guard also proves the 32-bit bound.
+func byteGuardCoversInt32(v int) int32 {
+	if v >= 256 {
+		return 0
+	}
+	return int32(v)
+}
+
+func byteNarrowSource(small uint8) uint8 {
+	v := int(small)
+	return uint8(v)
+}
+
+// A 16-bit source fits 32 bits but not a byte.
+func byteFromInt16Source(small int16) uint8 {
+	v := int(small)
+	return uint8(v) // want "unguarded narrowing conversion to uint8"
+}
+
+func byteIncrementKills(v int) uint8 {
+	if v > 255 {
+		return 0
+	}
+	v++
+	return uint8(v) // want "unguarded narrowing conversion to uint8"
+}
+
+// u8 is the stripe funnel: exempt like i32.
+//
+//lint:narrowconv-entry testdata funnel: child indices are below the fanout cap
+func u8(v int) uint8 { return uint8(v) }
+
+func byteThroughFunnel(v int) uint8 {
+	return u8(v)
+}
+
+func byteAnnotatedSite(v int) uint8 {
+	//lint:narrowconv-ok the caller reduced v modulo 256
+	return uint8(v)
+}
+
 // --- funnels and directives ---
 
 // i32 is this package's audited funnel: the body is exempt because the

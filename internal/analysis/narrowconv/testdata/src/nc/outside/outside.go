@@ -2,3 +2,5 @@
 package outside
 
 func Narrow(v int) int32 { return int32(v) }
+
+func NarrowByte(v int) uint8 { return uint8(v) }

@@ -132,8 +132,9 @@ func orderSig(p *partition, f *FuncSpec) string {
 
 // treeSig renders the tree options that shape a merge sort tree's
 // structure. Serial only affects how construction is scheduled, never the
-// result, so it is excluded. The ",l2" component versions the physical
-// layout (the PR 10 cache-line-padded SoA sample stride): entries cached by
+// result, so it is excluded. The ",l3" component versions the physical
+// layout (cache-line-padded SoA sample stride plus the one-byte-per-element
+// merge-origin stripes the count step reads): entries cached by
 // an older layout render a different signature and are never mixed with the
 // current one — this matters most for delta runs, whose "pk=…|pd<stamp>"
 // keys deliberately survive across epochs.
@@ -143,7 +144,7 @@ func treeSig(o mst.Options) string {
 	b.WriteString(strconv.Itoa(o.Fanout))
 	b.WriteString(",k=")
 	b.WriteString(strconv.Itoa(o.SampleEvery))
-	b.WriteString(",l2")
+	b.WriteString(",l3")
 	if o.NoCascading {
 		b.WriteString(",nc")
 	}

@@ -70,6 +70,58 @@ func TestCountBelowBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestCountBelowBatchFrameShapes pins kernel == scalar == naive on the frame
+// shapes a window probe produces — sliding, constant, empty and
+// whole-partition frames over previous-occurrence keys with the COUNT
+// DISTINCT threshold lo+1 — for striped and stripe-less trees.
+func TestCountBelowBatchFrameShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	const n = 3000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(rng.Intn(40))
+	}
+	keys := prevIdcsRef(vals)
+	shapes := []struct {
+		name  string
+		frame func(row int) (lo, hi int)
+	}{
+		{"sliding", func(row int) (int, int) { return max(row-99, 0), row + 1 }},
+		{"sliding-centered", func(row int) (int, int) { return max(row-700, 0), min(row+700, n) }},
+		{"constant", func(int) (int, int) { return 517, 2203 }},
+		{"empty", func(row int) (int, int) { return row, row - row%2 }},
+		{"whole-partition", func(int) (int, int) { return 0, n }},
+	}
+	variants := append(batchVariants(),
+		Options{Fanout: 8, SampleEvery: 64},
+		Options{Fanout: 256, SampleEvery: 7},
+		Options{Fanout: 257, SampleEvery: 7})
+	lo, hi := make([]int32, n), make([]int32, n)
+	thr := make([]int64, n)
+	out := make([]int32, n)
+	for _, opt := range variants {
+		tree, err := Build(keys, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shapes {
+			for row := 0; row < n; row++ {
+				a, b := sh.frame(row)
+				lo[row], hi[row], thr[row] = int32(a), int32(b), int64(a)+1
+			}
+			tree.CountBelowBatch(lo, hi, thr, out)
+			for row := 0; row < n; row++ {
+				naive := bruteCountBelow(keys, int(lo[row]), int(hi[row]), thr[row])
+				scalar := tree.CountBelow(int(lo[row]), int(hi[row]), thr[row])
+				if int(out[row]) != naive || scalar != naive {
+					t.Fatalf("opt=%+v %s row %d [%d,%d)<%d: kernel %d, scalar %d, naive %d",
+						opt, sh.name, row, lo[row], hi[row], thr[row], out[row], scalar, naive)
+				}
+			}
+		}
+	}
+}
+
 // TestSelectKthRangesBatchMatchesScalar cross-checks SelectKthRangesBatch
 // against per-query SelectKthRanges over randomized multi-range queries,
 // including empty ranges, unsatisfiable ranks and negative ranks.

@@ -67,6 +67,46 @@ func BenchmarkCountBelow(b *testing.B) {
 	}
 }
 
+// BenchmarkCountBelowBatch is the batched count probe in the shape the
+// window operator gives it for a framed COUNT(DISTINCT) over 1M rows:
+// previous-occurrence keys of a skewed 50,000-value column, one query per
+// row with threshold = lo+1, issued in probe-chunk batches of 20,000
+// adjacent rows. The frames cover the short, the typical and the half-table
+// case (ROWS BETWEEN frame-1 PRECEDING AND CURRENT ROW). One op is one pass
+// over all rows; the reported ns/row is the per-query cost.
+func BenchmarkCountBelowBatch(b *testing.B) {
+	const n, chunk = 1_000_000, 20_000
+	rng := rand.New(rand.NewSource(3))
+	zipf := rand.NewZipf(rng, 1.1, 1, 49_999)
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(zipf.Uint64())
+	}
+	tree, err := Build(prevIdcsRef(vals), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := make([]int32, chunk), make([]int32, chunk)
+	thr := make([]int64, chunk)
+	out := make([]int32, chunk)
+	for _, frame := range []int{100, 10_000, n / 2} {
+		b.Run(fmt.Sprintf("frame%d", frame), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for start := 0; start < n; start += chunk {
+					for q := range out {
+						row := start + q
+						a := max(row-frame+1, 0)
+						lo[q], hi[q], thr[q] = int32(a), int32(row+1), int64(a)+1
+					}
+					tree.CountBelowBatch(lo, hi, thr, out)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
+	}
+}
+
 func BenchmarkSelectKth(b *testing.B) {
 	n := 1_000_000
 	// Permutation-array payload, as percentiles use (§4.5).

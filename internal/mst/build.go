@@ -17,15 +17,18 @@ import (
 // outputs, a snapshot of how many elements it has consumed from each child
 // run — these snapshots are exactly the fractional-cascading pointers of
 // Figure 4, produced "as a byproduct of constructing the merge sort tree by
-// persisting the input iterators used during the merge steps".
+// persisting the input iterators used during the merge steps". The merge
+// also persists its decisions: the origin stripe records, per output, which
+// child it was taken from, so a query can count exactly how far each child
+// had advanced between two snapshots instead of searching for it.
 //
 // Lower levels have many runs, so runs are batched into tasks of roughly
 // DefaultTaskSize tuples; upper levels have few runs, so the merge itself is
 // split into independent output pieces whose child splits are found with a
 // rank binary search over the value domain (§5.2).
 //
-// Allocation discipline: the level and sample arrays for the whole tree are
-// carved out of one arena slab per element type (their total size is known
+// Allocation discipline: the level, sample and origin arrays for the whole tree
+// are carved out of one arena slab per element type (their total size is known
 // up front), and each merge task borrows its scratch state — consumed
 // counters, tournament tree, head values — from the shared pools, so a
 // steady stream of builds allocates only the slabs themselves.
@@ -34,20 +37,23 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 	t := &tree[P]{n: n, f: opt.Fanout, k: opt.SampleEvery}
 	t.levels = [][]P{base}
 	t.samples = [][]int32{nil}
+	t.origin = [][]uint8{nil}
 	t.stride = []int{0}
 	t.effLen = []int{1}
 	if n <= 1 {
 		return t
 	}
 	cascade := !opt.NoCascading
+	striped := cascade && t.f <= maxOriginFanout
 
 	// Pre-size one slab per element type so the arena never grows: every
 	// level holds exactly n payload elements, and the sample table size per
 	// level follows from the run count and stride.
 	var arP *arena.Arena[P]
 	var arS *arena.Arena[int32]
+	var arO *arena.Arena[uint8]
 	if !opt.NoArena {
-		totalP, totalS := 0, 0
+		totalP, totalS, totalO := 0, 0, 0
 		// Each level's slab is cache-line aligned (AllocAligned), so budget
 		// one line of alignment slack per stripe on top of the exact sizes.
 		slackP := cacheLineBytes / int(unsafe.Sizeof(*new(P)))
@@ -61,10 +67,16 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 				numRuns := (n + rl - 1) / rl
 				totalS += numRuns*sampleStride(rl, t.k, t.f) + cacheLineBytes/4
 			}
+			if striped {
+				totalO += n + cacheLineBytes
+			}
 		}
 		arP = arena.New[P](totalP)
 		if totalS > 0 {
 			arS = arena.New[int32](totalS)
+		}
+		if totalO > 0 {
+			arO = arena.New[uint8](totalO)
 		}
 	}
 
@@ -96,8 +108,17 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 				samples = make([]int32, numRuns*stride)
 			}
 		}
+		var origin []uint8
+		if striped {
+			if arO != nil {
+				origin = arO.AllocAligned(n, cacheLineBytes)
+			} else {
+				origin = make([]uint8, n)
+			}
+		}
 		t.samples = append(t.samples, samples)
 		t.stride = append(t.stride, stride)
+		t.origin = append(t.origin, origin)
 
 		lsp := opt.Trace.Child("mst: merge level")
 		lsp.SetInt("level", int64(level))
@@ -226,7 +247,16 @@ func (t *tree[P]) mergeRun(level, r int, samples []int32, stride int, buf []int3
 		sampleRun = samples[r*stride : (r+1)*stride]
 	}
 	t.mergePiece(t.levels[level][runStart:runEnd], t.levels[level-1][runStart:runEnd],
-		childLen, m, nil, buf, vals, sampleRun, 0, runEnd-runStart)
+		childLen, m, nil, buf, vals, sampleRun, t.originRun(level, runStart, runEnd), 0, runEnd-runStart)
+}
+
+// originRun returns the origin stripe of the run spanning [runStart, runEnd)
+// at the given level, or nil when the tree carries no stripes.
+func (t *tree[P]) originRun(level, runStart, runEnd int) []uint8 {
+	if t.origin[level] == nil {
+		return nil
+	}
+	return t.origin[level][runStart:runEnd]
 }
 
 // mergeRunParallel splits the merge of run r into `workers` output pieces;
@@ -277,6 +307,7 @@ func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, worker
 		sampleRun = samples[r*stride : (r+1)*stride]
 	}
 	out := t.levels[level][runStart:runEnd]
+	origin := t.originRun(level, runStart, runEnd)
 	parallel.ForEach(pieces, func(p int) {
 		t0 := length * p / pieces
 		t1 := length * (p + 1) / pieces
@@ -285,7 +316,7 @@ func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, worker
 		}
 		buf, vals := mergeScratch[P](f, noPool)
 		t.mergePiece(out, childData, childLen, m, flat[p*m:(p+1)*m],
-			buf, vals, sampleRun, t0, t1)
+			buf, vals, sampleRun, origin, t0, t1)
 		putMergeScratch(noPool, buf, vals)
 	})
 }
@@ -330,14 +361,22 @@ func maxPayload[P payload]() P {
 // Samples are recorded at every output position that is a multiple of k,
 // plus the final boundary; the merge loop runs in sample-free blocks so the
 // hot path has no modulo.
-func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []int32, buf []int32, vals []P, sampleRun []int32, t0, t1 int) {
+//
+// origin, when non-nil, is the run's merge-origin stripe (parallel to out):
+// every path records the child each output was taken from, which under the
+// stable tiebreak is the lowest-indexed child holding the minimum head.
+func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []int32, buf []int32, vals []P, sampleRun []int32, origin []uint8, t0, t1 int) {
 	k, f := t.k, t.f
 	if childLen == 1 && split == nil && t0 == 0 && t1 == len(out) && (sampleRun == nil || k >= t1) {
 		// Leaf level: every child is a single element, so the merge is a
 		// small stable sort. Sample rows, if any, are only the zero row
 		// (already zeroed storage) and the full-run boundary row.
 		copy(out, childData[:t1])
-		insertionSort(out)
+		if origin != nil {
+			insertionSortOrigin(out, origin)
+		} else {
+			insertionSort(out)
+		}
 		if sampleRun != nil && t1%k == 0 {
 			base := (t1 / k) * f
 			for c := 0; c < m; c++ {
@@ -367,7 +406,11 @@ func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []in
 		}
 	}
 	if m == 1 {
-		// Single child: the run is already sorted, only samples to record.
+		// Single child: the run is already sorted, only samples to record;
+		// every output comes from child 0.
+		if origin != nil {
+			clear(origin[t0:t1])
+		}
 		c0 := int(cursor[0])
 		if sampleRun != nil {
 			for p := t0; p < t1; p++ {
@@ -437,6 +480,9 @@ func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []in
 			for ; p < stop; p++ {
 				c := winner
 				out[p] = vals[c]
+				if origin != nil {
+					origin[p] = u8(int(c))
+				}
 				pos := cursor[c] + 1
 				cursor[c] = pos
 				if pos < end[c] {
@@ -477,6 +523,9 @@ func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []in
 		for ; p < stop; p++ {
 			c := winner
 			out[p] = vals[c]
+			if origin != nil {
+				origin[p] = u8(int(c))
+			}
 			pos := cursor[c] + 1
 			cursor[c] = pos
 			if pos < end[c] {
@@ -516,6 +565,20 @@ func insertionSort[P payload](a []P) {
 			j--
 		}
 		a[j+1] = v
+	}
+}
+
+// insertionSortOrigin is insertionSort that also fills the leaf-level origin
+// stripe: element i starts as child i, and origins move with their values.
+func insertionSortOrigin[P payload](a []P, origin []uint8) {
+	for i := range a {
+		v := a[i]
+		j := i - 1
+		for j >= 0 && a[j] > v {
+			a[j+1], origin[j+1] = a[j], origin[j]
+			j--
+		}
+		a[j+1], origin[j+1] = v, u8(i)
 	}
 }
 

@@ -20,15 +20,16 @@ type descFrame struct {
 //
 // The range is pieced together from sorted runs top-down (Figure 2): runs
 // completely inside [lo, hi) contribute their rank of threshold directly;
-// the at most two runs overlapping a range edge are descended into. With
-// fractional cascading the rank inside a child run is re-located inside a
-// window of at most k elements around the parent's sampled pointer
-// (Figure 3), so only the top-level binary search pays O(log n).
+// the at most two runs overlapping a range edge are descended into. The
+// ranks inside the child runs come from countStep (count_step.go): exact
+// from the samples and the origin stripe, or — without a stripe — re-located
+// inside a window of at most k elements around the parent's sampled pointer
+// (Figure 3). Either way only the top-level binary search pays O(log n).
 //
 // The descent is iterative with an explicit stack: partially overlapped
-// runs are pushed and their children scanned when popped, so the hot query
-// path pays no call overhead per level. This is also the scalar fallback
-// the batched kernels (count_batch.go) degrade to under Options.NoBatch.
+// runs are pushed and resolved when popped, so the hot query path pays no
+// call overhead per level. This is also the scalar fallback the batched
+// kernels (count_batch.go) degrade to under Options.NoBatch.
 func (t *tree[P]) countBelow(lo, hi int, threshold P) int {
 	top := t.top()
 	rank := lowerBoundP(t.run(top, 0), threshold)
@@ -42,36 +43,22 @@ func (t *tree[P]) countBelow(lo, hi int, threshold P) int {
 	for sp > 0 {
 		sp--
 		fr := stack[sp]
-		level := int(fr.level)
-		r := int(fr.run)
-		rank := int(fr.rank)
-		runStart := r * t.effLen[level]
-		runEnd := runStart + t.effLen[level]
-		if runEnd > t.n {
-			runEnd = t.n
-		}
 		// A partially overlapped run is never a leaf: level-0 runs hold
 		// exactly one element and are either fully covered or skipped.
-		childLen := t.effLen[level-1]
-		for c, cs := 0, runStart; cs < runEnd; c, cs = c+1, cs+childLen {
-			ce := cs + childLen
-			if ce > runEnd {
-				ce = runEnd
-			}
-			if hi <= cs || lo >= ce {
+		level, r := int(fr.level), int(fr.run)
+		lv := t.view(level)
+		covered, partial := lv.countStep(r, int(fr.rank), lo, hi, threshold)
+		total += covered
+		for _, pc := range partial {
+			if pc.rank < 0 {
 				continue
 			}
-			childRank := t.childRank(level, r, rank, c, threshold)
-			if lo <= cs && hi >= ce {
-				total += childRank
-			} else {
-				if sp == len(stack) {
-					//lint:invariant at most two partial runs exist per level and trees have at most 32 levels, so the stack cannot exceed 2·33 frames
-					panic("mst: countBelow descent stack overflow")
-				}
-				stack[sp] = descFrame{level: i32(level - 1), run: i32(r*t.f + c), rank: i32(childRank)}
-				sp++
+			if sp == len(stack) {
+				//lint:invariant at most two partial runs exist per level and trees have at most 32 levels, so the stack cannot exceed 2·33 frames
+				panic("mst: countBelow descent stack overflow")
 			}
+			stack[sp] = descFrame{level: i32(level - 1), run: i32(r*t.f + pc.child), rank: i32(pc.rank)}
+			sp++
 		}
 	}
 	return total

@@ -141,63 +141,30 @@ func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32, no
 	}
 
 	// Descend the whole frontier one level per iteration. Per-level state
-	// (run geometry, sample table, child element slab) is hoisted out of the
-	// per-item loop. Partially covered runs are never leaves: level-0 runs
-	// hold one element each, so the frontier drains at level 1.
+	// (run geometry, sample table, origin stripe, child element slab) is
+	// hoisted out of the per-item loop; every item is one countStep. Partially
+	// covered runs are never leaves: level-0 runs hold one element each, so
+	// the frontier drains at level 1.
+	f := t.f
 	for level := top; level >= 1 && cn > 0; level-- {
-		runLen := t.effLen[level]
-		childLen := t.effLen[level-1]
-		samples := t.samples[level]
-		stride := 0
-		if samples != nil {
-			stride = t.stride[level]
-		}
-		kids := t.levels[level-1]
-		f, k := t.f, t.k
+		lv := t.view(level)
 		nn := 0
 		for it := 0; it < cn; it++ {
 			q := int(cq[it])
 			r := int(cr[it])
-			rank := int(crank[it])
-			runStart := r * runLen
-			runEnd := runStart + runLen
-			if runEnd > t.n {
-				runEnd = t.n
-			}
-			qlo, qhi := int(lo[q]), int(hi[q])
-			// Jump straight to the children overlapping [qlo, qhi): the
-			// frontier item exists because the query range overlaps this run,
-			// so cFirst <= cLast.
-			cFirst := 0
-			if qlo > runStart {
-				cFirst = (qlo - runStart) / childLen
-			}
-			last := qhi
-			if last > runEnd {
-				last = runEnd
-			}
-			cLast := (last - 1 - runStart) / childLen
-			x := thr[q]
-			acc := int32(0)
-			for c := cFirst; c <= cLast; c++ {
-				cs := runStart + c*childLen
-				ce := cs + childLen
-				if ce > runEnd {
-					ce = runEnd
+			covered, partial := lv.countStep(r, int(crank[it]), int(lo[q]), int(hi[q]), thr[q])
+			out[q] += i32(covered)
+			for _, pc := range partial {
+				if pc.rank < 0 {
+					continue
 				}
-				cRank := childRankIn(samples, stride, r, rank, c, f, k, kids[cs:ce], x)
-				if qlo <= cs && qhi >= ce {
-					acc += i32(cRank)
-				} else {
-					if nn == len(nq) {
-						//lint:invariant a query keeps at most two partial runs per level (the runs holding lo and hi-1), so the next frontier holds at most 2·m items
-						panic("mst: countKernel frontier overflow")
-					}
-					nq[nn], nr[nn], nrank[nn] = i32(q), i32(r*f+c), i32(cRank)
-					nn++
+				if nn == len(nq) {
+					//lint:invariant a query keeps at most two partial runs per level (the runs holding lo and hi-1), so the next frontier holds at most 2·m items
+					panic("mst: countKernel frontier overflow")
 				}
+				nq[nn], nr[nn], nrank[nn] = i32(q), i32(r*f+pc.child), i32(pc.rank)
+				nn++
 			}
-			out[q] += acc
 		}
 		cq, nq = nq, cq
 		cr, nr = nr, cr

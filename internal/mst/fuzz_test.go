@@ -14,6 +14,8 @@ func FuzzCountSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), 0, uint8(3), uint8(2), uint8(1))
 	f.Add([]byte{}, 0, 0, int64(0), 0, uint8(2), uint8(1), uint8(7))
+	f.Add([]byte{9, 9, 1, 9, 0, 3, 3, 251, 3}, 2, 8, int64(9), 1, uint8(239), uint8(225), uint8(0)) // f = 256
+	f.Add([]byte{9, 9, 1, 9, 0, 3, 3, 251, 3}, 2, 8, int64(9), 1, uint8(240), uint8(255), uint8(0)) // f = 257: no stripe
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		for i, b := range data {
@@ -25,8 +27,8 @@ func FuzzCountSelect(f *testing.F) {
 			}
 		}
 		opt := Options{
-			Fanout:      2 + int(fanout%7),
-			SampleEvery: 1 + int(sampleEvery%15),
+			Fanout:      fuzzParam(fanout, 2, 7),
+			SampleEvery: fuzzParam(sampleEvery, 1, 15),
 			NoCascading: flags&1 != 0,
 			Force64:     flags&2 != 0,
 			Serial:      flags&4 != 0,
@@ -169,14 +171,19 @@ func FuzzAggBatch(f *testing.F) {
 	})
 }
 
-// FuzzSerialize round-trips fuzzer-built trees through the MST1 format and
+// FuzzSerialize round-trips fuzzer-built trees through the MST2 format and
 // checks the deserialized tree answers count and select queries identically
-// to the original, across payload widths, fanouts and sampling rates.
+// to the original, across payload widths, fanouts and sampling rates. It
+// then overwrites one byte of the record's sample/origin section (corruptAt,
+// corruptTo): ReadTree must reject the record or, when the byte lands where
+// nothing reads it (padding, or the old value), load a tree that still
+// answers like the original — a corrupted stripe never mis-answers.
 func FuzzSerialize(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0))
-	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), 0, uint8(3), uint8(2), uint8(3))
-	f.Add([]byte{}, 0, 0, int64(0), 0, uint8(2), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8) {
+	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0), 3, uint8(1))
+	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), 0, uint8(3), uint8(2), uint8(3), 0, uint8(200))
+	f.Add([]byte{}, 0, 0, int64(0), 0, uint8(2), uint8(1), uint8(1), 1, uint8(9))
+	f.Add([]byte{4, 4, 2, 8, 8, 1, 0, 7, 7, 7, 3}, 1, 9, int64(7), 2, uint8(1), uint8(3), uint8(0), 40, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8, corruptAt int, corruptTo uint8) {
 		keys := make([]int64, len(data))
 		for i, b := range data {
 			keys[i] = int64(b)
@@ -185,8 +192,8 @@ func FuzzSerialize(f *testing.F) {
 			}
 		}
 		opt := Options{
-			Fanout:      2 + int(fanout%7),
-			SampleEvery: 1 + int(sampleEvery%15),
+			Fanout:      fuzzParam(fanout, 2, 7),
+			SampleEvery: fuzzParam(sampleEvery, 1, 15),
 			NoCascading: flags&1 != 0,
 			Force64:     flags&2 != 0,
 		}
@@ -226,7 +233,40 @@ func FuzzSerialize(f *testing.F) {
 				t.Fatalf("Value(%d): orig %d, round-tripped %d", pos, a, b)
 			}
 		}
+
+		// Stripe corruption: the cascade section follows the header and the
+		// payload levels. Only striped trees verify it on load.
+		s := orig.Stats()
+		cascadeStart := 28 + s.Elements*s.ElementBytes
+		if s.OriginBytes == 0 || corruptAt < 0 || cascadeStart >= buf.Len() {
+			return
+		}
+		rec := bytes.Clone(buf.Bytes())
+		rec[cascadeStart+corruptAt%(len(rec)-cascadeStart)] = corruptTo
+		bad, err := ReadTree(bytes.NewReader(rec))
+		if err != nil {
+			return
+		}
+		if a, b := orig.CountBelow(lo, hi, threshold), bad.CountBelow(lo, hi, threshold); a != b {
+			t.Errorf("corrupted record loaded and CountBelow(%d, %d, %d) = %d, orig %d", lo, hi, threshold, b, a)
+		}
+		cPos, cOK := bad.SelectKth(0, threshold, k)
+		if aOK != cOK || (aOK && aPos != cPos) {
+			t.Errorf("corrupted record loaded and SelectKth(0, %d, %d) = (%d, %v), orig (%d, %v)",
+				threshold, k, cPos, cOK, aPos, aOK)
+		}
 	})
+}
+
+// fuzzParam maps a fuzz byte to a fanout or sample distance: mostly the
+// small values (base .. base+small-1) that make fuzz-sized inputs deep
+// trees, plus the band 241..272 around the 256-child limit of the one-byte
+// origin stripe (f = 256 for byte 239, f = 257 for byte 240).
+func fuzzParam(b uint8, base, small int) int {
+	if b >= 224 {
+		return 17 + int(b)
+	}
+	return base + int(b)%small
 }
 
 func clampRange(lo, hi, n int) (int, int) {

@@ -3,12 +3,16 @@ package mst
 import (
 	"math/rand"
 	"testing"
+
+	"holistic/internal/parallel"
 )
 
 // checkInvariants validates the structural invariants of a built tree:
 // every level is a permutation of the base multiset, runs are sorted, the
-// top level is one fully sorted run, and every cascading sample really is
-// the merge's consumed-count snapshot.
+// top level is one fully sorted run, every cascading sample really is the
+// merge's consumed-count snapshot, every origin entry is the child the
+// stable reference merge takes, and samples plus origins give every child's
+// exact rank (checkRankIdentity).
 func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 	t.Helper()
 	n := tr.n
@@ -48,6 +52,9 @@ func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 		// recorded consumed counts must equal, per child, the number of its
 		// elements among the lexicographically smallest s·k elements of the
 		// merge — verified by re-merging.
+		if striped := tr.samples[l] != nil && tr.f <= maxOriginFanout; striped != (tr.origin[l] != nil) {
+			t.Fatalf("level %d: origin stripe present = %v, want %v (f=%d)", l, !striped, striped, tr.f)
+		}
 		if tr.samples[l] == nil {
 			continue
 		}
@@ -85,7 +92,14 @@ func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 						best = c
 					}
 				}
+				if tr.origin[l] != nil && int(tr.origin[l][runStart+p]) != best {
+					t.Fatalf("level %d run %d output %d: origin %d, stable merge takes child %d",
+						l, r, p, tr.origin[l][runStart+p], best)
+				}
 				pos[best]++
+			}
+			if tr.origin[l] != nil {
+				checkRankIdentity(t, tr, l, r, kids)
 			}
 		}
 	}
@@ -94,6 +108,91 @@ func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 		for i := 1; i < len(top); i++ {
 			if top[i-1] > top[i] {
 				t.Fatal("top level not fully sorted")
+			}
+		}
+	}
+}
+
+// checkRankIdentity verifies the identity the count step rests on, for one
+// run: for every child c and every threshold x just below, at and just above
+// every value of the run, the child's rank of x equals the sample entry at
+// the last sample point at or before the run's own rank plus the number of
+// origin entries naming c between that sample point and the rank.
+func checkRankIdentity[P payload](t *testing.T, tr *tree[P], l, r int, kids [][]P) {
+	t.Helper()
+	runStart := r * tr.effLen[l]
+	run := tr.run(l, r)
+	origin := tr.origin[l][runStart : runStart+len(run)]
+	samples := tr.samples[l][r*tr.stride[l]:]
+	for i, v := range run {
+		if i > 0 && v == run[i-1] {
+			continue
+		}
+		for _, x := range []P{v - 1, v, v + 1} {
+			rank := lowerBoundP(run, x)
+			q := rank / tr.k
+			for c, kid := range kids {
+				got := int(samples[q*tr.f+c])
+				for _, o := range origin[q*tr.k : rank] {
+					if int(o) == c {
+						got++
+					}
+				}
+				if want := lowerBoundP(kid, x); got != want {
+					t.Fatalf("level %d run %d child %d threshold %v: samples+origins give rank %d, want %d",
+						l, r, c, x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOriginStripe builds trees on duplicate-heavy inputs across the stripe's
+// parameter space — fanouts on both sides of the one-byte limit, sample
+// distances below, at and above the fanout, both payload widths, ragged last
+// runs, serial merges and mergeRunParallel pieces — and checks the stripe
+// against the reference merge and the rank identity, plus count queries
+// through the scalar and batched descents.
+func TestOriginStripe(t *testing.T) {
+	prev := parallel.SetMaxWorkers(4)
+	defer parallel.SetMaxWorkers(prev)
+	rng := rand.New(rand.NewSource(79))
+	for _, f := range []int{2, 8, 32, 256, 257} {
+		for _, k := range []int{1, 7, 32, 64} {
+			for _, n := range []int{f + 1, 1000, 5000} { // 5000: the top run merges in parallel pieces
+				for _, opt := range []Options{
+					{Fanout: f, SampleEvery: k},
+					{Fanout: f, SampleEvery: k, Force64: true, NoArena: true},
+					{Fanout: f, SampleEvery: k, Serial: true},
+				} {
+					keys := randKeys(rng, n, int64(n)/8+2)
+					tree, err := Build(keys, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tree.t32 != nil {
+						checkInvariants(t, tree.t32)
+					} else {
+						checkInvariants(t, tree.t64)
+					}
+					const m = 64
+					lo, hi := make([]int32, m), make([]int32, m)
+					thr := make([]int64, m)
+					out := make([]int32, m)
+					for q := range out {
+						a := rng.Intn(n)
+						lo[q], hi[q] = int32(a), int32(a+1+rng.Intn(n-a))
+						thr[q] = rng.Int63n(int64(n)/8 + 4)
+					}
+					tree.CountBelowBatch(lo, hi, thr, out)
+					for q := range out {
+						want := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q])
+						if got := tree.CountBelow(int(lo[q]), int(hi[q]), thr[q]); got != want || int(out[q]) != want {
+							t.Fatalf("opt=%+v n=%d count[%d,%d)<%d: scalar %d, batch %d, want %d",
+								opt, n, lo[q], hi[q], thr[q], got, out[q], want)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -15,21 +15,27 @@ import (
 //
 // Format (little endian):
 //
-//	magic "MST1" | flags u32 (bit0: 64-bit payloads, bit1: cascading,
+//	magic "MST2" | flags u32 (bit0: 64-bit payloads, bit1: cascading,
 //	bit2: spill-chunked)
 //	n u64 | fanout u32 | sampleEvery u32 | levels u32
 //	per level: payload array (4 or 8 bytes per element)
-//	per level >= 1, if cascading: stride u64 + sample array (4 bytes each)
+//	per level >= 1, if cascading: stride u64 + sample array (4 bytes each),
+//	then, if fanout <= 256, the origin stripe (n bytes)
+//
+// The samples and origins of a striped tree are not taken on trust: ReadTree
+// replays every run's merge from them (verifyCascade) and rejects a record
+// whose origins or samples do not reproduce the stored levels, so a tree that
+// loads answers through the same exact count step as a freshly built one.
 //
 // A spill-chunked tree (Options.SpillRows, spill.go) instead writes
 //
-//	magic "MST1" | flags u32 (bit2 set, others clear)
+//	magic "MST2" | flags u32 (bit2 set, others clear)
 //	n u64 | chunkLen u64 | numChunks u32
 //	per chunk: one full monolithic tree record (magic included)
 //
 // Chunks cannot nest: a chunk record with bit2 set is rejected.
 
-const magic = "MST1"
+const magic = "MST2"
 
 const (
 	flag64Bit uint32 = 1 << iota
@@ -218,6 +224,9 @@ func writeTree[P payload](w io.Writer, t *tree[P], is64 bool) error {
 			if err := binary.Write(w, binary.LittleEndian, t.samples[l]); err != nil {
 				return err
 			}
+			if _, err := w.Write(t.origin[l]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -227,6 +236,7 @@ func readTree[P payload](r io.Reader, opt Options, n, levels int, flags uint32) 
 	t := &tree[P]{n: n, f: opt.Fanout, k: opt.SampleEvery}
 	t.levels = make([][]P, levels)
 	t.samples = make([][]int32, levels)
+	t.origin = make([][]uint8, levels)
 	t.stride = make([]int, levels)
 	t.effLen = make([]int, levels)
 	rl := 1
@@ -255,21 +265,67 @@ func readTree[P payload](r io.Reader, opt Options, n, levels int, flags uint32) 
 				return nil, fmt.Errorf("mst: reading stride %d: %w", l, err)
 			}
 			numRuns := (n + t.effLen[l] - 1) / t.effLen[l]
-			// Accept both the padded SoA stride (the current layout) and the
-			// dense pre-padding stride, so records written before the layout
-			// change still load; probes only index the dense prefix of a row.
-			padded := sampleStride(t.effLen[l], t.k, t.f)
-			dense := (t.effLen[l]/t.k + 1) * t.f
-			if int(stride) != padded && int(stride) != dense {
-				return nil, fmt.Errorf("mst: level %d stride %d, want %d or %d", l, stride, padded, dense)
+			if want := sampleStride(t.effLen[l], t.k, t.f); stride != uint64(want) {
+				return nil, fmt.Errorf("mst: level %d stride %d, want %d", l, stride, want)
 			}
 			t.stride[l] = int(stride)
 			t.samples[l] = make([]int32, numRuns*int(stride))
 			if err := binary.Read(r, binary.LittleEndian, t.samples[l]); err != nil {
 				return nil, fmt.Errorf("mst: reading samples %d: %w", l, err)
 			}
+			if t.f > maxOriginFanout {
+				continue
+			}
+			t.origin[l] = make([]uint8, n)
+			if _, err := io.ReadFull(r, t.origin[l]); err != nil {
+				return nil, fmt.Errorf("mst: reading origins %d: %w", l, err)
+			}
+			if err := t.verifyCascade(l); err != nil {
+				return nil, err
+			}
 		}
 	}
 	finalizeCodes(t)
 	return t, nil
+}
+
+// verifyCascade replays the merges of a deserialized level from its origin
+// stripe: every output must be the next unconsumed element of the child its
+// origin names, and every sample row must equal the consumed counts at its
+// output position. A level that passes reproduces exactly the state the
+// count step reads, whatever bytes the record held.
+func (t *tree[P]) verifyCascade(level int) error {
+	rl, childLen := t.effLen[level], t.effLen[level-1]
+	consumed := make([]int32, t.f)
+	for r, runStart := 0, 0; runStart < t.n; r, runStart = r+1, runStart+rl {
+		runEnd := min(runStart+rl, t.n)
+		out := t.levels[level][runStart:runEnd]
+		origin := t.origin[level][runStart:runEnd]
+		childData := t.levels[level-1][runStart:runEnd]
+		m := (len(out) + childLen - 1) / childLen
+		clear(consumed)
+		for p := 0; ; p++ {
+			if p%t.k == 0 {
+				row := t.samples[level][r*t.stride[level]+(p/t.k)*t.f:]
+				for c := 0; c < m; c++ {
+					if row[c] != consumed[c] {
+						return fmt.Errorf("mst: level %d run %d: sample %d of child %d is %d, the origins say %d", level, r, p/t.k, c, row[c], consumed[c])
+					}
+				}
+			}
+			if p == len(out) {
+				break
+			}
+			c := int(origin[p])
+			if c >= m {
+				return fmt.Errorf("mst: level %d run %d: origin %d at output %d, run has %d children", level, r, c, p, m)
+			}
+			kid := childRunOf(childData, childLen, c)
+			if int(consumed[c]) >= len(kid) || kid[consumed[c]] != out[p] {
+				return fmt.Errorf("mst: level %d run %d: output %d is not the next element of its origin child %d", level, r, p, c)
+			}
+			consumed[c]++
+		}
+	}
+	return nil
 }

@@ -94,6 +94,29 @@ func TestSerializeCorruption(t *testing.T) {
 	if _, err := ReadTree(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("implausible n accepted")
 	}
+	// The origin stripe of this two-level tree is the record's last n bytes
+	// and its samples start after the header, both levels and the stride.
+	// An origin naming a child the run does not have, an in-range origin
+	// that is not the merge's, and a sample the origins contradict must all
+	// be rejected: nothing that loads may answer through a wrong cascade.
+	last := len(full) - 1
+	firstSample := 28 + 2*len(keys)*4 + 8
+	for _, c := range []struct {
+		name string
+		at   int
+		to   byte
+	}{
+		{"origin beyond the fanout's range", last, 255},
+		{"origin == child count", last, byte(len(keys))},
+		{"in-range origin of another child", last, (full[last] + 1) % byte(len(keys))},
+		{"sample contradicting the origins", firstSample, 1},
+	} {
+		bad := append([]byte{}, full...)
+		bad[c.at] = c.to
+		if _, err := ReadTree(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+	}
 }
 
 func TestSerializedSizeMatchesStats(t *testing.T) {

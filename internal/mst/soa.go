@@ -5,9 +5,10 @@ import "unsafe"
 // Cache-conscious struct-of-arrays level layout and offset-value-coded
 // comparisons (PR 10; DESIGN.md §15).
 //
-// Layout. A tree level is two flat stripes: the payload run slab
-// (levels[l]) and the cascading sample slab (samples[l]). Both were already
-// arena-carved; this file makes the layout deliberate:
+// Layout. A tree level is three flat stripes: the payload run slab
+// (levels[l]), the cascading sample slab (samples[l]) and the merge-origin
+// stripe (origin[l]). All are arena-carved; this file makes the layout
+// deliberate:
 //
 //   - every stripe starts on a 64-byte cache-line boundary
 //     (arena.AllocAligned), so the first element of a level — and with the
@@ -41,9 +42,10 @@ import "unsafe"
 // coincide and the machinery would be pure overhead. Codes are a monotone
 // projection of the keys, so every comparison outcome — and therefore every
 // query answer and every merge order — is bit-identical to the uncoded
-// path. Because the padded sample stride changes the serialized form and
-// the in-memory geometry, treeSig carries a layout component ("l2") so
-// structure caches never mix layouts across versions.
+// path. Because the padded sample stride and the origin stripes (a third
+// stripe per merge level, one byte per element, see count_step.go) change
+// the serialized form and the in-memory geometry, treeSig carries a layout
+// component ("l3") so structure caches never mix layouts across versions.
 
 // cacheLineBytes is the layout grain of the SoA stripes.
 const cacheLineBytes = 64

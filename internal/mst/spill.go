@@ -169,9 +169,9 @@ func mergeChunkTops[P payload](chunks []*Tree, chunkLen, n int, topOf func(*Tree
 	out := make([]P, n)
 	buf, vals := mergeScratch[P](m, noArena)
 	// A throwaway geometry carrier: mergePiece only reads f (slot strides)
-	// and, with sampleRun nil, never touches k or the level arrays.
+	// and, with sampleRun and origin nil, never touches k or the level arrays.
 	tmp := &tree[P]{n: n, f: m, k: 1}
-	tmp.mergePiece(out, base, chunkLen, m, nil, buf, vals, nil, 0, n)
+	tmp.mergePiece(out, base, chunkLen, m, nil, buf, vals, nil, nil, 0, n)
 	putMergeScratch(noArena, buf, vals)
 	return out
 }

@@ -3,13 +3,18 @@ package mst
 // Stats describes the storage of a built tree, matching the accounting of
 // §5.1: the tree has ⌈log_f n⌉·n payload elements plus
 // (⌈log_f n⌉−1)·n·f/k cascading pointers, so a larger fanout shrinks the
-// payload exponentially while growing the pointer share linearly.
+// payload exponentially while growing the pointer share linearly. On top of
+// the paper's two terms every merge level of a cascading tree with f <= 256
+// carries a one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all:
+//
+//	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes
 type Stats struct {
 	Levels         int // number of levels including the base copy
 	Elements       int // payload elements across all levels
 	Pointers       int // cascading pointer entries across all levels
 	ElementBytes   int // bytes per payload element (4 or 8)
-	Bytes          int // total bytes of payloads plus pointers
+	OriginBytes    int // merge-origin stripe bytes across all levels
+	Bytes          int // total bytes of payloads, pointers and origin stripes
 	Fanout         int
 	SampleDistance int
 }
@@ -24,6 +29,7 @@ func (t *Tree) Stats() Stats {
 			cs := c.Stats()
 			s.Elements += cs.Elements
 			s.Pointers += cs.Pointers
+			s.OriginBytes += cs.OriginBytes
 			s.Bytes += cs.Bytes
 			if cs.Levels > s.Levels {
 				s.Levels = cs.Levels
@@ -51,7 +57,8 @@ func stats[P payload](t *tree[P], elemBytes int) Stats {
 	for l, lv := range t.levels {
 		s.Elements += len(lv)
 		s.Pointers += len(t.samples[l])
+		s.OriginBytes += len(t.origin[l])
 	}
-	s.Bytes = s.Elements*elemBytes + s.Pointers*4
+	s.Bytes = s.Elements*elemBytes + s.Pointers*4 + s.OriginBytes
 	return s
 }

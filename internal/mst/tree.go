@@ -19,9 +19,12 @@
 // Queries run in O(log n) thanks to fractional cascading: every k-th element
 // of each run is annotated with, per child run, the number of elements the
 // merge had consumed from that child, which bounds the re-search window at
-// the child level by k (§4.2, Figures 3 and 4). Both the fanout f and the
-// sampling parameter k are configurable; the paper settles on f = k = 32
-// (§6.6) and so do we.
+// the child level by k (§4.2, Figures 3 and 4). On top of the paper's
+// samples every merged element keeps one byte naming the child run it was
+// taken from (the origin stripe), which turns the window search of a count
+// descent into an exact scan of fewer than k bytes (count_step.go). Both the
+// fanout f and the sampling parameter k are configurable; the paper settles
+// on f = k = 32 (§6.6) and so do we.
 //
 // Payload values are plain integers: the window operator's preprocessing
 // (package preprocess) maps previous-occurrence indices, dense ranks and
@@ -181,6 +184,12 @@ type tree[P payload] struct {
 	// stride[l] is the per-run sample stride at level l, padded to whole
 	// cache lines (sampleStride, soa.go).
 	stride []int
+	// origin[l] (l >= 1) is the merge-origin stripe of level l, parallel to
+	// levels[l]: origin[l][p] is the index, within its run's children, of
+	// the child run the merge took element p from. Together with the samples
+	// it makes every child rank exact (count_step.go). nil when cascading is
+	// off or f > maxOriginFanout.
+	origin [][]uint8
 	// effLen[l] is the run length at level l (f^l), clamped to n at the top.
 	effLen []int
 	// topCodes is the offset-value code stripe of the top run: the high
