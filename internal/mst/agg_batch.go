@@ -123,46 +123,27 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 		cn++
 	}
 
-	// Phase 1: level-synchronous descent. Covered children with a positive
-	// rank become takes; partially covered children descend.
+	// Phase 1: level-synchronous descent. One ranksStep (step.go) per
+	// frontier item ranks every overlapped child; covered children with a
+	// positive rank become takes, partially covered children descend.
+	var ranks [maxOriginFanout]int32
+	f := t.f
 	for level := top; level >= 1 && cn > 0; level-- {
-		runLen := t.effLen[level]
-		childLen := t.effLen[level-1]
-		samples := t.samples[level]
-		stride := 0
-		if samples != nil {
-			stride = t.stride[level]
-		}
-		kids := t.levels[level-1]
-		f, k := t.f, t.k
+		lv := t.view(level)
+		childLen := lv.childLen
 		nn := 0
 		for it := 0; it < cn; it++ {
 			q := int(cq[it])
 			r := int(cr[it])
-			rank := int(crank[it])
-			runStart := r * runLen
-			runEnd := runStart + runLen
-			if runEnd > t.n {
-				runEnd = t.n
-			}
+			runStart, runEnd := lv.span(r)
 			qlo, qhi := int(klo[q]), int(khi[q])
-			cFirst := 0
-			if qlo > runStart {
-				cFirst = (qlo - runStart) / childLen
-			}
-			last := qhi
-			if last > runEnd {
-				last = runEnd
-			}
-			cLast := (last - 1 - runStart) / childLen
-			x := cthr[q]
+			cFirst := (max(qlo, runStart) - runStart) / childLen
+			cLast := (min(qhi, runEnd) - 1 - runStart) / childLen
+			lv.ranksStep(r, int(crank[it]), cthr[q], cFirst, cLast, ranks[:f])
 			for c := cFirst; c <= cLast; c++ {
 				cs := runStart + c*childLen
-				ce := cs + childLen
-				if ce > runEnd {
-					ce = runEnd
-				}
-				cRank := childRankIn(samples, stride, r, rank, c, f, k, kids[cs:ce], x)
+				ce := min(cs+childLen, runEnd)
+				cRank := int(ranks[c])
 				if qlo <= cs && qhi >= ce {
 					if cRank > 0 {
 						cnt[q] += i32(cRank)

@@ -109,3 +109,78 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestAggBatchFrameShapes pins kernel == scalar == brute force for the
+// aggregate descents on the frame shapes a window probe produces — sliding,
+// constant, empty and whole-partition frames over previous-occurrence keys
+// with the DISTINCT threshold lo+1 — across the step's parameter grid. The
+// aggregate state pairs an integer sum, which brute force can reproduce, with
+// a polynomial hash that is neither commutative nor associative, which kernel
+// and scalar only agree on when they fold the same takes in the same order.
+func TestAggBatchFrameShapes(t *testing.T) {
+	type state struct {
+		sum  int64
+		fold uint64
+	}
+	merge := func(a, b state) state { return state{a.sum + b.sum, a.fold*1000003 + b.fold} }
+	rng := rand.New(rand.NewSource(61))
+	const n = 1531 // ragged last run at every fanout of the grid
+	vals := make([]int64, n)
+	states := make([]state, n)
+	for i := range vals {
+		vals[i] = int64(rng.Intn(40))
+		states[i] = state{vals[i], uint64(i) + 1}
+	}
+	keys := prevIdcsRef(vals)
+	shapes := []struct {
+		name  string
+		frame func(row int) (lo, hi int)
+	}{
+		{"sliding", func(row int) (int, int) { return max(row-99, 0), row + 1 }},
+		{"sliding-centered", func(row int) (int, int) { return max(row-700, 0), min(row+700, n) }},
+		{"constant", func(int) (int, int) { return 517, 1203 }},
+		{"empty", func(row int) (int, int) { return row, row - row%2 }},
+		{"whole-partition", func(int) (int, int) { return 0, n }},
+	}
+	lo, hi := make([]int32, n), make([]int32, n)
+	thr := make([]int64, n)
+	res := make([]state, n)
+	okv := make([]bool, n)
+	cnt := make([]int32, n)
+	sums := make([]int64, n)
+	nums := make([]int, n)
+	grid := stepGrid()
+	trees := make([]*AnnotatedTree[state], 0, len(grid))
+	for _, opt := range grid {
+		at, err := BuildAnnotated(keys, states, merge, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, at)
+	}
+	for _, sh := range shapes {
+		for row := 0; row < n; row++ {
+			a, b := sh.frame(row)
+			lo[row], hi[row], thr[row] = int32(a), int32(b), int64(a)+1
+			sums[row], nums[row] = 0, 0
+			for i := a; i < b; i++ {
+				if keys[i] < thr[row] {
+					sums[row] += vals[i]
+					nums[row]++
+				}
+			}
+		}
+		for ti, at := range trees {
+			at.AggBelowBatch(lo, hi, thr, res, okv, cnt)
+			for row := 0; row < n; row++ {
+				sum, num := sums[row], nums[row]
+				scalar, scalarOK := at.AggBelow(int(lo[row]), int(hi[row]), thr[row])
+				if okv[row] != (num > 0) || scalarOK != (num > 0) || int(cnt[row]) != num ||
+					(num > 0 && (res[row] != scalar || scalar.sum != sum)) {
+					t.Fatalf("opt=%+v %s row %d [%d,%d)<%d: kernel (%+v, %v, cnt %d), scalar (%+v, %v), brute force sum %d of %d",
+						grid[ti], sh.name, row, lo[row], hi[row], thr[row], res[row], okv[row], cnt[row], scalar, scalarOK, sum, num)
+				}
+			}
+		}
+	}
+}

@@ -132,11 +132,10 @@ func (at *AnnotatedTree[S]) CountBelow(lo, hi int, threshold int64) int {
 }
 
 // aggWalkFrame is one suspended partial run of the iterative aggregate
-// walk: the run's level, index and exact rank of the threshold, plus the
-// resumable child-scan cursor (cs, absolute position) and the run's end.
+// walk: the run's level, index and exact rank of the threshold, plus next,
+// the child the run's scan resumes at.
 type aggWalkFrame struct {
-	level, run, rank int32
-	cs, runEnd       int32
+	level, run, rank, next int32
 }
 
 // AggBelow merges the aggregate states of all entries at positions [lo, hi)
@@ -144,10 +143,12 @@ type aggWalkFrame struct {
 // qualifies (the SQL aggregate is then NULL).
 //
 // The walk visits the same run-prefix decomposition a count query produces
-// (§4.3), iteratively with an explicit stack of resumable frames: child
-// scans suspend when they descend into a partially covered child and resume
-// afterwards, so contributions merge in exactly the left-to-right recursion
-// order without allocating a visit closure per query.
+// (§4.3), iteratively with an explicit stack of resumable frames: a run's
+// child scan suspends when it descends into a partially covered child and
+// resumes afterwards, so contributions merge in exactly the left-to-right
+// recursion order without allocating a visit closure per query. Every
+// (re-)entered run ranks its children with one ranksStep (step.go); each
+// covered child's rank indexes that child's prefix aggregates.
 func (at *AnnotatedTree[S]) AggBelow(lo, hi int, threshold int64) (result S, ok bool) {
 	lo, hi, ct, valid := at.clip(lo, hi, threshold)
 	if !valid {
@@ -162,65 +163,52 @@ func (at *AnnotatedTree[S]) AggBelow(lo, hi int, threshold int64) (result S, ok 
 		}
 		return at.agg[top][rank-1], true
 	}
-	take := func(level, runStart, rank int) {
-		if rank == 0 {
-			return
-		}
-		part := at.agg[level][runStart+rank-1]
-		if !ok {
-			result, ok = part, true
-		} else {
-			result = at.merge(result, part)
-		}
-	}
 	var stack [maxDescentStack]aggWalkFrame
-	runEnd := t.effLen[top]
-	if runEnd > t.n {
-		runEnd = t.n
-	}
-	stack[0] = aggWalkFrame{level: i32(top), run: 0, rank: i32(rank), cs: 0, runEnd: i32(runEnd)}
+	var ranks [maxOriginFanout]int32
+	stack[0] = aggWalkFrame{level: i32(top), rank: i32(rank), next: i32(lo / t.effLen[top-1])}
 	sp := 1
 	for sp > 0 {
 		fr := &stack[sp-1]
-		level := int(fr.level)
+		lv := t.view(int(fr.level))
 		r := int(fr.run)
-		childLen := t.effLen[level-1]
-		runStart := r * t.effLen[level]
+		runStart, runEnd := lv.span(r)
+		cLast := (min(hi, runEnd) - 1 - runStart) / lv.childLen
+		if int(fr.next) > cLast {
+			sp--
+			continue
+		}
+		lv.ranksStep(r, int(fr.rank), ct, int(fr.next), cLast, ranks[:t.f])
 		descended := false
-		for int(fr.cs) < int(fr.runEnd) {
-			cs := int(fr.cs)
-			ce := cs + childLen
-			if ce > int(fr.runEnd) {
-				ce = int(fr.runEnd)
-			}
-			c := (cs - runStart) / childLen
-			fr.cs = i32(cs + childLen)
-			if hi <= cs || lo >= ce {
-				continue
-			}
-			childRank := t.childRank(level, r, int(fr.rank), c, ct)
+		for c := int(fr.next); c <= cLast; c++ {
+			cs := runStart + c*lv.childLen
+			ce := min(cs+lv.childLen, runEnd)
 			if lo <= cs && hi >= ce {
-				take(level-1, cs, childRank)
+				if cr := int(ranks[c]); cr > 0 {
+					part := at.agg[fr.level-1][cs+cr-1]
+					if !ok {
+						result, ok = part, true
+					} else {
+						result = at.merge(result, part)
+					}
+				}
 				continue
 			}
+			// Partially covered: suspend this run behind the child. Only the
+			// child holding lo starts its own scan past its first child.
 			if sp == len(stack) {
 				//lint:invariant at most two partial runs exist per level and trees have at most 32 levels, so the stack cannot exceed 2·33 frames
 				panic("mst: AggBelow walk stack overflow")
 			}
-			// cs is the partial child's run start; its end is clamped to n.
-			childEnd := cs + childLen
-			if childEnd > t.n {
-				childEnd = t.n
-			}
+			fr.next = i32(c + 1)
 			stack[sp] = aggWalkFrame{
-				level: i32(level - 1), run: i32(r*t.f + c), rank: i32(childRank),
-				cs: i32(cs), runEnd: i32(childEnd),
+				level: fr.level - 1, run: i32(r*t.f + c), rank: ranks[c],
+				next: i32((max(lo, cs) - cs) / t.effLen[fr.level-2]),
 			}
 			sp++
 			descended = true
 			break
 		}
-		if !descended && int(fr.cs) >= int(fr.runEnd) {
+		if !descended {
 			sp--
 		}
 	}

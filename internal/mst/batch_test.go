@@ -73,7 +73,7 @@ func TestCountBelowBatchMatchesScalar(t *testing.T) {
 // TestCountBelowBatchFrameShapes pins kernel == scalar == naive on the frame
 // shapes a window probe produces — sliding, constant, empty and
 // whole-partition frames over previous-occurrence keys with the COUNT
-// DISTINCT threshold lo+1 — for striped and stripe-less trees.
+// DISTINCT threshold lo+1 — for striped and NoCascading trees.
 func TestCountBelowBatchFrameShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	const n = 3000
@@ -94,8 +94,7 @@ func TestCountBelowBatchFrameShapes(t *testing.T) {
 	}
 	variants := append(batchVariants(),
 		Options{Fanout: 8, SampleEvery: 64},
-		Options{Fanout: 256, SampleEvery: 7},
-		Options{Fanout: 257, SampleEvery: 7})
+		Options{Fanout: 256, SampleEvery: 7})
 	lo, hi := make([]int32, n), make([]int32, n)
 	thr := make([]int64, n)
 	out := make([]int32, n)
@@ -116,6 +115,105 @@ func TestCountBelowBatchFrameShapes(t *testing.T) {
 				if int(out[row]) != naive || scalar != naive {
 					t.Fatalf("opt=%+v %s row %d [%d,%d)<%d: kernel %d, scalar %d, naive %d",
 						opt, sh.name, row, lo[row], hi[row], thr[row], out[row], scalar, naive)
+				}
+			}
+		}
+	}
+}
+
+// stepGrid is the parameter space the step's frame-shape tests sweep:
+// fanouts up to the limit × sample distances below, at and above them × the
+// tree states and representations a step can meet.
+func stepGrid() []Options {
+	var grid []Options
+	for _, f := range []int{2, 8, 32, 256} {
+		for _, k := range []int{1, 7, 32, 64} {
+			grid = append(grid,
+				Options{Fanout: f, SampleEvery: k},
+				Options{Fanout: f, SampleEvery: k, NoCascading: true},
+				Options{Fanout: f, SampleEvery: k, Force64: true},
+				Options{Fanout: f, SampleEvery: k, SpillRows: 700})
+		}
+	}
+	return grid
+}
+
+// TestSelectBatchFrameShapes pins kernel == scalar == brute force for the
+// select descent on the query shapes a window probe produces: one sliding
+// value range, the two ranges of EXCLUDE CURRENT ROW and the three of EXCLUDE
+// TIES (some of them empty), over a permutation and a duplicate-heavy
+// payload with a ragged last run. The k-th entry asked for is the first, the
+// median, the last and one past the last; range bounds fall inside one
+// k-block and on exact multiples of k (on the permutation the top-level rank
+// of a bound is the bound itself).
+func TestSelectBatchFrameShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	const n = 1531
+	perm := make([]int64, n)
+	for i, p := range rng.Perm(n) {
+		perm[i] = int64(p)
+	}
+	payloads := [][]int64{perm, randKeys(rng, n, n/8)}
+	type query struct {
+		ranges [][2]int64
+		kth    int // index into {0, median, total-1, total}
+	}
+	var queries []query
+	for row := 0; row < n; row += 3 {
+		v := int64(row)
+		w := []int64{3, 32, 64, 500, n / 2}[row/3%5]
+		a, b := max(v-w, 0), min(v+w, n)
+		a64, b64 := a/64*64, (b+63)/64*64 // multiples of every k and f in the grid but 7
+		queries = append(queries,
+			query{[][2]int64{{a, v + 1}}, row % 4},
+			query{[][2]int64{{a64, b64}}, (row + 1) % 4},
+			query{[][2]int64{{a, v}, {v + 1, b}}, (row + 2) % 4},
+			query{[][2]int64{{a, a}, {v, v + 1}}, (row + 3) % 4},
+			query{[][2]int64{{a, max(v-1, a)}, {v, v + 1}, {min(v+2, b), b}}, row % 4},
+			query{[][2]int64{{a, v}, {v, v}, {v + 1, b}}, (row + 1) % 4})
+	}
+	m := len(queries)
+	off := make([]int32, 1, m+1)
+	var vlo, vhi []int64
+	for _, qu := range queries {
+		for _, r := range qu.ranges {
+			vlo, vhi = append(vlo, r[0]), append(vhi, r[1])
+		}
+		off = append(off, int32(len(vlo)))
+	}
+	kth := make([]int32, m)
+	want := make([]int32, m)
+	out := make([]int32, m)
+	for _, keys := range payloads {
+		for q, qu := range queries {
+			total := 0
+			for _, v := range keys {
+				for _, r := range qu.ranges {
+					if v >= r[0] && v < r[1] {
+						total++
+					}
+				}
+			}
+			kth[q] = int32([]int{0, total / 2, total - 1, total}[qu.kth])
+			want[q] = -1
+			if pos, ok := bruteSelectRanges(keys, qu.ranges, int(kth[q])); ok && kth[q] >= 0 {
+				want[q] = int32(pos)
+			}
+		}
+		for _, opt := range stepGrid() {
+			tree, err := Build(keys, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree.SelectKthRangesBatch(off, vlo, vhi, kth, out)
+			for q, qu := range queries {
+				scalar := int32(-1)
+				if pos, ok := tree.SelectKthRanges(qu.ranges, int(kth[q])); ok {
+					scalar = int32(pos)
+				}
+				if out[q] != want[q] || scalar != want[q] {
+					t.Fatalf("opt=%+v ranges=%v k=%d: kernel %d, scalar %d, brute force %d",
+						opt, qu.ranges, kth[q], out[q], scalar, want[q])
 				}
 			}
 		}

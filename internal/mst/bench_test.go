@@ -107,27 +107,84 @@ func BenchmarkCountBelowBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkSelectKth(b *testing.B) {
-	n := 1_000_000
-	// Permutation-array payload, as percentiles use (§4.5).
+// BenchmarkSelectKthRangesBatch is the batched select probe in the shape the
+// window operator gives it for a framed median over 200k rows: the payload
+// is the permutation array (§4.5), one query per row selecting the median of
+// a sliding value range of the given width, issued in probe-chunk batches of
+// 20,000 adjacent rows. One op is one pass over all rows.
+func BenchmarkSelectKthRangesBatch(b *testing.B) {
+	const n, chunk = 200_000, 20_000
 	perm := make([]int64, n)
-	for i := range perm {
-		perm[i] = int64(i)
+	for i, p := range rand.New(rand.NewSource(1)).Perm(n) {
+		perm[i] = int64(p)
 	}
-	rng := rand.New(rand.NewSource(1))
-	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	tree, err := Build(perm, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	frame := n / 20
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row := i % (n - frame)
-		if _, ok := tree.SelectKth(int64(row), int64(row+frame), frame/2); !ok {
-			b.Fatal("select failed")
-		}
+	off := make([]int32, chunk+1)
+	for q := range off {
+		off[q] = int32(q)
+	}
+	vlo, vhi := make([]int64, chunk), make([]int64, chunk)
+	k := make([]int32, chunk)
+	out := make([]int32, chunk)
+	for _, width := range []int{500, 2_000, n / 2} {
+		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for start := 0; start < n; start += chunk {
+					for q := range out {
+						row := start + q
+						a := max(row-width+1, 0)
+						vlo[q], vhi[q], k[q] = int64(a), int64(row+1), int32((row+1-a)/2)
+					}
+					tree.SelectKthRangesBatch(off, vlo, vhi, k, out)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
+	}
+}
+
+// BenchmarkAggBelowBatch is the batched aggregate probe in the shape a
+// framed SUM(DISTINCT) gives it: previous-occurrence keys of a skewed
+// 50,000-value column over 200k rows, threshold = lo+1, the same chunking
+// and frames as BenchmarkCountBelowBatch.
+func BenchmarkAggBelowBatch(b *testing.B) {
+	const n, chunk = 200_000, 20_000
+	rng := rand.New(rand.NewSource(3))
+	zipf := rand.NewZipf(rng, 1.1, 1, 49_999)
+	vals := make([]int64, n)
+	aggVals := make([]float64, n)
+	for i := range vals {
+		vals[i] = int64(zipf.Uint64())
+		aggVals[i] = float64(vals[i])
+	}
+	at, err := BuildAnnotated(prevIdcsRef(vals), aggVals, func(a, b float64) float64 { return a + b }, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := make([]int32, chunk), make([]int32, chunk)
+	thr := make([]int64, chunk)
+	res := make([]float64, chunk)
+	ok := make([]bool, chunk)
+	cnt := make([]int32, chunk)
+	for _, frame := range []int{100, 10_000, n / 2} {
+		b.Run(fmt.Sprintf("frame%d", frame), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for start := 0; start < n; start += chunk {
+					for q := range res {
+						row := start + q
+						a := max(row-frame+1, 0)
+						lo[q], hi[q], thr[q] = int32(a), int32(row+1), int64(a)+1
+					}
+					at.AggBelowBatch(lo, hi, thr, res, ok, cnt)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
 	}
 }
 

@@ -43,8 +43,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 	if n <= 1 {
 		return t
 	}
-	cascade := !opt.NoCascading
-	striped := cascade && t.f <= maxOriginFanout
+	cascade := !opt.NoCascading // samples and origin stripes come together
 
 	// Pre-size one slab per element type so the arena never grows: every
 	// level holds exactly n payload elements, and the sample table size per
@@ -66,16 +65,12 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 			if cascade {
 				numRuns := (n + rl - 1) / rl
 				totalS += numRuns*sampleStride(rl, t.k, t.f) + cacheLineBytes/4
-			}
-			if striped {
 				totalO += n + cacheLineBytes
 			}
 		}
 		arP = arena.New[P](totalP)
-		if totalS > 0 {
+		if cascade {
 			arS = arena.New[int32](totalS)
-		}
-		if totalO > 0 {
 			arO = arena.New[uint8](totalO)
 		}
 	}
@@ -96,6 +91,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 		t.levels = append(t.levels, out)
 		numRuns := (n + rl - 1) / rl
 		var samples []int32
+		var origin []uint8
 		stride := 0
 		if cascade {
 			stride = sampleStride(rl, t.k, t.f)
@@ -104,15 +100,9 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 			// arena hands out zeroed memory just like make.
 			if arS != nil {
 				samples = arS.AllocAligned(numRuns*stride, cacheLineBytes)
-			} else {
-				samples = make([]int32, numRuns*stride)
-			}
-		}
-		var origin []uint8
-		if striped {
-			if arO != nil {
 				origin = arO.AllocAligned(n, cacheLineBytes)
 			} else {
+				samples = make([]int32, numRuns*stride)
 				origin = make([]uint8, n)
 			}
 		}

@@ -174,22 +174,6 @@ func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32, no
 	putKernelInt32(noArena, buf)
 }
 
-// childRankIn is childRank with the per-level state (sample table, stride,
-// child run slice) hoisted by the caller, so the batched kernels resolve
-// cascading pointers without re-deriving run geometry per query.
-func childRankIn[P payload](samples []int32, stride, r, rank, c, f, k int, kid []P, x P) int {
-	if samples == nil {
-		return lowerBoundP(kid, x)
-	}
-	q := rank / k
-	base := int(samples[r*stride+q*f+c])
-	wHi := base + rank - q*k
-	if wHi > len(kid) {
-		wHi = len(kid)
-	}
-	return base + lowerBoundP(kid[base:wHi], x)
-}
-
 // lowerBoundFromP is lowerBoundP seeded with a guess g: it gallops
 // exponentially from g toward the answer and binary-searches the final
 // window, so the cost is O(log d) in the distance d between the guess and

@@ -2,6 +2,8 @@ package mst
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 )
 
@@ -15,7 +17,7 @@ func FuzzCountSelect(f *testing.F) {
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), 0, uint8(3), uint8(2), uint8(1))
 	f.Add([]byte{}, 0, 0, int64(0), 0, uint8(2), uint8(1), uint8(7))
 	f.Add([]byte{9, 9, 1, 9, 0, 3, 3, 251, 3}, 2, 8, int64(9), 1, uint8(239), uint8(225), uint8(0)) // f = 256
-	f.Add([]byte{9, 9, 1, 9, 0, 3, 3, 251, 3}, 2, 8, int64(9), 1, uint8(240), uint8(255), uint8(0)) // f = 257: no stripe
+	f.Add([]byte{9, 9, 1, 9, 0, 3, 3, 251, 3}, 2, 8, int64(9), 1, uint8(240), uint8(255), uint8(0)) // f = 257: rejected
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		for i, b := range data {
@@ -34,6 +36,9 @@ func FuzzCountSelect(f *testing.F) {
 			Serial:      flags&4 != 0,
 		}
 		tree, err := Build(keys, opt)
+		if rejectedFanout(t, opt, err) {
+			return
+		}
 		if err != nil {
 			t.Fatalf("Build(%d keys, %+v): %v", len(keys), opt, err)
 		}
@@ -92,29 +97,45 @@ func FuzzCountSelect(f *testing.F) {
 			}
 		}
 
-		sOff := []int32{0, 1, 2}
-		sVlo := []int64{0, 0}
-		sVhi := []int64{threshold, threshold}
-		sK := []int32{int32(k), int32(k)} // may wrap for huge k; the oracle below uses the wrapped value
-		sOut := make([]int32, 2)
-		tree.SelectKthRangesBatch(sOff, sVlo, sVhi, sK, sOut)
-		for q := range sOut {
-			wantB := int32(-1)
-			if kq := int(sK[q]); kq >= 0 {
-				seen := 0
-				for i, v := range keys {
-					if v >= 0 && v < threshold {
-						if seen == kq {
-							wantB = int32(i)
-							break
-						}
-						seen++
-					}
-				}
+		// Select through the batched kernel and the scalar descent on the
+		// shapes frame exclusion produces: the single range twice (the
+		// gallop-from-equal shape), then two and three sorted disjoint ranges
+		// cut at the fuzzer's arguments (the middle one possibly empty).
+		cuts := []int64{int64(lo), int64(hi), threshold, int64(k)}
+		for i := range cuts {
+			cuts[i] = min(max(cuts[i], -2), 1<<33) // keys stay below 2³³
+		}
+		slices.Sort(cuts)
+		shapes := [][][2]int64{
+			{{0, threshold}},
+			{{0, threshold}},
+			{{cuts[0], cuts[1]}, {cuts[2], cuts[3]}},
+			{{cuts[0], cuts[1]}, {min(cuts[1]+1, cuts[2]), cuts[2]}, {cuts[3], cuts[3] + 17}},
+		}
+		sOff := []int32{0}
+		var sVlo, sVhi []int64
+		for _, ranges := range shapes {
+			for _, r := range ranges {
+				sVlo, sVhi = append(sVlo, r[0]), append(sVhi, r[1])
 			}
-			if sOut[q] != wantB {
-				t.Errorf("SelectKthRangesBatch query %d ([0,%d), k=%d) = %d, brute force %d (opt %+v)",
-					q, threshold, sK[q], sOut[q], wantB, opt)
+			sOff = append(sOff, int32(len(sVlo)))
+		}
+		kq := int32(k) // may wrap for huge k; every oracle below uses the wrapped value
+		sK := []int32{kq, kq, kq, kq}
+		sOut := make([]int32, len(shapes))
+		tree.SelectKthRangesBatch(sOff, sVlo, sVhi, sK, sOut)
+		for q, ranges := range shapes {
+			wantB := int32(-1)
+			if pos, ok := bruteSelectRanges(keys, ranges, int(kq)); ok && kq >= 0 {
+				wantB = int32(pos)
+			}
+			scalar := int32(-1)
+			if pos, ok := tree.SelectKthRanges(ranges, int(kq)); ok {
+				scalar = int32(pos)
+			}
+			if sOut[q] != wantB || scalar != wantB {
+				t.Errorf("select %v k=%d: SelectKthRangesBatch %d, SelectKthRanges %d, brute force %d (opt %+v)",
+					ranges, kq, sOut[q], scalar, wantB, opt)
 			}
 		}
 	})
@@ -198,6 +219,9 @@ func FuzzSerialize(f *testing.F) {
 			Force64:     flags&2 != 0,
 		}
 		orig, err := Build(keys, opt)
+		if rejectedFanout(t, opt, err) {
+			return
+		}
 		if err != nil {
 			t.Fatalf("Build(%d keys, %+v): %v", len(keys), opt, err)
 		}
@@ -260,13 +284,28 @@ func FuzzSerialize(f *testing.F) {
 
 // fuzzParam maps a fuzz byte to a fanout or sample distance: mostly the
 // small values (base .. base+small-1) that make fuzz-sized inputs deep
-// trees, plus the band 241..272 around the 256-child limit of the one-byte
-// origin stripe (f = 256 for byte 239, f = 257 for byte 240).
+// trees, plus the band 241..272 around MaxFanout, the 256-child limit of the
+// one-byte origin stripe (f = 256 for byte 239; f = 257 for byte 240 is the
+// first fanout Build must reject, see rejectedFanout).
 func fuzzParam(b uint8, base, small int) int {
 	if b >= 224 {
 		return 17 + int(b)
 	}
 	return base + int(b)%small
+}
+
+// rejectedFanout reports whether opt asks for a fanout past MaxFanout, and
+// fails the test unless Build answered it with a FanoutError.
+func rejectedFanout(t *testing.T, opt Options, err error) bool {
+	t.Helper()
+	if opt.Fanout <= MaxFanout {
+		return false
+	}
+	var fe *FanoutError
+	if !errors.As(err, &fe) || fe.Fanout != opt.Fanout {
+		t.Fatalf("Build with fanout %d: error %v, want a FanoutError", opt.Fanout, err)
+	}
+	return true
 }
 
 func clampRange(lo, hi, n int) (int, int) {

@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 // every level is a permutation of the base multiset, runs are sorted, the
 // top level is one fully sorted run, every cascading sample really is the
 // merge's consumed-count snapshot, every origin entry is the child the
-// stable reference merge takes, and samples plus origins give every child's
-// exact rank (checkRankIdentity).
+// stable reference merge takes, and the step gives every child's exact rank
+// (checkRankIdentity) — with and without stripes.
 func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 	t.Helper()
 	n := tr.n
@@ -52,15 +53,17 @@ func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 		// recorded consumed counts must equal, per child, the number of its
 		// elements among the lexicographically smallest s·k elements of the
 		// merge — verified by re-merging.
-		if striped := tr.samples[l] != nil && tr.f <= maxOriginFanout; striped != (tr.origin[l] != nil) {
-			t.Fatalf("level %d: origin stripe present = %v, want %v (f=%d)", l, !striped, striped, tr.f)
-		}
-		if tr.samples[l] == nil {
-			continue
+		if (tr.samples[l] != nil) != (tr.origin[l] != nil) {
+			t.Fatalf("level %d: samples present = %v but origin stripe present = %v; a tree is striped or NoCascading",
+				l, tr.samples[l] != nil, tr.origin[l] != nil)
 		}
 		numRuns := (n + rl - 1) / rl
 		for r := 0; r < numRuns; r++ {
 			kids := tr.children(l, r)
+			checkRankIdentity(t, tr, l, r, kids)
+			if tr.samples[l] == nil {
+				continue
+			}
 			runStart := r * rl
 			runEnd := runStart + rl
 			if runEnd > n {
@@ -98,9 +101,6 @@ func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 				}
 				pos[best]++
 			}
-			if tr.origin[l] != nil {
-				checkRankIdentity(t, tr, l, r, kids)
-			}
 		}
 	}
 	if len(tr.levels) > 1 {
@@ -113,34 +113,62 @@ func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 	}
 }
 
-// checkRankIdentity verifies the identity the count step rests on, for one
-// run: for every child c and every threshold x just below, at and just above
-// every value of the run, the child's rank of x equals the sample entry at
-// the last sample point at or before the run's own rank plus the number of
-// origin entries naming c between that sample point and the rank.
+// checkRankIdentity verifies both forms of the step on one run: for every
+// threshold x just below, at and just above every value of the run,
+// ranksStep must give every child's exact rank of x (on a striped tree: the
+// sample entry at the last sample point at or before the run's own rank plus
+// the origin entries naming the child between that sample point and the
+// rank), and countStep's three quantities must agree with those ranks for
+// every range of children [cFirst, cLast].
 func checkRankIdentity[P payload](t *testing.T, tr *tree[P], l, r int, kids [][]P) {
 	t.Helper()
-	runStart := r * tr.effLen[l]
+	lv := tr.view(l)
 	run := tr.run(l, r)
-	origin := tr.origin[l][runStart : runStart+len(run)]
-	samples := tr.samples[l][r*tr.stride[l]:]
+	runStart, _ := lv.span(r)
+	got := make([]int32, tr.f)
 	for i, v := range run {
 		if i > 0 && v == run[i-1] {
 			continue
 		}
 		for _, x := range []P{v - 1, v, v + 1} {
 			rank := lowerBoundP(run, x)
-			q := rank / tr.k
+			lv.ranksStep(r, rank, x, 0, len(kids)-1, got)
 			for c, kid := range kids {
-				got := int(samples[q*tr.f+c])
-				for _, o := range origin[q*tr.k : rank] {
-					if int(o) == c {
-						got++
-					}
+				if want := lowerBoundP(kid, x); int(got[c]) != want {
+					t.Fatalf("level %d run %d child %d threshold %v: step gives rank %d, want %d",
+						l, r, c, x, got[c], want)
 				}
-				if want := lowerBoundP(kid, x); got != want {
-					t.Fatalf("level %d run %d child %d threshold %v: samples+origins give rank %d, want %d",
-						l, r, c, x, got, want)
+			}
+			if lv.childLen == 1 || i%7 != 0 {
+				continue // countStep counts level 1 in place; sample the rest
+			}
+			// A frame from inside child cFirst to inside child cLast leaves
+			// both partial and covers exactly the children between them.
+			for cFirst := 0; cFirst < len(kids); cFirst++ {
+				for cLast := cFirst; cLast < len(kids); cLast++ {
+					lo := runStart + cFirst*lv.childLen + 1
+					hi := runStart + cLast*lv.childLen + 1
+					if cFirst == cLast {
+						hi++
+					}
+					if len(kids[cLast]) < 3 {
+						continue // a ragged last child too short to be partial
+					}
+					covered, partial := lv.countStep(r, rank, lo, hi, x)
+					mid := 0
+					for _, s := range got[cFirst+1 : max(cLast, cFirst+1)] {
+						mid += int(s)
+					}
+					ok := covered == mid && partial[0] == (partialChild{cFirst, int(got[cFirst])})
+					if cLast > cFirst {
+						ok = ok && partial[1] == (partialChild{cLast, int(got[cLast])})
+					} else {
+						ok = ok && partial[1].rank < 0
+					}
+					if !ok {
+						t.Fatalf("level %d run %d threshold %v children [%d,%d]: countStep = %d, %v; ranks %v",
+							l, r, x, cFirst, cLast, covered, partial, got[:len(kids)])
+					}
 				}
 			}
 		}
@@ -148,11 +176,11 @@ func checkRankIdentity[P payload](t *testing.T, tr *tree[P], l, r int, kids [][]
 }
 
 // TestOriginStripe builds trees on duplicate-heavy inputs across the stripe's
-// parameter space — fanouts on both sides of the one-byte limit, sample
-// distances below, at and above the fanout, both payload widths, ragged last
-// runs, serial merges and mergeRunParallel pieces — and checks the stripe
-// against the reference merge and the rank identity, plus count queries
-// through the scalar and batched descents.
+// parameter space — fanouts up to the one-byte limit (the first one past it
+// must be rejected), sample distances below, at and above the fanout, both
+// payload widths, ragged last runs, serial merges and mergeRunParallel
+// pieces — and checks the stripe against the reference merge and the rank
+// identity, plus count queries through the scalar and batched descents.
 func TestOriginStripe(t *testing.T) {
 	prev := parallel.SetMaxWorkers(4)
 	defer parallel.SetMaxWorkers(prev)
@@ -167,6 +195,13 @@ func TestOriginStripe(t *testing.T) {
 				} {
 					keys := randKeys(rng, n, int64(n)/8+2)
 					tree, err := Build(keys, opt)
+					if f > MaxFanout {
+						var fe *FanoutError
+						if !errors.As(err, &fe) || fe.Fanout != f {
+							t.Fatalf("Build with fanout %d: error %v, want a FanoutError", f, err)
+						}
+						continue
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

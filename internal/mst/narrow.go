@@ -12,13 +12,13 @@ package mst
 func i32(v int) int32 { return int32(v) }
 
 // maxOriginFanout is the largest fanout whose child indices fit the one-byte
-// entries of the merge-origin stripes; buildTree builds no stripe above it.
+// entries of the merge-origin stripes; Options.validate rejects any above it.
 const maxOriginFanout = 256
 
 // u8 is the audited narrowing funnel for merge-origin stripe entries: the
 // index of a child run within its parent run. A run has at most f children
-// and buildTree only builds a stripe when f <= maxOriginFanout, so every
-// child index written to a stripe fits uint8 exactly.
+// and Options.validate caps f at maxOriginFanout, so every child index
+// written to a stripe fits uint8 exactly.
 //
-//lint:narrowconv-entry child indices are < f and stripes exist only for f <= maxOriginFanout (256)
+//lint:narrowconv-entry child indices are < f and Options.validate rejects f > maxOriginFanout (256)
 func u8(v int) uint8 { return uint8(v) }

@@ -94,12 +94,14 @@ func selectKernel[P payload](t *tree[P], off []int32, vlo, vhi []P, k []int32, o
 	// Flat query state: one cascaded rank pair per flattened range (parallel
 	// to vlo/vhi), plus per-query current run, remaining rank, and the live
 	// list. Every live query descends all the way to level 0, so the live
-	// list is fixed after the top-level resolution.
-	buf := kernelInt32(noArena, 2*nR+3*m)
+	// list is fixed after the top-level resolution. The tail is selectStep's
+	// rank-row scratch.
+	buf := kernelInt32(noArena, 2*nR+3*m+2*maxSelectRanges*t.f)
 	rlo, rhi := buf[:nR], buf[nR:2*nR]
 	runQ := buf[2*nR : 2*nR+m]
 	remQ := buf[2*nR+m : 2*nR+2*m]
 	lq := buf[2*nR+2*m : 2*nR+3*m]
+	scratch := buf[2*nR+3*m:]
 
 	// Top level: gallop each range bound from the previous query's rank for
 	// the same range ordinal — adjacent frames shift slowly, so the seed is
@@ -131,61 +133,16 @@ func selectKernel[P payload](t *tree[P], off []int32, vlo, vhi []P, k []int32, o
 		ln++
 	}
 
-	// Level-synchronous descent: per level, every live query scans this
-	// run's children (two cascaded searches per range per child) until the
-	// child straddling its remaining rank is found, then steps into it.
+	// Level-synchronous descent: per level, every live query takes one
+	// selectStep (step.go) into the child holding its entry.
 	for level := top; level >= 1 && ln > 0; level-- {
-		runLen := t.effLen[level]
-		childLen := t.effLen[level-1]
-		samples := t.samples[level]
-		stride := 0
-		if samples != nil {
-			stride = t.stride[level]
-		}
-		kids := t.levels[level-1]
-		f, kk := t.f, t.k
+		lv := t.view(level)
 		for li := 0; li < ln; li++ {
 			q := int(lq[li])
-			r := int(runQ[q])
-			i := int(remQ[q])
 			o0, o1 := int(off[q]), int(off[q+1])
-			runStart := r * runLen
-			runEnd := runStart + runLen
-			if runEnd > t.n {
-				runEnd = t.n
-			}
-			numKids := (runEnd - runStart + childLen - 1) / childLen
-			descended := false
-			for c := 0; c < numKids; c++ {
-				cs := runStart + c*childLen
-				ce := cs + childLen
-				if ce > runEnd {
-					ce = runEnd
-				}
-				kid := kids[cs:ce]
-				var cl, ch [maxSelectRanges]int32
-				cnt := 0
-				for j := o0; j < o1; j++ {
-					a := childRankIn(samples, stride, r, int(rlo[j]), c, f, kk, kid, vlo[j])
-					b := childRankIn(samples, stride, r, int(rhi[j]), c, f, kk, kid, vhi[j])
-					cl[j-o0], ch[j-o0] = i32(a), i32(b)
-					cnt += b - a
-				}
-				if i < cnt {
-					for j := o0; j < o1; j++ {
-						rlo[j], rhi[j] = cl[j-o0], ch[j-o0]
-					}
-					runQ[q] = i32(r*f + c)
-					remQ[q] = i32(i)
-					descended = true
-					break
-				}
-				i -= cnt
-			}
-			if !descended {
-				//lint:invariant the top-level check verified k < total qualifying entries, so some child run must contain the k-th element; losing it means corrupted cascade samples
-				panic("mst: selectKernel descent lost element")
-			}
+			r := int(runQ[q])
+			c, rem := lv.selectStep(r, int(remQ[q]), vlo[o0:o1], vhi[o0:o1], rlo[o0:o1], rhi[o0:o1], scratch)
+			runQ[q], remQ[q] = i32(r*t.f+c), i32(rem)
 		}
 	}
 

@@ -24,30 +24,26 @@ func (t *Tree) SelectKthRanges(ranges [][2]int64, i int) (pos int, ok bool) {
 	if t.chunks != nil {
 		return t.chunkedSelectKthRanges(ranges, i)
 	}
-	if len(ranges) == 1 {
-		return t.SelectKth(ranges[0][0], ranges[0][1], i)
-	}
 	if t.t32 != nil {
-		var b [maxSelectRanges][2]int32
+		var lo, hi [maxSelectRanges]int32
 		m := 0
 		for _, r := range ranges {
-			lo, hi := clampI32(r[0]), clampI32(r[1])
-			if lo < hi {
-				b[m] = [2]int32{lo, hi}
+			if l, h := clampI32(r[0]), clampI32(r[1]); l < h {
+				lo[m], hi[m] = l, h
 				m++
 			}
 		}
-		return selectKthMulti(t.t32, b[:m], i)
+		return selectRanges(t.t32, lo[:m], hi[:m], i)
 	}
-	var b [maxSelectRanges][2]int64
+	var lo, hi [maxSelectRanges]int64
 	m := 0
 	for _, r := range ranges {
 		if r[0] < r[1] {
-			b[m] = r
+			lo[m], hi[m] = r[0], r[1]
 			m++
 		}
 	}
-	return selectKthMulti(t.t64, b[:m], i)
+	return selectRanges(t.t64, lo[:m], hi[:m], i)
 }
 
 // CountRanges returns the number of entries at positions [lo, hi) whose
@@ -60,54 +56,36 @@ func (t *Tree) CountRanges(lo, hi int, ranges [][2]int64) int {
 	return total
 }
 
-// selectKthMulti runs the Figure 7 descent with one rank pair per value
-// range.
-func selectKthMulti[P payload](t *tree[P], bounds [][2]P, i int) (int, bool) {
-	if len(bounds) == 0 {
-		return 0, false
-	}
+// selectRanges is the scalar Figure 7 descent: one selectStep (step.go) per
+// level, with one rank pair per non-empty value range.
+func selectRanges[P payload](t *tree[P], vlo, vhi []P, i int) (int, bool) {
 	top := t.top()
 	run0 := t.run(top, 0)
-	var ranks [maxSelectRanges][2]int
+	var rlo, rhi [maxSelectRanges]int32
 	total := 0
-	for r, b := range bounds {
-		ranks[r][0] = lowerBoundP(run0, b[0])
-		ranks[r][1] = lowerBoundP(run0, b[1])
-		total += ranks[r][1] - ranks[r][0]
+	for j := range vlo {
+		a, b := lowerBoundP(run0, vlo[j]), lowerBoundP(run0, vhi[j])
+		rlo[j], rhi[j] = i32(a), i32(b)
+		total += b - a
 	}
 	if i >= total {
 		return 0, false
 	}
-	level, run := top, 0
-	for level > 0 {
-		runStart := run * t.effLen[level]
-		runEnd := runStart + t.effLen[level]
-		if runEnd > t.n {
-			runEnd = t.n
-		}
-		numKids := (runEnd - runStart + t.effLen[level-1] - 1) / t.effLen[level-1]
-		descended := false
-		for c := 0; c < numKids; c++ {
-			var childRanks [maxSelectRanges][2]int
-			cnt := 0
-			for r, b := range bounds {
-				childRanks[r][0] = t.childRank(level, run, ranks[r][0], c, b[0])
-				childRanks[r][1] = t.childRank(level, run, ranks[r][1], c, b[1])
-				cnt += childRanks[r][1] - childRanks[r][0]
-			}
-			if i < cnt {
-				copy(ranks[:], childRanks[:])
-				run = run*t.f + c
-				level--
-				descended = true
-				break
-			}
-			i -= cnt
-		}
-		if !descended {
-			//lint:invariant the caller-checked rank i is < the root count, so some child run must contain the i-th element; losing it means corrupted cascade samples
-			panic("mst: SelectKthRanges descent lost element")
-		}
+	// The step's rank rows live on the stack up to the default fanout, whose
+	// rows cost less to zero than one level costs to descend; a wider tree
+	// pays an allocation per scalar query instead of 8 KiB of zeroing.
+	var stack [2 * maxSelectRanges * DefaultFanout]int32
+	scratch := stack[:]
+	if need := 2 * len(vlo) * t.f; need > len(scratch) {
+		scratch = make([]int32, need)
 	}
+	run := 0
+	for level := top; level >= 1; level-- {
+		lv := t.view(level)
+		var c int
+		c, i = lv.selectStep(run, i, vlo, vhi, rlo[:len(vlo)], rhi[:len(vlo)], scratch)
+		run = run*t.f + c
+	}
+	// Level-0 runs hold one element: the run index is the base position.
 	return run, true
 }

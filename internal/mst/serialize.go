@@ -20,12 +20,14 @@ import (
 //	n u64 | fanout u32 | sampleEvery u32 | levels u32
 //	per level: payload array (4 or 8 bytes per element)
 //	per level >= 1, if cascading: stride u64 + sample array (4 bytes each),
-//	then, if fanout <= 256, the origin stripe (n bytes)
+//	then the origin stripe (n bytes)
 //
-// The samples and origins of a striped tree are not taken on trust: ReadTree
+// A header whose fanout or sample distance Options would not accept is
+// rejected before anything is sized from it. The samples and origins of a
+// cascading tree are not taken on trust: ReadTree
 // replays every run's merge from them (verifyCascade) and rejects a record
 // whose origins or samples do not reproduce the stored levels, so a tree that
-// loads answers through the same exact count step as a freshly built one.
+// loads answers through the same exact step as a freshly built one.
 //
 // A spill-chunked tree (Options.SpillRows, spill.go) instead writes
 //
@@ -123,10 +125,13 @@ func readTreeFrom(br *bufio.Reader, allowChunked bool) (*Tree, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("mst: serialized tree claims %d elements", n)
 	}
-	if fanout < 2 || sampleEvery < 1 || levels < 1 || levels > 64 {
-		return nil, fmt.Errorf("mst: implausible header (f=%d k=%d levels=%d)", fanout, sampleEvery, levels)
-	}
 	out := &Tree{n: int(n), opt: Options{Fanout: int(fanout), SampleEvery: int(sampleEvery), NoCascading: flags&flagCascading == 0}}
+	if err := out.opt.validate(); err != nil {
+		return nil, fmt.Errorf("mst: implausible header: %w", err)
+	}
+	if levels < 1 || levels > 64 {
+		return nil, fmt.Errorf("mst: implausible header (levels=%d)", levels)
+	}
 	if flags&flag64Bit != 0 {
 		tr, err := readTree[int64](br, out.opt, int(n), int(levels), flags)
 		if err != nil {
@@ -273,9 +278,6 @@ func readTree[P payload](r io.Reader, opt Options, n, levels int, flags uint32) 
 			if err := binary.Read(r, binary.LittleEndian, t.samples[l]); err != nil {
 				return nil, fmt.Errorf("mst: reading samples %d: %w", l, err)
 			}
-			if t.f > maxOriginFanout {
-				continue
-			}
 			t.origin[l] = make([]uint8, n)
 			if _, err := io.ReadFull(r, t.origin[l]); err != nil {
 				return nil, fmt.Errorf("mst: reading origins %d: %w", l, err)
@@ -292,8 +294,8 @@ func readTree[P payload](r io.Reader, opt Options, n, levels int, flags uint32) 
 // verifyCascade replays the merges of a deserialized level from its origin
 // stripe: every output must be the next unconsumed element of the child its
 // origin names, and every sample row must equal the consumed counts at its
-// output position. A level that passes reproduces exactly the state the
-// count step reads, whatever bytes the record held.
+// output position. A level that passes reproduces exactly the state the step
+// reads, whatever bytes the record held.
 func (t *tree[P]) verifyCascade(level int) error {
 	rl, childLen := t.effLen[level], t.effLen[level-1]
 	consumed := make([]int32, t.f)

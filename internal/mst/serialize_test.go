@@ -2,6 +2,9 @@ package mst
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -93,6 +96,17 @@ func TestSerializeCorruption(t *testing.T) {
 	hdr[11] = 0xFF
 	if _, err := ReadTree(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("implausible n accepted")
+	}
+	// A fanout past MaxFanout is rejected from the header alone (offset 16,
+	// after magic, flags and n): a huge n with it must not size anything.
+	for _, fanout := range []uint32{MaxFanout + 1, math.MaxInt32} {
+		hdr = append([]byte{}, full[:28]...)
+		binary.LittleEndian.PutUint64(hdr[8:], math.MaxInt32)
+		binary.LittleEndian.PutUint32(hdr[16:], fanout)
+		var fe *FanoutError
+		if _, err := ReadTree(bytes.NewReader(hdr)); !errors.As(err, &fe) || fe.Fanout != int(fanout) {
+			t.Fatalf("header fanout %d: error %v, want a FanoutError", fanout, err)
+		}
 	}
 	// The origin stripe of this two-level tree is the record's last n bytes
 	// and its samples start after the header, both levels and the stride.

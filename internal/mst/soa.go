@@ -43,7 +43,7 @@ import "unsafe"
 // projection of the keys, so every comparison outcome — and therefore every
 // query answer and every merge order — is bit-identical to the uncoded
 // path. Because the padded sample stride and the origin stripes (a third
-// stripe per merge level, one byte per element, see count_step.go) change
+// stripe per merge level, one byte per element, see step.go) change
 // the serialized form and the in-memory geometry, treeSig carries a layout
 // component ("l3") so structure caches never mix layouts across versions.
 

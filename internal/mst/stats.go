@@ -4,8 +4,8 @@ package mst
 // §5.1: the tree has ⌈log_f n⌉·n payload elements plus
 // (⌈log_f n⌉−1)·n·f/k cascading pointers, so a larger fanout shrinks the
 // payload exponentially while growing the pointer share linearly. On top of
-// the paper's two terms every merge level of a cascading tree with f <= 256
-// carries a one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all:
+// the paper's two terms every merge level of a cascading tree carries a
+// one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all:
 //
 //	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes
 type Stats struct {

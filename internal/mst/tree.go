@@ -18,13 +18,13 @@
 //
 // Queries run in O(log n) thanks to fractional cascading: every k-th element
 // of each run is annotated with, per child run, the number of elements the
-// merge had consumed from that child, which bounds the re-search window at
-// the child level by k (§4.2, Figures 3 and 4). On top of the paper's
-// samples every merged element keeps one byte naming the child run it was
-// taken from (the origin stripe), which turns the window search of a count
-// descent into an exact scan of fewer than k bytes (count_step.go). Both the
-// fanout f and the sampling parameter k are configurable; the paper settles
-// on f = k = 32 (§6.6) and so do we.
+// merge had consumed from that child (§4.2, Figures 3 and 4). On top of the
+// paper's samples every merged element keeps one byte naming the child run
+// it was taken from (the origin stripe); sample row plus a scan of fewer than
+// k origin bytes is the exact rank of every child, so no descent searches
+// below the top run (step.go). Both the fanout f (at most MaxFanout) and the
+// sampling parameter k are configurable; the paper settles on f = k = 32
+// (§6.6) and so do we.
 //
 // Payload values are plain integers: the window operator's preprocessing
 // (package preprocess) maps previous-occurrence indices, dense ranks and
@@ -48,18 +48,32 @@ const DefaultFanout = 32
 // the paper's parameter study (§6.6, Figure 13).
 const DefaultSampleEvery = 32
 
+// MaxFanout is the largest supported fanout: child indices must fit the
+// one-byte entries of the merge-origin stripes, and the paper's parameter
+// grid (Figure 13) tops out there too.
+const MaxFanout = maxOriginFanout
+
+// FanoutError reports a fanout outside [2, MaxFanout], whether it came from
+// Options, a Tuner's choice or a serialized tree's header.
+type FanoutError struct{ Fanout int }
+
+func (e *FanoutError) Error() string {
+	return fmt.Sprintf("mst: fanout must be in [2, %d], got %d", MaxFanout, e.Fanout)
+}
+
 // Options configures tree construction.
 type Options struct {
 	// Fanout is the number of child runs merged into one parent run (f).
-	// 0 selects DefaultFanout. Must be >= 2 otherwise.
+	// 0 selects DefaultFanout. Must be in [2, MaxFanout] otherwise.
 	Fanout int
 	// SampleEvery is the cascading-pointer sampling distance (k): every
 	// k-th element of a run carries pointers into the child runs.
 	// 0 selects DefaultSampleEvery. Must be >= 1 otherwise.
 	SampleEvery int
-	// NoCascading disables fractional cascading entirely; every level is
-	// then located with a full binary search, degrading queries to
-	// O((log n)²) as in Figure 2. Kept for the ablation benchmarks.
+	// NoCascading disables fractional cascading entirely: no samples, no
+	// origin stripes; every child is then located with a full binary search,
+	// degrading queries to O((log n)²) as in Figure 2. Kept for the ablation
+	// benchmarks.
 	NoCascading bool
 	// Force64 forces 64-bit tree elements even when the payload domain fits
 	// into 32 bits. Kept for the ablation benchmarks (§5.1 argues the
@@ -150,8 +164,8 @@ func (o Options) resolveFor(n int) Options {
 }
 
 func (o Options) validate() error {
-	if o.Fanout < 2 {
-		return fmt.Errorf("mst: fanout must be >= 2, got %d", o.Fanout)
+	if o.Fanout < 2 || o.Fanout > MaxFanout {
+		return &FanoutError{Fanout: o.Fanout}
 	}
 	if o.SampleEvery < 1 {
 		return fmt.Errorf("mst: sample distance must be >= 1, got %d", o.SampleEvery)
@@ -187,8 +201,7 @@ type tree[P payload] struct {
 	// origin[l] (l >= 1) is the merge-origin stripe of level l, parallel to
 	// levels[l]: origin[l][p] is the index, within its run's children, of
 	// the child run the merge took element p from. Together with the samples
-	// it makes every child rank exact (count_step.go). nil when cascading is
-	// off or f > maxOriginFanout.
+	// it makes every child rank exact (step.go). nil when cascading is off.
 	origin [][]uint8
 	// effLen[l] is the run length at level l (f^l), clamped to n at the top.
 	effLen []int
@@ -317,21 +330,7 @@ func (t *Tree) CountRange(lo, hi int, vLo, vHi int64) int {
 // entry, in position order, whose value v satisfies vLo <= v < vHi.
 // i is 0-based. ok is false when fewer than i+1 entries qualify.
 func (t *Tree) SelectKth(vLo, vHi int64, i int) (pos int, ok bool) {
-	if i < 0 || vHi <= vLo || t.n == 0 {
-		return 0, false
-	}
-	if t.chunks != nil {
-		return t.chunkedSelectKthRanges([][2]int64{{vLo, vHi}}, i)
-	}
-	if t.t32 != nil {
-		l32 := clampI32(vLo)
-		h32 := clampI32(vHi)
-		if h32 <= l32 {
-			return 0, false
-		}
-		return t.t32.selectKth(l32, h32, i)
-	}
-	return t.t64.selectKth(vLo, vHi, i)
+	return t.SelectKthRanges([][2]int64{{vLo, vHi}}, i)
 }
 
 func clampI32(v int64) int32 {

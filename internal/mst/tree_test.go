@@ -1,7 +1,9 @@
 package mst
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -232,9 +234,33 @@ func TestMonotoneCountProperty(t *testing.T) {
 	}
 }
 
+// fixedTuner always chooses the same fanout.
+type fixedTuner struct{ fanout int }
+
+func (ft fixedTuner) Choose(int) Choice { return Choice{Fanout: ft.fanout} }
+func (ft fixedTuner) Sig() string       { return "fixed" }
+
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build([]int64{1}, Options{Fanout: 1}); err == nil {
-		t.Fatal("expected error for fanout 1")
+	// Fanouts outside [2, MaxFanout] get a typed error before anything is
+	// sized from them: math.MaxInt32 children per sample row would ask the
+	// OS for hundreds of GiB. A tuner's choice is held to the same limit.
+	keys := make([]int64, 1000)
+	for _, f := range []int{1, -3, MaxFanout + 1, math.MaxInt32} {
+		for _, opt := range []Options{{Fanout: f}, {Tuning: fixedTuner{f}}} {
+			if f < 2 && opt.Tuning != nil {
+				continue // resolveFor ignores a tuner's fanout below 2
+			}
+			var fe *FanoutError
+			if _, err := Build(keys, opt); !errors.As(err, &fe) || fe.Fanout != f {
+				t.Fatalf("Build with %+v: error %v, want a FanoutError for %d", opt, err, f)
+			}
+			if _, err := BuildAnnotated(keys, keys, func(a, b int64) int64 { return a + b }, opt); !errors.As(err, &fe) {
+				t.Fatalf("BuildAnnotated with %+v: error %v, want a FanoutError", opt, err)
+			}
+		}
+	}
+	if _, err := Build(keys, Options{Fanout: MaxFanout}); err != nil {
+		t.Fatalf("fanout %d rejected: %v", MaxFanout, err)
 	}
 	if _, err := Build([]int64{1}, Options{SampleEvery: -1}); err == nil {
 		t.Fatal("expected error for negative sample distance")

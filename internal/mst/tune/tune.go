@@ -67,8 +67,8 @@ func NewTable(rows []Row) (*Table, error) {
 	copy(sorted, rows)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].MaxN < sorted[j].MaxN })
 	for _, r := range sorted {
-		if r.Fanout != 0 && r.Fanout < 2 {
-			return nil, fmt.Errorf("tune: fanout %d out of range (0 or >= 2)", r.Fanout)
+		if r.Fanout != 0 && (r.Fanout < 2 || r.Fanout > mst.MaxFanout) {
+			return nil, fmt.Errorf("tune: row max_n=%d: %w", r.MaxN, &mst.FanoutError{Fanout: r.Fanout})
 		}
 		if r.SampleEvery < 0 {
 			return nil, fmt.Errorf("tune: sample distance %d out of range", r.SampleEvery)

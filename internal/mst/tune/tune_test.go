@@ -2,6 +2,7 @@ package tune
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -70,6 +71,17 @@ func TestTableRoundTrip(t *testing.T) {
 	bad := bytes.NewBufferString(`{"version": 99, "rows": [{"max_n": 1, "fanout": 2, "sample_every": 1}]}`)
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("version mismatch must be rejected")
+	}
+	// A table can never hand mst a fanout Build would reject.
+	for _, f := range []int{1, mst.MaxFanout + 1} {
+		var fe *mst.FanoutError
+		if _, err := NewTable([]Row{{MaxN: 1 << 62, Fanout: f, SampleEvery: 4}}); !errors.As(err, &fe) || fe.Fanout != f {
+			t.Fatalf("NewTable with fanout %d: error %v, want a FanoutError", f, err)
+		}
+	}
+	wide := bytes.NewBufferString(`{"version": 1, "rows": [{"max_n": 1, "fanout": 257, "sample_every": 1}]}`)
+	if _, err := Decode(wide); err == nil {
+		t.Fatal("a decoded table with fanout 257 must be rejected")
 	}
 
 	path := filepath.Join(t.TempDir(), "tuning.json")

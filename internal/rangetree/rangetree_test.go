@@ -1,6 +1,7 @@
 package rangetree
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -103,6 +104,12 @@ func TestDenseRankSlidingFrame(t *testing.T) {
 func TestValidation(t *testing.T) {
 	if _, err := New([]int64{1}, []int64{0, 0}, mst.Options{}); err == nil {
 		t.Fatal("expected length mismatch error")
+	}
+	// The nested trees inherit mst's fanout limit.
+	ranks := make([]int64, 64)
+	var fe *mst.FanoutError
+	if _, err := New(ranks, ranks, mst.Options{Fanout: mst.MaxFanout + 1}); !errors.As(err, &fe) {
+		t.Fatalf("fanout %d: error %v, want a FanoutError", mst.MaxFanout+1, err)
 	}
 }
 
