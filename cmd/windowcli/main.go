@@ -49,6 +49,7 @@ import (
 	"holistic/internal/ingest"
 	"holistic/internal/segment"
 	"holistic/internal/server/api"
+	"holistic/internal/sqlparse"
 )
 
 var (
@@ -111,24 +112,7 @@ func main() {
 	}
 	file, err := readInput()
 	fail(err)
-	table := file.Table
-
-	var opts []holistic.Option
-	var root *holistic.Span
-	if *trace {
-		root = holistic.NewTrace("query")
-		opts = append(opts, holistic.WithTrace(root))
-	}
-	var result *holistic.Table
-	if *query != "" {
-		result, err = holistic.RunSQLWith(*query, map[string]*holistic.Table{"csv": table}, opts...)
-	} else {
-		result, err = runFlags(table, opts)
-	}
-	if root != nil {
-		root.End()
-		fmt.Fprint(os.Stderr, root.Render())
-	}
+	result, dates, err := evalLocal(file)
 	fail(err)
 
 	var out io.Writer = os.Stdout
@@ -138,7 +122,47 @@ func main() {
 		defer f.Close()
 		out = f
 	}
-	fail(csvio.Write(out, result, file.DateColumns))
+	fail(csvio.Write(out, result, dates))
+}
+
+// evalLocal evaluates -query, or the function the flags describe, over file.
+// Beside the result it returns which of its columns render as ISO dates: on
+// the -func path input columns keep their names, so the file's date columns
+// apply as they are; a statement can rename and derive columns, so its
+// outputs resolve their own (sqlparse.DateOutputs).
+func evalLocal(file *csvio.File) (*holistic.Table, map[string]bool, error) {
+	var opts []holistic.Option
+	var root *holistic.Span
+	if *trace {
+		root = holistic.NewTrace("query")
+		opts = append(opts, holistic.WithTrace(root))
+	}
+	dates := file.DateColumns
+	var result *holistic.Table
+	var err error
+	if *query != "" {
+		result, err = holistic.RunSQLWith(*query, map[string]*holistic.Table{"csv": file.Table}, opts...)
+		if err == nil {
+			dates, err = sqlDateOutputs(*query, file.DateColumns)
+		}
+	} else {
+		result, err = runFlags(file.Table, opts)
+	}
+	if root != nil {
+		root.End()
+		fmt.Fprint(os.Stderr, root.Render())
+	}
+	return result, dates, err
+}
+
+// sqlDateOutputs resolves which output columns of a statement render as ISO
+// dates, from the date columns of the table it reads.
+func sqlDateOutputs(query string, srcDates map[string]bool) (map[string]bool, error) {
+	q, err := sqlparse.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return sqlparse.DateOutputs(q, srcDates)
 }
 
 // readInput loads -i: stdin, a CSV file, or a segment dataset directory

@@ -24,10 +24,12 @@
 //
 // Built merge sort trees and preprocessed arrays are cached across queries
 // under a byte budget (-cache-bytes). Observability: /v1/metrics exposes the
-// Prometheus text exposition (request/eval latency histograms, cache, pool
-// and arena counters), /statusz a human-readable status page, -slow-query
-// logs span trees of slow evaluations, and -debug-addr serves net/http/pprof
-// on a separate opt-in listener.
+// Prometheus text exposition (request/eval/respond latency histograms, cache,
+// pool and arena counters), /statusz a human-readable status page,
+// -slow-query logs the span trees of statements whose evaluation plus
+// response were slow, and -debug-addr serves net/http/pprof on a separate
+// opt-in listener. Query responses stream and may be cut short when the
+// client disconnects or the request's deadline passes.
 package main
 
 import (
@@ -69,7 +71,7 @@ func main() {
 		defaultTimeout  = flag.Duration("default-timeout", 30*time.Second, "query timeout when the request sets none")
 		maxTimeout      = flag.Duration("max-timeout", 5*time.Minute, "upper bound on per-request timeouts")
 		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries")
-		slowQuery       = flag.Duration("slow-query", 0, "log queries at least this slow at WARN with their span tree (0 = disabled)")
+		slowQuery       = flag.Duration("slow-query", 0, "log queries whose evaluation plus response take at least this long at WARN with their span tree (0 = disabled)")
 		debugAddr       = flag.String("debug-addr", "", "listen address for the pprof debug server (empty = disabled)")
 		maxUploadBytes  = flag.Int64("max-upload-bytes", 256<<20, "largest accepted dataset registration body; oversized uploads answer 413")
 		spillRows       = flag.Int("spill-rows", 0, "build merge sort trees as forests of this many rows per subtree (0 = monolithic)")

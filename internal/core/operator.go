@@ -417,14 +417,27 @@ func outputKind(t *Table, f *FuncSpec) Kind {
 		return Float64
 	case Sum, SumDistinct:
 		return t.Column(f.Arg).Kind()
-	case Min, Max:
-		return t.Column(f.Arg).Kind()
-	case PercentileDisc:
-		return t.Column(percentileValueColumn(f)).Kind()
-	case NthValue, FirstValue, LastValue, Lead, Lag:
-		return t.Column(f.Arg).Kind()
+	}
+	if src := f.ValueColumn(); src != "" {
+		return t.Column(src).Kind()
 	}
 	return Int64
+}
+
+// ValueColumn names the column whose values the function returns unchanged
+// (MIN, MAX, PERCENTILE_DISC, the value functions, LEAD and LAG): the result
+// has that column's kind and reads like it, for example as a date. It is
+// empty for functions that compute a new quantity.
+func (f *FuncSpec) ValueColumn() string {
+	switch f.Name {
+	case Min, Max, NthValue, FirstValue, LastValue, Lead, Lag:
+		return f.Arg
+	case PercentileDisc:
+		if len(f.OrderBy) > 0 { // false only before validate has run
+			return percentileValueColumn(f)
+		}
+	}
+	return ""
 }
 
 // percentileValueColumn is the column a percentile returns values from: its

@@ -27,7 +27,13 @@ var epoch = time.Unix(0, 0).UTC()
 
 // DayToDate renders a days-since-epoch value as an ISO date.
 func DayToDate(day int64) string {
-	return epoch.AddDate(0, 0, int(day)).Format(dateFormat)
+	var buf [16]byte
+	return string(AppendDate(buf[:0], day))
+}
+
+// AppendDate appends the ISO date of a days-since-epoch value to dst.
+func AppendDate(dst []byte, day int64) []byte {
+	return epoch.AddDate(0, 0, int(day)).AppendFormat(dst, dateFormat)
 }
 
 // DateToDay parses an ISO date into days since the epoch.
@@ -248,14 +254,14 @@ func Write(w io.Writer, t *core.Table, dateColumns map[string]bool) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
+	dates := make([]bool, len(cols))
+	for c, col := range cols {
+		dates[c] = dateColumns[col.Name()]
+	}
 	row := make([]string, len(cols))
 	for i := 0; i < t.Rows(); i++ {
 		for c, col := range cols {
-			if dateColumns[col.Name()] && col.Kind() == core.Int64 && !col.IsNull(i) {
-				row[c] = DayToDate(col.Int64(i))
-				continue
-			}
-			row[c] = FormatCell(col, i)
+			row[c] = formatCell(col, i, dates[c])
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -267,17 +273,41 @@ func Write(w io.Writer, t *core.Table, dateColumns map[string]bool) error {
 
 // FormatCell renders one value; NULL renders as the empty string.
 func FormatCell(col *core.Column, i int) string {
+	return formatCell(col, i, false)
+}
+
+// formatCell is AppendCell as a string. String cells are returned as they
+// are stored, not copied.
+func formatCell(col *core.Column, i int, date bool) string {
+	if col.Kind() == core.String {
+		if col.IsNull(i) {
+			return ""
+		}
+		return col.StringAt(i)
+	}
+	var buf [32]byte
+	return string(AppendCell(buf[:0], col, i, date))
+}
+
+// AppendCell appends the text of row i of col to dst: nothing for NULL, an
+// ISO date for an INT64 column when date is set, and otherwise the shortest
+// decimal text that parses back to the value. It is the one definition of
+// cell text that CSV output and windowd's query responses share.
+func AppendCell(dst []byte, col *core.Column, i int, date bool) []byte {
 	if col.IsNull(i) {
-		return ""
+		return dst
 	}
 	switch col.Kind() {
 	case core.Int64:
-		return strconv.FormatInt(col.Int64(i), 10)
+		if date {
+			return AppendDate(dst, col.Int64(i))
+		}
+		return strconv.AppendInt(dst, col.Int64(i), 10)
 	case core.Float64:
-		return strconv.FormatFloat(col.Float64(i), 'g', -1, 64)
+		return strconv.AppendFloat(dst, col.Float64(i), 'g', -1, 64)
 	case core.String:
-		return col.StringAt(i)
+		return append(dst, col.StringAt(i)...)
 	default:
-		return strconv.FormatBool(col.Bool(i))
+		return strconv.AppendBool(dst, col.Bool(i))
 	}
 }

@@ -298,3 +298,33 @@ func TestDuplicateHeaderErrors(t *testing.T) {
 		t.Fatal("duplicate header must error, not shadow a column")
 	}
 }
+
+// TestAppendCell checks the append form against the string form for every
+// kind: it appends after what dst already holds, NULL appends nothing, and
+// the date flag only ever acts on INT64.
+func TestAppendCell(t *testing.T) {
+	nulls := []bool{false, true}
+	cols := []*core.Column{
+		core.NewInt64Column("i", []int64{-19723, 7}, nulls),
+		core.NewFloat64Column("f", []float64{-0.5, 7}, nulls),
+		core.NewStringColumn("s", []string{`a,"b"`, "x"}, nulls),
+		core.NewBoolColumn("b", []bool{true, false}, nulls),
+	}
+	for _, col := range cols {
+		for _, date := range []bool{false, true} {
+			want := FormatCell(col, 0)
+			if date && col.Kind() == core.Int64 {
+				want = DayToDate(col.Int64(0))
+			}
+			if got := string(AppendCell([]byte("k="), col, 0, date)); got != "k="+want {
+				t.Fatalf("AppendCell(%s, date=%v) = %q, want %q", col.Name(), date, got, "k="+want)
+			}
+			if got := string(AppendCell([]byte("k="), col, 1, date)); got != "k=" {
+				t.Fatalf("AppendCell(%s) of a NULL = %q, want nothing appended", col.Name(), got)
+			}
+		}
+	}
+	if got := string(AppendDate(nil, -19723)); got != "1916-01-02" {
+		t.Fatalf("AppendDate(-19723) = %q", got)
+	}
+}

@@ -172,6 +172,9 @@ func (c *CounterCell) Add(v float64) {
 	}
 }
 
+// Value reads the counter, for pages that render it outside the exposition.
+func (c *CounterCell) Value() float64 { return c.c.val.Load() }
+
 // Gauge is a point-in-time metric vector.
 type Gauge struct{ f *family }
 
@@ -211,6 +214,12 @@ func (h *HistogramCell) Observe(v float64) {
 	}
 	h.c.sum.Add(v)
 	h.c.count.Add(1)
+}
+
+// Totals reads the number of observations and their sum, for pages that
+// render a mean outside the exposition.
+func (h *HistogramCell) Totals() (count int64, sum float64) {
+	return h.c.count.Load(), h.c.sum.Load()
 }
 
 // WriteText renders every family in the Prometheus text exposition format.

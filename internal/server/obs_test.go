@@ -180,6 +180,12 @@ func TestMetricsExposition(t *testing.T) {
 	if v, ok := p.Value("windowd_cache_events_total", "event=miss"); !ok || v == 0 {
 		t.Fatalf("cache_events_total{miss} = %v (%v), want > 0 after cold query", v, ok)
 	}
+	if v, ok := p.Value("windowd_respond_duration_seconds_count"); !ok || v != 3 {
+		t.Fatalf("respond_duration_seconds_count = %v (%v), want 3: one per streamed response", v, ok)
+	}
+	if v, ok := p.Value("windowd_response_aborts_total"); !ok || v != 0 {
+		t.Fatalf("response_aborts_total = %v (%v), want the series present at 0", v, ok)
+	}
 	if v, ok := p.Value("windowd_rows_returned_total"); !ok || v < 15 {
 		t.Fatalf("rows_returned_total = %v (%v), want >= 15", v, ok)
 	}
@@ -281,7 +287,8 @@ func TestQueryTrace(t *testing.T) {
 }
 
 // TestSlowQueryLog drives a query over a zero-ish threshold and checks the
-// WARN line carries the span tree, and the slow-query counter moves.
+// WARN line carries the span tree and the response's share — its time, rows
+// and bytes — and the slow-query counter moves.
 func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
@@ -301,6 +308,17 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if !strings.Contains(logged, "partition+order sort") {
 		t.Fatalf("slow-query log misses the span tree:\n%s", logged)
+	}
+	for _, attr := range []string{"elapsed_ms=", "respond_ms=", "rows=5 ", "bytes="} {
+		if !strings.Contains(logged, attr) {
+			t.Fatalf("slow-query log misses %q:\n%s", attr, logged)
+		}
+	}
+	if strings.Contains(logged, "bytes=0 ") {
+		t.Fatalf("slow-query log reports an empty response:\n%s", logged)
+	}
+	if strings.Count(logged, "slow query") != 1 {
+		t.Fatalf("one slow statement logged more than once:\n%s", logged)
 	}
 
 	p := scrapeMetrics(t, c)

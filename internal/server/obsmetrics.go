@@ -27,6 +27,8 @@ import (
 //	windowd_response_bytes_total{route}           counter
 //	windowd_inflight_requests                     gauge
 //	windowd_eval_duration_seconds{function,engine} histogram
+//	windowd_respond_duration_seconds              histogram
+//	windowd_response_aborts_total                 counter
 //	windowd_rows_returned_total                   counter
 //	windowd_slow_queries_total                    counter
 //	windowd_admission_queue_depth                 gauge
@@ -66,9 +68,11 @@ type serverObs struct {
 	respBytes *obs.Counter
 	inflight  *obs.GaugeCell
 
-	evalDur      *obs.Histogram
-	rowsReturned *obs.CounterCell
-	slowQueries  *obs.CounterCell
+	evalDur        *obs.Histogram
+	respondDur     *obs.HistogramCell
+	responseAborts *obs.CounterCell
+	rowsReturned   *obs.CounterCell
+	slowQueries    *obs.CounterCell
 
 	admissionDepth    *obs.GaugeCell
 	admissionInUse    *obs.GaugeCell
@@ -97,10 +101,15 @@ func newServerObs(s *Server) *serverObs {
 	o.evalDur = reg.NewHistogram("windowd_eval_duration_seconds",
 		"Per-(function, engine) window evaluation time, from the query span tree.",
 		nil, "function", "engine")
+	o.respondDur = reg.NewHistogram("windowd_respond_duration_seconds",
+		"Time streaming a query response, from its first byte queued to its last flush.",
+		nil).With()
+	o.responseAborts = reg.NewCounter("windowd_response_aborts_total",
+		"Query responses cut short after their first byte: the client went away, the deadline passed or a write failed.").With()
 	o.rowsReturned = reg.NewCounter("windowd_rows_returned_total",
-		"Result rows rendered into query responses.").With()
+		"Result rows of completed query responses.").With()
 	o.slowQueries = reg.NewCounter("windowd_slow_queries_total",
-		"Queries exceeding the slow-query threshold.").With()
+		"Queries whose evaluation plus response exceeded the slow-query threshold.").With()
 	o.admissionDepth = reg.NewGauge("windowd_admission_queue_depth",
 		"Queries waiting for an evaluation slot.").With()
 	o.admissionInUse = reg.NewGauge("windowd_admission_in_use",

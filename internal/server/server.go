@@ -65,9 +65,10 @@ type Config struct {
 	// (tests use small values to exercise cancellation between chunks).
 	TaskSize int
 	// SlowQuery is the slow-query log threshold: queries whose evaluation
-	// takes at least this long are logged at WARN with their rendered span
-	// tree (including cache_key attributes, so a cold-cache build is
-	// distinguishable from a slow probe). <= 0 disables the log.
+	// plus response streaming take at least this long are logged at WARN
+	// with their rendered span tree (including cache_key attributes, so a
+	// cold-cache build is distinguishable from a slow probe) and the
+	// response's time, rows and bytes. <= 0 disables the log.
 	SlowQuery time.Duration
 	// MaxUploadBytes caps the request body of dataset registration (CSV
 	// uploads and JSON register requests). Oversized uploads answer 413
@@ -234,12 +235,16 @@ func (s *Server) Handler() http.Handler {
 		s.metrics.end(route, sw.status, d)
 		s.obs.inflight.Add(-1)
 		s.obs.observeRequest(route, sw.status, d, sw.bytes)
-		s.log.Info("request",
+		attrs := []any{
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", sw.status,
-			"duration_ms", float64(d)/float64(time.Millisecond),
-		)
+			"duration_ms", float64(d) / float64(time.Millisecond),
+		}
+		if sw.aborted {
+			attrs = append(attrs, "aborted", true)
+		}
+		s.log.Info("request", attrs...)
 	})
 }
 
@@ -307,6 +312,9 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	// aborted marks a streamed response that was cut short after the status
+	// line went out (handleQuery sets it).
+	aborted bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -519,6 +527,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	for _, ps := range arena.Snapshot() {
 		fmt.Fprintf(&b, "%s\n", ps)
 	}
+	responses, respondSec := s.obs.respondDur.Totals()
+	fmt.Fprintf(&b, "respond: responses=%d total=%s aborts=%.0f\n",
+		responses, time.Duration(respondSec*float64(time.Second)).Round(time.Microsecond), s.obs.responseAborts.Value())
 	bs := core.BatchSnapshot()
 	fmt.Fprintf(&b, "mst-batch: queries=%d dedup_hits=%d\n", bs.Queries, bs.DedupHits)
 	is := ingest.Snapshot()
@@ -792,36 +803,68 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad query request: %v", err))
 		return
 	}
-	resp, err := s.query(r.Context(), req.SQL, req.TimeoutMillis, req.IncludeTrace)
+	// One deadline bounds the whole request: the wait for a slot, the
+	// evaluation, and the streamed response.
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMillis))
+	defer cancel()
+	res, err := s.query(ctx, req.SQL, req.IncludeTrace)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+
+	// From here on the status is committed: a response that fails midway —
+	// the client hung up, the deadline passed — is cut short, not replaced
+	// by an error envelope.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	start := time.Now()
+	written, err := encodeResponse(ctx, w, res)
+	respond := time.Since(start)
+	s.obs.respondDur.Observe(respond.Seconds())
+	if err != nil {
+		s.obs.responseAborts.Inc()
+		if sw, ok := w.(*statusWriter); ok {
+			sw.aborted = true
+		}
+	} else {
+		s.obs.rowsReturned.Add(float64(res.table.Rows()))
+	}
+	s.logIfSlow(res, respond, written)
 }
 
-// queryResponse mirrors api.QueryResponse (kept in sync by the
-// shared-client tests).
-type queryResponse struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Nulls   [][]bool   `json:"nulls,omitempty"`
-	Stats   struct {
-		ElapsedMillis float64 `json:"elapsed_millis"`
-		CacheHits     int64   `json:"cache_hits"`
-		CacheMisses   int64   `json:"cache_misses"`
-		Operators     int     `json:"operators,omitempty"`
-		SortsShared   int     `json:"sorts_shared,omitempty"`
-		TreesShared   int     `json:"trees_shared,omitempty"`
-	} `json:"stats"`
-	Trace string `json:"trace,omitempty"`
+// logIfSlow writes the slow-query WARN line when evaluation plus response
+// took at least the configured threshold. The span tree covers evaluation
+// only — it is rendered into the body before the response is written — so
+// the response's share is reported beside it.
+func (s *Server) logIfSlow(res *queryResult, respond time.Duration, written int64) {
+	if s.cfg.SlowQuery <= 0 || res.elapsed+respond < s.cfg.SlowQuery {
+		return
+	}
+	rows := 0
+	if res.table != nil {
+		rows = res.table.Rows()
+	}
+	s.obs.slowQueries.Inc()
+	s.log.Warn("slow query",
+		"sql", res.sql,
+		"elapsed_ms", float64(res.elapsed)/float64(time.Millisecond),
+		"respond_ms", float64(respond)/float64(time.Millisecond),
+		"rows", rows,
+		"bytes", written,
+		"threshold_ms", float64(s.cfg.SlowQuery)/float64(time.Millisecond),
+		"trace", "\n"+res.root.Render(),
+	)
 }
 
-// query parses, admits, evaluates and renders one statement. Every query
-// runs under a trace span: the finished tree feeds the per-(function,
+// query parses, admits and evaluates one statement under ctx, and returns
+// its typed result for encodeResponse; nothing is rendered here. The
+// admission slot is held for the evaluation only and is free again when
+// query returns, so a slow reader of the response never occupies one. Every
+// query runs under a trace span: the finished tree feeds the per-(function,
 // engine) evaluation histograms, the slow-query log, and — when the request
-// asked for it — the response's Trace field.
-func (s *Server) query(parent context.Context, sql string, timeoutMillis int64, includeTrace bool) (*queryResponse, error) {
+// asked for it — the response's trace field.
+func (s *Server) query(ctx context.Context, sql string, includeTrace bool) (*queryResult, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err)
@@ -830,9 +873,6 @@ func (s *Server) query(parent context.Context, sql string, timeoutMillis int64, 
 	if !ok {
 		return nil, httpErrorf(http.StatusNotFound, api.CodeNotFound, "unknown dataset %q", q.From)
 	}
-
-	ctx, cancel := context.WithTimeout(parent, s.timeoutFor(timeoutMillis))
-	defer cancel()
 
 	// Admission: wait for an evaluation slot, but never past the deadline —
 	// a query that times out in the queue fails fast without ever occupying
@@ -871,7 +911,7 @@ func (s *Server) query(parent context.Context, sql string, timeoutMillis int64, 
 	root := obs.NewSpan("query")
 	root.Set("sql", sql)
 	start := time.Now()
-	res, planStats, err := sqlparse.ExecutePlanned(q, map[string]*core.Table{q.From: tab}, core.Options{
+	table, planStats, err := sqlparse.ExecutePlanned(q, map[string]*core.Table{q.From: tab}, core.Options{
 		Tree:       mst.Options{SpillRows: s.cfg.SpillRows},
 		Context:    ctx,
 		Cache:      s.cache,
@@ -881,57 +921,30 @@ func (s *Server) query(parent context.Context, sql string, timeoutMillis int64, 
 		Trace:      root,
 	})
 	root.End()
-	elapsed := time.Since(start)
+	res := &queryResult{sql: sql, table: table, root: root, elapsed: time.Since(start)}
 	s.obs.observeQuerySpans(root)
-	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
-		s.obs.slowQueries.Inc()
-		s.log.Warn("slow query",
-			"sql", sql,
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond),
-			"threshold_ms", float64(s.cfg.SlowQuery)/float64(time.Millisecond),
-			"trace", "\n"+root.Render(),
-		)
-	}
 	if err != nil {
+		s.logIfSlow(res, 0, 0)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
 		return nil, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err)
 	}
+	if res.dates, err = sqlparse.DateOutputs(q, ds.file.DateColumns); err != nil {
+		return nil, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err)
+	}
 
-	resp := &queryResponse{}
-	resp.Stats.ElapsedMillis = float64(elapsed) / float64(time.Millisecond)
 	st := s.cache.Stats()
-	resp.Stats.CacheHits = st.Hits
-	resp.Stats.CacheMisses = st.Misses
-	resp.Stats.Operators = planStats.Operators
-	resp.Stats.SortsShared = planStats.SortsShared
-	resp.Stats.TreesShared = planStats.TreesShared
+	res.stats = api.QueryStats{
+		ElapsedMillis: float64(res.elapsed) / float64(time.Millisecond),
+		CacheHits:     st.Hits,
+		CacheMisses:   st.Misses,
+		Operators:     planStats.Operators,
+		SortsShared:   planStats.SortsShared,
+		TreesShared:   planStats.TreesShared,
+	}
 	if includeTrace {
-		resp.Trace = root.Render()
+		res.trace = root.Render()
 	}
-	cols := res.Columns()
-	resp.Columns = make([]string, len(cols))
-	for i, c := range cols {
-		resp.Columns[i] = c.Name()
-	}
-	n := res.Rows()
-	resp.Rows = make([][]string, n)
-	resp.Nulls = make([][]bool, n)
-	for i := 0; i < n; i++ {
-		row := make([]string, len(cols))
-		nulls := make([]bool, len(cols))
-		for c, col := range cols {
-			nulls[c] = col.IsNull(i)
-			if ds.file.DateColumns[col.Name()] && col.Kind() == core.Int64 && !col.IsNull(i) {
-				row[c] = csvio.DayToDate(col.Int64(i))
-				continue
-			}
-			row[c] = csvio.FormatCell(col, i)
-		}
-		resp.Rows[i] = row
-		resp.Nulls[i] = nulls
-	}
-	s.obs.rowsReturned.Add(float64(n))
-	return resp, nil
+	return res, nil
 }

@@ -97,6 +97,40 @@ func TestQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDateFlagFollowsSource pins how an output column becomes a date: by
+// what it was derived from, never by the name it is selected under. A rank
+// aliased to a date column's name stays a number; a date column under
+// another name, and the value functions over one, stay dates.
+func TestDateFlagFollowsSource(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	mustUpload(t, c, "t", smallCSV)
+	dates := []string{"2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04", "2024-01-05"}
+	cases := []struct {
+		sql  string
+		col  int
+		want []string
+	}{
+		{`select rank() over (order by v) as d from t`, 0, []string{"1", "2", "3", "4", "5"}},
+		{`select d as day, first_value(d) over (order by v rows between current row and unbounded following) as fd from t`, 0, dates},
+		{`select d as day, first_value(d) over (order by v rows between current row and unbounded following) as fd from t`, 1, dates},
+		{`select percentile_disc(0.5 order by d) over (order by v rows between current row and current row) as p from t`, 0, dates},
+		{`select min(d) over (order by v rows between current row and unbounded following) as d2, lag(d) over (order by v) as prev, sum(v) over (order by d) as d from t`, 0, dates},
+		{`select min(d) over (order by v rows between current row and unbounded following) as d2, lag(d) over (order by v) as prev, sum(v) over (order by d) as d from t`, 1, append([]string{""}, dates[:4]...)},
+		{`select min(d) over (order by v rows between current row and unbounded following) as d2, lag(d) over (order by v) as prev, sum(v) over (order by d) as d from t`, 2, []string{"10", "30", "60", "100", "150"}},
+	}
+	for _, tc := range cases {
+		resp, err := c.Query(context.Background(), api.QueryRequest{SQL: tc.sql})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		for i, want := range tc.want {
+			if got := resp.Rows[i][tc.col]; got != want {
+				t.Fatalf("%s\ncolumn %q row %d = %q, want %q", tc.sql, resp.Columns[tc.col], i, got, want)
+			}
+		}
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -237,6 +271,8 @@ func TestStatuszReflectsCache(t *testing.T) {
 		fmt.Sprintf("hits=%d", st.Hits),
 		fmt.Sprintf("misses=%d", st.Misses),
 		"endpoint POST /v1/query:",
+		"respond: responses=2 ",
+		"aborts=0",
 		"dataset t: version=1",
 	} {
 		if !strings.Contains(page, want) {

@@ -118,6 +118,30 @@ func toStatement(q *Query) (*plan.Statement, error) {
 	return stmt, nil
 }
 
+// DateOutputs reports which output columns of q hold dates, keyed by output
+// name, given the date columns of its source table. A plain projection is a
+// date when its source column is one and a function when it returns the
+// values of one (core.FuncSpec.ValueColumn); ranks, counts, sums and the
+// like never are, whatever their alias. The date flag is a property of how a
+// value was derived, never of the name it is selected under.
+func DateOutputs(q *Query, srcDates map[string]bool) (map[string]bool, error) {
+	stmt, err := toStatement(q)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]bool{}
+	for _, item := range stmt.Items {
+		src := item.SrcColumn
+		if item.Func != nil {
+			src = item.Func.ValueColumn()
+		}
+		if src != "" && srcDates[src] {
+			out[item.Name] = true
+		}
+	}
+	return out, nil
+}
+
 // defaultFrame is SQL's default frame for a window: RANGE UNBOUNDED
 // PRECEDING .. CURRENT ROW with an ORDER BY, the whole partition without.
 func defaultFrame(w *WindowDef) frame.Spec {

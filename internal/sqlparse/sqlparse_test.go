@@ -294,3 +294,34 @@ func TestCaseInsensitivityAndComments(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDateOutputs checks the date flag is resolved per select item from its
+// source: projections inherit their column's, value-returning functions
+// their value argument's, everything else is not a date — under the output
+// names the executor assigns, uniquified ones included.
+func TestDateOutputs(t *testing.T) {
+	q, err := Parse(`
+		select d, d, v as d2, rank() over w as day,
+		       min(d) over w, max(v) over w, lead(d) over w as nxt,
+		       nth_value(d, 2) over w as nth, last_value(g) over w as lg,
+		       percentile_disc(0.5 order by d) over w as pd,
+		       percentile_cont(0.5 order by d) over w as pc,
+		       count(distinct d) over w as cd, sum(d) over w as sd
+		from t window w as (order by day)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DateOutputs(q, map[string]bool{"d": true, "day": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"d": true, "d_2": true, "min": true, "nxt": true, "nth": true, "pd": true}
+	if len(got) != len(want) {
+		t.Fatalf("DateOutputs = %v, want %v", got, want)
+	}
+	for name := range want {
+		if !got[name] {
+			t.Fatalf("DateOutputs = %v, want %v", got, want)
+		}
+	}
+}

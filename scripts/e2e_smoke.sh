@@ -102,6 +102,7 @@ for series in \
     'windowd_requests_total{route="POST /v1/query",code="200"}' \
     'windowd_request_duration_seconds_count{route="POST /v1/query"}' \
     'windowd_eval_duration_seconds_count{function="percentile_disc",engine="mst"}' \
+    'windowd_respond_duration_seconds_count' \
     'windowd_cache_events_total{event="hit"}' \
     'windowd_cache_events_total{event="miss"}' \
     'windowd_rows_returned_total' \
@@ -122,6 +123,11 @@ for series in \
 do
     metric_positive "$series" || { echo "FAIL: metrics series missing or zero: $series"; printf '%s\n' "$metrics" | head -40; exit 1; }
 done
+
+# Every response so far was read to its end: the abort counter is exposed, at zero.
+printf '%s\n' "$metrics" | grep -q '^windowd_response_aborts_total 0$' \
+    || { echo "FAIL: windowd_response_aborts_total missing or non-zero"; printf '%s\n' "$metrics" | grep response_aborts; exit 1; }
+printf '%s\n' "$statusz" | grep -q 'respond: responses=' || { echo "FAIL: statusz does not report the respond stage"; exit 1; }
 
 cli_out=$("${TMPDIR:-/tmp}/windowcli" -server "$base" -trace \
     -query "select count(distinct v) over (order by d rows between 49 preceding and current row) as cd from t" \
