@@ -1,7 +1,7 @@
 // Command windowd serves framed holistic window queries over HTTP.
 //
 // Datasets are CSV files registered at startup (-load name=path) or over
-// the API (POST /datasets/{name} with a CSV body or a JSON {"path": ...}).
+// the API (POST /v1/datasets/{name} with a CSV body or a JSON {"path": ...}).
 // Out-of-core segment datasets register from directories (-load-dir
 // name=dir, or POST with {"source":"dir","dir":...}), and the server
 // ingests CSVs into segment directories asynchronously (POST with

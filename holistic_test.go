@@ -3,6 +3,7 @@ package holistic
 import (
 	"math"
 	"testing"
+	"time"
 
 	"holistic/internal/tpch"
 )
@@ -352,35 +353,35 @@ func pickSupported(want Engine, unsupported ...Engine) Engine {
 
 func TestProfileCollection(t *testing.T) {
 	l := tpch.GenerateLineitem(5000, 6)
-	prof := &Profile{}
-	_, err := RunOptions(l.Table(),
+	root := NewTrace("run")
+	_, err := RunWith(l.Table(),
 		Over().OrderBy(Asc("l_shipdate")).Frame(Rows(UnboundedPreceding(), CurrentRow())),
-		Options{Profile: prof},
-		CountDistinct("l_partkey").As("cd"),
+		[]*Func{CountDistinct("l_partkey").As("cd")},
+		WithTrace(root),
 	)
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases := prof.Phases()
+	phases := root.PhaseTotals()
 	if len(phases) < 4 {
 		t.Fatalf("expected >= 4 phases, got %v", phases)
 	}
 	names := map[string]bool{}
+	var total time.Duration
 	for _, ph := range phases {
 		names[ph.Name] = true
-		if ph.Duration < 0 {
+		if ph.Total < 0 {
 			t.Fatalf("negative duration in %v", ph)
 		}
+		total += ph.Total
 	}
 	for _, want := range []string{"partition+order sort", "preprocess: prevIdcs", "build merge sort tree", "probe"} {
 		if !names[want] {
 			t.Fatalf("missing phase %q in %v", want, phases)
 		}
 	}
-	if prof.Total() <= 0 {
+	if total <= 0 {
 		t.Fatal("zero total")
-	}
-	if prof.String() == "" {
-		t.Fatal("empty profile string")
 	}
 }

@@ -9,15 +9,15 @@ import (
 	"holistic/internal/rangetree"
 )
 
-// Chunk-level batched probing. The per-row probe bodies in eval_mst.go issue
-// one or a few MST queries per row; the collectors here gather a whole
-// parallel task chunk's query descriptors into pooled structure-of-arrays
-// buffers, dedup rows whose descriptors exactly repeat the previous row's
-// (peer rows of a RANGE frame, constant frames), hand the surviving queries
-// to the batched level-synchronous kernels (mst.CountBelowBatch /
-// mst.SelectKthRangesBatch), and then emit per-row results from the kernel
-// answers. Options.NoBatch restores the scalar per-row descents; results are
-// byte-identical either way (batch_equiv_test.go).
+// Chunk-level batched probing: the probe path of every MST function family
+// except LEAD/LAG. A row needs one or a few MST queries; the collectors here
+// gather a whole parallel task chunk's query descriptors into pooled
+// structure-of-arrays buffers, dedup rows whose descriptors exactly repeat
+// the previous row's (peer rows of a RANGE frame, constant frames), hand the
+// surviving queries to the batched level-synchronous kernels
+// (mst.CountBelowBatch / mst.SelectKthRangesBatch / AggBelowBatch /
+// rangetree.CountDistinctBelowBatch), and then emit per-row results from the
+// kernel answers.
 
 // batchFamily partitions the batched collectors into kernel families for
 // the per-family metric split (windowd_mst_batch_queries_family /
@@ -83,21 +83,6 @@ func BatchFamilySnapshot() []BatchFamilyStat {
 		}
 	}
 	return out
-}
-
-// batchEnabled decides whether the batched collectors run for a partition of
-// n rows: Options.NoBatch always wins; otherwise a configured tuner picks
-// per size (small partitions amortize nothing and the scalar descent's lower
-// constant wins — the crossover lives in the tuner table); with neither set,
-// batching is on.
-func (o Options) batchEnabled(n int) bool {
-	if o.NoBatch {
-		return false
-	}
-	if o.Tree.Tuning != nil {
-		return o.Tree.Tuning.Choose(n).Batch
-	}
-	return true
 }
 
 // batchAgg accumulates one evaluation's batch counters across its parallel
@@ -407,8 +392,7 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 		v := valueCol.Numeric(src)
 		if rowN[ri] == 2 {
 			// Recompute the interpolation weight from the frame size: the
-			// same floats the collection pass derived, so bitwise identical
-			// to the scalar path.
+			// same floats the collection pass derived.
 			rn := f.Fraction * float64(int(rowSize[ri])-1)
 			frac := rn - math.Floor(rn)
 			if pos1 := qout[slot+1]; pos1 >= 0 && frac > 0 {
@@ -429,9 +413,8 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 // exactly repeat the previous row's, in which case the rows share aggregate,
 // count AND hole correction — answered by the annotated tree's batched
 // kernel, whose per-query count output feeds the NULL rule without a second
-// tree pass. The exclusion-hole subtraction runs once per slot in the
-// scalar walk's hole order, so emitted floats are bitwise identical to the
-// scalar path.
+// tree pass. The exclusion-hole subtraction runs once per slot, in hole
+// order.
 func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tree *mst.AnnotatedTree[S],
 	prev, next []int64, values []S, sub func(a, b S) S, emit func(row int, v S),
 	out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
@@ -482,7 +465,7 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	results := make([]S, s)
 	tree.AggBelowBatch(qlo[:s], qhi[:s], qthr[:s], results, okv[:s], kcnt[:s])
 
-	// Per-slot hole correction and NULL rule, exactly the scalar order.
+	// Per-slot hole correction and NULL rule.
 	for sl := 0; sl < s; sl++ {
 		nr := int(slotNR[sl])
 		for ro := 0; ro < nr; ro++ {

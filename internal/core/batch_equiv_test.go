@@ -1,206 +1,99 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
-	"holistic/internal/mst/tune"
 )
 
-// The batched level-synchronous kernels must be invisible in results: for
-// any dataset, frame and window function, evaluation with the batched probe
-// path returns byte-identical output to Options.NoBatch (the scalar per-row
-// descents). A divergence means a collector mis-translated a row's query
-// set, the dedup rule reused a non-identical query, or a kernel diverged
-// from its scalar counterpart.
+// The chunk collectors (batch.go) translate each row's frame into kernel
+// queries and reuse the previous row's queries when they repeat. The tests
+// here aim the reference comparison at what can go wrong there: a chunk
+// boundary inside a partition, a dedup that reuses a non-identical query,
+// and tree variants the kernels specialise on.
 
 func TestBatchEquivalenceRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(777))
-	treeVariants := []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {Force64: true}}
-	trials := 16
+	trials := 14
 	if testing.Short() {
-		trials = 6
+		trials = 7
 	}
-	for trial := 0; trial < trials; trial++ {
-		n := []int{0, 1, 3, 13, 40, 150, 700}[trial%7]
-		tab := randTable(rng, n)
-		fs := randFrame(rng)
-		w := &WindowSpec{
-			OrderBy:  []SortKey{{Column: "d", Desc: rng.Intn(2) == 0}},
-			Frame:    fs,
-			FrameSet: true,
-			Funcs:    allFuncSpecs(rng),
-		}
-		if rng.Intn(2) == 0 {
-			w.PartitionBy = []string{"g"}
-		}
-		// Small task sizes so chunk boundaries (where dedup resets) fall
-		// inside partitions.
-		batchedOpt := Options{Tree: treeVariants[trial%len(treeVariants)], TaskSize: 16}
-		scalarOpt := batchedOpt
-		scalarOpt.NoBatch = true
-
-		batched, err := Run(tab, w, batchedOpt)
-		if err != nil {
-			t.Fatalf("trial %d batched: %v", trial, err)
-		}
-		scalar, err := Run(tab, w, scalarOpt)
-		if err != nil {
-			t.Fatalf("trial %d scalar: %v", trial, err)
-		}
-		for i := range w.Funcs {
-			f := &w.Funcs[i]
-			label := fmt.Sprintf("trial %d %v (%s) frame{%v %v/%v ex%d}",
-				trial, f.Name, f.Output, fs.Mode, fs.Start.Type, fs.End.Type, fs.Exclude)
-			assertColumnsIdentical(t, label, batched.Column(f.Output), scalar.Column(f.Output))
-		}
-	}
+	referenceSweep{
+		seed: 777, trials: trials, sizes: []int{0, 1, 3, 13, 40, 120, 70},
+		trees:    []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {Force64: true}},
+		taskSize: 16,
+	}.run(t)
 }
 
-// TestBatchEquivalenceDedupHeavy pins the adjacent-row dedup path: a default
-// RANGE frame over a low-cardinality ORDER BY key makes every peer group
-// share one frame, so most rows reuse their predecessor's queries. Results
-// must still match the scalar path exactly, and the dedup counter must see
-// the reuse.
-func TestBatchEquivalenceDedupHeavy(t *testing.T) {
-	rng := rand.New(rand.NewSource(778))
-	tab := randTable(rng, 400)
+// runPeerFrames evaluates funcs under a default RANGE frame over a
+// low-cardinality ORDER BY key — every peer group shares one frame, so most
+// rows repeat their predecessor's queries — requires every named kernel
+// family's query and dedup counters to have moved, and checks the results
+// against the reference.
+func runPeerFrames(t *testing.T, seed int64, families []string, funcs []FuncSpec) {
+	t.Helper()
+	tab := randTable(rand.New(rand.NewSource(seed)), 160)
 	w := &WindowSpec{
-		OrderBy: []SortKey{{Column: "g"}}, // few distinct values: large peer groups
+		OrderBy: []SortKey{{Column: "g"}},
 		Frame: frame.Spec{
 			Mode:  frame.Range,
 			Start: frame.Bound{Type: frame.UnboundedPreceding},
 			End:   frame.Bound{Type: frame.CurrentRow},
 		},
 		FrameSet: true,
-		Funcs: []FuncSpec{
-			{Name: CountDistinct, Output: "cd", Arg: "v"},
-			{Name: Rank, Output: "rk", OrderBy: []SortKey{{Column: "g"}}},
-			{Name: CumeDist, Output: "cu", OrderBy: []SortKey{{Column: "g"}}},
-			{Name: FirstValue, Output: "fv", Arg: "v", OrderBy: []SortKey{{Column: "v"}}},
-			{Name: PercentileCont, Output: "pc", Fraction: 0.37, OrderBy: []SortKey{{Column: "fv"}}},
-		},
-	}
-	before := BatchSnapshot()
-	batched, err := Run(tab, w, Options{TaskSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := BatchSnapshot()
-	if after.Queries <= before.Queries {
-		t.Errorf("batched run did not raise the query counter: %+v -> %+v", before, after)
-	}
-	if after.DedupHits <= before.DedupHits {
-		t.Errorf("dedup-heavy run did not raise the dedup counter: %+v -> %+v", before, after)
-	}
-	scalar, err := Run(tab, w, Options{TaskSize: 64, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := BatchSnapshot(); got != after {
-		t.Errorf("NoBatch run moved the batch counters: %+v -> %+v", after, got)
-	}
-	for i := range w.Funcs {
-		f := &w.Funcs[i]
-		assertColumnsIdentical(t, f.Output, batched.Column(f.Output), scalar.Column(f.Output))
-	}
-}
-
-// TestBatchEquivalenceAggRankFamilies pins the PR 10 kernels: the batched
-// SUM/AVG(DISTINCT) collector and the batched DENSE_RANK collector must move
-// their per-family counters (including the adjacent-frame dedup hits that a
-// low-cardinality RANGE frame provokes), and their results must stay
-// byte-identical to the scalar per-row descents.
-func TestBatchEquivalenceAggRankFamilies(t *testing.T) {
-	rng := rand.New(rand.NewSource(779))
-	tab := randTable(rng, 500)
-	w := &WindowSpec{
-		OrderBy: []SortKey{{Column: "g"}}, // few distinct values: large peer groups
-		Frame: frame.Spec{
-			Mode:  frame.Range,
-			Start: frame.Bound{Type: frame.UnboundedPreceding},
-			End:   frame.Bound{Type: frame.CurrentRow},
-		},
-		FrameSet: true,
-		Funcs: []FuncSpec{
-			{Name: SumDistinct, Output: "sd", Arg: "v"},
-			{Name: SumDistinct, Output: "sdf", Arg: "fv"},
-			{Name: AvgDistinct, Output: "ad", Arg: "v"},
-			{Name: DenseRank, Output: "dr", OrderBy: []SortKey{{Column: "v"}}},
-			{Name: DenseRank, Output: "drf", OrderBy: []SortKey{{Column: "v"}}, Filter: "flt"},
-		},
-	}
-	famIndex := func(stats []BatchFamilyStat, name string) BatchFamilyStat {
-		for _, s := range stats {
-			if s.Family == name {
-				return s
-			}
-		}
-		t.Fatalf("family %q missing from snapshot %+v", name, stats)
-		return BatchFamilyStat{}
+		Funcs:    funcs,
 	}
 	before := BatchFamilySnapshot()
-	batched, err := Run(tab, w, Options{TaskSize: 64})
+	res, err := Run(tab, w, Options{TaskSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := BatchFamilySnapshot()
-	for _, fam := range []string{"agg", "rank"} {
-		b, a := famIndex(before, fam), famIndex(after, fam)
+	for i, a := range BatchFamilySnapshot() {
+		b := before[i]
+		if !slices.Contains(families, a.Family) {
+			continue
+		}
 		if a.Queries <= b.Queries {
-			t.Errorf("family %q: batched run did not raise the query counter: %+v -> %+v", fam, b, a)
+			t.Errorf("family %q: run did not raise the query counter: %+v -> %+v", a.Family, b, a)
 		}
 		if a.DedupHits <= b.DedupHits {
-			t.Errorf("family %q: dedup-heavy run did not raise the dedup counter: %+v -> %+v", fam, b, a)
+			t.Errorf("family %q: peer-shared frames did not raise the dedup counter: %+v -> %+v", a.Family, b, a)
 		}
-	}
-	scalar, err := Run(tab, w, Options{TaskSize: 64, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for i := range w.Funcs {
 		f := &w.Funcs[i]
-		assertColumnsIdentical(t, f.Output, batched.Column(f.Output), scalar.Column(f.Output))
+		compareToReference(t, tab, w, f, res.Column(f.Output), f.Output)
 	}
 }
 
-// TestBatchTunerGatesKernels checks Options.Tree.Tuning's Batch flag: a
-// tuner whose table says "scalar at every size" must keep the batch counters
-// still while producing identical results.
-func TestBatchTunerGatesKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(780))
-	tab := randTable(rng, 200)
-	w := &WindowSpec{
-		OrderBy:  []SortKey{{Column: "d"}},
-		Frame:    frame.Spec{Mode: frame.Rows, Start: frame.Bound{Type: frame.Preceding, Offset: 9}, End: frame.Bound{Type: frame.CurrentRow}},
-		FrameSet: true,
-		Funcs: []FuncSpec{
-			{Name: CountDistinct, Output: "cd", Arg: "v"},
-			{Name: SumDistinct, Output: "sd", Arg: "v"},
-			{Name: DenseRank, Output: "dr", OrderBy: []SortKey{{Column: "v"}}},
-		},
-	}
-	scalarTab, err := tune.NewTable([]tune.Row{{MaxN: 1 << 62, Fanout: 8, SampleEvery: 8, Batch: false}})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestBatchEquivalenceDedupHeavy pins the adjacent-row dedup of the count,
+// rank and select collectors, including the process-wide totals the metrics
+// endpoint exports.
+func TestBatchEquivalenceDedupHeavy(t *testing.T) {
 	before := BatchSnapshot()
-	tuned, err := Run(tab, w, Options{TaskSize: 64, Tree: mst.Options{Tuning: scalarTab}})
-	if err != nil {
-		t.Fatal(err)
+	runPeerFrames(t, 778, []string{"count", "rank", "select"}, []FuncSpec{
+		{Name: CountDistinct, Output: "cd", Arg: "v"},
+		{Name: Rank, Output: "rk", OrderBy: []SortKey{{Column: "g"}}},
+		{Name: CumeDist, Output: "cu", OrderBy: []SortKey{{Column: "g"}}},
+		{Name: FirstValue, Output: "fv", Arg: "v", OrderBy: []SortKey{{Column: "v"}}},
+		{Name: PercentileCont, Output: "pc", Fraction: 0.37, OrderBy: []SortKey{{Column: "fv"}}},
+	})
+	after := BatchSnapshot()
+	if after.Queries <= before.Queries || after.DedupHits <= before.DedupHits {
+		t.Errorf("process-wide batch counters did not move: %+v -> %+v", before, after)
 	}
-	if got := BatchSnapshot(); got != before {
-		t.Errorf("tuner with Batch=false still moved the batch counters: %+v -> %+v", before, got)
-	}
-	plain, err := Run(tab, w, Options{TaskSize: 64, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Funcs {
-		f := &w.Funcs[i]
-		assertColumnsIdentical(t, f.Output, tuned.Column(f.Output), plain.Column(f.Output))
-	}
+}
+
+// TestBatchEquivalenceAggRankFamilies does the same for the SUM/AVG(DISTINCT)
+// collector and the DENSE_RANK collector.
+func TestBatchEquivalenceAggRankFamilies(t *testing.T) {
+	runPeerFrames(t, 779, []string{"agg", "rank"}, []FuncSpec{
+		{Name: SumDistinct, Output: "sd", Arg: "v"},
+		{Name: SumDistinct, Output: "sdf", Arg: "fv"},
+		{Name: AvgDistinct, Output: "ad", Arg: "v"},
+		{Name: DenseRank, Output: "dr", OrderBy: []SortKey{{Column: "v"}}},
+		{Name: DenseRank, Output: "drf", OrderBy: []SortKey{{Column: "v"}}, Filter: "flt"},
+	})
 }

@@ -12,13 +12,12 @@ import (
 )
 
 // The EvalMST benchmarks measure the steady-state per-row probe cost of the
-// merge-sort-tree engines with every cached structure already built — the
-// regime a warm server operates in. The acceptance bar for the allocation
-// work is that the count and select probes run at 0 allocs/op.
+// merge-sort-tree chunk collectors with every cached structure already built
+// — the regime a warm server operates in. ns/op is per row.
 
 // benchPartition assembles one partition plus frame computer exactly the way
 // Run does, for a table with no PARTITION BY.
-func benchPartition(b *testing.B, n int, f *FuncSpec) (*partition, *frame.Computer) {
+func benchPartition(b testing.TB, n int, f *FuncSpec) (*partition, *frame.Computer) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1234))
 	tab := randTable(rng, n)
@@ -48,82 +47,35 @@ func benchPartition(b *testing.B, n int, f *FuncSpec) (*partition, *frame.Comput
 	return p, fc
 }
 
-// BenchmarkEvalMSTCount probes COUNT(DISTINCT) per row against a pre-built
-// tree: one frame computation plus one cascaded count query.
-func BenchmarkEvalMSTCount(b *testing.B) {
-	const n = 20_000
-	f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
-	p, fc := benchPartition(b, n, f)
-	var opt Options
-	fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
-	prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
-	tree, err := mst.Build(prev, opt.Tree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var scratch, mapped [3][2]int
-	var sink int
+// benchChunks drives chunk over the n partition rows in 4096-row probe
+// chunks, b.N rows in total, after one warm-up chunk has filled the kernel
+// scratch pools.
+func benchChunks(b *testing.B, n int, chunk func(lo, hi int)) {
+	const chunkRows = 4096
+	chunk(0, min(chunkRows, n))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row := i % n
-		ranges := fl.frameRanges(fc, row, scratch[:], mapped[:])
-		sink += distinctCount(tree, prev, next, ranges)
-	}
-	if sink < 0 {
-		b.Fatal("impossible")
+	row := 0
+	for done := 0; done < b.N; {
+		c := min(chunkRows, n-row, b.N-done)
+		chunk(row, row+c)
+		done += c
+		row += c
+		if row == n {
+			row = 0
+		}
 	}
 }
 
-// BenchmarkEvalMSTSelect probes FIRST_VALUE per row against a pre-built
-// permutation tree: one frame computation plus one cascaded selection.
-func BenchmarkEvalMSTSelect(b *testing.B) {
-	const n = 20_000
-	f := &FuncSpec{Name: FirstValue, Output: "x", Arg: "v", OrderBy: []SortKey{{Column: "v"}}}
-	p, fc := benchPartition(b, n, f)
-	var opt Options
-	fl := newFiltered(p, &p.w.Funcs[0], "", opt)
-	sortedKept := keptOrder(fl, p.sortedByFuncOrder(&p.w.Funcs[0]), make([]int32, fl.k))
-	perm := preprocess.Permutation(sortedKept)
-	tree, err := mst.Build(perm, opt.Tree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var scratch, mapped [3][2]int
-	var r64 [3][2]int64
-	var sink int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row := i % n
-		ranges := fl.frameRanges(fc, row, scratch[:], mapped[:])
-		size := 0
-		for ri, r := range ranges {
-			size += r[1] - r[0]
-			r64[ri] = [2]int64{int64(r[0]), int64(r[1])}
-		}
-		if size == 0 {
-			continue
-		}
-		if pos, ok := tree.SelectKthRanges(r64[:len(ranges)], 0); ok {
-			sink += fl.orig(int(tree.Value(pos)))
-		}
-	}
-	if sink < 0 {
-		b.Fatal("impossible")
-	}
-}
+var benchSizes = []struct {
+	name string
+	n    int
+}{{"20k", 20_000}, {"1M", 1_000_000}}
 
-// BenchmarkEvalMSTCountBatch compares the batched level-synchronous count
-// kernel against the scalar per-row descent on the same warm COUNT(DISTINCT)
-// probe (sliding ±100 ROWS frame): ns/op is per row, both arms write through
-// the same output builder. The bench-regress CI gate tracks both arms; the
-// batched/scalar ratio is the tentpole's acceptance number (EXPERIMENTS.md).
+// BenchmarkEvalMSTCountBatch probes COUNT(DISTINCT) on a sliding ±100 ROWS
+// frame: one whole-span count query per row through the batched kernel.
 func BenchmarkEvalMSTCountBatch(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		n    int
-	}{{"20k", 20_000}, {"1M", 1_000_000}} {
+	for _, size := range benchSizes {
 		f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
@@ -134,46 +86,17 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		out := newOutBuilder(f.Output, Int64, size.n)
-		for _, arm := range []string{"batched", "scalar"} {
-			arm := arm
-			b.Run(arm+"-"+size.name, func(b *testing.B) {
-				agg := &batchAgg{}
-				var scratch, mapped [3][2]int
-				const chunkRows = 4096
-				// Warm the kernel scratch pools so steady state is measured.
-				distinctCountChunk(p, fl, fc, tree, prev, next, out, opt, agg, 0, min(chunkRows, size.n))
-				b.ReportAllocs()
-				b.ResetTimer()
-				row := 0
-				for done := 0; done < b.N; {
-					c := chunkRows
-					if row+c > size.n {
-						c = size.n - row
-					}
-					if done+c > b.N {
-						c = b.N - done
-					}
-					if arm == "batched" {
-						distinctCountChunk(p, fl, fc, tree, prev, next, out, opt, agg, row, row+c)
-					} else {
-						for i := row; i < row+c; i++ {
-							ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-							out.setInt(p.orig(i), int64(distinctCount(tree, prev, next, ranges)))
-						}
-					}
-					done += c
-					row += c
-					if row == size.n {
-						row = 0
-					}
-				}
+		b.Run(size.name, func(b *testing.B) {
+			agg := &batchAgg{}
+			benchChunks(b, size.n, func(lo, hi int) {
+				distinctCountChunk(p, fl, fc, tree, prev, next, out, opt, agg, lo, hi)
 			})
-		}
+		})
 	}
 }
 
-// BenchmarkEvalMSTSelectBatch compares the batched select kernel against the
-// scalar per-row SelectKthRanges descent on a warm FIRST_VALUE probe.
+// BenchmarkEvalMSTSelectBatch probes FIRST_VALUE against a pre-built
+// permutation tree: one selection query per row.
 func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 	const n = 20_000
 	f := &FuncSpec{Name: FirstValue, Output: "x", Arg: "v", OrderBy: []SortKey{{Column: "v"}}}
@@ -188,55 +111,10 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 	}
 	valueCol := p.t.Column(f.Arg)
 	out := newOutBuilder(f.Output, valueCol.Kind(), n)
-	for _, arm := range []string{"batched", "scalar"} {
-		arm := arm
-		b.Run(arm, func(b *testing.B) {
-			agg := &batchAgg{}
-			var scratch, mapped [3][2]int
-			var r64 [3][2]int64
-			const chunkRows = 4096
-			selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, opt, agg, 0, chunkRows)
-			b.ReportAllocs()
-			b.ResetTimer()
-			row := 0
-			for done := 0; done < b.N; {
-				c := chunkRows
-				if row+c > n {
-					c = n - row
-				}
-				if done+c > b.N {
-					c = b.N - done
-				}
-				if arm == "batched" {
-					selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, opt, agg, row, row+c)
-				} else {
-					for i := row; i < row+c; i++ {
-						ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-						rw := p.orig(i)
-						sz := 0
-						for ri, r := range ranges {
-							sz += r[1] - r[0]
-							r64[ri] = [2]int64{int64(r[0]), int64(r[1])}
-						}
-						if sz == 0 {
-							out.setNull(rw)
-							continue
-						}
-						if pos, ok := tree.SelectKthRanges(r64[:len(ranges)], 0); ok {
-							out.copyFrom(valueCol, fl.orig(int(tree.Value(pos))), rw)
-						} else {
-							out.setNull(rw)
-						}
-					}
-				}
-				done += c
-				row += c
-				if row == n {
-					row = 0
-				}
-			}
-		})
-	}
+	agg := &batchAgg{}
+	benchChunks(b, n, func(lo, hi int) {
+		selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, opt, agg, lo, hi)
+	})
 }
 
 // BenchmarkEvalMSTRunWarm measures a full Run with a warm structure cache —
@@ -272,15 +150,10 @@ func BenchmarkEvalMSTRunWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalMSTAggBatch compares the batched aggregate kernel against the
-// scalar annotated descent on a warm SUM(DISTINCT) probe (sliding ±100 ROWS
-// frame): ns/op is per row. The batched/scalar ratio at 1M rows is the PR 10
-// acceptance number (EXPERIMENTS.md).
+// BenchmarkEvalMSTAggBatch probes SUM(DISTINCT) through the annotated tree's
+// batched aggregate kernel.
 func BenchmarkEvalMSTAggBatch(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		n    int
-	}{{"20k", 20_000}, {"1M", 1_000_000}} {
+	for _, size := range benchSizes {
 		f := &FuncSpec{Name: SumDistinct, Output: "x", Arg: "v"}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
@@ -298,72 +171,19 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 		}
 		out := newOutBuilder(f.Output, Int64, size.n)
 		emit := func(row int, v int64) { out.setInt(row, v) }
-		for _, arm := range []string{"batched", "scalar"} {
-			arm := arm
-			b.Run(arm+"-"+size.name, func(b *testing.B) {
-				agg := &batchAgg{}
-				var scratch, mapped [3][2]int
-				const chunkRows = 4096
-				distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, 0, min(chunkRows, size.n))
-				b.ReportAllocs()
-				b.ResetTimer()
-				row := 0
-				for done := 0; done < b.N; {
-					c := chunkRows
-					if row+c > size.n {
-						c = size.n - row
-					}
-					if done+c > b.N {
-						c = b.N - done
-					}
-					if arm == "batched" {
-						distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, row, row+c)
-					} else {
-						for i := row; i < row+c; i++ {
-							ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-							rw := p.orig(i)
-							if len(ranges) == 0 {
-								out.setNull(rw)
-								continue
-							}
-							a := ranges[0][0]
-							d := ranges[len(ranges)-1][1]
-							v, ok := tree.AggBelow(a, d, int64(a)+1)
-							removed := 0
-							forEachFullyExcluded(prev, next, ranges, func(h int) {
-								v = sub(v, values[h])
-								removed++
-							})
-							total := 0
-							for _, r := range ranges {
-								total += r[1] - r[0]
-							}
-							if !ok || total == 0 || tree.CountBelow(a, d, int64(a)+1)-removed == 0 {
-								out.setNull(rw)
-								continue
-							}
-							emit(rw, v)
-						}
-					}
-					done += c
-					row += c
-					if row == size.n {
-						row = 0
-					}
-				}
+		b.Run(size.name, func(b *testing.B) {
+			agg := &batchAgg{}
+			benchChunks(b, size.n, func(lo, hi int) {
+				distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, lo, hi)
 			})
-		}
+		})
 	}
 }
 
-// BenchmarkEvalMSTDenseRankBatch compares the batched depth-synchronous
-// range-tree probe against the scalar canonical-decomposition walk on a warm
-// framed DENSE_RANK (sliding ±100 ROWS frame): ns/op is per row.
+// BenchmarkEvalMSTDenseRankBatch probes framed DENSE_RANK through the range
+// tree's batched depth-synchronous decomposition.
 func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		n    int
-	}{{"20k", 20_000}, {"1M", 1_000_000}} {
+	for _, size := range benchSizes {
 		f := &FuncSpec{Name: DenseRank, Output: "x", OrderBy: []SortKey{{Column: "v"}}}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
@@ -391,52 +211,11 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		out := newOutBuilder(f.Output, Int64, size.n)
-		for _, arm := range []string{"batched", "scalar"} {
-			arm := arm
-			b.Run(arm+"-"+size.name, func(b *testing.B) {
-				agg := &batchAgg{}
-				var scratch, mapped [3][2]int
-				const chunkRows = 4096
-				denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, 0, min(chunkRows, size.n))
-				b.ReportAllocs()
-				b.ResetTimer()
-				row := 0
-				for done := 0; done < b.N; {
-					c := chunkRows
-					if row+c > size.n {
-						c = size.n - row
-					}
-					if done+c > b.N {
-						c = b.N - done
-					}
-					if arm == "batched" {
-						denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, row, row+c)
-					} else {
-						for i := row; i < row+c; i++ {
-							ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-							rw := p.orig(i)
-							if len(ranges) == 0 {
-								out.setInt(rw, 1)
-								continue
-							}
-							a := ranges[0][0]
-							d := ranges[len(ranges)-1][1]
-							cnt := rt.CountDistinctBelow(a, d, ranksAll[i], int64(a)+1)
-							forEachFullyExcluded(prevKept, nextKept, ranges, func(h int) {
-								if ranksKept[h] < ranksAll[i] {
-									cnt--
-								}
-							})
-							out.setInt(rw, int64(cnt)+1)
-						}
-					}
-					done += c
-					row += c
-					if row == size.n {
-						row = 0
-					}
-				}
+		b.Run(size.name, func(b *testing.B) {
+			agg := &batchAgg{}
+			benchChunks(b, size.n, func(lo, hi int) {
+				denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, lo, hi)
 			})
-		}
+		})
 	}
 }

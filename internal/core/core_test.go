@@ -166,12 +166,27 @@ func allFuncSpecs(rng *rand.Rand) []FuncSpec {
 	}
 }
 
-func TestOperatorAgainstReferenceRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	treeVariants := []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}}
-	for trial := 0; trial < 12; trial++ {
-		n := []int{0, 1, 2, 7, 25, 60}[trial%6]
-		tab := randTable(rng, n)
+// referenceSweep is one randomized pass over the operator: every trial draws
+// a table, a frame and all 22 functions, runs them through Run and checks
+// each output column against refEvaluator.
+type referenceSweep struct {
+	seed     int64
+	trials   int
+	sizes    []int         // table rows, cycled per trial
+	trees    []mst.Options // tree variants, cycled per trial
+	taskSize int           // small, so chunk boundaries (where dedup resets) fall inside partitions
+	// rerun evaluates every trial a second time, back to back, and requires
+	// bit-identical columns: the second run borrows the scratch buffers the
+	// first one just returned, so a buffer that leaked into retained state
+	// or was assumed zeroed shows up as a difference.
+	rerun bool
+}
+
+func (s referenceSweep) run(t *testing.T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(s.seed))
+	for trial := 0; trial < s.trials; trial++ {
+		tab := randTable(rng, s.sizes[trial%len(s.sizes)])
 		fs := randFrame(rng)
 		w := &WindowSpec{
 			OrderBy:  []SortKey{{Column: "d", Desc: rng.Intn(2) == 0}},
@@ -182,18 +197,35 @@ func TestOperatorAgainstReferenceRandomized(t *testing.T) {
 			w.PartitionBy = []string{"g"}
 		}
 		w.Funcs = allFuncSpecs(rng)
-		opt := Options{Tree: treeVariants[trial%len(treeVariants)], TaskSize: 16}
+		opt := Options{Tree: s.trees[trial%len(s.trees)], TaskSize: s.taskSize}
 		res, err := Run(tab, w, opt)
 		if err != nil {
 			t.Fatalf("trial %d (frame %+v): %v", trial, fs, err)
+		}
+		var again *Result
+		if s.rerun {
+			if again, err = Run(tab, w, opt); err != nil {
+				t.Fatalf("trial %d rerun: %v", trial, err)
+			}
 		}
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
 			label := fmt.Sprintf("trial %d %v (%s) frame{%v %v/%v ex%d}",
 				trial, f.Name, f.Output, fs.Mode, fs.Start.Type, fs.End.Type, fs.Exclude)
 			compareToReference(t, tab, w, f, res.Column(f.Output), label)
+			if s.rerun {
+				assertColumnsIdentical(t, label+" rerun", again.Column(f.Output), res.Column(f.Output))
+			}
 		}
 	}
+}
+
+func TestOperatorAgainstReferenceRandomized(t *testing.T) {
+	referenceSweep{
+		seed: 42, trials: 12, sizes: []int{0, 1, 2, 7, 25, 60},
+		trees:    []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}},
+		taskSize: 16,
+	}.run(t)
 }
 
 func TestCompetitorEnginesAgainstReference(t *testing.T) {

@@ -247,15 +247,6 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 		if err != nil {
 			return err
 		}
-		if !opt.batchEnabled(p.len()) {
-			return forEachRow(p, opt, func(lo, hi int) {
-				var scratch, mapped [3][2]int
-				for i := lo; i < hi; i++ {
-					ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-					out.setInt(p.orig(i), int64(distinctCount(st.tree, st.prev, st.next, ranges)))
-				}
-			})
-		}
 		return runBatched(p, opt, famCount, func(lo, hi int, agg *batchAgg) {
 			distinctCountChunk(p, fl, fc, st.tree, st.prev, st.next, out, opt, agg, lo, hi)
 		})
@@ -290,19 +281,6 @@ type avgState struct {
 	n   int64
 }
 
-// distinctCount counts distinct values over a (possibly holey) frame: a
-// single whole-span query plus the hole-chain correction.
-func distinctCount(tree *mst.Tree, prev, next []int64, ranges [][2]int) int {
-	if len(ranges) == 0 {
-		return 0
-	}
-	a := ranges[0][0]
-	d := ranges[len(ranges)-1][1]
-	cnt := tree.CountBelow(a, d, int64(a)+1)
-	forEachFullyExcluded(prev, next, ranges, func(int) { cnt-- })
-	return cnt
-}
-
 // runSumDistinct evaluates SUM/AVG(DISTINCT) generically over the aggregate
 // state type. Exclusion holes are corrected by subtracting the states of
 // fully excluded values — SUM and AVG are invertible, so this stays exact.
@@ -332,38 +310,8 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 		return err
 	}
 	prev, next, values, tree := st.prev, st.next, st.values, st.tree
-	if opt.batchEnabled(p.len()) {
-		return runBatched(p, opt, famAgg, func(lo, hi int, agg *batchAgg) {
-			distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, lo, hi)
-		})
-	}
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			if len(ranges) == 0 {
-				out.setNull(row)
-				continue
-			}
-			a := ranges[0][0]
-			d := ranges[len(ranges)-1][1]
-			agg, ok := tree.AggBelow(a, d, int64(a)+1)
-			removed := 0
-			forEachFullyExcluded(prev, next, ranges, func(h int) {
-				agg = sub(agg, values[h])
-				removed++
-			})
-			total := 0
-			for _, r := range ranges {
-				total += r[1] - r[0]
-			}
-			if !ok || total == 0 || tree.CountBelow(a, d, int64(a)+1)-removed == 0 {
-				out.setNull(row)
-				continue
-			}
-			emit(row, agg)
-		}
+	return runBatched(p, opt, famAgg, func(lo, hi int, agg *batchAgg) {
+		distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, lo, hi)
 	})
 }
 
@@ -421,64 +369,8 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 	}
 	keysAll, tree := st.keysAll, st.tree
 
-	if opt.batchEnabled(p.len()) {
-		return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
-			rankChunk(p, f, fl, fc, tree, keysAll, out, opt, agg, lo, hi)
-		})
-	}
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			size := 0
-			for _, r := range ranges {
-				size += r[1] - r[0]
-			}
-			countBelow := func(threshold int64) int64 {
-				cnt := 0
-				for _, r := range ranges {
-					cnt += tree.CountBelow(r[0], r[1], threshold)
-				}
-				return int64(cnt)
-			}
-			switch f.Name {
-			case Rank:
-				out.setInt(row, countBelow(keysAll[i])+1)
-			case RowNumber:
-				out.setInt(row, countBelow(keysAll[i])+1)
-			case PercentRank:
-				if size <= 1 {
-					out.setFloat(row, 0)
-				} else {
-					out.setFloat(row, float64(countBelow(keysAll[i]))/float64(size-1))
-				}
-			case CumeDist:
-				if size == 0 {
-					out.setNull(row)
-				} else {
-					out.setFloat(row, float64(countBelow(keysAll[i]+1))/float64(size))
-				}
-			case Ntile:
-				inFrame := fl.kept(i)
-				if inFrame {
-					inFrame = false
-					fj := fl.toFiltered(i)
-					for _, r := range ranges {
-						if fj >= r[0] && fj < r[1] {
-							inFrame = true
-							break
-						}
-					}
-				}
-				if !inFrame || size == 0 {
-					out.setNull(row)
-					continue
-				}
-				r := countBelow(keysAll[i])
-				out.setInt(row, ntileBucket(r, int64(size), f.N))
-			}
-		}
+	return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
+		rankChunk(p, f, fl, fc, tree, keysAll, out, opt, agg, lo, hi)
 	})
 }
 
@@ -537,30 +429,8 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 	}
 	ranksAll, ranksKept, prevKept, nextKept, rt := st.ranksAll, st.ranksKept, st.prevKept, st.nextKept, st.rt
 
-	if opt.batchEnabled(p.len()) {
-		return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
-			denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, lo, hi)
-		})
-	}
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			if len(ranges) == 0 {
-				out.setInt(row, 1)
-				continue
-			}
-			a := ranges[0][0]
-			d := ranges[len(ranges)-1][1]
-			cnt := rt.CountDistinctBelow(a, d, ranksAll[i], int64(a)+1)
-			forEachFullyExcluded(prevKept, nextKept, ranges, func(h int) {
-				if ranksKept[h] < ranksAll[i] {
-					cnt--
-				}
-			})
-			out.setInt(row, int64(cnt)+1)
-		}
+	return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
+		denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, lo, hi)
 	})
 }
 
@@ -600,79 +470,8 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 	}
 	tree := st.tree
 
-	if opt.batchEnabled(p.len()) {
-		return runBatched(p, opt, famSelect, func(lo, hi int, agg *batchAgg) {
-			selectChunk(p, f, fl, fc, tree, valueCol, out, opt, agg, lo, hi)
-		})
-	}
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		var r64 [3][2]int64
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			size := 0
-			for ri, r := range ranges {
-				size += r[1] - r[0]
-				r64[ri] = [2]int64{int64(r[0]), int64(r[1])}
-			}
-			if size == 0 {
-				out.setNull(row)
-				continue
-			}
-			vr := r64[:len(ranges)]
-			selectRow := func(k int) (int, bool) {
-				pos, ok := tree.SelectKthRanges(vr, k)
-				if !ok {
-					return 0, false
-				}
-				return fl.orig(int(tree.Value(pos))), true
-			}
-			switch f.Name {
-			case PercentileDisc:
-				k := percentileDiscIndex(f.Fraction, size)
-				if src, ok := selectRow(k); ok {
-					out.copyFrom(valueCol, src, row)
-				} else {
-					out.setNull(row)
-				}
-			case PercentileCont:
-				rn := f.Fraction * float64(size-1)
-				k0 := int(math.Floor(rn))
-				frac := rn - float64(k0)
-				src0, ok := selectRow(k0)
-				if !ok {
-					out.setNull(row)
-					continue
-				}
-				v := valueCol.Numeric(src0)
-				if frac > 0 {
-					if src1, ok1 := selectRow(k0 + 1); ok1 {
-						v += frac * (valueCol.Numeric(src1) - v)
-					}
-				}
-				out.setFloat(row, v)
-			case NthValue:
-				k := int(f.N) - 1
-				if src, ok := selectRow(k); ok {
-					out.copyFrom(valueCol, src, row)
-				} else {
-					out.setNull(row)
-				}
-			case FirstValue:
-				if src, ok := selectRow(0); ok {
-					out.copyFrom(valueCol, src, row)
-				} else {
-					out.setNull(row)
-				}
-			case LastValue:
-				if src, ok := selectRow(size - 1); ok {
-					out.copyFrom(valueCol, src, row)
-				} else {
-					out.setNull(row)
-				}
-			}
-		}
+	return runBatched(p, opt, famSelect, func(lo, hi int, agg *batchAgg) {
+		selectChunk(p, f, fl, fc, tree, valueCol, out, opt, agg, lo, hi)
 	})
 }
 

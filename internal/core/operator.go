@@ -19,11 +19,6 @@ type Options struct {
 	// TaskSize is the parallel task granularity in rows (default 20 000,
 	// the Hyper task size the paper uses, §5.5).
 	TaskSize int
-	// Profile, when non-nil, receives per-phase timings (Figure 14): the
-	// run's root span is attached to it and its accessors aggregate the
-	// phase spans. New callers that want the full tree should prefer Trace
-	// (or holistic.WithTrace), which exposes the same spans unaggregated.
-	Profile *Profile
 	// Trace, when non-nil, is the span the run records itself under: one
 	// child span per phase, per (partition, function) evaluation and per
 	// parallel worker, with cache keys and row counts as attributes. The
@@ -63,14 +58,6 @@ type Options struct {
 	// threaded through the value-copied Options so concurrent evaluations
 	// never share a current-span variable.
 	trace *obs.Span
-	// NoPool opts out of the pooled scratch buffers the evaluation engines
-	// borrow for preprocessing temporaries (hash arrays, sorted index
-	// buffers, permutations, inclusion masks); every temporary is then
-	// allocated fresh with make. Results are byte-identical either way —
-	// enforced by the pooling equivalence tests — so the flag exists for
-	// allocation-behavior comparisons and as an escape hatch. The merge sort
-	// tree's own substrate is controlled separately by Tree.NoArena.
-	NoPool bool
 	// Delta, when non-nil, describes the table as a frozen base plus a
 	// mutation overlay (see DeltaView): phase 1 then merges the cached
 	// frozen sort order with a sorted run over the overlay instead of
@@ -87,13 +74,6 @@ type Options struct {
 	// performance comparisons and as an escape hatch. It is consulted by
 	// internal/plan, not by Run itself.
 	NoSharedPlan bool
-	// NoBatch opts out of the batched level-synchronous MST query kernels:
-	// the probe loop then evaluates every row with the scalar per-query
-	// descents of PR 4 and earlier. Results are byte-identical either way —
-	// enforced by the batch equivalence tests — so the flag exists for
-	// performance comparisons and as an escape hatch. DESIGN.md §10
-	// documents which functions the batched path covers.
-	NoBatch bool
 }
 
 func (o Options) taskSize() int {
@@ -144,16 +124,7 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 			return nil, err
 		}
 	}
-	// The root span: a caller-provided Options.Trace, or — when only the
-	// aggregate Profile view was requested — a run-owned root that is
-	// ended here. Both Trace and Profile observe the same tree.
 	root := opt.Trace
-	ownRoot := root == nil && opt.Profile != nil
-	if ownRoot {
-		root = obs.NewSpan("run")
-		defer root.End()
-	}
-	opt.Profile.attach(root)
 	opt.trace = root
 	n := t.Rows()
 	if n >= math.MaxInt32 {

@@ -9,11 +9,10 @@ import (
 	"holistic/internal/mst"
 )
 
-// Pooled scratch must be invisible in results: for any dataset, frame and
-// window function, evaluation with the pools and arenas enabled returns
-// byte-identical output to evaluation with Options.NoPool/Tree.NoArena set.
-// A divergence means a pooled buffer leaked into retained state or was
-// handed out dirty where zeroed memory was assumed.
+// Pooled scratch must be invisible in results: whatever a previous request
+// left in a recycled buffer, the next evaluation returns the reference's
+// answer. A divergence means a pooled buffer leaked into retained state or
+// was handed out dirty where zeroed memory was assumed.
 
 // assertColumnsIdentical compares two result columns exactly — float values
 // by bit pattern, not tolerance, since both runs execute the same arithmetic.
@@ -53,46 +52,16 @@ func assertColumnsIdentical(t *testing.T, label string, pooled, plain *Column) {
 }
 
 func TestPoolEquivalenceRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(321))
-	treeVariants := []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {Force64: true}}
 	trials := 10
 	if testing.Short() {
 		trials = 4
 	}
-	for trial := 0; trial < trials; trial++ {
-		n := []int{0, 1, 3, 13, 40, 150}[trial%6]
-		tab := randTable(rng, n)
-		fs := randFrame(rng)
-		w := &WindowSpec{
-			OrderBy:  []SortKey{{Column: "d", Desc: rng.Intn(2) == 0}},
-			Frame:    fs,
-			FrameSet: true,
-			Funcs:    allFuncSpecs(rng),
-		}
-		if rng.Intn(2) == 0 {
-			w.PartitionBy = []string{"g"}
-		}
-		tree := treeVariants[trial%len(treeVariants)]
-		pooledOpt := Options{Tree: tree, TaskSize: 16}
-		plainOpt := pooledOpt
-		plainOpt.NoPool = true
-		plainOpt.Tree.NoArena = true
-
-		pooled, err := Run(tab, w, pooledOpt)
-		if err != nil {
-			t.Fatalf("trial %d pooled: %v", trial, err)
-		}
-		plain, err := Run(tab, w, plainOpt)
-		if err != nil {
-			t.Fatalf("trial %d plain: %v", trial, err)
-		}
-		for i := range w.Funcs {
-			f := &w.Funcs[i]
-			label := fmt.Sprintf("trial %d %v (%s) frame{%v %v/%v ex%d}",
-				trial, f.Name, f.Output, fs.Mode, fs.Start.Type, fs.End.Type, fs.Exclude)
-			assertColumnsIdentical(t, label, pooled.Column(f.Output), plain.Column(f.Output))
-		}
-	}
+	referenceSweep{
+		seed: 321, trials: trials, sizes: []int{0, 1, 3, 13, 40, 120},
+		trees:    []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {Force64: true}},
+		taskSize: 64,
+		rerun:    true,
+	}.run(t)
 }
 
 // TestPoolEquivalenceAllEngines repeats the check for the competitor engines
@@ -118,18 +87,19 @@ func TestPoolEquivalenceAllEngines(t *testing.T) {
 			{Name: FirstValue, Output: "f1", Arg: "s", OrderBy: ordV, Engine: EngineSegmentTree, Filter: "flt"},
 			{Name: FirstValue, Output: "f2", Arg: "s", OrderBy: ordV, Engine: EngineNaive, Filter: "flt"},
 		}
-		pooled, err := Run(tab, w, Options{TaskSize: 16})
+		first, err := Run(tab, w, Options{TaskSize: 16})
 		if err != nil {
-			t.Fatalf("trial %d pooled: %v", trial, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		plain, err := Run(tab, w, Options{TaskSize: 16, NoPool: true, Tree: mst.Options{NoArena: true}})
+		again, err := Run(tab, w, Options{TaskSize: 16})
 		if err != nil {
-			t.Fatalf("trial %d plain: %v", trial, err)
+			t.Fatalf("trial %d rerun: %v", trial, err)
 		}
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
 			label := fmt.Sprintf("trial %d engine %v %v", trial, f.Engine, f.Name)
-			assertColumnsIdentical(t, label, pooled.Column(f.Output), plain.Column(f.Output))
+			compareToReference(t, tab, w, f, first.Column(f.Output), label)
+			assertColumnsIdentical(t, label+" rerun", again.Column(f.Output), first.Column(f.Output))
 		}
 	}
 }

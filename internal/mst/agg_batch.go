@@ -65,14 +65,13 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 		return
 	}
 	t := at.t
-	noArena := at.noArena
 
 	// Clamp and clip every query exactly like AggBelow; resolved (invalid)
 	// queries are marked with an empty position range so the descent skips
 	// them without a separate mask.
-	cb := kernelInt32(noArena, 2*m)
+	cb := arena.Int32s.Get(2 * m)
 	klo, khi := cb[:m], cb[m:]
-	cthr := kernelInt64(noArena, m)
+	cthr := arena.Int64s.Get(m)
 	for q := 0; q < m; q++ {
 		l, h, ct, valid := at.clip(int(lo[q]), int(hi[q]), threshold[q])
 		if !valid {
@@ -88,16 +87,16 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 
 	// Frontier scratch, exactly countKernel's shape: at most two partial
 	// runs per query per level bound both frontiers.
-	fbuf := kernelInt32(noArena, 12*m)
+	fbuf := arena.Int32s.Get(12 * m)
 	cq, cr, crank := fbuf[:2*m], fbuf[2*m:4*m], fbuf[4*m:6*m]
 	nq, nr, nrank := fbuf[6*m:8*m], fbuf[8*m:10*m], fbuf[10*m:12*m]
 
 	// Pending takes: a growable flat record buffer plus per-query counts for
 	// the counting sort of phase 2. Most queries take O(f·levels) runs, so
 	// the initial capacity of four takes per query usually survives.
-	takeCnt := kernelInt32(noArena, m)
+	takeCnt := arena.Int32s.Get(m)
 	clear(takeCnt) // pooled scratch is not zeroed
-	tb := kernelInt32(noArena, 4*takeStride*m)
+	tb := arena.Int32s.Get(4 * takeStride * m)
 	tn := 0
 
 	// Top level: gallop each query's threshold rank from the previous
@@ -148,9 +147,9 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 					if cRank > 0 {
 						cnt[q] += i32(cRank)
 						if tn*takeStride == len(tb) {
-							nb := kernelInt32(noArena, 2*len(tb))
+							nb := arena.Int32s.Get(2 * len(tb))
 							copy(nb, tb)
-							putKernelInt32(noArena, tb)
+							arena.Int32s.Put(tb)
 							tb = nb
 						}
 						b := tn * takeStride
@@ -178,7 +177,7 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 	// start, fold left to right. takeCnt is turned into running cursors by
 	// the prefix sum; after the scatter it holds per-query end offsets.
 	if tn > 0 {
-		ord := kernelInt32(noArena, 3*tn)
+		ord := arena.Int32s.Get(3 * tn)
 		sum := int32(0)
 		for q := 0; q < m; q++ {
 			c := takeCnt[q]
@@ -221,28 +220,12 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 			}
 			start = end
 		}
-		putKernelInt32(noArena, ord)
+		arena.Int32s.Put(ord)
 	}
 
-	putKernelInt32(noArena, tb)
-	putKernelInt32(noArena, takeCnt)
-	putKernelInt32(noArena, fbuf)
-	putKernelInt64(noArena, cthr)
-	putKernelInt32(noArena, cb)
-}
-
-// kernelInt64 fetches flat int64 kernel scratch, honouring NoArena.
-func kernelInt64(noArena bool, n int) []int64 {
-	if noArena {
-		return make([]int64, n)
-	}
-	return arena.Int64s.Get(n)
-}
-
-// putKernelInt64 returns int64 kernel scratch to the pool.
-func putKernelInt64(noArena bool, buf []int64) {
-	if noArena {
-		return
-	}
-	arena.Int64s.Put(buf)
+	arena.Int32s.Put(tb)
+	arena.Int32s.Put(takeCnt)
+	arena.Int32s.Put(fbuf)
+	arena.Int64s.Put(cthr)
+	arena.Int32s.Put(cb)
 }

@@ -48,31 +48,28 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 	// Pre-size one slab per element type so the arena never grows: every
 	// level holds exactly n payload elements, and the sample table size per
 	// level follows from the run count and stride.
-	var arP *arena.Arena[P]
+	totalP, totalS, totalO := 0, 0, 0
+	// Each level's slab is cache-line aligned (AllocAligned), so budget
+	// one line of alignment slack per stripe on top of the exact sizes.
+	slackP := cacheLineBytes / int(unsafe.Sizeof(*new(P)))
+	for rl := 1; rl < n; {
+		rl *= t.f
+		if rl > n {
+			rl = n
+		}
+		totalP += n + slackP
+		if cascade {
+			numRuns := (n + rl - 1) / rl
+			totalS += numRuns*sampleStride(rl, t.k, t.f) + cacheLineBytes/4
+			totalO += n + cacheLineBytes
+		}
+	}
+	arP := arena.New[P](totalP)
 	var arS *arena.Arena[int32]
 	var arO *arena.Arena[uint8]
-	if !opt.NoArena {
-		totalP, totalS, totalO := 0, 0, 0
-		// Each level's slab is cache-line aligned (AllocAligned), so budget
-		// one line of alignment slack per stripe on top of the exact sizes.
-		slackP := cacheLineBytes / int(unsafe.Sizeof(*new(P)))
-		for rl := 1; rl < n; {
-			rl *= t.f
-			if rl > n {
-				rl = n
-			}
-			totalP += n + slackP
-			if cascade {
-				numRuns := (n + rl - 1) / rl
-				totalS += numRuns*sampleStride(rl, t.k, t.f) + cacheLineBytes/4
-				totalO += n + cacheLineBytes
-			}
-		}
-		arP = arena.New[P](totalP)
-		if cascade {
-			arS = arena.New[int32](totalS)
-			arO = arena.New[uint8](totalO)
-		}
+	if cascade {
+		arS = arena.New[int32](totalS)
+		arO = arena.New[uint8](totalO)
 	}
 
 	for rl := 1; rl < n; {
@@ -82,13 +79,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 		}
 		level := len(t.levels)
 		t.effLen = append(t.effLen, rl)
-		var out []P
-		if arP != nil {
-			out = arP.AllocAligned(n, cacheLineBytes)
-		} else {
-			out = make([]P, n)
-		}
-		t.levels = append(t.levels, out)
+		t.levels = append(t.levels, arP.AllocAligned(n, cacheLineBytes))
 		numRuns := (n + rl - 1) / rl
 		var samples []int32
 		var origin []uint8
@@ -97,14 +88,9 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 			stride = sampleStride(rl, t.k, t.f)
 			// Sample slots beyond a run's child count — including the
 			// cache-line padding tail of every run row — stay zero; the
-			// arena hands out zeroed memory just like make.
-			if arS != nil {
-				samples = arS.AllocAligned(numRuns*stride, cacheLineBytes)
-				origin = arO.AllocAligned(n, cacheLineBytes)
-			} else {
-				samples = make([]int32, numRuns*stride)
-				origin = make([]uint8, n)
-			}
+			// arena hands out zeroed memory.
+			samples = arS.AllocAligned(numRuns*stride, cacheLineBytes)
+			origin = arO.AllocAligned(n, cacheLineBytes)
 		}
 		t.samples = append(t.samples, samples)
 		t.stride = append(t.stride, stride)
@@ -117,11 +103,11 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 		workers := parallel.Workers()
 		if opt.Serial || numRuns >= workers || workers == 1 {
 			if opt.Serial {
-				buf, vals := mergeScratch[P](t.f, opt.NoArena)
+				buf, vals := mergeScratch[P](t.f)
 				for r := 0; r < numRuns; r++ {
 					t.mergeRun(level, r, samples, stride, buf, vals)
 				}
-				putMergeScratch(opt.NoArena, buf, vals)
+				putMergeScratch(buf, vals)
 			} else {
 				// Batch runs so one scratch acquisition serves ~one task's
 				// worth of tuples.
@@ -130,16 +116,16 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 					runsPerTask = (parallel.DefaultTaskSize + rl - 1) / rl
 				}
 				parallel.For(numRuns, runsPerTask, func(lo, hi int) {
-					buf, vals := mergeScratch[P](t.f, opt.NoArena)
+					buf, vals := mergeScratch[P](t.f)
 					for r := lo; r < hi; r++ {
 						t.mergeRun(level, r, samples, stride, buf, vals)
 					}
-					putMergeScratch(opt.NoArena, buf, vals)
+					putMergeScratch(buf, vals)
 				})
 			}
 		} else {
 			for r := 0; r < numRuns; r++ {
-				t.mergeRunParallel(level, r, samples, stride, workers, opt.NoArena)
+				t.mergeRunParallel(level, r, samples, stride, workers)
 			}
 		}
 		lsp.End()
@@ -197,10 +183,7 @@ func payloadPool[P payload]() *arena.Pool[P] {
 // mergeScratch acquires per-task merge state: a 7f-element int32 buffer
 // (cursors, run ends, tiebreaks, loser tree, winner init, head codes —
 // sliced by mergePiece) and an f-element head-value array.
-func mergeScratch[P payload](f int, noPool bool) ([]int32, []P) {
-	if noPool {
-		return make([]int32, 7*f), make([]P, f)
-	}
+func mergeScratch[P payload](f int) ([]int32, []P) {
 	buf := arena.Int32s.Get(7 * f)
 	if p := payloadPool[P](); p != nil {
 		//lint:poollifecycle-ok mergeScratch is the acquire half of a documented pair; putMergeScratch returns both buffers
@@ -211,10 +194,7 @@ func mergeScratch[P payload](f int, noPool bool) ([]int32, []P) {
 }
 
 // putMergeScratch recycles buffers acquired by mergeScratch.
-func putMergeScratch[P payload](noPool bool, buf []int32, vals []P) {
-	if noPool {
-		return
-	}
+func putMergeScratch[P payload](buf []int32, vals []P) {
 	arena.Int32s.Put(buf)
 	if p := payloadPool[P](); p != nil {
 		p.Put(vals)
@@ -253,7 +233,7 @@ func (t *tree[P]) originRun(level, runStart, runEnd int) []uint8 {
 // the per-child split positions for each piece boundary are found with a
 // rank search over the value domain, so pieces merge independently
 // (Francis et al. 1993, cited in §5.2).
-func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, workers int, noPool bool) {
+func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, workers int) {
 	runStart := r * t.effLen[level]
 	runEnd := runStart + t.effLen[level]
 	if runEnd > t.n {
@@ -269,21 +249,16 @@ func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, worker
 		pieces = length / 1024
 	}
 	if pieces <= 1 {
-		buf, vals := mergeScratch[P](f, noPool)
+		buf, vals := mergeScratch[P](f)
 		t.mergeRun(level, r, samples, stride, buf, vals)
-		putMergeScratch(noPool, buf, vals)
+		putMergeScratch(buf, vals)
 		return
 	}
 	// Flat split table: row p holds the per-child consumed counts at output
 	// boundary length*p/pieces. Row 0 is all zeros; row `pieces` is the child
 	// lengths.
-	var flat []int32
-	if noPool {
-		flat = make([]int32, (pieces+1)*m)
-	} else {
-		flat = arena.Int32s.Get((pieces + 1) * m)
-		defer arena.Int32s.Put(flat)
-	}
+	flat := arena.Int32s.Get((pieces + 1) * m)
+	defer arena.Int32s.Put(flat)
 	clear(flat[:m])
 	last := flat[pieces*m : (pieces+1)*m]
 	for c := 0; c < m; c++ {
@@ -304,10 +279,10 @@ func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, worker
 		if p == pieces-1 {
 			t1 = length
 		}
-		buf, vals := mergeScratch[P](f, noPool)
+		buf, vals := mergeScratch[P](f)
 		t.mergePiece(out, childData, childLen, m, flat[p*m:(p+1)*m],
 			buf, vals, sampleRun, origin, t0, t1)
-		putMergeScratch(noPool, buf, vals)
+		putMergeScratch(buf, vals)
 	})
 }
 

@@ -25,8 +25,8 @@ type descFrame struct {
 //
 // The descent is iterative with an explicit stack: partially overlapped
 // runs are pushed and resolved when popped, so the hot query path pays no
-// call overhead per level. This is also the scalar fallback the batched
-// kernels (count_batch.go) degrade to under Options.NoBatch.
+// call overhead per level. The batched kernel (count_batch.go) falls back
+// to this descent per query on a spilled forest.
 func (t *tree[P]) countBelow(lo, hi int, threshold P) int {
 	top := t.top()
 	rank := lowerBoundP(t.run(top, 0), threshold)

@@ -162,8 +162,7 @@ func FuzzAggBatch(f *testing.F) {
 			Fanout:      2 + int(fanout%7),
 			SampleEvery: 1 + int(sampleEvery%15),
 			NoCascading: flags&1 != 0,
-			Force64:     flags&2 != 0,
-			NoArena:     flags&4 != 0,
+			Force64:     flags&2 != 0, // flags&4 is unused: the corpus keeps decoding as it did
 		}
 		at, err := BuildAnnotated(keys, vals, func(a, b string) string { return a + "|" + b }, opt)
 		if err != nil {

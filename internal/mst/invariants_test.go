@@ -190,7 +190,7 @@ func TestOriginStripe(t *testing.T) {
 			for _, n := range []int{f + 1, 1000, 5000} { // 5000: the top run merges in parallel pieces
 				for _, opt := range []Options{
 					{Fanout: f, SampleEvery: k},
-					{Fanout: f, SampleEvery: k, Force64: true, NoArena: true},
+					{Fanout: f, SampleEvery: k, Force64: true},
 					{Fanout: f, SampleEvery: k, Serial: true},
 				} {
 					keys := randKeys(rng, n, int64(n)/8+2)

@@ -134,10 +134,10 @@ func (t *Tree) mergeTop() {
 		}
 	}
 	if all32 {
-		t.top32 = mergeChunkTops(t.chunks, t.chunkLen, t.n, chunkTop32, t.opt.NoArena)
+		t.top32 = mergeChunkTops(t.chunks, t.chunkLen, t.n, chunkTop32)
 		return
 	}
-	t.top64 = mergeChunkTops(t.chunks, t.chunkLen, t.n, chunkTop64, t.opt.NoArena)
+	t.top64 = mergeChunkTops(t.chunks, t.chunkLen, t.n, chunkTop64)
 }
 
 func chunkTop32(c *Tree) []int32 { return c.t32.levels[c.t32.top()] }
@@ -160,18 +160,18 @@ func chunkTop64(c *Tree) []int64 {
 // merges them with mergePiece's tournament loser tree — each chunk top run
 // is one sorted child of length chunkLen (the last may be short), exactly
 // the geometry mergePiece expects.
-func mergeChunkTops[P payload](chunks []*Tree, chunkLen, n int, topOf func(*Tree) []P, noArena bool) []P {
+func mergeChunkTops[P payload](chunks []*Tree, chunkLen, n int, topOf func(*Tree) []P) []P {
 	m := len(chunks)
 	base := make([]P, 0, n)
 	for _, c := range chunks {
 		base = append(base, topOf(c)...)
 	}
 	out := make([]P, n)
-	buf, vals := mergeScratch[P](m, noArena)
+	buf, vals := mergeScratch[P](m)
 	// A throwaway geometry carrier: mergePiece only reads f (slot strides)
 	// and, with sampleRun and origin nil, never touches k or the level arrays.
 	tmp := &tree[P]{n: n, f: m, k: 1}
 	tmp.mergePiece(out, base, chunkLen, m, nil, buf, vals, nil, nil, 0, n)
-	putMergeScratch(noArena, buf, vals)
+	putMergeScratch(buf, vals)
 	return out
 }

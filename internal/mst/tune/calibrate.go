@@ -52,9 +52,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Calibrate measures build and probe times over Config's size ladder and
-// returns the winning (f, k, batch) per size band. The workload mirrors the
+// returns the winning (f, k) per size band. The workload mirrors the
 // window operator's: trees over previous-occurrence-style keys, probed with
-// a full sliding-frame pass of count queries (the shape every batched
+// a full sliding-frame pass of batched count queries (the shape every
 // family reduces to). Wall-clock noise makes the result machine- and
 // run-specific; use Default() when reproducibility across machines matters
 // more than the last few percent.
@@ -102,22 +102,13 @@ func Calibrate(cfg Config) (*Table, error) {
 					}
 					tree = t
 				})
-				scalar := measure(cfg.Rounds, func() {
-					for q := 0; q < probes; q++ {
-						out[q] = int32(tree.CountBelow(int(lo[q]), int(hi[q]), thr[q]))
-					}
-				})
-				batch := measure(cfg.Rounds, func() {
+				probe := measure(cfg.Rounds, func() {
 					tree.CountBelowBatch(lo, hi, thr, out)
 				})
-				probe := scalar
-				if batch < probe {
-					probe = batch
-				}
 				score := build + cfg.ProbeWeight*probe
 				if score < bestScore {
 					bestScore = score
-					best = Row{MaxN: n, Fanout: f, SampleEvery: k, Batch: batch < scalar}
+					best = Row{MaxN: n, Fanout: f, SampleEvery: k}
 				}
 			}
 		}

@@ -1,21 +1,17 @@
-// Package tune derives merge-sort-tree construction and probe parameters
-// from measured build+probe crossover curves, replacing the paper's fixed
-// f = k = 32 (§5.2 fixes both constants once for all inputs) with a
-// per-input-size choice.
+// Package tune derives merge-sort-tree construction parameters from
+// measured build+probe costs, replacing the paper's fixed f = k = 32 (§5.2
+// fixes both constants once for all inputs) with a per-input-size choice.
 //
 // The tuner is a versioned lookup table: each row covers partition sizes up
-// to its MaxN and names the fanout f, the cascading sample distance k, and
-// whether the batched level-synchronous probe kernels should be used at
-// that size. Tables come from two places:
+// to its MaxN and names the fanout f and the cascading sample distance k.
+// Tables come from two places:
 //
 //   - Default() — a static, documented table checked in for
 //     reproducibility: every run with the default table builds identical
-//     trees and picks identical probe paths on every machine;
+//     trees on every machine;
 //   - Calibrate() — an on-machine measurement pass that builds trees and
-//     replays sliding-window probe workloads across a size ladder, finds
-//     where the batch kernels' setup cost crosses under the scalar
-//     descent's per-query cost, and picks the (f, k) with the best
-//     build+probe total per size.
+//     replays sliding-window probe workloads across a size ladder, and
+//     picks the (f, k) with the best build+probe total per size.
 //
 // A Table implements mst.Tuner. Determinism contract: Choose is a pure
 // function of (table, n), and Sig() identifies the table's exact contents,
@@ -43,10 +39,9 @@ const TableVersion = 1
 // n <= MaxN that no earlier row covers. The last row additionally covers
 // every larger size (a catch-all), so a table always answers.
 type Row struct {
-	MaxN        int  `json:"max_n"`
-	Fanout      int  `json:"fanout"`
-	SampleEvery int  `json:"sample_every"`
-	Batch       bool `json:"batch"`
+	MaxN        int `json:"max_n"`
+	Fanout      int `json:"fanout"`
+	SampleEvery int `json:"sample_every"`
 }
 
 // Table is a versioned tuning table; it implements mst.Tuner. Rows must be
@@ -80,25 +75,23 @@ func NewTable(rows []Row) (*Table, error) {
 }
 
 // Default returns the static reference table. The bands follow the measured
-// shape of the build/probe crossover on current x86-64 and arm64 parts, and
-// are deliberately coarse so results stay explainable:
+// shape of the build+probe cost on current x86-64 and arm64 parts, and are
+// deliberately coarse so results stay explainable:
 //
-//	n <= 256     f=8,  k=8,  scalar — trees this small are one or two
-//	                          levels; batch frontier setup outweighs the
-//	                          shared descent, and a small f keeps the
-//	                          single merge's tournament tree tiny.
-//	n <= 65536   f=16, k=16, batch — mid sizes profit from batching, and
-//	                          the halved fanout keeps a sample row (4·16
+//	n <= 256     f=8,  k=8  — trees this small are one or two levels, and
+//	                          a small f keeps the single merge's tournament
+//	                          tree tiny.
+//	n <= 65536   f=16, k=16 — the halved fanout keeps a sample row (4·16
 //	                          bytes) inside one cache line, which is what
 //	                          the SoA layout optimizes for.
-//	larger       f=32, k=32, batch — the paper's constants; at this size
-//	                          the O(log_f n) level count dominates and the
+//	larger       f=32, k=32 — the paper's constants; at this size the
+//	                          O(log_f n) level count dominates and the
 //	                          wider fanout wins back the extra compares.
 func Default() *Table {
 	t, err := NewTable([]Row{
-		{MaxN: 256, Fanout: 8, SampleEvery: 8, Batch: false},
-		{MaxN: 65536, Fanout: 16, SampleEvery: 16, Batch: true},
-		{MaxN: 1 << 62, Fanout: 32, SampleEvery: 32, Batch: true},
+		{MaxN: 256, Fanout: 8, SampleEvery: 8},
+		{MaxN: 65536, Fanout: 16, SampleEvery: 16},
+		{MaxN: 1 << 62, Fanout: 32, SampleEvery: 32},
 	})
 	if err != nil {
 		//lint:invariant the static rows above satisfy NewTable's fanout/sample bounds by inspection
@@ -112,11 +105,11 @@ func Default() *Table {
 func (t *Table) Choose(n int) mst.Choice {
 	for _, r := range t.Rows {
 		if n <= r.MaxN {
-			return mst.Choice{Fanout: r.Fanout, SampleEvery: r.SampleEvery, Batch: r.Batch}
+			return mst.Choice{Fanout: r.Fanout, SampleEvery: r.SampleEvery}
 		}
 	}
 	last := t.Rows[len(t.Rows)-1]
-	return mst.Choice{Fanout: last.Fanout, SampleEvery: last.SampleEvery, Batch: last.Batch}
+	return mst.Choice{Fanout: last.Fanout, SampleEvery: last.SampleEvery}
 }
 
 // Sig returns a stable signature of the table's exact contents, suitable
@@ -132,7 +125,7 @@ func computeSig(t *Table) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v%d", t.Version)
 	for _, r := range t.Rows {
-		fmt.Fprintf(h, "|%d:%d:%d:%v", r.MaxN, r.Fanout, r.SampleEvery, r.Batch)
+		fmt.Fprintf(h, "|%d:%d:%d", r.MaxN, r.Fanout, r.SampleEvery)
 	}
 	return fmt.Sprintf("v%d-%016x", t.Version, h.Sum64())
 }

@@ -54,17 +54,10 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 		return
 	}
 
-	var buf []int32
-	var gthr []int64
-	if t.noArena {
-		buf = make([]int32, 10*m)
-		gthr = make([]int64, m)
-	} else {
-		buf = arena.Int32s.Get(10 * m)
-		gthr = arena.Int64s.Get(m)
-		defer arena.Int32s.Put(buf)
-		defer arena.Int64s.Put(gthr)
-	}
+	buf := arena.Int32s.Get(10 * m)
+	gthr := arena.Int64s.Get(m)
+	defer arena.Int32s.Put(buf)
+	defer arena.Int64s.Put(gthr)
 	ll, rr := buf[:m], buf[m:2*m]
 	nodesL, qsL := buf[2*m:3*m], buf[3*m:4*m]
 	nodesR, qsR := buf[4*m:5*m], buf[5*m:6*m]

@@ -17,7 +17,6 @@ func TestCountDistinctBelowBatchMatchesScalar(t *testing.T) {
 	variants := []mst.Options{
 		{},
 		{Fanout: 2, SampleEvery: 1},
-		{NoArena: true},
 	}
 	for _, opt := range variants {
 		for _, n := range []int{0, 1, 2, 7, 33, 257, 1500} {

@@ -25,8 +25,7 @@ func FuzzDenseRankBatch(f *testing.F) {
 		opt := mst.Options{
 			Fanout:      2 + int(fanout%7),
 			SampleEvery: 1 + int(sampleEvery%15),
-			NoCascading: flags&1 != 0,
-			NoArena:     flags&4 != 0,
+			NoCascading: flags&1 != 0, // flags&4 is unused: the corpus keeps decoding as it did
 		}
 		rt, err := New(ranks, prevs, opt)
 		if err != nil {

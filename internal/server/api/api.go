@@ -4,10 +4,8 @@
 // encoded exactly one way.
 //
 // The HTTP surface is versioned under /v1: /v1/query, /v1/explain,
-// /v1/datasets, /v1/healthz and /v1/metrics. The pre-versioning unversioned
-// paths remain as aliases that answer identically while emitting a
-// Deprecation header; the client speaks /v1 exclusively. Every non-2xx
-// response carries the ErrorResponse envelope with a stable machine code.
+// /v1/datasets, /v1/healthz and /v1/metrics. Every non-2xx response carries
+// the ErrorResponse envelope with a stable machine code.
 package api
 
 import (
@@ -20,7 +18,7 @@ import (
 	"net/url"
 )
 
-// API paths (version 1). Legacy aliases strip the /v1 prefix.
+// API paths (version 1).
 const (
 	PathQuery    = "/v1/query"
 	PathExplain  = "/v1/explain"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -97,54 +98,32 @@ func decodeEnvelope(t *testing.T, resp *http.Response) api.ErrorResponse {
 	return env
 }
 
-// TestLegacyAliases checks the pre-versioning paths still answer — with a
-// Deprecation header and a successor Link — while the /v1 routes stay clean.
+// TestLegacyAliases checks the pre-versioning unversioned paths are gone:
+// each answers with the JSON 404 envelope like any other unknown route.
 func TestLegacyAliases(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	mustUpload(t, c, "t", smallCSV)
 
 	body := `{"sql":"select rank(order by v) over (order by d) as r from t"}`
-	resp, err := http.Post(c.BaseURL+"/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /query: %d", resp.StatusCode)
-	}
-	if dep := resp.Header.Get("Deprecation"); dep != "true" {
-		t.Fatalf("legacy /query Deprecation header = %q, want \"true\"", dep)
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "</v1/query>") || !strings.Contains(link, "successor-version") {
-		t.Fatalf("legacy /query Link header = %q, want /v1/query successor", link)
-	}
-	var qr api.QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if len(qr.Rows) != 5 {
-		t.Fatalf("legacy /query returned %d rows, want 5", len(qr.Rows))
-	}
-
-	for _, path := range []string{"/healthz", "/datasets"} {
-		resp, err := http.Get(c.BaseURL + path)
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodPost, "/query"},
+		{http.MethodPost, "/explain"},
+		{http.MethodPost, "/datasets/t"},
+		{http.MethodGet, "/datasets"},
+		{http.MethodGet, "/healthz"},
+	} {
+		req, err := http.NewRequest(rt.method, c.BaseURL+rt.path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("legacy %s: status=%d Deprecation=%q", path, resp.StatusCode, resp.Header.Get("Deprecation"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Canonical routes carry no deprecation marker.
-	resp, err = http.Get(c.BaseURL + api.PathHealthz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("/v1/healthz: status=%d Deprecation=%q, want 200 and no header", resp.StatusCode, resp.Header.Get("Deprecation"))
+		env := decodeEnvelope(t, resp)
+		if resp.StatusCode != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
+			t.Fatalf("%s %s: status=%d code=%q, want 404 %q", rt.method, rt.path, resp.StatusCode, env.Error.Code, api.CodeNotFound)
+		}
 	}
 }
 
@@ -339,18 +318,46 @@ func (l *lockedWriter) Write(b []byte) (int, error) {
 	return l.w.Write(b)
 }
 
-// TestDeprecatedAliasMetricsRoute checks legacy traffic is labelled under
-// its own route so the migration is observable.
-func TestDeprecatedAliasMetricsRoute(t *testing.T) {
+// TestRouteLabelCardinality checks the route label is bounded by the route
+// table, not by request input: made-up methods and paths all land on the
+// one "(unmatched)" series of each request family.
+func TestRouteLabelCardinality(t *testing.T) {
 	_, c := newTestServer(t, Config{})
-	mustUpload(t, c, "t", smallCSV)
-	resp, err := http.Get(c.BaseURL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	families := []string{"windowd_requests_total{", "windowd_request_duration_seconds_count{", "windowd_response_bytes_total{"}
+	count := func() map[string]int {
+		n := map[string]int{}
+		for id := range scrapeMetrics(t, c).Samples {
+			for _, fam := range families {
+				if strings.HasPrefix(id, fam) {
+					n[fam]++
+				}
+			}
+		}
+		return n
 	}
-	resp.Body.Close()
-	p := scrapeMetrics(t, c)
-	if v, ok := p.Value("windowd_requests_total", "route=GET /healthz", "code=200"); !ok || v != 1 {
-		t.Fatalf("requests_total{GET /healthz,200} = %v (%v), want 1", v, ok)
+	count() // the scrape's own series exist from here on
+	before := count()
+	for i := 0; i < 100; i++ {
+		req, err := http.NewRequest(fmt.Sprintf("FOO%d", i), fmt.Sprintf("%s%s?x=%d", c.BaseURL, api.PathQuery, i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("FOO%d %s: status %d, want 405", i, api.PathQuery, resp.StatusCode)
+		}
+	}
+	after := count()
+	for _, fam := range families {
+		if grew := after[fam] - before[fam]; grew > 1 {
+			t.Errorf("%s: 100 made-up methods minted %d series, want at most 1", fam, grew)
+		}
+	}
+	if v, ok := scrapeMetrics(t, c).Value("windowd_requests_total", "route=(unmatched)", "code=405"); !ok || v != 100 {
+		t.Fatalf("requests_total{(unmatched),405} = %v (%v), want 100", v, ok)
 	}
 }

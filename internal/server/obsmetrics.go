@@ -1,7 +1,10 @@
 package server
 
 import (
+	"fmt"
+	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"holistic/internal/arena"
@@ -61,12 +64,14 @@ import (
 //	windowd_delta_materializations_total          counter (func)
 //	windowd_delta_rows                            gauge  (func)
 type serverObs struct {
-	reg *obs.Registry
+	reg   *obs.Registry
+	start time.Time
 
-	requests  *obs.Counter
-	reqDur    *obs.Histogram
-	respBytes *obs.Counter
-	inflight  *obs.GaugeCell
+	requests *obs.Counter
+	// routes holds the per-route series, resolved once for every pattern of
+	// the route table: requests can only ever land on one of these.
+	routes   map[string]routeObs
+	inflight *obs.GaugeCell
 
 	evalDur        *obs.Histogram
 	respondDur     *obs.HistogramCell
@@ -79,22 +84,33 @@ type serverObs struct {
 	admissionTimeouts *obs.CounterCell
 }
 
+// routeObs is one route pattern's latency and body-size series.
+type routeObs struct {
+	dur   *obs.HistogramCell
+	bytes *obs.CounterCell
+}
+
 // newServerObs builds the registry. s only needs its cache and dataset map
 // ready; the func-backed families hold the *Server and snapshot at scrape.
-func newServerObs(s *Server) *serverObs {
+// routes is the route table's patterns plus unmatchedRoute.
+func newServerObs(s *Server, routes []string) *serverObs {
 	reg := obs.NewRegistry()
-	start := time.Now()
 	o := &serverObs{
-		reg: reg,
+		reg:   reg,
+		start: time.Now(),
 		requests: reg.NewCounter("windowd_requests_total",
 			"HTTP requests served, by route pattern and status code.",
 			"route", "code"),
-		reqDur: reg.NewHistogram("windowd_request_duration_seconds",
-			"End-to-end request latency by route pattern.",
-			nil, "route"),
-		respBytes: reg.NewCounter("windowd_response_bytes_total",
-			"Response body bytes written, by route pattern.",
-			"route"),
+		routes: make(map[string]routeObs, len(routes)),
+	}
+	reqDur := reg.NewHistogram("windowd_request_duration_seconds",
+		"End-to-end request latency by route pattern.",
+		nil, "route")
+	respBytes := reg.NewCounter("windowd_response_bytes_total",
+		"Response body bytes written, by route pattern.",
+		"route")
+	for _, route := range routes {
+		o.routes[route] = routeObs{dur: reqDur.With(route), bytes: respBytes.With(route)}
 	}
 	o.inflight = reg.NewGauge("windowd_inflight_requests",
 		"Requests currently being handled.").With()
@@ -119,7 +135,7 @@ func newServerObs(s *Server) *serverObs {
 
 	reg.NewGaugeFunc("windowd_uptime_seconds",
 		"Seconds since the server was built.", nil, func() []obs.Sample {
-			return []obs.Sample{{Value: time.Since(start).Seconds()}}
+			return []obs.Sample{{Value: time.Since(o.start).Seconds()}}
 		})
 	reg.NewGaugeFunc("windowd_datasets",
 		"Registered datasets.", nil, func() []obs.Sample {
@@ -304,10 +320,35 @@ func poolSamples(field func(arena.PoolStat) float64) func() []obs.Sample {
 
 // observeRequest records the per-request series after the handler returned.
 func (o *serverObs) observeRequest(route string, status int, d time.Duration, bytes int64) {
-	code := strconv.Itoa(status)
-	o.requests.With(route, code).Inc()
-	o.reqDur.With(route).Observe(d.Seconds())
-	o.respBytes.With(route).Add(float64(bytes))
+	o.requests.With(route, strconv.Itoa(status)).Inc()
+	ro := o.routes[route]
+	ro.dur.Observe(d.Seconds())
+	ro.bytes.Add(float64(bytes))
+}
+
+// renderRequests writes /statusz's uptime, request total and per-endpoint
+// lines from the request series; per-status-code counts and the latency
+// buckets are on /v1/metrics.
+func (o *serverObs) renderRequests(b *strings.Builder) {
+	fmt.Fprintf(b, "uptime: %s\n", time.Since(o.start).Round(time.Millisecond))
+	routes := make([]string, 0, len(o.routes))
+	for route := range o.routes {
+		routes = append(routes, route)
+	}
+	sort.Strings(routes)
+	var endpoints strings.Builder
+	total := int64(0)
+	for _, route := range routes {
+		ro := o.routes[route]
+		n, sec := ro.dur.Totals()
+		if n == 0 {
+			continue
+		}
+		total += n
+		fmt.Fprintf(&endpoints, "endpoint %s: requests=%d mean=%.2fms bytes=%.0f\n",
+			route, n, sec*1e3/float64(n), ro.bytes.Value())
+	}
+	fmt.Fprintf(b, "requests: total=%d\n%s", total, endpoints.String())
 }
 
 // observeQuerySpans walks a finished query span tree and feeds the

@@ -11,10 +11,8 @@
 //
 // The HTTP surface is versioned under /v1 (see internal/server/api for the
 // wire contract): /v1/query, /v1/explain, /v1/datasets, /v1/healthz and the
-// Prometheus exposition at /v1/metrics. The pre-versioning unversioned
-// paths answer identically as deprecated aliases, with a Deprecation header
-// and a Link to their successor. Every non-2xx response — including the
-// mux's own 404 and 405 — carries the api.ErrorResponse envelope.
+// Prometheus exposition at /v1/metrics. Every non-2xx response — including
+// the mux's own 404 and 405 — carries the api.ErrorResponse envelope.
 //
 // Production plumbing: per-request timeouts plumbed into the operator's
 // cooperative cancellation, a semaphore admission limiter, per-query trace
@@ -147,8 +145,7 @@ type Server struct {
 	log     *slog.Logger
 	cache   *treecache.Cache
 	limiter chan struct{}
-	metrics *metrics   // plain-text /statusz counters
-	obs     *serverObs // Prometheus /v1/metrics registry
+	obs     *serverObs // the metric registry behind /v1/metrics and /statusz
 
 	mu       sync.RWMutex
 	datasets map[string]*dataset
@@ -177,44 +174,34 @@ func New(cfg Config) *Server {
 		log:      cfg.Logger,
 		cache:    treecache.New(cfg.CacheBytes),
 		limiter:  make(chan struct{}, cfg.MaxConcurrent),
-		metrics:  newMetrics(),
 		datasets: make(map[string]*dataset),
 		jobs:     make(map[string]*ingestJob),
 	}
-	s.obs = newServerObs(s)
-	mux := http.NewServeMux()
-	// Canonical v1 surface.
-	mux.HandleFunc("GET "+api.PathHealthz, s.handleHealthz)
-	mux.HandleFunc("GET "+api.PathMetrics, s.handleMetrics)
-	mux.HandleFunc("GET "+api.PathDatasets, s.handleListDatasets)
-	mux.HandleFunc("POST "+api.PathDatasets+"/{name}", s.handleRegister)
-	mux.HandleFunc("GET "+api.PathDatasets+"/{name}/ingest", s.handleIngestStatus)
-	mux.HandleFunc("POST "+api.PathDatasets+"/{name}/mutations", s.handleMutations)
-	mux.HandleFunc("POST "+api.PathQuery, s.handleQuery)
-	mux.HandleFunc("POST "+api.PathExplain, s.handleExplain)
-	// Human-facing debug page; not part of the versioned API.
-	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	// Deprecated pre-versioning aliases: same handlers, plus a Deprecation
-	// header pointing clients at the /v1 successor.
-	mux.HandleFunc("GET /healthz", deprecated(s.handleHealthz))
-	mux.HandleFunc("GET /datasets", deprecated(s.handleListDatasets))
-	mux.HandleFunc("POST /datasets/{name}", deprecated(s.handleRegister))
-	mux.HandleFunc("POST /query", deprecated(s.handleQuery))
-	mux.HandleFunc("POST /explain", deprecated(s.handleExplain))
-	s.mux = mux
+	routes := map[string]http.HandlerFunc{
+		"GET " + api.PathHealthz:                         s.handleHealthz,
+		"GET " + api.PathMetrics:                         s.handleMetrics,
+		"GET " + api.PathDatasets:                        s.handleListDatasets,
+		"POST " + api.PathDatasets + "/{name}":           s.handleRegister,
+		"GET " + api.PathDatasets + "/{name}/ingest":     s.handleIngestStatus,
+		"POST " + api.PathDatasets + "/{name}/mutations": s.handleMutations,
+		"POST " + api.PathQuery:                          s.handleQuery,
+		"POST " + api.PathExplain:                        s.handleExplain,
+		// Human-facing debug page; not part of the versioned API.
+		"GET /statusz": s.handleStatusz,
+	}
+	s.mux = http.NewServeMux()
+	patterns := []string{unmatchedRoute}
+	for pattern, h := range routes {
+		s.mux.HandleFunc(pattern, h)
+		patterns = append(patterns, pattern)
+	}
+	s.obs = newServerObs(s, patterns)
 	return s
 }
 
-// deprecated wraps a legacy unversioned route: the response gains a
-// Deprecation header (RFC 8594 style) and a Link to the /v1 successor, and
-// is otherwise byte-identical to the canonical route.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
-}
+// unmatchedRoute labels every request no pattern matched, whatever its
+// method and path.
+const unmatchedRoute = "(unmatched)"
 
 // Handler returns the HTTP handler with request logging and metrics wired
 // around every route, and the error envelope wired under unmatched requests
@@ -222,17 +209,18 @@ func deprecated(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.begin()
 		s.obs.inflight.Add(1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		if _, pattern := s.mux.Handler(r); pattern == "" {
+		// The route label is the matched pattern, so its cardinality is
+		// bounded by the route table and never by what a client sent.
+		_, route := s.mux.Handler(r)
+		if route == "" {
+			route = unmatchedRoute
 			s.serveUnmatched(sw, r)
 		} else {
 			s.mux.ServeHTTP(sw, r)
 		}
 		d := time.Since(start)
-		route := r.Method + " " + routeOf(r.URL.Path)
-		s.metrics.end(route, sw.status, d)
 		s.obs.inflight.Add(-1)
 		s.obs.observeRequest(route, sw.status, d, sw.bytes)
 		attrs := []any{
@@ -280,30 +268,6 @@ func (p *probeWriter) WriteHeader(code int) {
 	if p.status == 0 {
 		p.status = code
 	}
-}
-
-// routeOf collapses parameterized paths so metrics aggregate per route, not
-// per dataset name. Route label cardinality is bounded by the route table,
-// not by request paths: unmatched paths all collapse to "(unmatched)".
-func routeOf(path string) string {
-	p := strings.TrimPrefix(path, "/v1")
-	switch p {
-	case "/healthz", "/statusz", "/datasets", "/query", "/explain", "/metrics":
-		return path
-	}
-	if strings.HasPrefix(p, "/datasets/") {
-		suffix := ""
-		if strings.HasSuffix(p, "/ingest") {
-			suffix = "/ingest"
-		} else if strings.HasSuffix(p, "/mutations") {
-			suffix = "/mutations"
-		}
-		if strings.HasPrefix(path, "/v1/") {
-			return "/v1/datasets/{name}" + suffix
-		}
-		return "/datasets/{name}" + suffix
-	}
-	return "(unmatched)"
 }
 
 // statusWriter records the response status and body size for logging and
@@ -519,7 +483,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	b.WriteString("windowd status\n\n")
-	s.metrics.render(&b)
+	s.obs.renderRequests(&b)
 	st := s.cache.Stats()
 	fmt.Fprintf(&b, "cache: entries=%d bytes=%d budget=%d hits=%d misses=%d joins=%d failures=%d evictions=%d invalidations=%d build_time=%s\n",
 		st.Entries, st.Bytes, st.Budget, st.Hits, st.Misses, st.Joins, st.Failures, st.Evictions, st.Invalidations, st.BuildTime.Round(time.Microsecond))

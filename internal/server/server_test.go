@@ -248,7 +248,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 }
 
 // TestStatuszReflectsCache checks the text metrics page carries the cache
-// counters and per-endpoint latency histograms.
+// counters and per-endpoint request lines.
 func TestStatuszReflectsCache(t *testing.T) {
 	s, c := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -322,7 +322,7 @@ func TestTimeoutFreesAdmissionSlot(t *testing.T) {
 // TestHealthz checks the liveness endpoint.
 func TestHealthz(t *testing.T) {
 	_, c := newTestServer(t, Config{})
-	resp, err := http.Get(c.BaseURL + "/healthz")
+	resp, err := http.Get(c.BaseURL + api.PathHealthz)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,19 +46,11 @@ func NewOptions(opts ...Option) Options {
 
 // WithTrace records the run's span tree — phases, per-(partition, function)
 // evaluations with cache attributes, parallel workers — under the given
-// root span. The caller owns root and ends it after the run. Prefer this
-// over setting Options.Profile directly: the profile's aggregate phase view
-// is Span.PhaseTotals on this tree.
+// root span. The caller owns root and ends it after the run;
+// Span.PhaseTotals on this tree is the aggregate per-phase timing view
+// (Figure 14).
 func WithTrace(root *Span) Option {
 	return func(o *Options) { o.Trace = root }
-}
-
-// WithProfile attaches the aggregate per-phase timing view (Figure 14).
-//
-// Deprecated: prefer WithTrace; a Profile is the PhaseTotals view over the
-// span tree and loses the tree structure and attributes.
-func WithProfile(p *Profile) Option {
-	return func(o *Options) { o.Profile = p }
 }
 
 // WithContext makes the run cancellable: the operator checks ctx between
@@ -83,23 +75,10 @@ func WithTaskSize(rows int) Option {
 
 // WithTree configures merge sort tree construction (fanout f, pointer
 // sampling k, cascading, 32/64-bit payloads, and a size-aware tuner via
-// TreeOptions.Tuning — see internal/mst/tune and DESIGN.md §15.3;
+// TreeOptions.Tuning — see internal/mst/tune and DESIGN.md §15.2;
 // explicitly set fields always beat the tuner's choices).
 func WithTree(t TreeOptions) Option {
 	return func(o *Options) { o.Tree = t }
-}
-
-// WithoutPooling opts out of the pooled scratch buffers (Options.NoPool).
-func WithoutPooling() Option {
-	return func(o *Options) { o.NoPool = true }
-}
-
-// WithoutBatching opts out of the batched level-synchronous merge-sort-tree
-// query kernels (Options.NoBatch): every row is then probed with the scalar
-// per-query descents. Results are byte-identical either way; the flag exists
-// for performance comparisons and as an escape hatch (DESIGN.md §10).
-func WithoutBatching() Option {
-	return func(o *Options) { o.NoBatch = true }
 }
 
 // WithoutSharedPlan opts SQL execution out of the shared-plan optimizer

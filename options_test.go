@@ -20,22 +20,18 @@ func optionsTable(t *testing.T) *holistic.Table {
 // matching Options field, so mixed-style callers see one configuration.
 func TestNewOptionsFoldsFields(t *testing.T) {
 	ctx := context.Background()
-	var prof holistic.Profile
 	root := holistic.NewTrace("q")
 	opt := holistic.NewOptions(
 		holistic.WithContext(ctx),
-		holistic.WithProfile(&prof),
 		holistic.WithTrace(root),
 		holistic.WithTaskSize(123),
-		holistic.WithoutPooling(),
-		holistic.WithoutBatching(),
 		holistic.WithEngine(holistic.EngineNaive),
 		holistic.WithParallelism(2),
 	)
-	if opt.Context != ctx || opt.Profile != &prof || opt.Trace != root {
-		t.Fatal("context/profile/trace options not applied")
+	if opt.Context != ctx || opt.Trace != root {
+		t.Fatal("context/trace options not applied")
 	}
-	if opt.TaskSize != 123 || !opt.NoPool || !opt.NoBatch || opt.DefaultEngine != holistic.EngineNaive || opt.Workers != 2 {
+	if opt.TaskSize != 123 || opt.DefaultEngine != holistic.EngineNaive || opt.Workers != 2 {
 		t.Fatalf("options not applied: %+v", opt)
 	}
 }

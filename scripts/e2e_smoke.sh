@@ -3,7 +3,7 @@
 # run a framed percentile query over HTTP twice, and assert the second run
 # is served from the structure cache (hits up, no new builds). Also checks
 # /statusz, the /v1/metrics exposition (core series present and non-zero),
-# the deprecated unversioned aliases, the windowcli -server and -trace
+# the windowcli -server and -trace
 # modes, the out-of-core path (windowcli -ingest into a multi-segment
 # directory, segmented answers byte-identical to in-RAM, source=dir
 # registration, async server-side ingest with progress polling and ingest
@@ -56,13 +56,6 @@ hits2=$(num "$r2" cache_hits); misses2=$(num "$r2" cache_misses)
 statusz=$(curl -sf "$base/statusz")
 printf '%s\n' "$statusz" | grep -q "hits=$hits2"  || { echo "FAIL: statusz does not report cache hits"; exit 1; }
 printf '%s\n' "$statusz" | grep -q 'mst-batch: queries=' || { echo "FAIL: statusz does not report batch kernel counters"; exit 1; }
-
-# Legacy unversioned aliases: still answering, marked deprecated.
-legacy_headers=$(curl -sf -D - -o /dev/null "$base/healthz")
-printf '%s' "$legacy_headers" | grep -qi '^Deprecation: true' || { echo "FAIL: legacy /healthz lacks Deprecation header"; exit 1; }
-printf '%s' "$legacy_headers" | grep -qi 'successor-version'  || { echo "FAIL: legacy /healthz lacks successor Link"; exit 1; }
-curl -sf "$base/query" -H 'Content-Type: application/json' -d "$query" | grep -q '"med"' \
-    || { echo "FAIL: legacy /query alias does not answer"; exit 1; }
 
 # A default-frame query (RANGE UNBOUNDED..CURRENT ROW) over the repeating
 # date column: peer rows share one frame, so the batched kernels' adjacent-
