@@ -7,16 +7,13 @@ import (
 
 	"holistic"
 	"holistic/internal/mst"
-	"holistic/internal/sortutil"
 )
 
 // runAblation measures the design choices DESIGN.md calls out:
 //
 //  1. fractional cascading on/off (Figure 2 vs Figure 3),
-//  2. 2-way vs 3-way quicksort partitioning on a prevIdcs-shaped input
-//     (§5.3's robustness fix),
-//  3. 32-bit vs 64-bit tree payloads (§5.1),
-//  4. task-parallel vs single-task incremental evaluation (§3.2's state
+//  2. 32-bit vs 64-bit tree payloads (§5.1),
+//  3. task-parallel vs single-task incremental evaluation (§3.2's state
 //     rebuild penalty, visible even on one core).
 func runAblation() {
 	n := 500_000
@@ -37,29 +34,7 @@ func runAblation() {
 	}
 	printTable([]string{"variant", "build+probe"}, rows)
 
-	// 2. Quicksort partitioning on duplicate-heavy input: the prevIdcs of a
-	// distinct count over a mostly-unique column is almost all zeros.
-	fmt.Println("  -- introsort partitioning on prevIdcs-shaped input (§5.3) --")
-	shaped := make([]int64, n)
-	for i := 100; i < n; i += 400 {
-		shaped[i] = int64(i)
-	}
-	rows = nil
-	for _, p := range []sortutil.Partitioning{sortutil.ThreeWay, sortutil.TwoWay} {
-		name := map[sortutil.Partitioning]string{
-			sortutil.ThreeWay: "3-way partitioning",
-			sortutil.TwoWay:   "2-way partitioning (heapsort fallback rescues it)",
-		}[p]
-		buf := make([]int64, n)
-		d := timeIt(func() {
-			copy(buf, shaped)
-			sortutil.IntroSort(buf, p)
-		})
-		rows = append(rows, []string{name, d.Round(time.Millisecond).String()})
-	}
-	printTable([]string{"variant", "sort time"}, rows)
-
-	// 3. 32-bit vs 64-bit payloads.
+	// 2. 32-bit vs 64-bit payloads.
 	fmt.Println("  -- 32-bit vs 64-bit tree payloads (§5.1) --")
 	rng := rand.New(rand.NewSource(*seed))
 	keys := make([]int64, n)
@@ -81,7 +56,7 @@ func runAblation() {
 	}
 	printTable([]string{"variant", "tree bytes", "build+probe"}, rows)
 
-	// 4. Task-based parallelism penalty of the incremental competitor: with
+	// 3. Task-based parallelism penalty of the incremental competitor: with
 	// 20 000-row tasks every task rebuilds its frame state; with a single
 	// task it does not. The difference is pure rebuild overhead (§3.2) and
 	// shows even on one core.

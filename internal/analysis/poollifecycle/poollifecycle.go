@@ -422,7 +422,7 @@ func isPoolGet(pass *analysis.Pass, expr ast.Expr) bool {
 }
 
 // isWrappedGet reports whether expr is a call that receives a fresh pool
-// get as a direct argument — `SortIndicesIn(opt.getInt32s(k), keys)` hands
+// get as a direct argument — `keptOrder(fl, sortedAll, opt.getInt32s(k))` hands
 // the buffer through, so the obligation transfers to the call's result.
 func isWrappedGet(pass *analysis.Pass, expr ast.Expr) bool {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)

@@ -16,7 +16,7 @@ func (Options) putBools(b []bool)       {}
 
 func use(...any) {}
 
-// wrap stands in for helpers like SortIndicesIn that receive a fresh get
+// wrap stands in for helpers like keptOrder that receive a fresh get
 // as a direct argument and hand the buffer through to their result.
 func wrap(b []int32) []int32 { return b }
 

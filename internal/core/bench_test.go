@@ -80,7 +80,10 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
 		fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
-		prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
+		prev, next, err := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
+		if err != nil {
+			b.Fatal(err)
+		}
 		tree, err := mst.Build(prev, opt.Tree)
 		if err != nil {
 			b.Fatal(err)
@@ -103,7 +106,11 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 	p, fc := benchPartition(b, n, f)
 	var opt Options
 	fl := newFiltered(p, &p.w.Funcs[0], "", opt)
-	sortedKept := keptOrder(fl, p.sortedByFuncOrder(&p.w.Funcs[0]), make([]int32, fl.k))
+	sortedAll, err := p.sortedByFuncOrder(&p.w.Funcs[0], opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sortedKept := keptOrder(fl, sortedAll, make([]int32, fl.k))
 	perm := preprocess.Permutation(sortedKept)
 	tree, err := mst.Build(perm, opt.Tree)
 	if err != nil {
@@ -158,7 +165,10 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
 		fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
-		prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
+		prev, next, err := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
+		if err != nil {
+			b.Fatal(err)
+		}
 		values := make([]int64, fl.k)
 		for j := range values {
 			values[j] = p.t.Column(f.Arg).Int64(fl.orig(j))
@@ -188,24 +198,21 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
 		fl := newFiltered(p, &p.w.Funcs[0], "", opt)
-		sortedAll := p.sortedByFuncOrder(&p.w.Funcs[0])
+		sortedAll, err := p.sortedByFuncOrder(&p.w.Funcs[0], opt)
+		if err != nil {
+			b.Fatal(err)
+		}
 		ranksAll, _ := preprocess.DenseRanks(sortedAll, p.funcEqual(&p.w.Funcs[0]))
 		ranksKept := make([]int64, fl.k)
 		for j := range ranksKept {
 			ranksKept[j] = ranksAll[fl.local(j)]
 		}
-		sortedKept := preprocess.SortIndicesByKeyIn(make([]int32, fl.k), ranksKept)
-		sameKept := func(a, b int) bool { return ranksKept[a] == ranksKept[b] }
-		prevKept := preprocess.PrevIndices(sortedKept, sameKept)
-		nextKept := make([]int64, fl.k)
-		for j := range nextKept {
-			nextKept[j] = int64(fl.k)
+		sortedKept := preprocess.SortIndicesByKey(ranksKept)
+		rankWords := make([]uint64, fl.k)
+		for i, j := range sortedKept {
+			rankWords[i] = uint64(ranksKept[j])
 		}
-		for i := 1; i < len(sortedKept); i++ {
-			if sameKept(int(sortedKept[i-1]), int(sortedKept[i])) {
-				nextKept[sortedKept[i-1]] = int64(sortedKept[i])
-			}
-		}
+		prevKept, nextKept := linkOccurrences(rankWords, sortedKept, nil)
 		rt, err := rangetree.New(ranksKept, prevKept, opt.Tree)
 		if err != nil {
 			b.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Kind is a column's physical type.
@@ -41,7 +42,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Column is a typed column with an optional NULL mask.
+// Column is a typed column with an optional NULL mask. A column is immutable:
+// the constructors take ownership of the value and mask slices they are given.
 type Column struct {
 	name   string
 	kind   Kind
@@ -49,27 +51,37 @@ type Column struct {
 	floats []float64
 	strs   []string
 	bools  []bool
-	nulls  []bool // nil means no NULLs
+	nulls  []bool // nil exactly when the column holds no NULL
+}
+
+// nullMask normalises a caller-supplied NULL mask: a mask without a set bit
+// becomes nil, so "does this column hold NULLs" is a nil check on every
+// later use rather than a scan of the mask.
+func nullMask(nulls []bool) []bool {
+	if slices.Contains(nulls, true) {
+		return nulls
+	}
+	return nil
 }
 
 // NewInt64Column builds an INT64 column. nulls may be nil.
 func NewInt64Column(name string, values []int64, nulls []bool) *Column {
-	return &Column{name: name, kind: Int64, ints: values, nulls: nulls}
+	return &Column{name: name, kind: Int64, ints: values, nulls: nullMask(nulls)}
 }
 
 // NewFloat64Column builds a FLOAT64 column. nulls may be nil.
 func NewFloat64Column(name string, values []float64, nulls []bool) *Column {
-	return &Column{name: name, kind: Float64, floats: values, nulls: nulls}
+	return &Column{name: name, kind: Float64, floats: values, nulls: nullMask(nulls)}
 }
 
 // NewStringColumn builds a STRING column. nulls may be nil.
 func NewStringColumn(name string, values []string, nulls []bool) *Column {
-	return &Column{name: name, kind: String, strs: values, nulls: nulls}
+	return &Column{name: name, kind: String, strs: values, nulls: nullMask(nulls)}
 }
 
 // NewBoolColumn builds a BOOL column. nulls may be nil.
 func NewBoolColumn(name string, values []bool, nulls []bool) *Column {
-	return &Column{name: name, kind: Bool, bools: values, nulls: nulls}
+	return &Column{name: name, kind: Bool, bools: values, nulls: nullMask(nulls)}
 }
 
 // Name returns the column name.
@@ -106,16 +118,8 @@ func (c *Column) Len() int {
 // IsNull reports whether row i is NULL.
 func (c *Column) IsNull(i int) bool { return c.nulls != nil && c.nulls[i] }
 
-// HasNulls reports whether the column carries a NULL mask with at least one
-// set bit.
-func (c *Column) HasNulls() bool {
-	for _, n := range c.nulls {
-		if n {
-			return true
-		}
-	}
-	return false
-}
+// HasNulls reports whether the column holds at least one NULL.
+func (c *Column) HasNulls() bool { return c.nulls != nil }
 
 // Int64 returns row i of an INT64 column.
 func (c *Column) Int64(i int) int64 { return c.ints[i] }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"holistic/internal/preprocess"
 )
 
 // DeltaView describes a table as a frozen base plus a small mutation
@@ -98,7 +96,10 @@ func epochTag(e int64) string { return "e" + strconv.FormatInt(e, 10) }
 func deltaSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
 	dv := opt.Delta
 	fz, err := cacheGet(opt, "fz|sortidx|"+windowSig(w), func() (cachedSort, int64, error) {
-		idx := preprocess.SortIndices(dv.Frozen.Rows(), windowComparator(dv.Frozen, w))
+		idx, err := windowSortIndices(dv.Frozen, w, opt)
+		if err != nil {
+			return cachedSort{}, 0, err
+		}
 		return cachedSort{idx: idx}, int64(4 * len(idx)), nil
 	})
 	if err != nil {

@@ -215,7 +215,10 @@ func evalSegTree(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 func buildSortedTreeState(p *partition, f *FuncSpec, opt Options) (*segtree.SortedTree, *filtered, []int64, []int32, error) {
 	fl := newFiltered(p, f, selectDropColumn(p, f), opt)
 	m := p.len()
-	sortedAll := p.sortedByFuncOrder(f)
+	sortedAll, err := p.sortedByFuncOrder(f, opt)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
 	unique := f.Name != Rank && f.Name != PercentRank && f.Name != CumeDist
 	var keysAll []int64
 	if unique {

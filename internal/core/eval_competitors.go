@@ -169,7 +169,10 @@ func evalCompetitorSelect(p *partition, f *FuncSpec, fc *frame.Computer, out *ou
 func evalCompetitorRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	fl := newFiltered(p, f, "", opt)
 	m := p.len()
-	sortedAll := p.sortedByFuncOrder(f)
+	sortedAll, err := p.sortedByFuncOrder(f, opt)
+	if err != nil {
+		return err
+	}
 	unique := f.Name == RowNumber || f.Name == Ntile
 	var keysAll []int64
 	if unique {
@@ -257,7 +260,10 @@ func evalNaiveLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 	fl := newFiltered(p, f, selectDropColumn(p, f), opt)
 	cmpFunc := p.funcComparator(f)
 	m := p.len()
-	sortedAll := p.sortedByFuncOrder(f)
+	sortedAll, err := p.sortedByFuncOrder(f, opt)
+	if err != nil {
+		return err
+	}
 	keptRowno := make([]int64, m)
 	keptBefore := int64(0)
 	for _, pos := range sortedAll {
@@ -364,7 +370,10 @@ func evalNaiveScan(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 			}
 		})
 	case DenseRank:
-		sortedAll := p.sortedByFuncOrder(f)
+		sortedAll, err := p.sortedByFuncOrder(f, opt)
+		if err != nil {
+			return err
+		}
 		ranksAll, _ := preprocess.DenseRanks(sortedAll, p.funcEqual(f))
 		ranksKept := make([]int64, fl.k)
 		for j := range ranksKept {

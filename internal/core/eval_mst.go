@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/preprocess"
 	"holistic/internal/rangetree"
+	"holistic/internal/sortutil"
 )
 
 // filtered couples a partition with a function's inclusion mask (FILTER
@@ -125,52 +127,92 @@ func evalCounts(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, 
 // derives Algorithm 1's prevIdcs plus the forward links used by the
 // exclusion-hole correction. next[j] is the next occurrence of j's value in
 // the filtered domain, with fl.k as the "none" sentinel. The stages run
-// under separate phase spans, matching Figure 14's phase split.
-func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []int64) {
-	cmpArg := fl.p.argCompare(f)
-	eqArg := fl.p.argEqual(f)
-	// Sort primarily by value hashes so the hot comparisons are integer
-	// compares regardless of the argument type (§6.7); the real comparator
-	// only breaks hash ties, so collisions cost time, never correctness.
-	// Both the hash array and the sorted index array are pure temporaries
-	// and live in pooled scratch; prev/next are retained by the cache and
-	// must be allocated fresh.
+// under separate phase spans, matching Figure 14's phase split; the context
+// is checked between them and inside the sort.
+func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []int64, err error) {
+	// Sort value hashes, not values, so the sort is the same typed radix
+	// sort whatever the argument type (§6.7). The hash array and the sorted
+	// index array are pure temporaries and live in pooled scratch; prev/next
+	// are retained by the cache and are allocated fresh.
 	col := fl.p.t.Column(f.Arg)
-	var hashes []uint64
+	hashes := opt.getUint64s(fl.k)
+	defer opt.putUint64s(hashes)
 	opt.trace.Timed("preprocess: populate hashes", func() {
-		hashes = opt.getUint64s(fl.k)
 		for j := range hashes {
 			hashes[j] = col.hashAt(fl.orig(j))
 		}
 	})
-	var sorted []int32
+	sorted := opt.getInt32s(fl.k)
+	defer opt.putInt32s(sorted)
 	opt.trace.Timed("preprocess: sort hashes", func() {
-		sorted = preprocess.SortIndicesIn(opt.getInt32s(fl.k), fl.k, func(a, b int) int {
-			ha, hb := hashes[a], hashes[b]
-			if ha != hb {
-				if ha < hb {
-					return -1
-				}
-				return 1
-			}
-			return cmpArg(fl.local(a), fl.local(b))
-		})
+		for j := range sorted {
+			sorted[j] = i32(j)
+		}
+		err = sortutil.SortPairs(opt.Context, hashes, sorted)
 	})
-	same := func(a, b int) bool { return eqArg(fl.local(a), fl.local(b)) }
+	if err == nil {
+		err = opt.ctxErr()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// Equal hashes almost always mean equal values; the values themselves
+	// are looked at only within a run of equal hashes, so a collision costs
+	// time, never correctness. And where no collision can exist the values
+	// are not looked at at all: mix64 is a bijection, so on a fixed-width
+	// column two hashes are equal only for equal values or for a value that
+	// hashes to the NULL sentinel — which takes a NULL in the column.
+	var compare func(a, b int32) int
+	if col.kind == String || col.HasNulls() {
+		compare = func(a, b int32) int { return col.Compare(fl.orig(int(a)), fl.orig(int(b)), false, true) }
+	}
 	opt.trace.Timed("preprocess: prevIdcs", func() {
-		prev = preprocess.PrevIndices(sorted, same)
-		next = make([]int64, fl.k)
-		for j := range next {
-			next[j] = int64(fl.k)
+		prev, next = linkOccurrences(hashes, sorted, compare)
+	})
+	return prev, next, opt.ctxErr()
+}
+
+// linkOccurrences is Algorithm 1 as the last pass of the sort: given the
+// positions sorted by (word, position) — words[i] is the word of position
+// sorted[i] — it links every position to the previous and next occurrence
+// of its value. prev uses the shifted representation of §5.1 (0: no
+// previous occurrence, p+1 otherwise); next uses len(sorted) for "none".
+//
+// With compare == nil, equal words are equal values. Otherwise the words are
+// hashes: a run of equal words is checked neighbour by neighbour with
+// compare, and a run that turns out to hold unequal values — a hash
+// collision — is re-sorted stably by compare before it is linked, which
+// regroups it by value with positions still ascending. sorted is reordered
+// within such runs.
+func linkOccurrences(words []uint64, sorted []int32, compare func(a, b int32) int) (prev, next []int64) {
+	k := len(sorted)
+	prev, next = make([]int64, k), make([]int64, k)
+	for j := range next {
+		next[j] = int64(k)
+	}
+	for lo := 0; lo < k; {
+		hi := lo + 1
+		for hi < k && words[hi] == words[lo] {
+			hi++
 		}
-		for i := 1; i < len(sorted); i++ {
-			if same(int(sorted[i-1]), int(sorted[i])) {
-				next[sorted[i-1]] = int64(sorted[i])
+		run := sorted[lo:hi]
+		lo = hi
+		collided := false
+		if compare != nil {
+			for i := 1; i < len(run) && !collided; i++ {
+				collided = compare(run[i-1], run[i]) != 0
+			}
+			if collided {
+				slices.SortStableFunc(run, compare)
 			}
 		}
-	})
-	opt.putInt32s(sorted)
-	opt.putUint64s(hashes)
+		for i := 1; i < len(run); i++ {
+			if !collided || compare(run[i-1], run[i]) == 0 {
+				prev[run[i]] = int64(run[i-1]) + 1
+				next[run[i-1]] = int64(run[i])
+			}
+		}
+	}
 	return prev, next
 }
 
@@ -234,7 +276,10 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 	case CountDistinct:
 		key := p.cacheKey("distinct-count", strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree))
 		st, err := cacheGet(opt, key, func() (cachedDistinct, int64, error) {
-			prev, next := buildDistinctInputs(fl, f, opt)
+			prev, next, err := buildDistinctInputs(fl, f, opt)
+			if err != nil {
+				return cachedDistinct{}, 0, err
+			}
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.Build(prev, opt.treeOptions(sp))
 			sp.End()
@@ -292,7 +337,10 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 	valueOf func(j int) S, add func(a, b S) S, sub func(a, b S) S, emit func(row int, v S)) error {
 	key := p.cacheKey("distinct-agg", f.Name.String(), kind, strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree))
 	st, err := cacheGet(opt, key, func() (cachedAgg[S], int64, error) {
-		prev, next := buildDistinctInputs(fl, f, opt)
+		prev, next, err := buildDistinctInputs(fl, f, opt)
+		if err != nil {
+			return cachedAgg[S]{}, 0, err
+		}
 		values := make([]S, fl.k)
 		for j := range values {
 			values[j] = valueOf(j)
@@ -332,7 +380,10 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 	st, err := cacheGet(opt, p.cacheKey(tag, orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree)),
 		func() (cachedRank, int64, error) {
 			m := p.len()
-			sortedAll := p.sortedByFuncOrder(f)
+			sortedAll, err := p.sortedByFuncOrder(f, opt)
+			if err != nil {
+				return cachedRank{}, 0, err
+			}
 			var keysAll []int64
 			if unique {
 				// keptRowno: the number of kept rows sorted strictly before
@@ -394,27 +445,29 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 	fl := newFiltered(p, f, "", opt)
 	st, err := cacheGet(opt, p.cacheKey("dense", orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree)),
 		func() (cachedDense, int64, error) {
-			sortedAll := p.sortedByFuncOrder(f)
+			sortedAll, err := p.sortedByFuncOrder(f, opt)
+			if err != nil {
+				return cachedDense{}, 0, err
+			}
 			ranksAll, _ := preprocess.DenseRanks(sortedAll, p.funcEqual(f))
 			ranksKept := make([]int64, fl.k)
+			// rankWords and sortedKept are pure temporaries; ranksKept,
+			// prevKept and nextKept are retained by the cache and stay
+			// make-allocated. Ranks are non-negative, so they are their own
+			// order-preserving words, and equal words are equal ranks.
+			rankWords := opt.getUint64s(fl.k)
+			defer opt.putUint64s(rankWords)
+			sortedKept := opt.getInt32s(fl.k)
+			defer opt.putInt32s(sortedKept)
 			for j := range ranksKept {
 				ranksKept[j] = ranksAll[fl.local(j)]
+				rankWords[j] = uint64(ranksKept[j])
+				sortedKept[j] = i32(j)
 			}
-			// sortedKept is a pure temporary; ranksKept/prevKept/nextKept are
-			// retained by the cache and stay make-allocated.
-			sortedKept := preprocess.SortIndicesByKeyIn(opt.getInt32s(fl.k), ranksKept)
-			sameKept := func(a, b int) bool { return ranksKept[a] == ranksKept[b] }
-			prevKept := preprocess.PrevIndices(sortedKept, sameKept)
-			nextKept := make([]int64, fl.k)
-			for j := range nextKept {
-				nextKept[j] = int64(fl.k)
+			if err := sortutil.SortPairs(opt.Context, rankWords, sortedKept); err != nil {
+				return cachedDense{}, 0, err
 			}
-			for i := 1; i < len(sortedKept); i++ {
-				if sameKept(int(sortedKept[i-1]), int(sortedKept[i])) {
-					nextKept[sortedKept[i-1]] = int64(sortedKept[i])
-				}
-			}
-			opt.putInt32s(sortedKept)
+			prevKept, nextKept := linkOccurrences(rankWords, sortedKept, nil)
 			sp := opt.trace.Phase("build merge sort tree")
 			rt, buildErr := rangetree.New(ranksKept, prevKept, opt.treeOptions(sp))
 			sp.End()
@@ -452,8 +505,12 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 	fl := newFiltered(p, f, drop, opt)
 	st, err := cacheGet(opt, p.cacheKey("select", orderSig(p, f), strconv.Quote(drop), strconv.Quote(f.Filter), treeSig(opt.Tree)),
 		func() (cachedSelect, int64, error) {
+			sortedAll, err := p.sortedByFuncOrder(f, opt)
+			if err != nil {
+				return cachedSelect{}, 0, err
+			}
 			// Both arrays are pure temporaries: Build copies the permutation.
-			sortedKept := keptOrder(fl, p.sortedByFuncOrder(f), opt.getInt32s(fl.k))
+			sortedKept := keptOrder(fl, sortedAll, opt.getInt32s(fl.k))
 			perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.Build(perm, opt.treeOptions(sp))
@@ -502,7 +559,10 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 	st, err := cacheGet(opt, p.cacheKey("leadlag", orderSig(p, f), strconv.Quote(drop), strconv.Quote(f.Filter), treeSig(opt.Tree)),
 		func() (cachedLeadLag, int64, error) {
 			m := p.len()
-			sortedAll := p.sortedByFuncOrder(f)
+			sortedAll, err := p.sortedByFuncOrder(f, opt)
+			if err != nil {
+				return cachedLeadLag{}, 0, err
+			}
 			// keptRowno: insertion position of every partition row among the
 			// kept rows in function order.
 			keptRowno := make([]int64, m)

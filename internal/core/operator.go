@@ -9,7 +9,6 @@ import (
 	"holistic/internal/mst"
 	"holistic/internal/obs"
 	"holistic/internal/parallel"
-	"holistic/internal/preprocess"
 )
 
 // Options tunes the window operator.
@@ -171,7 +170,10 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 		})
 	} else {
 		cs, sortErr = cacheGet(sortOpt, "sortidx|"+windowSig(sortSpec), func() (cachedSort, int64, error) {
-			idx := preprocess.SortIndices(n, windowComparator(t, sortSpec))
+			idx, err := windowSortIndices(t, sortSpec, sortOpt)
+			if err != nil {
+				return cachedSort{}, 0, err
+			}
 			return cachedSort{idx: idx}, int64(4 * len(idx)), nil
 		})
 	}

@@ -231,34 +231,33 @@ func (p *partition) effectiveOrderKeys(f *FuncSpec) []SortKey {
 // sortedByFuncOrder returns all partition rows sorted by the function's
 // ORDER BY (original-index tiebreak). Functions sharing an ORDER BY share
 // the sort through a per-partition cache. The returned slice is shared:
-// callers must not modify it.
-func (p *partition) sortedByFuncOrder(f *FuncSpec) []int32 {
-	key := ""
-	for _, k := range p.effectiveOrderKeys(f) {
-		dir := "a"
-		if k.Desc {
-			dir = "d"
-		}
-		if k.NullsSmallest {
-			dir += "n"
-		}
-		key += k.Column + ":" + dir + ";"
-	}
+// callers must not modify it. The error is the options context's, when it
+// ended mid-sort; nothing is cached then.
+func (p *partition) sortedByFuncOrder(f *FuncSpec, opt Options) ([]int32, error) {
+	key := orderSig(p, f)
 	c := p.fsort
 	c.mu.Lock()
-	if cached, ok := c.m[key]; ok {
-		c.mu.Unlock()
-		return cached
-	}
+	cached, ok := c.m[key]
 	c.mu.Unlock()
-	sorted := preprocess.SortIndices(p.len(), p.funcComparator(f))
+	if ok {
+		return cached, nil
+	}
+	var sorted []int32
+	if cols := appendOrderCols(nil, p.t, p.effectiveOrderKeys(f)); radixSortable(cols) {
+		var err error
+		if sorted, err = sortByKeyWords(p.len(), p.rows, cols, opt); err != nil {
+			return nil, err
+		}
+	} else {
+		sorted = preprocess.SortIndices(p.len(), p.funcComparator(f))
+	}
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[string][]int32)
 	}
 	c.m[key] = sorted
 	c.mu.Unlock()
-	return sorted
+	return sorted, nil
 }
 
 // argEqual returns an equality predicate on the function's argument column

@@ -66,16 +66,5 @@ func (b *outBuilder) copyFrom(src *Column, srcRow, dstRow int) {
 
 // column finalises the builder into a Column.
 func (b *outBuilder) column() *Column {
-	nulls := b.nulls
-	any := false
-	for _, v := range nulls {
-		if v {
-			any = true
-			break
-		}
-	}
-	if !any {
-		nulls = nil
-	}
-	return &Column{name: b.name, kind: b.kind, ints: b.ints, floats: b.floats, strs: b.strs, bools: b.bools, nulls: nulls}
+	return &Column{name: b.name, kind: b.kind, ints: b.ints, floats: b.floats, strs: b.strs, bools: b.bools, nulls: nullMask(b.nulls)}
 }

@@ -117,7 +117,10 @@ func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	p, fc := benchPartition(t, n, f)
 	var opt Options
 	fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
-	prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
+	prev, next, err := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tree, err := mst.Build(prev, opt.Tree)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package delta
 
-import "holistic/internal/sortutil"
+import (
+	"slices"
+
+	"holistic/internal/sortutil"
+)
 
 // Run is an immutable sorted run of int64 values — the query-side shape of a
 // small delta: a frozen structure (merge sort tree, sorted base run) answers
@@ -15,7 +19,7 @@ type Run struct {
 // NewRun sorts vals ascending (in place — the Run takes ownership) and wraps
 // them.
 func NewRun(vals []int64) Run {
-	sortutil.IntroSort(vals, sortutil.ThreeWay)
+	slices.Sort(vals)
 	return Run{vals: vals}
 }
 

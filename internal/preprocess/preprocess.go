@@ -15,31 +15,19 @@ package preprocess
 import (
 	"cmp"
 
+	"holistic/internal/arena"
 	"holistic/internal/sortutil"
 )
 
 // SortIndices returns the positions 0..n-1 sorted ascending by compare, with
 // the original position as tiebreaker. The tiebreak makes the sort stable —
 // the property Algorithm 1 relies on ("effectively a stable sort ...
-// leaving the relative order of duplicates unchanged") — and the sort runs
-// in parallel.
+// leaving the relative order of duplicates unchanged"). This is the
+// comparator path: it serves keys that do not normalise to fixed-width words
+// (strings) and the competitor engines; integer keys sort through
+// SortIndicesByKey.
 func SortIndices(n int, compare func(a, b int) int) []int32 {
-	return SortIndicesIn(nil, n, compare)
-}
-
-// SortIndicesIn is SortIndices writing into buf when it has sufficient
-// capacity (a fresh array is allocated otherwise), so callers can run the
-// sort in pooled scratch. The returned slice has length n and aliases buf.
-func SortIndicesIn(buf []int32, n int, compare func(a, b int) int) []int32 {
-	var idx []int32
-	if cap(buf) >= n {
-		idx = buf[:n]
-	} else {
-		idx = make([]int32, n)
-	}
-	for i := range idx {
-		idx[i] = int32(i)
-	}
+	idx := identity(n)
 	sortutil.SortFunc(idx, func(a, b int32) int {
 		if c := compare(int(a), int(b)); c != 0 {
 			return c
@@ -49,17 +37,28 @@ func SortIndicesIn(buf []int32, n int, compare func(a, b int) int) []int32 {
 	return idx
 }
 
-// SortIndicesByKey is SortIndices specialised to precomputed int64 keys.
+// SortIndicesByKey is SortIndices for precomputed int64 keys: the keys are
+// biased to order-preserving unsigned words in pooled scratch and the
+// (word, position) pairs go through the stable radix sort, so no comparator
+// and no tiebreak runs.
 func SortIndicesByKey(keys []int64) []int32 {
-	return SortIndicesByKeyIn(nil, keys)
+	idx := identity(len(keys))
+	words := arena.Uint64s.Get(len(keys))
+	defer arena.Uint64s.Put(words)
+	for i, k := range keys {
+		words[i] = uint64(k) ^ 1<<63
+	}
+	_ = sortutil.SortPairs(nil, words, idx) // fails only on a cancelled context; nil never is
+	return idx
 }
 
-// SortIndicesByKeyIn is SortIndicesByKey writing into buf (see
-// SortIndicesIn).
-func SortIndicesByKeyIn(buf []int32, keys []int64) []int32 {
-	return SortIndicesIn(buf, len(keys), func(a, b int) int {
-		return cmp.Compare(keys[a], keys[b])
-	})
+// identity returns the positions 0..n-1 in order.
+func identity(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
 }
 
 // PrevIndices implements Algorithm 1 on an already sorted index array: for

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -316,6 +318,45 @@ func TestTimeoutFreesAdmissionSlot(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("follow-up query hung: admission slot not released")
+	}
+}
+
+// cancelAfter is a context that reports context.Canceled from its limit-th
+// Err call on: the evaluation polls Err, so this lands the cancellation at a
+// chosen depth rather than at a wall-clock instant.
+type cancelAfter struct {
+	context.Context
+	limit int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelMidSortFreesSlot cancels a statement inside its frozen-order
+// sort (every windowd dataset sorts through the delta view): the query must
+// return the context's error with its admission slot free and without having
+// cached the sort order it abandoned.
+func TestCancelMidSortFreesSlot(t *testing.T) {
+	s, c := newTestServer(t, Config{MaxConcurrent: 1})
+	mustUpload(t, c, "big", bigCSV(200_000))
+	ctx := &cancelAfter{Context: context.Background(), limit: 25}
+	_, err := s.query(ctx, `select count(distinct g) over (order by v rows between 10 preceding and current row) as cd from big`, false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("query = %v, want context.Canceled", err)
+	}
+	if calls := ctx.calls.Load(); calls > ctx.limit+6 {
+		t.Fatalf("context polled %d times, %d of them after it was cancelled: the evaluation ran on", calls, calls-ctx.limit)
+	}
+	if n := len(s.limiter); n != 0 {
+		t.Fatalf("%d admission slots still held after the cancelled query", n)
+	}
+	if st := s.cache.Stats(); st.Entries != 0 {
+		t.Fatalf("%d structures cached by a statement cancelled mid-sort, want none", st.Entries)
 	}
 }
 

@@ -34,19 +34,10 @@ func SortFunc[E any](a []E, cmp func(x, y E) int) {
 	if chunks > len(a)/minParallelSort*2 {
 		chunks = largestPow2(max(1, len(a)*2/minParallelSort))
 	}
-	if chunks <= 1 {
-		//lint:sortstability-ok cmp is total per SortFunc's contract, see above
-		slices.SortFunc(a, cmp)
-		return
-	}
 	chunkLen := (len(a) + chunks - 1) / chunks
 	bounds := make([]int, chunks+1)
-	for i := 0; i <= chunks; i++ {
-		b := i * chunkLen
-		if b > len(a) {
-			b = len(a)
-		}
-		bounds[i] = b
+	for i := range bounds {
+		bounds[i] = min(i*chunkLen, len(a))
 	}
 	parallel.ForEach(chunks, func(i int) {
 		//lint:sortstability-ok cmp is total per SortFunc's contract, see above
@@ -59,11 +50,7 @@ func SortFunc[E any](a []E, cmp func(x, y E) int) {
 		type mergeJob struct{ lo, mid, hi int }
 		var jobs []mergeJob
 		for i := 0; i+width < chunks; i += 2 * width {
-			hiIdx := i + 2*width
-			if hiIdx > chunks {
-				hiIdx = chunks
-			}
-			jobs = append(jobs, mergeJob{bounds[i], bounds[i+width], bounds[hiIdx]})
+			jobs = append(jobs, mergeJob{bounds[i], bounds[i+width], bounds[min(i+2*width, chunks)]})
 		}
 		parallel.ForEach(len(jobs), func(j int) {
 			jb := jobs[j]
@@ -124,14 +111,7 @@ func ParallelMerge[E any](dst, x, y []E, cmp func(a, b E) int) {
 // outputs are exactly x[:i] followed-merged-with y[:j]. Ties are broken in
 // favour of x (stable merge order).
 func MergeSplit[E any](x, y []E, t int, cmp func(a, b E) int) (i, j int) {
-	lo := t - len(y)
-	if lo < 0 {
-		lo = 0
-	}
-	hi := t
-	if hi > len(x) {
-		hi = len(x)
-	}
+	lo, hi := max(t-len(y), 0), min(t, len(x))
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		// If x[m] sorts before y[t-m-1] (ties favour x), then x[m] belongs

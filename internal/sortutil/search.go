@@ -1,9 +1,10 @@
-// Package sortutil implements the sorting substrate the paper's window
-// operator reuses (§5.3): parallel comparison sorts, splitter-based parallel
-// merging of sorted runs (Francis et al. 1993), multiway merges for the
-// merge sort tree build, an introsort with selectable 2-way/3-way quicksort
-// partitioning, and the binary-search primitives the merge sort tree probes
-// are made of.
+// Package sortutil implements the sorting substrate of the window operator
+// (§5.1–§5.3): the stable radix sort on (key word, index) pairs that every
+// fixed-width sort key and every hash array goes through (radix.go), the
+// comparator path for keys that do not normalise to fixed-width words — a
+// parallel merge sort with splitter-based parallel merging of sorted runs
+// (Francis et al. 1993, psort.go) — and the binary-search primitives the
+// merge sort tree probes are made of.
 package sortutil
 
 // LowerBound returns the number of elements in the sorted slice a that are

@@ -63,54 +63,6 @@ func TestCountInRange(t *testing.T) {
 	}
 }
 
-func TestIntroSortBothPartitionings(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	shapes := map[string]func(n int) []int64{
-		"random": func(n int) []int64 {
-			a := make([]int64, n)
-			for i := range a {
-				a[i] = rng.Int63n(1 << 30)
-			}
-			return a
-		},
-		"sorted": func(n int) []int64 {
-			a := make([]int64, n)
-			for i := range a {
-				a[i] = int64(i)
-			}
-			return a
-		},
-		"reverse": func(n int) []int64 {
-			a := make([]int64, n)
-			for i := range a {
-				a[i] = int64(n - i)
-			}
-			return a
-		},
-		"allequal": func(n int) []int64 { return make([]int64, n) },
-		"fewdistinct": func(n int) []int64 {
-			a := make([]int64, n)
-			for i := range a {
-				a[i] = rng.Int63n(3)
-			}
-			return a
-		},
-	}
-	for name, gen := range shapes {
-		for _, n := range []int{0, 1, 2, 23, 24, 25, 1000, 10000} {
-			for _, p := range []Partitioning{ThreeWay, TwoWay} {
-				a := gen(n)
-				want := slices.Clone(a)
-				slices.Sort(want)
-				IntroSort(a, p)
-				if !slices.Equal(a, want) {
-					t.Fatalf("%s n=%d partitioning=%d: not sorted", name, n, p)
-				}
-			}
-		}
-	}
-}
-
 func TestMergeSplitStable(t *testing.T) {
 	type elem struct{ key, src int }
 	cmpE := func(a, b elem) int { return cmp.Compare(a.key, b.key) }
