@@ -84,6 +84,66 @@ func NewBoolColumn(name string, values []bool, nulls []bool) *Column {
 	return &Column{name: name, kind: Bool, bools: values, nulls: nullMask(nulls)}
 }
 
+// RowSpan is rows [Lo, Hi) of source column Src, an index into the sources
+// handed to ConcatSpans.
+type RowSpan struct {
+	Src, Lo, Hi int
+}
+
+// ConcatSpans builds the column that holds the given spans of srcs' rows, in
+// order: one typed bulk copy per span, no per-row dispatch. The sources share
+// one kind and the result takes srcs[0]'s name. A NULL row's value is stored
+// as zero, whatever the source held under its mask, and the result carries a
+// mask only if a NULL was copied.
+func ConcatSpans(srcs []*Column, spans []RowSpan) *Column {
+	out := &Column{name: srcs[0].name, kind: srcs[0].kind}
+	rows := 0
+	for _, sp := range spans {
+		rows += sp.Hi - sp.Lo
+	}
+	for _, src := range srcs {
+		if src.nulls != nil {
+			out.nulls = make([]bool, 0, rows)
+			break
+		}
+	}
+	if out.nulls != nil {
+		for _, sp := range spans {
+			if m := srcs[sp.Src].nulls; m != nil {
+				out.nulls = append(out.nulls, m[sp.Lo:sp.Hi]...)
+			} else {
+				out.nulls = out.nulls[:len(out.nulls)+sp.Hi-sp.Lo] // fresh capacity is all false
+			}
+		}
+		out.nulls = nullMask(out.nulls)
+	}
+	switch out.kind {
+	case Int64:
+		out.ints = concatSpans(srcs, spans, rows, out.nulls, func(c *Column) []int64 { return c.ints })
+	case Float64:
+		out.floats = concatSpans(srcs, spans, rows, out.nulls, func(c *Column) []float64 { return c.floats })
+	case String:
+		out.strs = concatSpans(srcs, spans, rows, out.nulls, func(c *Column) []string { return c.strs })
+	default:
+		out.bools = concatSpans(srcs, spans, rows, out.nulls, func(c *Column) []bool { return c.bools })
+	}
+	return out
+}
+
+func concatSpans[T any](srcs []*Column, spans []RowSpan, rows int, nulls []bool, values func(*Column) []T) []T {
+	out := make([]T, 0, rows)
+	for _, sp := range spans {
+		out = append(out, values(srcs[sp.Src])[sp.Lo:sp.Hi]...)
+	}
+	var zero T
+	for i, null := range nulls {
+		if null {
+			out[i] = zero
+		}
+	}
+	return out
+}
+
 // Name returns the column name.
 func (c *Column) Name() string { return c.name }
 

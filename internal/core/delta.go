@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
+
+	"holistic/internal/sortutil"
 )
 
 // DeltaView describes a table as a frozen base plus a small mutation
@@ -89,10 +92,10 @@ func epochTag(e int64) string { return "e" + strconv.FormatInt(e, 10) }
 // incrementally: the frozen generation's sort — cached under a
 // generation-stable "fz|" key, shared by every epoch — is walked skipping
 // departed rows and translated to merged ids (run A), the dirty rows are
-// sorted into a small run B, and the two runs merge. Because the
-// frozen-to-merged id mapping is monotone and SortIndices breaks ties by
-// ascending index, the merge (ties to the smaller merged id) reproduces
-// SortIndices over the merged table bit for bit.
+// sorted into a small run B, and run B is placed into run A (mergeRuns).
+// Because the frozen-to-merged id mapping is monotone and SortIndices breaks
+// ties by ascending index, the merge (ties to the smaller merged id)
+// reproduces SortIndices over the merged table bit for bit.
 func deltaSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
 	dv := opt.Delta
 	fz, err := cacheGet(opt, "fz|sortidx|"+windowSig(w), func() (cachedSort, int64, error) {
@@ -113,33 +116,60 @@ func deltaSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
 		}
 		runA = append(runA, dv.MergedID[r])
 	}
-
-	runB := append([]int32(nil), dv.Dirty...)
 	cmpRows := windowComparator(t, w)
-	//lint:sortstability-ok comparator is total: window-order ties break by ascending merged id
-	sort.Slice(runB, func(i, j int) bool {
-		a, b := runB[i], runB[j]
-		if c := cmpRows(int(a), int(b)); c != 0 {
-			return c < 0
-		}
-		return a < b
-	})
-
-	out := make([]int32, 0, len(runA)+len(runB))
-	i, j := 0, 0
-	for i < len(runA) && j < len(runB) {
-		a, b := runA[i], runB[j]
-		if c := cmpRows(int(a), int(b)); c < 0 || (c == 0 && a < b) {
-			out = append(out, a)
-			i++
-		} else {
-			out = append(out, b)
-			j++
-		}
+	runB, err := sortDirtyRun(t, w, dv.Dirty, cmpRows, opt)
+	if err != nil {
+		return nil, err
 	}
-	out = append(out, runA[i:]...)
-	out = append(out, runB[j:]...)
-	return out, nil
+	return mergeRuns(runA, runB, cmpRows), nil
+}
+
+// sortDirtyRun returns the dirty merged ids in window order, ties by
+// ascending id — through the typed key words when every sort column has
+// them, like the frozen sort beside it, and through the comparator otherwise.
+func sortDirtyRun(t *Table, w *WindowSpec, dirty []int32, cmpRows func(a, b int) int, opt Options) ([]int32, error) {
+	runB := make([]int32, len(dirty))
+	cols := windowSortCols(t, w)
+	if radixSortable(cols) {
+		order, err := sortByKeyWords(len(dirty), dirty, cols, opt)
+		if err != nil {
+			return nil, err
+		}
+		for i, pos := range order {
+			runB[i] = dirty[pos]
+		}
+		return runB, nil
+	}
+	copy(runB, dirty)
+	sortutil.SortFunc(runB, func(a, b int32) int {
+		if c := cmpRows(int(a), int(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return runB, nil
+}
+
+// mergeRuns merges the short sorted run B into the long sorted run A. Merging
+// a short run into a long one is a search problem, not a scan: each B row is
+// placed by binary search before the first A row that orders after it — that
+// compares greater, or equal with a larger id, the tie rule both runs were
+// sorted under — and the A stretches between placements are bulk copies. B is
+// sorted, so each search starts where the last one ended: O(|B| log |A|)
+// comparator calls where the two-way merge made |A|.
+func mergeRuns(runA, runB []int32, cmpRows func(a, b int) int) []int32 {
+	out := make([]int32, 0, len(runA)+len(runB))
+	for _, b := range runB {
+		n := sort.Search(len(runA), func(i int) bool {
+			a := runA[i]
+			c := cmpRows(int(a), int(b))
+			return c > 0 || (c == 0 && a > b)
+		})
+		out = append(out, runA[:n]...)
+		out = append(out, b)
+		runA = runA[n:]
+	}
+	return append(out, runA...)
 }
 
 // cachedStamps is the per-epoch partition stamp map: rendered PARTITION BY

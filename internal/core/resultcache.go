@@ -35,7 +35,7 @@ type cachedResult struct {
 	nulls  []bool
 }
 
-func (r cachedResult) bytes() int64 {
+func (r *cachedResult) bytes() int64 {
 	total := int64(len(r.nulls)) + 8*int64(len(r.ints)+len(r.floats)) + int64(len(r.bools))
 	for _, s := range r.strs {
 		total += int64(len(s)) + 16
@@ -43,50 +43,51 @@ func (r cachedResult) bytes() int64 {
 	return total
 }
 
+// gatherRows returns src's values at rows, in that order.
+func gatherRows[T any](src []T, rows []int32) []T {
+	out := make([]T, len(rows))
+	for i, row := range rows {
+		out[i] = src[row]
+	}
+	return out
+}
+
+// scatterRows writes vals to dst at rows.
+func scatterRows[T any](dst, vals []T, rows []int32) {
+	for i, row := range rows {
+		dst[row] = vals[i]
+	}
+}
+
 // gatherResult copies the partition's rows out of a freshly-written builder.
-func gatherResult(out *outBuilder, rows []int32) cachedResult {
-	r := cachedResult{kind: out.kind, nulls: make([]bool, len(rows))}
+func gatherResult(out *outBuilder, rows []int32) *cachedResult {
+	r := &cachedResult{kind: out.kind, nulls: gatherRows(out.nulls, rows)}
 	switch out.kind {
 	case Int64:
-		r.ints = make([]int64, len(rows))
+		r.ints = gatherRows(out.ints, rows)
 	case Float64:
-		r.floats = make([]float64, len(rows))
+		r.floats = gatherRows(out.floats, rows)
 	case String:
-		r.strs = make([]string, len(rows))
+		r.strs = gatherRows(out.strs, rows)
 	case Bool:
-		r.bools = make([]bool, len(rows))
-	}
-	for i, row := range rows {
-		r.nulls[i] = out.nulls[row]
-		switch out.kind {
-		case Int64:
-			r.ints[i] = out.ints[row]
-		case Float64:
-			r.floats[i] = out.floats[row]
-		case String:
-			r.strs[i] = out.strs[row]
-		case Bool:
-			r.bools[i] = out.bools[row]
-		}
+		r.bools = gatherRows(out.bools, rows)
 	}
 	return r
 }
 
 // scatter writes the cached vector into the builder at the partition's
 // current row ids. Writes target disjoint rows per the builder contract.
-func (r cachedResult) scatter(out *outBuilder, rows []int32) {
-	for i, row := range rows {
-		out.nulls[row] = r.nulls[i]
-		switch r.kind {
-		case Int64:
-			out.ints[row] = r.ints[i]
-		case Float64:
-			out.floats[row] = r.floats[i]
-		case String:
-			out.strs[row] = r.strs[i]
-		case Bool:
-			out.bools[row] = r.bools[i]
-		}
+func (r *cachedResult) scatter(out *outBuilder, rows []int32) {
+	scatterRows(out.nulls, r.nulls, rows)
+	switch r.kind {
+	case Int64:
+		scatterRows(out.ints, r.ints, rows)
+	case Float64:
+		scatterRows(out.floats, r.floats, rows)
+	case String:
+		scatterRows(out.strs, r.strs, rows)
+	case Bool:
+		scatterRows(out.bools, r.bools, rows)
 	}
 }
 
@@ -141,9 +142,9 @@ func evalFuncCached(p *partition, f *FuncSpec, out *outBuilder, opt Options) err
 	if eng == EngineMergeSortTree {
 		eng = opt.DefaultEngine
 	}
-	res, err := cacheGet(opt, p.cacheKey("result", funcProbeSig(p, f, spec, eng)), func() (cachedResult, int64, error) {
+	res, err := cacheGet(opt, p.cacheKey("result", funcProbeSig(p, f, spec, eng)), func() (*cachedResult, int64, error) {
 		if err := evalFunc(p, f, out, opt); err != nil {
-			return cachedResult{}, 0, err
+			return nil, 0, err
 		}
 		r := gatherResult(out, p.rows)
 		return r, r.bytes(), nil

@@ -32,7 +32,7 @@ func (b *Buffer) NeedsCompaction() bool {
 // the generation that became current.
 func (b *Buffer) Compact() (swapped bool, gen int64, err error) {
 	snap := b.cur.Load()
-	if snap.clean() {
+	if snap.Clean() {
 		return false, snap.f.gen, nil
 	}
 	mat, err := snap.Table()

@@ -2,6 +2,7 @@ package delta_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -137,6 +138,9 @@ func requireTableMatchesModel(t *testing.T, snap *delta.Snapshot, model [][]delt
 	if snap.Rows() != len(model) {
 		t.Fatalf("epoch %d: snapshot accounts for %d rows, model has %d", snap.Epoch(), snap.Rows(), len(model))
 	}
+	// The model checks values the caller can see; the per-row reference also
+	// pins the masks' presence and the values stored under NULLs.
+	requireMatchesReference(t, snap, fmt.Sprintf("epoch %d", snap.Epoch()))
 	for ci, col := range tab.Columns() {
 		for ri, row := range model {
 			want := row[ci]

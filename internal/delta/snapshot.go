@@ -1,10 +1,13 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"holistic/internal/core"
+	"holistic/internal/parallel"
 )
 
 // frozen is one immutable base generation.
@@ -84,9 +87,9 @@ func (s *Snapshot) DeltaRows() int {
 	return s.dirty.vals.n + s.ghosts.vals.n + len(s.removedRows)
 }
 
-// clean reports whether the snapshot carries no overlay at all, i.e. the
-// merged table IS the frozen base.
-func (s *Snapshot) clean() bool {
+// Clean reports whether the snapshot carries no overlay at all, i.e. the
+// merged table IS the frozen base and Table copies nothing.
+func (s *Snapshot) Clean() bool {
 	return s.dirty.vals.n == 0 && s.ghosts.vals.n == 0 && len(s.removedRows) == 0 && s.numGone == 0
 }
 
@@ -222,7 +225,7 @@ func (g *ghostState) appendFromStore(src *store, i int, epoch int64) {
 // overlay image — followed by surviving appended rows in append order. A
 // clean snapshot returns the frozen base itself, sharing all storage.
 func (s *Snapshot) Table() (*core.Table, error) {
-	if s.clean() {
+	if s.Clean() {
 		return s.f.table, nil
 	}
 	s.matOnce.Do(func() {
@@ -232,38 +235,79 @@ func (s *Snapshot) Table() (*core.Table, error) {
 	return s.mat, s.matErr
 }
 
+// materialize builds the merged table as run copies: the base rows that are
+// not copied as they are — deleted ones, and overridden ones whose current
+// image is an overlay slot — are collected into one sorted list, and every
+// column is the base stretches between them, the overlay images in their
+// place and the appended rows at the tail, one typed bulk copy per stretch
+// (core.ConcatSpans). The cost is that of copying the columns, whatever the
+// overlay holds.
 func (s *Snapshot) materialize() (*core.Table, error) {
-	nb := s.f.table.Rows()
-	// slotOfBase maps overridden base rows to their current overlay image.
-	slotOfBase := make(map[int32]int32)
-	for slot, a := range s.dirty.alive {
-		if a && s.dirty.target[slot] >= 0 {
-			slotOfBase[s.dirty.target[slot]] = int32(slot)
-		}
-	}
-	nOut := s.Rows()
-	cols := make([]*core.Column, 0, len(s.f.table.Columns()))
-	for ci, base := range s.f.table.Columns() {
-		db := &s.dirty.vals.cols[ci]
-		bld := newColBuilder(base.Name(), base.Kind(), nOut)
-		for r := int32(0); int(r) < nb; r++ {
-			if s.rowGone(r) {
-				continue
-			}
-			if slot, ok := slotOfBase[r]; ok {
-				bld.addFromBuf(db, int(slot))
-				continue
-			}
-			bld.addFromColumn(base, int(r))
-		}
-		for slot := 0; slot < s.dirty.vals.n; slot++ {
-			if s.dirty.alive[slot] && s.dirty.target[slot] < 0 {
-				bld.addFromBuf(db, slot)
-			}
-		}
-		cols = append(cols, bld.column())
-	}
+	base := s.f.table.Columns()
+	overlay := s.dirty.vals.table().Columns()
+	spans := s.mergedSpans()
+	cols := make([]*core.Column, len(base))
+	// One column per task: BenchmarkSnapshotMaterialize reads 3.3 ms against
+	// 4.1 ms serial at 200k x 5 on two cores.
+	parallel.ForEach(len(base), func(ci int) {
+		cols[ci] = core.ConcatSpans([]*core.Column{base[ci], overlay[ci]}, spans)
+	})
 	return core.NewTable(cols...)
+}
+
+// Span sources of mergedSpans.
+const (
+	fromBase = iota
+	fromOverlay
+)
+
+// mergedSpans lists, in merged-table order, where each stretch of rows comes
+// from: base rows, or overlay slots.
+func (s *Snapshot) mergedSpans() []core.RowSpan {
+	// A patch is a base row the merged table does not copy: dropped when
+	// slot < 0, replaced by that overlay slot otherwise. Every such row is in
+	// removedRows (a row is overridden before it can be gone); a deleted row
+	// has no live slot, and were one to exist, gone wins.
+	type patch struct{ row, slot int }
+	patches := make([]patch, 0, len(s.removedRows))
+	for _, r := range s.removedRows {
+		if s.rowGone(r) {
+			patches = append(patches, patch{int(r), -1})
+		}
+	}
+	for slot, alive := range s.dirty.alive {
+		if t := s.dirty.target[slot]; alive && t >= 0 && !s.rowGone(t) {
+			patches = append(patches, patch{int(t), slot})
+		}
+	}
+	slices.SortFunc(patches, func(a, b patch) int { return cmp.Compare(a.row, b.row) })
+
+	spans := make([]core.RowSpan, 0, 2*len(patches)+2)
+	add := func(src, lo, hi int) {
+		if lo >= hi {
+			return
+		}
+		if n := len(spans); n > 0 && spans[n-1].Src == src && spans[n-1].Hi == lo {
+			spans[n-1].Hi = hi
+			return
+		}
+		spans = append(spans, core.RowSpan{Src: src, Lo: lo, Hi: hi})
+	}
+	next := 0 // first base row not yet placed
+	for _, p := range patches {
+		add(fromBase, next, p.row)
+		if p.slot >= 0 {
+			add(fromOverlay, p.slot, p.slot+1)
+		}
+		next = p.row + 1
+	}
+	add(fromBase, next, s.f.table.Rows())
+	for slot, alive := range s.dirty.alive {
+		if alive && s.dirty.target[slot] < 0 {
+			add(fromOverlay, slot, slot+1)
+		}
+	}
+	return spans
 }
 
 // View returns the core.DeltaView describing this snapshot's overlay

@@ -129,121 +129,16 @@ func (st *store) table() *core.Table {
 	cols := make([]*core.Column, 0, len(st.cols))
 	for i := range st.cols {
 		c := &st.cols[i]
-		nulls := c.nulls
-		if !anyTrue(nulls) {
-			nulls = nil
-		}
 		switch c.kind {
 		case core.Int64:
-			cols = append(cols, core.NewInt64Column(c.name, c.ints, nulls))
+			cols = append(cols, core.NewInt64Column(c.name, c.ints, c.nulls))
 		case core.Float64:
-			cols = append(cols, core.NewFloat64Column(c.name, c.floats, nulls))
+			cols = append(cols, core.NewFloat64Column(c.name, c.floats, c.nulls))
 		case core.String:
-			cols = append(cols, core.NewStringColumn(c.name, c.strs, nulls))
+			cols = append(cols, core.NewStringColumn(c.name, c.strs, c.nulls))
 		default:
-			cols = append(cols, core.NewBoolColumn(c.name, c.bools, nulls))
+			cols = append(cols, core.NewBoolColumn(c.name, c.bools, c.nulls))
 		}
 	}
 	return core.MustNewTable(cols...)
-}
-
-// colBuilder accumulates one merged output column.
-type colBuilder struct {
-	name    string
-	kind    core.Kind
-	ints    []int64
-	floats  []float64
-	strs    []string
-	bools   []bool
-	nulls   []bool
-	anyNull bool
-}
-
-func newColBuilder(name string, kind core.Kind, capacity int) *colBuilder {
-	b := &colBuilder{name: name, kind: kind, nulls: make([]bool, 0, capacity)}
-	switch kind {
-	case core.Int64:
-		b.ints = make([]int64, 0, capacity)
-	case core.Float64:
-		b.floats = make([]float64, 0, capacity)
-	case core.String:
-		b.strs = make([]string, 0, capacity)
-	default:
-		b.bools = make([]bool, 0, capacity)
-	}
-	return b
-}
-
-func (b *colBuilder) addFromColumn(c *core.Column, i int) {
-	null := c.IsNull(i)
-	b.nulls = append(b.nulls, null)
-	b.anyNull = b.anyNull || null
-	switch b.kind {
-	case core.Int64:
-		var v int64
-		if !null {
-			v = c.Int64(i)
-		}
-		b.ints = append(b.ints, v)
-	case core.Float64:
-		var v float64
-		if !null {
-			v = c.Float64(i)
-		}
-		b.floats = append(b.floats, v)
-	case core.String:
-		var v string
-		if !null {
-			v = c.StringAt(i)
-		}
-		b.strs = append(b.strs, v)
-	default:
-		var v bool
-		if !null {
-			v = c.Bool(i)
-		}
-		b.bools = append(b.bools, v)
-	}
-}
-
-func (b *colBuilder) addFromBuf(c *colBuf, i int) {
-	null := c.nulls[i]
-	b.nulls = append(b.nulls, null)
-	b.anyNull = b.anyNull || null
-	switch b.kind {
-	case core.Int64:
-		b.ints = append(b.ints, c.ints[i])
-	case core.Float64:
-		b.floats = append(b.floats, c.floats[i])
-	case core.String:
-		b.strs = append(b.strs, c.strs[i])
-	default:
-		b.bools = append(b.bools, c.bools[i])
-	}
-}
-
-func (b *colBuilder) column() *core.Column {
-	nulls := b.nulls
-	if !b.anyNull {
-		nulls = nil
-	}
-	switch b.kind {
-	case core.Int64:
-		return core.NewInt64Column(b.name, b.ints, nulls)
-	case core.Float64:
-		return core.NewFloat64Column(b.name, b.floats, nulls)
-	case core.String:
-		return core.NewStringColumn(b.name, b.strs, nulls)
-	default:
-		return core.NewBoolColumn(b.name, b.bools, nulls)
-	}
-}
-
-func anyTrue(bs []bool) bool {
-	for _, b := range bs {
-		if b {
-			return true
-		}
-	}
-	return false
 }

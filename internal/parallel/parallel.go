@@ -62,8 +62,9 @@ func ContextWithLimit(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, limitKey{}, n)
 }
 
-// ctxWorkers is Workers() clamped by ctx's cap, if any.
-func ctxWorkers(ctx context.Context) int {
+// ContextWorkers is Workers() clamped by ctx's cap, if any: the number of
+// workers the context-aware loops use under ctx.
+func ContextWorkers(ctx context.Context) int {
 	workers := Workers()
 	if ctx == nil {
 		return workers
@@ -102,7 +103,7 @@ func ForContext(ctx context.Context, n, taskSize int, body func(lo, hi int)) err
 		taskSize = DefaultTaskSize
 	}
 	tasks := (n + taskSize - 1) / taskSize
-	workers := ctxWorkers(ctx)
+	workers := ContextWorkers(ctx)
 	if workers > tasks {
 		workers = tasks
 	}
@@ -175,7 +176,7 @@ func ForEachContext(ctx context.Context, tasks int, body func(task int)) error {
 	if tasks <= 0 {
 		return nil
 	}
-	workers := ctxWorkers(ctx)
+	workers := ContextWorkers(ctx)
 	if workers > tasks {
 		workers = tasks
 	}

@@ -90,6 +90,9 @@ type QueryResponse struct {
 // shape. A follow-up identical query leaves CacheMisses unchanged and
 // raises CacheHits.
 type QueryStats struct {
+	// ElapsedMillis times the evaluation only: not the wait for a slot, not
+	// the snapshot's merged table (the trace's "snapshot:" spans and
+	// windowd_snapshot_materialize_seconds), not the response.
 	ElapsedMillis float64 `json:"elapsed_millis"`
 	CacheHits     int64   `json:"cache_hits"`
 	CacheMisses   int64   `json:"cache_misses"`

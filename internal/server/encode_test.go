@@ -8,11 +8,16 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"holistic/internal/arena"
 	"holistic/internal/core"
+	"holistic/internal/parallel"
 	"holistic/internal/server/api"
 )
 
@@ -264,6 +269,123 @@ func TestEncodeResponseMatchesReference(t *testing.T) {
 	}
 }
 
+// withWorkers runs f under a process-wide worker limit of n.
+func withWorkers(n int, f func()) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(n))
+	f()
+}
+
+// boundaryResult is a result whose rows sit on chunk boundaries: an INT64, a
+// STRING whose cells around every boundary need escaping, and a FLOAT64, with
+// the mask drawn by mode.
+func boundaryResult(n int, mode nullMode, pad string, next func() uint64) *queryResult {
+	strs := make([]string, n)
+	var nulls []bool
+	if mode != nullsNone {
+		nulls = make([]bool, n)
+	}
+	for i := range strs {
+		strs[i] = pad + nastyStrings[next()%uint64(len(nastyStrings))]
+		if b := i % chunkRows; b == 0 || b == chunkRows-1 {
+			strs[i] = `end"of<chunk>` + string(rune(0x2028)) + "\x00\\"
+		}
+		if mode == nullsSparse {
+			nulls[i] = next()%8 == 0
+		}
+	}
+	res := &queryResult{dates: map[string]bool{}, stats: api.QueryStats{ElapsedMillis: 1.5, CacheHits: 2}}
+	res.table = core.MustNewTable(
+		randomColumn("id", core.Int64, mode, n, next),
+		core.NewStringColumn("s", strs, nulls),
+		randomColumn("f", core.Float64, nullsNone, n, next))
+	return res
+}
+
+// TestEncodeResponseChunkBoundaries holds the chunked encoder to the
+// reference where chunks meet: row counts around one and several chunks, with
+// a mask (rendered by the workers), without one (the pre-built block) and
+// with an empty one, and rows wide enough that a chunk outgrows its pooled
+// buffer — on one worker (the loop), two and four. Every buffer drawn from
+// the response pool is back when a body is complete.
+func TestEncodeResponseChunkBoundaries(t *testing.T) {
+	wide := strings.Repeat("w", 2*chunkBufBytes/chunkRows)
+	poolsBefore := arena.Snapshot()
+	for _, workers := range []int{1, 2, 4} {
+		withWorkers(workers, func() {
+			for _, n := range []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 3*chunkRows + 7} {
+				for _, mode := range []nullMode{nullsNone, nullsSparse, nullsEmpty} {
+					rng := rand.New(rand.NewSource(int64(n)))
+					res := boundaryResult(n, mode, "", rng.Uint64)
+					t.Run(fmt.Sprintf("workers=%d/rows=%d/nulls=%d", workers, n, mode), func(t *testing.T) {
+						checkAgainstReference(t, res)
+					})
+				}
+			}
+			rng := rand.New(rand.NewSource(9))
+			res := boundaryResult(3*chunkRows+7, nullsSparse, wide, rng.Uint64)
+			t.Run(fmt.Sprintf("workers=%d/wide", workers), func(t *testing.T) {
+				checkAgainstReference(t, res)
+			})
+		})
+	}
+	d := poolDeltas(poolsBefore, arena.Snapshot())["response"]
+	if d.Gets == 0 || d.Gets != d.Puts || d.BytesInFlight != 0 {
+		t.Fatalf("response pool after complete bodies: gets=%d puts=%d bytes_in_flight=%+d", d.Gets, d.Puts, d.BytesInFlight)
+	}
+}
+
+// goroutineID parses the running goroutine's id out of its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+// TestEncodeUsesWorkers checks the encoder is parallel where it may be: with
+// two workers a 200k-row result's chunks are rendered on at least two
+// goroutines, none of them the caller's, and the body is the one-worker body.
+func TestEncodeUsesWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	res := randomResult(200_000, 3, func(c int) nullMode { return nullMode(c % 2 * int(nullsSparse)) }, false, rng.Uint64)
+	var serial, parallelBody bytes.Buffer
+	withWorkers(1, func() {
+		if _, err := encodeResponse(context.Background(), &serial, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	withWorkers(2, func() {
+		if _, err := encodeResponse(context.Background(), &parallelBody, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(serial.Bytes(), parallelBody.Bytes()) {
+		t.Fatal("the two-worker body differs from the one-worker body")
+	}
+
+	e := newRowEncoder(res)
+	var mu sync.Mutex
+	renderedOn := map[string]int{}
+	first := e.cells[0]
+	e.cells[0] = func(dst []byte, i int) []byte {
+		if i%chunkRows == 0 {
+			mu.Lock()
+			renderedOn[goroutineID()]++
+			mu.Unlock()
+		}
+		return first(dst, i)
+	}
+	var body bytes.Buffer
+	if err := e.stream(&bodyWriter{ctx: context.Background(), w: &body}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if len(renderedOn) < 2 || renderedOn[goroutineID()] != 0 {
+		t.Fatalf("chunks rendered per goroutine: %v (caller is %s); want two workers and the caller only writing", renderedOn, goroutineID())
+	}
+	if !bytes.Contains(serial.Bytes(), body.Bytes()) {
+		t.Fatal("the streamed rows are not the one-worker body's rows")
+	}
+}
+
 // TestEncodeResponseFlushes checks the body leaves in bounded pieces: a large
 // result is written in many writes, none much larger than flushBytes.
 func TestEncodeResponseFlushes(t *testing.T) {
@@ -315,6 +437,9 @@ func FuzzEncodeResponse(f *testing.F) {
 		}
 		ncols := int(next()%8) + 1
 		n := int(next() % 300)
+		if next()%4 == 0 {
+			n += chunkRows - 150 // a second chunk, and a boundary to get wrong
+		}
 		res := randomResult(n, ncols, func(int) nullMode { return nullMode(next() % 4) }, next()%2 == 0, next)
 		checkAgainstReference(t, res)
 	})

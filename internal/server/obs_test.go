@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"holistic/internal/delta"
 	"holistic/internal/obs"
 	"holistic/internal/server/api"
 )
@@ -264,6 +265,83 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatalf("unrequested trace present: %q", resp.Trace)
 	}
 }
+
+// TestSnapshotSpans checks the time a query spends getting its snapshot is
+// no longer invisible: the trace carries the "snapshot:" spans either way —
+// clean=true and nothing copied before the first mutation, clean=false with
+// the overlay's size after it — the slow-query log counts it, and the
+// materialisation histogram has one observation per query.
+func TestSnapshotSpans(t *testing.T) {
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	logger := slog.New(slog.NewTextHandler(&lockedWriter{w: &buf, mu: &mu}, nil))
+	_, c := newTestServer(t, Config{SlowQuery: time.Nanosecond, Logger: logger})
+	ctx := context.Background()
+	if _, err := c.UploadCSVKeyed(ctx, "live", "k", []byte(mutCSV)); err != nil {
+		t.Fatal(err)
+	}
+	traced := func() string {
+		t.Helper()
+		resp, err := c.Query(ctx, api.QueryRequest{
+			SQL:          `select k, rank(order by v) over (partition by g order by k) as r from live`,
+			IncludeTrace: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(resp.Trace, "(unfinished)") {
+			t.Fatalf("trace has unfinished spans:\n%s", resp.Trace)
+		}
+		return resp.Trace
+	}
+	spanLine := func(trace, name string) string {
+		t.Helper()
+		for _, line := range strings.Split(trace, "\n") {
+			if strings.Contains(line, name) {
+				return line
+			}
+		}
+		t.Fatalf("trace has no %q span:\n%s", name, trace)
+		return ""
+	}
+
+	before := materializations()
+	trace := traced()
+	if line := spanLine(trace, "snapshot: materialize"); !strings.Contains(line, "clean=true") || !strings.Contains(line, "overlay_rows=0") {
+		t.Fatalf("clean dataset's materialize span: %q", line)
+	}
+	spanLine(trace, "snapshot: view")
+	if got := materializations() - before; got != 0 {
+		t.Fatalf("a clean snapshot was materialised %d times", got)
+	}
+
+	mustMutate(t, c, "live", api.MutateRequest{Mutations: []api.MutationSpec{
+		{Op: api.OpUpsert, Row: map[string]string{"k": "2", "d": "2024-02-01", "g": "a", "v": "25"}},
+		{Op: api.OpDelete, Row: map[string]string{"k": "3"}},
+	}})
+	trace = traced()
+	if line := spanLine(trace, "snapshot: materialize"); !strings.Contains(line, "clean=false") || !strings.Contains(line, "rows=4") {
+		t.Fatalf("mutated dataset's materialize span: %q", line)
+	}
+	spanLine(trace, "snapshot: view")
+	if got := materializations() - before; got != 1 {
+		t.Fatalf("the mutated snapshot was materialised %d times, want once", got)
+	}
+
+	mu.Lock()
+	logged := buf.String()
+	mu.Unlock()
+	if !strings.Contains(logged, "snapshot_ms=") || !strings.Contains(logged, "snapshot: materialize") {
+		t.Fatalf("slow-query log misses the snapshot's share:\n%s", logged)
+	}
+	p := scrapeMetrics(t, c)
+	if v, ok := p.Value("windowd_snapshot_materialize_seconds_count"); !ok || v != 2 {
+		t.Fatalf("snapshot_materialize_seconds_count = %v (%v), want 2: one per query", v, ok)
+	}
+}
+
+// materializations reads the process-wide count of merged-table builds.
+func materializations() int64 { return delta.Counters().Materializations }
 
 // TestSlowQueryLog drives a query over a zero-ish threshold and checks the
 // WARN line carries the span tree and the response's share — its time, rows

@@ -30,6 +30,7 @@ import (
 //	windowd_response_bytes_total{route}           counter
 //	windowd_inflight_requests                     gauge
 //	windowd_eval_duration_seconds{function,engine} histogram
+//	windowd_snapshot_materialize_seconds          histogram
 //	windowd_respond_duration_seconds              histogram
 //	windowd_response_aborts_total                 counter
 //	windowd_rows_returned_total                   counter
@@ -74,6 +75,7 @@ type serverObs struct {
 	inflight *obs.GaugeCell
 
 	evalDur        *obs.Histogram
+	materializeDur *obs.HistogramCell
 	respondDur     *obs.HistogramCell
 	responseAborts *obs.CounterCell
 	rowsReturned   *obs.CounterCell
@@ -117,6 +119,9 @@ func newServerObs(s *Server, routes []string) *serverObs {
 	o.evalDur = reg.NewHistogram("windowd_eval_duration_seconds",
 		"Per-(function, engine) window evaluation time, from the query span tree.",
 		nil, "function", "engine")
+	o.materializeDur = reg.NewHistogram("windowd_snapshot_materialize_seconds",
+		"Time a query spent getting its snapshot's merged table: the copy for the first query of a mutated epoch, nothing for a clean or already built one.",
+		nil).With()
 	o.respondDur = reg.NewHistogram("windowd_respond_duration_seconds",
 		"Time streaming a query response, from its first byte queued to its last flush.",
 		nil).With()

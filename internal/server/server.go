@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -797,12 +798,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.logIfSlow(res, respond, written)
 }
 
-// logIfSlow writes the slow-query WARN line when evaluation plus response
-// took at least the configured threshold. The span tree covers evaluation
-// only — it is rendered into the body before the response is written — so
-// the response's share is reported beside it.
+// logIfSlow writes the slow-query WARN line when snapshot, evaluation and
+// response together took at least the configured threshold. The span tree
+// ends with the evaluation — it is rendered into the body before the response
+// is written — so the response's share is reported beside it.
 func (s *Server) logIfSlow(res *queryResult, respond time.Duration, written int64) {
-	if s.cfg.SlowQuery <= 0 || res.elapsed+respond < s.cfg.SlowQuery {
+	if s.cfg.SlowQuery <= 0 || res.snapshot+res.elapsed+respond < s.cfg.SlowQuery {
 		return
 	}
 	rows := 0
@@ -812,6 +813,7 @@ func (s *Server) logIfSlow(res *queryResult, respond time.Duration, written int6
 	s.obs.slowQueries.Inc()
 	s.log.Warn("slow query",
 		"sql", res.sql,
+		"snapshot_ms", float64(res.snapshot)/float64(time.Millisecond),
 		"elapsed_ms", float64(res.elapsed)/float64(time.Millisecond),
 		"respond_ms", float64(respond)/float64(time.Millisecond),
 		"rows", rows,
@@ -819,6 +821,30 @@ func (s *Server) logIfSlow(res *queryResult, respond time.Duration, written int6
 		"threshold_ms", float64(s.cfg.SlowQuery)/float64(time.Millisecond),
 		"trace", "\n"+res.root.Render(),
 	)
+}
+
+// pinSnapshot returns the merged table and the delta view of snap, recording
+// what building them cost as two children of root: a clean snapshot is its
+// frozen base and copies nothing; otherwise the first caller of the epoch
+// materialises the table and every later one finds it built.
+func (s *Server) pinSnapshot(root *obs.Span, snap *delta.Snapshot) (*core.Table, *core.DeltaView, error) {
+	sp := root.Child("snapshot: materialize")
+	sp.SetInt("rows", int64(snap.Rows()))
+	sp.SetInt("overlay_rows", int64(snap.DeltaRows()))
+	sp.Set("clean", strconv.FormatBool(snap.Clean()))
+	tab, err := snap.Table()
+	sp.End()
+	s.obs.materializeDur.Observe(sp.Duration().Seconds())
+	if err != nil {
+		return nil, nil, fmt.Errorf("materialize: %w", err)
+	}
+	sp = root.Child("snapshot: view")
+	view, err := snap.View()
+	sp.End()
+	if err != nil {
+		return nil, nil, fmt.Errorf("delta view: %w", err)
+	}
+	return tab, view, nil
 }
 
 // query parses, admits and evaluates one statement under ctx, and returns
@@ -861,19 +887,20 @@ func (s *Server) query(ctx context.Context, sql string, includeTrace bool) (*que
 	// Pin one snapshot for the whole evaluation: the merged table and the
 	// delta view are one epoch, regardless of concurrent mutations or
 	// compactions. The cache scope carries the frozen generation so a
-	// compaction swap retires the old generation's entries wholesale.
-	snap := ds.buf.Snapshot()
-	tab, err := snap.Table()
-	if err != nil {
-		return nil, httpErrorf(http.StatusInternalServerError, api.CodeInternal, "materialize %q: %v", q.From, err)
-	}
-	view, err := snap.View()
-	if err != nil {
-		return nil, httpErrorf(http.StatusInternalServerError, api.CodeInternal, "delta view %q: %v", q.From, err)
-	}
-
+	// compaction swap retires the old generation's entries wholesale. The
+	// first query of an epoch builds both, under the root span like
+	// everything else this request waits for.
 	root := obs.NewSpan("query")
 	root.Set("sql", sql)
+	snap := ds.buf.Snapshot()
+	pinned := time.Now()
+	tab, view, err := s.pinSnapshot(root, snap)
+	snapshot := time.Since(pinned)
+	if err != nil {
+		root.End()
+		return nil, httpErrorf(http.StatusInternalServerError, api.CodeInternal, "snapshot of %q: %v", q.From, err)
+	}
+
 	start := time.Now()
 	table, planStats, err := sqlparse.ExecutePlanned(q, map[string]*core.Table{q.From: tab}, core.Options{
 		Tree:       mst.Options{SpillRows: s.cfg.SpillRows},
@@ -885,7 +912,7 @@ func (s *Server) query(ctx context.Context, sql string, includeTrace bool) (*que
 		Trace:      root,
 	})
 	root.End()
-	res := &queryResult{sql: sql, table: table, root: root, elapsed: time.Since(start)}
+	res := &queryResult{sql: sql, table: table, root: root, snapshot: snapshot, elapsed: time.Since(start)}
 	s.obs.observeQuerySpans(root)
 	if err != nil {
 		s.logIfSlow(res, 0, 0)

@@ -185,7 +185,8 @@ metric_positive 'windowd_ingest_segments_written_total' || { echo "FAIL: ingest 
 "${TMPDIR:-/tmp}/windowcli" -server "$base" -dataset live -key k -i "$tmp/live.csv" 2> "$tmp/live.log"
 grep -q 'uploaded live v1 (100 rows)' "$tmp/live.log" || { echo "FAIL: keyed upload"; cat "$tmp/live.log"; exit 1; }
 
-live_query='{"sql":"select k, max(v) over (partition by g order by k rows between unbounded preceding and current row) as m from live"}'
+live_sql='select k, max(v) over (partition by g order by k rows between unbounded preceding and current row) as m from live'
+live_query="{\"sql\":\"$live_sql\"}"
 live0=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$live_query" | sed 's/"stats".*//')
 
 # Batch 1: windowcli -append (10 fresh rows in one atomic batch).
@@ -214,6 +215,27 @@ live1=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$live_
 [ "$live0" != "$live1" ] || { echo "FAIL: answers unchanged after mutations"; exit 1; }
 printf '%s' "$live1" | grep -q '9999' || { echo "FAIL: upserted value not visible: $live1"; exit 1; }
 
+# The mutated dataset must answer exactly like a fresh registration of the
+# rows it now holds (upserts in place, deletes closing the gap, appends at the
+# tail), and its trace must show the snapshot the query pinned.
+{
+    echo "k,g,v"
+    for i in $(seq 1 110); do
+        case $i in
+            1) echo "1,1,9999" ;;
+            2|3) ;;
+            50) echo "50,2,8888" ;;
+            *) printf '%d,%d,%d\n' "$i" $(( i % 4 )) $(( (i * 13) % 97 )) ;;
+        esac
+    done
+} > "$tmp/live_after.csv"
+"${TMPDIR:-/tmp}/windowcli" -server "$base" -dataset live_rebuilt -i "$tmp/live_after.csv" 2> "$tmp/rebuilt.log"
+rebuilt=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "${live_query/from live/from live_rebuilt}" | sed 's/"stats".*//')
+[ "$live1" = "$rebuilt" ] || { echo "FAIL: mutated dataset differs from a fresh registration of its rows"; exit 1; }
+traced=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "{\"sql\":\"$live_sql\",\"include_trace\":true}")
+printf '%s' "$traced" | grep -q 'snapshot: materialize.*clean=false' || { echo "FAIL: trace lacks the snapshot materialize span: $traced"; exit 1; }
+printf '%s' "$traced" | grep -q 'snapshot: view' || { echo "FAIL: trace lacks the snapshot view span"; exit 1; }
+
 # A stale expected epoch must be refused with 409 conflict, changing nothing.
 code=$(curl -s -o "$tmp/conflict.json" -w '%{http_code}' "$base/v1/datasets/live/mutations" \
     -H 'Content-Type: application/json' \
@@ -230,7 +252,8 @@ for series in \
     'windowd_delta_mutations_total{op="upsert"}' \
     'windowd_delta_mutations_total{op="delete"}' \
     'windowd_delta_batches_total' \
-    'windowd_delta_conflicts_total'
+    'windowd_delta_conflicts_total' \
+    'windowd_snapshot_materialize_seconds_count'
 do
     metric_positive "$series" || { echo "FAIL: delta metrics series missing or zero: $series"; exit 1; }
 done
