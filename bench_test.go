@@ -253,8 +253,6 @@ func BenchmarkAblationCascading_On(b *testing.B) { ablationTreeBench(b, TreeOpti
 func BenchmarkAblationCascading_Off(b *testing.B) {
 	ablationTreeBench(b, TreeOptions{NoCascading: true})
 }
-func BenchmarkAblationPayload_32Bit(b *testing.B) { ablationTreeBench(b, TreeOptions{}) }
-func BenchmarkAblationPayload_64Bit(b *testing.B) { ablationTreeBench(b, TreeOptions{Force64: true}) }
 
 func BenchmarkAblationTaskRebuild_SingleTask(b *testing.B) {
 	t := benchLineitem(100_000)

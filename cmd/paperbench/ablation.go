@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"holistic"
@@ -12,8 +11,7 @@ import (
 // runAblation measures the design choices DESIGN.md calls out:
 //
 //  1. fractional cascading on/off (Figure 2 vs Figure 3),
-//  2. 32-bit vs 64-bit tree payloads (§5.1),
-//  3. task-parallel vs single-task incremental evaluation (§3.2's state
+//  2. task-parallel vs single-task incremental evaluation (§3.2's state
 //     rebuild penalty, visible even on one core).
 func runAblation() {
 	n := 500_000
@@ -34,29 +32,7 @@ func runAblation() {
 	}
 	printTable([]string{"variant", "build+probe"}, rows)
 
-	// 2. 32-bit vs 64-bit payloads.
-	fmt.Println("  -- 32-bit vs 64-bit tree payloads (§5.1) --")
-	rng := rand.New(rand.NewSource(*seed))
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = rng.Int63n(int64(n))
-	}
-	rows = nil
-	for _, force64 := range []bool{false, true} {
-		opt := mst.Options{Force64: force64}
-		tree, err := mst.Build(keys, opt)
-		die(err)
-		s := tree.Stats()
-		d := fig13Workload(n, opt)
-		name := "32-bit payloads"
-		if force64 {
-			name = "64-bit payloads"
-		}
-		rows = append(rows, []string{name, fmt.Sprintf("%d", s.Bytes), d.Round(time.Millisecond).String()})
-	}
-	printTable([]string{"variant", "tree bytes", "build+probe"}, rows)
-
-	// 3. Task-based parallelism penalty of the incremental competitor: with
+	// 2. Task-based parallelism penalty of the incremental competitor: with
 	// 20 000-row tasks every task rebuilds its frame state; with a single
 	// task it does not. The difference is pure rebuild overhead (§3.2) and
 	// shows even on one core.

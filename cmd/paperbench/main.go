@@ -47,7 +47,7 @@ func main() {
 		{"fig14", "execution phase breakdown of a framed distinct count", runFig14},
 		{"crossover", "frame sizes where competitors fall behind the MST (§6.4)", runCrossover},
 		{"memory", "merge sort tree memory vs fanout and sampling (§6.6)", runMemory},
-		{"ablation", "design-choice ablations (cascading, 32-bit, task parallelism)", runAblation},
+		{"ablation", "design-choice ablations (cascading, task parallelism)", runAblation},
 	}
 	fmt.Printf("paperbench: %d logical CPUs, GOMAXPROCS=%d\n\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	names := strings.Split(*experiment, ",")

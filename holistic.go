@@ -121,7 +121,7 @@ const (
 type Options = core.Options
 
 // TreeOptions configures merge sort tree construction (fanout f, pointer
-// sampling k, cascading, 32/64-bit payloads).
+// sampling k, cascading).
 type TreeOptions = mst.Options
 
 // Window builds an OVER clause.

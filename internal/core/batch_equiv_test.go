@@ -22,7 +22,7 @@ func TestBatchEquivalenceRandomized(t *testing.T) {
 	}
 	referenceSweep{
 		seed: 777, trials: trials, sizes: []int{0, 1, 3, 13, 40, 120, 70},
-		trees:    []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {Force64: true}},
+		trees:    []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}},
 		taskSize: 16,
 	}.run(t)
 }

@@ -148,9 +148,6 @@ func treeSig(o mst.Options) string {
 	if o.NoCascading {
 		b.WriteString(",nc")
 	}
-	if o.Force64 {
-		b.WriteString(",64")
-	}
 	if o.SpillRows > 0 {
 		// Spilling changes the built structure (a chunk forest instead of
 		// one monolithic tree), so trees built with different spill

@@ -58,7 +58,7 @@ func TestPoolEquivalenceRandomized(t *testing.T) {
 	}
 	referenceSweep{
 		seed: 321, trials: trials, sizes: []int{0, 1, 3, 13, 40, 120},
-		trees:    []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {Force64: true}},
+		trees:    []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}},
 		taskSize: 64,
 		rerun:    true,
 	}.run(t)

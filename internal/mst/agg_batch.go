@@ -30,9 +30,10 @@ import (
 // bit for bit. Equivalence is enforced by TestAggBelowBatchMatchesScalar
 // and core's batch_equiv_test.
 //
-// The descent itself shares everything countKernel shares: one galloped
-// top-level search seeded from the previous query, per-level geometry and
-// sample rows loaded once per level, flat SoA frontier scratch.
+// The descent itself shares everything countKernel shares — per-level
+// geometry and sample rows loaded once per level, flat SoA frontier scratch —
+// and needs no top-level search at all: in the rank domain the clipped
+// threshold is its own rank in the top run (annotated.go).
 
 // takeStride is the int32 record width of a pending take:
 // (query, run start, level, aggregate index).
@@ -43,7 +44,7 @@ const takeStride = 4
 // cnt[q] = CountBelow(int(lo[q]), int(hi[q]), threshold[q]) — the distinct
 // count falls out of the same descent for free, and the DISTINCT-aggregate
 // collectors need it for the NULL rule. All six slices must have the same
-// length. Queries should be in probe order for the galloping top search.
+// length.
 func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) {
 	m := len(result)
 	if len(lo) != m || len(hi) != m || len(threshold) != m || len(ok) != m || len(cnt) != m {
@@ -71,7 +72,7 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 	// them without a separate mask.
 	cb := arena.Int32s.Get(2 * m)
 	klo, khi := cb[:m], cb[m:]
-	cthr := arena.Int64s.Get(m)
+	cthr := arena.Int32s.Get(m)
 	for q := 0; q < m; q++ {
 		l, h, ct, valid := at.clip(int(lo[q]), int(hi[q]), threshold[q])
 		if !valid {
@@ -83,7 +84,6 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 	}
 
 	top := t.top()
-	run0 := t.run(top, 0)
 
 	// Frontier scratch, exactly countKernel's shape: at most two partial
 	// runs per query per level bound both frontiers.
@@ -99,17 +99,15 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 	tb := arena.Int32s.Get(4 * takeStride * m)
 	tn := 0
 
-	// Top level: gallop each query's threshold rank from the previous
-	// query's answer; full-span queries resolve directly against the top
-	// run's prefix aggregates.
+	// Top level: the top run is the identity permutation, so the clipped
+	// threshold is its own rank; full-span queries resolve directly against
+	// the top run's prefix aggregates.
 	cn := 0
-	g := 0
 	for q := 0; q < m; q++ {
 		if klo[q] >= khi[q] {
 			continue
 		}
-		rank := topSearch(t, run0, cthr[q], g)
-		g = rank
+		rank := int(cthr[q])
 		if klo[q] <= 0 && int(khi[q]) >= t.n {
 			if rank > 0 {
 				result[q] = at.agg[top][rank-1]
@@ -226,6 +224,6 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 	arena.Int32s.Put(tb)
 	arena.Int32s.Put(takeCnt)
 	arena.Int32s.Put(fbuf)
-	arena.Int64s.Put(cthr)
+	arena.Int32s.Put(cthr)
 	arena.Int32s.Put(cb)
 }

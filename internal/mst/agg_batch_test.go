@@ -15,7 +15,7 @@ func TestAggBelowBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	merge := func(a, b string) string { return a + "|" + b }
 	for _, opt := range batchVariants() {
-		for _, n := range []int{0, 1, 2, 7, 33, 257, 4000, ovcMinN + 500} {
+		for _, n := range []int{0, 1, 2, 7, 33, 257, 4000, 4596} {
 			keys := make([]int64, n)
 			values := make([]string, n)
 			for i := range keys {

@@ -3,6 +3,8 @@ package mst
 import (
 	"math/rand"
 	"testing"
+
+	"holistic/internal/arena"
 )
 
 // Steady-state queries — CountBelow, CountRange, SelectKth, AggBelow — must
@@ -123,4 +125,62 @@ func TestAllocsBuildSerial(t *testing.T) {
 		t.Fatalf("serial build allocates %.0f objects/op, allowance is %d — per-run merge scratch is escaping the pools", allocs, allowance)
 	}
 	_ = sink
+}
+
+// TestAnnotatedPoolBalance pins where the annotated tree's integer scratch
+// lives: the transient rank inverse of the build and every buffer of
+// AggBelowBatch — the clipped thresholds included — come from and return to
+// the int32 pool, and nothing is taken from the int64 pool. What
+// stays resident (ranks, the threshold map) is accounted by MemBytes.
+func TestAnnotatedPoolBalance(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 5000
+	keys := make([]int64, n)
+	weights := make([]int64, n)
+	for i := range keys {
+		keys[i] = rng.Int63n(n + 1)
+		weights[i] = rng.Int63n(100)
+	}
+	poolStat := func(name string) arena.PoolStat {
+		for _, s := range arena.Snapshot() {
+			if s.Name == name {
+				return s
+			}
+		}
+		t.Fatalf("no pool named %q", name)
+		return arena.PoolStat{}
+	}
+	i32Before, i64Before := poolStat("int32"), poolStat("int64")
+
+	at, err := BuildAnnotated(keys, weights, func(a, b int64) int64 { return a + b }, Options{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := poolStat("int32")
+	if gets := built.Gets - i32Before.Gets; gets < 2 || gets != built.Puts-i32Before.Puts {
+		t.Fatalf("build: int32 pool gets=%d puts=%d, want the rank inverse and the merge scratch taken and returned",
+			gets, built.Puts-i32Before.Puts)
+	}
+	const m = 256
+	lo, hi := make([]int32, m), make([]int32, m)
+	thr := make([]int64, m)
+	for q := range lo {
+		lo[q] = int32(rng.Intn(n))
+		hi[q] = lo[q] + int32(rng.Intn(n/4))
+		thr[q] = int64(lo[q]) + 1
+	}
+	at.AggBelowBatch(lo, hi, thr, make([]int64, m), make([]bool, m), make([]int32, m))
+
+	i32After, i64After := poolStat("int32"), poolStat("int64")
+	if gets, puts := i32After.Gets-built.Gets, i32After.Puts-built.Puts; gets == 0 || gets != puts || i32After.BytesInFlight != i32Before.BytesInFlight {
+		t.Fatalf("AggBelowBatch: int32 pool gets=%d puts=%d bytes_in_flight %d -> %d", gets, puts, i32Before.BytesInFlight, i32After.BytesInFlight)
+	}
+	if i64After.Gets != i64Before.Gets {
+		t.Fatalf("annotated build and batch took %d buffers from the int64 pool, want none", i64After.Gets-i64Before.Gets)
+	}
+	s := at.t.stats()
+	if want := int64(s.Elements*4+s.Pointers*4+s.OriginBytes) + 4*(n+2) + int64(s.Elements*8); s.ElementBytes != 4 || at.MemBytes(8) != want {
+		t.Fatalf("MemBytes(8) = %d with %d-byte elements, want %d: 4-byte levels, stripes, the n+2 entry threshold map and 8 bytes per aggregate",
+			at.MemBytes(8), s.ElementBytes, want)
+	}
 }

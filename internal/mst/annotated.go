@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"holistic/internal/arena"
 	"holistic/internal/parallel"
 )
 
@@ -20,15 +21,19 @@ import (
 // aggregate over a frame is therefore assembled from the same run prefixes
 // the count query visits, using the stored prefix aggregates.
 //
-// Internally keys are disambiguated to key·(n+1)+position so that every
-// element is unique and a run's merge order is reproducible; thresholds
-// scale accordingly. This forces the 64-bit representation.
+// Only the order of the keys matters to any of this, never their values, so
+// the tree is built in the rank domain: element i's payload is its rank in
+// the stable sort by (key, position) — a permutation of 0…n−1, which makes
+// every element unique and every run's merge order reproducible (the float
+// prefix aggregates depend on it) at the 32-bit width of every other tree. A
+// key threshold t maps to below[t], the number of keys smaller than t, which
+// is also its exact rank in the top run: the top run is the identity.
 type AnnotatedTree[S any] struct {
-	t     *tree[int64]
+	t     *tree
 	agg   [][]S
 	merge func(S, S) S
 	n     int
-	shift int64
+	below []int32 // below[t] = #keys < t, for t in [0, n+1]
 }
 
 // BuildAnnotated constructs an annotated merge sort tree over keys, where
@@ -47,23 +52,37 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 	if n >= math.MaxInt32 {
 		return nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", n)
 	}
-	shift := int64(n) + 1
-	composite := make([]int64, n)
+	// One stable counting pass over the keys. cnt[k+2] first counts key k, so
+	// after the prefix sum cnt[k+1] = #keys < k is where key k's ranks start;
+	// ranking in position order advances it past the keys equal to k, which
+	// leaves cnt[t] = #keys < t for every t in [0, n+1] — the threshold map.
+	cnt := make([]int32, n+3)
 	for i, k := range keys {
 		if k < 0 || k > int64(n) {
 			return nil, fmt.Errorf("mst: key %d at position %d outside previous-index domain [0, %d]", k, i, n)
 		}
-		composite[i] = k*shift + int64(i)
+		cnt[k+2]++
+	}
+	for t := 1; t < len(cnt); t++ {
+		cnt[t] += cnt[t-1]
+	}
+	rank := make([]int32, n)
+	posOfRank := arena.Int32s.Get(n) // inverse of rank, needed only while annotating
+	defer arena.Int32s.Put(posOfRank)
+	for i, k := range keys {
+		r := cnt[k+1]
+		cnt[k+1]++
+		rank[i], posOfRank[r] = r, i32(i)
 	}
 	at := &AnnotatedTree[S]{
-		t:     buildTree(composite, opt),
+		t:     buildTree(rank, opt),
 		merge: merge,
 		n:     n,
-		shift: shift,
+		below: cnt[:n+2],
 	}
 	// Annotate every level with per-run prefix aggregates. The base position
-	// of an element is recovered from its composite key, so annotations can
-	// be computed after the build in one parallel pass per level.
+	// of an element is the inverse of its rank, so annotations can be
+	// computed after the build in one parallel pass per level.
 	at.agg = make([][]S, len(at.t.levels))
 	for l := range at.t.levels {
 		elems := at.t.levels[l]
@@ -81,8 +100,7 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 			}
 			var acc S
 			for i := start; i < end; i++ {
-				pos := int(elems[i] % at.shift)
-				v := values[pos]
+				v := values[posOfRank[elems[i]]]
 				if i == start {
 					acc = v
 				} else {
@@ -106,11 +124,12 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 // Len returns the number of elements the tree was built over.
 func (at *AnnotatedTree[S]) Len() int { return at.n }
 
-// MemBytes reports the approximate resident size of the tree: payloads and
-// cascading pointers plus the per-element aggregate annotations, assuming
-// aggBytes bytes per aggregate state. Used for cache budget accounting.
+// MemBytes reports the approximate resident size of the tree: payloads,
+// cascading pointers and origin stripes, the threshold map, plus the
+// per-element aggregate annotations, assuming aggBytes bytes per aggregate
+// state. Used for cache budget accounting.
 func (at *AnnotatedTree[S]) MemBytes(aggBytes int) int64 {
-	total := int64(stats(at.t, 8).Bytes)
+	total := int64(at.t.stats().Bytes) + int64(4*len(at.below))
 	for _, lv := range at.agg {
 		total += int64(len(lv) * aggBytes)
 	}
@@ -153,7 +172,7 @@ func (at *AnnotatedTree[S]) AggBelow(lo, hi int, threshold int64) (result S, ok 
 	}
 	t := at.t
 	top := t.top()
-	rank := lowerBoundP(t.run(top, 0), ct)
+	rank := int(ct) // the top run is the identity permutation
 	if lo <= 0 && hi >= t.n {
 		if rank == 0 {
 			return result, false
@@ -212,10 +231,10 @@ func (at *AnnotatedTree[S]) AggBelow(lo, hi int, threshold int64) (result S, ok 
 	return result, ok
 }
 
-// clip clamps the position range and maps the key threshold to the composite
-// domain. Every element with key < threshold has composite key
-// < threshold·shift because the position component is < shift.
-func (at *AnnotatedTree[S]) clip(lo, hi int, threshold int64) (int, int, int64, bool) {
+// clip clamps the position range and maps the key threshold to the rank
+// domain: the elements with key < threshold are exactly those with rank
+// < below[threshold].
+func (at *AnnotatedTree[S]) clip(lo, hi int, threshold int64) (int, int, int32, bool) {
 	if lo < 0 {
 		lo = 0
 	}
@@ -225,8 +244,5 @@ func (at *AnnotatedTree[S]) clip(lo, hi int, threshold int64) (int, int, int64, 
 	if lo >= hi || threshold <= 0 {
 		return 0, 0, 0, false
 	}
-	if threshold > int64(at.n) {
-		threshold = int64(at.n) + 1
-	}
-	return lo, hi, threshold * at.shift, true
+	return lo, hi, at.below[min(threshold, int64(at.n)+1)], true
 }

@@ -1,8 +1,13 @@
 package mst
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"holistic/internal/parallel"
 )
 
 // prevIdcs computes the previous-occurrence index array of Algorithm 1 in
@@ -125,5 +130,119 @@ func TestAnnotatedValidation(t *testing.T) {
 	}
 	if _, err := BuildAnnotated([]int64{5}, []int64{1}, func(a, b int64) int64 { return a + b }, Options{}); err == nil {
 		t.Fatal("expected domain error for key > n")
+	}
+}
+
+// TestAnnotatedRankOrderMatchesComposite pins the order an annotated tree is
+// built in: every run of every level must list the base positions sorted by
+// (key, position) — the order of the composite key·(n+1)+position, which at
+// n = 50,000 no longer fits 32 bits — and AggBelow/AggBelowBatch must fold
+// their run prefixes in exactly that order. The merge is neither associative
+// nor commutative and the keys are duplicate-heavy, so a counting pass that
+// ranks equal keys in any but position order fails both checks.
+func TestAnnotatedRankOrderMatchesComposite(t *testing.T) {
+	prev := parallel.SetMaxWorkers(4)
+	defer parallel.SetMaxWorkers(prev)
+	rng := rand.New(rand.NewSource(83))
+	merge := func(a, b float64) float64 { return a*0.75 + b }
+	for _, f := range []int{2, 7, 32} {
+		for _, n := range []int{0, 1, 2, f, f*f - 1, f*f + 1, 50_000} {
+			keys := make([]int64, n)
+			values := make([]float64, n)
+			for i := range keys {
+				keys[i] = int64(rng.Intn(n/8 + 2)) // heavy duplicates, all <= n
+				values[i] = rng.NormFloat64()
+			}
+			at, err := BuildAnnotated(keys, values, merge, Options{Fanout: f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// order[l] is the expected position sequence of level l.
+			posOf := make([]int32, n) // inverse of the base level's ranks
+			for i, r := range at.t.levels[0] {
+				posOf[r] = int32(i)
+			}
+			order := make([][]int32, len(at.t.levels))
+			for l, elems := range at.t.levels {
+				order[l] = make([]int32, n)
+				rl := at.t.effLen[l]
+				for start := 0; start < n; start += rl {
+					run := order[l][start:min(start+rl, n)]
+					for i := range run {
+						run[i] = int32(start + i)
+					}
+					slices.SortFunc(run, func(a, b int32) int {
+						return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+					})
+				}
+				for i, r := range elems {
+					if posOf[r] != order[l][i] {
+						t.Fatalf("f=%d n=%d level %d: slot %d holds position %d, (key, position) order puts %d there",
+							f, n, l, i, posOf[r], order[l][i])
+					}
+				}
+			}
+			// The reference walks the same run decomposition top-down and
+			// folds every covered run's qualifying entries in order[l].
+			refAgg := func(lo, hi int, thr int64) (res float64, ok bool) {
+				lo, hi = max(lo, 0), min(hi, n)
+				var visit func(l, start int)
+				visit = func(l, start int) {
+					end := min(start+at.t.effLen[l], n)
+					if hi <= start || end <= lo {
+						return
+					}
+					if lo > start || hi < end {
+						for cs := start; cs < end; cs += at.t.effLen[l-1] {
+							visit(l-1, cs)
+						}
+						return
+					}
+					var part float64
+					any := false
+					for _, p := range order[l][start:end] {
+						if keys[p] >= thr {
+							break
+						}
+						if any {
+							part = merge(part, values[p])
+						} else {
+							part, any = values[p], true
+						}
+					}
+					switch {
+					case !any:
+					case ok:
+						res = merge(res, part)
+					default:
+						res, ok = part, true
+					}
+				}
+				if lo < hi {
+					visit(len(order)-1, 0)
+				}
+				return res, ok
+			}
+			const m = 64
+			lo, hi := make([]int32, m), make([]int32, m)
+			thr := make([]int64, m)
+			for q := range lo {
+				lo[q] = int32(rng.Intn(n+3) - 1)
+				hi[q] = lo[q] + int32(rng.Intn(n+2))
+				thr[q] = int64(rng.Intn(n/8+4)) - 1
+			}
+			lo[0], hi[0], thr[0] = 0, int32(n), int64(n)+5 // full span, everything qualifies
+			res, ok, cnt := make([]float64, m), make([]bool, m), make([]int32, m)
+			at.AggBelowBatch(lo, hi, thr, res, ok, cnt)
+			for q := range lo {
+				want, wantOK := refAgg(int(lo[q]), int(hi[q]), thr[q])
+				got, gotOK := at.AggBelow(int(lo[q]), int(hi[q]), thr[q])
+				if gotOK != wantOK || ok[q] != wantOK ||
+					(wantOK && (math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(res[q]) != math.Float64bits(want))) {
+					t.Fatalf("f=%d n=%d [%d,%d)<%d: AggBelow (%v,%v), AggBelowBatch (%v,%v), reference fold (%v,%v)",
+						f, n, lo[q], hi[q], thr[q], got, gotOK, res[q], ok[q], want, wantOK)
+				}
+			}
+		}
 	}
 }

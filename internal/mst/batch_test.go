@@ -7,14 +7,13 @@ import (
 )
 
 // batchVariants are the tree configurations the batch kernels must agree
-// with the scalar descents on: the defaults, a deep skinny tree, no
-// cascading, and the forced 64-bit representation.
+// with the scalar descents on: the defaults, a deep skinny tree and no
+// cascading.
 func batchVariants() []Options {
 	return []Options{
 		{},
 		{Fanout: 2, SampleEvery: 1},
 		{Fanout: 3, SampleEvery: 2, NoCascading: true},
-		{Force64: true},
 	}
 }
 
@@ -130,7 +129,6 @@ func stepGrid() []Options {
 			grid = append(grid,
 				Options{Fanout: f, SampleEvery: k},
 				Options{Fanout: f, SampleEvery: k, NoCascading: true},
-				Options{Fanout: f, SampleEvery: k, Force64: true},
 				Options{Fanout: f, SampleEvery: k, SpillRows: 700})
 		}
 	}

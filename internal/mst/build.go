@@ -2,7 +2,6 @@ package mst
 
 import (
 	"math"
-	"unsafe"
 
 	"holistic/internal/arena"
 	"holistic/internal/parallel"
@@ -32,10 +31,10 @@ import (
 // up front), and each merge task borrows its scratch state — consumed
 // counters, tournament tree, head values — from the shared pools, so a
 // steady stream of builds allocates only the slabs themselves.
-func buildTree[P payload](base []P, opt Options) *tree[P] {
+func buildTree(base []int32, opt Options) *tree {
 	n := len(base)
-	t := &tree[P]{n: n, f: opt.Fanout, k: opt.SampleEvery}
-	t.levels = [][]P{base}
+	t := &tree{n: n, f: opt.Fanout, k: opt.SampleEvery}
+	t.levels = [][]int32{base}
 	t.samples = [][]int32{nil}
 	t.origin = [][]uint8{nil}
 	t.stride = []int{0}
@@ -51,7 +50,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 	totalP, totalS, totalO := 0, 0, 0
 	// Each level's slab is cache-line aligned (AllocAligned), so budget
 	// one line of alignment slack per stripe on top of the exact sizes.
-	slackP := cacheLineBytes / int(unsafe.Sizeof(*new(P)))
+	const slackP = cacheLineBytes / 4
 	for rl := 1; rl < n; {
 		rl *= t.f
 		if rl > n {
@@ -64,7 +63,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 			totalO += n + cacheLineBytes
 		}
 	}
-	arP := arena.New[P](totalP)
+	arP := arena.New[int32](totalP)
 	var arS *arena.Arena[int32]
 	var arO *arena.Arena[uint8]
 	if cascade {
@@ -103,7 +102,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 		workers := parallel.Workers()
 		if opt.Serial || numRuns >= workers || workers == 1 {
 			if opt.Serial {
-				buf, vals := mergeScratch[P](t.f)
+				buf, vals := mergeScratch(t.f)
 				for r := 0; r < numRuns; r++ {
 					t.mergeRun(level, r, samples, stride, buf, vals)
 				}
@@ -116,7 +115,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 					runsPerTask = (parallel.DefaultTaskSize + rl - 1) / rl
 				}
 				parallel.For(numRuns, runsPerTask, func(lo, hi int) {
-					buf, vals := mergeScratch[P](t.f)
+					buf, vals := mergeScratch(t.f)
 					for r := lo; r < hi; r++ {
 						t.mergeRun(level, r, samples, stride, buf, vals)
 					}
@@ -133,14 +132,13 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 			break
 		}
 	}
-	finalizeCodes(t)
 	return t
 }
 
 // childRunOf returns child run c of a parent run whose children are the
 // consecutive childLen-sized pieces of childData (the last piece may be
 // short). Pure slicing — no allocation.
-func childRunOf[P payload](childData []P, childLen, c int) []P {
+func childRunOf(childData []int32, childLen, c int) []int32 {
 	start := c * childLen
 	end := start + childLen
 	if end > len(childData) {
@@ -152,7 +150,7 @@ func childRunOf[P payload](childData []P, childLen, c int) []P {
 // children returns the child runs of run r at the given level. Only used by
 // invariant tests; the merge path indexes childRunOf directly to avoid the
 // per-run slice-of-slices allocation.
-func (t *tree[P]) children(level, r int) [][]P {
+func (t *tree) children(level, r int) [][]int32 {
 	childLen := t.effLen[level-1]
 	runStart := r * t.effLen[level]
 	runEnd := runStart + t.effLen[level]
@@ -161,50 +159,31 @@ func (t *tree[P]) children(level, r int) [][]P {
 	}
 	childData := t.levels[level-1][runStart:runEnd]
 	m := (runEnd - runStart + childLen - 1) / childLen
-	kids := make([][]P, m)
+	kids := make([][]int32, m)
 	for c := range kids {
 		kids[c] = childRunOf(childData, childLen, c)
 	}
 	return kids
 }
 
-// payloadPool returns the shared scratch pool matching P's width, or nil
-// when P is a named type the shared pools cannot serve.
-func payloadPool[P payload]() *arena.Pool[P] {
-	if p, ok := any(arena.Int32s).(*arena.Pool[P]); ok {
-		return p
-	}
-	if p, ok := any(arena.Int64s).(*arena.Pool[P]); ok {
-		return p
-	}
-	return nil
-}
-
-// mergeScratch acquires per-task merge state: a 7f-element int32 buffer
-// (cursors, run ends, tiebreaks, loser tree, winner init, head codes —
-// sliced by mergePiece) and an f-element head-value array.
-func mergeScratch[P payload](f int) ([]int32, []P) {
-	buf := arena.Int32s.Get(7 * f)
-	if p := payloadPool[P](); p != nil {
-		//lint:poollifecycle-ok mergeScratch is the acquire half of a documented pair; putMergeScratch returns both buffers
-		return buf, p.Get(f)
-	}
+// mergeScratch acquires per-task merge state: a 6f-element buffer (cursors,
+// run ends, tiebreaks, loser tree, winner init — sliced by mergePiece) and
+// an f-element head-value array.
+func mergeScratch(f int) (buf, vals []int32) {
 	//lint:poollifecycle-ok mergeScratch is the acquire half of a documented pair; putMergeScratch returns both buffers
-	return buf, make([]P, f)
+	return arena.Int32s.Get(6 * f), arena.Int32s.Get(f)
 }
 
 // putMergeScratch recycles buffers acquired by mergeScratch.
-func putMergeScratch[P payload](buf []int32, vals []P) {
+func putMergeScratch(buf, vals []int32) {
 	arena.Int32s.Put(buf)
-	if p := payloadPool[P](); p != nil {
-		p.Put(vals)
-	}
+	arena.Int32s.Put(vals)
 }
 
 // mergeRun merges the children of run r at the given level into the level's
 // output array, recording cascading samples. buf and vals come from
 // mergeScratch.
-func (t *tree[P]) mergeRun(level, r int, samples []int32, stride int, buf []int32, vals []P) {
+func (t *tree) mergeRun(level, r int, samples []int32, stride int, buf, vals []int32) {
 	runStart := r * t.effLen[level]
 	runEnd := runStart + t.effLen[level]
 	if runEnd > t.n {
@@ -222,7 +201,7 @@ func (t *tree[P]) mergeRun(level, r int, samples []int32, stride int, buf []int3
 
 // originRun returns the origin stripe of the run spanning [runStart, runEnd)
 // at the given level, or nil when the tree carries no stripes.
-func (t *tree[P]) originRun(level, runStart, runEnd int) []uint8 {
+func (t *tree) originRun(level, runStart, runEnd int) []uint8 {
 	if t.origin[level] == nil {
 		return nil
 	}
@@ -233,7 +212,7 @@ func (t *tree[P]) originRun(level, runStart, runEnd int) []uint8 {
 // the per-child split positions for each piece boundary are found with a
 // rank search over the value domain, so pieces merge independently
 // (Francis et al. 1993, cited in §5.2).
-func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, workers int) {
+func (t *tree) mergeRunParallel(level, r int, samples []int32, stride, workers int) {
 	runStart := r * t.effLen[level]
 	runEnd := runStart + t.effLen[level]
 	if runEnd > t.n {
@@ -249,7 +228,7 @@ func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, worker
 		pieces = length / 1024
 	}
 	if pieces <= 1 {
-		buf, vals := mergeScratch[P](f)
+		buf, vals := mergeScratch(f)
 		t.mergeRun(level, r, samples, stride, buf, vals)
 		putMergeScratch(buf, vals)
 		return
@@ -279,25 +258,17 @@ func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, worker
 		if p == pieces-1 {
 			t1 = length
 		}
-		buf, vals := mergeScratch[P](f)
+		buf, vals := mergeScratch(f)
 		t.mergePiece(out, childData, childLen, m, flat[p*m:(p+1)*m],
 			buf, vals, sampleRun, origin, t0, t1)
 		putMergeScratch(buf, vals)
 	})
 }
 
-// maxPayload is the largest value of P, used as the exhausted-run sentinel.
-// A live run can legitimately hold this value, so comparisons always break
-// ties on the tiebreak array, where exhausted runs sort after every live run.
-func maxPayload[P payload]() P {
-	var z P
-	if unsafe.Sizeof(z) == 4 {
-		v := int32(math.MaxInt32)
-		return P(v)
-	}
-	v := int64(math.MaxInt64)
-	return P(v)
-}
+// maxPayload is the exhausted-run sentinel of the merge. A live run can
+// legitimately hold this value, so comparisons always break ties on the
+// tiebreak array, where exhausted runs sort after every live run.
+const maxPayload int32 = math.MaxInt32
 
 // mergePiece merges outputs [t0, t1) of the run using a tournament (loser)
 // tree of the m child runs, ordered by (value, child index) — the
@@ -309,19 +280,15 @@ func maxPayload[P payload]() P {
 // row of mergeRunParallel's split table); nil means the piece starts at the
 // beginning of every child.
 //
-// buf is mergeScratch's 7f-element scratch, laid out as cursor | end | tb |
-// ltree | winners(2f) | codes: cursor[c]/end[c] are leaf c's absolute
+// buf is mergeScratch's 6f-element scratch, laid out as cursor | end | tb |
+// ltree | winners(2f): cursor[c]/end[c] are leaf c's absolute
 // position and limit within childData, so refilling a leaf is two loads and
 // a compare — no re-slicing. Node layout: leaves occupy virtual slots
 // m..2m-1 (leaf c at m+c), internal nodes 1..m-1 hold the loser of their
 // subtree's playoff, parent(i) = i/2. vals[c]/tb[c] are leaf c's head value
 // and tiebreak; an exhausted leaf holds (maxPayload, m+c) so it loses
 // against any live leaf, even one whose head equals maxPayload (live
-// tiebreaks are < m). For 64-bit payloads, codes[c] caches the offset-value
-// code of leaf c's head (soa.go): the tournament replay compares the 32-bit
-// codes first and falls through to the full keys only on a code tie, which
-// resolves most comparisons on the narrow stripe. Codes project the keys
-// monotonically, so the merge order is bit-identical to the uncoded path.
+// tiebreaks are < m).
 //
 // Samples are recorded at every output position that is a multiple of k,
 // plus the final boundary; the merge loop runs in sample-free blocks so the
@@ -330,7 +297,7 @@ func maxPayload[P payload]() P {
 // origin, when non-nil, is the run's merge-origin stripe (parallel to out):
 // every path records the child each output was taken from, which under the
 // stable tiebreak is the lowest-indexed child holding the minimum head.
-func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []int32, buf []int32, vals []P, sampleRun []int32, origin []uint8, t0, t1 int) {
+func (t *tree) mergePiece(out, childData []int32, childLen, m int, split, buf, vals, sampleRun []int32, origin []uint8, t0, t1 int) {
 	k, f := t.k, t.f
 	if childLen == 1 && split == nil && t0 == 0 && t1 == len(out) && (sampleRun == nil || k >= t1) {
 		// Leaf level: every child is a single element, so the merge is a
@@ -393,25 +360,17 @@ func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []in
 		}
 		return
 	}
-	maxV := maxPayload[P]()
-	ovc := unsafe.Sizeof(maxV) == 8
 	tb := buf[2*f : 2*f+m]
 	ltree := buf[3*f : 3*f+m]
 	winners := buf[4*f : 4*f+2*m]
-	codes := buf[6*f : 6*f+m]
-	// Head codes are uint32 bit patterns stored in int32 scratch; every code
-	// comparison casts back to uint32, where codeOf's sign-bias makes the
-	// unsigned order match the signed key order.
-	maxCode := int32(codeOf(maxV))
 	for c := 0; c < m; c++ {
 		if cursor[c] < end[c] {
 			vals[c] = childData[cursor[c]]
 			tb[c] = i32(c)
 		} else {
-			vals[c] = maxV
+			vals[c] = maxPayload
 			tb[c] = i32(m + c)
 		}
-		codes[c] = int32(codeOf(vals[c]))
 	}
 	// Build the tournament bottom-up: winners[] is only needed during init.
 	for c := 0; c < m; c++ {
@@ -419,9 +378,7 @@ func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []in
 	}
 	for i := m - 1; i >= 1; i-- {
 		a, b := winners[2*i], winners[2*i+1]
-		ca, cb := uint32(codes[a]), uint32(codes[b])
-		if ca < cb || (ca == cb &&
-			(vals[a] < vals[b] || (vals[a] == vals[b] && tb[a] < tb[b]))) {
+		if vals[a] < vals[b] || (vals[a] == vals[b] && tb[a] < tb[b]) {
 			winners[i], ltree[i] = a, b
 		} else {
 			winners[i], ltree[i] = b, a
@@ -439,52 +396,6 @@ func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []in
 				stop = next
 			}
 		}
-		if ovc {
-			// 64-bit payloads: code-first replay. The duplicated loop keeps
-			// the 32-bit path free of the extra stripe maintenance.
-			for ; p < stop; p++ {
-				c := winner
-				out[p] = vals[c]
-				if origin != nil {
-					origin[p] = u8(int(c))
-				}
-				pos := cursor[c] + 1
-				cursor[c] = pos
-				if pos < end[c] {
-					v := childData[pos]
-					vals[c] = v
-					codes[c] = int32(codeOf(v))
-				} else {
-					vals[c] = maxV
-					codes[c] = maxCode
-					tb[c] = i32(m) + c
-				}
-				// Replay the root path: the refilled leaf competes against
-				// the stored losers; whoever loses stays, the winner moves
-				// up. Codes resolve unequal pairs without touching the keys.
-				w := c
-				vw, tw, cw := vals[w], tb[w], uint32(codes[w])
-				for i := (m + int(c)) >> 1; i >= 1; i >>= 1 {
-					l := ltree[i]
-					cl := uint32(codes[l])
-					if cl != cw {
-						if cl < cw {
-							ltree[i] = w
-							w, cw = l, cl
-							vw, tw = vals[l], tb[l]
-						}
-						continue
-					}
-					vl, tl := vals[l], tb[l]
-					if vl < vw || (vl == vw && tl < tw) {
-						ltree[i] = w
-						w, vw, tw = l, vl, tl
-					}
-				}
-				winner = w
-			}
-			continue
-		}
 		for ; p < stop; p++ {
 			c := winner
 			out[p] = vals[c]
@@ -496,7 +407,7 @@ func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []in
 			if pos < end[c] {
 				vals[c] = childData[pos]
 			} else {
-				vals[c] = maxV
+				vals[c] = maxPayload
 				tb[c] = i32(m) + c
 			}
 			// Replay the root path: the refilled leaf competes against the
@@ -521,7 +432,7 @@ func (t *tree[P]) mergePiece(out []P, childData []P, childLen, m int, split []in
 
 // insertionSort stably sorts a small slice ascending; equal elements keep
 // their original (child) order, matching the merge's tiebreak.
-func insertionSort[P payload](a []P) {
+func insertionSort(a []int32) {
 	for i := 1; i < len(a); i++ {
 		v := a[i]
 		j := i - 1
@@ -535,7 +446,7 @@ func insertionSort[P payload](a []P) {
 
 // insertionSortOrigin is insertionSort that also fills the leaf-level origin
 // stripe: element i starts as child i, and origins move with their values.
-func insertionSortOrigin[P payload](a []P, origin []uint8) {
+func insertionSortOrigin(a []int32, origin []uint8) {
 	for i := range a {
 		v := a[i]
 		j := i - 1
@@ -553,37 +464,26 @@ func insertionSortOrigin[P payload](a []P, origin []uint8) {
 // smallest value v such that at least `want` elements are <= v, then assigns
 // the elements equal to v to children in child order (matching the merge's
 // tiebreak).
-func findSplitInto[P payload](split []int32, childData []P, childLen, m, want int) {
+func findSplitInto(split, childData []int32, childLen, m, want int) {
 	clear(split)
 	if want <= 0 {
 		return
 	}
-	var lo, hi int64
-	first := true
+	// Payloads are non-negative (Build's domain check), so the value range
+	// of a run is bounded by the children's first and last elements and
+	// hi-lo cannot overflow.
+	lo, hi := maxPayload, int32(0)
 	for c := 0; c < m; c++ {
-		kid := childRunOf(childData, childLen, c)
-		if len(kid) == 0 {
-			continue
-		}
-		if first {
-			lo, hi = int64(kid[0]), int64(kid[len(kid)-1])
-			first = false
-			continue
-		}
-		if int64(kid[0]) < lo {
-			lo = int64(kid[0])
-		}
-		if int64(kid[len(kid)-1]) > hi {
-			hi = int64(kid[len(kid)-1])
+		if kid := childRunOf(childData, childLen, c); len(kid) > 0 {
+			lo, hi = min(lo, kid[0]), max(hi, kid[len(kid)-1])
 		}
 	}
-	// Smallest v with countLessOrEqual(v) >= want. Unsigned midpoint
-	// arithmetic avoids overflow on extreme domains.
+	// Smallest v with countLessOrEqual(v) >= want.
 	for lo < hi {
-		mid := lo + int64((uint64(hi)-uint64(lo))>>1)
+		mid := lo + (hi-lo)>>1
 		cnt := 0
 		for c := 0; c < m; c++ {
-			cnt += upperBoundP(childRunOf(childData, childLen, c), P(mid))
+			cnt += upperBoundP(childRunOf(childData, childLen, c), mid)
 		}
 		if cnt >= want {
 			hi = mid
@@ -591,7 +491,7 @@ func findSplitInto[P payload](split []int32, childData []P, childLen, m, want in
 			lo = mid + 1
 		}
 	}
-	v := P(lo)
+	v := lo
 	base := 0
 	for c := 0; c < m; c++ {
 		split[c] = i32(lowerBoundP(childRunOf(childData, childLen, c), v))
@@ -610,7 +510,7 @@ func findSplitInto[P payload](split []int32, childData []P, childLen, m, want in
 
 // lowerBoundP returns the number of elements of the sorted slice a that are
 // strictly smaller than x.
-func lowerBoundP[P payload](a []P, x P) int {
+func lowerBoundP(a []int32, x int32) int {
 	lo, hi := 0, len(a)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -625,7 +525,7 @@ func lowerBoundP[P payload](a []P, x P) int {
 
 // upperBoundP returns the number of elements of the sorted slice a that are
 // smaller than or equal to x.
-func upperBoundP[P payload](a []P, x P) int {
+func upperBoundP(a []int32, x int32) int {
 	lo, hi := 0, len(a)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -27,7 +27,7 @@ type descFrame struct {
 // runs are pushed and resolved when popped, so the hot query path pays no
 // call overhead per level. The batched kernel (count_batch.go) falls back
 // to this descent per query on a spilled forest.
-func (t *tree[P]) countBelow(lo, hi int, threshold P) int {
+func (t *tree) countBelow(lo, hi int, threshold int32) int {
 	top := t.top()
 	rank := lowerBoundP(t.run(top, 0), threshold)
 	if lo <= 0 && hi >= t.n {

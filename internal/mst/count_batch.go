@@ -78,35 +78,31 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) {
 		}
 		klo[q], khi[q] = i32(l), i32(h)
 	}
-	if t.t32 != nil {
-		thr := arena.Int32s.Get(m)
-		for q := 0; q < m; q++ {
-			if klo[q] >= khi[q] {
-				continue
-			}
-			switch tv := threshold[q]; {
-			case tv <= 0:
-				out[q] = 0
-				klo[q], khi[q] = 0, 0
-			case tv > math.MaxInt32:
-				out[q] = khi[q] - klo[q]
-				klo[q], khi[q] = 0, 0
-			default:
-				thr[q] = int32(tv)
-			}
+	thr := arena.Int32s.Get(m)
+	for q := 0; q < m; q++ {
+		if klo[q] >= khi[q] {
+			continue
 		}
-		countKernel(t.t32, klo, khi, thr, out)
-		arena.Int32s.Put(thr)
-	} else {
-		countKernel(t.t64, klo, khi, threshold, out)
+		switch tv := threshold[q]; {
+		case tv <= 0:
+			out[q] = 0
+			klo[q], khi[q] = 0, 0
+		case tv > math.MaxInt32:
+			out[q] = khi[q] - klo[q]
+			klo[q], khi[q] = 0, 0
+		default:
+			thr[q] = int32(tv)
+		}
 	}
+	countKernel(t.mono, klo, khi, thr, out)
+	arena.Int32s.Put(thr)
 	arena.Int32s.Put(cb)
 }
 
-// countKernel is the generic level-synchronous count descent. lo/hi are
+// countKernel is the level-synchronous count descent. lo/hi are
 // pre-clamped to [0, n]; queries with lo >= hi are already resolved and
 // skipped. out[q] accumulates the covered-run ranks of query q.
-func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32) {
+func countKernel(t *tree, lo, hi, thr, out []int32) {
 	m := len(out)
 	top := t.top()
 	run0 := t.run(top, 0)
@@ -128,7 +124,7 @@ func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32) {
 		if lo[q] >= hi[q] {
 			continue
 		}
-		rank := topSearch(t, run0, thr[q], g)
+		rank := lowerBoundFromP(run0, thr[q], g)
 		g = rank
 		if lo[q] <= 0 && int(hi[q]) >= t.n {
 			out[q] = i32(rank)
@@ -178,7 +174,7 @@ func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32) {
 // window, so the cost is O(log d) in the distance d between the guess and
 // the answer instead of O(log n). With g out of [0, len(a)] the guess is
 // clamped; any g is correct.
-func lowerBoundFromP[P payload](a []P, x P, g int) int {
+func lowerBoundFromP(a []int32, x int32, g int) int {
 	n := len(a)
 	if g < 0 {
 		g = 0

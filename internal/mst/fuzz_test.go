@@ -3,6 +3,7 @@ package mst
 import (
 	"bytes"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 )
@@ -21,26 +22,22 @@ func FuzzCountSelect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		for i, b := range data {
-			// Non-negative keys per Build's contract; spread a few values
-			// past the 32-bit boundary to exercise the 64-bit payload path.
+			// Non-negative keys per Build's contract; a few values land past
+			// the 32-bit payload domain (buildInDomain).
 			keys[i] = int64(b)
 			if b >= 250 {
 				keys[i] = int64(b) << 24
 			}
 		}
-		opt := Options{
+		opt := Options{ // flags&2 is unused: the corpus keeps decoding as it did
 			Fanout:      fuzzParam(fanout, 2, 7),
 			SampleEvery: fuzzParam(sampleEvery, 1, 15),
 			NoCascading: flags&1 != 0,
-			Force64:     flags&2 != 0,
 			Serial:      flags&4 != 0,
 		}
-		tree, err := Build(keys, opt)
-		if rejectedFanout(t, opt, err) {
+		tree := buildInDomain(t, keys, opt)
+		if tree == nil {
 			return
-		}
-		if err != nil {
-			t.Fatalf("Build(%d keys, %+v): %v", len(keys), opt, err)
 		}
 
 		got := tree.CountBelow(lo, hi, threshold)
@@ -161,15 +158,14 @@ func FuzzAggBatch(f *testing.F) {
 		opt := Options{
 			Fanout:      2 + int(fanout%7),
 			SampleEvery: 1 + int(sampleEvery%15),
-			NoCascading: flags&1 != 0,
-			Force64:     flags&2 != 0, // flags&4 is unused: the corpus keeps decoding as it did
+			NoCascading: flags&1 != 0, // flags&2 and flags&4 are unused: the corpus keeps decoding as it did
 		}
 		at, err := BuildAnnotated(keys, vals, func(a, b string) string { return a + "|" + b }, opt)
 		if err != nil {
 			t.Fatalf("BuildAnnotated(%d keys, %+v): %v", len(keys), opt, err)
 		}
-		// Repeat, perturb and full-span the query so the batch sees dedup,
-		// bidirectional galloping and the top-level fast path in one pass.
+		// Repeat, perturb and full-span the query so the batch sees equal and
+		// neighbouring thresholds and the top-level fast path in one pass.
 		bLo := []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
 		bHi := []int32{int32(hi), int32(hi), int32(len(keys)), int32(hi + 3)}
 		bThr := []int64{threshold, threshold, threshold, threshold - 1}
@@ -193,9 +189,8 @@ func FuzzAggBatch(f *testing.F) {
 
 // FuzzSerialize round-trips fuzzer-built trees through the MST2 format and
 // checks the deserialized tree answers count and select queries identically
-// to the original, across payload widths, fanouts and sampling rates. It
-// then overwrites one byte of the record's sample/origin section (corruptAt,
-// corruptTo): ReadTree must reject the record or, when the byte lands where
+// to the original, across fanouts and sampling rates. It then overwrites one
+// byte of the record's sample/origin section (corruptAt, corruptTo): ReadTree must reject the record or, when the byte lands where
 // nothing reads it (padding, or the old value), load a tree that still
 // answers like the original — a corrupted stripe never mis-answers.
 func FuzzSerialize(f *testing.F) {
@@ -208,21 +203,17 @@ func FuzzSerialize(f *testing.F) {
 		for i, b := range data {
 			keys[i] = int64(b)
 			if b >= 250 {
-				keys[i] = int64(b) << 24 // force the 64-bit payload path
+				keys[i] = int64(b) << 24 // past the payload domain (buildInDomain)
 			}
 		}
-		opt := Options{
+		opt := Options{ // flags&2 is unused: the corpus keeps decoding as it did
 			Fanout:      fuzzParam(fanout, 2, 7),
 			SampleEvery: fuzzParam(sampleEvery, 1, 15),
 			NoCascading: flags&1 != 0,
-			Force64:     flags&2 != 0,
 		}
-		orig, err := Build(keys, opt)
-		if rejectedFanout(t, opt, err) {
+		orig := buildInDomain(t, keys, opt)
+		if orig == nil {
 			return
-		}
-		if err != nil {
-			t.Fatalf("Build(%d keys, %+v): %v", len(keys), opt, err)
 		}
 
 		var buf bytes.Buffer
@@ -238,9 +229,8 @@ func FuzzSerialize(f *testing.F) {
 			t.Fatalf("ReadTree: %v", err)
 		}
 
-		if got.Len() != orig.Len() || got.Is32Bit() != orig.Is32Bit() {
-			t.Fatalf("round trip changed shape: len %d->%d, 32bit %v->%v",
-				orig.Len(), got.Len(), orig.Is32Bit(), got.Is32Bit())
+		if got.Len() != orig.Len() {
+			t.Fatalf("round trip changed length: %d->%d", orig.Len(), got.Len())
 		}
 		if a, b := orig.CountBelow(lo, hi, threshold), got.CountBelow(lo, hi, threshold); a != b {
 			t.Errorf("CountBelow(%d, %d, %d): orig %d, round-tripped %d", lo, hi, threshold, a, b)
@@ -291,6 +281,36 @@ func fuzzParam(b uint8, base, small int) int {
 		return 17 + int(b)
 	}
 	return base + int(b)%small
+}
+
+// buildInDomain builds the tree a fuzz target probes, or returns nil when
+// opt's fanout is rightly rejected. The corpora decode some bytes to keys
+// past the 32-bit payload domain (b << 24 for b >= 250): Build must answer
+// those with a PayloadRangeError naming the first such key, after which the
+// target goes on with them halved, in place, into the top of the domain
+// (b << 23) — still the keys that exercise thresholds around math.MaxInt32.
+func buildInDomain(t *testing.T, keys []int64, opt Options) *Tree {
+	t.Helper()
+	tree, err := Build(keys, opt)
+	if rejectedFanout(t, opt, err) {
+		return nil
+	}
+	if first := slices.IndexFunc(keys, func(v int64) bool { return v > math.MaxInt32 }); first >= 0 {
+		var pe *PayloadRangeError
+		if !errors.As(err, &pe) || pe.Pos != first || pe.Value != keys[first] {
+			t.Fatalf("Build with key %d at %d: error %v, want a PayloadRangeError", keys[first], first, err)
+		}
+		for i, v := range keys {
+			if v > math.MaxInt32 {
+				keys[i] = v >> 1
+			}
+		}
+		tree, err = Build(keys, opt)
+	}
+	if err != nil {
+		t.Fatalf("Build(%d keys, %+v): %v", len(keys), opt, err)
+	}
+	return tree
 }
 
 // rejectedFanout reports whether opt asks for a fanout past MaxFanout, and

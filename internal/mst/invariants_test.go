@@ -14,16 +14,16 @@ import (
 // merge's consumed-count snapshot, every origin entry is the child the
 // stable reference merge takes, and the step gives every child's exact rank
 // (checkRankIdentity) — with and without stripes.
-func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
+func checkInvariants(t *testing.T, tr *tree) {
 	t.Helper()
 	n := tr.n
-	base := map[P]int{}
+	base := map[int32]int{}
 	for _, v := range tr.levels[0] {
 		base[v]++
 	}
 	for l := 1; l < len(tr.levels); l++ {
 		// Same multiset.
-		seen := map[P]int{}
+		seen := map[int32]int{}
 		for _, v := range tr.levels[l] {
 			seen[v]++
 		}
@@ -120,7 +120,7 @@ func checkInvariants[P payload](t *testing.T, tr *tree[P]) {
 // the origin entries naming the child between that sample point and the
 // rank), and countStep's three quantities must agree with those ranks for
 // every range of children [cFirst, cLast].
-func checkRankIdentity[P payload](t *testing.T, tr *tree[P], l, r int, kids [][]P) {
+func checkRankIdentity(t *testing.T, tr *tree, l, r int, kids [][]int32) {
 	t.Helper()
 	lv := tr.view(l)
 	run := tr.run(l, r)
@@ -130,7 +130,7 @@ func checkRankIdentity[P payload](t *testing.T, tr *tree[P], l, r int, kids [][]
 		if i > 0 && v == run[i-1] {
 			continue
 		}
-		for _, x := range []P{v - 1, v, v + 1} {
+		for _, x := range []int32{v - 1, v, v + 1} {
 			rank := lowerBoundP(run, x)
 			lv.ranksStep(r, rank, x, 0, len(kids)-1, got)
 			for c, kid := range kids {
@@ -177,8 +177,8 @@ func checkRankIdentity[P payload](t *testing.T, tr *tree[P], l, r int, kids [][]
 
 // TestOriginStripe builds trees on duplicate-heavy inputs across the stripe's
 // parameter space — fanouts up to the one-byte limit (the first one past it
-// must be rejected), sample distances below, at and above the fanout, both
-// payload widths, ragged last runs, serial merges and mergeRunParallel
+// must be rejected), sample distances below, at and above the fanout,
+// ragged last runs, serial merges and mergeRunParallel
 // pieces — and checks the stripe against the reference merge and the rank
 // identity, plus count queries through the scalar and batched descents.
 func TestOriginStripe(t *testing.T) {
@@ -190,7 +190,6 @@ func TestOriginStripe(t *testing.T) {
 			for _, n := range []int{f + 1, 1000, 5000} { // 5000: the top run merges in parallel pieces
 				for _, opt := range []Options{
 					{Fanout: f, SampleEvery: k},
-					{Fanout: f, SampleEvery: k, Force64: true},
 					{Fanout: f, SampleEvery: k, Serial: true},
 				} {
 					keys := randKeys(rng, n, int64(n)/8+2)
@@ -205,11 +204,7 @@ func TestOriginStripe(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if tree.t32 != nil {
-						checkInvariants(t, tree.t32)
-					} else {
-						checkInvariants(t, tree.t64)
-					}
+					checkInvariants(t, tree.mono)
 					const m = 64
 					lo, hi := make([]int32, m), make([]int32, m)
 					thr := make([]int64, m)
@@ -241,18 +236,14 @@ func TestTreeInvariants(t *testing.T) {
 			{Fanout: 2, SampleEvery: 1},
 			{Fanout: 3, SampleEvery: 5},
 			{Fanout: 4, SampleEvery: 2, Serial: true},
-			{Fanout: 7, SampleEvery: 3, Force64: true},
+			{Fanout: 7, SampleEvery: 3},
 		} {
 			keys := randKeys(rng, n, int64(n)/2+1) // duplicates guaranteed
 			tree, err := Build(keys, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tree.t32 != nil {
-				checkInvariants(t, tree.t32)
-			} else {
-				checkInvariants(t, tree.t64)
-			}
+			checkInvariants(t, tree.mono)
 		}
 	}
 }

@@ -67,26 +67,22 @@ func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, ou
 		}
 		return
 	}
-	if t.t32 != nil {
-		nr := len(vlo)
-		vb := arena.Int32s.Get(2 * nr)
-		vlo32, vhi32 := vb[:nr], vb[nr:]
-		for j := range vlo32 {
-			vlo32[j] = clampI32(vlo[j])
-			vhi32[j] = clampI32(vhi[j])
-		}
-		selectKernel(t.t32, off, vlo32, vhi32, k, out)
-		arena.Int32s.Put(vb)
-		return
+	nr := len(vlo)
+	vb := arena.Int32s.Get(2 * nr)
+	vlo32, vhi32 := vb[:nr], vb[nr:]
+	for j := range vlo32 {
+		vlo32[j] = clampI32(vlo[j])
+		vhi32[j] = clampI32(vhi[j])
 	}
-	selectKernel(t.t64, off, vlo, vhi, k, out)
+	selectKernel(t.mono, off, vlo32, vhi32, k, out)
+	arena.Int32s.Put(vb)
 }
 
-// selectKernel is the generic level-synchronous select descent. Empty value
+// selectKernel is the level-synchronous select descent. Empty value
 // ranges contribute zero-width rank pairs throughout, so they need no
 // special casing (SelectKthRanges drops them up front; the result is the
 // same either way).
-func selectKernel[P payload](t *tree[P], off []int32, vlo, vhi []P, k []int32, out []int32) {
+func selectKernel(t *tree, off, vlo, vhi, k, out []int32) {
 	m := len(out)
 	top := t.top()
 	run0 := t.run(top, 0)
@@ -118,8 +114,8 @@ func selectKernel[P payload](t *tree[P], off []int32, vlo, vhi []P, k []int32, o
 		total := 0
 		for j := o0; j < o1; j++ {
 			ord := j - o0
-			a := topSearch(t, run0, vlo[j], glo[ord])
-			b := topSearch(t, run0, vhi[j], ghi[ord])
+			a := lowerBoundFromP(run0, vlo[j], glo[ord])
+			b := lowerBoundFromP(run0, vhi[j], ghi[ord])
 			glo[ord], ghi[ord] = a, b
 			rlo[j], rhi[j] = i32(a), i32(b)
 			total += b - a

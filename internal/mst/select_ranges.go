@@ -24,26 +24,15 @@ func (t *Tree) SelectKthRanges(ranges [][2]int64, i int) (pos int, ok bool) {
 	if t.chunks != nil {
 		return t.chunkedSelectKthRanges(ranges, i)
 	}
-	if t.t32 != nil {
-		var lo, hi [maxSelectRanges]int32
-		m := 0
-		for _, r := range ranges {
-			if l, h := clampI32(r[0]), clampI32(r[1]); l < h {
-				lo[m], hi[m] = l, h
-				m++
-			}
-		}
-		return selectRanges(t.t32, lo[:m], hi[:m], i)
-	}
-	var lo, hi [maxSelectRanges]int64
+	var lo, hi [maxSelectRanges]int32
 	m := 0
 	for _, r := range ranges {
-		if r[0] < r[1] {
-			lo[m], hi[m] = r[0], r[1]
+		if l, h := clampI32(r[0]), clampI32(r[1]); l < h {
+			lo[m], hi[m] = l, h
 			m++
 		}
 	}
-	return selectRanges(t.t64, lo[:m], hi[:m], i)
+	return selectRanges(t.mono, lo[:m], hi[:m], i)
 }
 
 // CountRanges returns the number of entries at positions [lo, hi) whose
@@ -58,7 +47,7 @@ func (t *Tree) CountRanges(lo, hi int, ranges [][2]int64) int {
 
 // selectRanges is the scalar Figure 7 descent: one selectStep (step.go) per
 // level, with one rank pair per non-empty value range.
-func selectRanges[P payload](t *tree[P], vlo, vhi []P, i int) (int, bool) {
+func selectRanges(t *tree, vlo, vhi []int32, i int) (int, bool) {
 	top := t.top()
 	run0 := t.run(top, 0)
 	var rlo, rhi [maxSelectRanges]int32

@@ -28,7 +28,7 @@ func TestSelectKthRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 5, 64, 500, 2000} {
 		keys := randKeys(rng, n, int64(n))
-		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {Force64: true}} {
+		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}} {
 			tree, err := Build(keys, opt)
 			if err != nil {
 				t.Fatal(err)

@@ -15,19 +15,20 @@ import (
 //
 // Format (little endian):
 //
-//	magic "MST2" | flags u32 (bit0: 64-bit payloads, bit1: cascading,
-//	bit2: spill-chunked)
+//	magic "MST2" | flags u32 (bit0: reserved for 64-bit payloads — never
+//	written, rejected on read; bit1: cascading; bit2: spill-chunked)
 //	n u64 | fanout u32 | sampleEvery u32 | levels u32
-//	per level: payload array (4 or 8 bytes per element)
+//	per level: payload array (4 bytes per element)
 //	per level >= 1, if cascading: stride u64 + sample array (4 bytes each),
 //	then the origin stripe (n bytes)
 //
-// A header whose fanout or sample distance Options would not accept is
-// rejected before anything is sized from it. The samples and origins of a
-// cascading tree are not taken on trust: ReadTree
-// replays every run's merge from them (verifyCascade) and rejects a record
-// whose origins or samples do not reproduce the stored levels, so a tree that
-// loads answers through the same exact step as a freshly built one.
+// A record with bit0 set is rejected with a WideRecordError, and a header
+// whose fanout or sample distance Options would not accept with a plain
+// error, before anything is sized from the header. The samples and origins
+// of a cascading tree are not taken on trust: ReadTree replays every run's
+// merge from them (verifyCascade) and rejects a record whose origins or
+// samples do not reproduce the stored levels, so a tree that loads answers
+// through the same exact step as a freshly built one.
 //
 // A spill-chunked tree (Options.SpillRows, spill.go) instead writes
 //
@@ -40,23 +41,29 @@ import (
 const magic = "MST2"
 
 const (
-	flag64Bit uint32 = 1 << iota
+	flagWide uint32 = 1 << iota // reserved: 64-bit payloads
 	flagCascading
 	flagChunked
 )
+
+// WideRecordError reports a serialized tree record whose header carries the
+// reserved 64-bit payload flag. Every tree stores 32-bit payloads, so the
+// record cannot be loaded; the tree has to be rebuilt from its input.
+type WideRecordError struct{ Flags uint32 }
+
+func (e *WideRecordError) Error() string {
+	return fmt.Sprintf("mst: serialized tree declares 64-bit payloads (flags %#x); only 32-bit records load", e.Flags)
+}
 
 // WriteTo serialises the tree. It returns the number of bytes written.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &countingWriter{w: bw}
 	var err error
-	switch {
-	case t.chunks != nil:
+	if t.chunks != nil {
 		err = writeChunked(cw, t)
-	case t.t32 != nil:
-		err = writeTree(cw, t.t32, false)
-	default:
-		err = writeTree(cw, t.t64, true)
+	} else {
+		err = writeTree(cw, t.mono)
 	}
 	if err != nil {
 		return cw.n, err
@@ -77,13 +84,7 @@ func writeChunked(w io.Writer, t *Tree) error {
 		}
 	}
 	for _, c := range t.chunks {
-		var err error
-		if c.t32 != nil {
-			err = writeTree(w, c.t32, false)
-		} else {
-			err = writeTree(w, c.t64, true)
-		}
-		if err != nil {
+		if err := writeTree(w, c.mono); err != nil {
 			return err
 		}
 	}
@@ -109,6 +110,9 @@ func readTreeFrom(br *bufio.Reader, allowChunked bool) (*Tree, error) {
 	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
 		return nil, fmt.Errorf("mst: reading flags: %w", err)
 	}
+	if flags&flagWide != 0 {
+		return nil, &WideRecordError{Flags: flags}
+	}
 	if flags&flagChunked != 0 {
 		if !allowChunked {
 			return nil, fmt.Errorf("mst: nested spill-chunked tree")
@@ -132,19 +136,11 @@ func readTreeFrom(br *bufio.Reader, allowChunked bool) (*Tree, error) {
 	if levels < 1 || levels > 64 {
 		return nil, fmt.Errorf("mst: implausible header (levels=%d)", levels)
 	}
-	if flags&flag64Bit != 0 {
-		tr, err := readTree[int64](br, out.opt, int(n), int(levels), flags)
-		if err != nil {
-			return nil, err
-		}
-		out.t64 = tr
-	} else {
-		tr, err := readTree[int32](br, out.opt, int(n), int(levels), flags)
-		if err != nil {
-			return nil, err
-		}
-		out.t32 = tr
+	tr, err := readTree(br, out.opt, int(n), int(levels), flags)
+	if err != nil {
+		return nil, err
 	}
+	out.mono = tr
 	return out, nil
 }
 
@@ -198,14 +194,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func writeTree[P payload](w io.Writer, t *tree[P], is64 bool) error {
+func writeTree(w io.Writer, t *tree) error {
 	if _, err := io.WriteString(w, magic); err != nil {
 		return err
 	}
 	flags := uint32(0)
-	if is64 {
-		flags |= flag64Bit
-	}
 	cascading := len(t.levels) <= 1 || t.samples[len(t.samples)-1] != nil
 	if cascading {
 		flags |= flagCascading
@@ -237,9 +230,9 @@ func writeTree[P payload](w io.Writer, t *tree[P], is64 bool) error {
 	return nil
 }
 
-func readTree[P payload](r io.Reader, opt Options, n, levels int, flags uint32) (*tree[P], error) {
-	t := &tree[P]{n: n, f: opt.Fanout, k: opt.SampleEvery}
-	t.levels = make([][]P, levels)
+func readTree(r io.Reader, opt Options, n, levels int, flags uint32) (*tree, error) {
+	t := &tree{n: n, f: opt.Fanout, k: opt.SampleEvery}
+	t.levels = make([][]int32, levels)
 	t.samples = make([][]int32, levels)
 	t.origin = make([][]uint8, levels)
 	t.stride = make([]int, levels)
@@ -253,7 +246,7 @@ func readTree[P payload](r io.Reader, opt Options, n, levels int, flags uint32) 
 			}
 		}
 		t.effLen[l] = rl
-		t.levels[l] = make([]P, n)
+		t.levels[l] = make([]int32, n)
 		if err := binary.Read(r, binary.LittleEndian, t.levels[l]); err != nil {
 			return nil, fmt.Errorf("mst: reading level %d: %w", l, err)
 		}
@@ -287,7 +280,6 @@ func readTree[P payload](r io.Reader, opt Options, n, levels int, flags uint32) 
 			}
 		}
 	}
-	finalizeCodes(t)
 	return t, nil
 }
 
@@ -296,7 +288,7 @@ func readTree[P payload](r io.Reader, opt Options, n, levels int, flags uint32) 
 // origin names, and every sample row must equal the consumed counts at its
 // output position. A level that passes reproduces exactly the state the step
 // reads, whatever bytes the record held.
-func (t *tree[P]) verifyCascade(level int) error {
+func (t *tree) verifyCascade(level int) error {
 	rl, childLen := t.effLen[level], t.effLen[level-1]
 	consumed := make([]int32, t.f)
 	for r, runStart := 0, 0; runStart < t.n; r, runStart = r+1, runStart+rl {

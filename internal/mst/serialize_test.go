@@ -15,7 +15,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		for _, opt := range []Options{
 			{},
 			{Fanout: 2, SampleEvery: 1},
-			{Fanout: 4, SampleEvery: 16, Force64: true},
+			{Fanout: 4, SampleEvery: 16},
 			{NoCascading: true},
 		} {
 			keys := randKeys(rng, n, int64(n)+1)
@@ -35,8 +35,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d opt=%+v: %v", n, opt, err)
 			}
-			if back.Len() != n || back.Is32Bit() != orig.Is32Bit() {
-				t.Fatalf("n=%d: shape changed (len %d, 32bit %v)", n, back.Len(), back.Is32Bit())
+			if back.Len() != n {
+				t.Fatalf("n=%d: length changed to %d", n, back.Len())
 			}
 			// Queries must agree exactly with the original tree.
 			for trial := 0; trial < 60; trial++ {
@@ -56,11 +56,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 				}
 			}
 			// The deserialized structure must satisfy all invariants too.
-			if back.t32 != nil {
-				checkInvariants(t, back.t32)
-			} else {
-				checkInvariants(t, back.t64)
-			}
+			checkInvariants(t, back.mono)
 		}
 	}
 }
@@ -106,6 +102,19 @@ func TestSerializeCorruption(t *testing.T) {
 		var fe *FanoutError
 		if _, err := ReadTree(bytes.NewReader(hdr)); !errors.As(err, &fe) || fe.Fanout != int(fanout) {
 			t.Fatalf("header fanout %d: error %v, want a FanoutError", fanout, err)
+		}
+	}
+	// The reserved 64-bit payload flag (bit0 of the flags word at offset 4) is
+	// rejected from the header alone too: on an otherwise valid record, and
+	// on a bare header whose huge n must not size anything.
+	wide := append([]byte{}, full...)
+	wide[4] |= 1
+	wideHuge := append([]byte{}, wide[:28]...)
+	binary.LittleEndian.PutUint64(wideHuge[8:], math.MaxInt32)
+	for _, rec := range [][]byte{wide, wideHuge} {
+		var we *WideRecordError
+		if _, err := ReadTree(bytes.NewReader(rec)); !errors.As(err, &we) || we.Flags&1 == 0 {
+			t.Fatalf("64-bit flag on a %d-byte record: error %v, want a WideRecordError", len(rec), err)
 		}
 	}
 	// The origin stripe of this two-level tree is the record's last n bytes

@@ -1,64 +1,10 @@
 package mst
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
 )
-
-// TestCodeOfMonotone pins the offset-value code's ordering contract over the
-// full signed domain: codes order like the keys' high words, and equal codes
-// imply equal high words.
-func TestCodeOfMonotone(t *testing.T) {
-	vals := []int64{
-		math.MinInt64, math.MinInt64 + 1, -(1 << 40), -(1 << 32), -1, 0, 1,
-		(1 << 31) - 1, 1 << 31, 1 << 32, (1 << 40) + 7, math.MaxInt64 - 1, math.MaxInt64,
-	}
-	for _, a := range vals {
-		for _, b := range vals {
-			ca, cb := codeOf(a), codeOf(b)
-			if (a>>32 < b>>32) != (ca < cb) {
-				t.Fatalf("codeOf not monotone: %d -> %#x vs %d -> %#x", a, ca, b, cb)
-			}
-			if (a>>32 == b>>32) != (ca == cb) {
-				t.Fatalf("codeOf collision mismatch: %d -> %#x vs %d -> %#x", a, ca, b, cb)
-			}
-		}
-	}
-	if codeOf(int32(77)) != 0 {
-		t.Fatal("32-bit payload code must be 0")
-	}
-}
-
-// TestLowerBoundFromOVC exhausts guesses and thresholds against lowerBoundP
-// over 64-bit arrays whose high words vary — including negatives, so the
-// sign-bias of the code projection is exercised.
-func TestLowerBoundFromOVC(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(40)
-		a := make([]int64, n)
-		v := int64(-1) << 40
-		for i := range a {
-			v += int64(rng.Intn(3)) * (1 << 31) // straddles high-word boundaries
-			a[i] = v
-		}
-		codes := make([]uint32, n)
-		for i, x := range a {
-			codes[i] = codeOf(x)
-		}
-		probes := append([]int64{math.MinInt64, math.MaxInt64, 0}, a...)
-		for _, x := range probes {
-			want := lowerBoundP(a, x)
-			for g := -2; g <= n+2; g++ {
-				if got := lowerBoundFromOVC(a, codes, x, g); got != want {
-					t.Fatalf("lowerBoundFromOVC(%v, %d, guess=%d) = %d, want %d", a, x, g, got, want)
-				}
-			}
-		}
-	}
-}
 
 // TestSoALayoutAligned checks the cache-line contract of the arena build:
 // every level slab, every sample slab and — via the padded stride — every
@@ -73,10 +19,7 @@ func TestSoALayoutAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tree.t32
-	if tr == nil {
-		t.Fatal("expected 32-bit representation")
-	}
+	tr := tree.mono
 	for l := 1; l < len(tr.levels); l++ {
 		if addr := uintptr(unsafe.Pointer(&tr.levels[l][0])); addr%cacheLineBytes != 0 {
 			t.Fatalf("level %d slab at %#x not cache-line aligned", l, addr)
@@ -90,46 +33,5 @@ func TestSoALayoutAligned(t *testing.T) {
 		if tr.stride[l]%(cacheLineBytes/4) != 0 {
 			t.Fatalf("level %d stride %d not a whole number of cache lines", l, tr.stride[l])
 		}
-	}
-}
-
-// TestTopCodesMaterialized checks the top code stripe appears exactly for
-// large 64-bit trees and matches codeOf element-wise.
-func TestTopCodesMaterialized(t *testing.T) {
-	big := make([]int64, ovcMinN+100)
-	rng := rand.New(rand.NewSource(71))
-	for i := range big {
-		big[i] = rng.Int63() - rng.Int63()
-	}
-	tree, err := Build(big, Options{Force64: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tree.t64
-	if tr.topCodes == nil {
-		t.Fatal("large 64-bit tree should carry a top code stripe")
-	}
-	top := tr.levels[len(tr.levels)-1]
-	if len(tr.topCodes) != len(top) {
-		t.Fatalf("code stripe length %d, top run %d", len(tr.topCodes), len(top))
-	}
-	for i, v := range top {
-		if tr.topCodes[i] != codeOf(v) {
-			t.Fatalf("code %d mismatch", i)
-		}
-	}
-	small, err := Build(big[:128], Options{Force64: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.t64.topCodes != nil {
-		t.Fatal("small tree should not materialize codes")
-	}
-	tree32, err := Build([]int64{1, 2, 3}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree32.t32 != nil && tree32.t32.topCodes != nil {
-		t.Fatal("32-bit tree should not materialize codes")
 	}
 }

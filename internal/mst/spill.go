@@ -27,27 +27,20 @@ import "math"
 // break the byte-identity contract.
 
 // buildChunked constructs the spill forest: one monolithic subtree per
-// SpillRows-sized chunk of keys. Build has already validated opt and the
-// element limit.
-func buildChunked(keys []int64, opt Options) (*Tree, error) {
-	n := len(keys)
+// SpillRows-sized chunk of base, the narrowed keys. Build has already
+// validated opt, the element limit and the payload domain.
+func buildChunked(base []int32, opt Options) *Tree {
+	n := len(base)
 	cl := opt.SpillRows
 	sub := opt
 	sub.SpillRows = 0
 	t := &Tree{n: n, opt: opt, chunkLen: cl, chunks: make([]*Tree, (n+cl-1)/cl)}
 	for i := range t.chunks {
 		lo := i * cl
-		hi := lo + cl
-		if hi > n {
-			hi = n
-		}
-		c, err := Build(keys[lo:hi], sub)
-		if err != nil {
-			return nil, err
-		}
-		t.chunks[i] = c
+		hi := min(lo+cl, n)
+		t.chunks[i] = &Tree{n: hi - lo, opt: sub, mono: buildTree(base[lo:hi:hi], sub)}
 	}
-	return t, nil
+	return t
 }
 
 // ChunkCount reports the number of subtrees of a spill-chunked tree (0 for a
@@ -109,69 +102,32 @@ func (t *Tree) chunkedSelectKthRanges(ranges [][2]int64, i int) (int, bool) {
 // the merged top run.
 func (t *Tree) topRank(threshold int64) int {
 	t.topOnce.Do(t.mergeTop)
-	if t.top32 != nil {
-		if threshold <= 0 {
-			return 0
-		}
-		if threshold > math.MaxInt32 {
-			return t.n
-		}
-		return lowerBoundP(t.top32, int32(threshold))
+	if threshold <= 0 {
+		return 0
 	}
-	return lowerBoundP(t.top64, threshold)
+	if threshold > math.MaxInt32 {
+		return t.n
+	}
+	return lowerBoundP(t.mergedTop, int32(threshold))
 }
 
-// mergeTop builds the fully sorted top run over all chunks by merging the
-// chunk top runs with the loser-tree merge from build.go (mergePiece), using
+// mergeTop builds the fully sorted top run over all chunks: the chunk top
+// runs, concatenated, are the sorted children of length chunkLen (the last
+// may be short) that mergePiece's tournament loser tree expects, merged with
 // the same pooled scratch as tree construction. Guarded by topOnce: the
 // merge runs at most once per tree, on the first full-span query.
 func (t *Tree) mergeTop() {
-	all32 := true
+	m := len(t.chunks)
+	base := make([]int32, 0, t.n)
 	for _, c := range t.chunks {
-		if c.t32 == nil {
-			all32 = false
-			break
-		}
+		base = append(base, c.mono.run(c.mono.top(), 0)...)
 	}
-	if all32 {
-		t.top32 = mergeChunkTops(t.chunks, t.chunkLen, t.n, chunkTop32)
-		return
-	}
-	t.top64 = mergeChunkTops(t.chunks, t.chunkLen, t.n, chunkTop64)
-}
-
-func chunkTop32(c *Tree) []int32 { return c.t32.levels[c.t32.top()] }
-
-// chunkTop64 returns the chunk's top run widened to int64: a mixed forest
-// (some chunks 32-bit, some 64-bit) merges in the wider domain.
-func chunkTop64(c *Tree) []int64 {
-	if c.t64 != nil {
-		return c.t64.levels[c.t64.top()]
-	}
-	src := c.t32.levels[c.t32.top()]
-	out := make([]int64, len(src))
-	for i, v := range src {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-// mergeChunkTops concatenates the chunk top runs into one child array and
-// merges them with mergePiece's tournament loser tree — each chunk top run
-// is one sorted child of length chunkLen (the last may be short), exactly
-// the geometry mergePiece expects.
-func mergeChunkTops[P payload](chunks []*Tree, chunkLen, n int, topOf func(*Tree) []P) []P {
-	m := len(chunks)
-	base := make([]P, 0, n)
-	for _, c := range chunks {
-		base = append(base, topOf(c)...)
-	}
-	out := make([]P, n)
-	buf, vals := mergeScratch[P](m)
+	out := make([]int32, t.n)
+	buf, vals := mergeScratch(m)
 	// A throwaway geometry carrier: mergePiece only reads f (slot strides)
 	// and, with sampleRun and origin nil, never touches k or the level arrays.
-	tmp := &tree[P]{n: n, f: m, k: 1}
-	tmp.mergePiece(out, base, chunkLen, m, nil, buf, vals, nil, nil, 0, n)
+	tmp := &tree{n: t.n, f: m, k: 1}
+	tmp.mergePiece(out, base, t.chunkLen, m, nil, buf, vals, nil, nil, 0, t.n)
 	putMergeScratch(buf, vals)
-	return out
+	t.mergedTop = out
 }

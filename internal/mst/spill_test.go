@@ -2,6 +2,7 @@ package mst
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -15,14 +16,14 @@ func TestSpillEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 5, 63, 64, 65, 257, 1000} {
 		for _, spill := range []int{1, 7, 64, 250} {
-			for _, force64 := range []bool{false, true} {
+			for _, domainTop := range []bool{false, true} {
 				keys := make([]int64, n)
 				for i := range keys {
 					keys[i] = int64(rng.Intn(n + 1))
 				}
-				if force64 {
+				if domainTop { // keys just below math.MaxInt32, range bounds past it
 					for i := range keys {
-						keys[i] += 1 << 40
+						keys[i] += math.MaxInt32 - int64(n) - 1
 					}
 				}
 				mono, err := Build(keys, Options{})

@@ -12,7 +12,7 @@ type Stats struct {
 	Levels         int // number of levels including the base copy
 	Elements       int // payload elements across all levels
 	Pointers       int // cascading pointer entries across all levels
-	ElementBytes   int // bytes per payload element (4 or 8)
+	ElementBytes   int // bytes per payload element (always 4, §5.1)
 	OriginBytes    int // merge-origin stripe bytes across all levels
 	Bytes          int // total bytes of payloads, pointers and origin stripes
 	Fanout         int
@@ -20,8 +20,7 @@ type Stats struct {
 }
 
 // Stats reports the storage consumed by the tree. For a spill forest the
-// counts sum over the subtrees (Levels reports the deepest subtree, and
-// ElementBytes the widest payload).
+// counts sum over the subtrees (Levels reports the deepest subtree).
 func (t *Tree) Stats() Stats {
 	if t.chunks != nil {
 		var s Stats
@@ -34,23 +33,17 @@ func (t *Tree) Stats() Stats {
 			if cs.Levels > s.Levels {
 				s.Levels = cs.Levels
 			}
-			if cs.ElementBytes > s.ElementBytes {
-				s.ElementBytes = cs.ElementBytes
-			}
-			s.Fanout, s.SampleDistance = cs.Fanout, cs.SampleDistance
+			s.ElementBytes, s.Fanout, s.SampleDistance = cs.ElementBytes, cs.Fanout, cs.SampleDistance
 		}
 		return s
 	}
-	if t.t32 != nil {
-		return stats(t.t32, 4)
-	}
-	return stats(t.t64, 8)
+	return t.mono.stats()
 }
 
-func stats[P payload](t *tree[P], elemBytes int) Stats {
+func (t *tree) stats() Stats {
 	s := Stats{
 		Levels:         len(t.levels),
-		ElementBytes:   elemBytes,
+		ElementBytes:   4,
 		Fanout:         t.f,
 		SampleDistance: t.k,
 	}
@@ -59,6 +52,6 @@ func stats[P payload](t *tree[P], elemBytes int) Stats {
 		s.Pointers += len(t.samples[l])
 		s.OriginBytes += len(t.origin[l])
 	}
-	s.Bytes = s.Elements*elemBytes + s.Pointers*4 + s.OriginBytes
+	s.Bytes = s.Elements*s.ElementBytes + s.Pointers*4 + s.OriginBytes
 	return s
 }

@@ -34,18 +34,18 @@ package mst
 // levelView is the per-level state of the step: the geometry of one merge
 // level and its stripes. The batched kernels hoist it once per level; the
 // scalar descents derive it per visited run.
-type levelView[P payload] struct {
+type levelView struct {
 	n, f, k          int
 	runLen, childLen int
-	kids             []P     // levels[level-1]
+	kids             []int32 // levels[level-1]
 	samples          []int32 // samples[level]; nil without cascading
 	stride           int
 	origin           []uint8 // origin[level]; nil without cascading
 }
 
 // view returns the step state of a merge level (level >= 1).
-func (t *tree[P]) view(level int) levelView[P] {
-	return levelView[P]{
+func (t *tree) view(level int) levelView {
+	return levelView{
 		n: t.n, f: t.f, k: t.k,
 		runLen:   t.effLen[level],
 		childLen: t.effLen[level-1],
@@ -58,7 +58,7 @@ func (t *tree[P]) view(level int) levelView[P] {
 
 // span returns the base positions [start, end) run r of the level covers;
 // only the last run of a level can be shorter than runLen.
-func (v *levelView[P]) span(r int) (start, end int) {
+func (v *levelView) span(r int) (start, end int) {
 	start = r * v.runLen
 	return start, min(start+v.runLen, v.n)
 }
@@ -74,7 +74,7 @@ type partialChild struct{ child, rank int }
 // children [lo, hi) covers completely, and the at most two partially covered
 // children — only the first and the last overlapped child can be partial —
 // for the caller to descend into.
-func (v *levelView[P]) countStep(r, rank, lo, hi int, x P) (covered int, partial [2]partialChild) {
+func (v *levelView) countStep(r, rank, lo, hi int, x int32) (covered int, partial [2]partialChild) {
 	partial[0].rank, partial[1].rank = -1, -1
 	runStart, runEnd := v.span(r)
 	from, to := max(lo, runStart), min(hi, runEnd)
@@ -145,7 +145,7 @@ func originCounts(seg []uint8, cFirst, cLast int) (nFirst, nLast, nMid int) {
 // searchCounts is countStep's three quantities on a NoCascading tree: the
 // searched ranks of children cFirst..cLast, split the way the stripes
 // deliver them. Kept apart so the striped step carries no rank buffer.
-func (v *levelView[P]) searchCounts(r, cFirst, cLast int, x P) (rFirst, rLast, mid int) {
+func (v *levelView) searchCounts(r, cFirst, cLast int, x int32) (rFirst, rLast, mid int) {
 	var ranks [maxOriginFanout]int32
 	v.ranksStep(r, 0, x, cFirst, cLast, ranks[:])
 	for _, s := range ranks[cFirst+1 : max(cLast, cFirst+1)] {
@@ -160,7 +160,7 @@ func (v *levelView[P]) searchCounts(r, cFirst, cLast int, x P) (rFirst, rLast, m
 // [cFrom, cTo]; other entries of out, which must hold at least f entries,
 // are unspecified. A striped tree delivers every child at once and ignores the
 // child range; a NoCascading tree searches just the children asked for.
-func (v *levelView[P]) ranksStep(r, rank int, x P, cFrom, cTo int, out []int32) {
+func (v *levelView) ranksStep(r, rank int, x int32, cFrom, cTo int, out []int32) {
 	runStart, runEnd := v.span(r)
 	if v.origin == nil {
 		for c := cFrom; c <= cTo; c++ {
@@ -185,7 +185,7 @@ func (v *levelView[P]) ranksStep(r, rank int, x P, cFrom, cTo int, out []int32) 
 // and the entry's index among the child's qualifying elements, and replaces
 // rlo/rhi by the child's ranks. scratch holds a lower-bound and an upper-bound
 // rank row per range, 2·len(vlo)·f entries.
-func (v *levelView[P]) selectStep(r, i int, vlo, vhi []P, rlo, rhi, scratch []int32) (child, rem int) {
+func (v *levelView) selectStep(r, i int, vlo, vhi, rlo, rhi, scratch []int32) (child, rem int) {
 	runStart, runEnd := v.span(r)
 	m := (runEnd - runStart + v.childLen - 1) / v.childLen
 	f := v.f

@@ -28,8 +28,10 @@
 //
 // Payload values are plain integers: the window operator's preprocessing
 // (package preprocess) maps previous-occurrence indices, dense ranks and
-// permutation entries to the integer domain [0, n], so trees are built with
-// 32-bit elements whenever they fit and 64-bit elements otherwise (§5.1).
+// permutation entries to the integer domain [0, n] with n < 2³¹, so every
+// tree stores 32-bit elements — the representation §5.1 argues for on
+// memory bandwidth — and Build rejects a key outside [0, math.MaxInt32]
+// with a PayloadRangeError.
 package mst
 
 import (
@@ -61,6 +63,17 @@ func (e *FanoutError) Error() string {
 	return fmt.Sprintf("mst: fanout must be in [2, %d], got %d", MaxFanout, e.Fanout)
 }
 
+// PayloadRangeError reports a key outside the 32-bit payload domain
+// [0, math.MaxInt32]: Pos is its index in the input, Value the key.
+type PayloadRangeError struct {
+	Pos   int
+	Value int64
+}
+
+func (e *PayloadRangeError) Error() string {
+	return fmt.Sprintf("mst: key %d at position %d outside the payload domain [0, %d]", e.Value, e.Pos, math.MaxInt32)
+}
+
 // Options configures tree construction.
 type Options struct {
 	// Fanout is the number of child runs merged into one parent run (f).
@@ -75,10 +88,6 @@ type Options struct {
 	// degrading queries to O((log n)²) as in Figure 2. Kept for the ablation
 	// benchmarks.
 	NoCascading bool
-	// Force64 forces 64-bit tree elements even when the payload domain fits
-	// into 32 bits. Kept for the ablation benchmarks (§5.1 argues the
-	// 32-bit representation wins through lower memory bandwidth).
-	Force64 bool
 	// Serial disables parallel construction.
 	Serial bool
 	// SpillRows, when > 0, makes Build spill-aware: inputs larger than
@@ -165,20 +174,14 @@ func (o Options) validate() error {
 	return nil
 }
 
-// payload is the element type of a tree level: the preprocessed integer
-// domain of §5.1.
-type payload interface {
-	~int32 | ~int64
-}
-
-// tree is the generic merge sort tree. levels[0] is a copy of the input;
-// levels[top] is a single sorted run.
-type tree[P payload] struct {
+// tree is the monolithic merge sort tree over 32-bit payloads. levels[0] is a
+// copy of the input; levels[top] is a single sorted run.
+type tree struct {
 	n int
 	f int // fanout
 	k int // sample distance
 	// levels[l] holds the concatenated sorted runs of length runLen(l).
-	levels [][]P
+	levels [][]int32
 	// samples[l] (l >= 1) holds the cascading pointers of level l: for run
 	// r and sample s (covering the run prefix of length s·k), f int32
 	// consumed-element counts, one per child run. Flattened as
@@ -194,38 +197,32 @@ type tree[P payload] struct {
 	origin [][]uint8
 	// effLen[l] is the run length at level l (f^l), clamped to n at the top.
 	effLen []int
-	// topCodes is the offset-value code stripe of the top run: the high
-	// 32-bit word of every element, used by the batched kernels' top-level
-	// searches. Only materialized for 64-bit payload trees of at least
-	// ovcMinN elements (soa.go); nil otherwise.
-	topCodes []uint32
 }
 
-// Tree is a merge sort tree over an int64 payload array. It transparently
-// stores 32-bit elements when the payload domain allows (§5.1).
+// Tree is a merge sort tree over a payload array of non-negative 32-bit
+// integers, handed in and queried as int64 (§5.1).
 type Tree struct {
-	t32 *tree[int32]
-	t64 *tree[int64]
-	n   int
-	opt Options
+	mono *tree
+	n    int
+	opt  Options
 
 	// Spill-chunked representation (Options.SpillRows, spill.go): when
-	// chunks is non-nil, t32/t64 are nil and chunks[i] is a monolithic
+	// chunks is non-nil, mono is nil and chunks[i] is a monolithic
 	// subtree over base positions [i·chunkLen, min((i+1)·chunkLen, n)).
 	chunks   []*Tree
 	chunkLen int
-	// topOnce guards the lazily merged full top run (top32 or top64,
-	// matching the forest's payload width), built on the first full-span
-	// query by merging the chunk top runs with the loser-tree scratch.
-	topOnce sync.Once
-	top32   []int32
-	top64   []int64
+	// topOnce guards mergedTop, the lazily merged full top run, built on the
+	// first full-span query by merging the chunk top runs with the
+	// loser-tree scratch.
+	topOnce   sync.Once
+	mergedTop []int32
 }
 
 // Build constructs a merge sort tree over keys. The input slice is not
-// modified. Keys must be >= 0 (the preprocessing stages only produce
-// non-negative integers; the special value "–" is mapped to 0 with all
-// indices shifted by one, §5.1).
+// modified. Keys must lie in [0, math.MaxInt32] (the preprocessing stages
+// only produce non-negative integers below the row count; the special value
+// "–" is mapped to 0 with all indices shifted by one, §5.1); any other key
+// is answered with a PayloadRangeError.
 func Build(keys []int64, opt Options) (*Tree, error) {
 	opt = opt.resolveFor(len(keys))
 	if err := opt.validate(); err != nil {
@@ -234,50 +231,22 @@ func Build(keys []int64, opt Options) (*Tree, error) {
 	if len(keys) >= math.MaxInt32 {
 		return nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", len(keys))
 	}
+	base := make([]int32, len(keys))
+	for i, v := range keys {
+		if v < 0 || v > math.MaxInt32 {
+			return nil, &PayloadRangeError{Pos: i, Value: v}
+		}
+		//lint:narrowconv-ok the guard above proved the key is in [0, math.MaxInt32]
+		base[i] = int32(v)
+	}
 	if opt.SpillRows > 0 && len(keys) > opt.SpillRows {
-		return buildChunked(keys, opt)
+		return buildChunked(base, opt), nil
 	}
-	t := &Tree{n: len(keys), opt: opt}
-	use32 := !opt.Force64
-	if use32 {
-		for _, v := range keys {
-			if v < 0 || v > math.MaxInt32 {
-				use32 = false
-				break
-			}
-		}
-	}
-	if use32 {
-		base := make([]int32, len(keys))
-		for i, v := range keys {
-			//lint:narrowconv-ok the use32 scan above proved every key is in [0, math.MaxInt32]
-			base[i] = int32(v)
-		}
-		t.t32 = buildTree(base, opt)
-	} else {
-		base := make([]int64, len(keys))
-		copy(base, keys)
-		t.t64 = buildTree(base, opt)
-	}
-	return t, nil
+	return &Tree{n: len(keys), opt: opt, mono: buildTree(base, opt)}, nil
 }
 
 // Len returns the number of elements the tree was built over.
 func (t *Tree) Len() int { return t.n }
-
-// Is32Bit reports whether the tree stores 32-bit elements (for a spill
-// forest: whether every subtree does).
-func (t *Tree) Is32Bit() bool {
-	if t.chunks != nil {
-		for _, c := range t.chunks {
-			if !c.Is32Bit() {
-				return false
-			}
-		}
-		return true
-	}
-	return t.t32 != nil
-}
 
 // CountBelow returns the number of entries at positions [lo, hi) whose value
 // is strictly smaller than threshold. lo and hi are clamped to [0, Len()].
@@ -294,16 +263,13 @@ func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
 	if t.chunks != nil {
 		return t.chunkedCountBelow(lo, hi, threshold)
 	}
-	if t.t32 != nil {
-		if threshold <= 0 {
-			return 0
-		}
-		if threshold > math.MaxInt32 {
-			return hi - lo
-		}
-		return t.t32.countBelow(lo, hi, int32(threshold))
+	if threshold <= 0 {
+		return 0
 	}
-	return t.t64.countBelow(lo, hi, threshold)
+	if threshold > math.MaxInt32 {
+		return hi - lo
+	}
+	return t.mono.countBelow(lo, hi, int32(threshold))
 }
 
 // CountRange returns the number of entries at positions [lo, hi) whose value
@@ -337,20 +303,17 @@ func (t *Tree) Value(pos int) int64 {
 	if t.chunks != nil {
 		return t.chunks[pos/t.chunkLen].Value(pos % t.chunkLen)
 	}
-	if t.t32 != nil {
-		return int64(t.t32.levels[0][pos])
-	}
-	return t.t64.levels[0][pos]
+	return int64(t.mono.levels[0][pos])
 }
 
 // runLen returns f^l clamped to n.
-func (t *tree[P]) runLen(level int) int { return t.effLen[level] }
+func (t *tree) runLen(level int) int { return t.effLen[level] }
 
 // top returns the index of the topmost level (a single sorted run).
-func (t *tree[P]) top() int { return len(t.levels) - 1 }
+func (t *tree) top() int { return len(t.levels) - 1 }
 
 // run returns the elements of the given run at the given level.
-func (t *tree[P]) run(level, run int) []P {
+func (t *tree) run(level, run int) []int32 {
 	rl := t.effLen[level]
 	start := run * rl
 	end := start + rl

@@ -58,8 +58,7 @@ func optVariants() []Options {
 		{Fanout: 3, SampleEvery: 5},  // non-power-of-two fanout
 		{Fanout: 32, SampleEvery: 32, Serial: true},
 		{NoCascading: true}, // plain O((log n)^2) queries
-		{Force64: true},     // 64-bit payloads
-		{Fanout: 64, SampleEvery: 4, Force64: true},
+		{Fanout: 64, SampleEvery: 4},
 	}
 }
 
@@ -293,30 +292,39 @@ func TestEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// Test32BitSelection pins the one payload width: the whole of
+// [0, math.MaxInt32] builds and answers, and the first key outside it — on the
+// monolithic path and inside a later chunk of a spill forest alike — is
+// rejected with a PayloadRangeError naming its position in the input.
 func Test32BitSelection(t *testing.T) {
-	small, err := Build([]int64{1, 2, 3}, Options{})
+	edge, err := Build([]int64{1, math.MaxInt32, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !small.Is32Bit() {
-		t.Fatal("small-domain tree should use 32-bit payloads")
+	if got := edge.Stats().ElementBytes; got != 4 {
+		t.Fatalf("element bytes = %d, want 4", got)
 	}
-	big, err := Build([]int64{1, 1 << 40}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if got := edge.CountBelow(0, 3, math.MaxInt32); got != 2 {
+		t.Fatalf("count below MaxInt32 = %d, want 2", got)
 	}
-	if big.Is32Bit() {
-		t.Fatal("wide-domain tree must use 64-bit payloads")
+	if got := edge.CountBelow(0, 3, math.MaxInt32+1); got != 3 {
+		t.Fatalf("count below MaxInt32+1 = %d, want 3", got)
 	}
-	if got := big.CountBelow(0, 2, 1<<40); got != 1 {
-		t.Fatalf("wide count = %d", got)
-	}
-	forced, err := Build([]int64{1, 2, 3}, Options{Force64: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Is32Bit() {
-		t.Fatal("Force64 must produce a 64-bit tree")
+	for _, c := range []struct {
+		name string
+		keys []int64
+		opt  Options
+		pos  int
+	}{
+		{"negative", []int64{3, -1, 1 << 40}, Options{}, 1},
+		{"MaxInt32+1", []int64{1, 2, math.MaxInt32 + 1}, Options{}, 2},
+		{"spill forest", []int64{5, 4, 3, 2, 1, 0, -7, 8}, Options{SpillRows: 3}, 6},
+	} {
+		_, err := Build(c.keys, c.opt)
+		var pe *PayloadRangeError
+		if !errors.As(err, &pe) || pe.Pos != c.pos || pe.Value != c.keys[c.pos] {
+			t.Fatalf("%s: error %v, want a PayloadRangeError for key %d at %d", c.name, err, c.keys[c.pos], c.pos)
+		}
 	}
 }
 
@@ -413,11 +421,7 @@ func TestParallelBuildPaths(t *testing.T) {
 					t.Fatalf("n=%d opt=%+v [%d,%d) th=%d: got %d want %d", n, opt, lo, hi, th, got, want)
 				}
 			}
-			if tree.t32 != nil {
-				checkInvariants(t, tree.t32)
-			} else {
-				checkInvariants(t, tree.t64)
-			}
+			checkInvariants(t, tree.mono)
 		}
 	}
 }

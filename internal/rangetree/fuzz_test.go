@@ -1,6 +1,7 @@
 package rangetree
 
 import (
+	"errors"
 	"testing"
 
 	"holistic/internal/mst"
@@ -15,6 +16,7 @@ func FuzzDenseRankBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 9, 0, 0, 9}, 0, 7, int64(4), int64(2), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), int64(0), uint8(3), uint8(2), uint8(1))
 	f.Add([]byte{}, 0, 0, int64(0), int64(1), uint8(2), uint8(1), uint8(7))
+	f.Add([]byte("0000000000000000\""), 0, 17, int64(73), int64(1), uint8(2), uint8(1), uint8(7)) // a 17-row node: nested tree, prevIdx -1
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, rankThr, prevThr int64, fanout, sampleEvery, flags uint8) {
 		ranks := make([]int64, len(data))
 		prevs := make([]int64, len(data))
@@ -28,6 +30,20 @@ func FuzzDenseRankBatch(f *testing.F) {
 			NoCascading: flags&1 != 0, // flags&4 is unused: the corpus keeps decoding as it did
 		}
 		rt, err := New(ranks, prevs, opt)
+		// The decoding is unshifted: -1 means "no previous occurrence". Nodes
+		// below smallNode scan it as it is; a nested tree must reject it, and
+		// the target goes on in the shifted form of §5.1.
+		var pe *mst.PayloadRangeError
+		if errors.As(err, &pe) {
+			if pe.Value != -1 || len(data) < smallNode {
+				t.Fatalf("New(%d rows, %+v): %v", len(ranks), opt, err)
+			}
+			for i := range prevs {
+				prevs[i]++
+			}
+			prevThr++
+			rt, err = New(ranks, prevs, opt)
+		}
 		if err != nil {
 			t.Fatalf("New(%d rows, %+v): %v", len(ranks), opt, err)
 		}

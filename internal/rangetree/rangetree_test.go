@@ -111,6 +111,13 @@ func TestValidation(t *testing.T) {
 	if _, err := New(ranks, ranks, mst.Options{Fanout: mst.MaxFanout + 1}); !errors.As(err, &fe) {
 		t.Fatalf("fanout %d: error %v, want a FanoutError", mst.MaxFanout+1, err)
 	}
+	// ... and its payload domain: a prevIdx no 32-bit tree can hold.
+	prevs := make([]int64, 64)
+	prevs[40] = -1
+	var pe *mst.PayloadRangeError
+	if _, err := New(ranks, prevs, mst.Options{}); !errors.As(err, &pe) || pe.Value != -1 {
+		t.Fatalf("negative prevIdx: error %v, want a PayloadRangeError", err)
+	}
 }
 
 func TestEmpty(t *testing.T) {

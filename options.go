@@ -74,7 +74,7 @@ func WithTaskSize(rows int) Option {
 }
 
 // WithTree configures merge sort tree construction (fanout f, pointer
-// sampling k, cascading, 32/64-bit payloads, and a size-aware tuner via
+// sampling k, cascading, and a size-aware tuner via
 // TreeOptions.Tuning — see internal/mst/tune and DESIGN.md §15.2;
 // explicitly set fields always beat the tuner's choices).
 func WithTree(t TreeOptions) Option {
