@@ -1,6 +1,6 @@
 // Package spanend enforces the trace-span lifecycle of internal/obs with
 // a path-sensitive dataflow analysis: every span started with NewSpan,
-// Child or Phase must be ended on every return path and on every explicit
+// Child, Phase or Enter must be ended on every return path and on every explicit
 // panic path, and a phase span must not still be open when its parent is
 // explicitly ended (phase totals would attribute the child's tail to the
 // wrong phase).
@@ -51,7 +51,8 @@ var Analyzer = &analysis.Analyzer{
 const obsPkgSuffix = "internal/obs"
 
 // spanStarters are the callables that hand out a span the holder must End.
-var spanStarters = map[string]bool{"NewSpan": true, "Child": true, "Phase": true}
+// An Accumulator is not one: it has no run of its own to end, only entries.
+var spanStarters = map[string]bool{"NewSpan": true, "Child": true, "Phase": true, "Enter": true}
 
 type state uint8
 

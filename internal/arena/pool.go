@@ -25,10 +25,12 @@ const maxClass = 26
 type Pool[T any] struct {
 	name    string
 	classes [maxClass + 1]sync.Pool
-	gets    atomic.Int64
-	puts    atomic.Int64
-	misses  atomic.Int64 // Gets not served from the pool (fresh make)
-	inUse   atomic.Int64 // bytes handed out and not yet returned
+	// gets counts Gets by size class; slot maxClass+1 takes the requests too
+	// large to pool.
+	gets   [maxClass + 2]atomic.Int64
+	puts   atomic.Int64
+	misses atomic.Int64 // Gets not served from the pool (fresh make)
+	inUse  atomic.Int64 // bytes handed out and not yet returned
 }
 
 // registry tracks every named pool for Snapshot.
@@ -58,12 +60,13 @@ func classFor(n int) int {
 // Get returns a scratch buffer of length n with unspecified contents and
 // capacity 1<<classFor(n). Callers that rely on zeroed memory use GetZeroed.
 func (p *Pool[T]) Get(n int) []T {
-	p.gets.Add(1)
 	c := classFor(n)
 	if c > maxClass {
+		p.gets[maxClass+1].Add(1)
 		p.misses.Add(1)
 		return make([]T, n)
 	}
+	p.gets[c].Add(1)
 	p.inUse.Add(int64(1<<c) * elemBytes[T]())
 	if v := p.classes[c].Get(); v != nil {
 		buf := *(v.(*[]T))
@@ -99,11 +102,22 @@ func (p *Pool[T]) Put(buf []T) {
 	p.classes[cls].Put(&buf)
 }
 
+// GetsOver returns how many Gets so far were handed a buffer of more than
+// elems elements of capacity: the way a test bounds the scratch a kernel
+// asks for.
+func (p *Pool[T]) GetsOver(elems int) int64 {
+	total := int64(0)
+	for c := classFor(elems + 1); c < len(p.gets); c++ {
+		total += p.gets[c].Load()
+	}
+	return total
+}
+
 // stat snapshots the pool's counters.
 func (p *Pool[T]) stat() PoolStat {
 	return PoolStat{
 		Name:          p.name,
-		Gets:          p.gets.Load(),
+		Gets:          p.GetsOver(-1), // every class
 		Puts:          p.puts.Load(),
 		Misses:        p.misses.Load(),
 		BytesInFlight: p.inUse.Load(),

@@ -106,8 +106,8 @@ func runBatched(p *partition, opt Options, fam batchFamily, body func(lo, hi int
 	err := forEachRow(p, opt, func(lo, hi int) { body(lo, hi, agg) })
 	q, d := agg.queries.Load(), agg.dedup.Load()
 	sp.Set("family", fam.String())
-	sp.SetInt("batch_queries", q)
-	sp.SetInt("batch_dedup_hits", d)
+	sp.AddInt("batch_queries", q)
+	sp.AddInt("batch_dedup_hits", d)
 	sp.End()
 	batchQueriesTotal.Add(q)
 	batchDedupHitsTotal.Add(d)

@@ -64,22 +64,24 @@ func cacheGet[T any](opt Options, key string, build func() (T, int64, error)) (T
 		v, _, err := build()
 		return v, err
 	}
-	// Annotate the current span with the cache interaction: "reuse" unless
-	// the build closure actually ran. The slow-query log surfaces these
-	// attributes, so a cold-cache outlier is distinguishable from a slow
-	// probe at a glance.
-	if sp := opt.trace; sp != nil {
-		sp.Set("cache_key", key)
-		sp.Set("cache", "reuse")
-	}
+	// Count the cache interaction on the current span: a hit unless the
+	// build closure actually ran. The slow-query log surfaces these counts,
+	// so a cold-cache outlier is distinguishable from a slow probe at a
+	// glance.
+	built := false
 	got, err := opt.Cache.GetOrBuild(opt.CacheScope+"|"+key, func() (any, int64, error) {
-		opt.trace.Set("cache", "build")
+		built = true
 		v, bytes, err := build()
 		if err != nil {
 			return nil, 0, err
 		}
 		return v, bytes, nil
 	})
+	if built {
+		opt.trace.AddInt("cache_builds", 1)
+	} else {
+		opt.trace.AddInt("cache_hits", 1)
+	}
 	if err != nil {
 		var zero T
 		return zero, err

@@ -19,10 +19,11 @@ type Options struct {
 	// the Hyper task size the paper uses, §5.5).
 	TaskSize int
 	// Trace, when non-nil, is the span the run records itself under: one
-	// child span per phase, per (partition, function) evaluation and per
-	// parallel worker, with cache keys and row counts as attributes. The
-	// caller owns the span and ends it; Run only attaches children. A nil
-	// Trace disables tracing at zero allocation cost on the probe path.
+	// child span per statement-level phase and one "eval" span per (window,
+	// function) that every partition's evaluation accumulates into, with
+	// cache outcomes and row counts as attributes. The caller owns the span
+	// and ends it; Run only attaches children. A nil Trace disables tracing
+	// at zero allocation cost on the probe path.
 	Trace *obs.Span
 	// DefaultEngine substitutes the evaluation engine for every function
 	// whose Engine field was left at the zero value. The zero value *is*
@@ -53,9 +54,10 @@ type Options struct {
 	// bypassed.
 	CacheScope string
 	// trace is the span the current piece of work records under: Run
-	// points it at the root, evalFunc at the per-evaluation span. It is
-	// threaded through the value-copied Options so concurrent evaluations
-	// never share a current-span variable.
+	// points it at the root, then at the function's "eval" span, and
+	// evalFunc at its own entry into that span. It is threaded through the
+	// value-copied Options so concurrent evaluations never share a
+	// current-span variable.
 	trace *obs.Span
 	// Delta, when non-nil, describes the table as a frozen base plus a
 	// mutation overlay (see DeltaView): phase 1 then merges the cached
@@ -73,6 +75,15 @@ type Options struct {
 	// performance comparisons and as an escape hatch. It is consulted by
 	// internal/plan, not by Run itself.
 	NoSharedPlan bool
+}
+
+// engineFor resolves the engine a function runs on: its own choice, or the
+// run's default when it left the field at the zero value.
+func (o Options) engineFor(f *FuncSpec) Engine {
+	if f.Engine == EngineMergeSortTree {
+		return o.DefaultEngine // zero value: still the merge sort tree
+	}
+	return f.Engine
 }
 
 func (o Options) taskSize() int {
@@ -218,13 +229,24 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 	}
 
 	// Phase 3: evaluate every (partition, window, function) triple. Output
-	// columns are written at original row positions directly.
+	// columns are written at original row positions directly. A function's
+	// trace is one "eval" span for the statement, which each partition's
+	// evaluation enters: what the phases beneath it cost is summed over the
+	// partitions, so the trace is as long as the statement, not the table.
 	outs := make([][]*outBuilder, len(windows))
+	evals := make([][]*obs.Span, len(windows))
 	for wi, w := range windows {
 		outs[wi] = make([]*outBuilder, len(w.Funcs))
+		evals[wi] = make([]*obs.Span, len(w.Funcs))
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
 			outs[wi][i] = newOutBuilder(f.Output, outputKind(t, f), n)
+			sp := root.Accumulator("eval")
+			sp.Set("function", f.Name.String())
+			sp.Set("engine", opt.engineFor(f).String())
+			sp.SetInt("partitions", int64(len(parts)))
+			sp.SetInt("rows", int64(n))
+			evals[wi][i] = sp
 		}
 	}
 	var errMu sync.Mutex
@@ -246,7 +268,9 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 			p := views[wi][pi]
 			for fi := range w.Funcs {
 				f := &w.Funcs[fi]
-				if err := evalFuncCached(p, f, outs[wi][fi], opt); err != nil {
+				fopt := opt
+				fopt.trace = evals[wi][fi]
+				if err := evalFuncCached(p, f, outs[wi][fi], fopt); err != nil {
 					setErr(fmt.Errorf("%v (%s): %w", f.Name, f.Output, err))
 					return
 				}
@@ -420,19 +444,11 @@ func percentileValueColumn(f *FuncSpec) string {
 }
 
 // evalFunc evaluates one function over one partition with the selected
-// engine, under a structural "eval" span carrying the function, engine,
-// partition ordinal and row count.
+// engine, as one entry into the function's "eval" span (opt.trace).
 func evalFunc(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
-	eng := f.Engine
-	if eng == EngineMergeSortTree {
-		eng = opt.DefaultEngine // zero value: still the merge sort tree
-	}
-	if sp := opt.trace.Child("eval"); sp != nil {
+	eng := opt.engineFor(f)
+	if sp := opt.trace.Enter(); sp != nil {
 		defer sp.End()
-		sp.Set("function", f.Name.String())
-		sp.Set("engine", eng.String())
-		sp.SetInt("partition", int64(p.ord))
-		sp.SetInt("rows", int64(p.len()))
 		opt.trace = sp
 	}
 	spec := p.w.effectiveFrame(f)

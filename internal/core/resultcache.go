@@ -16,6 +16,15 @@ import (
 // sustained mutation cheap — a batch that touches two partitions re-probes
 // two partitions, and the other ninety-eight cost one memcopy each.
 //
+// Result vectors are a mutation-path structure: they are admitted only once
+// the dataset has applied a batch (DeltaView.Epoch > 0, which compactions
+// preserve). On a dataset nobody has mutated, the only traffic they could
+// serve is an identical statement repeated verbatim, and they cost a key,
+// an entry and a copy of every output per (partition, function) of every
+// statement — 10,000 entries a statement on a 2,000-partition table, never
+// read again. There a function writes straight into its output column; a
+// repeated statement re-runs its probes against the cached trees.
+//
 // The one exception is per-row frame offset expressions (Bound.OffsetFn):
 // they are keyed by the row's id in the merged table, which shifts when a
 // delete elsewhere renumbers later rows, so a frame using them is evaluated
@@ -35,8 +44,15 @@ type cachedResult struct {
 	nulls  []bool
 }
 
+// cachedResultHeaderBytes is the struct itself: the kind word and five
+// 24-byte slice headers. At a median partition of 18 rows it is as large as
+// the values, so it is charged.
+const cachedResultHeaderBytes = 8 + 5*24
+
+// bytes is the vector's resident size: the struct, then what its slices hold.
 func (r *cachedResult) bytes() int64 {
-	total := int64(len(r.nulls)) + 8*int64(len(r.ints)+len(r.floats)) + int64(len(r.bools))
+	total := cachedResultHeaderBytes +
+		int64(len(r.nulls)) + 8*int64(len(r.ints)+len(r.floats)) + int64(len(r.bools))
 	for _, s := range r.strs {
 		total += int64(len(s)) + 16
 	}
@@ -131,32 +147,33 @@ func writeBoundSig(b *strings.Builder, bd frame.Bound) {
 }
 
 // evalFuncCached evaluates one (partition, function) pair through the
-// result cache when the run is a stamped delta run and the frame has no
-// per-row offset expressions; otherwise it evaluates directly.
+// result cache when the run is a stamped delta run over a dataset that has
+// been mutated and the frame has no per-row offset expressions; otherwise it
+// evaluates directly.
 func evalFuncCached(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
 	spec := p.w.effectiveFrame(f)
-	if !p.stamped || !opt.cacheActive() || spec.Start.OffsetFn != nil || spec.End.OffsetFn != nil {
+	// p.stamped implies a delta view and an active cache (RunShared).
+	if !p.stamped || opt.Delta.Epoch == 0 || spec.Start.OffsetFn != nil || spec.End.OffsetFn != nil {
 		return evalFunc(p, f, out, opt)
 	}
-	eng := f.Engine
-	if eng == EngineMergeSortTree {
-		eng = opt.DefaultEngine
-	}
-	res, err := cacheGet(opt, p.cacheKey("result", funcProbeSig(p, f, spec, eng)), func() (*cachedResult, int64, error) {
+	evaluated := false
+	res, err := cacheGet(opt, p.cacheKey("result", funcProbeSig(p, f, spec, opt.engineFor(f))), func() (*cachedResult, int64, error) {
+		evaluated = true
 		if err := evalFunc(p, f, out, opt); err != nil {
 			return nil, 0, err
 		}
 		r := gatherResult(out, p.rows)
 		return r, r.bytes(), nil
 	})
-	if err != nil {
-		return err
+	if err != nil || evaluated {
+		return err // a miss has just written these rows itself
 	}
 	if len(res.nulls) != p.len() || res.kind != out.kind {
 		// A key collision with an incompatible vector (should not happen
 		// under the key scheme): evaluate fresh rather than corrupt output.
 		return evalFunc(p, f, out, opt)
 	}
+	opt.trace.AddInt("result_hits", 1)
 	res.scatter(out, p.rows)
 	return nil
 }

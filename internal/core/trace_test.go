@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
+	"holistic/internal/treecache"
 )
 
 // traceWindow is a two-function window (a merge-sort-tree distinct count
@@ -95,8 +97,8 @@ func TestRunTraceInvariants(t *testing.T) {
 		if sp.IsPhase() {
 			t.Error("eval spans must be structural, not phases")
 		}
-		if sp.Attr("function") == "" || sp.Attr("engine") == "" {
-			t.Errorf("eval span lacks function/engine attrs: %v", sp.Attrs())
+		if sp.Attr("function") == "" || sp.Attr("engine") == "" || sp.Attr("partitions") != "1" {
+			t.Errorf("eval span lacks function/engine/partitions attrs: %v", sp.Attrs())
 		}
 	})
 	if evals != 2 {
@@ -104,6 +106,168 @@ func TestRunTraceInvariants(t *testing.T) {
 	}
 	if byName["eval"] || byName["worker"] {
 		t.Error("structural spans leaked into the phase totals")
+	}
+}
+
+// spanShape renders the tree as indented names: its shape, without the
+// durations and attribute values that vary from run to run.
+func spanShape(root *obs.Span) string {
+	var b strings.Builder
+	root.Walk(func(sp *obs.Span, depth int) {
+		b.WriteString(strings.Repeat("  ", depth))
+		b.WriteString(sp.Name())
+		b.WriteByte('\n')
+	})
+	return b.String()
+}
+
+// singlePartitionShape is the trace of traceWindow over one partition on one
+// worker, as the operator rendered it when every (partition, function) pair
+// had a span of its own: the shared eval span must not change what a
+// single-partition statement shows.
+const singlePartitionShape = `query
+  partition+order sort
+  partition boundaries
+  eval
+    preprocess: populate hashes
+    preprocess: sort hashes
+    preprocess: prevIdcs
+    build merge sort tree
+      mst: merge level
+      mst: merge level
+      mst: merge level
+    mst.query.batch
+      probe
+        worker
+  eval
+    build merge sort tree
+      mst: merge level
+      mst: merge level
+      mst: merge level
+    mst.query.batch
+      probe
+        worker
+`
+
+// designPhases is DESIGN.md §9.1's table of phase names.
+var designPhases = map[string]bool{
+	"partition+order sort":        true,
+	"partition boundaries":        true,
+	"preprocess: populate hashes": true,
+	"preprocess: sort hashes":     true,
+	"preprocess: prevIdcs":        true,
+	"build merge sort tree":       true,
+	"mst.query.batch":             true,
+	"probe":                       true,
+}
+
+// fiveFuncWindow is the statement shape of the many-partitions workload:
+// one function per probe family over one partitioned window.
+func fiveFuncWindow() *WindowSpec {
+	w := traceWindow()
+	w.PartitionBy = []string{"g"}
+	w.Frame.Start.Offset = 3
+	w.Funcs = []FuncSpec{
+		{Name: CountDistinct, Output: "cd", Arg: "v"},
+		{Name: PercentileDisc, Output: "pd", Fraction: 0.5, OrderBy: []SortKey{{Column: "v"}}},
+		{Name: Rank, Output: "r", OrderBy: []SortKey{{Column: "v"}}},
+		{Name: DenseRank, Output: "dr", OrderBy: []SortKey{{Column: "v"}}},
+		{Name: SumDistinct, Output: "sd", Arg: "v"},
+	}
+	return w
+}
+
+// partitionedTable is randTable with the group column rewritten: partition
+// p holds sizeOf(p) rows.
+func partitionedTable(rng *rand.Rand, parts int, sizeOf func(p int) int) *Table {
+	var groups []int64
+	for p := 0; p < parts; p++ {
+		for i := sizeOf(p); i > 0; i-- {
+			groups = append(groups, int64(p))
+		}
+	}
+	rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
+	base := randTable(rng, len(groups))
+	cols := []*Column{NewInt64Column("g", groups, nil)}
+	for _, name := range []string{"d", "v", "fv", "s", "flt"} {
+		cols = append(cols, base.Column(name))
+	}
+	return MustNewTable(cols...)
+}
+
+// tracedRun evaluates w over tab under a fresh root span and returns it.
+func tracedRun(t *testing.T, tab *Table, w *WindowSpec, opt Options) *obs.Span {
+	t.Helper()
+	root := obs.NewSpan("query")
+	opt.Trace = root
+	if _, err := Run(tab, w, opt); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	return root
+}
+
+func countSpans(root *obs.Span) int {
+	n := 0
+	root.Walk(func(*obs.Span, int) { n++ })
+	return n
+}
+
+// TestSpanCountIndependentOfPartitions is the span budget: a trace grows
+// with the statement, not with the table. The same five-function statement
+// over 1 and over 2,000 equally sized partitions produces the same number of
+// spans, a skewed 2,000-partition table still renders in well under 200
+// lines, only documented phases are totalled, and a single-partition
+// statement keeps the tree it always had.
+func TestSpanCountIndependentOfPartitions(t *testing.T) {
+	w := fiveFuncWindow()
+	uniform := func(int) int { return 8 }
+	one := tracedRun(t, partitionedTable(rand.New(rand.NewSource(1)), 1, uniform), w, Options{})
+	many := tracedRun(t, partitionedTable(rand.New(rand.NewSource(1)), 2_000, uniform), w, Options{})
+	if a, b := countSpans(one), countSpans(many); a != b {
+		t.Errorf("1 partition traces %d spans, 2,000 partitions %d: the trace must not grow with the partition count\n%s", a, b, many.Render())
+	}
+	if got, want := spanShape(many), spanShape(one); got != want {
+		t.Errorf("2,000 equal partitions render a different tree than one:\n%s\nwant\n%s", got, want)
+	}
+	many.Walk(func(sp *obs.Span, _ int) {
+		if !sp.Ended() {
+			t.Errorf("span %q not ended after Run", sp.Name())
+		}
+		if sp.Name() != "eval" {
+			return
+		}
+		if sp.Attr("partitions") != "2000" || sp.Attr("rows") != "16000" || sp.Count() != 2_000 {
+			t.Errorf("eval span of %s: partitions=%s rows=%s entered %d times, want 2000 / 16000 / 2000",
+				sp.Attr("function"), sp.Attr("partitions"), sp.Attr("rows"), sp.Count())
+		}
+	})
+
+	// Skewed sizes align deeper trees and parallel probes of the large
+	// partitions into the same few nodes.
+	skewed := tracedRun(t, partitionedTable(rand.New(rand.NewSource(2)), 2_000, func(p int) int {
+		if p%500 == 0 {
+			return 3_000
+		}
+		return 1 + p%40
+	}), w, Options{TaskSize: 512, Cache: treecache.New(0), CacheScope: "spans@v1"})
+	if lines := strings.Count(skewed.Render(), "\n"); lines >= 200 {
+		t.Errorf("a 2,000-partition trace renders %d lines, want under 200", lines)
+	}
+	for _, ph := range skewed.PhaseTotals() {
+		if !designPhases[ph.Name] {
+			t.Errorf("phase %q is totalled but not in DESIGN.md §9.1's table", ph.Name)
+		}
+	}
+	skewed.Walk(func(sp *obs.Span, _ int) {
+		if sp.Name() == "eval" && sp.Attr("cache_builds") != "2000" {
+			t.Errorf("eval span of %s counts cache_builds=%q over a cold cache, want one per partition", sp.Attr("function"), sp.Attr("cache_builds"))
+		}
+	})
+
+	single := tracedRun(t, randTable(rand.New(rand.NewSource(7)), 5_000), traceWindow(), Options{TaskSize: 512, Workers: 1})
+	if got := spanShape(single); got != singlePartitionShape {
+		t.Errorf("single-partition trace changed shape:\n%s\nwant\n%s", got, singlePartitionShape)
 	}
 }
 

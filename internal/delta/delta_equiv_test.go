@@ -342,14 +342,17 @@ func TestDeltaEquivalenceRandomized(t *testing.T) {
 }
 
 // TestDeltaUntouchedPartitionCacheReuse pins the point of the content+epoch
-// partition keys: after mutating rows of one partition, a re-query at the
-// new epoch must hit the cache for the untouched partitions' structures.
+// partition keys on a mutating dataset: once a first batch has been applied
+// (result vectors are admitted from epoch 1 on, never at epoch 0), a second
+// batch touching partition g=0 must find the trees *and* the finished result
+// vectors of the untouched partitions g=1..3.
 func TestDeltaUntouchedPartitionCacheReuse(t *testing.T) {
+	const parts, funcs = 4, 2
 	rng := rand.New(rand.NewSource(7))
 	var rows [][]delta.Value
 	for i := int64(0); i < 120; i++ {
 		row := randRow(rng, i)
-		row[1] = delta.Int64Value(i % 4) // g: four partitions
+		row[1] = delta.Int64Value(i % parts) // g
 		rows = append(rows, row)
 	}
 	base := buildTable(t, rows)
@@ -357,16 +360,26 @@ func TestDeltaUntouchedPartitionCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &core.WindowSpec{
-		PartitionBy: []string{"g"},
-		OrderBy:     []core.SortKey{{Column: "d"}},
-		Funcs: []core.FuncSpec{
-			{Name: core.CountDistinct, Output: "o", Arg: "v"},
-			{Name: core.Rank, Output: "r", OrderBy: []core.SortKey{{Column: "v"}}},
-		},
+	window := func(preceding int64) *core.WindowSpec {
+		return &core.WindowSpec{
+			PartitionBy: []string{"g"},
+			OrderBy:     []core.SortKey{{Column: "d"}},
+			Frame: frame.Spec{
+				Mode:  frame.Rows,
+				Start: frame.Bound{Type: frame.Preceding, Offset: preceding},
+				End:   frame.Bound{Type: frame.CurrentRow},
+			},
+			FrameSet: true,
+			Funcs: []core.FuncSpec{
+				{Name: core.CountDistinct, Output: "o", Arg: "v"},
+				{Name: core.Rank, Output: "r", OrderBy: []core.SortKey{{Column: "v"}}},
+			},
+		}
 	}
 	cache := treecache.New(0)
-	query := func() {
+	// query runs the statement at the buffer's current epoch and returns
+	// what it added to the cache's hit and miss counters.
+	query := func(w *core.WindowSpec) (hits, misses int64) {
 		t.Helper()
 		snap := buf.Snapshot()
 		tab, err := snap.Table()
@@ -377,29 +390,44 @@ func TestDeltaUntouchedPartitionCacheReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := cache.Stats()
 		opt := core.Options{Cache: cache, CacheScope: fmt.Sprintf("reuse@v1|g%d", snap.Gen()), Delta: view}
 		if _, err := core.Run(tab, w, opt); err != nil {
 			t.Fatal(err)
 		}
+		after := cache.Stats()
+		return after.Hits - before.Hits, after.Misses - before.Misses
 	}
-	query() // cold: populates per-partition structures for all four partitions
-	missesCold := cache.Stats().Misses
+	// mutateG0 upserts key 0, which lives in partition g=0.
+	mutateG0 := func() {
+		t.Helper()
+		row := randRow(rng, 0)
+		row[1] = delta.Int64Value(0)
+		if _, err := buf.Apply(-1, []delta.Mutation{{Op: delta.OpUpsert, Row: row}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// Mutate only partition g=0 (key 0 has g = 0%4 = 0).
-	row := randRow(rng, 0)
-	row[1] = delta.Int64Value(0)
-	if _, err := buf.Apply(-1, []delta.Mutation{{Op: delta.OpUpsert, Row: row}}); err != nil {
-		t.Fatal(err)
+	query(window(5)) // epoch 0: builds every partition's trees, retains no results
+	mutateG0()
+	_, first := query(window(5)) // epoch 1: g=0's trees, and every partition's first result vector
+	mutateG0()
+	hits, second := query(window(5)) // epoch 2: g=0 again; g=1..3 are answered from their vectors
+
+	// Both batches rebuild the epoch's sort and stamps and g=0's trees and
+	// results; the first also had to compute g=1..3's vectors, the second
+	// must not.
+	if want := first - (parts-1)*funcs; second != want {
+		t.Fatalf("second batch on g=0 built %d entries, first built %d: want %d (the untouched partitions' %d result vectors reused)",
+			second, first, want, (parts-1)*funcs)
 	}
-	before := cache.Stats()
-	query() // warm: partitions g=1..3 must reuse their structures
-	after := cache.Stats()
-	if after.Hits <= before.Hits {
-		t.Fatalf("no cache hits across epochs: %+v -> %+v", before, after)
+	if hits < (parts-1)*funcs {
+		t.Fatalf("second batch hit the cache %d times, want at least the %d result vectors of g=1..3", hits, (parts-1)*funcs)
 	}
-	// The second query may rebuild the touched partition's structures and
-	// the new epoch's sort/stamps, but must not rebuild everything again.
-	if rebuilds := after.Misses - before.Misses; rebuilds >= missesCold {
-		t.Fatalf("epoch bump rebuilt %d structures, cold run built %d — no reuse", rebuilds, missesCold)
+	// A frame nobody has asked for misses every result vector and nothing
+	// else: all trees — g=1..3's from epoch 0, g=0's from this epoch — and
+	// the epoch's sort are found.
+	if _, misses := query(window(9)); misses != parts*funcs {
+		t.Fatalf("a new frame at a seen epoch built %d entries, want %d result vectors and no tree", misses, parts*funcs)
 	}
 }

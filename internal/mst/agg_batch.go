@@ -1,10 +1,6 @@
 package mst
 
-import (
-	"math"
-
-	"holistic/internal/arena"
-)
+import "holistic/internal/arena"
 
 // Batched, level-synchronous aggregate kernel over the annotated tree
 // (round 2 of the count/select kernels in count_batch.go/select_batch.go).
@@ -39,25 +35,37 @@ import (
 // (query, run start, level, aggregate index).
 const takeStride = 4
 
+// aggSubBatch is how many queries one descent carries. A query holds about
+// f·levels takes of 16 + 12 bytes on top of 56 bytes of frontier, so a
+// 20,000-row probe chunk in one descent works in — and leaves in the pool,
+// per P — tens of megabytes it touches once; at 1,024 queries the scratch
+// stays around a megabyte, inside the cache, and what a level shares across
+// queries (geometry, sample rows) is long amortised.
+const aggSubBatch = 1024
+
 // AggBelowBatch answers len(result) aggregate queries at once:
 // result[q], ok[q] = AggBelow(int(lo[q]), int(hi[q]), threshold[q]), and
 // cnt[q] = CountBelow(int(lo[q]), int(hi[q]), threshold[q]) — the distinct
 // count falls out of the same descent for free, and the DISTINCT-aggregate
 // collectors need it for the NULL rule. All six slices must have the same
-// length.
+// length. Queries are independent, so the batch is answered aggSubBatch
+// queries at a time.
 func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) {
 	m := len(result)
 	if len(lo) != m || len(hi) != m || len(threshold) != m || len(ok) != m || len(cnt) != m {
 		//lint:invariant the collector builds all six arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
 		panic("mst: AggBelowBatch slice length mismatch")
 	}
-	if m >= math.MaxInt32 {
-		//lint:invariant the kernel addresses queries with int32 slots; callers batch per chunk, far below 2³¹ queries
-		panic("mst: AggBelowBatch batch of 2³¹ or more queries")
+	for s := 0; s < m; s += aggSubBatch {
+		e := min(s+aggSubBatch, m)
+		at.aggBelowSubBatch(lo[s:e], hi[s:e], threshold[s:e], result[s:e], ok[s:e], cnt[s:e])
 	}
-	if m == 0 {
-		return
-	}
+}
+
+// aggBelowSubBatch is one level-synchronous descent over at most aggSubBatch
+// queries.
+func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) {
+	m := len(result)
 	for q := 0; q < m; q++ {
 		ok[q] = false
 		cnt[q] = 0

@@ -70,7 +70,9 @@ func TestAggBelowBatchMatchesScalar(t *testing.T) {
 // TestAggBelowBatchFloatBitIdentical pins the floating-point guarantee the
 // collectors rely on: batched SUM-style merges are bit-identical to the
 // scalar walk, across magnitudes chosen so that any reordering changes the
-// rounding.
+// rounding — at batch lengths on both sides of every sub-batch boundary
+// (aggSubBatch queries per descent), where a query answered from the wrong
+// sub-batch's scratch or left out of both would show.
 func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	merge := func(a, b float64) float64 { return a + b }
@@ -85,27 +87,31 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := 4 * n
-	lo := make([]int32, m)
-	hi := make([]int32, m)
-	thr := make([]int64, m)
-	for q := 0; q < m; q++ {
-		lo[q] = int32(rng.Intn(n))
-		hi[q] = lo[q] + int32(rng.Intn(n/2+1))
-		thr[q] = int64(rng.Intn(n + 2))
-	}
-	result := make([]float64, m)
-	okv := make([]bool, m)
-	cnt := make([]int32, m)
-	at.AggBelowBatch(lo, hi, thr, result, okv, cnt)
-	for q := 0; q < m; q++ {
-		want, wantOK := at.AggBelow(int(lo[q]), int(hi[q]), thr[q])
-		if okv[q] != wantOK {
-			t.Fatalf("query %d: ok=%v scalar=%v", q, okv[q], wantOK)
+	for _, m := range []int{aggSubBatch - 1, aggSubBatch, aggSubBatch + 1, 3*aggSubBatch + 1, 4 * n} {
+		lo := make([]int32, m)
+		hi := make([]int32, m)
+		thr := make([]int64, m)
+		for q := 0; q < m; q++ {
+			lo[q] = int32(rng.Intn(n))
+			hi[q] = lo[q] + int32(rng.Intn(n/2+1))
+			thr[q] = int64(rng.Intn(n + 2))
 		}
-		if wantOK && math.Float64bits(result[q]) != math.Float64bits(want) {
-			t.Fatalf("query %d: batch sum %x differs from scalar %x",
-				q, math.Float64bits(result[q]), math.Float64bits(want))
+		result := make([]float64, m)
+		okv := make([]bool, m)
+		cnt := make([]int32, m)
+		at.AggBelowBatch(lo, hi, thr, result, okv, cnt)
+		for q := 0; q < m; q++ {
+			want, wantOK := at.AggBelow(int(lo[q]), int(hi[q]), thr[q])
+			if okv[q] != wantOK {
+				t.Fatalf("batch of %d, query %d: ok=%v scalar=%v", m, q, okv[q], wantOK)
+			}
+			if wantOK && math.Float64bits(result[q]) != math.Float64bits(want) {
+				t.Fatalf("batch of %d, query %d: batch sum %x differs from scalar %x",
+					m, q, math.Float64bits(result[q]), math.Float64bits(want))
+			}
+			if wantCnt := at.CountBelow(int(lo[q]), int(hi[q]), thr[q]); int(cnt[q]) != wantCnt {
+				t.Fatalf("batch of %d, query %d: batch cnt=%d, CountBelow=%d", m, q, cnt[q], wantCnt)
+			}
 		}
 	}
 }

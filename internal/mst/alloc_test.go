@@ -184,3 +184,60 @@ func TestAnnotatedPoolBalance(t *testing.T) {
 			at.MemBytes(8), s.ElementBytes, want)
 	}
 }
+
+// TestAggBatchScratchBound pins what a large batch costs in scratch: a
+// 20,000-query AggBelowBatch — one probe chunk of the operator — on a
+// 33,000-row annotated tree at fanout 16 is answered a sub-batch at a time,
+// so it never asks the int32 pool for a buffer above 1 MiB and hands every
+// buffer back. In one descent its take list alone ran to 32 MiB, which each
+// P's pool then kept.
+func TestAggBatchScratchBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n, m = 33_000, 20_000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(64)
+	}
+	keys := prevIdcsRef(vals)
+	at, err := BuildAnnotated(keys, vals, func(a, b int64) int64 { return a + b }, Options{Fanout: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The DISTINCT probe's shape: a sliding frame per row, threshold lo+1.
+	lo, hi := make([]int32, m), make([]int32, m)
+	thr := make([]int64, m)
+	for q := range lo {
+		lo[q] = int32(max(q-10_000, 0))
+		hi[q] = int32(q + 1 + rng.Intn(n-m))
+		thr[q] = int64(lo[q]) + 1
+	}
+	const mib = 1 << 20 / 4 // int32 elements in 1 MiB
+	before, overBefore := int32PoolStat(t), arena.Int32s.GetsOver(mib)
+	res, okv, cnt := make([]int64, m), make([]bool, m), make([]int32, m)
+	at.AggBelowBatch(lo, hi, thr, res, okv, cnt)
+	after := int32PoolStat(t)
+	if over := arena.Int32s.GetsOver(mib) - overBefore; over != 0 {
+		t.Errorf("a %d-query batch asked the int32 pool for %d buffers above 1 MiB, want none", m, over)
+	}
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts || after.BytesInFlight != before.BytesInFlight {
+		t.Errorf("int32 pool gets=%d puts=%d, bytes in flight %d -> %d: every scratch buffer must come back",
+			gets, puts, before.BytesInFlight, after.BytesInFlight)
+	}
+	for _, q := range []int{0, aggSubBatch - 1, aggSubBatch, m - 1} {
+		want, wantOK := at.AggBelow(int(lo[q]), int(hi[q]), thr[q])
+		if okv[q] != wantOK || res[q] != want {
+			t.Errorf("query %d: batch (%d, %v), scalar (%d, %v)", q, res[q], okv[q], want, wantOK)
+		}
+	}
+}
+
+func int32PoolStat(t *testing.T) arena.PoolStat {
+	t.Helper()
+	for _, s := range arena.Snapshot() {
+		if s.Name == "int32" {
+			return s
+		}
+	}
+	t.Fatal(`no pool named "int32"`)
+	return arena.PoolStat{}
+}

@@ -97,7 +97,7 @@ func buildTree(base []int32, opt Options) *tree {
 
 		lsp := opt.Trace.Child("mst: merge level")
 		lsp.SetInt("level", int64(level))
-		lsp.SetInt("runs", int64(numRuns))
+		lsp.AddInt("runs", int64(numRuns))
 
 		workers := parallel.Workers()
 		if opt.Serial || numRuns >= workers || workers == 1 {

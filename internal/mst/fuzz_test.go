@@ -142,11 +142,15 @@ func FuzzCountSelect(f *testing.F) {
 // annotated descent: results must be byte-identical (the merge is an
 // order-sensitive string concatenation, so any reordering of the take fold
 // shows up immediately), ok flags must agree, and the count side output must
-// match CountBelow.
+// match CountBelow. Two flag bits stretch the batch across the kernel's
+// sub-batch boundaries.
 func FuzzAggBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), uint8(3), uint8(2), uint8(1))
 	f.Add([]byte{}, 0, 0, int64(0), uint8(2), uint8(1), uint8(7))
+	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5, 0, 11, 10, 12}, 2, 11, int64(3), uint8(0), uint8(3), uint8(2))
+	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5, 0, 11, 10, 12}, 0, 13, int64(6), uint8(1), uint8(0), uint8(4))
+	f.Add([]byte{3, 3, 0, 1, 2, 250, 4, 4}, 1, 7, int64(2), uint8(5), uint8(9), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		vals := make([]string, len(data))
@@ -158,7 +162,7 @@ func FuzzAggBatch(f *testing.F) {
 		opt := Options{
 			Fanout:      2 + int(fanout%7),
 			SampleEvery: 1 + int(sampleEvery%15),
-			NoCascading: flags&1 != 0, // flags&2 and flags&4 are unused: the corpus keeps decoding as it did
+			NoCascading: flags&1 != 0,
 		}
 		at, err := BuildAnnotated(keys, vals, func(a, b string) string { return a + "|" + b }, opt)
 		if err != nil {
@@ -169,6 +173,13 @@ func FuzzAggBatch(f *testing.F) {
 		bLo := []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
 		bHi := []int32{int32(hi), int32(hi), int32(len(keys)), int32(hi + 3)}
 		bThr := []int64{threshold, threshold, threshold, threshold - 1}
+		// flags&6 repeats the four with drifting bounds up to a batch length
+		// just short of, just past, or several times the sub-batch size.
+		for q, m := 4, []int{4, aggSubBatch - 1, aggSubBatch + 1, 3*aggSubBatch + 1}[flags>>1&3]; q < m; q++ {
+			bLo = append(bLo, bLo[q%4]+int32(q%5))
+			bHi = append(bHi, bHi[q%4]-int32(q%3))
+			bThr = append(bThr, bThr[q%4]+int64(q%7))
+		}
 		res := make([]string, len(bLo))
 		ok := make([]bool, len(bLo))
 		cnt := make([]int32, len(bLo))

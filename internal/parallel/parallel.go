@@ -156,7 +156,7 @@ func ForContext(ctx context.Context, n, taskSize int, body func(lo, hi int)) err
 
 // finishWorker stamps and ends a worker span; a nil span costs nothing.
 func finishWorker(sp *obs.Span, chunks int) {
-	sp.SetInt("chunks", int64(chunks))
+	sp.AddInt("chunks", int64(chunks))
 	sp.End()
 }
 

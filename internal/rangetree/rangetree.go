@@ -57,6 +57,10 @@ func New(ranks, prevIdcs []int64, opt mst.Options) (*DenseRankTree, error) {
 	if n == 0 {
 		return t, nil
 	}
+	// The inner trees are not traced: there are O(n/smallNode) of them, and a
+	// span per merge level of each makes a trace as long as the partition.
+	// The caller's build phase span times them all.
+	opt.Trace = nil
 	t.nodes = make([]node, 2*n)
 	for i := 0; i < n; i++ {
 		t.nodes[n+i] = node{ranks: ranks[i : i+1], prevs: prevIdcs[i : i+1]}

@@ -117,7 +117,7 @@ func newServerObs(s *Server, routes []string) *serverObs {
 	o.inflight = reg.NewGauge("windowd_inflight_requests",
 		"Requests currently being handled.").With()
 	o.evalDur = reg.NewHistogram("windowd_eval_duration_seconds",
-		"Per-(function, engine) window evaluation time, from the query span tree.",
+		"Window evaluation time per function and statement, summed over the statement's partitions, from the query span tree.",
 		nil, "function", "engine")
 	o.materializeDur = reg.NewHistogram("windowd_snapshot_materialize_seconds",
 		"Time a query spent getting its snapshot's merged table: the copy for the first query of a mutated epoch, nothing for a clean or already built one.",
@@ -358,7 +358,9 @@ func (o *serverObs) renderRequests(b *strings.Builder) {
 
 // observeQuerySpans walks a finished query span tree and feeds the
 // per-(function, engine) evaluation histogram from the "eval" spans the
-// operator emitted.
+// operator emitted: one per function of the statement, its duration summed
+// over the partitions that evaluated — so one observation per function per
+// statement, whatever the partition count.
 func (o *serverObs) observeQuerySpans(root *obs.Span) {
 	root.Walk(func(sp *obs.Span, _ int) {
 		if sp.Name() != "eval" {

@@ -65,8 +65,8 @@ type Config struct {
 	TaskSize int
 	// SlowQuery is the slow-query log threshold: queries whose evaluation
 	// plus response streaming take at least this long are logged at WARN
-	// with their rendered span tree (including cache_key attributes, so a
-	// cold-cache build is distinguishable from a slow probe) and the
+	// with their rendered span tree (including cache_hits/cache_builds
+	// counts, so a cold-cache build is distinguishable from a slow probe) and the
 	// response's time, rows and bytes. <= 0 disables the log.
 	SlowQuery time.Duration
 	// MaxUploadBytes caps the request body of dataset registration (CSV

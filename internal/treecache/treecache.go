@@ -39,11 +39,20 @@ type Cache struct {
 }
 
 type entry struct {
-	key   string
-	val   any
+	key string
+	val any
+	// bytes is what the entry is charged against the budget: the size its
+	// build reported, its key, and EntryOverhead.
 	bytes int64
 	elem  *list.Element
 }
+
+// EntryOverhead is the fixed charge per entry for what the cache itself
+// keeps beside the value and the key's bytes: the entry struct (48 B), its
+// LRU list element (48 B) and its map slot (about 32 B at the map's load
+// factor). With thousands of small per-partition entries behind ~150-byte
+// keys, the bookkeeping is as large as the values and must count.
+const EntryOverhead = 128
 
 // flight is one in-progress build; followers block on done.
 type flight struct {
@@ -66,7 +75,8 @@ func New(budgetBytes int64) *Cache {
 
 // GetOrBuild returns the value cached under key, building it on a miss.
 // build returns the value together with its approximate resident size in
-// bytes, which counts against the cache budget. Concurrent callers with
+// bytes, which counts against the cache budget together with the key and a
+// fixed per-entry overhead (EntryOverhead). Concurrent callers with
 // the same key trigger exactly one build: the first becomes the leader,
 // the rest block until the leader finishes and share its value.
 //
@@ -124,11 +134,13 @@ func (c *Cache) buildDirect(key string, build func() (any, int64, error)) (any, 
 	return val, nil
 }
 
-// insertLocked adds (or replaces) an entry and evicts down to the budget.
+// insertLocked adds (or replaces) an entry, charged its reported size plus
+// its key and EntryOverhead, and evicts down to the budget.
 func (c *Cache) insertLocked(key string, val any, bytes int64) {
 	if bytes < 0 {
 		bytes = 0
 	}
+	bytes += int64(len(key)) + EntryOverhead
 	if old, ok := c.entries[key]; ok {
 		c.used -= old.bytes
 		c.lru.Remove(old.elem)

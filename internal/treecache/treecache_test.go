@@ -25,7 +25,7 @@ func TestGetOrBuildHitAndMiss(t *testing.T) {
 		t.Fatalf("builds = %d, want 1", builds)
 	}
 	s := c.Stats()
-	if s.Misses != 1 || s.Hits != 2 || s.Entries != 1 || s.Bytes != 8 {
+	if s.Misses != 1 || s.Hits != 2 || s.Entries != 1 || s.Bytes != charged("k", 8) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -109,8 +109,36 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	}
 }
 
+// charged is what an entry costs the budget: the size its build reported,
+// its key and the fixed per-entry overhead.
+func charged(key string, bytes int64) int64 {
+	return bytes + int64(len(key)) + EntryOverhead
+}
+
+// TestEntryChargeIncludesKeyAndOverhead pins the accounting rule: a cache
+// of many small entries is charged for its keys and bookkeeping, not only
+// for what the builds report.
+func TestEntryChargeIncludesKeyAndOverhead(t *testing.T) {
+	c := New(0)
+	want := int64(0)
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("scope|p=\"grp\",;o=\"ts\"+,|pk=i%d;|pd0|result|sum(distinct)", i)
+		if _, err := c.GetOrBuild(key, func() (any, int64, error) { return i, 162, nil }); err != nil {
+			t.Fatal(err)
+		}
+		want += 162 + int64(len(key)) + EntryOverhead
+	}
+	if s := c.Stats(); s.Bytes != want || s.Bytes < 2*100*162 {
+		t.Fatalf("100 entries of 162 reported bytes charged %d, want %d (keys and overhead included)", s.Bytes, want)
+	}
+	c.InvalidatePrefix("scope|")
+	if s := c.Stats(); s.Bytes != 0 {
+		t.Fatalf("%d bytes charged after invalidating every entry", s.Bytes)
+	}
+}
+
 func TestLRUEvictionUnderBudget(t *testing.T) {
-	c := New(100)
+	c := New(2*charged("a", 40) + 20) // room for two entries, not three
 	add := func(key string, bytes int64) {
 		if _, err := c.GetOrBuild(key, func() (any, int64, error) { return key, bytes, nil }); err != nil {
 			t.Fatal(err)
@@ -122,9 +150,9 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	if _, err := c.GetOrBuild("a", func() (any, int64, error) { t.Fatal("a must be cached"); return nil, 0, nil }); err != nil {
 		t.Fatal(err)
 	}
-	add("c", 40) // exceeds 100 -> evict b
+	add("c", 40) // exceeds the budget -> evict b
 	s := c.Stats()
-	if s.Entries != 2 || s.Bytes != 80 || s.Evictions != 1 {
+	if s.Entries != 2 || s.Bytes != 2*charged("a", 40) || s.Evictions != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 	rebuilt := false
@@ -203,7 +231,7 @@ func TestReplaceExistingKeyAdjustsBytes(t *testing.T) {
 	if _, err := c.GetOrBuild("k", func() (any, int64, error) { return 2, 60, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Bytes != 60 || s.Entries != 1 {
+	if s := c.Stats(); s.Bytes != charged("k", 60) || s.Entries != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }

@@ -44,9 +44,9 @@ func NewOptions(opts ...Option) Options {
 	return o
 }
 
-// WithTrace records the run's span tree — phases, per-(partition, function)
-// evaluations with cache attributes, parallel workers — under the given
-// root span. The caller owns root and ends it after the run;
+// WithTrace records the run's span tree — phases, one evaluation span per
+// function (every partition's evaluation accumulates into it) with cache
+// counts, parallel workers — under the given root span. The caller owns root and ends it after the run;
 // Span.PhaseTotals on this tree is the aggregate per-phase timing view
 // (Figure 14).
 func WithTrace(root *Span) Option {
