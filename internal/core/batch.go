@@ -21,7 +21,7 @@ import (
 
 // batchFamily partitions the batched collectors into kernel families for
 // the per-family metric split (windowd_mst_batch_queries_family /
-// windowd_mst_batch_dedup_hits_family).
+// windowd_mst_batch_dedup_hits_family / windowd_mst_batch_leaf_queries_family).
 type batchFamily int
 
 const (
@@ -44,6 +44,7 @@ var (
 	batchDedupHitsTotal atomic.Int64
 	batchQueriesByFam   [numBatchFamilies]atomic.Int64
 	batchDedupByFam     [numBatchFamilies]atomic.Int64
+	batchLeavesByFam    [numBatchFamilies]atomic.Int64
 )
 
 // BatchStat is a point-in-time snapshot of the batched-kernel counters.
@@ -69,6 +70,10 @@ type BatchFamilyStat struct {
 	Family    string
 	Queries   int64
 	DedupHits int64
+	// LeafQueries is how many of Queries the kernels answered at the
+	// leaves — a pass over the tree's level 0 for a range of at most
+	// mst.LeafRows rows — instead of descending. Always 0 for select.
+	LeafQueries int64
 }
 
 // BatchFamilySnapshot returns the per-family batched-kernel counters, in a
@@ -77,9 +82,10 @@ func BatchFamilySnapshot() []BatchFamilyStat {
 	out := make([]BatchFamilyStat, numBatchFamilies)
 	for f := batchFamily(0); f < numBatchFamilies; f++ {
 		out[f] = BatchFamilyStat{
-			Family:    batchFamilyNames[f],
-			Queries:   batchQueriesByFam[f].Load(),
-			DedupHits: batchDedupByFam[f].Load(),
+			Family:      batchFamilyNames[f],
+			Queries:     batchQueriesByFam[f].Load(),
+			DedupHits:   batchDedupByFam[f].Load(),
+			LeafQueries: batchLeavesByFam[f].Load(),
 		}
 	}
 	return out
@@ -91,12 +97,13 @@ func BatchFamilySnapshot() []BatchFamilyStat {
 type batchAgg struct {
 	queries atomic.Int64
 	dedup   atomic.Int64
+	leaves  atomic.Int64
 }
 
 // runBatched runs body over all partition rows in parallel chunks under an
 // "mst.query.batch" phase span (the probe phase nests beneath it), recording
-// the batch query and dedup counts as span attributes and adding them to the
-// process-wide counters.
+// the batch query, dedup and leaf counts as span attributes and adding them
+// to the process-wide counters.
 func runBatched(p *partition, opt Options, fam batchFamily, body func(lo, hi int, agg *batchAgg)) error {
 	agg := &batchAgg{}
 	sp := opt.trace.Phase("mst.query.batch")
@@ -104,15 +111,17 @@ func runBatched(p *partition, opt Options, fam batchFamily, body func(lo, hi int
 		opt.trace = sp
 	}
 	err := forEachRow(p, opt, func(lo, hi int) { body(lo, hi, agg) })
-	q, d := agg.queries.Load(), agg.dedup.Load()
+	q, d, l := agg.queries.Load(), agg.dedup.Load(), agg.leaves.Load()
 	sp.Set("family", fam.String())
 	sp.AddInt("batch_queries", q)
 	sp.AddInt("batch_dedup_hits", d)
+	sp.AddInt("leaf_queries", l)
 	sp.End()
 	batchQueriesTotal.Add(q)
 	batchDedupHitsTotal.Add(d)
 	batchQueriesByFam[fam].Add(q)
 	batchDedupByFam[fam].Add(d)
+	batchLeavesByFam[fam].Add(l)
 	return err
 }
 
@@ -176,7 +185,7 @@ func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *ms
 		rowAdj[ri] = adj
 	}
 
-	tree.CountBelowBatch(qlo[:s], qhi[:s], qthr[:s], qout[:s])
+	agg.leaves.Add(int64(tree.CountBelowBatch(qlo[:s], qhi[:s], qthr[:s], qout[:s])))
 
 	for i := lo; i < hi; i++ {
 		ri := i - lo
@@ -255,7 +264,7 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 		rowSize[ri] = i32(size)
 	}
 
-	tree.CountBelowBatch(qlo[:s], qhi[:s], qthr[:s], qout[:s])
+	agg.leaves.Add(int64(tree.CountBelowBatch(qlo[:s], qhi[:s], qthr[:s], qout[:s])))
 
 	for i := lo; i < hi; i++ {
 		ri := i - lo
@@ -463,7 +472,7 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	// The aggregate states cannot live in pooled scratch (generic S); one
 	// short-lived slice per chunk is the cost of type genericity.
 	results := make([]S, s)
-	tree.AggBelowBatch(qlo[:s], qhi[:s], qthr[:s], results, okv[:s], kcnt[:s])
+	agg.leaves.Add(int64(tree.AggBelowBatch(qlo[:s], qhi[:s], qthr[:s], results, okv[:s], kcnt[:s])))
 
 	// Per-slot hole correction and NULL rule.
 	for sl := 0; sl < s; sl++ {
@@ -548,7 +557,7 @@ func denseRankChunk(p *partition, fl *filtered, fc *frame.Computer, rt *rangetre
 		s++
 	}
 
-	rt.CountDistinctBelowBatch(qlo[:s], qhi[:s], qrank[:s], qprev[:s], qout[:s])
+	agg.leaves.Add(int64(rt.CountDistinctBelowBatch(qlo[:s], qhi[:s], qrank[:s], qprev[:s], qout[:s])))
 
 	for sl := 0; sl < s; sl++ {
 		nr := int(slotNR[sl])

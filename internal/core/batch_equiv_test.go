@@ -7,6 +7,7 @@ import (
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
+	"holistic/internal/obs"
 )
 
 // The chunk collectors (batch.go) translate each row's frame into kernel
@@ -96,4 +97,70 @@ func TestBatchEquivalenceAggRankFamilies(t *testing.T) {
 		{Name: DenseRank, Output: "dr", OrderBy: []SortKey{{Column: "v"}}},
 		{Name: DenseRank, Output: "drf", OrderBy: []SortKey{{Column: "v"}}, Filter: "flt"},
 	})
+}
+
+// TestLeafQueriesCounted pins what the leaf rule reports (DESIGN.md §9.1,
+// §10.1): over 2,000 partitions of 130 rows, the five-function statement with
+// a 60-row frame answers every count, agg and rank query from the trees'
+// level 0 — leaf_queries equals batch_queries on each family's
+// mst.query.batch span and in BatchFamilySnapshot — and no select query,
+// since the select kernels always descend. With a 10,000-row frame every
+// frame spans its whole partition, more than mst.LeafRows rows, and nothing is
+// answered at the leaves.
+func TestLeafQueriesCounted(t *testing.T) {
+	parts := 2_000
+	if testing.Short() {
+		parts = 200
+	}
+	// 130 rows per partition, wider than mst.LeafRows, and no NULLs, so no
+	// function's input shrinks below it.
+	rng := rand.New(rand.NewSource(5))
+	n := 130 * parts
+	g, d, v := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range g {
+		g[i], d[i], v[i] = int64(i%parts), rng.Int63n(1_000), rng.Int63n(40)
+	}
+	tab := MustNewTable(NewInt64Column("g", g, nil), NewInt64Column("d", d, nil), NewInt64Column("v", v, nil))
+	for _, c := range []struct {
+		name       string
+		start, end frame.Bound
+		narrow     bool
+	}{
+		{"60-row frame", frame.Bound{Type: frame.Preceding, Offset: 59}, frame.Bound{Type: frame.CurrentRow}, true},
+		{"10,000-row frame", frame.Bound{Type: frame.Preceding, Offset: 5_000}, frame.Bound{Type: frame.Following, Offset: 4_999}, false},
+	} {
+		w := fiveFuncWindow()
+		w.Frame.Start, w.Frame.End = c.start, c.end
+		before := BatchFamilySnapshot()
+		root := tracedRun(t, tab, w, Options{})
+		after := BatchFamilySnapshot()
+		spans := 0
+		root.Walk(func(sp *obs.Span, _ int) {
+			if sp.Name() != "mst.query.batch" {
+				return
+			}
+			spans++
+			fam, queries, leaves := sp.Attr("family"), sp.Attr("batch_queries"), sp.Attr("leaf_queries")
+			want := "0"
+			if c.narrow && fam != "select" {
+				want = queries
+			}
+			if queries == "0" || leaves != want {
+				t.Errorf("%s: %s span reports batch_queries=%s leaf_queries=%s, want leaf_queries=%s", c.name, fam, queries, leaves, want)
+			}
+		})
+		if spans != len(w.Funcs) {
+			t.Errorf("%s: %d mst.query.batch spans, want one per function", c.name, spans)
+		}
+		for i, a := range after {
+			q, l := a.Queries-before[i].Queries, a.LeafQueries-before[i].LeafQueries
+			want := int64(0)
+			if c.narrow && a.Family != "select" {
+				want = q
+			}
+			if q == 0 || l != want {
+				t.Errorf("%s: family %q counted %d queries, %d at the leaves, want %d", c.name, a.Family, q, l, want)
+			}
+		}
+	}
 }

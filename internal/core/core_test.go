@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"holistic/internal/frame"
@@ -360,6 +362,130 @@ func TestDefaultFrames(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if got := res2.Column("s").Int64(i); got != 100 {
 			t.Fatalf("row %d: whole-partition sum %d, want 100", i, got)
+		}
+	}
+}
+
+// TestReferenceAcrossLeafCutoff straddles the kernels' leaf rule: a frame of
+// at most mst.LeafRows rows is answered from a tree's level 0, a wider one by
+// the descent. core cannot turn the leaf path off, so the data crosses the
+// cutoff instead — two 300-row partitions, ROWS frames of 127, 128, 129 and
+// 250 rows, each plain and under EXCLUDE CURRENT ROW, GROUP and TIES (the
+// ORDER BY key has ties), over COUNT/SUM(DISTINCT), RANK and DENSE_RANK —
+// on NULL-free arguments, whose filtered frames are exactly those widths, and
+// with FILTER and NULL arguments — and an int64 SUM(DISTINCT) whose sums
+// overflow and wrap. Every answer must match the reference. Float
+// SUM/AVG(DISTINCT) always descend — their fold order is part of the answer —
+// so on the plain frames they must equal the scalar AnnotatedTree.AggBelow
+// bit for bit. -short keeps the three widths at the cutoff, plain and
+// EXCLUDE CURRENT ROW.
+func TestReferenceAcrossLeafCutoff(t *testing.T) {
+	const parts, rows = 2, 300
+	rng := rand.New(rand.NewSource(128))
+	n := parts * rows
+	g, d, v, big := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	vNull, flt := make([]bool, n), make([]bool, n)
+	fv := make([]float64, n)
+	for i := range g {
+		g[i], d[i], v[i] = int64(i%parts), rng.Int63n(100), rng.Int63n(60)
+		vNull[i] = rng.Intn(10) == 0
+		big[i] = math.MaxInt64 - rng.Int63n(50)
+		if rng.Intn(2) == 0 {
+			big[i] = math.MinInt64 + rng.Int63n(50)
+		}
+		flt[i] = rng.Intn(4) != 0
+		fv[i] = float64(1+rng.Intn(7)) * math.Pow(10, float64(rng.Intn(12)-6))
+	}
+	tab := MustNewTable(
+		NewInt64Column("g", g, nil), NewInt64Column("d", d, nil),
+		NewInt64Column("v", v, vNull), NewInt64Column("big", big, nil),
+		NewFloat64Column("fv", fv, nil), NewBoolColumn("flt", flt, nil))
+	ordV := []SortKey{{Column: "v"}}
+	funcs := []FuncSpec{
+		{Name: CountDistinct, Output: "cd", Arg: "d"},
+		{Name: CountDistinct, Output: "cdv", Arg: "v", Filter: "flt"},
+		{Name: SumDistinct, Output: "sdw", Arg: "big"},
+		{Name: SumDistinct, Output: "sdv", Arg: "v", Filter: "flt"},
+		{Name: Rank, Output: "rk", OrderBy: ordV},
+		{Name: Rank, Output: "rkf", OrderBy: ordV, Filter: "flt"},
+		{Name: DenseRank, Output: "dr", OrderBy: ordV},
+		{Name: DenseRank, Output: "drf", OrderBy: ordV, Filter: "flt"},
+		{Name: SumDistinct, Output: "sdf", Arg: "fv"},
+		{Name: AvgDistinct, Output: "adf", Arg: "fv"},
+	}
+	widths := []int{mst.LeafRows - 1, mst.LeafRows, mst.LeafRows + 1, 250}
+	excludes := []frame.Exclusion{frame.ExcludeNoOthers, frame.ExcludeCurrentRow, frame.ExcludeGroup, frame.ExcludeTies}
+	if testing.Short() {
+		widths, excludes = widths[:3], excludes[:2]
+	}
+	for _, width := range widths {
+		for _, ex := range excludes {
+			w := &WindowSpec{
+				PartitionBy: []string{"g"},
+				OrderBy:     []SortKey{{Column: "d"}},
+				Frame: frame.Spec{
+					Mode:    frame.Rows,
+					Start:   frame.Bound{Type: frame.Preceding, Offset: int64(width - 1)},
+					End:     frame.Bound{Type: frame.CurrentRow},
+					Exclude: ex,
+				},
+				FrameSet: true,
+				Funcs:    funcs,
+			}
+			res, err := Run(tab, w, Options{TaskSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range w.Funcs {
+				f := &w.Funcs[i]
+				compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("%d-row frame ex%d %s", width, ex, f.Output))
+			}
+			if ex == frame.ExcludeNoOthers {
+				checkFloatDistinctDescent(t, g, d, fv, width, res.Column("sdf"), res.Column("adf"))
+			}
+		}
+	}
+}
+
+// checkFloatDistinctDescent recomputes SUM and AVG(DISTINCT fv) over ROWS
+// frames of width rows with the scalar annotated-tree walk, partition by
+// partition in window order (d, then row index), and requires core's answers
+// to carry the same bits.
+func checkFloatDistinctDescent(t *testing.T, g, d []int64, fv []float64, width int, sums, avgs *Column) {
+	t.Helper()
+	byPart := map[int64][]int{}
+	for i, p := range g {
+		byPart[p] = append(byPart[p], i)
+	}
+	for _, order := range byPart {
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(d[a], d[b]) })
+		prev := make([]int64, len(order))
+		last := map[float64]int64{}
+		vals := make([]float64, len(order))
+		avg := make([]avgState, len(order))
+		for j, row := range order {
+			prev[j] = last[fv[row]]
+			last[fv[row]] = int64(j) + 1
+			vals[j], avg[j] = fv[row], avgState{sum: fv[row], n: 1}
+		}
+		st, err := mst.BuildAnnotated(prev, vals, func(a, b float64) float64 { return a + b }, mst.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, err := mst.BuildAnnotated(prev, avg, func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} }, mst.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, row := range order {
+			a := max(j-width+1, 0)
+			s, _ := st.AggBelow(a, j+1, int64(a)+1)
+			av, _ := at.AggBelow(a, j+1, int64(a)+1)
+			if got := sums.Float64(row); math.Float64bits(got) != math.Float64bits(s) {
+				t.Fatalf("%d-row frame row %d: SUM(DISTINCT) %v (%x), scalar descent %v (%x)", width, row, got, math.Float64bits(got), s, math.Float64bits(s))
+			}
+			if got, want := avgs.Float64(row), av.sum/float64(av.n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d-row frame row %d: AVG(DISTINCT) %v, scalar descent %v", width, row, got, want)
+			}
 		}
 	}
 }

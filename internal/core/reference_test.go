@@ -14,6 +14,9 @@ import (
 type refEvaluator struct {
 	t *Table
 	w *WindowSpec
+	// parts memoises partitionOf: every row of a partition maps to the same
+	// sorted slice, so a column costs one sort per partition, not per row.
+	parts map[int][]int
 }
 
 // refValue is a dynamically-typed SQL value for the reference paths.
@@ -46,6 +49,9 @@ func refVal(c *Column, row int) refValue {
 }
 
 func (e *refEvaluator) partitionOf(row int) []int {
+	if part, ok := e.parts[row]; ok {
+		return part
+	}
 	var rows []int
 	for i := 0; i < e.t.Rows(); i++ {
 		same := true
@@ -69,6 +75,12 @@ func (e *refEvaluator) partitionOf(row int) []int {
 		}
 		return a < b
 	})
+	if e.parts == nil {
+		e.parts = make(map[int][]int)
+	}
+	for _, r := range rows {
+		e.parts[r] = rows
+	}
 	return rows
 }
 
@@ -308,14 +320,24 @@ func (e *refEvaluator) funcLess(f *FuncSpec) func(a, b int) bool {
 	if len(keys) == 0 {
 		keys = e.w.OrderBy
 	}
+	cols := e.columnsOf(keys)
 	return func(a, b int) bool {
-		for _, k := range keys {
-			if c := k.compare(e.t.Column(k.Column), a, b); c != 0 {
+		for i, k := range keys {
+			if c := k.compare(cols[i], a, b); c != 0 {
 				return c < 0
 			}
 		}
 		return a < b
 	}
+}
+
+// columnsOf resolves the columns of sort keys once, outside the comparators.
+func (e *refEvaluator) columnsOf(keys []SortKey) []*Column {
+	cols := make([]*Column, len(keys))
+	for i, k := range keys {
+		cols[i] = e.t.Column(k.Column)
+	}
+	return cols
 }
 
 // funcEqual compares two rows for ORDER BY peer-ness.
@@ -324,9 +346,9 @@ func (e *refEvaluator) funcEqualRows(f *FuncSpec) func(a, b int) bool {
 	if len(keys) == 0 {
 		keys = e.w.OrderBy
 	}
+	cols := e.columnsOf(keys)
 	return func(a, b int) bool {
-		for _, k := range keys {
-			c := e.t.Column(k.Column)
+		for _, c := range cols {
 			if !c.equalAt(a, b) {
 				return false
 			}

@@ -24,7 +24,8 @@ import "holistic/internal/arena"
 // intervals left to right — so ascending run start IS the scalar emission
 // order, and folding the sorted takes through merge reproduces AggBelow
 // bit for bit. Equivalence is enforced by TestAggBelowBatchMatchesScalar
-// and core's batch_equiv_test.
+// and core's batch_equiv_test. On an int64 tree a query whose range spans at
+// most LeafRows rows never enters the descent: it folds level 0 (leaf.go).
 //
 // The descent itself shares everything countKernel shares — per-level
 // geometry and sample rows loaded once per level, flat SoA frontier scratch —
@@ -49,8 +50,10 @@ const aggSubBatch = 1024
 // count falls out of the same descent for free, and the DISTINCT-aggregate
 // collectors need it for the NULL rule. All six slices must have the same
 // length. Queries are independent, so the batch is answered aggSubBatch
-// queries at a time.
-func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) {
+// queries at a time. It returns how many of the queries it answered at the
+// leaves (leaf.go) instead of descending: on an int64 tree those whose range
+// spans at most LeafRows rows, on any other none.
+func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) (leaves int) {
 	m := len(result)
 	if len(lo) != m || len(hi) != m || len(threshold) != m || len(ok) != m || len(cnt) != m {
 		//lint:invariant the collector builds all six arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
@@ -58,37 +61,49 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 	}
 	for s := 0; s < m; s += aggSubBatch {
 		e := min(s+aggSubBatch, m)
-		at.aggBelowSubBatch(lo[s:e], hi[s:e], threshold[s:e], result[s:e], ok[s:e], cnt[s:e])
+		leaves += at.aggBelowSubBatch(lo[s:e], hi[s:e], threshold[s:e], result[s:e], ok[s:e], cnt[s:e])
 	}
+	return leaves
 }
 
 // aggBelowSubBatch is one level-synchronous descent over at most aggSubBatch
-// queries.
-func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) {
+// queries, less those it answers at the leaves; it returns how many those are.
+func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) (leaves int) {
 	m := len(result)
 	for q := 0; q < m; q++ {
 		ok[q] = false
 		cnt[q] = 0
 	}
 	if at.n == 0 {
-		return
+		return 0
 	}
 	t := at.t
 
-	// Clamp and clip every query exactly like AggBelow; resolved (invalid)
-	// queries are marked with an empty position range so the descent skips
-	// them without a separate mask.
+	// Clamp and clip every query exactly like AggBelow and fold the narrow
+	// ones from the leaves; resolved queries are marked with an empty
+	// position range so the descent skips them without a separate mask.
 	cb := arena.Int32s.Get(2 * m)
 	klo, khi := cb[:m], cb[m:]
 	cthr := arena.Int32s.Get(m)
+	descend := false
 	for q := 0; q < m; q++ {
+		klo[q], khi[q] = 0, 0
 		l, h, ct, valid := at.clip(int(lo[q]), int(hi[q]), threshold[q])
-		if !valid {
-			klo[q], khi[q] = 0, 0
-			continue
+		switch {
+		case !valid:
+		case at.leafFold && h-l <= leafRows:
+			result[q], ok[q], cnt[q] = at.foldLeaves(l, h, ct)
+			leaves++
+		default:
+			klo[q], khi[q] = i32(l), i32(h)
+			cthr[q] = ct
+			descend = true
 		}
-		klo[q], khi[q] = i32(l), i32(h)
-		cthr[q] = ct
+	}
+	if !descend {
+		arena.Int32s.Put(cthr)
+		arena.Int32s.Put(cb)
+		return leaves
 	}
 
 	top := t.top()
@@ -234,4 +249,5 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, 
 	arena.Int32s.Put(fbuf)
 	arena.Int32s.Put(cthr)
 	arena.Int32s.Put(cb)
+	return leaves
 }

@@ -28,18 +28,29 @@ import (
 // prefix aggregates depend on it) at the 32-bit width of every other tree. A
 // key threshold t maps to below[t], the number of keys smaller than t, which
 // is also its exact rank in the top run: the top run is the identity.
+//
+// Level 0 holds each element's own state in position order (agg[0][j] is
+// values[j]), so for int64 states a range of at most LeafRows rows is folded
+// from there in position order instead of descending (leaf.go): every
+// integer aggregate's merge — wrapping addition, min, max — is associative
+// and commutative, so the bits cannot differ from the descent's order. A
+// float state's fold order is part of its answer, so it always descends.
 type AnnotatedTree[S any] struct {
 	t     *tree
 	agg   [][]S
 	merge func(S, S) S
 	n     int
 	below []int32 // below[t] = #keys < t, for t in [0, n+1]
+	// leafFold is set when S is int64: narrow ranges fold level 0.
+	leafFold bool
 }
 
 // BuildAnnotated constructs an annotated merge sort tree over keys, where
 // values[i] is the aggregate input of tuple i and merge combines two
 // aggregate states. Keys must lie in [0, len(keys)] — the previous-index
-// domain of §5.1.
+// domain of §5.1. For int64 states merge must be associative and
+// commutative, as every integer aggregate's is: narrow ranges fold in
+// position order.
 func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
 	opt = opt.resolveFor(len(keys))
 	if err := opt.validate(); err != nil {
@@ -80,6 +91,7 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 		n:     n,
 		below: cnt[:n+2],
 	}
+	_, at.leafFold = any(values).([]int64)
 	// Annotate every level with per-run prefix aggregates. The base position
 	// of an element is the inverse of its rank, so annotations can be
 	// computed after the build in one parallel pass per level.
@@ -170,6 +182,10 @@ func (at *AnnotatedTree[S]) AggBelow(lo, hi int, threshold int64) (result S, ok 
 	if !valid {
 		return result, false
 	}
+	if at.leafFold && hi-lo <= leafRows {
+		result, ok, _ = at.foldLeaves(lo, hi, ct)
+		return result, ok
+	}
 	t := at.t
 	top := t.top()
 	rank := int(ct) // the top run is the identity permutation
@@ -229,6 +245,25 @@ func (at *AnnotatedTree[S]) AggBelow(lo, hi int, threshold int64) (result S, ok 
 		}
 	}
 	return result, ok
+}
+
+// foldLeaves is the aggregate leaf rule: the states of the entries at
+// positions [lo, hi) whose rank is below ct, merged in position order, and
+// how many there are. Callers guarantee 0 <= lo < hi <= n and leafFold.
+func (at *AnnotatedTree[S]) foldLeaves(lo, hi int, ct int32) (result S, ok bool, cnt int32) {
+	vals := at.agg[0][lo:hi]
+	for j, r := range at.t.levels[0][lo:hi] {
+		if r >= ct {
+			continue
+		}
+		if cnt == 0 {
+			result = vals[j]
+		} else {
+			result = at.merge(result, vals[j])
+		}
+		cnt++
+	}
+	return result, cnt > 0, cnt
 }
 
 // clip clamps the position range and maps the key threshold to the rank

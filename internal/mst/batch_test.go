@@ -20,8 +20,13 @@ func batchVariants() []Options {
 // TestCountBelowBatchMatchesScalar cross-checks CountBelowBatch against
 // per-query CountBelow over randomized data, including sliding frames (the
 // galloping fast path), random frames (bidirectional galloping), clamped
-// and trivial queries, and out-of-domain thresholds.
+// and trivial queries, and out-of-domain thresholds, under both leaf seam
+// settings.
 func TestCountBelowBatchMatchesScalar(t *testing.T) {
+	leafSeam(t, testCountBelowBatchMatchesScalar)
+}
+
+func testCountBelowBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, opt := range batchVariants() {
 		for _, n := range []int{0, 1, 2, 7, 33, 257, 4000} {
@@ -69,10 +74,17 @@ func TestCountBelowBatchMatchesScalar(t *testing.T) {
 }
 
 // TestCountBelowBatchFrameShapes pins kernel == scalar == naive on the frame
-// shapes a window probe produces — sliding, constant, empty and
-// whole-partition frames over previous-occurrence keys with the COUNT
-// DISTINCT threshold lo+1 — for striped and NoCascading trees.
+// shapes a window probe produces — sliding (100 rows and one row either side
+// of LeafRows), constant, empty and whole-partition frames over
+// previous-occurrence keys with the COUNT DISTINCT threshold lo+1 — for
+// striped and NoCascading trees, under both leaf seam settings; the kernel
+// must report exactly the frames of at most the cutoff's rows as answered at
+// the leaves.
 func TestCountBelowBatchFrameShapes(t *testing.T) {
+	leafSeam(t, testCountBelowBatchFrameShapes)
+}
+
+func testCountBelowBatchFrameShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	const n = 3000
 	vals := make([]int64, n)
@@ -85,6 +97,9 @@ func TestCountBelowBatchFrameShapes(t *testing.T) {
 		frame func(row int) (lo, hi int)
 	}{
 		{"sliding", func(row int) (int, int) { return max(row-99, 0), row + 1 }},
+		{"sliding-below-cutoff", func(row int) (int, int) { return row, min(row+LeafRows-1, n) }},
+		{"sliding-at-cutoff", func(row int) (int, int) { return row, min(row+LeafRows, n) }},
+		{"sliding-above-cutoff", func(row int) (int, int) { return row, min(row+LeafRows+1, n) }},
 		{"sliding-centered", func(row int) (int, int) { return max(row-700, 0), min(row+700, n) }},
 		{"constant", func(int) (int, int) { return 517, 2203 }},
 		{"empty", func(row int) (int, int) { return row, row - row%2 }},
@@ -102,11 +117,17 @@ func TestCountBelowBatchFrameShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sh := range shapes {
+			wantLeaves := 0
 			for row := 0; row < n; row++ {
 				a, b := sh.frame(row)
 				lo[row], hi[row], thr[row] = int32(a), int32(b), int64(a)+1
+				if b > a && b-a <= leafRows {
+					wantLeaves++
+				}
 			}
-			tree.CountBelowBatch(lo, hi, thr, out)
+			if leaves := tree.CountBelowBatch(lo, hi, thr, out); leaves != wantLeaves {
+				t.Fatalf("opt=%+v %s: %d queries answered at the leaves, want %d", opt, sh.name, leaves, wantLeaves)
+			}
 			for row := 0; row < n; row++ {
 				naive := bruteCountBelow(keys, int(lo[row]), int(hi[row]), thr[row])
 				scalar := tree.CountBelow(int(lo[row]), int(hi[row]), thr[row])

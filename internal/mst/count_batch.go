@@ -23,15 +23,18 @@ import (
 //   - there is no per-level function call or closure: the whole descent is
 //     two nested loops over int32 arrays.
 //
-// Results are exactly CountBelow per query — the equivalence is enforced by
-// batch_test.go, FuzzCountSelect and core's batch_equiv_test.
+// A query whose range spans at most LeafRows rows never enters the descent:
+// it is counted in level 0 (leaf.go). Results are exactly CountBelow per
+// query — the equivalence is enforced by batch_test.go, FuzzCountSelect and
+// core's batch_equiv_test.
 
 // CountBelowBatch answers len(out) count queries at once:
 // out[q] = CountBelow(int(lo[q]), int(hi[q]), threshold[q]). The lo, hi and
 // threshold slices must have the same length as out. Queries should be in
 // probe order (adjacent frames adjacent) for the galloping top-level search
-// to pay off; any order is correct.
-func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) {
+// to pay off; any order is correct. It returns how many of the queries it
+// answered at the leaves (leaf.go) instead of descending.
+func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (leaves int) {
 	m := len(out)
 	if len(lo) != m || len(hi) != m || len(threshold) != m {
 		//lint:invariant the collector builds all four arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
@@ -42,61 +45,41 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) {
 		panic("mst: CountBelowBatch batch of 2³¹ or more queries")
 	}
 	if m == 0 {
-		return
+		return 0
 	}
-	if t.n == 0 {
-		for q := range out {
-			out[q] = 0
-		}
-		return
-	}
-	if t.chunks != nil {
-		// Spill-chunked trees answer batches with the scalar per-chunk
-		// decomposition: the level-synchronous kernels assume one monolithic
-		// level geometry. Results stay exactly CountBelow per query.
-		for q := range out {
-			out[q] = i32(t.CountBelow(int(lo[q]), int(hi[q]), threshold[q]))
-		}
-		return
-	}
-	// Clamp every query exactly like CountBelow and resolve the trivial ones
-	// up front; resolved queries are marked with an empty position range so
-	// the kernels skip them without a separate mask.
-	cb := arena.Int32s.Get(2 * m)
-	klo, khi := cb[:m], cb[m:]
+	// Clamp every query exactly like CountBelow and answer all but the wide
+	// ones up front; those are marked with an empty position range so the
+	// kernel skips them without a separate mask. Spill-chunked trees answer
+	// the wide ones with the scalar per-chunk decomposition: the
+	// level-synchronous kernel assumes one monolithic level geometry.
+	cb := arena.Int32s.Get(3 * m)
+	klo, khi, thr := cb[:m], cb[m:2*m], cb[2*m:]
+	descend := false
 	for q := 0; q < m; q++ {
-		l, h := int(lo[q]), int(hi[q])
-		if l < 0 {
-			l = 0
-		}
-		if h > t.n {
-			h = t.n
-		}
-		if l >= h {
-			out[q] = 0
-			l, h = 0, 0
-		}
-		klo[q], khi[q] = i32(l), i32(h)
-	}
-	thr := arena.Int32s.Get(m)
-	for q := 0; q < m; q++ {
-		if klo[q] >= khi[q] {
-			continue
-		}
+		l, h := max(int(lo[q]), 0), min(int(hi[q]), t.n)
+		klo[q], khi[q] = 0, 0
 		switch tv := threshold[q]; {
+		case l >= h:
+			out[q] = 0
+		case tv > math.MaxInt32:
+			out[q] = i32(h - l)
+		case h-l <= leafRows:
+			out[q] = i32(t.countLeaves(l, h, clampI32(tv)))
+			leaves++
 		case tv <= 0:
 			out[q] = 0
-			klo[q], khi[q] = 0, 0
-		case tv > math.MaxInt32:
-			out[q] = khi[q] - klo[q]
-			klo[q], khi[q] = 0, 0
+		case t.chunks != nil:
+			out[q] = i32(t.chunkedCountBelow(l, h, tv))
 		default:
-			thr[q] = int32(tv)
+			klo[q], khi[q], thr[q] = i32(l), i32(h), int32(tv)
+			descend = true
 		}
 	}
-	countKernel(t.mono, klo, khi, thr, out)
-	arena.Int32s.Put(thr)
+	if descend {
+		countKernel(t.mono, klo, khi, thr, out)
+	}
 	arena.Int32s.Put(cb)
+	return leaves
 }
 
 // countKernel is the level-synchronous count descent. lo/hi are

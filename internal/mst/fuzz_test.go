@@ -4,21 +4,27 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
 
 // FuzzCountSelect cross-checks the tree's count and select queries —
 // scalar descents and the batched level-synchronous kernels — against brute
-// force over fuzzer-chosen inputs, tree options and query arguments.
-// CI runs it as a smoke pass on main pushes; `go test -fuzz=FuzzCountSelect
-// ./internal/mst/` digs deeper locally.
+// force over fuzzer-chosen inputs, tree options and query arguments — the
+// counts once with the leaf path at its cutoff and once with it off
+// (leafSeam). CI runs it as a smoke pass on main pushes; `go test
+// -fuzz=FuzzCountSelect ./internal/mst/` digs deeper locally.
 func FuzzCountSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), 0, uint8(3), uint8(2), uint8(1))
 	f.Add([]byte{}, 0, 0, int64(0), 0, uint8(2), uint8(1), uint8(7))
 	f.Add([]byte{9, 9, 1, 9, 0, 3, 3, 251, 3}, 2, 8, int64(9), 1, uint8(239), uint8(225), uint8(0)) // f = 256
 	f.Add([]byte{9, 9, 1, 9, 0, 3, 3, 251, 3}, 2, 8, int64(9), 1, uint8(240), uint8(255), uint8(0)) // f = 257: rejected
+	// 300 and 600 rows: past LeafRows, so the descent also runs at the
+	// production cutoff.
+	f.Add(fuzzSeedBytes(300, 7), 40, 290, int64(120), 17, uint8(30), uint8(31), uint8(0))
+	f.Add(fuzzSeedBytes(600, 11), 3, 420, int64(300), 250, uint8(2), uint8(5), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		for i, b := range data {
@@ -39,18 +45,45 @@ func FuzzCountSelect(f *testing.F) {
 		if tree == nil {
 			return
 		}
-
-		got := tree.CountBelow(lo, hi, threshold)
-		want := 0
-		cLo, cHi := clampRange(lo, hi, len(keys))
-		for _, v := range keys[cLo:cHi] {
-			if v < threshold {
-				want++
+		// Counts under both leaf seam settings: the batch repeats the query
+		// (exercising the dedup/gallop-from-equal shape), perturbs it
+		// (bidirectional galloping), covers the full span and adds ranges one
+		// row either side of LeafRows.
+		leafSeam(t, func(t *testing.T) {
+			got := tree.CountBelow(lo, hi, threshold)
+			want := 0
+			cLo, cHi := clampRange(lo, hi, len(keys))
+			for _, v := range keys[cLo:cHi] {
+				if v < threshold {
+					want++
+				}
 			}
-		}
-		if got != want {
-			t.Errorf("CountBelow(%d, %d, %d) = %d, brute force %d (opt %+v)", lo, hi, threshold, got, want, opt)
-		}
+			if got != want {
+				t.Errorf("CountBelow(%d, %d, %d) = %d, brute force %d (opt %+v)", lo, hi, threshold, got, want, opt)
+			}
+
+			bLo := []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
+			bHi := []int32{int32(hi), int32(hi), int32(len(keys)), int32(hi + 3)}
+			bThr := []int64{threshold, threshold, threshold, threshold - 1}
+			for _, w := range []int32{LeafRows - 1, LeafRows, LeafRows + 1} {
+				bLo, bHi, bThr = append(bLo, int32(lo)), append(bHi, int32(lo)+w), append(bThr, threshold)
+			}
+			bOut := make([]int32, len(bLo))
+			tree.CountBelowBatch(bLo, bHi, bThr, bOut)
+			for q := range bOut {
+				bruteCnt := 0
+				qLo, qHi := clampRange(int(bLo[q]), int(bHi[q]), len(keys))
+				for _, v := range keys[qLo:qHi] {
+					if v < bThr[q] {
+						bruteCnt++
+					}
+				}
+				if int(bOut[q]) != bruteCnt {
+					t.Errorf("CountBelowBatch query %d (%d, %d, %d) = %d, brute force %d (opt %+v)",
+						q, bLo[q], bHi[q], bThr[q], bOut[q], bruteCnt, opt)
+				}
+			}
+		})
 
 		// Select the k-th entry by value range [0, threshold); compare
 		// against a brute-force scan in position order.
@@ -70,28 +103,6 @@ func FuzzCountSelect(f *testing.F) {
 		}
 		if ok != wantOK || (ok && pos != wantPos) {
 			t.Errorf("SelectKth(0, %d, %d) = (%d, %v), brute force (%d, %v) (opt %+v)", threshold, k, pos, ok, wantPos, wantOK, opt)
-		}
-
-		// The batched kernels must agree with the brute force too. The batch
-		// repeats the query (exercising the dedup/gallop-from-equal shape),
-		// perturbs it (bidirectional galloping) and covers the full span.
-		bLo := []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
-		bHi := []int32{int32(hi), int32(hi), int32(len(keys)), int32(hi + 3)}
-		bThr := []int64{threshold, threshold, threshold, threshold - 1}
-		bOut := make([]int32, len(bLo))
-		tree.CountBelowBatch(bLo, bHi, bThr, bOut)
-		for q := range bOut {
-			bruteCnt := 0
-			qLo, qHi := clampRange(int(bLo[q]), int(bHi[q]), len(keys))
-			for _, v := range keys[qLo:qHi] {
-				if v < bThr[q] {
-					bruteCnt++
-				}
-			}
-			if int(bOut[q]) != bruteCnt {
-				t.Errorf("CountBelowBatch query %d (%d, %d, %d) = %d, brute force %d (opt %+v)",
-					q, bLo[q], bHi[q], bThr[q], bOut[q], bruteCnt, opt)
-			}
 		}
 
 		// Select through the batched kernel and the scalar descent on the
@@ -138,12 +149,26 @@ func FuzzCountSelect(f *testing.F) {
 	})
 }
 
+// fuzzSeedBytes is a deterministic seed input of n bytes below 250, so every
+// byte decodes to an in-domain key.
+func fuzzSeedBytes(n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(rng.Intn(250))
+	}
+	return b
+}
+
 // FuzzAggBatch cross-checks the batched aggregate kernel against the scalar
 // annotated descent: results must be byte-identical (the merge is an
 // order-sensitive string concatenation, so any reordering of the take fold
 // shows up immediately), ok flags must agree, and the count side output must
 // match CountBelow. Two flag bits stretch the batch across the kernel's
-// sub-batch boundaries.
+// sub-batch boundaries. A string state never takes the leaf path, so an
+// int64 arm — values whose sums wrap — checks kernel, scalar walk and brute
+// force under both leaf seam settings, with ranges one row either side of
+// LeafRows in the batch.
 func FuzzAggBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), uint8(3), uint8(2), uint8(1))
@@ -151,13 +176,19 @@ func FuzzAggBatch(f *testing.F) {
 	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5, 0, 11, 10, 12}, 2, 11, int64(3), uint8(0), uint8(3), uint8(2))
 	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5, 0, 11, 10, 12}, 0, 13, int64(6), uint8(1), uint8(0), uint8(4))
 	f.Add([]byte{3, 3, 0, 1, 2, 250, 4, 4}, 1, 7, int64(2), uint8(5), uint8(9), uint8(6))
+	// 300 and 640 rows: past LeafRows, so the descent also runs at the
+	// production cutoff.
+	f.Add(fuzzSeedBytes(300, 13), 20, 200, int64(30), uint8(30), uint8(31), uint8(0))
+	f.Add(fuzzSeedBytes(640, 17), 100, 400, int64(150), uint8(2), uint8(4), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		vals := make([]string, len(data))
+		ivals := make([]int64, len(data))
 		for i, b := range data {
 			// Annotated keys live in the previous-index domain [0, n].
 			keys[i] = int64(int(b) % (len(data) + 1))
 			vals[i] = string(rune('a' + int(b)%26))
+			ivals[i] = int64(b)<<56 | int64(i) // two of them can wrap
 		}
 		opt := Options{
 			Fanout:      2 + int(fanout%7),
@@ -180,6 +211,9 @@ func FuzzAggBatch(f *testing.F) {
 			bHi = append(bHi, bHi[q%4]-int32(q%3))
 			bThr = append(bThr, bThr[q%4]+int64(q%7))
 		}
+		for _, w := range []int32{LeafRows - 1, LeafRows, LeafRows + 1} {
+			bLo, bHi, bThr = append(bLo, int32(lo)), append(bHi, int32(lo)+w), append(bThr, threshold)
+		}
 		res := make([]string, len(bLo))
 		ok := make([]bool, len(bLo))
 		cnt := make([]int32, len(bLo))
@@ -195,6 +229,38 @@ func FuzzAggBatch(f *testing.F) {
 					q, cnt[q], wantCnt, opt)
 			}
 		}
+
+		it, err := BuildAnnotated(keys, ivals, func(a, b int64) int64 { return a + b }, opt)
+		if err != nil {
+			t.Fatalf("BuildAnnotated(%d int64 keys, %+v): %v", len(keys), opt, err)
+		}
+		leafSeam(t, func(t *testing.T) {
+			sums := make([]int64, len(bLo))
+			wantLeaves := 0
+			leaves := it.AggBelowBatch(bLo, bHi, bThr, sums, ok, cnt)
+			for q := range bLo {
+				qLo, qHi := clampRange(int(bLo[q]), int(bHi[q]), len(keys))
+				var want int64
+				num := 0
+				for j := qLo; j < qHi; j++ {
+					if keys[j] < bThr[q] {
+						want += ivals[j]
+						num++
+					}
+				}
+				if qHi > qLo && qHi-qLo <= leafRows && bThr[q] > 0 {
+					wantLeaves++
+				}
+				scalar, scalarOK := it.AggBelow(int(bLo[q]), int(bHi[q]), bThr[q])
+				if ok[q] != (num > 0) || scalarOK != (num > 0) || int(cnt[q]) != num || (num > 0 && (sums[q] != want || scalar != want)) {
+					t.Errorf("int64 AggBelowBatch query %d (%d, %d, %d) = (%d, %v, cnt %d), scalar (%d, %v), brute force %d of %d (opt %+v)",
+						q, bLo[q], bHi[q], bThr[q], sums[q], ok[q], cnt[q], scalar, scalarOK, want, num, opt)
+				}
+			}
+			if leaves != wantLeaves {
+				t.Errorf("int64 AggBelowBatch reports %d queries at the leaves, want %d (opt %+v)", leaves, wantLeaves, opt)
+			}
+		})
 	})
 }
 

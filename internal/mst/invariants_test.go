@@ -180,7 +180,8 @@ func checkRankIdentity(t *testing.T, tr *tree, l, r int, kids [][]int32) {
 // must be rejected), sample distances below, at and above the fanout,
 // ragged last runs, serial merges and mergeRunParallel
 // pieces — and checks the stripe against the reference merge and the rank
-// identity, plus count queries through the scalar and batched descents.
+// identity, plus count queries through the scalar and batched descents under
+// both leaf seam settings.
 func TestOriginStripe(t *testing.T) {
 	prev := parallel.SetMaxWorkers(4)
 	defer parallel.SetMaxWorkers(prev)
@@ -212,16 +213,21 @@ func TestOriginStripe(t *testing.T) {
 					for q := range out {
 						a := rng.Intn(n)
 						lo[q], hi[q] = int32(a), int32(a+1+rng.Intn(n-a))
+						if q%2 == 0 { // narrow: one row either side of the leaf cutoff
+							hi[q] = int32(min(a+LeafRows-1+q%3, n))
+						}
 						thr[q] = rng.Int63n(int64(n)/8 + 4)
 					}
-					tree.CountBelowBatch(lo, hi, thr, out)
-					for q := range out {
-						want := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q])
-						if got := tree.CountBelow(int(lo[q]), int(hi[q]), thr[q]); got != want || int(out[q]) != want {
-							t.Fatalf("opt=%+v n=%d count[%d,%d)<%d: scalar %d, batch %d, want %d",
-								opt, n, lo[q], hi[q], thr[q], got, out[q], want)
+					leafSeam(t, func(t *testing.T) {
+						tree.CountBelowBatch(lo, hi, thr, out)
+						for q := range out {
+							want := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q])
+							if got := tree.CountBelow(int(lo[q]), int(hi[q]), thr[q]); got != want || int(out[q]) != want {
+								t.Fatalf("opt=%+v n=%d count[%d,%d)<%d: scalar %d, batch %d, want %d",
+									opt, n, lo[q], hi[q], thr[q], got, out[q], want)
+							}
 						}
-					}
+					})
 				}
 			}
 		}

@@ -11,8 +11,12 @@ import (
 // against a monolithic tree over the same keys: answers must be identical
 // for arbitrary position ranges, thresholds, multi-range selects and batch
 // kernels, including the full-span queries served by the lazily merged top
-// run.
+// run, under both leaf seam settings.
 func TestSpillEquivalence(t *testing.T) {
+	leafSeam(t, testSpillEquivalence)
+}
+
+func testSpillEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 5, 63, 64, 65, 257, 1000} {
 		for _, spill := range []int{1, 7, 64, 250} {

@@ -249,7 +249,8 @@ func Build(keys []int64, opt Options) (*Tree, error) {
 func (t *Tree) Len() int { return t.n }
 
 // CountBelow returns the number of entries at positions [lo, hi) whose value
-// is strictly smaller than threshold. lo and hi are clamped to [0, Len()].
+// is strictly smaller than threshold. lo and hi are clamped to [0, Len()]. A
+// range of at most LeafRows rows is counted in level 0 (leaf.go).
 func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
 	if lo < 0 {
 		lo = 0
@@ -260,14 +261,17 @@ func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
 	if lo >= hi {
 		return 0
 	}
+	if threshold > math.MaxInt32 {
+		return hi - lo
+	}
+	if hi-lo <= leafRows {
+		return t.countLeaves(lo, hi, clampI32(threshold))
+	}
 	if t.chunks != nil {
 		return t.chunkedCountBelow(lo, hi, threshold)
 	}
 	if threshold <= 0 {
 		return 0
-	}
-	if threshold > math.MaxInt32 {
-		return hi - lo
 	}
 	return t.mono.countBelow(lo, hi, int32(threshold))
 }

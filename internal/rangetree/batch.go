@@ -10,7 +10,9 @@
 // galloped top search are shared across the group instead of being paid per
 // query. Left and right boundary emissions go to separate streams: a node
 // appears as an l-node for one contiguous range of queries and as an r-node
-// for another, and mixing the two would split the groups.
+// for another, and mixing the two would split the groups. Frames of at most
+// mst.LeafRows rows never enter the walk: they are counted in window order
+// over the partition arrays (countLeaves).
 //
 // Results are exactly CountDistinctBelow per query — enforced by
 // TestCountDistinctBelowBatchMatchesScalar and core's batch_equiv_test.
@@ -28,21 +30,23 @@ import (
 // once: out[q] = CountDistinctBelow(int(lo[q]), int(hi[q]), rankThr[q],
 // prevThr[q]). All five slices must have the same length. Queries should be
 // in probe order (adjacent frames adjacent) so same-node groups are maximal;
-// any order is correct.
-func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr []int64, out []int32) {
+// any order is correct. It returns how many of the queries it answered at
+// the leaves — frames of at most mst.LeafRows rows, scanned in window order
+// (countLeaves) — instead of decomposing them.
+func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr []int64, out []int32) (leaves int) {
 	m := len(out)
 	if len(lo) != m || len(hi) != m || len(rankThr) != m || len(prevThr) != m {
 		//lint:invariant the collector builds all five arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
 		panic("rangetree: CountDistinctBelowBatch slice length mismatch")
 	}
 	if m == 0 {
-		return
+		return 0
 	}
 	if t.n == 0 {
 		for q := range out {
 			out[q] = 0
 		}
-		return
+		return 0
 	}
 	if t.n > (math.MaxInt32-1)/2 {
 		// Node indices run up to 2n and live in int32 scratch; partitions
@@ -51,7 +55,7 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 		for q := range out {
 			out[q] = int32(t.CountDistinctBelow(int(lo[q]), int(hi[q]), rankThr[q], prevThr[q]))
 		}
-		return
+		return 0
 	}
 
 	buf := arena.Int32s.Get(10 * m)
@@ -74,11 +78,15 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 		if h > n32 {
 			h = n32
 		}
-		if l >= h {
-			ll[q], rr[q] = 0, 0
-			continue
+		ll[q], rr[q] = 0, 0
+		switch {
+		case l >= h:
+		case int(h-l) <= leafRows:
+			out[q] = int32(t.countLeaves(int(l), int(h), rankThr[q], prevThr[q]))
+			leaves++
+		default:
+			ll[q], rr[q] = l+n32, h+n32
 		}
-		ll[q], rr[q] = l+n32, h+n32
 	}
 
 	// flush answers one per-depth emission stream: maximal groups of equal
@@ -168,4 +176,5 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 			break
 		}
 	}
+	return leaves
 }

@@ -2,21 +2,28 @@ package rangetree
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"holistic/internal/mst"
 )
 
-// FuzzDenseRankBatch cross-checks the depth-synchronous batched probe
-// against the scalar canonical-decomposition walk over fuzzer-chosen rank
-// arrays, previous-occurrence links, tree options and query arguments. The
-// batch repeats, perturbs and full-spans the query so grouped inner-tree
-// descents, singleton scalar groups and clamping all run in one pass.
+// FuzzDenseRankBatch cross-checks the depth-synchronous batched probe and
+// the scalar canonical-decomposition walk against brute force over
+// fuzzer-chosen rank arrays, previous-occurrence links, tree options and
+// query arguments, once with the leaf path at its cutoff and once with it off
+// (leafSeam). The batch repeats, perturbs and full-spans the query so grouped
+// inner-tree descents, singleton scalar groups and clamping all run in one
+// pass, and adds frames one row either side of the cutoff.
 func FuzzDenseRankBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 9, 0, 0, 9}, 0, 7, int64(4), int64(2), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), int64(0), uint8(3), uint8(2), uint8(1))
 	f.Add([]byte{}, 0, 0, int64(0), int64(1), uint8(2), uint8(1), uint8(7))
 	f.Add([]byte("0000000000000000\""), 0, 17, int64(73), int64(1), uint8(2), uint8(1), uint8(7)) // a 17-row node: nested tree, prevIdx -1
+	// 300 and 520 rows: past the cutoff, so the decomposition also runs at
+	// the production setting.
+	f.Add(seedBytes(300, 5), 30, 280, int64(9), int64(40), uint8(30), uint8(31), uint8(0))
+	f.Add(seedBytes(520, 9), 7, 400, int64(12), int64(200), uint8(2), uint8(4), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, rankThr, prevThr int64, fanout, sampleEvery, flags uint8) {
 		ranks := make([]int64, len(data))
 		prevs := make([]int64, len(data))
@@ -51,14 +58,42 @@ func FuzzDenseRankBatch(f *testing.F) {
 		bHi := []int32{int32(hi), int32(hi), int32(len(ranks)), int32(hi + 3)}
 		bRank := []int64{rankThr, rankThr, rankThr, rankThr - 1}
 		bPrev := []int64{prevThr, prevThr, prevThr, prevThr + 1}
-		out := make([]int32, len(bLo))
-		rt.CountDistinctBelowBatch(bLo, bHi, bRank, bPrev, out)
-		for q := range bLo {
-			want := rt.CountDistinctBelow(int(bLo[q]), int(bHi[q]), bRank[q], bPrev[q])
-			if int(out[q]) != want {
-				t.Errorf("CountDistinctBelowBatch query %d (%d, %d, rank<%d, prev<%d) = %d, scalar %d (opt %+v)",
-					q, bLo[q], bHi[q], bRank[q], bPrev[q], out[q], want, opt)
-			}
+		for _, w := range []int32{mst.LeafRows - 1, mst.LeafRows, mst.LeafRows + 1} {
+			bLo, bHi = append(bLo, int32(lo)), append(bHi, int32(lo)+w)
+			bRank, bPrev = append(bRank, rankThr), append(bPrev, prevThr)
 		}
+		out := make([]int32, len(bLo))
+		leafSeam(t, func(t *testing.T) {
+			wantLeaves := 0
+			leaves := rt.CountDistinctBelowBatch(bLo, bHi, bRank, bPrev, out)
+			for q := range bLo {
+				qLo, qHi := max(int(bLo[q]), 0), min(int(bHi[q]), len(ranks))
+				want := 0
+				for j := qLo; j < qHi; j++ {
+					if ranks[j] < bRank[q] && prevs[j] < bPrev[q] {
+						want++
+					}
+				}
+				if qHi > qLo && qHi-qLo <= leafRows {
+					wantLeaves++
+				}
+				scalar := rt.CountDistinctBelow(int(bLo[q]), int(bHi[q]), bRank[q], bPrev[q])
+				if int(out[q]) != want || scalar != want {
+					t.Errorf("query %d (%d, %d, rank<%d, prev<%d): CountDistinctBelowBatch %d, scalar %d, brute force %d (opt %+v)",
+						q, bLo[q], bHi[q], bRank[q], bPrev[q], out[q], scalar, want, opt)
+				}
+			}
+			if leaves != wantLeaves {
+				t.Errorf("CountDistinctBelowBatch reports %d queries at the leaves, want %d (opt %+v)", leaves, wantLeaves, opt)
+			}
+		})
 	})
+}
+
+// seedBytes is a deterministic seed input of n bytes.
+func seedBytes(n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	b := make([]byte, n)
+	rng.Read(b)
+	return b
 }

@@ -32,6 +32,11 @@ import (
 // smallNode is the node size below which a linear scan beats a nested tree.
 const smallNode = 16
 
+// leafRows is the widest frame answered by a scan of the partition arrays
+// instead of the canonical decomposition — the merge sort trees' leaf rule
+// (mst.LeafRows); tests set it to 0 to decompose every query.
+var leafRows = mst.LeafRows
+
 type node struct {
 	ranks []int64 // node's rank keys, sorted ascending
 	prevs []int64 // prevIdx of the same tuples, in rank-sorted order
@@ -42,6 +47,9 @@ type node struct {
 type DenseRankTree struct {
 	n     int
 	nodes []node
+	// ranks and prevs are the partition's arrays in window order; the leaf
+	// nodes are one-element windows of them, so they cost no bytes.
+	ranks, prevs []int64
 }
 
 // New builds the structure for a partition in window order. ranks[i] is the
@@ -53,7 +61,7 @@ func New(ranks, prevIdcs []int64, opt mst.Options) (*DenseRankTree, error) {
 		return nil, fmt.Errorf("rangetree: %d ranks but %d prevIdcs", len(ranks), len(prevIdcs))
 	}
 	n := len(ranks)
-	t := &DenseRankTree{n: n}
+	t := &DenseRankTree{n: n, ranks: ranks, prevs: prevIdcs}
 	if n == 0 {
 		return t, nil
 	}
@@ -136,7 +144,8 @@ func (t *DenseRankTree) Len() int { return t.n }
 // CountDistinctBelow returns the number of distinct rank values r <
 // rankThreshold among window positions [lo, hi), where distinctness is
 // established by prevIdx < prevThreshold (normally frameLo+1 in the shifted
-// representation).
+// representation). A frame of at most mst.LeafRows rows is scanned in window
+// order instead of decomposed.
 func (t *DenseRankTree) CountDistinctBelow(lo, hi int, rankThreshold, prevThreshold int64) int {
 	if lo < 0 {
 		lo = 0
@@ -146,6 +155,9 @@ func (t *DenseRankTree) CountDistinctBelow(lo, hi int, rankThreshold, prevThresh
 	}
 	if lo >= hi {
 		return 0
+	}
+	if hi-lo <= leafRows {
+		return t.countLeaves(lo, hi, rankThreshold, prevThreshold)
 	}
 	total := 0
 	l, r := lo+t.n, hi+t.n
@@ -177,6 +189,28 @@ func (t *DenseRankTree) CountDistinctBelow(lo, hi int, rankThreshold, prevThresh
 		r >>= 1
 	}
 	return total
+}
+
+// countLeaves is the leaf rule: the window positions [lo, hi) whose rank is
+// below rankThreshold and whose prevIdx is below prevThreshold, counted in
+// window order — exactly what the canonical nodes of [lo, hi) count between
+// them. Callers guarantee 0 <= lo < hi <= n.
+func (t *DenseRankTree) countLeaves(lo, hi int, rankThreshold, prevThreshold int64) int {
+	c := 0
+	prevs := t.prevs[lo:hi]
+	for j, r := range t.ranks[lo:hi] {
+		// Two conditional moves, not a branch: either test is as good as
+		// random to a predictor.
+		below, first := 0, 0
+		if r < rankThreshold {
+			below = 1
+		}
+		if prevs[j] < prevThreshold {
+			first = 1
+		}
+		c += below & first
+	}
+	return c
 }
 
 // MemBytes reports the approximate resident size of the structure: every

@@ -51,6 +51,7 @@ import (
 //	windowd_mst_batch_dedup_hits                  counter (func)
 //	windowd_mst_batch_queries_family              counter (func, labels: family)
 //	windowd_mst_batch_dedup_hits_family           counter (func, labels: family)
+//	windowd_mst_batch_leaf_queries_family         counter (func, labels: family)
 //	windowd_plan_shared_sorts                     counter (func)
 //	windowd_plan_shared_trees                     counter (func)
 //	windowd_plan_shared_preprocess                counter (func)
@@ -222,6 +223,16 @@ func newServerObs(s *Server, routes []string) *serverObs {
 			out := make([]obs.Sample, len(stats))
 			for i, st := range stats {
 				out[i] = obs.Sample{Labels: []string{st.Family}, Value: float64(st.DedupHits)}
+			}
+			return out
+		})
+	reg.NewCounterFunc("windowd_mst_batch_leaf_queries_family",
+		"Batched MST kernel queries answered by a pass over the tree's level 0 (narrow ranges) instead of a descent, by kernel family: count, select, agg, rank.",
+		[]string{"family"}, func() []obs.Sample {
+			stats := core.BatchFamilySnapshot()
+			out := make([]obs.Sample, len(stats))
+			for i, st := range stats {
+				out[i] = obs.Sample{Labels: []string{st.Family}, Value: float64(st.LeafQueries)}
 			}
 			return out
 		})

@@ -109,6 +109,7 @@ for series in \
     'windowd_mst_batch_queries_family{family="rank"}' \
     'windowd_mst_batch_dedup_hits_family{family="count"}' \
     'windowd_mst_batch_dedup_hits_family{family="agg"}' \
+    'windowd_mst_batch_leaf_queries_family{family="count"}' \
     'windowd_plan_shared_sorts' \
     'windowd_plan_shared_trees' \
     'windowd_plan_shared_preprocess' \
