@@ -379,40 +379,16 @@ func TestDefaultFrames(t *testing.T) {
 // so on the plain frames they must equal the scalar AnnotatedTree.AggBelow
 // bit for bit. -short keeps the three widths at the cutoff, plain and
 // EXCLUDE CURRENT ROW.
+//
+// The frame width also picks the structures' form: a statement whose frames
+// span at most mst.LeafRows rows builds them leaf-only. One structure cache
+// therefore serves a 127 PRECEDING statement and then a wider one, and the
+// same pair in the reverse order: every answer must still match, and the
+// cache must hold both width classes. A RANGE frame has no width bound, so
+// there a partition of 128 rows goes leaf-only and one of 129 does not.
 func TestReferenceAcrossLeafCutoff(t *testing.T) {
-	const parts, rows = 2, 300
-	rng := rand.New(rand.NewSource(128))
-	n := parts * rows
-	g, d, v, big := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
-	vNull, flt := make([]bool, n), make([]bool, n)
-	fv := make([]float64, n)
-	for i := range g {
-		g[i], d[i], v[i] = int64(i%parts), rng.Int63n(100), rng.Int63n(60)
-		vNull[i] = rng.Intn(10) == 0
-		big[i] = math.MaxInt64 - rng.Int63n(50)
-		if rng.Intn(2) == 0 {
-			big[i] = math.MinInt64 + rng.Int63n(50)
-		}
-		flt[i] = rng.Intn(4) != 0
-		fv[i] = float64(1+rng.Intn(7)) * math.Pow(10, float64(rng.Intn(12)-6))
-	}
-	tab := MustNewTable(
-		NewInt64Column("g", g, nil), NewInt64Column("d", d, nil),
-		NewInt64Column("v", v, vNull), NewInt64Column("big", big, nil),
-		NewFloat64Column("fv", fv, nil), NewBoolColumn("flt", flt, nil))
-	ordV := []SortKey{{Column: "v"}}
-	funcs := []FuncSpec{
-		{Name: CountDistinct, Output: "cd", Arg: "d"},
-		{Name: CountDistinct, Output: "cdv", Arg: "v", Filter: "flt"},
-		{Name: SumDistinct, Output: "sdw", Arg: "big"},
-		{Name: SumDistinct, Output: "sdv", Arg: "v", Filter: "flt"},
-		{Name: Rank, Output: "rk", OrderBy: ordV},
-		{Name: Rank, Output: "rkf", OrderBy: ordV, Filter: "flt"},
-		{Name: DenseRank, Output: "dr", OrderBy: ordV},
-		{Name: DenseRank, Output: "drf", OrderBy: ordV, Filter: "flt"},
-		{Name: SumDistinct, Output: "sdf", Arg: "fv"},
-		{Name: AvgDistinct, Output: "adf", Arg: "fv"},
-	}
+	tab, g, d, fv := leafCutoffTable(2, 300)
+	funcs := leafCutoffFuncs()
 	widths := []int{mst.LeafRows - 1, mst.LeafRows, mst.LeafRows + 1, 250}
 	excludes := []frame.Exclusion{frame.ExcludeNoOthers, frame.ExcludeCurrentRow, frame.ExcludeGroup, frame.ExcludeTies}
 	if testing.Short() {
@@ -420,18 +396,7 @@ func TestReferenceAcrossLeafCutoff(t *testing.T) {
 	}
 	for _, width := range widths {
 		for _, ex := range excludes {
-			w := &WindowSpec{
-				PartitionBy: []string{"g"},
-				OrderBy:     []SortKey{{Column: "d"}},
-				Frame: frame.Spec{
-					Mode:    frame.Rows,
-					Start:   frame.Bound{Type: frame.Preceding, Offset: int64(width - 1)},
-					End:     frame.Bound{Type: frame.CurrentRow},
-					Exclude: ex,
-				},
-				FrameSet: true,
-				Funcs:    funcs,
-			}
+			w := leafCutoffWindow(rowsFrame(width-1, ex), funcs)
 			res, err := Run(tab, w, Options{TaskSize: 64})
 			if err != nil {
 				t.Fatal(err)
@@ -444,6 +409,129 @@ func TestReferenceAcrossLeafCutoff(t *testing.T) {
 				checkFloatDistinctDescent(t, g, d, fv, width, res.Column("sdf"), res.Column("adf"))
 			}
 		}
+	}
+
+	narrow := rowsFrame(mst.LeafRows-1, frame.ExcludeNoOthers)
+	for _, wider := range []int{mst.LeafRows, mst.LeafRows + 1, 250} {
+		wide := rowsFrame(wider, frame.ExcludeNoOthers)
+		for _, order := range [][2]frame.Spec{{narrow, wide}, {wide, narrow}} {
+			cache := newRecordingCache()
+			label := fmt.Sprintf("%d then %d PRECEDING", order[0].Start.Offset, order[1].Start.Offset)
+			for _, fs := range order {
+				w := leafCutoffWindow(fs, funcs)
+				res, err := Run(tab, w, Options{TaskSize: 64, Cache: cache, CacheScope: "cutoff@v1"})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i := range w.Funcs {
+					f := &w.Funcs[i]
+					compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("%s, %d PRECEDING %s", label, fs.Start.Offset, f.Output))
+				}
+			}
+			// Per partition, eight structures are width-bound — COUNT and
+			// int64 SUM(DISTINCT), RANK and DENSE_RANK, each plain and
+			// FILTERed — and each class holds all eight; the float
+			// SUM/AVG(DISTINCT) trees are full under either frame.
+			tags := []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|"}
+			if leaf, full := cache.resident("w=leaf", tags...), cache.resident("w=full", tags...); leaf != 2*8 || full != 2*10 {
+				t.Errorf("%s: the cache holds %d leaf-only and %d full structures, want %d and %d", label, leaf, full, 2*8, 2*10)
+			}
+		}
+	}
+
+	for _, rows := range []int{mst.LeafRows, mst.LeafRows + 1} {
+		tab, _, _, _ := leafCutoffTable(2, rows)
+		rangeFrame := frame.Spec{
+			Mode:  frame.Range,
+			Start: frame.Bound{Type: frame.Preceding, Offset: 30},
+			End:   frame.Bound{Type: frame.Following, Offset: 5},
+		}
+		w := leafCutoffWindow(rangeFrame, funcs)
+		cache := newRecordingCache()
+		res, err := Run(tab, w, Options{TaskSize: 64, Cache: cache, CacheScope: "range@v1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range w.Funcs {
+			f := &w.Funcs[i]
+			compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("RANGE frame over %d-row partitions %s", rows, f.Output))
+		}
+		// The FILTERed RANK keeps about 3/4 of its rows, ≤ 128 either way;
+		// the plain one goes full at 129.
+		wantLeaf, wantFull := 2*2, 0
+		if rows > mst.LeafRows {
+			wantLeaf, wantFull = 2, 2
+		}
+		if leaf, full := cache.resident("w=leaf", "|rank-"), cache.resident("w=full", "|rank-"); leaf != wantLeaf || full != wantFull {
+			t.Errorf("RANGE frame over %d-row partitions: %d leaf-only and %d full RANK trees, want %d and %d", rows, leaf, full, wantLeaf, wantFull)
+		}
+	}
+}
+
+// leafCutoffTable is TestReferenceAcrossLeafCutoff's data: parts partitions
+// of rows rows each (g), a tied ORDER BY key d, an int64 argument v with
+// NULLs, int64 values big whose sums wrap, float values fv and a FILTER
+// column flt. It returns the table and the columns checkFloatDistinctDescent
+// reads.
+func leafCutoffTable(parts, rows int) (tab *Table, g, d []int64, fv []float64) {
+	rng := rand.New(rand.NewSource(128))
+	n := parts * rows
+	g, d = make([]int64, n), make([]int64, n)
+	v, big := make([]int64, n), make([]int64, n)
+	vNull, flt := make([]bool, n), make([]bool, n)
+	fv = make([]float64, n)
+	for i := range g {
+		g[i], d[i], v[i] = int64(i%parts), rng.Int63n(100), rng.Int63n(60)
+		vNull[i] = rng.Intn(10) == 0
+		big[i] = math.MaxInt64 - rng.Int63n(50)
+		if rng.Intn(2) == 0 {
+			big[i] = math.MinInt64 + rng.Int63n(50)
+		}
+		flt[i] = rng.Intn(4) != 0
+		fv[i] = float64(1+rng.Intn(7)) * math.Pow(10, float64(rng.Intn(12)-6))
+	}
+	tab = MustNewTable(
+		NewInt64Column("g", g, nil), NewInt64Column("d", d, nil),
+		NewInt64Column("v", v, vNull), NewInt64Column("big", big, nil),
+		NewFloat64Column("fv", fv, nil), NewBoolColumn("flt", flt, nil))
+	return tab, g, d, fv
+}
+
+// leafCutoffFuncs are the functions TestReferenceAcrossLeafCutoff checks.
+func leafCutoffFuncs() []FuncSpec {
+	ordV := []SortKey{{Column: "v"}}
+	return []FuncSpec{
+		{Name: CountDistinct, Output: "cd", Arg: "d"},
+		{Name: CountDistinct, Output: "cdv", Arg: "v", Filter: "flt"},
+		{Name: SumDistinct, Output: "sdw", Arg: "big"},
+		{Name: SumDistinct, Output: "sdv", Arg: "v", Filter: "flt"},
+		{Name: Rank, Output: "rk", OrderBy: ordV},
+		{Name: Rank, Output: "rkf", OrderBy: ordV, Filter: "flt"},
+		{Name: DenseRank, Output: "dr", OrderBy: ordV},
+		{Name: DenseRank, Output: "drf", OrderBy: ordV, Filter: "flt"},
+		{Name: SumDistinct, Output: "sdf", Arg: "fv"},
+		{Name: AvgDistinct, Output: "adf", Arg: "fv"},
+	}
+}
+
+// rowsFrame is ROWS BETWEEN preceding PRECEDING AND CURRENT ROW under ex.
+func rowsFrame(preceding int, ex frame.Exclusion) frame.Spec {
+	return frame.Spec{
+		Mode:    frame.Rows,
+		Start:   frame.Bound{Type: frame.Preceding, Offset: int64(preceding)},
+		End:     frame.Bound{Type: frame.CurrentRow},
+		Exclude: ex,
+	}
+}
+
+// leafCutoffWindow partitions by g and orders by d under fs.
+func leafCutoffWindow(fs frame.Spec, funcs []FuncSpec) *WindowSpec {
+	return &WindowSpec{
+		PartitionBy: []string{"g"},
+		OrderBy:     []SortKey{{Column: "d"}},
+		Frame:       fs,
+		FrameSet:    true,
+		Funcs:       funcs,
 	}
 }
 

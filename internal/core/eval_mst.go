@@ -8,6 +8,7 @@ import (
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
+	"holistic/internal/obs"
 	"holistic/internal/preprocess"
 	"holistic/internal/rangetree"
 	"holistic/internal/sortutil"
@@ -265,30 +266,79 @@ func forEachFullyExcluded(prev, next []int64, ranges [][2]int, visit func(h int)
 	}
 }
 
+// rowsBound is the widest position range a probe of a structure over k
+// filtered rows can ask: k, or the function's frame width when the statement
+// fixes a smaller one. FILTER and EXCLUDE only narrow a frame, and the
+// distinct-hole correction's span [a, d) is the frame's own span.
+func (o Options) rowsBound(k int) int {
+	if o.frameBounded && o.frameRows < int64(k) {
+		return int(o.frameRows)
+	}
+	return k
+}
+
+// leafOnly reports whether a structure whose probes span at most rows rows
+// is built in leaf-only form (mst/leaf.go): no such probe descends, so
+// nothing above level 0 would ever be read.
+func leafOnly(rows int) bool { return rows <= mst.LeafRows }
+
+// widthSig is the width class of a structure's cache key: a leaf-only entry
+// answers only ranges of at most mst.LeafRows rows, so a statement with
+// wider frames must build, and cache, the full structure beside it.
+func widthSig(leaf bool) string {
+	if leaf {
+		return "w=leaf"
+	}
+	return "w=full"
+}
+
+// endBuild closes a "build merge sort tree" phase span, recording whether
+// the structure was built leaf-only and the bytes it owns. Both add up over
+// an eval span's partitions.
+func endBuild(sp *obs.Span, leaf bool, bytes int64) {
+	if leaf {
+		sp.AddInt("leaf_only", 1)
+	} else {
+		sp.AddInt("leaf_only", 0)
+	}
+	sp.AddInt("bytes", bytes)
+	sp.End()
+}
+
 // evalDistinct evaluates COUNT/SUM/AVG(DISTINCT x) with the annotated merge
 // sort tree of §4.2/§4.3. The preprocessed occurrence arrays and the tree
 // are cache-shared across queries: they depend only on the argument column,
 // the filter and the tree options, never on the frame.
 func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	fl := newFiltered(p, f, f.Arg, opt)
+	rows := opt.rowsBound(fl.k)
 
 	switch f.Name {
 	case CountDistinct:
-		key := p.cacheKey("distinct-count", strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree))
+		leaf := leafOnly(rows)
+		key := p.cacheKey("distinct-count", strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(leaf))
 		st, err := cacheGet(opt, key, func() (cachedDistinct, int64, error) {
 			prev, next, err := buildDistinctInputs(fl, f, opt)
 			if err != nil {
 				return cachedDistinct{}, 0, err
 			}
+			build := mst.Build
+			if leaf {
+				build = mst.BuildLeaves
+			}
 			sp := opt.trace.Phase("build merge sort tree")
-			tree, buildErr := mst.Build(prev, opt.treeOptions(sp))
-			sp.End()
+			tree, buildErr := build(prev, opt.treeOptions(sp))
 			if buildErr != nil {
+				sp.End()
 				return cachedDistinct{}, 0, buildErr
 			}
-			return cachedDistinct{prev: prev, next: next, tree: tree},
-				int64SliceBytes(prev, next) + int64(tree.Stats().Bytes), nil
+			treeBytes := int64(tree.Stats().Bytes)
+			endBuild(sp, leaf, treeBytes)
+			return cachedDistinct{prev: prev, next: next, tree: tree}, int64SliceBytes(prev, next) + treeBytes, nil
 		})
+		if err == nil {
+			err = st.tree.CheckRows(rows)
+		}
 		if err != nil {
 			return err
 		}
@@ -298,13 +348,13 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 
 	case SumDistinct:
 		if out.kind == Int64 {
-			return runSumDistinct(p, f, fc, out, opt, fl, "int64", 8,
+			return runSumDistinct(p, f, fc, out, opt, fl, rows, leafOnly(rows), "int64", 8,
 				func(j int) int64 { return p.t.Column(f.Arg).Int64(fl.orig(j)) },
 				func(a, b int64) int64 { return a + b },
 				func(a, b int64) int64 { return a - b },
 				func(row int, v int64) { out.setInt(row, v) })
 		}
-		return runSumDistinct(p, f, fc, out, opt, fl, "float64", 8,
+		return runSumDistinct(p, f, fc, out, opt, fl, rows, false, "float64", 8,
 			func(j int) float64 { return p.t.Column(f.Arg).Float64(fl.orig(j)) },
 			func(a, b float64) float64 { return a + b },
 			func(a, b float64) float64 { return a - b },
@@ -312,7 +362,7 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 
 	case AvgDistinct:
 		col := p.t.Column(f.Arg)
-		return runSumDistinct(p, f, fc, out, opt, fl, "avg", 16,
+		return runSumDistinct(p, f, fc, out, opt, fl, rows, false, "avg", 16,
 			func(j int) avgState { return avgState{sum: col.Numeric(fl.orig(j)), n: 1} },
 			func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} },
 			func(a, b avgState) avgState { return avgState{a.sum - b.sum, a.n - b.n} },
@@ -332,10 +382,13 @@ type avgState struct {
 // (The pure merge-only path of §4.3 covers continuous frames; frames with
 // exclusion holes additionally use the inverse.) kind tags the aggregate
 // state type in the cache key; aggBytes is its size for budget accounting.
+// rows bounds the ranges the tree is probed with; leaf builds it leaf-only,
+// which only the int64 state may ask for — a float fold order is part of its
+// answer, so float and AVG states always take the full tree.
 func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
-	opt Options, fl *filtered, kind string, aggBytes int,
+	opt Options, fl *filtered, rows int, leaf bool, kind string, aggBytes int,
 	valueOf func(j int) S, add func(a, b S) S, sub func(a, b S) S, emit func(row int, v S)) error {
-	key := p.cacheKey("distinct-agg", f.Name.String(), kind, strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree))
+	key := p.cacheKey("distinct-agg", f.Name.String(), kind, strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(leaf))
 	st, err := cacheGet(opt, key, func() (cachedAgg[S], int64, error) {
 		prev, next, err := buildDistinctInputs(fl, f, opt)
 		if err != nil {
@@ -345,15 +398,24 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 		for j := range values {
 			values[j] = valueOf(j)
 		}
+		build := mst.BuildAnnotated[S]
+		if leaf {
+			build = mst.BuildAnnotatedLeaves[S]
+		}
 		sp := opt.trace.Phase("build merge sort tree")
-		tree, buildErr := mst.BuildAnnotated(prev, values, add, opt.treeOptions(sp))
-		sp.End()
+		tree, buildErr := build(prev, values, add, opt.treeOptions(sp))
 		if buildErr != nil {
+			sp.End()
 			return cachedAgg[S]{}, 0, buildErr
 		}
-		bytes := int64SliceBytes(prev, next) + int64(aggBytes*len(values)) + tree.MemBytes(aggBytes)
+		treeBytes := tree.MemBytes(aggBytes)
+		endBuild(sp, leaf, treeBytes)
+		bytes := int64SliceBytes(prev, next) + int64(aggBytes*len(values)) + treeBytes
 		return cachedAgg[S]{prev: prev, next: next, values: values, tree: tree}, bytes, nil
 	})
+	if err == nil {
+		err = st.tree.CheckRows(rows)
+	}
 	if err != nil {
 		return err
 	}
@@ -368,6 +430,8 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 // keys (§4.4, Figure 8).
 func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	fl := newFiltered(p, f, "", opt)
+	rows := opt.rowsBound(fl.k)
+	leaf := leafOnly(rows)
 
 	// Thresholds must exist for every row (also filtered-out ones), so rank
 	// keys are computed over the whole partition; the tree only holds the
@@ -377,7 +441,7 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 	if unique {
 		tag = "rank-unique"
 	}
-	st, err := cacheGet(opt, p.cacheKey(tag, orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree)),
+	st, err := cacheGet(opt, p.cacheKey(tag, orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(leaf)),
 		func() (cachedRank, int64, error) {
 			m := p.len()
 			sortedAll, err := p.sortedByFuncOrder(f, opt)
@@ -405,16 +469,24 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 			for j := range keysKept {
 				keysKept[j] = keysAll[fl.local(j)]
 			}
+			build := mst.Build
+			if leaf {
+				build = mst.BuildLeaves
+			}
 			sp := opt.trace.Phase("build merge sort tree")
-			tree, buildErr := mst.Build(keysKept, opt.treeOptions(sp))
-			sp.End()
+			tree, buildErr := build(keysKept, opt.treeOptions(sp))
 			opt.putInt64s(keysKept)
 			if buildErr != nil {
+				sp.End()
 				return cachedRank{}, 0, buildErr
 			}
-			return cachedRank{keysAll: keysAll, tree: tree},
-				int64SliceBytes(keysAll) + int64(tree.Stats().Bytes), nil
+			treeBytes := int64(tree.Stats().Bytes)
+			endBuild(sp, leaf, treeBytes)
+			return cachedRank{keysAll: keysAll, tree: tree}, int64SliceBytes(keysAll) + treeBytes, nil
 		})
+	if err == nil {
+		err = st.tree.CheckRows(rows)
+	}
 	if err != nil {
 		return err
 	}
@@ -443,7 +515,9 @@ func ntileBucket(r, size, b int64) int64 {
 // evalDenseRank evaluates the framed DENSE_RANK with the range tree of §4.4.
 func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	fl := newFiltered(p, f, "", opt)
-	st, err := cacheGet(opt, p.cacheKey("dense", orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree)),
+	rows := opt.rowsBound(fl.k)
+	leaf := leafOnly(rows)
+	st, err := cacheGet(opt, p.cacheKey("dense", orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(leaf)),
 		func() (cachedDense, int64, error) {
 			sortedAll, err := p.sortedByFuncOrder(f, opt)
 			if err != nil {
@@ -468,15 +542,27 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 				return cachedDense{}, 0, err
 			}
 			prevKept, nextKept := linkOccurrences(rankWords, sortedKept, nil)
+			// The leaf-only structure has no nodes: it scans ranksKept and
+			// prevKept, which the entry already holds and charges.
 			sp := opt.trace.Phase("build merge sort tree")
-			rt, buildErr := rangetree.New(ranksKept, prevKept, opt.treeOptions(sp))
-			sp.End()
+			var rt *rangetree.DenseRankTree
+			var buildErr error
+			if leaf {
+				rt, buildErr = rangetree.NewLeaves(ranksKept, prevKept)
+			} else {
+				rt, buildErr = rangetree.New(ranksKept, prevKept, opt.treeOptions(sp))
+			}
 			if buildErr != nil {
+				sp.End()
 				return cachedDense{}, 0, buildErr
 			}
+			endBuild(sp, leaf, rt.MemBytes())
 			return cachedDense{ranksAll: ranksAll, ranksKept: ranksKept, prevKept: prevKept, nextKept: nextKept, rt: rt},
 				int64SliceBytes(ranksAll, ranksKept, prevKept, nextKept) + rt.MemBytes(), nil
 		})
+	if err == nil {
+		err = st.rt.CheckRows(rows)
+	}
 	if err != nil {
 		return err
 	}
@@ -514,13 +600,15 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 			perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.Build(perm, opt.treeOptions(sp))
-			sp.End()
 			opt.putInt64s(perm)
 			opt.putInt32s(sortedKept)
 			if buildErr != nil {
+				sp.End()
 				return cachedSelect{}, 0, buildErr
 			}
-			return cachedSelect{tree: tree}, int64(tree.Stats().Bytes), nil
+			treeBytes := int64(tree.Stats().Bytes)
+			endBuild(sp, false, treeBytes)
+			return cachedSelect{tree: tree}, treeBytes, nil
 		})
 	if err != nil {
 		return err
@@ -577,14 +665,15 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 			perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.Build(perm, opt.treeOptions(sp))
-			sp.End()
 			opt.putInt64s(perm)
 			opt.putInt32s(sortedKept)
 			if buildErr != nil {
+				sp.End()
 				return cachedLeadLag{}, 0, buildErr
 			}
-			return cachedLeadLag{keptRowno: keptRowno, tree: tree},
-				int64SliceBytes(keptRowno) + int64(tree.Stats().Bytes), nil
+			treeBytes := int64(tree.Stats().Bytes)
+			endBuild(sp, false, treeBytes)
+			return cachedLeadLag{keptRowno: keptRowno, tree: tree}, int64SliceBytes(keptRowno) + treeBytes, nil
 		})
 	if err != nil {
 		return err

@@ -59,6 +59,12 @@ type Options struct {
 	// value-copied Options so concurrent evaluations never share a
 	// current-span variable.
 	trace *obs.Span
+	// frameRows bounds the position range any frame of the function being
+	// evaluated can span (frame.Spec.MaxRows) when frameBounded is set. Run
+	// sets both once per (window, function); rowsBound combines them with a
+	// partition's size.
+	frameRows    int64
+	frameBounded bool
 	// Delta, when non-nil, describes the table as a frozen base plus a
 	// mutation overlay (see DeltaView): phase 1 then merges the cached
 	// frozen sort order with a sorted run over the overlay instead of
@@ -233,11 +239,13 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 	// trace is one "eval" span for the statement, which each partition's
 	// evaluation enters: what the phases beneath it cost is summed over the
 	// partitions, so the trace is as long as the statement, not the table.
+	// Each function's options also carry the widest range its frames span,
+	// which bounds what its structures must answer.
 	outs := make([][]*outBuilder, len(windows))
-	evals := make([][]*obs.Span, len(windows))
+	fopts := make([][]Options, len(windows))
 	for wi, w := range windows {
 		outs[wi] = make([]*outBuilder, len(w.Funcs))
-		evals[wi] = make([]*obs.Span, len(w.Funcs))
+		fopts[wi] = make([]Options, len(w.Funcs))
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
 			outs[wi][i] = newOutBuilder(f.Output, outputKind(t, f), n)
@@ -246,7 +254,10 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 			sp.Set("engine", opt.engineFor(f).String())
 			sp.SetInt("partitions", int64(len(parts)))
 			sp.SetInt("rows", int64(n))
-			evals[wi][i] = sp
+			fopt := opt
+			fopt.trace = sp
+			fopt.frameRows, fopt.frameBounded = w.effectiveFrame(f).MaxRows()
+			fopts[wi][i] = fopt
 		}
 	}
 	var errMu sync.Mutex
@@ -268,9 +279,7 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 			p := views[wi][pi]
 			for fi := range w.Funcs {
 				f := &w.Funcs[fi]
-				fopt := opt
-				fopt.trace = evals[wi][fi]
-				if err := evalFuncCached(p, f, outs[wi][fi], fopt); err != nil {
+				if err := evalFuncCached(p, f, outs[wi][fi], fopts[wi][fi]); err != nil {
 					setErr(fmt.Errorf("%v (%s): %w", f.Name, f.Output, err))
 					return
 				}

@@ -7,9 +7,12 @@
 package delta_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"holistic/internal/core"
@@ -429,5 +432,131 @@ func TestDeltaUntouchedPartitionCacheReuse(t *testing.T) {
 	// the epoch's sort are found.
 	if _, misses := query(window(9)); misses != parts*funcs {
 		t.Fatalf("a new frame at a seen epoch built %d entries, want %d result vectors and no tree", misses, parts*funcs)
+	}
+}
+
+// keyCache is a treecache.Cache that remembers the keys asked of it.
+type keyCache struct {
+	*treecache.Cache
+	mu   sync.Mutex
+	keys map[string]bool
+}
+
+func (c *keyCache) GetOrBuild(key string, build func() (any, int64, error)) (any, error) {
+	c.mu.Lock()
+	c.keys[key] = true
+	c.mu.Unlock()
+	return c.Cache.GetOrBuild(key, build)
+}
+
+// resident counts the keys asked so far that contain every one of subs and
+// that the cache still holds.
+func (c *keyCache) resident(subs ...string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+next:
+	for k := range c.keys {
+		for _, sub := range subs {
+			if !strings.Contains(k, sub) {
+				continue next
+			}
+		}
+		if _, err := c.Cache.GetOrBuild(k, func() (any, int64, error) { return nil, 0, errors.New("not resident") }); err == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDeltaWiderFrameAfterMutation: a statement whose frames span at most
+// mst.LeafRows rows builds its count, rank, dense-rank and int64
+// DISTINCT-sum structures leaf-only, under the delta path's pk=…|pd<stamp>
+// keys, which outlive the epoch. Mutating one partition and then asking a
+// wider frame — of the mutated partition and of the untouched one whose
+// leaf-only entries are still cached — must build full structures beside
+// them, never read the leaf-only ones; and the reverse order must reuse
+// nothing wrongly either. Every answer equals a from-scratch evaluation, and
+// the cache ends up holding both width classes.
+func TestDeltaWiderFrameAfterMutation(t *testing.T) {
+	const parts = 2
+	window := func(preceding int64) *core.WindowSpec {
+		return &core.WindowSpec{
+			PartitionBy: []string{"g"},
+			OrderBy:     []core.SortKey{{Column: "d"}},
+			Frame: frame.Spec{
+				Mode:  frame.Rows,
+				Start: frame.Bound{Type: frame.Preceding, Offset: preceding},
+				End:   frame.Bound{Type: frame.CurrentRow},
+			},
+			FrameSet: true,
+			Funcs: []core.FuncSpec{
+				{Name: core.CountDistinct, Output: "cd", Arg: "v"},
+				{Name: core.SumDistinct, Output: "sd", Arg: "v"},
+				{Name: core.Rank, Output: "r", OrderBy: []core.SortKey{{Column: "v"}}},
+				{Name: core.DenseRank, Output: "dr", OrderBy: []core.SortKey{{Column: "v"}}},
+				{Name: core.PercentileDisc, Output: "p", Fraction: 0.5, OrderBy: []core.SortKey{{Column: "v"}}},
+			},
+		}
+	}
+	const narrow, wide = 40, 200
+	for _, order := range [][2]int64{{narrow, wide}, {wide, narrow}} {
+		rng := rand.New(rand.NewSource(31))
+		var rows [][]delta.Value
+		for i := int64(0); i < 300; i++ {
+			row := randRow(rng, i)
+			row[1] = delta.Int64Value(i % parts)      // g: 150 rows each
+			row[3] = delta.Int64Value(rng.Int63n(12)) // v never NULL: the DISTINCT trees keep all 150
+			rows = append(rows, row)
+		}
+		buf, err := delta.NewBuffer(buildTable(t, rows), "k", delta.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := &keyCache{Cache: treecache.New(0), keys: map[string]bool{}}
+		query := func(preceding int64) {
+			t.Helper()
+			snap := buf.Snapshot()
+			tab, err := snap.Table()
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, err := snap.View()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := window(preceding)
+			got, err := core.Run(tab, w, core.Options{Cache: cache, CacheScope: fmt.Sprintf("wider@v1|g%d", snap.Gen()), Delta: view})
+			if err != nil {
+				t.Fatalf("%d then %d PRECEDING, epoch %d, %d PRECEDING: %v", order[0], order[1], snap.Epoch(), preceding, err)
+			}
+			want, err := core.Run(tab, w, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range w.Funcs {
+				f := &w.Funcs[i]
+				requireColumnsIdentical(t, got.Column(f.Output), want.Column(f.Output),
+					fmt.Sprintf("%d then %d PRECEDING, epoch %d, %d PRECEDING %s", order[0], order[1], snap.Epoch(), preceding, f.Output))
+			}
+		}
+		query(order[0])
+		for i := int64(0); i < 6; i += parts { // upsert three rows of g=0
+			row := randRow(rng, i)
+			row[1], row[3] = delta.Int64Value(0), delta.Int64Value(rng.Int63n(12))
+			if _, err := buf.Apply(-1, []delta.Mutation{{Op: delta.OpUpsert, Row: row}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query(order[1])
+		query(order[0])
+		// Four width-bound structures per partition and class: count,
+		// int64 DISTINCT sum, rank and dense rank; g=0 holds them for both
+		// of its contents.
+		for _, class := range []string{"w=leaf", "w=full"} {
+			if got := cache.resident("|pd", class); got < parts*4 {
+				t.Errorf("%d then %d PRECEDING: the cache holds %d %s structures under delta keys, want at least %d", order[0], order[1], got, class, parts*4)
+			}
+		}
 	}
 }

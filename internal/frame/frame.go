@@ -142,6 +142,42 @@ func (s Spec) Monotonic() bool {
 	return s.Start.OffsetFn == nil && s.End.OffsetFn == nil
 }
 
+// MaxRows returns the widest position range any row's frame can span, and
+// true, when the specification fixes it: a ROWS frame with constant offsets,
+// whose width is its end offset minus its start offset plus one — P + F + 1
+// for P PRECEDING AND F FOLLOWING — saturating at math.MaxInt64, and 0 for a
+// frame that is always empty. It returns false when the width depends on the
+// data or the row: RANGE and GROUPS frames, UNBOUNDED bounds and per-row
+// offsets. Exclusion only removes rows from a frame, so it does not enter
+// the bound.
+func (s Spec) MaxRows() (int64, bool) {
+	if s.Mode != Rows {
+		return 0, false
+	}
+	lo, okLo := s.Start.rowOffset()
+	hi, okHi := s.End.rowOffset()
+	if !okLo || !okHi {
+		return 0, false
+	}
+	return max(satAdd(satSub(hi, lo), 1), 0), true
+}
+
+// rowOffset is a constant ROWS bound's signed offset from the current row.
+func (b Bound) rowOffset() (int64, bool) {
+	if b.OffsetFn != nil || b.Offset < 0 {
+		return 0, false
+	}
+	switch b.Type {
+	case Preceding:
+		return -b.Offset, true
+	case CurrentRow:
+		return 0, true
+	case Following:
+		return b.Offset, true
+	}
+	return 0, false
+}
+
 // Computer evaluates a frame specification against one partition.
 type Computer struct {
 	spec Spec

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"math"
 	"testing"
 )
 
@@ -290,5 +291,68 @@ func TestModeAndBoundStrings(t *testing.T) {
 	}
 	if UnboundedPreceding.String() != "UNBOUNDED PRECEDING" || CurrentRow.String() != "CURRENT ROW" {
 		t.Error("bound strings wrong")
+	}
+}
+
+func TestMaxRows(t *testing.T) {
+	const maxI = math.MaxInt64
+	rows := func(start, end Bound) Spec { return Spec{Mode: Rows, Start: start, End: end} }
+	pre := func(o int64) Bound { return Bound{Type: Preceding, Offset: o} }
+	fol := func(o int64) Bound { return Bound{Type: Following, Offset: o} }
+	cur := Bound{Type: CurrentRow}
+	perRow := Bound{Type: Preceding, OffsetFn: func(int) int64 { return 1 }}
+	cases := []struct {
+		name  string
+		spec  Spec
+		want  int64
+		known bool
+	}{
+		{"preceding and preceding", rows(pre(10), pre(5)), 6, true},
+		{"preceding and following", rows(pre(3), fol(4)), 8, true},
+		{"following and following", rows(fol(2), fol(7)), 6, true},
+		{"preceding and current row", rows(pre(109), cur), 110, true},
+		{"current row and following", rows(cur, fol(9)), 10, true},
+		{"current row only", rows(cur, cur), 1, true},
+		{"following and preceding", rows(fol(1), pre(1)), 0, true},
+		{"empty: 5 preceding and 10 preceding", rows(pre(5), pre(10)), 0, true},
+		{"empty: 10 following and 5 following", rows(fol(10), fol(5)), 0, true},
+		{"saturates: max preceding and max following", rows(pre(maxI), fol(maxI)), maxI, true},
+		{"saturates: max preceding and current row", rows(pre(maxI), cur), maxI, true},
+		{"no wrap: max preceding and max preceding", rows(pre(maxI), pre(maxI)), 1, true},
+		{"empty at the limit: 0 preceding and max preceding", rows(pre(0), pre(maxI)), 0, true},
+		{"unbounded preceding", rows(Bound{Type: UnboundedPreceding}, cur), 0, false},
+		{"unbounded following", rows(cur, Bound{Type: UnboundedFollowing}), 0, false},
+		{"per-row start offset", rows(perRow, cur), 0, false},
+		{"per-row end offset", rows(cur, Bound{Type: Following, OffsetFn: func(int) int64 { return 1 }}), 0, false},
+		{"range", Spec{Mode: Range, Start: pre(2), End: cur}, 0, false},
+		{"groups", Spec{Mode: Groups, Start: pre(2), End: fol(2)}, 0, false},
+		{"default frame", Default(), 0, false},
+	}
+	for _, c := range cases {
+		got, known := c.spec.MaxRows()
+		if known != c.known || (known && got != c.want) {
+			t.Errorf("%s: MaxRows() = %d, %v; want %d, %v", c.name, got, known, c.want, c.known)
+		}
+	}
+
+	// The bound is what the computer's frames reach, exclusion or not: no
+	// row's range is wider, and an interior row's is exactly as wide.
+	for _, c := range cases[:9] {
+		for _, ex := range []Exclusion{ExcludeNoOthers, ExcludeCurrentRow} {
+			spec := c.spec
+			spec.Exclude = ex
+			comp := mustComputer(t, spec, 60, nil, nil)
+			widest := 0
+			for row := 0; row < 60; row++ {
+				lo, hi := comp.Bounds(row)
+				widest = max(widest, hi-lo)
+				if size := comp.FrameSize(row); int64(size) > c.want {
+					t.Errorf("%s, exclusion %d: row %d spans %d rows, over MaxRows %d", c.name, ex, row, size, c.want)
+				}
+			}
+			if int64(widest) != min(c.want, 60) {
+				t.Errorf("%s: widest frame %d rows in a 60-row partition, MaxRows %d", c.name, widest, c.want)
+			}
+		}
 	}
 }

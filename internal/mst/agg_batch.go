@@ -91,7 +91,7 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, 
 		l, h, ct, valid := at.clip(int(lo[q]), int(hi[q]), threshold[q])
 		switch {
 		case !valid:
-		case at.leafFold && h-l <= leafRows:
+		case at.leaf(h - l):
 			result[q], ok[q], cnt[q] = at.foldLeaves(l, h, ct)
 			leaves++
 		default:

@@ -3,6 +3,7 @@ package mst
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"holistic/internal/arena"
 	"holistic/internal/parallel"
@@ -43,6 +44,9 @@ type AnnotatedTree[S any] struct {
 	below []int32 // below[t] = #keys < t, for t in [0, n+1]
 	// leafFold is set when S is int64: narrow ranges fold level 0.
 	leafFold bool
+	// leafOnly marks a tree built by BuildAnnotatedLeaves: t and agg hold
+	// level 0 only.
+	leafOnly bool
 }
 
 // BuildAnnotated constructs an annotated merge sort tree over keys, where
@@ -52,44 +56,21 @@ type AnnotatedTree[S any] struct {
 // commutative, as every integer aggregate's is: narrow ranges fold in
 // position order.
 func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
-	opt = opt.resolveFor(len(keys))
-	if err := opt.validate(); err != nil {
+	opt, rank, below, err := annotatedRanks(keys, len(values), opt)
+	if err != nil {
 		return nil, err
 	}
 	n := len(keys)
-	if len(values) != n {
-		return nil, fmt.Errorf("mst: %d keys but %d values", n, len(values))
-	}
-	if n >= math.MaxInt32 {
-		return nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", n)
-	}
-	// One stable counting pass over the keys. cnt[k+2] first counts key k, so
-	// after the prefix sum cnt[k+1] = #keys < k is where key k's ranks start;
-	// ranking in position order advances it past the keys equal to k, which
-	// leaves cnt[t] = #keys < t for every t in [0, n+1] — the threshold map.
-	cnt := make([]int32, n+3)
-	for i, k := range keys {
-		if k < 0 || k > int64(n) {
-			return nil, fmt.Errorf("mst: key %d at position %d outside previous-index domain [0, %d]", k, i, n)
-		}
-		cnt[k+2]++
-	}
-	for t := 1; t < len(cnt); t++ {
-		cnt[t] += cnt[t-1]
-	}
-	rank := make([]int32, n)
 	posOfRank := arena.Int32s.Get(n) // inverse of rank, needed only while annotating
 	defer arena.Int32s.Put(posOfRank)
-	for i, k := range keys {
-		r := cnt[k+1]
-		cnt[k+1]++
-		rank[i], posOfRank[r] = r, i32(i)
+	for i, r := range rank {
+		posOfRank[r] = i32(i)
 	}
 	at := &AnnotatedTree[S]{
 		t:     buildTree(rank, opt),
 		merge: merge,
 		n:     n,
-		below: cnt[:n+2],
+		below: below,
 	}
 	_, at.leafFold = any(values).([]int64)
 	// Annotate every level with per-run prefix aggregates. The base position
@@ -133,8 +114,81 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 	return at, nil
 }
 
+// annotatedRanks validates BuildAnnotated's input and ranks it: rank[i] is
+// key i's position in the stable sort by (key, position), and below[t] the
+// number of keys smaller than t for t in [0, n+1]. The returned options are
+// resolved for n.
+func annotatedRanks(keys []int64, nValues int, opt Options) (Options, []int32, []int32, error) {
+	opt = opt.resolveFor(len(keys))
+	if err := opt.validate(); err != nil {
+		return opt, nil, nil, err
+	}
+	n := len(keys)
+	if nValues != n {
+		return opt, nil, nil, fmt.Errorf("mst: %d keys but %d values", n, nValues)
+	}
+	if n >= math.MaxInt32 {
+		return opt, nil, nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", n)
+	}
+	// One stable counting pass over the keys. cnt[k+2] first counts key k, so
+	// after the prefix sum cnt[k+1] = #keys < k is where key k's ranks start;
+	// ranking in position order advances it past the keys equal to k, which
+	// leaves cnt[t] = #keys < t for every t in [0, n+1] — the threshold map.
+	cnt := make([]int32, n+3)
+	for i, k := range keys {
+		if k < 0 || k > int64(n) {
+			return opt, nil, nil, fmt.Errorf("mst: key %d at position %d outside previous-index domain [0, %d]", k, i, n)
+		}
+		cnt[k+2]++
+	}
+	for t := 1; t < len(cnt); t++ {
+		cnt[t] += cnt[t-1]
+	}
+	rank := make([]int32, n)
+	for i, k := range keys {
+		rank[i] = cnt[k+1]
+		cnt[k+1]++
+	}
+	return opt, rank, cnt[:n+2], nil
+}
+
+// BuildAnnotatedLeaves builds the leaf-only form of BuildAnnotated's tree
+// (leaf.go): level 0's ranks, its states (agg[0]) and the threshold map,
+// answering AggBelow, AggBelowBatch and CountBelow over ranges of at most
+// LeafRows rows. Only int64 states fold in position order, so any other S is
+// refused; keys and values are validated exactly as BuildAnnotated validates
+// them.
+func BuildAnnotatedLeaves[S any](keys []int64, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
+	if _, ok := any(values).([]int64); !ok {
+		return nil, fmt.Errorf("mst: a leaf-only annotated tree needs int64 states, got %T", values)
+	}
+	opt, rank, below, err := annotatedRanks(keys, len(values), opt)
+	if err != nil {
+		return nil, err
+	}
+	traceSkippedLevels(len(keys), opt)
+	return &AnnotatedTree[S]{
+		t:        leafTree(rank, opt),
+		agg:      [][]S{slices.Clone(values)},
+		merge:    merge,
+		n:        len(keys),
+		below:    below,
+		leafFold: true,
+		leafOnly: true,
+	}, nil
+}
+
 // Len returns the number of elements the tree was built over.
 func (at *AnnotatedTree[S]) Len() int { return at.n }
+
+// CheckRows returns a *WidthError when the tree cannot answer a range of
+// rows rows: only a leaf-only tree has a limit, LeafRows.
+func (at *AnnotatedTree[S]) CheckRows(rows int) error {
+	return CheckRows(rows, at.leafOnly)
+}
+
+// leaf reports whether a range of w rows folds from level 0 (leaf.go).
+func (at *AnnotatedTree[S]) leaf(w int) bool { return at.leafFold && leafRule(w, at.leafOnly) }
 
 // MemBytes reports the approximate resident size of the tree: payloads,
 // cascading pointers and origin stripes, the threshold map, plus the
@@ -155,6 +209,9 @@ func (at *AnnotatedTree[S]) CountBelow(lo, hi int, threshold int64) int {
 	lo, hi, ct, ok := at.clip(lo, hi, threshold)
 	if !ok {
 		return 0
+	}
+	if leafRule(hi-lo, at.leafOnly) {
+		return countLeaf(at.t.levels[0][lo:hi], ct)
 	}
 	return at.t.countBelow(lo, hi, ct)
 }
@@ -182,7 +239,7 @@ func (at *AnnotatedTree[S]) AggBelow(lo, hi int, threshold int64) (result S, ok 
 	if !valid {
 		return result, false
 	}
-	if at.leafFold && hi-lo <= leafRows {
+	if at.leaf(hi - lo) {
 		result, ok, _ = at.foldLeaves(lo, hi, ct)
 		return result, ok
 	}

@@ -63,7 +63,7 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (
 			out[q] = 0
 		case tv > math.MaxInt32:
 			out[q] = i32(h - l)
-		case h-l <= leafRows:
+		case leafRule(h-l, t.leafOnly):
 			out[q] = i32(t.countLeaves(l, h, clampI32(tv)))
 			leaves++
 		case tv <= 0:

@@ -13,7 +13,8 @@ import (
 // scalar descents and the batched level-synchronous kernels — against brute
 // force over fuzzer-chosen inputs, tree options and query arguments — the
 // counts once with the leaf path at its cutoff and once with it off
-// (leafSeam). CI runs it as a smoke pass on main pushes; `go test
+// (leafSeam) — and, in the leaf-only arm (leafOnlyCounts), against
+// BuildLeaves' form of the same keys. CI runs it as a smoke pass on main pushes; `go test
 // -fuzz=FuzzCountSelect ./internal/mst/` digs deeper locally.
 func FuzzCountSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0))
@@ -84,6 +85,7 @@ func FuzzCountSelect(f *testing.F) {
 				}
 			}
 		})
+		leafOnlyCounts(t, keys, opt, lo, hi, threshold)
 
 		// Select the k-th entry by value range [0, threshold); compare
 		// against a brute-force scan in position order.
@@ -168,7 +170,8 @@ func fuzzSeedBytes(n int, seed int64) []byte {
 // sub-batch boundaries. A string state never takes the leaf path, so an
 // int64 arm — values whose sums wrap — checks kernel, scalar walk and brute
 // force under both leaf seam settings, with ranges one row either side of
-// LeafRows in the batch.
+// LeafRows in the batch; a leaf-only arm (leafOnlyAggs) checks
+// BuildAnnotatedLeaves' form of the int64 tree.
 func FuzzAggBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), uint8(3), uint8(2), uint8(1))
@@ -261,6 +264,7 @@ func FuzzAggBatch(f *testing.F) {
 				t.Errorf("int64 AggBelowBatch reports %d queries at the leaves, want %d (opt %+v)", leaves, wantLeaves, opt)
 			}
 		})
+		leafOnlyAggs(t, keys, ivals, opt, lo, hi, threshold)
 	})
 }
 

@@ -1,7 +1,9 @@
 package mst
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,5 +178,161 @@ func BenchmarkLeafCrossover(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// narrowQueries are the leaf-only arms' batches: the fuzzer's range clamped
+// and cut to at most LeafRows rows, its last row alone, the first LeafRows
+// rows and the LeafRows rows from its start, with thresholds on both sides of
+// the fuzzer's.
+func narrowQueries(n, lo, hi int, threshold int64) (qLo, qHi []int32, thr []int64) {
+	a, b := clampRange(lo, hi, n)
+	b = min(b, a+LeafRows)
+	qLo = []int32{int32(a), int32(max(b-1, a)), 0, int32(a)}
+	qHi = []int32{int32(b), int32(b), int32(min(n, LeafRows)), int32(min(n, a+LeafRows))}
+	return qLo, qHi, []int64{threshold, threshold - 1, threshold, threshold + 1}
+}
+
+// wantWidthError fails t unless err is the *WidthError of a rows-row range.
+func wantWidthError(t *testing.T, err error, rows int) {
+	t.Helper()
+	var we *WidthError
+	if !errors.As(err, &we) || we.Rows != rows || we.Max != LeafRows {
+		t.Errorf("range of %d rows on a leaf-only structure: error %v, want a *WidthError", rows, err)
+	}
+}
+
+// wantWidthPanic fails t unless probe panics with a *WidthError: the kernels'
+// backstop when a caller skips CheckRows.
+func wantWidthPanic(t *testing.T, probe func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if _, ok := recover().(*WidthError); !ok {
+			t.Error("a range wider than LeafRows probed a leaf-only structure without a *WidthError panic")
+		}
+	}()
+	probe()
+}
+
+// leafOnlyCounts is FuzzCountSelect's leaf-only arm: BuildLeaves over the
+// same keys answers ranges of at most LeafRows rows like brute force, through
+// the scalar and the batched kernel, whatever the leaf seam says; a wider
+// range is refused by CheckRows with a *WidthError, and by the kernel's
+// invariant when probed anyway.
+func leafOnlyCounts(t *testing.T, keys []int64, opt Options, lo, hi int, threshold int64) {
+	t.Helper()
+	lt, err := BuildLeaves(keys, opt)
+	if err != nil {
+		t.Fatalf("BuildLeaves(%d keys, %+v): %v", len(keys), opt, err)
+	}
+	if s := lt.Stats(); s.Levels != 1 || s.Bytes != 4*len(keys) {
+		t.Errorf("BuildLeaves(%d keys): stats %+v; want one 4-byte level", len(keys), s)
+	}
+	qLo, qHi, thr := narrowQueries(len(keys), lo, hi, threshold)
+	out := make([]int32, len(qLo))
+	lt.CountBelowBatch(qLo, qHi, thr, out)
+	for q := range out {
+		want := bruteCountBelow(keys, int(qLo[q]), int(qHi[q]), thr[q])
+		if scalar := lt.CountBelow(int(qLo[q]), int(qHi[q]), thr[q]); int(out[q]) != want || scalar != want {
+			t.Errorf("leaf-only [%d,%d)<%d: kernel %d, scalar %d, brute force %d", qLo[q], qHi[q], thr[q], out[q], scalar, want)
+		}
+	}
+	if err := lt.CheckRows(min(len(keys), LeafRows)); err != nil {
+		t.Errorf("CheckRows(%d) on a leaf-only tree: %v", min(len(keys), LeafRows), err)
+	}
+	wantWidthError(t, lt.CheckRows(LeafRows+1), LeafRows+1)
+	if n := len(keys); n > LeafRows {
+		wantWidthPanic(t, func() { lt.CountBelow(0, n, 1) })
+		wantWidthPanic(t, func() { lt.CountBelowBatch([]int32{0}, []int32{int32(n)}, []int64{1}, make([]int32, 1)) })
+	}
+}
+
+// leafOnlyAggs is FuzzAggBatch's leaf-only arm: BuildAnnotatedLeaves over the
+// same keys and int64 values answers narrow ranges like brute force, through
+// AggBelowBatch, AggBelow and CountBelow, and refuses a wider one as
+// leafOnlyCounts describes.
+func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, threshold int64) {
+	t.Helper()
+	lt, err := BuildAnnotatedLeaves(keys, vals, func(a, b int64) int64 { return a + b }, opt)
+	if err != nil {
+		t.Fatalf("BuildAnnotatedLeaves(%d keys, %+v): %v", len(keys), opt, err)
+	}
+	if got, want := lt.MemBytes(8), int64(4*len(keys)+4*(len(keys)+2)+8*len(keys)); got != want {
+		t.Errorf("BuildAnnotatedLeaves(%d keys): MemBytes %d, want %d (ranks, threshold map, states)", len(keys), got, want)
+	}
+	qLo, qHi, thr := narrowQueries(len(keys), lo, hi, threshold)
+	m := len(qLo)
+	sums, ok, cnt := make([]int64, m), make([]bool, m), make([]int32, m)
+	lt.AggBelowBatch(qLo, qHi, thr, sums, ok, cnt)
+	for q := range sums {
+		var want int64
+		num := 0
+		for j := qLo[q]; j < qHi[q]; j++ {
+			if keys[j] < thr[q] {
+				want += vals[j]
+				num++
+			}
+		}
+		scalar, scalarOK := lt.AggBelow(int(qLo[q]), int(qHi[q]), thr[q])
+		count := lt.CountBelow(int(qLo[q]), int(qHi[q]), thr[q])
+		if ok[q] != (num > 0) || scalarOK != (num > 0) || int(cnt[q]) != num || count != num || (num > 0 && (sums[q] != want || scalar != want)) {
+			t.Errorf("leaf-only [%d,%d)<%d: kernel (%d, %v, cnt %d), scalar (%d, %v, count %d), brute force %d of %d",
+				qLo[q], qHi[q], thr[q], sums[q], ok[q], cnt[q], scalar, scalarOK, count, want, num)
+		}
+	}
+	wantWidthError(t, lt.CheckRows(LeafRows+1), LeafRows+1)
+	if n := len(keys); n > LeafRows {
+		wantWidthPanic(t, func() { lt.AggBelow(0, n, 1) })
+		wantWidthPanic(t, func() { lt.CountBelow(0, n, 1) })
+		wantWidthPanic(t, func() { lt.AggBelowBatch([]int32{0}, []int32{int32(n)}, []int64{1}, sums[:1], ok[:1], cnt[:1]) })
+	}
+}
+
+// TestLeafOnlyStructures pins the leaf-only forms on one input past the
+// cutoff: every range of at most LeafRows rows answers like the full tree's,
+// what they own is level 0 (and, annotated, the threshold map and the
+// states), and what they cannot do they refuse — a wider range, selection,
+// serialisation, a non-int64 state.
+func TestLeafOnlyStructures(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	const n = 600
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(rng.Intn(40))
+	}
+	keys := prevIdcsRef(vals)
+	for _, lo := range []int{0, 1, 200, n - LeafRows, n - 3} {
+		for _, w := range []int{1, LeafRows - 1, LeafRows} {
+			leafOnlyCounts(t, keys, Options{}, lo, lo+w, int64(lo)+1)
+			leafOnlyAggs(t, keys, vals, Options{}, lo, lo+w, int64(lo)+1)
+		}
+	}
+	lt, err := BuildLeaves(keys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lt.WriteTo(io.Discard); err == nil {
+		t.Error("WriteTo serialised a leaf-only tree")
+	}
+	for name, probe := range map[string]func(){
+		"SelectKth":            func() { lt.SelectKth(0, 10, 0) },
+		"SelectKthRangesBatch": func() { lt.SelectKthRangesBatch([]int32{0, 1}, []int64{0}, []int64{10}, []int32{0}, make([]int32, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a leaf-only tree did not panic", name)
+				}
+			}()
+			probe()
+		}()
+	}
+	floats := make([]float64, n)
+	if _, err := BuildAnnotatedLeaves(keys, floats, func(a, b float64) float64 { return a + b }, Options{}); err == nil {
+		t.Error("BuildAnnotatedLeaves accepted float64 states, whose fold order is part of the answer")
+	}
+	if _, err := BuildLeaves([]int64{-1}, Options{}); err == nil {
+		t.Error("BuildLeaves accepted a negative key")
 	}
 }

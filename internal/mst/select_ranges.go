@@ -14,6 +14,10 @@ const maxSelectRanges = 4
 // unions; the descent simply tracks one cascaded rank pair per range, so the
 // query stays O(log n) with a constant factor of at most three (§4.7).
 func (t *Tree) SelectKthRanges(ranges [][2]int64, i int) (pos int, ok bool) {
+	if t.leafOnly {
+		//lint:invariant selection descends by value through every level; the window operator never builds a select tree leaf-only
+		panic("mst: SelectKthRanges on a leaf-only tree")
+	}
 	if i < 0 || t.n == 0 || len(ranges) == 0 {
 		return 0, false
 	}

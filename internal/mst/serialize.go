@@ -56,7 +56,12 @@ func (e *WideRecordError) Error() string {
 }
 
 // WriteTo serialises the tree. It returns the number of bytes written.
+// A leaf-only tree (BuildLeaves) has no record form: it is as cheap to
+// rebuild as to load, so WriteTo refuses it.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
+	if t.leafOnly {
+		return 0, fmt.Errorf("mst: a leaf-only tree is not serialized; rebuild it from its keys")
+	}
 	bw := bufio.NewWriter(w)
 	cw := &countingWriter{w: bw}
 	var err error

@@ -34,11 +34,11 @@ func buildChunked(base []int32, opt Options) *Tree {
 	cl := opt.SpillRows
 	sub := opt
 	sub.SpillRows = 0
-	t := &Tree{n: n, opt: opt, chunkLen: cl, chunks: make([]*Tree, (n+cl-1)/cl)}
+	t := &Tree{n: n, opt: opt.stored(), chunkLen: cl, chunks: make([]*Tree, (n+cl-1)/cl)}
 	for i := range t.chunks {
 		lo := i * cl
 		hi := min(lo+cl, n)
-		t.chunks[i] = &Tree{n: hi - lo, opt: sub, mono: buildTree(base[lo:hi:hi], sub)}
+		t.chunks[i] = &Tree{n: hi - lo, opt: sub.stored(), mono: buildTree(base[lo:hi:hi], sub)}
 	}
 	return t
 }

@@ -161,6 +161,13 @@ func (o Options) resolveFor(n int) Options {
 	return o.withDefaults()
 }
 
+// stored is o as a built tree keeps it: without the trace span, which only
+// construction reads and a cached tree must not keep alive.
+func (o Options) stored() Options {
+	o.Trace = nil
+	return o
+}
+
 func (o Options) validate() error {
 	if o.Fanout < 2 || o.Fanout > MaxFanout {
 		return &FanoutError{Fanout: o.Fanout}
@@ -216,6 +223,10 @@ type Tree struct {
 	// loser-tree scratch.
 	topOnce   sync.Once
 	mergedTop []int32
+
+	// leafOnly marks a tree built by BuildLeaves: mono holds level 0 only,
+	// and every count query is answered by the leaf rule (leaf.go).
+	leafOnly bool
 }
 
 // Build constructs a merge sort tree over keys. The input slice is not
@@ -228,6 +239,19 @@ func Build(keys []int64, opt Options) (*Tree, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
+	base, err := payloadBase(keys)
+	if err != nil {
+		return nil, err
+	}
+	if opt.SpillRows > 0 && len(keys) > opt.SpillRows {
+		return buildChunked(base, opt), nil
+	}
+	return &Tree{n: len(keys), opt: opt.stored(), mono: buildTree(base, opt)}, nil
+}
+
+// payloadBase checks keys against the element limit and the 32-bit payload
+// domain and returns them narrowed: level 0 of the tree.
+func payloadBase(keys []int64) ([]int32, error) {
 	if len(keys) >= math.MaxInt32 {
 		return nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", len(keys))
 	}
@@ -239,10 +263,7 @@ func Build(keys []int64, opt Options) (*Tree, error) {
 		//lint:narrowconv-ok the guard above proved the key is in [0, math.MaxInt32]
 		base[i] = int32(v)
 	}
-	if opt.SpillRows > 0 && len(keys) > opt.SpillRows {
-		return buildChunked(base, opt), nil
-	}
-	return &Tree{n: len(keys), opt: opt, mono: buildTree(base, opt)}, nil
+	return base, nil
 }
 
 // Len returns the number of elements the tree was built over.
@@ -250,7 +271,8 @@ func (t *Tree) Len() int { return t.n }
 
 // CountBelow returns the number of entries at positions [lo, hi) whose value
 // is strictly smaller than threshold. lo and hi are clamped to [0, Len()]. A
-// range of at most LeafRows rows is counted in level 0 (leaf.go).
+// range of at most LeafRows rows is counted in level 0 (leaf.go); a
+// leaf-only tree answers no wider one.
 func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
 	if lo < 0 {
 		lo = 0
@@ -264,7 +286,7 @@ func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
 	if threshold > math.MaxInt32 {
 		return hi - lo
 	}
-	if hi-lo <= leafRows {
+	if leafRule(hi-lo, t.leafOnly) {
 		return t.countLeaves(lo, hi, clampI32(threshold))
 	}
 	if t.chunks != nil {

@@ -81,7 +81,7 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 		ll[q], rr[q] = 0, 0
 		switch {
 		case l >= h:
-		case int(h-l) <= leafRows:
+		case t.leaf(int(h - l)):
 			out[q] = int32(t.countLeaves(int(l), int(h), rankThr[q], prevThr[q]))
 			leaves++
 		default:

@@ -14,7 +14,8 @@ import (
 // query arguments, once with the leaf path at its cutoff and once with it off
 // (leafSeam). The batch repeats, perturbs and full-spans the query so grouped
 // inner-tree descents, singleton scalar groups and clamping all run in one
-// pass, and adds frames one row either side of the cutoff.
+// pass, and adds frames one row either side of the cutoff. A leaf-only arm
+// (leafOnlyArm) checks NewLeaves' form of the same arrays.
 func FuzzDenseRankBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 9, 0, 0, 9}, 0, 7, int64(4), int64(2), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), int64(0), uint8(3), uint8(2), uint8(1))
@@ -87,7 +88,69 @@ func FuzzDenseRankBatch(f *testing.F) {
 				t.Errorf("CountDistinctBelowBatch reports %d queries at the leaves, want %d (opt %+v)", leaves, wantLeaves, opt)
 			}
 		})
+		leafOnlyArm(t, ranks, prevs, lo, hi, rankThr, prevThr)
 	})
+}
+
+// leafOnlyArm is FuzzDenseRankBatch's leaf-only arm: NewLeaves over the same
+// arrays answers frames of at most mst.LeafRows rows like brute force,
+// through the batched and the scalar probe, owns no bytes, and refuses a
+// wider frame — CheckRows with a *mst.WidthError, the probes by their
+// invariant.
+func leafOnlyArm(t *testing.T, ranks, prevs []int64, lo, hi int, rankThr, prevThr int64) {
+	t.Helper()
+	lt, err := NewLeaves(ranks, prevs)
+	if err != nil {
+		t.Fatalf("NewLeaves(%d rows): %v", len(ranks), err)
+	}
+	if lt.MemBytes() != 0 {
+		t.Errorf("NewLeaves(%d rows): MemBytes %d; want a structure owning nothing", len(ranks), lt.MemBytes())
+	}
+	n := len(ranks)
+	a, b := max(lo, 0), min(hi, n)
+	if a > b {
+		a, b = 0, 0
+	}
+	b = min(b, a+mst.LeafRows)
+	bLo := []int32{int32(a), int32(max(b-1, a)), 0, int32(a)}
+	bHi := []int32{int32(b), int32(b), int32(min(n, mst.LeafRows)), int32(min(n, a+mst.LeafRows))}
+	bRank := []int64{rankThr, rankThr, rankThr + 1, rankThr - 1}
+	bPrev := []int64{prevThr, prevThr + 1, prevThr, prevThr}
+	out := make([]int32, len(bLo))
+	lt.CountDistinctBelowBatch(bLo, bHi, bRank, bPrev, out)
+	for q := range bLo {
+		want := 0
+		for j := bLo[q]; j < bHi[q]; j++ {
+			if ranks[j] < bRank[q] && prevs[j] < bPrev[q] {
+				want++
+			}
+		}
+		scalar := lt.CountDistinctBelow(int(bLo[q]), int(bHi[q]), bRank[q], bPrev[q])
+		if int(out[q]) != want || scalar != want {
+			t.Errorf("leaf-only query %d (%d, %d, rank<%d, prev<%d): batch %d, scalar %d, brute force %d",
+				q, bLo[q], bHi[q], bRank[q], bPrev[q], out[q], scalar, want)
+		}
+	}
+	var we *mst.WidthError
+	if err := lt.CheckRows(mst.LeafRows + 1); !errors.As(err, &we) || we.Rows != mst.LeafRows+1 || we.Max != mst.LeafRows {
+		t.Errorf("CheckRows(%d) on a leaf-only structure: %v, want a *mst.WidthError", mst.LeafRows+1, err)
+	}
+	if n <= mst.LeafRows {
+		return
+	}
+	for name, probe := range map[string]func(){
+		"CountDistinctBelow":      func() { lt.CountDistinctBelow(0, n, rankThr, prevThr) },
+		"CountDistinctBelowBatch": func() { lt.CountDistinctBelowBatch([]int32{0}, []int32{int32(n)}, bRank[:1], bPrev[:1], out[:1]) },
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(*mst.WidthError); !ok {
+					t.Errorf("%s over %d rows on a leaf-only structure: no *mst.WidthError panic", name, n)
+				}
+			}()
+			probe()
+		}()
+	}
 }
 
 // seedBytes is a deterministic seed input of n bytes.

@@ -47,9 +47,24 @@ type node struct {
 type DenseRankTree struct {
 	n     int
 	nodes []node
-	// ranks and prevs are the partition's arrays in window order; the leaf
-	// nodes are one-element windows of them, so they cost no bytes.
+	// ranks and prevs are the partition's arrays in window order, owned by
+	// the caller; the leaf nodes are one-element windows of them, so they
+	// cost no bytes.
 	ranks, prevs []int64
+	// leafOnly marks a structure built by NewLeaves: no nodes, every frame
+	// scanned from ranks and prevs (mst's leaf-only form, leaf.go there).
+	leafOnly bool
+}
+
+// NewLeaves builds the leaf-only form of New's structure: no nodes at all,
+// only the partition arrays it is handed, which is all the leaf rule reads.
+// It answers frames of at most mst.LeafRows rows; a wider one is the
+// invariant violation CheckRows reports.
+func NewLeaves(ranks, prevIdcs []int64) (*DenseRankTree, error) {
+	if len(ranks) != len(prevIdcs) {
+		return nil, fmt.Errorf("rangetree: %d ranks but %d prevIdcs", len(ranks), len(prevIdcs))
+	}
+	return &DenseRankTree{n: len(ranks), ranks: ranks, prevs: prevIdcs, leafOnly: true}, nil
 }
 
 // New builds the structure for a partition in window order. ranks[i] is the
@@ -141,6 +156,24 @@ func New(ranks, prevIdcs []int64, opt mst.Options) (*DenseRankTree, error) {
 // Len returns the partition size.
 func (t *DenseRankTree) Len() int { return t.n }
 
+// CheckRows returns a *mst.WidthError when the structure cannot answer a
+// frame of rows rows: only a leaf-only one has a limit, mst.LeafRows.
+func (t *DenseRankTree) CheckRows(rows int) error { return mst.CheckRows(rows, t.leafOnly) }
+
+// leaf reports whether a frame of w rows is scanned from the partition
+// arrays: on a leaf-only structure always — a frame wider than mst.LeafRows
+// there is a caller bug — and otherwise up to the leafRows cutoff.
+func (t *DenseRankTree) leaf(w int) bool {
+	if !t.leafOnly {
+		return w <= leafRows
+	}
+	if err := mst.CheckRows(w, true); err != nil {
+		//lint:invariant callers check CheckRows before probing a leaf-only structure; a wider frame would decompose into nodes that were never built
+		panic(err)
+	}
+	return true
+}
+
 // CountDistinctBelow returns the number of distinct rank values r <
 // rankThreshold among window positions [lo, hi), where distinctness is
 // established by prevIdx < prevThreshold (normally frameLo+1 in the shifted
@@ -156,7 +189,7 @@ func (t *DenseRankTree) CountDistinctBelow(lo, hi int, rankThreshold, prevThresh
 	if lo >= hi {
 		return 0
 	}
-	if hi-lo <= leafRows {
+	if t.leaf(hi - lo) {
 		return t.countLeaves(lo, hi, rankThreshold, prevThreshold)
 	}
 	total := 0
@@ -214,8 +247,9 @@ func (t *DenseRankTree) countLeaves(lo, hi int, rankThreshold, prevThreshold int
 }
 
 // MemBytes reports the approximate resident size of the structure: every
-// node's rank/prevIdx arrays plus its nested tree. Used for cache budget
-// accounting.
+// node's rank/prevIdx arrays plus its nested tree. A leaf-only structure has
+// no nodes and reports 0: the partition arrays it scans are the caller's.
+// Used for cache budget accounting.
 func (t *DenseRankTree) MemBytes() int64 {
 	var total int64
 	for i := range t.nodes {
