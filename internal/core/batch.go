@@ -21,7 +21,8 @@ import (
 
 // batchFamily partitions the batched collectors into kernel families for
 // the per-family metric split (windowd_mst_batch_queries_family /
-// windowd_mst_batch_dedup_hits_family / windowd_mst_batch_leaf_queries_family).
+// windowd_mst_batch_dedup_hits_family / windowd_mst_batch_leaf_queries_family /
+// windowd_mst_batch_diff_queries_family).
 type batchFamily int
 
 const (
@@ -45,6 +46,7 @@ var (
 	batchQueriesByFam   [numBatchFamilies]atomic.Int64
 	batchDedupByFam     [numBatchFamilies]atomic.Int64
 	batchLeavesByFam    [numBatchFamilies]atomic.Int64
+	batchDiffsByFam     [numBatchFamilies]atomic.Int64
 )
 
 // BatchStat is a point-in-time snapshot of the batched-kernel counters.
@@ -74,6 +76,12 @@ type BatchFamilyStat struct {
 	// leaves — a pass over the tree's level 0 for a range of at most
 	// mst.LeafRows rows — instead of descending. Always 0 for select.
 	LeafQueries int64
+	// DiffQueries is how many of Queries the count kernel answered from the
+	// query before them — its count plus the rows and keys that moved —
+	// instead of descending. Only CountBelowBatch reports it: always 0 for
+	// select and agg, and DENSE_RANK's range-tree queries add nothing to
+	// rank's.
+	DiffQueries int64
 }
 
 // BatchFamilySnapshot returns the per-family batched-kernel counters, in a
@@ -86,6 +94,7 @@ func BatchFamilySnapshot() []BatchFamilyStat {
 			Queries:     batchQueriesByFam[f].Load(),
 			DedupHits:   batchDedupByFam[f].Load(),
 			LeafQueries: batchLeavesByFam[f].Load(),
+			DiffQueries: batchDiffsByFam[f].Load(),
 		}
 	}
 	return out
@@ -98,12 +107,21 @@ type batchAgg struct {
 	queries atomic.Int64
 	dedup   atomic.Int64
 	leaves  atomic.Int64
+	diffs   atomic.Int64
+}
+
+// countBatch answers one chunk's count queries with tree.CountBelowBatch and
+// counts the ones it answered at the leaves and from their predecessor.
+func (agg *batchAgg) countBatch(tree *mst.Tree, lo, hi []int32, thr []int64, out []int32) {
+	leaves, diffs := tree.CountBelowBatch(lo, hi, thr, out)
+	agg.leaves.Add(int64(leaves))
+	agg.diffs.Add(int64(diffs))
 }
 
 // runBatched runs body over all partition rows in parallel chunks under an
 // "mst.query.batch" phase span (the probe phase nests beneath it), recording
-// the batch query, dedup and leaf counts as span attributes and adding them
-// to the process-wide counters.
+// the batch query, dedup, leaf and differential counts as span attributes
+// and adding them to the process-wide counters.
 func runBatched(p *partition, opt Options, fam batchFamily, body func(lo, hi int, agg *batchAgg)) error {
 	agg := &batchAgg{}
 	sp := opt.trace.Phase("mst.query.batch")
@@ -111,17 +129,19 @@ func runBatched(p *partition, opt Options, fam batchFamily, body func(lo, hi int
 		opt.trace = sp
 	}
 	err := forEachRow(p, opt, func(lo, hi int) { body(lo, hi, agg) })
-	q, d, l := agg.queries.Load(), agg.dedup.Load(), agg.leaves.Load()
+	q, d, l, df := agg.queries.Load(), agg.dedup.Load(), agg.leaves.Load(), agg.diffs.Load()
 	sp.Set("family", fam.String())
 	sp.AddInt("batch_queries", q)
 	sp.AddInt("batch_dedup_hits", d)
 	sp.AddInt("leaf_queries", l)
+	sp.AddInt("diff_queries", df)
 	sp.End()
 	batchQueriesTotal.Add(q)
 	batchDedupHitsTotal.Add(d)
 	batchQueriesByFam[fam].Add(q)
 	batchDedupByFam[fam].Add(d)
 	batchLeavesByFam[fam].Add(l)
+	batchDiffsByFam[fam].Add(df)
 	return err
 }
 
@@ -185,7 +205,7 @@ func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *ms
 		rowAdj[ri] = adj
 	}
 
-	agg.leaves.Add(int64(tree.CountBelowBatch(qlo[:s], qhi[:s], qthr[:s], qout[:s])))
+	agg.countBatch(tree, qlo[:s], qhi[:s], qthr[:s], qout[:s])
 
 	for i := lo; i < hi; i++ {
 		ri := i - lo
@@ -264,7 +284,7 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 		rowSize[ri] = i32(size)
 	}
 
-	agg.leaves.Add(int64(tree.CountBelowBatch(qlo[:s], qhi[:s], qthr[:s], qout[:s])))
+	agg.countBatch(tree, qlo[:s], qhi[:s], qthr[:s], qout[:s])
 
 	for i := lo; i < hi; i++ {
 		ri := i - lo

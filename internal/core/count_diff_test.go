@@ -1,0 +1,132 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"holistic/internal/frame"
+	"holistic/internal/mst"
+	"holistic/internal/obs"
+)
+
+// TestReferenceDifferentialCounts runs the functions whose queries the count
+// kernel can answer from their predecessor (mst count_diff.go) —
+// COUNT(DISTINCT), RANK, CUME_DIST and NTILE, plain and FILTERed, ordered by
+// the window's own key (thresholds that slide) and by an unrelated one
+// (thresholds that jump) — over ROWS, RANGE and GROUPS frames wider than
+// mst.LeafRows, each under an EXCLUDE mode, with the kernels' cutoff at its
+// default and at 0, which sends every query through the descent. Every
+// answer must match the reference, and the count and rank families must
+// report differential answers exactly when the cutoff is on.
+func TestReferenceDifferentialCounts(t *testing.T) {
+	tab, _, _, _ := leafCutoffTable(2, 600) // d: 100 tied values, ~6 rows each
+	ordD, ordV := []SortKey{{Column: "d"}}, []SortKey{{Column: "v"}}
+	funcs := []FuncSpec{
+		{Name: CountDistinct, Output: "cd", Arg: "v"},
+		{Name: CountDistinct, Output: "cdf", Arg: "v", Filter: "flt"},
+		{Name: Rank, Output: "rk", OrderBy: ordD},
+		{Name: Rank, Output: "rkf", OrderBy: ordV, Filter: "flt"},
+		{Name: CumeDist, Output: "cu", OrderBy: ordD},
+		{Name: CumeDist, Output: "cuv", OrderBy: ordV},
+		{Name: Ntile, Output: "nt", N: 4, OrderBy: ordD},
+		{Name: Ntile, Output: "ntf", N: 3, OrderBy: ordV, Filter: "flt"},
+	}
+	bound := func(typ frame.BoundType, off int64) frame.Bound { return frame.Bound{Type: typ, Offset: off} }
+	frames := []frame.Spec{
+		{Mode: frame.Rows, Start: bound(frame.Preceding, 200), End: bound(frame.CurrentRow, 0)},
+		{Mode: frame.Rows, Start: bound(frame.Preceding, 150), End: bound(frame.Following, 150), Exclude: frame.ExcludeCurrentRow},
+		{Mode: frame.Range, Start: bound(frame.Preceding, 30), End: bound(frame.Following, 10), Exclude: frame.ExcludeTies},
+		{Mode: frame.Groups, Start: bound(frame.Preceding, 25), End: bound(frame.Following, 5), Exclude: frame.ExcludeGroup},
+	}
+	if testing.Short() {
+		frames = frames[:2]
+	}
+	for _, cutoff := range []int{mst.LeafRows, 0} {
+		for fi, fs := range frames {
+			w := leafCutoffWindow(fs, funcs)
+			before := BatchFamilySnapshot()
+			prev := mst.SetLeafRows(cutoff)
+			res, err := Run(tab, w, Options{TaskSize: 256})
+			mst.SetLeafRows(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range w.Funcs {
+				f := &w.Funcs[i]
+				compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("cutoff %d frame %d %s", cutoff, fi, f.Output))
+			}
+			for i, a := range BatchFamilySnapshot() {
+				if a.Family != "count" && a.Family != "rank" {
+					continue
+				}
+				if diffs := a.DiffQueries - before[i].DiffQueries; (diffs > 0) != (cutoff > 0) {
+					t.Errorf("cutoff %d frame %d: family %s answered %d queries from their predecessor", cutoff, fi, a.Family, diffs)
+				}
+			}
+		}
+	}
+}
+
+// TestDiffQueriesCounted pins what the differential count pass reports on
+// the mst.query.batch span (diff_queries) and in BatchFamilySnapshot, on one
+// 30,000-row partition under ROWS 9999 PRECEDING: COUNT(DISTINCT)'s frame
+// and threshold slide by one row, so at least 99 % of its queries are
+// answered from their predecessor; RANK over a column unrelated to the
+// window order jumps its threshold between rows, so at most 2 % are.
+func TestDiffQueriesCounted(t *testing.T) {
+	const n = 30_000
+	rng := rand.New(rand.NewSource(17))
+	d, c, v := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range d {
+		d[i], c[i], v[i] = int64(i), rng.Int63n(500), rng.Int63n(1_000_000)
+	}
+	tab := MustNewTable(NewInt64Column("d", d, nil), NewInt64Column("c", c, nil), NewInt64Column("v", v, nil))
+	w := &WindowSpec{
+		OrderBy: []SortKey{{Column: "d"}},
+		Frame: frame.Spec{
+			Mode:  frame.Rows,
+			Start: frame.Bound{Type: frame.Preceding, Offset: 9_999},
+			End:   frame.Bound{Type: frame.CurrentRow},
+		},
+		FrameSet: true,
+		Funcs: []FuncSpec{
+			{Name: CountDistinct, Output: "cd", Arg: "c"},
+			{Name: Rank, Output: "rk", OrderBy: []SortKey{{Column: "v"}}},
+		},
+	}
+	before := BatchFamilySnapshot()
+	root := tracedRun(t, tab, w, Options{})
+	after := BatchFamilySnapshot()
+	within := func(fam string, queries, diffs int64) bool {
+		if fam == "count" {
+			return queries > 0 && diffs*100 >= queries*99
+		}
+		return queries > 0 && diffs*100 <= queries*2
+	}
+	spans := 0
+	root.Walk(func(sp *obs.Span, _ int) {
+		if sp.Name() != "mst.query.batch" {
+			return
+		}
+		spans++
+		fam := sp.Attr("family")
+		queries, _ := strconv.ParseInt(sp.Attr("batch_queries"), 10, 64)
+		diffs, err := strconv.ParseInt(sp.Attr("diff_queries"), 10, 64)
+		if err != nil || !within(fam, queries, diffs) {
+			t.Errorf("%s span: batch_queries=%d diff_queries=%q", fam, queries, sp.Attr("diff_queries"))
+		}
+	})
+	if spans != 2 {
+		t.Errorf("%d mst.query.batch spans, want 2", spans)
+	}
+	for i, a := range after {
+		if a.Family != "count" && a.Family != "rank" {
+			continue
+		}
+		if q, df := a.Queries-before[i].Queries, a.DiffQueries-before[i].DiffQueries; !within(a.Family, q, df) {
+			t.Errorf("family %s: %d queries, %d answered from their predecessor", a.Family, q, df)
+		}
+	}
+}

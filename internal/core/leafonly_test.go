@@ -143,6 +143,27 @@ func TestLeafOnlyBuilds(t *testing.T) {
 // its entry already holds and must not charge them again. A few bytes of
 // per-level metadata (strides, run lengths) are not charged.
 func TestLeafOnlyCacheBytes(t *testing.T) {
+	checkCacheBytes(t, 59, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|", "|select|"}, 0)
+}
+
+// TestFullTreeCacheBytes is the same accounting with a 9,999-row frame, under
+// which the 75 partitions of more than mst.LeafRows rows build their merge
+// sort trees in full — merge levels, samples, origin stripes and, on the
+// count, rank and select trees, the top-run positions — and the bytes charged
+// for every merge sort tree must still equal the bytes it retains. The full
+// range tree is left out: its node array and its inner trees' per-level
+// metadata are not charged, ~112 bytes per row.
+func TestFullTreeCacheBytes(t *testing.T) {
+	checkCacheBytes(t, 9_999, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|select|"}, 75)
+}
+
+// checkCacheBytes runs the many-partitions statement with a preceding-row
+// frame over 300 partitions, a quarter of them wider than mst.LeafRows, and
+// compares the charged bytes of every entry whose key carries one of tags
+// with the bytes it retains. wantFull is how many of the count, DISTINCT-sum
+// and rank entries must be full structures (w=full).
+func checkCacheBytes(t *testing.T, preceding int64, tags []string, wantFull int) {
+	t.Helper()
 	tab := partitionedTable(rand.New(rand.NewSource(9)), 300, func(p int) int {
 		if p%4 == 0 {
 			return 150 + p%100
@@ -150,24 +171,27 @@ func TestLeafOnlyCacheBytes(t *testing.T) {
 		return 1 + p%120
 	})
 	w := fiveFuncWindow()
-	w.Frame.Start.Offset = 59
+	w.Frame.Start.Offset = preceding
 	cache := newRecordingCache()
 	if _, err := Run(tab, w, Options{Cache: cache, CacheScope: "bytes@v1"}); err != nil {
 		t.Fatal(err)
 	}
 	const slack = 64
-	checked := 0
+	checked, full := 0, 0
 	for key, e := range cache.built {
-		if !containsAny(key, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|", "|select|"}) {
+		if !containsAny(key, tags) {
 			continue
 		}
 		checked++
+		if strings.Contains(key, "w=full") && !strings.Contains(key, "|select|") {
+			full++
+		}
 		if got := retainedBytes(e.value); got < e.bytes || got > e.bytes+slack {
 			t.Errorf("%s: charged %d bytes, retains %d", key, e.bytes, got)
 		}
 	}
-	if checked != 5*300 {
-		t.Errorf("checked %d structures, want %d", checked, 5*300)
+	if checked != len(tags)*300 || full != 3*wantFull {
+		t.Errorf("checked %d structures, %d of them full, want %d and %d", checked, full, len(tags)*300, 3*wantFull)
 	}
 }
 

@@ -56,15 +56,12 @@ type AnnotatedTree[S any] struct {
 // commutative, as every integer aggregate's is: narrow ranges fold in
 // position order.
 func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
-	opt, rank, below, err := annotatedRanks(keys, len(values), opt)
-	if err != nil {
-		return nil, err
-	}
 	n := len(keys)
 	posOfRank := arena.Int32s.Get(n) // inverse of rank, needed only while annotating
 	defer arena.Int32s.Put(posOfRank)
-	for i, r := range rank {
-		posOfRank[r] = i32(i)
+	opt, rank, below, err := annotatedRanks(keys, len(values), opt, posOfRank)
+	if err != nil {
+		return nil, err
 	}
 	at := &AnnotatedTree[S]{
 		t:     buildTree(rank, opt),
@@ -116,9 +113,9 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 
 // annotatedRanks validates BuildAnnotated's input and ranks it: rank[i] is
 // key i's position in the stable sort by (key, position), and below[t] the
-// number of keys smaller than t for t in [0, n+1]. The returned options are
-// resolved for n.
-func annotatedRanks(keys []int64, nValues int, opt Options) (Options, []int32, []int32, error) {
+// number of keys smaller than t for t in [0, n+1]. A non-nil pos receives the
+// inverse of rank. The returned options are resolved for n.
+func annotatedRanks(keys []int64, nValues int, opt Options, pos []int32) (Options, []int32, []int32, error) {
 	opt = opt.resolveFor(len(keys))
 	if err := opt.validate(); err != nil {
 		return opt, nil, nil, err
@@ -130,26 +127,54 @@ func annotatedRanks(keys []int64, nValues int, opt Options) (Options, []int32, [
 	if n >= math.MaxInt32 {
 		return opt, nil, nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", n)
 	}
-	// One stable counting pass over the keys. cnt[k+2] first counts key k, so
-	// after the prefix sum cnt[k+1] = #keys < k is where key k's ranks start;
-	// ranking in position order advances it past the keys equal to k, which
-	// leaves cnt[t] = #keys < t for every t in [0, n+1] — the threshold map.
 	cnt := make([]int32, n+3)
+	if i := keyStarts(keys, cnt); i >= 0 {
+		return opt, nil, nil, fmt.Errorf("mst: key %d at position %d outside previous-index domain [0, %d]", keys[i], i, n)
+	}
+	rank := make([]int32, n)
+	placeRanks(keys, cnt, rank, pos)
+	return opt, rank, cnt[:n+2], nil
+}
+
+// keyStarts and placeRanks are the two halves of the one stable counting
+// pass over keys in [0, n], n = len(keys), that ranks an annotated tree's keys
+// and orders a Tree's top run by base position (topPositions). cnt[k+2]
+// first counts key k, so after the prefix sum cnt[k+1] = #keys < k is where
+// key k's ranks start; ranking in position order advances it past the keys
+// equal to k, which leaves cnt[t] = #keys < t for every t in [0, n+1] — the
+// threshold map.
+//
+// keyStarts is the counting half over cnt, n+3 zeroed entries. It returns
+// the position of the first key outside [0, n], or -1; on a key outside, cnt
+// is left unspecified and nothing is ranked.
+func keyStarts[K int32 | int64](keys []K, cnt []int32) int {
+	n := int64(len(keys))
 	for i, k := range keys {
-		if k < 0 || k > int64(n) {
-			return opt, nil, nil, fmt.Errorf("mst: key %d at position %d outside previous-index domain [0, %d]", k, i, n)
+		if k < 0 || int64(k) > n {
+			return i
 		}
 		cnt[k+2]++
 	}
 	for t := 1; t < len(cnt); t++ {
 		cnt[t] += cnt[t-1]
 	}
-	rank := make([]int32, n)
+	return -1
+}
+
+// placeRanks is the ranking half: key i takes rank r, the next of its key's,
+// recorded as rank[i] = r and pos[r] = i in whichever of rank and pos is
+// non-nil.
+func placeRanks[K int32 | int64](keys []K, cnt, rank, pos []int32) {
 	for i, k := range keys {
-		rank[i] = cnt[k+1]
+		r := cnt[k+1]
 		cnt[k+1]++
+		if rank != nil {
+			rank[i] = r
+		}
+		if pos != nil {
+			pos[r] = i32(i)
+		}
 	}
-	return opt, rank, cnt[:n+2], nil
 }
 
 // BuildAnnotatedLeaves builds the leaf-only form of BuildAnnotated's tree
@@ -162,7 +187,7 @@ func BuildAnnotatedLeaves[S any](keys []int64, values []S, merge func(S, S) S, o
 	if _, ok := any(values).([]int64); !ok {
 		return nil, fmt.Errorf("mst: a leaf-only annotated tree needs int64 states, got %T", values)
 	}
-	opt, rank, below, err := annotatedRanks(keys, len(values), opt)
+	opt, rank, below, err := annotatedRanks(keys, len(values), opt, nil)
 	if err != nil {
 		return nil, err
 	}

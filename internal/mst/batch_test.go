@@ -125,7 +125,7 @@ func testCountBelowBatchFrameShapes(t *testing.T) {
 					wantLeaves++
 				}
 			}
-			if leaves := tree.CountBelowBatch(lo, hi, thr, out); leaves != wantLeaves {
+			if leaves, _ := tree.CountBelowBatch(lo, hi, thr, out); leaves != wantLeaves {
 				t.Fatalf("opt=%+v %s: %d queries answered at the leaves, want %d", opt, sh.name, leaves, wantLeaves)
 			}
 			for row := 0; row < n; row++ {

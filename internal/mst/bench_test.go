@@ -72,8 +72,13 @@ func BenchmarkCountBelow(b *testing.B) {
 // previous-occurrence keys of a skewed 50,000-value column, one query per
 // row with threshold = lo+1, issued in probe-chunk batches of 20,000
 // adjacent rows. The frames cover the short, the typical and the half-table
-// case (ROWS BETWEEN frame-1 PRECEDING AND CURRENT ROW). One op is one pass
-// over all rows; the reported ns/row is the per-query cost.
+// case (ROWS BETWEEN frame-1 PRECEDING AND CURRENT ROW). The rank arm is
+// RANK over a column uncorrelated with the window order: a tree over uniform
+// keys, the typical frame, and the row's own key as threshold, which jumps
+// between rows, so the kernel declines to answer a query from its
+// predecessor (count_diff.go) and descends. One op is one pass over all
+// rows; the reported ns/row is the per-query cost and diff/row the share
+// answered from the predecessor.
 func BenchmarkCountBelowBatch(b *testing.B) {
 	const n, chunk = 1_000_000, 20_000
 	rng := rand.New(rand.NewSource(3))
@@ -86,23 +91,47 @@ func BenchmarkCountBelowBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	rankKeys := benchKeys(n)
+	rankTree, err := Build(rankKeys, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	lo, hi := make([]int32, chunk), make([]int32, chunk)
 	thr := make([]int64, chunk)
 	out := make([]int32, chunk)
-	for _, frame := range []int{100, 10_000, n / 2} {
-		b.Run(fmt.Sprintf("frame%d", frame), func(b *testing.B) {
+	for _, arm := range []struct {
+		name  string
+		frame int
+		rank  bool
+	}{
+		{"frame100", 100, false},
+		{"frame10000", 10_000, false},
+		{"frame500000", n / 2, false},
+		{"rank10000", 10_000, true},
+	} {
+		tr := tree
+		if arm.rank {
+			tr = rankTree
+		}
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
+			diffs := 0
 			for i := 0; i < b.N; i++ {
 				for start := 0; start < n; start += chunk {
 					for q := range out {
 						row := start + q
-						a := max(row-frame+1, 0)
+						a := max(row-arm.frame+1, 0)
 						lo[q], hi[q], thr[q] = int32(a), int32(row+1), int64(a)+1
+						if arm.rank {
+							thr[q] = rankKeys[row]
+						}
 					}
-					tree.CountBelowBatch(lo, hi, thr, out)
+					_, d := tr.CountBelowBatch(lo, hi, thr, out)
+					diffs += d
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			b.ReportMetric(float64(diffs)/float64(b.N)/n, "diff/row")
 		})
 	}
 }

@@ -24,17 +24,21 @@ import (
 //     two nested loops over int32 arrays.
 //
 // A query whose range spans at most LeafRows rows never enters the descent:
-// it is counted in level 0 (leaf.go). Results are exactly CountBelow per
-// query — the equivalence is enforced by batch_test.go, FuzzCountSelect and
-// core's batch_equiv_test.
+// it is counted in level 0 (leaf.go). Nor does a query whose range and
+// threshold rank moved by fewer than LeafRows entries in all since the query
+// before it: it is that query's count plus the difference (count_diff.go).
+// Results are exactly CountBelow per query — the equivalence is enforced by
+// batch_test.go, count_diff_test.go, FuzzCountSelect and core's
+// batch_equiv_test.
 
 // CountBelowBatch answers len(out) count queries at once:
 // out[q] = CountBelow(int(lo[q]), int(hi[q]), threshold[q]). The lo, hi and
 // threshold slices must have the same length as out. Queries should be in
 // probe order (adjacent frames adjacent) for the galloping top-level search
 // to pay off; any order is correct. It returns how many of the queries it
-// answered at the leaves (leaf.go) instead of descending.
-func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (leaves int) {
+// answered at the leaves (leaf.go) and how many from the query before them
+// (count_diff.go) instead of descending.
+func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (leaves, diffs int) {
 	m := len(out)
 	if len(lo) != m || len(hi) != m || len(threshold) != m {
 		//lint:invariant the collector builds all four arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
@@ -45,7 +49,7 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (
 		panic("mst: CountBelowBatch batch of 2³¹ or more queries")
 	}
 	if m == 0 {
-		return 0
+		return 0, 0
 	}
 	// Clamp every query exactly like CountBelow and answer all but the wide
 	// ones up front; those are marked with an empty position range so the
@@ -76,16 +80,18 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (
 		}
 	}
 	if descend {
-		countKernel(t.mono, klo, khi, thr, out)
+		diffs = countKernel(t.mono, klo, khi, thr, out)
 	}
 	arena.Int32s.Put(cb)
-	return leaves
+	return leaves, diffs
 }
 
 // countKernel is the level-synchronous count descent. lo/hi are
 // pre-clamped to [0, n]; queries with lo >= hi are already resolved and
-// skipped. out[q] accumulates the covered-run ranks of query q.
-func countKernel(t *tree, lo, hi, thr, out []int32) {
+// skipped. out[q] accumulates the covered-run ranks of query q. It returns
+// how many queries it answered from their predecessor (count_diff.go)
+// instead of descending.
+func countKernel(t *tree, lo, hi, thr, out []int32) (diffs int) {
 	m := len(out)
 	top := t.top()
 	run0 := t.run(top, 0)
@@ -93,29 +99,39 @@ func countKernel(t *tree, lo, hi, thr, out []int32) {
 	// Frontier scratch: at any level a query keeps at most two partial runs
 	// alive (the runs containing lo and hi-1), so 2·m triples bound both the
 	// current and the next frontier. One flat pooled buffer holds all six
-	// structure-of-arrays columns.
-	buf := arena.Int32s.Get(12 * m)
+	// structure-of-arrays columns, plus every query's top-run rank for the
+	// differential pass.
+	buf := arena.Int32s.Get(13 * m)
 	cq, cr, crank := buf[:2*m], buf[2*m:4*m], buf[4*m:6*m]
 	nq, nr, nrank := buf[6*m:8*m], buf[8*m:10*m], buf[10*m:12*m]
+	rk := buf[12*m:]
 
 	// Top level: one sorted run. Seed each query's binary search with the
 	// previous query's rank — adjacent probe rows have nearly equal
 	// thresholds, so the gallop usually terminates within a few elements.
+	// With both ranks at hand, a query close enough to the previous one is
+	// marked for the differential pass instead of entering the frontier.
 	cn := 0
 	g := 0
+	p := -1 // the query ranked before q
 	for q := 0; q < m; q++ {
 		if lo[q] >= hi[q] {
 			continue
 		}
 		rank := lowerBoundFromP(run0, thr[q], g)
-		g = rank
-		if lo[q] <= 0 && int(hi[q]) >= t.n {
+		rk[q] = i32(rank)
+		switch {
+		case lo[q] <= 0 && int(hi[q]) >= t.n:
 			out[q] = i32(rank)
-			continue
+		case p >= 0 && t.topPos != nil && diffRule(diffCost(lo, hi, p, q, g, rank)):
+			out[q] = pendingCount
+			diffs++
+		default:
+			out[q] = 0
+			cq[cn], cr[cn], crank[cn] = i32(q), 0, i32(rank)
+			cn++
 		}
-		out[q] = 0
-		cq[cn], cr[cn], crank[cn] = i32(q), 0, i32(rank)
-		cn++
+		g, p = rank, q
 	}
 
 	// Descend the whole frontier one level per iteration. Per-level state
@@ -149,7 +165,11 @@ func countKernel(t *tree, lo, hi, thr, out []int32) {
 		crank, nrank = nrank, crank
 		cn = nn
 	}
+	if diffs > 0 {
+		t.resolveDiffs(lo, hi, thr, rk, out)
+	}
 	arena.Int32s.Put(buf)
+	return diffs
 }
 
 // lowerBoundFromP is lowerBoundP seeded with a guess g: it gallops

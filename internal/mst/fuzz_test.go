@@ -13,8 +13,9 @@ import (
 // scalar descents and the batched level-synchronous kernels — against brute
 // force over fuzzer-chosen inputs, tree options and query arguments — the
 // counts once with the leaf path at its cutoff and once with it off
-// (leafSeam) — and, in the leaf-only arm (leafOnlyCounts), against
-// BuildLeaves' form of the same keys. CI runs it as a smoke pass on main pushes; `go test
+// (leafSeam), each batch followed by a sliding sequence the differential
+// pass answers from neighbours — and, in the leaf-only arm (leafOnlyCounts),
+// against BuildLeaves' form of the same keys. CI runs it as a smoke pass on main pushes; `go test
 // -fuzz=FuzzCountSelect ./internal/mst/` digs deeper locally.
 func FuzzCountSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0))
@@ -26,6 +27,9 @@ func FuzzCountSelect(f *testing.F) {
 	// production cutoff.
 	f.Add(fuzzSeedBytes(300, 7), 40, 290, int64(120), 17, uint8(30), uint8(31), uint8(0))
 	f.Add(fuzzSeedBytes(600, 11), 3, 420, int64(300), 250, uint8(2), uint8(5), uint8(1))
+	// Keys below n, so the tree keeps top-run positions, and k = 26 slides
+	// both edges and the threshold up by one per query.
+	f.Add(fuzzSeedBytes(600, 19), 50, 450, int64(51), 26, uint8(30), uint8(31), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		for i, b := range data {
@@ -82,6 +86,24 @@ func FuzzCountSelect(f *testing.F) {
 				if int(bOut[q]) != bruteCnt {
 					t.Errorf("CountBelowBatch query %d (%d, %d, %d) = %d, brute force %d (opt %+v)",
 						q, bLo[q], bHi[q], bThr[q], bOut[q], bruteCnt, opt)
+				}
+			}
+
+			// A sliding sequence from the fuzzer's query: each edge and the
+			// threshold step by −3…1 per query (picked by k), so neighbours
+			// are close enough to be answered from one another (count_diff.go).
+			dl, dh, dt := k%3-1, k/3%3-1, int64(k/9%3-1)
+			const slide = 48
+			sLo, sHi, sThr := make([]int32, slide), make([]int32, slide), make([]int64, slide)
+			for s := range sLo {
+				sLo[s], sHi[s], sThr[s] = int32(lo+s*dl), int32(hi+s*dh), threshold+int64(s)*dt
+			}
+			sOut := make([]int32, slide)
+			tree.CountBelowBatch(sLo, sHi, sThr, sOut)
+			for s := range sOut {
+				if want := bruteCountBelow(keys, int(sLo[s]), int(sHi[s]), sThr[s]); int(sOut[s]) != want {
+					t.Errorf("CountBelowBatch sliding query %d (%d, %d, %d) = %d, brute force %d (opt %+v)",
+						s, sLo[s], sHi[s], sThr[s], sOut[s], want, opt)
 				}
 			}
 		})

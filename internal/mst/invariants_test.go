@@ -3,6 +3,7 @@ package mst
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"holistic/internal/parallel"
@@ -12,8 +13,9 @@ import (
 // every level is a permutation of the base multiset, runs are sorted, the
 // top level is one fully sorted run, every cascading sample really is the
 // merge's consumed-count snapshot, every origin entry is the child the
-// stable reference merge takes, and the step gives every child's exact rank
-// (checkRankIdentity) — with and without stripes.
+// stable reference merge takes, the step gives every child's exact rank
+// (checkRankIdentity) — with and without stripes — and the top-run positions
+// are the stable argsort of level 0 (checkTopPositions).
 func checkInvariants(t *testing.T, tr *tree) {
 	t.Helper()
 	n := tr.n
@@ -110,6 +112,30 @@ func checkInvariants(t *testing.T, tr *tree) {
 				t.Fatal("top level not fully sorted")
 			}
 		}
+	}
+	checkTopPositions(t, tr)
+}
+
+// checkTopPositions verifies a tree's top-run positions: absent exactly when
+// a key exceeds n, and otherwise the stable argsort of level 0 — every base
+// position once, naming the top run's element at each position, positions
+// ascending among equal elements.
+func checkTopPositions(t *testing.T, tr *tree) {
+	t.Helper()
+	lv0 := tr.levels[0]
+	if wantNil := slices.ContainsFunc(lv0, func(v int32) bool { return int(v) > tr.n }); (tr.topPos == nil) != wantNil {
+		t.Fatalf("topPos present = %v over keys with max above n = %v", tr.topPos != nil, wantNil)
+	}
+	if tr.topPos == nil {
+		return
+	}
+	top := tr.levels[tr.top()]
+	seen := make([]bool, tr.n)
+	for p, pos := range tr.topPos {
+		if seen[pos] || lv0[pos] != top[p] || (p > 0 && top[p-1] == top[p] && tr.topPos[p-1] >= pos) {
+			t.Fatalf("topPos[%d] = %d: not the stable argsort of level 0", p, pos)
+		}
+		seen[pos] = true
 	}
 }
 

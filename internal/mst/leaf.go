@@ -20,9 +20,21 @@ import "fmt"
 // frames at the leaves" has the table).
 const LeafRows = 128
 
-// leafRows is the cutoff the kernels read on a full structure. It is
+// leafRows is the cutoff the kernels read on a full structure — the leaf
+// rule's width and the differential count's budget (count_diff.go). It is
 // LeafRows; tests set it to 0 to send every query through the descent.
 var leafRows = LeafRows
+
+// SetLeafRows sets the cutoff the kernels read on a full structure and
+// returns the previous one: the leaf seam for tests outside this package,
+// which set 0 to send every count query through the descent and restore the
+// returned value afterwards. Nothing else calls it, and it must not be
+// called while a kernel runs.
+func SetLeafRows(rows int) int {
+	prev := leafRows
+	leafRows = rows
+	return prev
+}
 
 // Leaf-only structures. When no range a statement can ask spans more than
 // LeafRows rows — the partition has at most that many, or every frame is that

@@ -77,7 +77,7 @@ func TestLeafRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := tree.CountBelowBatch(lo, hi, thr, out); got != wantLeaves {
+			if got, _ := tree.CountBelowBatch(lo, hi, thr, out); got != wantLeaves {
 				t.Errorf("opt=%+v: CountBelowBatch reports %d queries at the leaves, want %d", opt, got, wantLeaves)
 			}
 			for q := range out {

@@ -36,7 +36,9 @@ import (
 //	n u64 | chunkLen u64 | numChunks u32
 //	per chunk: one full monolithic tree record (magic included)
 //
-// Chunks cannot nest: a chunk record with bit2 set is rejected.
+// Chunks cannot nest: a chunk record with bit2 set is rejected. The top-run
+// positions of a monolithic tree (Stats.PositionBytes) are derived from
+// level 0 and never written.
 
 const magic = "MST2"
 
@@ -96,9 +98,19 @@ func writeChunked(w io.Writer, t *Tree) error {
 	return nil
 }
 
-// ReadTree deserialises a tree written by WriteTo.
+// ReadTree deserialises a tree written by WriteTo. A monolithic tree's
+// top-run positions (count_diff.go) are not part of the record: they are
+// rebuilt from level 0, exactly as Build derives them, so a loaded tree
+// answers count batches as a built one does.
 func ReadTree(r io.Reader) (*Tree, error) {
-	return readTreeFrom(bufio.NewReader(r), true)
+	t, err := readTreeFrom(bufio.NewReader(r), true)
+	if err != nil {
+		return nil, err
+	}
+	if t.mono != nil {
+		t.mono.topPos = topPositions(t.mono.levels[0])
+	}
+	return t, nil
 }
 
 // readTreeFrom reads one tree record; allowChunked permits the spill-forest

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -55,8 +56,12 @@ func TestSerializeRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			// The deserialized structure must satisfy all invariants too.
+			// The deserialized structure must satisfy all invariants too, and
+			// carry the top-run positions Build derived.
 			checkInvariants(t, back.mono)
+			if !slices.Equal(back.mono.topPos, orig.mono.topPos) || (orig.mono.topPos == nil) != (back.mono.topPos == nil) {
+				t.Fatalf("n=%d opt=%+v: loaded topPos %v, built %v", n, opt, back.mono.topPos, orig.mono.topPos)
+			}
 		}
 	}
 }
@@ -154,8 +159,19 @@ func TestSerializedSizeMatchesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tree.Stats()
+	// The top-run positions are rebuilt on load, not written.
+	if s.PositionBytes != 4*len(keys) {
+		t.Fatalf("PositionBytes %d, want %d", s.PositionBytes, 4*len(keys))
+	}
 	// Payload + pointer bytes dominate; header and strides are tiny.
-	if buf.Len() < s.Bytes || buf.Len() > s.Bytes+1024 {
-		t.Fatalf("serialized %d bytes, stats say %d", buf.Len(), s.Bytes)
+	if written := s.Bytes - s.PositionBytes; buf.Len() < written || buf.Len() > written+1024 {
+		t.Fatalf("serialized %d bytes, stats say %d without positions", buf.Len(), written)
+	}
+	back, err := ReadTree(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs := back.Stats(); bs != s {
+		t.Fatalf("loaded tree stats %+v, built %+v", bs, s)
 	}
 }

@@ -5,16 +5,20 @@ package mst
 // (⌈log_f n⌉−1)·n·f/k cascading pointers, so a larger fanout shrinks the
 // payload exponentially while growing the pointer share linearly. On top of
 // the paper's two terms every merge level of a cascading tree carries a
-// one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all:
+// one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all, and a
+// monolithic tree over keys in [0, n] keeps the top run's base positions
+// (topPos, count_diff.go), 4·n bytes, which are rebuilt on load rather than
+// serialized:
 //
-//	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes
+//	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes + PositionBytes
 type Stats struct {
 	Levels         int // number of levels including the base copy
 	Elements       int // payload elements across all levels
 	Pointers       int // cascading pointer entries across all levels
 	ElementBytes   int // bytes per payload element (always 4, §5.1)
 	OriginBytes    int // merge-origin stripe bytes across all levels
-	Bytes          int // total bytes of payloads, pointers and origin stripes
+	PositionBytes  int // top-run base positions (topPos), 0 when absent
+	Bytes          int // total bytes of payloads, pointers, origin stripes and positions
 	Fanout         int
 	SampleDistance int
 }
@@ -29,6 +33,7 @@ func (t *Tree) Stats() Stats {
 			s.Elements += cs.Elements
 			s.Pointers += cs.Pointers
 			s.OriginBytes += cs.OriginBytes
+			s.PositionBytes += cs.PositionBytes
 			s.Bytes += cs.Bytes
 			if cs.Levels > s.Levels {
 				s.Levels = cs.Levels
@@ -46,12 +51,13 @@ func (t *tree) stats() Stats {
 		ElementBytes:   4,
 		Fanout:         t.f,
 		SampleDistance: t.k,
+		PositionBytes:  4 * len(t.topPos),
 	}
 	for l, lv := range t.levels {
 		s.Elements += len(lv)
 		s.Pointers += len(t.samples[l])
 		s.OriginBytes += len(t.origin[l])
 	}
-	s.Bytes = s.Elements*s.ElementBytes + s.Pointers*4 + s.OriginBytes
+	s.Bytes = s.Elements*s.ElementBytes + s.Pointers*4 + s.OriginBytes + s.PositionBytes
 	return s
 }

@@ -204,6 +204,11 @@ type tree struct {
 	origin [][]uint8
 	// effLen[l] is the run length at level l (f^l), clamped to n at the top.
 	effLen []int
+	// topPos[p] is the base position of the element at position p of the top
+	// run: the stable argsort of levels[0], which lets the count kernel answer
+	// a query from its predecessor's count (count_diff.go). nil when a key
+	// exceeds n, on spill chunks and on leaf-only and annotated trees.
+	topPos []int32
 }
 
 // Tree is a merge sort tree over a payload array of non-negative 32-bit
@@ -246,7 +251,9 @@ func Build(keys []int64, opt Options) (*Tree, error) {
 	if opt.SpillRows > 0 && len(keys) > opt.SpillRows {
 		return buildChunked(base, opt), nil
 	}
-	return &Tree{n: len(keys), opt: opt.stored(), mono: buildTree(base, opt)}, nil
+	tr := buildTree(base, opt)
+	tr.topPos = topPositions(base)
+	return &Tree{n: len(keys), opt: opt.stored(), mono: tr}, nil
 }
 
 // payloadBase checks keys against the element limit and the 32-bit payload

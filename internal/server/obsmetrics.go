@@ -52,6 +52,7 @@ import (
 //	windowd_mst_batch_queries_family              counter (func, labels: family)
 //	windowd_mst_batch_dedup_hits_family           counter (func, labels: family)
 //	windowd_mst_batch_leaf_queries_family         counter (func, labels: family)
+//	windowd_mst_batch_diff_queries_family         counter (func, labels: family)
 //	windowd_plan_shared_sorts                     counter (func)
 //	windowd_plan_shared_trees                     counter (func)
 //	windowd_plan_shared_preprocess                counter (func)
@@ -233,6 +234,16 @@ func newServerObs(s *Server, routes []string) *serverObs {
 			out := make([]obs.Sample, len(stats))
 			for i, st := range stats {
 				out[i] = obs.Sample{Labels: []string{st.Family}, Value: float64(st.LeafQueries)}
+			}
+			return out
+		})
+	reg.NewCounterFunc("windowd_mst_batch_diff_queries_family",
+		"Batched MST count queries answered from the previous query's count plus the rows and keys that moved (sliding frames) instead of a descent, by kernel family: count, select, agg, rank.",
+		[]string{"family"}, func() []obs.Sample {
+			stats := core.BatchFamilySnapshot()
+			out := make([]obs.Sample, len(stats))
+			for i, st := range stats {
+				out[i] = obs.Sample{Labels: []string{st.Family}, Value: float64(st.DiffQueries)}
 			}
 			return out
 		})
