@@ -1,11 +1,12 @@
-// Benchmarks mirroring every table and figure of the paper's evaluation
-// (§6). Each figure additionally has a full parameter sweep in
-// cmd/paperbench; the benchmarks here pin one representative configuration
-// per series so `go test -bench=.` regenerates the comparison shape:
+// Benchmarks of the merge sort tree on the shapes of the paper's evaluation
+// (§6). The comparisons against the competitor algorithms live in
+// cmd/paperbench, which also sweeps every figure's full parameter range;
+// the benchmarks here pin the merge sort tree's side of one representative
+// configuration per series:
 //
 //	Table 1  -> BenchmarkTable1_*   (complexity classes, serial)
-//	Figure 9 -> BenchmarkFig9_*     (SQL-replacement strategies, 20k rows)
-//	Figure 10-> BenchmarkFig10_*    (function x engine throughput)
+//	Figure 9 -> BenchmarkFig9_*     (framed median, 20k rows)
+//	Figure 10-> BenchmarkFig10_*    (function throughput)
 //	Figure 11-> BenchmarkFig11_*    (frame size sensitivity)
 //	Figure 12-> BenchmarkFig12_*    (non-monotonic frames)
 //	Figure 13-> BenchmarkFig13_*    (fanout/sampling parameters)
@@ -53,12 +54,10 @@ func slidingWindow(size int) *Window {
 		Frame(Rows(Preceding(int64(size-1)), CurrentRow()))
 }
 
-func benchMedian(e Engine) *Func { return MedianDisc(Asc("l_extendedprice")).WithEngine(e).As("o") }
-func benchRank(e Engine) *Func   { return Rank(Asc("l_extendedprice")).WithEngine(e).As("o") }
-func benchLead(e Engine) *Func {
-	return Lead("l_extendedprice", 1, Asc("l_extendedprice")).WithEngine(e).As("o")
-}
-func benchDistinct(e Engine) *Func { return CountDistinct("l_partkey").WithEngine(e).As("o") }
+func benchMedian() *Func   { return MedianDisc(Asc("l_extendedprice")).As("o") }
+func benchRank() *Func     { return Rank(Asc("l_extendedprice")).As("o") }
+func benchLead() *Func     { return Lead("l_extendedprice", 1, Asc("l_extendedprice")).As("o") }
+func benchDistinct() *Func { return CountDistinct("l_partkey").As("o") }
 
 // ---- Table 1: serial complexity classes --------------------------------
 
@@ -76,42 +75,15 @@ func table1Bench(b *testing.B, f *Func, n int) {
 	}
 }
 
-func BenchmarkTable1_DistinctCount_Incremental(b *testing.B) {
-	table1Bench(b, benchDistinct(EngineIncremental), 40_000)
-}
-func BenchmarkTable1_DistinctCount_MST(b *testing.B) {
-	table1Bench(b, benchDistinct(EngineMergeSortTree), 40_000)
-}
-func BenchmarkTable1_Percentile_Incremental(b *testing.B) {
-	table1Bench(b, benchMedian(EngineIncremental), 20_000)
-}
-func BenchmarkTable1_Percentile_SegmentTree(b *testing.B) {
-	table1Bench(b, benchMedian(EngineSegmentTree), 40_000)
-}
-func BenchmarkTable1_Percentile_OSTree(b *testing.B) {
-	table1Bench(b, benchMedian(EngineOSTree), 40_000)
-}
-func BenchmarkTable1_Percentile_MST(b *testing.B) {
-	table1Bench(b, benchMedian(EngineMergeSortTree), 40_000)
-}
-func BenchmarkTable1_Rank_OSTree(b *testing.B) {
-	table1Bench(b, benchRank(EngineOSTree), 40_000)
-}
-func BenchmarkTable1_Rank_MST(b *testing.B) {
-	table1Bench(b, benchRank(EngineMergeSortTree), 40_000)
-}
+func BenchmarkTable1_DistinctCount_MST(b *testing.B) { table1Bench(b, benchDistinct(), 40_000) }
+func BenchmarkTable1_Percentile_MST(b *testing.B)    { table1Bench(b, benchMedian(), 40_000) }
+func BenchmarkTable1_Rank_MST(b *testing.B)          { table1Bench(b, benchRank(), 40_000) }
 
 // ---- Figure 9: framed median on a tiny data set -------------------------
 
-func fig9Bench(b *testing.B, e Engine) {
-	t := benchLineitem(20_000)
-	runBench(b, t, slidingWindow(1000), benchMedian(e))
+func BenchmarkFig9_Median_MST(b *testing.B) {
+	runBench(b, benchLineitem(20_000), slidingWindow(1000), benchMedian())
 }
-
-func BenchmarkFig9_Median_Naive(b *testing.B)       { fig9Bench(b, EngineNaive) }
-func BenchmarkFig9_Median_Incremental(b *testing.B) { fig9Bench(b, EngineIncremental) }
-func BenchmarkFig9_Median_OSTree(b *testing.B)      { fig9Bench(b, EngineOSTree) }
-func BenchmarkFig9_Median_MST(b *testing.B)         { fig9Bench(b, EngineMergeSortTree) }
 
 // ---- Figure 10: throughput at a larger input size -----------------------
 
@@ -122,39 +94,25 @@ func fig10Bench(b *testing.B, f *Func) {
 	runBench(b, t, slidingWindow(fig10N/20), f)
 }
 
-func BenchmarkFig10_Median_MST(b *testing.B) { fig10Bench(b, benchMedian(EngineMergeSortTree)) }
-func BenchmarkFig10_Median_OSTree(b *testing.B) {
-	fig10Bench(b, benchMedian(EngineOSTree))
-}
-func BenchmarkFig10_Rank_MST(b *testing.B) { fig10Bench(b, benchRank(EngineMergeSortTree)) }
-func BenchmarkFig10_Lead_MST(b *testing.B) { fig10Bench(b, benchLead(EngineMergeSortTree)) }
-func BenchmarkFig10_DistinctCount_MST(b *testing.B) {
-	fig10Bench(b, benchDistinct(EngineMergeSortTree))
-}
-func BenchmarkFig10_DistinctCount_Incremental(b *testing.B) {
-	fig10Bench(b, benchDistinct(EngineIncremental))
-}
+func BenchmarkFig10_Median_MST(b *testing.B)        { fig10Bench(b, benchMedian()) }
+func BenchmarkFig10_Rank_MST(b *testing.B)          { fig10Bench(b, benchRank()) }
+func BenchmarkFig10_Lead_MST(b *testing.B)          { fig10Bench(b, benchLead()) }
+func BenchmarkFig10_DistinctCount_MST(b *testing.B) { fig10Bench(b, benchDistinct()) }
 
 // ---- Figure 11: frame size sensitivity ----------------------------------
 
-func fig11Bench(b *testing.B, e Engine, frameSize int) {
+func fig11Bench(b *testing.B, frameSize int) {
 	t := benchLineitem(100_000)
-	runBench(b, t, slidingWindow(frameSize), benchMedian(e))
+	runBench(b, t, slidingWindow(frameSize), benchMedian())
 }
 
-func BenchmarkFig11_Frame100_Naive(b *testing.B)        { fig11Bench(b, EngineNaive, 100) }
-func BenchmarkFig11_Frame100_Incremental(b *testing.B)  { fig11Bench(b, EngineIncremental, 100) }
-func BenchmarkFig11_Frame100_OSTree(b *testing.B)       { fig11Bench(b, EngineOSTree, 100) }
-func BenchmarkFig11_Frame100_MST(b *testing.B)          { fig11Bench(b, EngineMergeSortTree, 100) }
-func BenchmarkFig11_Frame3000_Incremental(b *testing.B) { fig11Bench(b, EngineIncremental, 3000) }
-func BenchmarkFig11_Frame3000_OSTree(b *testing.B)      { fig11Bench(b, EngineOSTree, 3000) }
-func BenchmarkFig11_Frame3000_MST(b *testing.B)         { fig11Bench(b, EngineMergeSortTree, 3000) }
-func BenchmarkFig11_Frame30000_OSTree(b *testing.B)     { fig11Bench(b, EngineOSTree, 30_000) }
-func BenchmarkFig11_Frame30000_MST(b *testing.B)        { fig11Bench(b, EngineMergeSortTree, 30_000) }
+func BenchmarkFig11_Frame100_MST(b *testing.B)   { fig11Bench(b, 100) }
+func BenchmarkFig11_Frame3000_MST(b *testing.B)  { fig11Bench(b, 3000) }
+func BenchmarkFig11_Frame30000_MST(b *testing.B) { fig11Bench(b, 30_000) }
 
 // ---- Figure 12: non-monotonic frames -------------------------------------
 
-func fig12Bench(b *testing.B, e Engine, m float64) {
+func fig12Bench(b *testing.B, m float64) {
 	n := 50_000
 	l := tpch.GenerateLineitem(n, 42)
 	t := l.Table()
@@ -171,14 +129,11 @@ func fig12Bench(b *testing.B, e Engine, m float64) {
 		FollowingBy(func(row int) int64 { return 500 - int64(m*float64(h[row])) }),
 	)
 	w := Over().OrderBy(Asc("l_shipdate")).Frame(fr)
-	runBench(b, t, w, benchMedian(e))
+	runBench(b, t, w, benchMedian())
 }
 
-func BenchmarkFig12_Monotonic_Incremental(b *testing.B)    { fig12Bench(b, EngineIncremental, 0) }
-func BenchmarkFig12_Monotonic_MST(b *testing.B)            { fig12Bench(b, EngineMergeSortTree, 0) }
-func BenchmarkFig12_NonMonotonic_Incremental(b *testing.B) { fig12Bench(b, EngineIncremental, 1) }
-func BenchmarkFig12_NonMonotonic_Naive(b *testing.B)       { fig12Bench(b, EngineNaive, 1) }
-func BenchmarkFig12_NonMonotonic_MST(b *testing.B)         { fig12Bench(b, EngineMergeSortTree, 1) }
+func BenchmarkFig12_Monotonic_MST(b *testing.B)    { fig12Bench(b, 0) }
+func BenchmarkFig12_NonMonotonic_MST(b *testing.B) { fig12Bench(b, 1) }
 
 // ---- Figure 13: fanout and pointer sampling ------------------------------
 
@@ -186,7 +141,7 @@ func fig13Bench(b *testing.B, fanout, sample int) {
 	t := benchLineitem(100_000)
 	opt := Options{Tree: TreeOptions{Fanout: fanout, SampleEvery: sample}}
 	w := slidingWindow(5000)
-	f := benchRank(EngineMergeSortTree)
+	f := benchRank()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -207,7 +162,7 @@ func BenchmarkFig14_RunningDistinctCount(b *testing.B) {
 	t := benchLineitem(200_000)
 	w := Over().OrderBy(Asc("l_shipdate")).
 		Frame(Rows(UnboundedPreceding(), CurrentRow()))
-	runBench(b, t, w, benchDistinct(EngineMergeSortTree))
+	runBench(b, t, w, benchDistinct())
 }
 
 // ---- §6.6: merge sort tree construction and memory -----------------------
@@ -239,7 +194,7 @@ func BenchmarkMemory_TreeBuild(b *testing.B) {
 func ablationTreeBench(b *testing.B, opt TreeOptions) {
 	t := benchLineitem(100_000)
 	w := slidingWindow(5000)
-	f := benchRank(EngineMergeSortTree)
+	f := benchRank()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -252,28 +207,4 @@ func ablationTreeBench(b *testing.B, opt TreeOptions) {
 func BenchmarkAblationCascading_On(b *testing.B) { ablationTreeBench(b, TreeOptions{}) }
 func BenchmarkAblationCascading_Off(b *testing.B) {
 	ablationTreeBench(b, TreeOptions{NoCascading: true})
-}
-
-func BenchmarkAblationTaskRebuild_SingleTask(b *testing.B) {
-	t := benchLineitem(100_000)
-	w := slidingWindow(20_000)
-	f := benchDistinct(EngineIncremental)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunOptions(t, w, Options{TaskSize: t.Rows()}, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationTaskRebuild_Tasks20k(b *testing.B) {
-	t := benchLineitem(100_000)
-	w := slidingWindow(20_000)
-	f := benchDistinct(EngineIncremental)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunOptions(t, w, Options{TaskSize: 20_000}, f); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

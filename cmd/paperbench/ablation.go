@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"holistic"
 	"holistic/internal/mst"
 )
 
@@ -39,15 +38,9 @@ func runAblation() {
 	fmt.Println("  -- incremental distinct count: single task vs 20000-row tasks (§3.2) --")
 	in := n
 	frame := 20_000
-	table := lineitem(in).Table()
-	w := shipdateWindow(slidingRows(frame))
 	rows = nil
 	for _, taskSize := range []int{in, 20_000} {
-		opt := holistic.Options{TaskSize: taskSize}
-		d := timeIt(func() {
-			_, err := holistic.RunOptions(table, w, opt, distinctOf(holistic.EngineIncremental))
-			die(err)
-		})
+		d := measure(algIncremental, distinctCount, lineitem(in), sliding(frame), taskSize)
 		name := fmt.Sprintf("task size %d", taskSize)
 		if taskSize == in {
 			name = "single task (pure serial algorithm)"

@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"time"
-
-	"holistic"
 )
 
 // runCrossover locates the frame sizes at which each competitor falls
@@ -18,37 +16,32 @@ func runCrossover() {
 	if *quick {
 		n = 40_000
 	}
-	table := lineitem(n).Table()
-
-	mstTime := func(frame int) time.Duration {
-		return runWindowed(table, shipdateWindow(slidingRows(frame)), medianOf(holistic.EngineMergeSortTree))
-	}
-	compTime := func(e holistic.Engine, frame int) time.Duration {
-		return runWindowed(table, shipdateWindow(slidingRows(frame)), medianOf(e))
+	l := lineitem(n)
+	medianTime := func(a algorithm, frame int) time.Duration {
+		return measure(a, median, l, sliding(frame), 0)
 	}
 
-	type comp struct {
-		e     holistic.Engine
+	comps := []struct {
+		alg   algorithm
 		paper string
-	}
-	comps := []comp{
-		{holistic.EngineNaive, "~130"},
-		{holistic.EngineIncremental, "~700"},
-		{holistic.EngineOSTree, "~20000"},
+	}{
+		{algNaive, "~130"},
+		{algIncremental, "~700"},
+		{algOSTree, "~20000"},
 	}
 	var rows [][]string
 	for _, c := range comps {
 		cross := findCrossover(n, func(frame int) bool {
-			if estimatedOps(c.e, n, frame, true) > quadraticBudget {
+			if c.alg.estimatedOps(median, n, frame) > quadraticBudget {
 				return true // too slow to even measure: definitely behind
 			}
-			return compTime(c.e, frame) > mstTime(frame)
+			return medianTime(c.alg, frame) > medianTime(algMST, frame)
 		})
 		rendered := fmt.Sprintf("%d", cross)
 		if cross >= n {
 			rendered = fmt.Sprintf(">= %d (never crossed)", n)
 		}
-		rows = append(rows, []string{engineName(c.e), rendered, c.paper})
+		rows = append(rows, []string{c.alg.String(), rendered, c.paper})
 	}
 	printTable([]string{"competitor", "loses to MST at frame size", "paper (SF1, 40 threads)"}, rows)
 	fmt.Printf("  (n = %d, framed median; positions shift with the serial/parallel balance, the ordering must not)\n", n)

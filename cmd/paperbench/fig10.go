@@ -1,10 +1,6 @@
 package main
 
-import (
-	"fmt"
-
-	"holistic"
-)
+import "fmt"
 
 // runFig10 reproduces Figure 10: throughput of median, rank, lead and
 // distinct count for increasing input sizes, frame = 5 % of the input. The
@@ -20,33 +16,22 @@ func runFig10() {
 		sizes = append(sizes, 1_600_000, 2_500_000)
 	}
 
-	type fn struct {
-		name  string
-		build func(holistic.Engine) *holistic.Func
-		// linearStep marks functions whose incremental state update is
-		// O(frame) per row (the sorted buffer of the percentile
-		// competitor), not O(1) (the distinct-count hash table).
-		linearStep bool
-		engines    []holistic.Engine
-	}
-	fns := []fn{
-		{"median", medianOf, true, []holistic.Engine{
-			holistic.EngineMergeSortTree, holistic.EngineOSTree,
-			holistic.EngineIncremental, holistic.EngineNaive}},
-		{"rank", rankOf, false, []holistic.Engine{
-			holistic.EngineMergeSortTree, holistic.EngineOSTree, holistic.EngineNaive}},
-		{"lead", leadOf, false, []holistic.Engine{
-			holistic.EngineMergeSortTree, holistic.EngineNaive}},
-		{"distinct count", distinctOf, false, []holistic.Engine{
-			holistic.EngineMergeSortTree, holistic.EngineIncremental, holistic.EngineNaive}},
+	series := []struct {
+		fn   function
+		algs []algorithm
+	}{
+		{median, []algorithm{algMST, algOSTree, algIncremental, algNaive}},
+		{rank, []algorithm{algMST, algOSTree, algNaive}},
+		{lead, []algorithm{algMST, algNaive}},
+		{distinctCount, []algorithm{algMST, algIncremental, algNaive}},
 	}
 
-	for _, f := range fns {
-		fmt.Printf("  -- %s (ORDER BY l_extendedprice%s) --\n", f.name,
-			map[bool]string{true: "", false: ", dedup on l_partkey"}[f.name != "distinct count"])
+	for _, s := range series {
+		fmt.Printf("  -- %v (ORDER BY l_extendedprice%s) --\n", s.fn,
+			map[bool]string{true: "", false: ", dedup on l_partkey"}[s.fn != distinctCount])
 		header := []string{"n", "frame"}
-		for _, e := range f.engines {
-			header = append(header, engineName(e))
+		for _, a := range s.algs {
+			header = append(header, a.String())
 		}
 		var rows [][]string
 		for _, n := range sizes {
@@ -54,45 +39,18 @@ func runFig10() {
 			if frame < 1 {
 				frame = 1
 			}
-			table := lineitem(n).Table()
-			w := shipdateWindow(slidingRows(frame))
 			row := []string{fmt.Sprintf("%d", n), fmt.Sprintf("%d", frame)}
-			for _, e := range f.engines {
-				if estimatedOps(e, n, frame, f.linearStep) > quadraticBudget {
+			for _, a := range s.algs {
+				if a.estimatedOps(s.fn, n, frame) > quadraticBudget {
 					row = append(row, "skip")
 					continue
 				}
-				d := runWindowed(table, w, f.build(e))
+				d := measure(a, s.fn, lineitem(n), sliding(frame), 0)
 				row = append(row, throughput(n, d)+"/s")
 			}
 			rows = append(rows, row)
 		}
 		printTable(header, rows)
 	}
-	fmt.Println("  (engines are skipped once their estimated cost exceeds the budget)")
-}
-
-// estimatedOps approximates an engine's work so hopeless configurations can
-// be skipped instead of burning hours: the naive engine scans n·w values,
-// the incremental engines additionally rebuild their state once per
-// 20 000-row task, and the tree-based sliding state pays a log factor.
-func estimatedOps(e holistic.Engine, n, frame int, linearStep bool) float64 {
-	nf, ff := float64(n), float64(frame)
-	tasks := nf / 20_000
-	if tasks < 1 {
-		tasks = 1
-	}
-	switch e {
-	case holistic.EngineNaive:
-		return nf * ff
-	case holistic.EngineIncremental:
-		if linearStep {
-			return nf * ff / 4 // per-row memmove of the sorted buffer
-		}
-		return 16*nf + 4*tasks*ff
-	case holistic.EngineOSTree:
-		return (16*nf + 4*tasks*ff) * 8
-	default:
-		return 64 * nf
-	}
+	fmt.Println("  (algorithms are skipped once their estimated cost exceeds the budget)")
 }

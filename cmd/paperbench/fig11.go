@@ -20,39 +20,35 @@ func runFig11() {
 	if *full {
 		n = 1_000_000
 	}
-	table := lineitem(n).Table()
+	l := lineitem(n)
 	frames := []int{10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 100_000}
 	if *quick {
 		frames = []int{10, 100, 1_000, 10_000}
 	}
-	engines := []holistic.Engine{
-		holistic.EngineMergeSortTree, holistic.EngineOSTree,
-		holistic.EngineIncremental, holistic.EngineNaive,
-	}
+	algs := []algorithm{algMST, algOSTree, algIncremental, algNaive}
 	header := []string{"frame size"}
-	for _, e := range engines {
-		header = append(header, engineName(e))
+	for _, a := range algs {
+		header = append(header, a.String())
 	}
 	var rows [][]string
 	for _, frame := range frames {
 		if frame > n {
 			continue
 		}
-		w := shipdateWindow(slidingRows(frame))
 		row := []string{fmt.Sprintf("%d", frame)}
-		for _, e := range engines {
-			if estimatedOps(e, n, frame, true) > quadraticBudget {
+		for _, a := range algs {
+			if a.estimatedOps(median, n, frame) > quadraticBudget {
 				row = append(row, "skip")
 				continue
 			}
-			d := runWindowed(table, w, medianOf(e))
+			d := measure(a, median, l, sliding(frame), 0)
 			row = append(row, throughput(n, d)+"/s")
 		}
 		rows = append(rows, row)
 	}
 	// The whole-input default frame, which only the MST handles sensibly.
-	w := shipdateWindow(holistic.Rows(holistic.UnboundedPreceding(), holistic.CurrentRow()))
-	d := runWindowed(table, w, medianOf(holistic.EngineMergeSortTree))
+	unbounded := rowsFrame{frame: holistic.Rows(holistic.UnboundedPreceding(), holistic.CurrentRow())}
+	d := measure(algMST, median, l, unbounded, 0)
 	rows = append(rows, []string{"unbounded", throughput(n, d) + "/s", "skip", "skip", "skip"})
 	printTable(header, rows)
 	fmt.Printf("  (n = %d; paper crossovers on SF1: naive ~130, incremental ~700, order statistic tree ~20000)\n", n)

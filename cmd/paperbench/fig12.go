@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"holistic"
+	"holistic/internal/tpch"
 )
 
 // runFig12 reproduces Figure 12: throughput of a framed median as the
@@ -27,44 +28,45 @@ func runFig12() {
 		n = 400_000
 	}
 	l := lineitem(n)
-	table := l.Table()
-
-	// h(x) per input row (frame bound expressions see original row ids).
-	h := make([]int64, n)
-	for i := 0; i < n; i++ {
-		cents := int64(l.ExtendedPrice[i] * 100)
-		h[i] = cents * 7703 % 499
-		if h[i] < 0 {
-			h[i] += 499
-		}
-	}
-
-	engines := []holistic.Engine{
-		holistic.EngineMergeSortTree, holistic.EngineIncremental, holistic.EngineNaive,
-	}
+	algs := []algorithm{algMST, algIncremental, algNaive}
 	header := []string{"non-monotonicity m"}
-	for _, e := range engines {
-		header = append(header, engineName(e))
+	for _, a := range algs {
+		header = append(header, a.String())
 	}
 	var rows [][]string
 	for _, m := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-		m := m
-		fr := holistic.Rows(
-			holistic.PrecedingBy(func(row int) int64 { return int64(m * float64(h[row])) }),
-			holistic.FollowingBy(func(row int) int64 { return 500 - int64(m*float64(h[row])) }),
-		)
-		w := holistic.Over().OrderBy(holistic.Asc("l_shipdate")).Frame(fr)
 		row := []string{fmt.Sprintf("%.2f", m)}
-		for _, e := range engines {
-			if e == holistic.EngineNaive && float64(n)*501 > quadraticBudget {
+		for _, a := range algs {
+			if a == algNaive && float64(n)*501 > quadraticBudget {
 				row = append(row, "skip")
 				continue
 			}
-			d := runWindowed(table, w, medianOf(e))
+			d := measure(a, median, l, nonMonotonic(l, m), 0)
 			row = append(row, throughput(n, d)+"/s")
 		}
 		rows = append(rows, row)
 	}
 	printTable(header, rows)
 	fmt.Printf("  (n = %d, frame ~501 rows; paper: incremental loses to MST at any m > 0 and drops below naive as m grows)\n", n)
+}
+
+// nonMonotonic is Figure 12's frame at non-monotonicity m: rows between
+// m·h(x) preceding and 500 − m·h(x) following, with h read per input row
+// (frame bound expressions see original row ids).
+func nonMonotonic(l *tpch.Lineitem, m float64) rowsFrame {
+	h := make([]int64, l.Len())
+	for i := range h {
+		cents := int64(l.ExtendedPrice[i] * 100)
+		h[i] = cents * 7703 % 499
+		if h[i] < 0 {
+			h[i] += 499
+		}
+	}
+	preceding := func(row int) int64 { return int64(m * float64(h[row])) }
+	following := func(row int) int64 { return 500 - int64(m*float64(h[row])) }
+	return rowsFrame{
+		frame:     holistic.Rows(holistic.PrecedingBy(preceding), holistic.FollowingBy(following)),
+		preceding: preceding,
+		following: following,
+	}
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sort"
 	"time"
-
-	"holistic"
 )
 
 // runFig9 reproduces Figure 9: a framed median over 20 000 lineitem rows,
@@ -23,7 +21,6 @@ func runFig9() {
 	}
 	const frameSize = 1000
 	l := lineitem(n)
-	table := l.Table()
 
 	// Prices in window (l_shipdate) order, for the plan simulations.
 	order := make([]int, n)
@@ -46,21 +43,16 @@ func runFig9() {
 		d    time.Duration
 	}
 	var rows []row
-	measure := func(name string, fn func()) {
+	simulate := func(name string, fn func()) {
 		rows = append(rows, row{name, timeIt(fn)})
 	}
 
-	measure("SQL self-join (simulated plan)", func() { sqlSelfJoinMedian(prices, frameSize) })
-	measure("SQL correlated subquery (simulated plan)", func() { sqlCorrelatedMedian(prices, frameSize) })
-	measure("client-side evaluation (simulated)", func() { clientSideMedian(prices, frameSize) })
+	simulate("SQL self-join (simulated plan)", func() { sqlSelfJoinMedian(prices, frameSize) })
+	simulate("SQL correlated subquery (simulated plan)", func() { sqlCorrelatedMedian(prices, frameSize) })
+	simulate("client-side evaluation (simulated)", func() { clientSideMedian(prices, frameSize) })
 
-	w := shipdateWindow(slidingRows(frameSize))
-	for _, e := range []holistic.Engine{holistic.EngineNaive, holistic.EngineIncremental, holistic.EngineOSTree, holistic.EngineMergeSortTree} {
-		e := e
-		measure("native "+engineName(e), func() {
-			_, err := holistic.Run(table, w, medianOf(e))
-			die(err)
-		})
+	for _, a := range []algorithm{algNaive, algIncremental, algOSTree, algMST} {
+		rows = append(rows, row{"native " + a.String(), measure(a, median, l, sliding(frameSize), 0)})
 	}
 
 	out := make([][]string, len(rows))

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"holistic"
 	"holistic/internal/tpch"
@@ -28,57 +27,10 @@ func lineitem(n int) *tpch.Lineitem {
 	return l
 }
 
-// slidingRows is ROWS BETWEEN size-1 PRECEDING AND CURRENT ROW over
-// l_shipdate — the experiments' standard frame.
-func slidingRows(size int) holistic.Frame {
-	return holistic.Rows(holistic.Preceding(int64(size-1)), holistic.CurrentRow())
-}
-
 func shipdateWindow(f holistic.Frame) *holistic.Window {
 	return holistic.Over().OrderBy(holistic.Asc("l_shipdate")).Frame(f)
 }
 
-// figure-10 function set: the four functions the paper plots.
-func medianOf(e holistic.Engine) *holistic.Func {
-	return holistic.MedianDisc(holistic.Asc("l_extendedprice")).WithEngine(e).As("out")
-}
-
-func rankOf(e holistic.Engine) *holistic.Func {
-	return holistic.Rank(holistic.Asc("l_extendedprice")).WithEngine(e).As("out")
-}
-
-func leadOf(e holistic.Engine) *holistic.Func {
-	return holistic.Lead("l_extendedprice", 1, holistic.Asc("l_extendedprice")).WithEngine(e).As("out")
-}
-
-func distinctOf(e holistic.Engine) *holistic.Func {
-	return holistic.CountDistinct("l_partkey").WithEngine(e).As("out")
-}
-
-// runWindowed measures one windowed query end to end.
-func runWindowed(t *holistic.Table, w *holistic.Window, f *holistic.Func) time.Duration {
-	return timeIt(func() {
-		_, err := holistic.Run(t, w, f)
-		die(err)
-	})
-}
-
-// quadraticBudget caps n·frameSize for the O(n·w) engines so runs stay
+// quadraticBudget caps n·frameSize for the O(n·w) algorithms so runs stay
 // bounded; beyond it the experiment prints "skip".
 const quadraticBudget = 4e9
-
-func engineName(e holistic.Engine) string {
-	switch e {
-	case holistic.EngineMergeSortTree:
-		return "merge sort tree"
-	case holistic.EngineIncremental:
-		return "incremental"
-	case holistic.EngineNaive:
-		return "naive"
-	case holistic.EngineOSTree:
-		return "order stat tree"
-	case holistic.EngineSegmentTree:
-		return "segment tree"
-	}
-	return "?"
-}

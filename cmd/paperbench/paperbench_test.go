@@ -1,10 +1,12 @@
 package main
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"holistic"
+	"holistic/internal/tpch"
 )
 
 func TestPlanSimulationsAgree(t *testing.T) {
@@ -71,15 +73,63 @@ func TestInterpretedExpr(t *testing.T) {
 }
 
 func TestEstimatedOps(t *testing.T) {
-	// The naive engine must always look more expensive than the MST, and
-	// incremental selects (linear step) more expensive than incremental
-	// counts.
+	// The naive scan must always look more expensive than the MST, and the
+	// incremental median (linear step) more expensive than the incremental
+	// distinct count (constant step).
 	n, frame := 400_000, 20_000
-	if estimatedOps(holistic.EngineNaive, n, frame, false) <= estimatedOps(holistic.EngineMergeSortTree, n, frame, false) {
+	if algNaive.estimatedOps(median, n, frame) <= algMST.estimatedOps(median, n, frame) {
 		t.Fatal("naive must estimate above MST")
 	}
-	if estimatedOps(holistic.EngineIncremental, n, frame, true) <= estimatedOps(holistic.EngineIncremental, n, frame, false) {
+	if algIncremental.estimatedOps(median, n, frame) <= algIncremental.estimatedOps(distinctCount, n, frame) {
 		t.Fatal("linear-step incremental must estimate above constant-step")
+	}
+}
+
+// TestBaselinesMatchMST runs every (function, baseline) pair the figures
+// measure and demands the holistic.Run column value for value: sliding
+// frames of 1, 37 and 500 rows and Figure 12's non-monotonic frame, as one
+// task (Table 1, the ablation) and in tasks smaller than the input, so task
+// boundaries start from empty state mid-input.
+func TestBaselinesMatchMST(t *testing.T) {
+	l := tpch.GenerateLineitem(3000, 5)
+	table := l.Table()
+	pairs := map[function][]algorithm{
+		median:        {algIncremental, algNaive, algOSTree, algSegTree},
+		rank:          {algOSTree, algNaive},
+		lead:          {algNaive},
+		distinctCount: {algIncremental, algNaive},
+	}
+	frames := map[string]rowsFrame{
+		"rows 1": sliding(1), "rows 37": sliding(37), "rows 500": sliding(500),
+		"fig12 m=0.5": nonMonotonic(l, 0.5),
+	}
+	for name, fr := range frames {
+		for fn, algs := range pairs {
+			res, err := holistic.Run(table, shipdateWindow(fr.frame), fn.mst())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := res.Column("out")
+			for _, a := range algs {
+				for _, taskSize := range []int{l.Len(), 700} {
+					got := runBaseline(l, a, fn, fr, taskSize)
+					for row, v := range got {
+						var w float64
+						switch {
+						case want.IsNull(row):
+							w = math.NaN()
+						case want.Kind() == holistic.Float64:
+							w = want.Float64(row)
+						default:
+							w = float64(want.Int64(row))
+						}
+						if v != w && !(math.IsNaN(v) && math.IsNaN(w)) {
+							t.Fatalf("%s %v on %v, tasks of %d: row %d = %v, MST %v", name, fn, a, taskSize, row, v, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

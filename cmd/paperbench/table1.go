@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"holistic"
 	"holistic/internal/parallel"
 )
 
@@ -25,48 +24,41 @@ func runTable1() {
 	n1 := 2 * n0
 
 	type entry struct {
-		agg     string
-		build   func(holistic.Engine) *holistic.Func
-		engine  holistic.Engine
-		theory  string
-		growing bool // frame grows with n (5 %), the Table 1 scenario
+		agg    string
+		fn     function
+		alg    algorithm
+		theory string
 	}
 	entries := []entry{
-		{"dist. count", distinctOf, holistic.EngineIncremental, "O(n) serial", true},
-		{"dist. count", distinctOf, holistic.EngineMergeSortTree, "O(n log n)", true},
-		{"percentile", medianOf, holistic.EngineIncremental, "O(n^2)", true},
-		{"percentile", medianOf, holistic.EngineNaive, "O(n^2)", true},
-		{"percentile", medianOf, holistic.EngineSegmentTree, "O(n log^2 n)", true},
-		{"percentile", medianOf, holistic.EngineOSTree, "O(n log n)", true},
-		{"percentile", medianOf, holistic.EngineMergeSortTree, "O(n log n)", true},
-		{"rank", rankOf, holistic.EngineOSTree, "O(n log n)", true},
-		{"rank", rankOf, holistic.EngineMergeSortTree, "O(n log n)", true},
+		{"dist. count", distinctCount, algIncremental, "O(n) serial"},
+		{"dist. count", distinctCount, algMST, "O(n log n)"},
+		{"percentile", median, algIncremental, "O(n^2)"},
+		{"percentile", median, algNaive, "O(n^2)"},
+		{"percentile", median, algSegTree, "O(n log^2 n)"},
+		{"percentile", median, algOSTree, "O(n log n)"},
+		{"percentile", median, algMST, "O(n log n)"},
+		{"rank", rank, algOSTree, "O(n log n)"},
+		{"rank", rank, algMST, "O(n log n)"},
 	}
 
 	prev := parallel.SetMaxWorkers(1)
 	defer parallel.SetMaxWorkers(prev)
 
-	measure := func(e entry, n int) time.Duration {
-		frame := n / 20
-		table := lineitem(n).Table()
-		w := shipdateWindow(slidingRows(frame))
-		// Whole input as one task: isolates the serial algorithm from the
-		// task-rebuild effect, which Table 1's serial column excludes.
-		opt := holistic.Options{TaskSize: n}
-		return timeIt(func() {
-			_, err := holistic.RunOptions(table, w, opt, e.build(e.engine))
-			die(err)
-		})
+	// The frame grows with n (5 %), the Table 1 scenario. The whole input
+	// runs as one task: that isolates the serial algorithm from the
+	// task-rebuild effect, which Table 1's serial column excludes.
+	run := func(e entry, n int) time.Duration {
+		return measure(e.alg, e.fn, lineitem(n), sliding(n/20), n)
 	}
 
 	header := []string{"aggregate", "algorithm", "theory (serial)", fmt.Sprintf("t(n=%d)", n0), fmt.Sprintf("t(n=%d)", n1), "growth", "log2(growth)"}
 	var rows [][]string
 	for _, e := range entries {
-		d0 := measure(e, n0)
-		d1 := measure(e, n1)
+		d0 := run(e, n0)
+		d1 := run(e, n1)
 		g := d1.Seconds() / d0.Seconds()
 		rows = append(rows, []string{
-			e.agg, engineName(e.engine), e.theory,
+			e.agg, e.alg.String(), e.theory,
 			d0.Round(time.Millisecond).String(), d1.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.2fx", g), fmt.Sprintf("%.2f", math.Log2(g)),
 		})

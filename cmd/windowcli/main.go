@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"strconv"
 	"strings"
@@ -66,7 +67,6 @@ var (
 	fraction  = flag.Float64("p", 0.5, "percentile fraction")
 	nArg      = flag.Int64("n", 1, "n for ntile / nth_value / lead / lag offsets")
 	asName    = flag.String("as", "result", "output column name")
-	engine    = flag.String("engine", "mst", "engine: mst, incremental, naive, ostree, segtree")
 	query     = flag.String("query", "", "full SQL statement (paper dialect); overrides the per-function flags; FROM must name 'csv'")
 	explain   = flag.Bool("explain", false, "with -query: print the evaluation plan instead of running")
 	trace     = flag.Bool("trace", false, "print the evaluation's span tree (phases, per-function evals, workers) to stderr")
@@ -128,7 +128,8 @@ func main() {
 // evalLocal evaluates -query, or the function the flags describe, over file.
 // Beside the result it returns which of its columns render as ISO dates: on
 // the -func path input columns keep their names, so the file's date columns
-// apply as they are; a statement can rename and derive columns, so its
+// apply as they are, and the -as column is a date when the function returns
+// a date column's values; a statement can rename and derive columns, so its
 // outputs resolve their own (sqlparse.DateOutputs).
 func evalLocal(file *csvio.File) (*holistic.Table, map[string]bool, error) {
 	var opts []holistic.Option
@@ -146,7 +147,12 @@ func evalLocal(file *csvio.File) (*holistic.Table, map[string]bool, error) {
 			dates, err = sqlDateOutputs(*query, file.DateColumns)
 		}
 	} else {
-		result, err = runFlags(file.Table, opts)
+		var valueCol string
+		result, valueCol, err = runFlags(file.Table, opts)
+		if dates[valueCol] {
+			dates = maps.Clone(dates)
+			dates[*asName] = true
+		}
 	}
 	if root != nil {
 		root.End()
@@ -388,8 +394,10 @@ func runRemote() error {
 }
 
 // runFlags evaluates the single function described by the flags and returns
-// the input columns plus the result column.
-func runFlags(table *holistic.Table, opts []holistic.Option) (*holistic.Table, error) {
+// the input columns plus the result column, and the column whose values the
+// function returns unchanged (Func.ValueColumn; empty when it computes new
+// ones).
+func runFlags(table *holistic.Table, opts []holistic.Option) (*holistic.Table, string, error) {
 	w := holistic.Over()
 	if *partition != "" {
 		w.PartitionBy(strings.Split(*partition, ",")...)
@@ -399,22 +407,23 @@ func runFlags(table *holistic.Table, opts []holistic.Option) (*holistic.Table, e
 	}
 	fr, err := parseFrame()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	w.Frame(fr)
 
 	fn, err := buildFunc()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	fn = fn.As(*asName).WithEngine(parseEngine(*engine))
+	fn = fn.As(*asName)
 
 	res, err := holistic.RunWith(table, w, []*holistic.Func{fn}, opts...)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	cols := append(append([]*holistic.Column{}, table.Columns()...), res.Column(*asName))
-	return holistic.NewTable(cols...)
+	out, err := holistic.NewTable(cols...)
+	return out, fn.ValueColumn(), err
 }
 
 func parseSortKey(s string) holistic.SortKey {
@@ -422,21 +431,6 @@ func parseSortKey(s string) holistic.SortKey {
 		return holistic.Desc(s[1:])
 	}
 	return holistic.Asc(s)
-}
-
-func parseEngine(s string) holistic.Engine {
-	switch s {
-	case "incremental":
-		return holistic.EngineIncremental
-	case "naive":
-		return holistic.EngineNaive
-	case "ostree":
-		return holistic.EngineOSTree
-	case "segtree":
-		return holistic.EngineSegmentTree
-	default:
-		return holistic.EngineMergeSortTree
-	}
 }
 
 func parseBound(s string, preceding bool) (holistic.Bound, error) {

@@ -18,22 +18,6 @@ func TestParseSortKey(t *testing.T) {
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	cases := map[string]holistic.Engine{
-		"mst":         holistic.EngineMergeSortTree,
-		"incremental": holistic.EngineIncremental,
-		"naive":       holistic.EngineNaive,
-		"ostree":      holistic.EngineOSTree,
-		"segtree":     holistic.EngineSegmentTree,
-		"anything":    holistic.EngineMergeSortTree,
-	}
-	for s, want := range cases {
-		if got := parseEngine(s); got != want {
-			t.Fatalf("parseEngine(%q) = %v", s, got)
-		}
-	}
-}
-
 func TestParseBound(t *testing.T) {
 	same := func(a, b holistic.Bound) bool {
 		return a.Type == b.Type && a.Offset == b.Offset
@@ -102,9 +86,12 @@ func TestRunFlagsEndToEnd(t *testing.T) {
 	*partition = ""
 	*exclude = ""
 	defer func() { *orderBy, *funcName, *value = "", "", "" }()
-	res, err := runFlags(table, nil)
+	res, valueCol, err := runFlags(table, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if valueCol != "" {
+		t.Fatalf("count_distinct returns new values, got value column %q", valueCol)
 	}
 	if res.Column("cd") == nil || res.Column("d") == nil {
 		t.Fatal("result must contain input plus the new column")
@@ -146,6 +133,40 @@ func TestLocalDateOutputs(t *testing.T) {
 		}
 		if out.String() != tc.want {
 			t.Fatalf("%s\ngot:\n%swant:\n%s", tc.sql, out.String(), tc.want)
+		}
+	}
+}
+
+// TestFuncDateOutputs runs single functions through the local -func path: a
+// function that returns a date column's values (FIRST_VALUE, MIN) prints ISO
+// dates under its -as name, one that counts (COUNT(DISTINCT)) prints numbers.
+func TestFuncDateOutputs(t *testing.T) {
+	file, err := csvio.Read(strings.NewReader("d,v\n2024-01-01,10\n2024-01-02,20\n2024-01-03,10\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	*orderBy, *mode, *preceding, *following, *partition, *exclude, *value = "d", "rows", "1", "current", "", "", "d"
+	defer func() { *orderBy, *funcName, *value, *asName = "", "", "", "result" }()
+	cases := []struct{ fn, want string }{
+		{"first_value", "d,v,out\n2024-01-01,10,2024-01-01\n2024-01-02,20,2024-01-01\n2024-01-03,10,2024-01-02\n"},
+		{"min", "d,v,out\n2024-01-01,10,2024-01-01\n2024-01-02,20,2024-01-01\n2024-01-03,10,2024-01-02\n"},
+		{"count_distinct", "d,v,out\n2024-01-01,10,1\n2024-01-02,20,2\n2024-01-03,10,2\n"},
+	}
+	for _, tc := range cases {
+		*funcName, *asName = tc.fn, "out"
+		result, dates, err := evalLocal(file)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.fn, err)
+		}
+		var out bytes.Buffer
+		if err := csvio.Write(&out, result, dates); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != tc.want {
+			t.Fatalf("-func %s\ngot:\n%swant:\n%s", tc.fn, out.String(), tc.want)
+		}
+		if file.DateColumns["out"] {
+			t.Fatal("evalLocal must not mark -as in the file's own date set")
 		}
 	}
 }

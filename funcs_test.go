@@ -58,7 +58,7 @@ func TestEveryBuilderRuns(t *testing.T) {
 		Lead("s", 1, Asc("v")).As("f24"),
 		Lag("s", 2, Asc("v")).As("f25"),
 		Sum("v").WithFrame(WholePartition()).As("f26"),
-		Max("v").WithEngine(EngineSegmentTree).As("f27"),
+		Max("v").As("f27"),
 		AscNullsFirstProbe(table),
 	}
 	res, err := Run(table, w, funcs...)

@@ -23,11 +23,12 @@
 // evaluates the paper's motivating monthly-active-users query. The result
 // holds one column per function, aligned with the input row order.
 //
-// Besides the merge sort tree (the default), every function can run on the
-// competitor engines the paper evaluates against — naive recomputation,
-// Wesley & Xu's incremental algorithms, order statistic trees and segment
-// trees — selected per function with WithEngine; the benchmark harness in
-// cmd/paperbench reproduces the paper's figures with them.
+// Every holistic function runs on its merge sort tree (SUM, AVG, MIN and MAX
+// on a segment tree); there is no other evaluation strategy to pick. The
+// competitors the paper evaluates against — naive recomputation, Wesley &
+// Xu's incremental algorithms, order statistic trees and sorted-list segment
+// trees — are baselines, which the benchmark harness in cmd/paperbench
+// drives directly to reproduce the paper's figures.
 package holistic
 
 import (
@@ -101,22 +102,9 @@ func DescNullsLast(column string) SortKey {
 	return SortKey{Column: column, Desc: true, NullsSmallest: true}
 }
 
-// Engine selects a per-function evaluation strategy.
-type Engine = core.Engine
-
-// Evaluation engines: the merge sort tree (default, the paper's
-// contribution) and the competitors of §5.5.
-const (
-	EngineMergeSortTree = core.EngineMergeSortTree
-	EngineIncremental   = core.EngineIncremental
-	EngineNaive         = core.EngineNaive
-	EngineOSTree        = core.EngineOSTree
-	EngineSegmentTree   = core.EngineSegmentTree
-)
-
 // Options tunes execution; the zero value uses the paper's defaults
 // (f = k = 32 merge sort trees, 20 000-row tasks). The functional options
-// (WithTrace, WithCache, WithEngine, ...) build the same struct — see
+// (WithTrace, WithCache, WithTree, ...) build the same struct — see
 // NewOptions and RunWith.
 type Options = core.Options
 
@@ -184,11 +172,11 @@ func (f *Func) WithFrame(fr Frame) *Func {
 	return f
 }
 
-// WithEngine selects the evaluation engine for this function.
-func (f *Func) WithEngine(e Engine) *Func {
-	f.spec.Engine = e
-	return f
-}
+// ValueColumn names the column whose values the function returns unchanged
+// (MIN, MAX, PERCENTILE_DISC, the value functions, LEAD and LAG), so its
+// result reads like that column, for example as a date. It is empty for
+// functions that compute a new quantity.
+func (f *Func) ValueColumn() string { return f.spec.ValueColumn() }
 
 // Run evaluates the functions over the table under the window
 // specification with default options.

@@ -157,13 +157,6 @@ func treeSig(o mst.Options) string {
 		b.WriteString(",sp")
 		b.WriteString(strconv.Itoa(o.SpillRows))
 	}
-	if o.Tuning != nil {
-		// A tuner rewrites zero Fanout/SampleEvery per partition size, so
-		// trees built under different tuner tables (or with and without one)
-		// must not alias — the tuner's signature becomes part of every key.
-		b.WriteString(",tn:")
-		b.WriteString(o.Tuning.Sig())
-	}
 	return b.String()
 }
 

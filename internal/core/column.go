@@ -1,8 +1,8 @@
 // Package core implements the window operator that ties the paper's pieces
 // together (§5): it partitions and orders the input, runs the per-function
-// preprocessing (package preprocess), builds the chosen index structure
-// (merge sort tree, segment tree, order statistic tree, or the incremental
-// competitors), and probes it for every row, in parallel, with SQL NULL,
+// preprocessing (package preprocess), builds each function's index
+// structure (a merge sort tree or range tree; a segment tree for SUM, AVG,
+// MIN and MAX), and probes it for every row, in parallel, with SQL NULL,
 // FILTER, IGNORE NULLS and frame-exclusion semantics.
 package core
 

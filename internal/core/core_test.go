@@ -230,68 +230,6 @@ func TestOperatorAgainstReferenceRandomized(t *testing.T) {
 	}.run(t)
 }
 
-func TestCompetitorEnginesAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 6; trial++ {
-		n := []int{5, 30, 50}[trial%3]
-		tab := randTable(rng, n)
-		fs := randFrame(rng)
-		fs.Exclude = frame.ExcludeNoOthers // competitors reject exclusion
-		w := &WindowSpec{
-			OrderBy:  []SortKey{{Column: "d"}},
-			Frame:    fs,
-			FrameSet: true,
-		}
-		if trial%2 == 0 {
-			w.PartitionBy = []string{"g"}
-		}
-		type combo struct {
-			f FuncSpec
-			e Engine
-		}
-		var combos []combo
-		add := func(f FuncSpec, engines ...Engine) {
-			for _, e := range engines {
-				f := f
-				f.Engine = e
-				f.Output = fmt.Sprintf("%s_%v", f.Output, e)
-				combos = append(combos, combo{f, e})
-			}
-		}
-		ordV := []SortKey{{Column: "v"}}
-		add(FuncSpec{Name: CountDistinct, Output: "cd", Arg: "v"}, EngineIncremental, EngineNaive)
-		add(FuncSpec{Name: CountDistinct, Output: "cds", Arg: "s", Filter: "flt"}, EngineIncremental, EngineNaive)
-		add(FuncSpec{Name: SumDistinct, Output: "sd", Arg: "v"}, EngineNaive)
-		add(FuncSpec{Name: AvgDistinct, Output: "ad", Arg: "fv"}, EngineNaive)
-		add(FuncSpec{Name: Rank, Output: "rk", OrderBy: ordV}, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: DenseRank, Output: "dr", OrderBy: ordV}, EngineNaive)
-		add(FuncSpec{Name: PercentRank, Output: "pr", OrderBy: ordV}, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: RowNumber, Output: "rn", OrderBy: ordV, Filter: "flt"}, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: CumeDist, Output: "cdist", OrderBy: ordV}, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: Ntile, Output: "nt", N: 3, OrderBy: ordV}, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: PercentileDisc, Output: "pd", Fraction: 0.5, OrderBy: ordV}, EngineIncremental, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: PercentileCont, Output: "pc", Fraction: 0.25, OrderBy: []SortKey{{Column: "fv"}}}, EngineIncremental, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: NthValue, Output: "nv", Arg: "s", N: 2, OrderBy: ordV}, EngineIncremental, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: FirstValue, Output: "fvx", Arg: "v", OrderBy: ordV, IgnoreNulls: true}, EngineIncremental, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: LastValue, Output: "lv", Arg: "fv", OrderBy: ordV}, EngineIncremental, EngineNaive, EngineOSTree, EngineSegmentTree)
-		add(FuncSpec{Name: Lead, Output: "ld", Arg: "v", N: 1, OrderBy: ordV}, EngineNaive)
-		add(FuncSpec{Name: Lag, Output: "lg", Arg: "s", N: 1, OrderBy: ordV}, EngineNaive)
-		add(FuncSpec{Name: Sum, Output: "sm", Arg: "v"}, EngineSegmentTree, EngineNaive)
-		add(FuncSpec{Name: Min, Output: "mn", Arg: "fv"}, EngineSegmentTree)
-
-		for _, c := range combos {
-			w.Funcs = []FuncSpec{c.f}
-			res, err := Run(tab, w, Options{TaskSize: 16})
-			if err != nil {
-				t.Fatalf("trial %d %v engine %v: %v", trial, c.f.Name, c.e, err)
-			}
-			label := fmt.Sprintf("trial %d %v engine %v frame{%v %v/%v}",
-				trial, c.f.Name, c.e, fs.Mode, fs.Start.Type, fs.End.Type)
-			compareToReference(t, tab, w, &w.Funcs[0], res.Column(c.f.Output), label)
-		}
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	tab := randTable(rand.New(rand.NewSource(1)), 5)
 	cases := []WindowSpec{
@@ -313,16 +251,6 @@ func TestValidationErrors(t *testing.T) {
 			Frame:    frame.Spec{Mode: frame.Range, Start: frame.Bound{Type: frame.Preceding, Offset: 1}, End: frame.Bound{Type: frame.CurrentRow}},
 			FrameSet: true,
 			Funcs:    []FuncSpec{{Name: CountStar, Output: "x"}},
-		},
-		{ // exclusion with a competitor engine
-			OrderBy:  []SortKey{{Column: "d"}},
-			Frame:    frame.Spec{Mode: frame.Rows, Start: frame.Bound{Type: frame.UnboundedPreceding}, End: frame.Bound{Type: frame.CurrentRow}, Exclude: frame.ExcludeCurrentRow},
-			FrameSet: true,
-			Funcs:    []FuncSpec{{Name: CountDistinct, Output: "x", Arg: "v", Engine: EngineIncremental}},
-		},
-		{ // unsupported function for engine
-			OrderBy: []SortKey{{Column: "d"}},
-			Funcs:   []FuncSpec{{Name: CountDistinct, Output: "x", Arg: "v", Engine: EngineOSTree}},
 		},
 	}
 	for i, w := range cases {

@@ -25,12 +25,6 @@ type Options struct {
 	// and ends it; Run only attaches children. A nil Trace disables tracing
 	// at zero allocation cost on the probe path.
 	Trace *obs.Span
-	// DefaultEngine substitutes the evaluation engine for every function
-	// whose Engine field was left at the zero value. The zero value *is*
-	// the merge sort tree, so setting DefaultEngine to
-	// EngineMergeSortTree (or leaving it zero) changes nothing, and
-	// per-function competitor engine choices always win over the default.
-	DefaultEngine Engine
 	// Workers, when > 0, caps the number of parallel workers used by this
 	// run's context-aware loops, below the process-wide limit
 	// (parallel.SetMaxWorkers). The cap travels in the run's context, so
@@ -81,15 +75,6 @@ type Options struct {
 	// performance comparisons and as an escape hatch. It is consulted by
 	// internal/plan, not by Run itself.
 	NoSharedPlan bool
-}
-
-// engineFor resolves the engine a function runs on: its own choice, or the
-// run's default when it left the field at the zero value.
-func (o Options) engineFor(f *FuncSpec) Engine {
-	if f.Engine == EngineMergeSortTree {
-		return o.DefaultEngine // zero value: still the merge sort tree
-	}
-	return f.Engine
 }
 
 func (o Options) taskSize() int {
@@ -251,7 +236,6 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 			outs[wi][i] = newOutBuilder(f.Output, outputKind(t, f), n)
 			sp := root.Accumulator("eval")
 			sp.Set("function", f.Name.String())
-			sp.Set("engine", opt.engineFor(f).String())
 			sp.SetInt("partitions", int64(len(parts)))
 			sp.SetInt("rows", int64(n))
 			fopt := opt
@@ -452,10 +436,9 @@ func percentileValueColumn(f *FuncSpec) string {
 	return f.OrderBy[0].Column
 }
 
-// evalFunc evaluates one function over one partition with the selected
-// engine, as one entry into the function's "eval" span (opt.trace).
+// evalFunc evaluates one function over one partition, as one entry into the
+// function's "eval" span (opt.trace).
 func evalFunc(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
-	eng := opt.engineFor(f)
 	if sp := opt.trace.Enter(); sp != nil {
 		defer sp.End()
 		opt.trace = sp
@@ -465,15 +448,7 @@ func evalFunc(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
 	if err != nil {
 		return err
 	}
-	switch eng {
-	case EngineMergeSortTree:
-		return evalMST(p, f, fc, out, opt)
-	case EngineNaive, EngineIncremental, EngineOSTree:
-		return evalCompetitor(p, f, fc, out, opt)
-	case EngineSegmentTree:
-		return evalSegTree(p, f, fc, out, opt)
-	}
-	return fmt.Errorf("unknown engine %v", eng)
+	return evalMST(p, f, fc, out, opt)
 }
 
 // forEachRow runs body over all partition rows in parallel tasks; body is

@@ -260,19 +260,6 @@ func (p *partition) sortedByFuncOrder(f *FuncSpec, opt Options) ([]int32, error)
 	return sorted, nil
 }
 
-// argEqual returns an equality predicate on the function's argument column
-// (NULL equals NULL, as DISTINCT requires).
-func (p *partition) argEqual(f *FuncSpec) func(a, b int) bool {
-	col := p.t.Column(f.Arg)
-	return func(a, b int) bool { return col.equalAt(p.orig(a), p.orig(b)) }
-}
-
-// argCompare returns a comparator on the function's argument column.
-func (p *partition) argCompare(f *FuncSpec) func(a, b int) int {
-	col := p.t.Column(f.Arg)
-	return func(a, b int) int { return col.Compare(p.orig(a), p.orig(b), false, true) }
-}
-
 // includeMask computes the function's inclusion mask over partition-local
 // positions, or nil when every row is included. dropNullCol optionally names
 // a column whose NULL rows are excluded (argument NULLs for aggregates,

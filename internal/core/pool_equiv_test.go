@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"holistic/internal/mst"
@@ -62,44 +60,4 @@ func TestPoolEquivalenceRandomized(t *testing.T) {
 		taskSize: 64,
 		rerun:    true,
 	}.run(t)
-}
-
-// TestPoolEquivalenceAllEngines repeats the check for the competitor engines
-// that share newFiltered's pooled inclusion masks.
-func TestPoolEquivalenceAllEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 4; trial++ {
-		n := []int{8, 40}[trial%2]
-		tab := randTable(rng, n)
-		fs := randFrame(rng)
-		fs.Exclude = 0 // competitors reject exclusion
-		w := &WindowSpec{
-			OrderBy:  []SortKey{{Column: "d"}},
-			Frame:    fs,
-			FrameSet: true,
-		}
-		ordV := []SortKey{{Column: "v"}}
-		w.Funcs = []FuncSpec{
-			{Name: CountDistinct, Output: "c1", Arg: "v", Engine: EngineIncremental, Filter: "flt"},
-			{Name: CountDistinct, Output: "c2", Arg: "v", Engine: EngineNaive, Filter: "flt"},
-			{Name: Rank, Output: "r1", OrderBy: ordV, Engine: EngineOSTree},
-			{Name: Rank, Output: "r2", OrderBy: ordV, Engine: EngineSegmentTree},
-			{Name: FirstValue, Output: "f1", Arg: "s", OrderBy: ordV, Engine: EngineSegmentTree, Filter: "flt"},
-			{Name: FirstValue, Output: "f2", Arg: "s", OrderBy: ordV, Engine: EngineNaive, Filter: "flt"},
-		}
-		first, err := Run(tab, w, Options{TaskSize: 16})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		again, err := Run(tab, w, Options{TaskSize: 16})
-		if err != nil {
-			t.Fatalf("trial %d rerun: %v", trial, err)
-		}
-		for i := range w.Funcs {
-			f := &w.Funcs[i]
-			label := fmt.Sprintf("trial %d engine %v %v", trial, f.Engine, f.Name)
-			compareToReference(t, tab, w, f, first.Column(f.Output), label)
-			assertColumnsIdentical(t, label+" rerun", again.Column(f.Output), first.Column(f.Output))
-		}
-	}
 }

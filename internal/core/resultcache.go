@@ -28,9 +28,9 @@ import (
 // The one exception is per-row frame offset expressions (Bound.OffsetFn):
 // they are keyed by the row's id in the merged table, which shifts when a
 // delete elsewhere renumbers later rows, so a frame using them is evaluated
-// fresh every epoch. Everything else — engine choice, batching, pooling —
-// is result-invariant (enforced by the equivalence suites) but the engine
-// still appears in the key so engine-comparison runs measure real work.
+// fresh every epoch. Everything else — batching, pooling — is
+// result-invariant (enforced by the equivalence suites) and stays out of the
+// key.
 
 // cachedResult is one function's finished output over one partition, stored
 // in partition sort order (positional, not by row id: merged row ids shift
@@ -112,11 +112,9 @@ func (r *cachedResult) scatter(out *outBuilder, rows []int32) {
 // probe-time parameters, and the fully-resolved frame. Unlike the structure
 // keys (which deliberately drop probe-time parameters to share trees), a
 // result key must include all of them.
-func funcProbeSig(p *partition, f *FuncSpec, spec frame.Spec, eng Engine) string {
+func funcProbeSig(p *partition, f *FuncSpec, spec frame.Spec) string {
 	var b strings.Builder
 	b.WriteString(f.Name.String())
-	b.WriteByte('|')
-	b.WriteString(eng.String())
 	b.WriteString("|a=")
 	b.WriteString(strconv.Quote(f.Arg))
 	b.WriteString("|o=")
@@ -157,7 +155,7 @@ func evalFuncCached(p *partition, f *FuncSpec, out *outBuilder, opt Options) err
 		return evalFunc(p, f, out, opt)
 	}
 	evaluated := false
-	res, err := cacheGet(opt, p.cacheKey("result", funcProbeSig(p, f, spec, opt.engineFor(f))), func() (*cachedResult, int64, error) {
+	res, err := cacheGet(opt, p.cacheKey("result", funcProbeSig(p, f, spec)), func() (*cachedResult, int64, error) {
 		evaluated = true
 		if err := evalFunc(p, f, out, opt); err != nil {
 			return nil, 0, err

@@ -28,7 +28,7 @@ const (
 	CountStar FuncName = iota
 	// Count is COUNT(x) — non-NULL arguments in the frame.
 	Count
-	// Sum is SUM(x) over the frame (segment tree engine by default).
+	// Sum is SUM(x) over the frame, evaluated with a segment tree.
 	Sum
 	// Avg is AVG(x) over the frame.
 	Avg
@@ -89,42 +89,6 @@ func (f FuncName) String() string {
 	return fmt.Sprintf("FuncName(%d)", int(f))
 }
 
-// Engine selects the evaluation strategy for one window function.
-type Engine int
-
-const (
-	// EngineMergeSortTree is the paper's contribution and the default; it
-	// supports every function and frame shape.
-	EngineMergeSortTree Engine = iota
-	// EngineIncremental is Wesley & Xu's incremental algorithm
-	// (distinct counts, percentiles, value selection).
-	EngineIncremental
-	// EngineNaive recomputes every frame from scratch.
-	EngineNaive
-	// EngineOSTree maintains the frame in a counted B-tree (rank,
-	// percentile and value selection).
-	EngineOSTree
-	// EngineSegmentTree uses a segment tree: plain for distributive
-	// aggregates, sorted-list-annotated for percentiles and ranks (§3.2).
-	EngineSegmentTree
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineMergeSortTree:
-		return "mst"
-	case EngineIncremental:
-		return "incremental"
-	case EngineNaive:
-		return "naive"
-	case EngineOSTree:
-		return "ostree"
-	case EngineSegmentTree:
-		return "segtree"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
 // FuncSpec is one window function invocation.
 type FuncSpec struct {
 	// Name is the function.
@@ -154,8 +118,6 @@ type FuncSpec struct {
 	IgnoreNulls bool
 	// Frame overrides the window-level frame for this function.
 	Frame *frame.Spec
-	// Engine picks the evaluation strategy (default merge sort tree).
-	Engine Engine
 }
 
 // WindowSpec describes one OVER clause and the functions evaluated over it.
@@ -276,46 +238,7 @@ func (f *FuncSpec) validate(t *Table, w *WindowSpec) error {
 	if err := fr.Validate(); err != nil {
 		return fmt.Errorf("core: %v (%s): %w", f.Name, f.Output, err)
 	}
-	if f.Engine != EngineMergeSortTree {
-		if fr.Exclude != frame.ExcludeNoOthers {
-			return fmt.Errorf("core: %v (%s): engine %v does not support frame exclusion", f.Name, f.Output, f.Engine)
-		}
-		if !engineSupports(f.Engine, f.Name) {
-			return fmt.Errorf("core: %v (%s): not supported by engine %v", f.Name, f.Output, f.Engine)
-		}
-	}
 	return nil
-}
-
-// engineSupports encodes Table 1's coverage: which competitor evaluates
-// which function.
-func engineSupports(e Engine, f FuncName) bool {
-	switch e {
-	case EngineMergeSortTree, EngineNaive:
-		return true
-	case EngineIncremental:
-		switch f {
-		case CountDistinct, PercentileDisc, PercentileCont, NthValue, FirstValue, LastValue:
-			return true
-		}
-		return false
-	case EngineOSTree:
-		switch f {
-		case Rank, PercentRank, RowNumber, CumeDist, Ntile,
-			PercentileDisc, PercentileCont, NthValue, FirstValue, LastValue:
-			return true
-		}
-		return false
-	case EngineSegmentTree:
-		switch f {
-		case CountStar, Count, Sum, Avg, Min, Max,
-			Rank, PercentRank, RowNumber, CumeDist, Ntile,
-			PercentileDisc, PercentileCont, NthValue, FirstValue, LastValue:
-			return true
-		}
-		return false
-	}
-	return false
 }
 
 // validate checks the window spec against the table.

@@ -32,7 +32,7 @@ func traceWindow() *WindowSpec {
 // TestRunTraceInvariants runs a traced query and checks the structural
 // contract of the span tree: every span ended, no child outlasting its
 // parent, the documented phases present, and eval spans labelled with
-// function and engine.
+// their function.
 func TestRunTraceInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := randTable(rng, 5_000)
@@ -97,8 +97,8 @@ func TestRunTraceInvariants(t *testing.T) {
 		if sp.IsPhase() {
 			t.Error("eval spans must be structural, not phases")
 		}
-		if sp.Attr("function") == "" || sp.Attr("engine") == "" || sp.Attr("partitions") != "1" {
-			t.Errorf("eval span lacks function/engine/partitions attrs: %v", sp.Attrs())
+		if sp.Attr("function") == "" || sp.Attr("partitions") != "1" {
+			t.Errorf("eval span lacks function/partitions attrs: %v", sp.Attrs())
 		}
 	})
 	if evals != 2 {

@@ -141,32 +141,6 @@ func TestTableValidation(t *testing.T) {
 	}
 }
 
-func TestEngineSupportsMatrix(t *testing.T) {
-	// Table 1 coverage: spot-check the boundaries.
-	cases := []struct {
-		e    Engine
-		f    FuncName
-		want bool
-	}{
-		{EngineMergeSortTree, DenseRank, true},
-		{EngineNaive, DenseRank, true},
-		{EngineIncremental, CountDistinct, true},
-		{EngineIncremental, Rank, false},
-		{EngineIncremental, SumDistinct, false},
-		{EngineOSTree, Rank, true},
-		{EngineOSTree, CountDistinct, false},
-		{EngineSegmentTree, Sum, true},
-		{EngineSegmentTree, PercentileDisc, true},
-		{EngineSegmentTree, CountDistinct, false},
-		{EngineSegmentTree, Lead, false},
-	}
-	for _, c := range cases {
-		if got := engineSupports(c.e, c.f); got != c.want {
-			t.Errorf("engineSupports(%v, %v) = %v, want %v", c.e, c.f, got, c.want)
-		}
-	}
-}
-
 func TestStringsAndKinds(t *testing.T) {
 	if Int64.String() != "INT64" || Bool.String() != "BOOL" {
 		t.Fatal("Kind strings wrong")
@@ -174,10 +148,7 @@ func TestStringsAndKinds(t *testing.T) {
 	if CountDistinct.String() != "count(distinct)" || Lead.String() != "lead" {
 		t.Fatal("FuncName strings wrong")
 	}
-	if EngineMergeSortTree.String() != "mst" || EngineOSTree.String() != "ostree" {
-		t.Fatal("Engine strings wrong")
-	}
-	if FuncName(999).String() == "" || Engine(99).String() == "" || Kind(99).String() == "" {
+	if FuncName(999).String() == "" || Kind(99).String() == "" {
 		t.Fatal("unknown values must still render")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"holistic/internal/delta"
 	"holistic/internal/frame"
 	"holistic/internal/mst"
-	"holistic/internal/mst/tune"
 	"holistic/internal/treecache"
 )
 
@@ -264,10 +263,10 @@ func requireColumnsIdentical(t *testing.T, got, want *core.Column, label string)
 // under every tree variant including spilled chunk forests.
 func TestDeltaEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	// The tuner variant exercises the ",tn:" cache-key component: delta
-	// re-keys (pk=…|pd<stamp>) survive across epochs, so a tuned tree
-	// aliasing an untuned entry would surface here as a wrong answer.
-	treeVariants := []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {SpillRows: 16}, {Tuning: tune.Default()}}
+	// The non-default shapes exercise treeSig's f/k components: delta
+	// re-keys (pk=…|pd<stamp>) survive across epochs, so a tree of one shape
+	// aliasing another's entry would surface here as a wrong answer.
+	treeVariants := []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {SpillRows: 16}, {Fanout: 8, SampleEvery: 8}}
 	for trial := 0; trial < 8; trial++ {
 		nBase := []int{0, 3, 20, 45}[trial%4]
 		var rows [][]delta.Value

@@ -91,13 +91,6 @@ func SelectKthNaiveRange(keys []int64, frame FrameFunc, kth KthFunc, out []int64
 	}
 }
 
-// Quickselect returns the k-th smallest element of a, permuting a in place.
-// seed feeds the pivot choice; callers pass a per-task constant so runs are
-// deterministic.
-func Quickselect(a []int64, k int, seed int64) int64 {
-	return quickselect(a, k, rand.New(rand.NewSource(seed)))
-}
-
 // quickselect returns the k-th smallest element of a, permuting a in place.
 func quickselect(a []int64, k int, rng *rand.Rand) int64 {
 	lo, hi := 0, len(a) // active range [lo, hi)

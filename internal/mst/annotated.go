@@ -116,7 +116,7 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 // number of keys smaller than t for t in [0, n+1]. A non-nil pos receives the
 // inverse of rank. The returned options are resolved for n.
 func annotatedRanks(keys []int64, nValues int, opt Options, pos []int32) (Options, []int32, []int32, error) {
-	opt = opt.resolveFor(len(keys))
+	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return opt, nil, nil, err
 	}

@@ -109,7 +109,7 @@ func traceSkippedLevels(n int, opt Options) {
 // validates them; Options shape nothing but the trace and what Stats
 // reports. Select queries and WriteTo are not available on it.
 func BuildLeaves(keys []int64, opt Options) (*Tree, error) {
-	opt = opt.resolveFor(len(keys))
+	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ const DefaultSampleEvery = 32
 const MaxFanout = maxOriginFanout
 
 // FanoutError reports a fanout outside [2, MaxFanout], whether it came from
-// Options, a Tuner's choice or a serialized tree's header.
+// Options or a serialized tree's header.
 type FanoutError struct{ Fanout int }
 
 func (e *FanoutError) Error() string {
@@ -98,41 +98,13 @@ type Options struct {
 	// Build honors the option (BuildAnnotated stays monolithic because its
 	// float prefix aggregates depend on merge order). 0 disables spilling.
 	SpillRows int
-	// Tuning, when non-nil, supplies measured construction parameters per
-	// input size: Build and BuildAnnotated consult it for the fanout and
-	// sample distance when the corresponding field is left zero, replacing
-	// the paper's fixed f = k = 32 with the tuner's crossover-derived
-	// choice (package mst/tune provides the canonical implementation).
-	// Explicitly set Fanout/SampleEvery always win over the tuner. The
-	// tuner shapes the built structure, so its Sig() must be folded into
-	// any cache key derived from these options.
-	Tuning Tuner
 	// Trace, when non-nil, receives one child span per merge level during
 	// construction. It never influences the built structure, so it is
 	// excluded from structural signatures and not persisted by Serialize.
 	Trace *obs.Span
 }
 
-// Choice is a Tuner's parameter pick for one input size.
-type Choice struct {
-	// Fanout and SampleEvery are the construction parameters (f, k).
-	// Values < 2 (resp. < 1) are ignored and fall back to the defaults.
-	Fanout      int
-	SampleEvery int
-}
-
-// Tuner supplies per-input-size construction parameters, derived from
-// measured build+probe costs (see internal/mst/tune).
-// Implementations must be deterministic — the same n always yields the same
-// Choice — and safe for concurrent use. Sig must return a stable signature
-// identifying the table the tuner answers from: it becomes part of tree
-// cache keys, so two tuners that could ever answer differently must have
-// different signatures.
-type Tuner interface {
-	Choose(n int) Choice
-	Sig() string
-}
-
+// withDefaults fills the parameters left zero with the paper's f = k = 32.
 func (o Options) withDefaults() Options {
 	if o.Fanout == 0 {
 		o.Fanout = DefaultFanout
@@ -141,24 +113,6 @@ func (o Options) withDefaults() Options {
 		o.SampleEvery = DefaultSampleEvery
 	}
 	return o
-}
-
-// resolveFor applies the auto-tuner's parameter choice for an input of n
-// elements to every field the caller left zero, then fills the remaining
-// zeros with the paper defaults. The result is a pure function of (o, n),
-// so rebuilding the same input with the same options always yields the
-// same structure — the property delta re-keys and the treecache rely on.
-func (o Options) resolveFor(n int) Options {
-	if o.Tuning != nil {
-		c := o.Tuning.Choose(n)
-		if o.Fanout == 0 && c.Fanout >= 2 {
-			o.Fanout = c.Fanout
-		}
-		if o.SampleEvery == 0 && c.SampleEvery >= 1 {
-			o.SampleEvery = c.SampleEvery
-		}
-	}
-	return o.withDefaults()
 }
 
 // stored is o as a built tree keeps it: without the trace span, which only
@@ -240,7 +194,7 @@ type Tree struct {
 // "–" is mapped to 0 with all indices shifted by one, §5.1); any other key
 // is answered with a PayloadRangeError.
 func Build(keys []int64, opt Options) (*Tree, error) {
-	opt = opt.resolveFor(len(keys))
+	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}

@@ -406,7 +406,7 @@ func (s *Span) PhaseTotals() []PhaseTotal {
 //
 //	run 12.4ms rows=20000
 //	  partition+order sort 4.0ms
-//	  eval 8.2ms function=count(distinct) engine=mst partitions=2000
+//	  eval 8.2ms function=count(distinct) partitions=2000
 //	    probe 6.1ms count=2000
 //
 // Unfinished spans are marked, an accumulator entered more than once shows

@@ -10,7 +10,7 @@ import (
 )
 
 // structureClass describes the index structure one function's evaluation
-// builds per partition under the default engine, mirroring the structure
+// builds per partition, mirroring the structure
 // tags of core's MST evaluation paths: two functions with the same class
 // key inside one sort group fetch the same cached structure, so the DAG
 // gives them one preprocess node and one tree node.
@@ -19,8 +19,8 @@ type structureClass struct {
 	// function builds no per-partition index (frame-size arithmetic).
 	key string
 	// shared reports whether the structure goes through the request cache;
-	// unshared structures (plain-aggregate segment trees, competitor
-	// engines) get per-function nodes.
+	// unshared structures (plain-aggregate segment trees) get per-function
+	// nodes.
 	shared bool
 	// preLabel and treeLabel describe the preprocessing arrays and the tree
 	// (either may be empty).
@@ -38,12 +38,6 @@ func classOf(f *core.FuncSpec, orderBy []core.SortKey) structureClass {
 		var b strings.Builder
 		writeOrder(&b, keys)
 		return b.String()
-	}
-	if f.Engine != core.EngineMergeSortTree {
-		return structureClass{
-			key:       "engine|" + f.Output,
-			treeLabel: "engine " + f.Engine.String() + " (unshared)",
-		}
 	}
 	switch f.Name {
 	case core.CountStar, core.Count:

@@ -24,8 +24,8 @@ import (
 // the property Algorithm 1 relies on ("effectively a stable sort ...
 // leaving the relative order of duplicates unchanged"). This is the
 // comparator path: it serves keys that do not normalise to fixed-width words
-// (strings) and the competitor engines; integer keys sort through
-// SortIndicesByKey.
+// (strings) and the paper's baselines in cmd/paperbench; integer keys sort
+// through SortIndicesByKey.
 func SortIndices(n int, compare func(a, b int) int) []int32 {
 	idx := identity(n)
 	sortutil.SortFunc(idx, func(a, b int32) int {

@@ -152,7 +152,7 @@ func TestMetricsExposition(t *testing.T) {
 	// Every run evaluates: the dataset has never been mutated, so no result
 	// vector is retained and each repeat re-probes the cached tree — one
 	// observation per function per statement.
-	if v, ok := p.Value("windowd_eval_duration_seconds_count", "function=rank", "engine=mst"); !ok || v != 3 {
+	if v, ok := p.Value("windowd_eval_duration_seconds_count", "function=rank"); !ok || v != 3 {
 		t.Fatalf("eval_duration_seconds_count{rank,mst} = %v (%v), want 3", v, ok)
 	}
 	if v, ok := p.Value("windowd_cache_events_total", "event=hit"); !ok || v == 0 {

@@ -29,7 +29,7 @@ import (
 //	windowd_request_duration_seconds{route}       histogram
 //	windowd_response_bytes_total{route}           counter
 //	windowd_inflight_requests                     gauge
-//	windowd_eval_duration_seconds{function,engine} histogram
+//	windowd_eval_duration_seconds{function}       histogram
 //	windowd_snapshot_materialize_seconds          histogram
 //	windowd_respond_duration_seconds              histogram
 //	windowd_response_aborts_total                 counter
@@ -120,7 +120,7 @@ func newServerObs(s *Server, routes []string) *serverObs {
 		"Requests currently being handled.").With()
 	o.evalDur = reg.NewHistogram("windowd_eval_duration_seconds",
 		"Window evaluation time per function and statement, summed over the statement's partitions, from the query span tree.",
-		nil, "function", "engine")
+		nil, "function")
 	o.materializeDur = reg.NewHistogram("windowd_snapshot_materialize_seconds",
 		"Time a query spent getting its snapshot's merged table: the copy for the first query of a mutated epoch, nothing for a clean or already built one.",
 		nil).With()
@@ -379,7 +379,7 @@ func (o *serverObs) renderRequests(b *strings.Builder) {
 }
 
 // observeQuerySpans walks a finished query span tree and feeds the
-// per-(function, engine) evaluation histogram from the "eval" spans the
+// per-function evaluation histogram from the "eval" spans the
 // operator emitted: one per function of the statement, its duration summed
 // over the partitions that evaluated — so one observation per function per
 // statement, whatever the partition count.
@@ -388,10 +388,10 @@ func (o *serverObs) observeQuerySpans(root *obs.Span) {
 		if sp.Name() != "eval" {
 			return
 		}
-		fn, eng := sp.Attr("function"), sp.Attr("engine")
-		if fn == "" || eng == "" {
+		fn := sp.Attr("function")
+		if fn == "" {
 			return
 		}
-		o.evalDur.With(fn, eng).Observe(sp.Duration().Seconds())
+		o.evalDur.With(fn).Observe(sp.Duration().Seconds())
 	})
 }

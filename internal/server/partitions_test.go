@@ -98,7 +98,7 @@ func TestEvalHistogramObservesOncePerStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := func() float64 {
-		v, _ := scrapeMetrics(t, c).Value("windowd_eval_duration_seconds_count", "function=rank", "engine=mst")
+		v, _ := scrapeMetrics(t, c).Value("windowd_eval_duration_seconds_count", "function=rank")
 		return v
 	}
 	for i := 1; i <= 3; i++ {

@@ -851,8 +851,8 @@ func (s *Server) pinSnapshot(root *obs.Span, snap *delta.Snapshot) (*core.Table,
 // its typed result for encodeResponse; nothing is rendered here. The
 // admission slot is held for the evaluation only and is free again when
 // query returns, so a slow reader of the response never occupies one. Every
-// query runs under a trace span: the finished tree feeds the per-(function,
-// engine) evaluation histograms, the slow-query log, and — when the request
+// query runs under a trace span: the finished tree feeds the per-function
+// evaluation histograms, the slow-query log, and — when the request
 // asked for it — the response's trace field.
 func (s *Server) query(ctx context.Context, sql string, includeTrace bool) (*queryResult, error) {
 	q, err := sqlparse.Parse(sql)

@@ -74,9 +74,8 @@ func WithTaskSize(rows int) Option {
 }
 
 // WithTree configures merge sort tree construction (fanout f, pointer
-// sampling k, cascading, and a size-aware tuner via
-// TreeOptions.Tuning — see internal/mst/tune and DESIGN.md §15.2;
-// explicitly set fields always beat the tuner's choices).
+// sampling k, cascading, spilling); fields left zero take the paper's
+// f = k = 32.
 func WithTree(t TreeOptions) Option {
 	return func(o *Options) { o.Tree = t }
 }
@@ -88,15 +87,6 @@ func WithTree(t TreeOptions) Option {
 // comparisons and as an escape hatch. Explain output is unaffected.
 func WithoutSharedPlan() Option {
 	return func(o *Options) { o.NoSharedPlan = true }
-}
-
-// WithEngine sets the run's default evaluation engine: it applies to every
-// function whose Engine was left at the zero value. The zero value is the
-// merge sort tree, so per-function competitor selections (Func.WithEngine)
-// always win over this default, and WithEngine(EngineMergeSortTree) is a
-// no-op.
-func WithEngine(e Engine) Option {
-	return func(o *Options) { o.DefaultEngine = e }
 }
 
 // WithParallelism caps the number of parallel workers this run uses,
@@ -117,7 +107,3 @@ func RunWith(t *Table, w *Window, funcs []*Func, opts ...Option) (*Result, error
 func RunSQLWith(query string, tables map[string]*Table, opts ...Option) (*Table, error) {
 	return RunSQLOptions(query, tables, NewOptions(opts...))
 }
-
-// compile-time check that core's engine zero value is the merge sort tree,
-// which WithEngine's "zero means default" contract relies on.
-var _ = [1]struct{}{}[core.EngineMergeSortTree]

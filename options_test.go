@@ -25,13 +25,12 @@ func TestNewOptionsFoldsFields(t *testing.T) {
 		holistic.WithContext(ctx),
 		holistic.WithTrace(root),
 		holistic.WithTaskSize(123),
-		holistic.WithEngine(holistic.EngineNaive),
 		holistic.WithParallelism(2),
 	)
 	if opt.Context != ctx || opt.Trace != root {
 		t.Fatal("context/trace options not applied")
 	}
-	if opt.TaskSize != 123 || opt.DefaultEngine != holistic.EngineNaive || opt.Workers != 2 {
+	if opt.TaskSize != 123 || opt.Workers != 2 {
 		t.Fatalf("options not applied: %+v", opt)
 	}
 }
@@ -71,42 +70,6 @@ func TestRunWithTrace(t *testing.T) {
 	}
 	if strings.Contains(rendered, "(unfinished)") {
 		t.Fatalf("unfinished spans after Run:\n%s", rendered)
-	}
-}
-
-// TestWithEngineDefault checks the run-level engine default: it applies to
-// functions left on the zero-value engine, loses to per-function choices,
-// and WithEngine(EngineMergeSortTree) is a no-op — all three paths agree on
-// results.
-func TestWithEngineDefault(t *testing.T) {
-	tab := optionsTable(t)
-	w := holistic.Over().OrderBy(holistic.Asc("d")).
-		Frame(holistic.Rows(holistic.Preceding(2), holistic.CurrentRow()))
-
-	run := func(opts []holistic.Option, fn *holistic.Func) []int64 {
-		t.Helper()
-		res, err := holistic.RunWith(tab, w, []*holistic.Func{fn.As("x")}, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]int64, tab.Rows())
-		for i := range out {
-			out[i] = res.Column("x").Int64(i)
-		}
-		return out
-	}
-
-	mst := run(nil, holistic.CountDistinct("v"))
-	naiveDefault := run([]holistic.Option{holistic.WithEngine(holistic.EngineNaive)}, holistic.CountDistinct("v"))
-	perFuncWins := run([]holistic.Option{holistic.WithEngine(holistic.EngineNaive)},
-		holistic.CountDistinct("v").WithEngine(holistic.EngineMergeSortTree))
-	noop := run([]holistic.Option{holistic.WithEngine(holistic.EngineMergeSortTree)}, holistic.CountDistinct("v"))
-
-	for i := range mst {
-		if naiveDefault[i] != mst[i] || perFuncWins[i] != mst[i] || noop[i] != mst[i] {
-			t.Fatalf("row %d: engines disagree: mst=%d naive-default=%d per-func=%d noop=%d",
-				i, mst[i], naiveDefault[i], perFuncWins[i], noop[i])
-		}
 	}
 }
 

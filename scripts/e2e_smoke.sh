@@ -94,7 +94,7 @@ metric_positive() {
 for series in \
     'windowd_requests_total{route="POST /v1/query",code="200"}' \
     'windowd_request_duration_seconds_count{route="POST /v1/query"}' \
-    'windowd_eval_duration_seconds_count{function="percentile_disc",engine="mst"}' \
+    'windowd_eval_duration_seconds_count{function="percentile_disc"}' \
     'windowd_respond_duration_seconds_count' \
     'windowd_cache_events_total{event="hit"}' \
     'windowd_cache_events_total{event="miss"}' \
