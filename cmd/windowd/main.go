@@ -74,7 +74,6 @@ func main() {
 		slowQuery       = flag.Duration("slow-query", 0, "log queries whose evaluation plus response take at least this long at WARN with their span tree (0 = disabled)")
 		debugAddr       = flag.String("debug-addr", "", "listen address for the pprof debug server (empty = disabled)")
 		maxUploadBytes  = flag.Int64("max-upload-bytes", 256<<20, "largest accepted dataset registration body; oversized uploads answer 413")
-		spillRows       = flag.Int("spill-rows", 0, "build merge sort trees as forests of this many rows per subtree (0 = monolithic)")
 		compactRows     = flag.Int("compact-rows", 0, "mutation overlay size that triggers compaction into a new frozen generation (0 = adaptive)")
 		compactInterval = flag.Duration("compact-interval", 2*time.Second, "how often the background compactor checks mutated datasets (0 = disabled)")
 		loads           loadFlags
@@ -92,7 +91,6 @@ func main() {
 		MaxTimeout:      *maxTimeout,
 		SlowQuery:       *slowQuery,
 		MaxUploadBytes:  *maxUploadBytes,
-		SpillRows:       *spillRows,
 		CompactRows:     *compactRows,
 		CompactInterval: *compactInterval,
 		Logger:          log,

@@ -150,13 +150,6 @@ func treeSig(o mst.Options) string {
 	if o.NoCascading {
 		b.WriteString(",nc")
 	}
-	if o.SpillRows > 0 {
-		// Spilling changes the built structure (a chunk forest instead of
-		// one monolithic tree), so trees built with different spill
-		// thresholds must not share cache entries.
-		b.WriteString(",sp")
-		b.WriteString(strconv.Itoa(o.SpillRows))
-	}
 	return b.String()
 }
 

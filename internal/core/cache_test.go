@@ -145,17 +145,16 @@ func TestRunCancelledContext(t *testing.T) {
 }
 
 // TestTreeSigProductionKeys pins the tree signature of every option set the
-// library and windowd build (the zero value, windowd's -spill-rows) plus the
-// explicit f/k and no-cascading shapes. The signature is part of every
-// structure key, including delta's epoch-surviving "pk=…|pd<stamp>" keys, so
-// a change here silently orphans or — worse — aliases cached trees.
+// library and windowd build (the zero value) plus the explicit f/k and
+// no-cascading shapes. The signature is part of every structure key,
+// including delta's epoch-surviving "pk=…|pd<stamp>" keys, so a change here
+// silently orphans or — worse — aliases cached trees.
 func TestTreeSigProductionKeys(t *testing.T) {
 	for _, c := range []struct {
 		opt  mst.Options
 		want string
 	}{
 		{mst.Options{}, "f=0,k=0,l3"},
-		{mst.Options{SpillRows: 65536}, "f=0,k=0,l3,sp65536"},
 		{mst.Options{Fanout: 32, SampleEvery: 32}, "f=32,k=32,l3"},
 		{mst.Options{Fanout: 8, SampleEvery: 8, NoCascading: true}, "f=8,k=8,l3,nc"},
 		{mst.Options{Serial: true, Trace: obs.NewSpan("build")}, "f=0,k=0,l3"},

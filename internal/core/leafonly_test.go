@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -147,21 +149,20 @@ func TestLeafOnlyCacheBytes(t *testing.T) {
 }
 
 // TestFullTreeCacheBytes is the same accounting with a 9,999-row frame, under
-// which the 75 partitions of more than mst.LeafRows rows build their merge
-// sort trees in full — merge levels, samples, origin stripes and, on the
-// count, rank and select trees, the top-run positions — and the bytes charged
-// for every merge sort tree must still equal the bytes it retains. The full
-// range tree is left out: its node array and its inner trees' per-level
-// metadata are not charged, ~112 bytes per row.
+// which the 75 partitions of more than mst.LeafRows rows build their
+// structures in full — merge levels, samples, origin stripes and, on the
+// count, rank and select trees, the top-run positions; for DENSE_RANK the
+// range tree's node array and inner trees — and the bytes charged for every
+// structure must still equal the bytes it retains.
 func TestFullTreeCacheBytes(t *testing.T) {
-	checkCacheBytes(t, 9_999, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|select|"}, 75)
+	checkCacheBytes(t, 9_999, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|", "|select|"}, 75)
 }
 
 // checkCacheBytes runs the many-partitions statement with a preceding-row
 // frame over 300 partitions, a quarter of them wider than mst.LeafRows, and
 // compares the charged bytes of every entry whose key carries one of tags
-// with the bytes it retains. wantFull is how many of the count, DISTINCT-sum
-// and rank entries must be full structures (w=full).
+// with the bytes it retains. wantFull is how many of the count, DISTINCT-sum,
+// rank and dense-rank entries must each be full structures (w=full).
 func checkCacheBytes(t *testing.T, preceding int64, tags []string, wantFull int) {
 	t.Helper()
 	tab := partitionedTable(rand.New(rand.NewSource(9)), 300, func(p int) int {
@@ -190,16 +191,19 @@ func checkCacheBytes(t *testing.T, preceding int64, tags []string, wantFull int)
 			t.Errorf("%s: charged %d bytes, retains %d", key, e.bytes, got)
 		}
 	}
-	if checked != len(tags)*300 || full != 3*wantFull {
-		t.Errorf("checked %d structures, %d of them full, want %d and %d", checked, full, len(tags)*300, 3*wantFull)
+	if checked != len(tags)*300 || full != 4*wantFull {
+		t.Errorf("checked %d structures, %d of them full, want %d and %d", checked, full, len(tags)*300, 4*wantFull)
 	}
 }
 
-// retainedBytes sums the bytes of the distinct arrays of scalars and of
-// structs reachable from v: what a value keeps alive beyond headers.
+// retainedBytes sums the bytes of the arrays of scalars and of structs
+// reachable from v: what a value keeps alive beyond headers. Memory is counted
+// once however many slices view it, so a window into an array already
+// reached adds nothing.
 func retainedBytes(v any) int64 {
 	seen := map[uintptr]bool{}
-	var total int64
+	type span struct{ lo, hi uintptr }
+	var spans []span
 	var walk func(rv reflect.Value)
 	walk = func(rv reflect.Value) {
 		switch rv.Kind() {
@@ -226,7 +230,7 @@ func retainedBytes(v any) int64 {
 			switch el.Kind() {
 			case reflect.Slice, reflect.Pointer, reflect.Interface:
 			default:
-				total += int64(rv.Len()) * int64(el.Size())
+				spans = append(spans, span{rv.Pointer(), rv.Pointer() + uintptr(rv.Len())*el.Size()})
 			}
 			if el.Kind() != reflect.Struct && el.Kind() != reflect.Slice && el.Kind() != reflect.Pointer {
 				return
@@ -237,5 +241,15 @@ func retainedBytes(v any) int64 {
 		}
 	}
 	walk(reflect.ValueOf(v))
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	var total int64
+	var end uintptr
+	for _, s := range spans {
+		if s.lo < end {
+			s.lo = min(end, s.hi)
+		}
+		total += int64(s.hi - s.lo)
+		end = max(end, s.hi)
+	}
 	return total
 }

@@ -142,15 +142,14 @@ func testCountBelowBatchFrameShapes(t *testing.T) {
 
 // stepGrid is the parameter space the step's frame-shape tests sweep:
 // fanouts up to the limit × sample distances below, at and above them × the
-// tree states and representations a step can meet.
+// tree states a step can meet.
 func stepGrid() []Options {
 	var grid []Options
 	for _, f := range []int{2, 8, 32, 256} {
 		for _, k := range []int{1, 7, 32, 64} {
 			grid = append(grid,
 				Options{Fanout: f, SampleEvery: k},
-				Options{Fanout: f, SampleEvery: k, NoCascading: true},
-				Options{Fanout: f, SampleEvery: k, SpillRows: 700})
+				Options{Fanout: f, SampleEvery: k, NoCascading: true})
 		}
 	}
 	return grid

@@ -265,9 +265,9 @@ func (t *tree) mergeRunParallel(level, r int, samples []int32, stride, workers i
 	})
 }
 
-// maxPayload is the exhausted-run sentinel of the merge. A live run can
-// legitimately hold this value, so comparisons always break ties on the
-// tiebreak array, where exhausted runs sort after every live run.
+// maxPayload is the exhausted-run sentinel of the merge. Comparisons break
+// ties on the tiebreak array, where exhausted runs sort after every live
+// run, so the merge stays stable whatever value a live run holds.
 const maxPayload int32 = math.MaxInt32
 
 // mergePiece merges outputs [t0, t1) of the run using a tournament (loser)

@@ -25,8 +25,7 @@ type descFrame struct {
 //
 // The descent is iterative with an explicit stack: partially overlapped
 // runs are pushed and resolved when popped, so the hot query path pays no
-// call overhead per level. The batched kernel (count_batch.go) falls back
-// to this descent per query on a spilled forest.
+// call overhead per level.
 func (t *tree) countBelow(lo, hi int, threshold int32) int {
 	top := t.top()
 	rank := lowerBoundP(t.run(top, 0), threshold)

@@ -53,9 +53,7 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (
 	}
 	// Clamp every query exactly like CountBelow and answer all but the wide
 	// ones up front; those are marked with an empty position range so the
-	// kernel skips them without a separate mask. Spill-chunked trees answer
-	// the wide ones with the scalar per-chunk decomposition: the
-	// level-synchronous kernel assumes one monolithic level geometry.
+	// kernel skips them without a separate mask.
 	cb := arena.Int32s.Get(3 * m)
 	klo, khi, thr := cb[:m], cb[m:2*m], cb[2*m:]
 	descend := false
@@ -68,19 +66,17 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (
 		case tv > math.MaxInt32:
 			out[q] = i32(h - l)
 		case leafRule(h-l, t.leafOnly):
-			out[q] = i32(t.countLeaves(l, h, clampI32(tv)))
+			out[q] = i32(countLeaf(t.tr.levels[0][l:h], clampI32(tv)))
 			leaves++
 		case tv <= 0:
 			out[q] = 0
-		case t.chunks != nil:
-			out[q] = i32(t.chunkedCountBelow(l, h, tv))
 		default:
 			klo[q], khi[q], thr[q] = i32(l), i32(h), int32(tv)
 			descend = true
 		}
 	}
 	if descend {
-		diffs = countKernel(t.mono, klo, khi, thr, out)
+		diffs = countKernel(t.tr, klo, khi, thr, out)
 	}
 	arena.Int32s.Put(cb)
 	return leaves, diffs

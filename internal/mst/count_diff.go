@@ -24,8 +24,8 @@ import "holistic/internal/arena"
 // count (resolveDiffs). A sliding COUNT(DISTINCT) frame moves both edges by a
 // row and its threshold lo+1 past at most one key, so all but a batch's first
 // query become differential; RANK thresholds that jump between rows stay
-// anchors. Trees without topPos — keys above n, spill chunks, leaf-only and
-// annotated trees — never mark a query.
+// anchors. Trees without topPos — keys above n, leaf-only and annotated
+// trees — never mark a query.
 
 // pendingCount marks, in the kernel's out array, a query resolveDiffs
 // answers: counts are never negative.

@@ -14,7 +14,7 @@ import (
 // interleave around the current row, and the queries the kernel answers
 // before ranking them — trivial, full-range, narrow, threshold ≤ 0 and past
 // math.MaxInt32 — over previous-occurrence keys, duplicate-heavy keys and keys
-// above n, on striped, deep, NoCascading and spilled trees, under both leaf
+// above n, on striped, deep and NoCascading trees, under both leaf
 // seam settings. Every answer must equal the scalar CountBelow and brute
 // force, and the kernel must report exactly the queries the cost rule names
 // as answered from their predecessor: some on every tree with top-run
@@ -39,13 +39,13 @@ func testCountBatchDifferential(t *testing.T) {
 	lo, hi, thr := diffBatch(rng, n, 6000)
 	out := make([]int32, len(lo))
 	for _, in := range inputs {
-		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 5, SampleEvery: 3, NoCascading: true}, {SpillRows: 700}} {
+		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 5, SampleEvery: 3, NoCascading: true}} {
 			tree, err := Build(in.keys, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tree.chunks == nil && (tree.mono.topPos != nil) != in.positions {
-				t.Fatalf("%s opt=%+v: top-run positions present = %v, want %v", in.name, opt, tree.mono.topPos != nil, in.positions)
+			if (tree.tr.topPos != nil) != in.positions {
+				t.Fatalf("%s opt=%+v: top-run positions present = %v, want %v", in.name, opt, tree.tr.topPos != nil, in.positions)
 			}
 			_, diffs := tree.CountBelowBatch(lo, hi, thr, out)
 			for q := range out {
@@ -59,20 +59,20 @@ func testCountBatchDifferential(t *testing.T) {
 			if diffs != want {
 				t.Errorf("%s opt=%+v: %d queries answered from their predecessor, the cost rule names %d", in.name, opt, diffs, want)
 			}
-			if leafRows > 0 && in.positions && opt.SpillRows == 0 && diffs == 0 {
+			if leafRows > 0 && in.positions && diffs == 0 {
 				t.Errorf("%s opt=%+v: no query answered from its predecessor", in.name, opt)
 			}
 		}
 	}
 }
 
-// wantDiffs restates the cost rule over a batch: on a monolithic tree with
-// top-run positions, it counts the queries the kernel ranks — a non-empty
+// wantDiffs restates the cost rule over a batch: on a tree with top-run
+// positions, it counts the queries the kernel ranks — a non-empty
 // clamped range wider than the cutoff, a threshold in (0, math.MaxInt32] —
 // that are not full-range and whose range edges and top-run rank moved by
 // fewer than leafRows entries in all since the ranked query before them.
 func wantDiffs(tree *Tree, keys []int64, lo, hi []int32, thr []int64) int {
-	if tree.chunks != nil || tree.mono.topPos == nil {
+	if tree.tr.topPos == nil {
 		return 0
 	}
 	n := len(keys)

@@ -1,9 +1,7 @@
 package mst
 
 import (
-	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -290,90 +288,6 @@ func FuzzAggBatch(f *testing.F) {
 	})
 }
 
-// FuzzSerialize round-trips fuzzer-built trees through the MST2 format and
-// checks the deserialized tree answers count and select queries identically
-// to the original, across fanouts and sampling rates. It then overwrites one
-// byte of the record's sample/origin section (corruptAt, corruptTo): ReadTree must reject the record or, when the byte lands where
-// nothing reads it (padding, or the old value), load a tree that still
-// answers like the original — a corrupted stripe never mis-answers.
-func FuzzSerialize(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0), 3, uint8(1))
-	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), 0, uint8(3), uint8(2), uint8(3), 0, uint8(200))
-	f.Add([]byte{}, 0, 0, int64(0), 0, uint8(2), uint8(1), uint8(1), 1, uint8(9))
-	f.Add([]byte{4, 4, 2, 8, 8, 1, 0, 7, 7, 7, 3}, 1, 9, int64(7), 2, uint8(1), uint8(3), uint8(0), 40, uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8, corruptAt int, corruptTo uint8) {
-		keys := make([]int64, len(data))
-		for i, b := range data {
-			keys[i] = int64(b)
-			if b >= 250 {
-				keys[i] = int64(b) << 24 // past the payload domain (buildInDomain)
-			}
-		}
-		opt := Options{ // flags&2 is unused: the corpus keeps decoding as it did
-			Fanout:      fuzzParam(fanout, 2, 7),
-			SampleEvery: fuzzParam(sampleEvery, 1, 15),
-			NoCascading: flags&1 != 0,
-		}
-		orig := buildInDomain(t, keys, opt)
-		if orig == nil {
-			return
-		}
-
-		var buf bytes.Buffer
-		written, err := orig.WriteTo(&buf)
-		if err != nil {
-			t.Fatalf("WriteTo: %v", err)
-		}
-		if written != int64(buf.Len()) {
-			t.Fatalf("WriteTo reported %d bytes, wrote %d", written, buf.Len())
-		}
-		got, err := ReadTree(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("ReadTree: %v", err)
-		}
-
-		if got.Len() != orig.Len() {
-			t.Fatalf("round trip changed length: %d->%d", orig.Len(), got.Len())
-		}
-		if a, b := orig.CountBelow(lo, hi, threshold), got.CountBelow(lo, hi, threshold); a != b {
-			t.Errorf("CountBelow(%d, %d, %d): orig %d, round-tripped %d", lo, hi, threshold, a, b)
-		}
-		aPos, aOK := orig.SelectKth(0, threshold, k)
-		bPos, bOK := got.SelectKth(0, threshold, k)
-		if aOK != bOK || (aOK && aPos != bPos) {
-			t.Errorf("SelectKth(0, %d, %d): orig (%d, %v), round-tripped (%d, %v)",
-				threshold, k, aPos, aOK, bPos, bOK)
-		}
-		for pos := 0; pos < orig.Len(); pos++ {
-			if a, b := orig.Value(pos), got.Value(pos); a != b {
-				t.Fatalf("Value(%d): orig %d, round-tripped %d", pos, a, b)
-			}
-		}
-
-		// Stripe corruption: the cascade section follows the header and the
-		// payload levels. Only striped trees verify it on load.
-		s := orig.Stats()
-		cascadeStart := 28 + s.Elements*s.ElementBytes
-		if s.OriginBytes == 0 || corruptAt < 0 || cascadeStart >= buf.Len() {
-			return
-		}
-		rec := bytes.Clone(buf.Bytes())
-		rec[cascadeStart+corruptAt%(len(rec)-cascadeStart)] = corruptTo
-		bad, err := ReadTree(bytes.NewReader(rec))
-		if err != nil {
-			return
-		}
-		if a, b := orig.CountBelow(lo, hi, threshold), bad.CountBelow(lo, hi, threshold); a != b {
-			t.Errorf("corrupted record loaded and CountBelow(%d, %d, %d) = %d, orig %d", lo, hi, threshold, b, a)
-		}
-		cPos, cOK := bad.SelectKth(0, threshold, k)
-		if aOK != cOK || (aOK && aPos != cPos) {
-			t.Errorf("corrupted record loaded and SelectKth(0, %d, %d) = (%d, %v), orig (%d, %v)",
-				threshold, k, cPos, cOK, aPos, aOK)
-		}
-	})
-}
-
 // fuzzParam maps a fuzz byte to a fanout or sample distance: mostly the
 // small values (base .. base+small-1) that make fuzz-sized inputs deep
 // trees, plus the band 241..272 around MaxFanout, the 256-child limit of the
@@ -398,13 +312,13 @@ func buildInDomain(t *testing.T, keys []int64, opt Options) *Tree {
 	if rejectedFanout(t, opt, err) {
 		return nil
 	}
-	if first := slices.IndexFunc(keys, func(v int64) bool { return v > math.MaxInt32 }); first >= 0 {
+	if first := slices.IndexFunc(keys, func(v int64) bool { return v > maxKey }); first >= 0 {
 		var pe *PayloadRangeError
 		if !errors.As(err, &pe) || pe.Pos != first || pe.Value != keys[first] {
 			t.Fatalf("Build with key %d at %d: error %v, want a PayloadRangeError", keys[first], first, err)
 		}
 		for i, v := range keys {
-			if v > math.MaxInt32 {
+			if v > maxKey {
 				keys[i] = v >> 1
 			}
 		}

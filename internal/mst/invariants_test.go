@@ -231,7 +231,7 @@ func TestOriginStripe(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkInvariants(t, tree.mono)
+					checkInvariants(t, tree.tr)
 					const m = 64
 					lo, hi := make([]int32, m), make([]int32, m)
 					thr := make([]int64, m)
@@ -275,7 +275,7 @@ func TestTreeInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkInvariants(t, tree.mono)
+			checkInvariants(t, tree.tr)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func traceSkippedLevels(n int, opt Options) {
 // only, answering CountBelow, CountRange and CountBelowBatch over ranges of
 // at most LeafRows rows, and Value. Keys are validated exactly as Build
 // validates them; Options shape nothing but the trace and what Stats
-// reports. Select queries and WriteTo are not available on it.
+// reports. Select queries are not available on it.
 func BuildLeaves(keys []int64, opt Options) (*Tree, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -118,7 +118,7 @@ func BuildLeaves(keys []int64, opt Options) (*Tree, error) {
 		return nil, err
 	}
 	traceSkippedLevels(len(keys), opt)
-	return &Tree{n: len(keys), opt: opt.stored(), mono: leafTree(base, opt), leafOnly: true}, nil
+	return &Tree{n: len(keys), opt: opt.stored(), tr: leafTree(base, opt), leafOnly: true}, nil
 }
 
 // leafTree is the single-level tree over base: buildTree's result for an
@@ -142,22 +142,6 @@ func countLeaf(a []int32, x int32) int {
 	c := 0
 	for _, e := range a {
 		c += int(uint32(e-x) >> 31)
-	}
-	return c
-}
-
-// countLeaves is the leaf rule of a Tree: the entries at positions [lo, hi)
-// smaller than x, counted in level 0 — of the one tree, or of the chunks of a
-// spilled forest the range spans. Callers guarantee 0 <= lo < hi <= n.
-func (t *Tree) countLeaves(lo, hi int, x int32) int {
-	if t.chunks == nil {
-		return countLeaf(t.mono.levels[0][lo:hi], x)
-	}
-	c := 0
-	for ci := lo / t.chunkLen; ci*t.chunkLen < hi; ci++ {
-		base := ci * t.chunkLen
-		lv0 := t.chunks[ci].mono.levels[0]
-		c += countLeaf(lv0[max(lo-base, 0):min(hi-base, len(lv0))], x)
 	}
 	return c
 }

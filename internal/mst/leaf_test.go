@@ -3,7 +3,6 @@ package mst
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,12 +35,12 @@ var leafWidths = []int{1, LeafRows - 1, LeafRows, LeafRows + 1, 250}
 
 // TestLeafRule pins the leaf rule at its boundary: ranges of LeafRows−1,
 // LeafRows and LeafRows+1 rows at every start position, through the scalar
-// and batched count kernels of a monolithic tree and of a spilled forest
-// (whose chunk boundaries narrow ranges straddle), and through the aggregate
-// kernels of an int64 tree — whose sums wrap — and of a float64 tree, which
-// never takes the leaf path. Every answer must match brute force, and the
-// batched kernels must report exactly the queries of at most LeafRows rows as
-// answered at the leaves, and none with the leaf path off.
+// and batched count kernels of a striped, a deep and a NoCascading tree, and
+// through the aggregate kernels of an int64 tree — whose sums wrap — and of a
+// float64 tree, which never takes the leaf path. Every answer must match
+// brute force, and the batched kernels must report exactly the queries of at
+// most LeafRows rows as answered at the leaves, and none with the leaf path
+// off.
 func TestLeafRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	const n = 1000
@@ -72,7 +71,7 @@ func TestLeafRule(t *testing.T) {
 			}
 		}
 		out := make([]int32, m)
-		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {SpillRows: 300}} {
+		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}} {
 			tree, err := Build(keys, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -293,7 +292,7 @@ func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, thr
 // cutoff: every range of at most LeafRows rows answers like the full tree's,
 // what they own is level 0 (and, annotated, the threshold map and the
 // states), and what they cannot do they refuse — a wider range, selection,
-// serialisation, a non-int64 state.
+// a non-int64 state.
 func TestLeafOnlyStructures(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const n = 600
@@ -311,9 +310,6 @@ func TestLeafOnlyStructures(t *testing.T) {
 	lt, err := BuildLeaves(keys, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := lt.WriteTo(io.Discard); err == nil {
-		t.Error("WriteTo serialised a leaf-only tree")
 	}
 	for name, probe := range map[string]func(){
 		"SelectKth":            func() { lt.SelectKth(0, 10, 0) },

@@ -52,25 +52,6 @@ func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, ou
 		}
 		return
 	}
-	if t.chunks != nil {
-		// Spill-chunked trees fall back to the scalar per-chunk walk; the
-		// kernel's geometry assumptions only hold for monolithic trees.
-		var rs [maxSelectRanges][2]int64
-		for q := range out {
-			o0, o1 := int(off[q]), int(off[q+1])
-			nr := 0
-			for j := o0; j < o1; j++ {
-				rs[nr] = [2]int64{vlo[j], vhi[j]}
-				nr++
-			}
-			if pos, ok := t.SelectKthRanges(rs[:nr], int(k[q])); ok {
-				out[q] = i32(pos)
-			} else {
-				out[q] = -1
-			}
-		}
-		return
-	}
 	nr := len(vlo)
 	vb := arena.Int32s.Get(2 * nr)
 	vlo32, vhi32 := vb[:nr], vb[nr:]
@@ -78,7 +59,7 @@ func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, ou
 		vlo32[j] = clampI32(vlo[j])
 		vhi32[j] = clampI32(vhi[j])
 	}
-	selectKernel(t.mono, off, vlo32, vhi32, k, out)
+	selectKernel(t.tr, off, vlo32, vhi32, k, out)
 	arena.Int32s.Put(vb)
 }
 

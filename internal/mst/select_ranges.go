@@ -25,9 +25,6 @@ func (t *Tree) SelectKthRanges(ranges [][2]int64, i int) (pos int, ok bool) {
 		//lint:invariant frame exclusion yields at most 3 ranges (§4.7); more is a window-operator bug, and truncating would silently mis-select
 		panic(fmt.Sprintf("mst: SelectKthRanges got %d ranges, max %d", len(ranges), maxSelectRanges))
 	}
-	if t.chunks != nil {
-		return t.chunkedSelectKthRanges(ranges, i)
-	}
 	var lo, hi [maxSelectRanges]int32
 	m := 0
 	for _, r := range ranges {
@@ -36,17 +33,7 @@ func (t *Tree) SelectKthRanges(ranges [][2]int64, i int) (pos int, ok bool) {
 			m++
 		}
 	}
-	return selectRanges(t.mono, lo[:m], hi[:m], i)
-}
-
-// CountRanges returns the number of entries at positions [lo, hi) whose
-// value falls into any of the sorted, disjoint half-open value ranges.
-func (t *Tree) CountRanges(lo, hi int, ranges [][2]int64) int {
-	total := 0
-	for _, r := range ranges {
-		total += t.CountRange(lo, hi, r[0], r[1])
-	}
-	return total
+	return selectRanges(t.tr, lo[:m], hi[:m], i)
 }
 
 // selectRanges is the scalar Figure 7 descent: one selectStep (step.go) per

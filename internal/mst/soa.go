@@ -20,8 +20,8 @@ package mst
 //     instead of up to one more when rows straddle lines.
 //
 // Because the padded sample stride and the origin stripes (a third stripe
-// per merge level, one byte per element, see step.go) change the serialized
-// form and the in-memory geometry, treeSig carries a layout component ("l3")
+// per merge level, one byte per element, see step.go) change the in-memory
+// geometry, treeSig carries a layout component ("l3")
 // so structure caches never mix layouts across versions.
 
 // cacheLineBytes is the layout grain of the SoA stripes.

@@ -19,7 +19,7 @@ func TestSoALayoutAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tree.mono
+	tr := tree.tr
 	for l := 1; l < len(tr.levels); l++ {
 		if addr := uintptr(unsafe.Pointer(&tr.levels[l][0])); addr%cacheLineBytes != 0 {
 			t.Fatalf("level %d slab at %#x not cache-line aligned", l, addr)

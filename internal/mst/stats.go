@@ -6,9 +6,8 @@ package mst
 // payload exponentially while growing the pointer share linearly. On top of
 // the paper's two terms every merge level of a cascading tree carries a
 // one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all, and a
-// monolithic tree over keys in [0, n] keeps the top run's base positions
-// (topPos, count_diff.go), 4·n bytes, which are rebuilt on load rather than
-// serialized:
+// tree over keys in [0, n] keeps the top run's base positions (topPos,
+// count_diff.go), 4·n bytes:
 //
 //	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes + PositionBytes
 type Stats struct {
@@ -23,26 +22,15 @@ type Stats struct {
 	SampleDistance int
 }
 
-// Stats reports the storage consumed by the tree. For a spill forest the
-// counts sum over the subtrees (Levels reports the deepest subtree).
-func (t *Tree) Stats() Stats {
-	if t.chunks != nil {
-		var s Stats
-		for _, c := range t.chunks {
-			cs := c.Stats()
-			s.Elements += cs.Elements
-			s.Pointers += cs.Pointers
-			s.OriginBytes += cs.OriginBytes
-			s.PositionBytes += cs.PositionBytes
-			s.Bytes += cs.Bytes
-			if cs.Levels > s.Levels {
-				s.Levels = cs.Levels
-			}
-			s.ElementBytes, s.Fanout, s.SampleDistance = cs.ElementBytes, cs.Fanout, cs.SampleDistance
-		}
-		return s
-	}
-	return t.mono.stats()
+// Stats reports the storage consumed by the tree.
+func (t *Tree) Stats() Stats { return t.tr.stats() }
+
+// MemBytes reports the resident bytes of the tree: Stats().Bytes plus the
+// per-level geometry (sample stride and run length, a word each), which the
+// §5.1 accounting leaves out — a few hundred bytes for one tree, but a
+// structure holding many small trees (rangetree) charges it.
+func (t *Tree) MemBytes() int64 {
+	return int64(t.tr.stats().Bytes) + int64(8*(len(t.tr.stride)+len(t.tr.effLen)))
 }
 
 func (t *tree) stats() Stats {

@@ -28,16 +28,15 @@
 //
 // Payload values are plain integers: the window operator's preprocessing
 // (package preprocess) maps previous-occurrence indices, dense ranks and
-// permutation entries to the integer domain [0, n] with n < 2³¹, so every
-// tree stores 32-bit elements — the representation §5.1 argues for on
-// memory bandwidth — and Build rejects a key outside [0, math.MaxInt32]
-// with a PayloadRangeError.
+// permutation entries to the integer domain [0, n] with n < 2³¹ − 1, so
+// every tree stores 32-bit elements — the representation §5.1 argues for on
+// memory bandwidth — and Build rejects a key outside [0, math.MaxInt32 − 1]
+// with a PayloadRangeError (maxKey says why the top value is left out).
 package mst
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"holistic/internal/obs"
 )
@@ -55,23 +54,22 @@ const DefaultSampleEvery = 32
 // grid (Figure 13) tops out there too.
 const MaxFanout = maxOriginFanout
 
-// FanoutError reports a fanout outside [2, MaxFanout], whether it came from
-// Options or a serialized tree's header.
+// FanoutError reports a fanout outside [2, MaxFanout].
 type FanoutError struct{ Fanout int }
 
 func (e *FanoutError) Error() string {
 	return fmt.Sprintf("mst: fanout must be in [2, %d], got %d", MaxFanout, e.Fanout)
 }
 
-// PayloadRangeError reports a key outside the 32-bit payload domain
-// [0, math.MaxInt32]: Pos is its index in the input, Value the key.
+// PayloadRangeError reports a key outside the payload domain
+// [0, math.MaxInt32 − 1]: Pos is its index in the input, Value the key.
 type PayloadRangeError struct {
 	Pos   int
 	Value int64
 }
 
 func (e *PayloadRangeError) Error() string {
-	return fmt.Sprintf("mst: key %d at position %d outside the payload domain [0, %d]", e.Value, e.Pos, math.MaxInt32)
+	return fmt.Sprintf("mst: key %d at position %d outside the payload domain [0, %d]", e.Value, e.Pos, maxKey)
 }
 
 // Options configures tree construction.
@@ -90,17 +88,9 @@ type Options struct {
 	NoCascading bool
 	// Serial disables parallel construction.
 	Serial bool
-	// SpillRows, when > 0, makes Build spill-aware: inputs larger than
-	// SpillRows are built as an ordered forest of monolithic subtrees over
-	// consecutive SpillRows-sized chunks (one per on-disk segment's worth of
-	// rows in the out-of-core path), merged lazily at query time — see
-	// spill.go. Answers are byte-identical to the monolithic tree's; only
-	// Build honors the option (BuildAnnotated stays monolithic because its
-	// float prefix aggregates depend on merge order). 0 disables spilling.
-	SpillRows int
 	// Trace, when non-nil, receives one child span per merge level during
 	// construction. It never influences the built structure, so it is
-	// excluded from structural signatures and not persisted by Serialize.
+	// excluded from structural signatures.
 	Trace *obs.Span
 }
 
@@ -128,9 +118,6 @@ func (o Options) validate() error {
 	}
 	if o.SampleEvery < 1 {
 		return fmt.Errorf("mst: sample distance must be >= 1, got %d", o.SampleEvery)
-	}
-	if o.SpillRows < 0 {
-		return fmt.Errorf("mst: spill rows must be >= 0, got %d", o.SpillRows)
 	}
 	return nil
 }
@@ -161,38 +148,32 @@ type tree struct {
 	// topPos[p] is the base position of the element at position p of the top
 	// run: the stable argsort of levels[0], which lets the count kernel answer
 	// a query from its predecessor's count (count_diff.go). nil when a key
-	// exceeds n, on spill chunks and on leaf-only and annotated trees.
+	// exceeds n and on leaf-only and annotated trees.
 	topPos []int32
 }
 
 // Tree is a merge sort tree over a payload array of non-negative 32-bit
 // integers, handed in and queried as int64 (§5.1).
 type Tree struct {
-	mono *tree
-	n    int
-	opt  Options
+	tr  *tree
+	n   int
+	opt Options
 
-	// Spill-chunked representation (Options.SpillRows, spill.go): when
-	// chunks is non-nil, mono is nil and chunks[i] is a monolithic
-	// subtree over base positions [i·chunkLen, min((i+1)·chunkLen, n)).
-	chunks   []*Tree
-	chunkLen int
-	// topOnce guards mergedTop, the lazily merged full top run, built on the
-	// first full-span query by merging the chunk top runs with the
-	// loser-tree scratch.
-	topOnce   sync.Once
-	mergedTop []int32
-
-	// leafOnly marks a tree built by BuildLeaves: mono holds level 0 only,
+	// leafOnly marks a tree built by BuildLeaves: tr holds level 0 only,
 	// and every count query is answered by the leaf rule (leaf.go).
 	leafOnly bool
 }
 
+// maxKey is the largest key Build accepts. It stays below math.MaxInt32,
+// the largest clamped value bound, so a select range whose exclusive upper
+// bound lies past the 32-bit domain still takes every key.
+const maxKey = math.MaxInt32 - 1
+
 // Build constructs a merge sort tree over keys. The input slice is not
-// modified. Keys must lie in [0, math.MaxInt32] (the preprocessing stages
-// only produce non-negative integers below the row count; the special value
-// "–" is mapped to 0 with all indices shifted by one, §5.1); any other key
-// is answered with a PayloadRangeError.
+// modified. Keys must lie in [0, math.MaxInt32 − 1] (the preprocessing
+// stages only produce non-negative integers below the row count, which is
+// below 2³¹ − 1; the special value "–" is mapped to 0 with all indices
+// shifted by one, §5.1); any other key is answered with a PayloadRangeError.
 func Build(keys []int64, opt Options) (*Tree, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -202,26 +183,23 @@ func Build(keys []int64, opt Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.SpillRows > 0 && len(keys) > opt.SpillRows {
-		return buildChunked(base, opt), nil
-	}
 	tr := buildTree(base, opt)
 	tr.topPos = topPositions(base)
-	return &Tree{n: len(keys), opt: opt.stored(), mono: tr}, nil
+	return &Tree{n: len(keys), opt: opt.stored(), tr: tr}, nil
 }
 
-// payloadBase checks keys against the element limit and the 32-bit payload
-// domain and returns them narrowed: level 0 of the tree.
+// payloadBase checks keys against the element limit and the payload domain
+// [0, maxKey] and returns them narrowed: level 0 of the tree.
 func payloadBase(keys []int64) ([]int32, error) {
 	if len(keys) >= math.MaxInt32 {
 		return nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", len(keys))
 	}
 	base := make([]int32, len(keys))
 	for i, v := range keys {
-		if v < 0 || v > math.MaxInt32 {
+		if v < 0 || v > maxKey {
 			return nil, &PayloadRangeError{Pos: i, Value: v}
 		}
-		//lint:narrowconv-ok the guard above proved the key is in [0, math.MaxInt32]
+		//lint:narrowconv-ok the guard above proved the key is in [0, maxKey]
 		base[i] = int32(v)
 	}
 	return base, nil
@@ -248,15 +226,12 @@ func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
 		return hi - lo
 	}
 	if leafRule(hi-lo, t.leafOnly) {
-		return t.countLeaves(lo, hi, clampI32(threshold))
-	}
-	if t.chunks != nil {
-		return t.chunkedCountBelow(lo, hi, threshold)
+		return countLeaf(t.tr.levels[0][lo:hi], clampI32(threshold))
 	}
 	if threshold <= 0 {
 		return 0
 	}
-	return t.mono.countBelow(lo, hi, int32(threshold))
+	return t.tr.countBelow(lo, hi, int32(threshold))
 }
 
 // CountRange returns the number of entries at positions [lo, hi) whose value
@@ -287,10 +262,7 @@ func clampI32(v int64) int32 {
 
 // Value returns the payload value at base position pos.
 func (t *Tree) Value(pos int) int64 {
-	if t.chunks != nil {
-		return t.chunks[pos/t.chunkLen].Value(pos % t.chunkLen)
-	}
-	return int64(t.mono.levels[0][pos])
+	return int64(t.tr.levels[0][pos])
 }
 
 // runLen returns f^l clamped to n.

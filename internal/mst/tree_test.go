@@ -283,34 +283,45 @@ func TestEmptyAndSingle(t *testing.T) {
 }
 
 // Test32BitSelection pins the one payload width: the whole of
-// [0, math.MaxInt32] builds and answers, and the first key outside it — on the
-// monolithic path and inside a later chunk of a spill forest alike — is
-// rejected with a PayloadRangeError naming its position in the input.
+// [0, math.MaxInt32 − 1] builds and answers — a select range whose exclusive
+// bound lies past the 32-bit domain takes the largest key — and the first key
+// outside it, math.MaxInt32 included, is rejected with a PayloadRangeError
+// naming its position in the input.
 func Test32BitSelection(t *testing.T) {
-	edge, err := Build([]int64{1, math.MaxInt32, 0}, Options{})
+	const top = math.MaxInt32 - 1
+	edge, err := Build([]int64{1, top, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := edge.Stats().ElementBytes; got != 4 {
 		t.Fatalf("element bytes = %d, want 4", got)
 	}
-	if got := edge.CountBelow(0, 3, math.MaxInt32); got != 2 {
-		t.Fatalf("count below MaxInt32 = %d, want 2", got)
+	if got := edge.CountBelow(0, 3, top); got != 2 {
+		t.Fatalf("count below MaxInt32-1 = %d, want 2", got)
 	}
-	if got := edge.CountBelow(0, 3, math.MaxInt32+1); got != 3 {
-		t.Fatalf("count below MaxInt32+1 = %d, want 3", got)
+	if got := edge.CountBelow(0, 3, math.MaxInt32); got != 3 {
+		t.Fatalf("count below MaxInt32 = %d, want 3", got)
+	}
+	for _, vHi := range []int64{math.MaxInt32, math.MaxInt32 + 1, math.MaxInt64} {
+		if pos, ok := edge.SelectKth(top, vHi, 0); !ok || pos != 1 {
+			t.Fatalf("select in [MaxInt32-1, %d) = (%d, %v), want (1, true)", vHi, pos, ok)
+		}
+		out := make([]int32, 1)
+		edge.SelectKthRangesBatch([]int32{0, 1}, []int64{1}, []int64{vHi}, []int32{1}, out)
+		if out[0] != 1 {
+			t.Fatalf("batched select of the 2nd entry in [1, %d) = %d, want 1", vHi, out[0])
+		}
 	}
 	for _, c := range []struct {
 		name string
 		keys []int64
-		opt  Options
 		pos  int
 	}{
-		{"negative", []int64{3, -1, 1 << 40}, Options{}, 1},
-		{"MaxInt32+1", []int64{1, 2, math.MaxInt32 + 1}, Options{}, 2},
-		{"spill forest", []int64{5, 4, 3, 2, 1, 0, -7, 8}, Options{SpillRows: 3}, 6},
+		{"negative", []int64{3, -1, 1 << 40}, 1},
+		{"MaxInt32", []int64{1, math.MaxInt32, 0}, 1},
+		{"MaxInt32+1", []int64{1, 2, math.MaxInt32 + 1}, 2},
 	} {
-		_, err := Build(c.keys, c.opt)
+		_, err := Build(c.keys, Options{})
 		var pe *PayloadRangeError
 		if !errors.As(err, &pe) || pe.Pos != c.pos || pe.Value != c.keys[c.pos] {
 			t.Fatalf("%s: error %v, want a PayloadRangeError for key %d at %d", c.name, err, c.keys[c.pos], c.pos)
@@ -411,7 +422,7 @@ func TestParallelBuildPaths(t *testing.T) {
 					t.Fatalf("n=%d opt=%+v [%d,%d) th=%d: got %d want %d", n, opt, lo, hi, th, got, want)
 				}
 			}
-			checkInvariants(t, tree.mono)
+			checkInvariants(t, tree.tr)
 		}
 	}
 }

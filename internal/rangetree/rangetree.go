@@ -23,6 +23,7 @@ package rangetree
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"holistic/internal/mst"
 	"holistic/internal/parallel"
@@ -246,17 +247,18 @@ func (t *DenseRankTree) countLeaves(lo, hi int, rankThreshold, prevThreshold int
 	return c
 }
 
-// MemBytes reports the approximate resident size of the structure: every
-// node's rank/prevIdx arrays plus its nested tree. A leaf-only structure has
-// no nodes and reports 0: the partition arrays it scans are the caller's.
-// Used for cache budget accounting.
+// MemBytes reports the approximate resident size of the structure: the
+// 2n-entry node array, and every inner node's rank/prevIdx arrays plus its
+// nested tree. The leaf nodes are one-element windows into the partition
+// arrays, which are the caller's, so they cost nothing; a leaf-only structure
+// has no nodes and reports 0. Used for cache budget accounting.
 func (t *DenseRankTree) MemBytes() int64 {
-	var total int64
-	for i := range t.nodes {
+	total := int64(len(t.nodes)) * int64(unsafe.Sizeof(node{}))
+	for i := 1; i < len(t.nodes)/2; i++ {
 		nd := &t.nodes[i]
 		total += int64(16 * len(nd.ranks))
 		if nd.inner != nil {
-			total += int64(nd.inner.Stats().Bytes)
+			total += nd.inner.MemBytes()
 		}
 	}
 	return total

@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"holistic"
-	"holistic/internal/mst"
 	"holistic/internal/treecache"
 )
 
 // BenchmarkEvalSegmented measures the out-of-core query path end to end:
 // materialize a four-segment dataset through the column cache and evaluate
-// a framed window query with spill-chunked trees. The cache is warmed
+// a framed window query. The cache is warmed
 // outside the loop, so the steady state — what a windowd request sees — is
 // measured.
 func BenchmarkEvalSegmented(b *testing.B) {
@@ -32,7 +31,6 @@ func BenchmarkEvalSegmented(b *testing.B) {
 	      from t window w as (partition by g order by d, v
 	                          rows between 100 preceding and 100 following)`
 	opt := holistic.Options{
-		Tree:       mst.Options{SpillRows: n / 8},
 		Cache:      cache,
 		CacheScope: "t@" + d.Version(),
 	}

@@ -40,7 +40,6 @@ import (
 	"holistic/internal/csvio"
 	"holistic/internal/delta"
 	"holistic/internal/ingest"
-	"holistic/internal/mst"
 	"holistic/internal/obs"
 	"holistic/internal/plan"
 	"holistic/internal/segment"
@@ -73,11 +72,6 @@ type Config struct {
 	// uploads and JSON register requests). Oversized uploads answer 413
 	// with the payload_too_large code. <= 0 means 256 MiB.
 	MaxUploadBytes int64
-	// SpillRows, when > 0, makes the operator build merge sort trees as
-	// forests of SpillRows-row subtrees (mst.Options.SpillRows), bounding
-	// the largest contiguous build and enabling out-of-core-friendly
-	// incremental tree construction. 0 keeps monolithic trees.
-	SpillRows int
 	// CompactRows is the per-dataset mutation-overlay size at which the
 	// background compactor folds the overlay into a new frozen generation;
 	// <= 0 picks max(1024, rows/8) adaptively (delta.Options.CompactRows).
@@ -903,7 +897,6 @@ func (s *Server) query(ctx context.Context, sql string, includeTrace bool) (*que
 
 	start := time.Now()
 	table, planStats, err := sqlparse.ExecutePlanned(q, map[string]*core.Table{q.From: tab}, core.Options{
-		Tree:       mst.Options{SpillRows: s.cfg.SpillRows},
 		Context:    ctx,
 		Cache:      s.cache,
 		CacheScope: fmt.Sprintf("%s|g%d", ds.scope, snap.Gen()),

@@ -74,8 +74,7 @@ func WithTaskSize(rows int) Option {
 }
 
 // WithTree configures merge sort tree construction (fanout f, pointer
-// sampling k, cascading, spilling); fields left zero take the paper's
-// f = k = 32.
+// sampling k, cascading); fields left zero take the paper's f = k = 32.
 func WithTree(t TreeOptions) Option {
 	return func(o *Options) { o.Tree = t }
 }
