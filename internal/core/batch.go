@@ -76,11 +76,12 @@ type BatchFamilyStat struct {
 	// leaves — a pass over the tree's level 0 for a range of at most
 	// mst.LeafRows rows — instead of descending. Always 0 for select.
 	LeafQueries int64
-	// DiffQueries is how many of Queries the count kernel answered from the
-	// query before them — its count plus the rows and keys that moved —
-	// instead of descending. Only CountBelowBatch reports it: always 0 for
-	// select and agg, and DENSE_RANK's range-tree queries add nothing to
-	// rank's.
+	// DiffQueries is how many of Queries the kernels answered from the query
+	// before them instead of descending: a count from its predecessor's count
+	// plus the rows and keys that moved, a select by a walk over level 0 from
+	// its predecessor's answer. CountBelowBatch and SelectKthRangesBatch
+	// report it: always 0 for agg, and DENSE_RANK's range-tree queries add
+	// nothing to rank's.
 	DiffQueries int64
 }
 
@@ -329,11 +330,12 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 // carrying the row's frame ranges as value ranges on the permutation tree.
 // Rows repeat their predecessor's ranges (and therefore ranks, which derive
 // from the frame size) verbatim under constant and peer-shared frames; those
-// rows reuse the previous row's query slots.
+// rows reuse the previous row's query slots. The kernel answers most queries
+// of a sliding frame from the query before them; agg.diffs counts those.
 func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree *mst.Tree,
 	valueCol *Column, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(10*n + 1)
+	ib := opt.getInt32s(9*n + 1)
 	off := ib[: 2*n+1 : 2*n+1]
 	qk := ib[2*n+1 : 4*n+1]
 	qout := ib[4*n+1 : 6*n+1]
@@ -398,7 +400,7 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 		}
 	}
 
-	tree.SelectKthRangesBatch(off[:s+1], vlo[:w], vhi[:w], qk[:s], qout[:s])
+	agg.diffs.Add(int64(tree.SelectKthRangesBatch(off[:s+1], vlo[:w], vhi[:w], qk[:s], qout[:s])))
 
 	for i := lo; i < hi; i++ {
 		ri := i - lo

@@ -104,7 +104,7 @@ func TestBatchEquivalenceAggRankFamilies(t *testing.T) {
 // a 60-row frame answers every count, agg and rank query from the trees'
 // level 0 — leaf_queries equals batch_queries on each family's
 // mst.query.batch span and in BatchFamilySnapshot — and no select query,
-// since the select kernels always descend. With a 10,000-row frame every
+// since the select kernels have no leaf rule. With a 10,000-row frame every
 // frame spans its whole partition, more than mst.LeafRows rows, and nothing is
 // answered at the leaves.
 func TestLeafQueriesCounted(t *testing.T) {

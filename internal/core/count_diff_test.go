@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -15,15 +16,10 @@ import (
 // kernel can answer from their predecessor (mst count_diff.go) —
 // COUNT(DISTINCT), RANK, CUME_DIST and NTILE, plain and FILTERed, ordered by
 // the window's own key (thresholds that slide) and by an unrelated one
-// (thresholds that jump) — over ROWS, RANGE and GROUPS frames wider than
-// mst.LeafRows, each under an EXCLUDE mode, with the kernels' cutoff at its
-// default and at 0, which sends every query through the descent. Every
-// answer must match the reference, and the count and rank families must
-// report differential answers exactly when the cutoff is on.
+// (thresholds that jump) — through checkDifferentialReference.
 func TestReferenceDifferentialCounts(t *testing.T) {
-	tab, _, _, _ := leafCutoffTable(2, 600) // d: 100 tied values, ~6 rows each
 	ordD, ordV := []SortKey{{Column: "d"}}, []SortKey{{Column: "v"}}
-	funcs := []FuncSpec{
+	checkDifferentialReference(t, []FuncSpec{
 		{Name: CountDistinct, Output: "cd", Arg: "v"},
 		{Name: CountDistinct, Output: "cdf", Arg: "v", Filter: "flt"},
 		{Name: Rank, Output: "rk", OrderBy: ordD},
@@ -32,7 +28,36 @@ func TestReferenceDifferentialCounts(t *testing.T) {
 		{Name: CumeDist, Output: "cuv", OrderBy: ordV},
 		{Name: Ntile, Output: "nt", N: 4, OrderBy: ordD},
 		{Name: Ntile, Output: "ntf", N: 3, OrderBy: ordV, Filter: "flt"},
-	}
+	}, "count", "rank")
+}
+
+// TestReferenceDifferentialSelects runs the functions whose queries the
+// select kernel can answer from their predecessor (mst select_diff.go) —
+// PERCENTILE_DISC, PERCENTILE_CONT (whose interpolation pairs are back-to-back
+// queries), NTH_VALUE, FIRST_VALUE and LAST_VALUE, plain and FILTERed, over
+// the nullable v — through checkDifferentialReference.
+func TestReferenceDifferentialSelects(t *testing.T) {
+	ordV, ordFV := []SortKey{{Column: "v"}}, []SortKey{{Column: "fv"}}
+	checkDifferentialReference(t, []FuncSpec{
+		{Name: PercentileDisc, Output: "pd", Fraction: 0.3, OrderBy: ordV},
+		{Name: PercentileDisc, Output: "pdf", Fraction: 0.9, OrderBy: ordV, Filter: "flt"},
+		{Name: PercentileCont, Output: "pc", Fraction: 0.45, OrderBy: ordFV},
+		{Name: PercentileCont, Output: "pcf", Fraction: 0.5, OrderBy: ordV, Filter: "flt"},
+		{Name: NthValue, Output: "nv", Arg: "v", N: 3, OrderBy: ordFV, IgnoreNulls: true},
+		{Name: NthValue, Output: "nvf", Arg: "v", N: 40, OrderBy: ordV, Filter: "flt"},
+		{Name: FirstValue, Output: "fvl", Arg: "v", OrderBy: ordFV, IgnoreNulls: true},
+		{Name: LastValue, Output: "lvf", Arg: "v", OrderBy: ordFV, Filter: "flt"},
+	}, "select")
+}
+
+// checkDifferentialReference runs funcs over ROWS, RANGE and GROUPS frames
+// wider than mst.LeafRows, each under an EXCLUDE mode, with the kernels'
+// cutoff at its default and at 0, which sends every query through the
+// descent. Every answer must match the reference, and each of families must
+// report differential answers exactly when the cutoff is on.
+func checkDifferentialReference(t *testing.T, funcs []FuncSpec, families ...string) {
+	t.Helper()
+	tab, _, _, _ := leafCutoffTable(2, 600) // d: 100 tied values, ~6 rows each
 	bound := func(typ frame.BoundType, off int64) frame.Bound { return frame.Bound{Type: typ, Offset: off} }
 	frames := []frame.Spec{
 		{Mode: frame.Rows, Start: bound(frame.Preceding, 200), End: bound(frame.CurrentRow, 0)},
@@ -58,7 +83,7 @@ func TestReferenceDifferentialCounts(t *testing.T) {
 				compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("cutoff %d frame %d %s", cutoff, fi, f.Output))
 			}
 			for i, a := range BatchFamilySnapshot() {
-				if a.Family != "count" && a.Family != "rank" {
+				if !slices.Contains(families, a.Family) {
 					continue
 				}
 				if diffs := a.DiffQueries - before[i].DiffQueries; (diffs > 0) != (cutoff > 0) {
@@ -69,12 +94,13 @@ func TestReferenceDifferentialCounts(t *testing.T) {
 	}
 }
 
-// TestDiffQueriesCounted pins what the differential count pass reports on
-// the mst.query.batch span (diff_queries) and in BatchFamilySnapshot, on one
+// TestDiffQueriesCounted pins what the differential passes report on the
+// mst.query.batch span (diff_queries) and in BatchFamilySnapshot, on one
 // 30,000-row partition under ROWS 9999 PRECEDING: COUNT(DISTINCT)'s frame
-// and threshold slide by one row, so at least 99 % of its queries are
-// answered from their predecessor; RANK over a column unrelated to the
-// window order jumps its threshold between rows, so at most 2 % are.
+// and threshold slide by one row, and so does the median's value range on
+// the permutation tree, so at least 99 % of their queries are answered from
+// their predecessor; RANK over a column unrelated to the window order jumps
+// its threshold between rows, so at most 2 % are.
 func TestDiffQueriesCounted(t *testing.T) {
 	const n = 30_000
 	rng := rand.New(rand.NewSource(17))
@@ -94,16 +120,17 @@ func TestDiffQueriesCounted(t *testing.T) {
 		Funcs: []FuncSpec{
 			{Name: CountDistinct, Output: "cd", Arg: "c"},
 			{Name: Rank, Output: "rk", OrderBy: []SortKey{{Column: "v"}}},
+			{Name: PercentileDisc, Output: "med", Fraction: 0.5, OrderBy: []SortKey{{Column: "v"}}},
 		},
 	}
 	before := BatchFamilySnapshot()
 	root := tracedRun(t, tab, w, Options{})
 	after := BatchFamilySnapshot()
 	within := func(fam string, queries, diffs int64) bool {
-		if fam == "count" {
-			return queries > 0 && diffs*100 >= queries*99
+		if fam == "rank" {
+			return queries > 0 && diffs*100 <= queries*2
 		}
-		return queries > 0 && diffs*100 <= queries*2
+		return queries > 0 && diffs*100 >= queries*99
 	}
 	spans := 0
 	root.Walk(func(sp *obs.Span, _ int) {
@@ -118,11 +145,11 @@ func TestDiffQueriesCounted(t *testing.T) {
 			t.Errorf("%s span: batch_queries=%d diff_queries=%q", fam, queries, sp.Attr("diff_queries"))
 		}
 	})
-	if spans != 2 {
-		t.Errorf("%d mst.query.batch spans, want 2", spans)
+	if spans != 3 {
+		t.Errorf("%d mst.query.batch spans, want 3", spans)
 	}
 	for i, a := range after {
-		if a.Family != "count" && a.Family != "rank" {
+		if a.Family == "agg" {
 			continue
 		}
 		if q, df := a.Queries-before[i].Queries, a.DiffQueries-before[i].DiffQueries; !within(a.Family, q, df) {

@@ -137,41 +137,92 @@ func BenchmarkCountBelowBatch(b *testing.B) {
 }
 
 // BenchmarkSelectKthRangesBatch is the batched select probe in the shape the
-// window operator gives it for a framed median over 200k rows: the payload
-// is the permutation array (§4.5), one query per row selecting the median of
-// a sliding value range of the given width, issued in probe-chunk batches of
-// 20,000 adjacent rows. One op is one pass over all rows.
+// window operator gives it for a framed percentile over 200k rows: the payload
+// is the permutation array (§4.5), one query per row selecting the entry at
+// the given fraction of a sliding value range of the given width (ROWS
+// BETWEEN width-1 PRECEDING AND CURRENT ROW), issued in probe-chunk batches of
+// 20,000 adjacent rows. The exclude arm centres its frame on the row under
+// EXCLUDE TIES with peer groups of four rows: three ranges per query. The jump
+// arm draws a random frame per query, so the kernel declines to answer a
+// query from its predecessor (select_diff.go) and descends. One op is one pass
+// over all rows; the reported ns/row is the per-query cost and diff/row the
+// share answered from the predecessor.
 func BenchmarkSelectKthRangesBatch(b *testing.B) {
 	const n, chunk = 200_000, 20_000
+	rng := rand.New(rand.NewSource(1))
 	perm := make([]int64, n)
-	for i, p := range rand.New(rand.NewSource(1)).Perm(n) {
+	for i, p := range rng.Perm(n) {
 		perm[i] = int64(p)
 	}
 	tree, err := Build(perm, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	off := make([]int32, chunk+1)
-	for q := range off {
-		off[q] = int32(q)
+	jumps := make([]int, n)
+	for i := range jumps {
+		jumps[i] = rng.Intn(n)
 	}
-	vlo, vhi := make([]int64, chunk), make([]int64, chunk)
+	off := make([]int32, chunk+1)
+	vlo, vhi := make([]int64, 3*chunk), make([]int64, 3*chunk)
 	k := make([]int32, chunk)
 	out := make([]int32, chunk)
-	for _, width := range []int{500, 2_000, n / 2} {
-		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
+	for _, arm := range []struct {
+		name     string
+		width    int
+		fraction float64
+		exclude  bool
+		jump     bool
+	}{
+		{"width500", 500, 0.5, false, false},
+		{"width500_f0.05", 500, 0.05, false, false},
+		{"width500_f0.95", 500, 0.95, false, false},
+		{"width1200", 1_200, 0.5, false, false},
+		{"width2000", 2_000, 0.5, false, false},
+		{"width2000_f0.05", 2_000, 0.05, false, false},
+		{"width2000_f0.95", 2_000, 0.95, false, false},
+		{"width100000", n / 2, 0.5, false, false},
+		{"exclude2000", 2_000, 0.5, true, false},
+		{"jump2000", 2_000, 0.5, false, true},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
+			diffs := 0
 			for i := 0; i < b.N; i++ {
 				for start := 0; start < n; start += chunk {
+					w := 0
+					push := func(lo, hi int) {
+						vlo[w], vhi[w] = int64(lo), int64(hi)
+						w++
+					}
 					for q := range out {
 						row := start + q
-						a := max(row-width+1, 0)
-						vlo[q], vhi[q], k[q] = int64(a), int64(row+1), int32((row+1-a)/2)
+						size := 0
+						switch {
+						case arm.jump:
+							a := jumps[row] % (n - arm.width)
+							push(a, a+arm.width)
+							size = arm.width
+						case arm.exclude:
+							a, e := max(row-arm.width/2, 0), min(row+arm.width/2+1, n)
+							g0 := row / 4 * 4
+							g1 := min(g0+4, e)
+							push(a, g0)
+							push(row, row+1)
+							push(g1, e)
+							size = g0 - a + 1 + e - g1
+						default:
+							a := max(row-arm.width+1, 0)
+							push(a, row+1)
+							size = row + 1 - a
+						}
+						off[q+1] = int32(w)
+						k[q] = int32(arm.fraction * float64(size-1))
 					}
-					tree.SelectKthRangesBatch(off, vlo, vhi, k, out)
+					diffs += tree.SelectKthRangesBatch(off, vlo[:w], vhi[:w], k, out)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			b.ReportMetric(float64(diffs)/float64(b.N)/n, "diff/row")
 		})
 	}
 }

@@ -12,8 +12,9 @@ import (
 // force over fuzzer-chosen inputs, tree options and query arguments — the
 // counts once with the leaf path at its cutoff and once with it off
 // (leafSeam), each batch followed by a sliding sequence the differential
-// pass answers from neighbours — and, in the leaf-only arm (leafOnlyCounts),
-// against BuildLeaves' form of the same keys. CI runs it as a smoke pass on main pushes; `go test
+// pass answers from neighbours, and a sliding select sequence likewise — and,
+// in the leaf-only arm (leafOnlyCounts), against BuildLeaves' form of the
+// same keys. CI runs it as a smoke pass on main pushes; `go test
 // -fuzz=FuzzCountSelect ./internal/mst/` digs deeper locally.
 func FuzzCountSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0))
@@ -28,6 +29,10 @@ func FuzzCountSelect(f *testing.F) {
 	// Keys below n, so the tree keeps top-run positions, and k = 26 slides
 	// both edges and the threshold up by one per query.
 	f.Add(fuzzSeedBytes(600, 19), 50, 450, int64(51), 26, uint8(30), uint8(31), uint8(0))
+	// k = 35 slides the select range [20, 400) up by one per query at a fixed
+	// rank, in one range and, with flags 16, three EXCLUDE TIES-style ranges.
+	f.Add(fuzzSeedBytes(600, 23), 20, 400, int64(100), 35, uint8(30), uint8(31), uint8(0))
+	f.Add(fuzzSeedBytes(600, 29), 20, 400, int64(100), 35, uint8(1), uint8(2), uint8(16))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, k int, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		for i, b := range data {
@@ -38,7 +43,7 @@ func FuzzCountSelect(f *testing.F) {
 				keys[i] = int64(b) << 24
 			}
 		}
-		opt := Options{ // flags&2 is unused: the corpus keeps decoding as it did
+		opt := Options{ // flags&2 is unused: the corpus keeps decoding as it did; flags>>3 shapes the sliding select
 			Fanout:      fuzzParam(fanout, 2, 7),
 			SampleEvery: fuzzParam(sampleEvery, 1, 15),
 			NoCascading: flags&1 != 0,
@@ -168,6 +173,55 @@ func FuzzCountSelect(f *testing.F) {
 					ranges, kq, sOut[q], scalar, wantB, opt)
 			}
 		}
+
+		// A sliding select sequence from the fuzzer's query: the value range
+		// [lo, hi) steps like the sliding counts and k by −1…1 per query
+		// (picked by k), as one range, two around its middle (EXCLUDE CURRENT
+		// ROW) or three (EXCLUDE TIES) by flags>>3, so neighbours are answered
+		// from one another (select_diff.go).
+		leafSeam(t, func(t *testing.T) {
+			dl, dh, dk := k%3-1, k/3%3-1, k/27%3-1
+			const slide = 48
+			var slOff []int32
+			var slVlo, slVhi []int64
+			slK := make([]int32, slide)
+			for s := range slK {
+				l, h := int64(lo+s*dl), int64(hi+s*dh)
+				c := (l + h) / 2
+				var ranges [][2]int64
+				switch flags >> 3 % 3 {
+				case 0:
+					ranges = [][2]int64{{l, h}}
+				case 1:
+					ranges = [][2]int64{{l, c}, {c + 1, h}}
+				default:
+					ranges = [][2]int64{{l, c - 1}, {c, c + 1}, {c + 2, h}}
+				}
+				slOff = append(slOff, int32(len(slVlo)))
+				for _, r := range ranges {
+					slVlo, slVhi = append(slVlo, r[0]), append(slVhi, r[1])
+				}
+				slK[s] = int32(k + s*dk)
+			}
+			slOff = append(slOff, int32(len(slVlo)))
+			slOut := make([]int32, slide)
+			tree.SelectKthRangesBatch(slOff, slVlo, slVhi, slK, slOut)
+			for s := range slOut {
+				ranges := batchRanges(slOff, slVlo, slVhi, s)
+				wantS := int32(-1)
+				if pos, ok := bruteSelectRanges(keys, ranges, int(slK[s])); ok && slK[s] >= 0 {
+					wantS = int32(pos)
+				}
+				scalar := int32(-1)
+				if pos, ok := tree.SelectKthRanges(ranges, int(slK[s])); ok {
+					scalar = int32(pos)
+				}
+				if slOut[s] != wantS || scalar != wantS {
+					t.Errorf("sliding select %d %v k=%d: SelectKthRangesBatch %d, SelectKthRanges %d, brute force %d (opt %+v)",
+						s, ranges, slK[s], slOut[s], scalar, wantS, opt)
+				}
+			}
+		})
 	})
 }
 

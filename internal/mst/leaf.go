@@ -8,9 +8,11 @@ import "fmt"
 // nanosecond per row, a descent a fixed O(log n) steps however narrow the
 // range (paper §6.4, Fig. 11: a per-frame scan beats the tree below frames
 // of ~130 rows). The count and integer-aggregate kernels, scalar and
-// batched, take the pass for ranges of at most leafRows rows; the select
-// kernels always descend, and so do aggregates whose fold order is part of
-// the answer (AnnotatedTree).
+// batched, take the pass for ranges of at most leafRows rows; aggregates
+// whose fold order is part of the answer (AnnotatedTree) always descend. The
+// select kernels have no leaf rule — a narrow value range is spread over all
+// of level 0 — but the batched one walks level 0 from its predecessor's
+// answer when the frame barely moved (select_diff.go).
 
 // LeafRows is the widest position range the count and integer-aggregate
 // kernels answer from level 0. It sits well below the measured scan/descent
@@ -21,13 +23,14 @@ import "fmt"
 const LeafRows = 128
 
 // leafRows is the cutoff the kernels read on a full structure — the leaf
-// rule's width and the differential count's budget (count_diff.go). It is
-// LeafRows; tests set it to 0 to send every query through the descent.
+// rule's width and the differential count's and select's budgets
+// (count_diff.go, select_diff.go). It is LeafRows; tests set it to 0 to send
+// every query through the descent.
 var leafRows = LeafRows
 
 // SetLeafRows sets the cutoff the kernels read on a full structure and
 // returns the previous one: the leaf seam for tests outside this package,
-// which set 0 to send every count query through the descent and restore the
+// which set 0 to send every query through the descent and restore the
 // returned value afterwards. Nothing else calls it, and it must not be
 // called while a kernel runs.
 func SetLeafRows(rows int) int {

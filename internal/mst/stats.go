@@ -7,7 +7,7 @@ package mst
 // the paper's two terms every merge level of a cascading tree carries a
 // one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all, and a
 // tree over keys in [0, n] keeps the top run's base positions (topPos,
-// count_diff.go), 4·n bytes:
+// count_diff.go, select_diff.go), 4·n bytes:
 //
 //	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes + PositionBytes
 type Stats struct {

@@ -146,9 +146,10 @@ type tree struct {
 	// effLen[l] is the run length at level l (f^l), clamped to n at the top.
 	effLen []int
 	// topPos[p] is the base position of the element at position p of the top
-	// run: the stable argsort of levels[0], which lets the count kernel answer
-	// a query from its predecessor's count (count_diff.go). nil when a key
-	// exceeds n and on leaf-only and annotated trees.
+	// run: the stable argsort of levels[0], which lets the count and select
+	// kernels answer a query from its predecessor's answer (count_diff.go,
+	// select_diff.go). nil when a key exceeds n and on leaf-only and annotated
+	// trees.
 	topPos []int32
 }
 

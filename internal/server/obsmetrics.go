@@ -238,7 +238,7 @@ func newServerObs(s *Server, routes []string) *serverObs {
 			return out
 		})
 	reg.NewCounterFunc("windowd_mst_batch_diff_queries_family",
-		"Batched MST count queries answered from the previous query's count plus the rows and keys that moved (sliding frames) instead of a descent, by kernel family: count, select, agg, rank.",
+		"Batched MST queries answered from the previous query instead of a descent (sliding frames): a count from its count plus the rows and keys that moved, a select by a level-0 walk from its answer; by kernel family: count, select, agg, rank.",
 		[]string{"family"}, func() []obs.Sample {
 			stats := core.BatchFamilySnapshot()
 			out := make([]obs.Sample, len(stats))

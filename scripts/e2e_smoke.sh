@@ -70,6 +70,13 @@ fam_query='{"sql":"select sum(distinct v) over (order by d) as sdv, dense_rank()
 curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$fam_query" | grep -q '"sdv"' \
     || { echo "FAIL: family query missing sdv column"; exit 1; }
 
+# A sliding frame wider than mst.LeafRows (128 rows): its count and select
+# queries go past the leaf rule, and the batched kernels answer most of them
+# from the query before them, so both families' diff_queries series fire.
+slide_query='{"sql":"select d, percentile_disc(0.25 order by v) over w as ps, count(distinct v) over w as cs from t window w as (order by d rows between 199 preceding and current row)"}'
+curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$slide_query" | grep -q '"ps"' \
+    || { echo "FAIL: sliding query missing ps column"; exit 1; }
+
 # Shared-plan optimizer: a multi-window statement (named-window inheritance
 # included) must report the plan shape in its query stats, and /v1/explain
 # must return the structured DAG alongside the legacy text plan.
@@ -110,6 +117,8 @@ for series in \
     'windowd_mst_batch_dedup_hits_family{family="count"}' \
     'windowd_mst_batch_dedup_hits_family{family="agg"}' \
     'windowd_mst_batch_leaf_queries_family{family="count"}' \
+    'windowd_mst_batch_diff_queries_family{family="count"}' \
+    'windowd_mst_batch_diff_queries_family{family="select"}' \
     'windowd_plan_shared_sorts' \
     'windowd_plan_shared_trees' \
     'windowd_plan_shared_preprocess' \
