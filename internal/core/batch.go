@@ -9,10 +9,10 @@ import (
 	"holistic/internal/rangetree"
 )
 
-// Chunk-level batched probing: the probe path of every MST function family
-// except LEAD/LAG. A row needs one or a few MST queries; the collectors here
-// gather a whole parallel task chunk's query descriptors into pooled
-// structure-of-arrays buffers, dedup rows whose descriptors exactly repeat
+// Chunk-level batched probing: the probe path of every MST function family.
+// A row needs one or a few MST queries; the collectors here gather a whole
+// parallel task chunk's query descriptors into pooled structure-of-arrays
+// buffers, dedup rows whose descriptors exactly repeat
 // the previous row's (peer rows of a RANGE frame, constant frames), hand the
 // surviving queries to the batched level-synchronous kernels
 // (mst.CountBelowBatch / mst.SelectKthRangesBatch / AggBelowBatch /
@@ -26,14 +26,15 @@ import (
 type batchFamily int
 
 const (
-	famCount  batchFamily = iota // COUNT(DISTINCT): whole-span count queries
-	famSelect                    // percentiles / value functions: selection queries
-	famAgg                       // SUM/AVG(DISTINCT): annotated aggregate queries
-	famRank                      // RANK family and DENSE_RANK: counting rank queries
+	famCount   batchFamily = iota // COUNT(DISTINCT): whole-span count queries
+	famSelect                     // percentiles / value functions: selection queries
+	famAgg                        // SUM/AVG(DISTINCT): annotated aggregate queries
+	famRank                       // RANK family and DENSE_RANK: counting rank queries
+	famLeadLag                    // LEAD/LAG: row-number count queries, then selection queries
 	numBatchFamilies
 )
 
-var batchFamilyNames = [numBatchFamilies]string{"count", "select", "agg", "rank"}
+var batchFamilyNames = [numBatchFamilies]string{"count", "select", "agg", "rank", "leadlag"}
 
 func (f batchFamily) String() string { return batchFamilyNames[f] }
 
@@ -86,7 +87,7 @@ type BatchFamilyStat struct {
 }
 
 // BatchFamilySnapshot returns the per-family batched-kernel counters, in a
-// fixed family order (count, select, agg, rank).
+// fixed family order (count, select, agg, rank, leadlag).
 func BatchFamilySnapshot() []BatchFamilyStat {
 	out := make([]BatchFamilyStat, numBatchFamilies)
 	for f := batchFamily(0); f < numBatchFamilies; f++ {
@@ -436,6 +437,101 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
 	opt.putInt64s(vb)
+	opt.putInt32s(ib)
+}
+
+// leadLagChunk evaluates one probe chunk of LEAD/LAG (§4.6) on the
+// permutation tree, whose function-order position j holds the filtered
+// position of the j-th kept row. A row's row number inside its frame, before,
+// is how many frame rows sort strictly before it: per frame range, two count
+// queries over the function-order prefix [0, keptRowno[i]), one below each
+// range bound, differenced. The row off places after it is one select query
+// with k = before + off. A row with an empty frame, a target outside
+// [0, size) or a select miss is NULL.
+func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree, keptRowno []int64,
+	valueCol *Column, off int64, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
+	n := hi - lo
+	ib := opt.getInt32s(22*n + 1)
+	qlo, qhi, qout := ib[:6*n], ib[6*n:12*n], ib[12*n:18*n]
+	soff := ib[18*n : 19*n+1 : 19*n+1]
+	sk, sout, rowSlot := ib[19*n+1:20*n+1], ib[20*n+1:21*n+1], ib[21*n+1:22*n+1]
+	lb := opt.getInt64s(12 * n)
+	qthr, vlo, vhi := lb[:6*n], lb[6*n:9*n], lb[9*n:]
+
+	// One select slot per row with a non-empty frame, its ranges flattened;
+	// sk holds the slot's frame size until its k is known.
+	var scratch, mapped [3][2]int
+	e, w, maxR := 0, 0, 0
+	soff[0] = 0
+	for i := lo; i < hi; i++ {
+		ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
+		size := 0
+		for _, r := range ranges {
+			size += r[1] - r[0]
+		}
+		if size == 0 {
+			rowSlot[i-lo] = -1
+			continue
+		}
+		for _, r := range ranges {
+			vlo[w], vhi[w] = int64(r[0]), int64(r[1])
+			w++
+		}
+		rowSlot[i-lo], sk[e] = i32(e), i32(size)
+		soff[e+1] = i32(w)
+		maxR = max(maxR, len(ranges))
+		e++
+	}
+
+	// Range j's count queries form two series, below its upper bounds and
+	// below its lower bounds, each contiguous in row order so the kernel's
+	// gallop and differential pass see neighbours. A row with fewer ranges
+	// leaves its slots empty.
+	m := 2 * maxR * e
+	for i := lo; i < hi; i++ {
+		x := int(rowSlot[i-lo])
+		if x < 0 {
+			continue
+		}
+		o0, nr := int(soff[x]), int(soff[x+1]-soff[x])
+		for j := 0; j < maxR; j++ {
+			u, l := 2*j*e+x, (2*j+1)*e+x
+			qlo[u], qlo[l], qhi[u], qhi[l] = 0, 0, 0, 0
+			if j < nr {
+				qhi[u], qhi[l] = i32(int(keptRowno[i])), i32(int(keptRowno[i]))
+				qthr[u], qthr[l] = vhi[o0+j], vlo[o0+j]
+			}
+		}
+	}
+	agg.countBatch(tree, qlo[:m], qhi[:m], qthr[:m], qout[:m])
+
+	// Select the target row; one out of [0, size) asks k = -1, which the
+	// kernel answers -1 without a search.
+	for x := 0; x < e; x++ {
+		before := int64(0)
+		for j := 0; j < maxR; j++ {
+			before += int64(qout[2*j*e+x]) - int64(qout[(2*j+1)*e+x])
+		}
+		target := before + off
+		if target < 0 || target >= int64(sk[x]) {
+			sk[x] = -1
+		} else {
+			sk[x] = i32(int(target))
+		}
+	}
+	agg.diffs.Add(int64(tree.SelectKthRangesBatch(soff[:e+1], vlo[:w], vhi[:w], sk[:e], sout[:e])))
+
+	for i := lo; i < hi; i++ {
+		row := p.orig(i)
+		x := rowSlot[i-lo]
+		if x < 0 || sout[x] < 0 {
+			out.setNull(row)
+			continue
+		}
+		out.copyFrom(valueCol, fl.orig(int(tree.Value(int(sout[x])))), row)
+	}
+	agg.queries.Add(int64(m + e))
+	opt.putInt64s(lb)
 	opt.putInt32s(ib)
 }
 

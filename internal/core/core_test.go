@@ -304,8 +304,8 @@ func TestDefaultFrames(t *testing.T) {
 // with FILTER and NULL arguments — and an int64 SUM(DISTINCT) whose sums
 // overflow and wrap. Every answer must match the reference. Float
 // SUM/AVG(DISTINCT) always descend — their fold order is part of the answer —
-// so on the plain frames they must equal the scalar AnnotatedTree.AggBelow
-// bit for bit. -short keeps the three widths at the cutoff, plain and
+// so on the plain frames they must equal, bit for bit, AggBelowBatch over
+// annotated trees built in the test. -short keeps the three widths at the cutoff, plain and
 // EXCLUDE CURRENT ROW.
 //
 // The frame width also picks the structures' form: a statement whose frames
@@ -464,9 +464,9 @@ func leafCutoffWindow(fs frame.Spec, funcs []FuncSpec) *WindowSpec {
 }
 
 // checkFloatDistinctDescent recomputes SUM and AVG(DISTINCT fv) over ROWS
-// frames of width rows with the scalar annotated-tree walk, partition by
-// partition in window order (d, then row index), and requires core's answers
-// to carry the same bits.
+// frames of width rows with annotated trees built here and probed by
+// AggBelowBatch, partition by partition in window order (d, then row index),
+// and requires core's answers to carry the same bits.
 func checkFloatDistinctDescent(t *testing.T, g, d []int64, fv []float64, width int, sums, avgs *Column) {
 	t.Helper()
 	byPart := map[int64][]int{}
@@ -492,15 +492,81 @@ func checkFloatDistinctDescent(t *testing.T, g, d []int64, fv []float64, width i
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, row := range order {
+		k := len(order)
+		lo, hi, cnt := make([]int32, k), make([]int32, k), make([]int32, k)
+		thr, ok := make([]int64, k), make([]bool, k)
+		for j := range order {
 			a := max(j-width+1, 0)
-			s, _ := st.AggBelow(a, j+1, int64(a)+1)
-			av, _ := at.AggBelow(a, j+1, int64(a)+1)
+			lo[j], hi[j], thr[j] = int32(a), int32(j+1), int64(a)+1
+		}
+		ss, as := make([]float64, k), make([]avgState, k)
+		st.AggBelowBatch(lo, hi, thr, ss, ok, cnt)
+		at.AggBelowBatch(lo, hi, thr, as, ok, cnt)
+		for j, row := range order {
+			s, av := ss[j], as[j]
 			if got := sums.Float64(row); math.Float64bits(got) != math.Float64bits(s) {
-				t.Fatalf("%d-row frame row %d: SUM(DISTINCT) %v (%x), scalar descent %v (%x)", width, row, got, math.Float64bits(got), s, math.Float64bits(s))
+				t.Fatalf("%d-row frame row %d: SUM(DISTINCT) %v (%x), AggBelowBatch %v (%x)", width, row, got, math.Float64bits(got), s, math.Float64bits(s))
 			}
 			if got, want := avgs.Float64(row), av.sum/float64(av.n); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%d-row frame row %d: AVG(DISTINCT) %v, scalar descent %v", width, row, got, want)
+				t.Fatalf("%d-row frame row %d: AVG(DISTINCT) %v, AggBelowBatch %v", width, row, got, want)
+			}
+		}
+	}
+}
+
+// TestReferenceLeadLag runs LEAD and LAG (leadLagChunk) against the reference
+// on partitions wider than mst.LeafRows — two of 300 rows, then one of 2,000
+// — so their count queries take the leaf rule, the differential pass and the
+// descent, and their select queries the walk and the descent. The function
+// ORDER BY is the window's own key d, its reverse, and the unrelated v with
+// NULLs; the offset N runs 0–3 (0 is the default, 1); IGNORE NULLS and FILTER
+// vary with it; the ROWS frame is plain and under EXCLUDE CURRENT ROW, GROUP
+// and TIES on the small partitions, under EXCLUDE CURRENT ROW on the large
+// one (-short skips it; the reference is quadratic in it). TaskSize 64 puts chunk boundaries inside partitions, and every
+// statement runs with the kernels' cutoff at its default and at 0, which
+// sends every query through the descent.
+func TestReferenceLeadLag(t *testing.T) {
+	var funcs []FuncSpec
+	orders := [][]SortKey{{{Column: "d"}}, {{Column: "d", Desc: true}}, {{Column: "v"}}}
+	for oi, ord := range orders {
+		for _, name := range []FuncName{Lead, Lag} {
+			for n := int64(0); n <= 3; n++ {
+				f := FuncSpec{Name: name, Output: fmt.Sprintf("%v%d_%d", name, oi, n), Arg: "v", N: n, OrderBy: ord, IgnoreNulls: n%2 == 1}
+				if (int(n)+oi)%3 == 0 {
+					f.Filter = "flt"
+				}
+				funcs = append(funcs, f)
+			}
+		}
+	}
+	excludes := []frame.Exclusion{frame.ExcludeNoOthers, frame.ExcludeCurrentRow, frame.ExcludeGroup, frame.ExcludeTies}
+	for _, c := range []struct {
+		parts, rows int
+		excludes    []frame.Exclusion
+	}{{2, 300, excludes}, {1, 2_000, excludes[1:2]}} {
+		if testing.Short() && c.rows > 300 {
+			continue
+		}
+		tab, _, _, _ := leafCutoffTable(c.parts, c.rows)
+		for _, ex := range c.excludes {
+			fs := frame.Spec{
+				Mode:    frame.Rows,
+				Start:   frame.Bound{Type: frame.Preceding, Offset: 150},
+				End:     frame.Bound{Type: frame.Following, Offset: 150},
+				Exclude: ex,
+			}
+			w := leafCutoffWindow(fs, funcs)
+			for _, cutoff := range []int{mst.LeafRows, 0} {
+				prev := mst.SetLeafRows(cutoff)
+				res, err := Run(tab, w, Options{TaskSize: 64})
+				mst.SetLeafRows(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range w.Funcs {
+					f := &w.Funcs[i]
+					compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("%d-row partitions ex%d cutoff %d %s", c.rows, ex, cutoff, f.Output))
+				}
 			}
 		}
 	}

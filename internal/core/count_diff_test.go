@@ -99,8 +99,12 @@ func checkDifferentialReference(t *testing.T, funcs []FuncSpec, families ...stri
 // 30,000-row partition under ROWS 9999 PRECEDING: COUNT(DISTINCT)'s frame
 // and threshold slide by one row, and so does the median's value range on
 // the permutation tree, so at least 99 % of their queries are answered from
-// their predecessor; RANK over a column unrelated to the window order jumps
-// its threshold between rows, so at most 2 % are.
+// their predecessor. So are LEAD's under a function order that reverses the
+// window order: the function-order prefix before the row, both frame bounds
+// and the select's value range all slide by one row, except that the
+// lower-bound count queries of the first 9,999 rows ask threshold 0, which
+// the kernel answers without the tree. RANK over a column unrelated to the
+// window order jumps its threshold between rows, so at most 2 % are.
 func TestDiffQueriesCounted(t *testing.T) {
 	const n = 30_000
 	rng := rand.New(rand.NewSource(17))
@@ -121,14 +125,18 @@ func TestDiffQueriesCounted(t *testing.T) {
 			{Name: CountDistinct, Output: "cd", Arg: "c"},
 			{Name: Rank, Output: "rk", OrderBy: []SortKey{{Column: "v"}}},
 			{Name: PercentileDisc, Output: "med", Fraction: 0.5, OrderBy: []SortKey{{Column: "v"}}},
+			{Name: Lead, Output: "ld", Arg: "v", OrderBy: []SortKey{{Column: "d", Desc: true}}},
 		},
 	}
 	before := BatchFamilySnapshot()
 	root := tracedRun(t, tab, w, Options{})
 	after := BatchFamilySnapshot()
 	within := func(fam string, queries, diffs int64) bool {
-		if fam == "rank" {
+		switch fam {
+		case "rank":
 			return queries > 0 && diffs*100 <= queries*2
+		case "leadlag":
+			queries -= 9_999
 		}
 		return queries > 0 && diffs*100 >= queries*99
 	}
@@ -145,8 +153,8 @@ func TestDiffQueriesCounted(t *testing.T) {
 			t.Errorf("%s span: batch_queries=%d diff_queries=%q", fam, queries, sp.Attr("diff_queries"))
 		}
 	})
-	if spans != 3 {
-		t.Errorf("%d mst.query.batch spans, want 3", spans)
+	if spans != 4 {
+		t.Errorf("%d mst.query.batch spans, want 4", spans)
 	}
 	for i, a := range after {
 		if a.Family == "agg" {

@@ -634,9 +634,9 @@ func percentileDiscIndex(p float64, size int) int {
 }
 
 // evalLeadLag evaluates framed LEAD/LAG with an independent ORDER BY (§4.6):
-// the row's own row number inside the frame (a counting query on the
+// the row's own row number inside the frame (counting queries on the
 // permutation tree), offset, then a selection query for the adjusted
-// position.
+// position, both batched per chunk (leadLagChunk).
 func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
 	drop := ""
@@ -688,40 +688,7 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 		off = -off
 	}
 
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		var r64 [3][2]int64
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			size := 0
-			for ri, r := range ranges {
-				size += r[1] - r[0]
-				r64[ri] = [2]int64{int64(r[0]), int64(r[1])}
-			}
-			if size == 0 {
-				out.setNull(row)
-				continue
-			}
-			vr := r64[:len(ranges)]
-			// Step 1 (§4.6): the row number of the own row within the
-			// frame: frame rows sorted strictly before it.
-			before := 0
-			for _, r := range ranges {
-				before += tree.CountRange(0, int(keptRowno[i]), int64(r[0]), int64(r[1]))
-			}
-			// Steps 2+3: adjust and select.
-			target := before + int(off)
-			if target < 0 || target >= size {
-				out.setNull(row)
-				continue
-			}
-			pos, ok := tree.SelectKthRanges(vr, target)
-			if !ok {
-				out.setNull(row)
-				continue
-			}
-			out.copyFrom(valueCol, fl.orig(int(tree.Value(pos))), row)
-		}
+	return runBatched(p, opt, famLeadLag, func(lo, hi int, agg *batchAgg) {
+		leadLagChunk(p, fl, fc, tree, keptRowno, valueCol, off, out, opt, agg, lo, hi)
 	})
 }

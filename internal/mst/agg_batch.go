@@ -5,12 +5,12 @@ import "holistic/internal/arena"
 // Batched, level-synchronous aggregate kernel over the annotated tree
 // (round 2 of the count/select kernels in count_batch.go/select_batch.go).
 //
-// The hard part relative to counting is that AggBelow's result is built by
-// merging run-prefix aggregates in a pinned order: the scalar walk merges
-// contributions in depth-first left-to-right recursion order, and for
-// floating-point aggregates that order is part of the answer. The batched
-// kernel cannot interleave per-query merges with the level-synchronous
-// descent without replaying that order, so it runs in two phases:
+// The hard part relative to counting is that an aggregate query's result is
+// built by merging run-prefix aggregates in a pinned order: the covered run
+// prefixes of the count decomposition (§4.3), left to right by position, and
+// for floating-point aggregates that order is part of the answer. The
+// level-synchronous descent meets the runs level by level instead, so the
+// kernel runs in two phases:
 //
 //  1. descend the shared frontier exactly like countKernel, but instead of
 //     adding covered-run ranks into a count it records each contribution —
@@ -19,13 +19,13 @@ import "holistic/internal/arena"
 //  2. group the takes by query (counting sort — takes already carry their
 //     query tag) and order each query's takes by run start position.
 //
-// A take covers the position interval [runStart, runEnd) of its run, the
-// takes of one query cover disjoint intervals, and the scalar walk visits
-// intervals left to right — so ascending run start IS the scalar emission
-// order, and folding the sorted takes through merge reproduces AggBelow
-// bit for bit. Equivalence is enforced by TestAggBelowBatchMatchesScalar
-// and core's batch_equiv_test. On an int64 tree a query whose range spans at
-// most LeafRows rows never enters the descent: it folds level 0 (leaf.go).
+// A take covers the position interval [runStart, runEnd) of its run and the
+// takes of one query cover disjoint intervals, so ascending run start IS the
+// left-to-right order, and folding the sorted takes through merge gives the
+// pinned answer bit for bit. TestAggBelowBatchMatchesScalar and
+// TestAggBelowBatchFloatBitIdentical check it against an independent fold of
+// the same decomposition. On an int64 tree a query whose range spans at most
+// LeafRows rows never enters the descent: it folds level 0 (leaf.go).
 //
 // The descent itself shares everything countKernel shares — per-level
 // geometry and sample rows loaded once per level, flat SoA frontier scratch —
@@ -44,11 +44,13 @@ const takeStride = 4
 // queries (geometry, sample rows) is long amortised.
 const aggSubBatch = 1024
 
-// AggBelowBatch answers len(result) aggregate queries at once:
-// result[q], ok[q] = AggBelow(int(lo[q]), int(hi[q]), threshold[q]), and
-// cnt[q] = CountBelow(int(lo[q]), int(hi[q]), threshold[q]) — the distinct
-// count falls out of the same descent for free, and the DISTINCT-aggregate
-// collectors need it for the NULL rule. All six slices must have the same
+// AggBelowBatch answers len(result) aggregate queries at once: result[q] is
+// the merged state of the entries at positions [lo[q], hi[q]) whose key is
+// strictly smaller than threshold[q], in the pinned order above; ok[q] is
+// false when no entry qualifies (the SQL aggregate is then NULL); and cnt[q]
+// is how many qualify — the distinct count falls out of the same descent for
+// free, and the DISTINCT-aggregate collectors need it for the NULL rule.
+// Positions are clamped to [0, Len()]. All six slices must have the same
 // length. Queries are independent, so the batch is answered aggSubBatch
 // queries at a time. It returns how many of the queries it answered at the
 // leaves (leaf.go) instead of descending: on an int64 tree those whose range
@@ -79,7 +81,7 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, 
 	}
 	t := at.t
 
-	// Clamp and clip every query exactly like AggBelow and fold the narrow
+	// Clamp and clip every query and fold the narrow
 	// ones from the leaves; resolved queries are marked with an empty
 	// position range so the descent skips them without a separate mask.
 	cb := arena.Int32s.Get(2 * m)

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestAggBelowBatchMatchesScalar cross-checks AggBelowBatch against
-// per-query AggBelow with a string-concatenation merge, so any deviation in
-// the take order — not just the take set — fails the test. The count output
-// is cross-checked against CountBelow.
+// TestAggBelowBatchMatchesScalar cross-checks AggBelowBatch against the
+// reference fold aggRef with a string-concatenation merge, so any deviation
+// in the take order — not just the take set — fails the test. The count
+// output is cross-checked too.
 func TestAggBelowBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	merge := func(a, b string) string { return a + "|" + b }
@@ -52,14 +52,15 @@ func TestAggBelowBatchMatchesScalar(t *testing.T) {
 			okv := make([]bool, m)
 			cnt := make([]int32, m)
 			at.AggBelowBatch(lo, hi, thr, result, okv, cnt)
+			ref := newAggRef(at.t.effLen, keys, values, merge)
 			for q := 0; q < m; q++ {
-				want, wantOK := at.AggBelow(int(lo[q]), int(hi[q]), thr[q])
+				want, wantOK, wantCnt := ref.query(int(lo[q]), int(hi[q]), thr[q])
 				if okv[q] != wantOK || (wantOK && result[q] != want) {
-					t.Fatalf("opt=%+v n=%d query %d: AggBelowBatch(%d,%d,%d)=(%q,%v), scalar=(%q,%v)",
+					t.Fatalf("opt=%+v n=%d query %d: AggBelowBatch(%d,%d,%d)=(%q,%v), reference=(%q,%v)",
 						opt, n, q, lo[q], hi[q], thr[q], result[q], okv[q], want, wantOK)
 				}
-				if wantCnt := at.CountBelow(int(lo[q]), int(hi[q]), thr[q]); int(cnt[q]) != wantCnt {
-					t.Fatalf("opt=%+v n=%d query %d: batch cnt=%d, CountBelow=%d",
+				if int(cnt[q]) != wantCnt {
+					t.Fatalf("opt=%+v n=%d query %d: batch cnt=%d, reference=%d",
 						opt, n, q, cnt[q], wantCnt)
 				}
 			}
@@ -69,7 +70,7 @@ func TestAggBelowBatchMatchesScalar(t *testing.T) {
 
 // TestAggBelowBatchFloatBitIdentical pins the floating-point guarantee the
 // collectors rely on: batched SUM-style merges are bit-identical to the
-// scalar walk, across magnitudes chosen so that any reordering changes the
+// reference fold, across magnitudes chosen so that any reordering changes the
 // rounding — at batch lengths on both sides of every sub-batch boundary
 // (aggSubBatch queries per descent), where a query answered from the wrong
 // sub-batch's scratch or left out of both would show.
@@ -87,6 +88,7 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newAggRef(at.t.effLen, keys, values, merge)
 	for _, m := range []int{aggSubBatch - 1, aggSubBatch, aggSubBatch + 1, 3*aggSubBatch + 1, 4 * n} {
 		lo := make([]int32, m)
 		hi := make([]int32, m)
@@ -101,28 +103,29 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 		cnt := make([]int32, m)
 		at.AggBelowBatch(lo, hi, thr, result, okv, cnt)
 		for q := 0; q < m; q++ {
-			want, wantOK := at.AggBelow(int(lo[q]), int(hi[q]), thr[q])
+			want, wantOK, wantCnt := ref.query(int(lo[q]), int(hi[q]), thr[q])
 			if okv[q] != wantOK {
-				t.Fatalf("batch of %d, query %d: ok=%v scalar=%v", m, q, okv[q], wantOK)
+				t.Fatalf("batch of %d, query %d: ok=%v reference=%v", m, q, okv[q], wantOK)
 			}
 			if wantOK && math.Float64bits(result[q]) != math.Float64bits(want) {
-				t.Fatalf("batch of %d, query %d: batch sum %x differs from scalar %x",
+				t.Fatalf("batch of %d, query %d: batch sum %x differs from reference %x",
 					m, q, math.Float64bits(result[q]), math.Float64bits(want))
 			}
-			if wantCnt := at.CountBelow(int(lo[q]), int(hi[q]), thr[q]); int(cnt[q]) != wantCnt {
-				t.Fatalf("batch of %d, query %d: batch cnt=%d, CountBelow=%d", m, q, cnt[q], wantCnt)
+			if int(cnt[q]) != wantCnt {
+				t.Fatalf("batch of %d, query %d: batch cnt=%d, reference=%d", m, q, cnt[q], wantCnt)
 			}
 		}
 	}
 }
 
-// TestAggBatchFrameShapes pins kernel == scalar == brute force for the
+// TestAggBatchFrameShapes pins kernel == reference == brute force for the
 // aggregate descents on the frame shapes a window probe produces — sliding,
 // constant, empty and whole-partition frames over previous-occurrence keys
 // with the DISTINCT threshold lo+1 — across the step's parameter grid. The
 // aggregate state pairs an integer sum, which brute force can reproduce, with
 // a polynomial hash that is neither commutative nor associative, which kernel
-// and scalar only agree on when they fold the same takes in the same order.
+// and reference (aggRef) only agree on when they fold the same takes in the
+// same order.
 func TestAggBatchFrameShapes(t *testing.T) {
 	type state struct {
 		sum  int64
@@ -157,12 +160,14 @@ func TestAggBatchFrameShapes(t *testing.T) {
 	nums := make([]int, n)
 	grid := stepGrid()
 	trees := make([]*AnnotatedTree[state], 0, len(grid))
+	refs := make([]*aggRef[state], 0, len(grid))
 	for _, opt := range grid {
 		at, err := BuildAnnotated(keys, states, merge, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		trees = append(trees, at)
+		refs = append(refs, newAggRef(at.t.effLen, keys, states, merge))
 	}
 	for _, sh := range shapes {
 		for row := 0; row < n; row++ {
@@ -180,11 +185,11 @@ func TestAggBatchFrameShapes(t *testing.T) {
 			at.AggBelowBatch(lo, hi, thr, res, okv, cnt)
 			for row := 0; row < n; row++ {
 				sum, num := sums[row], nums[row]
-				scalar, scalarOK := at.AggBelow(int(lo[row]), int(hi[row]), thr[row])
-				if okv[row] != (num > 0) || scalarOK != (num > 0) || int(cnt[row]) != num ||
-					(num > 0 && (res[row] != scalar || scalar.sum != sum)) {
-					t.Fatalf("opt=%+v %s row %d [%d,%d)<%d: kernel (%+v, %v, cnt %d), scalar (%+v, %v), brute force sum %d of %d",
-						grid[ti], sh.name, row, lo[row], hi[row], thr[row], res[row], okv[row], cnt[row], scalar, scalarOK, sum, num)
+				want, wantOK, _ := refs[ti].query(int(lo[row]), int(hi[row]), thr[row])
+				if okv[row] != (num > 0) || wantOK != (num > 0) || int(cnt[row]) != num ||
+					(num > 0 && (res[row] != want || want.sum != sum)) {
+					t.Fatalf("opt=%+v %s row %d [%d,%d)<%d: kernel (%+v, %v, cnt %d), reference (%+v, %v), brute force sum %d of %d",
+						grid[ti], sh.name, row, lo[row], hi[row], thr[row], res[row], okv[row], cnt[row], want, wantOK, sum, num)
 				}
 			}
 		}

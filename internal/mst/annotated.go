@@ -18,7 +18,7 @@ import (
 // The tree is keyed by the previous-occurrence index of each tuple
 // (Algorithm 1): an entry's value contributes to a frame [lo, hi) exactly
 // when its position is inside the frame and its previous occurrence lies
-// before lo, i.e. exactly when a CountBelow query would count it. The
+// before lo, i.e. exactly when a count query would count it. The
 // aggregate over a frame is therefore assembled from the same run prefixes
 // the count query visits, using the stored prefix aggregates.
 //
@@ -179,7 +179,7 @@ func placeRanks[K int32 | int64](keys []K, cnt, rank, pos []int32) {
 
 // BuildAnnotatedLeaves builds the leaf-only form of BuildAnnotated's tree
 // (leaf.go): level 0's ranks, its states (agg[0]) and the threshold map,
-// answering AggBelow, AggBelowBatch and CountBelow over ranges of at most
+// answering AggBelowBatch over ranges of at most
 // LeafRows rows. Only int64 states fold in position order, so any other S is
 // refused; keys and values are validated exactly as BuildAnnotated validates
 // them.
@@ -225,108 +225,6 @@ func (at *AnnotatedTree[S]) MemBytes(aggBytes int) int64 {
 		total += int64(len(lv) * aggBytes)
 	}
 	return total
-}
-
-// CountBelow returns the number of entries at positions [lo, hi) whose key
-// is strictly smaller than threshold (the distinct count when keys are
-// previous-occurrence indices and threshold is the frame start).
-func (at *AnnotatedTree[S]) CountBelow(lo, hi int, threshold int64) int {
-	lo, hi, ct, ok := at.clip(lo, hi, threshold)
-	if !ok {
-		return 0
-	}
-	if leafRule(hi-lo, at.leafOnly) {
-		return countLeaf(at.t.levels[0][lo:hi], ct)
-	}
-	return at.t.countBelow(lo, hi, ct)
-}
-
-// aggWalkFrame is one suspended partial run of the iterative aggregate
-// walk: the run's level, index and exact rank of the threshold, plus next,
-// the child the run's scan resumes at.
-type aggWalkFrame struct {
-	level, run, rank, next int32
-}
-
-// AggBelow merges the aggregate states of all entries at positions [lo, hi)
-// whose key is strictly smaller than threshold. ok is false when no entry
-// qualifies (the SQL aggregate is then NULL).
-//
-// The walk visits the same run-prefix decomposition a count query produces
-// (§4.3), iteratively with an explicit stack of resumable frames: a run's
-// child scan suspends when it descends into a partially covered child and
-// resumes afterwards, so contributions merge in exactly the left-to-right
-// recursion order without allocating a visit closure per query. Every
-// (re-)entered run ranks its children with one ranksStep (step.go); each
-// covered child's rank indexes that child's prefix aggregates.
-func (at *AnnotatedTree[S]) AggBelow(lo, hi int, threshold int64) (result S, ok bool) {
-	lo, hi, ct, valid := at.clip(lo, hi, threshold)
-	if !valid {
-		return result, false
-	}
-	if at.leaf(hi - lo) {
-		result, ok, _ = at.foldLeaves(lo, hi, ct)
-		return result, ok
-	}
-	t := at.t
-	top := t.top()
-	rank := int(ct) // the top run is the identity permutation
-	if lo <= 0 && hi >= t.n {
-		if rank == 0 {
-			return result, false
-		}
-		return at.agg[top][rank-1], true
-	}
-	var stack [maxDescentStack]aggWalkFrame
-	var ranks [maxOriginFanout]int32
-	stack[0] = aggWalkFrame{level: i32(top), rank: i32(rank), next: i32(lo / t.effLen[top-1])}
-	sp := 1
-	for sp > 0 {
-		fr := &stack[sp-1]
-		lv := t.view(int(fr.level))
-		r := int(fr.run)
-		runStart, runEnd := lv.span(r)
-		cLast := (min(hi, runEnd) - 1 - runStart) / lv.childLen
-		if int(fr.next) > cLast {
-			sp--
-			continue
-		}
-		lv.ranksStep(r, int(fr.rank), ct, int(fr.next), cLast, ranks[:t.f])
-		descended := false
-		for c := int(fr.next); c <= cLast; c++ {
-			cs := runStart + c*lv.childLen
-			ce := min(cs+lv.childLen, runEnd)
-			if lo <= cs && hi >= ce {
-				if cr := int(ranks[c]); cr > 0 {
-					part := at.agg[fr.level-1][cs+cr-1]
-					if !ok {
-						result, ok = part, true
-					} else {
-						result = at.merge(result, part)
-					}
-				}
-				continue
-			}
-			// Partially covered: suspend this run behind the child. Only the
-			// child holding lo starts its own scan past its first child.
-			if sp == len(stack) {
-				//lint:invariant at most two partial runs exist per level and trees have at most 32 levels, so the stack cannot exceed 2·33 frames
-				panic("mst: AggBelow walk stack overflow")
-			}
-			fr.next = i32(c + 1)
-			stack[sp] = aggWalkFrame{
-				level: fr.level - 1, run: i32(r*t.f + c), rank: ranks[c],
-				next: i32((max(lo, cs) - cs) / t.effLen[fr.level-2]),
-			}
-			sp++
-			descended = true
-			break
-		}
-		if !descended {
-			sp--
-		}
-	}
-	return result, ok
 }
 
 // foldLeaves is the aggregate leaf rule: the states of the entries at

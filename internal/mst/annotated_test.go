@@ -52,6 +52,90 @@ func bruteMinDistinct(vals []int64, lo, hi int) (int64, bool) {
 	return best, any
 }
 
+// aggRef is the reference for an annotated tree's queries, sharing none of
+// its code: per level, every run's positions sorted by (key, position) — the
+// order the tree is built in (annotated.go) — and a query folds, in every run
+// its range covers, the prefix of entries whose key lies below the threshold,
+// then merges those parts left to right. That is the fold order AggBelowBatch
+// pins for a merge that is neither associative nor commutative. effLen is the
+// tree's run length per level.
+type aggRef[S any] struct {
+	effLen []int
+	keys   []int64
+	values []S
+	merge  func(S, S) S
+	order  [][]int32
+}
+
+func newAggRef[S any](effLen []int, keys []int64, values []S, merge func(S, S) S) *aggRef[S] {
+	n := len(keys)
+	r := &aggRef[S]{effLen: effLen, keys: keys, values: values, merge: merge, order: make([][]int32, len(effLen))}
+	for l, rl := range effLen {
+		r.order[l] = make([]int32, n)
+		for start := 0; start < n; start += rl {
+			run := r.order[l][start:min(start+rl, n)]
+			for i := range run {
+				run[i] = int32(start + i)
+			}
+			slices.SortFunc(run, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+			})
+		}
+	}
+	return r
+}
+
+// query answers positions [lo, hi), clamped to the input, under key
+// threshold thr: the fold, whether any entry qualifies, and how many do.
+func (r *aggRef[S]) query(lo, hi int, thr int64) (res S, ok bool, cnt int) {
+	n := len(r.keys)
+	lo, hi = max(lo, 0), min(hi, n)
+	var visit func(l, start int)
+	visit = func(l, start int) {
+		end := min(start+r.effLen[l], n)
+		if hi <= start || end <= lo {
+			return
+		}
+		if lo > start || hi < end {
+			for cs := start; cs < end; cs += r.effLen[l-1] {
+				visit(l-1, cs)
+			}
+			return
+		}
+		var part S
+		any := false
+		for _, p := range r.order[l][start:end] {
+			if r.keys[p] >= thr {
+				break
+			}
+			if any {
+				part = r.merge(part, r.values[p])
+			} else {
+				part, any = r.values[p], true
+			}
+			cnt++
+		}
+		switch {
+		case !any:
+		case ok:
+			res = r.merge(res, part)
+		default:
+			res, ok = part, true
+		}
+	}
+	if lo < hi {
+		visit(len(r.order)-1, 0)
+	}
+	return res, ok, cnt
+}
+
+// aggBatch answers queries through one AggBelowBatch call.
+func aggBatch[S any](at *AnnotatedTree[S], lo, hi []int32, thr []int64) ([]S, []bool, []int32) {
+	res, ok, cnt := make([]S, len(lo)), make([]bool, len(lo)), make([]int32, len(lo))
+	at.AggBelowBatch(lo, hi, thr, res, ok, cnt)
+	return res, ok, cnt
+}
+
 func TestAnnotatedSumDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, n := range []int{0, 1, 2, 17, 64, 500, 3000} {
@@ -69,22 +153,25 @@ func TestAnnotatedSumDistinct(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for trial := 0; trial < 60; trial++ {
-				lo := rng.Intn(n + 1)
-				hi := lo + rng.Intn(n+1-lo)
-				// SUM DISTINCT over frame [lo, hi): entries with prevIdx
-				// (shifted) < lo+1 are first occurrences inside the frame.
-				got, gotOK := at.AggBelow(lo, hi, int64(lo)+1)
-				want, wantOK := bruteSumDistinct(vals, lo, hi)
-				if gotOK != wantOK || (gotOK && got != want) {
+			// SUM DISTINCT over frame [lo, hi): entries with prevIdx
+			// (shifted) < lo+1 are first occurrences inside the frame.
+			const m = 60
+			lo, hi, thr := make([]int32, m), make([]int32, m), make([]int64, m)
+			for q := range lo {
+				lo[q] = int32(rng.Intn(n + 1))
+				hi[q] = lo[q] + int32(rng.Intn(n+1-int(lo[q])))
+				thr[q] = int64(lo[q]) + 1
+			}
+			got, gotOK, gotCnt := aggBatch(at, lo, hi, thr)
+			for q := range lo {
+				want, wantOK := bruteSumDistinct(vals, int(lo[q]), int(hi[q]))
+				if gotOK[q] != wantOK || (wantOK && got[q] != want) {
 					t.Fatalf("n=%d opt=%+v frame [%d,%d): got (%v,%v) want (%v,%v)",
-						n, opt, lo, hi, got, gotOK, want, wantOK)
+						n, opt, lo[q], hi[q], got[q], gotOK[q], want, wantOK)
 				}
 				// The count must agree with a plain count query too.
-				gotCnt := at.CountBelow(lo, hi, int64(lo)+1)
-				wantCnt := bruteCountBelow(keys, lo, hi, int64(lo)+1)
-				if gotCnt != wantCnt {
-					t.Fatalf("n=%d frame [%d,%d): count %d want %d", n, lo, hi, gotCnt, wantCnt)
+				if wantCnt := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q]); int(gotCnt[q]) != wantCnt {
+					t.Fatalf("n=%d frame [%d,%d): count %d want %d", n, lo[q], hi[q], gotCnt[q], wantCnt)
 				}
 			}
 		}
@@ -110,13 +197,18 @@ func TestAnnotatedMinDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 200; trial++ {
-		lo := rng.Intn(n + 1)
-		hi := lo + rng.Intn(n+1-lo)
-		got, gotOK := at.AggBelow(lo, hi, int64(lo)+1)
-		want, wantOK := bruteMinDistinct(vals, lo, hi)
-		if gotOK != wantOK || (gotOK && got != want) {
-			t.Fatalf("frame [%d,%d): got (%v,%v) want (%v,%v)", lo, hi, got, gotOK, want, wantOK)
+	const m = 200
+	lo, hi, thr := make([]int32, m), make([]int32, m), make([]int64, m)
+	for q := range lo {
+		lo[q] = int32(rng.Intn(n + 1))
+		hi[q] = lo[q] + int32(rng.Intn(n+1-int(lo[q])))
+		thr[q] = int64(lo[q]) + 1
+	}
+	got, gotOK, _ := aggBatch(at, lo, hi, thr)
+	for q := range lo {
+		want, wantOK := bruteMinDistinct(vals, int(lo[q]), int(hi[q]))
+		if gotOK[q] != wantOK || (wantOK && got[q] != want) {
+			t.Fatalf("frame [%d,%d): got (%v,%v) want (%v,%v)", lo[q], hi[q], got[q], gotOK[q], want, wantOK)
 		}
 	}
 }
@@ -136,8 +228,8 @@ func TestAnnotatedValidation(t *testing.T) {
 // TestAnnotatedRankOrderMatchesComposite pins the order an annotated tree is
 // built in: every run of every level must list the base positions sorted by
 // (key, position) — the order of the composite key·(n+1)+position, which at
-// n = 50,000 no longer fits 32 bits — and AggBelow/AggBelowBatch must fold
-// their run prefixes in exactly that order. The merge is neither associative
+// n = 50,000 no longer fits 32 bits — and AggBelowBatch must fold its run
+// prefixes in exactly that order (aggRef). The merge is neither associative
 // nor commutative and the keys are duplicate-heavy, so a counting pass that
 // ranks equal keys in any but position order fails both checks.
 func TestAnnotatedRankOrderMatchesComposite(t *testing.T) {
@@ -182,47 +274,7 @@ func TestAnnotatedRankOrderMatchesComposite(t *testing.T) {
 					}
 				}
 			}
-			// The reference walks the same run decomposition top-down and
-			// folds every covered run's qualifying entries in order[l].
-			refAgg := func(lo, hi int, thr int64) (res float64, ok bool) {
-				lo, hi = max(lo, 0), min(hi, n)
-				var visit func(l, start int)
-				visit = func(l, start int) {
-					end := min(start+at.t.effLen[l], n)
-					if hi <= start || end <= lo {
-						return
-					}
-					if lo > start || hi < end {
-						for cs := start; cs < end; cs += at.t.effLen[l-1] {
-							visit(l-1, cs)
-						}
-						return
-					}
-					var part float64
-					any := false
-					for _, p := range order[l][start:end] {
-						if keys[p] >= thr {
-							break
-						}
-						if any {
-							part = merge(part, values[p])
-						} else {
-							part, any = values[p], true
-						}
-					}
-					switch {
-					case !any:
-					case ok:
-						res = merge(res, part)
-					default:
-						res, ok = part, true
-					}
-				}
-				if lo < hi {
-					visit(len(order)-1, 0)
-				}
-				return res, ok
-			}
+			ref := newAggRef(at.t.effLen, keys, values, merge)
 			const m = 64
 			lo, hi := make([]int32, m), make([]int32, m)
 			thr := make([]int64, m)
@@ -232,15 +284,12 @@ func TestAnnotatedRankOrderMatchesComposite(t *testing.T) {
 				thr[q] = int64(rng.Intn(n/8+4)) - 1
 			}
 			lo[0], hi[0], thr[0] = 0, int32(n), int64(n)+5 // full span, everything qualifies
-			res, ok, cnt := make([]float64, m), make([]bool, m), make([]int32, m)
-			at.AggBelowBatch(lo, hi, thr, res, ok, cnt)
+			res, ok, cnt := aggBatch(at, lo, hi, thr)
 			for q := range lo {
-				want, wantOK := refAgg(int(lo[q]), int(hi[q]), thr[q])
-				got, gotOK := at.AggBelow(int(lo[q]), int(hi[q]), thr[q])
-				if gotOK != wantOK || ok[q] != wantOK ||
-					(wantOK && (math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(res[q]) != math.Float64bits(want))) {
-					t.Fatalf("f=%d n=%d [%d,%d)<%d: AggBelow (%v,%v), AggBelowBatch (%v,%v), reference fold (%v,%v)",
-						f, n, lo[q], hi[q], thr[q], got, gotOK, res[q], ok[q], want, wantOK)
+				want, wantOK, wantCnt := ref.query(int(lo[q]), int(hi[q]), thr[q])
+				if ok[q] != wantOK || int(cnt[q]) != wantCnt || (wantOK && math.Float64bits(res[q]) != math.Float64bits(want)) {
+					t.Fatalf("f=%d n=%d [%d,%d)<%d: AggBelowBatch (%v,%v,%d), reference fold (%v,%v,%d)",
+						f, n, lo[q], hi[q], thr[q], res[q], ok[q], cnt[q], want, wantOK, wantCnt)
 				}
 			}
 		}

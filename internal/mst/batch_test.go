@@ -7,8 +7,7 @@ import (
 )
 
 // batchVariants are the tree configurations the batch kernels must agree
-// with the scalar descents on: the defaults, a deep skinny tree and no
-// cascading.
+// with brute force on: the defaults, a deep skinny tree and no cascading.
 func batchVariants() []Options {
 	return []Options{
 		{},
@@ -18,7 +17,7 @@ func batchVariants() []Options {
 }
 
 // TestCountBelowBatchMatchesScalar cross-checks CountBelowBatch against
-// per-query CountBelow over randomized data, including sliding frames (the
+// per-query brute force over randomized data, including sliding frames (the
 // galloping fast path), random frames (bidirectional galloping), clamped
 // and trivial queries, and out-of-domain thresholds, under both leaf seam
 // settings.
@@ -63,9 +62,9 @@ func testCountBelowBatchMatchesScalar(t *testing.T) {
 			out := make([]int32, m)
 			tree.CountBelowBatch(lo, hi, thr, out)
 			for q := 0; q < m; q++ {
-				want := tree.CountBelow(int(lo[q]), int(hi[q]), thr[q])
+				want := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q])
 				if int(out[q]) != want {
-					t.Fatalf("opt=%+v n=%d query %d: CountBelowBatch(%d,%d,%d)=%d, scalar=%d",
+					t.Fatalf("opt=%+v n=%d query %d: CountBelowBatch(%d,%d,%d)=%d, brute force=%d",
 						opt, n, q, lo[q], hi[q], thr[q], out[q], want)
 				}
 			}
@@ -73,7 +72,7 @@ func testCountBelowBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestCountBelowBatchFrameShapes pins kernel == scalar == naive on the frame
+// TestCountBelowBatchFrameShapes pins kernel == naive on the frame
 // shapes a window probe produces — sliding (100 rows and one row either side
 // of LeafRows), constant, empty and whole-partition frames over
 // previous-occurrence keys with the COUNT DISTINCT threshold lo+1 — for
@@ -129,11 +128,9 @@ func testCountBelowBatchFrameShapes(t *testing.T) {
 				t.Fatalf("opt=%+v %s: %d queries answered at the leaves, want %d", opt, sh.name, leaves, wantLeaves)
 			}
 			for row := 0; row < n; row++ {
-				naive := bruteCountBelow(keys, int(lo[row]), int(hi[row]), thr[row])
-				scalar := tree.CountBelow(int(lo[row]), int(hi[row]), thr[row])
-				if int(out[row]) != naive || scalar != naive {
-					t.Fatalf("opt=%+v %s row %d [%d,%d)<%d: kernel %d, scalar %d, naive %d",
-						opt, sh.name, row, lo[row], hi[row], thr[row], out[row], scalar, naive)
+				if naive := bruteCountBelow(keys, int(lo[row]), int(hi[row]), thr[row]); int(out[row]) != naive {
+					t.Fatalf("opt=%+v %s row %d [%d,%d)<%d: kernel %d, naive %d",
+						opt, sh.name, row, lo[row], hi[row], thr[row], out[row], naive)
 				}
 			}
 		}
@@ -155,7 +152,7 @@ func stepGrid() []Options {
 	return grid
 }
 
-// TestSelectBatchFrameShapes pins kernel == scalar == brute force for the
+// TestSelectBatchFrameShapes pins kernel == brute force for the
 // select descent on the query shapes a window probe produces: one sliding
 // value range, the two ranges of EXCLUDE CURRENT ROW and the three of EXCLUDE
 // TIES (some of them empty), over a permutation and a duplicate-heavy
@@ -224,13 +221,9 @@ func TestSelectBatchFrameShapes(t *testing.T) {
 			}
 			tree.SelectKthRangesBatch(off, vlo, vhi, kth, out)
 			for q, qu := range queries {
-				scalar := int32(-1)
-				if pos, ok := tree.SelectKthRanges(qu.ranges, int(kth[q])); ok {
-					scalar = int32(pos)
-				}
-				if out[q] != want[q] || scalar != want[q] {
-					t.Fatalf("opt=%+v ranges=%v k=%d: kernel %d, scalar %d, brute force %d",
-						opt, qu.ranges, kth[q], out[q], scalar, want[q])
+				if out[q] != want[q] {
+					t.Fatalf("opt=%+v ranges=%v k=%d: kernel %d, brute force %d",
+						opt, qu.ranges, kth[q], out[q], want[q])
 				}
 			}
 		}
@@ -238,7 +231,7 @@ func TestSelectBatchFrameShapes(t *testing.T) {
 }
 
 // TestSelectKthRangesBatchMatchesScalar cross-checks SelectKthRangesBatch
-// against per-query SelectKthRanges over randomized multi-range queries,
+// against per-query brute force over randomized multi-range queries,
 // including empty ranges, unsatisfiable ranks and negative ranks.
 func TestSelectKthRangesBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -285,14 +278,14 @@ func TestSelectKthRangesBatchMatchesScalar(t *testing.T) {
 					scratch[nr] = [2]int64{vlo[j], vhi[j]}
 					nr++
 				}
-				pos, ok := tree.SelectKthRanges(scratch[:nr], int(k[q]))
+				pos, ok := bruteSelectRanges(keys, scratch[:nr], int(k[q]))
 				want := int32(-1)
-				if ok {
+				if ok && k[q] >= 0 {
 					want = int32(pos)
 				}
 				if out[q] != want {
-					t.Fatalf("opt=%+v n=%d query %d (ranges=%v k=%d): batch=%d scalar=%d ok=%v",
-						opt, n, q, scratch[:nr], k[q], out[q], want, ok)
+					t.Fatalf("opt=%+v n=%d query %d (ranges=%v k=%d): batch=%d brute force=%d",
+						opt, n, q, scratch[:nr], k[q], out[q], want)
 				}
 			}
 		}

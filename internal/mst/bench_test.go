@@ -267,32 +267,3 @@ func BenchmarkAggBelowBatch(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkAnnotatedAggBelow(b *testing.B) {
-	n := 500_000
-	rng := rand.New(rand.NewSource(2))
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = rng.Int63n(int64(n) / 4)
-	}
-	prev := prevIdcsRef(vals)
-	aggVals := make([]float64, n)
-	for i, v := range vals {
-		aggVals[i] = float64(v)
-	}
-	at, err := BuildAnnotated(prev, aggVals, func(a, b float64) float64 { return a + b }, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame := n / 20
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row := i % n
-		lo := row - frame
-		if lo < 0 {
-			lo = 0
-		}
-		at.AggBelow(lo, row+1, int64(lo)+1)
-	}
-}

@@ -8,7 +8,7 @@ import (
 
 // Batched, level-synchronous count kernels. A window probe issues one count
 // query per row, and adjacent rows' frames overlap almost completely, so the
-// per-query costs that the scalar descent pays again and again — the O(log n)
+// per-query costs a one-query descent would pay again and again — the O(log n)
 // top-level binary search, re-deriving per-level run geometry, reloading the
 // cascading sample rows — are shared across a whole chunk of queries here:
 //
@@ -27,13 +27,14 @@ import (
 // it is counted in level 0 (leaf.go). Nor does a query whose range and
 // threshold rank moved by fewer than LeafRows entries in all since the query
 // before it: it is that query's count plus the difference (count_diff.go).
-// Results are exactly CountBelow per query — the equivalence is enforced by
-// batch_test.go, count_diff_test.go, FuzzCountSelect and core's
-// batch_equiv_test.
+// Results are checked against brute force by batch_test.go,
+// count_diff_test.go and FuzzCountSelect, and against core's reference
+// evaluator by its batch_equiv_test.
 
-// CountBelowBatch answers len(out) count queries at once:
-// out[q] = CountBelow(int(lo[q]), int(hi[q]), threshold[q]). The lo, hi and
-// threshold slices must have the same length as out. Queries should be in
+// CountBelowBatch answers len(out) count queries at once: out[q] is the
+// number of entries at positions [lo[q], hi[q]), clamped to [0, Len()], whose
+// value is strictly smaller than threshold[q]. The lo, hi and threshold
+// slices must have the same length as out. Queries should be in
 // probe order (adjacent frames adjacent) for the galloping top-level search
 // to pay off; any order is correct. It returns how many of the queries it
 // answered at the leaves (leaf.go) and how many from the query before them
@@ -51,7 +52,7 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (
 	if m == 0 {
 		return 0, 0
 	}
-	// Clamp every query exactly like CountBelow and answer all but the wide
+	// Clamp every query and answer all but the wide
 	// ones up front; those are marked with an empty position range so the
 	// kernel skips them without a separate mask.
 	cb := arena.Int32s.Get(3 * m)

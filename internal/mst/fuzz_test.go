@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// FuzzCountSelect cross-checks the tree's count and select queries —
-// scalar descents and the batched level-synchronous kernels — against brute
-// force over fuzzer-chosen inputs, tree options and query arguments — the
+// FuzzCountSelect cross-checks the tree's count and select queries — the
+// batched level-synchronous kernels and CountBelow, their batch of one —
+// against brute force over fuzzer-chosen inputs, tree options and query arguments — the
 // counts once with the leaf path at its cutoff and once with it off
 // (leafSeam), each batch followed by a sliding sequence the differential
 // pass answers from neighbours, and a sliding select sequence likewise — and,
@@ -112,28 +112,8 @@ func FuzzCountSelect(f *testing.F) {
 		})
 		leafOnlyCounts(t, keys, opt, lo, hi, threshold)
 
-		// Select the k-th entry by value range [0, threshold); compare
-		// against a brute-force scan in position order.
-		pos, ok := tree.SelectKth(0, threshold, k)
-		wantPos, wantOK := 0, false
-		if k >= 0 {
-			seen := 0
-			for i, v := range keys {
-				if v >= 0 && v < threshold {
-					if seen == k {
-						wantPos, wantOK = i, true
-						break
-					}
-					seen++
-				}
-			}
-		}
-		if ok != wantOK || (ok && pos != wantPos) {
-			t.Errorf("SelectKth(0, %d, %d) = (%d, %v), brute force (%d, %v) (opt %+v)", threshold, k, pos, ok, wantPos, wantOK, opt)
-		}
-
-		// Select through the batched kernel and the scalar descent on the
-		// shapes frame exclusion produces: the single range twice (the
+		// Select through the batched kernel on the shapes frame exclusion
+		// produces: the single range [0, threshold) twice (the
 		// gallop-from-equal shape), then two and three sorted disjoint ranges
 		// cut at the fuzzer's arguments (the middle one possibly empty).
 		cuts := []int64{int64(lo), int64(hi), threshold, int64(k)}
@@ -164,13 +144,9 @@ func FuzzCountSelect(f *testing.F) {
 			if pos, ok := bruteSelectRanges(keys, ranges, int(kq)); ok && kq >= 0 {
 				wantB = int32(pos)
 			}
-			scalar := int32(-1)
-			if pos, ok := tree.SelectKthRanges(ranges, int(kq)); ok {
-				scalar = int32(pos)
-			}
-			if sOut[q] != wantB || scalar != wantB {
-				t.Errorf("select %v k=%d: SelectKthRangesBatch %d, SelectKthRanges %d, brute force %d (opt %+v)",
-					ranges, kq, sOut[q], scalar, wantB, opt)
+			if sOut[q] != wantB {
+				t.Errorf("select %v k=%d: SelectKthRangesBatch %d, brute force %d (opt %+v)",
+					ranges, kq, sOut[q], wantB, opt)
 			}
 		}
 
@@ -212,13 +188,9 @@ func FuzzCountSelect(f *testing.F) {
 				if pos, ok := bruteSelectRanges(keys, ranges, int(slK[s])); ok && slK[s] >= 0 {
 					wantS = int32(pos)
 				}
-				scalar := int32(-1)
-				if pos, ok := tree.SelectKthRanges(ranges, int(slK[s])); ok {
-					scalar = int32(pos)
-				}
-				if slOut[s] != wantS || scalar != wantS {
-					t.Errorf("sliding select %d %v k=%d: SelectKthRangesBatch %d, SelectKthRanges %d, brute force %d (opt %+v)",
-						s, ranges, slK[s], slOut[s], scalar, wantS, opt)
+				if slOut[s] != wantS {
+					t.Errorf("sliding select %d %v k=%d: SelectKthRangesBatch %d, brute force %d (opt %+v)",
+						s, ranges, slK[s], slOut[s], wantS, opt)
 				}
 			}
 		})
@@ -236,14 +208,14 @@ func fuzzSeedBytes(n int, seed int64) []byte {
 	return b
 }
 
-// FuzzAggBatch cross-checks the batched aggregate kernel against the scalar
-// annotated descent: results must be byte-identical (the merge is an
+// FuzzAggBatch cross-checks the batched aggregate kernel against the
+// reference fold aggRef: results must be byte-identical (the merge is an
 // order-sensitive string concatenation, so any reordering of the take fold
-// shows up immediately), ok flags must agree, and the count side output must
-// match CountBelow. Two flag bits stretch the batch across the kernel's
-// sub-batch boundaries. A string state never takes the leaf path, so an
-// int64 arm — values whose sums wrap — checks kernel, scalar walk and brute
-// force under both leaf seam settings, with ranges one row either side of
+// shows up immediately), ok flags must agree, and so must the count side
+// output. Two flag bits stretch the batch across the kernel's sub-batch
+// boundaries. A string state never takes the leaf path, so an int64 arm —
+// values whose sums wrap — checks kernel against brute force under both
+// leaf seam settings, with ranges one row either side of
 // LeafRows in the batch; a leaf-only arm (leafOnlyAggs) checks
 // BuildAnnotatedLeaves' form of the int64 tree.
 func FuzzAggBatch(f *testing.F) {
@@ -272,10 +244,12 @@ func FuzzAggBatch(f *testing.F) {
 			SampleEvery: 1 + int(sampleEvery%15),
 			NoCascading: flags&1 != 0,
 		}
-		at, err := BuildAnnotated(keys, vals, func(a, b string) string { return a + "|" + b }, opt)
+		merge := func(a, b string) string { return a + "|" + b }
+		at, err := BuildAnnotated(keys, vals, merge, opt)
 		if err != nil {
 			t.Fatalf("BuildAnnotated(%d keys, %+v): %v", len(keys), opt, err)
 		}
+		ref := newAggRef(at.t.effLen, keys, vals, merge)
 		// Repeat, perturb and full-span the query so the batch sees equal and
 		// neighbouring thresholds and the top-level fast path in one pass.
 		bLo := []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
@@ -296,13 +270,13 @@ func FuzzAggBatch(f *testing.F) {
 		cnt := make([]int32, len(bLo))
 		at.AggBelowBatch(bLo, bHi, bThr, res, ok, cnt)
 		for q := range bLo {
-			wantRes, wantOK := at.AggBelow(int(bLo[q]), int(bHi[q]), bThr[q])
+			wantRes, wantOK, wantCnt := ref.query(int(bLo[q]), int(bHi[q]), bThr[q])
 			if ok[q] != wantOK || (ok[q] && res[q] != wantRes) {
-				t.Errorf("AggBelowBatch query %d (%d, %d, %d) = (%q, %v), scalar (%q, %v) (opt %+v)",
+				t.Errorf("AggBelowBatch query %d (%d, %d, %d) = (%q, %v), reference (%q, %v) (opt %+v)",
 					q, bLo[q], bHi[q], bThr[q], res[q], ok[q], wantRes, wantOK, opt)
 			}
-			if wantCnt := at.CountBelow(int(bLo[q]), int(bHi[q]), bThr[q]); int(cnt[q]) != wantCnt {
-				t.Errorf("AggBelowBatch query %d count = %d, scalar CountBelow %d (opt %+v)",
+			if int(cnt[q]) != wantCnt {
+				t.Errorf("AggBelowBatch query %d count = %d, reference %d (opt %+v)",
 					q, cnt[q], wantCnt, opt)
 			}
 		}
@@ -328,10 +302,9 @@ func FuzzAggBatch(f *testing.F) {
 				if qHi > qLo && qHi-qLo <= leafRows && bThr[q] > 0 {
 					wantLeaves++
 				}
-				scalar, scalarOK := it.AggBelow(int(bLo[q]), int(bHi[q]), bThr[q])
-				if ok[q] != (num > 0) || scalarOK != (num > 0) || int(cnt[q]) != num || (num > 0 && (sums[q] != want || scalar != want)) {
-					t.Errorf("int64 AggBelowBatch query %d (%d, %d, %d) = (%d, %v, cnt %d), scalar (%d, %v), brute force %d of %d (opt %+v)",
-						q, bLo[q], bHi[q], bThr[q], sums[q], ok[q], cnt[q], scalar, scalarOK, want, num, opt)
+				if ok[q] != (num > 0) || int(cnt[q]) != num || (num > 0 && sums[q] != want) {
+					t.Errorf("int64 AggBelowBatch query %d (%d, %d, %d) = (%d, %v, cnt %d), brute force %d of %d (opt %+v)",
+						q, bLo[q], bHi[q], bThr[q], sums[q], ok[q], cnt[q], want, num, opt)
 				}
 			}
 			if leaves != wantLeaves {

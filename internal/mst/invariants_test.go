@@ -206,8 +206,8 @@ func checkRankIdentity(t *testing.T, tr *tree, l, r int, kids [][]int32) {
 // must be rejected), sample distances below, at and above the fanout,
 // ragged last runs, serial merges and mergeRunParallel
 // pieces — and checks the stripe against the reference merge and the rank
-// identity, plus count queries through the scalar and batched descents under
-// both leaf seam settings.
+// identity, plus count queries through the batched descent under both leaf
+// seam settings.
 func TestOriginStripe(t *testing.T) {
 	prev := parallel.SetMaxWorkers(4)
 	defer parallel.SetMaxWorkers(prev)
@@ -247,10 +247,9 @@ func TestOriginStripe(t *testing.T) {
 					leafSeam(t, func(t *testing.T) {
 						tree.CountBelowBatch(lo, hi, thr, out)
 						for q := range out {
-							want := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q])
-							if got := tree.CountBelow(int(lo[q]), int(hi[q]), thr[q]); got != want || int(out[q]) != want {
-								t.Fatalf("opt=%+v n=%d count[%d,%d)<%d: scalar %d, batch %d, want %d",
-									opt, n, lo[q], hi[q], thr[q], got, out[q], want)
+							if want := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q]); int(out[q]) != want {
+								t.Fatalf("opt=%+v n=%d count[%d,%d)<%d: batch %d, want %d",
+									opt, n, lo[q], hi[q], thr[q], out[q], want)
 							}
 						}
 					})

@@ -7,12 +7,12 @@ import "fmt"
 // those rows instead of a descent: a counting pass costs about half a
 // nanosecond per row, a descent a fixed O(log n) steps however narrow the
 // range (paper §6.4, Fig. 11: a per-frame scan beats the tree below frames
-// of ~130 rows). The count and integer-aggregate kernels, scalar and
-// batched, take the pass for ranges of at most leafRows rows; aggregates
-// whose fold order is part of the answer (AnnotatedTree) always descend. The
-// select kernels have no leaf rule — a narrow value range is spread over all
-// of level 0 — but the batched one walks level 0 from its predecessor's
-// answer when the frame barely moved (select_diff.go).
+// of ~130 rows). The count and integer-aggregate kernels take the pass for
+// ranges of at most leafRows rows; aggregates whose fold order is part of
+// the answer (AnnotatedTree) always descend. The select kernel has no leaf
+// rule — a narrow value range is spread over all of level 0 — but walks
+// level 0 from its predecessor's answer when the frame barely moved
+// (select_diff.go).
 
 // LeafRows is the widest position range the count and integer-aggregate
 // kernels answer from level 0. It sits well below the measured scan/descent
@@ -107,7 +107,7 @@ func traceSkippedLevels(n int, opt Options) {
 }
 
 // BuildLeaves builds the leaf-only form of Build's tree over keys: level 0
-// only, answering CountBelow, CountRange and CountBelowBatch over ranges of
+// only, answering CountBelowBatch over ranges of
 // at most LeafRows rows, and Value. Keys are validated exactly as Build
 // validates them; Options shape nothing but the trace and what Stats
 // reports. Select queries are not available on it.

@@ -34,8 +34,8 @@ func leafSeam(t *testing.T, fn func(t *testing.T)) {
 var leafWidths = []int{1, LeafRows - 1, LeafRows, LeafRows + 1, 250}
 
 // TestLeafRule pins the leaf rule at its boundary: ranges of LeafRows−1,
-// LeafRows and LeafRows+1 rows at every start position, through the scalar
-// and batched count kernels of a striped, a deep and a NoCascading tree, and
+// LeafRows and LeafRows+1 rows at every start position, through the batched
+// count kernel of a striped, a deep and a NoCascading tree, and
 // through the aggregate kernels of an int64 tree — whose sums wrap — and of a
 // float64 tree, which never takes the leaf path. Every answer must match
 // brute force, and the batched kernels must report exactly the queries of at
@@ -80,9 +80,8 @@ func TestLeafRule(t *testing.T) {
 				t.Errorf("opt=%+v: CountBelowBatch reports %d queries at the leaves, want %d", opt, got, wantLeaves)
 			}
 			for q := range out {
-				want := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q])
-				if scalar := tree.CountBelow(int(lo[q]), int(hi[q]), thr[q]); int(out[q]) != want || scalar != want {
-					t.Fatalf("opt=%+v [%d,%d)<%d: kernel %d, scalar %d, brute force %d", opt, lo[q], hi[q], thr[q], out[q], scalar, want)
+				if want := bruteCountBelow(keys, int(lo[q]), int(hi[q]), thr[q]); int(out[q]) != want {
+					t.Fatalf("opt=%+v [%d,%d)<%d: kernel %d, brute force %d", opt, lo[q], hi[q], thr[q], out[q], want)
 				}
 			}
 		}
@@ -104,10 +103,9 @@ func TestLeafRule(t *testing.T) {
 					num++
 				}
 			}
-			scalar, scalarOK := at.AggBelow(int(lo[q]), int(hi[q]), thr[q])
-			if okv[q] != (num > 0) || scalarOK != (num > 0) || int(cnt[q]) != num || (num > 0 && (sums[q] != want || scalar != want)) {
-				t.Fatalf("[%d,%d)<%d: kernel (%d, %v, cnt %d), scalar (%d, %v), brute force %d of %d",
-					lo[q], hi[q], thr[q], sums[q], okv[q], cnt[q], scalar, scalarOK, want, num)
+			if okv[q] != (num > 0) || int(cnt[q]) != num || (num > 0 && sums[q] != want) {
+				t.Fatalf("[%d,%d)<%d: kernel (%d, %v, cnt %d), brute force %d of %d",
+					lo[q], hi[q], thr[q], sums[q], okv[q], cnt[q], want, num)
 			}
 		}
 
@@ -216,7 +214,8 @@ func wantWidthPanic(t *testing.T, probe func()) {
 
 // leafOnlyCounts is FuzzCountSelect's leaf-only arm: BuildLeaves over the
 // same keys answers ranges of at most LeafRows rows like brute force, through
-// the scalar and the batched kernel, whatever the leaf seam says; a wider
+// the batched kernel and CountBelow, its batch of one, whatever the leaf seam
+// says; a wider
 // range is refused by CheckRows with a *WidthError, and by the kernel's
 // invariant when probed anyway.
 func leafOnlyCounts(t *testing.T, keys []int64, opt Options, lo, hi int, threshold int64) {
@@ -249,8 +248,7 @@ func leafOnlyCounts(t *testing.T, keys []int64, opt Options, lo, hi int, thresho
 
 // leafOnlyAggs is FuzzAggBatch's leaf-only arm: BuildAnnotatedLeaves over the
 // same keys and int64 values answers narrow ranges like brute force, through
-// AggBelowBatch, AggBelow and CountBelow, and refuses a wider one as
-// leafOnlyCounts describes.
+// AggBelowBatch, and refuses a wider one as leafOnlyCounts describes.
 func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, threshold int64) {
 	t.Helper()
 	lt, err := BuildAnnotatedLeaves(keys, vals, func(a, b int64) int64 { return a + b }, opt)
@@ -273,17 +271,13 @@ func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, thr
 				num++
 			}
 		}
-		scalar, scalarOK := lt.AggBelow(int(qLo[q]), int(qHi[q]), thr[q])
-		count := lt.CountBelow(int(qLo[q]), int(qHi[q]), thr[q])
-		if ok[q] != (num > 0) || scalarOK != (num > 0) || int(cnt[q]) != num || count != num || (num > 0 && (sums[q] != want || scalar != want)) {
-			t.Errorf("leaf-only [%d,%d)<%d: kernel (%d, %v, cnt %d), scalar (%d, %v, count %d), brute force %d of %d",
-				qLo[q], qHi[q], thr[q], sums[q], ok[q], cnt[q], scalar, scalarOK, count, want, num)
+		if ok[q] != (num > 0) || int(cnt[q]) != num || (num > 0 && sums[q] != want) {
+			t.Errorf("leaf-only [%d,%d)<%d: kernel (%d, %v, cnt %d), brute force %d of %d",
+				qLo[q], qHi[q], thr[q], sums[q], ok[q], cnt[q], want, num)
 		}
 	}
 	wantWidthError(t, lt.CheckRows(LeafRows+1), LeafRows+1)
 	if n := len(keys); n > LeafRows {
-		wantWidthPanic(t, func() { lt.AggBelow(0, n, 1) })
-		wantWidthPanic(t, func() { lt.CountBelow(0, n, 1) })
 		wantWidthPanic(t, func() { lt.AggBelowBatch([]int32{0}, []int32{int32(n)}, []int64{1}, sums[:1], ok[:1], cnt[:1]) })
 	}
 }
@@ -312,7 +306,6 @@ func TestLeafOnlyStructures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, probe := range map[string]func(){
-		"SelectKth":            func() { lt.SelectKth(0, 10, 0) },
 		"SelectKthRangesBatch": func() { lt.SelectKthRangesBatch([]int32{0, 1}, []int64{0}, []int64{10}, []int32{0}, make([]int32, 1)) },
 	} {
 		func() {

@@ -21,16 +21,21 @@ import (
 // by few top-run ranks since the query before it is answered from that
 // query's answer by a walk over level 0 (select_diff.go).
 
+// maxSelectRanges bounds the number of value ranges a select query carries.
+// Frame exclusion splits a frame into at most three continuous ranges
+// (§4.7), so three is all the window operator ever needs.
+const maxSelectRanges = 4
+
 // SelectKthRangesBatch answers len(out) select queries at once. Query q has
 // the sorted, disjoint half-open value ranges (vlo[j], vhi[j]) for j in
 // [off[q], off[q+1]) — at most maxSelectRanges of them — and selects the
 // k[q]-th (0-based, in position order) entry whose value falls into any
-// range. out[q] receives the base position, or -1 when fewer than k[q]+1
-// entries qualify. Results are exactly SelectKthRanges per query. Queries
-// should be in probe order (adjacent frames adjacent) for the galloping
-// top-level search and the differential pass to pay off; any order is
-// correct. It returns how many of the queries it answered from the query
-// before them (select_diff.go) instead of descending.
+// range. out[q] receives the base position, or -1 when k[q] < 0 or fewer
+// than k[q]+1 entries qualify. Queries should be in probe order (adjacent
+// frames adjacent) for the galloping top-level search and the differential
+// pass to pay off; any order is correct. It returns how many of the queries
+// it answered from the query before them (select_diff.go) instead of
+// descending.
 func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, out []int32) (diffs int) {
 	m := len(out)
 	if len(off) != m+1 || len(k) != m || len(vlo) != len(vhi) || len(vlo) != int(off[m]) {
@@ -64,7 +69,7 @@ func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, ou
 	vb := arena.Int32s.Get(2 * nr)
 	vlo32, vhi32 := vb[:nr], vb[nr:]
 	for j := range vlo32 {
-		// An inverted range is empty, as SelectKthRanges drops it.
+		// An inverted range is empty.
 		vlo32[j] = clampI32(vlo[j])
 		vhi32[j] = max(clampI32(vhi[j]), vlo32[j])
 	}
@@ -75,8 +80,7 @@ func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, ou
 
 // selectKernel is the level-synchronous select descent. Empty value
 // ranges contribute zero-width rank pairs throughout, so they need no
-// special casing (SelectKthRanges drops them up front; the result is the
-// same either way). It returns how many queries it answered from their
+// special casing. It returns how many queries it answered from their
 // predecessor (select_diff.go) instead of descending.
 func selectKernel(t *tree, off, vlo, vhi, k, out []int32) (diffs int) {
 	m := len(out)
@@ -157,7 +161,7 @@ func selectKernel(t *tree, off, vlo, vhi, k, out []int32) (diffs int) {
 	// Level-0 runs hold one element: an anchor's run index is its base
 	// position, its answer.
 	if marked > 0 {
-		diffs = t.resolveSelectDiffs(off, vlo, vhi, k, tlo, thi, out, budget)
+		diffs = t.resolveSelectDiffs(off, vlo, vhi, k, tlo, thi, rlo, rhi, scratch, out, budget)
 	}
 	arena.Int32s.Put(buf)
 	return diffs

@@ -27,8 +27,9 @@ package mst
 // one pass in query order then resolves every marked query from its
 // predecessor's final answer (resolveSelectDiffs). A walk covers at most
 // selectBudget() positions; one whose answer lies farther from a descends
-// through the scalar selectRanges instead, and its answer seeds the next
-// query like any other. Trees without topPos never mark a query.
+// instead, from the top-run ranks the kernel galloped for it, and its answer
+// seeds the next query like any other. Trees without topPos never mark a
+// query.
 
 // pendingSelect marks, in selectKernel's out array, a query
 // resolveSelectDiffs answers: -1 is an answer (fewer than k+1 entries
@@ -61,11 +62,12 @@ func selectDiffCost(rlo, rhi []int32, p0, q0, nr int) int {
 
 // resolveSelectDiffs answers, in query order, every query selectKernel marked
 // pendingSelect from the answered query before it, whose answer is final by
-// then, and returns how many it answered by a walk rather than a scalar
-// descent, each walk covering at most budget positions. rlo/rhi are every
-// answered query's top-run ranks; queries answered -1 at the top level are
-// skipped.
-func (t *tree) resolveSelectDiffs(off, vlo, vhi, k, rlo, rhi, out []int32, budget int) (diffs int) {
+// then, and returns how many it answered by a walk rather than a descent,
+// each walk covering at most budget positions. tlo/thi are every answered
+// query's top-run ranks; queries answered -1 at the top level are skipped. A
+// declined walk descends with the kernel's state: its rank pairs dlo/dhi,
+// which only anchors use, seeded from tlo/thi, and its selectStep scratch.
+func (t *tree) resolveSelectDiffs(off, vlo, vhi, k, tlo, thi, dlo, dhi, scratch, out []int32, budget int) (diffs int) {
 	p := -1
 	for q := range out {
 		if out[q] == -1 {
@@ -76,15 +78,24 @@ func (t *tree) resolveSelectDiffs(off, vlo, vhi, k, rlo, rhi, out []int32, budge
 			a := out[p]
 			c := int(k[p])
 			for j := 0; j < q1-q0; j++ {
-				c += band(t.topPos, rhi[p0+j], rhi[q0+j], 0, a) - band(t.topPos, rlo[p0+j], rlo[q0+j], 0, a)
+				c += band(t.topPos, thi[p0+j], thi[q0+j], 0, a) - band(t.topPos, tlo[p0+j], tlo[q0+j], 0, a)
 			}
 			lo, hi := vlo[q0:q1], vhi[q0:q1]
 			if pos := t.walk(lo, hi, int(a), c, int(k[q]), budget); pos >= 0 {
 				out[q] = i32(pos)
 				diffs++
 			} else {
-				pos, _ := selectRanges(t, lo, hi, int(k[q]))
-				out[q] = i32(pos)
+				rlo, rhi := dlo[q0:q1], dhi[q0:q1]
+				copy(rlo, tlo[q0:q1])
+				copy(rhi, thi[q0:q1])
+				run, rem := 0, int(k[q])
+				for level := t.top(); level >= 1; level-- {
+					lv := t.view(level)
+					var child int
+					child, rem = lv.selectStep(run, rem, lo, hi, rlo, rhi, scratch)
+					run = run*t.f + child
+				}
+				out[q] = i32(run)
 			}
 		}
 		p = q

@@ -1,7 +1,7 @@
 package mst
 
-// The step: the one routine every descent — count, select and aggregate,
-// scalar and batched — uses to take a run one level down.
+// The step: the one routine every batched kernel — count, select and
+// aggregate — uses to take a run one level down.
 //
 // A run is sorted and its merge is stable, so the elements of child c that
 // are smaller than a threshold x are exactly the outputs before the run's
@@ -32,8 +32,7 @@ package mst
 // search per child, written once, in ranksStep).
 
 // levelView is the per-level state of the step: the geometry of one merge
-// level and its stripes. The batched kernels hoist it once per level; the
-// scalar descents derive it per visited run.
+// level and its stripes. The kernels hoist it once per level.
 type levelView struct {
 	n, f, k          int
 	runLen, childLen int

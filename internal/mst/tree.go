@@ -5,16 +5,18 @@
 // A merge sort tree over an array keeps the intermediate sorted runs of a
 // (multiway) merge sort: level 0 is the original array, level l consists of
 // sorted runs of length fanoutˡ, and the top level is one fully sorted run.
-// The tree supports two-dimensional range queries over (position, value):
+// The tree supports two-dimensional range queries over (position, value),
+// answered a whole probe chunk at a time by level-synchronous kernels:
 //
-//   - CountBelow: how many entries in positions [lo, hi) have a value
+//   - CountBelowBatch: how many entries in positions [lo, hi) have a value
 //     smaller than a threshold — the primitive behind framed COUNT DISTINCT
-//     (§4.2) and framed rank functions (§4.4);
-//   - SelectKth: the i-th entry (in position order) whose value falls in a
-//     given range — the primitive behind framed percentiles and value
-//     functions (§4.5);
+//     (§4.2), framed rank functions (§4.4) and LEAD/LAG's row number (§4.6);
+//   - SelectKthRangesBatch: the i-th entry (in position order) whose value
+//     falls in a union of value ranges — the primitive behind framed
+//     percentiles and value functions (§4.5) and LEAD/LAG's target row;
 //   - AnnotatedTree additionally stores per-element prefix aggregates so
-//     arbitrary distinct distributive aggregates can be framed (§4.3).
+//     arbitrary distinct distributive aggregates can be framed (§4.3,
+//     AggBelowBatch).
 //
 // Queries run in O(log n) thanks to fractional cascading: every k-th element
 // of each run is annotated with, per child run, the number of elements the
@@ -210,45 +212,15 @@ func payloadBase(keys []int64) ([]int32, error) {
 func (t *Tree) Len() int { return t.n }
 
 // CountBelow returns the number of entries at positions [lo, hi) whose value
-// is strictly smaller than threshold. lo and hi are clamped to [0, Len()]. A
-// range of at most LeafRows rows is counted in level 0 (leaf.go); a
-// leaf-only tree answers no wider one.
+// is strictly smaller than threshold, lo and hi clamped to [0, Len()]: a
+// batch of one over CountBelowBatch. The window operator batches every
+// query; this stays exported only for bench/layers.go's per-query probe
+// timing (ROADMAP 2(i)).
 func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.n {
-		hi = t.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	if threshold > math.MaxInt32 {
-		return hi - lo
-	}
-	if leafRule(hi-lo, t.leafOnly) {
-		return countLeaf(t.tr.levels[0][lo:hi], clampI32(threshold))
-	}
-	if threshold <= 0 {
-		return 0
-	}
-	return t.tr.countBelow(lo, hi, int32(threshold))
-}
-
-// CountRange returns the number of entries at positions [lo, hi) whose value
-// v satisfies vLo <= v < vHi.
-func (t *Tree) CountRange(lo, hi int, vLo, vHi int64) int {
-	if vHi <= vLo {
-		return 0
-	}
-	return t.CountBelow(lo, hi, vHi) - t.CountBelow(lo, hi, vLo)
-}
-
-// SelectKth returns the position (index into the base array) of the i-th
-// entry, in position order, whose value v satisfies vLo <= v < vHi.
-// i is 0-based. ok is false when fewer than i+1 entries qualify.
-func (t *Tree) SelectKth(vLo, vHi int64, i int) (pos int, ok bool) {
-	return t.SelectKthRanges([][2]int64{{vLo, vHi}}, i)
+	l, h := i32(min(max(lo, 0), t.n)), i32(min(max(hi, 0), t.n))
+	var out [1]int32
+	t.CountBelowBatch([]int32{l}, []int32{h}, []int64{threshold}, out[:])
+	return int(out[0])
 }
 
 func clampI32(v int64) int32 {

@@ -11,7 +11,7 @@ import (
 	"holistic/internal/parallel"
 )
 
-// bruteCountBelow is the O(n) reference for CountBelow.
+// bruteCountBelow is the O(n) reference for a count query.
 func bruteCountBelow(keys []int64, lo, hi int, threshold int64) int {
 	if lo < 0 {
 		lo = 0
@@ -28,7 +28,7 @@ func bruteCountBelow(keys []int64, lo, hi int, threshold int64) int {
 	return cnt
 }
 
-// bruteSelectKth is the O(n) reference for SelectKth.
+// bruteSelectKth is the O(n) reference for a one-range select query.
 func bruteSelectKth(keys []int64, vLo, vHi int64, k int) (int, bool) {
 	for i, v := range keys {
 		if v >= vLo && v < vHi {
@@ -39,6 +39,19 @@ func bruteSelectKth(keys []int64, vLo, vHi int64, k int) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// selectOne answers one select query through SelectKthRangesBatch: the
+// base position of the k-th entry, in position order, whose value falls into
+// one of ranges, and whether there is one.
+func selectOne(tree *Tree, ranges [][2]int64, k int) (int, bool) {
+	vlo, vhi := make([]int64, len(ranges)), make([]int64, len(ranges))
+	for j, r := range ranges {
+		vlo[j], vhi[j] = r[0], r[1]
+	}
+	out := []int32{0}
+	tree.SelectKthRangesBatch([]int32{0, int32(len(ranges))}, vlo, vhi, []int32{int32(k)}, out)
+	return int(out[0]), out[0] >= 0
 }
 
 func randKeys(rng *rand.Rand, n int, domain int64) []int64 {
@@ -122,10 +135,10 @@ func TestSelectKthAgainstBruteForce(t *testing.T) {
 				vLo := rng.Int63n(int64(n) + 1)
 				vHi := vLo + rng.Int63n(int64(n)+1-vLo)
 				k := rng.Intn(n + 1)
-				gotPos, gotOK := tree.SelectKth(vLo, vHi, k)
+				gotPos, gotOK := selectOne(tree, [][2]int64{{vLo, vHi}}, k)
 				wantPos, wantOK := bruteSelectKth(keys, vLo, vHi, k)
 				if gotOK != wantOK || (gotOK && gotPos != wantPos) {
-					t.Fatalf("SelectKth(n=%d, opt=%+v, vLo=%d, vHi=%d, k=%d) = (%d,%v), want (%d,%v)",
+					t.Fatalf("select(n=%d, opt=%+v, vLo=%d, vHi=%d, k=%d) = (%d,%v), want (%d,%v)",
 						n, opt, vLo, vHi, k, gotPos, gotOK, wantPos, wantOK)
 				}
 			}
@@ -144,7 +157,7 @@ func TestSelectKthExhaustiveSmall(t *testing.T) {
 		for vLo := int64(0); vLo <= 10; vLo++ {
 			for vHi := vLo; vHi <= 10; vHi++ {
 				for k := 0; k <= n; k++ {
-					gotPos, gotOK := tree.SelectKth(vLo, vHi, k)
+					gotPos, gotOK := selectOne(tree, [][2]int64{{vLo, vHi}}, k)
 					wantPos, wantOK := bruteSelectKth(keys, vLo, vHi, k)
 					if gotOK != wantOK || (gotOK && gotPos != wantPos) {
 						t.Fatalf("opt=%+v vLo=%d vHi=%d k=%d: got (%d,%v) want (%d,%v)",
@@ -156,6 +169,82 @@ func TestSelectKthExhaustiveSmall(t *testing.T) {
 	}
 }
 
+// bruteSelectRanges is the O(n) reference for a select query.
+func bruteSelectRanges(keys []int64, ranges [][2]int64, k int) (int, bool) {
+	for i, v := range keys {
+		in := false
+		for _, r := range ranges {
+			if v >= r[0] && v < r[1] {
+				in = true
+				break
+			}
+		}
+		if in {
+			if k == 0 {
+				return i, true
+			}
+			k--
+		}
+	}
+	return 0, false
+}
+
+func TestSelectKthRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{1, 5, 64, 500, 2000} {
+		keys := randKeys(rng, n, int64(n))
+		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}} {
+			tree, err := Build(keys, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 100; trial++ {
+				// Build up to 3 sorted disjoint value ranges.
+				numR := 1 + rng.Intn(3)
+				cuts := make([]int64, 0, 2*numR)
+				for len(cuts) < 2*numR {
+					cuts = append(cuts, rng.Int63n(int64(n)+1))
+				}
+				for i := 1; i < len(cuts); i++ {
+					for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
+						cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
+					}
+				}
+				ranges := make([][2]int64, numR)
+				for r := 0; r < numR; r++ {
+					ranges[r] = [2]int64{cuts[2*r], cuts[2*r+1]}
+				}
+				k := rng.Intn(n + 1)
+				gotPos, gotOK := selectOne(tree, ranges, k)
+				wantPos, wantOK := bruteSelectRanges(keys, ranges, k)
+				if gotOK != wantOK || (gotOK && gotPos != wantPos) {
+					t.Fatalf("n=%d opt=%+v ranges=%v k=%d: got (%d,%v) want (%d,%v)",
+						n, opt, ranges, k, gotPos, gotOK, wantPos, wantOK)
+				}
+			}
+		}
+	}
+}
+
+func TestSelectKthRangesEdge(t *testing.T) {
+	tree, err := Build([]int64{5, 2, 8}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := selectOne(tree, nil, 0); ok {
+		t.Fatal("no ranges must select nothing")
+	}
+	if _, ok := selectOne(tree, [][2]int64{{3, 3}, {9, 9}}, 0); ok {
+		t.Fatal("empty ranges must select nothing")
+	}
+	if pos, ok := selectOne(tree, [][2]int64{{0, 3}, {6, 9}}, 1); !ok || pos != 2 {
+		t.Fatalf("got (%d,%v), want (2,true)", pos, ok)
+	}
+}
+
+// TestCountRange checks the value-range count LEAD/LAG's row number is made
+// of: two count queries over one position range, one below each bound of a
+// value range, differenced.
 func TestCountRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	keys := randKeys(rng, 500, 50)
@@ -167,15 +256,15 @@ func TestCountRange(t *testing.T) {
 		lo := rng.Intn(501)
 		hi := lo + rng.Intn(501-lo)
 		vLo := rng.Int63n(51)
-		vHi := rng.Int63n(51)
+		vHi := vLo + rng.Int63n(51-vLo)
 		want := 0
 		for i := lo; i < hi && i < len(keys); i++ {
 			if keys[i] >= vLo && keys[i] < vHi {
 				want++
 			}
 		}
-		if got := tree.CountRange(lo, hi, vLo, vHi); got != want {
-			t.Fatalf("CountRange(%d,%d,%d,%d) = %d, want %d", lo, hi, vLo, vHi, got, want)
+		if got := tree.CountBelow(lo, hi, vHi) - tree.CountBelow(lo, hi, vLo); got != want {
+			t.Fatalf("count of [%d,%d) in [%d,%d) = %d, want %d", lo, hi, vLo, vHi, got, want)
 		}
 	}
 }
@@ -207,7 +296,7 @@ func TestCountBelowProperty(t *testing.T) {
 	}
 }
 
-// TestMonotoneCountProperty checks the structural invariants of CountBelow:
+// TestMonotoneCountProperty checks the structural invariants of a count:
 // monotone in the threshold and additive over position ranges.
 func TestMonotoneCountProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -264,7 +353,7 @@ func TestEmptyAndSingle(t *testing.T) {
 	if got := empty.CountBelow(0, 0, 5); got != 0 {
 		t.Fatalf("empty tree count = %d", got)
 	}
-	if _, ok := empty.SelectKth(0, 10, 0); ok {
+	if _, ok := selectOne(empty, [][2]int64{{0, 10}}, 0); ok {
 		t.Fatal("empty tree select returned ok")
 	}
 	single, err := Build([]int64{7}, Options{})
@@ -277,7 +366,7 @@ func TestEmptyAndSingle(t *testing.T) {
 	if got := single.CountBelow(0, 1, 7); got != 0 {
 		t.Fatalf("single count below 7 = %d, want 0", got)
 	}
-	if pos, ok := single.SelectKth(7, 8, 0); !ok || pos != 0 {
+	if pos, ok := selectOne(single, [][2]int64{{7, 8}}, 0); !ok || pos != 0 {
 		t.Fatalf("single select = (%d,%v)", pos, ok)
 	}
 }
@@ -303,7 +392,7 @@ func Test32BitSelection(t *testing.T) {
 		t.Fatalf("count below MaxInt32 = %d, want 3", got)
 	}
 	for _, vHi := range []int64{math.MaxInt32, math.MaxInt32 + 1, math.MaxInt64} {
-		if pos, ok := edge.SelectKth(top, vHi, 0); !ok || pos != 1 {
+		if pos, ok := selectOne(edge, [][2]int64{{top, vHi}}, 0); !ok || pos != 1 {
 			t.Fatalf("select in [MaxInt32-1, %d) = (%d, %v), want (1, true)", vHi, pos, ok)
 		}
 		out := make([]int32, 1)

@@ -1,38 +1,39 @@
-// Batched framed dense-rank counting (PR 10). A window probe issues one
-// CountDistinctBelow per row, and adjacent rows' frames decompose into
-// almost the same O(log n) canonical segment-tree nodes. The batched form
-// walks all queries' decompositions depth-synchronously: at every depth,
-// each live query emits at most one left- and one right-boundary node, and
-// because queries arrive in probe order, emissions for the same node are
-// adjacent in the per-depth streams. Each maximal same-node group is then
-// answered with ONE call into the node's nested merge sort tree — the
-// batched CountBelowBatch kernel — so the inner O(log n) descent and its
-// galloped top search are shared across the group instead of being paid per
-// query. Left and right boundary emissions go to separate streams: a node
+// Batched framed dense-rank counting. A window probe issues one dense-rank
+// count per row, and adjacent rows' frames decompose into almost the same
+// O(log n) canonical segment-tree nodes. The batched form walks all queries'
+// decompositions depth-synchronously: at every depth, each live query emits
+// at most one left- and one right-boundary node, and because queries arrive
+// in probe order, emissions for the same node are adjacent in the per-depth
+// streams. Each maximal same-node group is then answered with ONE call into
+// the node's nested merge sort tree — the batched CountBelowBatch kernel — so
+// the inner O(log n) descent and its galloped top search are shared across
+// the group instead of being paid per query; a group of one takes the same
+// call. Left and right boundary emissions go to separate streams: a node
 // appears as an l-node for one contiguous range of queries and as an r-node
 // for another, and mixing the two would split the groups. Frames of at most
 // mst.LeafRows rows never enter the walk: they are counted in window order
 // over the partition arrays (countLeaves).
 //
-// Results are exactly CountDistinctBelow per query — enforced by
-// TestCountDistinctBelowBatchMatchesScalar and core's batch_equiv_test.
+// Results are checked against brute force by
+// TestCountDistinctBelowBatchMatchesScalar and FuzzDenseRankBatch, and
+// against core's reference evaluator by its batch_equiv_test.
 
 package rangetree
 
 import (
-	"math"
-
 	"holistic/internal/arena"
 	"holistic/internal/sortutil"
 )
 
 // CountDistinctBelowBatch answers len(out) dense-rank counting queries at
-// once: out[q] = CountDistinctBelow(int(lo[q]), int(hi[q]), rankThr[q],
-// prevThr[q]). All five slices must have the same length. Queries should be
-// in probe order (adjacent frames adjacent) so same-node groups are maximal;
-// any order is correct. It returns how many of the queries it answered at
-// the leaves — frames of at most mst.LeafRows rows, scanned in window order
-// (countLeaves) — instead of decomposing them.
+// once: out[q] is the number of distinct rank values r < rankThr[q] among
+// window positions [lo[q], hi[q]), clamped to [0, Len()], where distinctness
+// is established by prevIdx < prevThr[q] (normally the frame start + 1 in the
+// shifted representation). All five slices must have the same length.
+// Queries should be in probe order (adjacent frames adjacent) so same-node
+// groups are maximal; any order is correct. It returns how many of the
+// queries it answered at the leaves — frames of at most mst.LeafRows rows,
+// scanned in window order (countLeaves) — instead of decomposing them.
 func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr []int64, out []int32) (leaves int) {
 	m := len(out)
 	if len(lo) != m || len(hi) != m || len(rankThr) != m || len(prevThr) != m {
@@ -48,16 +49,6 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 		}
 		return 0
 	}
-	if t.n > (math.MaxInt32-1)/2 {
-		// Node indices run up to 2n and live in int32 scratch; partitions
-		// this large take the scalar path (they cannot be built today — the
-		// nested trees hit the element limit first — but stay correct).
-		for q := range out {
-			out[q] = int32(t.CountDistinctBelow(int(lo[q]), int(hi[q]), rankThr[q], prevThr[q]))
-		}
-		return 0
-	}
-
 	buf := arena.Int32s.Get(10 * m)
 	gthr := arena.Int64s.Get(m)
 	defer arena.Int32s.Put(buf)
@@ -98,33 +89,20 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 				j++
 			}
 			nd := &t.nodes[nodes[i]]
-			if nd.inner == nil || j-i == 1 {
-				// Small node or singleton group: the scalar path is already
-				// minimal (linear scan / one inner descent).
-				for x := i; x < j; x++ {
-					q := qs[x]
-					m0 := sortutil.LowerBound(nd.ranks, rankThr[q])
-					if m0 == 0 {
-						continue
-					}
-					if nd.inner != nil {
-						out[q] += int32(nd.inner.CountBelow(0, m0, prevThr[q]))
-						continue
-					}
-					for _, p := range nd.prevs[:m0] {
-						if p < prevThr[q] {
-							out[q]++
-						}
-					}
-				}
-				i = j
-				continue
-			}
 			gm := 0
 			for x := i; x < j; x++ {
 				q := qs[x]
 				m0 := sortutil.LowerBound(nd.ranks, rankThr[q])
 				if m0 == 0 {
+					continue
+				}
+				if nd.inner == nil {
+					// Small node: a scan of its prevIdx prefix.
+					for _, p := range nd.prevs[:m0] {
+						if p < prevThr[q] {
+							out[q]++
+						}
+					}
 					continue
 				}
 				glo[gm], ghi[gm] = 0, int32(m0)
@@ -142,8 +120,8 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 		}
 	}
 
-	// Depth-synchronous canonical decomposition: the classic l/r boundary
-	// walk of CountDistinctBelow, advanced one depth for all queries per
+	// Depth-synchronous canonical decomposition: the classic bottom-up l/r
+	// boundary walk of a segment tree, advanced one depth for all queries per
 	// iteration.
 	for {
 		nl, nr := 0, 0

@@ -26,8 +26,8 @@ func leafSeam(t *testing.T, fn func(t *testing.T)) {
 }
 
 // TestCountDistinctBelowBatchMatchesScalar cross-checks the depth-
-// synchronous batched decomposition against per-query CountDistinctBelow
-// over randomized data — sliding frames (the grouping fast path; 40 rows and
+// synchronous batched decomposition against per-query brute force over
+// randomized data — sliding frames (the grouping fast path; 40 rows and
 // one row either side of the leaf cutoff), random frames, clamped ranges and
 // out-of-domain thresholds — under both leaf seam settings.
 func TestCountDistinctBelowBatchMatchesScalar(t *testing.T) {
@@ -82,9 +82,9 @@ func testCountDistinctBelowBatchMatchesScalar(t *testing.T) {
 			out := make([]int32, m)
 			rt.CountDistinctBelowBatch(lo, hi, rankThr, prevThr, out)
 			for q := 0; q < m; q++ {
-				want := rt.CountDistinctBelow(int(lo[q]), int(hi[q]), rankThr[q], prevThr[q])
+				want := bruteCount(ranks, prevs, int(lo[q]), int(hi[q]), rankThr[q], prevThr[q])
 				if int(out[q]) != want {
-					t.Fatalf("opt=%+v n=%d query %d: batch(%d,%d,%d,%d)=%d, scalar=%d",
+					t.Fatalf("opt=%+v n=%d query %d: batch(%d,%d,%d,%d)=%d, brute force=%d",
 						opt, n, q, lo[q], hi[q], rankThr[q], prevThr[q], out[q], want)
 				}
 			}

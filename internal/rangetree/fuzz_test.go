@@ -8,12 +8,12 @@ import (
 	"holistic/internal/mst"
 )
 
-// FuzzDenseRankBatch cross-checks the depth-synchronous batched probe and
-// the scalar canonical-decomposition walk against brute force over
+// FuzzDenseRankBatch cross-checks the depth-synchronous batched probe
+// against brute force over
 // fuzzer-chosen rank arrays, previous-occurrence links, tree options and
 // query arguments, once with the leaf path at its cutoff and once with it off
 // (leafSeam). The batch repeats, perturbs and full-spans the query so grouped
-// inner-tree descents, singleton scalar groups and clamping all run in one
+// inner-tree descents, groups of one and clamping all run in one
 // pass, and adds frames one row either side of the cutoff. A leaf-only arm
 // (leafOnlyArm) checks NewLeaves' form of the same arrays.
 func FuzzDenseRankBatch(f *testing.F) {
@@ -78,10 +78,9 @@ func FuzzDenseRankBatch(f *testing.F) {
 				if qHi > qLo && qHi-qLo <= leafRows {
 					wantLeaves++
 				}
-				scalar := rt.CountDistinctBelow(int(bLo[q]), int(bHi[q]), bRank[q], bPrev[q])
-				if int(out[q]) != want || scalar != want {
-					t.Errorf("query %d (%d, %d, rank<%d, prev<%d): CountDistinctBelowBatch %d, scalar %d, brute force %d (opt %+v)",
-						q, bLo[q], bHi[q], bRank[q], bPrev[q], out[q], scalar, want, opt)
+				if int(out[q]) != want {
+					t.Errorf("query %d (%d, %d, rank<%d, prev<%d): CountDistinctBelowBatch %d, brute force %d (opt %+v)",
+						q, bLo[q], bHi[q], bRank[q], bPrev[q], out[q], want, opt)
 				}
 			}
 			if leaves != wantLeaves {
@@ -94,9 +93,8 @@ func FuzzDenseRankBatch(f *testing.F) {
 
 // leafOnlyArm is FuzzDenseRankBatch's leaf-only arm: NewLeaves over the same
 // arrays answers frames of at most mst.LeafRows rows like brute force,
-// through the batched and the scalar probe, owns no bytes, and refuses a
-// wider frame — CheckRows with a *mst.WidthError, the probes by their
-// invariant.
+// through the batched probe, owns no bytes, and refuses a wider frame —
+// CheckRows with a *mst.WidthError, the probe by its invariant.
 func leafOnlyArm(t *testing.T, ranks, prevs []int64, lo, hi int, rankThr, prevThr int64) {
 	t.Helper()
 	lt, err := NewLeaves(ranks, prevs)
@@ -125,10 +123,9 @@ func leafOnlyArm(t *testing.T, ranks, prevs []int64, lo, hi int, rankThr, prevTh
 				want++
 			}
 		}
-		scalar := lt.CountDistinctBelow(int(bLo[q]), int(bHi[q]), bRank[q], bPrev[q])
-		if int(out[q]) != want || scalar != want {
-			t.Errorf("leaf-only query %d (%d, %d, rank<%d, prev<%d): batch %d, scalar %d, brute force %d",
-				q, bLo[q], bHi[q], bRank[q], bPrev[q], out[q], scalar, want)
+		if int(out[q]) != want {
+			t.Errorf("leaf-only query %d (%d, %d, rank<%d, prev<%d): batch %d, brute force %d",
+				q, bLo[q], bHi[q], bRank[q], bPrev[q], out[q], want)
 		}
 	}
 	var we *mst.WidthError
@@ -139,7 +136,6 @@ func leafOnlyArm(t *testing.T, ranks, prevs []int64, lo, hi int, rankThr, prevTh
 		return
 	}
 	for name, probe := range map[string]func(){
-		"CountDistinctBelow":      func() { lt.CountDistinctBelow(0, n, rankThr, prevThr) },
 		"CountDistinctBelowBatch": func() { lt.CountDistinctBelowBatch([]int32{0}, []int32{int32(n)}, bRank[:1], bPrev[:1], out[:1]) },
 	} {
 		func() {

@@ -22,12 +22,12 @@ package rangetree
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"unsafe"
 
 	"holistic/internal/mst"
 	"holistic/internal/parallel"
-	"holistic/internal/sortutil"
 )
 
 // smallNode is the node size below which a linear scan beats a nested tree.
@@ -57,13 +57,37 @@ type DenseRankTree struct {
 	leafOnly bool
 }
 
+// MaxRows is the largest partition the structure indexes: node indices run
+// up to 2n, and the batched walk keeps them in int32 scratch.
+const MaxRows = (math.MaxInt32 - 1) / 2
+
+// SizeError reports a partition of Rows rows, more than MaxRows.
+type SizeError struct{ Rows int }
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("rangetree: partition of %d rows exceeds the %d-row limit", e.Rows, MaxRows)
+}
+
+// checkInput validates the lengths of New's and NewLeaves' arrays before
+// anything is sized from them.
+func checkInput(ranks, prevIdcs int) error {
+	if ranks != prevIdcs {
+		return fmt.Errorf("rangetree: %d ranks but %d prevIdcs", ranks, prevIdcs)
+	}
+	if ranks > MaxRows {
+		return &SizeError{Rows: ranks}
+	}
+	return nil
+}
+
 // NewLeaves builds the leaf-only form of New's structure: no nodes at all,
 // only the partition arrays it is handed, which is all the leaf rule reads.
 // It answers frames of at most mst.LeafRows rows; a wider one is the
-// invariant violation CheckRows reports.
+// invariant violation CheckRows reports. A partition of more than MaxRows
+// rows is refused with a *SizeError.
 func NewLeaves(ranks, prevIdcs []int64) (*DenseRankTree, error) {
-	if len(ranks) != len(prevIdcs) {
-		return nil, fmt.Errorf("rangetree: %d ranks but %d prevIdcs", len(ranks), len(prevIdcs))
+	if err := checkInput(len(ranks), len(prevIdcs)); err != nil {
+		return nil, err
 	}
 	return &DenseRankTree{n: len(ranks), ranks: ranks, prevs: prevIdcs, leafOnly: true}, nil
 }
@@ -71,10 +95,11 @@ func NewLeaves(ranks, prevIdcs []int64) (*DenseRankTree, error) {
 // New builds the structure for a partition in window order. ranks[i] is the
 // dense rank of row i's rank key (preprocess.DenseRanks); prevIdcs[i] is the
 // shifted previous-occurrence index of that key (preprocess.PrevIndices
-// computed on rank-key equality).
+// computed on rank-key equality). A partition of more than MaxRows rows is
+// refused with a *SizeError.
 func New(ranks, prevIdcs []int64, opt mst.Options) (*DenseRankTree, error) {
-	if len(ranks) != len(prevIdcs) {
-		return nil, fmt.Errorf("rangetree: %d ranks but %d prevIdcs", len(ranks), len(prevIdcs))
+	if err := checkInput(len(ranks), len(prevIdcs)); err != nil {
+		return nil, err
 	}
 	n := len(ranks)
 	t := &DenseRankTree{n: n, ranks: ranks, prevs: prevIdcs}
@@ -173,56 +198,6 @@ func (t *DenseRankTree) leaf(w int) bool {
 		panic(err)
 	}
 	return true
-}
-
-// CountDistinctBelow returns the number of distinct rank values r <
-// rankThreshold among window positions [lo, hi), where distinctness is
-// established by prevIdx < prevThreshold (normally frameLo+1 in the shifted
-// representation). A frame of at most mst.LeafRows rows is scanned in window
-// order instead of decomposed.
-func (t *DenseRankTree) CountDistinctBelow(lo, hi int, rankThreshold, prevThreshold int64) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.n {
-		hi = t.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	if t.leaf(hi - lo) {
-		return t.countLeaves(lo, hi, rankThreshold, prevThreshold)
-	}
-	total := 0
-	l, r := lo+t.n, hi+t.n
-	count := func(nd *node) {
-		m := sortutil.LowerBound(nd.ranks, rankThreshold)
-		if m == 0 {
-			return
-		}
-		if nd.inner != nil {
-			total += nd.inner.CountBelow(0, m, prevThreshold)
-			return
-		}
-		for _, p := range nd.prevs[:m] {
-			if p < prevThreshold {
-				total++
-			}
-		}
-	}
-	for l < r {
-		if l&1 == 1 {
-			count(&t.nodes[l])
-			l++
-		}
-		if r&1 == 1 {
-			r--
-			count(&t.nodes[r])
-		}
-		l >>= 1
-		r >>= 1
-	}
-	return total
 }
 
 // countLeaves is the leaf rule: the window positions [lo, hi) whose rank is

@@ -2,6 +2,7 @@ package rangetree
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,26 @@ func bruteDenseBelow(keys []int64, lo, hi int, threshold int64) int {
 		}
 	}
 	return len(seen)
+}
+
+// bruteCount is the O(n) reference for a dense-rank count query: the window
+// positions [lo, hi), clamped to the partition, whose rank is below rankThr
+// and whose prevIdx is below prevThr.
+func bruteCount(ranks, prevs []int64, lo, hi int, rankThr, prevThr int64) int {
+	c := 0
+	for j := max(lo, 0); j < min(hi, len(ranks)); j++ {
+		if ranks[j] < rankThr && prevs[j] < prevThr {
+			c++
+		}
+	}
+	return c
+}
+
+// countOne answers one query through CountDistinctBelowBatch.
+func countOne(rt *DenseRankTree, lo, hi int, rankThr, prevThr int64) int {
+	out := []int32{0}
+	rt.CountDistinctBelowBatch([]int32{int32(lo)}, []int32{int32(hi)}, []int64{rankThr}, []int64{prevThr}, out)
+	return int(out[0])
 }
 
 // buildFromKeys preprocesses raw keys into (denseRanks, prevIdcs) and builds
@@ -51,7 +72,7 @@ func TestDenseRankAgainstBruteForce(t *testing.T) {
 				row := rng.Intn(n)
 				rankTh = ranks[row]
 			}
-			got := tree.CountDistinctBelow(lo, hi, rankTh, int64(lo)+1)
+			got := countOne(tree, lo, hi, rankTh, int64(lo)+1)
 			// Brute force over dense ranks: distinct ranks < rankTh in frame.
 			want := bruteDenseBelow(ranks, lo, hi, rankTh)
 			if got != want {
@@ -73,7 +94,7 @@ func TestDenseRankFullQuery(t *testing.T) {
 	tree, ranks := buildFromKeys(t, keys, mst.Options{})
 	for i := 0; i < n; i++ {
 		lo, hi := 0, i+1 // UNBOUNDED PRECEDING .. CURRENT ROW (rows mode)
-		got := 1 + tree.CountDistinctBelow(lo, hi, ranks[i], int64(lo)+1)
+		got := 1 + countOne(tree, lo, hi, ranks[i], int64(lo)+1)
 		want := 1 + bruteDenseBelow(keys, lo, hi, keys[i])
 		if got != want {
 			t.Fatalf("row %d: dense_rank %d, want %d", i, got, want)
@@ -93,7 +114,7 @@ func TestDenseRankSlidingFrame(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lo := max(0, i-w+1)
 		hi := i + 1
-		got := tree.CountDistinctBelow(lo, hi, ranks[i], int64(lo)+1)
+		got := countOne(tree, lo, hi, ranks[i], int64(lo)+1)
 		want := bruteDenseBelow(keys, lo, hi, keys[i])
 		if got != want {
 			t.Fatalf("row %d frame [%d,%d): got %d want %d", i, lo, hi, got, want)
@@ -125,7 +146,24 @@ func TestEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.CountDistinctBelow(0, 10, 5, 1); got != 0 {
+	if got := countOne(tree, 0, 10, 5, 1); got != 0 {
 		t.Fatalf("empty tree count = %d", got)
+	}
+}
+
+// TestSizeLimit pins the partition bound New and NewLeaves check before
+// sizing anything, at its boundary: MaxRows rows pass, one more is a
+// *SizeError, and at the bound the batched walk's node indices, up to
+// 2·MaxRows, still fit its int32 scratch.
+func TestSizeLimit(t *testing.T) {
+	if err := checkInput(MaxRows, MaxRows); err != nil {
+		t.Fatalf("%d rows: %v", MaxRows, err)
+	}
+	var se *SizeError
+	if err := checkInput(MaxRows+1, MaxRows+1); !errors.As(err, &se) || se.Rows != MaxRows+1 {
+		t.Fatalf("%d rows: error %v, want a *SizeError", MaxRows+1, err)
+	}
+	if 2*MaxRows > math.MaxInt32 {
+		t.Fatalf("node index 2·%d overflows int32", MaxRows)
 	}
 }

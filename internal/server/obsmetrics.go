@@ -53,6 +53,8 @@ import (
 //	windowd_mst_batch_dedup_hits_family           counter (func, labels: family)
 //	windowd_mst_batch_leaf_queries_family         counter (func, labels: family)
 //	windowd_mst_batch_diff_queries_family         counter (func, labels: family)
+//	  (family: count, select, agg, rank, leadlag — one value per batch
+//	  collector family of core.BatchFamilySnapshot)
 //	windowd_plan_shared_sorts                     counter (func)
 //	windowd_plan_shared_trees                     counter (func)
 //	windowd_plan_shared_preprocess                counter (func)
@@ -208,7 +210,7 @@ func newServerObs(s *Server, routes []string) *serverObs {
 			return []obs.Sample{{Value: float64(core.BatchSnapshot().DedupHits)}}
 		})
 	reg.NewCounterFunc("windowd_mst_batch_queries_family",
-		"Unique batched MST kernel queries split by kernel family: count, select, agg, rank.",
+		"Unique batched MST kernel queries split by kernel family: count, select, agg, rank, leadlag.",
 		[]string{"family"}, func() []obs.Sample {
 			stats := core.BatchFamilySnapshot()
 			out := make([]obs.Sample, len(stats))
@@ -218,7 +220,7 @@ func newServerObs(s *Server, routes []string) *serverObs {
 			return out
 		})
 	reg.NewCounterFunc("windowd_mst_batch_dedup_hits_family",
-		"Batched dedup hits split by kernel family: count, select, agg, rank.",
+		"Batched dedup hits split by kernel family: count, select, agg, rank, leadlag.",
 		[]string{"family"}, func() []obs.Sample {
 			stats := core.BatchFamilySnapshot()
 			out := make([]obs.Sample, len(stats))
@@ -228,7 +230,7 @@ func newServerObs(s *Server, routes []string) *serverObs {
 			return out
 		})
 	reg.NewCounterFunc("windowd_mst_batch_leaf_queries_family",
-		"Batched MST kernel queries answered by a pass over the tree's level 0 (narrow ranges) instead of a descent, by kernel family: count, select, agg, rank.",
+		"Batched MST kernel queries answered by a pass over the tree's level 0 (narrow ranges) instead of a descent, by kernel family: count, select, agg, rank, leadlag.",
 		[]string{"family"}, func() []obs.Sample {
 			stats := core.BatchFamilySnapshot()
 			out := make([]obs.Sample, len(stats))
@@ -238,7 +240,7 @@ func newServerObs(s *Server, routes []string) *serverObs {
 			return out
 		})
 	reg.NewCounterFunc("windowd_mst_batch_diff_queries_family",
-		"Batched MST queries answered from the previous query instead of a descent (sliding frames): a count from its count plus the rows and keys that moved, a select by a level-0 walk from its answer; by kernel family: count, select, agg, rank.",
+		"Batched MST queries answered from the previous query instead of a descent (sliding frames): a count from its count plus the rows and keys that moved, a select by a level-0 walk from its answer; by kernel family: count, select, agg, rank, leadlag.",
 		[]string{"family"}, func() []obs.Sample {
 			stats := core.BatchFamilySnapshot()
 			out := make([]obs.Sample, len(stats))

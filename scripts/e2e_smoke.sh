@@ -77,6 +77,12 @@ slide_query='{"sql":"select d, percentile_disc(0.25 order by v) over w as ps, co
 curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$slide_query" | grep -q '"ps"' \
     || { echo "FAIL: sliding query missing ps column"; exit 1; }
 
+# LEAD through its own batch family: per row a row-number count over the
+# function-order prefix and a select of the row the offset names.
+lead_query='{"sql":"select d, lead(v order by v) over (order by d rows between 99 preceding and 99 following) as ld from t"}'
+curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$lead_query" | grep -q '"ld"' \
+    || { echo "FAIL: lead query missing ld column"; exit 1; }
+
 # Shared-plan optimizer: a multi-window statement (named-window inheritance
 # included) must report the plan shape in its query stats, and /v1/explain
 # must return the structured DAG alongside the legacy text plan.
@@ -114,6 +120,7 @@ for series in \
     'windowd_mst_batch_queries_family{family="select"}' \
     'windowd_mst_batch_queries_family{family="agg"}' \
     'windowd_mst_batch_queries_family{family="rank"}' \
+    'windowd_mst_batch_queries_family{family="leadlag"}' \
     'windowd_mst_batch_dedup_hits_family{family="count"}' \
     'windowd_mst_batch_dedup_hits_family{family="agg"}' \
     'windowd_mst_batch_leaf_queries_family{family="count"}' \
