@@ -3,37 +3,26 @@
 // go/ast, go/types and go/importer packages (the x/tools module is not a
 // dependency of this repository).
 //
-// It exists to machine-check the contracts that keep the parallel
-// evaluation engines sound. The syntactic analyzers:
+// It exists to machine-check the contracts behind the paper's disjoint-task
+// parallelism (§5.2) and 32-bit payload domain (§5.1):
 //
 //   - parallelbody: closures handed to internal/parallel must only write
 //     state that is disjoint per task (§5.2's morsel-driven tasks share
 //     nothing but the output arrays they index).
-//   - nopanic: library packages return errors; panics are reserved for
-//     annotated invariant assertions.
-//   - framebounds: frame boundary arithmetic stays inside internal/frame,
-//     so EXCLUDE/ROWS/RANGE/GROUPS edge cases live in exactly one place.
-//   - sortstability: tuple and run data is sorted with the sanctioned
-//     stable or position-disambiguated comparators; MST construction
-//     breaks without them.
-//   - lintdirective: the //lint: annotation grammar itself is validated.
-//
-// The path-sensitive analyzers, built on the CFG builder (subpackage cfg)
-// and the generic forward worklist solver (subpackage dataflow):
-//
 //   - poollifecycle: every pooled scratch buffer is put exactly once on
 //     every path, never used after put, never silently escaping.
-//   - spanend: every obs trace span is ended on every return/panic path
-//     and phase spans nest.
-//   - ctxflow: request-path parallel loops stay cancellable; handler
-//     paths never manufacture detached contexts.
 //   - narrowconv: int->int32/uint32 narrowing in the MST kernels (and
 //     ->uint8 narrowing in internal/mst) is dominated by a bounds guard
 //     or routed through audited helpers.
+//   - lintdirective: the //lint: annotation grammar itself is validated.
 //
-// The suite is wired into cmd/holisticlint, which runs either standalone
-// (`holisticlint [-sarif out.sarif] ./...`) or as a `go vet -vettool=`
-// backend.
+// poollifecycle and narrowconv are path-sensitive: they run on the CFG
+// builder (subpackage cfg) under the generic forward worklist solver
+// (subpackage dataflow).
+//
+// The one driver is CheckModule, which TestRepoClean (subpackage suite)
+// runs over the whole module inside `go test ./...`. The loader reads
+// non-test files only, so _test.go files are outside the gate.
 package analysis
 
 import (
@@ -41,15 +30,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
+	"sort"
 )
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and on the command line.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is a one-paragraph description of what the analyzer enforces.
-	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
@@ -74,6 +61,9 @@ type Pass struct {
 	Directives []Directive
 
 	report func(Diagnostic)
+	// used marks the directives a Suppression lookup returned; every pass
+	// over one package shares it.
+	used map[token.Pos]bool
 }
 
 // Reportf records a finding at pos.
@@ -89,10 +79,9 @@ func (p *Pass) Position(pos token.Pos) token.Position {
 // Suppression looks up a directive of the given name that covers pos: the
 // directive must sit in the same file, on the same line as pos or on the
 // line directly above it. It returns the directive and whether one was
-// found. Callers must still honour RequireReason via the directive's
-// Reason field — an empty reason suppresses the original finding but is
-// reported as a finding of its own by the owning analyzer (see
-// ReportBareDirectives).
+// found, and marks it used (see RunPackage). An empty reason still
+// suppresses the original finding but is reported as a finding of its own
+// by the owning analyzer (see ReportBareDirectives).
 func (p *Pass) Suppression(pos token.Pos, name string) (Directive, bool) {
 	target := p.Position(pos)
 	for _, d := range p.Directives {
@@ -104,6 +93,7 @@ func (p *Pass) Suppression(pos token.Pos, name string) (Directive, bool) {
 			continue
 		}
 		if dp.Line == target.Line || dp.Line == target.Line-1 {
+			p.used[d.Pos] = true
 			return d, true
 		}
 	}
@@ -124,13 +114,15 @@ func (p *Pass) ReportBareDirectives(name string) {
 	}
 }
 
-// RunPackage applies every analyzer to the package and returns the
-// collected diagnostics sorted by position. Findings located in _test.go
-// files are dropped: the suite enforces contracts on shipped code, and go
-// vet hands drivers the test variant of each package too.
-func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
+// RunPackage applies every analyzer to the package. It returns the
+// diagnostics sorted by position, and the unused hatches: the directives
+// that take a reason (see KnownDirectives) which no Suppression lookup
+// returned. An unused hatch hides the next real finding on its line or the
+// line below; with only some analyzers run, the others' hatches read as
+// unused.
+func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) (diags []Diagnostic, unused []Directive) {
 	directives := ParseDirectives(fset, files)
-	var diags []Diagnostic
+	used := map[token.Pos]bool{}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:   a,
@@ -139,12 +131,8 @@ func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, p
 			Pkg:        pkg,
 			TypesInfo:  info,
 			Directives: directives,
-			report: func(d Diagnostic) {
-				if strings.HasSuffix(fset.Position(d.Pos).Filename, "_test.go") {
-					return
-				}
-				diags = append(diags, d)
-			},
+			report:     func(d Diagnostic) { diags = append(diags, d) },
+			used:       used,
 		}
 		if err := a.Run(pass); err != nil {
 			diags = append(diags, Diagnostic{
@@ -154,18 +142,13 @@ func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, p
 			})
 		}
 	}
-	sortDiagnostics(fset, diags)
-	return diags
-}
-
-func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
-	// Insertion sort keeps the dependency surface minimal; diagnostic
-	// counts are tiny.
-	for i := 1; i < len(diags); i++ {
-		for j := i; j > 0 && diagLess(fset, diags[j], diags[j-1]); j-- {
-			diags[j], diags[j-1] = diags[j-1], diags[j]
+	for _, d := range directives {
+		if KnownDirectives[d.Name] && !used[d.Pos] {
+			unused = append(unused, d)
 		}
 	}
+	sort.SliceStable(diags, func(i, j int) bool { return diagLess(fset, diags[i], diags[j]) })
+	return diags, unused
 }
 
 func diagLess(fset *token.FileSet, a, b Diagnostic) bool {

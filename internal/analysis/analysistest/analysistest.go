@@ -71,7 +71,7 @@ func checkPackage(t *testing.T, loader *analysis.Loader, a *analysis.Analyzer, p
 	if err != nil {
 		t.Fatalf("loading %s: %v", pkgPath, err)
 	}
-	diags := analysis.RunPackage([]*analysis.Analyzer{a}, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
+	diags, _ := analysis.RunPackage([]*analysis.Analyzer{a}, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 
 	// Group findings by file:line, preserving column order.
 	got := map[string][]analysis.Diagnostic{}

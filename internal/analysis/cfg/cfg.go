@@ -1,14 +1,13 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast for
-// the dataflow-powered analyzers (poollifecycle, spanend, narrowconv).
+// the dataflow-powered analyzers (poollifecycle, narrowconv).
 //
 // A Graph has one basic block per straight-line statement run and explicit
 // edges for branches, loops, labeled break/continue, goto, switch/select
 // dispatch, return and panic. Edges out of a condition carry the condition
 // expression and a True/False kind, so dataflow clients can refine facts
 // along branch outcomes (e.g. "on the false edge of v > math.MaxInt32, v
-// fits in an int32"; "on the true edge of sp == nil, the span is the
-// disabled span"). Cond-less switch statements are lowered to if-chains so
-// their case edges refine the same way.
+// fits in an int32"). Cond-less switch statements are lowered to if-chains
+// so their case edges refine the same way.
 //
 // Function literals that are passed directly as call arguments — the
 // obs.(*Span).Timed(name, func(){...}) shape, closure bodies handed to

@@ -1,89 +1,35 @@
 package analysis
 
-import (
-	"fmt"
-	"go/token"
-	"io"
-	"path/filepath"
-	"strings"
-)
+import "fmt"
 
-// Finding is one diagnostic with its position resolved, ready for text or
-// SARIF rendering.
-type Finding struct {
-	Pos      token.Position
-	Message  string
-	Analyzer string
-}
-
-// CollectStandalone loads the requested packages of the enclosing module
-// from source, applies the analyzers, and returns the findings in package
-// then position order. Patterns are `./...` (every package of the module
-// containing dir) or package directories relative to dir.
-func CollectStandalone(analyzers []*Analyzer, dir string, patterns []string) ([]Finding, error) {
+// CheckModule loads every package of the module enclosing dir from source,
+// non-test files only, and applies the analyzers. It returns one
+// "file:line:col: message" line per diagnostic and per unused hatch (see
+// RunPackage), package by package. Run it with the whole suite: the hatches
+// of an analyzer left out all read as unused.
+func CheckModule(analyzers []*Analyzer, dir string) ([]string, error) {
 	root, modPath, err := FindModule(dir)
 	if err != nil {
 		return nil, err
 	}
 	loader := NewLoader(root, modPath)
-
-	var paths []string
-	seen := map[string]bool{}
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			paths = append(paths, p)
-		}
+	paths, err := loader.ModulePackages()
+	if err != nil {
+		return nil, err
 	}
-	for _, pat := range patterns {
-		if pat == "./..." || pat == "..." {
-			all, err := loader.ModulePackages()
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range all {
-				add(p)
-			}
-			continue
-		}
-		abs, err := filepath.Abs(filepath.Join(dir, pat))
-		if err != nil {
-			return nil, err
-		}
-		rel, err := filepath.Rel(root, abs)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return nil, fmt.Errorf("analysis: %s is outside module %s", pat, modPath)
-		}
-		if rel == "." {
-			add(modPath)
-		} else {
-			add(modPath + "/" + filepath.ToSlash(rel))
-		}
-	}
-
-	var findings []Finding
+	var findings []string
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
 			return findings, err
 		}
-		for _, d := range RunPackage(analyzers, pkg.Fset, pkg.Files, pkg.Types, pkg.Info) {
-			findings = append(findings, Finding{
-				Pos:      pkg.Fset.Position(d.Pos),
-				Message:  d.Message,
-				Analyzer: d.Analyzer,
-			})
+		diags, unused := RunPackage(analyzers, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
+		for _, d := range diags {
+			findings = append(findings, fmt.Sprintf("%s: %s (%s)", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer))
+		}
+		for _, d := range unused {
+			findings = append(findings, fmt.Sprintf("%s: //lint:%s suppresses no finding; delete it", pkg.Fset.Position(d.Pos), d.Name))
 		}
 	}
 	return findings, nil
-}
-
-// RunStandalone is CollectStandalone plus the usual file:line:col text
-// rendering to out. It returns the number of findings.
-func RunStandalone(analyzers []*Analyzer, dir string, patterns []string, out io.Writer) (int, error) {
-	findings, err := CollectStandalone(analyzers, dir, patterns)
-	for _, f := range findings {
-		fmt.Fprintf(out, "%s: %s (%s)\n", f.Pos, f.Message, f.Analyzer)
-	}
-	return len(findings), err
 }

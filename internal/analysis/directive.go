@@ -11,15 +11,15 @@ import (
 //	//lint:<name> <justification...>
 //
 // with no space between "//lint:" and the name. The justification is
-// required for the suppression directives (parallel-safe, invariant,
-// framebounds-ok, sortstability-ok); marker directives (parallel-entry)
-// take none. Directives attach to the line they are written on and to the
-// line directly below, so both trailing and leading placement work:
+// required for the hatches (see KnownDirectives); the marker
+// parallel-entry takes none. Directives attach to the line they are
+// written on and to the line directly below, so both trailing and leading
+// placement work:
 //
 //	x := racyThing() //lint:parallel-safe tasks write disjoint epochs
 //
-//	//lint:invariant the caller checked the key is present
-//	panic("absent key")
+//	//lint:narrowconv-ok the guard above proved the key fits
+//	k := int32(key)
 type Directive struct {
 	// Name is the directive name, e.g. "parallel-safe".
 	Name string
@@ -29,33 +29,24 @@ type Directive struct {
 	Pos token.Pos
 }
 
-// Directive names understood by the suite. Suppression directives require
-// a justification; so does narrowconv-entry, which blesses a whole audited
-// helper. parallel-entry is the only bare marker.
+// Directive names understood by the suite. The hatches suppress findings;
+// narrowconv-entry is one too, blessing a whole audited helper.
+// parallel-entry is the only bare marker.
 const (
 	DirectiveParallelSafe    = "parallel-safe"
 	DirectiveParallelEntry   = "parallel-entry"
-	DirectiveInvariant       = "invariant"
-	DirectiveFrameBoundsOK   = "framebounds-ok"
-	DirectiveSortStableOK    = "sortstability-ok"
 	DirectivePoolLifecycleOK = "poollifecycle-ok"
-	DirectiveSpanEndOK       = "spanend-ok"
-	DirectiveCtxFlowOK       = "ctxflow-ok"
 	DirectiveNarrowConvOK    = "narrowconv-ok"
 	DirectiveNarrowConvEntry = "narrowconv-entry"
 )
 
-// KnownDirectives maps every understood directive name to whether it
-// requires a justification string.
+// KnownDirectives maps every understood directive name to whether it is a
+// hatch: one that requires a justification string and must suppress
+// something (see RunPackage).
 var KnownDirectives = map[string]bool{
 	DirectiveParallelSafe:    true,
 	DirectiveParallelEntry:   false,
-	DirectiveInvariant:       true,
-	DirectiveFrameBoundsOK:   true,
-	DirectiveSortStableOK:    true,
 	DirectivePoolLifecycleOK: true,
-	DirectiveSpanEndOK:       true,
-	DirectiveCtxFlowOK:       true,
 	DirectiveNarrowConvOK:    true,
 	DirectiveNarrowConvEntry: true,
 }

@@ -15,7 +15,6 @@ import (
 // Analyzer is the lintdirective analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "lintdirective",
-	Doc:  "reports malformed or unknown //lint: directives",
 	Run:  run,
 }
 

@@ -23,3 +23,8 @@ func unknownName(x *int) {
 func missingName(x *int) {
 	*x++ //lint: // want "malformed //lint: directive"
 }
+
+// invariant names no directive, so a leftover one is unknown.
+func retired() {
+	panic("x") //lint:invariant unreachable // want "unknown //lint: directive"
+}

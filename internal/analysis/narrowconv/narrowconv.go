@@ -52,7 +52,6 @@ import (
 // Analyzer is the narrowconv analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "narrowconv",
-	Doc:  "reports unguarded int->int32/uint32 narrowing conversions in the merge-sort-tree kernels and the core operator, and unguarded ->uint8 conversions in the merge sort tree",
 	Run:  run,
 }
 

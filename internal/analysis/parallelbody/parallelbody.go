@@ -42,7 +42,6 @@ import (
 // Analyzer is the parallelbody analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "parallelbody",
-	Doc:  "reports non-disjoint writes to captured variables inside closures passed to internal/parallel",
 	Run:  run,
 }
 

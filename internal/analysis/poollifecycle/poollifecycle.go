@@ -47,7 +47,6 @@ import (
 // Analyzer is the poollifecycle analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "poollifecycle",
-	Doc:  "reports pooled scratch buffers that leak on some path, are used or put after release, escape the put discipline, or grow via append",
 	Run:  run,
 }
 

@@ -1,32 +1,22 @@
-// Package suite registers the holisticlint analyzers. cmd/holisticlint
-// and the repo-wide regression test both consume this list, so adding an
-// analyzer here wires it into the CLI, go vet, and CI at once.
+// Package suite registers the lint analyzers. TestRepoClean runs this list
+// over the module inside `go test ./...`, so adding an analyzer here puts it
+// in the gate.
 package suite
 
 import (
 	"holistic/internal/analysis"
-	"holistic/internal/analysis/ctxflow"
-	"holistic/internal/analysis/framebounds"
 	"holistic/internal/analysis/lintdirective"
 	"holistic/internal/analysis/narrowconv"
-	"holistic/internal/analysis/nopanic"
 	"holistic/internal/analysis/parallelbody"
 	"holistic/internal/analysis/poollifecycle"
-	"holistic/internal/analysis/sortstability"
-	"holistic/internal/analysis/spanend"
 )
 
 // All returns the full analyzer suite in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		ctxflow.Analyzer,
-		framebounds.Analyzer,
 		lintdirective.Analyzer,
 		narrowconv.Analyzer,
-		nopanic.Analyzer,
 		parallelbody.Analyzer,
 		poollifecycle.Analyzer,
-		sortstability.Analyzer,
-		spanend.Analyzer,
 	}
 }

@@ -2,7 +2,6 @@ package suite_test
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,79 +11,55 @@ import (
 )
 
 // TestRepoClean is the lint gate: the full analyzer suite must report zero
-// findings on the module. Run `go build -o /tmp/holisticlint
-// ./cmd/holisticlint && /tmp/holisticlint ./...` to see findings locally.
+// findings on the module's non-test files, and every hatch directive must
+// suppress a finding.
 func TestRepoClean(t *testing.T) {
-	cwd, err := os.Getwd()
+	findings, err := analysis.CheckModule(suite.All(), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	count, err := analysis.RunStandalone(suite.All(), cwd, []string{"./..."}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 {
-		t.Errorf("holisticlint reports %d finding(s) on the repo:\n%s", count, out.String())
+	for _, f := range findings {
+		t.Error(f)
 	}
 }
 
-// TestVetToolProtocol end-to-end checks the `go vet -vettool` driver mode:
-// it builds cmd/holisticlint and runs it through the real go command
-// against a package that carries a known (annotated-off in the repo, but
-// here unannotated) violation. The protocol details — -V=full identity,
-// -flags probing, the JSON package config, export-data type-checking and
-// the facts output file — are all exercised by cmd/go itself.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to the go command")
+// TestUnusedHatchIsAFinding runs the suite over a throwaway module holding
+// one hatch that suppresses a parallelbody finding and one that suppresses
+// nothing: only the second is reported.
+func TestUnusedHatchIsAFinding(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
 	}
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skipf("go command not found: %v", err)
-	}
-	root, _, err := analysis.FindModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(t.TempDir(), "holisticlint")
-	build := exec.Command(goTool, "build", "-o", bin, "./cmd/holisticlint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building holisticlint: %v\n%s", err, out)
-	}
+	write("go.mod", "module dirty\n")
+	write("internal/parallel/parallel.go", `package parallel
 
-	// The clean repo must pass through the vet protocol on a library
-	// package that the suite scrutinizes heavily.
-	vet := exec.Command(goTool, "vet", "-vettool="+bin, "./internal/rangetree/", "./internal/sortutil/")
-	vet.Dir = root
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean packages failed: %v\n%s", err, out)
-	}
+func For(n, grain int, task func(lo, hi int)) { task(0, n) }
+`)
+	write("lib.go", `package lib
 
-	// A module with a violation must fail with the finding on stderr.
-	dirty := t.TempDir()
-	writeFile(t, filepath.Join(dirty, "go.mod"), "module dirty\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(dirty, "lib.go"), `package lib
+import "dirty/internal/parallel"
 
-func Explode() {
-	panic("boom")
+func Sum(n int) (total int) {
+	parallel.For(n, 1, func(lo, hi int) {
+		total += hi - lo //lint:parallel-safe For runs the task once here
+	})
+	//lint:poollifecycle-ok nothing here is pooled
+	return total
 }
 `)
-	vet = exec.Command(goTool, "vet", "-vettool="+bin, "./...")
-	vet.Dir = dirty
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed on a package with a panic violation:\n%s", out)
-	}
-	if !strings.Contains(string(out), "panic in library package") {
-		t.Fatalf("vet output does not contain the nopanic finding:\n%s", out)
-	}
-}
-
-func writeFile(t *testing.T, path, content string) {
-	t.Helper()
-	if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+	findings, err := analysis.CheckModule(suite.All(), dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], "lib.go:9:") || !strings.Contains(findings[0], "//lint:poollifecycle-ok suppresses no finding") {
+		t.Fatalf("findings = %q, want one unused poollifecycle-ok hatch at lib.go:9", findings)
 	}
 }

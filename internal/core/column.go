@@ -294,7 +294,7 @@ func NewTable(cols ...*Column) (*Table, error) {
 func MustNewTable(cols ...*Column) *Table {
 	t, err := NewTable(cols...)
 	if err != nil {
-		//lint:invariant Must* contract: the caller opted into panicking on malformed columns instead of handling the error
+		// Invariant: Must* contract: the caller opted into panicking on malformed columns instead of handling the error
 		panic(err)
 	}
 	return t

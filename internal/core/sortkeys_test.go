@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"holistic/internal/arena"
+	"holistic/internal/obs"
 	"holistic/internal/preprocess"
 	"holistic/internal/treecache"
 )
@@ -409,8 +410,9 @@ func (c *cancelAfter) Err() error {
 
 // TestCancelMidSort cancels inside the order sort of a large table — after
 // Run's own entry check and the sort's first few buckets — and requires the
-// context's error, no cached sort order, balanced scratch pools, and a sort
-// that stopped polling almost at once instead of finishing its passes.
+// context's error, no cached sort order, balanced scratch pools, a sort
+// that stopped polling almost at once instead of finishing its passes, and
+// every trace span ended on the error path.
 func TestCancelMidSort(t *testing.T) {
 	const n = 300_000
 	rng := rand.New(rand.NewSource(11))
@@ -423,9 +425,21 @@ func TestCancelMidSort(t *testing.T) {
 	cache := treecache.New(1 << 30)
 	ctx := &cancelAfter{Context: context.Background(), limit: 20}
 	before := arena.Snapshot()
-	_, err := Run(tab, w, Options{Context: ctx, Cache: cache, CacheScope: "t@1"})
+	root := obs.NewSpan("query")
+	_, err := Run(tab, w, Options{Context: ctx, Cache: cache, CacheScope: "t@1", Trace: root})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	root.End()
+	spans := 0
+	root.Walk(func(sp *obs.Span, depth int) {
+		spans++
+		if !sp.Ended() {
+			t.Errorf("span %q (depth %d) not ended after the cancelled Run", sp.Name(), depth)
+		}
+	})
+	if spans < 2 {
+		t.Fatalf("the cancelled Run opened no span under the root")
 	}
 	if st := cache.Stats(); st.Entries != 0 {
 		t.Fatalf("%d structures cached by a statement cancelled mid-sort, want none", st.Entries)

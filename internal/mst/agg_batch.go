@@ -58,7 +58,7 @@ const aggSubBatch = 1024
 func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) (leaves int) {
 	m := len(result)
 	if len(lo) != m || len(hi) != m || len(threshold) != m || len(ok) != m || len(cnt) != m {
-		//lint:invariant the collector builds all six arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
+		// Invariant: the collector builds all six arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
 		panic("mst: AggBelowBatch slice length mismatch")
 	}
 	for s := 0; s < m; s += aggSubBatch {
@@ -183,7 +183,7 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, 
 					continue
 				}
 				if nn == len(nq) {
-					//lint:invariant a query keeps at most two partial runs per level (the runs holding lo and hi-1), so the next frontier holds at most 2·m items
+					// Invariant: a query keeps at most two partial runs per level (the runs holding lo and hi-1), so the next frontier holds at most 2·m items
 					panic("mst: aggKernel frontier overflow")
 				}
 				nq[nn], nr[nn], nrank[nn] = i32(q), i32(r*f+c), i32(cRank)

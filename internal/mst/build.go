@@ -170,7 +170,6 @@ func (t *tree) children(level, r int) [][]int32 {
 // run ends, tiebreaks, loser tree, winner init — sliced by mergePiece) and
 // an f-element head-value array.
 func mergeScratch(f int) (buf, vals []int32) {
-	//lint:poollifecycle-ok mergeScratch is the acquire half of a documented pair; putMergeScratch returns both buffers
 	return arena.Int32s.Get(6 * f), arena.Int32s.Get(f)
 }
 

@@ -42,11 +42,11 @@ import (
 func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (leaves, diffs int) {
 	m := len(out)
 	if len(lo) != m || len(hi) != m || len(threshold) != m {
-		//lint:invariant the collector builds all four arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
+		// Invariant: the collector builds all four arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
 		panic("mst: CountBelowBatch slice length mismatch")
 	}
 	if m >= math.MaxInt32 {
-		//lint:invariant the kernel addresses queries with int32 slots; callers batch per chunk, far below 2³¹ queries
+		// Invariant: the kernel addresses queries with int32 slots; callers batch per chunk, far below 2³¹ queries
 		panic("mst: CountBelowBatch batch of 2³¹ or more queries")
 	}
 	if m == 0 {
@@ -150,7 +150,7 @@ func countKernel(t *tree, lo, hi, thr, out []int32) (diffs int) {
 					continue
 				}
 				if nn == len(nq) {
-					//lint:invariant a query keeps at most two partial runs per level (the runs holding lo and hi-1), so the next frontier holds at most 2·m items
+					// Invariant: a query keeps at most two partial runs per level (the runs holding lo and hi-1), so the next frontier holds at most 2·m items
 					panic("mst: countKernel frontier overflow")
 				}
 				nq[nn], nr[nn], nrank[nn] = i32(q), i32(r*f+pc.child), i32(pc.rank)

@@ -79,7 +79,7 @@ func leafRule(w int, leafOnly bool) bool {
 		return w <= leafRows
 	}
 	if err := CheckRows(w, true); err != nil {
-		//lint:invariant callers check CheckRows before probing a leaf-only structure; a wider range would read merge levels that were never built
+		// Invariant: callers check CheckRows before probing a leaf-only structure; a wider range would read merge levels that were never built
 		panic(err)
 	}
 	return true

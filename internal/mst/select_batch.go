@@ -39,15 +39,15 @@ const maxSelectRanges = 4
 func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, out []int32) (diffs int) {
 	m := len(out)
 	if len(off) != m+1 || len(k) != m || len(vlo) != len(vhi) || len(vlo) != int(off[m]) {
-		//lint:invariant the collector builds offsets and flattened ranges together; a mismatch is a caller bug that would silently mis-select
+		// Invariant: the collector builds offsets and flattened ranges together; a mismatch is a caller bug that would silently mis-select
 		panic("mst: SelectKthRangesBatch slice length mismatch")
 	}
 	if m >= math.MaxInt32 {
-		//lint:invariant the kernel addresses queries with int32 slots; callers batch per chunk, far below 2³¹ queries
+		// Invariant: the kernel addresses queries with int32 slots; callers batch per chunk, far below 2³¹ queries
 		panic("mst: SelectKthRangesBatch batch of 2³¹ or more queries")
 	}
 	if t.leafOnly {
-		//lint:invariant selection descends by value through every level; the window operator never builds a select tree leaf-only
+		// Invariant: selection descends by value through every level; the window operator never builds a select tree leaf-only
 		panic("mst: SelectKthRangesBatch on a leaf-only tree")
 	}
 	if m == 0 {
@@ -55,7 +55,7 @@ func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, ou
 	}
 	for q := 0; q < m; q++ {
 		if nr := off[q+1] - off[q]; nr > maxSelectRanges {
-			//lint:invariant frame exclusion yields at most 3 ranges (§4.7); more is a window-operator bug, and truncating would silently mis-select
+			// Invariant: frame exclusion yields at most 3 ranges (§4.7); more is a window-operator bug, and truncating would silently mis-select
 			panic(fmt.Sprintf("mst: SelectKthRangesBatch got %d ranges, max %d", nr, maxSelectRanges))
 		}
 	}

@@ -205,6 +205,6 @@ func (v *levelView) selectStep(r, i int, vlo, vhi, rlo, rhi, scratch []int32) (c
 		}
 		i -= cnt
 	}
-	//lint:invariant the caller verified i < total qualifying entries at the root and every step preserves it, so some child run must contain the i-th element; losing it means corrupted cascade samples
+	// Invariant: the caller verified i < total qualifying entries at the root and every step preserves it, so some child run must contain the i-th element; losing it means corrupted cascade samples
 	panic("mst: select descent lost element")
 }

@@ -171,7 +171,7 @@ func (nd *node) delete(key int64) {
 			continue
 		}
 		if nd.leaf() {
-			//lint:invariant Delete's caller contract guarantees the key is present (checked via Count by the window operator); deleting a phantom would corrupt subtree totals
+			// Invariant: Delete's caller contract guarantees the key is present (checked via Count by the window operator); deleting a phantom would corrupt subtree totals
 			panic("ostree: delete of absent key")
 		}
 		if len(nd.kids[i].keys) < minDegree {

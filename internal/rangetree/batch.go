@@ -37,7 +37,7 @@ import (
 func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr []int64, out []int32) (leaves int) {
 	m := len(out)
 	if len(lo) != m || len(hi) != m || len(rankThr) != m || len(prevThr) != m {
-		//lint:invariant the collector builds all five arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
+		// Invariant: the collector builds all five arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
 		panic("rangetree: CountDistinctBelowBatch slice length mismatch")
 	}
 	if m == 0 {

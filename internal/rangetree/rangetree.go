@@ -194,7 +194,7 @@ func (t *DenseRankTree) leaf(w int) bool {
 		return w <= leafRows
 	}
 	if err := mst.CheckRows(w, true); err != nil {
-		//lint:invariant callers check CheckRows before probing a leaf-only structure; a wider frame would decompose into nodes that were never built
+		// Invariant: callers check CheckRows before probing a leaf-only structure; a wider frame would decompose into nodes that were never built
 		panic(err)
 	}
 	return true

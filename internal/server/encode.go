@@ -185,7 +185,6 @@ type slot struct {
 func (e *rowEncoder) render(s *slot, task, size int) {
 	if cap(s.pooled) < size {
 		responseBufs.Put(s.pooled)
-		//lint:poollifecycle-ok the buffer lives in its slot across tasks; stream puts every slot's buffer back before it returns
 		s.pooled = responseBufs.Get(size)
 	}
 	s.data = e.appendChunk(s.pooled[:0], task)

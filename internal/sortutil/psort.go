@@ -21,7 +21,7 @@ const minParallelSort = 1 << 14
 func SortFunc[E any](a []E, cmp func(x, y E) int) {
 	workers := parallel.Workers()
 	if len(a) < minParallelSort || workers <= 1 {
-		//lint:sortstability-ok SortFunc's documented contract makes cmp total (callers break ties on tuple position), so stability is vacuous
+		// SortFunc's documented contract makes cmp total (callers break ties on tuple position), so stability is vacuous.
 		slices.SortFunc(a, cmp)
 		return
 	}
@@ -40,7 +40,7 @@ func SortFunc[E any](a []E, cmp func(x, y E) int) {
 		bounds[i] = min(i*chunkLen, len(a))
 	}
 	parallel.ForEach(chunks, func(i int) {
-		//lint:sortstability-ok cmp is total per SortFunc's contract, see above
+		// cmp is total per SortFunc's contract, see above.
 		slices.SortFunc(a[bounds[i]:bounds[i+1]], cmp)
 	})
 

@@ -48,5 +48,10 @@ check 'no per-row materialise' nontest \
 # DistinctCountRange out of the match)
 check 'one probe path' nontest-nobench \
     '\bcountBelow\(|\bselectRanges\(|\bSelectKthRanges\(|\bSelectKth\(|\bCountRange\(|\.AggBelow\(|\bCountDistinctBelow\('
+# four analyzers, one lint driver: the analyzers with no catch, the vettool
+# protocol, the SARIF writer and the standalone runners stay deleted;
+# TestRepoClean is the gate
+check 'four analyzers, one lint driver' all \
+    'analysis/(nopanic|sortstability|framebounds|spanend|ctxflow)|RunVet|WriteSARIF|VetConfig|RunStandalone|CollectStandalone'
 
 exit $fail
