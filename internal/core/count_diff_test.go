@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"holistic/internal/frame"
@@ -162,6 +163,127 @@ func TestDiffQueriesCounted(t *testing.T) {
 		}
 		if q, df := a.Queries-before[i].Queries, a.DiffQueries-before[i].DiffQueries; !within(a.Family, q, df) {
 			t.Errorf("family %s: %d queries, %d answered from their predecessor", a.Family, q, df)
+		}
+	}
+}
+
+// TestReferenceSlidingForm runs COUNT(DISTINCT), plain and FILTERed, over
+// ROWS frames narrower than, as wide as and wider than the probe chunk, so
+// the tree is built sliding (mst.Sliding, w=slide) for the first two and in
+// full (w=full) for the third: under every EXCLUDE mode, partitioned and
+// not, with the kernels' cutoff at its default and at 0, where every query
+// of a sliding tree is an anchor scanning level 0. The FILTER drops runs of
+// 320 rows, longer than any frame, so frames empty out and the first query
+// after each run is an anchor at the default cutoff too. Every answer must
+// match the reference. Then one cache serves a sliding and a full frame in
+// both orders: each statement must build its own class beside the other's
+// and read only its own.
+func TestReferenceSlidingForm(t *testing.T) {
+	const parts, rows, task = 2, 800, 256
+	rng := rand.New(rand.NewSource(38))
+	n := parts * rows
+	g, d, v := make([]int64, n), make([]int64, n), make([]int64, n)
+	vNull, flt := make([]bool, n), make([]bool, n)
+	for i := range g {
+		j := i / parts // the row's position in its partition
+		g[i], d[i], v[i] = int64(i%parts), int64(j/4), rng.Int63n(60)
+		vNull[i] = rng.Intn(10) == 0
+		flt[i] = j/320%3 != 1 && rng.Intn(5) != 0
+	}
+	tab := MustNewTable(NewInt64Column("g", g, nil), NewInt64Column("d", d, nil),
+		NewInt64Column("v", v, vNull), NewBoolColumn("flt", flt, nil))
+	funcs := []FuncSpec{
+		{Name: CountDistinct, Output: "cd", Arg: "v"},
+		{Name: CountDistinct, Output: "cdf", Arg: "v", Filter: "flt"},
+	}
+	bound := func(typ frame.BoundType, off int64) frame.Bound { return frame.Bound{Type: typ, Offset: off} }
+	frames := []struct {
+		spec  frame.Spec
+		class string
+	}{
+		{frame.Spec{Mode: frame.Rows, Start: bound(frame.Preceding, 200), End: bound(frame.CurrentRow, 0)}, "w=slide"},
+		{frame.Spec{Mode: frame.Rows, Start: bound(frame.Preceding, 128), End: bound(frame.Following, 127)}, "w=slide"},
+		{frame.Spec{Mode: frame.Rows, Start: bound(frame.Preceding, 300), End: bound(frame.CurrentRow, 0)}, "w=full"},
+	}
+	excludes := []frame.Exclusion{frame.ExcludeNoOthers, frame.ExcludeCurrentRow, frame.ExcludeGroup, frame.ExcludeTies}
+	if testing.Short() {
+		excludes = excludes[:2]
+	}
+	window := func(fs frame.Spec, partitioned bool) *WindowSpec {
+		w := leafCutoffWindow(fs, funcs)
+		if !partitioned {
+			w.PartitionBy = nil
+		}
+		return w
+	}
+	// classes returns the width classes of the count structures cache built.
+	classes := func(cache *recordingCache) map[string]bool {
+		got := map[string]bool{}
+		for key := range cache.built {
+			for _, class := range []string{"w=leaf", "w=slide", "w=full"} {
+				if strings.Contains(key, "|distinct-count|") && strings.Contains(key, class) {
+					got[class] = true
+				}
+			}
+		}
+		return got
+	}
+	// The reference is the slow part: it checks the answers at the default
+	// cutoff, and those at cutoff 0 must carry the same bits.
+	for _, partitioned := range []bool{true, false} {
+		for fi, fr := range frames {
+			for _, ex := range excludes {
+				fs := fr.spec
+				fs.Exclude = ex
+				w := window(fs, partitioned)
+				var res [2]*Result
+				for c, cutoff := range []int{mst.LeafRows, 0} {
+					cache := newRecordingCache()
+					prev := mst.SetLeafRows(cutoff)
+					r, err := Run(tab, w, Options{TaskSize: task, Cache: cache, CacheScope: "slide@v1"})
+					mst.SetLeafRows(prev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res[c] = r
+					if got := classes(cache); len(got) != 1 || !got[fr.class] {
+						t.Errorf("cutoff %d partitioned=%v frame %d ex%d: count structures built in classes %v, want %s", cutoff, partitioned, fi, ex, got, fr.class)
+					}
+				}
+				label := fmt.Sprintf("partitioned=%v frame %d ex%d", partitioned, fi, ex)
+				for i := range w.Funcs {
+					f := &w.Funcs[i]
+					compareToReference(t, tab, w, f, res[0].Column(f.Output), label+" "+f.Output)
+					assertColumnsIdentical(t, label+" cutoff 0 "+f.Output, res[1].Column(f.Output), res[0].Column(f.Output))
+				}
+			}
+		}
+	}
+
+	slide, full := frames[0].spec, frames[2].spec
+	for _, cutoff := range []int{mst.LeafRows, 0} {
+		for _, order := range [][2]frame.Spec{{slide, full}, {full, slide}} {
+			cache := newRecordingCache()
+			label := fmt.Sprintf("cutoff %d, %d then %d PRECEDING", cutoff, order[0].Start.Offset, order[1].Start.Offset)
+			prev := mst.SetLeafRows(cutoff)
+			for _, fs := range order {
+				w := window(fs, true)
+				res, err := Run(tab, w, Options{TaskSize: task, Cache: cache, CacheScope: "slide-full@v1"})
+				if err != nil {
+					mst.SetLeafRows(prev)
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i := range w.Funcs {
+					f := &w.Funcs[i]
+					compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("%s, %d PRECEDING %s", label, fs.Start.Offset, f.Output))
+				}
+			}
+			mst.SetLeafRows(prev)
+			// Two count structures per partition — plain and FILTERed — in
+			// each class.
+			if s, f := cache.resident("w=slide", "|distinct-count|"), cache.resident("w=full", "|distinct-count|"); s != 2*parts || f != 2*parts {
+				t.Errorf("%s: the cache holds %d sliding and %d full count structures, want %d each", label, s, f, 2*parts)
+			}
 		}
 	}
 }

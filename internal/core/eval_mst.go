@@ -277,30 +277,41 @@ func (o Options) rowsBound(k int) int {
 	return k
 }
 
-// leafOnly reports whether a structure whose probes span at most rows rows
-// is built in leaf-only form (mst/leaf.go): no such probe descends, so
-// nothing above level 0 would ever be read.
-func leafOnly(rows int) bool { return rows <= mst.LeafRows }
-
-// widthSig is the width class of a structure's cache key: a leaf-only entry
-// answers only ranges of at most mst.LeafRows rows, so a statement with
-// wider frames must build, and cache, the full structure beside it.
-func widthSig(leaf bool) string {
-	if leaf {
-		return "w=leaf"
+// treeForm is the form of a structure whose probes span at most rows rows:
+// leaf-only when no probe descends, so nothing above level 0 would ever be
+// read (mst/leaf.go), and full otherwise.
+func treeForm(rows int) mst.Form {
+	if rows <= mst.LeafRows {
+		return mst.Leaves
 	}
-	return "w=full"
+	return mst.Full
 }
 
-// endBuild closes a "build merge sort tree" phase span, recording whether
-// the structure was built leaf-only and the bytes it owns. Both add up over
-// an eval span's partitions.
-func endBuild(sp *obs.Span, leaf bool, bytes int64) {
-	if leaf {
-		sp.AddInt("leaf_only", 1)
-	} else {
-		sp.AddInt("leaf_only", 0)
+// distinctCountForm is treeForm for a COUNT(DISTINCT) tree, built sliding
+// when every frame is a constant-offset ROWS frame no wider than a probe
+// chunk. Between neighbouring queries each edge then moves by at most one
+// kept row and the threshold's rank by at most one key, so all but the
+// first query of a chunk and the first after a FILTER gap are answered from
+// their predecessor, and the level-0 scans of those anchors, each at most
+// rows wide, add up to O(n) (DESIGN.md §10.1).
+func (o Options) distinctCountForm(rows int) mst.Form {
+	if form := treeForm(rows); form != mst.Full || !o.frameBounded || rows > o.taskSize() {
+		return form
 	}
+	return mst.Sliding
+}
+
+// widthSig is the width class of a structure's cache key: a leaf-only entry
+// answers only ranges of at most mst.LeafRows rows, and a sliding one is
+// cheap only for the statements that chose it, so a statement choosing
+// another form must build, and cache, its structure beside it.
+func widthSig(form mst.Form) string { return "w=" + form.String() }
+
+// endBuild closes a "build merge sort tree" phase span, recording the form
+// the structure was built in and the bytes it owns: over an eval span's
+// partitions the bytes add up and the form lists every form taken.
+func endBuild(sp *obs.Span, form mst.Form, bytes int64) {
+	sp.AddValue("form", form.String())
 	sp.AddInt("bytes", bytes)
 	sp.End()
 }
@@ -315,25 +326,21 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 
 	switch f.Name {
 	case CountDistinct:
-		leaf := leafOnly(rows)
-		key := p.cacheKey("distinct-count", strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(leaf))
+		form := opt.distinctCountForm(rows)
+		key := p.cacheKey("distinct-count", strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(form))
 		st, err := cacheGet(opt, key, func() (cachedDistinct, int64, error) {
 			prev, next, err := buildDistinctInputs(fl, f, opt)
 			if err != nil {
 				return cachedDistinct{}, 0, err
 			}
-			build := mst.Build
-			if leaf {
-				build = mst.BuildLeaves
-			}
 			sp := opt.trace.Phase("build merge sort tree")
-			tree, buildErr := build(prev, opt.treeOptions(sp))
+			tree, buildErr := mst.BuildForm(prev, opt.treeOptions(sp), form)
 			if buildErr != nil {
 				sp.End()
 				return cachedDistinct{}, 0, buildErr
 			}
 			treeBytes := int64(tree.Stats().Bytes)
-			endBuild(sp, leaf, treeBytes)
+			endBuild(sp, tree.Form(), treeBytes)
 			return cachedDistinct{prev: prev, next: next, tree: tree}, int64SliceBytes(prev, next) + treeBytes, nil
 		})
 		if err == nil {
@@ -348,13 +355,13 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 
 	case SumDistinct:
 		if out.kind == Int64 {
-			return runSumDistinct(p, f, fc, out, opt, fl, rows, leafOnly(rows), "int64", 8,
+			return runSumDistinct(p, f, fc, out, opt, fl, rows, treeForm(rows), "int64", 8,
 				func(j int) int64 { return p.t.Column(f.Arg).Int64(fl.orig(j)) },
 				func(a, b int64) int64 { return a + b },
 				func(a, b int64) int64 { return a - b },
 				func(row int, v int64) { out.setInt(row, v) })
 		}
-		return runSumDistinct(p, f, fc, out, opt, fl, rows, false, "float64", 8,
+		return runSumDistinct(p, f, fc, out, opt, fl, rows, mst.Full, "float64", 8,
 			func(j int) float64 { return p.t.Column(f.Arg).Float64(fl.orig(j)) },
 			func(a, b float64) float64 { return a + b },
 			func(a, b float64) float64 { return a - b },
@@ -362,7 +369,7 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 
 	case AvgDistinct:
 		col := p.t.Column(f.Arg)
-		return runSumDistinct(p, f, fc, out, opt, fl, rows, false, "avg", 16,
+		return runSumDistinct(p, f, fc, out, opt, fl, rows, mst.Full, "avg", 16,
 			func(j int) avgState { return avgState{sum: col.Numeric(fl.orig(j)), n: 1} },
 			func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} },
 			func(a, b avgState) avgState { return avgState{a.sum - b.sum, a.n - b.n} },
@@ -382,13 +389,14 @@ type avgState struct {
 // (The pure merge-only path of §4.3 covers continuous frames; frames with
 // exclusion holes additionally use the inverse.) kind tags the aggregate
 // state type in the cache key; aggBytes is its size for budget accounting.
-// rows bounds the ranges the tree is probed with; leaf builds it leaf-only,
-// which only the int64 state may ask for — a float fold order is part of its
-// answer, so float and AVG states always take the full tree.
+// rows bounds the ranges the tree is probed with; form is the form it is
+// built in, where only the int64 state may ask for mst.Leaves — a float fold
+// order is part of its answer, so float and AVG states always take the full
+// tree.
 func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
-	opt Options, fl *filtered, rows int, leaf bool, kind string, aggBytes int,
+	opt Options, fl *filtered, rows int, form mst.Form, kind string, aggBytes int,
 	valueOf func(j int) S, add func(a, b S) S, sub func(a, b S) S, emit func(row int, v S)) error {
-	key := p.cacheKey("distinct-agg", f.Name.String(), kind, strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(leaf))
+	key := p.cacheKey("distinct-agg", f.Name.String(), kind, strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(form))
 	st, err := cacheGet(opt, key, func() (cachedAgg[S], int64, error) {
 		prev, next, err := buildDistinctInputs(fl, f, opt)
 		if err != nil {
@@ -399,7 +407,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 			values[j] = valueOf(j)
 		}
 		build := mst.BuildAnnotated[S]
-		if leaf {
+		if form == mst.Leaves {
 			build = mst.BuildAnnotatedLeaves[S]
 		}
 		sp := opt.trace.Phase("build merge sort tree")
@@ -409,7 +417,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 			return cachedAgg[S]{}, 0, buildErr
 		}
 		treeBytes := tree.MemBytes(aggBytes)
-		endBuild(sp, leaf, treeBytes)
+		endBuild(sp, form, treeBytes)
 		bytes := int64SliceBytes(prev, next) + int64(aggBytes*len(values)) + treeBytes
 		return cachedAgg[S]{prev: prev, next: next, values: values, tree: tree}, bytes, nil
 	})
@@ -431,7 +439,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	fl := newFiltered(p, f, "", opt)
 	rows := opt.rowsBound(fl.k)
-	leaf := leafOnly(rows)
+	form := treeForm(rows)
 
 	// Thresholds must exist for every row (also filtered-out ones), so rank
 	// keys are computed over the whole partition; the tree only holds the
@@ -441,7 +449,7 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 	if unique {
 		tag = "rank-unique"
 	}
-	st, err := cacheGet(opt, p.cacheKey(tag, orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(leaf)),
+	st, err := cacheGet(opt, p.cacheKey(tag, orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(form)),
 		func() (cachedRank, int64, error) {
 			m := p.len()
 			sortedAll, err := p.sortedByFuncOrder(f, opt)
@@ -469,19 +477,15 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 			for j := range keysKept {
 				keysKept[j] = keysAll[fl.local(j)]
 			}
-			build := mst.Build
-			if leaf {
-				build = mst.BuildLeaves
-			}
 			sp := opt.trace.Phase("build merge sort tree")
-			tree, buildErr := build(keysKept, opt.treeOptions(sp))
+			tree, buildErr := mst.BuildForm(keysKept, opt.treeOptions(sp), form)
 			opt.putInt64s(keysKept)
 			if buildErr != nil {
 				sp.End()
 				return cachedRank{}, 0, buildErr
 			}
 			treeBytes := int64(tree.Stats().Bytes)
-			endBuild(sp, leaf, treeBytes)
+			endBuild(sp, form, treeBytes)
 			return cachedRank{keysAll: keysAll, tree: tree}, int64SliceBytes(keysAll) + treeBytes, nil
 		})
 	if err == nil {
@@ -516,8 +520,8 @@ func ntileBucket(r, size, b int64) int64 {
 func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	fl := newFiltered(p, f, "", opt)
 	rows := opt.rowsBound(fl.k)
-	leaf := leafOnly(rows)
-	st, err := cacheGet(opt, p.cacheKey("dense", orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(leaf)),
+	form := treeForm(rows)
+	st, err := cacheGet(opt, p.cacheKey("dense", orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(form)),
 		func() (cachedDense, int64, error) {
 			sortedAll, err := p.sortedByFuncOrder(f, opt)
 			if err != nil {
@@ -547,7 +551,7 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 			sp := opt.trace.Phase("build merge sort tree")
 			var rt *rangetree.DenseRankTree
 			var buildErr error
-			if leaf {
+			if form == mst.Leaves {
 				rt, buildErr = rangetree.NewLeaves(ranksKept, prevKept)
 			} else {
 				rt, buildErr = rangetree.New(ranksKept, prevKept, opt.treeOptions(sp))
@@ -556,7 +560,7 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 				sp.End()
 				return cachedDense{}, 0, buildErr
 			}
-			endBuild(sp, leaf, rt.MemBytes())
+			endBuild(sp, form, rt.MemBytes())
 			return cachedDense{ranksAll: ranksAll, ranksKept: ranksKept, prevKept: prevKept, nextKept: nextKept, rt: rt},
 				int64SliceBytes(ranksAll, ranksKept, prevKept, nextKept) + rt.MemBytes(), nil
 		})
@@ -607,7 +611,7 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 				return cachedSelect{}, 0, buildErr
 			}
 			treeBytes := int64(tree.Stats().Bytes)
-			endBuild(sp, false, treeBytes)
+			endBuild(sp, mst.Full, treeBytes)
 			return cachedSelect{tree: tree}, treeBytes, nil
 		})
 	if err != nil {
@@ -672,7 +676,7 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 				return cachedLeadLag{}, 0, buildErr
 			}
 			treeBytes := int64(tree.Stats().Bytes)
-			endBuild(sp, false, treeBytes)
+			endBuild(sp, mst.Full, treeBytes)
 			return cachedLeadLag{keptRowno: keptRowno, tree: tree}, int64SliceBytes(keptRowno) + treeBytes, nil
 		})
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -81,8 +82,10 @@ func containsAny(s string, subs []string) bool {
 // int64 SUM(DISTINCT), RANK and DENSE_RANK structure is built leaf-only and
 // PERCENTILE_DISC's select tree is built in full; with a 10,000-row frame
 // over the same partitions, all of them more than mst.LeafRows rows, none is
-// leaf-only. Each "build merge sort tree" phase is entered once per
-// partition either way and carries the bytes the builds charged.
+// leaf-only, and COUNT(DISTINCT)'s tree — a constant-offset ROWS frame no
+// wider than a probe chunk — is sliding. Each "build merge sort tree" phase
+// is entered once per partition either way, names the form every entry
+// took and carries the bytes the builds charged.
 func TestLeafOnlyBuilds(t *testing.T) {
 	parts := 2_000
 	if testing.Short() {
@@ -93,10 +96,10 @@ func TestLeafOnlyBuilds(t *testing.T) {
 	tab := partitionedTable(rand.New(rand.NewSource(5)), parts, func(int) int { return 160 })
 	for _, c := range []struct {
 		preceding int64
-		leafOnly  map[string]bool
+		form      map[string]string
 	}{
-		{59, map[string]bool{"count(distinct)": true, "sum(distinct)": true, "rank": true, "dense_rank": true, "percentile_disc": false}},
-		{9_999, map[string]bool{"count(distinct)": false, "sum(distinct)": false, "rank": false, "dense_rank": false, "percentile_disc": false}},
+		{59, map[string]string{"count(distinct)": "leaf", "sum(distinct)": "leaf", "rank": "leaf", "dense_rank": "leaf", "percentile_disc": "full"}},
+		{9_999, map[string]string{"count(distinct)": "slide", "sum(distinct)": "full", "rank": "full", "dense_rank": "full", "percentile_disc": "full"}},
 	} {
 		w := fiveFuncWindow()
 		w.Frame.Start.Offset = c.preceding
@@ -107,7 +110,7 @@ func TestLeafOnlyBuilds(t *testing.T) {
 				return
 			}
 			fn := sp.Attr("function")
-			want, ok := c.leafOnly[fn]
+			want, ok := c.form[fn]
 			if !ok {
 				t.Fatalf("unexpected eval span for %q", fn)
 			}
@@ -116,23 +119,19 @@ func TestLeafOnlyBuilds(t *testing.T) {
 					continue
 				}
 				seen++
-				wantLeaf := "0"
-				if want {
-					wantLeaf = strconv.Itoa(parts)
-				}
-				if ph.Count() != parts || ph.Attr("leaf_only") != wantLeaf {
-					t.Errorf("%d PRECEDING, %s: %d builds, leaf_only=%s; want %d and %s", c.preceding, fn, ph.Count(), ph.Attr("leaf_only"), parts, wantLeaf)
+				if ph.Count() != parts || ph.Attr("form") != want {
+					t.Errorf("%d PRECEDING, %s: %d builds, form=%s; want %d and %s", c.preceding, fn, ph.Count(), ph.Attr("form"), parts, want)
 				}
 				// A leaf-only range tree owns nothing: it scans arrays its
 				// cache entry holds anyway.
-				owns := !(want && fn == "dense_rank")
+				owns := !(want == "leaf" && fn == "dense_rank")
 				if b, err := strconv.ParseInt(ph.Attr("bytes"), 10, 64); err != nil || (b > 0) != owns {
 					t.Errorf("%d PRECEDING, %s: bytes=%q, want the builds' charged bytes", c.preceding, fn, ph.Attr("bytes"))
 				}
 			}
 		})
-		if seen != len(c.leafOnly) {
-			t.Errorf("%d PRECEDING: %d build phases, want one per function (%d)", c.preceding, seen, len(c.leafOnly))
+		if seen != len(c.form) {
+			t.Errorf("%d PRECEDING: %d build phases, want one per function (%d)", c.preceding, seen, len(c.form))
 		}
 	}
 }
@@ -145,25 +144,29 @@ func TestLeafOnlyBuilds(t *testing.T) {
 // its entry already holds and must not charge them again. A few bytes of
 // per-level metadata (strides, run lengths) are not charged.
 func TestLeafOnlyCacheBytes(t *testing.T) {
-	checkCacheBytes(t, 59, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|", "|select|"}, 0)
+	checkCacheBytes(t, 59, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|", "|select|"},
+		map[string]int{"w=leaf": 4 * 300})
 }
 
 // TestFullTreeCacheBytes is the same accounting with a 9,999-row frame, under
 // which the 75 partitions of more than mst.LeafRows rows build their
 // structures in full — merge levels, samples, origin stripes and, on the
-// count, rank and select trees, the top-run positions; for DENSE_RANK the
-// range tree's node array and inner trees — and the bytes charged for every
-// structure must still equal the bytes it retains.
+// rank and select trees, the top-run positions; for DENSE_RANK the range
+// tree's node array and inner trees — except COUNT(DISTINCT)'s, which is
+// sliding: level 0, the top-run positions and the threshold rank table. The
+// bytes charged for every structure must still equal the bytes it retains.
 func TestFullTreeCacheBytes(t *testing.T) {
-	checkCacheBytes(t, 9_999, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|", "|select|"}, 75)
+	checkCacheBytes(t, 9_999, []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|", "|select|"},
+		map[string]int{"w=leaf": 4 * 225, "w=slide": 75, "w=full": 3 * 75})
 }
 
 // checkCacheBytes runs the many-partitions statement with a preceding-row
 // frame over 300 partitions, a quarter of them wider than mst.LeafRows, and
 // compares the charged bytes of every entry whose key carries one of tags
-// with the bytes it retains. wantFull is how many of the count, DISTINCT-sum,
-// rank and dense-rank entries must each be full structures (w=full).
-func checkCacheBytes(t *testing.T, preceding int64, tags []string, wantFull int) {
+// with the bytes it retains. classes is how many of the count, DISTINCT-sum,
+// rank and dense-rank entries must fall in each width class (w=leaf,
+// w=slide, w=full).
+func checkCacheBytes(t *testing.T, preceding int64, tags []string, classes map[string]int) {
 	t.Helper()
 	tab := partitionedTable(rand.New(rand.NewSource(9)), 300, func(p int) int {
 		if p%4 == 0 {
@@ -178,21 +181,26 @@ func checkCacheBytes(t *testing.T, preceding int64, tags []string, wantFull int)
 		t.Fatal(err)
 	}
 	const slack = 64
-	checked, full := 0, 0
+	checked := 0
+	got := map[string]int{}
 	for key, e := range cache.built {
 		if !containsAny(key, tags) {
 			continue
 		}
 		checked++
-		if strings.Contains(key, "w=full") && !strings.Contains(key, "|select|") {
-			full++
+		if !strings.Contains(key, "|select|") {
+			for _, class := range []string{"w=leaf", "w=slide", "w=full"} {
+				if strings.Contains(key, class) {
+					got[class]++
+				}
+			}
 		}
 		if got := retainedBytes(e.value); got < e.bytes || got > e.bytes+slack {
 			t.Errorf("%s: charged %d bytes, retains %d", key, e.bytes, got)
 		}
 	}
-	if checked != len(tags)*300 || full != 4*wantFull {
-		t.Errorf("checked %d structures, %d of them full, want %d and %d", checked, full, len(tags)*300, 4*wantFull)
+	if checked != len(tags)*300 || !maps.Equal(got, classes) {
+		t.Errorf("checked %d structures, width classes %v, want %d and %v", checked, got, len(tags)*300, classes)
 	}
 }
 

@@ -476,7 +476,7 @@ next:
 // leaf-only entries are still cached — must build full structures beside
 // them, never read the leaf-only ones; and the reverse order must reuse
 // nothing wrongly either. Every answer equals a from-scratch evaluation, and
-// the cache ends up holding both width classes.
+// the cache ends up holding all three width classes.
 func TestDeltaWiderFrameAfterMutation(t *testing.T) {
 	const parts = 2
 	window := func(preceding int64) *core.WindowSpec {
@@ -549,12 +549,17 @@ func TestDeltaWiderFrameAfterMutation(t *testing.T) {
 		}
 		query(order[1])
 		query(order[0])
-		// Four width-bound structures per partition and class: count,
-		// int64 DISTINCT sum, rank and dense rank; g=0 holds them for both
-		// of its contents.
-		for _, class := range []string{"w=leaf", "w=full"} {
-			if got := cache.resident("|pd", class); got < parts*4 {
-				t.Errorf("%d then %d PRECEDING: the cache holds %d %s structures under delta keys, want at least %d", order[0], order[1], got, class, parts*4)
+		// Four width-bound structures per partition: count, int64 DISTINCT
+		// sum, rank and dense rank, all leaf-only under the narrow frame;
+		// under the wide one the count is sliding (a constant-offset ROWS
+		// frame) and the other three full. g=0 holds them for both of its
+		// contents.
+		for _, c := range []struct {
+			class string
+			per   int
+		}{{"w=leaf", 4}, {"w=slide", 1}, {"w=full", 3}} {
+			if got := cache.resident("|pd", c.class); got < parts*c.per {
+				t.Errorf("%d then %d PRECEDING: the cache holds %d %s structures under delta keys, want at least %d", order[0], order[1], got, c.class, parts*c.per)
 			}
 		}
 	}

@@ -44,9 +44,9 @@ type AnnotatedTree[S any] struct {
 	below []int32 // below[t] = #keys < t, for t in [0, n+1]
 	// leafFold is set when S is int64: narrow ranges fold level 0.
 	leafFold bool
-	// leafOnly marks a tree built by BuildAnnotatedLeaves: t and agg hold
-	// level 0 only.
-	leafOnly bool
+	// form is Leaves on a tree built by BuildAnnotatedLeaves, where t and agg
+	// hold level 0 only, and Full otherwise.
+	form Form
 }
 
 // BuildAnnotated constructs an annotated merge sort tree over keys, where
@@ -191,7 +191,7 @@ func BuildAnnotatedLeaves[S any](keys []int64, values []S, merge func(S, S) S, o
 	if err != nil {
 		return nil, err
 	}
-	traceSkippedLevels(len(keys), opt)
+	traceSkippedLevels(len(keys), opt, Leaves)
 	return &AnnotatedTree[S]{
 		t:        leafTree(rank, opt),
 		agg:      [][]S{slices.Clone(values)},
@@ -199,7 +199,7 @@ func BuildAnnotatedLeaves[S any](keys []int64, values []S, merge func(S, S) S, o
 		n:        len(keys),
 		below:    below,
 		leafFold: true,
-		leafOnly: true,
+		form:     Leaves,
 	}, nil
 }
 
@@ -209,11 +209,11 @@ func (at *AnnotatedTree[S]) Len() int { return at.n }
 // CheckRows returns a *WidthError when the tree cannot answer a range of
 // rows rows: only a leaf-only tree has a limit, LeafRows.
 func (at *AnnotatedTree[S]) CheckRows(rows int) error {
-	return CheckRows(rows, at.leafOnly)
+	return CheckRows(rows, at.form)
 }
 
 // leaf reports whether a range of w rows folds from level 0 (leaf.go).
-func (at *AnnotatedTree[S]) leaf(w int) bool { return at.leafFold && leafRule(w, at.leafOnly) }
+func (at *AnnotatedTree[S]) leaf(w int) bool { return at.leafFold && leafRule(w, at.form) }
 
 // MemBytes reports the approximate resident size of the tree: payloads,
 // cascading pointers and origin stripes, the threshold map, plus the

@@ -18,18 +18,45 @@ func benchKeys(n int) []int64 {
 	return keys
 }
 
+// skewedColumn is a column of n values drawn from a Zipf distribution over
+// 50,000 values, the shape of the benchmark's COUNT(DISTINCT) argument; its
+// previous-occurrence keys (prevIdcsRef) are what that function's tree is
+// built over.
+func skewedColumn(n int) []int64 {
+	zipf := rand.NewZipf(rand.New(rand.NewSource(3)), 1.1, 1, 49_999)
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(zipf.Uint64())
+	}
+	return vals
+}
+
+// BenchmarkBuild times construction over n keys: uniform keys in the full
+// form, and the previous-occurrence keys of a skewed column — a
+// COUNT(DISTINCT) tree — in the full form and in the sliding form a
+// constant-offset ROWS frame gets.
 func BenchmarkBuild(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		keys := benchKeys(n)
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * n))
-			for i := 0; i < b.N; i++ {
-				if _, err := Build(keys, Options{}); err != nil {
-					b.Fatal(err)
+		prev := prevIdcsRef(skewedColumn(n))
+		for _, arm := range []struct {
+			name string
+			keys []int64
+			form Form
+		}{
+			{"uniform", benchKeys(n), Full},
+			{"prevIdcs", prev, Full},
+			{"prevIdcs-slide", prev, Sliding},
+		} {
+			b.Run(fmt.Sprintf("n%d/%s", n, arm.name), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(8 * n))
+				for i := 0; i < b.N; i++ {
+					if _, err := BuildForm(arm.keys, Options{}, arm.form); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -76,18 +103,19 @@ func BenchmarkCountBelow(b *testing.B) {
 // RANK over a column uncorrelated with the window order: a tree over uniform
 // keys, the typical frame, and the row's own key as threshold, which jumps
 // between rows, so the kernel declines to answer a query from its
-// predecessor (count_diff.go) and descends. One op is one pass over all
-// rows; the reported ns/row is the per-query cost and diff/row the share
-// answered from the predecessor.
+// predecessor (count_diff.go) and descends. The slide arm is the typical
+// frame on the sliding form of the COUNT(DISTINCT) tree, where the first
+// query of every chunk scans level 0 instead of descending. One op is one
+// pass over all rows; the reported ns/row is the per-query cost and diff/row
+// the share answered from the predecessor.
 func BenchmarkCountBelowBatch(b *testing.B) {
 	const n, chunk = 1_000_000, 20_000
-	rng := rand.New(rand.NewSource(3))
-	zipf := rand.NewZipf(rng, 1.1, 1, 49_999)
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(zipf.Uint64())
+	prev := prevIdcsRef(skewedColumn(n))
+	tree, err := Build(prev, Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	tree, err := Build(prevIdcsRef(vals), Options{})
+	slideTree, err := BuildForm(prev, Options{}, Sliding)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,15 +131,19 @@ func BenchmarkCountBelowBatch(b *testing.B) {
 		name  string
 		frame int
 		rank  bool
+		slide bool
 	}{
-		{"frame100", 100, false},
-		{"frame10000", 10_000, false},
-		{"frame500000", n / 2, false},
-		{"rank10000", 10_000, true},
+		{"frame100", 100, false, false},
+		{"frame10000", 10_000, false, false},
+		{"frame500000", n / 2, false, false},
+		{"rank10000", 10_000, true, false},
+		{"slide10000", 10_000, false, true},
 	} {
 		tr := tree
 		if arm.rank {
 			tr = rankTree
+		} else if arm.slide {
+			tr = slideTree
 		}
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -233,13 +265,10 @@ func BenchmarkSelectKthRangesBatch(b *testing.B) {
 // and frames as BenchmarkCountBelowBatch.
 func BenchmarkAggBelowBatch(b *testing.B) {
 	const n, chunk = 200_000, 20_000
-	rng := rand.New(rand.NewSource(3))
-	zipf := rand.NewZipf(rng, 1.1, 1, 49_999)
-	vals := make([]int64, n)
+	vals := skewedColumn(n)
 	aggVals := make([]float64, n)
-	for i := range vals {
-		vals[i] = int64(zipf.Uint64())
-		aggVals[i] = float64(vals[i])
+	for i, v := range vals {
+		aggVals[i] = float64(v)
 	}
 	at, err := BuildAnnotated(prevIdcsRef(vals), aggVals, func(a, b float64) float64 { return a + b }, Options{})
 	if err != nil {

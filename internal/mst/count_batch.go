@@ -27,6 +27,8 @@ import (
 // it is counted in level 0 (leaf.go). Nor does a query whose range and
 // threshold rank moved by fewer than LeafRows entries in all since the query
 // before it: it is that query's count plus the difference (count_diff.go).
+// On the sliding form, which has no levels to descend, every other query is
+// counted in level 0 too.
 // Results are checked against brute force by batch_test.go,
 // count_diff_test.go and FuzzCountSelect, and against core's reference
 // evaluator by its batch_equiv_test.
@@ -66,7 +68,7 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (
 			out[q] = 0
 		case tv > math.MaxInt32:
 			out[q] = i32(h - l)
-		case leafRule(h-l, t.leafOnly):
+		case leafRule(h-l, t.form):
 			out[q] = i32(countLeaf(t.tr.levels[0][l:h], clampI32(tv)))
 			leaves++
 		case tv <= 0:
@@ -105,9 +107,12 @@ func countKernel(t *tree, lo, hi, thr, out []int32) (diffs int) {
 
 	// Top level: one sorted run. Seed each query's binary search with the
 	// previous query's rank — adjacent probe rows have nearly equal
-	// thresholds, so the gallop usually terminates within a few elements.
-	// With both ranks at hand, a query close enough to the previous one is
-	// marked for the differential pass instead of entering the frontier.
+	// thresholds, so the gallop usually terminates within a few elements;
+	// the sliding form looks the rank up instead. With both ranks at hand, a
+	// query close enough to the previous one is marked for the differential
+	// pass instead of entering the frontier, or, on the sliding form, the
+	// level-0 scan that answers every other query.
+	lv0, below := t.levels[0], t.below
 	cn := 0
 	g := 0
 	p := -1 // the query ranked before q
@@ -115,7 +120,12 @@ func countKernel(t *tree, lo, hi, thr, out []int32) (diffs int) {
 		if lo[q] >= hi[q] {
 			continue
 		}
-		rank := lowerBoundFromP(run0, thr[q], g)
+		var rank int
+		if below != nil {
+			rank = int(below[min(int(thr[q]), t.n+1)])
+		} else {
+			rank = lowerBoundFromP(run0, thr[q], g)
+		}
 		rk[q] = i32(rank)
 		switch {
 		case lo[q] <= 0 && int(hi[q]) >= t.n:
@@ -123,6 +133,8 @@ func countKernel(t *tree, lo, hi, thr, out []int32) (diffs int) {
 		case p >= 0 && t.topPos != nil && diffRule(diffCost(lo, hi, p, q, g, rank)):
 			out[q] = pendingCount
 			diffs++
+		case below != nil:
+			out[q] = i32(countLeaf(lv0[lo[q]:hi[q]], thr[q]))
 		default:
 			out[q] = 0
 			cq[cn], cr[cn], crank[cn] = i32(q), 0, i32(rank)

@@ -1,7 +1,5 @@
 package mst
 
-import "holistic/internal/arena"
-
 // Differential count batches. Write R(a, b, x) for the number of level-0
 // entries at positions [a, b) smaller than x, a strip with a > b counting
 // negatively. For any two queries (lo, hi, x) and (lo′, hi′, x′)
@@ -26,6 +24,13 @@ import "holistic/internal/arena"
 // query become differential; RANK thresholds that jump between rows stay
 // anchors. Trees without topPos — keys above n, leaf-only and annotated
 // trees — never mark a query.
+//
+// The sliding form (Sliding) keeps nothing a descent reads: it looks each
+// threshold's rank up in below instead of galloping, and counts an anchor by
+// scanning level 0. That is correct for any batch, and cheap where the
+// caller has proved that few queries are anchors — a constant-offset ROWS
+// COUNT(DISTINCT), whose frames slide by at most one row per query
+// (DESIGN.md §10.1).
 
 // pendingCount marks, in the kernel's out array, a query resolveDiffs
 // answers: counts are never negative.
@@ -33,10 +38,10 @@ const pendingCount int32 = -1
 
 // topPositions returns the stable argsort of base — topPos, the base
 // position of every element of the top run in merge order — or nil when a
-// key exceeds len(base), where the counting pass would not be linear.
-func topPositions(base []int32) []int32 {
-	cnt := arena.Int32s.GetZeroed(len(base) + 3)
-	defer arena.Int32s.Put(cnt)
+// key exceeds len(base), where the counting pass would not be linear. cnt
+// holds len(base)+3 zeroed entries; on success cnt[x] is then the number of
+// keys smaller than x for x in [0, len(base)+1], the sliding form's below.
+func topPositions(base, cnt []int32) []int32 {
 	if keyStarts(base, cnt) >= 0 {
 		return nil
 	}

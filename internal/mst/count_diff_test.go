@@ -18,7 +18,8 @@ import (
 // seam settings. Every answer must equal brute force, and the kernel must report exactly the queries the cost rule names
 // as answered from their predecessor: some on every tree with top-run
 // positions at the production cutoff, none without positions or with the
-// cutoff at 0.
+// cutoff at 0. The sliding form of every input (slidingTree) must give the
+// same answers and name the same queries.
 func TestCountBatchDifferential(t *testing.T) {
 	leafSeam(t, testCountBatchDifferential)
 }
@@ -60,8 +61,47 @@ func testCountBatchDifferential(t *testing.T) {
 			if leafRows > 0 && in.positions && diffs == 0 {
 				t.Errorf("%s opt=%+v: no query answered from its predecessor", in.name, opt)
 			}
+
+			// The sliding form answers the same batch — its arbitrary and
+			// jumping queries from level-0 scans — and names the same
+			// queries as answered from their predecessor.
+			st := slidingTree(t, in.keys, opt)
+			_, sdiffs := st.CountBelowBatch(lo, hi, thr, out)
+			for q := range out {
+				if want := bruteCountBelow(in.keys, int(lo[q]), int(hi[q]), thr[q]); int(out[q]) != want {
+					t.Fatalf("%s opt=%+v %s form query %d [%d,%d)<%d: kernel %d, brute force %d",
+						in.name, opt, st.Form(), q, lo[q], hi[q], thr[q], out[q], want)
+				}
+			}
+			if sdiffs != want {
+				t.Errorf("%s opt=%+v %s form: %d queries answered from their predecessor, the cost rule names %d", in.name, opt, st.Form(), sdiffs, want)
+			}
 		}
 	}
+}
+
+// slidingTree builds the sliding form over keys, which must lie in the
+// payload domain under valid options, and checks what it holds: over keys in [0, n] level 0,
+// topPos and the threshold rank table, 4 bytes per element each plus two
+// rank entries, and nothing else; over a key above n the full tree.
+func slidingTree(t *testing.T, keys []int64, opt Options) *Tree {
+	t.Helper()
+	st, err := BuildForm(keys, opt, Sliding)
+	if err != nil {
+		t.Fatalf("BuildForm(%d keys, %+v, Sliding): %v", len(keys), opt, err)
+	}
+	n := len(keys)
+	want := Sliding
+	if slices.ContainsFunc(keys, func(k int64) bool { return k > int64(n) }) {
+		want = Full
+	}
+	if st.Form() != want {
+		t.Fatalf("BuildForm(%d keys, Sliding): %s form, want %s", n, st.Form(), want)
+	}
+	if s := st.Stats(); want == Sliding && (s.Levels != 1 || s.Bytes != 4*n+4*n+4*(n+2)) {
+		t.Errorf("BuildForm(%d keys, Sliding): stats %+v; want level 0, topPos and the rank table, %d bytes", n, s, 12*n+8)
+	}
+	return st
 }
 
 // wantDiffs restates the cost rule over a batch: on a tree with top-run

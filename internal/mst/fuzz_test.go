@@ -12,10 +12,11 @@ import (
 // against brute force over fuzzer-chosen inputs, tree options and query arguments — the
 // counts once with the leaf path at its cutoff and once with it off
 // (leafSeam), each batch followed by a sliding sequence the differential
-// pass answers from neighbours, and a sliding select sequence likewise — and,
-// in the leaf-only arm (leafOnlyCounts), against BuildLeaves' form of the
-// same keys. CI runs it as a smoke pass on main pushes; `go test
-// -fuzz=FuzzCountSelect ./internal/mst/` digs deeper locally.
+// pass answers from neighbours, and a sliding select sequence likewise — the
+// counts also on the sliding form of the same keys (slidingTree), and, in
+// the leaf-only arm (leafOnlyCounts), on the leaf-only form. CI runs it as
+// a smoke pass on main pushes; `go test -fuzz=FuzzCountSelect
+// ./internal/mst/` digs deeper locally.
 func FuzzCountSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), 2, uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), 0, uint8(3), uint8(2), uint8(1))
@@ -53,63 +54,10 @@ func FuzzCountSelect(f *testing.F) {
 		if tree == nil {
 			return
 		}
-		// Counts under both leaf seam settings: the batch repeats the query
-		// (exercising the dedup/gallop-from-equal shape), perturbs it
-		// (bidirectional galloping), covers the full span and adds ranges one
-		// row either side of LeafRows.
-		leafSeam(t, func(t *testing.T) {
-			got := tree.CountBelow(lo, hi, threshold)
-			want := 0
-			cLo, cHi := clampRange(lo, hi, len(keys))
-			for _, v := range keys[cLo:cHi] {
-				if v < threshold {
-					want++
-				}
-			}
-			if got != want {
-				t.Errorf("CountBelow(%d, %d, %d) = %d, brute force %d (opt %+v)", lo, hi, threshold, got, want, opt)
-			}
-
-			bLo := []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
-			bHi := []int32{int32(hi), int32(hi), int32(len(keys)), int32(hi + 3)}
-			bThr := []int64{threshold, threshold, threshold, threshold - 1}
-			for _, w := range []int32{LeafRows - 1, LeafRows, LeafRows + 1} {
-				bLo, bHi, bThr = append(bLo, int32(lo)), append(bHi, int32(lo)+w), append(bThr, threshold)
-			}
-			bOut := make([]int32, len(bLo))
-			tree.CountBelowBatch(bLo, bHi, bThr, bOut)
-			for q := range bOut {
-				bruteCnt := 0
-				qLo, qHi := clampRange(int(bLo[q]), int(bHi[q]), len(keys))
-				for _, v := range keys[qLo:qHi] {
-					if v < bThr[q] {
-						bruteCnt++
-					}
-				}
-				if int(bOut[q]) != bruteCnt {
-					t.Errorf("CountBelowBatch query %d (%d, %d, %d) = %d, brute force %d (opt %+v)",
-						q, bLo[q], bHi[q], bThr[q], bOut[q], bruteCnt, opt)
-				}
-			}
-
-			// A sliding sequence from the fuzzer's query: each edge and the
-			// threshold step by −3…1 per query (picked by k), so neighbours
-			// are close enough to be answered from one another (count_diff.go).
-			dl, dh, dt := k%3-1, k/3%3-1, int64(k/9%3-1)
-			const slide = 48
-			sLo, sHi, sThr := make([]int32, slide), make([]int32, slide), make([]int64, slide)
-			for s := range sLo {
-				sLo[s], sHi[s], sThr[s] = int32(lo+s*dl), int32(hi+s*dh), threshold+int64(s)*dt
-			}
-			sOut := make([]int32, slide)
-			tree.CountBelowBatch(sLo, sHi, sThr, sOut)
-			for s := range sOut {
-				if want := bruteCountBelow(keys, int(sLo[s]), int(sHi[s]), sThr[s]); int(sOut[s]) != want {
-					t.Errorf("CountBelowBatch sliding query %d (%d, %d, %d) = %d, brute force %d (opt %+v)",
-						s, sLo[s], sHi[s], sThr[s], sOut[s], want, opt)
-				}
-			}
-		})
+		// Counts on the full tree and on the sliding form of the same keys
+		// (full again when a key exceeds n).
+		fuzzCounts(t, tree, keys, opt, lo, hi, threshold, k)
+		fuzzCounts(t, slidingTree(t, keys, opt), keys, opt, lo, hi, threshold, k)
 		leafOnlyCounts(t, keys, opt, lo, hi, threshold)
 
 		// Select through the batched kernel on the shapes frame exclusion
@@ -194,6 +142,67 @@ func FuzzCountSelect(f *testing.F) {
 				}
 			}
 		})
+	})
+}
+
+// fuzzCounts is FuzzCountSelect's count check on one tree over keys, under
+// both leaf seam settings: the batch repeats the fuzzer's query (exercising
+// the dedup/gallop-from-equal shape), perturbs it (bidirectional galloping),
+// covers the full span and adds ranges one row either side of LeafRows.
+func fuzzCounts(t *testing.T, tree *Tree, keys []int64, opt Options, lo, hi int, threshold int64, k int) {
+	t.Helper()
+	leafSeam(t, func(t *testing.T) {
+		got := tree.CountBelow(lo, hi, threshold)
+		want := 0
+		cLo, cHi := clampRange(lo, hi, len(keys))
+		for _, v := range keys[cLo:cHi] {
+			if v < threshold {
+				want++
+			}
+		}
+		if got != want {
+			t.Errorf("CountBelow(%d, %d, %d) = %d, brute force %d (%s form, opt %+v)", lo, hi, threshold, got, want, tree.Form(), opt)
+		}
+
+		bLo := []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
+		bHi := []int32{int32(hi), int32(hi), int32(len(keys)), int32(hi + 3)}
+		bThr := []int64{threshold, threshold, threshold, threshold - 1}
+		for _, w := range []int32{LeafRows - 1, LeafRows, LeafRows + 1} {
+			bLo, bHi, bThr = append(bLo, int32(lo)), append(bHi, int32(lo)+w), append(bThr, threshold)
+		}
+		bOut := make([]int32, len(bLo))
+		tree.CountBelowBatch(bLo, bHi, bThr, bOut)
+		for q := range bOut {
+			bruteCnt := 0
+			qLo, qHi := clampRange(int(bLo[q]), int(bHi[q]), len(keys))
+			for _, v := range keys[qLo:qHi] {
+				if v < bThr[q] {
+					bruteCnt++
+				}
+			}
+			if int(bOut[q]) != bruteCnt {
+				t.Errorf("CountBelowBatch query %d (%d, %d, %d) = %d, brute force %d (%s form, opt %+v)",
+					q, bLo[q], bHi[q], bThr[q], bOut[q], bruteCnt, tree.Form(), opt)
+			}
+		}
+
+		// A sliding sequence from the fuzzer's query: each edge and the
+		// threshold step by −3…1 per query (picked by k), so neighbours
+		// are close enough to be answered from one another (count_diff.go).
+		dl, dh, dt := k%3-1, k/3%3-1, int64(k/9%3-1)
+		const slide = 48
+		sLo, sHi, sThr := make([]int32, slide), make([]int32, slide), make([]int64, slide)
+		for s := range sLo {
+			sLo[s], sHi[s], sThr[s] = int32(lo+s*dl), int32(hi+s*dh), threshold+int64(s)*dt
+		}
+		sOut := make([]int32, slide)
+		tree.CountBelowBatch(sLo, sHi, sThr, sOut)
+		for s := range sOut {
+			if want := bruteCountBelow(keys, int(sLo[s]), int(sHi[s]), sThr[s]); int(sOut[s]) != want {
+				t.Errorf("CountBelowBatch sliding query %d (%d, %d, %d) = %d, brute force %d (%s form, opt %+v)",
+					s, sLo[s], sHi[s], sThr[s], sOut[s], want, tree.Form(), opt)
+			}
+		}
 	})
 }
 

@@ -42,14 +42,14 @@ func SetLeafRows(rows int) int {
 // Leaf-only structures. When no range a statement can ask spans more than
 // LeafRows rows — the partition has at most that many, or every frame is that
 // narrow — no query ever descends, so nothing above level 0 is ever read.
-// BuildLeaves and BuildAnnotatedLeaves (and rangetree.NewLeaves) build that
-// form: the same types, holding level 0 and what the leaf rule reads of it,
-// no merge levels, samples or origin stripes. Every probe entry point takes
-// the leaf rule first, so no probe code forks; a leaf-only structure answers
-// every range of at most LeafRows rows from level 0 whatever leafRows says.
-// A wider range is a caller bug: CheckRows reports it as a *WidthError before
-// probing, and the kernels panic on it rather than read levels that are not
-// there.
+// BuildForm's Leaves form and BuildAnnotatedLeaves (and rangetree.NewLeaves)
+// build that: the same types, holding level 0 and what the leaf rule reads
+// of it, no merge levels, samples or origin stripes. Every probe entry point
+// takes the leaf rule first, so no probe code forks; a leaf-only structure
+// answers every range of at most LeafRows rows from level 0 whatever
+// leafRows says. A wider range is a caller bug: CheckRows reports it as a
+// *WidthError before probing, and the kernels panic on it rather than read
+// levels that are not there.
 
 // WidthError reports a query range of Rows rows asked of a structure built
 // to answer ranges of at most Max rows — a leaf-only structure, Max =
@@ -60,11 +60,10 @@ func (e *WidthError) Error() string {
 	return fmt.Sprintf("mst: range of %d rows asked of a leaf-only structure answering at most %d", e.Rows, e.Max)
 }
 
-// CheckRows returns a *WidthError when a leaf-only structure is asked a range
-// of rows rows, more than LeafRows, and nil otherwise: a full structure
-// answers any range.
-func CheckRows(rows int, leafOnly bool) error {
-	if leafOnly && rows > LeafRows {
+// CheckRows returns a *WidthError when a structure of the given form is
+// asked a range of rows rows: only a leaf-only one has a limit, LeafRows.
+func CheckRows(rows int, form Form) error {
+	if form == Leaves && rows > LeafRows {
 		return &WidthError{Rows: rows, Max: LeafRows}
 	}
 	return nil
@@ -74,11 +73,11 @@ func CheckRows(rows int, leafOnly bool) error {
 // leaf-only structure always — it has nothing else, and a range wider than
 // LeafRows is the invariant violation CheckRows reports — and otherwise when
 // w is at most the leafRows cutoff.
-func leafRule(w int, leafOnly bool) bool {
-	if !leafOnly {
+func leafRule(w int, form Form) bool {
+	if form != Leaves {
 		return w <= leafRows
 	}
-	if err := CheckRows(w, true); err != nil {
+	if err := CheckRows(w, Leaves); err != nil {
 		// Invariant: callers check CheckRows before probing a leaf-only structure; a wider range would read merge levels that were never built
 		panic(err)
 	}
@@ -86,11 +85,11 @@ func leafRule(w int, leafOnly bool) bool {
 }
 
 // traceSkippedLevels opens, under opt.Trace, the "mst: merge level" span of
-// every level a full build over n elements would merge, each marked as not
-// built: a trace keeps one shape per statement whichever form a structure
-// took, and the "build merge sort tree" phase's leaf_only attribute says
-// which.
-func traceSkippedLevels(n int, opt Options) {
+// every level a full build over n elements would merge, each marked as
+// skipped by the form that was built instead: a trace keeps one shape per
+// statement whichever form a structure took, and the "build merge sort
+// tree" phase's form attribute says which.
+func traceSkippedLevels(n int, opt Options, form Form) {
 	if opt.Trace == nil {
 		return
 	}
@@ -101,27 +100,9 @@ func traceSkippedLevels(n int, opt Options) {
 		lsp := opt.Trace.Child("mst: merge level")
 		lsp.SetInt("level", int64(level))
 		lsp.AddInt("runs", int64((n+rl-1)/rl))
-		lsp.Set("skipped", "leaf-only")
+		lsp.Set("skipped", form.String())
 		lsp.End()
 	}
-}
-
-// BuildLeaves builds the leaf-only form of Build's tree over keys: level 0
-// only, answering CountBelowBatch over ranges of
-// at most LeafRows rows, and Value. Keys are validated exactly as Build
-// validates them; Options shape nothing but the trace and what Stats
-// reports. Select queries are not available on it.
-func BuildLeaves(keys []int64, opt Options) (*Tree, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	base, err := payloadBase(keys)
-	if err != nil {
-		return nil, err
-	}
-	traceSkippedLevels(len(keys), opt)
-	return &Tree{n: len(keys), opt: opt.stored(), tr: leafTree(base, opt), leafOnly: true}, nil
 }
 
 // leafTree is the single-level tree over base: buildTree's result for an
@@ -136,7 +117,7 @@ func leafTree(base []int32, opt Options) *tree {
 
 // CheckRows returns a *WidthError when the tree cannot answer a range of
 // rows rows: only a leaf-only tree has a limit, LeafRows.
-func (t *Tree) CheckRows(rows int) error { return CheckRows(rows, t.leafOnly) }
+func (t *Tree) CheckRows(rows int) error { return CheckRows(rows, t.form) }
 
 // countLeaf returns the number of entries of a smaller than x, without a
 // branch per entry. Entries and x lie in [0, math.MaxInt32], so e-x cannot

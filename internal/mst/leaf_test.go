@@ -212,7 +212,7 @@ func wantWidthPanic(t *testing.T, probe func()) {
 	probe()
 }
 
-// leafOnlyCounts is FuzzCountSelect's leaf-only arm: BuildLeaves over the
+// leafOnlyCounts is FuzzCountSelect's leaf-only arm: the Leaves form over the
 // same keys answers ranges of at most LeafRows rows like brute force, through
 // the batched kernel and CountBelow, its batch of one, whatever the leaf seam
 // says; a wider
@@ -220,12 +220,12 @@ func wantWidthPanic(t *testing.T, probe func()) {
 // invariant when probed anyway.
 func leafOnlyCounts(t *testing.T, keys []int64, opt Options, lo, hi int, threshold int64) {
 	t.Helper()
-	lt, err := BuildLeaves(keys, opt)
+	lt, err := BuildForm(keys, opt, Leaves)
 	if err != nil {
-		t.Fatalf("BuildLeaves(%d keys, %+v): %v", len(keys), opt, err)
+		t.Fatalf("BuildForm(%d keys, %+v, Leaves): %v", len(keys), opt, err)
 	}
 	if s := lt.Stats(); s.Levels != 1 || s.Bytes != 4*len(keys) {
-		t.Errorf("BuildLeaves(%d keys): stats %+v; want one 4-byte level", len(keys), s)
+		t.Errorf("BuildForm(%d keys, Leaves): stats %+v; want one 4-byte level", len(keys), s)
 	}
 	qLo, qHi, thr := narrowQueries(len(keys), lo, hi, threshold)
 	out := make([]int32, len(qLo))
@@ -301,7 +301,7 @@ func TestLeafOnlyStructures(t *testing.T) {
 			leafOnlyAggs(t, keys, vals, Options{}, lo, lo+w, int64(lo)+1)
 		}
 	}
-	lt, err := BuildLeaves(keys, Options{})
+	lt, err := BuildForm(keys, Options{}, Leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestLeafOnlyStructures(t *testing.T) {
 	if _, err := BuildAnnotatedLeaves(keys, floats, func(a, b float64) float64 { return a + b }, Options{}); err == nil {
 		t.Error("BuildAnnotatedLeaves accepted float64 states, whose fold order is part of the answer")
 	}
-	if _, err := BuildLeaves([]int64{-1}, Options{}); err == nil {
-		t.Error("BuildLeaves accepted a negative key")
+	if _, err := BuildForm([]int64{-1}, Options{}, Leaves); err == nil {
+		t.Error("BuildForm(Leaves) accepted a negative key")
 	}
 }

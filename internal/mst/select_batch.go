@@ -46,9 +46,9 @@ func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, ou
 		// Invariant: the kernel addresses queries with int32 slots; callers batch per chunk, far below 2³¹ queries
 		panic("mst: SelectKthRangesBatch batch of 2³¹ or more queries")
 	}
-	if t.leafOnly {
-		// Invariant: selection descends by value through every level; the window operator never builds a select tree leaf-only
-		panic("mst: SelectKthRangesBatch on a leaf-only tree")
+	if t.form != Full {
+		// Invariant: selection descends by value through every level; the window operator builds every select tree in full
+		panic("mst: SelectKthRangesBatch on a " + t.form.String() + " tree")
 	}
 	if m == 0 {
 		return 0

@@ -7,9 +7,11 @@ package mst
 // the paper's two terms every merge level of a cascading tree carries a
 // one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all, and a
 // tree over keys in [0, n] keeps the top run's base positions (topPos,
-// count_diff.go, select_diff.go), 4·n bytes:
+// count_diff.go, select_diff.go), 4·n bytes. The sliding form keeps level 0,
+// topPos and the threshold rank table below, 4·(n+2) bytes, and nothing
+// else; the leaf-only form keeps level 0 alone:
 //
-//	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes + PositionBytes
+//	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes + PositionBytes + RankBytes
 type Stats struct {
 	Levels         int // number of levels including the base copy
 	Elements       int // payload elements across all levels
@@ -17,7 +19,8 @@ type Stats struct {
 	ElementBytes   int // bytes per payload element (always 4, §5.1)
 	OriginBytes    int // merge-origin stripe bytes across all levels
 	PositionBytes  int // top-run base positions (topPos), 0 when absent
-	Bytes          int // total bytes of payloads, pointers, origin stripes and positions
+	RankBytes      int // the sliding form's threshold rank table (below), 0 on other forms
+	Bytes          int // total bytes of payloads, pointers, origin stripes, positions and ranks
 	Fanout         int
 	SampleDistance int
 }
@@ -40,12 +43,13 @@ func (t *tree) stats() Stats {
 		Fanout:         t.f,
 		SampleDistance: t.k,
 		PositionBytes:  4 * len(t.topPos),
+		RankBytes:      4 * len(t.below),
 	}
 	for l, lv := range t.levels {
 		s.Elements += len(lv)
 		s.Pointers += len(t.samples[l])
 		s.OriginBytes += len(t.origin[l])
 	}
-	s.Bytes = s.Elements*s.ElementBytes + s.Pointers*4 + s.OriginBytes + s.PositionBytes
+	s.Bytes = s.Elements*s.ElementBytes + s.Pointers*4 + s.OriginBytes + s.PositionBytes + s.RankBytes
 	return s
 }

@@ -28,6 +28,21 @@
 // sampling parameter k are configurable; the paper settles on f = k = 32
 // (§6.6) and so do we.
 //
+// A Tree is built in one of three forms (Form), chosen by the caller from the
+// widest range its queries can span and the way consecutive queries move;
+// every form answers every count query it is asked, and the forms differ in
+// what they keep and so in what a query costs:
+//
+//   - Full, the whole tree above: every merge level, the samples and origin
+//     stripes, and the top run's base positions (topPos);
+//   - Sliding, level 0, topPos and the threshold rank table below — 12 bytes
+//     per element against the full tree's ~46 — for count queries that
+//     slide: a query close to the one before it is that query's count plus
+//     the difference (count_diff.go), any other is a scan of level 0;
+//   - Leaves, level 0 only, for queries of at most LeafRows rows (leaf.go).
+//
+// Only the full form answers select queries.
+//
 // Payload values are plain integers: the window operator's preprocessing
 // (package preprocess) maps previous-occurrence indices, dense ranks and
 // permutation entries to the integer domain [0, n] with n < 2³¹ − 1, so
@@ -40,6 +55,7 @@ import (
 	"fmt"
 	"math"
 
+	"holistic/internal/arena"
 	"holistic/internal/obs"
 )
 
@@ -150,21 +166,49 @@ type tree struct {
 	// topPos[p] is the base position of the element at position p of the top
 	// run: the stable argsort of levels[0], which lets the count and select
 	// kernels answer a query from its predecessor's answer (count_diff.go,
-	// select_diff.go). nil when a key exceeds n and on leaf-only and annotated
-	// trees.
+	// select_diff.go). The full and sliding forms keep it; nil when a key
+	// exceeds n and on leaf-only and annotated trees.
 	topPos []int32
+	// below[x] is the number of keys smaller than x, for x in [0, n+1]: a
+	// threshold's rank in the top run, which the sliding form looks up where
+	// the full form gallops (countKernel). nil on every other form.
+	below []int32
+}
+
+// Form is the shape a Tree is built in: what it keeps besides level 0, and
+// so what its queries cost (see the package comment).
+type Form uint8
+
+const (
+	// Full keeps every merge level, the samples and origin stripes, and
+	// topPos over keys in [0, n].
+	Full Form = iota
+	// Sliding keeps level 0, topPos and the threshold rank table: count
+	// queries close to their predecessor are answered from it, every other
+	// one by a scan of level 0. Over a key above n it is built Full.
+	Sliding
+	// Leaves keeps level 0 only and answers ranges of at most LeafRows rows.
+	Leaves
+)
+
+// String names the form as traces and cache keys do: full, slide or leaf.
+func (f Form) String() string {
+	switch f {
+	case Sliding:
+		return "slide"
+	case Leaves:
+		return "leaf"
+	}
+	return "full"
 }
 
 // Tree is a merge sort tree over a payload array of non-negative 32-bit
 // integers, handed in and queried as int64 (§5.1).
 type Tree struct {
-	tr  *tree
-	n   int
-	opt Options
-
-	// leafOnly marks a tree built by BuildLeaves: tr holds level 0 only,
-	// and every count query is answered by the leaf rule (leaf.go).
-	leafOnly bool
+	tr   *tree
+	n    int
+	opt  Options
+	form Form
 }
 
 // maxKey is the largest key Build accepts. It stays below math.MaxInt32,
@@ -172,12 +216,20 @@ type Tree struct {
 // bound lies past the 32-bit domain still takes every key.
 const maxKey = math.MaxInt32 - 1
 
-// Build constructs a merge sort tree over keys. The input slice is not
-// modified. Keys must lie in [0, math.MaxInt32 − 1] (the preprocessing
-// stages only produce non-negative integers below the row count, which is
-// below 2³¹ − 1; the special value "–" is mapped to 0 with all indices
-// shifted by one, §5.1); any other key is answered with a PayloadRangeError.
-func Build(keys []int64, opt Options) (*Tree, error) {
+// Build constructs the full merge sort tree over keys: BuildForm's Full form.
+func Build(keys []int64, opt Options) (*Tree, error) { return BuildForm(keys, opt, Full) }
+
+// BuildForm constructs a merge sort tree over keys in the given form. The
+// input slice is not modified. Keys must lie in [0, math.MaxInt32 − 1] (the
+// preprocessing stages only produce non-negative integers below the row
+// count, which is below 2³¹ − 1; the special value "–" is mapped to 0 with
+// all indices shifted by one, §5.1); any other key is answered with a
+// PayloadRangeError. A Sliding tree over a key above n is built Full — its
+// rank table and topPos come from one counting pass over [0, n] — and so is
+// a value outside the three forms. On the
+// forms that skip the merge levels, Options shape nothing but the trace and
+// what Stats reports.
+func BuildForm(keys []int64, opt Options, form Form) (*Tree, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -186,10 +238,35 @@ func Build(keys []int64, opt Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := buildTree(base, opt)
-	tr.topPos = topPositions(base)
-	return &Tree{n: len(keys), opt: opt.stored(), tr: tr}, nil
+	var tr *tree
+	switch form {
+	case Leaves:
+		tr = leafTree(base, opt)
+	case Sliding:
+		tr = leafTree(base, opt)
+		cnt := make([]int32, len(base)+3)
+		if tr.topPos = topPositions(base, cnt); tr.topPos != nil {
+			tr.below = cnt[:len(base)+2]
+			break
+		}
+		form = Full
+		tr = buildTree(base, opt)
+	default:
+		form = Full
+		tr = buildTree(base, opt)
+		cnt := arena.Int32s.GetZeroed(len(base) + 3)
+		tr.topPos = topPositions(base, cnt)
+		arena.Int32s.Put(cnt)
+	}
+	if form != Full {
+		traceSkippedLevels(len(keys), opt, form)
+	}
+	return &Tree{n: len(keys), opt: opt.stored(), tr: tr, form: form}, nil
 }
+
+// Form returns the form the tree was built in: the one asked for, except
+// that a Sliding tree over a key above n is Full.
+func (t *Tree) Form() Form { return t.form }
 
 // payloadBase checks keys against the element limit and the payload domain
 // [0, maxKey] and returns them narrowed: level 0 of the tree.

@@ -245,6 +245,33 @@ func (s *Span) AddInt(key string, delta int64) {
 	s.node().setAttr(attr{key: key, n: delta, isInt: true}, true)
 }
 
+// AddValue adds value to the set of strings recorded under key: on a span
+// that runs once it reads like Set, on an accumulator whose entries record
+// different values they are listed in sorted order, joined by "+".
+func (s *Span) AddValue(key, value string) {
+	if s == nil {
+		return
+	}
+	n := s.node()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i, a := range n.attrs {
+		if a.key != key {
+			continue
+		}
+		if a.isInt || a.val == value {
+			return
+		}
+		if vals := strings.Split(a.val, "+"); !slices.Contains(vals, value) {
+			vals = append(vals, value)
+			slices.Sort(vals)
+			n.attrs[i].val = strings.Join(vals, "+")
+		}
+		return
+	}
+	n.attrs = append(n.attrs, attr{key: key, val: value})
+}
+
 func (s *Span) setAttr(a attr, add bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

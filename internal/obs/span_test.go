@@ -28,6 +28,7 @@ func TestNilSpanIsDisabled(t *testing.T) {
 	s.Set("k", "v")
 	s.SetInt("k", 1)
 	s.AddInt("k", 1)
+	s.AddValue("k", "v")
 	if s.Name() != "" || s.IsPhase() || s.Ended() || s.Duration() != 0 || s.Attr("k") != "" || s.Count() != 0 {
 		t.Fatal("nil span accessors not zero")
 	}
@@ -48,6 +49,7 @@ func TestNilSpanZeroAlloc(t *testing.T) {
 		c.Set("k", "v")
 		c.SetInt("n", 7)
 		c.AddInt("n", 7)
+		c.AddValue("form", "full")
 		c.End()
 		e := s.Accumulator("eval").Enter()
 		e.Phase("probe").End()
@@ -125,6 +127,35 @@ func TestSpanSetReplaces(t *testing.T) {
 	s.Set("k", "b")
 	if got := s.Attrs(); len(got) != 1 || got[0].Value != "b" {
 		t.Fatalf("attrs = %v", got)
+	}
+}
+
+// TestAddValueListsDistinctValues: on an accumulator, AddValue keeps one
+// value while every entry records the same one, and lists the distinct values
+// in sorted order once they differ, whichever order entries record them in.
+func TestAddValueListsDistinctValues(t *testing.T) {
+	acc := NewSpan("run").Accumulator("build")
+	for _, v := range []string{"slide", "slide"} {
+		e := acc.Enter()
+		e.AddValue("form", v)
+		e.End()
+	}
+	if got := acc.Attr("form"); got != "slide" {
+		t.Fatalf("form = %q after two equal values, want slide", got)
+	}
+	var wg sync.WaitGroup
+	for _, v := range []string{"leaf", "full", "slide", "leaf"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := acc.Enter()
+			e.AddValue("form", v)
+			e.End()
+		}()
+	}
+	wg.Wait()
+	if got := acc.Attr("form"); got != "full+leaf+slide" {
+		t.Fatalf("form = %q, want full+leaf+slide", got)
 	}
 }
 

@@ -52,9 +52,10 @@ type DenseRankTree struct {
 	// the caller; the leaf nodes are one-element windows of them, so they
 	// cost no bytes.
 	ranks, prevs []int64
-	// leafOnly marks a structure built by NewLeaves: no nodes, every frame
-	// scanned from ranks and prevs (mst's leaf-only form, leaf.go there).
-	leafOnly bool
+	// form is mst.Leaves on a structure built by NewLeaves — no nodes, every
+	// frame scanned from ranks and prevs (mst's leaf-only form, leaf.go
+	// there) — and mst.Full otherwise.
+	form mst.Form
 }
 
 // MaxRows is the largest partition the structure indexes: node indices run
@@ -89,7 +90,7 @@ func NewLeaves(ranks, prevIdcs []int64) (*DenseRankTree, error) {
 	if err := checkInput(len(ranks), len(prevIdcs)); err != nil {
 		return nil, err
 	}
-	return &DenseRankTree{n: len(ranks), ranks: ranks, prevs: prevIdcs, leafOnly: true}, nil
+	return &DenseRankTree{n: len(ranks), ranks: ranks, prevs: prevIdcs, form: mst.Leaves}, nil
 }
 
 // New builds the structure for a partition in window order. ranks[i] is the
@@ -184,16 +185,16 @@ func (t *DenseRankTree) Len() int { return t.n }
 
 // CheckRows returns a *mst.WidthError when the structure cannot answer a
 // frame of rows rows: only a leaf-only one has a limit, mst.LeafRows.
-func (t *DenseRankTree) CheckRows(rows int) error { return mst.CheckRows(rows, t.leafOnly) }
+func (t *DenseRankTree) CheckRows(rows int) error { return mst.CheckRows(rows, t.form) }
 
 // leaf reports whether a frame of w rows is scanned from the partition
 // arrays: on a leaf-only structure always — a frame wider than mst.LeafRows
 // there is a caller bug — and otherwise up to the leafRows cutoff.
 func (t *DenseRankTree) leaf(w int) bool {
-	if !t.leafOnly {
+	if t.form != mst.Leaves {
 		return w <= leafRows
 	}
-	if err := mst.CheckRows(w, true); err != nil {
+	if err := mst.CheckRows(w, mst.Leaves); err != nil {
 		// Invariant: callers check CheckRows before probing a leaf-only structure; a wider frame would decompose into nodes that were never built
 		panic(err)
 	}

@@ -53,5 +53,10 @@ check 'one probe path' nontest-nobench \
 # TestRepoClean is the gate
 check 'four analyzers, one lint driver' all \
     'analysis/(nopanic|sortstability|framebounds|spanend|ctxflow)|RunVet|WriteSARIF|VetConfig|RunStandalone|CollectStandalone'
+# one form enum: a structure names its form (mst.Form: leaves, sliding,
+# full) instead of a leaf-only flag, and the build span's form attribute
+# replaces the 0/1 leaf_only count
+check 'one form enum' all \
+    'leafOnly +bool|"leaf_only"'
 
 exit $fail

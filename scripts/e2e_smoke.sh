@@ -72,10 +72,14 @@ curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$fam_query" | 
 
 # A sliding frame wider than mst.LeafRows (128 rows): its count and select
 # queries go past the leaf rule, and the batched kernels answer most of them
-# from the query before them, so both families' diff_queries series fire.
-slide_query='{"sql":"select d, percentile_disc(0.25 order by v) over w as ps, count(distinct v) over w as cs from t window w as (order by d rows between 199 preceding and current row)"}'
-curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$slide_query" | grep -q '"ps"' \
-    || { echo "FAIL: sliding query missing ps column"; exit 1; }
+# from the query before them, so both families' diff_queries series fire. A
+# constant-offset ROWS frame no wider than a probe chunk builds the count
+# tree in its sliding form, which the trace's build span names.
+slide_query='{"sql":"select d, percentile_disc(0.25 order by v) over w as ps, count(distinct v) over w as cs from t window w as (order by d rows between 199 preceding and current row)","include_trace":true}'
+slide=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$slide_query")
+printf '%s' "$slide" | grep -q '"ps"' || { echo "FAIL: sliding query missing ps column"; exit 1; }
+printf '%s' "$slide" | grep -q 'build merge sort tree[^\\]*form=slide' \
+    || { echo "FAIL: sliding query's trace lacks a form=slide count build: $slide" | tail -c 3000; exit 1; }
 
 # LEAD through its own batch family: per row a row-number count over the
 # function-order prefix and a select of the row the offset names.
