@@ -350,16 +350,7 @@ func runRemote() error {
 		if err != nil {
 			return err
 		}
-		if len(resp.PlanDAG) == 0 {
-			// Pre-DAG server: fall back to the legacy flat text.
-			fmt.Print(resp.Plan)
-			return nil
-		}
-		nodes := make([]holistic.PlanNode, len(resp.PlanDAG))
-		for i, n := range resp.PlanDAG {
-			nodes[i] = holistic.PlanNode{ID: n.ID, Kind: n.Kind, Label: n.Label, Inputs: n.Inputs, SharedBy: n.SharedBy}
-		}
-		fmt.Print(holistic.RenderPlan(nodes))
+		fmt.Print(resp.Plan)
 		fmt.Printf("operators=%d sorts_shared=%d trees_shared=%d\n",
 			resp.Operators, resp.SortsShared, resp.TreesShared)
 		return nil

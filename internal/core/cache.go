@@ -1,9 +1,6 @@
 package core
 
 import (
-	"strconv"
-	"strings"
-
 	"holistic/internal/mst"
 	"holistic/internal/obs"
 	"holistic/internal/rangetree"
@@ -54,12 +51,13 @@ func (o Options) treeOptions(sp *obs.Span) mst.Options {
 	return topt
 }
 
-// cacheGet fetches key from the options' cache, building on a miss. With
-// caching inactive it simply builds. A value of an unexpected type under
-// the key (a collision between incompatible structure kinds, which the key
-// scheme is designed to prevent) falls back to an uncached build rather
-// than failing the query.
-func cacheGet[T any](opt Options, key string, build func() (T, int64, error)) (T, error) {
+// cacheGet fetches the structure s names over partition p (nil for a
+// statement-level entry) from the options' cache, building on a miss. With
+// caching inactive it simply builds, and renders no key. A value of an
+// unexpected type under the key (a collision between incompatible structure
+// kinds, which the key scheme is designed to prevent) falls back to an
+// uncached build rather than failing the query.
+func cacheGet[T any](opt Options, s *Structure, p *partition, build func() (T, int64, error)) (T, error) {
 	if !opt.cacheActive() {
 		v, _, err := build()
 		return v, err
@@ -69,7 +67,7 @@ func cacheGet[T any](opt Options, key string, build func() (T, int64, error)) (T
 	// so a cold-cache outlier is distinguishable from a slow probe at a
 	// glance.
 	built := false
-	got, err := opt.Cache.GetOrBuild(opt.CacheScope+"|"+key, func() (any, int64, error) {
+	got, err := opt.Cache.GetOrBuild(s.key(opt, p), func() (any, int64, error) {
 		built = true
 		v, bytes, err := build()
 		if err != nil {
@@ -91,105 +89,6 @@ func cacheGet[T any](opt Options, key string, build func() (T, int64, error)) (T
 	}
 	v, _, err := build()
 	return v, err
-}
-
-// windowSig renders the partitioning/ordering identity of a window spec:
-// two windows with equal signatures sort identically and split into the
-// same partitions, so their structures are interchangeable.
-func windowSig(w *WindowSpec) string {
-	var b strings.Builder
-	b.WriteString("p=")
-	for _, c := range w.PartitionBy {
-		b.WriteString(strconv.Quote(c))
-		b.WriteByte(',')
-	}
-	b.WriteString(";o=")
-	for _, k := range w.OrderBy {
-		writeSortKeySig(&b, k)
-	}
-	return b.String()
-}
-
-func writeSortKeySig(b *strings.Builder, k SortKey) {
-	b.WriteString(strconv.Quote(k.Column))
-	if k.Desc {
-		b.WriteByte('-')
-	} else {
-		b.WriteByte('+')
-	}
-	if k.NullsSmallest {
-		b.WriteByte('n')
-	}
-	b.WriteByte(',')
-}
-
-// orderSig renders a function's effective ORDER BY.
-func orderSig(p *partition, f *FuncSpec) string {
-	var b strings.Builder
-	for _, k := range p.effectiveOrderKeys(f) {
-		writeSortKeySig(&b, k)
-	}
-	return b.String()
-}
-
-// treeSig renders the tree options that shape a merge sort tree's
-// structure. Serial only affects how construction is scheduled, never the
-// result, so it is excluded. The ",l3" component versions the physical
-// layout (cache-line-padded SoA sample stride plus the one-byte-per-element
-// merge-origin stripes the count step reads): entries cached by
-// an older layout render a different signature and are never mixed with the
-// current one — this matters most for delta runs, whose "pk=…|pd<stamp>"
-// keys deliberately survive across epochs.
-func treeSig(o mst.Options) string {
-	var b strings.Builder
-	b.WriteString("f=")
-	b.WriteString(strconv.Itoa(o.Fanout))
-	b.WriteString(",k=")
-	b.WriteString(strconv.Itoa(o.SampleEvery))
-	b.WriteString(",l3")
-	if o.NoCascading {
-		b.WriteString(",nc")
-	}
-	return b.String()
-}
-
-// cacheKey composes a per-partition structure key: window identity,
-// partition ordinal, structure tag, then the structure-relevant fields.
-// Fields that do not influence the structure (percentile fractions, frame
-// bounds, LEAD offsets — all probe-time parameters) are deliberately
-// excluded so queries differing only in them share entries.
-//
-// Shared-plan runs override the window identity with the signature of the
-// sort actually executed (partition.sig): every cached structure is a pure
-// function of the sorted row order plus the tagged fields, so views of
-// different windows over one shared sort address — and soundly share — the
-// same entries.
-func (p *partition) cacheKey(tag string, fields ...string) string {
-	var b strings.Builder
-	if p.sig != "" {
-		b.WriteString(p.sig)
-	} else {
-		b.WriteString(windowSig(p.w))
-	}
-	if p.stamped {
-		// Delta runs: identity is the partition's content key plus the
-		// latest epoch a mutation touched it — stable across epochs for
-		// untouched partitions, distinct whenever the content could differ.
-		b.WriteString("|pk=")
-		b.WriteString(p.idKey)
-		b.WriteString("|pd")
-		b.WriteString(strconv.FormatInt(p.stamp, 10))
-	} else {
-		b.WriteString("|#")
-		b.WriteString(strconv.Itoa(p.ord))
-	}
-	b.WriteByte('|')
-	b.WriteString(tag)
-	for _, f := range fields {
-		b.WriteByte('|')
-		b.WriteString(f)
-	}
-	return b.String()
 }
 
 // int64SliceBytes is the resident size of int64 slices.
@@ -232,12 +131,10 @@ type (
 		prevKept, nextKept  []int64
 		rt                  *rangetree.DenseRankTree
 	}
-	// cachedSelect backs percentiles/value selection: the permutation tree.
-	cachedSelect struct{ tree *mst.Tree }
-	// cachedLeadLag backs LEAD/LAG: insertion row numbers plus the
+	// cachedSelect backs percentiles, value selection and LEAD/LAG: the
 	// permutation tree.
-	cachedLeadLag struct {
-		keptRowno []int64
-		tree      *mst.Tree
-	}
+	cachedSelect struct{ tree *mst.Tree }
+	// cachedRowno backs LEAD/LAG beside the permutation tree: every row's
+	// insertion position among the kept rows.
+	cachedRowno struct{ keptRowno []int64 }
 )

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"holistic/internal/mst"
-	"holistic/internal/obs"
 	"holistic/internal/treecache"
 )
 
@@ -141,26 +139,5 @@ func TestRunCancelledContext(t *testing.T) {
 	_, err := Run(tab, w, Options{TaskSize: 4, Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-// TestTreeSigProductionKeys pins the tree signature of every option set the
-// library and windowd build (the zero value) plus the explicit f/k and
-// no-cascading shapes. The signature is part of every structure key,
-// including delta's epoch-surviving "pk=…|pd<stamp>" keys, so a change here
-// silently orphans or — worse — aliases cached trees.
-func TestTreeSigProductionKeys(t *testing.T) {
-	for _, c := range []struct {
-		opt  mst.Options
-		want string
-	}{
-		{mst.Options{}, "f=0,k=0,l3"},
-		{mst.Options{Fanout: 32, SampleEvery: 32}, "f=32,k=32,l3"},
-		{mst.Options{Fanout: 8, SampleEvery: 8, NoCascading: true}, "f=8,k=8,l3,nc"},
-		{mst.Options{Serial: true, Trace: obs.NewSpan("build")}, "f=0,k=0,l3"},
-	} {
-		if got := treeSig(c.opt); got != c.want {
-			t.Errorf("treeSig(%+v) = %q, want %q", c.opt, got, c.want)
-		}
 	}
 }

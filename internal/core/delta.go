@@ -26,8 +26,8 @@ import (
 type DeltaView struct {
 	// Frozen is the generation's immutable base table.
 	Frozen *Table
-	// Epoch stamps the overlay state; it appears in epoch-scoped cache keys
-	// (treecache.InvalidateEpochsBelow reclaims superseded epochs).
+	// Epoch stamps the overlay state; it leads the per-epoch cache keys
+	// (StaleEpochs matches the superseded ones).
 	Epoch int64
 	// SkipFrozen marks frozen rows that left the frozen sort order (deleted
 	// or overridden in place); the merged sort walks the frozen order
@@ -84,13 +84,9 @@ func (dv *DeltaView) validate(t *Table) error {
 	return nil
 }
 
-// epochTag renders the epoch component of epoch-scoped cache keys. The
-// treecache's InvalidateEpochsBelow parses exactly this form.
-func epochTag(e int64) string { return "e" + strconv.FormatInt(e, 10) }
-
 // deltaSortIndices computes the merged (PARTITION BY, ORDER BY) sort order
 // incrementally: the frozen generation's sort — cached under a
-// generation-stable "fz|" key, shared by every epoch — is walked skipping
+// generation-stable key, shared by every epoch — is walked skipping
 // departed rows and translated to merged ids (run A), the dirty rows are
 // sorted into a small run B, and run B is placed into run A (mergeRuns).
 // Because the frozen-to-merged id mapping is monotone and SortIndices breaks
@@ -98,7 +94,8 @@ func epochTag(e int64) string { return "e" + strconv.FormatInt(e, 10) }
 // reproduces SortIndices over the merged table bit for bit.
 func deltaSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
 	dv := opt.Delta
-	fz, err := cacheGet(opt, "fz|sortidx|"+windowSig(w), func() (cachedSort, int64, error) {
+	sk := sortOf(tagFrozenSort, w)
+	fz, err := cacheGet(opt, &sk, nil, func() (cachedSort, int64, error) {
 		idx, err := windowSortIndices(dv.Frozen, w, opt)
 		if err != nil {
 			return cachedSort{}, 0, err
@@ -176,22 +173,11 @@ func mergeRuns(runA, runB []int32, cmpRows func(a, b int) int) []int32 {
 // key -> the latest epoch any mutation touched that partition.
 type cachedStamps struct{ m map[string]int64 }
 
-// partColsSig renders the PARTITION BY column list (stamps are shared by
-// every window with the same partitioning, whatever its ORDER BY).
-func partColsSig(w *WindowSpec) string {
-	var b strings.Builder
-	b.WriteString("p=")
-	for _, c := range w.PartitionBy {
-		b.WriteString(strconv.Quote(c))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
 // deltaStamps fetches (or computes) the epoch's stamp map.
 func deltaStamps(t *Table, w *WindowSpec, opt Options) (map[string]int64, error) {
 	dv := opt.Delta
-	cs, err := cacheGet(opt, epochTag(dv.Epoch)+"|stamps|"+partColsSig(w), func() (cachedStamps, int64, error) {
+	sk := Structure{Tag: tagStamps, Partition: w.PartitionBy}
+	cs, err := cacheGet(opt, &sk, nil, func() (cachedStamps, int64, error) {
 		m := computeStamps(t, w, dv)
 		bytes := int64(48) // map header
 		for k := range m {

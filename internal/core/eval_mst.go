@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
@@ -277,36 +276,6 @@ func (o Options) rowsBound(k int) int {
 	return k
 }
 
-// treeForm is the form of a structure whose probes span at most rows rows:
-// leaf-only when no probe descends, so nothing above level 0 would ever be
-// read (mst/leaf.go), and full otherwise.
-func treeForm(rows int) mst.Form {
-	if rows <= mst.LeafRows {
-		return mst.Leaves
-	}
-	return mst.Full
-}
-
-// distinctCountForm is treeForm for a COUNT(DISTINCT) tree, built sliding
-// when every frame is a constant-offset ROWS frame no wider than a probe
-// chunk. Between neighbouring queries each edge then moves by at most one
-// kept row and the threshold's rank by at most one key, so all but the
-// first query of a chunk and the first after a FILTER gap are answered from
-// their predecessor, and the level-0 scans of those anchors, each at most
-// rows wide, add up to O(n) (DESIGN.md §10.1).
-func (o Options) distinctCountForm(rows int) mst.Form {
-	if form := treeForm(rows); form != mst.Full || !o.frameBounded || rows > o.taskSize() {
-		return form
-	}
-	return mst.Sliding
-}
-
-// widthSig is the width class of a structure's cache key: a leaf-only entry
-// answers only ranges of at most mst.LeafRows rows, and a sliding one is
-// cheap only for the statements that chose it, so a statement choosing
-// another form must build, and cache, its structure beside it.
-func widthSig(form mst.Form) string { return "w=" + form.String() }
-
 // endBuild closes a "build merge sort tree" phase span, recording the form
 // the structure was built in and the bytes it owns: over an eval span's
 // partitions the bytes add up and the form lists every form taken.
@@ -321,14 +290,14 @@ func endBuild(sp *obs.Span, form mst.Form, bytes int64) {
 // are cache-shared across queries: they depend only on the argument column,
 // the filter and the tree options, never on the frame.
 func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, f.Arg, opt)
+	s := structureOf(f, nil, out.kind)
+	fl := newFiltered(p, f, s.Drop, opt)
 	rows := opt.rowsBound(fl.k)
+	form := s.sized(rows, opt)
 
 	switch f.Name {
 	case CountDistinct:
-		form := opt.distinctCountForm(rows)
-		key := p.cacheKey("distinct-count", strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(form))
-		st, err := cacheGet(opt, key, func() (cachedDistinct, int64, error) {
+		st, err := cacheGet(opt, &s, p, func() (cachedDistinct, int64, error) {
 			prev, next, err := buildDistinctInputs(fl, f, opt)
 			if err != nil {
 				return cachedDistinct{}, 0, err
@@ -355,13 +324,13 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 
 	case SumDistinct:
 		if out.kind == Int64 {
-			return runSumDistinct(p, f, fc, out, opt, fl, rows, treeForm(rows), "int64", 8,
+			return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8,
 				func(j int) int64 { return p.t.Column(f.Arg).Int64(fl.orig(j)) },
 				func(a, b int64) int64 { return a + b },
 				func(a, b int64) int64 { return a - b },
 				func(row int, v int64) { out.setInt(row, v) })
 		}
-		return runSumDistinct(p, f, fc, out, opt, fl, rows, mst.Full, "float64", 8,
+		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8,
 			func(j int) float64 { return p.t.Column(f.Arg).Float64(fl.orig(j)) },
 			func(a, b float64) float64 { return a + b },
 			func(a, b float64) float64 { return a - b },
@@ -369,7 +338,7 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 
 	case AvgDistinct:
 		col := p.t.Column(f.Arg)
-		return runSumDistinct(p, f, fc, out, opt, fl, rows, mst.Full, "avg", 16,
+		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 16,
 			func(j int) avgState { return avgState{sum: col.Numeric(fl.orig(j)), n: 1} },
 			func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} },
 			func(a, b avgState) avgState { return avgState{a.sum - b.sum, a.n - b.n} },
@@ -387,17 +356,14 @@ type avgState struct {
 // state type. Exclusion holes are corrected by subtracting the states of
 // fully excluded values — SUM and AVG are invertible, so this stays exact.
 // (The pure merge-only path of §4.3 covers continuous frames; frames with
-// exclusion holes additionally use the inverse.) kind tags the aggregate
-// state type in the cache key; aggBytes is its size for budget accounting.
+// exclusion holes additionally use the inverse.) s is the tree's identity,
+// whose state matches S; aggBytes is the state's size for budget accounting.
 // rows bounds the ranges the tree is probed with; form is the form it is
-// built in, where only the int64 state may ask for mst.Leaves — a float fold
-// order is part of its answer, so float and AVG states always take the full
-// tree.
+// built in.
 func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
-	opt Options, fl *filtered, rows int, form mst.Form, kind string, aggBytes int,
+	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, aggBytes int,
 	valueOf func(j int) S, add func(a, b S) S, sub func(a, b S) S, emit func(row int, v S)) error {
-	key := p.cacheKey("distinct-agg", f.Name.String(), kind, strconv.Quote(f.Arg), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(form))
-	st, err := cacheGet(opt, key, func() (cachedAgg[S], int64, error) {
+	st, err := cacheGet(opt, s, p, func() (cachedAgg[S], int64, error) {
 		prev, next, err := buildDistinctInputs(fl, f, opt)
 		if err != nil {
 			return cachedAgg[S]{}, 0, err
@@ -437,19 +403,16 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 // NTILE via counting queries on a merge sort tree over preprocessed rank
 // keys (§4.4, Figure 8).
 func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, "", opt)
+	s := structureOf(f, p.w.OrderBy, out.kind)
+	fl := newFiltered(p, f, s.Drop, opt)
 	rows := opt.rowsBound(fl.k)
-	form := treeForm(rows)
+	form := s.sized(rows, opt)
 
 	// Thresholds must exist for every row (also filtered-out ones), so rank
 	// keys are computed over the whole partition; the tree only holds the
 	// kept rows.
-	unique := f.Name == RowNumber || f.Name == Ntile
-	tag := "rank-dense"
-	if unique {
-		tag = "rank-unique"
-	}
-	st, err := cacheGet(opt, p.cacheKey(tag, orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(form)),
+	unique := s.Tag == tagRankUnique
+	st, err := cacheGet(opt, &s, p,
 		func() (cachedRank, int64, error) {
 			m := p.len()
 			sortedAll, err := p.sortedByFuncOrder(f, opt)
@@ -518,10 +481,11 @@ func ntileBucket(r, size, b int64) int64 {
 
 // evalDenseRank evaluates the framed DENSE_RANK with the range tree of §4.4.
 func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, "", opt)
+	s := structureOf(f, p.w.OrderBy, out.kind)
+	fl := newFiltered(p, f, s.Drop, opt)
 	rows := opt.rowsBound(fl.k)
-	form := treeForm(rows)
-	st, err := cacheGet(opt, p.cacheKey("dense", orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree), widthSig(form)),
+	form := s.sized(rows, opt)
+	st, err := cacheGet(opt, &s, p,
 		func() (cachedDense, int64, error) {
 			sortedAll, err := p.sortedByFuncOrder(f, opt)
 			if err != nil {
@@ -580,48 +544,47 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 // evalSelectFamily evaluates percentiles and value functions via the
 // permutation-array merge sort tree of §4.5 (Figures 6 and 7).
 func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	var valueCol *Column
-	drop := ""
-	switch f.Name {
-	case PercentileDisc, PercentileCont:
+	valueCol := p.t.Column(f.Arg)
+	if f.Name == PercentileDisc || f.Name == PercentileCont {
 		valueCol = p.t.Column(percentileValueColumn(f))
-		drop = percentileValueColumn(f) // percentiles ignore NULLs (§4.5)
-	default:
-		valueCol = p.t.Column(f.Arg)
-		if f.IgnoreNulls {
-			drop = f.Arg
-		}
 	}
-	fl := newFiltered(p, f, drop, opt)
-	st, err := cacheGet(opt, p.cacheKey("select", orderSig(p, f), strconv.Quote(drop), strconv.Quote(f.Filter), treeSig(opt.Tree)),
-		func() (cachedSelect, int64, error) {
-			sortedAll, err := p.sortedByFuncOrder(f, opt)
-			if err != nil {
-				return cachedSelect{}, 0, err
-			}
-			// Both arrays are pure temporaries: Build copies the permutation.
-			sortedKept := keptOrder(fl, sortedAll, opt.getInt32s(fl.k))
-			perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
-			sp := opt.trace.Phase("build merge sort tree")
-			tree, buildErr := mst.Build(perm, opt.treeOptions(sp))
-			opt.putInt64s(perm)
-			opt.putInt32s(sortedKept)
-			if buildErr != nil {
-				sp.End()
-				return cachedSelect{}, 0, buildErr
-			}
-			treeBytes := int64(tree.Stats().Bytes)
-			endBuild(sp, mst.Full, treeBytes)
-			return cachedSelect{tree: tree}, treeBytes, nil
-		})
+	s := structureOf(f, p.w.OrderBy, out.kind)
+	fl := newFiltered(p, f, s.Drop, opt)
+	tree, err := permutationTree(p, f, &s, fl, opt)
 	if err != nil {
 		return err
 	}
-	tree := st.tree
-
 	return runBatched(p, opt, famSelect, func(lo, hi int, agg *batchAgg) {
 		selectChunk(p, f, fl, fc, tree, valueCol, out, opt, agg, lo, hi)
 	})
+}
+
+// permutationTree fetches the select family's structure s: the merge sort
+// tree over the permutation of the kept rows in function order (§4.5,
+// Figures 6 and 7). LEAD/LAG probe the same tree.
+func permutationTree(p *partition, f *FuncSpec, s *Structure, fl *filtered, opt Options) (*mst.Tree, error) {
+	form := s.sized(fl.k, opt)
+	st, err := cacheGet(opt, s, p, func() (cachedSelect, int64, error) {
+		sortedAll, err := p.sortedByFuncOrder(f, opt)
+		if err != nil {
+			return cachedSelect{}, 0, err
+		}
+		// Both arrays are pure temporaries: Build copies the permutation.
+		sortedKept := keptOrder(fl, sortedAll, opt.getInt32s(fl.k))
+		perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
+		sp := opt.trace.Phase("build merge sort tree")
+		tree, buildErr := mst.BuildForm(perm, opt.treeOptions(sp), form)
+		opt.putInt64s(perm)
+		opt.putInt32s(sortedKept)
+		if buildErr != nil {
+			sp.End()
+			return cachedSelect{}, 0, buildErr
+		}
+		treeBytes := int64(tree.Stats().Bytes)
+		endBuild(sp, form, treeBytes)
+		return cachedSelect{tree: tree}, treeBytes, nil
+	})
+	return st.tree, err
 }
 
 // percentileDiscIndex is PERCENTILE_DISC's selection rule: the first value
@@ -643,46 +606,34 @@ func percentileDiscIndex(p float64, size int) int {
 // position, both batched per chunk (leadLagChunk).
 func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
-	drop := ""
-	if f.IgnoreNulls {
-		drop = f.Arg
-	}
-	fl := newFiltered(p, f, drop, opt)
-	st, err := cacheGet(opt, p.cacheKey("leadlag", orderSig(p, f), strconv.Quote(drop), strconv.Quote(f.Filter), treeSig(opt.Tree)),
-		func() (cachedLeadLag, int64, error) {
-			m := p.len()
-			sortedAll, err := p.sortedByFuncOrder(f, opt)
-			if err != nil {
-				return cachedLeadLag{}, 0, err
-			}
-			// keptRowno: insertion position of every partition row among the
-			// kept rows in function order.
-			keptRowno := make([]int64, m)
-			keptBefore := int64(0)
-			for _, pos := range sortedAll {
-				keptRowno[pos] = keptBefore
-				if fl.kept(int(pos)) {
-					keptBefore++
-				}
-			}
-			sortedKept := keptOrder(fl, sortedAll, opt.getInt32s(fl.k))
-			perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
-			sp := opt.trace.Phase("build merge sort tree")
-			tree, buildErr := mst.Build(perm, opt.treeOptions(sp))
-			opt.putInt64s(perm)
-			opt.putInt32s(sortedKept)
-			if buildErr != nil {
-				sp.End()
-				return cachedLeadLag{}, 0, buildErr
-			}
-			treeBytes := int64(tree.Stats().Bytes)
-			endBuild(sp, mst.Full, treeBytes)
-			return cachedLeadLag{keptRowno: keptRowno, tree: tree}, int64SliceBytes(keptRowno) + treeBytes, nil
-		})
+	s := structureOf(f, p.w.OrderBy, out.kind)
+	fl := newFiltered(p, f, s.Drop, opt)
+	tree, err := permutationTree(p, f, &s, fl, opt)
 	if err != nil {
 		return err
 	}
-	keptRowno, tree := st.keptRowno, st.tree
+	rs := Structure{Tag: tagRowno, Order: s.Order, Filter: s.Filter, Drop: s.Drop}
+	st, err := cacheGet(opt, &rs, p, func() (cachedRowno, int64, error) {
+		sortedAll, err := p.sortedByFuncOrder(f, opt)
+		if err != nil {
+			return cachedRowno{}, 0, err
+		}
+		// keptRowno: insertion position of every partition row among the
+		// kept rows in function order.
+		keptRowno := make([]int64, p.len())
+		keptBefore := int64(0)
+		for _, pos := range sortedAll {
+			keptRowno[pos] = keptBefore
+			if fl.kept(int(pos)) {
+				keptBefore++
+			}
+		}
+		return cachedRowno{keptRowno: keptRowno}, int64SliceBytes(keptRowno), nil
+	})
+	if err != nil {
+		return err
+	}
+	keptRowno := st.keptRowno
 
 	off := f.N
 	if off == 0 {

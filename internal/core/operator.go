@@ -154,8 +154,7 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 	sortSpan := root.Phase("partition+order sort")
 	sortOpt := opt
 	sortOpt.trace = sortSpan
-	var cs cachedSort
-	var sortErr error
+	tag, sortIndices := tagSort, windowSortIndices
 	if opt.Delta != nil {
 		// Delta path: merge the generation-stable frozen sort with a sorted
 		// run over the overlay, cached per epoch.
@@ -163,22 +162,16 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 			sortSpan.End()
 			return nil, err
 		}
-		cs, sortErr = cacheGet(sortOpt, epochTag(opt.Delta.Epoch)+"|sortidx|"+windowSig(sortSpec), func() (cachedSort, int64, error) {
-			idx, err := deltaSortIndices(t, sortSpec, sortOpt)
-			if err != nil {
-				return cachedSort{}, 0, err
-			}
-			return cachedSort{idx: idx}, int64(4 * len(idx)), nil
-		})
-	} else {
-		cs, sortErr = cacheGet(sortOpt, "sortidx|"+windowSig(sortSpec), func() (cachedSort, int64, error) {
-			idx, err := windowSortIndices(t, sortSpec, sortOpt)
-			if err != nil {
-				return cachedSort{}, 0, err
-			}
-			return cachedSort{idx: idx}, int64(4 * len(idx)), nil
-		})
+		tag, sortIndices = tagMergedSort, deltaSortIndices
 	}
+	sk := sortOf(tag, sortSpec)
+	cs, sortErr := cacheGet(sortOpt, &sk, nil, func() (cachedSort, int64, error) {
+		idx, err := sortIndices(t, sortSpec, sortOpt)
+		if err != nil {
+			return cachedSort{}, 0, err
+		}
+		return cachedSort{idx: idx}, int64(4 * len(idx)), nil
+	})
 	sortSpan.End()
 	sortIdx := cs.idx
 	if sortErr != nil {
@@ -206,11 +199,12 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 
 	// Each window sees the shared partitions through its own views: same
 	// sorted rows, stamps and function-order sort cache, but the window's
-	// own peer groups and RANGE keys. Structure-cache keys carry the
-	// executed sort's signature, so views of different windows share
+	// own peer groups and RANGE keys. Structure-cache keys lead with the
+	// executed sort's identity, so views of different windows share
 	// entries (and stay key-compatible with unshared runs of the same
-	// sort, where the signature coincides with the window's own).
-	sig := windowSig(sortSpec)
+	// sort, where the identity coincides with the window's own).
+	sortID := sortOf(tagSort, sortSpec)
+	sig := sortID.String()
 	views := make([][]*partition, len(windows))
 	for wi, w := range windows {
 		views[wi] = make([]*partition, len(parts))

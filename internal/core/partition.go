@@ -39,11 +39,11 @@ type partition struct {
 	rangeOnce sync.Once
 	rangeKeys []int64 // oriented keys for RANGE arithmetic
 
-	// sig, when non-empty, overrides windowSig(p.w) in structure-cache
-	// keys. Shared-plan runs set it to the signature of the sort actually
-	// executed (the group's refined order), so every window view over the
-	// same sorted rows addresses the same cache entries — which is exactly
-	// when the structures are interchangeable.
+	// sig is the identity of the sort actually executed (the group's
+	// refined order in a shared-plan run), which leads every structure key
+	// of the partition: every window view over the same sorted rows
+	// addresses the same cache entries — which is exactly when the
+	// structures are interchangeable.
 	sig string
 
 	// fsort shares function-order sorts between functions with the same
@@ -54,8 +54,8 @@ type partition struct {
 }
 
 // funcSortCache holds a partition's function-order sorts, keyed by the
-// canonical ORDER BY rendering. One instance is shared by all window views
-// over the same underlying sorted rows.
+// rendered ORDER BY. One instance is shared by all window views over the
+// same underlying sorted rows.
 type funcSortCache struct {
 	mu sync.Mutex
 	m  map[string][]int32
@@ -64,8 +64,8 @@ type funcSortCache struct {
 // viewFor returns this partition's rows seen through another window spec:
 // same sorted rows, same ordinal and delta stamps, same function-order sort
 // cache, but the view's own lazily computed peer groups and RANGE keys
-// (those depend on the window's ORDER BY). sig overrides the view's
-// structure-cache identity with the executed sort's signature.
+// (those depend on the window's ORDER BY). sig is the executed sort's
+// identity.
 func (p *partition) viewFor(w *WindowSpec, sig string) *partition {
 	return &partition{
 		t: p.t, w: w, ord: p.ord, rows: p.rows,
@@ -234,7 +234,8 @@ func (p *partition) effectiveOrderKeys(f *FuncSpec) []SortKey {
 // callers must not modify it. The error is the options context's, when it
 // ended mid-sort; nothing is cached then.
 func (p *partition) sortedByFuncOrder(f *FuncSpec, opt Options) ([]int32, error) {
-	key := orderSig(p, f)
+	order := p.effectiveOrderKeys(f)
+	key := string(AppendOrder(nil, order))
 	c := p.fsort
 	c.mu.Lock()
 	cached, ok := c.m[key]
@@ -243,7 +244,7 @@ func (p *partition) sortedByFuncOrder(f *FuncSpec, opt Options) ([]int32, error)
 		return cached, nil
 	}
 	var sorted []int32
-	if cols := appendOrderCols(nil, p.t, p.effectiveOrderKeys(f)); radixSortable(cols) {
+	if cols := appendOrderCols(nil, p.t, order); radixSortable(cols) {
 		var err error
 		if sorted, err = sortByKeyWords(p.len(), p.rows, cols, opt); err != nil {
 			return nil, err

@@ -1,12 +1,5 @@
 package core
 
-import (
-	"strconv"
-	"strings"
-
-	"holistic/internal/frame"
-)
-
 // Per-partition result caching for delta runs. A window function's output
 // for a row depends only on its partition's content in window order — never
 // on other partitions — so once partitions are re-keyed by content and
@@ -107,43 +100,6 @@ func (r *cachedResult) scatter(out *outBuilder, rows []int32) {
 	}
 }
 
-// funcProbeSig renders everything the finished result depends on beyond the
-// partition's content and window order: the function, its argument and
-// probe-time parameters, and the fully-resolved frame. Unlike the structure
-// keys (which deliberately drop probe-time parameters to share trees), a
-// result key must include all of them.
-func funcProbeSig(p *partition, f *FuncSpec, spec frame.Spec) string {
-	var b strings.Builder
-	b.WriteString(f.Name.String())
-	b.WriteString("|a=")
-	b.WriteString(strconv.Quote(f.Arg))
-	b.WriteString("|o=")
-	b.WriteString(orderSig(p, f))
-	b.WriteString("|p=")
-	b.WriteString(strconv.FormatFloat(f.Fraction, 'b', -1, 64))
-	b.WriteString("|n=")
-	b.WriteString(strconv.FormatInt(f.N, 10))
-	b.WriteString("|flt=")
-	b.WriteString(strconv.Quote(f.Filter))
-	if f.IgnoreNulls {
-		b.WriteString("|in")
-	}
-	b.WriteString("|fr=")
-	b.WriteString(strconv.Itoa(int(spec.Mode)))
-	writeBoundSig(&b, spec.Start)
-	writeBoundSig(&b, spec.End)
-	b.WriteByte(':')
-	b.WriteString(strconv.Itoa(int(spec.Exclude)))
-	return b.String()
-}
-
-func writeBoundSig(b *strings.Builder, bd frame.Bound) {
-	b.WriteByte(':')
-	b.WriteString(strconv.Itoa(int(bd.Type)))
-	b.WriteByte(',')
-	b.WriteString(strconv.FormatInt(bd.Offset, 10))
-}
-
 // evalFuncCached evaluates one (partition, function) pair through the
 // result cache when the run is a stamped delta run over a dataset that has
 // been mutated and the frame has no per-row offset expressions; otherwise it
@@ -155,7 +111,8 @@ func evalFuncCached(p *partition, f *FuncSpec, out *outBuilder, opt Options) err
 		return evalFunc(p, f, out, opt)
 	}
 	evaluated := false
-	res, err := cacheGet(opt, p.cacheKey("result", funcProbeSig(p, f, spec)), func() (*cachedResult, int64, error) {
+	rs := resultOf(p, f, spec)
+	res, err := cacheGet(opt, &rs, p, func() (*cachedResult, int64, error) {
 		evaluated = true
 		if err := evalFunc(p, f, out, opt); err != nil {
 			return nil, 0, err

@@ -2,120 +2,25 @@ package plan
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"holistic/internal/core"
 	"holistic/internal/frame"
 )
 
-// structureClass describes the index structure one function's evaluation
-// builds per partition, mirroring the structure
-// tags of core's MST evaluation paths: two functions with the same class
-// key inside one sort group fetch the same cached structure, so the DAG
-// gives them one preprocess node and one tree node.
-type structureClass struct {
-	// key identifies the structure within a sort group; empty means the
-	// function builds no per-partition index (frame-size arithmetic).
-	key string
-	// shared reports whether the structure goes through the request cache;
-	// unshared structures (plain-aggregate segment trees) get per-function
-	// nodes.
-	shared bool
-	// preLabel and treeLabel describe the preprocessing arrays and the tree
-	// (either may be empty).
-	preLabel, treeLabel string
-}
-
-// classOf mirrors core's evaluation dispatch and cache-key tags
-// (eval_mst.go); keep the two in sync when evaluation paths change.
-func classOf(f *core.FuncSpec, orderBy []core.SortKey) structureClass {
-	ordSig := func() string {
-		keys := f.OrderBy
-		if len(keys) == 0 {
-			keys = orderBy
-		}
-		var b strings.Builder
-		writeOrder(&b, keys)
-		return b.String()
-	}
-	switch f.Name {
-	case core.CountStar, core.Count:
-		return structureClass{}
-	case core.Sum, core.Avg, core.Min, core.Max:
-		return structureClass{
-			key:       "segtree|" + f.Output,
-			treeLabel: "segment tree over kept values (per function)",
-		}
-	case core.CountDistinct:
-		return structureClass{
-			key:       "distinct-count|" + strconv.Quote(f.Arg) + "|" + strconv.Quote(f.Filter),
-			shared:    true,
-			preLabel:  "prevIdcs occurrence links (Alg. 1) over " + f.Arg,
-			treeLabel: "merge sort tree over prevIdcs(" + f.Arg + ")",
-		}
-	case core.SumDistinct, core.AvgDistinct:
-		return structureClass{
-			key:       "distinct-agg|" + f.Name.String() + "|" + strconv.Quote(f.Arg) + "|" + strconv.Quote(f.Filter),
-			shared:    true,
-			preLabel:  "prevIdcs occurrence links (Alg. 1) over " + f.Arg,
-			treeLabel: "annotated merge sort tree over prevIdcs(" + f.Arg + ") (§4.3)",
-		}
-	case core.Rank, core.PercentRank, core.CumeDist:
-		return structureClass{
-			key:       "rank-dense|" + ordSig() + "|" + strconv.Quote(f.Filter),
-			shared:    true,
-			preLabel:  "dense rank keys (Fig. 8)",
-			treeLabel: "merge sort tree over rank keys",
-		}
-	case core.RowNumber, core.Ntile:
-		return structureClass{
-			key:       "rank-unique|" + ordSig() + "|" + strconv.Quote(f.Filter),
-			shared:    true,
-			preLabel:  "position-disambiguated rank keys",
-			treeLabel: "merge sort tree over rank keys",
-		}
-	case core.DenseRank:
-		return structureClass{
-			key:       "dense|" + ordSig() + "|" + strconv.Quote(f.Filter),
-			shared:    true,
-			preLabel:  "dense ranks + occurrence links",
-			treeLabel: "range tree (§4.4, O(n log² n))",
-		}
-	case core.PercentileDisc, core.PercentileCont, core.NthValue, core.FirstValue, core.LastValue:
-		drop := ""
-		switch f.Name {
-		case core.PercentileDisc, core.PercentileCont:
-			drop = f.OrderBy[0].Column
-		default:
-			if f.IgnoreNulls {
-				drop = f.Arg
-			}
-		}
-		return structureClass{
-			key:       "select|" + ordSig() + "|" + strconv.Quote(drop) + "|" + strconv.Quote(f.Filter),
-			shared:    true,
-			preLabel:  "permutation array (Fig. 6)",
-			treeLabel: "merge sort tree over the permutation",
-		}
-	case core.Lead, core.Lag:
-		drop := ""
-		if f.IgnoreNulls {
-			drop = f.Arg
-		}
-		return structureClass{
-			key:       "leadlag|" + ordSig() + "|" + strconv.Quote(drop) + "|" + strconv.Quote(f.Filter),
-			shared:    true,
-			preLabel:  "insertion row numbers + permutation",
-			treeLabel: "merge sort tree over the permutation",
-		}
-	}
-	return structureClass{}
-}
-
 // buildDAG constructs the plan's node list and sharing stats from the
-// normalized groups.
-func (p *Plan) buildDAG() {
+// normalized groups. Within a sort group, functions declaring one core
+// structure identity (core.StructureOf) share one preprocess node and one
+// tree node, so TreesShared counts exactly the builds the structure cache
+// saves — with two understatements, both where core's width class depends on
+// what the plan cannot see. In a partition of at most mst.LeafRows rows every
+// structure is leaf-only, so functions the DAG gives different width classes
+// still share it there; and a bounded COUNT(DISTINCT) frame wider than
+// mst.LeafRows is keyed by its row bound, because whether it slides turns on
+// the probe chunk size, so two such frames of different widths count as two
+// trees even where both slide. kindOf resolves argument kinds (nil: treat
+// them as INT64, whose width classes split the most).
+func (p *Plan) buildDAG(kindOf KindResolver) {
 	var nodes []Node
 	st := Stats{}
 	for gi, g := range p.groups {
@@ -147,53 +52,64 @@ func (p *Plan) buildDAG() {
 		st.SortsShared += len(g.windows) - 1
 		st.PreprocessShared += len(g.windows) - 1
 
-		// One preprocess+tree node pair per structure class, in first-
-		// consumer order; probes hang off their class's tree (or straight
-		// off the partitions for index-free functions).
-		type classNodes struct {
+		// One preprocess+tree node pair per structure, in first-consumer
+		// order; probes hang off their structure's tree (or straight off
+		// the partitions for index-free functions).
+		type structureNodes struct {
 			preIdx, treeIdx int // indices into nodes; -1 = absent
 		}
-		classes := map[string]*classNodes{}
-		classSeq := 0
+		structures := map[string]*structureNodes{}
+		seq := 0
 		for _, w := range g.windows {
 			for i := range w.funcs {
 				f := &w.funcs[i]
-				cls := classOf(f, w.orderBy)
+				argKind := core.Int64
+				if kindOf != nil {
+					if k, ok := kindOf(f.Arg); ok {
+						argKind = k
+					}
+				}
+				s := core.StructureOf(f, w.orderBy, effectiveFrame(f, w.orderBy), argKind)
 				probeInput := partID
-				if cls.key != "" {
-					cn, ok := classes[cls.key]
+				if s.Tag != "" {
+					key := s.String()
+					if !s.Shared() {
+						key += "|" + f.Output // built per function
+					}
+					sn, ok := structures[key]
 					if !ok {
-						cn = &classNodes{preIdx: -1, treeIdx: -1}
+						sn = &structureNodes{preIdx: -1, treeIdx: -1}
+						pre, tree := s.Labels()
 						inputs := []string{partID}
-						if cls.preLabel != "" {
-							preID := fmt.Sprintf("pre%d_%d", gi, classSeq)
-							nodes = append(nodes, Node{ID: preID, Kind: "preprocess", Label: cls.preLabel, Inputs: []string{partID}})
-							cn.preIdx = len(nodes) - 1
+						if pre != "" {
+							preID := fmt.Sprintf("pre%d_%d", gi, seq)
+							nodes = append(nodes, Node{ID: preID, Kind: "preprocess", Label: pre, Inputs: []string{partID}})
+							sn.preIdx = len(nodes) - 1
 							inputs = []string{preID}
 						}
-						if cls.treeLabel != "" {
-							treeID := fmt.Sprintf("tree%d_%d", gi, classSeq)
-							nodes = append(nodes, Node{ID: treeID, Kind: "tree", Label: cls.treeLabel, Inputs: inputs})
-							cn.treeIdx = len(nodes) - 1
+						if tree != "" {
+							treeID := fmt.Sprintf("tree%d_%d", gi, seq)
+							nodes = append(nodes, Node{ID: treeID, Kind: "tree", Label: tree, Inputs: inputs})
+							sn.treeIdx = len(nodes) - 1
 						}
-						classes[cls.key] = cn
-						classSeq++
-					} else if cls.shared {
-						if cn.treeIdx >= 0 {
+						structures[key] = sn
+						seq++
+					} else {
+						if sn.treeIdx >= 0 {
 							st.TreesShared++
 						}
-						if cn.preIdx >= 0 {
+						if sn.preIdx >= 0 {
 							st.PreprocessShared++
 						}
 					}
-					if cn.preIdx >= 0 {
-						nodes[cn.preIdx].SharedBy = append(nodes[cn.preIdx].SharedBy, f.Output)
+					if sn.preIdx >= 0 {
+						nodes[sn.preIdx].SharedBy = append(nodes[sn.preIdx].SharedBy, f.Output)
 					}
-					if cn.treeIdx >= 0 {
-						nodes[cn.treeIdx].SharedBy = append(nodes[cn.treeIdx].SharedBy, f.Output)
-						probeInput = nodes[cn.treeIdx].ID
-					} else if cn.preIdx >= 0 {
-						probeInput = nodes[cn.preIdx].ID
+					if sn.treeIdx >= 0 {
+						nodes[sn.treeIdx].SharedBy = append(nodes[sn.treeIdx].SharedBy, f.Output)
+						probeInput = nodes[sn.treeIdx].ID
+					} else if sn.preIdx >= 0 {
+						probeInput = nodes[sn.preIdx].ID
 					}
 				}
 				nodes = append(nodes, Node{

@@ -36,8 +36,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"holistic/internal/core"
 	"holistic/internal/frame"
@@ -248,49 +246,21 @@ func Build(stmt *Statement, kindOf KindResolver) (*Plan, error) {
 		sort.SliceStable(g.windows, func(i, j int) bool { return g.windows[i].first < g.windows[j].first })
 	}
 
-	p.buildDAG()
+	p.buildDAG(kindOf)
 	return p, nil
 }
 
 // windowKey renders the exact (PARTITION BY listing, ORDER BY) identity used
-// for window dedup.
+// for window dedup, with core's column and sort-key renderers.
 func windowKey(partitionBy []string, orderBy []core.SortKey) string {
-	var b strings.Builder
-	b.WriteString("p:")
-	for _, c := range partitionBy {
-		b.WriteString(strconv.Quote(c))
-		b.WriteByte(',')
-	}
-	b.WriteString("|o:")
-	writeOrder(&b, orderBy)
-	return b.String()
+	return string(core.AppendOrder(append(core.AppendColumns(nil, partitionBy), ';'), orderBy))
 }
 
 // partitionSetKey renders the partition columns as an order-independent set.
 func partitionSetKey(cols []string) string {
 	sorted := append([]string(nil), cols...)
 	sort.Strings(sorted)
-	var b strings.Builder
-	for _, c := range sorted {
-		b.WriteString(strconv.Quote(c))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
-func writeOrder(b *strings.Builder, keys []core.SortKey) {
-	for _, k := range keys {
-		b.WriteString(strconv.Quote(k.Column))
-		if k.Desc {
-			b.WriteByte('-')
-		} else {
-			b.WriteByte('+')
-		}
-		if k.NullsSmallest {
-			b.WriteByte('n')
-		}
-		b.WriteByte(',')
-	}
+	return string(core.AppendColumns(nil, sorted))
 }
 
 // orderIsPrefix reports whether a is a (possibly equal) prefix of b.

@@ -127,8 +127,8 @@ type PlanNode struct {
 	SharedBy []string `json:"shared_by,omitempty"`
 }
 
-// ExplainResponse carries the rendered plan. Plan is the legacy flat text;
-// PlanDAG is the shared-plan optimizer's structured DAG.
+// ExplainResponse carries the shared-plan optimizer's DAG: PlanDAG its
+// nodes, Plan their indented text rendering.
 type ExplainResponse struct {
 	Plan    string     `json:"plan"`
 	PlanDAG []PlanNode `json:"plan_dag,omitempty"`
@@ -362,7 +362,7 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	return &resp, nil
 }
 
-// Explain fetches the legacy flat-text evaluation plan of a statement.
+// Explain fetches the text rendering of a statement's plan DAG.
 func (c *Client) Explain(ctx context.Context, sql string) (string, error) {
 	resp, err := c.ExplainPlan(ctx, sql)
 	if err != nil {
@@ -372,7 +372,7 @@ func (c *Client) Explain(ctx context.Context, sql string) (string, error) {
 }
 
 // ExplainPlan fetches the full explain response: the structured plan DAG
-// with shared-node annotations plus the legacy text rendering.
+// with shared-node annotations plus its text rendering.
 func (c *Client) ExplainPlan(ctx context.Context, sql string) (*ExplainResponse, error) {
 	var resp ExplainResponse
 	if err := c.doJSON(ctx, http.MethodPost, PathExplain, ExplainRequest{SQL: sql}, &resp); err != nil {

@@ -8,9 +8,9 @@ import (
 	"holistic/internal/server/api"
 )
 
-// TestExplainStructuredPlan checks /v1/explain's structured side: the DAG
-// arrives alongside the legacy text, nodes come in execution order with
-// shared-by annotations, and the summary counters match the plan shape.
+// TestExplainStructuredPlan checks /v1/explain: the DAG arrives with its
+// text rendering, nodes come in execution order with shared-by annotations,
+// and the summary counters match the plan shape.
 func TestExplainStructuredPlan(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -26,11 +26,18 @@ func TestExplainStructuredPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Plan == "" {
-		t.Fatal("legacy text plan missing")
-	}
 	if len(resp.PlanDAG) == 0 {
 		t.Fatal("plan_dag missing")
+	}
+	// The text is the DAG rendered: every node on its own line, in order.
+	lines := strings.Split(strings.TrimSuffix(resp.Plan, "\n"), "\n")
+	if len(lines) != len(resp.PlanDAG) {
+		t.Fatalf("plan text has %d lines for %d nodes:\n%s", len(lines), len(resp.PlanDAG), resp.Plan)
+	}
+	for i, n := range resp.PlanDAG {
+		if want := "[" + n.ID + "] " + n.Kind + ": " + n.Label; !strings.Contains(lines[i], want) {
+			t.Fatalf("plan line %d = %q, want it to render %q", i, lines[i], want)
+		}
 	}
 	if resp.Operators != len(resp.PlanDAG) {
 		t.Fatalf("operators = %d, nodes = %d", resp.Operators, len(resp.PlanDAG))

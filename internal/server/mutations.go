@@ -64,7 +64,7 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	// Entries stamped with older epochs under the current generation are
 	// unreachable (queries re-key changed partitions by their new stamp);
 	// epoch-stamped survivors — untouched partitions — stay resident.
-	removed := s.cache.InvalidateEpochsBelow(fmt.Sprintf("%s|g%d|", ds.scope, snap.Gen()), epoch)
+	removed := s.cache.Invalidate(core.StaleEpochs(genScope(ds.scope, snap.Gen()), epoch))
 	s.log.Info("mutations applied",
 		"dataset", name, "epoch", epoch, "applied", len(muts),
 		"rows", snap.Rows(), "delta_rows", snap.DeltaRows(), "invalidated", removed)

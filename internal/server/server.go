@@ -118,6 +118,10 @@ type dataset struct {
 	stopCompact func()
 }
 
+// genScope is the cache scope of a dataset generation's queries: the
+// dataset's "name@v<version>" scope, then "|g<gen>".
+func genScope(scope string, gen int64) string { return fmt.Sprintf("%s|g%d", scope, gen) }
+
 // DatasetInfo mirrors api.DatasetInfo; the JSON shapes are kept in sync by
 // the shared-client tests.
 type DatasetInfo struct {
@@ -377,7 +381,7 @@ func (s *Server) install(name string, file *csvio.File, segments int, keyColumn 
 		ds.stopCompact = buf.StartCompactor(s.cfg.CompactInterval, func(oldGen, newGen int64) {
 			// The folded generation's cache entries are unreachable (queries
 			// key on the new gen); release their bytes eagerly.
-			removed := s.cache.InvalidatePrefix(fmt.Sprintf("%s|g%d|", scope, oldGen))
+			removed := s.cache.Invalidate(core.InScope(genScope(scope, oldGen)))
 			s.log.Info("delta compacted", "dataset", name, "gen", newGen, "invalidated", removed)
 		})
 	}
@@ -389,7 +393,7 @@ func (s *Server) install(name string, file *csvio.File, segments int, keyColumn 
 	if oldScope != "" {
 		// Entries under the old scope are unreachable (new queries key on
 		// the new version); drop them eagerly to release their bytes.
-		removed := s.cache.InvalidatePrefix(oldScope + "|")
+		removed := s.cache.Invalidate(core.InScope(oldScope))
 		s.log.Info("dataset reloaded", "dataset", name, "version", version, "invalidated", removed)
 	} else {
 		s.log.Info("dataset registered", "dataset", name, "rows", ds.info.Rows)
@@ -704,14 +708,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err))
 		return
 	}
-	text, err := sqlparse.Explain(q)
-	if err != nil {
-		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err))
-		return
-	}
-	// The structured DAG benefits from column kinds (the planner's float-
-	// sensitivity gate), so resolve the FROM dataset when it is registered;
-	// explaining against an unknown dataset still works, conservatively.
+	// The DAG benefits from column kinds (the planner's float-sensitivity
+	// gate and SUM(DISTINCT)'s state), so resolve the FROM dataset when it
+	// is registered; explaining against an unknown dataset still works,
+	// conservatively.
 	var tab *core.Table
 	if ds, ok := s.lookup(q.From); ok {
 		if t, err := ds.buf.Snapshot().Table(); err == nil {
@@ -723,7 +723,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err))
 		return
 	}
-	resp := &explainResponse{Plan: text, PlanDAG: p.Nodes}
+	resp := &explainResponse{Plan: plan.RenderText(p.Nodes), PlanDAG: p.Nodes}
 	resp.Operators = p.Stats.Operators
 	resp.SortsShared = p.Stats.SortsShared
 	resp.TreesShared = p.Stats.TreesShared
@@ -899,7 +899,7 @@ func (s *Server) query(ctx context.Context, sql string, includeTrace bool) (*que
 	table, planStats, err := sqlparse.ExecutePlanned(q, map[string]*core.Table{q.From: tab}, core.Options{
 		Context:    ctx,
 		Cache:      s.cache,
-		CacheScope: fmt.Sprintf("%s|g%d", ds.scope, snap.Gen()),
+		CacheScope: genScope(ds.scope, snap.Gen()),
 		Delta:      view,
 		TaskSize:   s.cfg.TaskSize,
 		Trace:      root,

@@ -2,7 +2,6 @@ package sqlparse
 
 import (
 	"fmt"
-	"strings"
 
 	"holistic/internal/core"
 	"holistic/internal/frame"
@@ -105,19 +104,6 @@ func (w *WindowDef) inherit(base *WindowDef) error {
 	}
 	w.Ref = ""
 	return nil
-}
-
-// sortKey renders a canonical identity of the window's partitioning and
-// ordering. Functions whose windows share it can share one sort — and even
-// one operator invocation with per-function frame overrides — which is the
-// duplicated-work avoidance of Kohn et al. and Cao et al. (§3.1).
-func (w *WindowDef) sortKey() string {
-	if w == nil {
-		return ""
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "p:%v|o:%v", w.PartitionBy, w.OrderBy)
-	return sb.String()
 }
 
 // toSortKeys converts parsed order keys to core sort keys.

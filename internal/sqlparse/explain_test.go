@@ -5,10 +5,26 @@ import (
 	"testing"
 
 	"holistic/internal/frame"
+	"holistic/internal/plan"
 )
 
+// explain renders a statement's plan DAG, as ExplainSQL, /v1/explain and
+// windowcli -explain print it.
+func explain(t *testing.T, sql string) string {
+	t.Helper()
+	q, err := Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := BuildPlan(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.RenderText(p.Nodes)
+}
+
 func TestExplainLeaderboard(t *testing.T) {
-	q, err := Parse(`
+	text := explain(t, `
 		select dbsystem,
 		  count(distinct dbsystem) over w,
 		  rank(order by tps desc) over w,
@@ -16,56 +32,47 @@ func TestExplainLeaderboard(t *testing.T) {
 		from tpcc_results
 		window w as (order by submission_date
 		  range between unbounded preceding and current row)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{
-		"Window query over tpcc_results",
-		"1 pass-through column(s)",
-		"window operator 1", "window operator 2",
-		"order by submission_date",
+		"order (submission_date)",
 		"range unbounded preceding .. current row",
 		"rows 10 preceding .. current row",
-		"prevIdcs (Alg. 1)",
+		"prevIdcs occurrence links (Alg. 1)",
 		"dense ranks (Fig. 8)",
 		"permutation array (Fig. 6)",
 	} {
-		if !strings.Contains(plan, want) {
-			t.Fatalf("plan missing %q:\n%s", want, plan)
+		if !strings.Contains(text, want) {
+			t.Fatalf("plan missing %q:\n%s", want, text)
 		}
 	}
-	// The two w-functions share operator 1; the inline window is its own.
-	if strings.Count(plan, "window operator") != 2 {
-		t.Fatalf("expected exactly 2 operators:\n%s", plan)
+	// The two w-functions share one sort; the inline window has its own.
+	if n := strings.Count(text, "] sort: "); n != 2 {
+		t.Fatalf("expected exactly 2 sorts, got %d:\n%s", n, text)
 	}
 }
 
 func TestExplainDefaultsAndExclusion(t *testing.T) {
-	q, err := Parse(`
+	text := explain(t, `
 		select sum(v) over (partition by g),
 		       count(distinct v) over (order by d rows between 3 preceding and 1 following exclude ties)
 		from t`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{
-		"whole partition (SQL default)",
-		"exclude ties",
-		"partition by g",
+		"rows unbounded preceding .. unbounded following", // the default frame without ORDER BY
+		"rows 3 preceding .. 1 following exclude ties",
+		"partition (g)",
 		"segment tree over kept values",
 	} {
-		if !strings.Contains(plan, want) {
-			t.Fatalf("plan missing %q:\n%s", want, plan)
+		if !strings.Contains(text, want) {
+			t.Fatalf("plan missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// frameSpecOf resolves a window definition's frame as the binder does.
+func frameSpecOf(w *WindowDef) (frame.Spec, error) {
+	if w.Frame == nil {
+		return defaultFrame(w), nil
+	}
+	return w.Frame.toFrameSpec()
 }
 
 func TestFrameSpecOfDefaults(t *testing.T) {

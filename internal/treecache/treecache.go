@@ -13,7 +13,6 @@ package treecache
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"time"
 )
@@ -168,15 +167,16 @@ func (c *Cache) insertLocked(key string, val any, bytes int64) {
 	}
 }
 
-// InvalidatePrefix drops every entry whose key starts with prefix and
-// reports how many were removed. It is how a dataset reload invalidates
-// all structures built against the previous table version.
-func (c *Cache) InvalidatePrefix(prefix string) int {
+// Invalidate drops every entry whose key match reports and returns how many
+// were removed. The match functions come from the code that writes the keys
+// (core.InScope, core.StaleEpochs): a dataset reload drops its old scope, a
+// compaction its folded generation, a mutation its superseded epochs.
+func (c *Cache) Invalidate(match func(key string) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	removed := 0
 	for key, e := range c.entries {
-		if strings.HasPrefix(key, prefix) {
+		if match(key) {
 			c.lru.Remove(e.elem)
 			delete(c.entries, key)
 			c.used -= e.bytes
@@ -185,59 +185,6 @@ func (c *Cache) InvalidatePrefix(prefix string) int {
 	}
 	c.invalidations += int64(removed)
 	return removed
-}
-
-// InvalidateEpochsBelow drops, among the entries whose key starts with
-// prefix, exactly those that carry an epoch component "e<digits>|"
-// immediately after the prefix with an epoch below the given one, and
-// reports how many were removed. This is the partial-invalidation hook of
-// live mutation: when a dataset's epoch advances, the per-epoch entries
-// (merged sort orders, stamp maps) of superseded epochs are reclaimed while
-// every prefix-sharing key without an epoch component — the generation's
-// frozen sort orders ("fz|...") and the content+epoch partition keys —
-// survives untouched.
-func (c *Cache) InvalidateEpochsBelow(prefix string, epoch int64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := 0
-	for key, e := range c.entries {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		ep, ok := parseEpochComponent(key[len(prefix):])
-		if !ok || ep >= epoch {
-			continue
-		}
-		c.lru.Remove(e.elem)
-		delete(c.entries, key)
-		c.used -= e.bytes
-		removed++
-	}
-	c.invalidations += int64(removed)
-	return removed
-}
-
-// parseEpochComponent matches a leading "e<digits>|" key component.
-func parseEpochComponent(rest string) (int64, bool) {
-	if len(rest) < 3 || rest[0] != 'e' {
-		return 0, false
-	}
-	var n int64
-	i := 1
-	for ; i < len(rest); i++ {
-		d := rest[i]
-		if d == '|' {
-			break
-		}
-		if d < '0' || d > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(d-'0')
-	}
-	if i == 1 || i == len(rest) {
-		return 0, false
-	}
-	return n, true
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

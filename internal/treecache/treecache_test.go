@@ -3,9 +3,12 @@ package treecache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"holistic/internal/core"
 )
 
 func TestGetOrBuildHitAndMiss(t *testing.T) {
@@ -131,7 +134,7 @@ func TestEntryChargeIncludesKeyAndOverhead(t *testing.T) {
 	if s := c.Stats(); s.Bytes != want || s.Bytes < 2*100*162 {
 		t.Fatalf("100 entries of 162 reported bytes charged %d, want %d (keys and overhead included)", s.Bytes, want)
 	}
-	c.InvalidatePrefix("scope|")
+	c.Invalidate(func(string) bool { return true })
 	if s := c.Stats(); s.Bytes != 0 {
 		t.Fatalf("%d bytes charged after invalidating every entry", s.Bytes)
 	}
@@ -180,33 +183,6 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	}
 }
 
-func TestInvalidatePrefix(t *testing.T) {
-	c := New(0) // unlimited
-	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("ds@1|entry%d", i)
-		if _, err := c.GetOrBuild(key, func() (any, int64, error) { return i, 8, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.GetOrBuild("other@1|x", func() (any, int64, error) { return "keep", 8, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.InvalidatePrefix("ds@1|"); n != 5 {
-		t.Fatalf("InvalidatePrefix removed %d, want 5", n)
-	}
-	s := c.Stats()
-	if s.Entries != 1 || s.Invalidations != 5 {
-		t.Fatalf("stats = %+v", s)
-	}
-	rebuilt := false
-	if _, err := c.GetOrBuild("ds@1|entry0", func() (any, int64, error) { rebuilt = true; return 0, 8, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !rebuilt {
-		t.Fatal("invalidated entry still served")
-	}
-}
-
 func TestUnlimitedBudgetNeverEvicts(t *testing.T) {
 	c := New(0)
 	for i := 0; i < 100; i++ {
@@ -227,7 +203,7 @@ func TestReplaceExistingKeyAdjustsBytes(t *testing.T) {
 	}
 	// Forcing a rebuild through failure-retry path would complicate things;
 	// exercise insertLocked replacement via invalidate + rebuild instead.
-	c.InvalidatePrefix("k")
+	c.Invalidate(func(key string) bool { return key == "k" })
 	if _, err := c.GetOrBuild("k", func() (any, int64, error) { return 2, 60, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -236,61 +212,61 @@ func TestReplaceExistingKeyAdjustsBytes(t *testing.T) {
 	}
 }
 
-func TestInvalidateEpochsBelow(t *testing.T) {
-	c := New(0)
-	put := func(key string) {
-		t.Helper()
-		if _, err := c.GetOrBuild(key, func() (any, int64, error) { return key, 8, nil }); err != nil {
+// invalidateCase fills an unlimited cache with keys, drops what match
+// picks, and checks that exactly the kept keys survive: every other key is
+// rebuilt on its next GetOrBuild.
+func invalidateCase(t *testing.T, keys []string, match func(key string) bool, removed int, kept []string) {
+	t.Helper()
+	cache := New(0) // unlimited
+	for _, key := range keys {
+		if _, err := cache.GetOrBuild(key, func() (any, int64, error) { return key, 8, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	put("ds@1|g2|fz|sortidx|p=;o=")   // generation-stable: must survive
-	put("ds@1|g2|e3|sortidx|p=;o=")   // superseded epoch: dropped
-	put("ds@1|g2|e4|stamps|p=")       // superseded epoch: dropped
-	put("ds@1|g2|e5|sortidx|p=;o=")   // current epoch: survives
-	put("ds@1|g2|p=;o=|pk=i7;|pd3|x") // partition key (no epoch component): survives
-	put("other@1|e1|sortidx|p=;o=")   // different scope: survives
-	if n := c.InvalidateEpochsBelow("ds@1|g2|", 5); n != 2 {
-		t.Fatalf("InvalidateEpochsBelow removed %d, want 2", n)
+	if n := cache.Invalidate(match); n != removed {
+		t.Fatalf("Invalidate removed %d, want %d", n, removed)
 	}
-	if s := c.Stats(); s.Entries != 4 || s.Invalidations != 2 {
+	if s := cache.Stats(); s.Entries != len(kept) || s.Invalidations != int64(removed) {
 		t.Fatalf("stats = %+v", s)
 	}
-	for _, key := range []string{
-		"ds@1|g2|fz|sortidx|p=;o=",
-		"ds@1|g2|e5|sortidx|p=;o=",
-		"ds@1|g2|p=;o=|pk=i7;|pd3|x",
-		"other@1|e1|sortidx|p=;o=",
-	} {
+	for _, key := range keys {
 		rebuilt := false
-		if _, err := c.GetOrBuild(key, func() (any, int64, error) { rebuilt = true; return nil, 8, nil }); err != nil {
+		if _, err := cache.GetOrBuild(key, func() (any, int64, error) { rebuilt = true; return nil, 8, nil }); err != nil {
 			t.Fatal(err)
 		}
-		if rebuilt {
-			t.Fatalf("entry %q was dropped, want kept", key)
+		if want := !slices.Contains(kept, key); rebuilt != want {
+			t.Fatalf("entry %q rebuilt = %v, want %v", key, rebuilt, want)
 		}
 	}
 }
 
-func TestParseEpochComponent(t *testing.T) {
-	cases := []struct {
-		rest string
-		n    int64
-		ok   bool
-	}{
-		{"e12|sortidx", 12, true},
-		{"e0|x", 0, true},
-		{"e|x", 0, false},  // no digits
-		{"e12", 0, false},  // no terminator
-		{"e1x|", 0, false}, // non-digit
-		{"f12|", 0, false}, // wrong lead byte
-		{"", 0, false},
-		{"entry0", 0, false}, // "e" followed by non-digits
-	}
-	for _, tc := range cases {
-		n, ok := parseEpochComponent(tc.rest)
-		if n != tc.n || ok != tc.ok {
-			t.Errorf("parseEpochComponent(%q) = (%d, %v), want (%d, %v)", tc.rest, n, ok, tc.n, tc.ok)
-		}
-	}
+// TestInvalidatePrefix drops a dataset reload's whole scope through
+// Invalidate(core.InScope) and leaves other scopes alone.
+func TestInvalidatePrefix(t *testing.T) {
+	invalidateCase(t,
+		[]string{"ds@1|entry0", "ds@1|entry1", "ds@1|entry2", "ds@1|entry3", "ds@1|entry4", "other@1|x"},
+		core.InScope("ds@1"), 5,
+		[]string{"other@1|x"})
+}
+
+// TestInvalidateEpochsBelow drops a mutation's superseded epochs through
+// Invalidate(core.StaleEpochs): the generation's frozen sort, the current
+// epoch, content+epoch partition keys and other scopes all survive.
+func TestInvalidateEpochsBelow(t *testing.T) {
+	invalidateCase(t,
+		[]string{
+			"ds@1|g2|fz|sortidx|p=;o=",   // generation-stable: must survive
+			"ds@1|g2|e3|sortidx|p=;o=",   // superseded epoch: dropped
+			"ds@1|g2|e4|stamps|p=",       // superseded epoch: dropped
+			"ds@1|g2|e5|sortidx|p=;o=",   // current epoch: survives
+			"ds@1|g2|p=;o=|pk=i7;|pd3|x", // partition key (no epoch component): survives
+			"other@1|e1|sortidx|p=;o=",   // different scope: survives
+		},
+		core.StaleEpochs("ds@1|g2", 5), 2,
+		[]string{
+			"ds@1|g2|fz|sortidx|p=;o=",
+			"ds@1|g2|e5|sortidx|p=;o=",
+			"ds@1|g2|p=;o=|pk=i7;|pd3|x",
+			"other@1|e1|sortidx|p=;o=",
+		})
 }

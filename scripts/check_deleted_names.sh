@@ -58,5 +58,10 @@ check 'four analyzers, one lint driver' all \
 # replaces the 0/1 leaf_only count
 check 'one form enum' all \
     'leafOnly +bool|"leaf_only"'
+# one structure identity: core declares what each function builds, and the
+# cache key, the plan DAG, the explain text and cache invalidation all read
+# that declaration instead of keeping their own copies
+check 'one structure identity' nontest-nobench \
+    'classOf|functionPlan|sqlparse\.Explain|InvalidateEpochsBelow|InvalidatePrefix|parseEpochComponent|",l3"'
 
 exit $fail

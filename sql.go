@@ -47,15 +47,17 @@ func RunSQLOptions(query string, tables map[string]*Table, opt Options) (*Table,
 }
 
 // ExplainSQL renders the evaluation plan of a statement without running it:
-// how the select list groups into window-operator invocations (windows
-// sharing partitioning and ordering share one sort), each function's frame,
-// and the §4 algorithm it runs.
+// the plan DAG of PlanSQL as RenderPlan prints it — one sort per shared-sort
+// cluster, the preprocessing and tree each structure needs (named after the
+// §4 algorithm) with every function that shares it, and each function's
+// probe with its frame. Column kinds are unknown, so the optimizer is
+// conservative about sharing sorts under float-sensitive functions.
 func ExplainSQL(query string) (string, error) {
-	q, err := sqlparse.Parse(query)
+	p, err := PlanSQL(query, nil)
 	if err != nil {
 		return "", err
 	}
-	return sqlparse.Explain(q)
+	return RenderPlan(p.Nodes), nil
 }
 
 // PlanNode is one operator of a statement's shared-plan DAG (see PlanSQL).
@@ -76,9 +78,8 @@ type SQLPlan struct {
 // PlanSQL runs the shared-plan optimizer over a statement without executing
 // it and returns the structured plan DAG: one sort node per shared-sort
 // cluster, partition-boundary, preprocessing and tree nodes annotated with
-// every function that consumes them, and one probe node per function.
-// ExplainSQL keeps the legacy flat-text contract; PlanSQL is its structured
-// counterpart (the /v1/explain plan_dag field, locally).
+// every function that consumes them, and one probe node per function (the
+// /v1/explain plan_dag field, locally; ExplainSQL renders it).
 //
 // tables may be nil or missing the FROM table: column kinds are then
 // unknown and the optimizer is conservative about sharing sorts under
