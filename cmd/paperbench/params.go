@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -27,7 +28,7 @@ func fig13Workload(n int, opt mst.Options) time.Duration {
 	thr, out := make([]int64, chunk), make([]int32, chunk)
 	prev := parallel.SetMaxWorkers(1)
 	defer parallel.SetMaxWorkers(prev)
-	opt.Serial = true
+	opt.Context = parallel.ContextWithLimit(context.Background(), 1)
 	start := time.Now()
 	tree, err := mst.Build(keys, opt)
 	die(err)

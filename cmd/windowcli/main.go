@@ -1,12 +1,7 @@
 // Command windowcli evaluates framed holistic window functions over a CSV
-// file — the SQL the paper proposes, without a database. Either via flags:
-//
-//	windowcli -i lineitem.csv -order-by l_shipdate \
-//	    -mode rows -preceding 999 \
-//	    -func percentile_disc -p 0.5 -value l_extendedprice -as median
-//
-// or as a full SQL statement in the paper's dialect (the FROM clause must
-// name the table "csv"):
+// file — the SQL the paper proposes, without a database. A query is one
+// statement in the paper's dialect (§2.4), given with -query; the FROM clause
+// must name the table "csv":
 //
 //	windowcli -i lineitem.csv -query "
 //	    select l_shipdate, percentile_disc(0.5 order by l_extendedprice)
@@ -14,7 +9,10 @@
 //	    from csv"
 //
 // Column types are inferred (int, float, ISO dates as days-since-epoch,
-// string; empty cells are NULL); date columns render back as dates.
+// string; empty cells are NULL). An output column renders as ISO dates when
+// its values are a date column's: the column itself, or MIN, MAX,
+// PERCENTILE_DISC, LEAD, LAG or a value function over it; counts and ranks
+// print numbers.
 // Results are written as CSV to stdout or -o.
 //
 // Out-of-core datasets: -ingest converts a CSV into a directory of
@@ -39,10 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"holistic"
@@ -56,18 +51,7 @@ import (
 var (
 	input     = flag.String("i", "-", "input CSV file (default stdin)")
 	output    = flag.String("o", "-", "output CSV file (default stdout)")
-	partition = flag.String("partition-by", "", "comma-separated partition columns")
-	orderBy   = flag.String("order-by", "", "window ORDER BY column (prefix with '-' for descending)")
-	mode      = flag.String("mode", "rows", "frame mode: rows, range, groups")
-	preceding = flag.String("preceding", "unbounded", "frame start offset (number, 'unbounded', or 'current')")
-	following = flag.String("following", "current", "frame end offset (number, 'unbounded', or 'current')")
-	exclude   = flag.String("exclude", "", "frame exclusion: '', current, group, ties")
-	funcName  = flag.String("func", "", "window function: count_distinct, sum_distinct, avg_distinct, rank, dense_rank, percent_rank, row_number, cume_dist, ntile, percentile_disc, percentile_cont, median, nth_value, first_value, last_value, lead, lag, sum, avg, min, max, count")
-	value     = flag.String("value", "", "argument / function ORDER BY column (prefix with '-' for descending)")
-	fraction  = flag.Float64("p", 0.5, "percentile fraction")
-	nArg      = flag.Int64("n", 1, "n for ntile / nth_value / lead / lag offsets")
-	asName    = flag.String("as", "result", "output column name")
-	query     = flag.String("query", "", "full SQL statement (paper dialect); overrides the per-function flags; FROM must name 'csv'")
+	query     = flag.String("query", "", "SQL statement (paper dialect) to evaluate; FROM must name 'csv'")
 	explain   = flag.Bool("explain", false, "with -query: print the evaluation plan instead of running")
 	trace     = flag.Bool("trace", false, "print the evaluation's span tree (phases, per-function evals, workers) to stderr")
 	server    = flag.String("server", "", "windowd base URL (e.g. http://127.0.0.1:8080); runs -query remotely instead of locally")
@@ -96,13 +80,10 @@ func main() {
 		fail(runIngest())
 		return
 	}
-	if *funcName == "" && *query == "" {
-		fail(fmt.Errorf("missing -func or -query"))
+	if *query == "" {
+		fail(fmt.Errorf("missing -query"))
 	}
 	if *explain {
-		if *query == "" {
-			fail(fmt.Errorf("-explain requires -query"))
-		}
 		sp, err := holistic.PlanSQL(*query, nil)
 		fail(err)
 		fmt.Print(holistic.RenderPlan(sp.Nodes))
@@ -125,12 +106,9 @@ func main() {
 	fail(csvio.Write(out, result, dates))
 }
 
-// evalLocal evaluates -query, or the function the flags describe, over file.
-// Beside the result it returns which of its columns render as ISO dates: on
-// the -func path input columns keep their names, so the file's date columns
-// apply as they are, and the -as column is a date when the function returns
-// a date column's values; a statement can rename and derive columns, so its
-// outputs resolve their own (sqlparse.DateOutputs).
+// evalLocal evaluates -query over file. Beside the result it returns which
+// of its columns render as ISO dates: a statement can rename and derive
+// columns, so its outputs resolve their own (sqlparse.DateOutputs).
 func evalLocal(file *csvio.File) (*holistic.Table, map[string]bool, error) {
 	var opts []holistic.Option
 	var root *holistic.Span
@@ -138,26 +116,15 @@ func evalLocal(file *csvio.File) (*holistic.Table, map[string]bool, error) {
 		root = holistic.NewTrace("query")
 		opts = append(opts, holistic.WithTrace(root))
 	}
-	dates := file.DateColumns
-	var result *holistic.Table
-	var err error
-	if *query != "" {
-		result, err = holistic.RunSQLWith(*query, map[string]*holistic.Table{"csv": file.Table}, opts...)
-		if err == nil {
-			dates, err = sqlDateOutputs(*query, file.DateColumns)
-		}
-	} else {
-		var valueCol string
-		result, valueCol, err = runFlags(file.Table, opts)
-		if dates[valueCol] {
-			dates = maps.Clone(dates)
-			dates[*asName] = true
-		}
-	}
+	result, err := holistic.RunSQLWith(*query, map[string]*holistic.Table{"csv": file.Table}, opts...)
 	if root != nil {
 		root.End()
 		fmt.Fprint(os.Stderr, root.Render())
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	dates, err := sqlDateOutputs(*query, file.DateColumns)
 	return result, dates, err
 }
 
@@ -346,7 +313,7 @@ func runRemote() error {
 		return nil // upload-only invocation
 	}
 	if *explain {
-		resp, err := c.ExplainPlan(ctx, *query)
+		resp, err := c.Explain(ctx, *query)
 		if err != nil {
 			return err
 		}
@@ -382,171 +349,4 @@ func runRemote() error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// runFlags evaluates the single function described by the flags and returns
-// the input columns plus the result column, and the column whose values the
-// function returns unchanged (Func.ValueColumn; empty when it computes new
-// ones).
-func runFlags(table *holistic.Table, opts []holistic.Option) (*holistic.Table, string, error) {
-	w := holistic.Over()
-	if *partition != "" {
-		w.PartitionBy(strings.Split(*partition, ",")...)
-	}
-	if *orderBy != "" {
-		w.OrderBy(parseSortKey(*orderBy))
-	}
-	fr, err := parseFrame()
-	if err != nil {
-		return nil, "", err
-	}
-	w.Frame(fr)
-
-	fn, err := buildFunc()
-	if err != nil {
-		return nil, "", err
-	}
-	fn = fn.As(*asName)
-
-	res, err := holistic.RunWith(table, w, []*holistic.Func{fn}, opts...)
-	if err != nil {
-		return nil, "", err
-	}
-	cols := append(append([]*holistic.Column{}, table.Columns()...), res.Column(*asName))
-	out, err := holistic.NewTable(cols...)
-	return out, fn.ValueColumn(), err
-}
-
-func parseSortKey(s string) holistic.SortKey {
-	if strings.HasPrefix(s, "-") {
-		return holistic.Desc(s[1:])
-	}
-	return holistic.Asc(s)
-}
-
-func parseBound(s string, preceding bool) (holistic.Bound, error) {
-	switch s {
-	case "unbounded":
-		if preceding {
-			return holistic.UnboundedPreceding(), nil
-		}
-		return holistic.UnboundedFollowing(), nil
-	case "current":
-		return holistic.CurrentRow(), nil
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return holistic.Bound{}, fmt.Errorf("bad frame offset %q", s)
-	}
-	if preceding {
-		return holistic.Preceding(n), nil
-	}
-	return holistic.Following(n), nil
-}
-
-func parseFrame() (holistic.Frame, error) {
-	start, err := parseBound(*preceding, true)
-	if err != nil {
-		return holistic.Frame{}, err
-	}
-	end, err := parseBound(*following, false)
-	if err != nil {
-		return holistic.Frame{}, err
-	}
-	var fr holistic.Frame
-	switch *mode {
-	case "rows":
-		fr = holistic.Rows(start, end)
-	case "range":
-		fr = holistic.Range(start, end)
-	case "groups":
-		fr = holistic.Groups(start, end)
-	default:
-		return fr, fmt.Errorf("bad frame mode %q", *mode)
-	}
-	switch *exclude {
-	case "":
-	case "current":
-		fr = fr.ExcludeCurrentRow()
-	case "group":
-		fr = fr.ExcludeGroup()
-	case "ties":
-		fr = fr.ExcludeTies()
-	default:
-		return fr, fmt.Errorf("bad exclusion %q", *exclude)
-	}
-	return fr, nil
-}
-
-func buildFunc() (*holistic.Func, error) {
-	needsValue := func() (string, holistic.SortKey, error) {
-		if *value == "" {
-			return "", holistic.SortKey{}, fmt.Errorf("-func %s requires -value", *funcName)
-		}
-		return strings.TrimPrefix(*value, "-"), parseSortKey(*value), nil
-	}
-	switch *funcName {
-	case "count_star":
-		return holistic.CountStar(), nil
-	case "count", "sum", "avg", "min", "max", "count_distinct", "sum_distinct", "avg_distinct":
-		col, _, err := needsValue()
-		if err != nil {
-			return nil, err
-		}
-		switch *funcName {
-		case "count":
-			return holistic.Count(col), nil
-		case "sum":
-			return holistic.Sum(col), nil
-		case "avg":
-			return holistic.Avg(col), nil
-		case "min":
-			return holistic.Min(col), nil
-		case "max":
-			return holistic.Max(col), nil
-		case "count_distinct":
-			return holistic.CountDistinct(col), nil
-		case "sum_distinct":
-			return holistic.SumDistinct(col), nil
-		default:
-			return holistic.AvgDistinct(col), nil
-		}
-	case "rank", "dense_rank", "percent_rank", "row_number", "cume_dist", "ntile",
-		"percentile_disc", "percentile_cont", "median", "first_value", "last_value", "nth_value", "lead", "lag":
-		col, key, err := needsValue()
-		if err != nil {
-			return nil, err
-		}
-		switch *funcName {
-		case "rank":
-			return holistic.Rank(key), nil
-		case "dense_rank":
-			return holistic.DenseRank(key), nil
-		case "percent_rank":
-			return holistic.PercentRank(key), nil
-		case "row_number":
-			return holistic.RowNumber(key), nil
-		case "cume_dist":
-			return holistic.CumeDist(key), nil
-		case "ntile":
-			return holistic.Ntile(*nArg, key), nil
-		case "percentile_disc":
-			return holistic.PercentileDisc(*fraction, key), nil
-		case "percentile_cont":
-			return holistic.PercentileCont(*fraction, key), nil
-		case "median":
-			return holistic.Median(key), nil
-		case "first_value":
-			return holistic.FirstValue(col, key), nil
-		case "last_value":
-			return holistic.LastValue(col, key), nil
-		case "nth_value":
-			return holistic.NthValue(col, *nArg, key), nil
-		case "lead":
-			return holistic.Lead(col, *nArg, key), nil
-		default:
-			return holistic.Lag(col, *nArg, key), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown function %q", *funcName)
 }

@@ -25,8 +25,9 @@
 // Built merge sort trees and preprocessed arrays are cached across queries
 // under a byte budget (-cache-bytes). Observability: /v1/metrics exposes the
 // Prometheus text exposition (request/eval/respond latency histograms, cache,
-// pool and arena counters), /statusz a human-readable status page,
-// -slow-query logs the span trees of statements whose evaluation plus
+// pool, arena, kernel, ingest and delta counters) and GET /v1/datasets lists
+// each dataset's version, rows, columns, segments and epoch — the server's
+// two status surfaces; -slow-query logs the span trees of statements whose evaluation plus
 // response were slow, and -debug-addr serves net/http/pprof on a separate
 // opt-in listener. Query responses stream and may be cut short when the
 // client disconnects or the request's deadline passes.

@@ -172,12 +172,6 @@ func (f *Func) WithFrame(fr Frame) *Func {
 	return f
 }
 
-// ValueColumn names the column whose values the function returns unchanged
-// (MIN, MAX, PERCENTILE_DISC, the value functions, LEAD and LAG), so its
-// result reads like that column, for example as a date. It is empty for
-// functions that compute a new quantity.
-func (f *Func) ValueColumn() string { return f.spec.ValueColumn() }
-
 // Run evaluates the functions over the table under the window
 // specification with default options.
 func Run(t *Table, w *Window, funcs ...*Func) (*Result, error) {

@@ -1,23 +1,23 @@
 // Package arena provides the allocation substrate of the query path: a
-// chunked, type-parameterized slab allocator (Arena) for structures whose
+// pre-sized, type-parameterized slab allocator (Arena) for structures whose
 // lifetime is a single build, and size-classed, sync.Pool-backed scratch
 // buffers (Pool) for temporaries that are recycled across requests.
 //
 // The merge sort tree algorithms are memory-bandwidth bound (§5.1 argues
 // for the 32-bit representation purely on bandwidth grounds), so steady-state
 // query serving must not pay for allocation or garbage collection: tree
-// levels and cascading-pointer arrays are carved out of one arena chunk per
-// build, and every per-query temporary — hash arrays, sorted index buffers,
+// levels and cascading-pointer arrays are carved out of one slab per build,
+// and every per-query temporary — hash arrays, sorted index buffers,
 // permutation arrays, merge scratch — is borrowed from a pool and returned
-// when the query is done. Both mechanisms export counters (see Snapshot) so
-// windowd's /statusz can show gets, puts, misses and bytes in flight.
+// when the query is done. Both mechanisms export counters (ArenaSnapshot,
+// Snapshot), which windowd publishes as the windowd_arena_* and
+// windowd_pool_* metric families.
 //
 // Arenas are single-goroutine: one build owns one arena. Pools are safe for
 // concurrent use from any number of requests.
 package arena
 
 import (
-	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -26,43 +26,27 @@ import (
 // instantiation (the counters are shared by all element types).
 var arenaCounters struct {
 	arenas atomic.Int64 // arenas created
-	chunks atomic.Int64 // slab chunks allocated
-	bytes  atomic.Int64 // slab bytes allocated
-	resets atomic.Int64 // Reset calls
+	bytes  atomic.Int64 // slab bytes plus the bytes of allocations past a slab
 }
 
-// Arena is a chunked slab allocator for elements of type T. Alloc hands out
-// zeroed slices carved from large chunks; nothing is freed individually.
-// Checkpoint/Reset unwind the arena to an earlier state, retaining the
-// chunks for reuse, so a caller with phase structure (build, probe, next
-// partition) can recycle one arena across phases.
+// Arena is a slab allocator for elements of type T: New sizes one slab, and
+// Alloc hands out zeroed, disjoint slices carved from it. Nothing is freed
+// individually; the slab lives as long as any slice carved from it. Callers
+// size the slab to a total they know up front (a tree's levels, a segment
+// column); an allocation past its end gets a fresh make instead.
 //
-// The zero value is ready to use with a default chunk size. An Arena must
-// not be shared between goroutines without external synchronization.
+// The zero value is an arena with an empty slab. An Arena must not be
+// shared between goroutines without external synchronization.
 type Arena[T any] struct {
-	chunks [][]T // all chunks ever allocated, in allocation order
-	cur    int   // index of the chunk currently being filled
-	used   int   // elements used in chunks[cur]
-	// chunkSize is the minimum chunk capacity in elements.
-	chunkSize int
-	// recycled is set once Reset has run: from then on, handed-out memory
-	// may have been used before and must be cleared by Alloc.
-	recycled bool
+	slab []T
+	used int // elements of slab handed out
 }
 
-// DefaultChunkElems is the default chunk capacity in elements.
-const DefaultChunkElems = 64 * 1024
-
-// New returns an arena whose chunks hold at least chunkElems elements.
-// chunkElems <= 0 selects DefaultChunkElems. Sizing the first allocation's
-// chunk exactly (e.g. the precomputed total size of all merge sort tree
-// levels) makes the arena a single-slab allocator.
-func New[T any](chunkElems int) *Arena[T] {
-	if chunkElems <= 0 {
-		chunkElems = DefaultChunkElems
-	}
+// New returns an arena over one zeroed slab of n elements.
+func New[T any](n int) *Arena[T] {
 	arenaCounters.arenas.Add(1)
-	return &Arena[T]{chunkSize: chunkElems}
+	arenaCounters.bytes.Add(int64(n) * elemBytes[T]())
+	return &Arena[T]{slab: make([]T, n)}
 }
 
 // elemBytes is the size of T in bytes.
@@ -71,43 +55,20 @@ func elemBytes[T any]() int64 {
 	return int64(unsafe.Sizeof(z))
 }
 
-// Alloc returns a zeroed slice of n elements with capacity exactly n,
-// carved from the arena. Slices returned by Alloc remain valid until the
-// arena is Reset past their checkpoint; they are never moved or reused
-// before that. n < 0 is an error expressed as a panic by the runtime's
-// make; n == 0 returns an empty slice without consuming arena space.
+// Alloc returns a zeroed slice of n elements with capacity exactly n, carved
+// from the slab, or freshly made when the slab has fewer than n elements
+// left. n == 0 returns nil without consuming slab space; n < 0 panics in the
+// runtime's make.
 func (a *Arena[T]) Alloc(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if a.chunkSize <= 0 {
-		a.chunkSize = DefaultChunkElems
-		arenaCounters.arenas.Add(1)
+	if n > len(a.slab)-a.used {
+		arenaCounters.bytes.Add(int64(n) * elemBytes[T]())
+		return make([]T, n)
 	}
-	// Advance through retained chunks until one has room. Skipped tail
-	// space is wasted, as in any slab allocator.
-	for a.cur < len(a.chunks) && a.used+n > cap(a.chunks[a.cur]) {
-		a.cur++
-		a.used = 0
-	}
-	if a.cur == len(a.chunks) {
-		size := a.chunkSize
-		if n > size {
-			size = n
-		}
-		a.chunks = append(a.chunks, make([]T, size))
-		arenaCounters.chunks.Add(1)
-		arenaCounters.bytes.Add(int64(size) * elemBytes[T]())
-		a.used = 0
-	}
-	chunk := a.chunks[a.cur]
-	s := chunk[a.used : a.used+n : a.used+n]
+	s := a.slab[a.used : a.used+n : a.used+n]
 	a.used += n
-	// Chunks start zeroed (make) but recycled space after a Reset holds
-	// stale data; clear what we hand out so Alloc's contract is uniform.
-	if a.cur < len(a.chunks)-1 || a.recycled {
-		clear(s)
-	}
 	return s
 }
 
@@ -135,75 +96,16 @@ func (a *Arena[T]) AllocAligned(n, alignBytes int) []T {
 	return s[ofs : ofs+n : ofs+n]
 }
 
-// Checkpoint is a point-in-time arena position for Reset.
-type Checkpoint struct {
-	chunk, used int
-}
-
-// Checkpoint captures the current allocation position.
-func (a *Arena[T]) Checkpoint() Checkpoint {
-	return Checkpoint{chunk: a.cur, used: a.used}
-}
-
-// Reset unwinds the arena to a previously captured checkpoint: every slice
-// allocated after the checkpoint becomes invalid and its space will be
-// handed out again by future Allocs. Chunks are retained. Resetting to a
-// checkpoint from a different arena, or to one that is ahead of the current
-// position, is a caller bug; Reset clamps rather than corrupts.
-func (a *Arena[T]) Reset(c Checkpoint) {
-	if c.chunk > a.cur || (c.chunk == a.cur && c.used > a.used) {
-		return // checkpoint is ahead of the live position: ignore
-	}
-	if c.chunk >= len(a.chunks) {
-		return
-	}
-	a.cur = c.chunk
-	a.used = c.used
-	if a.cur < 0 {
-		a.cur, a.used = 0, 0
-	}
-	a.recycled = true
-	arenaCounters.resets.Add(1)
-}
-
-// Len reports the number of elements currently allocated (live) in the
-// arena, summed over all chunks up to the current position.
-func (a *Arena[T]) Len() int {
-	total := 0
-	for i := 0; i < a.cur && i < len(a.chunks); i++ {
-		total += cap(a.chunks[i])
-	}
-	return total + a.used
-}
-
-// Cap reports the total element capacity of all chunks.
-func (a *Arena[T]) Cap() int {
-	total := 0
-	for _, c := range a.chunks {
-		total += cap(c)
-	}
-	return total
-}
-
 // ArenaStats is a snapshot of the process-wide arena counters.
 type ArenaStats struct {
 	Arenas int64 // arenas created
-	Chunks int64 // chunks allocated
-	Bytes  int64 // chunk bytes allocated
-	Resets int64 // Reset calls
+	Bytes  int64 // bytes allocated: slabs plus allocations past a slab
 }
 
 // ArenaSnapshot returns the process-wide arena counters.
 func ArenaSnapshot() ArenaStats {
 	return ArenaStats{
 		Arenas: arenaCounters.arenas.Load(),
-		Chunks: arenaCounters.chunks.Load(),
 		Bytes:  arenaCounters.bytes.Load(),
-		Resets: arenaCounters.resets.Load(),
 	}
-}
-
-// String renders the counters for /statusz.
-func (s ArenaStats) String() string {
-	return fmt.Sprintf("arenas=%d chunks=%d bytes=%d resets=%d", s.Arenas, s.Chunks, s.Bytes, s.Resets)
 }

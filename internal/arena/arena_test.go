@@ -5,7 +5,7 @@ import (
 )
 
 func TestArenaAllocZeroedAndDisjoint(t *testing.T) {
-	a := New[int64](8) // tiny chunks to exercise chunk crossings
+	a := New[int64](8) // a tiny slab: later allocations are made past it
 	var got [][]int64
 	for i, n := range []int{3, 3, 3, 10, 1, 0, 5} {
 		s := a.Alloc(n)
@@ -35,36 +35,6 @@ func TestArenaAllocZeroedAndDisjoint(t *testing.T) {
 	}
 }
 
-func TestArenaCheckpointReset(t *testing.T) {
-	a := New[int32](4)
-	a.Alloc(3)
-	cp := a.Checkpoint()
-	before := a.Len()
-	s1 := a.Alloc(6)
-	for i := range s1 {
-		s1[i] = 7
-	}
-	a.Reset(cp)
-	if a.Len() != before {
-		t.Fatalf("Len after reset = %d, want %d", a.Len(), before)
-	}
-	// Memory handed out after a reset must be zeroed even though it was
-	// dirtied before the reset.
-	s2 := a.Alloc(6)
-	for i, v := range s2 {
-		if v != 0 {
-			t.Fatalf("post-reset alloc not zeroed at %d: %d", i, v)
-		}
-	}
-	// Resetting to a stale (ahead) checkpoint is ignored.
-	ahead := a.Checkpoint()
-	a.Reset(cp)
-	a.Reset(ahead) // ahead of live position now: no-op
-	if got := a.Len(); got != before {
-		t.Fatalf("Len after ahead-reset = %d, want %d", got, before)
-	}
-}
-
 func TestArenaZeroValue(t *testing.T) {
 	var a Arena[byte]
 	s := a.Alloc(10)
@@ -76,10 +46,16 @@ func TestArenaZeroValue(t *testing.T) {
 func TestArenaSingleChunkWhenSizedExactly(t *testing.T) {
 	a := New[int64](100)
 	for i := 0; i < 10; i++ {
-		a.Alloc(10)
+		if s := a.Alloc(10); &s[0] != &a.slab[10*i] {
+			t.Fatalf("allocation %d is not carved from the slab", i)
+		}
 	}
-	if len(a.chunks) != 1 {
-		t.Fatalf("exactly sized arena used %d chunks, want 1", len(a.chunks))
+	before := ArenaSnapshot().Bytes
+	if s := a.Alloc(1); len(s) != 1 {
+		t.Fatalf("alloc past the slab: len %d", len(s))
+	}
+	if got := ArenaSnapshot().Bytes - before; got < 8 {
+		t.Fatalf("alloc past the slab counted %d bytes, want at least 8", got)
 	}
 }
 

@@ -2,88 +2,51 @@ package arena
 
 import (
 	"testing"
+	"unsafe"
 )
 
-// refAlloc is a map-based reference allocator: it models the arena contract
-// (zeroed allocations, checkpoint/reset invalidation) without any slab
-// machinery. Live allocations are tracked by sequence number; a reset
-// invalidates every allocation made after the checkpoint's sequence number.
-type refAlloc struct {
-	seq  int
-	live map[int][]int32 // seq -> expected contents
-}
-
-// FuzzArenaCheckpoint drives an Arena through interleaved alloc, checkpoint
-// and reset operations decided by the fuzz input, mirroring each step in the
-// reference allocator, and checks that (a) every allocation comes back
-// zeroed, (b) surviving allocations retain their written contents, and
-// (c) Len never goes negative or exceeds Cap.
-func FuzzArenaCheckpoint(f *testing.F) {
-	f.Add([]byte{1, 5, 0, 1, 9, 2, 1, 3, 3})
-	f.Add([]byte{0, 1, 200, 1, 7, 0, 2})
-	f.Add([]byte{2, 2, 2, 2})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		a := New[int32](16) // small chunks: lots of boundary crossings
-		ref := refAlloc{live: map[int][]int32{}}
-		type mark struct {
-			cp  Checkpoint
-			seq int
-		}
-		var marks []mark
-		i := 0
-		next := func() int {
-			if i >= len(ops) {
-				return 0
+// FuzzArenaAlloc drives an Arena through interleaved Alloc and AllocAligned
+// calls decided by the fuzz input, over a slab the input also sizes, so
+// allocations land both in the slab and past it. It checks that (a) every
+// allocation comes back zeroed with length and capacity exactly as asked,
+// (b) an aligned allocation starts on its boundary, and (c) no allocation
+// overlaps a live one: every slice keeps the contents written into it.
+func FuzzArenaAlloc(f *testing.F) {
+	f.Add(uint8(64), []byte{1, 5, 0, 1, 9, 2, 1, 3, 3})
+	f.Add(uint8(0), []byte{0, 1, 200, 1, 7, 0, 2})
+	f.Add(uint8(16), []byte{2, 2, 2, 2})
+	f.Fuzz(func(t *testing.T, slab uint8, ops []byte) {
+		a := New[int32](int(slab))
+		var live [][]int32
+		for i := 0; i+1 < len(ops); i += 2 {
+			n := int(ops[i+1] % 40)
+			var s []int32
+			if ops[i]%2 == 0 {
+				s = a.Alloc(n)
+			} else {
+				align := 8 << (ops[i] % 4) // 8 … 64 bytes
+				s = a.AllocAligned(n, align)
+				if n > 0 && uintptr(unsafe.Pointer(&s[0]))%uintptr(align) != 0 {
+					t.Fatalf("AllocAligned(%d, %d) starts at %p", n, align, &s[0])
+				}
 			}
-			b := ops[i]
-			i++
-			return int(b)
-		}
-		for i < len(ops) {
-			switch next() % 3 {
-			case 0: // alloc
-				n := next() % 40
-				s := a.Alloc(n)
-				if len(s) != n {
-					t.Fatalf("Alloc(%d) returned len %d", n, len(s))
-				}
-				for j, v := range s {
-					if v != 0 {
-						t.Fatalf("Alloc(%d) not zeroed at %d: %d", n, j, v)
-					}
-				}
-				ref.seq++
-				for j := range s {
-					s[j] = int32(ref.seq*1000 + j)
-				}
-				ref.live[ref.seq] = s
-			case 1: // checkpoint
-				marks = append(marks, mark{cp: a.Checkpoint(), seq: ref.seq})
-			case 2: // reset to a random earlier checkpoint
-				if len(marks) == 0 {
-					continue
-				}
-				m := marks[next()%len(marks)]
-				a.Reset(m.cp)
-				marks = marks[:0]
-				for s := range ref.live {
-					if s > m.seq {
-						delete(ref.live, s)
-					}
-				}
-				ref.seq = m.seq
+			if len(s) != n || cap(s) != n {
+				t.Fatalf("allocation of %d: len %d cap %d", n, len(s), cap(s))
 			}
-			if a.Len() < 0 || a.Len() > a.Cap() {
-				t.Fatalf("Len %d out of range [0, %d]", a.Len(), a.Cap())
+			for j, v := range s {
+				if v != 0 {
+					t.Fatalf("allocation of %d not zeroed at %d: %d", n, j, v)
+				}
 			}
+			for j := range s {
+				s[j] = int32(len(live)*1000 + j)
+			}
+			live = append(live, s)
 		}
-		// Every allocation that survived all resets must retain its contents:
-		// the arena must not have recycled live space.
-		for seq, s := range ref.live {
+		for seq, s := range live {
 			for j, v := range s {
 				if v != int32(seq*1000+j) {
-					t.Fatalf("live allocation seq %d corrupted at %d: got %d want %d",
-						seq, j, v, seq*1000+j)
+					t.Fatalf("allocation %d overwritten at %d: got %d want %d", seq, j, v, seq*1000+j)
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package arena
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -21,7 +20,7 @@ const maxClass = 26
 // silently grow past the class capacity and escape the pool.
 //
 // The zero value is ready to use. Construct package-level pools with
-// NewPool so they register for Snapshot/statusz accounting.
+// NewPool so they register for Snapshot.
 type Pool[T any] struct {
 	name    string
 	classes [maxClass + 1]sync.Pool
@@ -131,12 +130,6 @@ type PoolStat struct {
 	Puts          int64
 	Misses        int64
 	BytesInFlight int64 // bytes handed out and not yet Put back
-}
-
-// String renders the counters for /statusz.
-func (s PoolStat) String() string {
-	return fmt.Sprintf("pool %s: gets=%d puts=%d misses=%d bytes_in_flight=%d",
-		s.Name, s.Gets, s.Puts, s.Misses, s.BytesInFlight)
 }
 
 // Snapshot returns the counters of every registered pool, in registration

@@ -42,12 +42,13 @@ func (o Options) ctxErr() error {
 	return o.Context.Err()
 }
 
-// treeOptions returns the run's tree options with the given build-phase
-// span threaded through, so mst's construction attaches its per-level
-// merge spans beneath the "build merge sort tree" phase.
+// treeOptions returns the run's tree options with the run's context and
+// the given build-phase span threaded through: construction obeys the run's
+// worker cap and cancellation, and mst attaches its per-level merge spans
+// beneath the "build merge sort tree" phase.
 func (o Options) treeOptions(sp *obs.Span) mst.Options {
 	topt := o.Tree
-	topt.Trace = sp
+	topt.Context, topt.Trace = o.Context, sp
 	return topt
 }
 

@@ -26,10 +26,10 @@ type Options struct {
 	// at zero allocation cost on the probe path.
 	Trace *obs.Span
 	// Workers, when > 0, caps the number of parallel workers used by this
-	// run's context-aware loops, below the process-wide limit
-	// (parallel.SetMaxWorkers). The cap travels in the run's context, so
-	// it applies to the sort, build and probe loops but never leaks into
-	// concurrent runs.
+	// run's loops, below the process-wide limit (parallel.SetMaxWorkers).
+	// The cap travels in the run's context, so it applies to the sort, the
+	// tree builds (mst.Options.Context) and the probe loops but never leaks
+	// into concurrent runs.
 	Workers int
 	// Context, when non-nil, cancels the evaluation cooperatively: the
 	// operator checks it between phases and between parallel task chunks,

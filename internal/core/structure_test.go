@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
+	"holistic/internal/parallel"
 )
 
 // TestStructureIdentity pins which functions share a structure and which
@@ -107,7 +109,7 @@ func TestStructureIdentity(t *testing.T) {
 		{"fanout", at(p0, Options{Tree: mst.Options{Fanout: 32}}), false},
 		{"sampling", at(p0, Options{Tree: mst.Options{SampleEvery: 8}}), false},
 		{"no cascading", at(p0, Options{Tree: mst.Options{NoCascading: true}}), false},
-		{"serial build", at(p0, Options{Tree: mst.Options{Serial: true, Trace: obs.NewSpan("build")}}), true},
+		{"build context and trace", at(p0, Options{Tree: mst.Options{Context: parallel.ContextWithLimit(context.Background(), 1), Trace: obs.NewSpan("build")}}), true},
 	} {
 		if got := c.key == base; got != c.same {
 			t.Errorf("%s: same = %v, want %v\n base: %s\n key:  %s", c.name, got, c.same, base, c.key)

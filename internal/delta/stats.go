@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Stats is a point-in-time snapshot of the package-wide mutation counters
 // (all Buffers in the process), mirroring ingest.Snapshot: windowd's
-// windowd_delta_* metric families and the /statusz delta line read it.
+// windowd_delta_* metric families read it.
 type Stats struct {
 	Batches          int64 // successfully applied batches
 	Appends          int64 // mutations by op, successful batches only

@@ -41,16 +41,16 @@ type Result struct {
 type Progress struct {
 	// Planned reports whether the planning pass has finished; interval
 	// and row totals are zero until it has.
-	Planned bool `json:"planned"`
+	Planned bool
 	// TotalIntervals and DoneIntervals count planned and finished
 	// intervals (including resumed ones).
-	TotalIntervals int `json:"total_intervals"`
-	DoneIntervals  int `json:"done_intervals"`
+	TotalIntervals int
+	DoneIntervals  int
 	// TotalRows and DoneRows count data rows.
-	TotalRows int64 `json:"total_rows"`
-	DoneRows  int64 `json:"done_rows"`
+	TotalRows int64
+	DoneRows  int64
 	// Resumed counts intervals inherited from a previous run's state.
-	Resumed int `json:"resumed"`
+	Resumed int
 }
 
 // Ingester runs one source-to-dataset ingest and exposes live progress.

@@ -1,6 +1,8 @@
 package mst
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -62,7 +64,7 @@ func TestAllocsBuildSerial(t *testing.T) {
 	for i := range keys {
 		keys[i] = rng.Int63n(int64(len(keys)))
 	}
-	opt := Options{Serial: true}
+	opt := Options{Context: serialBuild}
 	if _, err := Build(keys, opt); err != nil { // warm the pools
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestAnnotatedPoolBalance(t *testing.T) {
 	}
 	i32Before, i64Before := poolStat("int32"), poolStat("int64")
 
-	at, err := BuildAnnotated(keys, weights, func(a, b int64) int64 { return a + b }, Options{Serial: true})
+	at, err := BuildAnnotated(keys, weights, func(a, b int64) int64 { return a + b }, Options{Context: serialBuild})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,4 +202,34 @@ func int32PoolStat(t *testing.T) arena.PoolStat {
 	}
 	t.Fatal(`no pool named "int32"`)
 	return arena.PoolStat{}
+}
+
+// TestBuildStopsOnCancelledContext checks that a full build and an annotated
+// build under a done context return the context's error, and that every
+// merge scratch buffer they took from the int32 pool came back.
+func TestBuildStopsOnCancelledContext(t *testing.T) {
+	const n = 100_000
+	keys := make([]int64, n)
+	weights := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i * 7919 % n)
+		weights[i] = int64(i % 13)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := Options{Context: ctx}
+	before := int32PoolStat(t)
+	if _, err := Build(keys, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("Build: err = %v, want context.Canceled", err)
+	}
+	if _, err := BuildAnnotated(keys, weights, func(a, b int64) int64 { return a + b }, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("BuildAnnotated: err = %v, want context.Canceled", err)
+	}
+	after := int32PoolStat(t)
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+		t.Errorf("int32 pool: %d gets, %d puts across the cancelled builds", gets, puts)
+	}
+	if _, err := Build(keys, Options{Context: context.Background()}); err != nil {
+		t.Errorf("Build under a live context: %v", err)
+	}
 }

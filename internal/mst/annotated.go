@@ -54,7 +54,8 @@ type AnnotatedTree[S any] struct {
 // aggregate states. Keys must lie in [0, len(keys)] — the previous-index
 // domain of §5.1. For int64 states merge must be associative and
 // commutative, as every integer aggregate's is: narrow ranges fold in
-// position order.
+// position order. Like BuildForm it runs under Options.Context and returns
+// its error when that cut the build short.
 func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
 	n := len(keys)
 	posOfRank := arena.Int32s.Get(n) // inverse of rank, needed only while annotating
@@ -63,8 +64,12 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 	if err != nil {
 		return nil, err
 	}
+	tr, err := buildTree(rank, opt)
+	if err != nil {
+		return nil, err
+	}
 	at := &AnnotatedTree[S]{
-		t:     buildTree(rank, opt),
+		t:     tr,
 		merge: merge,
 		n:     n,
 		below: below,
@@ -99,12 +104,8 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 				agg[i] = acc
 			}
 		}
-		if opt.Serial {
-			for r := 0; r < numRuns; r++ {
-				build(r)
-			}
-		} else {
-			parallel.ForEach(numRuns, build)
+		if err := parallel.ForEachContext(opt.Context, numRuns, build); err != nil {
+			return nil, err
 		}
 		at.agg[l] = agg
 	}

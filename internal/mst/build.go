@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"math"
 
 	"holistic/internal/arena"
@@ -8,8 +9,9 @@ import (
 )
 
 // Level spans: buildTree opens one "mst: merge level" span per level under
-// Options.Trace (package obs), annotated with the level number and run
-// count, so a trace shows where construction time goes as the runs grow.
+// Options.Trace (package obs), annotated with the level number, the run
+// count and the worker cap the level's merge ran under, so a trace shows
+// where construction time goes as the runs grow.
 
 // buildTree constructs the tree levels bottom-up (§4.2): level l is produced
 // by f-way merges of the runs of level l-1. The merge keeps, every k
@@ -31,7 +33,10 @@ import (
 // up front), and each merge task borrows its scratch state — consumed
 // counters, tournament tree, head values — from the shared pools, so a
 // steady stream of builds allocates only the slabs themselves.
-func buildTree(base []int32, opt Options) *tree {
+//
+// The merge loops run under opt.Context: its worker cap sizes them, and once
+// it is done they stop between tasks and buildTree returns its error.
+func buildTree(base []int32, opt Options) (*tree, error) {
 	n := len(base)
 	t := &tree{n: n, f: opt.Fanout, k: opt.SampleEvery}
 	t.levels = [][]int32{base}
@@ -40,7 +45,7 @@ func buildTree(base []int32, opt Options) *tree {
 	t.stride = []int{0}
 	t.effLen = []int{1}
 	if n <= 1 {
-		return t
+		return t, nil
 	}
 	cascade := !opt.NoCascading // samples and origin stripes come together
 
@@ -98,41 +103,38 @@ func buildTree(base []int32, opt Options) *tree {
 		lsp := opt.Trace.Child("mst: merge level")
 		lsp.SetInt("level", int64(level))
 		lsp.AddInt("runs", int64(numRuns))
+		workers := parallel.ContextWorkers(opt.Context)
+		lsp.SetInt("workers", int64(workers))
 
-		workers := parallel.Workers()
-		if opt.Serial || numRuns >= workers || workers == 1 {
-			if opt.Serial {
+		var err error
+		if numRuns >= workers {
+			// Batch runs so one scratch acquisition serves ~one task's
+			// worth of tuples.
+			runsPerTask := 1
+			if rl < parallel.DefaultTaskSize {
+				runsPerTask = (parallel.DefaultTaskSize + rl - 1) / rl
+			}
+			err = parallel.ForContext(opt.Context, numRuns, runsPerTask, func(lo, hi int) {
 				buf, vals := mergeScratch(t.f)
-				for r := 0; r < numRuns; r++ {
+				for r := lo; r < hi; r++ {
 					t.mergeRun(level, r, samples, stride, buf, vals)
 				}
 				putMergeScratch(buf, vals)
-			} else {
-				// Batch runs so one scratch acquisition serves ~one task's
-				// worth of tuples.
-				runsPerTask := 1
-				if rl < parallel.DefaultTaskSize {
-					runsPerTask = (parallel.DefaultTaskSize + rl - 1) / rl
-				}
-				parallel.For(numRuns, runsPerTask, func(lo, hi int) {
-					buf, vals := mergeScratch(t.f)
-					for r := lo; r < hi; r++ {
-						t.mergeRun(level, r, samples, stride, buf, vals)
-					}
-					putMergeScratch(buf, vals)
-				})
-			}
+			})
 		} else {
-			for r := 0; r < numRuns; r++ {
-				t.mergeRunParallel(level, r, samples, stride, workers)
+			for r := 0; r < numRuns && err == nil; r++ {
+				err = t.mergeRunParallel(opt.Context, level, r, samples, stride, workers)
 			}
 		}
 		lsp.End()
+		if err != nil {
+			return nil, err
+		}
 		if rl >= n {
 			break
 		}
 	}
-	return t
+	return t, nil
 }
 
 // childRunOf returns child run c of a parent run whose children are the
@@ -210,8 +212,9 @@ func (t *tree) originRun(level, runStart, runEnd int) []uint8 {
 // mergeRunParallel splits the merge of run r into `workers` output pieces;
 // the per-child split positions for each piece boundary are found with a
 // rank search over the value domain, so pieces merge independently
-// (Francis et al. 1993, cited in §5.2).
-func (t *tree) mergeRunParallel(level, r int, samples []int32, stride, workers int) {
+// (Francis et al. 1993, cited in §5.2). The pieces run under ctx, whose
+// error is returned when it cut the merge short.
+func (t *tree) mergeRunParallel(ctx context.Context, level, r int, samples []int32, stride, workers int) error {
 	runStart := r * t.effLen[level]
 	runEnd := runStart + t.effLen[level]
 	if runEnd > t.n {
@@ -230,7 +233,7 @@ func (t *tree) mergeRunParallel(level, r int, samples []int32, stride, workers i
 		buf, vals := mergeScratch(f)
 		t.mergeRun(level, r, samples, stride, buf, vals)
 		putMergeScratch(buf, vals)
-		return
+		return nil
 	}
 	// Flat split table: row p holds the per-child consumed counts at output
 	// boundary length*p/pieces. Row 0 is all zeros; row `pieces` is the child
@@ -251,7 +254,7 @@ func (t *tree) mergeRunParallel(level, r int, samples []int32, stride, workers i
 	}
 	out := t.levels[level][runStart:runEnd]
 	origin := t.originRun(level, runStart, runEnd)
-	parallel.ForEach(pieces, func(p int) {
+	return parallel.ForEachContext(ctx, pieces, func(p int) {
 		t0 := length * p / pieces
 		t1 := length * (p + 1) / pieces
 		if p == pieces-1 {

@@ -48,7 +48,9 @@ func FuzzCountSelect(f *testing.F) {
 			Fanout:      fuzzParam(fanout, 2, 7),
 			SampleEvery: fuzzParam(sampleEvery, 1, 15),
 			NoCascading: flags&1 != 0,
-			Serial:      flags&4 != 0,
+		}
+		if flags&4 != 0 {
+			opt.Context = serialBuild
 		}
 		tree := buildInDomain(t, keys, opt)
 		if tree == nil {

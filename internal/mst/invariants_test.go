@@ -217,7 +217,7 @@ func TestOriginStripe(t *testing.T) {
 			for _, n := range []int{f + 1, 1000, 5000} { // 5000: the top run merges in parallel pieces
 				for _, opt := range []Options{
 					{Fanout: f, SampleEvery: k},
-					{Fanout: f, SampleEvery: k, Serial: true},
+					{Fanout: f, SampleEvery: k, Context: serialBuild},
 				} {
 					keys := randKeys(rng, n, int64(n)/8+2)
 					tree, err := Build(keys, opt)
@@ -266,7 +266,7 @@ func TestTreeInvariants(t *testing.T) {
 			{},
 			{Fanout: 2, SampleEvery: 1},
 			{Fanout: 3, SampleEvery: 5},
-			{Fanout: 4, SampleEvery: 2, Serial: true},
+			{Fanout: 4, SampleEvery: 2, Context: serialBuild},
 			{Fanout: 7, SampleEvery: 3},
 		} {
 			keys := randKeys(rng, n, int64(n)/2+1) // duplicates guaranteed

@@ -52,6 +52,7 @@
 package mst
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -104,8 +105,11 @@ type Options struct {
 	// degrading queries to O((log n)²) as in Figure 2. Kept for the ablation
 	// benchmarks.
 	NoCascading bool
-	// Serial disables parallel construction.
-	Serial bool
+	// Context, when non-nil, is the context construction runs under: its
+	// worker cap (parallel.ContextWithLimit) bounds the build's parallel
+	// loops, and once it is done they stop between tasks and the build
+	// returns its error. Like Trace it never influences the built structure.
+	Context context.Context
 	// Trace, when non-nil, receives one child span per merge level during
 	// construction. It never influences the built structure, so it is
 	// excluded from structural signatures.
@@ -123,10 +127,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// stored is o as a built tree keeps it: without the trace span, which only
-// construction reads and a cached tree must not keep alive.
+// stored is o as a built tree keeps it: without the context and the trace
+// span, which only construction reads and a cached tree must not keep alive.
 func (o Options) stored() Options {
-	o.Trace = nil
+	o.Context, o.Trace = nil, nil
 	return o
 }
 
@@ -228,7 +232,8 @@ func Build(keys []int64, opt Options) (*Tree, error) { return BuildForm(keys, op
 // rank table and topPos come from one counting pass over [0, n] — and so is
 // a value outside the three forms. On the
 // forms that skip the merge levels, Options shape nothing but the trace and
-// what Stats reports.
+// what Stats reports. A merge cut short by a done Options.Context returns
+// the context's error.
 func BuildForm(keys []int64, opt Options, form Form) (*Tree, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -250,13 +255,19 @@ func BuildForm(keys []int64, opt Options, form Form) (*Tree, error) {
 			break
 		}
 		form = Full
-		tr = buildTree(base, opt)
+		tr, err = buildTree(base, opt)
 	default:
 		form = Full
-		tr = buildTree(base, opt)
+		tr, err = buildTree(base, opt)
+		if err != nil {
+			break
+		}
 		cnt := arena.Int32s.GetZeroed(len(base) + 3)
 		tr.topPos = topPositions(base, cnt)
 		arena.Int32s.Put(cnt)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if form != Full {
 		traceSkippedLevels(len(keys), opt, form)

@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +11,9 @@ import (
 
 	"holistic/internal/parallel"
 )
+
+// serialBuild caps a build's merge loops at one worker.
+var serialBuild = parallel.ContextWithLimit(context.Background(), 1)
 
 // bruteCountBelow is the O(n) reference for a count query.
 func bruteCountBelow(keys []int64, lo, hi int, threshold int64) int {
@@ -69,7 +73,7 @@ func optVariants() []Options {
 		{Fanout: 2, SampleEvery: 7},  // odd sampling distance
 		{Fanout: 4, SampleEvery: 16}, //
 		{Fanout: 3, SampleEvery: 5},  // non-power-of-two fanout
-		{Fanout: 32, SampleEvery: 32, Serial: true},
+		{Fanout: 32, SampleEvery: 32, Context: serialBuild},
 		{NoCascading: true}, // plain O((log n)^2) queries
 		{Fanout: 64, SampleEvery: 4},
 	}

@@ -2,9 +2,9 @@ package plan
 
 import (
 	"fmt"
-	"sync"
 
 	"holistic/internal/core"
+	"holistic/internal/treecache"
 )
 
 // Execute runs the plan against the source table and returns the output
@@ -16,14 +16,14 @@ import (
 // kept as an opt-out for benchmarking and as an escape hatch. Results are
 // byte-identical either way.
 //
-// When the options carry no structure cache, a request-local cache is
-// installed for the duration of the statement, so trees and preprocessing
-// arrays are shared across the statement's functions even for cacheless
-// callers — the within-request counterpart of windowd's cross-request
-// treecache.
+// When the options carry no structure cache, a statement-local one is
+// installed for the duration of the statement — a treecache without a
+// budget, which never evicts — so trees and preprocessing arrays are shared
+// across the statement's functions even for cacheless callers: the
+// within-request counterpart of windowd's cross-request cache.
 func (p *Plan) Execute(t *core.Table, opt core.Options) (*core.Table, Stats, error) {
 	if opt.Cache == nil {
-		opt.Cache = newLocalCache()
+		opt.Cache = treecache.New(0)
 		opt.CacheScope = "stmt"
 	}
 
@@ -95,39 +95,4 @@ func (p *Plan) Execute(t *core.Table, opt core.Options) (*core.Table, Stats, err
 		return nil, Stats{}, err
 	}
 	return out, p.Stats, nil
-}
-
-// localCache is a request-scoped core.TreeCache: a single-flight map with
-// no eviction, alive for one statement. It makes within-statement structure
-// sharing work for callers that configured no cross-request cache.
-type localCache struct {
-	mu sync.Mutex
-	m  map[string]*localEntry
-}
-
-type localEntry struct {
-	once sync.Once
-	val  any
-	err  error
-}
-
-func newLocalCache() *localCache {
-	return &localCache{m: make(map[string]*localEntry)}
-}
-
-// GetOrBuild implements core.TreeCache with per-key single-flight: the
-// first caller builds, concurrent callers for the same key wait, distinct
-// keys build in parallel.
-func (c *localCache) GetOrBuild(key string, build func() (any, int64, error)) (any, error) {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if !ok {
-		e = &localEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.val, _, e.err = build()
-	})
-	return e.val, e.err
 }

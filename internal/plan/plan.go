@@ -69,17 +69,17 @@ type Statement struct {
 // order (inputs always precede consumers).
 type Node struct {
 	// ID is the node's identity within the plan (e.g. "sort0", "tree2").
-	ID string `json:"id"`
+	ID string
 	// Kind is the operator class: "sort", "partitions", "preprocess",
 	// "tree" or "probe".
-	Kind string `json:"kind"`
+	Kind string
 	// Label describes the operator in §4/§5 terms.
-	Label string `json:"label"`
+	Label string
 	// Inputs lists the IDs of the nodes this one consumes.
-	Inputs []string `json:"inputs,omitempty"`
+	Inputs []string
 	// SharedBy lists the output columns (functions) this node serves; a
 	// node with more than one entry is computed once and reused.
-	SharedBy []string `json:"shared_by,omitempty"`
+	SharedBy []string
 }
 
 // Stats summarizes how much work the plan shares. The counts are

@@ -97,7 +97,8 @@ func NewLeaves(ranks, prevIdcs []int64) (*DenseRankTree, error) {
 // dense rank of row i's rank key (preprocess.DenseRanks); prevIdcs[i] is the
 // shifted previous-occurrence index of that key (preprocess.PrevIndices
 // computed on rank-key equality). A partition of more than MaxRows rows is
-// refused with a *SizeError.
+// refused with a *SizeError. The build runs under opt.Context and returns
+// its error when that cut it short.
 func New(ranks, prevIdcs []int64, opt mst.Options) (*DenseRankTree, error) {
 	if err := checkInput(len(ranks), len(prevIdcs)); err != nil {
 		return nil, err
@@ -137,7 +138,7 @@ func New(ranks, prevIdcs []int64, opt mst.Options) (*DenseRankTree, error) {
 		if bandHi > n {
 			bandHi = n
 		}
-		parallel.ForEach(bandHi-bandLo, func(off int) {
+		err := parallel.ForEachContext(opt.Context, bandHi-bandLo, func(off int) {
 			i := bandLo + off
 			l, r := &t.nodes[2*i], &t.nodes[2*i+1]
 			nd := node{
@@ -175,6 +176,9 @@ func New(ranks, prevIdcs []int64, opt mst.Options) (*DenseRankTree, error) {
 		})
 		if buildErr != nil {
 			return nil, buildErr
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return t, nil

@@ -1,6 +1,7 @@
 package rangetree
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -165,5 +166,21 @@ func TestSizeLimit(t *testing.T) {
 	}
 	if 2*MaxRows > math.MaxInt32 {
 		t.Fatalf("node index 2·%d overflows int32", MaxRows)
+	}
+}
+
+// TestNewStopsOnCancelledContext checks that a build under a done context
+// returns the context's error.
+func TestNewStopsOnCancelledContext(t *testing.T) {
+	const n = 5000
+	ranks, prevs := make([]int64, n), make([]int64, n)
+	for i := range ranks {
+		ranks[i] = int64(i % 97)
+		prevs[i] = 0
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := New(ranks, prevs, mst.Options{Context: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("New: err = %v, want context.Canceled", err)
 	}
 }

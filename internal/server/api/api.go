@@ -362,18 +362,9 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	return &resp, nil
 }
 
-// Explain fetches the text rendering of a statement's plan DAG.
-func (c *Client) Explain(ctx context.Context, sql string) (string, error) {
-	resp, err := c.ExplainPlan(ctx, sql)
-	if err != nil {
-		return "", err
-	}
-	return resp.Plan, nil
-}
-
-// ExplainPlan fetches the full explain response: the structured plan DAG
-// with shared-node annotations plus its text rendering.
-func (c *Client) ExplainPlan(ctx context.Context, sql string) (*ExplainResponse, error) {
+// Explain fetches a statement's plan: the structured DAG with shared-node
+// annotations plus its text rendering.
+func (c *Client) Explain(ctx context.Context, sql string) (*ExplainResponse, error) {
 	var resp ExplainResponse
 	if err := c.doJSON(ctx, http.MethodPost, PathExplain, ExplainRequest{SQL: sql}, &resp); err != nil {
 		return nil, err
@@ -463,9 +454,9 @@ func (c *Client) Datasets(ctx context.Context) ([]DatasetInfo, error) {
 	return list.Datasets, nil
 }
 
-// getText fetches a plain-text page.
-func (c *Client) getText(ctx context.Context, path string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+// Metrics fetches the Prometheus text exposition of GET /v1/metrics.
+func (c *Client) Metrics(ctx context.Context) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+PathMetrics, nil)
 	if err != nil {
 		return "", err
 	}
@@ -479,17 +470,7 @@ func (c *Client) getText(ctx context.Context, path string) (string, error) {
 		return "", err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("windowd: %s: HTTP %d", path, resp.StatusCode)
+		return "", fmt.Errorf("windowd: %s: HTTP %d", PathMetrics, resp.StatusCode)
 	}
 	return string(data), nil
-}
-
-// Statusz fetches the plain-text debug status page.
-func (c *Client) Statusz(ctx context.Context) (string, error) {
-	return c.getText(ctx, "/statusz")
-}
-
-// Metrics fetches the Prometheus text exposition of GET /v1/metrics.
-func (c *Client) Metrics(ctx context.Context) (string, error) {
-	return c.getText(ctx, PathMetrics)
 }

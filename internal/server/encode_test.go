@@ -23,18 +23,12 @@ import (
 
 // referenceBody is the response path encodeResponse replaced, kept as the
 // oracle: render every cell to a string, collect [][]string and [][]bool, and
-// let encoding/json write the body. It shares no code with the encoder — cell
-// text comes from strconv and time directly — so byte identity with it is the
-// wire contract, not a tautology.
+// let encoding/json write them as api.QueryResponse. It shares no code with
+// the encoder — cell text comes from strconv and time directly — so byte
+// identity with it is the wire contract, not a tautology.
 func referenceBody(t testing.TB, res *queryResult) []byte {
 	t.Helper()
-	var resp struct {
-		Columns []string       `json:"columns"`
-		Rows    [][]string     `json:"rows"`
-		Nulls   [][]bool       `json:"nulls,omitempty"`
-		Stats   api.QueryStats `json:"stats"`
-		Trace   string         `json:"trace,omitempty"`
-	}
+	var resp api.QueryResponse
 	cols := res.table.Columns()
 	resp.Columns = make([]string, len(cols))
 	for i, c := range cols {

@@ -22,7 +22,7 @@ func TestExplainStructuredPlan(t *testing.T) {
 		       sum(v) over (partition by g) as s
 		from t
 		window w as (partition by g order by d)`
-	resp, err := c.ExplainPlan(ctx, sql)
+	resp, err := c.Explain(ctx, sql)
 	if err != nil {
 		t.Fatal(err)
 	}

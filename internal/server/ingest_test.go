@@ -121,19 +121,24 @@ func TestIngestAndSegmentedQuery(t *testing.T) {
 		t.Fatalf("RegisterDir info %+v", info)
 	}
 
-	status, err := c.Statusz(ctx)
+	// The listing reports the ingested dataset's segments, the metrics the
+	// ingest run.
+	list, err := c.Datasets(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(status, "segments=4") || !strings.Contains(status, "ingest: started=") {
-		t.Fatalf("statusz lacks segment/ingest lines:\n%s", status)
+	segments := map[string]int{}
+	for _, d := range list {
+		segments[d.Name] = d.Segments
 	}
-	metrics, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if segments["seg"] != 4 || segments["seg2"] != 4 || segments["ram"] != 0 {
+		t.Fatalf("listed segment counts %v, want seg=4 seg2=4 ram=0", segments)
 	}
-	if !strings.Contains(metrics, `windowd_ingest_runs_total{state="completed"} 1`) {
-		t.Fatalf("metrics lack ingest families:\n%s", metrics)
+	m := scrapeMetrics(t, c)
+	for _, state := range []string{"started", "completed"} {
+		if v, ok := m.Value("windowd_ingest_runs_total", "state="+state); !ok || v != 1 {
+			t.Fatalf("windowd_ingest_runs_total{state=%q} = %v (present %v), want 1", state, v, ok)
+		}
 	}
 }
 

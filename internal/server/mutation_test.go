@@ -183,14 +183,12 @@ func TestMutationsEndToEnd(t *testing.T) {
 		t.Fatalf("live listing: %+v", d)
 	}
 
-	// And /statusz grows the delta line plus per-dataset epoch fields.
-	page, err := c.Statusz(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wantStr := range []string{"delta: batches=", "conflicts=", "epoch=3", "delta_rows="} {
-		if !strings.Contains(page, wantStr) {
-			t.Fatalf("statusz missing %q:\n%s", wantStr, page)
+	// And the delta families count the batches, the conflict and the
+	// overlay.
+	m := scrapeMetrics(t, c)
+	for _, family := range []string{"windowd_delta_batches_total", "windowd_delta_conflicts_total", "windowd_delta_rows"} {
+		if v, ok := m.Value(family); !ok || v == 0 {
+			t.Fatalf("%s = %v (present %v), want > 0", family, v, ok)
 		}
 	}
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"holistic/internal/arena"
@@ -19,9 +16,8 @@ import (
 // format at GET /v1/metrics. Request- and query-scoped series are updated
 // live on their handles; counters owned elsewhere — the tree cache, the
 // arena and the scratch pools — are func-backed and snapshotted at scrape
-// time, so the exposition replaces the hand-rolled /statusz text as the
-// machine-readable view of those subsystems (the text page stays for
-// humans).
+// time. Beside the dataset listing at /v1/datasets it is the server's one
+// status surface.
 //
 // Series (labels in braces), documented in DESIGN.md §9:
 //
@@ -43,7 +39,7 @@ import (
 //	windowd_cache_events_total{event}             counter (func)
 //	windowd_cache_entries / _bytes / _budget_bytes gauge (func)
 //	windowd_cache_build_seconds_total             counter (func)
-//	windowd_arena_{arenas,chunks,resets}_total    counter (func)
+//	windowd_arena_arenas_total                    counter (func)
 //	windowd_arena_allocated_bytes_total           counter (func)
 //	windowd_pool_{gets,puts,misses}_total{pool}   counter (func)
 //	windowd_pool_bytes_in_flight{pool}            gauge  (func)
@@ -188,17 +184,9 @@ func newServerObs(s *Server, routes []string) *serverObs {
 		"Arenas created by the allocation-aware query path.", nil, func() []obs.Sample {
 			return []obs.Sample{{Value: float64(arena.ArenaSnapshot().Arenas)}}
 		})
-	reg.NewCounterFunc("windowd_arena_chunks_total",
-		"Chunks reserved by arenas.", nil, func() []obs.Sample {
-			return []obs.Sample{{Value: float64(arena.ArenaSnapshot().Chunks)}}
-		})
 	reg.NewCounterFunc("windowd_arena_allocated_bytes_total",
 		"Bytes reserved by arenas.", nil, func() []obs.Sample {
 			return []obs.Sample{{Value: float64(arena.ArenaSnapshot().Bytes)}}
-		})
-	reg.NewCounterFunc("windowd_arena_resets_total",
-		"Arena resets (reuse of reserved chunks).", nil, func() []obs.Sample {
-			return []obs.Sample{{Value: float64(arena.ArenaSnapshot().Resets)}}
 		})
 
 	reg.NewCounterFunc("windowd_mst_batch_queries",
@@ -353,31 +341,6 @@ func (o *serverObs) observeRequest(route string, status int, d time.Duration, by
 	ro := o.routes[route]
 	ro.dur.Observe(d.Seconds())
 	ro.bytes.Add(float64(bytes))
-}
-
-// renderRequests writes /statusz's uptime, request total and per-endpoint
-// lines from the request series; per-status-code counts and the latency
-// buckets are on /v1/metrics.
-func (o *serverObs) renderRequests(b *strings.Builder) {
-	fmt.Fprintf(b, "uptime: %s\n", time.Since(o.start).Round(time.Millisecond))
-	routes := make([]string, 0, len(o.routes))
-	for route := range o.routes {
-		routes = append(routes, route)
-	}
-	sort.Strings(routes)
-	var endpoints strings.Builder
-	total := int64(0)
-	for _, route := range routes {
-		ro := o.routes[route]
-		n, sec := ro.dur.Totals()
-		if n == 0 {
-			continue
-		}
-		total += n
-		fmt.Fprintf(&endpoints, "endpoint %s: requests=%d mean=%.2fms bytes=%.0f\n",
-			route, n, sec*1e3/float64(n), ro.bytes.Value())
-	}
-	fmt.Fprintf(b, "requests: total=%d\n%s", total, endpoints.String())
 }
 
 // observeQuerySpans walks a finished query span tree and feeds the

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -120,14 +119,14 @@ func TestPoolRaceStress(t *testing.T) {
 		t.Fatal("stress run exercised no pooled scratch at all")
 	}
 
-	// The counters must surface on the status page.
-	page, err := c.Statusz(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// The counters must surface as metric series.
+	m := scrapeMetrics(t, c)
+	if v, ok := m.Value("windowd_arena_arenas_total"); !ok || v == 0 {
+		t.Fatalf("windowd_arena_arenas_total = %v (present %v), want > 0", v, ok)
 	}
-	for _, want := range []string{"arena: arenas=", "pool int32:", "bytes_in_flight="} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("statusz missing %q:\n%s", want, page)
+	for _, family := range []string{"windowd_pool_gets_total", "windowd_pool_puts_total", "windowd_pool_bytes_in_flight"} {
+		if _, ok := m.Value(family, "pool=int32"); !ok {
+			t.Fatalf(`metrics lack %s{pool="int32"}`, family)
 		}
 	}
 	_ = s

@@ -14,11 +14,17 @@
 // Prometheus exposition at /v1/metrics. Every non-2xx response — including
 // the mux's own 404 and 405 — carries the api.ErrorResponse envelope.
 //
+// Every request and response body is one of api's types, encoded and
+// decoded as declared there. Status has two surfaces: the metric registry
+// at /v1/metrics (requests, cache, arena, pools, kernels, ingest, delta)
+// and the dataset listing at /v1/datasets (version, rows, columns, segments,
+// epoch).
+//
 // Production plumbing: per-request timeouts plumbed into the operator's
 // cooperative cancellation, a semaphore admission limiter, per-query trace
 // spans feeding the metrics registry and a threshold-gated slow-query log,
-// /healthz and /statusz, structured request logging, and graceful shutdown
-// through http.Server.Shutdown draining in-flight queries.
+// structured request logging, and graceful shutdown through
+// http.Server.Shutdown draining in-flight queries.
 package server
 
 import (
@@ -35,7 +41,6 @@ import (
 	"sync"
 	"time"
 
-	"holistic/internal/arena"
 	"holistic/internal/core"
 	"holistic/internal/csvio"
 	"holistic/internal/delta"
@@ -108,7 +113,7 @@ func (c Config) withDefaults() Config {
 // snapshot (identical until the first mutation).
 type dataset struct {
 	file  *csvio.File
-	info  DatasetInfo
+	info  api.DatasetInfo
 	scope string // cache key prefix: "name@v<version>"; queries append "|g<gen>"
 	// buf is the live-mutation buffer over the registered table. Always
 	// non-nil; datasets registered without a key column are append-only.
@@ -122,29 +127,13 @@ type dataset struct {
 // dataset's "name@v<version>" scope, then "|g<gen>".
 func genScope(scope string, gen int64) string { return fmt.Sprintf("%s|g%d", scope, gen) }
 
-// DatasetInfo mirrors api.DatasetInfo; the JSON shapes are kept in sync by
-// the shared-client tests.
-type DatasetInfo struct {
-	Name    string   `json:"name"`
-	Version int64    `json:"version"`
-	Rows    int      `json:"rows"`
-	Columns []string `json:"columns"`
-	// Segments is the segment-file count for datasets materialized from a
-	// segment directory; 0 for plain CSV registrations.
-	Segments int `json:"segments,omitempty"`
-	// Epoch counts applied mutation batches since registration.
-	Epoch int64 `json:"epoch,omitempty"`
-	// KeyColumn is the mutation key column, when one was configured.
-	KeyColumn string `json:"key_column,omitempty"`
-}
-
 // Server is the windowd request handler.
 type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	cache   *treecache.Cache
 	limiter chan struct{}
-	obs     *serverObs // the metric registry behind /v1/metrics and /statusz
+	obs     *serverObs // the metric registry behind /v1/metrics
 
 	mu       sync.RWMutex
 	datasets map[string]*dataset
@@ -162,7 +151,7 @@ type ingestJob struct {
 
 	mu   sync.Mutex
 	err  error
-	info *DatasetInfo
+	info *api.DatasetInfo
 }
 
 // New builds a server from cfg.
@@ -185,8 +174,6 @@ func New(cfg Config) *Server {
 		"POST " + api.PathDatasets + "/{name}/mutations": s.handleMutations,
 		"POST " + api.PathQuery:                          s.handleQuery,
 		"POST " + api.PathExplain:                        s.handleExplain,
-		// Human-facing debug page; not part of the versioned API.
-		"GET /statusz": s.handleStatusz,
 	}
 	s.mux = http.NewServeMux()
 	patterns := []string{unmatchedRoute}
@@ -291,37 +278,37 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// CacheStats exposes the tree cache counters (used by /statusz and tests).
+// CacheStats exposes the tree cache counters.
 func (s *Server) CacheStats() treecache.Stats { return s.cache.Stats() }
 
 // RegisterCSV parses csvData and registers (or reloads) it under name.
 // A reload bumps the dataset version and invalidates every cache entry
 // built against the previous version.
-func (s *Server) RegisterCSV(name string, r io.Reader) (DatasetInfo, error) {
+func (s *Server) RegisterCSV(name string, r io.Reader) (api.DatasetInfo, error) {
 	return s.RegisterCSVKeyed(name, r, "")
 }
 
 // RegisterCSVKeyed registers a CSV dataset with a mutation key column:
 // a unique, non-NULL INT64 or STRING column that upserts and deletes
 // address rows by. An empty keyColumn makes the dataset append-only.
-func (s *Server) RegisterCSVKeyed(name string, r io.Reader, keyColumn string) (DatasetInfo, error) {
+func (s *Server) RegisterCSVKeyed(name string, r io.Reader, keyColumn string) (api.DatasetInfo, error) {
 	file, err := csvio.Read(r)
 	if err != nil {
-		return DatasetInfo{}, fmt.Errorf("parse csv: %w", err)
+		return api.DatasetInfo{}, fmt.Errorf("parse csv: %w", err)
 	}
 	return s.install(name, file, 0, keyColumn)
 }
 
 // RegisterPath loads a CSV file from the server's filesystem.
-func (s *Server) RegisterPath(name, path string) (DatasetInfo, error) {
+func (s *Server) RegisterPath(name, path string) (api.DatasetInfo, error) {
 	return s.RegisterPathKeyed(name, path, "")
 }
 
 // RegisterPathKeyed loads a CSV file with a mutation key column.
-func (s *Server) RegisterPathKeyed(name, path, keyColumn string) (DatasetInfo, error) {
+func (s *Server) RegisterPathKeyed(name, path, keyColumn string) (api.DatasetInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return DatasetInfo{}, err
+		return api.DatasetInfo{}, err
 	}
 	defer f.Close()
 	return s.RegisterCSVKeyed(name, f, keyColumn)
@@ -332,23 +319,23 @@ func (s *Server) RegisterPathKeyed(name, path, keyColumn string) (DatasetInfo, e
 // loads go through the tree cache under content-addressed per-segment keys,
 // so re-registering a partially changed directory only rebuilds the columns
 // of segments whose content actually changed.
-func (s *Server) RegisterDir(name, dir string) (DatasetInfo, error) {
+func (s *Server) RegisterDir(name, dir string) (api.DatasetInfo, error) {
 	d, err := segment.OpenDir(dir)
 	if err != nil {
-		return DatasetInfo{}, err
+		return api.DatasetInfo{}, err
 	}
 	defer d.Close()
 	file, err := d.File(s.cache)
 	if err != nil {
-		return DatasetInfo{}, err
+		return api.DatasetInfo{}, err
 	}
 	return s.install(name, file, len(d.Segments()), "")
 }
 
-func (s *Server) install(name string, file *csvio.File, segments int, keyColumn string) (DatasetInfo, error) {
+func (s *Server) install(name string, file *csvio.File, segments int, keyColumn string) (api.DatasetInfo, error) {
 	buf, err := delta.NewBuffer(file.Table, keyColumn, delta.Options{CompactRows: s.cfg.CompactRows})
 	if err != nil {
-		return DatasetInfo{}, err
+		return api.DatasetInfo{}, err
 	}
 	cols := make([]string, 0, len(file.Table.Columns()))
 	for _, c := range file.Table.Columns() {
@@ -367,7 +354,7 @@ func (s *Server) install(name string, file *csvio.File, segments int, keyColumn 
 		file:  file,
 		buf:   buf,
 		scope: fmt.Sprintf("%s@v%d", name, version),
-		info: DatasetInfo{
+		info: api.DatasetInfo{
 			Name:      name,
 			Version:   version,
 			Rows:      file.Table.Rows(),
@@ -479,47 +466,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.obs.reg.WriteText(w)
 }
 
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	b.WriteString("windowd status\n\n")
-	s.obs.renderRequests(&b)
-	st := s.cache.Stats()
-	fmt.Fprintf(&b, "cache: entries=%d bytes=%d budget=%d hits=%d misses=%d joins=%d failures=%d evictions=%d invalidations=%d build_time=%s\n",
-		st.Entries, st.Bytes, st.Budget, st.Hits, st.Misses, st.Joins, st.Failures, st.Evictions, st.Invalidations, st.BuildTime.Round(time.Microsecond))
-	fmt.Fprintf(&b, "arena: %s\n", arena.ArenaSnapshot())
-	for _, ps := range arena.Snapshot() {
-		fmt.Fprintf(&b, "%s\n", ps)
-	}
-	responses, respondSec := s.obs.respondDur.Totals()
-	fmt.Fprintf(&b, "respond: responses=%d total=%s aborts=%.0f\n",
-		responses, time.Duration(respondSec*float64(time.Second)).Round(time.Microsecond), s.obs.responseAborts.Value())
-	bs := core.BatchSnapshot()
-	fmt.Fprintf(&b, "mst-batch: queries=%d dedup_hits=%d\n", bs.Queries, bs.DedupHits)
-	is := ingest.Snapshot()
-	fmt.Fprintf(&b, "ingest: started=%d completed=%d failed=%d rows=%d segments=%d resumed=%d\n",
-		is.Started, is.Completed, is.Failed, is.RowsIngested, is.SegmentsWritten, is.IntervalsResumed)
-	dst := delta.Counters()
-	fmt.Fprintf(&b, "delta: batches=%d appends=%d upserts=%d deletes=%d conflicts=%d compactions=%d materializations=%d\n",
-		dst.Batches, dst.Appends, dst.Upserts, dst.Deletes, dst.Conflicts, dst.Compactions, dst.Materializations)
-	s.mu.RLock()
-	names := make([]*dataset, 0, len(s.datasets))
-	for _, ds := range s.datasets {
-		names = append(names, ds)
-	}
-	s.mu.RUnlock()
-	for _, ds := range names {
-		snap := ds.buf.Snapshot()
-		fmt.Fprintf(&b, "dataset %s: version=%d rows=%d columns=%d segments=%d epoch=%d gen=%d delta_rows=%d\n",
-			ds.info.Name, ds.info.Version, snap.Rows(), len(ds.info.Columns), ds.info.Segments,
-			snap.Epoch(), snap.Gen(), snap.DeltaRows())
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, b.String())
-}
-
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	infos := make([]DatasetInfo, 0, len(s.datasets))
+	list := api.DatasetList{Datasets: make([]api.DatasetInfo, 0, len(s.datasets))}
 	for _, ds := range s.datasets {
 		info := ds.info
 		// Rows and Epoch are live: they track applied mutations, not the
@@ -527,10 +476,10 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 		snap := ds.buf.Snapshot()
 		info.Rows = snap.Rows()
 		info.Epoch = snap.Epoch()
-		infos = append(infos, info)
+		list.Datasets = append(list.Datasets, info)
 	}
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": infos})
+	writeJSON(w, http.StatusOK, list)
 }
 
 // registerError classifies a registration failure: an upload that tripped
@@ -567,7 +516,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, registerError(name, derr))
 		return
 	}
-	var info DatasetInfo
+	var info api.DatasetInfo
 	var err error
 	switch req.Source {
 	case "", api.SourceCSV:
@@ -636,7 +585,7 @@ func (s *Server) startIngest(w http.ResponseWriter, r *http.Request, name string
 
 func (s *Server) runIngest(ctx context.Context, name, dir string, job *ingestJob) {
 	res, err := job.ing.Run(ctx)
-	var info DatasetInfo
+	var info api.DatasetInfo
 	if err == nil {
 		info, err = s.RegisterDir(name, dir)
 	}
@@ -655,18 +604,18 @@ func (s *Server) runIngest(ctx context.Context, name, dir string, job *ingestJob
 		"rows", res.Rows, "segments", res.Segments, "resumed", res.Resumed)
 }
 
-// ingestStatusResponse mirrors api.IngestStatus (kept in sync by the
-// shared-client tests). The embedded Progress flattens into the envelope.
-type ingestStatusResponse struct {
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
-	ingest.Progress
-	Dataset *DatasetInfo `json:"dataset,omitempty"`
-}
-
 // jobStatus snapshots a job for the wire.
-func jobStatus(job *ingestJob) ingestStatusResponse {
-	st := ingestStatusResponse{State: api.IngestRunning, Progress: job.ing.Progress()}
+func jobStatus(job *ingestJob) api.IngestStatus {
+	p := job.ing.Progress()
+	st := api.IngestStatus{
+		State:          api.IngestRunning,
+		Planned:        p.Planned,
+		TotalIntervals: p.TotalIntervals,
+		DoneIntervals:  p.DoneIntervals,
+		TotalRows:      p.TotalRows,
+		DoneRows:       p.DoneRows,
+		Resumed:        p.Resumed,
+	}
 	select {
 	case <-job.done:
 		job.mu.Lock()
@@ -696,9 +645,7 @@ func (s *Server) handleIngestStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		SQL string `json:"sql"`
-	}
+	var req api.ExplainRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad explain request: %v", err))
 		return
@@ -723,21 +670,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err))
 		return
 	}
-	resp := &explainResponse{Plan: plan.RenderText(p.Nodes), PlanDAG: p.Nodes}
-	resp.Operators = p.Stats.Operators
-	resp.SortsShared = p.Stats.SortsShared
-	resp.TreesShared = p.Stats.TreesShared
+	resp := api.ExplainResponse{
+		Plan:        plan.RenderText(p.Nodes),
+		PlanDAG:     make([]api.PlanNode, len(p.Nodes)),
+		Operators:   p.Stats.Operators,
+		SortsShared: p.Stats.SortsShared,
+		TreesShared: p.Stats.TreesShared,
+	}
+	for i, n := range p.Nodes {
+		resp.PlanDAG[i] = api.PlanNode{ID: n.ID, Kind: n.Kind, Label: n.Label, Inputs: n.Inputs, SharedBy: n.SharedBy}
+	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// explainResponse mirrors api.ExplainResponse (kept in sync by the
-// shared-client tests); plan.Node carries api.PlanNode's json shape.
-type explainResponse struct {
-	Plan        string      `json:"plan"`
-	PlanDAG     []plan.Node `json:"plan_dag,omitempty"`
-	Operators   int         `json:"operators,omitempty"`
-	SortsShared int         `json:"sorts_shared,omitempty"`
-	TreesShared int         `json:"trees_shared,omitempty"`
 }
 
 // timeoutFor clamps the requested timeout into (0, MaxTimeout].
@@ -753,11 +696,7 @@ func (s *Server) timeoutFor(millis int64) time.Duration {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		SQL           string `json:"sql"`
-		TimeoutMillis int64  `json:"timeout_millis"`
-		IncludeTrace  bool   `json:"include_trace"`
-	}
+	var req api.QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad query request: %v", err))
 		return

@@ -86,8 +86,8 @@ func TestQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.ToLower(plan), "rank") {
-		t.Fatalf("plan does not mention the function: %q", plan)
+	if !strings.Contains(strings.ToLower(plan.Plan), "rank") {
+		t.Fatalf("plan does not mention the function: %q", plan.Plan)
 	}
 
 	list, err := c.Datasets(ctx)
@@ -249,9 +249,10 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestStatuszReflectsCache checks the text metrics page carries the cache
-// counters and per-endpoint request lines.
-func TestStatuszReflectsCache(t *testing.T) {
+// TestMetricsReflectCache checks the metric series carry the cache counters,
+// the per-route request count and the respond stage, and the dataset listing
+// the registered version.
+func TestMetricsReflectCache(t *testing.T) {
 	s, c := newTestServer(t, Config{})
 	ctx := context.Background()
 	mustUpload(t, c, "t", smallCSV)
@@ -261,25 +262,50 @@ func TestStatuszReflectsCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	page, err := c.Statusz(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := scrapeMetrics(t, c)
 	st := s.CacheStats()
 	if st.Hits == 0 {
 		t.Fatal("second identical query produced no cache hits")
 	}
-	for _, want := range []string{
-		fmt.Sprintf("hits=%d", st.Hits),
-		fmt.Sprintf("misses=%d", st.Misses),
-		"endpoint POST /v1/query:",
-		"respond: responses=2 ",
-		"aborts=0",
-		"dataset t: version=1",
+	for _, want := range []struct {
+		name  string
+		label string
+		value float64
+	}{
+		{"windowd_cache_events_total", "event=hit", float64(st.Hits)},
+		{"windowd_cache_events_total", "event=miss", float64(st.Misses)},
+		{"windowd_request_duration_seconds_count", "route=POST " + api.PathQuery, 2},
+		{"windowd_respond_duration_seconds_count", "", 2},
+		{"windowd_response_aborts_total", "", 0},
 	} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("statusz missing %q:\n%s", want, page)
+		var labels []string
+		if want.label != "" {
+			labels = append(labels, want.label)
 		}
+		if v, ok := m.Value(want.name, labels...); !ok || v != want.value {
+			t.Errorf("%s{%s} = %v (present %v), want %v", want.name, want.label, v, ok, want.value)
+		}
+	}
+	list, err := c.Datasets(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].Name != "t" || list[0].Version != 1 {
+		t.Fatalf("datasets = %+v, want t at version 1", list)
+	}
+}
+
+// TestStatuszGone checks the retired /statusz page answers like any unknown
+// route: 404 with the not_found envelope.
+func TestStatuszGone(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	resp, err := http.Get(c.BaseURL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := decodeEnvelope(t, resp)
+	if resp.StatusCode != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
+		t.Fatalf("GET /statusz: status=%d code=%q, want 404 %q", resp.StatusCode, env.Error.Code, api.CodeNotFound)
 	}
 }
 

@@ -63,5 +63,10 @@ check 'one form enum' all \
 # that declaration instead of keeping their own copies
 check 'one structure identity' nontest-nobench \
     'classOf|functionPlan|sqlparse\.Explain|InvalidateEpochsBelow|InvalidatePrefix|parseEpochComponent|",l3"'
+# one form per surface: windowcli takes only SQL, windowd reports status
+# only through /v1/metrics and /v1/datasets, the wire types are declared only
+# in api, the statement-local cache is a treecache and an arena is one slab
+check 'one form per surface' nontest-nobench \
+    'handleStatusz|renderRequests|Statusz\(|runFlags|buildFunc\(|ingestStatusResponse|explainResponse|localCache|ExplainPlan|\.Checkpoint\('
 
 exit $fail

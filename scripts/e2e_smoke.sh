@@ -2,9 +2,9 @@
 # End-to-end smoke test for windowd: build the daemon, load a CSV dataset,
 # run a framed percentile query over HTTP twice, and assert the second run
 # is served from the structure cache (hits up, no new builds). Also checks
-# /statusz, the /v1/metrics exposition (core series present and non-zero),
-# the windowcli -server and -trace
-# modes, the out-of-core path (windowcli -ingest into a multi-segment
+# the /v1/metrics exposition (core series present and non-zero), the
+# /v1/datasets listing, the windowcli -server and -trace modes, the
+# out-of-core path (windowcli -ingest into a multi-segment
 # directory, segmented answers byte-identical to in-RAM, source=dir
 # registration, async server-side ingest with progress polling and ingest
 # metrics), and graceful shutdown.
@@ -53,9 +53,10 @@ hits2=$(num "$r2" cache_hits); misses2=$(num "$r2" cache_misses)
 [ "$hits2" -gt "$hits1" ]          || { echo "FAIL: repeat query did not hit the cache (hits $hits1 -> $hits2)"; exit 1; }
 [ "$misses2" -eq "$misses1" ]      || { echo "FAIL: repeat query rebuilt structures (misses $misses1 -> $misses2)"; exit 1; }
 
-statusz=$(curl -sf "$base/statusz")
-printf '%s\n' "$statusz" | grep -q "hits=$hits2"  || { echo "FAIL: statusz does not report cache hits"; exit 1; }
-printf '%s\n' "$statusz" | grep -q 'mst-batch: queries=' || { echo "FAIL: statusz does not report batch kernel counters"; exit 1; }
+metrics=$(curl -sf "$base/v1/metrics")
+printf '%s\n' "$metrics" | grep -q "^windowd_cache_events_total{event=\"hit\"} $hits2\$" \
+    || { echo "FAIL: metrics do not report the cache hits ($hits2)"; exit 1; }
+printf '%s\n' "$metrics" | grep -q '^windowd_mst_batch_queries ' || { echo "FAIL: metrics do not report batch kernel counters"; exit 1; }
 
 # A default-frame query (RANGE UNBOUNDED..CURRENT ROW) over the repeating
 # date column: peer rows share one frame, so the batched kernels' adjacent-
@@ -141,7 +142,7 @@ done
 # Every response so far was read to its end: the abort counter is exposed, at zero.
 printf '%s\n' "$metrics" | grep -q '^windowd_response_aborts_total 0$' \
     || { echo "FAIL: windowd_response_aborts_total missing or non-zero"; printf '%s\n' "$metrics" | grep response_aborts; exit 1; }
-printf '%s\n' "$statusz" | grep -q 'respond: responses=' || { echo "FAIL: statusz does not report the respond stage"; exit 1; }
+metric_positive 'windowd_respond_duration_seconds_sum' || { echo "FAIL: metrics do not report the respond stage"; exit 1; }
 
 cli_out=$("${TMPDIR:-/tmp}/windowcli" -server "$base" -trace \
     -query "select count(distinct v) over (order by d rows between 49 preceding and current row) as cd from t" \
@@ -169,7 +170,7 @@ printf '%s' "$reg" | grep -q '"segments":4' || { echo "FAIL: dir registration: $
 a=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$query" | sed 's/"stats".*//')
 b=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "${query/from t/from tseg}" | sed 's/"stats".*//')
 [ "$a" = "$b" ] || { echo "FAIL: server segmented query differs from in-RAM dataset"; exit 1; }
-curl -sf "$base/statusz" | grep -q 'dataset tseg: .*segments=4' || { echo "FAIL: statusz lacks segment count"; exit 1; }
+curl -sf "$base/v1/datasets" | grep -q '"name":"tseg"[^}]*"segments":4' || { echo "FAIL: dataset listing lacks the segment count"; exit 1; }
 
 # Asynchronous server-side ingest with progress polling.
 start=$(curl -sf "$base/v1/datasets/t2" -H 'Content-Type: application/json' \
@@ -266,7 +267,7 @@ grep -q '"conflict"' "$tmp/conflict.json" || { echo "FAIL: conflict envelope"; c
 curl -sf "$base/v1/datasets" | grep -q '"name":"live".*"epoch":3\|"epoch":3.*"name":"live"' \
     || { echo "FAIL: dataset listing lost the epoch"; exit 1; }
 
-# Delta metric families and the statusz delta line must now be live.
+# Delta metric families must now be live.
 metrics=$(curl -sf "$base/v1/metrics")
 for series in \
     'windowd_delta_mutations_total{op="append"}' \
@@ -278,9 +279,7 @@ for series in \
 do
     metric_positive "$series" || { echo "FAIL: delta metrics series missing or zero: $series"; exit 1; }
 done
-statusz=$(curl -sf "$base/statusz")
-printf '%s\n' "$statusz" | grep -q 'delta: batches=' || { echo "FAIL: statusz lacks delta line"; exit 1; }
-printf '%s\n' "$statusz" | grep -q 'dataset live: .*epoch=3' || { echo "FAIL: statusz lacks live epoch"; exit 1; }
+printf '%s\n' "$metrics" | grep -q '^windowd_delta_rows ' || { echo "FAIL: metrics lack the overlay size"; exit 1; }
 
 kill "$pid"
 wait "$pid" 2>/dev/null || true
