@@ -50,12 +50,12 @@ func TestArenaSingleChunkWhenSizedExactly(t *testing.T) {
 			t.Fatalf("allocation %d is not carved from the slab", i)
 		}
 	}
-	before := ArenaSnapshot().Bytes
+	before := arenaBytesTotal.Value()
 	if s := a.Alloc(1); len(s) != 1 {
 		t.Fatalf("alloc past the slab: len %d", len(s))
 	}
-	if got := ArenaSnapshot().Bytes - before; got < 8 {
-		t.Fatalf("alloc past the slab counted %d bytes, want at least 8", got)
+	if got := arenaBytesTotal.Value() - before; got < 8 {
+		t.Fatalf("alloc past the slab counted %v bytes, want at least 8", got)
 	}
 }
 

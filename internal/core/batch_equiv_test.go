@@ -46,12 +46,12 @@ func runPeerFrames(t *testing.T, seed int64, families []string, funcs []FuncSpec
 		FrameSet: true,
 		Funcs:    funcs,
 	}
-	before := BatchFamilySnapshot()
+	before := batchFamilyCounts()
 	res, err := Run(tab, w, Options{TaskSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range BatchFamilySnapshot() {
+	for i, a := range batchFamilyCounts() {
 		b := before[i]
 		if !slices.Contains(families, a.Family) {
 			continue
@@ -69,11 +69,27 @@ func runPeerFrames(t *testing.T, seed int64, families []string, funcs []FuncSpec
 	}
 }
 
+// familyCount is one kernel family's process-wide batch counters.
+type familyCount struct {
+	Family                                       string
+	Queries, DedupHits, LeafQueries, DiffQueries int64
+}
+
+// batchFamilyCounts reads the per-family batch counters, in family order.
+func batchFamilyCounts() []familyCount {
+	out := make([]familyCount, numBatchFamilies)
+	for f := range out {
+		out[f] = familyCount{batchFamilyNames[f], int64(familyQueries[f].Value()), int64(familyDedupHits[f].Value()),
+			int64(familyLeafQueries[f].Value()), int64(familyDiffQueries[f].Value())}
+	}
+	return out
+}
+
 // TestBatchEquivalenceDedupHeavy pins the adjacent-row dedup of the count,
 // rank and select collectors, including the process-wide totals the metrics
 // endpoint exports.
 func TestBatchEquivalenceDedupHeavy(t *testing.T) {
-	before := BatchSnapshot()
+	queries, dedup := batchQueries.Value(), batchDedupHits.Value()
 	runPeerFrames(t, 778, []string{"count", "rank", "select"}, []FuncSpec{
 		{Name: CountDistinct, Output: "cd", Arg: "v"},
 		{Name: Rank, Output: "rk", OrderBy: []SortKey{{Column: "g"}}},
@@ -81,9 +97,9 @@ func TestBatchEquivalenceDedupHeavy(t *testing.T) {
 		{Name: FirstValue, Output: "fv", Arg: "v", OrderBy: []SortKey{{Column: "v"}}},
 		{Name: PercentileCont, Output: "pc", Fraction: 0.37, OrderBy: []SortKey{{Column: "fv"}}},
 	})
-	after := BatchSnapshot()
-	if after.Queries <= before.Queries || after.DedupHits <= before.DedupHits {
-		t.Errorf("process-wide batch counters did not move: %+v -> %+v", before, after)
+	if batchQueries.Value() <= queries || batchDedupHits.Value() <= dedup {
+		t.Errorf("process-wide batch counters did not move: queries %v -> %v, dedup hits %v -> %v",
+			queries, batchQueries.Value(), dedup, batchDedupHits.Value())
 	}
 }
 
@@ -103,7 +119,7 @@ func TestBatchEquivalenceAggRankFamilies(t *testing.T) {
 // §10.1): over 2,000 partitions of 130 rows, the five-function statement with
 // a 60-row frame answers every count, agg and rank query from the trees'
 // level 0 — leaf_queries equals batch_queries on each family's
-// mst.query.batch span and in BatchFamilySnapshot — and no select query,
+// mst.query.batch span and in the process-wide counters — and no select query,
 // since the select kernels have no leaf rule. With a 10,000-row frame every
 // frame spans its whole partition, more than mst.LeafRows rows, and nothing is
 // answered at the leaves.
@@ -131,9 +147,9 @@ func TestLeafQueriesCounted(t *testing.T) {
 	} {
 		w := fiveFuncWindow()
 		w.Frame.Start, w.Frame.End = c.start, c.end
-		before := BatchFamilySnapshot()
+		before := batchFamilyCounts()
 		root := tracedRun(t, tab, w, Options{})
-		after := BatchFamilySnapshot()
+		after := batchFamilyCounts()
 		spans := 0
 		root.Walk(func(sp *obs.Span, _ int) {
 			if sp.Name() != "mst.query.batch" {

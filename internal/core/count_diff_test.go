@@ -72,7 +72,7 @@ func checkDifferentialReference(t *testing.T, funcs []FuncSpec, families ...stri
 	for _, cutoff := range []int{mst.LeafRows, 0} {
 		for fi, fs := range frames {
 			w := leafCutoffWindow(fs, funcs)
-			before := BatchFamilySnapshot()
+			before := batchFamilyCounts()
 			prev := mst.SetLeafRows(cutoff)
 			res, err := Run(tab, w, Options{TaskSize: 256})
 			mst.SetLeafRows(prev)
@@ -83,7 +83,7 @@ func checkDifferentialReference(t *testing.T, funcs []FuncSpec, families ...stri
 				f := &w.Funcs[i]
 				compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("cutoff %d frame %d %s", cutoff, fi, f.Output))
 			}
-			for i, a := range BatchFamilySnapshot() {
+			for i, a := range batchFamilyCounts() {
 				if !slices.Contains(families, a.Family) {
 					continue
 				}
@@ -96,7 +96,7 @@ func checkDifferentialReference(t *testing.T, funcs []FuncSpec, families ...stri
 }
 
 // TestDiffQueriesCounted pins what the differential passes report on the
-// mst.query.batch span (diff_queries) and in BatchFamilySnapshot, on one
+// mst.query.batch span (diff_queries) and in the process-wide counters, on one
 // 30,000-row partition under ROWS 9999 PRECEDING: COUNT(DISTINCT)'s frame
 // and threshold slide by one row, and so does the median's value range on
 // the permutation tree, so at least 99 % of their queries are answered from
@@ -129,9 +129,9 @@ func TestDiffQueriesCounted(t *testing.T) {
 			{Name: Lead, Output: "ld", Arg: "v", OrderBy: []SortKey{{Column: "d", Desc: true}}},
 		},
 	}
-	before := BatchFamilySnapshot()
+	before := batchFamilyCounts()
 	root := tracedRun(t, tab, w, Options{})
-	after := BatchFamilySnapshot()
+	after := batchFamilyCounts()
 	within := func(fam string, queries, diffs int64) bool {
 		switch fam {
 		case "rank":

@@ -2,7 +2,13 @@ package delta
 
 import (
 	"time"
+
+	"holistic/internal/obs"
 )
+
+// compactions counts generation swaps process-wide in obs.Default.
+var compactions = obs.Default.NewCounter("windowd_delta_compactions_total",
+	"Overlay-into-base compactions (frozen generation swaps).").With()
 
 // compactThreshold returns the overlay size that triggers compaction.
 func (b *Buffer) compactThreshold(s *Snapshot) int {
@@ -65,7 +71,7 @@ func (b *Buffer) Compact() (swapped bool, gen int64, err error) {
 		b.keyIdx = newIdx
 	}
 	b.mu.Unlock()
-	stats.Compactions.Add(1)
+	compactions.Inc()
 	return true, next.f.gen, nil
 }
 

@@ -7,8 +7,13 @@ import (
 	"sync"
 
 	"holistic/internal/core"
+	"holistic/internal/obs"
 	"holistic/internal/parallel"
 )
+
+// materializations counts merged-table builds process-wide in obs.Default.
+var materializations = obs.Default.NewCounter("windowd_delta_materializations_total",
+	"Merged-table materializations (once per queried dirty epoch).").With()
 
 // frozen is one immutable base generation.
 type frozen struct {
@@ -72,9 +77,6 @@ func (s *Snapshot) Epoch() int64 { return s.epoch }
 // Gen returns the frozen generation the snapshot overlays (0 for the
 // originally registered base, +1 per compaction).
 func (s *Snapshot) Gen() int64 { return s.f.gen }
-
-// BaseRows returns the frozen base's row count.
-func (s *Snapshot) BaseRows() int { return s.f.table.Rows() }
 
 // Rows returns the merged table's row count.
 func (s *Snapshot) Rows() int {
@@ -229,7 +231,7 @@ func (s *Snapshot) Table() (*core.Table, error) {
 		return s.f.table, nil
 	}
 	s.matOnce.Do(func() {
-		stats.Materializations.Add(1)
+		materializations.Inc()
 		s.mat, s.matErr = s.materialize()
 	})
 	return s.mat, s.matErr

@@ -20,6 +20,10 @@
 // skipped (their segments are already durable — segment.Writer renames
 // atomically), and only unfinished intervals run. A source fingerprint
 // guards resumption against the file changing underneath the state.
+//
+// Runs, rows, segments and resumed intervals are counted process-wide in
+// obs.Default (the windowd_ingest_* families); a running ingest's own
+// position is its Progress.
 package ingest
 
 import (

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"holistic/internal/core"
 	"holistic/internal/frame"
+	"holistic/internal/obs"
 	"holistic/internal/plan"
 )
 
@@ -301,23 +303,42 @@ func TestPlanStatsPinned(t *testing.T) {
 
 	// Executing the plan advances the process counters by exactly the plan's
 	// stats; the NoSharedPlan run must leave them untouched.
-	before := plan.Snapshot()
+	before := sharingCounters(t)
 	if _, _, err := p.Execute(tab, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	after := plan.Snapshot()
-	if after.Queries != before.Queries+1 ||
-		after.SharedSorts != before.SharedSorts+1 ||
-		after.SharedTrees != before.SharedTrees+1 ||
-		after.SharedPreprocess != before.SharedPreprocess+2 {
-		t.Fatalf("counters %+v -> %+v, want +{1 1 1 2}", before, after)
+	after := sharingCounters(t)
+	if want := [3]float64{before[0] + 1, before[1] + 1, before[2] + 2}; after != want {
+		t.Fatalf("counters %v -> %v, want +{1 1 2}", before, after)
 	}
 	if _, _, err := p.Execute(tab, core.Options{NoSharedPlan: true}); err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.Snapshot(); got != after {
-		t.Fatalf("NoSharedPlan run moved the counters: %+v -> %+v", after, got)
+	if got := sharingCounters(t); got != after {
+		t.Fatalf("NoSharedPlan run moved the counters: %v -> %v", after, got)
 	}
+}
+
+// sharingCounters scrapes the process-wide windowd_plan_shared_{sorts,
+// trees,preprocess} counters from obs.Default.
+func sharingCounters(t *testing.T) (out [3]float64) {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseText(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"windowd_plan_shared_sorts", "windowd_plan_shared_trees", "windowd_plan_shared_preprocess"} {
+		v, ok := m.Value(name)
+		if !ok {
+			t.Fatalf("obs.Default lacks %s", name)
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // TestPlanDAGGolden pins the DAG rendering of the pinned statement: node

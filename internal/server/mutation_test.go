@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"holistic/internal/arena"
-	"holistic/internal/delta"
 	"holistic/internal/server/api"
 )
 
@@ -220,7 +219,7 @@ func TestEpochSwapRaceStress(t *testing.T) {
 	}
 
 	before := arena.Snapshot()
-	countersBefore := delta.Counters()
+	countersBefore := scrapeMetrics(t, c)
 
 	const sql = `select min(v) over (order by k rows between unbounded preceding and unbounded following) as lo,
 	             max(v) over (order by k rows between unbounded preceding and unbounded following) as hi from ds`
@@ -301,11 +300,16 @@ func TestEpochSwapRaceStress(t *testing.T) {
 		t.Fatalf("final max(v)=%s, want %d", got, batches)
 	}
 
-	counters := delta.Counters()
-	if counters.Batches-countersBefore.Batches < batches {
-		t.Fatalf("only %d batches recorded, want >= %d", counters.Batches-countersBefore.Batches, batches)
+	counters := scrapeMetrics(t, c)
+	moved := func(name string) float64 {
+		a, _ := counters.Value(name)
+		b, _ := countersBefore.Value(name)
+		return a - b
 	}
-	if counters.Compactions == countersBefore.Compactions {
+	if n := moved("windowd_delta_batches_total"); n < batches {
+		t.Fatalf("only %v batches recorded, want >= %d", n, batches)
+	}
+	if moved("windowd_delta_compactions_total") == 0 {
 		t.Fatal("background compactor never swapped a generation during the stress run")
 	}
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"holistic/internal/delta"
 	"holistic/internal/obs"
 	"holistic/internal/server/api"
 )
@@ -306,14 +305,14 @@ func TestSnapshotSpans(t *testing.T) {
 		return ""
 	}
 
-	before := materializations()
+	before := materializations(t, c)
 	trace := traced()
 	if line := spanLine(trace, "snapshot: materialize"); !strings.Contains(line, "clean=true") || !strings.Contains(line, "overlay_rows=0") {
 		t.Fatalf("clean dataset's materialize span: %q", line)
 	}
 	spanLine(trace, "snapshot: view")
-	if got := materializations() - before; got != 0 {
-		t.Fatalf("a clean snapshot was materialised %d times", got)
+	if got := materializations(t, c) - before; got != 0 {
+		t.Fatalf("a clean snapshot was materialised %v times", got)
 	}
 
 	mustMutate(t, c, "live", api.MutateRequest{Mutations: []api.MutationSpec{
@@ -325,8 +324,8 @@ func TestSnapshotSpans(t *testing.T) {
 		t.Fatalf("mutated dataset's materialize span: %q", line)
 	}
 	spanLine(trace, "snapshot: view")
-	if got := materializations() - before; got != 1 {
-		t.Fatalf("the mutated snapshot was materialised %d times, want once", got)
+	if got := materializations(t, c) - before; got != 1 {
+		t.Fatalf("the mutated snapshot was materialised %v times, want once", got)
 	}
 
 	mu.Lock()
@@ -342,7 +341,10 @@ func TestSnapshotSpans(t *testing.T) {
 }
 
 // materializations reads the process-wide count of merged-table builds.
-func materializations() int64 { return delta.Counters().Materializations }
+func materializations(t *testing.T, c *api.Client) float64 {
+	v, _ := scrapeMetrics(t, c).Value("windowd_delta_materializations_total")
+	return v
+}
 
 // TestSlowQueryLog drives a query over a zero-ish threshold and checks the
 // WARN line carries the span tree and the response's share — its time, rows

@@ -179,18 +179,18 @@ func TestConcurrentIdenticalQueriesSingleBuild(t *testing.T) {
 	}
 
 	// Baseline: one cold query against dataset "b" builds every structure.
-	before := s.CacheStats()
+	before := s.cache.Stats()
 	if _, err := c.Query(ctx, api.QueryRequest{SQL: query("b")}); err != nil {
 		t.Fatal(err)
 	}
-	coldBuilds := s.CacheStats().Misses - before.Misses
+	coldBuilds := s.cache.Stats().Misses - before.Misses
 	if coldBuilds == 0 {
 		t.Fatal("cold query built nothing")
 	}
 
 	// The batch: N identical queries against "a" concurrently.
 	const N = 8
-	before = s.CacheStats()
+	before = s.cache.Stats()
 	var wg sync.WaitGroup
 	errs := make([]error, N)
 	for i := 0; i < N; i++ {
@@ -206,7 +206,7 @@ func TestConcurrentIdenticalQueriesSingleBuild(t *testing.T) {
 			t.Fatalf("concurrent query %d: %v", i, err)
 		}
 	}
-	after := s.CacheStats()
+	after := s.cache.Stats()
 	batchBuilds := after.Misses - before.Misses
 	if batchBuilds != coldBuilds {
 		t.Fatalf("%d concurrent identical queries built %d structures, want %d (one build per structure)",
@@ -244,7 +244,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	if r2.Rows[0][0] != "8" {
 		t.Fatalf("after reload got %q, want 8 (stale data served?)", r2.Rows[0][0])
 	}
-	if inv := s.CacheStats().Invalidations; inv == 0 {
+	if inv := s.cache.Stats().Invalidations; inv == 0 {
 		t.Fatal("reload invalidated no cache entries")
 	}
 }
@@ -263,7 +263,7 @@ func TestMetricsReflectCache(t *testing.T) {
 		}
 	}
 	m := scrapeMetrics(t, c)
-	st := s.CacheStats()
+	st := s.cache.Stats()
 	if st.Hits == 0 {
 		t.Fatal("second identical query produced no cache hits")
 	}

@@ -68,5 +68,11 @@ check 'one structure identity' nontest-nobench \
 # in api, the statement-local cache is a treecache and an arena is one slab
 check 'one form per surface' nontest-nobench \
     'handleStatusz|renderRequests|Statusz\(|runFlags|buildFunc\(|ingestStatusResponse|explainResponse|localCache|ExplainPlan|\.Checkpoint\('
+# counters declared where counted: every process-wide event counter is an
+# obs.Default family declared in the package that counts it, so the
+# Snapshot structs, their atomics and the server's per-field scrape
+# closures stay deleted
+check 'counters declared where counted' all \
+    'BatchStat|BatchSnapshot|BatchFamilyStat|BatchFamilySnapshot|batchQueriesTotal|batchDedupHitsTotal|batchQueriesByFam|batchDedupByFam|batchLeavesByFam|batchDiffsByFam|CounterSnapshot|plan\.Snapshot\(|counters\.Queries|delta\.Counters\(|delta\.Stats\b|func Counters\(|ingest\.Stats\b|ingest\.Snapshot\(|func Snapshot\(\) Stats|ArenaStats|ArenaSnapshot|arenaCounters|CacheStats\(|NewCounterFunc\("windowd_(mst|plan|ingest|delta|arena)_'
 
 exit $fail
