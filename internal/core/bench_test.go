@@ -202,17 +202,12 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ranksAll, _ := preprocess.DenseRanks(sortedAll, p.funcEqual(&p.w.Funcs[0]))
+		ranksAll, distinct := preprocess.DenseRanks(sortedAll, p.funcEqual(&p.w.Funcs[0]))
 		ranksKept := make([]int64, fl.k)
 		for j := range ranksKept {
 			ranksKept[j] = ranksAll[fl.local(j)]
 		}
-		sortedKept := preprocess.SortIndicesByKey(ranksKept)
-		rankWords := make([]uint64, fl.k)
-		for i, j := range sortedKept {
-			rankWords[i] = uint64(ranksKept[j])
-		}
-		prevKept, nextKept := linkOccurrences(rankWords, sortedKept, nil)
+		prevKept, nextKept := linkRanks(ranksKept, distinct, opt)
 		rt, err := rangetree.New(ranksKept, prevKept, opt.Tree)
 		if err != nil {
 			b.Fatal(err)

@@ -3,14 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
+	"math/rand/v2"
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
 	"holistic/internal/preprocess"
 	"holistic/internal/rangetree"
-	"holistic/internal/sortutil"
 )
 
 // filtered couples a partition with a function's inclusion mask (FILTER
@@ -123,17 +123,19 @@ func evalCounts(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, 
 	})
 }
 
-// buildDistinctInputs sorts the filtered rows by the argument column and
-// derives Algorithm 1's prevIdcs plus the forward links used by the
-// exclusion-hole correction. next[j] is the next occurrence of j's value in
-// the filtered domain, with fl.k as the "none" sentinel. The stages run
-// under separate phase spans, matching Figure 14's phase split; the context
-// is checked between them and inside the sort.
+// buildDistinctInputs derives Algorithm 1's prevIdcs over the filtered rows'
+// argument values plus the forward links used by the exclusion-hole
+// correction. next[j] is the next occurrence of j's value in the filtered
+// domain, with fl.k as the "none" sentinel. The two passes run under separate
+// phase spans, matching Figure 14's phase split; the link pass polls the
+// context.
 func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []int64, err error) {
-	// Sort value hashes, not values, so the sort is the same typed radix
-	// sort whatever the argument type (§6.7). The hash array and the sorted
-	// index array are pure temporaries and live in pooled scratch; prev/next
-	// are retained by the cache and are allocated fresh.
+	// Link value hashes, not values, so the link is the same typed pass
+	// whatever the argument type (§6.7). The hash array is a pure temporary
+	// and lives in pooled scratch; prev/next are retained by the cache and
+	// are allocated fresh. Hashing is its own pass: gathering the values
+	// in filtered order is a random read, and kept apart from the table's
+	// random probes both overlap their cache misses.
 	col := fl.p.t.Column(f.Arg)
 	hashes := opt.getUint64s(fl.k)
 	defer opt.putUint64s(hashes)
@@ -142,76 +144,138 @@ func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []i
 			hashes[j] = col.hashAt(fl.orig(j))
 		}
 	})
-	sorted := opt.getInt32s(fl.k)
-	defer opt.putInt32s(sorted)
-	opt.trace.Timed("preprocess: sort hashes", func() {
-		for j := range sorted {
-			sorted[j] = i32(j)
-		}
-		err = sortutil.SortPairs(opt.Context, hashes, sorted)
-	})
-	if err == nil {
-		err = opt.ctxErr()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
 	// Equal hashes almost always mean equal values; the values themselves
-	// are looked at only within a run of equal hashes, so a collision costs
+	// are looked at only when a slot's hash matches, so a collision costs
 	// time, never correctness. And where no collision can exist the values
 	// are not looked at at all: mix64 is a bijection, so on a fixed-width
 	// column two hashes are equal only for equal values or for a value that
 	// hashes to the NULL sentinel — which takes a NULL in the column.
-	var compare func(a, b int32) int
+	var same func(a, b int) bool
 	if col.kind == String || col.HasNulls() {
-		compare = func(a, b int32) int { return col.Compare(fl.orig(int(a)), fl.orig(int(b)), false, true) }
+		same = func(a, b int) bool { return col.equalAt(fl.orig(a), fl.orig(b)) }
 	}
 	opt.trace.Timed("preprocess: prevIdcs", func() {
-		prev, next = linkOccurrences(hashes, sorted, compare)
+		prev, next, _, err = linkHashes(hashes, same, opt)
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	return prev, next, opt.ctxErr()
 }
 
-// linkOccurrences is Algorithm 1 as the last pass of the sort: given the
-// positions sorted by (word, position) — words[i] is the word of position
-// sorted[i] — it links every position to the previous and next occurrence
-// of its value. prev uses the shifted representation of §5.1 (0: no
-// previous occurrence, p+1 otherwise); next uses len(sorted) for "none".
-//
-// With compare == nil, equal words are equal values. Otherwise the words are
-// hashes: a run of equal words is checked neighbour by neighbour with
-// compare, and a run that turns out to hold unequal values — a hash
-// collision — is re-sorted stably by compare before it is linked, which
-// regroups it by value with positions still ascending. sorted is reordered
-// within such runs.
-func linkOccurrences(words []uint64, sorted []int32, compare func(a, b int32) int) (prev, next []int64) {
-	k := len(sorted)
+// linkSeed keys the hashed link's slot index. mix64 is invertible, so INT64
+// values with any chosen hashes exist, and FNV-colliding strings are easy to
+// make: drawn once per process, the seed keeps a chosen set of values from
+// piling onto one slot. No answer depends on it.
+var linkSeed = rand.Uint64()
+
+const (
+	// linkPooledSlots is the table size every partition of 2^16 or more
+	// rows starts at, nextpow2(2·min(k, 2^16)), and the largest one drawn
+	// from the pool; tables that grow past it are plain allocations.
+	linkPooledSlots = 1 << 17
+	// linkPollRows is how many rows the link pass runs between context
+	// polls.
+	linkPollRows = 1 << 16
+	// linkMul is the Fibonacci multiplier whose product's top bits pick a
+	// slot.
+	linkMul = 0x9e3779b97f4a7c15
+)
+
+// newLinks allocates k positions' occurrence links, none linked yet: prev
+// uses the shifted representation of §5.1 (0: no previous occurrence, p+1
+// otherwise), next uses k for "none".
+func newLinks(k int) (prev, next []int64) {
 	prev, next = make([]int64, k), make([]int64, k)
 	for j := range next {
 		next[j] = int64(k)
 	}
-	for lo := 0; lo < k; {
-		hi := lo + 1
-		for hi < k && words[hi] == words[lo] {
-			hi++
-		}
-		run := sorted[lo:hi]
-		lo = hi
-		collided := false
-		if compare != nil {
-			for i := 1; i < len(run) && !collided; i++ {
-				collided = compare(run[i-1], run[i]) != 0
+	return prev, next
+}
+
+// linkHashes is Algorithm 1 as one pass over the positions in order, with
+// no sort: an open-addressing table maps each value's hash to its last
+// position so far, so every position is linked to the previous and next
+// occurrence of its value (see newLinks for the representation).
+//
+// With same == nil, equal hashes are equal values. Otherwise a slot whose
+// hash matches is checked with same against its last position, and the
+// probe goes on past it when the values differ. The table holds (hash,
+// position+1) pairs, linearly probed from the top bits of (hash ^ linkSeed)
+// · linkMul; it starts at nextpow2(2·min(k, 2^16)) slots and doubles past
+// half full. probes counts the slots inspected, rehashing included. The
+// context is polled every linkPollRows positions.
+func linkHashes(hashes []uint64, same func(a, b int) bool, opt Options) (prev, next []int64, probes int, err error) {
+	k := len(hashes)
+	prev, next = newLinks(k)
+	if k == 0 {
+		return prev, next, 0, nil
+	}
+	slots := 1 << bits.Len(uint(2*min(k, linkPooledSlots/2)-1))
+	pooled := opt.getUint64s(2 * slots)
+	defer opt.putUint64s(pooled)
+	clear(pooled)
+	table, shift, used := pooled, uint(65-bits.Len(uint(slots))), 0
+	for j, h := range hashes {
+		if j%linkPollRows == 0 {
+			if err := opt.ctxErr(); err != nil {
+				return nil, nil, probes, err
 			}
-			if collided {
-				slices.SortStableFunc(run, compare)
+		}
+		mask := len(table)/2 - 1
+		for i := int((h ^ linkSeed) * linkMul >> shift); ; i = (i + 1) & mask {
+			probes++
+			at := table[2*i+1]
+			if at == 0 {
+				table[2*i], table[2*i+1] = h, uint64(j)+1
+				if used++; 2*used > len(table)/2 {
+					table, shift = growLinkTable(table, shift, &probes)
+				}
+				break
+			}
+			if table[2*i] == h && (same == nil || same(int(at)-1, j)) {
+				prev[j] = int64(at)
+				next[at-1] = int64(j)
+				table[2*i+1] = uint64(j) + 1
+				break
 			}
 		}
-		for i := 1; i < len(run); i++ {
-			if !collided || compare(run[i-1], run[i]) == 0 {
-				prev[run[i]] = int64(run[i-1]) + 1
-				next[run[i-1]] = int64(run[i])
-			}
+	}
+	return prev, next, probes, nil
+}
+
+// growLinkTable rehashes linkHashes' table into one of twice the slots,
+// returning it and its index shift; it adds the slots it inspects to probes.
+func growLinkTable(table []uint64, shift uint, probes *int) ([]uint64, uint) {
+	grown, shift := make([]uint64, 2*len(table)), shift-1
+	mask := len(table) - 1
+	for c := 0; c < len(table); c += 2 {
+		if table[c+1] == 0 {
+			continue
 		}
+		i := int((table[c] ^ linkSeed) * linkMul >> shift)
+		for *probes++; grown[2*i+1] != 0; *probes++ {
+			i = (i + 1) & mask
+		}
+		grown[2*i], grown[2*i+1] = table[c], table[c+1]
+	}
+	return grown, shift
+}
+
+// linkRanks is Algorithm 1 on keys that are dense ranks in [0, distinct):
+// the last occurrence of each rank is addressed directly, so the link needs
+// neither a sort nor a hash. See newLinks for the representation.
+func linkRanks(ranks []int64, distinct int, opt Options) (prev, next []int64) {
+	prev, next = newLinks(len(ranks))
+	last := opt.getInt32s(distinct) // position+1; 0: not seen yet
+	defer opt.putInt32s(last)
+	clear(last)
+	for j, r := range ranks {
+		if at := last[r]; at > 0 {
+			prev[j] = int64(at)
+			next[at-1] = int64(j)
+		}
+		last[r] = i32(j + 1)
 	}
 	return prev, next
 }
@@ -491,25 +555,14 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 			if err != nil {
 				return cachedDense{}, 0, err
 			}
-			ranksAll, _ := preprocess.DenseRanks(sortedAll, p.funcEqual(f))
+			ranksAll, distinct := preprocess.DenseRanks(sortedAll, p.funcEqual(f))
+			// ranksKept, prevKept and nextKept are retained by the cache and
+			// stay make-allocated.
 			ranksKept := make([]int64, fl.k)
-			// rankWords and sortedKept are pure temporaries; ranksKept,
-			// prevKept and nextKept are retained by the cache and stay
-			// make-allocated. Ranks are non-negative, so they are their own
-			// order-preserving words, and equal words are equal ranks.
-			rankWords := opt.getUint64s(fl.k)
-			defer opt.putUint64s(rankWords)
-			sortedKept := opt.getInt32s(fl.k)
-			defer opt.putInt32s(sortedKept)
 			for j := range ranksKept {
 				ranksKept[j] = ranksAll[fl.local(j)]
-				rankWords[j] = uint64(ranksKept[j])
-				sortedKept[j] = i32(j)
 			}
-			if err := sortutil.SortPairs(opt.Context, rankWords, sortedKept); err != nil {
-				return cachedDense{}, 0, err
-			}
-			prevKept, nextKept := linkOccurrences(rankWords, sortedKept, nil)
+			prevKept, nextKept := linkRanks(ranksKept, distinct, opt)
 			// The leaf-only structure has no nodes: it scans ranksKept and
 			// prevKept, which the entry already holds and charges.
 			sp := opt.trace.Phase("build merge sort tree")

@@ -77,7 +77,6 @@ func TestRunTraceInvariants(t *testing.T) {
 		"partition+order sort",
 		"partition boundaries",
 		"preprocess: populate hashes",
-		"preprocess: sort hashes",
 		"preprocess: prevIdcs",
 		"build merge sort tree",
 		"probe",
@@ -130,7 +129,6 @@ const singlePartitionShape = `query
   partition boundaries
   eval
     preprocess: populate hashes
-    preprocess: sort hashes
     preprocess: prevIdcs
     build merge sort tree
       mst: merge level
@@ -154,7 +152,6 @@ var designPhases = map[string]bool{
 	"partition+order sort":        true,
 	"partition boundaries":        true,
 	"preprocess: populate hashes": true,
-	"preprocess: sort hashes":     true,
 	"preprocess: prevIdcs":        true,
 	"build merge sort tree":       true,
 	"mst.query.batch":             true,

@@ -74,5 +74,10 @@ check 'one form per surface' nontest-nobench \
 # closures stay deleted
 check 'counters declared where counted' all \
     'BatchStat|BatchSnapshot|BatchFamilyStat|BatchFamilySnapshot|batchQueriesTotal|batchDedupHitsTotal|batchQueriesByFam|batchDedupByFam|batchLeavesByFam|batchDiffsByFam|CounterSnapshot|plan\.Snapshot\(|counters\.Queries|delta\.Counters\(|delta\.Stats\b|func Counters\(|ingest\.Stats\b|ingest\.Snapshot\(|func Snapshot\(\) Stats|ArenaStats|ArenaSnapshot|arenaCounters|CacheStats\(|NewCounterFunc\("windowd_(mst|plan|ingest|delta|arena)_'
+# Algorithm 1 without a second sort: occurrence links come from one hashed
+# pass (distinct aggregates) or direct rank addressing (DENSE_RANK), so the
+# sort-then-link walk and its span stay deleted
+check 'algorithm 1 without a second sort' all \
+    'linkOccurrences|preprocess: sort hashes'
 
 exit $fail
