@@ -52,13 +52,12 @@ func (o Options) treeOptions(sp *obs.Span) mst.Options {
 	return topt
 }
 
-// cacheGet fetches the structure s names over partition p (nil for a
-// statement-level entry) from the options' cache, building on a miss. With
-// caching inactive it simply builds, and renders no key. A value of an
-// unexpected type under the key (a collision between incompatible structure
-// kinds, which the key scheme is designed to prevent) falls back to an
-// uncached build rather than failing the query.
-func cacheGet[T any](opt Options, s *Structure, p *partition, build func() (T, int64, error)) (T, error) {
+// cacheGet fetches the structure s names from the options' cache, building
+// on a miss. With caching inactive it simply builds, and renders no key. A
+// value of an unexpected type under the key (a collision between
+// incompatible structure kinds, which the key scheme is designed to
+// prevent) falls back to an uncached build rather than failing the query.
+func cacheGet[T any](opt Options, s *Structure, build func() (T, int64, error)) (T, error) {
 	if !opt.cacheActive() {
 		v, _, err := build()
 		return v, err
@@ -68,7 +67,7 @@ func cacheGet[T any](opt Options, s *Structure, p *partition, build func() (T, i
 	// so a cold-cache outlier is distinguishable from a slow probe at a
 	// glance.
 	built := false
-	got, err := opt.Cache.GetOrBuild(s.key(opt, p), func() (any, int64, error) {
+	got, err := opt.Cache.GetOrBuild(s.key(opt), func() (any, int64, error) {
 		built = true
 		v, bytes, err := build()
 		if err != nil {

@@ -13,21 +13,22 @@ import (
 
 // DeltaView describes a table as a frozen base plus a small mutation
 // overlay, letting the operator evaluate the current epoch without
-// re-sorting the world: the frozen (PARTITION BY, ORDER BY) order — cached
-// once per generation — is merged with a sorted run over the overlay, and
-// per-partition structures are re-keyed by partition content and
-// last-change epoch so untouched partitions keep hitting the structure
-// cache across epochs. internal/delta builds views; Options.Delta carries
-// one into Run. Results are byte-identical to evaluating the merged table
-// from scratch (the delta equivalence suite enforces this).
+// re-sorting the world: a sorted run over the overlay is merged into the
+// frozen (PARTITION BY, ORDER BY) order — cached once per generation — and
+// every partition id carries the partition's last-change stamp, so
+// untouched partitions keep hitting the structure cache across epochs.
+// internal/delta builds views; Options.Delta carries one into Run. Results
+// are byte-identical to evaluating the merged table from scratch (the delta
+// equivalence suite enforces this).
 //
 // Row ids: "merged" ids index the table passed to Run (frozen survivors in
 // base order, appends at the tail); "frozen" ids index Frozen.
 type DeltaView struct {
 	// Frozen is the generation's immutable base table.
 	Frozen *Table
-	// Epoch stamps the overlay state; it leads the per-epoch cache keys
-	// (StaleEpochs matches the superseded ones).
+	// Epoch stamps the overlay state. No cache key renders it: it only
+	// admits per-partition result entries once the dataset has been
+	// mutated (Epoch > 0). The overlay's own epochs stamp partitions.
 	Epoch int64
 	// SkipFrozen marks frozen rows that left the frozen sort order (deleted
 	// or overridden in place); the merged sort walks the frozen order
@@ -84,30 +85,22 @@ func (dv *DeltaView) validate(t *Table) error {
 	return nil
 }
 
-// deltaSortIndices computes the merged (PARTITION BY, ORDER BY) sort order
-// incrementally: the frozen generation's sort — cached under a
-// generation-stable key, shared by every epoch — is walked skipping
-// departed rows and translated to merged ids (run A), the dirty rows are
-// sorted into a small run B, and run B is placed into run A (mergeRuns).
-// Because the frozen-to-merged id mapping is monotone and SortIndices breaks
-// ties by ascending index, the merge (ties to the smaller merged id)
-// reproduces SortIndices over the merged table bit for bit.
-func deltaSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
+// mergeDirty turns frozen, the frozen table's (PARTITION BY, ORDER BY)
+// sort order, into the sort order of t, the table the view describes: the
+// frozen order is walked skipping departed rows and translated to merged ids
+// (run A), the dirty rows are sorted into a small run B, and run B is placed
+// into run A (mergeRuns). Because the frozen-to-merged id mapping is
+// monotone and SortIndices breaks ties by ascending index, the merge (ties
+// to the smaller merged id) reproduces SortIndices over t bit for bit. A
+// view with no dirty row over as many rows as the frozen table has departed
+// nothing and renumbered nothing: frozen itself is t's order.
+func mergeDirty(t *Table, w *WindowSpec, frozen []int32, opt Options) ([]int32, error) {
 	dv := opt.Delta
-	sk := sortOf(tagFrozenSort, w)
-	fz, err := cacheGet(opt, &sk, nil, func() (cachedSort, int64, error) {
-		idx, err := windowSortIndices(dv.Frozen, w, opt)
-		if err != nil {
-			return cachedSort{}, 0, err
-		}
-		return cachedSort{idx: idx}, int64(4 * len(idx)), nil
-	})
-	if err != nil {
-		return nil, err
+	if len(dv.Dirty) == 0 && t.Rows() == dv.Frozen.Rows() {
+		return frozen, nil
 	}
-
 	runA := make([]int32, 0, t.Rows()-len(dv.Dirty))
-	for _, r := range fz.idx {
+	for _, r := range frozen {
 		if dv.SkipFrozen[r] {
 			continue
 		}
@@ -167,25 +160,6 @@ func mergeRuns(runA, runB []int32, cmpRows func(a, b int) int) []int32 {
 		runA = runA[n:]
 	}
 	return append(out, runA...)
-}
-
-// cachedStamps is the per-epoch partition stamp map: rendered PARTITION BY
-// key -> the latest epoch any mutation touched that partition.
-type cachedStamps struct{ m map[string]int64 }
-
-// deltaStamps fetches (or computes) the epoch's stamp map.
-func deltaStamps(t *Table, w *WindowSpec, opt Options) (map[string]int64, error) {
-	dv := opt.Delta
-	sk := Structure{Tag: tagStamps, Partition: w.PartitionBy}
-	cs, err := cacheGet(opt, &sk, nil, func() (cachedStamps, int64, error) {
-		m := computeStamps(t, w, dv)
-		bytes := int64(48) // map header
-		for k := range m {
-			bytes += int64(len(k)) + 24
-		}
-		return cachedStamps{m: m}, bytes, nil
-	})
-	return cs.m, err
 }
 
 // computeStamps folds the overlay's three change logs into one map from
@@ -273,22 +247,23 @@ func renderKeyCell(b *strings.Builder, c *Column, row int) {
 	b.WriteByte(';')
 }
 
-// stampPartitions keys every partition by its rendered PARTITION BY values
-// and the latest epoch a mutation touched it, switching partition cache
-// keys from ordinal form to content+epoch form: a partition the mutation
-// stream never touched renders the same key at every epoch of the
+// keyPartitions gives every partition of a cached run its id: the executed
+// sort's identity, the partition's rendered PARTITION BY values and its
+// stamp, the latest epoch a mutation touched it (0 outside a delta run).
+// Under one scope these name the partition's content: a partition the
+// mutation stream never touched renders the same id at every epoch of the
 // generation, so its trees survive mutations elsewhere in the table.
-func stampPartitions(t *Table, w *WindowSpec, parts []*partition, opt Options) error {
-	stamps, err := deltaStamps(t, w, opt)
-	if err != nil {
-		return err
+func keyPartitions(t *Table, w *WindowSpec, parts []*partition, opt Options) {
+	var stamps map[string]int64
+	if opt.Delta != nil {
+		stamps = computeStamps(t, w, opt.Delta)
 	}
+	sk := sortOf(w)
+	prefix := sk.String() + "|pk="
 	cols := partitionColumns(t, w)
 	var sb strings.Builder
 	for _, p := range parts {
-		p.idKey = renderPartKey(&sb, cols, int(p.rows[0]))
-		p.stamp = stamps[p.idKey]
-		p.stamped = true
+		values := renderPartKey(&sb, cols, int(p.rows[0]))
+		p.id = prefix + values + "|pd" + strconv.FormatInt(stamps[values], 10)
 	}
-	return nil
 }

@@ -66,9 +66,10 @@ func deltaViewOver(merged *Table, dirty []int32, rng *rand.Rand) *DeltaView {
 	return dv
 }
 
-// TestDeltaSortMatchesFullSort is the differential for the delta sort: the
-// frozen order walked, run B sorted (typed words or comparator) and placed by
-// search must be the sort of the merged table, position for position — for
+// TestDeltaSortMatchesFullSort is the differential for the delta sort
+// (mergeDirty over the frozen table's sort): the frozen order walked, run B
+// sorted (typed words or comparator) and placed by search must be the sort of
+// the merged table, position for position — for
 // every key kind (NaNs, -0.0 and NULLs included), multi-column and
 // partitioned keys, a value domain small enough that most keys occur in both
 // runs (the merged-id tie rule), and dirty sets from empty to the whole table.
@@ -102,7 +103,11 @@ func TestDeltaSortMatchesFullSort(t *testing.T) {
 			dv := deltaViewOver(merged, dirty, rng)
 			for wi := range windows {
 				w := &windows[wi]
-				got, err := deltaSortIndices(merged, w, Options{Delta: dv})
+				frozen, err := windowSortIndices(dv.Frozen, w, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := mergeDirty(merged, w, frozen, Options{Delta: dv})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,6 +124,39 @@ func TestDeltaSortMatchesFullSort(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// cleanView is the view of t with nothing dirty: t is its own frozen table.
+func cleanView(t *Table) *DeltaView {
+	n := t.Rows()
+	dv := &DeltaView{Frozen: t, SkipFrozen: make([]bool, n), MergedID: make([]int32, n)}
+	for r := range dv.MergedID {
+		dv.MergedID[r] = int32(r)
+	}
+	return dv
+}
+
+// TestMergeDirtyCleanView: a view with no dirty row over every frozen row
+// departs and renumbers nothing, so mergeDirty returns the frozen order
+// itself — the cached slice, not a copy. (A view with no dirty row that
+// dropped frozen rows is not clean; TestDeltaSortMatchesFullSort's share-0
+// views are such views.)
+func TestMergeDirtyCleanView(t *testing.T) {
+	tab := randTable(rand.New(rand.NewSource(43)), 300)
+	w := &WindowSpec{PartitionBy: []string{"g"}, OrderBy: []SortKey{{Column: "d"}}}
+	n := tab.Rows()
+	clean := cleanView(tab)
+	frozen, err := windowSortIndices(tab, w, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mergeDirty(tab, w, frozen, Options{Delta: clean})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n || &got[0] != &frozen[0] {
+		t.Fatalf("a clean view's order is a copy of the frozen order, not the order itself")
 	}
 }
 

@@ -355,13 +355,14 @@ func endBuild(sp *obs.Span, form mst.Form, bytes int64) {
 // the filter and the tree options, never on the frame.
 func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	s := structureOf(f, nil, out.kind)
+	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop, opt)
 	rows := opt.rowsBound(fl.k)
 	form := s.sized(rows, opt)
 
 	switch f.Name {
 	case CountDistinct:
-		st, err := cacheGet(opt, &s, p, func() (cachedDistinct, int64, error) {
+		st, err := cacheGet(opt, &s, func() (cachedDistinct, int64, error) {
 			prev, next, err := buildDistinctInputs(fl, f, opt)
 			if err != nil {
 				return cachedDistinct{}, 0, err
@@ -427,7 +428,7 @@ type avgState struct {
 func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, aggBytes int,
 	valueOf func(j int) S, add func(a, b S) S, sub func(a, b S) S, emit func(row int, v S)) error {
-	st, err := cacheGet(opt, s, p, func() (cachedAgg[S], int64, error) {
+	st, err := cacheGet(opt, s, func() (cachedAgg[S], int64, error) {
 		prev, next, err := buildDistinctInputs(fl, f, opt)
 		if err != nil {
 			return cachedAgg[S]{}, 0, err
@@ -468,6 +469,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 // keys (§4.4, Figure 8).
 func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	s := structureOf(f, p.w.OrderBy, out.kind)
+	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop, opt)
 	rows := opt.rowsBound(fl.k)
 	form := s.sized(rows, opt)
@@ -476,7 +478,7 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 	// keys are computed over the whole partition; the tree only holds the
 	// kept rows.
 	unique := s.Tag == tagRankUnique
-	st, err := cacheGet(opt, &s, p,
+	st, err := cacheGet(opt, &s,
 		func() (cachedRank, int64, error) {
 			m := p.len()
 			sortedAll, err := p.sortedByFuncOrder(f, opt)
@@ -546,10 +548,11 @@ func ntileBucket(r, size, b int64) int64 {
 // evalDenseRank evaluates the framed DENSE_RANK with the range tree of §4.4.
 func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	s := structureOf(f, p.w.OrderBy, out.kind)
+	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop, opt)
 	rows := opt.rowsBound(fl.k)
 	form := s.sized(rows, opt)
-	st, err := cacheGet(opt, &s, p,
+	st, err := cacheGet(opt, &s,
 		func() (cachedDense, int64, error) {
 			sortedAll, err := p.sortedByFuncOrder(f, opt)
 			if err != nil {
@@ -616,8 +619,9 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 // tree over the permutation of the kept rows in function order (§4.5,
 // Figures 6 and 7). LEAD/LAG probe the same tree.
 func permutationTree(p *partition, f *FuncSpec, s *Structure, fl *filtered, opt Options) (*mst.Tree, error) {
+	s.Part = p.id
 	form := s.sized(fl.k, opt)
-	st, err := cacheGet(opt, s, p, func() (cachedSelect, int64, error) {
+	st, err := cacheGet(opt, s, func() (cachedSelect, int64, error) {
 		sortedAll, err := p.sortedByFuncOrder(f, opt)
 		if err != nil {
 			return cachedSelect{}, 0, err
@@ -665,8 +669,8 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 	if err != nil {
 		return err
 	}
-	rs := Structure{Tag: tagRowno, Order: s.Order, Filter: s.Filter, Drop: s.Drop}
-	st, err := cacheGet(opt, &rs, p, func() (cachedRowno, int64, error) {
+	rs := Structure{Part: p.id, Tag: tagRowno, Order: s.Order, Filter: s.Filter, Drop: s.Drop}
+	st, err := cacheGet(opt, &rs, func() (cachedRowno, int64, error) {
 		sortedAll, err := p.sortedByFuncOrder(f, opt)
 		if err != nil {
 			return cachedRowno{}, 0, err

@@ -42,10 +42,10 @@ type Options struct {
 	// TreeCache).
 	Cache TreeCache
 	// CacheScope prefixes every cache key and must uniquely identify the
-	// table's content version (e.g. "orders@v3"): callers bump it whenever
-	// the table changes, which implicitly invalidates all structures built
-	// against the previous version. With an empty scope the cache is
-	// bypassed.
+	// table's content version (e.g. "orders@v3"), in a delta run the frozen
+	// table's: callers bump it whenever that table changes, which
+	// implicitly invalidates all structures built against the previous
+	// version. With an empty scope the cache is bypassed.
 	CacheScope string
 	// trace is the span the current piece of work records under: Run
 	// points it at the root, then at the function's "eval" span, and
@@ -60,11 +60,12 @@ type Options struct {
 	frameRows    int64
 	frameBounded bool
 	// Delta, when non-nil, describes the table as a frozen base plus a
-	// mutation overlay (see DeltaView): phase 1 then merges the cached
-	// frozen sort order with a sorted run over the overlay instead of
-	// re-sorting, and per-partition cache keys switch to content+epoch form
-	// so untouched partitions reuse their structures across epochs. Results
-	// are byte-identical to evaluating the same table without a view.
+	// mutation overlay (see DeltaView): phase 1 then merges a sorted run
+	// over the overlay into the cached frozen sort order instead of
+	// re-sorting, and each partition id carries the partition's last-change
+	// stamp, so untouched partitions reuse their structures across epochs.
+	// CacheScope then names the frozen table. Results are byte-identical to
+	// evaluating the same table without a view.
 	Delta *DeltaView
 	// NoSharedPlan opts out of the shared-plan optimizer for multi-function
 	// SQL statements: the planner then groups functions only by *identical*
@@ -150,30 +151,33 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 	// Phase 1: sort by (PARTITION BY, ORDER BY) — shared by every function,
 	// and with a cache also across queries: any query whose window agrees
 	// on partitioning and ordering reuses the order (the shared-sort
-	// observation of Cao et al., lifted to the request level).
+	// observation of Cao et al., lifted to the request level). The cached
+	// order is that of the table the scope names; in a delta run that is
+	// the frozen table, and the overlay is merged into its order per run.
 	sortSpan := root.Phase("partition+order sort")
 	sortOpt := opt
 	sortOpt.trace = sortSpan
-	tag, sortIndices := tagSort, windowSortIndices
+	sorted := t
 	if opt.Delta != nil {
-		// Delta path: merge the generation-stable frozen sort with a sorted
-		// run over the overlay, cached per epoch.
 		if err := opt.Delta.validate(t); err != nil {
 			sortSpan.End()
 			return nil, err
 		}
-		tag, sortIndices = tagMergedSort, deltaSortIndices
+		sorted = opt.Delta.Frozen
 	}
-	sk := sortOf(tag, sortSpec)
-	cs, sortErr := cacheGet(sortOpt, &sk, nil, func() (cachedSort, int64, error) {
-		idx, err := sortIndices(t, sortSpec, sortOpt)
+	sk := sortOf(sortSpec)
+	cs, sortErr := cacheGet(sortOpt, &sk, func() (cachedSort, int64, error) {
+		idx, err := windowSortIndices(sorted, sortSpec, sortOpt)
 		if err != nil {
 			return cachedSort{}, 0, err
 		}
 		return cachedSort{idx: idx}, int64(4 * len(idx)), nil
 	})
-	sortSpan.End()
 	sortIdx := cs.idx
+	if sortErr == nil && opt.Delta != nil {
+		sortIdx, sortErr = mergeDirty(t, sortSpec, sortIdx, sortOpt)
+	}
+	sortSpan.End()
 	if sortErr != nil {
 		return nil, sortErr
 	}
@@ -181,35 +185,30 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 		return nil, err
 	}
 
-	// Phase 2: find partition boundaries.
+	// Phase 2: find partition boundaries, and in a cached run name each
+	// partition's content.
 	var parts []*partition
 	root.Timed("partition boundaries", func() {
 		parts = splitPartitions(t, sortSpec, sortIdx)
 	})
-	if opt.Delta != nil && opt.cacheActive() {
-		// Re-key partitions by content + last-change epoch: ordinal keys
-		// would alias different contents across epochs under one scope.
-		if err := stampPartitions(t, sortSpec, parts, opt); err != nil {
-			return nil, err
-		}
+	if opt.cacheActive() {
+		keyPartitions(t, sortSpec, parts, opt)
 	}
 	if err := opt.ctxErr(); err != nil {
 		return nil, err
 	}
 
 	// Each window sees the shared partitions through its own views: same
-	// sorted rows, stamps and function-order sort cache, but the window's
-	// own peer groups and RANGE keys. Structure-cache keys lead with the
-	// executed sort's identity, so views of different windows share
-	// entries (and stay key-compatible with unshared runs of the same
-	// sort, where the identity coincides with the window's own).
-	sortID := sortOf(tagSort, sortSpec)
-	sig := sortID.String()
+	// sorted rows, ids and function-order sort cache, but the window's own
+	// peer groups and RANGE keys. A partition id leads with the executed
+	// sort's identity, so views of different windows share entries (and
+	// stay key-compatible with unshared runs of the same sort, where the
+	// identity coincides with the window's own).
 	views := make([][]*partition, len(windows))
 	for wi, w := range windows {
 		views[wi] = make([]*partition, len(parts))
 		for pi, p := range parts {
-			views[wi][pi] = p.viewFor(w, sig)
+			views[wi][pi] = p.viewFor(w)
 		}
 	}
 
@@ -369,10 +368,7 @@ func splitPartitions(t *Table, w *WindowSpec, sortIdx []int32) []*partition {
 	if n == 0 {
 		return nil
 	}
-	partCols := make([]*Column, len(w.PartitionBy))
-	for i, name := range w.PartitionBy {
-		partCols[i] = t.Column(name)
-	}
+	partCols := partitionColumns(t, w)
 	samePart := func(a, b int32) bool {
 		for _, c := range partCols {
 			if !c.equalAt(int(a), int(b)) {
@@ -385,7 +381,7 @@ func splitPartitions(t *Table, w *WindowSpec, sortIdx []int32) []*partition {
 	start := 0
 	for i := 1; i <= n; i++ {
 		if i == n || !samePart(sortIdx[i-1], sortIdx[i]) {
-			parts = append(parts, &partition{t: t, w: w, ord: len(parts), rows: sortIdx[start:i], fsort: &funcSortCache{}})
+			parts = append(parts, &partition{t: t, w: w, rows: sortIdx[start:i], fsort: &funcSortCache{}})
 			start = i
 		}
 	}

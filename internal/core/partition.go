@@ -17,34 +17,22 @@ import (
 type partition struct {
 	t *Table
 	w *WindowSpec
-	// ord is the partition's ordinal in window order — stable across
-	// queries with the same window signature, so it identifies the
-	// partition in structure-cache keys.
-	ord int
 	// rows holds the global (original) row indices in window order.
 	rows []int32
-
-	// Under a delta view with caching active, partitions are identified in
-	// cache keys by content and last-change epoch instead of ordinal (an
-	// ordinal would alias different contents across epochs of one scope):
-	// idKey renders the PARTITION BY values, stamp is the latest epoch a
-	// mutation touched this partition (0: untouched this generation).
-	stamped bool
-	idKey   string
-	stamp   int64
+	// id names the partition's content in a cached run (keyPartitions;
+	// empty without a cache) and leads every structure key of the
+	// partition (Structure.Part): the executed sort's identity — the
+	// group's refined order in a shared-plan run, so every window view over
+	// the same sorted rows addresses the same entries, which is exactly
+	// when the structures are interchangeable — then the partition's
+	// PARTITION BY values and its last-change stamp.
+	id string
 
 	peerOnce sync.Once
 	peers    []int32 // dense peer-group ids by window ORDER BY
 
 	rangeOnce sync.Once
 	rangeKeys []int64 // oriented keys for RANGE arithmetic
-
-	// sig is the identity of the sort actually executed (the group's
-	// refined order in a shared-plan run), which leads every structure key
-	// of the partition: every window view over the same sorted rows
-	// addresses the same cache entries — which is exactly when the
-	// structures are interchangeable.
-	sig string
 
 	// fsort shares function-order sorts between functions with the same
 	// effective ORDER BY — the duplicated-work avoidance of Kohn et al. /
@@ -62,16 +50,11 @@ type funcSortCache struct {
 }
 
 // viewFor returns this partition's rows seen through another window spec:
-// same sorted rows, same ordinal and delta stamps, same function-order sort
-// cache, but the view's own lazily computed peer groups and RANGE keys
-// (those depend on the window's ORDER BY). sig is the executed sort's
-// identity.
-func (p *partition) viewFor(w *WindowSpec, sig string) *partition {
-	return &partition{
-		t: p.t, w: w, ord: p.ord, rows: p.rows,
-		stamped: p.stamped, idKey: p.idKey, stamp: p.stamp,
-		sig: sig, fsort: p.fsort,
-	}
+// same sorted rows, same id, same function-order sort cache, but the view's
+// own lazily computed peer groups and RANGE keys (those depend on the
+// window's ORDER BY).
+func (p *partition) viewFor(w *WindowSpec) *partition {
+	return &partition{t: p.t, w: w, rows: p.rows, id: p.id, fsort: p.fsort}
 }
 
 func (p *partition) len() int { return len(p.rows) }

@@ -2,8 +2,8 @@ package core
 
 // Per-partition result caching for delta runs. A window function's output
 // for a row depends only on its partition's content in window order — never
-// on other partitions — so once partitions are re-keyed by content and
-// last-change epoch (stampPartitions), the finished result vector of an
+// on other partitions — so once a partition id names its content and
+// last-change stamp (keyPartitions), the finished result vector of an
 // untouched partition is exactly as reusable as its trees: the next epoch
 // scatters the cached values instead of probing at all. This is what makes
 // sustained mutation cheap — a batch that touches two partitions re-probes
@@ -101,18 +101,18 @@ func (r *cachedResult) scatter(out *outBuilder, rows []int32) {
 }
 
 // evalFuncCached evaluates one (partition, function) pair through the
-// result cache when the run is a stamped delta run over a dataset that has
+// result cache when the run is a cached delta run over a dataset that has
 // been mutated and the frame has no per-row offset expressions; otherwise it
 // evaluates directly.
 func evalFuncCached(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
 	spec := p.w.effectiveFrame(f)
-	// p.stamped implies a delta view and an active cache (RunShared).
-	if !p.stamped || opt.Delta.Epoch == 0 || spec.Start.OffsetFn != nil || spec.End.OffsetFn != nil {
+	// p.id is empty without a cache (RunShared).
+	if p.id == "" || opt.Delta == nil || opt.Delta.Epoch == 0 || spec.Start.OffsetFn != nil || spec.End.OffsetFn != nil {
 		return evalFunc(p, f, out, opt)
 	}
 	evaluated := false
 	rs := resultOf(p, f, spec)
-	res, err := cacheGet(opt, &rs, p, func() (*cachedResult, int64, error) {
+	res, err := cacheGet(opt, &rs, func() (*cachedResult, int64, error) {
 		evaluated = true
 		if err := evalFunc(p, f, out, opt); err != nil {
 			return nil, 0, err

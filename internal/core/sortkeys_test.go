@@ -104,7 +104,7 @@ func checkFuncOrderSort(t testing.TB, tab *Table, w *WindowSpec, keys []SortKey)
 		t.Fatal(err)
 	}
 	f := &FuncSpec{Name: Rank, OrderBy: keys}
-	for _, p := range splitPartitions(tab, w, sortIdx) {
+	for pi, p := range splitPartitions(tab, w, sortIdx) {
 		got, err := p.sortedByFuncOrder(f, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func checkFuncOrderSort(t testing.TB, tab *Table, w *WindowSpec, keys []SortKey)
 		total := p.funcComparator(f)
 		slices.SortStableFunc(want, func(a, b int32) int { return total(int(a), int(b)) })
 		if !slices.Equal(got, want) {
-			t.Fatalf("partition %d (%d rows) order by %+v: got %v, want %v", p.ord, p.len(), keys, got, want)
+			t.Fatalf("partition %d (%d rows) order by %+v: got %v, want %v", pi, p.len(), keys, got, want)
 		}
 	}
 }

@@ -18,11 +18,16 @@ import (
 // structures that are the same.
 //
 // This is the one declaration of that identity. The evaluators key the
-// cache through it (cacheGet), the statement-level sort and stamp entries
-// and the per-partition result entries too, and internal/plan groups a
-// statement's functions by it (StructureOf), so the plan DAG shares a
-// structure exactly when the cache does.
+// cache through it (cacheGet), the statement-level sort entry and the
+// per-partition result entries too, and internal/plan groups a statement's
+// functions by it (StructureOf), so the plan DAG shares a structure exactly
+// when the cache does.
 type Structure struct {
+	// Part is the id of the partition a per-partition structure is built
+	// over (partition.id): the executed sort, the partition's PARTITION BY
+	// values and its last-change stamp. Empty for a statement-level entry
+	// and for the planner's identities.
+	Part string
 	// Tag names what is built (the tag constants below).
 	Tag string
 	// Partition is a statement-level entry's PARTITION BY.
@@ -51,9 +56,8 @@ type Structure struct {
 	probeFrame frame.Spec
 }
 
-// Structure tags. The per-partition structures first, then the entries a
-// statement keys once: tagMergedSort and tagStamps belong to one delta
-// epoch, and their keys lead with it (StaleEpochs).
+// Structure tags: the per-partition structures, then the one entry a
+// statement keys once, its sort.
 const (
 	tagDistinctCount = "distinct-count" // COUNT(DISTINCT): prevIdcs and the tree over them
 	tagDistinctAgg   = "distinct-agg"   // SUM/AVG(DISTINCT): prevIdcs and the annotated tree
@@ -65,10 +69,7 @@ const (
 	tagSegTree       = "segtree"        // SUM/AVG/MIN/MAX: a segment tree per function, never cached
 	tagResult        = "result"         // one function's finished output over one partition
 
-	tagSort       = "sort"        // the (PARTITION BY, ORDER BY) sort order
-	tagFrozenSort = "frozen-sort" // a delta generation's frozen sort, shared by its epochs
-	tagMergedSort = "merged-sort" // one epoch's merged sort
-	tagStamps     = "stamps"      // one epoch's partition stamp map
+	tagSort = "sort" // the (PARTITION BY, ORDER BY) sort order of the table the scope names
 )
 
 // structureOf declares the structure f builds over a partition of a window
@@ -180,44 +181,34 @@ func (s *Structure) sized(rows int, opt Options) mst.Form {
 // structure fields a result shares with its function's structures, plus
 // every probe-time parameter and the resolved frame.
 func resultOf(p *partition, f *FuncSpec, spec frame.Spec) Structure {
-	return Structure{Tag: tagResult, Order: p.effectiveOrderKeys(f), Arg: f.Arg, Filter: f.Filter, probe: f, probeFrame: spec}
+	return Structure{Part: p.id, Tag: tagResult, Order: p.effectiveOrderKeys(f), Arg: f.Arg, Filter: f.Filter, probe: f, probeFrame: spec}
 }
 
-// sortOf is the identity of the (PARTITION BY, ORDER BY) sort order under
-// tag: tagSort, tagFrozenSort or tagMergedSort.
-func sortOf(tag string, w *WindowSpec) Structure {
-	return Structure{Tag: tag, Partition: w.PartitionBy, Order: w.OrderBy}
+// sortOf is the identity of the (PARTITION BY, ORDER BY) sort order.
+func sortOf(w *WindowSpec) Structure {
+	return Structure{Tag: tagSort, Partition: w.PartitionBy, Order: w.OrderBy}
 }
 
-// String renders the identity alone, with no scope or partition: what the
-// planner groups by and what a partition's executed-sort prefix is.
-func (s *Structure) String() string { return s.key(Options{}, nil) }
+// String renders the identity alone, with no scope: what the planner groups
+// by and what a partition id's executed-sort prefix is.
+func (s *Structure) String() string { return s.key(Options{}) }
 
 // key renders s as the string opt's cache stores it under; it is the one
-// place a key is spelled out. The scope comes first; then, for a per-epoch
-// entry, the run's delta epoch; then, for a structure built over partition
-// p, where p lives: the executed sort and the partition's ordinal, or in a
-// delta run its content key and last-change stamp. The tag and every
-// non-empty field follow, each under its own label, a per-partition key
-// carries the tree options that shape a tree, and a result key its probe
-// fields.
-func (s *Structure) key(opt Options, p *partition) string {
+// place a key is spelled out, and it names content only:
+//
+//	scope | [executed sort | pk=<PARTITION BY values> | pd<stamp> |] tag | fields | t=<tree options>
+//
+// The scope comes first, then the partition id of a per-partition
+// structure, the tag and every non-empty field, each under its own label. A
+// per-partition key carries the tree options that shape a tree, and a
+// result key its probe fields.
+func (s *Structure) key(opt Options) string {
 	b := make([]byte, 0, 128)
 	if opt.CacheScope != "" {
 		b = append(append(b, opt.CacheScope...), '|')
 	}
-	if (s.Tag == tagMergedSort || s.Tag == tagStamps) && opt.Delta != nil {
-		b = append(strconv.AppendInt(append(b, 'e'), opt.Delta.Epoch, 10), '|')
-	}
-	if p != nil {
-		b = append(b, p.sig...)
-		if p.stamped {
-			b = append(append(append(b, "|pk="...), p.idKey...), "|pd"...)
-			b = strconv.AppendInt(b, p.stamp, 10)
-		} else {
-			b = strconv.AppendInt(append(b, "|#"...), int64(p.ord), 10)
-		}
-		b = append(b, '|')
+	if s.Part != "" {
+		b = append(append(b, s.Part...), '|')
 	}
 	b = append(b, s.Tag...)
 	if len(s.Partition) > 0 {
@@ -236,7 +227,7 @@ func (s *Structure) key(opt Options, p *partition) string {
 			b = append(append(b, f.label...), f.v...)
 		}
 	}
-	if p != nil {
+	if s.Part != "" {
 		b = strconv.AppendInt(append(b, "|t="...), int64(opt.Tree.Fanout), 10)
 		b = strconv.AppendInt(append(b, ','), int64(opt.Tree.SampleEvery), 10)
 		if opt.Tree.NoCascading {
@@ -309,22 +300,10 @@ func (s *Structure) Labels() (pre, tree string) {
 
 // InScope returns the match function of every key cached under scope or a
 // scope nested in it (scope + "|…"): what a dataset reload or a compaction
-// drops.
+// drops. It is the one invalidation rule: a key names content, never the
+// epoch it was asked at, so a mutation makes no entry wrong — the entries of
+// a partition's superseded content are no longer asked for and age out.
 func InScope(scope string) func(key string) bool {
 	prefix := scope + "|"
 	return func(key string) bool { return strings.HasPrefix(key, prefix) }
-}
-
-// StaleEpochs returns the match function of the per-epoch entries under
-// scope — the merged sorts and stamp maps key renders with a leading epoch —
-// whose epoch is below epoch. The generation's frozen sorts and the
-// content+epoch partition entries carry no leading epoch and never match.
-func StaleEpochs(scope string, epoch int64) func(key string) bool {
-	prefix := scope + "|e"
-	return func(key string) bool {
-		rest, scoped := strings.CutPrefix(key, prefix)
-		digits, _, cut := strings.Cut(rest, "|")
-		e, err := strconv.ParseUint(digits, 10, 63)
-		return scoped && cut && err == nil && int64(e) < epoch
-	}
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math/rand"
+	"regexp"
+	"strings"
 	"testing"
 
 	"holistic/internal/frame"
@@ -86,26 +89,28 @@ func TestStructureIdentity(t *testing.T) {
 		}
 	}
 
-	// Where a structure lives: partition, delta stamp and the tree options
-	// that shape a tree split a key; how the build is scheduled does not.
+	// Where a structure lives: partition content, executed sort, delta
+	// stamp and the tree options that shape a tree split a key; how the
+	// build is scheduled does not.
 	w := &WindowSpec{OrderBy: byD}
 	at := func(p *partition, opt Options) string {
 		f := fn(Rank)
 		s := structureOf(&f, w.OrderBy, Int64)
+		s.Part = p.id
 		s.sized(1000, opt)
 		opt.CacheScope = "t@v1"
-		return s.key(opt, p)
+		return s.key(opt)
 	}
-	p0 := &partition{w: w, sig: "sort", ord: 0}
+	p0 := &partition{w: w, id: "sort|pk=i1;|pd0"}
 	base := at(p0, Options{})
 	for _, c := range []struct {
 		name string
 		key  string
 		same bool
 	}{
-		{"partition ordinal", at(&partition{w: w, sig: "sort", ord: 1}, Options{}), false},
-		{"executed sort", at(&partition{w: w, sig: "sort|o=\"v\"+,", ord: 0}, Options{}), false},
-		{"delta stamp", at(&partition{w: w, sig: "sort", stamped: true, idKey: "i1;", stamp: 4}, Options{}), false},
+		{"partition content", at(&partition{w: w, id: "sort|pk=i2;|pd0"}, Options{}), false},
+		{"executed sort", at(&partition{w: w, id: "sort|o=\"v\"+,|pk=i1;|pd0"}, Options{}), false},
+		{"delta stamp", at(&partition{w: w, id: "sort|pk=i1;|pd4"}, Options{}), false},
 		{"fanout", at(p0, Options{Tree: mst.Options{Fanout: 32}}), false},
 		{"sampling", at(p0, Options{Tree: mst.Options{SampleEvery: 8}}), false},
 		{"no cascading", at(p0, Options{Tree: mst.Options{NoCascading: true}}), false},
@@ -115,8 +120,8 @@ func TestStructureIdentity(t *testing.T) {
 			t.Errorf("%s: same = %v, want %v\n base: %s\n key:  %s", c.name, got, c.same, base, c.key)
 		}
 	}
-	stamped := at(&partition{w: w, sig: "sort", stamped: true, idKey: "i1;", stamp: 4}, Options{})
-	if other := at(&partition{w: w, sig: "sort", stamped: true, idKey: "i1;", stamp: 5}, Options{}); other == stamped {
+	stamped := at(&partition{w: w, id: "sort|pk=i1;|pd4"}, Options{})
+	if other := at(&partition{w: w, id: "sort|pk=i1;|pd5"}, Options{}); other == stamped {
 		t.Errorf("a partition's last-change stamp does not split its key: %s", stamped)
 	}
 
@@ -126,7 +131,7 @@ func TestStructureIdentity(t *testing.T) {
 		Start: frame.Bound{Type: frame.Preceding, Offset: 3}, End: frame.Bound{Type: frame.Following, Offset: 1}}
 	result := func(f FuncSpec, spec frame.Spec) string {
 		s := resultOf(p0, &f, spec)
-		return s.key(Options{CacheScope: "t@v1"}, p0)
+		return s.key(Options{CacheScope: "t@v1"})
 	}
 	want := result(probe, spec)
 	if again := result(with(probe, func(f *FuncSpec) { f.Output = "y" }), spec); again != want {
@@ -161,14 +166,12 @@ func TestStructureIdentity(t *testing.T) {
 	}
 }
 
-// TestStaleEpochs runs one delta statement at epoch 3 and again at epoch 5
-// over the same overlay, each on a cold cache. The keys asked for only at
-// epoch 3 are that epoch's merged sort and stamp map, and the epoch matcher
-// must match exactly those: the frozen sort and every content+epoch
-// partition entry serve both epochs and must survive, and so must another
-// scope's keys and the current epoch's. Hand-written keys then check the
-// matcher against malformed epoch components.
-func TestStaleEpochs(t *testing.T) {
+// TestEpochBumpKeepsKeys runs one delta statement at epoch 3 and again at
+// epoch 5 over the same overlay, each on a cold cache. A key names content
+// only, and the content is the same, so both epochs ask for the same keys —
+// the frozen sort, and per partition its structures and result entries
+// under its last-change stamp — and none of them renders the view's epoch.
+func TestEpochBumpKeepsKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	merged := randTable(rng, 300)
 	var dirty []int32
@@ -178,62 +181,66 @@ func TestStaleEpochs(t *testing.T) {
 	dv := deltaViewOver(merged, dirty, rng)
 	dv.DirtyEpochs = make([]int64, len(dv.Dirty))
 	for i := range dv.DirtyEpochs {
-		dv.DirtyEpochs[i] = int64(1 + i%3)
+		dv.DirtyEpochs[i] = int64(1 + i%2)
 	}
 	w := &WindowSpec{PartitionBy: []string{"g"}, OrderBy: []SortKey{{Column: "d"}}, Funcs: []FuncSpec{
 		{Name: CountDistinct, Output: "cd", Arg: "v"},
 		{Name: Rank, Output: "r", OrderBy: []SortKey{{Column: "v"}}},
 	}}
-	const scope = "t@v1|g2"
 	keysAt := func(epoch int64) map[string]bool {
 		rc := newRecordingCache() // cold: every structure is asked for
 		dv.Epoch = epoch
-		if _, err := Run(merged, w, Options{Cache: rc, CacheScope: scope, Delta: dv}); err != nil {
+		if _, err := Run(merged, w, Options{Cache: rc, CacheScope: "t@v1|g2", Delta: dv}); err != nil {
 			t.Fatal(err)
 		}
 		return rc.keys
 	}
 	old, current := keysAt(3), keysAt(5)
-	stale := StaleEpochs(scope, 5)
-	dropped := 0
+	if !maps.Equal(old, current) {
+		t.Fatalf("epochs 3 and 5 ask for different keys:\n %v\n %v", old, current)
+	}
+	// One sort, then per partition (g takes three values) two structures
+	// and two result entries.
+	if len(old) != 1+3*4 {
+		t.Fatalf("asked for %d keys, want 13:\n%v", len(old), old)
+	}
+	epochComponent := regexp.MustCompile(`\|e[0-9]+\|`)
+	stamped := 0
 	for key := range old {
-		want := !current[key]
-		if stale(key) != want {
-			t.Errorf("StaleEpochs(%q, 5)(%q) = %v, want %v", scope, key, !want, want)
+		if epochComponent.MatchString(key) {
+			t.Errorf("key %q names an epoch", key)
 		}
-		if want {
-			dropped++
-		}
-	}
-	if dropped != 2 || len(old) < 2+2*3 {
-		t.Fatalf("epoch 3 asked for %d keys, %d of them not asked for at epoch 5; want its merged sort and stamps beside partition entries:\n%v", len(old), dropped, old)
-	}
-	for key := range current {
-		if stale(key) {
-			t.Errorf("current-epoch key %q matches", key)
+		if strings.Contains(key, "|pd1|") || strings.Contains(key, "|pd2|") {
+			stamped++
 		}
 	}
+	if stamped == 0 {
+		t.Errorf("no key carries an overlay stamp:\n%v", old)
+	}
+}
 
-	// Only a well-formed earlier epoch right after the scope matches.
-	for _, c := range []struct {
-		key  string
-		want bool
-	}{
-		{scope + "|e0|x", true},
-		{scope + "|e4|stamps", true},
-		{scope + "|e5|stamps", false},
-		{scope + "|e12|x", false},
-		{scope + "|e|x", false},
-		{scope + "|e12", false},
-		{scope + "|e1x|", false},
-		{scope + "|e-1|x", false},
-		{scope + "|f1|x", false},
-		{scope + "|entry0", false},
-		{"t@v1|g3|e1|x", false},
-		{"other|e1|x", false},
-	} {
-		if got := stale(c.key); got != c.want {
-			t.Errorf("StaleEpochs(%q, 5)(%q) = %v, want %v", scope, c.key, got, c.want)
+// TestCleanViewKeysMatchPlainRun runs one statement over a table plainly and
+// through a delta view with nothing dirty, each on a cold cache under one
+// scope. The scope names the same table either way, so both runs ask for
+// the same keys: one sort and the same partition ids.
+func TestCleanViewKeysMatchPlainRun(t *testing.T) {
+	tab := randTable(rand.New(rand.NewSource(43)), 300)
+	w := &WindowSpec{PartitionBy: []string{"g"}, OrderBy: []SortKey{{Column: "d"}}, Funcs: []FuncSpec{
+		{Name: CountDistinct, Output: "cd", Arg: "v"},
+		{Name: PercentileDisc, Output: "p", Fraction: 0.5, OrderBy: []SortKey{{Column: "v"}}},
+	}}
+	keys := func(dv *DeltaView) map[string]bool {
+		rc := newRecordingCache()
+		if _, err := Run(tab, w, Options{Cache: rc, CacheScope: "t@v1|g0", Delta: dv}); err != nil {
+			t.Fatal(err)
 		}
+		return rc.keys
+	}
+	plain, delta := keys(nil), keys(cleanView(tab))
+	if !maps.Equal(plain, delta) {
+		t.Fatalf("a plain run and a clean delta run ask for different keys:\n plain %v\n delta %v", plain, delta)
+	}
+	if len(plain) != 1+3*2 {
+		t.Fatalf("asked for %d keys, want one sort and two structures per partition:\n%v", len(plain), plain)
 	}
 }

@@ -314,10 +314,9 @@ func (s *Snapshot) mergedSpans() []core.RowSpan {
 
 // View returns the core.DeltaView describing this snapshot's overlay
 // against the merged table. A clean snapshot returns a view with an empty
-// overlay rather than nil: evaluating through it is a no-op sort merge, and
-// it keeps partition cache keys in content+epoch form from the very first
-// query, so structures built before the first mutation are reused after it.
-// The view's merged-row ids refer to the table returned by Table(); the two
+// overlay rather than nil: evaluating through it is a no-op sort merge (the
+// cached frozen order itself), and it carries the epoch, which a compacted
+// dataset keeps above 0 so its result entries stay admitted. The view's merged-row ids refer to the table returned by Table(); the two
 // are built to agree.
 func (s *Snapshot) View() (*core.DeltaView, error) {
 	if _, err := s.Table(); err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,6 +66,38 @@ func TestExplainStructuredPlan(t *testing.T) {
 		if !seen[want] {
 			t.Fatalf("missing probe node %s", want)
 		}
+	}
+}
+
+// TestExplainAfterMutation explains a statement over a keyed dataset
+// before and after a mutation batch. Explain reads column kinds only, from
+// the registered schema, so the mutated dataset is not materialised and the
+// plan DAG is the one explained before the batch.
+func TestExplainAfterMutation(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	if _, err := c.UploadCSVKeyed(ctx, "live", "k", []byte(mutCSV)); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `select k, sum(distinct v) over (partition by g order by d) as s,
+	             rank(order by v) over (partition by g order by d) as r from live`
+	before, err := c.Explain(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMutate(t, c, "live", api.MutateRequest{Mutations: []api.MutationSpec{
+		{Op: api.OpUpsert, Row: map[string]string{"k": "2", "d": "2024-02-01", "g": "a", "v": "25"}},
+	}})
+	made := materializations(t, c)
+	after, err := c.Explain(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := materializations(t, c) - made; got != 0 {
+		t.Fatalf("an explain materialised the mutated dataset %v times", got)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("the plan changed across a mutation:\n before %+v\n after  %+v", before, after)
 	}
 }
 

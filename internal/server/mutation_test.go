@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"holistic/internal/arena"
+	"holistic/internal/core"
 	"holistic/internal/server/api"
 )
 
@@ -190,6 +192,41 @@ func TestMutationsEndToEnd(t *testing.T) {
 			t.Fatalf("%s = %v (present %v), want > 0", family, v, ok)
 		}
 	}
+}
+
+// TestCompactionFreesRegisteredTable registers a keyed dataset, applies one
+// batch and compacts it. The new generation holds every row, so nothing may
+// keep the registration-time table reachable: the dataset keeps only its
+// schema.
+func TestCompactionFreesRegisteredTable(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	if _, err := c.UploadCSVKeyed(ctx, "live", "k", []byte(mutCSV)); err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := s.lookup("live")
+	registered, err := ds.buf.Snapshot().Table() // clean: the registered table itself
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(registered, func(*core.Table) { close(freed) })
+	registered = nil
+	mustMutate(t, c, "live", api.MutateRequest{Mutations: []api.MutationSpec{
+		{Op: api.OpDelete, Row: map[string]string{"k": "3"}},
+	}})
+	if swapped, _, err := ds.buf.Compact(); err != nil || !swapped {
+		t.Fatalf("compact: swapped=%v err=%v", swapped, err)
+	}
+	for range 10 {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("the registration-time table is still reachable after a compaction")
 }
 
 // TestEpochSwapRaceStress runs 16 reader goroutines against a dataset whose

@@ -16,8 +16,9 @@ import (
 // handleMutations applies one batch of mutations to a dataset. The batch is
 // atomic: it either advances the dataset's epoch by exactly one, or leaves it
 // untouched (a bad cell in mutation 7 rolls back mutations 0-6). A stale
-// expected_epoch answers 409 conflict; after a successful batch the cache
-// entries stamped with epochs below the new one are released.
+// expected_epoch answers 409 conflict. A batch invalidates no cache entry:
+// keys name partition content, so the entries of untouched partitions are
+// asked for again and those of changed ones age out.
 func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ds, ok := s.lookup(name)
@@ -61,13 +62,9 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := ds.buf.Snapshot()
-	// Entries stamped with older epochs under the current generation are
-	// unreachable (queries re-key changed partitions by their new stamp);
-	// epoch-stamped survivors — untouched partitions — stay resident.
-	removed := s.cache.Invalidate(core.StaleEpochs(genScope(ds.scope, snap.Gen()), epoch))
 	s.log.Info("mutations applied",
 		"dataset", name, "epoch", epoch, "applied", len(muts),
-		"rows", snap.Rows(), "delta_rows", snap.DeltaRows(), "invalidated", removed)
+		"rows", snap.Rows(), "delta_rows", snap.DeltaRows())
 	writeJSON(w, http.StatusOK, api.MutateResponse{
 		Epoch:     epoch,
 		Applied:   len(muts),
@@ -93,7 +90,7 @@ func parseMutation(ds *dataset, spec *api.MutationSpec) (delta.Mutation, error) 
 		return delta.Mutation{}, fmt.Errorf("unknown op %q (want %q, %q or %q)",
 			spec.Op, api.OpAppend, api.OpUpsert, api.OpDelete)
 	}
-	cols := ds.file.Table.Columns()
+	cols := ds.schema.Columns()
 	seen := 0
 	row := make([]delta.Value, len(cols))
 	for i, c := range cols {
@@ -103,7 +100,7 @@ func parseMutation(ds *dataset, spec *api.MutationSpec) (delta.Mutation, error) 
 			continue
 		}
 		seen++
-		v, err := parseCell(c.Kind(), ds.file.DateColumns[c.Name()], cell)
+		v, err := parseCell(c.Kind(), ds.dates[c.Name()], cell)
 		if err != nil {
 			return delta.Mutation{}, fmt.Errorf("column %q: %v", c.Name(), err)
 		}
@@ -111,7 +108,7 @@ func parseMutation(ds *dataset, spec *api.MutationSpec) (delta.Mutation, error) 
 	}
 	if seen != len(spec.Row) {
 		for name := range spec.Row {
-			if ds.file.Table.Column(name) == nil {
+			if ds.schema.Column(name) == nil {
 				return delta.Mutation{}, fmt.Errorf("unknown column %q", name)
 			}
 		}

@@ -109,12 +109,15 @@ func (c Config) withDefaults() Config {
 }
 
 // dataset is one registered table plus its cache identity and mutation
-// state. file.Table stays the registered base; queries read buf's current
-// snapshot (identical until the first mutation).
+// state. Queries read buf's current snapshot; the dataset itself keeps only
+// the registered schema, so a compaction frees the registration-time rows.
 type dataset struct {
-	file  *csvio.File
-	info  api.DatasetInfo
-	scope string // cache key prefix: "name@v<version>"; queries append "|g<gen>"
+	// schema holds the registered columns' names and kinds, with no rows;
+	// dates marks the columns parsed from ISO dates.
+	schema *core.Table
+	dates  map[string]bool
+	info   api.DatasetInfo
+	scope  string // cache key prefix: "name@v<version>"; queries append "|g<gen>"
 	// buf is the live-mutation buffer over the registered table. Always
 	// non-nil; datasets registered without a key column are append-only.
 	buf *delta.Buffer
@@ -330,8 +333,10 @@ func (s *Server) install(name string, file *csvio.File, segments int, keyColumn 
 		return api.DatasetInfo{}, err
 	}
 	cols := make([]string, 0, len(file.Table.Columns()))
+	schema := make([]*core.Column, 0, cap(cols))
 	for _, c := range file.Table.Columns() {
 		cols = append(cols, c.Name())
+		schema = append(schema, core.ConcatSpans([]*core.Column{c}, nil))
 	}
 	s.mu.Lock()
 	version := int64(1)
@@ -343,9 +348,10 @@ func (s *Server) install(name string, file *csvio.File, segments int, keyColumn 
 		stopPrev = prev.stopCompact
 	}
 	ds := &dataset{
-		file:  file,
-		buf:   buf,
-		scope: fmt.Sprintf("%s@v%d", name, version),
+		schema: core.MustNewTable(schema...),
+		dates:  file.DateColumns,
+		buf:    buf,
+		scope:  fmt.Sprintf("%s@v%d", name, version),
 		info: api.DatasetInfo{
 			Name:      name,
 			Version:   version,
@@ -656,9 +662,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// conservatively.
 	var tab *core.Table
 	if ds, ok := s.lookup(q.From); ok {
-		if t, err := ds.buf.Snapshot().Table(); err == nil {
-			tab = t
-		}
+		tab = ds.schema
 	}
 	p, err := sqlparse.BuildPlan(q, tab)
 	if err != nil {
@@ -848,7 +852,7 @@ func (s *Server) query(ctx context.Context, sql string, includeTrace bool) (*que
 		}
 		return nil, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err)
 	}
-	if res.dates, err = sqlparse.DateOutputs(q, ds.file.DateColumns); err != nil {
+	if res.dates, err = sqlparse.DateOutputs(q, ds.dates); err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err)
 	}
 

@@ -168,9 +168,10 @@ func (c *Cache) insertLocked(key string, val any, bytes int64) {
 }
 
 // Invalidate drops every entry whose key match reports and returns how many
-// were removed. The match functions come from the code that writes the keys
-// (core.InScope, core.StaleEpochs): a dataset reload drops its old scope, a
-// compaction its folded generation, a mutation its superseded epochs.
+// were removed. The match function comes from the code that writes the keys
+// (core.InScope): a dataset reload drops its old scope, a compaction its
+// folded generation. A mutation drops nothing: keys name content, so the
+// entries of changed partitions are no longer asked for and age out.
 func (c *Cache) Invalidate(match func(key string) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -249,24 +249,19 @@ func TestInvalidatePrefix(t *testing.T) {
 		[]string{"other@1|x"})
 }
 
-// TestInvalidateEpochsBelow drops a mutation's superseded epochs through
-// Invalidate(core.StaleEpochs): the generation's frozen sort, the current
-// epoch, content+epoch partition keys and other scopes all survive.
-func TestInvalidateEpochsBelow(t *testing.T) {
+// TestInvalidateGeneration drops a compaction's folded generation through
+// Invalidate(core.InScope): its sort and partition keys go, while a
+// generation whose number extends the folded one's, a later generation and
+// other scopes all survive.
+func TestInvalidateGeneration(t *testing.T) {
 	invalidateCase(t,
 		[]string{
-			"ds@1|g2|fz|sortidx|p=;o=",   // generation-stable: must survive
-			"ds@1|g2|e3|sortidx|p=;o=",   // superseded epoch: dropped
-			"ds@1|g2|e4|stamps|p=",       // superseded epoch: dropped
-			"ds@1|g2|e5|sortidx|p=;o=",   // current epoch: survives
-			"ds@1|g2|p=;o=|pk=i7;|pd3|x", // partition key (no epoch component): survives
-			"other@1|e1|sortidx|p=;o=",   // different scope: survives
+			"ds@1|g2|sort|p=;o=",
+			"ds@1|g2|sort|p=;o=|pk=i7;|pd3|x",
+			"ds@1|g23|sort|p=;o=",
+			"ds@1|g3|sort|p=;o=",
+			"other@1|g2|sort|p=;o=",
 		},
-		core.StaleEpochs("ds@1|g2", 5), 2,
-		[]string{
-			"ds@1|g2|fz|sortidx|p=;o=",
-			"ds@1|g2|e5|sortidx|p=;o=",
-			"ds@1|g2|p=;o=|pk=i7;|pd3|x",
-			"other@1|e1|sortidx|p=;o=",
-		})
+		core.InScope("ds@1|g2"), 2,
+		[]string{"ds@1|g23|sort|p=;o=", "ds@1|g3|sort|p=;o=", "other@1|g2|sort|p=;o="})
 }

@@ -79,5 +79,11 @@ check 'counters declared where counted' all \
 # sort-then-link walk and its span stay deleted
 check 'algorithm 1 without a second sort' all \
     'linkOccurrences|preprocess: sort hashes'
+# one cache-key form: keys name content only (partitions by value, one sort
+# tag, no per-epoch entries), so the epoch matcher, the per-epoch tags and
+# their caching helpers stay deleted and core.InScope is the one
+# invalidation rule
+check 'one cache-key form' all \
+    'StaleEpochs|tagMergedSort|tagFrozenSort|tagStamps|cachedStamps|deltaStamps|deltaSortIndices|stampPartitions|"merged-sort"|"frozen-sort"'
 
 exit $fail
