@@ -24,9 +24,8 @@ func runFig14() {
 	root := holistic.NewTrace("fig14")
 	w := holistic.Over().OrderBy(holistic.Asc("l_shipdate")).
 		Frame(holistic.Rows(holistic.UnboundedPreceding(), holistic.CurrentRow()))
-	_, err := holistic.RunWith(table, w,
-		[]*holistic.Func{holistic.CountDistinct("l_partkey").As("cd")},
-		holistic.WithTrace(root))
+	_, err := holistic.RunOptions(table, w, holistic.Options{Trace: root},
+		holistic.CountDistinct("l_partkey").As("cd"))
 	root.End()
 	die(err)
 	total := root.Duration()

@@ -110,13 +110,11 @@ func main() {
 // of its columns render as ISO dates: a statement can rename and derive
 // columns, so its outputs resolve their own (sqlparse.DateOutputs).
 func evalLocal(file *csvio.File) (*holistic.Table, map[string]bool, error) {
-	var opts []holistic.Option
 	var root *holistic.Span
 	if *trace {
 		root = holistic.NewTrace("query")
-		opts = append(opts, holistic.WithTrace(root))
 	}
-	result, err := holistic.RunSQLWith(*query, map[string]*holistic.Table{"csv": file.Table}, opts...)
+	result, err := holistic.RunSQLOptions(*query, map[string]*holistic.Table{"csv": file.Table}, holistic.Options{Trace: root})
 	if root != nil {
 		root.End()
 		fmt.Fprint(os.Stderr, root.Render())

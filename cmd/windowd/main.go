@@ -74,7 +74,7 @@ func main() {
 		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries")
 		slowQuery       = flag.Duration("slow-query", 0, "log queries whose evaluation plus response take at least this long at WARN with their span tree (0 = disabled)")
 		debugAddr       = flag.String("debug-addr", "", "listen address for the pprof debug server (empty = disabled)")
-		maxUploadBytes  = flag.Int64("max-upload-bytes", 256<<20, "largest accepted dataset registration body; oversized uploads answer 413")
+		maxUploadBytes  = flag.Int64("max-upload-bytes", 256<<20, "largest accepted request body (registration, mutation, query, explain); oversized bodies answer 413")
 		compactRows     = flag.Int("compact-rows", 0, "mutation overlay size that triggers compaction into a new frozen generation (0 = adaptive)")
 		compactInterval = flag.Duration("compact-interval", 2*time.Second, "how often the background compactor checks mutated datasets (0 = disabled)")
 		loads           loadFlags

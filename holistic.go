@@ -102,10 +102,11 @@ func DescNullsLast(column string) SortKey {
 	return SortKey{Column: column, Desc: true, NullsSmallest: true}
 }
 
-// Options tunes execution; the zero value uses the paper's defaults
-// (f = k = 32 merge sort trees, 20 000-row tasks). The functional options
-// (WithTrace, WithCache, WithTree, ...) build the same struct — see
-// NewOptions and RunWith.
+// Options tunes execution and is the library's one configuration form
+// (RunOptions, RunSQLOptions): trace, context, worker cap, task size, tree
+// shape, structure cache and the shared-plan opt-out are its fields. The
+// zero value uses the paper's defaults (f = k = 32 merge sort trees,
+// 20 000-row tasks) and a run-local structure cache.
 type Options = core.Options
 
 // TreeOptions configures merge sort tree construction (fanout f, pointer

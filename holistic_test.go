@@ -273,10 +273,10 @@ func TestFrameExclusionComposition(t *testing.T) {
 func TestProfileCollection(t *testing.T) {
 	l := tpch.GenerateLineitem(5000, 6)
 	root := NewTrace("run")
-	_, err := RunWith(l.Table(),
+	_, err := RunOptions(l.Table(),
 		Over().OrderBy(Asc("l_shipdate")).Frame(Rows(UnboundedPreceding(), CurrentRow())),
-		[]*Func{CountDistinct("l_partkey").As("cd")},
-		WithTrace(root),
+		Options{Trace: root},
+		CountDistinct("l_partkey").As("cd"),
 	)
 	root.End()
 	if err != nil {

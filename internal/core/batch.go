@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"holistic/internal/arena"
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
@@ -137,11 +138,11 @@ func sameRanges(ranges [][2]int, prev [3][2]int, prevNR int) bool {
 func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree,
 	prev, next []int64, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(5 * n)
+	ib := arena.Int32s.Get(5 * n)
 	qlo, qhi := ib[:n], ib[n:2*n]
 	qout := ib[2*n : 3*n]
 	rowSlot, rowAdj := ib[3*n:4*n], ib[4*n:5*n]
-	qthr := opt.getInt64s(n)
+	qthr := arena.Int64s.Get(n)
 
 	var scratch, mapped [3][2]int
 	s, dedup := 0, 0
@@ -189,8 +190,8 @@ func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *ms
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putInt64s(qthr)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(qthr)
+	arena.Int32s.Put(ib)
 }
 
 // rankChunk evaluates one probe chunk of the counting rank family (RANK,
@@ -200,11 +201,11 @@ func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *ms
 func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree *mst.Tree,
 	keysAll []int64, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(12 * n)
+	ib := arena.Int32s.Get(12 * n)
 	qlo, qhi := ib[:3*n], ib[3*n:6*n]
 	qout := ib[6*n : 9*n]
 	rowSlot, rowN, rowSize := ib[9*n:10*n], ib[10*n:11*n], ib[11*n:12*n]
-	qthr := opt.getInt64s(3 * n)
+	qthr := arena.Int64s.Get(3 * n)
 
 	var scratch, mapped [3][2]int
 	var prevRanges [3][2]int
@@ -290,8 +291,8 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putInt64s(qthr)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(qthr)
+	arena.Int32s.Put(ib)
 }
 
 // selectChunk evaluates one probe chunk of the select family
@@ -305,12 +306,12 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree *mst.Tree,
 	valueCol *Column, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(9*n + 1)
+	ib := arena.Int32s.Get(9*n + 1)
 	off := ib[: 2*n+1 : 2*n+1]
 	qk := ib[2*n+1 : 4*n+1]
 	qout := ib[4*n+1 : 6*n+1]
 	rowSlot, rowN, rowSize := ib[6*n+1:7*n+1], ib[7*n+1:8*n+1], ib[8*n+1:9*n+1]
-	vb := opt.getInt64s(12 * n)
+	vb := arena.Int64s.Get(12 * n)
 	vlo, vhi := vb[:6*n], vb[6*n:]
 
 	var scratch, mapped [3][2]int
@@ -405,8 +406,8 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putInt64s(vb)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(vb)
+	arena.Int32s.Put(ib)
 }
 
 // leadLagChunk evaluates one probe chunk of LEAD/LAG (§4.6) on the
@@ -420,11 +421,11 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree, keptRowno []int64,
 	valueCol *Column, off int64, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(22*n + 1)
+	ib := arena.Int32s.Get(22*n + 1)
 	qlo, qhi, qout := ib[:6*n], ib[6*n:12*n], ib[12*n:18*n]
 	soff := ib[18*n : 19*n+1 : 19*n+1]
 	sk, sout, rowSlot := ib[19*n+1:20*n+1], ib[20*n+1:21*n+1], ib[21*n+1:22*n+1]
-	lb := opt.getInt64s(12 * n)
+	lb := arena.Int64s.Get(12 * n)
 	qthr, vlo, vhi := lb[:6*n], lb[6*n:9*n], lb[9*n:]
 
 	// One select slot per row with a non-empty frame, its ranges flattened;
@@ -500,8 +501,8 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree
 		out.copyFrom(valueCol, fl.orig(int(tree.Value(int(sout[x])))), row)
 	}
 	agg.queries.Add(int64(m + e))
-	opt.putInt64s(lb)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(lb)
+	arena.Int32s.Put(ib)
 }
 
 // distinctAggChunk evaluates one probe chunk of SUM/AVG(DISTINCT x): one
@@ -515,14 +516,14 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	prev, next []int64, values []S, sub func(a, b S) S, emit func(row int, v S),
 	out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(12 * n)
+	ib := arena.Int32s.Get(12 * n)
 	rowSlot := ib[:n]
 	qlo, qhi := ib[n:2*n], ib[2*n:3*n]
 	kcnt := ib[3*n : 4*n]
 	slotNR, slotTotal := ib[4*n:5*n], ib[5*n:6*n]
 	slotRanges := ib[6*n : 12*n] // 3 ranges × 2 bounds per slot
-	qthr := opt.getInt64s(n)
-	okv := opt.getBools(n)
+	qthr := arena.Int64s.Get(n)
+	okv := arena.Bools.Get(n)
 
 	var scratch, mapped [3][2]int
 	var prevRanges [3][2]int
@@ -589,9 +590,9 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putBools(okv)
-	opt.putInt64s(qthr)
-	opt.putInt32s(ib)
+	arena.Bools.Put(okv)
+	arena.Int64s.Put(qthr)
+	arena.Int32s.Put(ib)
 }
 
 // denseRankChunk evaluates one probe chunk of framed DENSE_RANK: one
@@ -603,13 +604,13 @@ func denseRankChunk(p *partition, fl *filtered, fc *frame.Computer, rt *rangetre
 	ranksAll, ranksKept, prevKept, nextKept []int64,
 	out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(11 * n)
+	ib := arena.Int32s.Get(11 * n)
 	rowSlot := ib[:n]
 	qlo, qhi := ib[n:2*n], ib[2*n:3*n]
 	qout := ib[3*n : 4*n]
 	slotNR := ib[4*n : 5*n]
 	slotRanges := ib[5*n : 11*n]
-	lb := opt.getInt64s(2 * n)
+	lb := arena.Int64s.Get(2 * n)
 	qrank, qprev := lb[:n], lb[n:]
 
 	var scratch, mapped [3][2]int
@@ -676,6 +677,6 @@ func denseRankChunk(p *partition, fl *filtered, fc *frame.Computer, rt *rangetre
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putInt64s(lb)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(lb)
+	arena.Int32s.Put(ib)
 }

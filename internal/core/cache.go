@@ -27,13 +27,6 @@ type TreeCache interface {
 	GetOrBuild(key string, build func() (value any, bytes int64, err error)) (any, error)
 }
 
-// cacheActive reports whether structure caching is enabled: it requires
-// both a cache and a non-empty scope, because without a scope identifying
-// the table version, keys from different tables would collide.
-func (o Options) cacheActive() bool {
-	return o.Cache != nil && o.CacheScope != ""
-}
-
 // ctxErr returns the options context's error, tolerating an absent context.
 func (o Options) ctxErr() error {
 	if o.Context == nil {
@@ -52,16 +45,12 @@ func (o Options) treeOptions(sp *obs.Span) mst.Options {
 	return topt
 }
 
-// cacheGet fetches the structure s names from the options' cache, building
-// on a miss. With caching inactive it simply builds, and renders no key. A
-// value of an unexpected type under the key (a collision between
-// incompatible structure kinds, which the key scheme is designed to
-// prevent) falls back to an uncached build rather than failing the query.
+// cacheGet fetches the structure s names from the run's cache (RunShared
+// always sets one), building on a miss. A value of an unexpected type under
+// the key (a collision between incompatible structure kinds, which the key
+// scheme is designed to prevent) falls back to an uncached build rather
+// than failing the query.
 func cacheGet[T any](opt Options, s *Structure, build func() (T, int64, error)) (T, error) {
-	if !opt.cacheActive() {
-		v, _, err := build()
-		return v, err
-	}
 	// Count the cache interaction on the current span: a hit unless the
 	// build closure actually ran. The slow-query log surfaces these counts,
 	// so a cold-cache outlier is distinguishable from a slow probe at a

@@ -247,7 +247,7 @@ func renderKeyCell(b *strings.Builder, c *Column, row int) {
 	b.WriteByte(';')
 }
 
-// keyPartitions gives every partition of a cached run its id: the executed
+// keyPartitions gives every partition its id: the executed
 // sort's identity, the partition's rendered PARTITION BY values and its
 // stamp, the latest epoch a mutation touched it (0 outside a delta run).
 // Under one scope these name the partition's content: a partition the

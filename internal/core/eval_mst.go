@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 
+	"holistic/internal/arena"
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
@@ -25,7 +26,7 @@ type filtered struct {
 func newFiltered(p *partition, f *FuncSpec, dropNullCol string, opt Options) *filtered {
 	mask := p.includeMask(f, dropNullCol, opt)
 	r := remapFor(mask)
-	opt.putBools(mask) // NewRemap copied what it needs
+	arena.Bools.Put(mask) // NewRemap copied what it needs
 	return &filtered{p: p, remap: r, k: filteredLen(p, r)}
 }
 
@@ -137,8 +138,8 @@ func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []i
 	// in filtered order is a random read, and kept apart from the table's
 	// random probes both overlap their cache misses.
 	col := fl.p.t.Column(f.Arg)
-	hashes := opt.getUint64s(fl.k)
-	defer opt.putUint64s(hashes)
+	hashes := arena.Uint64s.Get(fl.k)
+	defer arena.Uint64s.Put(hashes)
 	opt.trace.Timed("preprocess: populate hashes", func() {
 		for j := range hashes {
 			hashes[j] = col.hashAt(fl.orig(j))
@@ -212,8 +213,8 @@ func linkHashes(hashes []uint64, same func(a, b int) bool, opt Options) (prev, n
 		return prev, next, 0, nil
 	}
 	slots := 1 << bits.Len(uint(2*min(k, linkPooledSlots/2)-1))
-	pooled := opt.getUint64s(2 * slots)
-	defer opt.putUint64s(pooled)
+	pooled := arena.Uint64s.Get(2 * slots)
+	defer arena.Uint64s.Put(pooled)
 	clear(pooled)
 	table, shift, used := pooled, uint(65-bits.Len(uint(slots))), 0
 	for j, h := range hashes {
@@ -267,8 +268,8 @@ func growLinkTable(table []uint64, shift uint, probes *int) ([]uint64, uint) {
 // neither a sort nor a hash. See newLinks for the representation.
 func linkRanks(ranks []int64, distinct int, opt Options) (prev, next []int64) {
 	prev, next = newLinks(len(ranks))
-	last := opt.getInt32s(distinct) // position+1; 0: not seen yet
-	defer opt.putInt32s(last)
+	last := arena.Int32s.Get(distinct) // position+1; 0: not seen yet
+	defer arena.Int32s.Put(last)
 	clear(last)
 	for j, r := range ranks {
 		if at := last[r]; at > 0 {
@@ -502,13 +503,13 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 				keysAll, _ = preprocess.DenseRanks(sortedAll, p.funcEqual(f))
 			}
 			// keysKept is a pure temporary: Build copies its input.
-			keysKept := opt.getInt64s(fl.k)
+			keysKept := arena.Int64s.Get(fl.k)
 			for j := range keysKept {
 				keysKept[j] = keysAll[fl.local(j)]
 			}
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.BuildForm(keysKept, opt.treeOptions(sp), form)
-			opt.putInt64s(keysKept)
+			arena.Int64s.Put(keysKept)
 			if buildErr != nil {
 				sp.End()
 				return cachedRank{}, 0, buildErr
@@ -627,12 +628,12 @@ func permutationTree(p *partition, f *FuncSpec, s *Structure, fl *filtered, opt 
 			return cachedSelect{}, 0, err
 		}
 		// Both arrays are pure temporaries: Build copies the permutation.
-		sortedKept := keptOrder(fl, sortedAll, opt.getInt32s(fl.k))
-		perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
+		sortedKept := keptOrder(fl, sortedAll, arena.Int32s.Get(fl.k))
+		perm := preprocess.PermutationIn(arena.Int64s.Get(fl.k), sortedKept)
 		sp := opt.trace.Phase("build merge sort tree")
 		tree, buildErr := mst.BuildForm(perm, opt.treeOptions(sp), form)
-		opt.putInt64s(perm)
-		opt.putInt32s(sortedKept)
+		arena.Int64s.Put(perm)
+		arena.Int32s.Put(sortedKept)
 		if buildErr != nil {
 			sp.End()
 			return cachedSelect{}, 0, buildErr

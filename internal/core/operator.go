@@ -9,6 +9,7 @@ import (
 	"holistic/internal/mst"
 	"holistic/internal/obs"
 	"holistic/internal/parallel"
+	"holistic/internal/treecache"
 )
 
 // Options tunes the window operator.
@@ -36,16 +37,17 @@ type Options struct {
 	// so a cancelled caller stops burning cores after at most one chunk
 	// per worker. Run returns the context's error when cut short.
 	Context context.Context
-	// Cache, when non-nil together with a non-empty CacheScope, is
-	// consulted before building sort orders, merge sort trees and
+	// Cache is consulted before building sort orders, merge sort trees and
 	// preprocessed key arrays, enabling cross-query structure reuse (see
-	// TreeCache).
+	// TreeCache). When Cache is nil or CacheScope empty, RunShared gives
+	// the run a cache of its own under scope "run": the run's functions
+	// still share every structure, which lives until the run returns.
 	Cache TreeCache
 	// CacheScope prefixes every cache key and must uniquely identify the
 	// table's content version (e.g. "orders@v3"), in a delta run the frozen
 	// table's: callers bump it whenever that table changes, which
 	// implicitly invalidates all structures built against the previous
-	// version. With an empty scope the cache is bypassed.
+	// version.
 	CacheScope string
 	// trace is the span the current piece of work records under: Run
 	// points it at the root, then at the function's "eval" span, and
@@ -126,6 +128,11 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 			return nil, err
 		}
 	}
+	if opt.Cache == nil || opt.CacheScope == "" {
+		// A caller without a cache still shares structures among its own
+		// functions: the run keeps what it builds until it returns.
+		opt.Cache, opt.CacheScope = treecache.New(0), "run"
+	}
 	root := opt.Trace
 	opt.trace = root
 	n := t.Rows()
@@ -185,15 +192,12 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 		return nil, err
 	}
 
-	// Phase 2: find partition boundaries, and in a cached run name each
-	// partition's content.
+	// Phase 2: find partition boundaries and name each partition's content.
 	var parts []*partition
 	root.Timed("partition boundaries", func() {
 		parts = splitPartitions(t, sortSpec, sortIdx)
 	})
-	if opt.cacheActive() {
-		keyPartitions(t, sortSpec, parts, opt)
-	}
+	keyPartitions(t, sortSpec, parts, opt)
 	if err := opt.ctxErr(); err != nil {
 		return nil, err
 	}

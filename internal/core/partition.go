@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"holistic/internal/arena"
 	"holistic/internal/frame"
 	"holistic/internal/preprocess"
 )
@@ -19,13 +20,12 @@ type partition struct {
 	w *WindowSpec
 	// rows holds the global (original) row indices in window order.
 	rows []int32
-	// id names the partition's content in a cached run (keyPartitions;
-	// empty without a cache) and leads every structure key of the
-	// partition (Structure.Part): the executed sort's identity — the
-	// group's refined order in a shared-plan run, so every window view over
-	// the same sorted rows addresses the same entries, which is exactly
-	// when the structures are interchangeable — then the partition's
-	// PARTITION BY values and its last-change stamp.
+	// id names the partition's content (keyPartitions) and leads every
+	// structure key of the partition (Structure.Part): the executed sort's
+	// identity — the group's refined order in a shared-plan run, so every
+	// window view over the same sorted rows addresses the same entries,
+	// which is exactly when the structures are interchangeable — then the
+	// partition's PARTITION BY values and its last-change stamp.
 	id string
 
 	peerOnce sync.Once
@@ -264,7 +264,7 @@ func (p *partition) includeMask(f *FuncSpec, dropNullCol string, opt Options) []
 	if filterCol == nil && nullCol == nil {
 		return nil
 	}
-	mask := opt.getBools(p.len())
+	mask := arena.Bools.Get(p.len())
 	for i := range mask {
 		o := p.orig(i)
 		keep := true

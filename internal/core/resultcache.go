@@ -101,13 +101,12 @@ func (r *cachedResult) scatter(out *outBuilder, rows []int32) {
 }
 
 // evalFuncCached evaluates one (partition, function) pair through the
-// result cache when the run is a cached delta run over a dataset that has
+// result cache when the run is a delta run over a dataset that has
 // been mutated and the frame has no per-row offset expressions; otherwise it
 // evaluates directly.
 func evalFuncCached(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
 	spec := p.w.effectiveFrame(f)
-	// p.id is empty without a cache (RunShared).
-	if p.id == "" || opt.Delta == nil || opt.Delta.Epoch == 0 || spec.Start.OffsetFn != nil || spec.End.OffsetFn != nil {
+	if opt.Delta == nil || opt.Delta.Epoch == 0 || spec.Start.OffsetFn != nil || spec.End.OffsetFn != nil {
 		return evalFunc(p, f, out, opt)
 	}
 	evaluated := false

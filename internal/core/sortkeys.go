@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"holistic/internal/arena"
 	"holistic/internal/preprocess"
 	"holistic/internal/sortutil"
 )
@@ -69,8 +70,8 @@ func sortByKeyWords(n int, rows []int32, cols []sortCol, opt Options) ([]int32, 
 	for i := range idx {
 		idx[i] = i32(i)
 	}
-	words := opt.getUint64s(n)
-	defer opt.putUint64s(words)
+	words := arena.Uint64s.Get(n)
+	defer arena.Uint64s.Put(words)
 	sortWords := func() error {
 		if err := opt.ctxErr(); err != nil {
 			return err

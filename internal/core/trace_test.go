@@ -210,6 +210,28 @@ func countSpans(root *obs.Span) int {
 	return n
 }
 
+// TestRunWithoutCacheSharesStructures runs RANK and PERCENT_RANK, both
+// ordered by v, over one window with no cache: the run's own cache lets the
+// second function probe the first one's tree, so the trace holds exactly
+// one tree build.
+func TestRunWithoutCacheSharesStructures(t *testing.T) {
+	w := traceWindow()
+	w.Funcs = []FuncSpec{
+		{Name: Rank, Output: "r", OrderBy: []SortKey{{Column: "v"}}},
+		{Name: PercentRank, Output: "pr", OrderBy: []SortKey{{Column: "v"}}},
+	}
+	root := tracedRun(t, randTable(rand.New(rand.NewSource(3)), 2_000), w, Options{})
+	builds := 0
+	root.Walk(func(sp *obs.Span, _ int) {
+		if sp.Name() == "build merge sort tree" {
+			builds++
+		}
+	})
+	if builds != 1 {
+		t.Errorf("%d build merge sort tree entries, want 1\n%s", builds, root.Render())
+	}
+}
+
 // TestSpanCountIndependentOfPartitions is the span budget: a trace grows
 // with the statement, not with the table. The same five-function statement
 // over 1 and over 2,000 equally sized partitions produces the same number of

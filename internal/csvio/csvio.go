@@ -271,11 +271,6 @@ func Write(w io.Writer, t *core.Table, dateColumns map[string]bool) error {
 	return cw.Error()
 }
 
-// FormatCell renders one value; NULL renders as the empty string.
-func FormatCell(col *core.Column, i int) string {
-	return formatCell(col, i, false)
-}
-
 // formatCell is AppendCell as a string. String cells are returned as they
 // are stored, not copied.
 func formatCell(col *core.Column, i int, date bool) string {

@@ -312,7 +312,7 @@ func TestAppendCell(t *testing.T) {
 	}
 	for _, col := range cols {
 		for _, date := range []bool{false, true} {
-			want := FormatCell(col, 0)
+			want := formatCell(col, 0, false)
 			if date && col.Kind() == core.Int64 {
 				want = DayToDate(col.Int64(0))
 			}

@@ -134,14 +134,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Monotonic reports whether both frame boundaries are guaranteed to be
-// non-decreasing in the row position — true exactly when no per-row offset
-// expression is involved. Incremental competitors behave on monotonic
-// frames and degrade otherwise (§6.5); the merge sort tree does not care.
-func (s Spec) Monotonic() bool {
-	return s.Start.OffsetFn == nil && s.End.OffsetFn == nil
-}
-
 // MaxRows returns the widest position range any row's frame can span, and
 // true, when the specification fixes it: a ROWS frame with constant offsets,
 // whose width is its end offset minus its start offset plus one — P + F + 1
@@ -423,16 +415,6 @@ func (c *Computer) Ranges(row int, buf [][2]int) [][2]int {
 		buf = append(buf, [2]int{cutHi, hi})
 	}
 	return buf
-}
-
-// FrameSize returns the number of rows in row's frame after exclusion.
-func (c *Computer) FrameSize(row int) int {
-	var buf [3][2]int
-	total := 0
-	for _, r := range c.Ranges(row, buf[:0]) {
-		total += r[1] - r[0]
-	}
-	return total
 }
 
 // Spec returns the specification the computer was built from.

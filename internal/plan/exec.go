@@ -5,7 +5,6 @@ import (
 
 	"holistic/internal/core"
 	"holistic/internal/obs"
-	"holistic/internal/treecache"
 )
 
 // Sharing counters, process-wide in obs.Default: each shared-plan execution
@@ -26,19 +25,10 @@ var (
 // With Options.NoSharedPlan set, the plan's clustering is ignored and every
 // deduplicated window runs its own core.Run — the pre-shared-plan behavior,
 // kept as an opt-out for benchmarking and as an escape hatch. Results are
-// byte-identical either way.
-//
-// When the options carry no structure cache, a statement-local one is
-// installed for the duration of the statement — a treecache without a
-// budget, which never evicts — so trees and preprocessing arrays are shared
-// across the statement's functions even for cacheless callers: the
-// within-request counterpart of windowd's cross-request cache.
+// byte-identical either way. Without a structure cache in opt, each run
+// shares structures among its own functions through a run-local cache
+// (core.RunShared).
 func (p *Plan) Execute(t *core.Table, opt core.Options) (*core.Table, Stats, error) {
-	if opt.Cache == nil {
-		opt.Cache = treecache.New(0)
-		opt.CacheScope = "stmt"
-	}
-
 	results := map[string]*core.Result{} // window key -> result
 	if opt.NoSharedPlan {
 		for _, g := range p.groups {

@@ -11,17 +11,6 @@ import (
 	"holistic/internal/csvio"
 )
 
-// Cache is the structure-cache hook consumed by Dir materialization: the
-// same single-flight, byte-budgeted GetOrBuild shape as core.TreeCache, so
-// *treecache.Cache satisfies it directly. Per-segment column loads are
-// cached under content-addressed keys ("seg:<id>|col:<name>") — no dataset
-// or version prefix — so when a dataset is partially re-ingested, entries
-// for untouched segments remain valid and only the replaced segments'
-// columns are re-read from disk.
-type Cache interface {
-	GetOrBuild(key string, build func() (value any, bytes int64, err error)) (any, error)
-}
-
 // Dir is an opened multi-segment dataset directory: every *.seg file,
 // schema-checked and ordered by start row into one logical table.
 type Dir struct {
@@ -106,8 +95,11 @@ func (d *Dir) Close() error {
 }
 
 // loadCached loads one segment's column through the cache (or directly
-// when cache is nil).
-func loadCached(cache Cache, s *Reader, name string) (*colData, error) {
+// when cache is nil). Columns are cached under content-addressed keys
+// ("seg:<id>|col:<name>") — no dataset or version prefix — so when a
+// dataset is partially re-ingested, entries for untouched segments remain
+// valid and only the replaced segments' columns are re-read from disk.
+func loadCached(cache core.TreeCache, s *Reader, name string) (*colData, error) {
 	if cache == nil {
 		return s.load(name)
 	}
@@ -132,7 +124,7 @@ func loadCached(cache Cache, s *Reader, name string) (*colData, error) {
 // exactly what csvio.Read of the original source would have produced, so
 // the query path above (operator, tree cache, server) is oblivious to
 // whether a dataset arrived in one piece or as segments.
-func (d *Dir) File(cache Cache) (*csvio.File, error) {
+func (d *Dir) File(cache core.TreeCache) (*csvio.File, error) {
 	first := d.segs[0].man
 	cols := make([]*core.Column, len(first.Columns))
 	dateCols := map[string]bool{}

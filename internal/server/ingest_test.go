@@ -50,6 +50,15 @@ func TestUploadLimit(t *testing.T) {
 	if _, err := c.RegisterPath(ctx, "big", big.Path); err == nil {
 		t.Fatal("oversized JSON register body accepted")
 	}
+	// And query and explain bodies.
+	bigSQL := "select a as " + strings.Repeat("x", 300) + " from small"
+	_, qerr := c.Query(ctx, api.QueryRequest{SQL: bigSQL})
+	_, eerr := c.Explain(ctx, bigSQL)
+	for route, err := range map[string]error{"query": qerr, "explain": eerr} {
+		if !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge || ae.Code != api.CodePayloadTooLarge {
+			t.Errorf("oversized %s body: got %v, want 413 %q", route, err, api.CodePayloadTooLarge)
+		}
+	}
 }
 
 // TestIngestAndSegmentedQuery drives the full server-side out-of-core path:

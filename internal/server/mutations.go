@@ -29,7 +29,7 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	var req api.MutateRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, registerError(name, err))
+		writeError(w, requestError("mutate "+strconv.Quote(name), err))
 		return
 	}
 	if len(req.Mutations) == 0 {

@@ -73,9 +73,10 @@ type Config struct {
 	// counts, so a cold-cache build is distinguishable from a slow probe) and the
 	// response's time, rows and bytes. <= 0 disables the log.
 	SlowQuery time.Duration
-	// MaxUploadBytes caps the request body of dataset registration (CSV
-	// uploads and JSON register requests). Oversized uploads answer 413
-	// with the payload_too_large code. <= 0 means 256 MiB.
+	// MaxUploadBytes caps every request body the server reads: dataset
+	// registration (CSV uploads and JSON register requests), mutation
+	// batches, queries and explains. An oversized body answers 413 with
+	// the payload_too_large code. <= 0 means 256 MiB.
 	MaxUploadBytes int64
 	// CompactRows is the per-dataset mutation-overlay size at which the
 	// background compactor folds the overlay into a new frozen generation;
@@ -483,15 +484,17 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
-// registerError classifies a registration failure: an upload that tripped
-// the MaxBytesReader cap is 413 payload_too_large, anything else 400.
-func registerError(name string, err error) error {
+// requestError classifies a failed request under a message prefix that
+// names its route (`register "t"`, `bad query request`): a body that
+// tripped the MaxBytesReader cap is 413 payload_too_large, anything else
+// 400.
+func requestError(route string, err error) error {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		return httpErrorf(http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge,
-			"register %q: request body exceeds the %d-byte upload limit", name, mbe.Limit)
+			"%s: request body exceeds the %d-byte upload limit", route, mbe.Limit)
 	}
-	return httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "register %q: %v", name, err)
+	return httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%s: %v", route, err)
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -500,13 +503,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "missing dataset name"))
 		return
 	}
+	route := "register " + strconv.Quote(name)
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	if !strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		// The ?key= query parameter names the mutation key column for
 		// direct CSV uploads (JSON registrations use key_column).
 		info, err := s.RegisterCSVKeyed(name, body, r.URL.Query().Get("key"))
 		if err != nil {
-			writeError(w, registerError(name, err))
+			writeError(w, requestError(route, err))
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
@@ -514,7 +518,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	var req api.RegisterRequest
 	if derr := json.NewDecoder(body).Decode(&req); derr != nil {
-		writeError(w, registerError(name, derr))
+		writeError(w, requestError(route, derr))
 		return
 	}
 	var info api.DatasetInfo
@@ -541,7 +545,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		writeError(w, registerError(name, err))
+		writeError(w, requestError(route, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -647,8 +651,8 @@ func (s *Server) handleIngestStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req api.ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad explain request: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(&req); err != nil {
+		writeError(w, requestError("bad explain request", err))
 		return
 	}
 	q, err := sqlparse.Parse(req.SQL)
@@ -696,8 +700,8 @@ func (s *Server) timeoutFor(millis int64) time.Duration {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req api.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad query request: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(&req); err != nil {
+		writeError(w, requestError("bad query request", err))
 		return
 	}
 	// One deadline bounds the whole request: the wait for a slot, the

@@ -37,49 +37,3 @@ func UpperBound(a []int64, x int64) int {
 	}
 	return lo
 }
-
-// LowerBound32 is LowerBound for int32 payloads (the 32-bit tree build path,
-// §5.1).
-func LowerBound32(a []int32, x int32) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// UpperBound32 is UpperBound for int32 payloads.
-func UpperBound32(a []int32, x int32) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// CountInRange returns the number of elements of the sorted slice a that lie
-// in the inclusive value range [lo, hi].
-func CountInRange(a []int64, lo, hi int64) int {
-	if hi < lo {
-		return 0
-	}
-	return UpperBound(a, hi) - LowerBound(a, lo)
-}
-
-// CountInRange32 is CountInRange for int32 payloads.
-func CountInRange32(a []int32, lo, hi int32) int {
-	if hi < lo {
-		return 0
-	}
-	return UpperBound32(a, hi) - LowerBound32(a, lo)
-}

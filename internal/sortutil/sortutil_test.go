@@ -32,37 +32,6 @@ func TestLowerUpperBound(t *testing.T) {
 	}
 }
 
-func TestBounds32MatchBounds64(t *testing.T) {
-	prop := func(raw []uint8, x uint8) bool {
-		a64 := make([]int64, len(raw))
-		a32 := make([]int32, len(raw))
-		for i, v := range raw {
-			a64[i] = int64(v)
-			a32[i] = int32(v)
-		}
-		slices.Sort(a64)
-		slices.Sort(a32)
-		return LowerBound(a64, int64(x)) == LowerBound32(a32, int32(x)) &&
-			UpperBound(a64, int64(x)) == UpperBound32(a32, int32(x))
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCountInRange(t *testing.T) {
-	a := []int64{1, 2, 2, 5, 8, 8, 8, 12}
-	if got := CountInRange(a, 2, 8); got != 6 {
-		t.Fatalf("CountInRange[2,8] = %d, want 6", got)
-	}
-	if got := CountInRange(a, 9, 3); got != 0 {
-		t.Fatalf("inverted range = %d, want 0", got)
-	}
-	if got := CountInRange32([]int32{1, 2, 3}, 2, 2); got != 1 {
-		t.Fatalf("CountInRange32 = %d, want 1", got)
-	}
-}
-
 func TestMergeSplitStable(t *testing.T) {
 	type elem struct{ key, src int }
 	cmpE := func(a, b elem) int { return cmp.Compare(a.key, b.key) }

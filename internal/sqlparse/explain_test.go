@@ -8,7 +8,7 @@ import (
 	"holistic/internal/plan"
 )
 
-// explain renders a statement's plan DAG, as ExplainSQL, /v1/explain and
+// explain renders a statement's plan DAG, as holistic.RenderPlan, /v1/explain and
 // windowcli -explain print it.
 func explain(t *testing.T, sql string) string {
 	t.Helper()

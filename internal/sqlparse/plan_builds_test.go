@@ -10,7 +10,7 @@ import (
 
 // TestPlanMatchesBuilds checks the plan DAG against what executing the
 // statement builds: over one partition wider than mst.LeafRows, with the
-// fresh statement-local cache Execute installs, the number of "build merge
+// fresh run-local cache core.RunShared installs, the number of "build merge
 // sort tree" phases run must equal the number of the DAG's cached tree
 // nodes, and trees_shared must count every other function fed by one.
 func TestPlanMatchesBuilds(t *testing.T) {

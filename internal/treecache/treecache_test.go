@@ -1,4 +1,4 @@
-package treecache
+package treecache_test
 
 import (
 	"errors"
@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"holistic/internal/core"
+	"holistic/internal/treecache"
 )
 
 func TestGetOrBuildHitAndMiss(t *testing.T) {
-	c := New(1 << 20)
+	c := treecache.New(1 << 20)
 	builds := 0
 	build := func() (any, int64, error) {
 		builds++
@@ -34,7 +35,7 @@ func TestGetOrBuildHitAndMiss(t *testing.T) {
 }
 
 func TestSingleFlightDeduplicatesConcurrentBuilds(t *testing.T) {
-	c := New(1 << 20)
+	c := treecache.New(1 << 20)
 	var builds atomic.Int64
 	gate := make(chan struct{})
 	const workers = 16
@@ -75,7 +76,7 @@ func TestSingleFlightDeduplicatesConcurrentBuilds(t *testing.T) {
 }
 
 func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
-	c := New(1 << 20)
+	c := treecache.New(1 << 20)
 	leaderStarted := make(chan struct{})
 	leaderRelease := make(chan struct{})
 	errLeader := errors.New("leader cancelled")
@@ -115,21 +116,21 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 // charged is what an entry costs the budget: the size its build reported,
 // its key and the fixed per-entry overhead.
 func charged(key string, bytes int64) int64 {
-	return bytes + int64(len(key)) + EntryOverhead
+	return bytes + int64(len(key)) + treecache.EntryOverhead
 }
 
 // TestEntryChargeIncludesKeyAndOverhead pins the accounting rule: a cache
 // of many small entries is charged for its keys and bookkeeping, not only
 // for what the builds report.
 func TestEntryChargeIncludesKeyAndOverhead(t *testing.T) {
-	c := New(0)
+	c := treecache.New(0)
 	want := int64(0)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("scope|p=\"grp\",;o=\"ts\"+,|pk=i%d;|pd0|result|sum(distinct)", i)
 		if _, err := c.GetOrBuild(key, func() (any, int64, error) { return i, 162, nil }); err != nil {
 			t.Fatal(err)
 		}
-		want += 162 + int64(len(key)) + EntryOverhead
+		want += 162 + int64(len(key)) + treecache.EntryOverhead
 	}
 	if s := c.Stats(); s.Bytes != want || s.Bytes < 2*100*162 {
 		t.Fatalf("100 entries of 162 reported bytes charged %d, want %d (keys and overhead included)", s.Bytes, want)
@@ -141,7 +142,7 @@ func TestEntryChargeIncludesKeyAndOverhead(t *testing.T) {
 }
 
 func TestLRUEvictionUnderBudget(t *testing.T) {
-	c := New(2*charged("a", 40) + 20) // room for two entries, not three
+	c := treecache.New(2*charged("a", 40) + 20) // room for two entries, not three
 	add := func(key string, bytes int64) {
 		if _, err := c.GetOrBuild(key, func() (any, int64, error) { return key, bytes, nil }); err != nil {
 			t.Fatal(err)
@@ -168,7 +169,7 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 }
 
 func TestOversizedEntryNotCached(t *testing.T) {
-	c := New(100)
+	c := treecache.New(100)
 	for i := 0; i < 2; i++ {
 		if _, err := c.GetOrBuild("huge", func() (any, int64, error) { return "x", 1000, nil }); err != nil {
 			t.Fatal(err)
@@ -184,7 +185,7 @@ func TestOversizedEntryNotCached(t *testing.T) {
 }
 
 func TestUnlimitedBudgetNeverEvicts(t *testing.T) {
-	c := New(0)
+	c := treecache.New(0)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%d", i)
 		if _, err := c.GetOrBuild(key, func() (any, int64, error) { return i, 1 << 20, nil }); err != nil {
@@ -197,7 +198,7 @@ func TestUnlimitedBudgetNeverEvicts(t *testing.T) {
 }
 
 func TestReplaceExistingKeyAdjustsBytes(t *testing.T) {
-	c := New(1 << 20)
+	c := treecache.New(1 << 20)
 	if _, err := c.GetOrBuild("k", func() (any, int64, error) { return 1, 100, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestReplaceExistingKeyAdjustsBytes(t *testing.T) {
 // rebuilt on its next GetOrBuild.
 func invalidateCase(t *testing.T, keys []string, match func(key string) bool, removed int, kept []string) {
 	t.Helper()
-	cache := New(0) // unlimited
+	cache := treecache.New(0) // unlimited
 	for _, key := range keys {
 		if _, err := cache.GetOrBuild(key, func() (any, int64, error) { return key, 8, nil }); err != nil {
 			t.Fatal(err)

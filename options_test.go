@@ -1,7 +1,6 @@
 package holistic_test
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -16,27 +15,8 @@ func optionsTable(t *testing.T) *holistic.Table {
 	)
 }
 
-// TestNewOptionsFoldsFields checks each functional option lands on the
-// matching Options field, so mixed-style callers see one configuration.
-func TestNewOptionsFoldsFields(t *testing.T) {
-	ctx := context.Background()
-	root := holistic.NewTrace("q")
-	opt := holistic.NewOptions(
-		holistic.WithContext(ctx),
-		holistic.WithTrace(root),
-		holistic.WithTaskSize(123),
-		holistic.WithParallelism(2),
-	)
-	if opt.Context != ctx || opt.Trace != root {
-		t.Fatal("context/trace options not applied")
-	}
-	if opt.TaskSize != 123 || opt.Workers != 2 {
-		t.Fatalf("options not applied: %+v", opt)
-	}
-}
-
-// TestRunWithTrace runs via the functional-options entry point and checks
-// the span tree carries the operator's phases, and that results agree with
+// TestRunWithTrace runs with a trace in Options and checks the span tree
+// carries the operator's phases, and that results agree with
 // the zero-option path.
 func TestRunWithTrace(t *testing.T) {
 	tab := optionsTable(t)
@@ -50,8 +30,7 @@ func TestRunWithTrace(t *testing.T) {
 	}
 
 	root := holistic.NewTrace("query")
-	traced, err := holistic.RunWith(tab, w, []*holistic.Func{fn()},
-		holistic.WithTrace(root), holistic.WithParallelism(1))
+	traced, err := holistic.RunOptions(tab, w, holistic.Options{Trace: root, Workers: 1}, fn())
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -73,14 +52,14 @@ func TestRunWithTrace(t *testing.T) {
 	}
 }
 
-// TestRunSQLWithTrace covers the SQL entry point of the options API.
+// TestRunSQLWithTrace covers the SQL entry point with a trace in Options.
 func TestRunSQLWithTrace(t *testing.T) {
 	tab := optionsTable(t)
 	root := holistic.NewTrace("sql")
-	res, err := holistic.RunSQLWith(
+	res, err := holistic.RunSQLOptions(
 		`select rank(order by v) over (order by d) as r from t`,
 		map[string]*holistic.Table{"t": tab},
-		holistic.WithTrace(root))
+		holistic.Options{Trace: root})
 	root.End()
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ check 'one structure identity' nontest-nobench \
     'classOf|functionPlan|sqlparse\.Explain|InvalidateEpochsBelow|InvalidatePrefix|parseEpochComponent|",l3"'
 # one form per surface: windowcli takes only SQL, windowd reports status
 # only through /v1/metrics and /v1/datasets, the wire types are declared only
-# in api, the statement-local cache is a treecache and an arena is one slab
+# in api, the run-local cache is a treecache and an arena is one slab
 check 'one form per surface' nontest-nobench \
     'handleStatusz|renderRequests|Statusz\(|runFlags|buildFunc\(|ingestStatusResponse|explainResponse|localCache|ExplainPlan|\.Checkpoint\('
 # counters declared where counted: every process-wide event counter is an
@@ -85,5 +85,11 @@ check 'algorithm 1 without a second sort' all \
 # invalidation rule
 check 'one cache-key form' all \
     'StaleEpochs|tagMergedSort|tagFrozenSort|tagStamps|cachedStamps|deltaStamps|deltaSortIndices|stampPartitions|"merged-sort"|"frozen-sort"'
+# one run path: every run shares structures through a cache (RunShared
+# gives a cacheless run its own), the library's one configuration form is
+# Options, core borrows scratch straight from the arena pools and segment
+# takes core.TreeCache; nontest because the options tests keep their names
+check 'one run path' nontest \
+    'cacheActive|func RunWith|RunSQLWith\(|NewOptions\(|WithoutSharedPlan\(|ExplainSQL|type Option func|\) (get|put)(Int32s|Int64s|Uint64s|Bools)\(|segment\.Cache\b'
 
 exit $fail

@@ -46,20 +46,6 @@ func RunSQLOptions(query string, tables map[string]*Table, opt Options) (*Table,
 	return sqlparse.Execute(q, src, opt)
 }
 
-// ExplainSQL renders the evaluation plan of a statement without running it:
-// the plan DAG of PlanSQL as RenderPlan prints it — one sort per shared-sort
-// cluster, the preprocessing and tree each structure needs (named after the
-// §4 algorithm) with every function that shares it, and each function's
-// probe with its frame. Column kinds are unknown, so the optimizer is
-// conservative about sharing sorts under float-sensitive functions.
-func ExplainSQL(query string) (string, error) {
-	p, err := PlanSQL(query, nil)
-	if err != nil {
-		return "", err
-	}
-	return RenderPlan(p.Nodes), nil
-}
-
 // PlanNode is one operator of a statement's shared-plan DAG (see PlanSQL).
 type PlanNode = plan.Node
 
@@ -79,7 +65,7 @@ type SQLPlan struct {
 // it and returns the structured plan DAG: one sort node per shared-sort
 // cluster, partition-boundary, preprocessing and tree nodes annotated with
 // every function that consumes them, and one probe node per function (the
-// /v1/explain plan_dag field, locally; ExplainSQL renders it).
+// /v1/explain plan_dag field, locally; RenderPlan renders it).
 //
 // tables may be nil or missing the FROM table: column kinds are then
 // unknown and the optimizer is conservative about sharing sorts under

@@ -59,7 +59,7 @@ func TestWithoutSharedPlanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := RunSQLWith(planTestSQL, tables, WithoutSharedPlan())
+	legacy, err := RunSQLOptions(planTestSQL, tables, Options{NoSharedPlan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
