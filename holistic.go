@@ -103,8 +103,8 @@ func DescNullsLast(column string) SortKey {
 }
 
 // Options tunes execution and is the library's one configuration form
-// (RunOptions, RunSQLOptions): trace, context, worker cap, task size, tree
-// shape, structure cache and the shared-plan opt-out are its fields. The
+// (RunOptions, RunSQLOptions): trace, context, task size, tree shape,
+// structure cache and the shared-plan opt-out are its fields. The
 // zero value uses the paper's defaults (f = k = 32 merge sort trees,
 // 20 000-row tasks) and a run-local structure cache.
 type Options = core.Options

@@ -18,6 +18,12 @@
 //     range, a widening of an at-most-32-bit value, a copy of a
 //     guarded/narrow variable).
 //
+// A conversion whose operand or target is a type parameter is judged by the
+// instantiation that could lose the most bits: the operand by the widest
+// integer term of its type set, the target by the narrowest. So int32(v)
+// with v K (K int32 | int64) is checked as a conversion from int64, and K(n)
+// with n int as one to int32.
+//
 // Values are non-negative by domain (§5.1 preprocesses payloads into
 // [0, n]), so only upper bounds are checked; a lower-bound analysis would
 // add noise without catching a real wrap.
@@ -289,7 +295,7 @@ func (p problem) classify(f fact, expr ast.Expr) state {
 		if !ok || !tv.IsType() {
 			return 0
 		}
-		if src, ok := p.pass.TypesInfo.TypeOf(e.Args[0]).Underlying().(*types.Basic); ok {
+		if src, ok := intType(p.pass.TypesInfo.TypeOf(e.Args[0]), true); ok {
 			switch src.Kind() {
 			case types.Uint8:
 				return narrow | narrow8
@@ -327,12 +333,12 @@ func checkConversion(pass *analysis.Pass, f fact, call *ast.CallExpr) {
 	if !ok || !tv.IsType() {
 		return
 	}
-	dst, ok := tv.Type.Underlying().(*types.Basic)
+	dst, ok := intType(tv.Type, false)
 	if !ok {
 		return
 	}
 	operand := ast.Unparen(call.Args[0])
-	src, ok := pass.TypesInfo.TypeOf(operand).Underlying().(*types.Basic)
+	src, ok := intType(pass.TypesInfo.TypeOf(operand), true)
 	if !ok {
 		return
 	}
@@ -378,6 +384,62 @@ func checkConversion(pass *analysis.Pass, f fact, call *ast.CallExpr) {
 		wrap = "255"
 	}
 	pass.Reportf(call.Pos(), "unguarded narrowing conversion to %s: a >%s value would wrap silently; bound the value first, route it through an audited //lint:narrowconv-entry helper, or annotate //lint:narrowconv-ok <reason>", dst.Name(), wrap)
+}
+
+// intType is the basic type a conversion's operand or target is judged by:
+// t's own, or for a type parameter the widest (widest) or narrowest integer
+// term of its type set — the instantiation that could lose the most bits.
+// It reports false for a type parameter without integer terms.
+func intType(t types.Type, widest bool) (*types.Basic, bool) {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		b, ok := t.Underlying().(*types.Basic)
+		return b, ok
+	}
+	var pick *types.Basic
+	for _, b := range intTerms(tp.Constraint(), nil) {
+		if pick == nil || widest && intBits(b) > intBits(pick) || !widest && intBits(b) < intBits(pick) {
+			pick = b
+		}
+	}
+	return pick, pick != nil
+}
+
+// intTerms appends the integer types of constraint's type set terms to out,
+// descending into embedded constraints.
+func intTerms(constraint types.Type, out []*types.Basic) []*types.Basic {
+	iface, ok := constraint.Underlying().(*types.Interface)
+	if !ok {
+		if b, ok := constraint.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
+			out = append(out, b)
+		}
+		return out
+	}
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		switch e := iface.EmbeddedType(i).(type) {
+		case *types.Union:
+			for j := 0; j < e.Len(); j++ {
+				out = intTerms(e.Term(j).Type(), out)
+			}
+		default:
+			out = intTerms(e, out)
+		}
+	}
+	return out
+}
+
+// intBits is the width of an integer kind; int, uint and uintptr count as
+// 64 bits, the widest they can be.
+func intBits(b *types.Basic) int {
+	switch b.Kind() {
+	case types.Int8, types.Uint8:
+		return 8
+	case types.Int16, types.Uint16:
+		return 16
+	case types.Int32, types.Uint32:
+		return 32
+	}
+	return 64
 }
 
 func identObj(pass *analysis.Pass, e ast.Expr) types.Object {

@@ -269,3 +269,26 @@ func bareOKDirective(v int) int32 {
 
 //lint:narrowconv-entry // want "needs a justification"
 func bareEntryDirective(v int) int32 { return int32(v) }
+
+// --- type parameters: the operand by its widest term, the target by its
+// narrowest ---
+
+func fromTypeParam[K int32 | int64](v K) int32 {
+	return int32(v) // want "unguarded narrowing conversion to int32"
+}
+
+func toTypeParam[K int32 | int64](n int) K {
+	return K(n) // want "unguarded narrowing conversion to int32"
+}
+
+func typeParamGuarded[K int32 | int64](v K) int32 {
+	if v > math.MaxInt32 {
+		return 0
+	}
+	return int32(v)
+}
+
+// A type set of 32-bit terms only never narrows into int32.
+func typeParamAlreadyNarrow[K int16 | int32](v K) int32 {
+	return int32(v)
+}

@@ -419,9 +419,8 @@ func isPoolGet(pass *analysis.Pass, expr ast.Expr) bool {
 }
 
 // isWrappedGet reports whether expr is a call that receives a fresh pool
-// get as a direct argument — `keptOrder(fl, sortedAll, arena.Int32s.Get(k))`
-// hands the buffer through, so the obligation transfers to the call's
-// result.
+// get as a direct argument — `wrap(arena.Int32s.Get(k))` hands the buffer
+// through, so the obligation transfers to the call's result.
 func isWrappedGet(pass *analysis.Pass, expr ast.Expr) bool {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)
 	if !ok || calleeIn(pass, call, poolGetters) {

@@ -79,7 +79,7 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 		f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
-		fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
+		fl := newFiltered(p, &p.w.Funcs[0], f.Arg)
 		prev, next, err := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
 		if err != nil {
 			b.Fatal(err)
@@ -92,7 +92,7 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 		b.Run(size.name, func(b *testing.B) {
 			agg := &batchAgg{}
 			benchChunks(b, size.n, func(lo, hi int) {
-				distinctCountChunk(p, fl, fc, tree, prev, next, out, opt, agg, lo, hi)
+				distinctCountChunk(p, fl, fc, tree, prev, next, out, agg, lo, hi)
 			})
 		})
 	}
@@ -105,12 +105,12 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 	f := &FuncSpec{Name: FirstValue, Output: "x", Arg: "v", OrderBy: []SortKey{{Column: "v"}}}
 	p, fc := benchPartition(b, n, f)
 	var opt Options
-	fl := newFiltered(p, &p.w.Funcs[0], "", opt)
+	fl := newFiltered(p, &p.w.Funcs[0], "")
 	sortedAll, err := p.sortedByFuncOrder(&p.w.Funcs[0], opt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sortedKept := keptOrder(fl, sortedAll, make([]int32, fl.k))
+	sortedKept := keptOrder(fl, sortedAll)
 	perm := preprocess.Permutation(sortedKept)
 	tree, err := mst.Build(perm, opt.Tree)
 	if err != nil {
@@ -120,7 +120,7 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 	out := newOutBuilder(f.Output, valueCol.Kind(), n)
 	agg := &batchAgg{}
 	benchChunks(b, n, func(lo, hi int) {
-		selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, opt, agg, lo, hi)
+		selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, agg, lo, hi)
 	})
 }
 
@@ -164,7 +164,7 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 		f := &FuncSpec{Name: SumDistinct, Output: "x", Arg: "v"}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
-		fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
+		fl := newFiltered(p, &p.w.Funcs[0], f.Arg)
 		prev, next, err := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
 		if err != nil {
 			b.Fatal(err)
@@ -184,7 +184,7 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 		b.Run(size.name, func(b *testing.B) {
 			agg := &batchAgg{}
 			benchChunks(b, size.n, func(lo, hi int) {
-				distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, lo, hi)
+				distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, agg, lo, hi)
 			})
 		})
 	}
@@ -197,7 +197,7 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 		f := &FuncSpec{Name: DenseRank, Output: "x", OrderBy: []SortKey{{Column: "v"}}}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
-		fl := newFiltered(p, &p.w.Funcs[0], "", opt)
+		fl := newFiltered(p, &p.w.Funcs[0], "")
 		sortedAll, err := p.sortedByFuncOrder(&p.w.Funcs[0], opt)
 		if err != nil {
 			b.Fatal(err)
@@ -207,7 +207,7 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 		for j := range ranksKept {
 			ranksKept[j] = ranksAll[fl.local(j)]
 		}
-		prevKept, nextKept := linkRanks(ranksKept, distinct, opt)
+		prevKept, nextKept := linkRanks(ranksKept, distinct)
 		rt, err := rangetree.New(ranksKept, prevKept, opt.Tree)
 		if err != nil {
 			b.Fatal(err)
@@ -216,7 +216,7 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 		b.Run(size.name, func(b *testing.B) {
 			agg := &batchAgg{}
 			benchChunks(b, size.n, func(lo, hi int) {
-				denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, lo, hi)
+				denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, agg, lo, hi)
 			})
 		})
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"holistic/internal/mst"
 	"holistic/internal/obs"
 	"holistic/internal/rangetree"
@@ -80,11 +82,11 @@ func cacheGet[T any](opt Options, s *Structure, build func() (T, int64, error)) 
 	return v, err
 }
 
-// int64SliceBytes is the resident size of int64 slices.
-func int64SliceBytes(slices ...[]int64) int64 {
+// sliceBytes is the resident size of int32 or int64 slices.
+func sliceBytes[T int32 | int64](slices ...[]T) int64 {
 	var total int64
 	for _, s := range slices {
-		total += int64(8 * len(s))
+		total += int64(len(s)) * int64(unsafe.Sizeof(T(0)))
 	}
 	return total
 }
@@ -96,14 +98,15 @@ type (
 	// cachedSort is the phase-1 (PARTITION BY, ORDER BY) sort order.
 	cachedSort struct{ idx []int32 }
 	// cachedDistinct backs COUNT(DISTINCT): Algorithm 1's prevIdcs, the
-	// forward occurrence links, and the tree over prevIdcs.
+	// forward occurrence links, and the tree over prevIdcs, whose level 0
+	// is prev itself.
 	cachedDistinct struct {
-		prev, next []int64
+		prev, next []int32
 		tree       *mst.Tree
 	}
 	// cachedAgg backs SUM/AVG(DISTINCT) for one aggregate state type.
 	cachedAgg[S any] struct {
-		prev, next []int64
+		prev, next []int32
 		values     []S
 		tree       *mst.AnnotatedTree[S]
 	}
@@ -125,5 +128,5 @@ type (
 	cachedSelect struct{ tree *mst.Tree }
 	// cachedRowno backs LEAD/LAG beside the permutation tree: every row's
 	// insertion position among the kept rows.
-	cachedRowno struct{ keptRowno []int64 }
+	cachedRowno struct{ keptRowno []int32 }
 )

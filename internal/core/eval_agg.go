@@ -12,7 +12,7 @@ import (
 // overlap. These aggregates are the ones SQL already allows framing for;
 // they are part of the operator so that mixed queries run end-to-end.
 func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, f.Arg, opt)
+	fl := newFiltered(p, f, f.Arg)
 	col := p.t.Column(f.Arg)
 	switch f.Name {
 	case Sum:

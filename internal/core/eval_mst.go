@@ -23,25 +23,18 @@ type filtered struct {
 	k     int               // filtered length
 }
 
-func newFiltered(p *partition, f *FuncSpec, dropNullCol string, opt Options) *filtered {
-	mask := p.includeMask(f, dropNullCol, opt)
+func newFiltered(p *partition, f *FuncSpec, dropNullCol string) *filtered {
+	mask := p.includeMask(f, dropNullCol)
 	r := remapFor(mask)
 	arena.Bools.Put(mask) // NewRemap copied what it needs
 	return &filtered{p: p, remap: r, k: filteredLen(p, r)}
 }
 
 // keptOrder projects the all-rows function-order sort onto the filtered
-// domain: the kept rows in function order, as filtered-domain indices. The
-// result is written into buf when it has sufficient capacity (buf may come
-// from pooled scratch — indexed writes only, never append) and always has
-// length fl.k.
-func keptOrder(fl *filtered, sortedAll []int32, buf []int32) []int32 {
-	var out []int32
-	if cap(buf) >= fl.k {
-		out = buf[:fl.k]
-	} else {
-		out = make([]int32, fl.k)
-	}
+// domain: the kept rows in function order, as filtered-domain indices — the
+// permutation array of Figure 6, fl.k entries.
+func keptOrder(fl *filtered, sortedAll []int32) []int32 {
+	out := make([]int32, fl.k)
 	w := 0
 	for _, pos := range sortedAll {
 		if fl.kept(int(pos)) {
@@ -111,7 +104,7 @@ func evalCounts(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, 
 	if f.Name == Count {
 		drop = f.Arg
 	}
-	fl := newFiltered(p, f, drop, opt)
+	fl := newFiltered(p, f, drop)
 	return forEachRow(p, opt, func(lo, hi int) {
 		var scratch, mapped [3][2]int
 		for i := lo; i < hi; i++ {
@@ -130,7 +123,7 @@ func evalCounts(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, 
 // domain, with fl.k as the "none" sentinel. The two passes run under separate
 // phase spans, matching Figure 14's phase split; the link pass polls the
 // context.
-func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []int64, err error) {
+func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []int32, err error) {
 	// Link value hashes, not values, so the link is the same typed pass
 	// whatever the argument type (§6.7). The hash array is a pure temporary
 	// and lives in pooled scratch; prev/next are retained by the cache and
@@ -186,10 +179,12 @@ const (
 // newLinks allocates k positions' occurrence links, none linked yet: prev
 // uses the shifted representation of §5.1 (0: no previous occurrence, p+1
 // otherwise), next uses k for "none".
-func newLinks(k int) (prev, next []int64) {
-	prev, next = make([]int64, k), make([]int64, k)
+func newLinks[K int32 | int64](k int) (prev, next []K) {
+	prev, next = make([]K, k), make([]K, k)
+	//lint:narrowconv-ok k counts a partition's rows, below Run's math.MaxInt32 row cap
+	none := K(k)
 	for j := range next {
-		next[j] = int64(k)
+		next[j] = none
 	}
 	return prev, next
 }
@@ -206,9 +201,9 @@ func newLinks(k int) (prev, next []int64) {
 // · linkMul; it starts at nextpow2(2·min(k, 2^16)) slots and doubles past
 // half full. probes counts the slots inspected, rehashing included. The
 // context is polled every linkPollRows positions.
-func linkHashes(hashes []uint64, same func(a, b int) bool, opt Options) (prev, next []int64, probes int, err error) {
+func linkHashes(hashes []uint64, same func(a, b int) bool, opt Options) (prev, next []int32, probes int, err error) {
 	k := len(hashes)
-	prev, next = newLinks(k)
+	prev, next = newLinks[int32](k)
 	if k == 0 {
 		return prev, next, 0, nil
 	}
@@ -235,8 +230,8 @@ func linkHashes(hashes []uint64, same func(a, b int) bool, opt Options) (prev, n
 				break
 			}
 			if table[2*i] == h && (same == nil || same(int(at)-1, j)) {
-				prev[j] = int64(at)
-				next[at-1] = int64(j)
+				prev[j] = i32(int(at))
+				next[at-1] = i32(j)
 				table[2*i+1] = uint64(j) + 1
 				break
 			}
@@ -266,8 +261,8 @@ func growLinkTable(table []uint64, shift uint, probes *int) ([]uint64, uint) {
 // linkRanks is Algorithm 1 on keys that are dense ranks in [0, distinct):
 // the last occurrence of each rank is addressed directly, so the link needs
 // neither a sort nor a hash. See newLinks for the representation.
-func linkRanks(ranks []int64, distinct int, opt Options) (prev, next []int64) {
-	prev, next = newLinks(len(ranks))
+func linkRanks(ranks []int64, distinct int) (prev, next []int64) {
+	prev, next = newLinks[int64](len(ranks))
 	last := arena.Int32s.Get(distinct) // position+1; 0: not seen yet
 	defer arena.Int32s.Put(last)
 	clear(last)
@@ -289,7 +284,7 @@ func linkRanks(ranks []int64, distinct int, opt Options) (prev, next []int64) {
 // The walk follows each value's occurrence chain and visits every hole
 // position at most a constant number of times, so the cost is linear in the
 // hole sizes (§4.7).
-func forEachFullyExcluded(prev, next []int64, ranges [][2]int, visit func(h int)) {
+func forEachFullyExcluded[K int32 | int64](prev, next []K, ranges [][2]int, visit func(h int)) {
 	if len(ranges) < 2 {
 		return
 	}
@@ -306,7 +301,7 @@ func forEachFullyExcluded(prev, next []int64, ranges [][2]int, visit func(h int)
 	for g := 0; g+1 < len(ranges); g++ {
 		holeLo, holeHi := ranges[g][1], ranges[g+1][0]
 		for h := holeLo; h < holeHi; h++ {
-			if prev[h] >= int64(a)+1 {
+			if int(prev[h]) >= a+1 {
 				continue // not the first occurrence inside [a, d)
 			}
 			// Follow the chain: if it reaches a kept range before leaving
@@ -357,7 +352,7 @@ func endBuild(sp *obs.Span, form mst.Form, bytes int64) {
 func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	s := structureOf(f, nil, out.kind)
 	s.Part = p.id
-	fl := newFiltered(p, f, s.Drop, opt)
+	fl := newFiltered(p, f, s.Drop)
 	rows := opt.rowsBound(fl.k)
 	form := s.sized(rows, opt)
 
@@ -374,9 +369,10 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 				sp.End()
 				return cachedDistinct{}, 0, buildErr
 			}
+			// The tree's level 0 is prev itself, so its bytes count prev.
 			treeBytes := int64(tree.Stats().Bytes)
 			endBuild(sp, tree.Form(), treeBytes)
-			return cachedDistinct{prev: prev, next: next, tree: tree}, int64SliceBytes(prev, next) + treeBytes, nil
+			return cachedDistinct{prev: prev, next: next, tree: tree}, sliceBytes(next) + treeBytes, nil
 		})
 		if err == nil {
 			err = st.tree.CheckRows(rows)
@@ -385,7 +381,7 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 			return err
 		}
 		return runBatched(p, opt, famCount, func(lo, hi int, agg *batchAgg) {
-			distinctCountChunk(p, fl, fc, st.tree, st.prev, st.next, out, opt, agg, lo, hi)
+			distinctCountChunk(p, fl, fc, st.tree, st.prev, st.next, out, agg, lo, hi)
 		})
 
 	case SumDistinct:
@@ -438,9 +434,9 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 		for j := range values {
 			values[j] = valueOf(j)
 		}
-		build := mst.BuildAnnotated[S]
+		build := mst.BuildAnnotated[int32, S]
 		if form == mst.Leaves {
-			build = mst.BuildAnnotatedLeaves[S]
+			build = mst.BuildAnnotatedLeaves[int32, S]
 		}
 		sp := opt.trace.Phase("build merge sort tree")
 		tree, buildErr := build(prev, values, add, opt.treeOptions(sp))
@@ -450,7 +446,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 		}
 		treeBytes := tree.MemBytes(aggBytes)
 		endBuild(sp, form, treeBytes)
-		bytes := int64SliceBytes(prev, next) + int64(aggBytes*len(values)) + treeBytes
+		bytes := sliceBytes(prev, next) + int64(aggBytes*len(values)) + treeBytes
 		return cachedAgg[S]{prev: prev, next: next, values: values, tree: tree}, bytes, nil
 	})
 	if err == nil {
@@ -461,7 +457,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 	}
 	prev, next, values, tree := st.prev, st.next, st.values, st.tree
 	return runBatched(p, opt, famAgg, func(lo, hi int, agg *batchAgg) {
-		distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, lo, hi)
+		distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, agg, lo, hi)
 	})
 }
 
@@ -471,7 +467,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	s := structureOf(f, p.w.OrderBy, out.kind)
 	s.Part = p.id
-	fl := newFiltered(p, f, s.Drop, opt)
+	fl := newFiltered(p, f, s.Drop)
 	rows := opt.rowsBound(fl.k)
 	form := s.sized(rows, opt)
 
@@ -502,21 +498,20 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 			} else {
 				keysAll, _ = preprocess.DenseRanks(sortedAll, p.funcEqual(f))
 			}
-			// keysKept is a pure temporary: Build copies its input.
-			keysKept := arena.Int64s.Get(fl.k)
+			// keysKept becomes the tree's level 0.
+			keysKept := make([]int32, fl.k)
 			for j := range keysKept {
-				keysKept[j] = keysAll[fl.local(j)]
+				keysKept[j] = i32(int(keysAll[fl.local(j)]))
 			}
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.BuildForm(keysKept, opt.treeOptions(sp), form)
-			arena.Int64s.Put(keysKept)
 			if buildErr != nil {
 				sp.End()
 				return cachedRank{}, 0, buildErr
 			}
 			treeBytes := int64(tree.Stats().Bytes)
 			endBuild(sp, form, treeBytes)
-			return cachedRank{keysAll: keysAll, tree: tree}, int64SliceBytes(keysAll) + treeBytes, nil
+			return cachedRank{keysAll: keysAll, tree: tree}, sliceBytes(keysAll) + treeBytes, nil
 		})
 	if err == nil {
 		err = st.tree.CheckRows(rows)
@@ -527,7 +522,7 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 	keysAll, tree := st.keysAll, st.tree
 
 	return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
-		rankChunk(p, f, fl, fc, tree, keysAll, out, opt, agg, lo, hi)
+		rankChunk(p, f, fl, fc, tree, keysAll, out, agg, lo, hi)
 	})
 }
 
@@ -550,7 +545,7 @@ func ntileBucket(r, size, b int64) int64 {
 func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	s := structureOf(f, p.w.OrderBy, out.kind)
 	s.Part = p.id
-	fl := newFiltered(p, f, s.Drop, opt)
+	fl := newFiltered(p, f, s.Drop)
 	rows := opt.rowsBound(fl.k)
 	form := s.sized(rows, opt)
 	st, err := cacheGet(opt, &s,
@@ -566,7 +561,7 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 			for j := range ranksKept {
 				ranksKept[j] = ranksAll[fl.local(j)]
 			}
-			prevKept, nextKept := linkRanks(ranksKept, distinct, opt)
+			prevKept, nextKept := linkRanks(ranksKept, distinct)
 			// The leaf-only structure has no nodes: it scans ranksKept and
 			// prevKept, which the entry already holds and charges.
 			sp := opt.trace.Phase("build merge sort tree")
@@ -583,7 +578,7 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 			}
 			endBuild(sp, form, rt.MemBytes())
 			return cachedDense{ranksAll: ranksAll, ranksKept: ranksKept, prevKept: prevKept, nextKept: nextKept, rt: rt},
-				int64SliceBytes(ranksAll, ranksKept, prevKept, nextKept) + rt.MemBytes(), nil
+				sliceBytes(ranksAll, ranksKept, prevKept, nextKept) + rt.MemBytes(), nil
 		})
 	if err == nil {
 		err = st.rt.CheckRows(rows)
@@ -594,7 +589,7 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 	ranksAll, ranksKept, prevKept, nextKept, rt := st.ranksAll, st.ranksKept, st.prevKept, st.nextKept, st.rt
 
 	return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
-		denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, lo, hi)
+		denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, agg, lo, hi)
 	})
 }
 
@@ -606,13 +601,13 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 		valueCol = p.t.Column(percentileValueColumn(f))
 	}
 	s := structureOf(f, p.w.OrderBy, out.kind)
-	fl := newFiltered(p, f, s.Drop, opt)
+	fl := newFiltered(p, f, s.Drop)
 	tree, err := permutationTree(p, f, &s, fl, opt)
 	if err != nil {
 		return err
 	}
 	return runBatched(p, opt, famSelect, func(lo, hi int, agg *batchAgg) {
-		selectChunk(p, f, fl, fc, tree, valueCol, out, opt, agg, lo, hi)
+		selectChunk(p, f, fl, fc, tree, valueCol, out, agg, lo, hi)
 	})
 }
 
@@ -627,13 +622,9 @@ func permutationTree(p *partition, f *FuncSpec, s *Structure, fl *filtered, opt 
 		if err != nil {
 			return cachedSelect{}, 0, err
 		}
-		// Both arrays are pure temporaries: Build copies the permutation.
-		sortedKept := keptOrder(fl, sortedAll, arena.Int32s.Get(fl.k))
-		perm := preprocess.PermutationIn(arena.Int64s.Get(fl.k), sortedKept)
+		// The permutation becomes the tree's level 0.
 		sp := opt.trace.Phase("build merge sort tree")
-		tree, buildErr := mst.BuildForm(perm, opt.treeOptions(sp), form)
-		arena.Int64s.Put(perm)
-		arena.Int32s.Put(sortedKept)
+		tree, buildErr := mst.BuildForm(keptOrder(fl, sortedAll), opt.treeOptions(sp), form)
 		if buildErr != nil {
 			sp.End()
 			return cachedSelect{}, 0, buildErr
@@ -665,7 +656,7 @@ func percentileDiscIndex(p float64, size int) int {
 func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
 	s := structureOf(f, p.w.OrderBy, out.kind)
-	fl := newFiltered(p, f, s.Drop, opt)
+	fl := newFiltered(p, f, s.Drop)
 	tree, err := permutationTree(p, f, &s, fl, opt)
 	if err != nil {
 		return err
@@ -678,15 +669,15 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 		}
 		// keptRowno: insertion position of every partition row among the
 		// kept rows in function order.
-		keptRowno := make([]int64, p.len())
-		keptBefore := int64(0)
+		keptRowno := make([]int32, p.len())
+		keptBefore := int32(0)
 		for _, pos := range sortedAll {
 			keptRowno[pos] = keptBefore
 			if fl.kept(int(pos)) {
 				keptBefore++
 			}
 		}
-		return cachedRowno{keptRowno: keptRowno}, int64SliceBytes(keptRowno), nil
+		return cachedRowno{keptRowno: keptRowno}, sliceBytes(keptRowno), nil
 	})
 	if err != nil {
 		return err
@@ -702,6 +693,6 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 	}
 
 	return runBatched(p, opt, famLeadLag, func(lo, hi int, agg *batchAgg) {
-		leadLagChunk(p, fl, fc, tree, keptRowno, valueCol, off, out, opt, agg, lo, hi)
+		leadLagChunk(p, fl, fc, tree, keptRowno, valueCol, off, out, agg, lo, hi)
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
+	"holistic/internal/parallel"
 	"holistic/internal/preprocess"
 	"holistic/internal/sortutil"
 	"holistic/internal/treecache"
@@ -41,23 +42,23 @@ func bruteLinkAt(n, j int, same func(a, b int) bool) (prev, next int64) {
 // checkLinks compares prev/next over n positions with the brute-force oracle
 // at every position j for which at(j) holds (every position for a nil at),
 // and requires the links to be mutually consistent everywhere.
-func checkLinks(t *testing.T, label string, prev, next []int64, same func(a, b int) bool, at func(j int) bool) {
+func checkLinks[K int32 | int64](t *testing.T, label string, prev, next []K, same func(a, b int) bool, at func(j int) bool) {
 	t.Helper()
 	n := len(prev)
 	if len(next) != n {
 		t.Fatalf("%s: %d prev links, %d next links", label, n, len(next))
 	}
 	for j := 0; j < n; j++ {
-		if p := prev[j]; p > 0 && (next[p-1] != int64(j) || !same(int(p-1), j)) {
+		if p := prev[j]; p > 0 && (next[p-1] != K(j) || !same(int(p-1), j)) {
 			t.Fatalf("%s: prev[%d] = %d, but next[%d] = %d or the values differ", label, j, p, p-1, next[p-1])
 		}
-		if nx := next[j]; nx < int64(n) && prev[nx] != int64(j)+1 {
+		if nx := next[j]; nx < K(n) && prev[nx] != K(j)+1 {
 			t.Fatalf("%s: next[%d] = %d, but prev[%d] = %d", label, j, nx, nx, prev[nx])
 		}
 		if at != nil && !at(j) {
 			continue
 		}
-		if wp, wn := bruteLinkAt(n, j, same); prev[j] != wp || next[j] != wn {
+		if wp, wn := bruteLinkAt(n, j, same); int64(prev[j]) != wp || int64(next[j]) != wn {
 			t.Fatalf("%s: position %d linked (%d, %d), brute force (%d, %d)", label, j, prev[j], next[j], wp, wn)
 		}
 	}
@@ -76,7 +77,7 @@ func sortedLinks(t *testing.T, words []uint64) (prev, next []int64) {
 	if err := sortutil.SortPairs(context.Background(), keys, sorted); err != nil {
 		t.Fatal(err)
 	}
-	prev, next = newLinks(k)
+	prev, next = newLinks[int64](k)
 	for i := 1; i < k; i++ {
 		if keys[i] == keys[i-1] {
 			prev[sorted[i]] = int64(sorted[i-1]) + 1
@@ -148,7 +149,7 @@ func TestHashLinkMatchesBruteForce(t *testing.T) {
 		// The same values as DENSE_RANK keys.
 		sorted := preprocess.SortIndicesByKey(vals)
 		ranks, distinct := preprocess.DenseRanks(sorted, func(a, b int) bool { return vals[a] == vals[b] })
-		rprev, rnext := linkRanks(ranks, distinct, Options{})
+		rprev, rnext := linkRanks(ranks, distinct)
 		words := make([]uint64, c.n)
 		for j, r := range ranks {
 			words[j] = uint64(r)
@@ -241,12 +242,12 @@ func TestCancelMidLink(t *testing.T) {
 	// the cancelled statement added.
 	run := func(limit int64) (ctx *cancelAfter, root *obs.Span, added int, err error) {
 		cache := treecache.New(1 << 30)
-		opt := Options{Cache: cache, CacheScope: "t@1", Workers: 1}
+		opt := Options{Cache: cache, CacheScope: "t@1", Context: parallel.ContextWithLimit(context.Background(), 1)}
 		if _, err := Run(tab, warm, opt); err != nil {
 			t.Fatal(err)
 		}
 		cached := cache.Stats().Entries
-		ctx = &cancelAfter{Context: context.Background(), limit: limit}
+		ctx = &cancelAfter{Context: opt.Context, limit: limit}
 		root = obs.NewSpan("query")
 		opt.Context, opt.Trace = ctx, root
 		_, err = Run(tab, w, opt)

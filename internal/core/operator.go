@@ -26,16 +26,13 @@ type Options struct {
 	// and ends it; Run only attaches children. A nil Trace disables tracing
 	// at zero allocation cost on the probe path.
 	Trace *obs.Span
-	// Workers, when > 0, caps the number of parallel workers used by this
-	// run's loops, below the process-wide limit (parallel.SetMaxWorkers).
-	// The cap travels in the run's context, so it applies to the sort, the
-	// tree builds (mst.Options.Context) and the probe loops but never leaks
-	// into concurrent runs.
-	Workers int
 	// Context, when non-nil, cancels the evaluation cooperatively: the
 	// operator checks it between phases and between parallel task chunks,
 	// so a cancelled caller stops burning cores after at most one chunk
-	// per worker. Run returns the context's error when cut short.
+	// per worker. Run returns the context's error when cut short. A worker
+	// cap on it (parallel.ContextWithLimit) bounds the run's loops — the
+	// sort, the tree builds (mst.Options.Context) and the probes — below the
+	// process-wide limit without leaking into concurrent runs.
 	Context context.Context
 	// Cache is consulted before building sort orders, merge sort trees and
 	// preprocessed key arrays, enabling cross-query structure reuse (see
@@ -147,9 +144,6 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 	root.SetInt("functions", int64(nFuncs))
 	if len(windows) > 1 {
 		root.SetInt("windows", int64(len(windows)))
-	}
-	if opt.Workers > 0 {
-		opt.Context = parallel.ContextWithLimit(opt.Context, opt.Workers)
 	}
 	if err := opt.ctxErr(); err != nil {
 		return nil, err

@@ -150,7 +150,7 @@ func (c *cancelOnSelect) GetOrBuild(key string, build func() (any, int64, error)
 }
 
 // TestTreeBuildObeysRunContext checks that a tree build runs under the run's
-// context. Its merge levels take the worker cap of Options.Workers, which
+// context. Its merge levels take the worker cap of the run's context, which
 // each "mst: merge level" span records, not the process-wide count. A run
 // cancelled just before its build fails with the context's error, returns
 // every pooled buffer and leaves no tree in the cache, so the next run
@@ -178,7 +178,7 @@ func TestTreeBuildObeysRunContext(t *testing.T) {
 		want    string
 	}{{0, "4"}, {1, "1"}} {
 		root := obs.NewSpan("run")
-		if _, err := Run(tab, spec(), Options{Workers: c.workers, Trace: root}); err != nil {
+		if _, err := Run(tab, spec(), Options{Context: parallel.ContextWithLimit(context.Background(), c.workers), Trace: root}); err != nil {
 			t.Fatal(err)
 		}
 		root.End()

@@ -248,9 +248,9 @@ func (p *partition) sortedByFuncOrder(f *FuncSpec, opt Options) ([]int32, error)
 // positions, or nil when every row is included. dropNullCol optionally names
 // a column whose NULL rows are excluded (argument NULLs for aggregates,
 // IGNORE NULLS for value functions, the percentile ORDER BY column). A
-// non-nil mask comes from pooled scratch per opt — the caller must put it
-// back (via Options.putBools) once consumed.
-func (p *partition) includeMask(f *FuncSpec, dropNullCol string, opt Options) []bool {
+// non-nil mask comes from arena.Bools — the caller must put it back once
+// consumed.
+func (p *partition) includeMask(f *FuncSpec, dropNullCol string) []bool {
 	var filterCol, nullCol *Column
 	if f.Filter != "" {
 		filterCol = p.t.Column(f.Filter)
@@ -276,7 +276,7 @@ func (p *partition) includeMask(f *FuncSpec, dropNullCol string, opt Options) []
 		}
 		mask[i] = keep
 	}
-	//lint:poollifecycle-ok documented hand-off: the caller owns the mask and puts it back via Options.putBools
+	//lint:poollifecycle-ok documented hand-off: the caller owns the mask and puts it back into arena.Bools
 	return mask
 }
 

@@ -245,17 +245,19 @@ func unmix64(x uint64) uint64 {
 // (ties by position), Algorithm 1 as preprocess.PrevIndices runs it, and the
 // forward walk — the pair buildDistinctInputs used before the links came out
 // of the hash sort's last pass.
-func referenceLinks(fl *filtered, col *Column) (prev, next []int64) {
+func referenceLinks(fl *filtered, col *Column) (prev, next []int32) {
 	sorted := preprocess.SortIndices(fl.k, func(a, b int) int { return col.Compare(fl.orig(a), fl.orig(b), false, true) })
 	same := func(a, b int) bool { return col.equalAt(fl.orig(a), fl.orig(b)) }
-	prev = preprocess.PrevIndices(sorted, same)
-	next = make([]int64, fl.k)
+	prev, next = make([]int32, fl.k), make([]int32, fl.k)
+	for j, p := range preprocess.PrevIndices(sorted, same) {
+		prev[j] = int32(p)
+	}
 	for j := range next {
-		next[j] = int64(fl.k)
+		next[j] = int32(fl.k)
 	}
 	for i := 1; i < len(sorted); i++ {
 		if same(int(sorted[i-1]), int(sorted[i])) {
-			next[sorted[i-1]] = int64(sorted[i])
+			next[sorted[i-1]] = sorted[i]
 		}
 	}
 	return prev, next
@@ -291,7 +293,7 @@ func TestDistinctInputsMatchReference(t *testing.T) {
 			for _, filter := range []string{"", "flt"} {
 				for _, drop := range []string{"", arg} {
 					f := &FuncSpec{Name: CountDistinct, Arg: arg, Filter: filter}
-					fl := newFiltered(p, f, drop, Options{})
+					fl := newFiltered(p, f, drop)
 					prev, next, err := buildDistinctInputs(fl, f, Options{})
 					if err != nil {
 						t.Fatal(err)
@@ -334,7 +336,7 @@ func TestDistinctInputsHashCollision(t *testing.T) {
 	col := tab.Column("x")
 	p := distinctInputsPartition(t, tab)
 	f := &FuncSpec{Name: CountDistinct, Arg: "x"}
-	fl := newFiltered(p, f, "", Options{}) // NULL rows stay in the domain
+	fl := newFiltered(p, f, "") // NULL rows stay in the domain
 	prev, next, err := buildDistinctInputs(fl, f, Options{})
 	if err != nil {
 		t.Fatal(err)

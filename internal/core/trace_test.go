@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
+	"holistic/internal/parallel"
 	"holistic/internal/treecache"
 )
 
@@ -284,7 +286,7 @@ func TestSpanCountIndependentOfPartitions(t *testing.T) {
 		}
 	})
 
-	single := tracedRun(t, randTable(rand.New(rand.NewSource(7)), 5_000), traceWindow(), Options{TaskSize: 512, Workers: 1})
+	single := tracedRun(t, randTable(rand.New(rand.NewSource(7)), 5_000), traceWindow(), Options{TaskSize: 512, Context: parallel.ContextWithLimit(context.Background(), 1)})
 	if got := spanShape(single); got != singlePartitionShape {
 		t.Errorf("single-partition trace changed shape:\n%s\nwant\n%s", got, singlePartitionShape)
 	}
@@ -299,7 +301,7 @@ func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
 	p, fc := benchPartition(t, n, f)
 	var opt Options
-	fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
+	fl := newFiltered(p, &p.w.Funcs[0], f.Arg)
 	prev, next, err := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +315,7 @@ func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	const chunkRows = 512
 	row := 0
 	allocs := testing.AllocsPerRun(50, func() {
-		distinctCountChunk(p, fl, fc, tree, prev, next, out, opt, agg, row, row+chunkRows)
+		distinctCountChunk(p, fl, fc, tree, prev, next, out, agg, row, row+chunkRows)
 		row = (row + chunkRows) % n
 	})
 	if allocs > 8 {

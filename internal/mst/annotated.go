@@ -56,7 +56,7 @@ type AnnotatedTree[S any] struct {
 // commutative, as every integer aggregate's is: narrow ranges fold in
 // position order. Like BuildForm it runs under Options.Context and returns
 // its error when that cut the build short.
-func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
+func BuildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
 	n := len(keys)
 	posOfRank := arena.Int32s.Get(n) // inverse of rank, needed only while annotating
 	defer arena.Int32s.Put(posOfRank)
@@ -116,7 +116,7 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 // key i's position in the stable sort by (key, position), and below[t] the
 // number of keys smaller than t for t in [0, n+1]. A non-nil pos receives the
 // inverse of rank. The returned options are resolved for n.
-func annotatedRanks(keys []int64, nValues int, opt Options, pos []int32) (Options, []int32, []int32, error) {
+func annotatedRanks[K int32 | int64](keys []K, nValues int, opt Options, pos []int32) (Options, []int32, []int32, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return opt, nil, nil, err
@@ -184,7 +184,7 @@ func placeRanks[K int32 | int64](keys []K, cnt, rank, pos []int32) {
 // LeafRows rows. Only int64 states fold in position order, so any other S is
 // refused; keys and values are validated exactly as BuildAnnotated validates
 // them.
-func BuildAnnotatedLeaves[S any](keys []int64, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
+func BuildAnnotatedLeaves[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
 	if _, ok := any(values).([]int64); !ok {
 		return nil, fmt.Errorf("mst: a leaf-only annotated tree needs int64 states, got %T", values)
 	}

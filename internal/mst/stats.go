@@ -13,7 +13,7 @@ package mst
 //
 //	Bytes = Elements·ElementBytes + Pointers·4 + OriginBytes + PositionBytes + RankBytes
 type Stats struct {
-	Levels         int // number of levels including the base copy
+	Levels         int // number of levels including level 0
 	Elements       int // payload elements across all levels
 	Pointers       int // cascading pointer entries across all levels
 	ElementBytes   int // bytes per payload element (always 4, §5.1)

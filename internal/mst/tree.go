@@ -144,8 +144,8 @@ func (o Options) validate() error {
 	return nil
 }
 
-// tree is the monolithic merge sort tree over 32-bit payloads. levels[0] is a
-// copy of the input; levels[top] is a single sorted run.
+// tree is the monolithic merge sort tree over 32-bit payloads. levels[0] is
+// the input at 32 bits (payloadBase); levels[top] is a single sorted run.
 type tree struct {
 	n int
 	f int // fanout
@@ -207,7 +207,7 @@ func (f Form) String() string {
 }
 
 // Tree is a merge sort tree over a payload array of non-negative 32-bit
-// integers, handed in and queried as int64 (§5.1).
+// integers, handed in as int32 or int64 and queried as int64 (§5.1).
 type Tree struct {
 	tr   *tree
 	n    int
@@ -221,20 +221,22 @@ type Tree struct {
 const maxKey = math.MaxInt32 - 1
 
 // Build constructs the full merge sort tree over keys: BuildForm's Full form.
-func Build(keys []int64, opt Options) (*Tree, error) { return BuildForm(keys, opt, Full) }
+func Build[K int32 | int64](keys []K, opt Options) (*Tree, error) { return BuildForm(keys, opt, Full) }
 
-// BuildForm constructs a merge sort tree over keys in the given form. The
-// input slice is not modified. Keys must lie in [0, math.MaxInt32 − 1] (the
-// preprocessing stages only produce non-negative integers below the row
-// count, which is below 2³¹ − 1; the special value "–" is mapped to 0 with
-// all indices shifted by one, §5.1); any other key is answered with a
-// PayloadRangeError. A Sliding tree over a key above n is built Full — its
+// BuildForm constructs a merge sort tree over keys in the given form. Keys
+// must lie in [0, math.MaxInt32 − 1] (the preprocessing stages only produce
+// non-negative integers below the row count, which is below 2³¹ − 1; the
+// special value "–" is mapped to 0 with all indices shifted by one, §5.1);
+// any other key is answered with a PayloadRangeError. Level 0 is the keys at
+// the tree's 32-bit width: an []int32 input becomes level 0 itself, so the
+// caller must not modify it afterwards, and an []int64 input is narrowed
+// into a copy. A Sliding tree over a key above n is built Full — its
 // rank table and topPos come from one counting pass over [0, n] — and so is
 // a value outside the three forms. On the
 // forms that skip the merge levels, Options shape nothing but the trace and
 // what Stats reports. A merge cut short by a done Options.Context returns
 // the context's error.
-func BuildForm(keys []int64, opt Options, form Form) (*Tree, error) {
+func BuildForm[K int32 | int64](keys []K, opt Options, form Form) (*Tree, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -280,17 +282,23 @@ func BuildForm(keys []int64, opt Options, form Form) (*Tree, error) {
 func (t *Tree) Form() Form { return t.form }
 
 // payloadBase checks keys against the element limit and the payload domain
-// [0, maxKey] and returns them narrowed: level 0 of the tree.
-func payloadBase(keys []int64) ([]int32, error) {
+// [0, maxKey] and returns them at 32 bits: level 0 of the tree. An []int32
+// input is returned itself, an []int64 input narrowed into a copy.
+func payloadBase[K int32 | int64](keys []K) ([]int32, error) {
 	if len(keys) >= math.MaxInt32 {
 		return nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", len(keys))
 	}
-	base := make([]int32, len(keys))
 	for i, v := range keys {
 		if v < 0 || v > maxKey {
-			return nil, &PayloadRangeError{Pos: i, Value: v}
+			return nil, &PayloadRangeError{Pos: i, Value: int64(v)}
 		}
-		//lint:narrowconv-ok the guard above proved the key is in [0, maxKey]
+	}
+	if base, ok := any(keys).([]int32); ok {
+		return base, nil
+	}
+	base := make([]int32, len(keys))
+	for i, v := range keys {
+		//lint:narrowconv-ok the pass above proved every key is in [0, maxKey]
 		base[i] = int32(v)
 	}
 	return base, nil

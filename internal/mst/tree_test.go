@@ -350,7 +350,7 @@ func TestBuildValidation(t *testing.T) {
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	empty, err := Build(nil, Options{})
+	empty, err := Build([]int64(nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,6 +417,94 @@ func Test32BitSelection(t *testing.T) {
 		_, err := Build(c.keys, Options{})
 		var pe *PayloadRangeError
 		if !errors.As(err, &pe) || pe.Pos != c.pos || pe.Value != c.keys[c.pos] {
+			t.Fatalf("%s: error %v, want a PayloadRangeError for key %d at %d", c.name, err, c.keys[c.pos], c.pos)
+		}
+	}
+}
+
+// TestBuildKeepsInt32Input pins what a tree keeps of its input: an []int32
+// becomes level 0 itself in every form, while the same keys as []int64 are
+// narrowed into a separate copy that answers count and select queries
+// alike. A key outside the payload domain in an []int32 is refused with a
+// PayloadRangeError naming its position and value, as in an []int64.
+func TestBuildKeepsInt32Input(t *testing.T) {
+	const n = 3_000
+	rng := rand.New(rand.NewSource(46))
+	k32, k64 := make([]int32, n), make([]int64, n)
+	for i := range k32 {
+		v := rng.Intn(i + 1) // prevIdcs-shaped: in [0, n], so Sliding stays sliding
+		k32[i], k64[i] = int32(v), int64(v)
+	}
+	// Count queries no wider than LeafRows, which every form answers.
+	const q = 500
+	lo, hi, thr := make([]int32, q), make([]int32, q), make([]int64, q)
+	for i := range lo {
+		a := rng.Intn(n)
+		lo[i], hi[i], thr[i] = int32(a), int32(min(a+1+rng.Intn(LeafRows), n)), int64(rng.Intn(n+2))
+	}
+	for _, form := range []Form{Full, Sliding, Leaves} {
+		t32, err := BuildForm(k32, Options{}, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t64, err := BuildForm(k64, Options{}, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if t32.Form() != form || t64.Form() != form {
+			t.Fatalf("%v: built %v and %v", form, t32.Form(), t64.Form())
+		}
+		if &t32.tr.levels[0][0] != &k32[0] {
+			t.Errorf("%v: level 0 of an []int32 build is a copy, want the input itself", form)
+		}
+		base := t64.tr.levels[0]
+		if &base[0] == &k32[0] || len(base) != n {
+			t.Fatalf("%v: level 0 of an []int64 build is not a separate copy", form)
+		}
+		for i, v := range k64 {
+			if int64(base[i]) != v {
+				t.Fatalf("%v: level 0 of the []int64 build holds %d at %d, want %d", form, base[i], i, v)
+			}
+		}
+		c32, c64 := make([]int32, q), make([]int32, q)
+		t32.CountBelowBatch(lo, hi, thr, c32)
+		t64.CountBelowBatch(lo, hi, thr, c64)
+		for i := range c32 {
+			if c32[i] != c64[i] || int(c32[i]) != bruteCountBelow(k64, int(lo[i]), int(hi[i]), thr[i]) {
+				t.Fatalf("%v: count query %d answers %d over []int32 and %d over []int64", form, i, c32[i], c64[i])
+			}
+		}
+		if form != Full {
+			continue
+		}
+		off, k := make([]int32, q+1), make([]int32, q)
+		vlo, vhi := make([]int64, q), make([]int64, q)
+		for i := range k {
+			off[i+1] = int32(i + 1)
+			vlo[i] = int64(rng.Intn(n))
+			vhi[i] = vlo[i] + 1 + int64(rng.Intn(n))
+			k[i] = int32(rng.Intn(int(vhi[i] - vlo[i])))
+		}
+		s32, s64 := make([]int32, q), make([]int32, q)
+		t32.SelectKthRangesBatch(off, vlo, vhi, k, s32)
+		t64.SelectKthRangesBatch(off, vlo, vhi, k, s64)
+		for i := range s32 {
+			if s32[i] != s64[i] {
+				t.Fatalf("select query %d answers %d over []int32 and %d over []int64", i, s32[i], s64[i])
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		keys []int32
+		pos  int
+	}{
+		{"negative", []int32{3, -1, 1}, 1},
+		{"MaxInt32", []int32{1, 0, math.MaxInt32}, 2},
+	} {
+		_, err := Build(c.keys, Options{})
+		var pe *PayloadRangeError
+		if !errors.As(err, &pe) || pe.Pos != c.pos || pe.Value != int64(c.keys[c.pos]) {
 			t.Fatalf("%s: error %v, want a PayloadRangeError for key %d at %d", c.name, err, c.keys[c.pos], c.pos)
 		}
 	}

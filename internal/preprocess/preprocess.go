@@ -116,22 +116,10 @@ func RowNumbers(sorted []int32) []int64 {
 
 // Permutation returns the permutation array of Figure 6 for percentile and
 // value-function queries: entry r holds the position (in window order) of
-// the r-th smallest value. This is exactly the sorted index array, re-typed
-// to document intent.
+// the r-th smallest value. This is exactly the sorted index array, widened
+// to int64.
 func Permutation(sorted []int32) []int64 {
-	return PermutationIn(nil, sorted)
-}
-
-// PermutationIn is Permutation writing into buf when it has sufficient
-// capacity, so the array can live in pooled scratch (the merge sort tree
-// copies its input, making the permutation a pure temporary).
-func PermutationIn(buf []int64, sorted []int32) []int64 {
-	var perm []int64
-	if cap(buf) >= len(sorted) {
-		perm = buf[:len(sorted)]
-	} else {
-		perm = make([]int64, len(sorted))
-	}
+	perm := make([]int64, len(sorted))
 	for r, pos := range sorted {
 		perm[r] = int64(pos)
 	}

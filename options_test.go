@@ -30,7 +30,7 @@ func TestRunWithTrace(t *testing.T) {
 	}
 
 	root := holistic.NewTrace("query")
-	traced, err := holistic.RunOptions(tab, w, holistic.Options{Trace: root, Workers: 1}, fn())
+	traced, err := holistic.RunOptions(tab, w, holistic.Options{Trace: root}, fn())
 	root.End()
 	if err != nil {
 		t.Fatal(err)

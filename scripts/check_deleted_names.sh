@@ -91,5 +91,11 @@ check 'one cache-key form' all \
 # takes core.TreeCache; nontest because the options tests keep their names
 check 'one run path' nontest \
     'cacheActive|func RunWith|RunSQLWith\(|NewOptions\(|WithoutSharedPlan\(|ExplainSQL|type Option func|\) (get|put)(Int32s|Int64s|Uint64s|Bools)\(|segment\.Cache\b'
+# one position width into the tree: core hands its row positions to mst as
+# int32 and the tree keeps them as level 0, so the pooled int64 permutation
+# copy stays deleted; a worker cap travels in the run's context, not an
+# Options field (\b keeps TestRowNumbersAndPermutationInverse out)
+check 'one position width into the tree' all \
+    '\bPermutationIn\b|\bWorkers:|opt\.Workers'
 
 exit $fail
