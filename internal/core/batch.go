@@ -162,7 +162,7 @@ func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *ms
 		d := ranges[len(ranges)-1][1]
 		adj := int32(0)
 		if len(ranges) >= 2 {
-			forEachFullyExcluded(prev, next, ranges, func(int) { adj++ })
+			forEachHoleFirst(prev, next, ranges, false, func(int) { adj++ })
 		}
 		if a == pa && d == pd {
 			rowSlot[ri] = i32(s - 1)
@@ -505,30 +505,31 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree
 	arena.Int32s.Put(ib)
 }
 
-// distinctAggChunk evaluates one probe chunk of SUM/AVG(DISTINCT x): one
-// whole-span aggregate query per row — deduped when the row's frame ranges
-// exactly repeat the previous row's, in which case the rows share aggregate,
-// count AND hole correction — answered by the annotated tree's batched
-// kernel, whose per-query count output feeds the NULL rule without a second
-// tree pass. The exclusion-hole subtraction runs once per slot, in hole
-// order.
+// distinctAggChunk evaluates one probe chunk of SUM/AVG(DISTINCT x) with
+// merges only: one aggregate query per frame range per row — deduped when
+// the row's frame ranges exactly repeat the previous row's, in which case the
+// rows share the answer — answered by the annotated tree's batched kernel,
+// whose per-query count output feeds the NULL rule without a second tree
+// pass. Each range asks for the values whose first occurrence in the row's
+// span [a, d) it holds (threshold a+1), so a frame without exclusion holes
+// is one query; with holes, the values first seen in a hole that recur in a
+// kept range are merged in once each, in hole order.
 func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tree *mst.AnnotatedTree[S],
-	prev, next []int32, values []S, sub func(a, b S) S, emit func(row int, v S),
+	prev, next []int32, values []S, add func(a, b S) S, emit func(row int, v S),
 	out *outBuilder, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := arena.Int32s.Get(12 * n)
+	ib := arena.Int32s.Get(11*n + 1)
 	rowSlot := ib[:n]
-	qlo, qhi := ib[n:2*n], ib[2*n:3*n]
-	kcnt := ib[3*n : 4*n]
-	slotNR, slotTotal := ib[4*n:5*n], ib[5*n:6*n]
-	slotRanges := ib[6*n : 12*n] // 3 ranges × 2 bounds per slot
-	qthr := arena.Int64s.Get(n)
-	okv := arena.Bools.Get(n)
+	slotQ := ib[n : 2*n+1] // slot sl asks queries [slotQ[sl], slotQ[sl+1])
+	qlo, qhi := ib[2*n+1:5*n+1], ib[5*n+1:8*n+1]
+	kcnt := ib[8*n+1 : 11*n+1]
+	qthr := arena.Int64s.Get(3 * n)
+	okv := arena.Bools.Get(3 * n)
 
 	var scratch, mapped [3][2]int
 	var prevRanges [3][2]int
 	prevNR := -1
-	s, dedup := 0, 0
+	s, m, dedup := 0, 0, 0
 	for i := lo; i < hi; i++ {
 		ri := i - lo
 		ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
@@ -543,52 +544,58 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 			continue
 		}
 		prevNR = copy(prevRanges[:], ranges)
-		a := ranges[0][0]
-		d := ranges[len(ranges)-1][1]
-		total := 0
-		for ro, r := range ranges {
-			total += r[1] - r[0]
-			slotRanges[6*s+2*ro], slotRanges[6*s+2*ro+1] = i32(r[0]), i32(r[1])
+		slotQ[s] = i32(m)
+		for _, r := range ranges {
+			qlo[m], qhi[m], qthr[m] = i32(r[0]), i32(r[1]), int64(ranges[0][0])+1
+			m++
 		}
-		qlo[s], qhi[s] = i32(a), i32(d)
-		qthr[s] = int64(a) + 1
-		slotNR[s], slotTotal[s] = i32(len(ranges)), i32(total)
 		rowSlot[ri] = i32(s)
 		s++
 	}
+	slotQ[s] = i32(m)
 
 	// The aggregate states cannot live in pooled scratch (generic S); one
 	// short-lived slice per chunk is the cost of type genericity.
-	results := make([]S, s)
-	agg.leaves.Add(int64(tree.AggBelowBatch(qlo[:s], qhi[:s], qthr[:s], results, okv[:s], kcnt[:s])))
+	results := make([]S, m)
+	agg.leaves.Add(int64(tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], results, okv[:m], kcnt[:m])))
 
-	// Per-slot hole correction and NULL rule.
+	// A slot's answer goes to its first query's state.
 	for sl := 0; sl < s; sl++ {
-		nr := int(slotNR[sl])
-		for ro := 0; ro < nr; ro++ {
-			scratch[ro] = [2]int{int(slotRanges[6*sl+2*ro]), int(slotRanges[6*sl+2*ro+1])}
+		q0, q1 := int(slotQ[sl]), int(slotQ[sl+1])
+		if q1-q0 == 1 {
+			continue
 		}
-		removed := 0
-		forEachFullyExcluded(prev, next, scratch[:nr], func(h int) {
-			results[sl] = sub(results[sl], values[h])
-			removed++
-		})
-		if !okv[sl] || slotTotal[sl] == 0 || int(kcnt[sl])-removed == 0 {
-			okv[sl] = false
+		acc, found := results[q0], okv[q0]
+		merge := func(v S) {
+			if found {
+				acc = add(acc, v)
+			} else {
+				acc, found = v, true
+			}
 		}
+		for q := q0 + 1; q < q1; q++ {
+			if okv[q] {
+				merge(results[q])
+			}
+		}
+		for ro := range q1 - q0 {
+			scratch[ro] = [2]int{int(qlo[q0+ro]), int(qhi[q0+ro])}
+		}
+		forEachHoleFirst(prev, next, scratch[:q1-q0], true, func(h int) { merge(values[h]) })
+		results[q0], okv[q0] = acc, found
 	}
 
 	for i := lo; i < hi; i++ {
 		ri := i - lo
 		row := p.orig(i)
 		sl := rowSlot[ri]
-		if sl < 0 || !okv[sl] {
+		if sl < 0 || !okv[slotQ[sl]] {
 			out.setNull(row)
 			continue
 		}
-		emit(row, results[sl])
+		emit(row, results[slotQ[sl]])
 	}
-	agg.queries.Add(int64(s))
+	agg.queries.Add(int64(m))
 	agg.dedup.Add(int64(dedup))
 	arena.Bools.Put(okv)
 	arena.Int64s.Put(qthr)
@@ -657,7 +664,7 @@ func denseRankChunk(p *partition, fl *filtered, fc *frame.Computer, rt *rangetre
 		}
 		adj := int32(0)
 		thr := qrank[sl]
-		forEachFullyExcluded(prevKept, nextKept, scratch[:nr], func(h int) {
+		forEachHoleFirst(prevKept, nextKept, scratch[:nr], false, func(h int) {
 			if ranksKept[h] < thr {
 				adj++
 			}

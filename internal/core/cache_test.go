@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"holistic/internal/oracle"
 	"holistic/internal/treecache"
 )
 
@@ -46,7 +47,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		n := []int{7, 25, 60, 2}[trial]
 		tab := randTable(rng, n)
-		fs := randFrame(rng)
+		fs := oracle.RandFrame(rng)
 		w := &WindowSpec{
 			OrderBy:  []SortKey{{Column: "d"}},
 			Frame:    fs,

@@ -10,117 +10,77 @@ import (
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
+	"holistic/internal/oracle"
 )
 
-// randTable builds a table with every column kind, NULLs included.
+// randTable builds a table with every column kind, NULLs included, from
+// the oracle's column builders.
 func randTable(rng *rand.Rand, n int) *Table {
-	ints := make([]int64, n)
-	intNulls := make([]bool, n)
-	dates := make([]int64, n)
-	dateNulls := make([]bool, n)
-	groups := make([]int64, n)
-	floats := make([]float64, n)
-	floatNulls := make([]bool, n)
-	strs := make([]string, n)
-	strNulls := make([]bool, n)
-	filt := make([]bool, n)
-	filtNulls := make([]bool, n)
-	for i := 0; i < n; i++ {
-		ints[i] = rng.Int63n(12)
-		intNulls[i] = rng.Intn(10) == 0
-		dates[i] = rng.Int63n(40)
-		dateNulls[i] = rng.Intn(15) == 0
-		groups[i] = rng.Int63n(3)
-		floats[i] = float64(rng.Intn(50)) / 2
-		floatNulls[i] = rng.Intn(10) == 0
-		strs[i] = string(rune('a' + rng.Intn(6)))
-		strNulls[i] = rng.Intn(12) == 0
-		filt[i] = rng.Intn(4) != 0
-		filtNulls[i] = rng.Intn(20) == 0
-	}
-	return MustNewTable(
-		NewInt64Column("g", groups, nil),
-		NewInt64Column("d", dates, dateNulls),
-		NewInt64Column("v", ints, intNulls),
-		NewFloat64Column("fv", floats, floatNulls),
-		NewStringColumn("s", strs, strNulls),
-		NewBoolColumn("flt", filt, filtNulls),
-	)
+	g := oracle.Gen{Rng: rng, N: n}
+	return fromOracle(g.Ints("g", 3, 0), g.Ints("d", 40, 15), g.Ints("v", 12, 10),
+		g.Floats("fv", 10), g.Strings("s", 6, 12), g.Bools("flt", 20))
 }
 
-// randFrame draws a random frame spec. ROWS frames occasionally get
-// per-row offset expressions (the non-monotonic case of §6.5); the offset
-// functions hash the ORIGINAL row index, matching the operator's contract.
-func randFrame(rng *rand.Rand) frame.Spec {
-	modes := []frame.Mode{frame.Rows, frame.Rows, frame.Range, frame.Groups}
-	s := frame.Spec{Mode: modes[rng.Intn(len(modes))]}
-	bound := func(start bool) frame.Bound {
-		r := rng.Intn(12)
-		switch {
-		case r < 2:
-			if start {
-				return frame.Bound{Type: frame.UnboundedPreceding}
-			}
-			return frame.Bound{Type: frame.UnboundedFollowing}
-		case r < 5:
-			return frame.Bound{Type: frame.Preceding, Offset: int64(rng.Intn(6))}
-		case r < 7:
-			return frame.Bound{Type: frame.CurrentRow}
-		case r < 10 || s.Mode != frame.Rows:
-			return frame.Bound{Type: frame.Following, Offset: int64(rng.Intn(6))}
-		default:
-			salt := rng.Int63n(1000)
-			fn := func(row int) int64 { return (int64(row)*2654435761 + salt) % 7 }
-			if rng.Intn(2) == 0 {
-				return frame.Bound{Type: frame.Preceding, OffsetFn: fn}
-			}
-			return frame.Bound{Type: frame.Following, OffsetFn: fn}
+// fromOracle and toOracle are the test adapter between core's tables and
+// specs and the oracle's plain ones. Columns share their slices, and the
+// two Kind enums list the kinds in the same order.
+func fromOracle(cols ...oracle.Column) *Table {
+	out := make([]*Column, len(cols))
+	for i, c := range cols {
+		out[i] = &Column{name: c.Name, kind: Kind(c.Kind), ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, nulls: nullMask(c.Nulls)}
+	}
+	return MustNewTable(out...)
+}
+
+func toOracle(tab *Table, w *WindowSpec, f *FuncSpec) (oracle.Table, oracle.Window, oracle.Func) {
+	var cols oracle.Table
+	for _, c := range tab.Columns() {
+		cols = append(cols, oracle.Column{Name: c.name, Kind: oracle.Kind(c.kind), Ints: c.ints, Floats: c.floats, Strs: c.strs, Bools: c.bools, Nulls: c.nulls})
+	}
+	keys := func(ks []SortKey) (out []oracle.SortKey) {
+		for _, k := range ks {
+			out = append(out, oracle.SortKey(k))
 		}
+		return out
 	}
-	s.Start = bound(true)
-	s.End = bound(false)
-	s.Exclude = frame.Exclusion(rng.Intn(4))
-	return s
+	ow := oracle.Window{PartitionBy: w.PartitionBy, OrderBy: keys(w.OrderBy)}
+	if w.FrameSet {
+		ow.Frame = &w.Frame
+	}
+	return cols, ow, oracle.Func{Name: f.Name.String(), Arg: f.Arg, OrderBy: keys(f.OrderBy), Fraction: f.Fraction,
+		N: f.N, Filter: f.Filter, IgnoreNulls: f.IgnoreNulls, Frame: f.Frame}
 }
 
+// approxEqual compares floats up to rounding; equal values (infinities and
+// −0.0/0.0 included) and two NaNs agree.
 func approxEqual(a, b float64) bool {
-	if math.IsNaN(a) && math.IsNaN(b) {
+	if a == b || math.IsNaN(a) && math.IsNaN(b) {
 		return true
 	}
 	d := math.Abs(a - b)
 	return d <= 1e-9 || d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// compareToReference checks every row of out against the reference.
+// compareToReference checks every row of out against the oracle.
 func compareToReference(t *testing.T, tab *Table, w *WindowSpec, f *FuncSpec, out *Column, label string) {
 	t.Helper()
-	ref := &refEvaluator{t: tab, w: w}
-	for row := 0; row < tab.Rows(); row++ {
-		want := ref.eval(f, row)
-		gotNull := out.IsNull(row)
-		if gotNull != want.null {
-			t.Fatalf("%s row %d: null=%v, want %v", label, row, gotNull, want.null)
+	for row, want := range oracle.Eval(toOracle(tab, w, f)) {
+		if gotNull := out.IsNull(row); gotNull != want.Null {
+			t.Fatalf("%s row %d: null=%v, want %v", label, row, gotNull, want.Null)
 		}
-		if want.null {
-			continue
-		}
+		got := oracle.Value{Null: want.Null}
 		switch out.Kind() {
 		case Int64:
-			if out.Int64(row) != want.i {
-				t.Fatalf("%s row %d: got %d, want %d", label, row, out.Int64(row), want.i)
-			}
+			got.I = out.Int64(row)
 		case Float64:
-			if !approxEqual(out.Float64(row), want.f) {
-				t.Fatalf("%s row %d: got %v, want %v", label, row, out.Float64(row), want.f)
-			}
+			got.F = out.Float64(row)
 		case String:
-			if out.StringAt(row) != want.s {
-				t.Fatalf("%s row %d: got %q, want %q", label, row, out.StringAt(row), want.s)
-			}
+			got.S = out.StringAt(row)
 		case Bool:
-			if out.Bool(row) != want.b {
-				t.Fatalf("%s row %d: got %v, want %v", label, row, out.Bool(row), want.b)
-			}
+			got.B = out.Bool(row)
+		}
+		if !want.Null && (got.I != want.I || got.S != want.S || got.B != want.B || !approxEqual(got.F, want.F)) {
+			t.Fatalf("%s row %d: got %+v, want %+v", label, row, got, want)
 		}
 	}
 }
@@ -152,6 +112,7 @@ func allFuncSpecs(rng *rand.Rand) []FuncSpec {
 		{Name: SumDistinct, Output: "o8", Arg: "v"},
 		{Name: SumDistinct, Output: "o8f", Arg: "fv", Filter: maybeFilter()},
 		{Name: AvgDistinct, Output: "o9", Arg: "v"},
+		{Name: AvgDistinct, Output: "o9f", Arg: "fv"},
 		{Name: Rank, Output: "o10", OrderBy: pick(ordV, ordVDesc, ordDV)},
 		{Name: DenseRank, Output: "o11", OrderBy: pick(ordV, ordVDesc), Filter: maybeFilter()},
 		{Name: PercentRank, Output: "o12", OrderBy: pick(ordV, ordVDesc)},
@@ -169,8 +130,9 @@ func allFuncSpecs(rng *rand.Rand) []FuncSpec {
 }
 
 // referenceSweep is one randomized pass over the operator: every trial draws
-// a table, a frame and all 22 functions, runs them through Run and checks
-// each output column against refEvaluator.
+// a table, a window — with a frame, SQL's default frame, or neither frame nor
+// ORDER BY — and all 22 functions, some with a frame of their own, runs them
+// through Run and checks each output column against the oracle.
 type referenceSweep struct {
 	seed     int64
 	trials   int
@@ -189,16 +151,31 @@ func (s referenceSweep) run(t *testing.T) {
 	rng := rand.New(rand.NewSource(s.seed))
 	for trial := 0; trial < s.trials; trial++ {
 		tab := randTable(rng, s.sizes[trial%len(s.sizes)])
-		fs := randFrame(rng)
+		fs := oracle.RandFrame(rng)
 		w := &WindowSpec{
 			OrderBy:  []SortKey{{Column: "d", Desc: rng.Intn(2) == 0}},
 			Frame:    fs,
 			FrameSet: true,
 		}
+		// One window in four takes SQL's default frame; half of those have no
+		// ORDER BY either.
+		if r := rng.Intn(8); r < 2 {
+			w.Frame, w.FrameSet = frame.Spec{}, false
+			if r == 0 {
+				w.OrderBy = nil
+			}
+		}
 		if rng.Intn(2) == 0 {
 			w.PartitionBy = []string{"g"}
 		}
 		w.Funcs = allFuncSpecs(rng)
+		// One function in four overrides the window's frame; without an
+		// ORDER BY there are no RANGE offsets to measure.
+		for i := range w.Funcs {
+			if own := oracle.RandFrame(rng); rng.Intn(4) == 0 && (w.OrderBy != nil || own.Mode != frame.Range) {
+				w.Funcs[i].Frame = &own
+			}
+		}
 		opt := Options{Tree: s.trees[trial%len(s.trees)], TaskSize: s.taskSize}
 		res, err := Run(tab, w, opt)
 		if err != nil {
@@ -212,8 +189,9 @@ func (s referenceSweep) run(t *testing.T) {
 		}
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
-			label := fmt.Sprintf("trial %d %v (%s) frame{%v %v/%v ex%d}",
-				trial, f.Name, f.Output, fs.Mode, fs.Start.Type, fs.End.Type, fs.Exclude)
+			fr := w.effectiveFrame(f)
+			label := fmt.Sprintf("trial %d %v (%s) frame{%v %v/%v ex%d} set=%v own=%v order=%d",
+				trial, f.Name, f.Output, fr.Mode, fr.Start.Type, fr.End.Type, fr.Exclude, w.FrameSet, f.Frame != nil, len(w.OrderBy))
 			compareToReference(t, tab, w, f, res.Column(f.Output), label)
 			if s.rerun {
 				assertColumnsIdentical(t, label+" rerun", again.Column(f.Output), res.Column(f.Output))

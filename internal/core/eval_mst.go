@@ -276,15 +276,16 @@ func linkRanks(ranks []int64, distinct int) (prev, next []int64) {
 	return prev, next
 }
 
-// forEachFullyExcluded visits, for the frame decomposition `ranges` (sorted,
-// disjoint, in the filtered domain), every position h that is the first
-// occurrence within the full span [a, d) of a value whose occurrences inside
-// [a, d) all fall into the exclusion holes. Those are exactly the values a
-// whole-span distinct query counts but the real (holey) frame must not.
-// The walk follows each value's occurrence chain and visits every hole
-// position at most a constant number of times, so the cost is linear in the
-// hole sizes (§4.7).
-func forEachFullyExcluded[K int32 | int64](prev, next []K, ranges [][2]int, visit func(h int)) {
+// forEachHoleFirst visits, for the frame decomposition `ranges` (sorted,
+// disjoint, in the filtered domain), every position h in an exclusion hole
+// that is the first occurrence within the full span [a, d) of its value and
+// whose value recurs in a kept range (recurs) or does not (!recurs). The
+// values that do not are exactly those a whole-span distinct query counts
+// but the real (holey) frame must not; those that do are the ones that
+// per-range queries with the span's threshold miss. The walk follows each
+// value's occurrence chain and visits every hole position at most a constant
+// number of times, so the cost is linear in the hole sizes (§4.7).
+func forEachHoleFirst[K int32 | int64](prev, next []K, ranges [][2]int, recurs bool, visit func(h int)) {
 	if len(ranges) < 2 {
 		return
 	}
@@ -318,7 +319,7 @@ func forEachFullyExcluded[K int32 | int64](prev, next []K, ranges [][2]int, visi
 				}
 				cur = nx
 			}
-			if excluded {
+			if excluded != recurs {
 				visit(h)
 			}
 		}
@@ -389,13 +390,11 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 			return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8,
 				func(j int) int64 { return p.t.Column(f.Arg).Int64(fl.orig(j)) },
 				func(a, b int64) int64 { return a + b },
-				func(a, b int64) int64 { return a - b },
 				func(row int, v int64) { out.setInt(row, v) })
 		}
 		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8,
 			func(j int) float64 { return p.t.Column(f.Arg).Float64(fl.orig(j)) },
 			func(a, b float64) float64 { return a + b },
-			func(a, b float64) float64 { return a - b },
 			func(row int, v float64) { out.setFloat(row, v) })
 
 	case AvgDistinct:
@@ -403,7 +402,6 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 16,
 			func(j int) avgState { return avgState{sum: col.Numeric(fl.orig(j)), n: 1} },
 			func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} },
-			func(a, b avgState) avgState { return avgState{a.sum - b.sum, a.n - b.n} },
 			func(row int, v avgState) { out.setFloat(row, v.sum/float64(v.n)) })
 	}
 	return fmt.Errorf("unhandled distinct function %v", f.Name)
@@ -415,16 +413,14 @@ type avgState struct {
 }
 
 // runSumDistinct evaluates SUM/AVG(DISTINCT) generically over the aggregate
-// state type. Exclusion holes are corrected by subtracting the states of
-// fully excluded values — SUM and AVG are invertible, so this stays exact.
-// (The pure merge-only path of §4.3 covers continuous frames; frames with
-// exclusion holes additionally use the inverse.) s is the tree's identity,
+// state type, with merges only (§4.3), exclusion holes included — a float
+// sum cannot subtract a NaN or an infinity back out. s is the tree's identity,
 // whose state matches S; aggBytes is the state's size for budget accounting.
 // rows bounds the ranges the tree is probed with; form is the form it is
 // built in.
 func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, aggBytes int,
-	valueOf func(j int) S, add func(a, b S) S, sub func(a, b S) S, emit func(row int, v S)) error {
+	valueOf func(j int) S, add func(a, b S) S, emit func(row int, v S)) error {
 	st, err := cacheGet(opt, s, func() (cachedAgg[S], int64, error) {
 		prev, next, err := buildDistinctInputs(fl, f, opt)
 		if err != nil {
@@ -457,7 +453,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 	}
 	prev, next, values, tree := st.prev, st.next, st.values, st.tree
 	return runBatched(p, opt, famAgg, func(lo, hi int, agg *batchAgg) {
-		distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, agg, lo, hi)
+		distinctAggChunk(p, fl, fc, tree, prev, next, values, add, emit, out, agg, lo, hi)
 	})
 }
 

@@ -168,7 +168,7 @@ func TestFullTreeCacheBytes(t *testing.T) {
 // w=slide, w=full).
 func checkCacheBytes(t *testing.T, preceding int64, tags []string, classes map[string]int) {
 	t.Helper()
-	tab := partitionedTable(rand.New(rand.NewSource(9)), 300, func(p int) int {
+	tab := partitionedTable(rand.New(rand.NewSource(10)), 300, func(p int) int {
 		if p%4 == 0 {
 			return 150 + p%100
 		}

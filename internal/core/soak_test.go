@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"holistic/internal/frame"
+	"holistic/internal/oracle"
 )
 
 // TestOperatorSoak is a heavier randomized sweep than the standard
@@ -19,7 +20,7 @@ func TestOperatorSoak(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := []int{3, 9, 24, 47, 80, 111}[trial%6]
 		tab := randTable(rng, n)
-		fs := randFrame(rng)
+		fs := oracle.RandFrame(rng)
 		w := &WindowSpec{
 			Frame:    fs,
 			FrameSet: true,

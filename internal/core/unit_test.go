@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"holistic/internal/frame"
@@ -52,7 +54,7 @@ func TestForEachFullyExcluded(t *testing.T) {
 	next := []int64{2, 4, 5, 7, 7, 7, 7} // unshifted next-occurrence, sentinel 7
 	collect := func(ranges [][2]int) []int {
 		var hs []int
-		forEachFullyExcluded(prev, next, ranges, func(h int) { hs = append(hs, h) })
+		forEachHoleFirst(prev, next, ranges, false, func(h int) { hs = append(hs, h) })
 		return hs
 	}
 	// Frame [0,7) with hole [3,5): c@3 occurs only in the hole (fully
@@ -76,6 +78,40 @@ func TestForEachFullyExcluded(t *testing.T) {
 	// Single range: nothing to correct.
 	if got = collect([][2]int{{0, 7}}); len(got) != 0 {
 		t.Fatalf("single range: %v", got)
+	}
+	// The complement: b@1, first seen in hole [1,3), recurs at 4.
+	var recurring []int
+	forEachHoleFirst(prev, next, [][2]int{{0, 1}, {3, 7}}, true, func(h int) { recurring = append(recurring, h) })
+	if !slices.Equal(recurring, []int{1}) {
+		t.Fatalf("hole [1,3): recurring = %v, want [1]", recurring)
+	}
+}
+
+// TestDistinctFloatSumUnderExclude: over fv = 1, x, 2 ordered by d, the
+// frame ROWS 1 PRECEDING AND 1 FOLLOWING less the middle row is {1, 2}, so
+// SUM(DISTINCT) is 3 and AVG(DISTINCT) 1.5 whatever x is. Subtracting x
+// from a whole-span sum returned NaN for x = NaN or +Inf and 0 for 1e17.
+func TestDistinctFloatSumUnderExclude(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), 1e17} {
+		for _, ex := range []frame.Exclusion{frame.ExcludeCurrentRow, frame.ExcludeGroup} {
+			tab := MustNewTable(NewInt64Column("d", []int64{0, 1, 2}, nil), NewFloat64Column("fv", []float64{1, x, 2}, nil))
+			w := &WindowSpec{
+				OrderBy:  []SortKey{{Column: "d"}},
+				Frame:    frame.Spec{Mode: frame.Rows, Start: frame.Bound{Type: frame.Preceding, Offset: 1}, End: frame.Bound{Type: frame.Following, Offset: 1}, Exclude: ex},
+				FrameSet: true,
+				Funcs:    []FuncSpec{{Name: SumDistinct, Output: "s", Arg: "fv"}, {Name: AvgDistinct, Output: "a", Arg: "fv"}},
+			}
+			res, err := Run(tab, w, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, a := res.Column("s").Float64(1), res.Column("a").Float64(1); s != 3 || a != 1.5 {
+				t.Errorf("x=%v ex%d: SUM(DISTINCT) %v, AVG(DISTINCT) %v at the middle row, want 3 and 1.5", x, ex, s, a)
+			}
+			for i := range w.Funcs {
+				compareToReference(t, tab, w, &w.Funcs[i], res.Column(w.Funcs[i].Output), fmt.Sprintf("x=%v ex%d", x, ex))
+			}
+		}
 	}
 }
 

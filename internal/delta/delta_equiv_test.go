@@ -19,6 +19,7 @@ import (
 	"holistic/internal/delta"
 	"holistic/internal/frame"
 	"holistic/internal/mst"
+	"holistic/internal/oracle"
 	"holistic/internal/treecache"
 )
 
@@ -109,41 +110,6 @@ func buildTable(t testing.TB, rows [][]delta.Value) *core.Table {
 		}
 	}
 	return core.MustNewTable(cols...)
-}
-
-// randFrame mirrors core's randomized frame generator (per-row offset
-// expressions included — they hash the original row index, which the delta
-// and from-scratch paths agree on by construction).
-func randFrame(rng *rand.Rand) frame.Spec {
-	modes := []frame.Mode{frame.Rows, frame.Rows, frame.Range, frame.Groups}
-	s := frame.Spec{Mode: modes[rng.Intn(len(modes))]}
-	bound := func(start bool) frame.Bound {
-		r := rng.Intn(12)
-		switch {
-		case r < 2:
-			if start {
-				return frame.Bound{Type: frame.UnboundedPreceding}
-			}
-			return frame.Bound{Type: frame.UnboundedFollowing}
-		case r < 5:
-			return frame.Bound{Type: frame.Preceding, Offset: int64(rng.Intn(6))}
-		case r < 7:
-			return frame.Bound{Type: frame.CurrentRow}
-		case r < 10 || s.Mode != frame.Rows:
-			return frame.Bound{Type: frame.Following, Offset: int64(rng.Intn(6))}
-		default:
-			salt := rng.Int63n(1000)
-			fn := func(row int) int64 { return (int64(row)*2654435761 + salt) % 7 }
-			if rng.Intn(2) == 0 {
-				return frame.Bound{Type: frame.Preceding, OffsetFn: fn}
-			}
-			return frame.Bound{Type: frame.Following, OffsetFn: fn}
-		}
-	}
-	s.Start = bound(true)
-	s.End = bound(false)
-	s.Exclude = frame.Exclusion(rng.Intn(4))
-	return s
 }
 
 // allFuncSpecs builds one spec per window function with randomized knobs —
@@ -282,7 +248,7 @@ func TestDeltaEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewBuffer: %v", trial, err)
 		}
-		fs := randFrame(rng)
+		fs := oracle.RandFrame(rng)
 		w := &core.WindowSpec{
 			OrderBy:  []core.SortKey{{Column: "d", Desc: rng.Intn(2) == 0}},
 			Frame:    fs,

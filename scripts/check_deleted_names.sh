@@ -97,5 +97,11 @@ check 'one run path' nontest \
 # Options field (\b keeps TestRowNumbersAndPermutationInverse out)
 check 'one position width into the tree' all \
     '\bPermutationIn\b|\bWorkers:|opt\.Workers'
+# one oracle: every differential test checks answers against
+# internal/oracle, which shares no code with the evaluator, so core's
+# test-only reference rig and its three hand-written bound functions stay
+# deleted
+check 'one oracle' all \
+    'refEvaluator|refValue\b|refRowsBounds|refGroupsBounds|refRangeBounds'
 
 exit $fail
