@@ -508,12 +508,13 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree
 // distinctAggChunk evaluates one probe chunk of SUM/AVG(DISTINCT x) with
 // merges only: one aggregate query per frame range per row — deduped when
 // the row's frame ranges exactly repeat the previous row's, in which case the
-// rows share the answer — answered by the annotated tree's batched kernel,
-// whose per-query count output feeds the NULL rule without a second tree
-// pass. Each range asks for the values whose first occurrence in the row's
-// span [a, d) it holds (threshold a+1), so a frame without exclusion holes
-// is one query; with holes, the values first seen in a hole that recur in a
-// kept range are merged in once each, in hole order.
+// rows share the answer — answered by the annotated tree's batched kernel.
+// Each range asks for the values whose first occurrence in the row's span
+// [a, d) it holds (threshold a+1), so a frame without exclusion holes is one
+// query; with holes, the values first seen in a hole that recur in a kept
+// range are merged in once each, in hole order. The answer is NULL unless a
+// query's ok output is set or such a hole value exists; kcnt is only the
+// count buffer the kernel requires.
 func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tree *mst.AnnotatedTree[S],
 	prev, next []int32, values []S, add func(a, b S) S, emit func(row int, v S),
 	out *outBuilder, agg *batchAgg, lo, hi int) {

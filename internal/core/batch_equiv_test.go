@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -36,6 +37,12 @@ func TestBatchEquivalenceRandomized(t *testing.T) {
 func runPeerFrames(t *testing.T, seed int64, families []string, funcs []FuncSpec) {
 	t.Helper()
 	tab := randTable(rand.New(rand.NewSource(seed)), 160)
+	// Finite fv: a NaN or ±Inf in a prefix frame hides a wrong dedup from SUM.
+	for i, x := range tab.Column("fv").floats {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			tab.Column("fv").floats[i] = float64(i % 25)
+		}
+	}
 	w := &WindowSpec{
 		OrderBy: []SortKey{{Column: "g"}},
 		Frame: frame.Spec{

@@ -21,21 +21,32 @@ func randTable(rng *rand.Rand, n int) *Table {
 		g.Floats("fv", 10), g.Strings("s", 6, 12), g.Bools("flt", 20))
 }
 
-// fromOracle and toOracle are the test adapter between core's tables and
-// specs and the oracle's plain ones. Columns share their slices, and the
-// two Kind enums list the kinds in the same order.
+// fromOracle, oracleColumn and toOracle are the test adapter between core's
+// tables and specs and the oracle's plain ones. Columns share their slices.
 func fromOracle(cols ...oracle.Column) *Table {
 	out := make([]*Column, len(cols))
 	for i, c := range cols {
-		out[i] = &Column{name: c.Name, kind: Kind(c.Kind), ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, nulls: nullMask(c.Nulls)}
+		out[i] = &Column{name: c.Name, kind: Kind(slices.Index(oracleKinds[:], c.Kind)), ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, nulls: nullMask(c.Nulls)}
+		oracleColumn(out[i]) // panics on an oracle kind core lacks
 	}
 	return MustNewTable(out...)
+}
+
+// oracleKinds is the oracle's kind for each core Kind, paired by name, not
+// by the order of the two enums.
+var oracleKinds = [...]oracle.Kind{Int64: oracle.Int64, Float64: oracle.Float64, String: oracle.String, Bool: oracle.Bool}
+
+func oracleColumn(c *Column) oracle.Column {
+	if k := int(c.kind); k < 0 || k >= len(oracleKinds) || slices.Index(oracleKinds[:], oracleKinds[k]) != k {
+		panic(fmt.Sprintf("column %q: kind %v has no oracle kind", c.name, c.kind))
+	}
+	return oracle.Column{Name: c.name, Kind: oracleKinds[c.kind], Ints: c.ints, Floats: c.floats, Strs: c.strs, Bools: c.bools, Nulls: c.nulls}
 }
 
 func toOracle(tab *Table, w *WindowSpec, f *FuncSpec) (oracle.Table, oracle.Window, oracle.Func) {
 	var cols oracle.Table
 	for _, c := range tab.Columns() {
-		cols = append(cols, oracle.Column{Name: c.name, Kind: oracle.Kind(c.kind), Ints: c.ints, Floats: c.floats, Strs: c.strs, Bools: c.bools, Nulls: c.nulls})
+		cols = append(cols, oracleColumn(c))
 	}
 	keys := func(ks []SortKey) (out []oracle.SortKey) {
 		for _, k := range ks {
@@ -64,22 +75,10 @@ func approxEqual(a, b float64) bool {
 // compareToReference checks every row of out against the oracle.
 func compareToReference(t *testing.T, tab *Table, w *WindowSpec, f *FuncSpec, out *Column, label string) {
 	t.Helper()
+	res := oracleColumn(out)
 	for row, want := range oracle.Eval(toOracle(tab, w, f)) {
-		if gotNull := out.IsNull(row); gotNull != want.Null {
-			t.Fatalf("%s row %d: null=%v, want %v", label, row, gotNull, want.Null)
-		}
-		got := oracle.Value{Null: want.Null}
-		switch out.Kind() {
-		case Int64:
-			got.I = out.Int64(row)
-		case Float64:
-			got.F = out.Float64(row)
-		case String:
-			got.S = out.StringAt(row)
-		case Bool:
-			got.B = out.Bool(row)
-		}
-		if !want.Null && (got.I != want.I || got.S != want.S || got.B != want.B || !approxEqual(got.F, want.F)) {
+		got := res.Value(row)
+		if got.Null != want.Null || !want.Null && (got.I != want.I || got.S != want.S || got.B != want.B || !approxEqual(got.F, want.F)) {
 			t.Fatalf("%s row %d: got %+v, want %+v", label, row, got, want)
 		}
 	}

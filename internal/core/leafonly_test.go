@@ -168,12 +168,14 @@ func TestFullTreeCacheBytes(t *testing.T) {
 // w=slide, w=full).
 func checkCacheBytes(t *testing.T, preceding int64, tags []string, classes map[string]int) {
 	t.Helper()
-	tab := partitionedTable(rand.New(rand.NewSource(10)), 300, func(p int) int {
+	tab := partitionedTable(rand.New(rand.NewSource(9)), 300, func(p int) int {
 		if p%4 == 0 {
 			return 150 + p%100
 		}
 		return 1 + p%120
 	})
+	// v without NULLs: every width class then follows a partition's row count.
+	tab.Column("v").nulls = nil
 	w := fiveFuncWindow()
 	w.Frame.Start.Offset = preceding
 	cache := newRecordingCache()

@@ -95,7 +95,8 @@ func (t Table) col(name string) *Column {
 	panic(fmt.Sprintf("oracle: no column %q", name))
 }
 
-func (c *Column) value(row int) Value {
+// Value is the column's value at row.
+func (c *Column) Value(row int) Value {
 	v := Value{Kind: c.Kind, Null: c.Nulls != nil && c.Nulls[row]}
 	if !v.Null {
 		switch c.Kind {
@@ -154,7 +155,7 @@ func (t Table) rowOrder(keys []SortKey) func(a, b int) int {
 	}
 	return func(a, b int) int {
 		for i, k := range keys {
-			x, y := cols[i].value(a), cols[i].value(b)
+			x, y := cols[i].Value(a), cols[i].Value(b)
 			r := boolInt(x.Null) - boolInt(y.Null)
 			if k.NullsSmallest {
 				r = -r
@@ -275,7 +276,7 @@ func (e *evaluation) coordinates(w Window, spec frame.Spec, part []int) []int64 
 			c[i] = int64(e.peer[row])
 		default:
 			k := w.OrderBy[0]
-			v := e.t.col(k.Column).value(row)
+			v := e.t.col(k.Column).Value(row)
 			c[i] = v.I
 			if v.Null {
 				c[i] = math.MaxInt64
@@ -342,7 +343,7 @@ func bound(b frame.Bound, my int64, row int, unbounded int64) int64 {
 // that skip NULL inputs, its input is not NULL.
 func (t Table) kept(f Func, row int) bool {
 	if f.Filter != "" {
-		if v := t.col(f.Filter).value(row); v.Null || !v.B {
+		if v := t.col(f.Filter).Value(row); v.Null || !v.B {
 			return false
 		}
 	}
@@ -357,7 +358,7 @@ func (t Table) kept(f Func, row int) bool {
 			input = f.Arg
 		}
 	}
-	return input == "" || !t.col(input).value(row).Null
+	return input == "" || !t.col(input).Value(row).Null
 }
 
 // eval is f's value at row, whose frame holds the rows in — those f reads,
@@ -398,7 +399,7 @@ func (e *evaluation) eval(row int, in []int) Value {
 		if k < 0 || k >= len(in) {
 			return null
 		}
-		return c.value(in[k])
+		return c.Value(in[k])
 	}
 
 	switch f.Name {
@@ -416,8 +417,8 @@ func (e *evaluation) eval(row int, in []int) Value {
 		var sum float64
 		var isum int64 // wraps like the SQL engine's int64 sum
 		for _, r := range in {
-			sum += arg.value(r).number()
-			isum += arg.value(r).I
+			sum += arg.Value(r).number()
+			isum += arg.Value(r).I
 		}
 		switch {
 		case f.Name == "avg" || f.Name == "avg(distinct)":
@@ -436,7 +437,7 @@ func (e *evaluation) eval(row int, in []int) Value {
 				best = r
 			}
 		}
-		return arg.value(best)
+		return arg.Value(best)
 	case "rank":
 		return integer(int64(count(before) + 1))
 	case "row_number":
