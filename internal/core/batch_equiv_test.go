@@ -7,27 +7,14 @@ import (
 	"testing"
 
 	"holistic/internal/frame"
-	"holistic/internal/mst"
 	"holistic/internal/obs"
 )
 
 // The chunk collectors (batch.go) translate each row's frame into kernel
 // queries and reuse the previous row's queries when they repeat. The tests
-// here aim the reference comparison at what can go wrong there: a chunk
-// boundary inside a partition, a dedup that reuses a non-identical query,
-// and tree variants the kernels specialise on.
-
-func TestBatchEquivalenceRandomized(t *testing.T) {
-	trials := 14
-	if testing.Short() {
-		trials = 7
-	}
-	referenceSweep{
-		seed: 777, trials: trials, sizes: []int{0, 1, 3, 13, 40, 120, 70},
-		trees:    []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}},
-		taskSize: 16,
-	}.run(t)
-}
+// here aim the reference comparison at a dedup that reuses a non-identical
+// query; the lattice's sweeps (lattice_test.go) add chunk boundaries inside
+// partitions and the tree variants the kernels specialise on.
 
 // runPeerFrames evaluates funcs under a default RANGE frame over a
 // low-cardinality ORDER BY key — every peer group shares one frame, so most

@@ -254,7 +254,7 @@ func TestReferenceSlidingForm(t *testing.T) {
 				for i := range w.Funcs {
 					f := &w.Funcs[i]
 					compareToReference(t, tab, w, f, res[0].Column(f.Output), label+" "+f.Output)
-					assertColumnsIdentical(t, label+" cutoff 0 "+f.Output, res[1].Column(f.Output), res[0].Column(f.Output))
+					requireIdentical(t, label+" cutoff 0 "+f.Output, res[1].Column(f.Output), res[0].Column(f.Output))
 				}
 			}
 		}

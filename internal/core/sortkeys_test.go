@@ -388,7 +388,7 @@ func TestAllFalseNullMaskIsFree(t *testing.T) {
 	}
 	nilTime, want := run(nil)
 	maskTime, got := run(make([]bool, n))
-	columnsEqual(t, "count(x) under an all-false mask", got, want)
+	requireIdentical(t, "count(x) under an all-false mask", got, want)
 	if maskTime > 2*nilTime {
 		t.Fatalf("all-false NULL mask: %v, nil mask: %v — more than 2× apart", maskTime, nilTime)
 	}

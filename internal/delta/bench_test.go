@@ -8,6 +8,7 @@ import (
 	"holistic/internal/core"
 	"holistic/internal/delta"
 	"holistic/internal/frame"
+	"holistic/internal/lattice"
 	"holistic/internal/treecache"
 )
 
@@ -33,7 +34,7 @@ func benchBuffer(b *testing.B, n int, parts int64, opt delta.Options) (*delta.Bu
 	for i := range rows {
 		rows[i] = benchRow(rng, int64(i), parts)
 	}
-	buf, err := delta.NewBuffer(buildTable(b, rows), "k", opt)
+	buf, err := delta.NewBuffer(lattice.BuildTable(rows), "k", opt)
 	if err != nil {
 		b.Fatal(err)
 	}

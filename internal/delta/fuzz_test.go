@@ -8,6 +8,7 @@ import (
 
 	"holistic/internal/core"
 	"holistic/internal/delta"
+	"holistic/internal/lattice"
 )
 
 // FuzzDeltaApply drives a Buffer with a byte-derived stream of valid
@@ -55,7 +56,7 @@ func FuzzDeltaApply(f *testing.F) {
 			model = append(model, mkRow(int64(i)))
 		}
 		nextKey := int64(nBase)
-		buf, err := delta.NewBuffer(buildTable(t, model), "k", delta.Options{CompactRows: 8})
+		buf, err := delta.NewBuffer(lattice.BuildTable(model), "k", delta.Options{CompactRows: 8})
 		if err != nil {
 			t.Fatalf("NewBuffer: %v", err)
 		}

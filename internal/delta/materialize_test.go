@@ -8,6 +8,7 @@ import (
 
 	"holistic/internal/core"
 	"holistic/internal/delta"
+	"holistic/internal/lattice"
 )
 
 // requireTablesIdentical compares two tables cell for cell and mask for
@@ -86,11 +87,11 @@ func TestMaterializeMatchesReference(t *testing.T) {
 		var live []int64
 		nextKey := int64(0)
 		for i := 0; i < nBase; i++ {
-			row := randRow(rng, nextKey)
+			row := lattice.RandRow(rng, nextKey)
 			if trial%2 == 1 {
 				for c := range row {
 					if row[c].Null {
-						row[c] = randRow(rng, nextKey)[c]
+						row[c] = lattice.RandRow(rng, nextKey)[c]
 						row[c].Null = false
 					}
 				}
@@ -99,7 +100,7 @@ func TestMaterializeMatchesReference(t *testing.T) {
 			live = append(live, nextKey)
 			nextKey++
 		}
-		buf, err := delta.NewBuffer(buildTable(t, rows), "k", delta.Options{})
+		buf, err := delta.NewBuffer(lattice.BuildTable(rows), "k", delta.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestMaterializeMatchesReference(t *testing.T) {
 			requireMatchesReference(t, snap, label)
 		}
 		for batch := 0; batch < 12; batch++ {
-			apply("random batch", randMutations(rng, &live, &nextKey, 1+rng.Intn(8))...)
+			apply("random batch", lattice.RandMutations(rng, &live, &nextKey, 1+rng.Intn(8))...)
 			switch batch % 4 {
 			case 0:
 				if len(live) > 0 {
@@ -123,8 +124,8 @@ func TestMaterializeMatchesReference(t *testing.T) {
 					// after a compaction, overlay rows otherwise.
 					first, last := live[0], live[len(live)-1]
 					apply("override ends",
-						delta.Mutation{Op: delta.OpUpsert, Row: randRow(rng, first)},
-						delta.Mutation{Op: delta.OpUpsert, Row: randRow(rng, last)})
+						delta.Mutation{Op: delta.OpUpsert, Row: lattice.RandRow(rng, first)},
+						delta.Mutation{Op: delta.OpUpsert, Row: lattice.RandRow(rng, last)})
 				}
 			case 1:
 				if len(live) > 0 {
@@ -132,14 +133,14 @@ func TestMaterializeMatchesReference(t *testing.T) {
 					k := live[i]
 					live = append(live[:i], live[i+1:]...)
 					apply("upsert then delete",
-						delta.Mutation{Op: delta.OpUpsert, Row: randRow(rng, k)},
-						delta.Mutation{Op: delta.OpDelete, Row: randRow(rng, k)})
+						delta.Mutation{Op: delta.OpUpsert, Row: lattice.RandRow(rng, k)},
+						delta.Mutation{Op: delta.OpDelete, Row: lattice.RandRow(rng, k)})
 				}
 			case 2:
 				k := nextKey
 				nextKey++
-				apply("append", delta.Mutation{Op: delta.OpAppend, Row: randRow(rng, k)})
-				apply("then delete", delta.Mutation{Op: delta.OpDelete, Row: randRow(rng, k)})
+				apply("append", delta.Mutation{Op: delta.OpAppend, Row: lattice.RandRow(rng, k)})
+				apply("then delete", delta.Mutation{Op: delta.OpDelete, Row: lattice.RandRow(rng, k)})
 			case 3:
 				if _, _, err := buf.Compact(); err != nil {
 					t.Fatalf("trial %d: Compact: %v", trial, err)

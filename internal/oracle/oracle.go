@@ -113,6 +113,29 @@ func (c *Column) Value(row int) Value {
 	return v
 }
 
+// Identical reports whether a and b are the same value bit for bit: floats
+// by their bits, so −0.0 differs from 0.0. Two runs of the same arithmetic
+// must agree this way.
+func Identical(a, b Value) bool {
+	return a.Null == b.Null && a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) &&
+		a.S == b.S && a.B == b.B
+}
+
+// Near reports whether got is want up to float rounding: NULL only where
+// want is NULL, and floats equal (infinities and −0.0/0.0 included), both
+// NaN, or both finite and within 1e-9 absolutely or relatively. An
+// evaluator that folds in another order than the oracle agrees with it this
+// way.
+func Near(got, want Value) bool {
+	if got.Null || want.Null {
+		return got.Null == want.Null
+	}
+	a, b := got.F, want.F
+	d := math.Abs(a - b) // +Inf when either is infinite and they differ
+	return got.I == want.I && got.S == want.S && got.B == want.B &&
+		(a == b || math.IsNaN(a) && math.IsNaN(b) || d <= 1e-9 || d <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) && !math.IsInf(d, 0))
+}
+
 func (v Value) number() float64 {
 	if v.Kind == Int64 {
 		return float64(v.I)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -79,4 +80,18 @@ func parseDir(t *testing.T, dir string) map[string]*ast.File {
 		files[name] = f
 	}
 	return files
+}
+
+// TestNear pins the comparisons at their edges: an infinity is near only
+// itself, however large the other value, and −0.0 is near 0.0 but not
+// identical to it.
+func TestNear(t *testing.T) {
+	f := func(x float64) Value { return Value{Kind: Float64, F: x} }
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	if !Near(f(inf), f(inf)) || !Near(f(nan), f(nan)) || !Near(f(negZero), f(0)) || !Near(f(1e12), f(1e12+1)) {
+		t.Error("Near rejects a value that is the oracle's up to rounding")
+	}
+	if Near(f(5), f(inf)) || Near(f(-inf), f(inf)) || Near(f(nan), f(0)) || Near(Value{Null: true}, f(0)) || Identical(f(negZero), f(0)) {
+		t.Error("Near or Identical accepts a different value")
+	}
 }

@@ -103,5 +103,11 @@ check 'one position width into the tree' all \
 # deleted
 check 'one oracle' all \
     'refEvaluator|refValue\b|refRowsBounds|refGroupsBounds|refRangeBounds'
+# one lattice: the randomized answer rigs of core, delta, plan and segment
+# run on internal/lattice's one configuration matrix, with its one table
+# generator and function list and the oracle's two comparisons, so the
+# per-package sweeps, function lists and column comparisons stay deleted
+check 'one lattice' all \
+    'referenceSweep|requireColumnsIdentical|assertColumnsIdentical|randValidFrame|\bcolumnsEqual\b|\bapproxEqual\b|func allFuncs|func allFuncSpecs|equivalenceQueries'
 
 exit $fail
