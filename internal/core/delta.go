@@ -131,12 +131,14 @@ func sortDirtyRun(t *Table, w *WindowSpec, dirty []int32, cmpRows func(a, b int)
 		return runB, nil
 	}
 	copy(runB, dirty)
-	sortutil.SortFunc(runB, func(a, b int32) int {
+	if err := sortutil.SortFunc(opt.Context, runB, func(a, b int32) int {
 		if c := cmpRows(int(a), int(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return runB, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/obs"
+	"holistic/internal/parallel"
 	"holistic/internal/preprocess"
 	"holistic/internal/rangetree"
 )
@@ -121,23 +122,30 @@ func evalCounts(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, 
 // argument values plus the forward links used by the exclusion-hole
 // correction. next[j] is the next occurrence of j's value in the filtered
 // domain, with fl.k as the "none" sentinel. The two passes run under separate
-// phase spans, matching Figure 14's phase split; the link pass polls the
-// context.
+// phase spans, matching Figure 14's phase split, each on the run's workers;
+// both stop on the context.
 func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []int32, err error) {
 	// Link value hashes, not values, so the link is the same typed pass
 	// whatever the argument type (§6.7). The hash array is a pure temporary
 	// and lives in pooled scratch; prev/next are retained by the cache and
 	// are allocated fresh. Hashing is its own pass: gathering the values
 	// in filtered order is a random read, and kept apart from the table's
-	// random probes both overlap their cache misses.
+	// random probes both overlap their cache misses. Each task writes its
+	// own range of the hashes.
 	col := fl.p.t.Column(f.Arg)
 	hashes := arena.Uint64s.Get(fl.k)
 	defer arena.Uint64s.Put(hashes)
-	opt.trace.Timed("preprocess: populate hashes", func() {
-		for j := range hashes {
+	gopt := opt
+	sp := gopt.phase("preprocess: populate hashes")
+	err = parallel.ForContext(gopt.Context, fl.k, opt.taskSize(), func(lo, hi int) {
+		for j := lo; j < hi; j++ {
 			hashes[j] = col.hashAt(fl.orig(j))
 		}
 	})
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
 	// Equal hashes almost always mean equal values; the values themselves
 	// are looked at only when a slot's hash matches, so a collision costs
 	// time, never correctness. And where no collision can exist the values
@@ -148,9 +156,10 @@ func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []i
 	if col.kind == String || col.HasNulls() {
 		same = func(a, b int) bool { return col.equalAt(fl.orig(a), fl.orig(b)) }
 	}
-	opt.trace.Timed("preprocess: prevIdcs", func() {
-		prev, next, _, err = linkHashes(hashes, same, opt)
-	})
+	lopt := opt
+	sp = lopt.phase("preprocess: prevIdcs")
+	prev, next, _, err = linkHashes(hashes, same, lopt)
+	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,55 +205,173 @@ func newLinks[K int32 | int64](k int) (prev, next []K) {
 //
 // With same == nil, equal hashes are equal values. Otherwise a slot whose
 // hash matches is checked with same against its last position, and the
-// probe goes on past it when the values differ. The table holds (hash,
-// position+1) pairs, linearly probed from the top bits of (hash ^ linkSeed)
-// · linkMul; it starts at nextpow2(2·min(k, 2^16)) slots and doubles past
-// half full. probes counts the slots inspected, rehashing included. The
-// context is polled every linkPollRows positions.
+// probe goes on past it when the values differ. probes counts the slots
+// inspected, rehashing and the stitch included.
+//
+// The pass runs on the run's workers: the positions are cut into one
+// contiguous chunk per worker, but no more chunks than the run's tasks, so
+// a partition of one task and a run capped at one worker link in one pass.
+// Each chunk is linked on its own table (linkTable.link), concurrently. A
+// serial stitch then links each value's first occurrence in chunk c to its
+// last occurrence in the chunks before it. It looks the value up in chunk
+// 0's table, which it first grows to fit the values of every chunk but the
+// last and then updates with each chunk's last occurrences as it goes. The
+// links are those of the one pass. (Equal values always share a chunk's
+// slot, so a chunk's table holds each of its values once.)
 func linkHashes(hashes []uint64, same func(a, b int) bool, opt Options) (prev, next []int32, probes int, err error) {
 	k := len(hashes)
 	prev, next = newLinks[int32](k)
 	if k == 0 {
 		return prev, next, 0, nil
 	}
-	slots := 1 << bits.Len(uint(2*min(k, linkPooledSlots/2)-1))
-	pooled := arena.Uint64s.Get(2 * slots)
-	defer arena.Uint64s.Put(pooled)
-	clear(pooled)
-	table, shift, used := pooled, uint(65-bits.Len(uint(slots))), 0
-	for j, h := range hashes {
-		if j%linkPollRows == 0 {
-			if err := opt.ctxErr(); err != nil {
-				return nil, nil, probes, err
+	if chunks := min(parallel.ContextWorkers(opt.Context), (k+opt.taskSize()-1)/opt.taskSize()); chunks > 1 {
+		probes, err = linkChunks(hashes, same, prev, next, chunks, opt)
+	} else {
+		// One chunk is the one pass, under the worker span a serial loop
+		// opens; the many small partitions of a statement link here.
+		var lt linkTable
+		sp := obs.FromContext(opt.Context).Worker(0)
+		lt.link(hashes, 0, k, same, prev, next, opt)
+		sp.AddInt("chunks", 1)
+		sp.End()
+		lt.release()
+		probes, err = lt.probes, lt.err
+	}
+	if err != nil {
+		return nil, nil, probes, err
+	}
+	return prev, next, probes, nil
+}
+
+// linkChunks is linkHashes' pass over chunks > 1 chunks and its stitch.
+func linkChunks(hashes []uint64, same func(a, b int) bool, prev, next []int32, chunks int, opt Options) (probes int, err error) {
+	k := len(hashes)
+	links := make([]linkTable, chunks)
+	defer func() {
+		for c := range links {
+			links[c].release()
+		}
+	}()
+	err = parallel.ForEachContext(opt.Context, chunks, func(c int) {
+		links[c].link(hashes, k*c/chunks, k*(c+1)/chunks, same, prev, next, opt)
+	})
+	for c := range links {
+		probes += links[c].probes
+		if err == nil {
+			err = links[c].err
+		}
+	}
+	if err != nil {
+		return probes, err
+	}
+
+	t := &links[0]
+	need := 0
+	for c := 0; c < chunks-1; c++ {
+		need += links[c].used
+	}
+	if slots := len(t.table) / 2; 2*need > slots {
+		t.table, t.shift = growLinkTable(t.table, 1<<bits.Len(uint(2*need-1)), &probes)
+	}
+	mask := len(t.table)/2 - 1
+	for c := 1; c < chunks; c++ {
+		src := links[c].table
+		for s := 0; s < len(src); s += 2 {
+			occ := src[s+1]
+			if occ == 0 {
+				continue
+			}
+			h, first := src[s], int(occ>>32)-1
+			for i := int((h ^ linkSeed) * linkMul >> t.shift); ; i = (i + 1) & mask {
+				probes++
+				at := t.table[2*i+1]
+				if at == 0 {
+					if c < chunks-1 {
+						t.table[2*i], t.table[2*i+1] = h, occ
+					}
+					break
+				}
+				if t.table[2*i] == h && (same == nil || same(lastOf(at), first)) {
+					prev[first] = i32(lastOf(at) + 1)
+					next[lastOf(at)] = i32(first)
+					t.table[2*i+1] = occ
+					break
+				}
 			}
 		}
+	}
+	return probes, nil
+}
+
+// linkTable is one chunk's open-addressing table of (hash, occurrences)
+// slot pairs, linearly probed from the top bits of (hash ^ linkSeed) ·
+// linkMul. occurrences packs the chunk's first position+1 of the slot's
+// value into its high 32 bits and its last position+1 so far into its low
+// 32 bits; 0 marks an empty slot.
+type linkTable struct {
+	pooled []uint64 // drawn from the pool, put back by release
+	table  []uint64 // pooled, or once grown a plain allocation
+	shift  uint
+	used   int
+	probes int
+	err    error
+}
+
+// lastOf is the last position an occurrences word holds.
+func lastOf(occ uint64) int { return int(occ&(1<<32-1)) - 1 }
+
+// link links positions [lo, hi) of hashes among themselves: prev and next
+// get every link inside the range. The table starts at
+// nextpow2(2·min(hi−lo, 2^16)) slots and doubles past half full. The
+// context is polled every linkPollRows positions.
+func (lt *linkTable) link(hashes []uint64, lo, hi int, same func(a, b int) bool, prev, next []int32, opt Options) {
+	slots := 1 << bits.Len(uint(2*min(hi-lo, linkPooledSlots/2)-1))
+	lt.pooled = arena.Uint64s.Get(2 * slots)
+	clear(lt.pooled)
+	table, shift, used, probes := lt.pooled, uint(65-bits.Len(uint(slots))), 0, 0
+	for j := lo; j < hi; j++ {
+		if (j-lo)%linkPollRows == 0 {
+			if lt.err = opt.ctxErr(); lt.err != nil {
+				break
+			}
+		}
+		h := hashes[j]
 		mask := len(table)/2 - 1
 		for i := int((h ^ linkSeed) * linkMul >> shift); ; i = (i + 1) & mask {
 			probes++
 			at := table[2*i+1]
 			if at == 0 {
-				table[2*i], table[2*i+1] = h, uint64(j)+1
+				table[2*i], table[2*i+1] = h, uint64(j+1)<<32|uint64(j+1)
 				if used++; 2*used > len(table)/2 {
-					table, shift = growLinkTable(table, shift, &probes)
+					table, shift = growLinkTable(table, len(table), &probes)
 				}
 				break
 			}
-			if table[2*i] == h && (same == nil || same(int(at)-1, j)) {
-				prev[j] = i32(int(at))
-				next[at-1] = i32(j)
-				table[2*i+1] = uint64(j) + 1
+			if table[2*i] == h && (same == nil || same(lastOf(at), j)) {
+				prev[j] = i32(lastOf(at) + 1)
+				next[lastOf(at)] = i32(j)
+				table[2*i+1] = at&^(1<<32-1) | uint64(j+1)
 				break
 			}
 		}
 	}
-	return prev, next, probes, nil
+	lt.table, lt.shift, lt.used, lt.probes = table, shift, used, probes
 }
 
-// growLinkTable rehashes linkHashes' table into one of twice the slots,
-// returning it and its index shift; it adds the slots it inspects to probes.
-func growLinkTable(table []uint64, shift uint, probes *int) ([]uint64, uint) {
-	grown, shift := make([]uint64, 2*len(table)), shift-1
-	mask := len(table) - 1
+// release puts the chunk's pooled table back.
+func (lt *linkTable) release() {
+	if lt.pooled != nil {
+		arena.Uint64s.Put(lt.pooled)
+		lt.pooled, lt.table = nil, nil
+	}
+}
+
+// growLinkTable rehashes a link table into one of slots slots (a power of
+// two, larger than its own), returning it and its index shift; it adds the
+// slots it inspects to probes.
+func growLinkTable(table []uint64, slots int, probes *int) ([]uint64, uint) {
+	grown, shift := make([]uint64, 2*slots), uint(65-bits.Len(uint(slots)))
+	mask := slots - 1
 	for c := 0; c < len(table); c += 2 {
 		if table[c+1] == 0 {
 			continue

@@ -87,14 +87,54 @@ func sortedLinks(t *testing.T, words []uint64) (prev, next []int64) {
 	return prev, next
 }
 
+// linkOpts are the link's two shapes: one pass, and (on a process allowed
+// four workers, see allowFourWorkers) chunks of a 16-row task size on four
+// workers, joined by the stitch.
+var linkOpts = []struct {
+	name string
+	opt  Options
+}{
+	{"one pass", Options{Context: parallel.ContextWithLimit(context.Background(), 1)}},
+	{"four chunks", Options{TaskSize: 16, Context: parallel.ContextWithLimit(context.Background(), 4)}},
+}
+
+// allowFourWorkers lets the run's loops use four workers whatever GOMAXPROCS
+// is, and returns the function that restores the previous limit.
+func allowFourWorkers() func() {
+	prev := parallel.SetMaxWorkers(4)
+	return func() { parallel.SetMaxWorkers(prev) }
+}
+
+// linkBoth links hashes in both of linkOpts' shapes, checks each against the
+// brute-force oracle at the positions at selects, and requires the two to
+// agree everywhere.
+func linkBoth(t *testing.T, label string, hashes []uint64, linkSame, same func(a, b int) bool, at func(j int) bool) {
+	t.Helper()
+	var want []int32
+	for _, lo := range linkOpts {
+		prev, next, _, err := linkHashes(hashes, linkSame, lo.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLinks(t, label+", "+lo.name, prev, next, same, at)
+		if got := append(prev, next...); want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("%s: the chunked link differs from the one pass", label)
+		}
+	}
+}
+
 // TestHashLinkMatchesBruteForce checks the hashed link against the
 // brute-force oracle on empty and one-row inputs, on hashes forced to
 // collide (share values map to one hash, so slot hits must be settled by
 // comparing values), on collision-free hashes with no
 // comparison, and on more than 2^16 distinct values, which grows the table
-// past its pooled size. DENSE_RANK's direct link must equal both the oracle
-// and the sort-based link it replaced.
+// past its pooled size — each as one pass and as four chunks with the
+// stitch, whose links must be the one pass's. DENSE_RANK's direct link must
+// equal both the oracle and the sort-based link it replaced.
 func TestHashLinkMatchesBruteForce(t *testing.T) {
+	defer allowFourWorkers()()
 	rng := rand.New(rand.NewSource(42))
 	for _, c := range []struct {
 		name     string
@@ -136,15 +176,11 @@ func TestHashLinkMatchesBruteForce(t *testing.T) {
 				t.Fatalf("%s: %d distinct values do not grow the table", c.name, len(distinct))
 			}
 		}
-		prev, next, _, err := linkHashes(hashes, linkSame, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var at func(j int) bool
 		if c.sampleAt > 0 {
 			at = func(j int) bool { return j%c.sampleAt == 0 }
 		}
-		checkLinks(t, c.name, prev, next, same, at)
+		linkBoth(t, c.name, hashes, linkSame, same, at)
 
 		// The same values as DENSE_RANK keys.
 		sorted := preprocess.SortIndicesByKey(vals)
@@ -165,8 +201,10 @@ func TestHashLinkMatchesBruteForce(t *testing.T) {
 // TestHashLinkCraftedKeys links 2^18 INT64 values chosen through unmix64 so
 // that their hashes agree in the low 24 bits: an index taken from a hash's
 // low bits would send every one of them to the same slot and probe
-// quadratically. The seeded index must keep the probes linear.
+// quadratically. The seeded index must keep the probes linear, on one
+// worker and on two and four, where the stitch's lookups count too.
 func TestHashLinkCraftedKeys(t *testing.T) {
+	defer allowFourWorkers()()
 	const n, low = 1 << 18, 0x5a5a5a
 	vals := make([]int64, n)
 	for i := range vals {
@@ -179,24 +217,27 @@ func TestHashLinkCraftedKeys(t *testing.T) {
 			t.Fatalf("value %d hashes to %#x, want low bits %#x", vals[i], hashes[i], low)
 		}
 	}
-	prev, next, probes, err := linkHashes(hashes, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound := 4 * n; probes > bound {
-		t.Fatalf("linking %d crafted keys inspected %d slots, want at most %d", n, probes, bound)
-	}
-	for j := range prev {
-		if prev[j] != 0 || next[j] != n {
-			t.Fatalf("position %d is linked, but every crafted value is distinct", j)
+	for _, workers := range []int{1, 2, 4} {
+		prev, next, probes, err := linkHashes(hashes, nil, Options{Context: parallel.ContextWithLimit(context.Background(), workers)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := 4 * n; probes > bound {
+			t.Fatalf("linking %d crafted keys on %d workers inspected %d slots, want at most %d", n, workers, probes, bound)
+		}
+		for j := range prev {
+			if prev[j] != 0 || next[j] != n {
+				t.Fatalf("%d workers: position %d is linked, but every crafted value is distinct", workers, j)
+			}
 		}
 	}
 }
 
 // FuzzHashLink decodes the input as little-endian 16-bit values and links
 // their hashes reduced to 1–8 buckets, so unequal values collide constantly,
-// against the brute-force oracle.
+// against the brute-force oracle, as one pass and as four chunks.
 func FuzzHashLink(f *testing.F) {
+	defer allowFourWorkers()()
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 3, 0, 2, 0}, uint8(2))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(5))
@@ -211,11 +252,7 @@ func FuzzHashLink(f *testing.F) {
 			hashes[i] = mix64(uint64(v)) % b
 		}
 		same := func(a, b int) bool { return vals[a] == vals[b] }
-		prev, next, _, err := linkHashes(hashes, same, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkLinks(t, fmt.Sprintf("%d values in %d buckets", len(vals), b), prev, next, same, nil)
+		linkBoth(t, fmt.Sprintf("%d values in %d buckets", len(vals), b), hashes, same, same, nil)
 	})
 }
 

@@ -77,6 +77,18 @@ type Options struct {
 	NoSharedPlan bool
 }
 
+// phase opens the phase span name under the current span and points o at
+// it: o's context then carries the span, so the parallel loops run under o
+// attach their worker spans to it. With tracing off it opens nothing and
+// leaves o as it was.
+func (o *Options) phase(name string) *obs.Span {
+	sp := o.trace.Phase(name)
+	if sp != nil {
+		o.trace, o.Context = sp, obs.ContextWith(o.Context, sp)
+	}
+	return sp
+}
+
 func (o Options) taskSize() int {
 	if o.TaskSize > 0 {
 		return o.TaskSize
@@ -155,9 +167,8 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 	// observation of Cao et al., lifted to the request level). The cached
 	// order is that of the table the scope names; in a delta run that is
 	// the frozen table, and the overlay is merged into its order per run.
-	sortSpan := root.Phase("partition+order sort")
 	sortOpt := opt
-	sortOpt.trace = sortSpan
+	sortSpan := sortOpt.phase("partition+order sort")
 	sorted := t
 	if opt.Delta != nil {
 		if err := opt.Delta.validate(t); err != nil {
@@ -448,10 +459,6 @@ func evalFunc(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
 //
 //lint:parallel-entry
 func forEachRow(p *partition, opt Options, body func(lo, hi int)) error {
-	ctx := opt.Context
-	if sp := opt.trace.Phase("probe"); sp != nil {
-		defer sp.End()
-		ctx = obs.ContextWith(ctx, sp)
-	}
-	return parallel.ForContext(ctx, p.len(), opt.taskSize(), body)
+	defer opt.phase("probe").End()
+	return parallel.ForContext(opt.Context, p.len(), opt.taskSize(), body)
 }

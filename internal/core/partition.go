@@ -233,7 +233,10 @@ func (p *partition) sortedByFuncOrder(f *FuncSpec, opt Options) ([]int32, error)
 			return nil, err
 		}
 	} else {
-		sorted = preprocess.SortIndices(p.len(), p.funcComparator(f))
+		var err error
+		if sorted, err = preprocess.SortIndicesContext(opt.Context, p.len(), p.funcComparator(f)); err != nil {
+			return nil, err
+		}
 	}
 	c.mu.Lock()
 	if c.m == nil {

@@ -50,7 +50,7 @@ func radixSortable(cols []sortCol) bool {
 func windowSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
 	cols := windowSortCols(t, w)
 	if !radixSortable(cols) {
-		return preprocess.SortIndices(t.Rows(), windowComparator(t, w)), nil
+		return preprocess.SortIndicesContext(opt.Context, t.Rows(), windowComparator(t, w))
 	}
 	return sortByKeyWords(t.Rows(), nil, cols, opt)
 }
@@ -63,8 +63,10 @@ func windowSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
 // and NULL placement folded in — and the (word, position) pairs go through
 // the stable radix sort once per word, least significant column first
 // (Do/Graefe/Naughton's normalised keys, sorted LSD across columns). The
-// words live in pooled scratch; only the returned order is allocated. The
-// context is checked between words and inside each large sort.
+// words live in pooled scratch and every word's sort scatters through one
+// sortutil.Scratch; only the returned order is allocated. The context is
+// checked between words and inside each large sort, whose buckets run on
+// its workers.
 func sortByKeyWords(n int, rows []int32, cols []sortCol, opt Options) ([]int32, error) {
 	idx := make([]int32, n)
 	for i := range idx {
@@ -72,11 +74,13 @@ func sortByKeyWords(n int, rows []int32, cols []sortCol, opt Options) ([]int32, 
 	}
 	words := arena.Uint64s.Get(n)
 	defer arena.Uint64s.Put(words)
+	scratch := sortutil.NewScratch(n)
+	defer scratch.Release()
 	sortWords := func() error {
 		if err := opt.ctxErr(); err != nil {
 			return err
 		}
-		return sortutil.SortPairs(opt.Context, words, idx)
+		return scratch.SortPairs(opt.Context, words, idx)
 	}
 	if rows != nil {
 		// The tiebreak is the table row, not the position: it is the least

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"holistic/internal/arena"
+	"holistic/internal/frame"
 	"holistic/internal/obs"
+	"holistic/internal/parallel"
 	"holistic/internal/preprocess"
 	"holistic/internal/treecache"
 )
@@ -452,6 +454,69 @@ func TestCancelMidSort(t *testing.T) {
 	for i, after := range arena.Snapshot() {
 		if after.BytesInFlight != before[i].BytesInFlight {
 			t.Errorf("pool %s: %d bytes in flight after the cancelled run, %d before", after.Name, after.BytesInFlight, before[i].BytesInFlight)
+		}
+	}
+}
+
+// TestCancelMidSortString is TestCancelMidSort for a STRING ORDER BY, which
+// sorts through the comparator merge sort: cancelled at its second poll,
+// after Run's entry check and the first chunk, the statement must return the
+// context's error, cache no sort order and stop polling almost at once.
+func TestCancelMidSortString(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(12))
+	ts, v := make([]string, n), make([]int64, n)
+	for i := range ts {
+		ts[i], v[i] = fmt.Sprintf("k%012d", rng.Int63n(1e12)), rng.Int63n(100)
+	}
+	tab := MustNewTable(NewStringColumn("ts", ts, nil), NewInt64Column("v", v, nil))
+	w := &WindowSpec{OrderBy: []SortKey{{Column: "ts"}}, FrameSet: true,
+		Frame: frame.Spec{Mode: frame.Rows, Start: frame.Bound{Type: frame.Preceding, Offset: 10}, End: frame.Bound{Type: frame.CurrentRow}},
+		Funcs: []FuncSpec{{Name: CountDistinct, Arg: "v", Output: "cd"}}}
+	cache := treecache.New(1 << 30)
+	ctx := &cancelAfter{Context: context.Background(), limit: 3}
+	before := arena.Snapshot()
+	root := obs.NewSpan("query")
+	_, err := Run(tab, w, Options{Context: ctx, Cache: cache, CacheScope: "t@1", Trace: root})
+	root.End()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	root.Walk(func(sp *obs.Span, depth int) {
+		if !sp.Ended() {
+			t.Errorf("span %q (depth %d) not ended after the cancelled Run", sp.Name(), depth)
+		}
+	})
+	if st := cache.Stats(); st.Entries != 0 {
+		t.Fatalf("%d structures cached by a statement cancelled mid-sort, want none", st.Entries)
+	}
+	if calls := ctx.calls.Load(); calls > ctx.limit+4 {
+		t.Fatalf("context polled %d times, %d of them after it was cancelled: the sort ran on", calls, calls-ctx.limit)
+	}
+	for i, after := range arena.Snapshot() {
+		if after.BytesInFlight != before[i].BytesInFlight {
+			t.Errorf("pool %s: %d bytes in flight after the cancelled run, %d before", after.Name, after.BytesInFlight, before[i].BytesInFlight)
+		}
+	}
+}
+
+// BenchmarkSortByKeyWords sorts 200,000 rows by two INT64 columns, one key
+// word each: with -benchmem it shows what one multi-word sort allocates (the
+// returned order and one set of scatter targets).
+func BenchmarkSortByKeyWords(b *testing.B) {
+	const n = 200_000
+	rng := rand.New(rand.NewSource(8))
+	hi, lo := make([]int64, n), make([]int64, n)
+	for i := range hi {
+		hi[i], lo[i] = rng.Int63n(1000), rng.Int63()
+	}
+	tab := MustNewTable(NewInt64Column("hi", hi, nil), NewInt64Column("lo", lo, nil))
+	cols := appendOrderCols(nil, tab, []SortKey{{Column: "hi"}, {Column: "lo"}})
+	opt := Options{Context: parallel.ContextWithLimit(context.Background(), 1)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sortByKeyWords(n, nil, cols, opt); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
@@ -125,13 +129,17 @@ func spanShape(root *obs.Span) string {
 // singlePartitionShape is the trace of traceWindow over one partition on one
 // worker, as the operator rendered it when every (partition, function) pair
 // had a span of its own: the shared eval span must not change what a
-// single-partition statement shows.
+// single-partition statement shows. The two preprocess passes and the probe
+// run on the run's workers, each with its one worker span; a 5,000-row sort
+// runs in cache on the calling goroutine and has none.
 const singlePartitionShape = `query
   partition+order sort
   partition boundaries
   eval
     preprocess: populate hashes
+      worker
     preprocess: prevIdcs
+      worker
     build merge sort tree
       mst: merge level
       mst: merge level
@@ -289,6 +297,49 @@ func TestSpanCountIndependentOfPartitions(t *testing.T) {
 	single := tracedRun(t, randTable(rand.New(rand.NewSource(7)), 5_000), traceWindow(), Options{TaskSize: 512, Context: parallel.ContextWithLimit(context.Background(), 1)})
 	if got := spanShape(single); got != singlePartitionShape {
 		t.Errorf("single-partition trace changed shape:\n%s\nwant\n%s", got, singlePartitionShape)
+	}
+}
+
+// workerPhases are the phases that run on the run's workers, each with one
+// worker span per worker.
+var workerPhases = []string{"partition+order sort", "preprocess: populate hashes", "preprocess: prevIdcs", "probe"}
+
+// TestPhaseWorkerSpans runs traceWindow over a table of three tasks whose
+// order sort is split and sorted bucket by bucket. At two workers each of
+// the four worker phases has two worker spans, under a cap of one it has
+// one, and each reports busy_ms, the sum of its worker spans.
+func TestPhaseWorkerSpans(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(2))
+	tab := randTable(rand.New(rand.NewSource(5)), 50_000)
+	for _, workers := range []int{2, 1} {
+		root := tracedRun(t, tab, traceWindow(), Options{Context: parallel.ContextWithLimit(context.Background(), workers)})
+		seen := map[string]int{}
+		root.Walk(func(sp *obs.Span, _ int) {
+			if !slices.Contains(workerPhases, sp.Name()) {
+				return
+			}
+			seen[sp.Name()]++
+			var spans int
+			var busy time.Duration
+			for _, c := range sp.Children() {
+				if c.Name() == "worker" {
+					spans++
+					busy += c.Duration()
+				}
+			}
+			if spans != workers {
+				t.Errorf("%d workers: %q has %d worker spans\n%s", workers, sp.Name(), spans, root.Render())
+			}
+			got, err := strconv.ParseFloat(sp.Attr("busy_ms"), 64)
+			if want := float64(busy) / float64(time.Millisecond); err != nil || math.Abs(got-want) > 0.001 {
+				t.Errorf("%d workers: %q reports busy_ms=%q, its worker spans sum to %.3f ms", workers, sp.Name(), sp.Attr("busy_ms"), want)
+			}
+		})
+		for _, name := range workerPhases {
+			if seen[name] == 0 {
+				t.Errorf("%d workers: phase %q missing\n%s", workers, name, root.Render())
+			}
+		}
 	}
 }
 

@@ -175,6 +175,43 @@ func (acc *Span) enterChild(from *Span, name string, phase bool) *Span {
 	return c.Enter()
 }
 
+// workerName names the per-worker spans of a parallel loop (Worker).
+const workerName = "worker"
+
+// Worker starts an entry into the i-th "worker" child of s: the busy time
+// of the i-th goroutine of a parallel loop running under s. Worker nodes
+// are accumulators created on first use, so every loop under s — a sort's
+// key words, a partition's probe, the next partition's entry into the same
+// phase — adds its i-th goroutine's time to the same node, and a phase
+// shows one node per worker however many loops ran. A span with worker
+// children reports their summed duration as busy_ms (Attrs).
+func (s *Span) Worker(i int) *Span {
+	if s == nil {
+		return nil
+	}
+	n := s.node()
+	n.mu.Lock()
+	var w *Span
+	for _, c := range n.children {
+		if c.name == workerName {
+			if i == 0 {
+				w = c
+				break
+			}
+			i--
+		}
+	}
+	for ; w == nil; i-- {
+		c := &Span{name: workerName, shared: true}
+		n.children = append(n.children, c)
+		if i == 0 {
+			w = c
+		}
+	}
+	n.mu.Unlock()
+	return w.Enter()
+}
+
 // Phase starts a child span marked as an aggregation phase: PhaseTotals
 // sums phase spans by name, while unmarked
 // spans — evaluation groupings, workers, cache probes — only structure the
@@ -340,33 +377,43 @@ func (s *Span) Count() int {
 	return 1
 }
 
-// Attr returns the value recorded under key, or "" when absent.
+// Attr returns the value of the attribute key as Attrs lists it, or ""
+// when absent.
 func (s *Span) Attr(key string) string {
-	if s == nil {
-		return ""
-	}
-	s = s.node()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.key == key {
-			return a.render().Value
+	for _, a := range s.Attrs() {
+		if a.Key == key {
+			return a.Value
 		}
 	}
 	return ""
 }
 
-// Attrs returns a copy of the span's attributes in insertion order.
+// Attrs returns a copy of the span's attributes in insertion order,
+// followed, on a span with worker children, by busy_ms: the workers' summed
+// duration in milliseconds. Against the span's own duration it is the
+// phase's parallel share: busy_ms / (duration · workers).
 func (s *Span) Attrs() []Attr {
 	if s == nil {
 		return nil
 	}
 	s = s.node()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Attr, len(s.attrs))
 	for i, a := range s.attrs {
 		out[i] = a.render()
+	}
+	children := slices.Clone(s.children)
+	s.mu.Unlock()
+	var busy time.Duration
+	workers := 0
+	for _, c := range children {
+		if c.name == workerName {
+			busy += c.Duration()
+			workers++
+		}
+	}
+	if workers > 0 {
+		out = append(out, Attr{Key: "busy_ms", Value: strconv.FormatFloat(float64(busy)/float64(time.Millisecond), 'f', 3, 64)})
 	}
 	return out
 }

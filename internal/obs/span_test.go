@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -349,5 +350,48 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 	if ctx := ContextWith(nilCtx, s); FromContext(ctx) != s {
 		t.Fatal("ContextWith(nil, s) lost span")
+	}
+}
+
+// TestWorkerNodes: the i-th worker of every loop under a span records into
+// the span's i-th worker node, created on first use even when a later
+// index arrives first, and the span reports the nodes' summed duration as
+// busy_ms; a span without workers reports none.
+func TestWorkerNodes(t *testing.T) {
+	phase := NewSpan("phase")
+	for loop := 0; loop < 3; loop++ {
+		var wg sync.WaitGroup
+		for w := 1; w >= 0; w-- {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				sp := phase.Worker(w)
+				sp.AddInt("chunks", int64(w+1))
+				sp.End()
+			}(w)
+		}
+		wg.Wait()
+	}
+	phase.End()
+	kids := phase.Children()
+	if len(kids) != 2 {
+		t.Fatalf("%d worker nodes after three two-worker loops, want 2:\n%s", len(kids), phase.Render())
+	}
+	var busy time.Duration
+	for w, k := range kids {
+		if k.Name() != "worker" || k.Count() != 3 || k.Attr("chunks") != strconv.Itoa(3*(w+1)) {
+			t.Errorf("worker node %d: %s count=%d chunks=%s, want worker count=3 chunks=%d", w, k.Name(), k.Count(), k.Attr("chunks"), 3*(w+1))
+		}
+		busy += k.Duration()
+	}
+	if got, want := phase.Attr("busy_ms"), strconv.FormatFloat(float64(busy)/float64(time.Millisecond), 'f', 3, 64); got != want {
+		t.Errorf("busy_ms = %q, want %q", got, want)
+	}
+	if idle := NewSpan("idle"); idle.Attr("busy_ms") != "" {
+		t.Errorf("a span without workers reports busy_ms=%s", idle.Attr("busy_ms"))
+	}
+	var none *Span
+	if none.Worker(0) != nil {
+		t.Error("the disabled span opened a worker")
 	}
 }

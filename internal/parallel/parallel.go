@@ -91,73 +91,15 @@ func For(n, taskSize int, body func(lo, hi int)) {
 // half-processed range. ForContext returns ctx.Err() if the loop was cut
 // short, nil if every chunk ran. A nil ctx disables cancellation.
 //
-// A span carried by ctx (obs.ContextWith) receives one "worker" child per
-// worker goroutine — or one for the whole loop on the serial path —
-// annotated with the number of chunks that worker drained. Without a span
-// the loop allocates nothing for tracing.
+// A span carried by ctx (obs.ContextWith) records each worker goroutine in
+// its "worker" node of the goroutine's index (obs.Span.Worker) — the serial
+// path in node 0 — annotated with the number of chunks that worker
+// drained. Without a span the loop allocates nothing for tracing.
 func ForContext(ctx context.Context, n, taskSize int, body func(lo, hi int)) error {
-	if n <= 0 {
-		return nil
-	}
 	if taskSize <= 0 {
 		taskSize = DefaultTaskSize
 	}
-	tasks := (n + taskSize - 1) / taskSize
-	workers := ContextWorkers(ctx)
-	if workers > tasks {
-		workers = tasks
-	}
-	parent := obs.FromContext(ctx)
-	if workers <= 1 {
-		sp := parent.Child("worker")
-		chunks := 0
-		for lo := 0; lo < n; lo += taskSize {
-			if err := ctxErr(ctx); err != nil {
-				finishWorker(sp, chunks)
-				return err
-			}
-			hi := lo + taskSize
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi)
-			chunks++
-		}
-		finishWorker(sp, chunks)
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			sp := parent.Child("worker")
-			chunks := 0
-			for ctxErr(ctx) == nil {
-				t := int(next.Add(1)) - 1
-				if t >= tasks {
-					break
-				}
-				lo := t * taskSize
-				hi := lo + taskSize
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
-				chunks++
-			}
-			finishWorker(sp, chunks)
-		}()
-	}
-	wg.Wait()
-	return ctxErr(ctx)
-}
-
-// finishWorker stamps and ends a worker span; a nil span costs nothing.
-func finishWorker(sp *obs.Span, chunks int) {
-	sp.AddInt("chunks", int64(chunks))
-	sp.End()
+	return work{n: n, size: taskSize, chunk: body}.run(ctx)
 }
 
 // ForEach invokes body(i) for every task index i in [0, tasks) using up to
@@ -168,44 +110,101 @@ func ForEach(tasks int, body func(task int)) {
 	_ = ForEachContext(nil, tasks, body)
 }
 
-// ForEachContext is ForEach with the same cooperative-cancellation contract
-// as ForContext: ctx is checked between tasks, tasks in flight finish, and
-// the ctx error is returned when the loop was cut short. A nil ctx disables
+// ForEachContext is ForEach with the same cooperative-cancellation and
+// tracing contract as ForContext: ctx is checked between tasks, tasks in
+// flight finish, the ctx error is returned when the loop was cut short, and
+// a span carried by ctx receives the workers' spans, each counting the
+// tasks it ran as "chunks". Worker w of every loop run under one span
+// records into that span's w-th worker node (obs.Span.Worker), so a phase
+// that runs several loops shows one node per worker. A nil ctx disables
 // cancellation.
 func ForEachContext(ctx context.Context, tasks int, body func(task int)) error {
-	if tasks <= 0 {
+	return work{n: tasks, size: 1, each: body}.run(ctx)
+}
+
+// work is one loop's tasks: [0, n) cut into tasks of size elements (the
+// last one shorter), each handed to chunk as its range or, when chunk is
+// nil, to each as its index. Both loops share run without wrapping one
+// body in another closure.
+type work struct {
+	n, size int
+	chunk   func(lo, hi int)
+	each    func(task int)
+}
+
+func (ts work) do(t int) {
+	if ts.chunk == nil {
+		ts.each(t)
+		return
+	}
+	lo := t * ts.size
+	ts.chunk(lo, min(lo+ts.size, ts.n))
+}
+
+// run runs the tasks on ctx's workers; see ForContext and ForEachContext.
+func (ts work) run(ctx context.Context) error {
+	if ts.n <= 0 {
 		return nil
 	}
+	count := (ts.n + ts.size - 1) / ts.size
 	workers := ContextWorkers(ctx)
-	if workers > tasks {
-		workers = tasks
+	if workers > count {
+		workers = count
 	}
+	parent := obs.FromContext(ctx)
 	if workers <= 1 {
-		for t := 0; t < tasks; t++ {
+		sp := parent.Worker(0)
+		for t := 0; t < count; t++ {
 			if err := ctxErr(ctx); err != nil {
+				finishWorker(sp, t)
 				return err
 			}
-			body(t)
+			ts.do(t)
 		}
+		finishWorker(sp, count)
 		return nil
 	}
+	// cut holds the error a worker stopped on: the loop reports what its
+	// workers saw instead of asking the context once more. The worker that
+	// sees the context end claims every task left, so the others stop at
+	// their next claim without asking it either.
+	cut := make([]error, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for ctxErr(ctx) == nil {
+			sp := parent.Worker(w)
+			ran := 0
+			for {
 				t := int(next.Add(1)) - 1
-				if t >= tasks {
-					return
+				if t >= count {
+					break
 				}
-				body(t)
+				if cut[w] = ctxErr(ctx); cut[w] != nil {
+					next.Store(int64(count))
+					break
+				}
+				ts.do(t)
+				ran++
 			}
-		}()
+			finishWorker(sp, ran)
+		}(w)
 	}
 	wg.Wait()
-	return ctxErr(ctx)
+	for _, err := range cut {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finishWorker stamps and ends a worker span; a nil span costs nothing.
+func finishWorker(sp *obs.Span, chunks int) {
+	sp.AddInt("chunks", int64(chunks))
+	sp.End()
 }
 
 // ctxErr is ctx.Err() tolerating a nil context.

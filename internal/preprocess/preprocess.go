@@ -14,6 +14,7 @@ package preprocess
 
 import (
 	"cmp"
+	"context"
 
 	"holistic/internal/arena"
 	"holistic/internal/sortutil"
@@ -27,14 +28,25 @@ import (
 // (strings) and the paper's baselines in cmd/paperbench; integer keys sort
 // through SortIndicesByKey.
 func SortIndices(n int, compare func(a, b int) int) []int32 {
+	idx, _ := SortIndicesContext(nil, n, compare) // fails only on an ended context; nil never is
+	return idx
+}
+
+// SortIndicesContext is SortIndices on ctx's workers (sortutil.SortFunc):
+// its worker cap bounds the sort, and once ctx has ended the sort stops and
+// returns its error.
+func SortIndicesContext(ctx context.Context, n int, compare func(a, b int) int) ([]int32, error) {
 	idx := identity(n)
-	sortutil.SortFunc(idx, func(a, b int32) int {
+	err := sortutil.SortFunc(ctx, idx, func(a, b int32) int {
 		if c := compare(int(a), int(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	return idx
+	if err != nil {
+		return nil, err
+	}
+	return idx, nil
 }
 
 // SortIndicesByKey is SortIndices for precomputed int64 keys: the keys are

@@ -1,32 +1,41 @@
 package sortutil
 
 import (
+	"context"
 	"slices"
 
 	"holistic/internal/parallel"
 )
 
-// minParallelSort is the input size below which SortFunc falls back to a
-// plain serial sort; smaller inputs are not worth the goroutine traffic.
+// minParallelSort is the input size below which SortFunc sorts in one
+// serial call; smaller inputs are not worth the goroutine traffic.
 const minParallelSort = 1 << 14
 
 // SortFunc sorts a ascending according to cmp using a parallel merge sort:
-// worker-count chunks are sorted independently (introsort via the standard
-// library's pdqsort), then merged pairwise with splitter-parallelized merges
-// (Francis et al. 1993) — the structure described in §5.2 of the paper.
+// chunks are sorted independently (introsort via the standard library's
+// pdqsort), then merged pairwise with splitter-parallelized merges (Francis
+// et al. 1993) — the structure described in §5.2 of the paper.
+//
+// The loops run on ctx's workers (parallel.ForEachContext: its worker cap,
+// its span), two chunks per worker, and ctx is polled between chunks and
+// between merge rounds — on one worker too, where an input of at least
+// minParallelSort elements is still cut into two chunks so that a
+// cancelled caller does not wait for a whole sort. When ctx has ended
+// SortFunc returns its error and leaves a in an unspecified order. A nil
+// ctx disables cancellation.
 //
 // The sort is not stable; callers that need stability must make cmp total
 // (the window operator always breaks ties on the original tuple position,
 // which the paper relies on for Algorithm 1 as well).
-func SortFunc[E any](a []E, cmp func(x, y E) int) {
-	workers := parallel.Workers()
-	if len(a) < minParallelSort || workers <= 1 {
+func SortFunc[E any](ctx context.Context, a []E, cmp func(x, y E) int) error {
+	if len(a) < minParallelSort {
 		// SortFunc's documented contract makes cmp total (callers break ties on tuple position), so stability is vacuous.
 		slices.SortFunc(a, cmp)
-		return
+		return nil
 	}
 	// Round chunk count up to a power of two so that the merge rounds pair
 	// up evenly.
+	workers := parallel.ContextWorkers(ctx)
 	chunks := 1
 	for chunks < 2*workers {
 		chunks *= 2
@@ -39,28 +48,35 @@ func SortFunc[E any](a []E, cmp func(x, y E) int) {
 	for i := range bounds {
 		bounds[i] = min(i*chunkLen, len(a))
 	}
-	parallel.ForEach(chunks, func(i int) {
+	if err := parallel.ForEachContext(ctx, chunks, func(i int) {
 		// cmp is total per SortFunc's contract, see above.
 		slices.SortFunc(a[bounds[i]:bounds[i+1]], cmp)
-	})
+	}); err != nil {
+		return err
+	}
 
 	buf := make([]E, len(a))
 	src, dst := a, buf
+	var pieces []mergePiece[E]
 	for width := 1; width < chunks; width *= 2 {
-		type mergeJob struct{ lo, mid, hi int }
-		var jobs []mergeJob
+		// One loop per round, over every merge of the round cut into
+		// pieces: the workers share the round's pieces, and no merge opens
+		// a loop of its own under theirs.
+		jobs := (chunks + 2*width - 1) / (2 * width)
+		pieces = pieces[:0]
 		for i := 0; i+width < chunks; i += 2 * width {
-			jobs = append(jobs, mergeJob{bounds[i], bounds[i+width], bounds[min(i+2*width, chunks)]})
+			lo, mid, hi := bounds[i], bounds[i+width], bounds[min(i+2*width, chunks)]
+			pieces = splitMerge(pieces, dst[lo:hi], src[lo:mid], src[mid:hi], max(1, workers/jobs), cmp)
 		}
-		parallel.ForEach(len(jobs), func(j int) {
-			jb := jobs[j]
-			ParallelMerge(dst[jb.lo:jb.hi], src[jb.lo:jb.mid], src[jb.mid:jb.hi], cmp)
-		})
+		if err := mergePieces(ctx, pieces, cmp); err != nil {
+			return err
+		}
 		src, dst = dst, src
 	}
 	if &src[0] != &a[0] {
 		copy(a, src)
 	}
+	return nil
 }
 
 func largestPow2(n int) int {
@@ -71,38 +87,40 @@ func largestPow2(n int) int {
 	return p
 }
 
-// ParallelMerge merges the sorted runs x and y into dst (len(dst) must be
-// len(x)+len(y)). Large merges are split into independent pieces by binary
-// searching output-percentile splitters in both runs, so the pieces can be
-// merged by different workers — the parallel multiway merge balancing scheme
-// of Francis et al. that §5.2 cites.
-func ParallelMerge[E any](dst, x, y []E, cmp func(a, b E) int) {
-	const minPiece = 1 << 15
+// minMergePiece is the fewest outputs a merge is cut into pieces for.
+const minMergePiece = 1 << 15
+
+// mergePiece is one independent part of a merge: dst is x merged with y.
+type mergePiece[E any] struct{ dst, x, y []E }
+
+// splitMerge appends the merge of x and y into dst (len(dst) must be
+// len(x)+len(y)) to out, cut into at most pieces parts of at least
+// minMergePiece outputs each by binary searching output-percentile
+// splitters in both runs, so the parts can be merged by different workers —
+// the parallel multiway merge balancing scheme of Francis et al. that §5.2
+// cites.
+func splitMerge[E any](out []mergePiece[E], dst, x, y []E, pieces int, cmp func(a, b E) int) []mergePiece[E] {
 	n := len(dst)
-	pieces := parallel.Workers()
-	if pieces > n/minPiece {
-		pieces = n / minPiece
-	}
+	pieces = min(pieces, n/minMergePiece)
 	if pieces <= 1 {
-		MergeInto(dst, x, y, cmp)
-		return
+		return append(out, mergePiece[E]{dst, x, y})
 	}
-	cuts := make([]int, pieces+1) // split positions in x
-	cuts[pieces] = len(x)
-	for p := 1; p < pieces; p++ {
-		t := n * p / pieces
-		i, _ := MergeSplit(x, y, t, cmp)
-		cuts[p] = i
-	}
-	parallel.ForEach(pieces, func(p int) {
-		t0 := n * p / pieces
-		t1 := n * (p + 1) / pieces
-		if p == pieces-1 {
-			t1 = n
+	i0, t0 := 0, 0
+	for p := 1; p <= pieces; p++ {
+		t1, i1 := n*p/pieces, len(x)
+		if p < pieces {
+			i1, _ = MergeSplit(x, y, t1, cmp)
 		}
-		i0, j0 := cuts[p], t0-cuts[p]
-		i1, j1 := cuts[p+1], t1-cuts[p+1]
-		MergeInto(dst[t0:t1], x[i0:i1], y[j0:j1], cmp)
+		out = append(out, mergePiece[E]{dst[t0:t1], x[i0:i1], y[t0-i0 : t1-i1]})
+		i0, t0 = i1, t1
+	}
+	return out
+}
+
+// mergePieces runs the merge pieces on ctx's workers.
+func mergePieces[E any](ctx context.Context, pieces []mergePiece[E], cmp func(a, b E) int) error {
+	return parallel.ForEachContext(ctx, len(pieces), func(p int) {
+		MergeInto(pieces[p].dst, pieces[p].x, pieces[p].y, cmp)
 	})
 }
 

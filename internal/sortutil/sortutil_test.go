@@ -2,8 +2,12 @@ package sortutil
 
 import (
 	"cmp"
+	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +66,13 @@ func TestMergeSplitStable(t *testing.T) {
 	}
 }
 
+// parallelMerge merges x and y into dst as one of SortFunc's merge rounds
+// does, cut into a piece per worker.
+func parallelMerge(dst, x, y []int64) error {
+	ctx := context.Background()
+	return mergePieces(ctx, splitMerge(nil, dst, x, y, parallel.ContextWorkers(ctx), cmp.Compare[int64]), cmp.Compare[int64])
+}
+
 func TestParallelMergeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, nx := range []int{0, 1, 100, 1 << 16} {
@@ -77,11 +88,13 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 			slices.Sort(x)
 			slices.Sort(y)
 			got := make([]int64, nx+ny)
-			ParallelMerge(got, x, y, cmp.Compare[int64])
+			if err := parallelMerge(got, x, y); err != nil {
+				t.Fatal(err)
+			}
 			want := make([]int64, nx+ny)
 			MergeInto(want, x, y, cmp.Compare[int64])
 			if !slices.Equal(got, want) {
-				t.Fatalf("ParallelMerge(%d,%d) differs from serial merge", nx, ny)
+				t.Fatalf("parallel merge (%d,%d) differs from serial merge", nx, ny)
 			}
 		}
 	}
@@ -96,7 +109,9 @@ func TestSortFunc(t *testing.T) {
 		}
 		want := slices.Clone(a)
 		slices.Sort(want)
-		SortFunc(a, cmp.Compare[int64])
+		if err := SortFunc(context.Background(), a, cmp.Compare[int64]); err != nil {
+			t.Fatal(err)
+		}
 		if !slices.Equal(a, want) {
 			t.Fatalf("SortFunc failed for n=%d", n)
 		}
@@ -116,12 +131,14 @@ func TestSortFuncStableWithTiebreak(t *testing.T) {
 	for i := range a {
 		a[i] = pair{rng.Int63n(64), i} // heavy duplication
 	}
-	SortFunc(a, func(x, y pair) int {
+	if err := SortFunc(context.Background(), a, func(x, y pair) int {
 		if c := cmp.Compare(x.key, y.key); c != 0 {
 			return c
 		}
 		return cmp.Compare(x.pos, y.pos)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < n; i++ {
 		if a[i-1].key > a[i].key || (a[i-1].key == a[i].key && a[i-1].pos >= a[i].pos) {
 			t.Fatalf("order violated at %d: %v %v", i, a[i-1], a[i])
@@ -139,7 +156,9 @@ func TestSortFuncSingleWorker(t *testing.T) {
 	}
 	want := slices.Clone(a)
 	slices.Sort(want)
-	SortFunc(a, cmp.Compare[int64])
+	if err := SortFunc(context.Background(), a, cmp.Compare[int64]); err != nil {
+		t.Fatal(err)
+	}
 	if !slices.Equal(a, want) {
 		t.Fatal("single-worker SortFunc failed")
 	}
@@ -150,8 +169,7 @@ func TestSortFuncProperty(t *testing.T) {
 		a := slices.Clone(raw)
 		want := slices.Clone(raw)
 		slices.Sort(want)
-		SortFunc(a, cmp.Compare[int64])
-		return slices.Equal(a, want)
+		return SortFunc(context.Background(), a, cmp.Compare[int64]) == nil && slices.Equal(a, want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -169,7 +187,9 @@ func TestSortFuncForcedParallel(t *testing.T) {
 		}
 		want := slices.Clone(a)
 		slices.Sort(want)
-		SortFunc(a, cmp.Compare[int64])
+		if err := SortFunc(context.Background(), a, cmp.Compare[int64]); err != nil {
+			t.Fatal(err)
+		}
 		if !slices.Equal(a, want) {
 			t.Fatalf("forced-parallel SortFunc failed for n=%d", n)
 		}
@@ -192,10 +212,66 @@ func TestParallelMergeForcedWorkers(t *testing.T) {
 	slices.Sort(x)
 	slices.Sort(y)
 	got := make([]int64, nx+ny)
-	ParallelMerge(got, x, y, cmp.Compare[int64])
+	if err := parallelMerge(got, x, y); err != nil {
+		t.Fatal(err)
+	}
 	want := make([]int64, nx+ny)
 	MergeInto(want, x, y, cmp.Compare[int64])
 	if !slices.Equal(got, want) {
 		t.Fatal("forced-parallel merge differs from serial merge")
+	}
+}
+
+// TestSortFuncWorkerCap sorts under a worker cap of 1 on a process allowed
+// four workers and requires that no two comparator calls ever overlap: the
+// chunk sorts and every merge round run on one goroutine. Under a cap of 4
+// the same sort must still be right.
+func TestSortFuncWorkerCap(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(4))
+	rng := rand.New(rand.NewSource(9))
+	base := make([]int64, 1<<15)
+	for i := range base {
+		base[i] = rng.Int63n(1 << 30)
+	}
+	want := slices.Clone(base)
+	slices.Sort(want)
+	for _, workers := range []int{1, 4} {
+		var inFlight, most atomic.Int64
+		a := slices.Clone(base)
+		err := SortFunc(parallel.ContextWithLimit(context.Background(), workers), a, func(x, y int64) int {
+			n := inFlight.Add(1)
+			for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+			}
+			runtime.Gosched()
+			inFlight.Add(-1)
+			return cmp.Compare(x, y)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a, want) {
+			t.Fatalf("cap %d: SortFunc's order differs from slices.Sort's", workers)
+		}
+		if workers == 1 && most.Load() != 1 {
+			t.Fatalf("cap 1: %d comparator calls ran at once, want 1", most.Load())
+		}
+		if workers == 4 && most.Load() < 2 {
+			t.Fatalf("cap 4: the comparator calls never overlapped, so the count cannot tell a cap from none")
+		}
+	}
+}
+
+// TestSortFuncCancelled: an ended context stops the sort with its error, on
+// one worker too.
+func TestSortFuncCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a := make([]int64, 1<<15)
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		err := SortFunc(parallel.ContextWithLimit(ctx, workers), a, func(x, y int64) int { calls.Add(1); return cmp.Compare(x, y) })
+		if !errors.Is(err, context.Canceled) || calls.Load() != 0 {
+			t.Fatalf("cap %d: SortFunc on a cancelled context = %v after %d comparisons, want context.Canceled before any", workers, err, calls.Load())
+		}
 	}
 }
