@@ -1,21 +1,18 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
-
-	"holistic/internal/sortutil"
 )
 
 // DeltaView describes a table as a frozen base plus a small mutation
 // overlay, letting the operator evaluate the current epoch without
 // re-sorting the world: a sorted run over the overlay is merged into the
 // frozen (PARTITION BY, ORDER BY) order — cached once per generation — and
-// every partition id carries the partition's last-change stamp, so
+// every partition id carries a stamp of the partition's own rows, so
 // untouched partitions keep hitting the structure cache across epochs.
 // internal/delta builds views; Options.Delta carries one into Run. Results
 // are byte-identical to evaluating the merged table from scratch (the delta
@@ -38,19 +35,10 @@ type DeltaView struct {
 	MergedID []int32
 	// Dirty lists the merged ids whose current image is not the frozen one:
 	// overridden rows (at their preserved position) and appends (at the
-	// tail). DirtyEpochs gives each row's last-modified epoch.
+	// tail). DirtyEpochs gives each row's last-modified epoch, the epoch
+	// its current image entered the table; a frozen row's is 0.
 	Dirty       []int32
 	DirtyEpochs []int64
-	// RemovedRows lists frozen rows that left the frozen order, with the
-	// epoch they left at — the departure side of the change log, used to
-	// stamp the partitions rows were deleted or moved out of.
-	RemovedRows   []int32
-	RemovedEpochs []int64
-	// Ghosts preserves superseded overlay images (a row upserted twice, an
-	// appended row later deleted): enough to stamp partitions whose former
-	// members no longer appear anywhere in the merged table. Nil when none.
-	Ghosts      *Table
-	GhostEpochs []int64
 }
 
 // validate checks the view's shape against the merged table.
@@ -76,12 +64,6 @@ func (dv *DeltaView) validate(t *Table) error {
 	if len(dv.DirtyEpochs) != len(dv.Dirty) {
 		return fmt.Errorf("core: delta view has %d dirty rows but %d dirty epochs", len(dv.Dirty), len(dv.DirtyEpochs))
 	}
-	if len(dv.RemovedEpochs) != len(dv.RemovedRows) {
-		return fmt.Errorf("core: delta view has %d removed rows but %d removed epochs", len(dv.RemovedRows), len(dv.RemovedEpochs))
-	}
-	if dv.Ghosts != nil && dv.Ghosts.Rows() != len(dv.GhostEpochs) {
-		return fmt.Errorf("core: delta view has %d ghosts but %d ghost epochs", dv.Ghosts.Rows(), len(dv.GhostEpochs))
-	}
 	return nil
 }
 
@@ -106,40 +88,14 @@ func mergeDirty(t *Table, w *WindowSpec, frozen []int32, opt Options) ([]int32, 
 		}
 		runA = append(runA, dv.MergedID[r])
 	}
-	cmpRows := windowComparator(t, w)
-	runB, err := sortDirtyRun(t, w, dv.Dirty, cmpRows, opt)
+	order, err := sortRows(len(dv.Dirty), dv.Dirty, windowSortCols(t, w), opt)
 	if err != nil {
 		return nil, err
 	}
-	return mergeRuns(runA, runB, cmpRows), nil
-}
-
-// sortDirtyRun returns the dirty merged ids in window order, ties by
-// ascending id — through the typed key words when every sort column has
-// them, like the frozen sort beside it, and through the comparator otherwise.
-func sortDirtyRun(t *Table, w *WindowSpec, dirty []int32, cmpRows func(a, b int) int, opt Options) ([]int32, error) {
-	runB := make([]int32, len(dirty))
-	cols := windowSortCols(t, w)
-	if radixSortable(cols) {
-		order, err := sortByKeyWords(len(dirty), dirty, cols, opt)
-		if err != nil {
-			return nil, err
-		}
-		for i, pos := range order {
-			runB[i] = dirty[pos]
-		}
-		return runB, nil
+	for i, pos := range order {
+		order[i] = dv.Dirty[pos] // run B: positions back to merged ids
 	}
-	copy(runB, dirty)
-	if err := sortutil.SortFunc(opt.Context, runB, func(a, b int32) int {
-		if c := cmpRows(int(a), int(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	}); err != nil {
-		return nil, err
-	}
-	return runB, nil
+	return mergeRuns(runA, order, windowComparator(t, w)), nil
 }
 
 // mergeRuns merges the short sorted run B into the long sorted run A. Merging
@@ -164,33 +120,16 @@ func mergeRuns(runA, runB []int32, cmpRows func(a, b int) int) []int32 {
 	return append(out, runA...)
 }
 
-// computeStamps folds the overlay's three change logs into one map from
-// rendered partition key to the latest epoch that touched the partition.
-// Every way a partition's content can change leaves a trace in at least one
-// log: current images (dirty rows) stamp the partition a changed row now
-// belongs to, removed frozen rows stamp the partition it left, and ghosts
-// stamp partitions whose former members have no frozen image at all.
-func computeStamps(t *Table, w *WindowSpec, dv *DeltaView) map[string]int64 {
+// newestEpochs maps each rendered partition key to the newest epoch among
+// the partition's current rows. Only dirty rows carry an epoch above 0, so
+// a partition no dirty row belongs to is absent (its newest epoch is 0).
+func newestEpochs(t *Table, w *WindowSpec, dv *DeltaView) map[string]int64 {
 	m := make(map[string]int64)
-	bump := func(key string, e int64) {
-		if e > m[key] {
-			m[key] = e
-		}
-	}
 	var sb strings.Builder
 	cols := partitionColumns(t, w)
 	for i, id := range dv.Dirty {
-		bump(renderPartKey(&sb, cols, int(id)), dv.DirtyEpochs[i])
-	}
-	fcols := partitionColumns(dv.Frozen, w)
-	for i, r := range dv.RemovedRows {
-		bump(renderPartKey(&sb, fcols, int(r)), dv.RemovedEpochs[i])
-	}
-	if dv.Ghosts != nil {
-		gcols := partitionColumns(dv.Ghosts, w)
-		for i := 0; i < dv.Ghosts.Rows(); i++ {
-			bump(renderPartKey(&sb, gcols, i), dv.GhostEpochs[i])
-		}
+		key := renderPartKey(&sb, cols, int(id))
+		m[key] = max(m[key], dv.DirtyEpochs[i])
 	}
 	return m
 }
@@ -249,16 +188,19 @@ func renderKeyCell(b *strings.Builder, c *Column, row int) {
 	b.WriteByte(';')
 }
 
-// keyPartitions gives every partition its id: the executed
-// sort's identity, the partition's rendered PARTITION BY values and its
-// stamp, the latest epoch a mutation touched it (0 outside a delta run).
-// Under one scope these name the partition's content: a partition the
-// mutation stream never touched renders the same id at every epoch of the
-// generation, so its trees survive mutations elsewhere in the table.
+// keyPartitions gives every partition its id: the executed sort's
+// identity, the partition's rendered PARTITION BY values and its stamp —
+// the newest epoch among its current rows (0 outside a delta run) and its
+// row count. Under one scope these name the partition's content (DESIGN.md
+// §13.2): every row that enters a partition carries a newer epoch than the
+// rows already there, so two states with the same newest epoch and the same
+// count hold the same rows in the same order, and a partition the mutation
+// stream never touched renders the same id at every epoch of the
+// generation, its trees surviving mutations elsewhere in the table.
 func keyPartitions(t *Table, w *WindowSpec, parts []*partition, opt Options) {
-	var stamps map[string]int64
+	var newest map[string]int64
 	if opt.Delta != nil {
-		stamps = computeStamps(t, w, opt.Delta)
+		newest = newestEpochs(t, w, opt.Delta)
 	}
 	sk := sortOf(w)
 	prefix := sk.String() + "|pk="
@@ -266,6 +208,6 @@ func keyPartitions(t *Table, w *WindowSpec, parts []*partition, opt Options) {
 	var sb strings.Builder
 	for _, p := range parts {
 		values := renderPartKey(&sb, cols, int(p.rows[0]))
-		p.id = prefix + values + "|pd" + strconv.FormatInt(stamps[values], 10)
+		p.id = prefix + values + "|pd" + strconv.FormatInt(newest[values], 10) + "|n" + strconv.Itoa(p.len())
 	}
 }

@@ -61,8 +61,9 @@ type Options struct {
 	// Delta, when non-nil, describes the table as a frozen base plus a
 	// mutation overlay (see DeltaView): phase 1 then merges a sorted run
 	// over the overlay into the cached frozen sort order instead of
-	// re-sorting, and each partition id carries the partition's last-change
-	// stamp, so untouched partitions reuse their structures across epochs.
+	// re-sorting, and each partition id carries the partition's stamp (its
+	// newest row epoch and row count), so untouched partitions reuse their
+	// structures across epochs.
 	// CacheScope then names the frozen table. Results are byte-identical to
 	// evaluating the same table without a view.
 	Delta *DeltaView

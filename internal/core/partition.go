@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"sync"
 
@@ -25,7 +24,8 @@ type partition struct {
 	// identity — the group's refined order in a shared-plan run, so every
 	// window view over the same sorted rows addresses the same entries,
 	// which is exactly when the structures are interchangeable — then the
-	// partition's PARTITION BY values and its last-change stamp.
+	// partition's PARTITION BY values and its stamp (newest row epoch, row
+	// count).
 	id string
 
 	peerOnce sync.Once
@@ -183,19 +183,6 @@ func (p *partition) funcKeysComparator(f *FuncSpec) func(a, b int) int {
 	}
 }
 
-// funcComparator returns a total order over partition-local positions for
-// the function-level ORDER BY (falling back to the window ORDER BY), with
-// ties broken by the original row index so results are deterministic.
-func (p *partition) funcComparator(f *FuncSpec) func(a, b int) int {
-	keyCmp := p.funcKeysComparator(f)
-	return func(a, b int) int {
-		if c := keyCmp(a, b); c != 0 {
-			return c
-		}
-		return cmp.Compare(p.orig(a), p.orig(b))
-	}
-}
-
 // funcEqual returns the ORDER BY peer predicate over partition-local
 // positions.
 func (p *partition) funcEqual(f *FuncSpec) func(a, b int) bool {
@@ -226,17 +213,9 @@ func (p *partition) sortedByFuncOrder(f *FuncSpec, opt Options) ([]int32, error)
 	if ok {
 		return cached, nil
 	}
-	var sorted []int32
-	if cols := appendOrderCols(nil, p.t, order); radixSortable(cols) {
-		var err error
-		if sorted, err = sortByKeyWords(p.len(), p.rows, cols, opt); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if sorted, err = preprocess.SortIndicesContext(opt.Context, p.len(), p.funcComparator(f)); err != nil {
-			return nil, err
-		}
+	sorted, err := sortRows(p.len(), p.rows, appendOrderCols(nil, p.t, order), opt)
+	if err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	if c.m == nil {

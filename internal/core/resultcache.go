@@ -2,8 +2,8 @@ package core
 
 // Per-partition result caching for delta runs. A window function's output
 // for a row depends only on its partition's content in window order — never
-// on other partitions — so once a partition id names its content and
-// last-change stamp (keyPartitions), the finished result vector of an
+// on other partitions — so once a partition id names its content through
+// its stamp (keyPartitions), the finished result vector of an
 // untouched partition is exactly as reusable as its trees: the next epoch
 // scatters the cached values instead of probing at all. This is what makes
 // sustained mutation cheap — a batch that touches two partitions re-probes

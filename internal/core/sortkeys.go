@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 
 	"holistic/internal/arena"
@@ -48,16 +49,35 @@ func radixSortable(cols []sortCol) bool {
 // windowSortIndices sorts the table's rows by (PARTITION BY, ORDER BY),
 // ties by ascending row index.
 func windowSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
-	cols := windowSortCols(t, w)
-	if !radixSortable(cols) {
-		return preprocess.SortIndicesContext(opt.Context, t.Rows(), windowComparator(t, w))
-	}
-	return sortByKeyWords(t.Rows(), nil, cols, opt)
+	return sortRows(t.Rows(), nil, windowSortCols(t, w), opt)
 }
 
-// sortByKeyWords returns the positions 0..n-1 sorted by cols, which must be
-// radixSortable. Position i stands for table row rows[i], or for row i when
-// rows is nil; ties break by ascending table row.
+// sortRows returns the positions 0..n-1 sorted by cols, ties by ascending
+// table row; position i stands for table row rows[i], or for row i when
+// rows is nil. It is the one sort entry point: the window sort, the delta
+// path's dirty run and the function-order sorts all come here. Fixed-width
+// columns take the typed key words (sortByKeyWords); a STRING column sends
+// the sort to the comparator merge sort (preprocess.SortIndicesContext)
+// over the same columns.
+func sortRows(n int, rows []int32, cols []sortCol, opt Options) ([]int32, error) {
+	if radixSortable(cols) {
+		return sortByKeyWords(n, rows, cols, opt)
+	}
+	return preprocess.SortIndicesContext(opt.Context, n, func(a, b int) int {
+		ra, rb := a, b
+		if rows != nil {
+			ra, rb = int(rows[a]), int(rows[b])
+		}
+		for _, sc := range cols {
+			if c := sc.col.Compare(ra, rb, sc.desc, sc.nullsLargest); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(ra, rb)
+	})
+}
+
+// sortByKeyWords is sortRows for cols that are radixSortable.
 //
 // Every column is normalised to order-preserving uint64 words — direction
 // and NULL placement folded in — and the (word, position) pairs go through

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -98,7 +99,8 @@ func checkWindowSort(t testing.TB, tab *Table, partBy []string, keys []SortKey) 
 
 // checkFuncOrderSort requires every partition's function-order sort — whose
 // tiebreak is the original row index, while the partition's local order is
-// the window order — to equal sorting its positions by the total comparator.
+// the window order — to equal sorting its positions by the ORDER BY keys,
+// ties by original row index.
 func checkFuncOrderSort(t testing.TB, tab *Table, w *WindowSpec, keys []SortKey) {
 	t.Helper()
 	sortIdx, err := windowSortIndices(tab, w, Options{})
@@ -115,8 +117,13 @@ func checkFuncOrderSort(t testing.TB, tab *Table, w *WindowSpec, keys []SortKey)
 		for i := range want {
 			want[i] = int32(i)
 		}
-		total := p.funcComparator(f)
-		slices.SortStableFunc(want, func(a, b int32) int { return total(int(a), int(b)) })
+		keyCmp := p.funcKeysComparator(f)
+		slices.SortStableFunc(want, func(a, b int32) int {
+			if c := keyCmp(int(a), int(b)); c != 0 {
+				return c
+			}
+			return cmp.Compare(p.orig(int(a)), p.orig(int(b)))
+		})
 		if !slices.Equal(got, want) {
 			t.Fatalf("partition %d (%d rows) order by %+v: got %v, want %v", pi, p.len(), keys, got, want)
 		}

@@ -145,10 +145,7 @@ func (w *WindowSpec) effectiveFrame(f *FuncSpec) frame.Spec {
 	if w.FrameSet {
 		return w.Frame
 	}
-	if len(w.OrderBy) > 0 {
-		return frame.Default()
-	}
-	return frame.WholePartition()
+	return frame.DefaultFor(len(w.OrderBy) > 0)
 }
 
 // needsFuncOrder reports whether the function interprets a function-level

@@ -25,8 +25,8 @@ import (
 type Structure struct {
 	// Part is the id of the partition a per-partition structure is built
 	// over (partition.id): the executed sort, the partition's PARTITION BY
-	// values and its last-change stamp. Empty for a statement-level entry
-	// and for the planner's identities.
+	// values and its stamp (newest row epoch, row count). Empty for a
+	// statement-level entry and for the planner's identities.
 	Part string
 	// Tag names what is built (the tag constants below).
 	Tag string
@@ -196,7 +196,7 @@ func (s *Structure) String() string { return s.key(Options{}) }
 // key renders s as the string opt's cache stores it under; it is the one
 // place a key is spelled out, and it names content only:
 //
-//	scope | [executed sort | pk=<PARTITION BY values> | pd<stamp> |] tag | fields | t=<tree options>
+//	scope | [executed sort | pk=<PARTITION BY values> | pd<newest epoch> | n<rows> |] tag | fields | t=<tree options>
 //
 // The scope comes first, then the partition id of a per-partition
 // structure, the tag and every non-empty field, each under its own label. A

@@ -57,7 +57,6 @@ func (b *Buffer) Compact() (swapped bool, gen int64, err error) {
 		epoch: snap.epoch,
 	}
 	next.dirty.vals = emptyStore(mat)
-	next.ghosts.vals = emptyStore(mat)
 
 	b.mu.Lock()
 	if b.cur.Load() != snap {

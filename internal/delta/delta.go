@@ -7,13 +7,13 @@
 // generation was materialized from, whose sort orders and merge sort trees
 // stay cached — and a small overlay recording everything that changed since
 // the freeze: rows that left the frozen order (deletes and in-place
-// overrides), the current images of changed and appended rows, and "ghost"
-// rows preserving superseded images so a query can tell *when* each
-// partition last changed. The window operator (core.Options.Delta) merges
-// the frozen sort order with a sorted run over the overlay instead of
-// re-sorting, and re-keys per-partition structures by partition content and
-// last-change epoch, so partitions the mutation stream never touched keep
-// hitting the structure cache across epochs.
+// overrides) and the current images of changed and appended rows, each
+// stamped with the epoch it entered the table. The window operator
+// (core.Options.Delta) merges the frozen sort order with a sorted run over
+// the overlay instead of re-sorting, and keys per-partition structures by
+// the partition's values, its newest row epoch and its row count, so
+// partitions the mutation stream never touched keep hitting the structure
+// cache across epochs.
 //
 // Writers are serialized; every Apply publishes a brand-new immutable
 // Snapshot via an atomic pointer, so any number of concurrent readers see a
@@ -126,9 +126,9 @@ func (e *EpochConflictError) Error() string {
 
 // Options tunes a Buffer.
 type Options struct {
-	// CompactRows is the overlay size (delta rows: changed images, ghosts
-	// and departed base rows) at which the background compactor folds the
-	// overlay into a new frozen generation. <= 0 picks
+	// CompactRows is the overlay size (delta rows: changed images,
+	// superseded images and departed base rows) at which the background
+	// compactor folds the overlay into a new frozen generation. <= 0 picks
 	// max(1024, baseRows/8) adaptively.
 	CompactRows int
 }
@@ -176,7 +176,6 @@ func NewBuffer(base *core.Table, keyColumn string, opt Options) (*Buffer, error)
 	}
 	snap := &Snapshot{f: &frozen{table: base}}
 	snap.dirty.vals = emptyStore(base)
-	snap.ghosts.vals = emptyStore(base)
 	b.cur.Store(snap)
 	return b, nil
 }
@@ -308,10 +307,9 @@ func (b *Buffer) applyOne(s *Snapshot, m *Mutation) error {
 			return nil
 		}
 		if l.dirty {
-			// The previous image becomes a ghost so queries can still tell
-			// its partition changed at this epoch, then the slot is updated
-			// in place: the row keeps its logical position.
-			s.ghosts.appendFromStore(&s.dirty.vals, int(l.idx), s.epoch)
+			// The previous image is superseded and the slot is updated in
+			// place: the row keeps its logical position.
+			s.superseded++
 			s.dirty.overwrite(int(l.idx), m.Row, s.epoch)
 			return nil
 		}
@@ -331,15 +329,17 @@ func (b *Buffer) applyOne(s *Snapshot, m *Mutation) error {
 			return fmt.Errorf("delete of unknown key %s=%s", b.keyCol, key[1:])
 		}
 		if l.dirty {
-			s.ghosts.appendFromStore(&s.dirty.vals, int(l.idx), s.epoch)
+			s.superseded++
 			if base := s.dirty.target[l.idx]; base >= 0 {
 				// The slot was an override: the underlying base row is now
 				// truly gone and later merged rows shift up.
 				s.markGone(base)
 			}
-			s.dirty.kill(int(l.idx), s.epoch)
+			s.dirty.alive[l.idx] = false
 		} else {
-			s.markOverriddenAndGone(l.idx)
+			// A base row deleted straight from the frozen state.
+			s.markOverridden(l.idx)
+			s.markGone(l.idx)
 		}
 		delete(b.keyIdx, key)
 		return nil

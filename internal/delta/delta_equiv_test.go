@@ -6,6 +6,7 @@ package delta_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"sync"
@@ -116,6 +117,83 @@ func TestDeltaUntouchedPartitionCacheReuse(t *testing.T) {
 	// the epoch's sort are found.
 	if _, misses := query(window(9)); misses != parts*funcs {
 		t.Fatalf("a new frame at a seen epoch built %d entries, want %d result vectors and no tree", misses, parts*funcs)
+	}
+}
+
+// TestAppendThenDeleteRestoresPartitionID appends a row to partition g=0
+// and then deletes it. The partition holds its epoch-0 rows again, so it
+// gets its epoch-0 id back: its trees, built at epoch 0, are all found, and
+// the only entries the statement builds are g=0's result vectors (epoch 0
+// admits none).
+func TestAppendThenDeleteRestoresPartitionID(t *testing.T) {
+	const parts, funcs = 4, 2
+	rng := rand.New(rand.NewSource(17))
+	var rows [][]delta.Value
+	for i := int64(0); i < 120; i++ {
+		row := lattice.RandRow(rng, i)
+		row[1] = delta.Int64Value(i % parts) // g
+		rows = append(rows, row)
+	}
+	buf, err := delta.NewBuffer(lattice.BuildTable(rows), "k", delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &core.WindowSpec{
+		PartitionBy: []string{"g"},
+		OrderBy:     []core.SortKey{{Column: "d"}},
+		Funcs: []core.FuncSpec{
+			{Name: core.CountDistinct, Output: "o", Arg: "v"},
+			{Name: core.Rank, Output: "r", OrderBy: []core.SortKey{{Column: "v"}}},
+		},
+	}
+	cache := treecache.New(0)
+	// query runs the statement at the current epoch and returns the
+	// per-partition keys of g=0 it asked for and the entries it built.
+	query := func() (g0 map[string]bool, misses int64) {
+		t.Helper()
+		snap := buf.Snapshot()
+		tab, err := snap.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := snap.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &keyCache{Cache: cache, keys: map[string]bool{}}
+		before := cache.Stats()
+		if _, err := core.Run(tab, w, core.Options{Cache: rec, CacheScope: fmt.Sprintf("undo@v1|g%d", snap.Gen()), Delta: view}); err != nil {
+			t.Fatal(err)
+		}
+		g0 = map[string]bool{}
+		for k := range rec.keys {
+			if strings.Contains(k, "|pk=i0;|") && !strings.Contains(k, "|result|") {
+				g0[k] = true
+			}
+		}
+		return g0, cache.Stats().Misses - before.Misses
+	}
+	apply := func(op delta.Op, row []delta.Value) {
+		t.Helper()
+		if _, err := buf.Apply(-1, []delta.Mutation{{Op: op, Row: row}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	trees, _ := query() // epoch 0: every partition's trees
+	row := lattice.RandRow(rng, 1000)
+	row[1] = delta.Int64Value(0)
+	apply(delta.OpAppend, row)
+	if grown, _ := query(); maps.Equal(grown, trees) {
+		t.Fatalf("a row appended to g=0 left its keys as they were:\n%v", grown)
+	}
+	apply(delta.OpDelete, row)
+	restored, misses := query()
+	if !maps.Equal(restored, trees) {
+		t.Fatalf("g=0 holds its epoch-0 rows but asks for other trees:\n epoch 0: %v\n now:     %v", trees, restored)
+	}
+	if misses != funcs {
+		t.Fatalf("after the delete the statement built %d entries, want g=0's %d result vectors and no tree", misses, funcs)
 	}
 }
 

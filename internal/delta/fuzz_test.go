@@ -4,11 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"holistic/internal/core"
 	"holistic/internal/delta"
+	"holistic/internal/frame"
 	"holistic/internal/lattice"
+	"holistic/internal/treecache"
 )
 
 // FuzzDeltaApply drives a Buffer with a byte-derived stream of valid
@@ -19,6 +24,12 @@ import (
 // documented position semantics directly: upsert replaces in place, delete
 // shifts later rows up, appends (and upserts of unknown keys) land at the
 // tail.
+//
+// After every batch one statement also runs through the delta path on a
+// structure cache kept across epochs (partitionKeys): a
+// partition's id must name its content, so no key may be asked for two
+// different contents of its partition, and the answers must equal a
+// from-scratch run.
 func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7})
@@ -60,6 +71,8 @@ func FuzzDeltaApply(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewBuffer: %v", err)
 		}
+		keys := &partitionKeys{cache: treecache.New(0), content: map[string]string{}}
+		keys.run(t, buf.Snapshot(), model)
 
 		for pos < len(data) {
 			var muts []delta.Mutation
@@ -118,6 +131,7 @@ func FuzzDeltaApply(f *testing.F) {
 				t.Fatal(err)
 			}
 			requireTableMatchesModel(t, snap, model)
+			keys.run(t, snap, model)
 		}
 		// Final cross-check after folding everything into a new generation.
 		if _, _, err := buf.Compact(); err != nil {
@@ -170,5 +184,81 @@ func requireTableMatchesModel(t *testing.T, snap *delta.Snapshot, model [][]delt
 				}
 			}
 		}
+	}
+}
+
+// partitionKeys runs FuzzDeltaApply's statement on one structure cache for
+// the whole input and remembers, per partition id asked of the cache, the
+// content of the partition that asked: its row images in merged-table
+// order, which fix its window order (ties break by merged position).
+type partitionKeys struct {
+	cache   *treecache.Cache
+	content map[string]string
+}
+
+// partID matches a per-partition key up to the end of its partition id,
+// capturing the id (scope included) and the PARTITION BY value g.
+var partID = regexp.MustCompile(`^(.*\|pk=i(-?[0-9]+);\|pd[0-9]+(?:\|n[0-9]+)?)\|`)
+
+var fuzzWindow = &core.WindowSpec{
+	PartitionBy: []string{"g"},
+	OrderBy:     []core.SortKey{{Column: "d"}},
+	Frame: frame.Spec{
+		Mode:  frame.Rows,
+		Start: frame.Bound{Type: frame.Preceding, Offset: 2},
+		End:   frame.Bound{Type: frame.CurrentRow},
+	},
+	FrameSet: true,
+	Funcs: []core.FuncSpec{
+		{Name: core.CountDistinct, Output: "cd", Arg: "v"},
+		{Name: core.Rank, Output: "r", OrderBy: []core.SortKey{{Column: "v"}}},
+		{Name: core.PercentileDisc, Output: "p", Fraction: 0.5, OrderBy: []core.SortKey{{Column: "fv"}}},
+	},
+}
+
+func (pk *partitionKeys) run(t *testing.T, snap *delta.Snapshot, model [][]delta.Value) {
+	t.Helper()
+	tab, err := snap.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := snap.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &keyCache{Cache: pk.cache, keys: map[string]bool{}}
+	opt := core.Options{Cache: rec, CacheScope: fmt.Sprintf("fuzz@v1|g%d", snap.Gen()), Delta: view}
+	got, err := core.Run(tab, fuzzWindow, opt)
+	if err != nil {
+		t.Fatalf("epoch %d: %v", snap.Epoch(), err)
+	}
+	want, err := core.Run(tab, fuzzWindow, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fuzzWindow.Funcs {
+		out := fuzzWindow.Funcs[i].Output
+		lattice.RequireIdentical(t, fmt.Sprintf("epoch %d %s", snap.Epoch(), out), got.Column(out), want.Column(out))
+	}
+	for key := range rec.keys {
+		m := partID.FindStringSubmatch(key)
+		if m == nil {
+			continue
+		}
+		g, err := strconv.ParseInt(m[2], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, row := range model {
+			if row[1].Int == g {
+				rows = append(rows, fmt.Sprint(row))
+			}
+		}
+		content := strings.Join(rows, "\n")
+		if prev, ok := pk.content[m[1]]; ok && prev != content {
+			t.Fatalf("epoch %d: partition id %s names two contents:\n%s\n--- and now ---\n%s", snap.Epoch(), m[1], prev, content)
+		}
+		pk.content[m[1]] = content
 	}
 }

@@ -32,17 +32,17 @@ type Snapshot struct {
 	// gone marks base rows deleted from the merged table (nil: none).
 	gone    []bool
 	numGone int
-	// overridden marks base rows whose current image lives in the overlay
-	// (nil: none). Overridden rows still occupy their merged position.
-	overridden []bool
-	// removedRows lists base rows that left the frozen sort order (deleted
-	// or first-overridden), with the epoch they left at. Order is the
-	// mutation order, not the row order.
-	removedRows   []int32
-	removedEpochs []int64
+	// overridden marks base rows that left the frozen sort order: deleted,
+	// or with their current image in the overlay (nil: none). Overridden
+	// rows that are not gone still occupy their merged position.
+	overridden    []bool
+	numOverridden int
 
-	dirty  dirtyState
-	ghosts ghostState
+	dirty dirtyState
+	// superseded counts the overlay images replaced or deleted since the
+	// freeze (a row upserted twice, an appended row later deleted). No
+	// image is kept: the count only sizes the overlay for compaction.
+	superseded int
 
 	matOnce sync.Once
 	mat     *core.Table
@@ -58,15 +58,7 @@ type dirtyState struct {
 	// target is the overridden base row, or -1 for appended rows.
 	target []int32
 	alive  []bool
-	// epochs is each slot's last-modified epoch.
-	epochs []int64
-	vals   store
-}
-
-// ghostState preserves superseded row images: each ghost records, at the
-// epoch a row image was replaced or deleted, the values it had — enough to
-// attribute the change to its window partition at query time.
-type ghostState struct {
+	// epochs is the epoch each live slot's image entered the table.
 	epochs []int64
 	vals   store
 }
@@ -83,16 +75,19 @@ func (s *Snapshot) Rows() int {
 	return s.f.table.Rows() - s.numGone - s.dirty.numOverrides() + s.dirty.numAlive()
 }
 
-// DeltaRows sizes the overlay — current images, ghosts and departed base
-// rows — which is what the compaction threshold is measured against.
+// DeltaRows sizes the overlay — current images, superseded images and
+// departed base rows — which is what the compaction threshold is measured
+// against.
 func (s *Snapshot) DeltaRows() int {
-	return s.dirty.vals.n + s.ghosts.vals.n + len(s.removedRows)
+	return s.dirty.vals.n + s.superseded + s.numOverridden
 }
 
 // Clean reports whether the snapshot carries no overlay at all, i.e. the
-// merged table IS the frozen base and Table copies nothing.
+// merged table IS the frozen base and Table copies nothing. (Every
+// superseded image was a slot, and every gone base row left the frozen
+// order first.)
 func (s *Snapshot) Clean() bool {
-	return s.dirty.vals.n == 0 && s.ghosts.vals.n == 0 && len(s.removedRows) == 0 && s.numGone == 0
+	return s.dirty.vals.n == 0 && s.numOverridden == 0
 }
 
 func (s *Snapshot) rowGone(r int32) bool       { return s.gone != nil && s.gone[r] }
@@ -116,8 +111,8 @@ func (s *Snapshot) cloneForApply() *Snapshot {
 		f:             s.f,
 		epoch:         s.epoch + 1,
 		numGone:       s.numGone,
-		removedRows:   append([]int32(nil), s.removedRows...),
-		removedEpochs: append([]int64(nil), s.removedEpochs...),
+		numOverridden: s.numOverridden,
+		superseded:    s.superseded,
 	}
 	if s.gone != nil {
 		n.gone = append([]bool(nil), s.gone...)
@@ -131,26 +126,20 @@ func (s *Snapshot) cloneForApply() *Snapshot {
 		epochs: append([]int64(nil), s.dirty.epochs...),
 		vals:   s.dirty.vals.clone(),
 	}
-	n.ghosts = ghostState{
-		epochs: append([]int64(nil), s.ghosts.epochs...),
-		vals:   s.ghosts.vals.clone(),
-	}
 	return n
 }
 
 // markOverridden records a base row's first override: it leaves the frozen
-// sort order at this epoch but keeps its merged position.
+// sort order but keeps its merged position.
 func (s *Snapshot) markOverridden(r int32) {
 	if s.overridden == nil {
 		s.overridden = make([]bool, s.f.table.Rows())
 	}
 	s.overridden[r] = true
-	s.removedRows = append(s.removedRows, r)
-	s.removedEpochs = append(s.removedEpochs, s.epoch)
+	s.numOverridden++
 }
 
-// markGone deletes a base row that already left the frozen order (its
-// departure epoch is already recorded).
+// markGone deletes a base row that already left the frozen order.
 func (s *Snapshot) markGone(r int32) {
 	if s.gone == nil {
 		s.gone = make([]bool, s.f.table.Rows())
@@ -159,17 +148,6 @@ func (s *Snapshot) markGone(r int32) {
 		s.gone[r] = true
 		s.numGone++
 	}
-}
-
-// markOverriddenAndGone deletes a base row straight from the frozen state.
-func (s *Snapshot) markOverriddenAndGone(r int32) {
-	if s.overridden == nil {
-		s.overridden = make([]bool, s.f.table.Rows())
-	}
-	s.overridden[r] = true
-	s.removedRows = append(s.removedRows, r)
-	s.removedEpochs = append(s.removedEpochs, s.epoch)
-	s.markGone(r)
 }
 
 func (d *dirtyState) numAlive() int {
@@ -208,18 +186,6 @@ func (d *dirtyState) append(row []Value, target int32, epoch int64) int32 {
 func (d *dirtyState) overwrite(slot int, row []Value, epoch int64) {
 	d.epochs[slot] = epoch
 	d.vals.setRow(slot, row)
-}
-
-// kill marks a slot's row deleted.
-func (d *dirtyState) kill(slot int, epoch int64) {
-	d.alive[slot] = false
-	d.epochs[slot] = epoch
-}
-
-// appendFromStore copies row i of src into the ghost store.
-func (g *ghostState) appendFromStore(src *store, i int, epoch int64) {
-	g.epochs = append(g.epochs, epoch)
-	g.vals.appendFrom(src, i)
 }
 
 // Table materializes (lazily, once) the merged table at this epoch:
@@ -267,14 +233,14 @@ const (
 // from: base rows, or overlay slots.
 func (s *Snapshot) mergedSpans() []core.RowSpan {
 	// A patch is a base row the merged table does not copy: dropped when
-	// slot < 0, replaced by that overlay slot otherwise. Every such row is in
-	// removedRows (a row is overridden before it can be gone); a deleted row
+	// slot < 0, replaced by that overlay slot otherwise. Every such row is
+	// overridden (a row is overridden before it can be gone); a deleted row
 	// has no live slot, and were one to exist, gone wins.
 	type patch struct{ row, slot int }
-	patches := make([]patch, 0, len(s.removedRows))
-	for _, r := range s.removedRows {
-		if s.rowGone(r) {
-			patches = append(patches, patch{int(r), -1})
+	patches := make([]patch, 0, s.numOverridden)
+	for r, gone := range s.gone {
+		if gone {
+			patches = append(patches, patch{r, -1})
 		}
 	}
 	for slot, alive := range s.dirty.alive {
@@ -361,21 +327,14 @@ func (s *Snapshot) buildView() *core.DeltaView {
 		}
 		dirtyEpochs = append(dirtyEpochs, s.dirty.epochs[slot])
 	}
-	v := &core.DeltaView{
-		Frozen:        s.f.table,
-		Epoch:         s.epoch,
-		SkipFrozen:    skip,
-		MergedID:      mergedID,
-		Dirty:         dirtyIDs,
-		DirtyEpochs:   dirtyEpochs,
-		RemovedRows:   s.removedRows,
-		RemovedEpochs: s.removedEpochs,
+	return &core.DeltaView{
+		Frozen:      s.f.table,
+		Epoch:       s.epoch,
+		SkipFrozen:  skip,
+		MergedID:    mergedID,
+		Dirty:       dirtyIDs,
+		DirtyEpochs: dirtyEpochs,
 	}
-	if s.ghosts.vals.n > 0 {
-		v.Ghosts = s.ghosts.vals.table()
-		v.GhostEpochs = s.ghosts.epochs
-	}
-	return v
 }
 
 // Verify checks the snapshot's internal invariants (tests and the fuzz

@@ -7,7 +7,7 @@ import (
 )
 
 // store is a small columnar row store matching a base table's schema; the
-// overlay's current images and ghosts both live in one.
+// overlay's current images live in one.
 type store struct {
 	cols []colBuf
 	n    int
@@ -78,21 +78,6 @@ func (c *colBuf) setValue(i int, v Value) {
 	}
 }
 
-func (c *colBuf) valueAt(i int) Value {
-	v := Value{Kind: c.kind, Null: c.nulls[i]}
-	switch c.kind {
-	case core.Int64:
-		v.Int = c.ints[i]
-	case core.Float64:
-		v.Float = c.floats[i]
-	case core.String:
-		v.Str = c.strs[i]
-	default:
-		v.Bool = c.bools[i]
-	}
-	return v
-}
-
 func (st *store) appendRow(row []Value) {
 	for i := range st.cols {
 		st.cols[i].appendValue(row[i])
@@ -106,13 +91,6 @@ func (st *store) setRow(i int, row []Value) {
 	}
 }
 
-func (st *store) appendFrom(src *store, i int) {
-	for ci := range st.cols {
-		st.cols[ci].appendValue(src.cols[ci].valueAt(i))
-	}
-	st.n++
-}
-
 // keyAt renders row i's cell of column kc as a key string.
 func (st *store) keyAt(kc, i int) string {
 	c := &st.cols[kc]
@@ -122,8 +100,8 @@ func (st *store) keyAt(kc, i int) string {
 	return "s" + c.strs[i]
 }
 
-// table converts the store into a core.Table (ghost rows are handed to the
-// operator this way). The columns share the store's backing arrays, which
+// table converts the store into a core.Table (materialize reads the
+// overlay's images this way). The columns share the store's backing arrays, which
 // are immutable once the owning snapshot is published.
 func (st *store) table() *core.Table {
 	cols := make([]*core.Column, 0, len(st.cols))

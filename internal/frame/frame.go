@@ -118,6 +118,15 @@ func WholePartition() Spec {
 	return Spec{Mode: Rows, Start: Bound{Type: UnboundedPreceding}, End: Bound{Type: UnboundedFollowing}}
 }
 
+// DefaultFor is the frame SQL gives a window with no frame clause: Default
+// when the window has an ORDER BY, the whole partition when it has none.
+func DefaultFor(ordered bool) Spec {
+	if ordered {
+		return Default()
+	}
+	return WholePartition()
+}
+
 // Validate checks the static parts of the specification.
 func (s Spec) Validate() error {
 	if s.Start.Type == UnboundedFollowing {

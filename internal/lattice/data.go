@@ -118,7 +118,7 @@ func drop(rng *rand.Rand, live *[]int64) delta.Mutation {
 // batch draws one epoch's mutations. Besides mixed batches it draws batches
 // that only delete and batches that only add rows to one partition: after
 // those a partition can change with no current image to show it, so its
-// stamp rests on the removed rows alone.
+// stamp rests on its row count alone.
 func batch(rng *rand.Rand, live *[]int64, nextKey *int64) []delta.Mutation {
 	var muts []delta.Mutation
 	switch r := rng.Intn(4); {

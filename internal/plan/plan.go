@@ -282,10 +282,7 @@ func effectiveFrame(f *core.FuncSpec, orderBy []core.SortKey) frame.Spec {
 	if f.Frame != nil {
 		return *f.Frame
 	}
-	if len(orderBy) > 0 {
-		return frame.Default()
-	}
-	return frame.WholePartition()
+	return frame.DefaultFor(len(orderBy) > 0)
 }
 
 // windowInsensitive reports whether every function of the window tolerates

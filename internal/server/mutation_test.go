@@ -194,6 +194,46 @@ func TestMutationsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEmptyMutationCellIsNull sends one row through /v1 with an empty cell
+// in every column but the key, and one row the way windowcli -append sends a
+// CSV row whose cells are empty: with those cells left out. Both read back
+// as NULL in every such column, as the CSV reader reads an empty cell. BOOL,
+// which no CSV column infers to, is checked on parseCell itself.
+func TestEmptyMutationCellIsNull(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	if _, err := c.UploadCSVKeyed(ctx, "live", "k", []byte("k,d,i,f,s\n1,2024-01-01,7,1.5,x\n")); err != nil {
+		t.Fatal(err)
+	}
+	mustMutate(t, c, "live", api.MutateRequest{Mutations: []api.MutationSpec{
+		{Op: api.OpAppend, Row: map[string]string{"k": "2", "d": "", "i": "", "f": "", "s": ""}},
+		{Op: api.OpAppend, Row: map[string]string{"k": "3"}},
+	}})
+	got, err := c.Query(ctx, api.QueryRequest{SQL: `select k, d, i, f, s, row_number() over (order by k) as rn from live`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 3 || len(got.Nulls) != 3 {
+		t.Fatalf("read back %d rows (%d null rows), want 3", len(got.Rows), len(got.Nulls))
+	}
+	for i, row := range got.Rows {
+		for j, name := range []string{"d", "i", "f", "s"} {
+			if null, want := got.Nulls[i][j+1], row[0] != "1"; null != want {
+				t.Errorf("k=%s column %s: %q null=%v, want null=%v", row[0], name, row[j+1], null, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		kind   core.Kind
+		isDate bool
+	}{{core.Int64, false}, {core.Int64, true}, {core.Float64, false}, {core.String, false}, {core.Bool, false}} {
+		v, err := parseCell(tc.kind, tc.isDate, "")
+		if err != nil || !v.Null || v.Kind != tc.kind {
+			t.Errorf("parseCell(%v, date=%v, \"\") = %+v, %v; want a NULL %v", tc.kind, tc.isDate, v, err, tc.kind)
+		}
+	}
+}
+
 // TestCompactionFreesRegisteredTable registers a keyed dataset, applies one
 // batch and compacts it. The new generation holds every row, so nothing may
 // keep the registration-time table reachable: the dataset keeps only its

@@ -117,8 +117,12 @@ func parseMutation(ds *dataset, spec *api.MutationSpec) (delta.Mutation, error) 
 }
 
 // parseCell parses one rendered cell into a typed value, mirroring the CSV
-// reader's forms (ISO dates for date columns, true/false bools).
+// reader's forms (ISO dates for date columns, true/false bools, and an
+// empty cell as NULL whatever the column's kind).
 func parseCell(kind core.Kind, isDate bool, cell string) (delta.Value, error) {
+	if cell == "" {
+		return delta.NullValue(kind), nil
+	}
 	switch kind {
 	case core.Int64:
 		if isDate {

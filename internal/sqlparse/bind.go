@@ -145,8 +145,5 @@ func DateOutputs(q *Query, srcDates map[string]bool) (map[string]bool, error) {
 // defaultFrame is SQL's default frame for a window: RANGE UNBOUNDED
 // PRECEDING .. CURRENT ROW with an ORDER BY, the whole partition without.
 func defaultFrame(w *WindowDef) frame.Spec {
-	if len(w.OrderBy) > 0 {
-		return frame.Default()
-	}
-	return frame.WholePartition()
+	return frame.DefaultFor(len(w.OrderBy) > 0)
 }

@@ -43,6 +43,10 @@ check 'one tree form' nontest-nobench \
 # row -> slot map live on only as the test oracle
 check 'no per-row materialise' nontest \
     'slotOfBase|addFromColumn'
+# a partition is stamped by its own rows (newest row epoch, row count): no
+# store of superseded row images and no departure log feed the stamp
+check 'stamp by own rows' all \
+    'ghostState|appendFromStore|RemovedEpochs|GhostEpochs|\.Ghosts\b'
 # one probe path in mst: every query goes through a batched kernel, so the
 # single-query descents stay deleted (\b keeps longer names such as
 # DistinctCountRange out of the match)
