@@ -21,11 +21,17 @@ import (
 )
 
 // The values the sort-key differentials draw from: every boundary the
-// normaliser folds (sign bias, -0.0, the NaN patterns, the infinities).
+// normaliser folds (sign bias, -0.0, the NaN patterns, the infinities) and
+// every boundary of a STRING key's 8-byte words: the empty string, one byte,
+// exactly 8 bytes and 9 sharing them, a pair that differs only at byte 13
+// (a shared 12-byte prefix), 16 and 17 bytes, "ab" against "ab\x00" (equal
+// words, different strings) and bytes at or above 0x80.
 var (
 	sortTestInts   = []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, 42, -42, 1 << 40}
 	sortTestFloats = []float64{math.NaN(), math.Float64frombits(0x7ff0000000000123), math.Float64frombits(0xfff8000000000001), math.Inf(1), math.Inf(-1),
 		math.Copysign(0, -1), 0, 1.5, -1.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	sortTestStrings = []string{"", "a", "b", "ab", "ab\x00", "abcdefgh", "abcdefgh\x00", "abcdefghi",
+		"sharedprefixA-tail", "sharedprefixB-tail", "abcdefghijklmnop", "abcdefghijklmnopq", "\x80", "\xff\xfe", "a\x80", "zz"}
 	sortTestColumns = []string{"i", "f", "b", "w", "seq", "s"}
 )
 
@@ -43,7 +49,7 @@ func sortKeyTable(n int, code func(row, col int) byte) *Table {
 		ints[row] = sortTestInts[int(code(row, 0)/8)%len(sortTestInts)]
 		floats[row] = sortTestFloats[int(code(row, 1)/8)%len(sortTestFloats)]
 		bools[row] = code(row, 2)/8%2 == 1
-		strs[row] = string(rune('a' + code(row, 3)/8%5))
+		strs[row] = sortTestStrings[int(code(row, 3)/8)%len(sortTestStrings)]
 		wide[row] = int64(mix64(uint64(code(row, 4))))
 		seq[row] = int64(row)
 	}
