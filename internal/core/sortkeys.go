@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"math"
 
 	"holistic/internal/arena"
-	"holistic/internal/preprocess"
 	"holistic/internal/sortutil"
 )
 
@@ -34,18 +32,6 @@ func appendOrderCols(cols []sortCol, t *Table, keys []SortKey) []sortCol {
 	return cols
 }
 
-// radixSortable reports whether every sort column normalises to fixed-width
-// key words. A STRING column does not: its sorts stay on the comparator
-// merge sort (preprocess.SortIndices).
-func radixSortable(cols []sortCol) bool {
-	for _, sc := range cols {
-		if sc.col.kind == String {
-			return false
-		}
-	}
-	return true
-}
-
 // windowSortIndices sorts the table's rows by (PARTITION BY, ORDER BY),
 // ties by ascending row index.
 func windowSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
@@ -55,39 +41,18 @@ func windowSortIndices(t *Table, w *WindowSpec, opt Options) ([]int32, error) {
 // sortRows returns the positions 0..n-1 sorted by cols, ties by ascending
 // table row; position i stands for table row rows[i], or for row i when
 // rows is nil. It is the one sort entry point: the window sort, the delta
-// path's dirty run and the function-order sorts all come here. Fixed-width
-// columns take the typed key words (sortByKeyWords); a STRING column sends
-// the sort to the comparator merge sort (preprocess.SortIndicesContext)
-// over the same columns.
-func sortRows(n int, rows []int32, cols []sortCol, opt Options) ([]int32, error) {
-	if radixSortable(cols) {
-		return sortByKeyWords(n, rows, cols, opt)
-	}
-	return preprocess.SortIndicesContext(opt.Context, n, func(a, b int) int {
-		ra, rb := a, b
-		if rows != nil {
-			ra, rb = int(rows[a]), int(rows[b])
-		}
-		for _, sc := range cols {
-			if c := sc.col.Compare(ra, rb, sc.desc, sc.nullsLargest); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(ra, rb)
-	})
-}
-
-// sortByKeyWords is sortRows for cols that are radixSortable.
+// path's dirty run and the function-order sorts all come here.
 //
 // Every column is normalised to order-preserving uint64 words — direction
-// and NULL placement folded in — and the (word, position) pairs go through
-// the stable radix sort once per word, least significant column first
+// and NULL placement folded in, a STRING column as the dense rank of its
+// string (stringRanks) — and the (word, position) pairs go through the
+// stable radix sort once per word, least significant column first
 // (Do/Graefe/Naughton's normalised keys, sorted LSD across columns). The
 // words live in pooled scratch and every word's sort scatters through one
 // sortutil.Scratch; only the returned order is allocated. The context is
 // checked between words and inside each large sort, whose buckets run on
 // its workers.
-func sortByKeyWords(n int, rows []int32, cols []sortCol, opt Options) ([]int32, error) {
+func sortRows(n int, rows []int32, cols []sortCol, opt Options) ([]int32, error) {
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = i32(i)
@@ -114,7 +79,9 @@ func sortByKeyWords(n int, rows []int32, cols []sortCol, opt Options) ([]int32, 
 	}
 	for c := len(cols) - 1; c >= 0; c-- {
 		sc := cols[c]
-		sc.valueWords(words, idx, rows)
+		if err := sc.valueWords(words, idx, rows, scratch, opt); err != nil {
+			return nil, err
+		}
 		if err := sortWords(); err != nil {
 			return nil, err
 		}
@@ -131,7 +98,7 @@ func sortByKeyWords(n int, rows []int32, cols []sortCol, opt Options) ([]int32, 
 	return idx, nil
 }
 
-// rowAt maps a position to its table row (see sortByKeyWords).
+// rowAt maps a position to its table row (see sortRows).
 func rowAt(rows []int32, pos int32) int {
 	if rows == nil {
 		return int(pos)
@@ -142,8 +109,8 @@ func rowAt(rows []int32, pos int32) int {
 // valueWords fills words[i] with the order-preserving word of the column's
 // value at position idx[i]: ascending word order is the column's order
 // under the key's direction. NULL rows all get word 0 (nullWords places
-// them).
-func (sc sortCol) valueWords(words []uint64, idx, rows []int32) {
+// them). Only a STRING column's rank sort can fail, on an ended context.
+func (sc sortCol) valueWords(words []uint64, idx, rows []int32, scratch *sortutil.Scratch, opt Options) error {
 	var flip uint64
 	if sc.desc {
 		flip = ^uint64(0)
@@ -165,6 +132,10 @@ func (sc sortCol) valueWords(words []uint64, idx, rows []int32) {
 				words[i] = ^flip
 			}
 		}
+	case String:
+		if err := stringRanks(words, idx, rows, col.strs, flip, scratch, opt); err != nil {
+			return err
+		}
 	}
 	if col.HasNulls() {
 		for i, pos := range idx {
@@ -173,6 +144,111 @@ func (sc sortCol) valueWords(words []uint64, idx, rows []int32) {
 			}
 		}
 	}
+	return nil
+}
+
+// stringRun is a run ord[lo:hi] of the rank sort whose strings tie on every
+// byte before off; off < 0 marks a run whose strings all end inside their
+// last word and sort by length.
+type stringRun struct{ lo, hi, off int }
+
+// stringRanks fills words[i] with the dense rank of the string at position
+// idx[i] among all positions, xor flip: one exact word per position, so a
+// STRING column sorts like any other. The rank sort orders the positions,
+// starting from table order so that the first pass reads the strings in
+// memory order; it keys its pairs in words and sorts them through the
+// caller's scratch:
+//   - every position is radix-sorted by its string's first 8 bytes, a
+//     big-endian word zero-padded on the right (stringWord);
+//   - a run that ties on its word and holds a string with bytes past it is
+//     re-sorted by the next 8 bytes, until no such run is left;
+//   - a tied run whose strings all end inside the word differs only in
+//     trailing zero bytes ("ab" < "ab\x00"), so comparing its strings is
+//     comparing their lengths: it is sorted by length;
+//   - the final order is numbered by string equality. Equal strings always
+//     end in one run with one word, so where the word changes the strings
+//     differ without being read.
+//
+// Runs are sorted one after another on the calling goroutine, the context
+// polled before each; a large run's sort runs on the context's workers.
+func stringRanks(words []uint64, idx, rows []int32, strs []string, flip uint64, scratch *sortutil.Scratch, opt Options) error {
+	at := func(pos int32) string { return strs[rowAt(rows, pos)] }
+	ord, rank := arena.Int32s.Get(len(idx)), arena.Int32s.Get(len(idx))
+	defer arena.Int32s.Put(ord)
+	defer arena.Int32s.Put(rank)
+	for pos := range ord {
+		ord[pos] = i32(pos)
+	}
+	for runs := []stringRun{{0, len(ord), 0}}; len(runs) > 0; {
+		r := runs[len(runs)-1]
+		runs = runs[:len(runs)-1]
+		if err := opt.ctxErr(); err != nil {
+			return err
+		}
+		keys, pos := words[r.lo:r.hi], ord[r.lo:r.hi]
+		for j, p := range pos {
+			if r.off < 0 {
+				keys[j] = uint64(len(at(p)))
+			} else {
+				keys[j] = stringWord(at(p), r.off)
+			}
+		}
+		if err := scratch.SortPairs(opt.Context, keys, pos); err != nil {
+			return err
+		}
+		if r.off < 0 {
+			continue // sorted by length: the run is final
+		}
+		for lo := r.lo; lo < r.hi; {
+			hi := lo + 1
+			for hi < r.hi && words[hi] == words[lo] {
+				hi++
+			}
+			if hi-lo > 1 {
+				shortest, longest := len(at(ord[lo])), 0
+				for _, p := range ord[lo:hi] {
+					shortest, longest = min(shortest, len(at(p))), max(longest, len(at(p)))
+				}
+				switch {
+				case longest > r.off+8:
+					runs = append(runs, stringRun{lo, hi, r.off + 8})
+				case shortest < longest:
+					runs = append(runs, stringRun{lo, hi, -1})
+				}
+			}
+			lo = hi
+		}
+	}
+	next := int32(0)
+	for j, p := range ord {
+		if j > 0 && (words[j] != words[j-1] || at(p) != at(ord[j-1])) {
+			next++
+		}
+		rank[p] = next
+	}
+	for i, pos := range idx {
+		words[i] = uint64(rank[pos]) ^ flip
+	}
+	return nil
+}
+
+// stringWord is the big-endian word of s's bytes off..off+7, zero-padded on
+// the right: unsigned word order is byte order, and a string that ends
+// inside the word ties with its extensions by zero bytes.
+func stringWord(s string, off int) uint64 {
+	if off+8 <= len(s) {
+		s = s[off : off+8]
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+	}
+	var w uint64
+	for k := off; k < off+8; k++ {
+		w <<= 8
+		if k < len(s) {
+			w |= uint64(s[k])
+		}
+	}
+	return w
 }
 
 // nullWords fills words[i] with the NULL-placement bit of position idx[i],

@@ -152,9 +152,9 @@ func allSortKeys() []SortKey {
 // TestSortKeysMatchComparator is the differential for the key normaliser and
 // the radix sort under it: every kind × DESC × NullsSmallest, one to three
 // key columns with and without PARTITION BY, on random, all-equal, sorted and
-// reverse inputs, at sizes straddling the insertion cutoff (96), the
-// comparator sort's parallel threshold (1<<14) and the radix sort's cache
-// split (1<<15).
+// reverse inputs, at sizes straddling the insertion cutoff (96) and the radix
+// sort's cache split (1<<15), with 1<<14 ± 1 between them. The STRING cells
+// cross every word boundary of the rank pass (sortTestStrings).
 func TestSortKeysMatchComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	singles := allSortKeys()
@@ -471,9 +471,9 @@ func TestCancelMidSort(t *testing.T) {
 	}
 }
 
-// TestCancelMidSortString is TestCancelMidSort for a STRING ORDER BY, which
-// sorts through the comparator merge sort: cancelled at its second poll,
-// after Run's entry check and the first chunk, the statement must return the
+// TestCancelMidSortString is TestCancelMidSort for a STRING ORDER BY, whose
+// key word is the string's rank: cancelled at its third poll, after Run's
+// entry check and inside the rank pass, the statement must return the
 // context's error, cache no sort order and stop polling almost at once.
 func TestCancelMidSortString(t *testing.T) {
 	const n = 100_000
@@ -513,9 +513,9 @@ func TestCancelMidSortString(t *testing.T) {
 	}
 }
 
-// BenchmarkSortByKeyWords sorts 200,000 rows by two INT64 columns, one key
-// word each: with -benchmem it shows what one multi-word sort allocates (the
-// returned order and one set of scatter targets).
+// BenchmarkSortByKeyWords sorts 200,000 rows by two INT64 columns through
+// sortRows, one key word each: with -benchmem it shows what one multi-word
+// sort allocates (the returned order and one set of scatter targets).
 func BenchmarkSortByKeyWords(b *testing.B) {
 	const n = 200_000
 	rng := rand.New(rand.NewSource(8))
@@ -528,7 +528,7 @@ func BenchmarkSortByKeyWords(b *testing.B) {
 	opt := Options{Context: parallel.ContextWithLimit(context.Background(), 1)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sortByKeyWords(n, nil, cols, opt); err != nil {
+		if _, err := sortRows(n, nil, cols, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,17 +4,18 @@
 // arrays (Figure 6), row numbers, and the index remapping used for
 // IGNORE NULLS and the FILTER clause (§4.7).
 //
-// All stages work on a partition's rows in window (frame) order and reduce
-// arbitrary SQL types, collations and multi-column ORDER BY clauses to plain
-// integers via a caller-supplied comparator — exactly the split §5.1
-// describes: "we avoid handling all SQL types and intricacies of ORDER BY
-// clauses ... as part of the merge sort tree and instead move this
-// complexity into the preprocessing step."
+// All stages work on a partition's rows in window (frame) order on plain
+// integers: arbitrary SQL types, collations and multi-column ORDER BY
+// clauses are reduced to order-preserving key words before the tree sees
+// them (core's sortRows) — exactly the split §5.1 describes: "we avoid
+// handling all SQL types and intricacies of ORDER BY clauses ... as part of
+// the merge sort tree and instead move this complexity into the
+// preprocessing step."
 package preprocess
 
 import (
 	"cmp"
-	"context"
+	"slices"
 
 	"holistic/internal/arena"
 	"holistic/internal/sortutil"
@@ -23,30 +24,20 @@ import (
 // SortIndices returns the positions 0..n-1 sorted ascending by compare, with
 // the original position as tiebreaker. The tiebreak makes the sort stable —
 // the property Algorithm 1 relies on ("effectively a stable sort ...
-// leaving the relative order of duplicates unchanged"). This is the
-// comparator path: it serves keys that do not normalise to fixed-width words
-// (strings) and the paper's baselines in cmd/paperbench; integer keys sort
-// through SortIndicesByKey.
+// leaving the relative order of duplicates unchanged"). It is a serial
+// standard-library sort for the paper's baselines in cmd/paperbench, the
+// benchmark's layer timings and the tests' reference orders; the window
+// operator's sorts go through core's key words and integer keys through
+// SortIndicesByKey.
 func SortIndices(n int, compare func(a, b int) int) []int32 {
-	idx, _ := SortIndicesContext(nil, n, compare) // fails only on an ended context; nil never is
-	return idx
-}
-
-// SortIndicesContext is SortIndices on ctx's workers (sortutil.SortFunc):
-// its worker cap bounds the sort, and once ctx has ended the sort stops and
-// returns its error.
-func SortIndicesContext(ctx context.Context, n int, compare func(a, b int) int) ([]int32, error) {
 	idx := identity(n)
-	err := sortutil.SortFunc(ctx, idx, func(a, b int32) int {
+	slices.SortFunc(idx, func(a, b int32) int {
 		if c := compare(int(a), int(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return idx, nil
+	return idx
 }
 
 // SortIndicesByKey is SortIndices for precomputed int64 keys: the keys are

@@ -113,5 +113,10 @@ check 'one oracle' all \
 # per-package sweeps, function lists and column comparisons stay deleted
 check 'one lattice' all \
     'referenceSweep|requireColumnsIdentical|assertColumnsIdentical|randValidFrame|\bcolumnsEqual\b|\bapproxEqual\b|func allFuncs|func allFuncSpecs|equivalenceQueries'
+# one sort engine: every ORDER BY, PARTITION BY, delta dirty run and
+# function-order sort takes core's key words, a STRING key as the dense rank
+# of its string, so the comparator merge sort and its fork stay deleted
+check 'one sort engine' all \
+    'sortutil\.SortFunc|SortIndicesContext|radixSortable|MergeSplit|MergeInto|splitMerge|mergePieces'
 
 exit $fail
