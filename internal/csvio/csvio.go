@@ -299,7 +299,7 @@ func AppendCell(dst []byte, col *core.Column, i int, date bool) []byte {
 		}
 		return strconv.AppendInt(dst, col.Int64(i), 10)
 	case core.Float64:
-		return strconv.AppendFloat(dst, col.Float64(i), 'g', -1, 64)
+		return appendFloat(dst, col.Float64(i))
 	case core.String:
 		return append(dst, col.StringAt(i)...)
 	default:

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"fmt"
 	"time"
 
 	"holistic/internal/obs"
@@ -30,46 +31,58 @@ func (b *Buffer) NeedsCompaction() bool {
 }
 
 // Compact folds the current overlay into a new frozen generation: the merged
-// table is materialized off the write path, then swapped in with an
-// epoch-gated pointer swap — if any writer advanced the epoch while the
-// compactor was materializing, the swap is abandoned (the next compaction
-// attempt starts over from the newer snapshot) rather than blocking writers
-// for the duration of an O(n) rebuild. Returns whether a swap happened and
-// the generation that became current.
+// table and its key index are built off the write path, then, under the
+// writers' lock, the batches applied meanwhile are replayed on top of the
+// new generation and the result is swapped in. Writers wait only for that
+// replay, never for the O(n) rebuild, and a steady stream of them cannot
+// starve the swap. Returns whether a swap happened and the generation that
+// became current.
 func (b *Buffer) Compact() (swapped bool, gen int64, err error) {
+	b.compactMu.Lock()
+	defer b.compactMu.Unlock()
+	b.mu.Lock()
 	snap := b.cur.Load()
+	b.building = !snap.Clean()
+	b.mu.Unlock()
 	if snap.Clean() {
 		return false, snap.f.gen, nil
 	}
 	mat, err := snap.Table()
+	var newIdx map[string]loc
+	if err == nil && b.keyCol != "" {
+		newIdx, err = buildKeyIndex(mat, b.keyCol)
+	}
+	if b.afterBuild != nil {
+		b.afterBuild()
+	}
+
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	replay := b.replay
+	b.building, b.replay = false, nil
 	if err != nil {
 		return false, snap.f.gen, err
-	}
-	var newIdx map[string]loc
-	if b.keyCol != "" {
-		newIdx, err = buildKeyIndex(mat, b.keyCol)
-		if err != nil {
-			return false, snap.f.gen, err
-		}
 	}
 	next := &Snapshot{
 		f:     &frozen{table: mat, gen: snap.f.gen + 1},
 		epoch: snap.epoch,
 	}
 	next.dirty.vals = emptyStore(mat)
-
-	b.mu.Lock()
-	if b.cur.Load() != snap {
-		// Epoch gate: a writer published a newer snapshot while we were
-		// materializing; our merged table is stale.
-		b.mu.Unlock()
-		return false, b.cur.Load().f.gen, nil
-	}
-	b.cur.Store(next)
+	oldIdx := b.keyIdx
 	if b.keyCol != "" {
 		b.keyIdx = newIdx
 	}
-	b.mu.Unlock()
+	for _, muts := range replay {
+		n := next.cloneForApply()
+		for i := range muts {
+			if err := b.applyOne(n, &muts[i]); err != nil {
+				b.keyIdx = oldIdx
+				return false, snap.f.gen, fmt.Errorf("delta: replaying epoch %d on generation %d: %w", n.epoch, next.f.gen, err)
+			}
+		}
+		next = n
+	}
+	b.cur.Store(next)
 	compactions.Inc()
 	return true, next.f.gen, nil
 }

@@ -19,9 +19,9 @@
 // Snapshot via an atomic pointer, so any number of concurrent readers see a
 // consistent table at exactly one epoch with no locking on the read path. A
 // background compactor (StartCompactor) folds a grown overlay back into a
-// new frozen generation off the hot path and swaps it in with an
-// epoch-gated pointer swap: the swap only happens if no writer advanced the
-// epoch while the compactor was materializing.
+// new frozen generation off the hot path and swaps it in; the batches that
+// landed while it was materializing are applied on top of the new
+// generation first, under the writers' lock.
 //
 // Mutations, batches, epoch conflicts, compactions and materializations are
 // counted process-wide in obs.Default (the windowd_delta_* families), each
@@ -150,6 +150,15 @@ type Buffer struct {
 	mu     sync.Mutex // serializes Apply and the compactor's swap
 	keyIdx map[string]loc
 	cur    atomic.Pointer[Snapshot]
+
+	compactMu sync.Mutex // one compaction at a time
+	// While a compaction builds its generation (building), replay holds the
+	// batches applied since the snapshot it builds from, for the swap to
+	// apply on top of that generation. Both are guarded by mu.
+	building bool
+	replay   [][]Mutation
+
+	afterBuild func() // tests only: runs between a compaction's build and its swap
 }
 
 // NewBuffer wraps base in a mutation buffer. keyColumn names the unique,
@@ -257,11 +266,23 @@ func (b *Buffer) Apply(expectedEpoch int64, muts []Mutation) (int64, error) {
 		}
 	}
 	b.cur.Store(next)
+	if b.building {
+		b.replay = append(b.replay, cloneBatch(muts))
+	}
 	batchesTotal.Inc()
 	appendsTotal.Add(nAppend)
 	upsertsTotal.Add(nUpsert)
 	deletesTotal.Add(nDelete)
 	return next.epoch, nil
+}
+
+// cloneBatch copies a batch the caller may reuse once Apply returns.
+func cloneBatch(muts []Mutation) []Mutation {
+	out := make([]Mutation, len(muts))
+	for i, m := range muts {
+		out[i] = Mutation{Op: m.Op, Row: append([]Value(nil), m.Row...)}
+	}
+	return out
 }
 
 // applyOne applies one mutation to the in-construction snapshot, updating

@@ -315,11 +315,19 @@ func (e *rowEncoder) stream(out *bodyWriter, workers int) error {
 	return err
 }
 
-// bodyWriter hands encoded bytes to the connection and counts them.
+// sent is what a response handed to the connection: its bytes, and the time
+// spent inside the connection's Write — blocked on the socket, not rendering.
+type sent struct {
+	bytes   int64
+	writing time.Duration
+}
+
+// bodyWriter hands encoded bytes to the connection and counts them and the
+// time their writes took: two clock reads per write of at most flushBytes.
 type bodyWriter struct {
 	ctx context.Context
 	w   io.Writer
-	n   int64
+	sent
 }
 
 // write writes b out, at most flushBytes at a time. It fails once the request
@@ -331,8 +339,10 @@ func (b *bodyWriter) write(p []byte) error {
 		if err := b.ctx.Err(); err != nil {
 			return err
 		}
+		start := time.Now()
 		n, err := b.w.Write(p[:min(len(p), flushBytes)])
-		b.n += int64(n)
+		b.writing += time.Since(start)
+		b.bytes += int64(n)
 		if err != nil {
 			return err
 		}
@@ -372,9 +382,9 @@ func (e *rowEncoder) writeNoNulls(out *bodyWriter) error {
 // result, HTML-safe string escaping, trailing newline — without ever holding
 // the rendered cells or a second copy of the body: the rows are rendered a
 // chunk at a time, on as many workers as the request may use, and written in
-// order as the chunks complete. It returns the bytes written and the error
-// that cut the response short, if any.
-func encodeResponse(ctx context.Context, w io.Writer, res *queryResult) (int64, error) {
+// order as the chunks complete. It returns what it wrote and the error that
+// cut the response short, if any.
+func encodeResponse(ctx context.Context, w io.Writer, res *queryResult) (sent, error) {
 	out := &bodyWriter{ctx: ctx, w: w}
 	e := newRowEncoder(res)
 
@@ -387,21 +397,21 @@ func encodeResponse(ctx context.Context, w io.Writer, res *queryResult) (int64, 
 	}
 	buf = append(buf, `],"rows":[`...)
 	if err := out.write(buf); err != nil {
-		return out.n, err
+		return out.sent, err
 	}
 	if err := e.stream(out, parallel.ContextWorkers(ctx)); err != nil {
-		return out.n, err
+		return out.sent, err
 	}
 	if e.rows > 0 && !e.anyNullable {
 		if err := e.writeNoNulls(out); err != nil {
-			return out.n, err
+			return out.sent, err
 		}
 	}
 
 	buf = append(buf[:0], `],"stats":`...)
 	stats, err := json.Marshal(res.stats)
 	if err != nil {
-		return out.n, err
+		return out.sent, err
 	}
 	buf = append(buf, stats...)
 	if res.trace != "" {
@@ -409,7 +419,8 @@ func encodeResponse(ctx context.Context, w io.Writer, res *queryResult) (int64, 
 		buf = appendJSONString(buf, res.trace)
 	}
 	buf = append(buf, "}\n"...)
-	return out.n, out.write(buf)
+	err = out.write(buf)
+	return out.sent, err
 }
 
 const hexDigits = "0123456789abcdef"

@@ -82,6 +82,9 @@ var (
 		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
 		5e-324, 2.2250738585072014e-308, 1, -1, 100, 1e21, 1e20, 123456789012345680, 0.1, 1.0 / 3,
 		math.MaxFloat64, -math.SmallestNonzeroFloat64, 0.000001, 0.0000001,
+		// the edges of csvio's short-decimal fast path
+		1e-4, -1e-4, math.Nextafter(1e-4, 0), -math.Nextafter(1e-4, 0),
+		1e6, math.Nextafter(1e6, 0), 0.29, -12.5, 999999.99,
 	}
 	nastyInts = []int64{0, 1, -1, 19723, -19723, -719162, -719163, 2932896, 2932897, math.MaxInt32, math.MinInt32}
 )
@@ -188,12 +191,12 @@ func randomResult(n, ncols int, mode func(c int) nullMode, trace bool, next func
 func checkAgainstReference(t testing.TB, res *queryResult) {
 	t.Helper()
 	var got bytes.Buffer
-	written, err := encodeResponse(context.Background(), &got, res)
+	out, err := encodeResponse(context.Background(), &got, res)
 	if err != nil {
 		t.Fatalf("encodeResponse: %v", err)
 	}
-	if written != int64(got.Len()) {
-		t.Fatalf("encodeResponse reported %d bytes, wrote %d", written, got.Len())
+	if out.bytes != int64(got.Len()) {
+		t.Fatalf("encodeResponse reported %d bytes, wrote %d", out.bytes, got.Len())
 	}
 	want := referenceBody(t, res)
 	if !bytes.Equal(got.Bytes(), want) {
@@ -386,10 +389,11 @@ func TestEncodeResponseFlushes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	res := randomResult(50_000, 4, func(int) nullMode { return nullsNone }, false, rng.Uint64)
 	var w chunkRecorder
-	written, err := encodeResponse(context.Background(), &w, res)
+	out, err := encodeResponse(context.Background(), &w, res)
 	if err != nil {
 		t.Fatal(err)
 	}
+	written := out.bytes
 	if len(w.sizes) < int(written/(2*flushBytes)) || len(w.sizes) < 4 {
 		t.Fatalf("%d bytes left in only %d writes", written, len(w.sizes))
 	}
@@ -490,15 +494,15 @@ func BenchmarkEncodeResponse(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
-				var written int64
+				var out sent
 				for i := 0; i < b.N; i++ {
 					var err error
-					if written, err = encodeResponse(context.Background(), io.Discard, res); err != nil {
+					if out, err = encodeResponse(context.Background(), io.Discard, res); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-				b.ReportMetric(float64(written)/(1<<20), "MB/op")
+				b.ReportMetric(float64(out.bytes)/(1<<20), "MB/op")
 			})
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -369,10 +371,15 @@ func TestSlowQueryLog(t *testing.T) {
 	if !strings.Contains(logged, "partition+order sort") {
 		t.Fatalf("slow-query log misses the span tree:\n%s", logged)
 	}
-	for _, attr := range []string{"elapsed_ms=", "respond_ms=", "rows=5 ", "bytes="} {
+	for _, attr := range []string{"elapsed_ms=", "respond_ms=", "write_ms=", "rows=5 ", "bytes="} {
 		if !strings.Contains(logged, attr) {
 			t.Fatalf("slow-query log misses %q:\n%s", attr, logged)
 		}
+	}
+	// The time blocked in the connection's writes is part of the response's.
+	respond, write := logMillis(t, logged, "respond_ms"), logMillis(t, logged, "write_ms")
+	if write < 0 || write > respond {
+		t.Fatalf("write_ms = %v, respond_ms = %v: want 0 ≤ write_ms ≤ respond_ms", write, respond)
 	}
 	if strings.Contains(logged, "bytes=0 ") {
 		t.Fatalf("slow-query log reports an empty response:\n%s", logged)
@@ -385,6 +392,20 @@ func TestSlowQueryLog(t *testing.T) {
 	if v, ok := p.Value("windowd_slow_queries_total"); !ok || v == 0 {
 		t.Fatalf("slow_queries_total = %v (%v), want > 0", v, ok)
 	}
+}
+
+// logMillis reads the number a log line gives for key=.
+func logMillis(t *testing.T, logged, key string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(` ` + key + `=([0-9.e+-]+) `).FindStringSubmatch(logged)
+	if m == nil {
+		t.Fatalf("no numeric %s in the log:\n%s", key, logged)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // lockedWriter serializes concurrent handler writes into one buffer.

@@ -720,7 +720,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	start := time.Now()
-	written, err := encodeResponse(ctx, w, res)
+	out, err := encodeResponse(ctx, w, res)
 	respond := time.Since(start)
 	s.obs.respondDur.Observe(respond.Seconds())
 	if err != nil {
@@ -731,14 +731,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.obs.rowsReturned.Add(int64(res.table.Rows()))
 	}
-	s.logIfSlow(res, respond, written)
+	s.logIfSlow(res, respond, out)
 }
 
 // logIfSlow writes the slow-query WARN line when snapshot, evaluation and
 // response together took at least the configured threshold. The span tree
 // ends with the evaluation — it is rendered into the body before the response
-// is written — so the response's share is reported beside it.
-func (s *Server) logIfSlow(res *queryResult, respond time.Duration, written int64) {
+// is written — so the response's share is reported beside it, and the part of
+// that share spent blocked in the connection's writes beside that.
+func (s *Server) logIfSlow(res *queryResult, respond time.Duration, out sent) {
 	if s.cfg.SlowQuery <= 0 || res.snapshot+res.elapsed+respond < s.cfg.SlowQuery {
 		return
 	}
@@ -752,8 +753,9 @@ func (s *Server) logIfSlow(res *queryResult, respond time.Duration, written int6
 		"snapshot_ms", float64(res.snapshot)/float64(time.Millisecond),
 		"elapsed_ms", float64(res.elapsed)/float64(time.Millisecond),
 		"respond_ms", float64(respond)/float64(time.Millisecond),
+		"write_ms", float64(out.writing)/float64(time.Millisecond),
 		"rows", rows,
-		"bytes", written,
+		"bytes", out.bytes,
 		"threshold_ms", float64(s.cfg.SlowQuery)/float64(time.Millisecond),
 		"trace", "\n"+res.root.Render(),
 	)
@@ -850,7 +852,7 @@ func (s *Server) query(ctx context.Context, sql string, includeTrace bool) (*que
 	res := &queryResult{sql: sql, table: table, root: root, snapshot: snapshot, elapsed: time.Since(start)}
 	s.obs.observeQuerySpans(root)
 	if err != nil {
-		s.logIfSlow(res, 0, 0)
+		s.logIfSlow(res, 0, sent{})
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
