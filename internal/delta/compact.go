@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"fmt"
 	"time"
 
 	"holistic/internal/obs"
@@ -30,59 +29,37 @@ func (b *Buffer) NeedsCompaction() bool {
 	return s.DeltaRows() >= b.compactThreshold(s)
 }
 
-// Compact folds the current overlay into a new frozen generation: the merged
-// table and its key index are built off the write path, then, under the
-// writers' lock, the batches applied meanwhile are replayed on top of the
-// new generation and the result is swapped in. Writers wait only for that
-// replay, never for the O(n) rebuild, and a steady stream of them cannot
-// starve the swap. Returns whether a swap happened and the generation that
-// became current.
+// Compact folds the current overlay into a new frozen generation: under the
+// writers' lock it materializes the merged table, builds its key index and
+// swaps the new generation in. Writers wait for the O(n) rebuild, and in
+// return a steady stream of them cannot starve the swap; readers never wait.
+// Returns whether a swap happened and the generation that became current.
 func (b *Buffer) Compact() (swapped bool, gen int64, err error) {
-	b.compactMu.Lock()
-	defer b.compactMu.Unlock()
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	snap := b.cur.Load()
-	b.building = !snap.Clean()
-	b.mu.Unlock()
 	if snap.Clean() {
 		return false, snap.f.gen, nil
 	}
 	mat, err := snap.Table()
-	var newIdx map[string]loc
-	if err == nil && b.keyCol != "" {
-		newIdx, err = buildKeyIndex(mat, b.keyCol)
-	}
-	if b.afterBuild != nil {
-		b.afterBuild()
-	}
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	replay := b.replay
-	b.building, b.replay = false, nil
 	if err != nil {
 		return false, snap.f.gen, err
+	}
+	var newIdx map[string]loc
+	if b.keyCol != "" {
+		if newIdx, err = buildKeyIndex(mat, b.keyCol); err != nil {
+			return false, snap.f.gen, err
+		}
 	}
 	next := &Snapshot{
 		f:     &frozen{table: mat, gen: snap.f.gen + 1},
 		epoch: snap.epoch,
 	}
 	next.dirty.vals = emptyStore(mat)
-	oldIdx := b.keyIdx
+	b.cur.Store(next)
 	if b.keyCol != "" {
 		b.keyIdx = newIdx
 	}
-	for _, muts := range replay {
-		n := next.cloneForApply()
-		for i := range muts {
-			if err := b.applyOne(n, &muts[i]); err != nil {
-				b.keyIdx = oldIdx
-				return false, snap.f.gen, fmt.Errorf("delta: replaying epoch %d on generation %d: %w", n.epoch, next.f.gen, err)
-			}
-		}
-		next = n
-	}
-	b.cur.Store(next)
 	compactions.Inc()
 	return true, next.f.gen, nil
 }

@@ -1,6 +1,7 @@
 package delta_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -53,69 +54,75 @@ func TestDeltaRowsSchedule(t *testing.T) {
 	}
 }
 
-// TestCompactReplaysConcurrentBatches lands batches while a compaction builds
-// its generation, as a steady writer does: the swap must still happen, with
-// those batches on top of the new generation at their own epochs, and the key
-// index must address replayed rows and new base rows alike afterwards.
-func TestCompactReplaysConcurrentBatches(t *testing.T) {
+// TestCompactUnderConcurrentWrites compacts over and over while a writer
+// applies batches back to back, as the compactor does under a steady writer:
+// every published snapshot stays internally consistent, compactions keep
+// swapping, and the table at the end matches the writer's model with the
+// key index addressing rows from every generation.
+func TestCompactUnderConcurrentWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var model [][]delta.Value
-	for k := int64(0); k < 6; k++ {
+	for k := int64(0); k < 64; k++ {
 		model = append(model, lattice.RandRow(rng, k))
 	}
 	buf, err := delta.NewBuffer(lattice.BuildTable(model), "k", delta.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	apply := func(op delta.Op, key int64) {
-		t.Helper()
-		row := lattice.RandRow(rng, key)
-		if _, err := buf.Apply(-1, []delta.Mutation{{Op: op, Row: row}}); err != nil {
-			t.Fatalf("%v k=%d: %v", op, key, err)
+	const batches = 400
+	writerErr := make(chan error, 1)
+	go func() {
+		defer close(writerErr)
+		for n := 0; n < batches; n++ {
+			key := int64(rng.Intn(96))
+			row := lattice.RandRow(rng, key)
+			i := slices.IndexFunc(model, func(r []delta.Value) bool { return r[0].Int == key })
+			op := delta.OpUpsert
+			switch {
+			case i >= 0 && n%3 == 0:
+				op = delta.OpDelete
+			case i < 0 && n%2 == 0:
+				op = delta.OpAppend
+			}
+			if _, err := buf.Apply(-1, []delta.Mutation{{Op: op, Row: row}}); err != nil {
+				writerErr <- fmt.Errorf("batch %d: %v k=%d: %w", n, op, key, err)
+				return
+			}
+			switch {
+			case op == delta.OpDelete:
+				model = slices.Delete(model, i, i+1)
+			case i >= 0:
+				model[i] = row
+			default:
+				model = append(model, row)
+			}
 		}
-		i := slices.IndexFunc(model, func(r []delta.Value) bool { return r[0].Int == key })
-		switch {
-		case op == delta.OpDelete:
-			model = slices.Delete(model, i, i+1)
-		case i >= 0:
-			model[i] = row
+	}()
+	swaps := 0
+	for running := true; running; {
+		select {
+		case err, ok := <-writerErr:
+			if ok {
+				t.Fatal(err)
+			}
+			running = false
 		default:
-			model = append(model, row)
 		}
-	}
-	check := func(wantEpoch, wantGen int64) {
-		t.Helper()
-		snap := buf.Snapshot()
-		if snap.Epoch() != wantEpoch || snap.Gen() != wantGen {
-			t.Fatalf("epoch %d generation %d, want %d and %d", snap.Epoch(), snap.Gen(), wantEpoch, wantGen)
-		}
-		if err := snap.Verify(); err != nil {
+		swapped, _, err := buf.Compact()
+		if err != nil {
 			t.Fatal(err)
 		}
-		requireTableMatchesModel(t, snap, model)
+		if swapped {
+			swaps++
+		}
+		if err := buf.Snapshot().Verify(); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	apply(delta.OpUpsert, 1)
-	apply(delta.OpAppend, 10)
-	delta.SetAfterBuild(buf, func() {
-		apply(delta.OpUpsert, 10) // an overlay row that becomes a base row
-		apply(delta.OpUpsert, 2)
-		apply(delta.OpDelete, 3)
-		apply(delta.OpAppend, 11)
-	})
-	if swapped, gen, err := buf.Compact(); err != nil || !swapped || gen != 1 {
-		t.Fatalf("Compact under writes = (%v, %d, %v), want a swap to generation 1", swapped, gen, err)
+	snap := buf.Snapshot()
+	if snap.Epoch() != batches || !snap.Clean() || snap.Gen() != int64(swaps) || swaps == 0 {
+		t.Fatalf("epoch %d, clean %v, generation %d after %d swaps; want epoch %d, a clean overlay and at least one swap",
+			snap.Epoch(), snap.Clean(), snap.Gen(), swaps, batches)
 	}
-	check(6, 1)
-
-	delta.SetAfterBuild(buf, nil)
-	apply(delta.OpDelete, 11)
-	apply(delta.OpUpsert, 10)
-	apply(delta.OpUpsert, 2)
-	apply(delta.OpAppend, 3)
-	check(10, 1)
-	if swapped, _, err := buf.Compact(); err != nil || !swapped {
-		t.Fatalf("second Compact = (%v, %v), want a swap", swapped, err)
-	}
-	check(10, 2)
+	requireTableMatchesModel(t, snap, model)
 }

@@ -19,9 +19,9 @@
 // Snapshot via an atomic pointer, so any number of concurrent readers see a
 // consistent table at exactly one epoch with no locking on the read path. A
 // background compactor (StartCompactor) folds a grown overlay back into a
-// new frozen generation off the hot path and swaps it in; the batches that
-// landed while it was materializing are applied on top of the new
-// generation first, under the writers' lock.
+// new frozen generation and swaps it in, holding the writers' lock for the
+// rebuild so that no batch can land between the fold and the swap; readers
+// keep the old snapshot until they load the new one.
 //
 // Mutations, batches, epoch conflicts, compactions and materializations are
 // counted process-wide in obs.Default (the windowd_delta_* families), each
@@ -147,18 +147,9 @@ type Buffer struct {
 	keyCol string
 	keyKd  core.Kind
 
-	mu     sync.Mutex // serializes Apply and the compactor's swap
+	mu     sync.Mutex // serializes Apply and Compact
 	keyIdx map[string]loc
 	cur    atomic.Pointer[Snapshot]
-
-	compactMu sync.Mutex // one compaction at a time
-	// While a compaction builds its generation (building), replay holds the
-	// batches applied since the snapshot it builds from, for the swap to
-	// apply on top of that generation. Both are guarded by mu.
-	building bool
-	replay   [][]Mutation
-
-	afterBuild func() // tests only: runs between a compaction's build and its swap
 }
 
 // NewBuffer wraps base in a mutation buffer. keyColumn names the unique,
@@ -266,23 +257,11 @@ func (b *Buffer) Apply(expectedEpoch int64, muts []Mutation) (int64, error) {
 		}
 	}
 	b.cur.Store(next)
-	if b.building {
-		b.replay = append(b.replay, cloneBatch(muts))
-	}
 	batchesTotal.Inc()
 	appendsTotal.Add(nAppend)
 	upsertsTotal.Add(nUpsert)
 	deletesTotal.Add(nDelete)
 	return next.epoch, nil
-}
-
-// cloneBatch copies a batch the caller may reuse once Apply returns.
-func cloneBatch(muts []Mutation) []Mutation {
-	out := make([]Mutation, len(muts))
-	for i, m := range muts {
-		out[i] = Mutation{Op: m.Op, Row: append([]Value(nil), m.Row...)}
-	}
-	return out
 }
 
 // applyOne applies one mutation to the in-construction snapshot, updating

@@ -2,10 +2,6 @@ package delta
 
 import "holistic/internal/core"
 
-// SetAfterBuild makes b's compactions call f after building their generation
-// and before swapping it in, so a test can land batches in between.
-func SetAfterBuild(b *Buffer, f func()) { b.afterBuild = f }
-
 // ReferenceMaterialize is the per-row materialisation Snapshot.materialize
 // replaced, kept as its oracle: one map lookup, one kind switch and one
 // append per row per column. It shares no code with the span copies, so cell
