@@ -55,11 +55,11 @@ var (
 	// range of at most mst.LeafRows rows); never select's.
 	familyLeafQueries = familyCounter("windowd_mst_batch_leaf_queries_family",
 		"Batched MST kernel queries answered by a pass over the tree's level 0 (narrow ranges) instead of a descent, by kernel family: count, select, agg, rank, leadlag.")
-	// Queries answered from the query before them (CountBelowBatch and
-	// SelectKthRangesBatch); never agg's, and DENSE_RANK's range-tree
-	// queries add nothing to rank's.
+	// Queries answered from the query before them (CountBelowBatch,
+	// SelectKthRangesBatch and, on an int64 sum tree, AggBelowBatch);
+	// DENSE_RANK's range-tree queries add nothing to rank's.
 	familyDiffQueries = familyCounter("windowd_mst_batch_diff_queries_family",
-		"Batched MST queries answered from the previous query instead of a descent (sliding frames): a count from its count plus the rows and keys that moved, a select by a level-0 walk from its answer; by kernel family: count, select, agg, rank, leadlag.")
+		"Batched MST queries answered from the previous query instead of a descent or a level-0 fold (sliding frames): a count or an integer sum from its predecessor's plus the rows and keys that moved, a select by a level-0 walk from its answer; by kernel family: count, select, agg, rank, leadlag.")
 )
 
 // familyCounter declares a counter labelled by kernel family and resolves
@@ -558,7 +558,9 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	// The aggregate states cannot live in pooled scratch (generic S); one
 	// short-lived slice per chunk is the cost of type genericity.
 	results := make([]S, m)
-	agg.leaves.Add(int64(tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], results, okv[:m], kcnt[:m])))
+	leaves, diffs := tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], results, okv[:m], kcnt[:m])
+	agg.leaves.Add(int64(leaves))
+	agg.diffs.Add(int64(diffs))
 
 	// A slot's answer goes to its first query's state.
 	for sl := 0; sl < s; sl++ {

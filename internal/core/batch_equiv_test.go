@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"holistic/internal/frame"
@@ -113,10 +114,13 @@ func TestBatchEquivalenceAggRankFamilies(t *testing.T) {
 // §10.1): over 2,000 partitions of 130 rows, the five-function statement with
 // a 60-row frame answers every count, agg and rank query from the trees'
 // level 0 — leaf_queries equals batch_queries on each family's
-// mst.query.batch span and in the process-wide counters — and no select query,
-// since the select kernels have no leaf rule. With a 10,000-row frame every
-// frame spans its whole partition, more than mst.LeafRows rows, and nothing is
-// answered at the leaves.
+// mst.query.batch span and in the process-wide counters, except agg's, whose
+// int64 sum answers most narrow queries from the one before it, so there
+// leaf_queries + diff_queries equals batch_queries with diff_queries > 0 —
+// and no select query, since the select kernels have no leaf rule. With a
+// 10,000-row frame every frame spans its whole partition, more than
+// mst.LeafRows rows, and nothing is answered at the leaves or from a
+// narrow predecessor.
 func TestLeafQueriesCounted(t *testing.T) {
 	parts := 2_000
 	if testing.Short() {
@@ -150,13 +154,12 @@ func TestLeafQueriesCounted(t *testing.T) {
 				return
 			}
 			spans++
-			fam, queries, leaves := sp.Attr("family"), sp.Attr("batch_queries"), sp.Attr("leaf_queries")
-			want := "0"
-			if c.narrow && fam != "select" {
-				want = queries
-			}
-			if queries == "0" || leaves != want {
-				t.Errorf("%s: %s span reports batch_queries=%s leaf_queries=%s, want leaf_queries=%s", c.name, fam, queries, leaves, want)
+			fam := sp.Attr("family")
+			queries, _ := strconv.ParseInt(sp.Attr("batch_queries"), 10, 64)
+			leaves, _ := strconv.ParseInt(sp.Attr("leaf_queries"), 10, 64)
+			diffs, _ := strconv.ParseInt(sp.Attr("diff_queries"), 10, 64)
+			if !leafCounts(c.narrow, fam, queries, leaves, diffs) {
+				t.Errorf("%s: %s span reports batch_queries=%d leaf_queries=%d diff_queries=%d", c.name, fam, queries, leaves, diffs)
 			}
 		})
 		if spans != len(w.Funcs) {
@@ -167,13 +170,25 @@ func TestLeafQueriesCounted(t *testing.T) {
 				continue // the statement has no LEAD/LAG
 			}
 			q, l := a.Queries-before[i].Queries, a.LeafQueries-before[i].LeafQueries
-			want := int64(0)
-			if c.narrow && a.Family != "select" {
-				want = q
-			}
-			if q == 0 || l != want {
-				t.Errorf("%s: family %q counted %d queries, %d at the leaves, want %d", c.name, a.Family, q, l, want)
+			if df := a.DiffQueries - before[i].DiffQueries; !leafCounts(c.narrow, a.Family, q, l, df) {
+				t.Errorf("%s: family %q counted %d queries, %d at the leaves, %d from their predecessor", c.name, a.Family, q, l, df)
 			}
 		}
 	}
+}
+
+// leafCounts is TestLeafQueriesCounted's rule for one family's counts: some
+// queries, and on the narrow frame all of them but select's answered at the
+// leaves — agg's at the leaves or, for most, from their predecessor — and on
+// the wide frame none at the leaves, nor agg's from their predecessor.
+func leafCounts(narrow bool, fam string, queries, leaves, diffs int64) bool {
+	switch {
+	case queries == 0:
+		return false
+	case !narrow || fam == "select":
+		return leaves == 0 && (fam != "agg" || diffs == 0)
+	case fam == "agg":
+		return leaves+diffs == queries && diffs > queries/2
+	}
+	return leaves == queries
 }

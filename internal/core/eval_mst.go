@@ -514,21 +514,23 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 
 	case SumDistinct:
 		if out.kind == Int64 {
-			return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8,
+			return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8, mst.BuildSum[int32],
 				func(j int) int64 { return p.t.Column(f.Arg).Int64(fl.orig(j)) },
 				func(a, b int64) int64 { return a + b },
 				func(row int, v int64) { out.setInt(row, v) })
 		}
-		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8,
+		addFloat := func(a, b float64) float64 { return a + b }
+		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8, mergeTree(addFloat),
 			func(j int) float64 { return p.t.Column(f.Arg).Float64(fl.orig(j)) },
-			func(a, b float64) float64 { return a + b },
+			addFloat,
 			func(row int, v float64) { out.setFloat(row, v) })
 
 	case AvgDistinct:
 		col := p.t.Column(f.Arg)
-		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 16,
+		addAvg := func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} }
+		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 16, mergeTree(addAvg),
 			func(j int) avgState { return avgState{sum: col.Numeric(fl.orig(j)), n: 1} },
-			func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} },
+			addAvg,
 			func(row int, v avgState) { out.setFloat(row, v.sum/float64(v.n)) })
 	}
 	return fmt.Errorf("unhandled distinct function %v", f.Name)
@@ -539,14 +541,28 @@ type avgState struct {
 	n   int64
 }
 
+// treeBuild builds runSumDistinct's annotated tree over prevIdcs and values
+// in a form: mst.BuildSum for an int64 sum, mergeTree's for any other state.
+type treeBuild[S any] func(prev []int32, values []S, opt mst.Options, form mst.Form) (*mst.AnnotatedTree[S], error)
+
+// mergeTree is the treeBuild of a state whose merge has no inverse the
+// kernel may use — a float sum, whose fold order is part of its answer, or
+// AVG's: mst.BuildAnnotated over merge. Structure.form builds such a tree in
+// full whatever its width, so form is always mst.Full.
+func mergeTree[S any](merge func(a, b S) S) treeBuild[S] {
+	return func(prev []int32, values []S, opt mst.Options, _ mst.Form) (*mst.AnnotatedTree[S], error) {
+		return mst.BuildAnnotated(prev, values, merge, opt)
+	}
+}
+
 // runSumDistinct evaluates SUM/AVG(DISTINCT) generically over the aggregate
 // state type, with merges only (§4.3), exclusion holes included — a float
 // sum cannot subtract a NaN or an infinity back out. s is the tree's identity,
 // whose state matches S; aggBytes is the state's size for budget accounting.
-// rows bounds the ranges the tree is probed with; form is the form it is
-// built in.
+// rows bounds the ranges the tree is probed with; form is the form build
+// builds it in.
 func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
-	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, aggBytes int,
+	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, aggBytes int, build treeBuild[S],
 	valueOf func(j int) S, add func(a, b S) S, emit func(row int, v S)) error {
 	st, err := cacheGet(opt, s, func() (cachedAgg[S], int64, error) {
 		prev, next, err := buildDistinctInputs(fl, f, opt)
@@ -557,12 +573,8 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 		for j := range values {
 			values[j] = valueOf(j)
 		}
-		build := mst.BuildAnnotated[int32, S]
-		if form == mst.Leaves {
-			build = mst.BuildAnnotatedLeaves[int32, S]
-		}
 		sp := opt.trace.Phase("build merge sort tree")
-		tree, buildErr := build(prev, values, add, opt.treeOptions(sp))
+		tree, buildErr := build(prev, values, opt.treeOptions(sp), form)
 		if buildErr != nil {
 			sp.End()
 			return cachedAgg[S]{}, 0, buildErr

@@ -25,7 +25,8 @@ import "holistic/internal/arena"
 // pinned answer bit for bit. TestAggBelowBatchMatchesScalar and
 // TestAggBelowBatchFloatBitIdentical check it against an independent fold of
 // the same decomposition. On an int64 tree a query whose range spans at most
-// LeafRows rows never enters the descent: it folds level 0 (leaf.go).
+// LeafRows rows never enters the descent: it folds level 0 (leaf.go), or, on
+// a sum tree, is answered from the narrow query before it (agg_diff.go).
 //
 // The descent itself shares everything countKernel shares — per-level
 // geometry and sample rows loaded once per level, flat SoA frontier scratch —
@@ -51,39 +52,65 @@ const aggSubBatch = 1024
 // is how many qualify — the distinct count falls out of the same descent for
 // free, and the DISTINCT-aggregate collectors need it for the NULL rule.
 // Positions are clamped to [0, Len()]. All six slices must have the same
-// length. Queries are independent, so the batch is answered aggSubBatch
-// queries at a time. It returns how many of the queries it answered at the
-// leaves (leaf.go) instead of descending: on an int64 tree those whose range
-// spans at most LeafRows rows, on any other none.
-func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) (leaves int) {
+// length. The narrow queries are answered first, in query order
+// (aggLeaves); the rest are independent, so they descend aggSubBatch queries
+// at a time. It returns how many of the queries it answered at the leaves
+// (leaf.go) and how many from the narrow query before them (agg_diff.go)
+// instead of descending: on an int64 tree together those whose range spans
+// at most LeafRows rows, on any other none; diffs only on a sum tree.
+func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) (leaves, diffs int) {
 	m := len(result)
 	if len(lo) != m || len(hi) != m || len(threshold) != m || len(ok) != m || len(cnt) != m {
 		// Invariant: the collector builds all six arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
 		panic("mst: AggBelowBatch slice length mismatch")
 	}
-	for s := 0; s < m; s += aggSubBatch {
+	leaves, diffs, descend := at.aggLeaves(lo, hi, threshold, result, ok, cnt)
+	for s := 0; descend && s < m; s += aggSubBatch {
 		e := min(s+aggSubBatch, m)
-		leaves += at.aggBelowSubBatch(lo[s:e], hi[s:e], threshold[s:e], result[s:e], ok[s:e], cnt[s:e])
+		at.aggBelowSubBatch(lo[s:e], hi[s:e], threshold[s:e], result[s:e], ok[s:e], cnt[s:e])
 	}
-	return leaves
+	return leaves, diffs
+}
+
+// aggLeaves clears ok and cnt of every query and answers each valid one
+// whose range the leaf rule takes: from the query it answered before it when
+// the tree is a sum tree and the difference costs fewer entries than the
+// range spans (agg_diff.go), else by folding level 0. It reports how many it
+// answered each way and whether a query is left for the descent.
+func (at *AnnotatedTree[S]) aggLeaves(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) (leaves, diffs int, descend bool) {
+	var d sumDiff
+	if at.sum {
+		d = sumDiff{lv0: at.t.levels[0], vals: any(at.agg[0]).([]int64), topPos: at.t.topPos, sums: any(result).([]int64), p: -1}
+	}
+	for q := range result {
+		ok[q], cnt[q] = false, 0
+		l, h, ct, valid := at.clip(int(lo[q]), int(hi[q]), threshold[q])
+		switch {
+		case !valid:
+			continue
+		case !at.leaf(h - l):
+			descend = true
+			continue
+		case at.sum && d.answer(q, l, h, ct, cnt):
+			diffs++
+		default:
+			result[q], ok[q], cnt[q] = at.foldLeaves(l, h, ct)
+			leaves++
+		}
+		ok[q] = cnt[q] > 0
+		d.p, d.lo, d.hi, d.ct = q, l, h, ct
+	}
+	return leaves, diffs, descend
 }
 
 // aggBelowSubBatch is one level-synchronous descent over at most aggSubBatch
-// queries, less those it answers at the leaves; it returns how many those are.
-func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) (leaves int) {
+// queries, less those aggLeaves answered.
+func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) {
 	m := len(result)
-	for q := 0; q < m; q++ {
-		ok[q] = false
-		cnt[q] = 0
-	}
-	if at.n == 0 {
-		return 0
-	}
 	t := at.t
 
-	// Clamp and clip every query and fold the narrow
-	// ones from the leaves; resolved queries are marked with an empty
-	// position range so the descent skips them without a separate mask.
+	// Clamp and clip every query; those aggLeaves resolved are marked with an
+	// empty position range so the descent skips them without a separate mask.
 	cb := arena.Int32s.Get(2 * m)
 	klo, khi := cb[:m], cb[m:]
 	cthr := arena.Int32s.Get(m)
@@ -91,12 +118,7 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, 
 	for q := 0; q < m; q++ {
 		klo[q], khi[q] = 0, 0
 		l, h, ct, valid := at.clip(int(lo[q]), int(hi[q]), threshold[q])
-		switch {
-		case !valid:
-		case at.leaf(h - l):
-			result[q], ok[q], cnt[q] = at.foldLeaves(l, h, ct)
-			leaves++
-		default:
+		if valid && !at.leaf(h-l) {
 			klo[q], khi[q] = i32(l), i32(h)
 			cthr[q] = ct
 			descend = true
@@ -105,7 +127,7 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, 
 	if !descend {
 		arena.Int32s.Put(cthr)
 		arena.Int32s.Put(cb)
-		return leaves
+		return
 	}
 
 	top := t.top()
@@ -251,5 +273,4 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, 
 	arena.Int32s.Put(fbuf)
 	arena.Int32s.Put(cthr)
 	arena.Int32s.Put(cb)
-	return leaves
 }

@@ -35,7 +35,9 @@ import (
 // from there in position order instead of descending (leaf.go): every
 // integer aggregate's merge — wrapping addition, min, max — is associative
 // and commutative, so the bits cannot differ from the descent's order. A
-// float state's fold order is part of its answer, so it always descends.
+// float state's fold order is part of its answer, so it always descends. A
+// tree built by BuildSum, whose merge is wrapping int64 addition — a group —
+// also answers a narrow range from the one before it (agg_diff.go).
 type AnnotatedTree[S any] struct {
 	t     *tree
 	agg   [][]S
@@ -44,8 +46,11 @@ type AnnotatedTree[S any] struct {
 	below []int32 // below[t] = #keys < t, for t in [0, n+1]
 	// leafFold is set when S is int64: narrow ranges fold level 0.
 	leafFold bool
-	// form is Leaves on a tree built by BuildAnnotatedLeaves, where t and agg
-	// hold level 0 only, and Full otherwise.
+	// sum is set by BuildSum: the merge is wrapping int64 addition and t
+	// keeps topPos, so a narrow range is answered from the one before it.
+	sum bool
+	// form is Leaves on a tree built by BuildSum(…, Leaves), where t and
+	// agg hold level 0 only, and Full otherwise.
 	form Form
 }
 
@@ -57,6 +62,12 @@ type AnnotatedTree[S any] struct {
 // position order. Like BuildForm it runs under Options.Context and returns
 // its error when that cut the build short.
 func BuildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
+	return buildAnnotated(keys, values, merge, opt, false)
+}
+
+// buildAnnotated is BuildAnnotated; with sum set the tree keeps the inverse
+// of the ranks as topPos (BuildSum).
+func buildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options, sum bool) (*AnnotatedTree[S], error) {
 	n := len(keys)
 	posOfRank := arena.Int32s.Get(n) // inverse of rank, needed only while annotating
 	defer arena.Int32s.Put(posOfRank)
@@ -73,8 +84,12 @@ func BuildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, 
 		merge: merge,
 		n:     n,
 		below: below,
+		sum:   sum,
 	}
 	_, at.leafFold = any(values).([]int64)
+	if sum {
+		tr.topPos = slices.Clone(posOfRank[:n])
+	}
 	// Annotate every level with per-run prefix aggregates. The base position
 	// of an element is the inverse of its rank, so annotations can be
 	// computed after the build in one parallel pass per level.
@@ -178,31 +193,53 @@ func placeRanks[K int32 | int64](keys []K, cnt, rank, pos []int32) {
 	}
 }
 
-// BuildAnnotatedLeaves builds the leaf-only form of BuildAnnotated's tree
+// buildAnnotatedLeaves builds the leaf-only form of BuildAnnotated's tree
 // (leaf.go): level 0's ranks, its states (agg[0]) and the threshold map,
-// answering AggBelowBatch over ranges of at most
-// LeafRows rows. Only int64 states fold in position order, so any other S is
-// refused; keys and values are validated exactly as BuildAnnotated validates
-// them.
-func BuildAnnotatedLeaves[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
+// answering AggBelowBatch over ranges of at most LeafRows rows; with sum set
+// it also keeps the inverse of the ranks as topPos (BuildSum). Only int64
+// states fold in position order, so any other S is refused; keys and values
+// are validated exactly as BuildAnnotated validates them.
+func buildAnnotatedLeaves[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options, sum bool) (*AnnotatedTree[S], error) {
 	if _, ok := any(values).([]int64); !ok {
 		return nil, fmt.Errorf("mst: a leaf-only annotated tree needs int64 states, got %T", values)
 	}
-	opt, rank, below, err := annotatedRanks(keys, len(values), opt, nil)
+	var pos []int32
+	if sum {
+		pos = make([]int32, len(keys))
+	}
+	opt, rank, below, err := annotatedRanks(keys, len(values), opt, pos)
 	if err != nil {
 		return nil, err
 	}
 	traceSkippedLevels(len(keys), opt, Leaves)
+	tr := leafTree(rank, opt)
+	tr.topPos = pos
 	return &AnnotatedTree[S]{
-		t:        leafTree(rank, opt),
+		t:        tr,
 		agg:      [][]S{slices.Clone(values)},
 		merge:    merge,
 		n:        len(keys),
 		below:    below,
 		leafFold: true,
+		sum:      sum,
 		form:     Leaves,
 	}, nil
 }
+
+// BuildSum builds the annotated tree of an int64 SUM over keys and values in
+// the given form: the leaf-only one (buildAnnotatedLeaves) for Leaves,
+// BuildAnnotated's for any other. It is the one constructor that declares the merge wrapping
+// addition, whose inverse lets AggBelowBatch answer a narrow range from the
+// range before it (agg_diff.go); for that the tree also keeps the base
+// position of every rank, topPos, 4 bytes per element that MemBytes charges.
+func BuildSum[K int32 | int64](keys []K, values []int64, opt Options, form Form) (*AnnotatedTree[int64], error) {
+	if form == Leaves {
+		return buildAnnotatedLeaves(keys, values, addInt64, opt, true)
+	}
+	return buildAnnotated(keys, values, addInt64, opt, true)
+}
+
+func addInt64(a, b int64) int64 { return a + b }
 
 // Len returns the number of elements the tree was built over.
 func (at *AnnotatedTree[S]) Len() int { return at.n }
@@ -217,9 +254,9 @@ func (at *AnnotatedTree[S]) CheckRows(rows int) error {
 func (at *AnnotatedTree[S]) leaf(w int) bool { return at.leafFold && leafRule(w, at.form) }
 
 // MemBytes reports the approximate resident size of the tree: payloads,
-// cascading pointers and origin stripes, the threshold map, plus the
-// per-element aggregate annotations, assuming aggBytes bytes per aggregate
-// state. Used for cache budget accounting.
+// cascading pointers and origin stripes, a sum tree's topPos, the threshold
+// map, plus the per-element aggregate annotations, assuming aggBytes bytes
+// per aggregate state. Used for cache budget accounting.
 func (at *AnnotatedTree[S]) MemBytes(aggBytes int) int64 {
 	total := int64(at.t.stats().Bytes) + int64(4*len(at.below))
 	for _, lv := range at.agg {

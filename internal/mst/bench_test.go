@@ -262,37 +262,56 @@ func BenchmarkSelectKthRangesBatch(b *testing.B) {
 // BenchmarkAggBelowBatch is the batched aggregate probe in the shape a
 // framed SUM(DISTINCT) gives it: previous-occurrence keys of a skewed
 // 50,000-value column over 200k rows, threshold = lo+1, the same chunking
-// and frames as BenchmarkCountBelowBatch.
+// and frames as BenchmarkCountBelowBatch, over a float sum's tree. The sum/
+// arms probe an int64 sum's tree (BuildSum) with the narrow frames of
+// multi_partitioned_200k, which it answers from each query's predecessor
+// (agg_diff.go); diff/row is the share answered so.
 func BenchmarkAggBelowBatch(b *testing.B) {
 	const n, chunk = 200_000, 20_000
 	vals := skewedColumn(n)
+	keys := prevIdcsRef(vals)
 	aggVals := make([]float64, n)
 	for i, v := range vals {
 		aggVals[i] = float64(v)
 	}
-	at, err := BuildAnnotated(prevIdcsRef(vals), aggVals, func(a, b float64) float64 { return a + b }, Options{})
+	at, err := BuildAnnotated(keys, aggVals, func(a, b float64) float64 { return a + b }, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := BuildSum(keys, vals, Options{}, Full)
 	if err != nil {
 		b.Fatal(err)
 	}
 	lo, hi := make([]int32, chunk), make([]int32, chunk)
 	thr := make([]int64, chunk)
-	res := make([]float64, chunk)
+	res, sums := make([]float64, chunk), make([]int64, chunk)
 	ok := make([]bool, chunk)
 	cnt := make([]int32, chunk)
+	probe := func(b *testing.B, frame int, answer func() (leaves, diffs int)) {
+		b.ReportAllocs()
+		diffs := 0
+		for i := 0; i < b.N; i++ {
+			for start := 0; start < n; start += chunk {
+				for q := range lo {
+					row := start + q
+					a := max(row-frame+1, 0)
+					lo[q], hi[q], thr[q] = int32(a), int32(row+1), int64(a)+1
+				}
+				_, d := answer()
+				diffs += d
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		b.ReportMetric(float64(diffs)/float64(b.N)/n, "diff/row")
+	}
 	for _, frame := range []int{100, 10_000, n / 2} {
 		b.Run(fmt.Sprintf("frame%d", frame), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for start := 0; start < n; start += chunk {
-					for q := range res {
-						row := start + q
-						a := max(row-frame+1, 0)
-						lo[q], hi[q], thr[q] = int32(a), int32(row+1), int64(a)+1
-					}
-					at.AggBelowBatch(lo, hi, thr, res, ok, cnt)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			probe(b, frame, func() (int, int) { return at.AggBelowBatch(lo, hi, thr, res, ok, cnt) })
+		})
+	}
+	for _, frame := range []int{60, 100} {
+		b.Run(fmt.Sprintf("sum/frame%d", frame), func(b *testing.B) {
+			probe(b, frame, func() (int, int) { return st.AggBelowBatch(lo, hi, thr, sums, ok, cnt) })
 		})
 	}
 }

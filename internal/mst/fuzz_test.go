@@ -224,11 +224,15 @@ func fuzzSeedBytes(n int, seed int64) []byte {
 // order-sensitive string concatenation, so any reordering of the take fold
 // shows up immediately), ok flags must agree, and so must the count side
 // output. Two flag bits stretch the batch across the kernel's sub-batch
-// boundaries. A string state never takes the leaf path, so an int64 arm —
-// values whose sums wrap — checks kernel against brute force under both
-// leaf seam settings, with ranges one row either side of
-// LeafRows in the batch; a leaf-only arm (leafOnlyAggs) checks
-// BuildAnnotatedLeaves' form of the int64 tree.
+// boundaries, and a sliding run closes it: a ROWS frame over every row,
+// narrower than LeafRows. A string state never takes the leaf path, so int64
+// arms — values whose sums wrap — check kernel against brute force under
+// both leaf seam settings, with ranges one row either side of LeafRows in the
+// batch: a tree whose merge is addition but undeclared, which folds every
+// narrow range, and the sum tree (BuildSum), which answers a narrow range
+// from the one before it where the cost rule says so (wantAggCounts). A
+// leaf-only arm (leafOnlyAggs) checks buildAnnotatedLeaves' and BuildSum's
+// leaf-only forms of the int64 tree.
 func FuzzAggBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), uint8(3), uint8(2), uint8(1))
@@ -240,6 +244,9 @@ func FuzzAggBatch(f *testing.F) {
 	// production cutoff.
 	f.Add(fuzzSeedBytes(300, 13), 20, 200, int64(30), uint8(30), uint8(31), uint8(0))
 	f.Add(fuzzSeedBytes(640, 17), 100, 400, int64(150), uint8(2), uint8(4), uint8(3))
+	// 300 rows whose sliding run is 60 rows wide: the sum tree answers all
+	// but its first query from their predecessor.
+	f.Add(fuzzSeedBytes(300, 19), 0, 59, int64(1), uint8(30), uint8(31), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, fanout, sampleEvery, flags uint8) {
 		keys := make([]int64, len(data))
 		vals := make([]string, len(data))
@@ -276,6 +283,8 @@ func FuzzAggBatch(f *testing.F) {
 		for _, w := range []int32{LeafRows - 1, LeafRows, LeafRows + 1} {
 			bLo, bHi, bThr = append(bLo, int32(lo)), append(bHi, int32(lo)+w), append(bThr, threshold)
 		}
+		_, sLo, sHi, sThr := slidingQueries(len(keys), slidingWidth(lo, hi))
+		bLo, bHi, bThr = append(bLo, sLo...), append(bHi, sHi...), append(bThr, sThr...)
 		res := make([]string, len(bLo))
 		ok := make([]bool, len(bLo))
 		cnt := make([]int32, len(bLo))
@@ -292,34 +301,22 @@ func FuzzAggBatch(f *testing.F) {
 			}
 		}
 
-		it, err := BuildAnnotated(keys, ivals, func(a, b int64) int64 { return a + b }, opt)
+		it, err := BuildAnnotated(keys, ivals, addInt64, opt)
 		if err != nil {
 			t.Fatalf("BuildAnnotated(%d int64 keys, %+v): %v", len(keys), opt, err)
 		}
+		st, err := BuildSum(keys, ivals, opt, Full)
+		if err != nil {
+			t.Fatalf("BuildSum(%d keys, %+v): %v", len(keys), opt, err)
+		}
 		leafSeam(t, func(t *testing.T) {
-			sums := make([]int64, len(bLo))
-			wantLeaves := 0
-			leaves := it.AggBelowBatch(bLo, bHi, bThr, sums, ok, cnt)
-			for q := range bLo {
-				qLo, qHi := clampRange(int(bLo[q]), int(bHi[q]), len(keys))
-				var want int64
-				num := 0
-				for j := qLo; j < qHi; j++ {
-					if keys[j] < bThr[q] {
-						want += ivals[j]
-						num++
-					}
-				}
-				if qHi > qLo && qHi-qLo <= leafRows && bThr[q] > 0 {
-					wantLeaves++
-				}
-				if ok[q] != (num > 0) || int(cnt[q]) != num || (num > 0 && sums[q] != want) {
-					t.Errorf("int64 AggBelowBatch query %d (%d, %d, %d) = (%d, %v, cnt %d), brute force %d of %d (opt %+v)",
-						q, bLo[q], bHi[q], bThr[q], sums[q], ok[q], cnt[q], want, num, opt)
-				}
+			wantLeaves, _ := wantAggCounts(Full, false, keys, bLo, bHi, bThr)
+			if leaves, diffs := checkIntSums(t, "int64", it, keys, ivals, bLo, bHi, bThr, addInt64); leaves != wantLeaves || diffs != 0 {
+				t.Errorf("int64 AggBelowBatch reports %d queries at the leaves and %d from their predecessor, want %d and 0 (opt %+v)", leaves, diffs, wantLeaves, opt)
 			}
-			if leaves != wantLeaves {
-				t.Errorf("int64 AggBelowBatch reports %d queries at the leaves, want %d (opt %+v)", leaves, wantLeaves, opt)
+			wantL, wantD := wantAggCounts(Full, true, keys, bLo, bHi, bThr)
+			if leaves, diffs := checkIntSums(t, "sum", st, keys, ivals, bLo, bHi, bThr, addInt64); leaves != wantL || diffs != wantD {
+				t.Errorf("sum tree reports %d queries at the leaves and %d from their predecessor, the cost rule names %d and %d (opt %+v)", leaves, diffs, wantL, wantD, opt)
 			}
 		})
 		leafOnlyAggs(t, keys, ivals, opt, lo, hi, threshold)

@@ -42,7 +42,7 @@ func SetLeafRows(rows int) int {
 // Leaf-only structures. When no range a statement can ask spans more than
 // LeafRows rows — the partition has at most that many, or every frame is that
 // narrow — no query ever descends, so nothing above level 0 is ever read.
-// BuildForm's Leaves form and BuildAnnotatedLeaves (and rangetree.NewLeaves)
+// BuildForm's Leaves form and BuildSum's (and rangetree.NewLeaves)
 // build that: the same types, holding level 0 and what the leaf rule reads
 // of it, no merge levels, samples or origin stripes. Every probe entry point
 // takes the leaf rule first, so no probe code forks; a leaf-only structure

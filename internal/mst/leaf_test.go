@@ -91,7 +91,7 @@ func TestLeafRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		sums, okv, cnt := make([]int64, m), make([]bool, m), make([]int32, m)
-		if got := at.AggBelowBatch(lo, hi, thr, sums, okv, cnt); got != wantLeaves {
+		if got, _ := at.AggBelowBatch(lo, hi, thr, sums, okv, cnt); got != wantLeaves {
 			t.Errorf("int64 AggBelowBatch reports %d queries at the leaves, want %d", got, wantLeaves)
 		}
 		for q := range sums {
@@ -114,7 +114,7 @@ func TestLeafRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		fsums := make([]float64, m)
-		if got := fat.AggBelowBatch(lo, hi, thr, fsums, okv, cnt); got != 0 {
+		if got, _ := fat.AggBelowBatch(lo, hi, thr, fsums, okv, cnt); got != 0 {
 			t.Errorf("float64 AggBelowBatch reports %d queries at the leaves, want 0: its fold order is part of the answer", got)
 		}
 	})
@@ -246,17 +246,19 @@ func leafOnlyCounts(t *testing.T, keys []int64, opt Options, lo, hi int, thresho
 	}
 }
 
-// leafOnlyAggs is FuzzAggBatch's leaf-only arm: BuildAnnotatedLeaves over the
+// leafOnlyAggs is FuzzAggBatch's leaf-only arm: buildAnnotatedLeaves over the
 // same keys and int64 values answers narrow ranges like brute force, through
-// AggBelowBatch, and refuses a wider one as leafOnlyCounts describes.
+// AggBelowBatch, and refuses a wider one as leafOnlyCounts describes; so
+// does BuildSum's leaf-only form, which also keeps topPos and answers a
+// sliding run from each query's predecessor as the cost rule says.
 func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, threshold int64) {
 	t.Helper()
-	lt, err := BuildAnnotatedLeaves(keys, vals, func(a, b int64) int64 { return a + b }, opt)
+	lt, err := buildAnnotatedLeaves(keys, vals, func(a, b int64) int64 { return a + b }, opt, false)
 	if err != nil {
-		t.Fatalf("BuildAnnotatedLeaves(%d keys, %+v): %v", len(keys), opt, err)
+		t.Fatalf("buildAnnotatedLeaves(%d keys, %+v): %v", len(keys), opt, err)
 	}
 	if got, want := lt.MemBytes(8), int64(4*len(keys)+4*(len(keys)+2)+8*len(keys)); got != want {
-		t.Errorf("BuildAnnotatedLeaves(%d keys): MemBytes %d, want %d (ranks, threshold map, states)", len(keys), got, want)
+		t.Errorf("buildAnnotatedLeaves(%d keys): MemBytes %d, want %d (ranks, threshold map, states)", len(keys), got, want)
 	}
 	qLo, qHi, thr := narrowQueries(len(keys), lo, hi, threshold)
 	m := len(qLo)
@@ -280,7 +282,26 @@ func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, thr
 	if n := len(keys); n > LeafRows {
 		wantWidthPanic(t, func() { lt.AggBelowBatch([]int32{0}, []int32{int32(n)}, []int64{1}, sums[:1], ok[:1], cnt[:1]) })
 	}
+
+	st, err := BuildSum(keys, vals, opt, Leaves)
+	if err != nil {
+		t.Fatalf("BuildSum(%d keys, %+v, Leaves): %v", len(keys), opt, err)
+	}
+	if got, want := st.MemBytes(8), lt.MemBytes(8)+int64(4*len(keys)); got != want {
+		t.Errorf("BuildSum(%d keys, Leaves): MemBytes %d, want %d (buildAnnotatedLeaves' and topPos)", len(keys), got, want)
+	}
+	_, sLo, sHi, sThr := slidingQueries(len(keys), slidingWidth(lo, hi))
+	qLo, qHi, thr = append(qLo, sLo...), append(qHi, sHi...), append(thr, sThr...)
+	wantL, wantD := wantAggCounts(Leaves, true, keys, qLo, qHi, thr)
+	if leaves, diffs := checkIntSums(t, "leaf-only sum", st, keys, vals, qLo, qHi, thr, addInt64); leaves != wantL || diffs != wantD {
+		t.Errorf("leaf-only sum tree reports %d queries at the leaves and %d from their predecessor, the cost rule names %d and %d", leaves, diffs, wantL, wantD)
+	}
+	wantWidthError(t, st.CheckRows(LeafRows+1), LeafRows+1)
 }
+
+// slidingWidth is the width of the sliding run FuzzAggBatch and leafOnlyAggs
+// append, from the fuzzed range: 1 to LeafRows rows.
+func slidingWidth(lo, hi int) int { return 1 + absInt(hi-lo)%LeafRows }
 
 // TestLeafOnlyStructures pins the leaf-only forms on one input past the
 // cutoff: every range of at most LeafRows rows answers like the full tree's,
@@ -318,8 +339,8 @@ func TestLeafOnlyStructures(t *testing.T) {
 		}()
 	}
 	floats := make([]float64, n)
-	if _, err := BuildAnnotatedLeaves(keys, floats, func(a, b float64) float64 { return a + b }, Options{}); err == nil {
-		t.Error("BuildAnnotatedLeaves accepted float64 states, whose fold order is part of the answer")
+	if _, err := buildAnnotatedLeaves(keys, floats, func(a, b float64) float64 { return a + b }, Options{}, false); err == nil {
+		t.Error("buildAnnotatedLeaves accepted float64 states, whose fold order is part of the answer")
 	}
 	if _, err := BuildForm([]int64{-1}, Options{}, Leaves); err == nil {
 		t.Error("BuildForm(Leaves) accepted a negative key")
