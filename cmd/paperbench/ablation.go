@@ -5,11 +5,15 @@ import (
 	"time"
 
 	"holistic/internal/mst"
+	"holistic/internal/segtree"
 )
 
 // runAblation measures the design choices DESIGN.md calls out:
 //
-//  1. fractional cascading on/off (Figure 2 vs Figure 3),
+//  1. fractional cascading (Figure 3) against Figure 2's tree, which
+//     binary-searches every node it visits — the sorted-list segment tree
+//     the baselines keep (segtree.SortedTree, f = 2), on the same keys and
+//     frames,
 //  2. task-parallel vs single-task incremental evaluation (§3.2's state
 //     rebuild penalty, visible even on one core).
 func runAblation() {
@@ -20,14 +24,18 @@ func runAblation() {
 
 	// 1. Fractional cascading.
 	fmt.Println("  -- fractional cascading (windowed rank, single-threaded) --")
-	var rows [][]string
-	for _, noCascade := range []bool{false, true} {
-		d := fig13Workload(n, mst.Options{NoCascading: noCascade})
-		name := "cascading (O(log n) probe)"
-		if noCascade {
-			name = "no cascading (O(log^2 n) probe)"
+	cascading := fig13Workload(n, mst.Options{})
+	searching := rankWorkload(n, func(keys []int64) countBatch {
+		st := segtree.NewSorted(keys)
+		return func(lo, hi []int32, thr []int64, out []int32) {
+			for q := range out {
+				out[q] = int32(st.CountBelow(int(lo[q]), int(hi[q]), thr[q]))
+			}
 		}
-		rows = append(rows, []string{name, d.Round(time.Millisecond).String()})
+	})
+	rows := [][]string{
+		{"cascading (O(log n) probe)", cascading.Round(time.Millisecond).String()},
+		{"no cascading (O(log^2 n) probe, f = 2)", searching.Round(time.Millisecond).String()},
 	}
 	printTable([]string{"variant", "build+probe"}, rows)
 

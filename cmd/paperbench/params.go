@@ -17,6 +17,22 @@ import (
 // the way the window operator issues it: CountBelowBatch over 20,000-row
 // chunks.
 func fig13Workload(n int, opt mst.Options) time.Duration {
+	opt.Context = parallel.ContextWithLimit(context.Background(), 1)
+	return rankWorkload(n, func(keys []int64) countBatch {
+		tree, err := mst.Build(keys, opt)
+		die(err)
+		return func(lo, hi []int32, thr []int64, out []int32) { tree.CountBelowBatch(lo, hi, thr, out) }
+	})
+}
+
+// countBatch answers a chunk of count queries: out[q] is the number of keys
+// at positions [lo[q], hi[q]) smaller than thr[q].
+type countBatch func(lo, hi []int32, thr []int64, out []int32)
+
+// rankWorkload times fig13Workload's build and probe on one worker for any
+// structure: build is timed with the probe, and the count function it
+// returns answers the 20,000-row chunks.
+func rankWorkload(n int, build func(keys []int64) countBatch) time.Duration {
 	rng := rand.New(rand.NewSource(*seed))
 	keys := make([]int64, n)
 	for i := range keys {
@@ -28,10 +44,8 @@ func fig13Workload(n int, opt mst.Options) time.Duration {
 	thr, out := make([]int64, chunk), make([]int32, chunk)
 	prev := parallel.SetMaxWorkers(1)
 	defer parallel.SetMaxWorkers(prev)
-	opt.Context = parallel.ContextWithLimit(context.Background(), 1)
 	start := time.Now()
-	tree, err := mst.Build(keys, opt)
-	die(err)
+	count := build(keys)
 	sink := 0
 	for first := 0; first < n; first += chunk {
 		m := min(chunk, n-first)
@@ -39,7 +53,7 @@ func fig13Workload(n int, opt mst.Options) time.Duration {
 			i := first + q
 			lo[q], hi[q], thr[q] = int32(max(i-frame+1, 0)), int32(i+1), keys[i]
 		}
-		tree.CountBelowBatch(lo[:m], hi[:m], thr[:m], out[:m])
+		count(lo[:m], hi[:m], thr[:m], out[:m])
 		for _, c := range out[:m] {
 			sink += int(c)
 		}

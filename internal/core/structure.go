@@ -230,9 +230,6 @@ func (s *Structure) key(opt Options) string {
 	if s.Part != "" {
 		b = strconv.AppendInt(append(b, "|t="...), int64(opt.Tree.Fanout), 10)
 		b = strconv.AppendInt(append(b, ','), int64(opt.Tree.SampleEvery), 10)
-		if opt.Tree.NoCascading {
-			b = append(b, ",nc"...)
-		}
 	}
 	if f, fr := s.probe, &s.probeFrame; f != nil {
 		b = fmt.Appendf(b, "|fn=%s|q=%b|n=%d|in=%t|fr=%d:%d,%d:%d,%d:%d", f.Name, f.Fraction, f.N, f.IgnoreNulls,

@@ -113,7 +113,6 @@ func TestStructureIdentity(t *testing.T) {
 		{"delta stamp", at(&partition{w: w, id: "sort|pk=i1;|pd4"}, Options{}), false},
 		{"fanout", at(p0, Options{Tree: mst.Options{Fanout: 32}}), false},
 		{"sampling", at(p0, Options{Tree: mst.Options{SampleEvery: 8}}), false},
-		{"no cascading", at(p0, Options{Tree: mst.Options{NoCascading: true}}), false},
 		{"build context and trace", at(p0, Options{Tree: mst.Options{Context: parallel.ContextWithLimit(context.Background(), 1), Trace: obs.NewSpan("build")}}), true},
 	} {
 		if got := c.key == base; got != c.same {

@@ -3,9 +3,8 @@
 // import it (TestTestOnlyImports).
 //
 // A Point fixes every setting an answer must not depend on: the paper's tree
-// shape — fanout f and sampling k (§6.6, Fig. 13), cascading on or off
-// (Fig. 2) — and the system's shared plan, storage, task size (§5.5), worker
-// cap and leaf cutoff. Points is a pairwise cover of those dimensions, not
+// shape — fanout f and sampling k (§6.6, Fig. 13) — and the system's shared
+// plan, storage, task size (§5.5), worker cap and leaf cutoff. Points is a pairwise cover of those dimensions, not
 // their product: every pair of values from two dimensions meets in at least
 // one point. The data sets the structures' width class instead: the tables
 // range from empty to partitions wider than mst.LeafRows.
@@ -46,17 +45,16 @@ type Point struct {
 }
 
 // The tree shapes: the paper's f = k = 32, the narrowest fanout sampling
-// every element, a middle shape, and no cascading.
+// every element, and a middle shape.
 var (
 	f32  = mst.Options{}
 	f2k1 = mst.Options{Fanout: 2, SampleEvery: 1}
 	f8k8 = mst.Options{Fanout: 8, SampleEvery: 8}
-	flat = mst.Options{NoCascading: true}
 )
 
 // dimensions lists each dimension's values, in Point's field order.
 var dimensions = [...][]any{
-	{f32, f2k1, f8k8, flat},
+	{f32, f2k1, f8k8},
 	{false, true},
 	{RAM, Segment, Delta},
 	{16, 0},
@@ -64,7 +62,7 @@ var dimensions = [...][]any{
 	{mst.LeafRows, 0},
 }
 
-// Points is the lattice: 16 of the 192 configurations, covering every pair of
+// Points is the lattice: 12 of the 144 configurations, covering every pair of
 // values. Each tree shape has two RAM points, which differ in the plan, then
 // one segment and one delta point; so every rig that runs RAM points checks
 // its own storage bit for bit against RAM.
@@ -82,15 +80,11 @@ var Points = []Point{
 	{f8k8, true, RAM, 16, 1, mst.LeafRows},
 	{f8k8, false, Segment, 0, 4, mst.LeafRows},
 	{f8k8, true, Delta, 16, 1, 0},
-	{flat, false, RAM, 16, 1, 0},
-	{flat, true, RAM, 0, 4, mst.LeafRows},
-	{flat, true, Segment, 0, 1, 0},
-	{flat, false, Delta, 16, 4, mst.LeafRows},
 }
 
 // String names the point in failure messages; 0 is the default fanout,
 // sampling and task size.
 func (p Point) String() string {
-	return fmt.Sprintf("{f=%d k=%d no-cascading=%v no-shared-plan=%v %v task-size=%d procs=%d leaf-rows=%d}", p.Tree.Fanout,
-		p.Tree.SampleEvery, p.Tree.NoCascading, p.NoSharedPlan, p.Storage, p.TaskSize, p.Procs, p.LeafRows)
+	return fmt.Sprintf("{f=%d k=%d no-shared-plan=%v %v task-size=%d procs=%d leaf-rows=%d}", p.Tree.Fanout,
+		p.Tree.SampleEvery, p.NoSharedPlan, p.Storage, p.TaskSize, p.Procs, p.LeafRows)
 }

@@ -183,7 +183,7 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(lo, hi []int32, threshold []int64, 
 			qlo, qhi := int(klo[q]), int(khi[q])
 			cFirst := (max(qlo, runStart) - runStart) / childLen
 			cLast := (min(qhi, runEnd) - 1 - runStart) / childLen
-			lv.ranksStep(r, int(crank[it]), cthr[q], cFirst, cLast, ranks[:f])
+			lv.ranksStep(r, int(crank[it]), ranks[:f])
 			for c := cFirst; c <= cLast; c++ {
 				cs := runStart + c*childLen
 				ce := min(cs+childLen, runEnd)

@@ -51,7 +51,7 @@ func testAggBatchDifferential(t *testing.T) {
 	add(mixedQueries(rng, n, 6000, false))
 	add(mixedQueries(rng, n, 6000, true))
 	minMerge := func(a, b int64) int64 { return min(a, b) }
-	for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 5, SampleEvery: 3, NoCascading: true}} {
+	for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 5, SampleEvery: 3}} {
 		full, err := BuildAnnotated(keys, vals, addInt64, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -251,7 +251,7 @@ func (at *AnnotatedTree[S]) CheckRows(rows int) error {
 }
 
 // leaf reports whether a range of w rows folds from level 0 (leaf.go).
-func (at *AnnotatedTree[S]) leaf(w int) bool { return at.leafFold && leafRule(w, at.form) }
+func (at *AnnotatedTree[S]) leaf(w int) bool { return at.leafFold && LeafRule(w, at.form) }
 
 // MemBytes reports the approximate resident size of the tree: payloads,
 // cascading pointers and origin stripes, a sum tree's topPos, the threshold

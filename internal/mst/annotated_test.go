@@ -148,7 +148,7 @@ func TestAnnotatedSumDistinct(t *testing.T) {
 		for i, v := range vals {
 			aggVals[i] = float64(v)
 		}
-		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}, {Context: serialBuild}} {
+		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Context: serialBuild}} {
 			at, err := BuildAnnotated(keys, aggVals, func(a, b float64) float64 { return a + b }, opt)
 			if err != nil {
 				t.Fatal(err)

@@ -7,12 +7,13 @@ import (
 )
 
 // batchVariants are the tree configurations the batch kernels must agree
-// with brute force on: the defaults, a deep skinny tree and no cascading.
+// with brute force on: the defaults, a deep skinny tree and a
+// non-power-of-two fanout.
 func batchVariants() []Options {
 	return []Options{
 		{},
 		{Fanout: 2, SampleEvery: 1},
-		{Fanout: 3, SampleEvery: 2, NoCascading: true},
+		{Fanout: 3, SampleEvery: 2},
 	}
 }
 
@@ -76,7 +77,7 @@ func testCountBelowBatchMatchesScalar(t *testing.T) {
 // shapes a window probe produces — sliding (100 rows and one row either side
 // of LeafRows), constant, empty and whole-partition frames over
 // previous-occurrence keys with the COUNT DISTINCT threshold lo+1 — for
-// striped and NoCascading trees, under both leaf seam settings; the kernel
+// several tree shapes, under both leaf seam settings; the kernel
 // must report exactly the frames of at most the cutoff's rows as answered at
 // the leaves.
 func TestCountBelowBatchFrameShapes(t *testing.T) {
@@ -138,15 +139,12 @@ func testCountBelowBatchFrameShapes(t *testing.T) {
 }
 
 // stepGrid is the parameter space the step's frame-shape tests sweep:
-// fanouts up to the limit × sample distances below, at and above them × the
-// tree states a step can meet.
+// fanouts up to the limit × sample distances below, at and above them.
 func stepGrid() []Options {
 	var grid []Options
 	for _, f := range []int{2, 8, 32, 256} {
 		for _, k := range []int{1, 7, 32, 64} {
-			grid = append(grid,
-				Options{Fanout: f, SampleEvery: k},
-				Options{Fanout: f, SampleEvery: k, NoCascading: true})
+			grid = append(grid, Options{Fanout: f, SampleEvery: k})
 		}
 	}
 	return grid

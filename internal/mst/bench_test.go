@@ -69,7 +69,6 @@ func BenchmarkCountBelow(b *testing.B) {
 		opt  Options
 	}{
 		{"cascading", Options{}},
-		{"noCascading", Options{NoCascading: true}},
 		{"f2k1", Options{Fanout: 2, SampleEvery: 1}},
 	} {
 		tree, err := Build(keys, cfg.opt)

@@ -47,11 +47,9 @@ func buildTree(base []int32, opt Options) (*tree, error) {
 	if n <= 1 {
 		return t, nil
 	}
-	cascade := !opt.NoCascading // samples and origin stripes come together
-
 	// Pre-size one slab per element type so the arena never grows: every
-	// level holds exactly n payload elements, and the sample table size per
-	// level follows from the run count and stride.
+	// level holds exactly n payload elements and n origin bytes, and the
+	// sample table size per level follows from the run count and stride.
 	totalP, totalS, totalO := 0, 0, 0
 	// Each level's slab is cache-line aligned (AllocAligned), so budget
 	// one line of alignment slack per stripe on top of the exact sizes.
@@ -61,20 +59,14 @@ func buildTree(base []int32, opt Options) (*tree, error) {
 		if rl > n {
 			rl = n
 		}
+		numRuns := (n + rl - 1) / rl
 		totalP += n + slackP
-		if cascade {
-			numRuns := (n + rl - 1) / rl
-			totalS += numRuns*sampleStride(rl, t.k, t.f) + cacheLineBytes/4
-			totalO += n + cacheLineBytes
-		}
+		totalS += numRuns*sampleStride(rl, t.k, t.f) + cacheLineBytes/4
+		totalO += n + cacheLineBytes
 	}
 	arP := arena.New[int32](totalP)
-	var arS *arena.Arena[int32]
-	var arO *arena.Arena[uint8]
-	if cascade {
-		arS = arena.New[int32](totalS)
-		arO = arena.New[uint8](totalO)
-	}
+	arS := arena.New[int32](totalS)
+	arO := arena.New[uint8](totalO)
 
 	for rl := 1; rl < n; {
 		rl *= t.f
@@ -85,20 +77,13 @@ func buildTree(base []int32, opt Options) (*tree, error) {
 		t.effLen = append(t.effLen, rl)
 		t.levels = append(t.levels, arP.AllocAligned(n, cacheLineBytes))
 		numRuns := (n + rl - 1) / rl
-		var samples []int32
-		var origin []uint8
-		stride := 0
-		if cascade {
-			stride = sampleStride(rl, t.k, t.f)
-			// Sample slots beyond a run's child count — including the
-			// cache-line padding tail of every run row — stay zero; the
-			// arena hands out zeroed memory.
-			samples = arS.AllocAligned(numRuns*stride, cacheLineBytes)
-			origin = arO.AllocAligned(n, cacheLineBytes)
-		}
-		t.samples = append(t.samples, samples)
+		stride := sampleStride(rl, t.k, t.f)
+		// Sample slots beyond a run's child count — including the
+		// cache-line padding tail of every run row — stay zero; the arena
+		// hands out zeroed memory.
+		t.samples = append(t.samples, arS.AllocAligned(numRuns*stride, cacheLineBytes))
 		t.stride = append(t.stride, stride)
-		t.origin = append(t.origin, origin)
+		t.origin = append(t.origin, arO.AllocAligned(n, cacheLineBytes))
 
 		lsp := opt.Trace.Child("mst: merge level")
 		lsp.SetInt("level", int64(level))
@@ -117,13 +102,13 @@ func buildTree(base []int32, opt Options) (*tree, error) {
 			err = parallel.ForContext(opt.Context, numRuns, runsPerTask, func(lo, hi int) {
 				buf, vals := mergeScratch(t.f)
 				for r := lo; r < hi; r++ {
-					t.mergeRun(level, r, samples, stride, buf, vals)
+					t.mergeRun(level, r, buf, vals)
 				}
 				putMergeScratch(buf, vals)
 			})
 		} else {
 			for r := 0; r < numRuns && err == nil; r++ {
-				err = t.mergeRunParallel(opt.Context, level, r, samples, stride, workers)
+				err = t.mergeRunParallel(opt.Context, level, r, workers)
 			}
 		}
 		lsp.End()
@@ -182,9 +167,9 @@ func putMergeScratch(buf, vals []int32) {
 }
 
 // mergeRun merges the children of run r at the given level into the level's
-// output array, recording cascading samples. buf and vals come from
-// mergeScratch.
-func (t *tree) mergeRun(level, r int, samples []int32, stride int, buf, vals []int32) {
+// output array, recording its cascading samples and origin stripe. buf and
+// vals come from mergeScratch.
+func (t *tree) mergeRun(level, r int, buf, vals []int32) {
 	runStart := r * t.effLen[level]
 	runEnd := runStart + t.effLen[level]
 	if runEnd > t.n {
@@ -192,21 +177,14 @@ func (t *tree) mergeRun(level, r int, samples []int32, stride int, buf, vals []i
 	}
 	childLen := t.effLen[level-1]
 	m := (runEnd - runStart + childLen - 1) / childLen
-	var sampleRun []int32
-	if samples != nil {
-		sampleRun = samples[r*stride : (r+1)*stride]
-	}
 	t.mergePiece(t.levels[level][runStart:runEnd], t.levels[level-1][runStart:runEnd],
-		childLen, m, nil, buf, vals, sampleRun, t.originRun(level, runStart, runEnd), 0, runEnd-runStart)
+		childLen, m, nil, buf, vals, t.sampleRun(level, r), t.origin[level][runStart:runEnd], 0, runEnd-runStart)
 }
 
-// originRun returns the origin stripe of the run spanning [runStart, runEnd)
-// at the given level, or nil when the tree carries no stripes.
-func (t *tree) originRun(level, runStart, runEnd int) []uint8 {
-	if t.origin[level] == nil {
-		return nil
-	}
-	return t.origin[level][runStart:runEnd]
+// sampleRun returns the sample rows of run r at the given level.
+func (t *tree) sampleRun(level, r int) []int32 {
+	stride := t.stride[level]
+	return t.samples[level][r*stride : (r+1)*stride]
 }
 
 // mergeRunParallel splits the merge of run r into `workers` output pieces;
@@ -214,7 +192,7 @@ func (t *tree) originRun(level, runStart, runEnd int) []uint8 {
 // rank search over the value domain, so pieces merge independently
 // (Francis et al. 1993, cited in §5.2). The pieces run under ctx, whose
 // error is returned when it cut the merge short.
-func (t *tree) mergeRunParallel(ctx context.Context, level, r int, samples []int32, stride, workers int) error {
+func (t *tree) mergeRunParallel(ctx context.Context, level, r, workers int) error {
 	runStart := r * t.effLen[level]
 	runEnd := runStart + t.effLen[level]
 	if runEnd > t.n {
@@ -231,7 +209,7 @@ func (t *tree) mergeRunParallel(ctx context.Context, level, r int, samples []int
 	}
 	if pieces <= 1 {
 		buf, vals := mergeScratch(f)
-		t.mergeRun(level, r, samples, stride, buf, vals)
+		t.mergeRun(level, r, buf, vals)
 		putMergeScratch(buf, vals)
 		return nil
 	}
@@ -248,12 +226,9 @@ func (t *tree) mergeRunParallel(ctx context.Context, level, r int, samples []int
 	for p := 1; p < pieces; p++ {
 		findSplitInto(flat[p*m:(p+1)*m], childData, childLen, m, length*p/pieces)
 	}
-	var sampleRun []int32
-	if samples != nil {
-		sampleRun = samples[r*stride : (r+1)*stride]
-	}
 	out := t.levels[level][runStart:runEnd]
-	origin := t.originRun(level, runStart, runEnd)
+	sampleRun := t.sampleRun(level, r)
+	origin := t.origin[level][runStart:runEnd]
 	return parallel.ForEachContext(ctx, pieces, func(p int) {
 		t0 := length * p / pieces
 		t1 := length * (p + 1) / pieces
@@ -292,26 +267,22 @@ const maxPayload int32 = math.MaxInt32
 // against any live leaf, even one whose head equals maxPayload (live
 // tiebreaks are < m).
 //
-// Samples are recorded at every output position that is a multiple of k,
-// plus the final boundary; the merge loop runs in sample-free blocks so the
-// hot path has no modulo.
+// Samples are recorded into sampleRun at every output position that is a
+// multiple of k, plus the final boundary; the merge loop runs in sample-free
+// blocks so the hot path has no modulo.
 //
-// origin, when non-nil, is the run's merge-origin stripe (parallel to out):
-// every path records the child each output was taken from, which under the
-// stable tiebreak is the lowest-indexed child holding the minimum head.
+// origin is the run's merge-origin stripe (parallel to out): every path
+// records the child each output was taken from, which under the stable
+// tiebreak is the lowest-indexed child holding the minimum head.
 func (t *tree) mergePiece(out, childData []int32, childLen, m int, split, buf, vals, sampleRun []int32, origin []uint8, t0, t1 int) {
 	k, f := t.k, t.f
-	if childLen == 1 && split == nil && t0 == 0 && t1 == len(out) && (sampleRun == nil || k >= t1) {
+	if childLen == 1 && split == nil && t0 == 0 && t1 == len(out) && k >= t1 {
 		// Leaf level: every child is a single element, so the merge is a
-		// small stable sort. Sample rows, if any, are only the zero row
-		// (already zeroed storage) and the full-run boundary row.
+		// small stable sort. The sample rows are only the zero row (already
+		// zeroed storage) and the full-run boundary row.
 		copy(out, childData[:t1])
-		if origin != nil {
-			insertionSortOrigin(out, origin)
-		} else {
-			insertionSort(out)
-		}
-		if sampleRun != nil && t1%k == 0 {
+		insertionSortOrigin(out, origin)
+		if t1%k == 0 {
 			base := (t1 / k) * f
 			for c := 0; c < m; c++ {
 				sampleRun[base+c] = 1
@@ -342,23 +313,17 @@ func (t *tree) mergePiece(out, childData []int32, childLen, m int, split, buf, v
 	if m == 1 {
 		// Single child: the run is already sorted, only samples to record;
 		// every output comes from child 0.
-		if origin != nil {
-			clear(origin[t0:t1])
-		}
+		clear(origin[t0:t1])
 		c0 := int(cursor[0])
-		if sampleRun != nil {
-			for p := t0; p < t1; p++ {
-				if p%k == 0 {
-					sampleRun[(p/k)*f] = i32(c0)
-				}
-				out[p] = childData[c0]
-				c0++
+		for p := t0; p < t1; p++ {
+			if p%k == 0 {
+				sampleRun[(p/k)*f] = i32(c0)
 			}
-			if t1 == len(out) && t1%k == 0 {
-				sampleRun[(t1/k)*f] = i32(c0)
-			}
-		} else {
-			copy(out[t0:t1], childData[c0:c0+(t1-t0)])
+			out[p] = childData[c0]
+			c0++
+		}
+		if t1 == len(out) && t1%k == 0 {
+			sampleRun[(t1/k)*f] = i32(c0)
 		}
 		return
 	}
@@ -389,21 +354,14 @@ func (t *tree) mergePiece(out, childData []int32, childLen, m int, split, buf, v
 	winner := winners[1]
 	p := t0
 	for p < t1 {
-		stop := t1
-		if sampleRun != nil {
-			if p%k == 0 {
-				writeSample(p / k)
-			}
-			if next := (p/k + 1) * k; next < stop {
-				stop = next
-			}
+		if p%k == 0 {
+			writeSample(p / k)
 		}
+		stop := min((p/k+1)*k, t1)
 		for ; p < stop; p++ {
 			c := winner
 			out[p] = vals[c]
-			if origin != nil {
-				origin[p] = u8(int(c))
-			}
+			origin[p] = u8(int(c))
 			pos := cursor[c] + 1
 			cursor[c] = pos
 			if pos < end[c] {
@@ -427,27 +385,15 @@ func (t *tree) mergePiece(out, childData []int32, childLen, m int, split, buf, v
 			winner = w
 		}
 	}
-	if sampleRun != nil && t1 == len(out) && t1%k == 0 {
+	if t1 == len(out) && t1%k == 0 {
 		writeSample(t1 / k)
 	}
 }
 
-// insertionSort stably sorts a small slice ascending; equal elements keep
-// their original (child) order, matching the merge's tiebreak.
-func insertionSort(a []int32) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}
-
-// insertionSortOrigin is insertionSort that also fills the leaf-level origin
-// stripe: element i starts as child i, and origins move with their values.
+// insertionSortOrigin stably sorts a small slice ascending — equal elements
+// keep their original (child) order, matching the merge's tiebreak — and
+// fills the leaf-level origin stripe: element i starts as child i, and
+// origins move with their values.
 func insertionSortOrigin(a []int32, origin []uint8) {
 	for i := range a {
 		v := a[i]

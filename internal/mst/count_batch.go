@@ -68,7 +68,7 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) (
 			out[q] = 0
 		case tv > math.MaxInt32:
 			out[q] = i32(h - l)
-		case leafRule(h-l, t.form):
+		case LeafRule(h-l, t.form):
 			out[q] = i32(countLeaf(t.tr.levels[0][l:h], clampI32(tv)))
 			leaves++
 		case tv <= 0:

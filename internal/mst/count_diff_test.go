@@ -14,7 +14,7 @@ import (
 // interleave around the current row, and the queries the kernel answers
 // before ranking them — trivial, full-range, narrow, threshold ≤ 0 and past
 // math.MaxInt32 — over previous-occurrence keys, duplicate-heavy keys and keys
-// above n, on striped, deep and NoCascading trees, under both leaf
+// above n, on the default, a deep and a fanout-5 tree, under both leaf
 // seam settings. Every answer must equal brute force, and the kernel must report exactly the queries the cost rule names
 // as answered from their predecessor: some on every tree with top-run
 // positions at the production cutoff, none without positions or with the
@@ -39,7 +39,7 @@ func testCountBatchDifferential(t *testing.T) {
 	lo, hi, thr := diffBatch(rng, n, 6000)
 	out := make([]int32, len(lo))
 	for _, in := range inputs {
-		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 5, SampleEvery: 3, NoCascading: true}} {
+		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 5, SampleEvery: 3}} {
 			tree, err := Build(in.keys, opt)
 			if err != nil {
 				t.Fatal(err)

@@ -44,10 +44,9 @@ func FuzzCountSelect(f *testing.F) {
 				keys[i] = int64(b) << 24
 			}
 		}
-		opt := Options{ // flags&2 is unused: the corpus keeps decoding as it did; flags>>3 shapes the sliding select
+		opt := Options{ // flags&1 and flags&2 are unused: the corpus keeps decoding as it did; flags>>3 shapes the sliding select
 			Fanout:      fuzzParam(fanout, 2, 7),
 			SampleEvery: fuzzParam(sampleEvery, 1, 15),
-			NoCascading: flags&1 != 0,
 		}
 		if flags&4 != 0 {
 			opt.Context = serialBuild
@@ -225,8 +224,11 @@ func fuzzSeedBytes(n int, seed int64) []byte {
 // shows up immediately), ok flags must agree, and so must the count side
 // output. Two flag bits stretch the batch across the kernel's sub-batch
 // boundaries, and a sliding run closes it: a ROWS frame over every row,
-// narrower than LeafRows. A string state never takes the leaf path, so int64
-// arms — values whose sums wrap — check kernel against brute force under
+// narrower than LeafRows (aggFuzzBatch). The string arm reads at most
+// aggStringRows rows of the input: a fold's string grows with every entry it
+// takes, so the reference's cost grows with the square of the rows a query
+// covers, and a string state never takes the leaf path, so any tree of a few
+// rows already descends. The int64 arms read the whole input: — values whose sums wrap — check kernel against brute force under
 // both leaf seam settings, with ranges one row either side of LeafRows in the
 // batch: a tree whose merge is addition but undeclared, which folds every
 // narrow range, and the sum tree (BuildSum), which answers a narrow range
@@ -248,19 +250,15 @@ func FuzzAggBatch(f *testing.F) {
 	// but its first query from their predecessor.
 	f.Add(fuzzSeedBytes(300, 19), 0, 59, int64(1), uint8(30), uint8(31), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int, threshold int64, fanout, sampleEvery, flags uint8) {
-		keys := make([]int64, len(data))
-		vals := make([]string, len(data))
-		ivals := make([]int64, len(data))
-		for i, b := range data {
-			// Annotated keys live in the previous-index domain [0, n].
-			keys[i] = int64(int(b) % (len(data) + 1))
-			vals[i] = string(rune('a' + int(b)%26))
-			ivals[i] = int64(b)<<56 | int64(i) // two of them can wrap
-		}
-		opt := Options{
+		opt := Options{ // flags&1 is unused: the corpus keeps decoding as it did
 			Fanout:      2 + int(fanout%7),
 			SampleEvery: 1 + int(sampleEvery%15),
-			NoCascading: flags&1 != 0,
+		}
+		sdata := data[:min(len(data), aggStringRows)]
+		keys := aggFuzzKeys(sdata)
+		vals := make([]string, len(sdata))
+		for i, b := range sdata {
+			vals[i] = string(rune('a' + int(b)%26))
 		}
 		merge := func(a, b string) string { return a + "|" + b }
 		at, err := BuildAnnotated(keys, vals, merge, opt)
@@ -268,23 +266,7 @@ func FuzzAggBatch(f *testing.F) {
 			t.Fatalf("BuildAnnotated(%d keys, %+v): %v", len(keys), opt, err)
 		}
 		ref := newAggRef(at.t.effLen, keys, vals, merge)
-		// Repeat, perturb and full-span the query so the batch sees equal and
-		// neighbouring thresholds and the top-level fast path in one pass.
-		bLo := []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
-		bHi := []int32{int32(hi), int32(hi), int32(len(keys)), int32(hi + 3)}
-		bThr := []int64{threshold, threshold, threshold, threshold - 1}
-		// flags&6 repeats the four with drifting bounds up to a batch length
-		// just short of, just past, or several times the sub-batch size.
-		for q, m := 4, []int{4, aggSubBatch - 1, aggSubBatch + 1, 3*aggSubBatch + 1}[flags>>1&3]; q < m; q++ {
-			bLo = append(bLo, bLo[q%4]+int32(q%5))
-			bHi = append(bHi, bHi[q%4]-int32(q%3))
-			bThr = append(bThr, bThr[q%4]+int64(q%7))
-		}
-		for _, w := range []int32{LeafRows - 1, LeafRows, LeafRows + 1} {
-			bLo, bHi, bThr = append(bLo, int32(lo)), append(bHi, int32(lo)+w), append(bThr, threshold)
-		}
-		_, sLo, sHi, sThr := slidingQueries(len(keys), slidingWidth(lo, hi))
-		bLo, bHi, bThr = append(bLo, sLo...), append(bHi, sHi...), append(bThr, sThr...)
+		bLo, bHi, bThr := aggFuzzBatch(len(keys), lo, hi, threshold, flags)
 		res := make([]string, len(bLo))
 		ok := make([]bool, len(bLo))
 		cnt := make([]int32, len(bLo))
@@ -301,6 +283,12 @@ func FuzzAggBatch(f *testing.F) {
 			}
 		}
 
+		keys = aggFuzzKeys(data)
+		ivals := make([]int64, len(data))
+		for i, b := range data {
+			ivals[i] = int64(b)<<56 | int64(i) // two of them can wrap
+		}
+		bLo, bHi, bThr = aggFuzzBatch(len(keys), lo, hi, threshold, flags)
 		it, err := BuildAnnotated(keys, ivals, addInt64, opt)
 		if err != nil {
 			t.Fatalf("BuildAnnotated(%d int64 keys, %+v): %v", len(keys), opt, err)
@@ -321,6 +309,42 @@ func FuzzAggBatch(f *testing.F) {
 		})
 		leafOnlyAggs(t, keys, ivals, opt, lo, hi, threshold)
 	})
+}
+
+// aggStringRows is the most rows of a FuzzAggBatch input its string arm
+// reads.
+const aggStringRows = 64
+
+// aggFuzzKeys decodes FuzzAggBatch's keys: annotated keys live in the
+// previous-index domain [0, n].
+func aggFuzzKeys(data []byte) []int64 {
+	keys := make([]int64, len(data))
+	for i, b := range data {
+		keys[i] = int64(int(b) % (len(data) + 1))
+	}
+	return keys
+}
+
+// aggFuzzBatch is FuzzAggBatch's query batch over n rows. It repeats,
+// perturbs and full-spans the fuzzer's query so the batch sees equal and
+// neighbouring thresholds and the top-level fast path in one pass; flags&6
+// repeats the four with drifting bounds up to a batch length just short of,
+// just past, or several times the sub-batch size; three ranges one row
+// either side of LeafRows and a sliding run over every row close it.
+func aggFuzzBatch(n, lo, hi int, threshold int64, flags uint8) (bLo, bHi []int32, bThr []int64) {
+	bLo = []int32{int32(lo), int32(lo), 0, int32(lo + 1)}
+	bHi = []int32{int32(hi), int32(hi), int32(n), int32(hi + 3)}
+	bThr = []int64{threshold, threshold, threshold, threshold - 1}
+	for q, m := 4, []int{4, aggSubBatch - 1, aggSubBatch + 1, 3*aggSubBatch + 1}[flags>>1&3]; q < m; q++ {
+		bLo = append(bLo, bLo[q%4]+int32(q%5))
+		bHi = append(bHi, bHi[q%4]-int32(q%3))
+		bThr = append(bThr, bThr[q%4]+int64(q%7))
+	}
+	for _, w := range []int32{LeafRows - 1, LeafRows, LeafRows + 1} {
+		bLo, bHi, bThr = append(bLo, int32(lo)), append(bHi, int32(lo)+w), append(bThr, threshold)
+	}
+	_, sLo, sHi, sThr := slidingQueries(n, slidingWidth(lo, hi))
+	return append(bLo, sLo...), append(bHi, sHi...), append(bThr, sThr...)
 }
 
 // fuzzParam maps a fuzz byte to a fanout or sample distance: mostly the

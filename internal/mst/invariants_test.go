@@ -12,10 +12,11 @@ import (
 // checkInvariants validates the structural invariants of a built tree:
 // every level is a permutation of the base multiset, runs are sorted, the
 // top level is one fully sorted run, every cascading sample really is the
-// merge's consumed-count snapshot, every origin entry is the child the
-// stable reference merge takes, the step gives every child's exact rank
-// (checkRankIdentity) — with and without stripes — and the top-run positions
-// are the stable argsort of level 0 (checkTopPositions).
+// merge's consumed-count snapshot, every merge level carries its samples
+// and its origin stripe, every origin entry is the child the stable
+// reference merge takes, the step gives every child's exact rank
+// (checkRankIdentity), and the top-run positions are the stable argsort of
+// level 0 (checkTopPositions).
 func checkInvariants(t *testing.T, tr *tree) {
 	t.Helper()
 	n := tr.n
@@ -55,17 +56,14 @@ func checkInvariants(t *testing.T, tr *tree) {
 		// recorded consumed counts must equal, per child, the number of its
 		// elements among the lexicographically smallest s·k elements of the
 		// merge — verified by re-merging.
-		if (tr.samples[l] != nil) != (tr.origin[l] != nil) {
-			t.Fatalf("level %d: samples present = %v but origin stripe present = %v; a tree is striped or NoCascading",
-				l, tr.samples[l] != nil, tr.origin[l] != nil)
-		}
 		numRuns := (n + rl - 1) / rl
+		if stride := sampleStride(rl, tr.k, tr.f); tr.stride[l] != stride || len(tr.samples[l]) != numRuns*stride || len(tr.origin[l]) != n {
+			t.Fatalf("level %d: %d sample entries at stride %d and %d origin bytes, want %d at stride %d and %d",
+				l, len(tr.samples[l]), tr.stride[l], len(tr.origin[l]), numRuns*stride, stride, n)
+		}
 		for r := 0; r < numRuns; r++ {
 			kids := tr.children(l, r)
 			checkRankIdentity(t, tr, l, r, kids)
-			if tr.samples[l] == nil {
-				continue
-			}
 			runStart := r * rl
 			runEnd := runStart + rl
 			if runEnd > n {
@@ -97,7 +95,7 @@ func checkInvariants(t *testing.T, tr *tree) {
 						best = c
 					}
 				}
-				if tr.origin[l] != nil && int(tr.origin[l][runStart+p]) != best {
+				if int(tr.origin[l][runStart+p]) != best {
 					t.Fatalf("level %d run %d output %d: origin %d, stable merge takes child %d",
 						l, r, p, tr.origin[l][runStart+p], best)
 				}
@@ -141,10 +139,9 @@ func checkTopPositions(t *testing.T, tr *tree) {
 
 // checkRankIdentity verifies both forms of the step on one run: for every
 // threshold x just below, at and just above every value of the run,
-// ranksStep must give every child's exact rank of x (on a striped tree: the
-// sample entry at the last sample point at or before the run's own rank plus
-// the origin entries naming the child between that sample point and the
-// rank), and countStep's three quantities must agree with those ranks for
+// ranksStep must give every child's exact rank of x (the sample entry at the
+// last sample point at or before the run's own rank plus the origin entries
+// naming the child between that sample point and the rank), and countStep's three quantities must agree with those ranks for
 // every range of children [cFirst, cLast].
 func checkRankIdentity(t *testing.T, tr *tree, l, r int, kids [][]int32) {
 	t.Helper()
@@ -158,7 +155,7 @@ func checkRankIdentity(t *testing.T, tr *tree, l, r int, kids [][]int32) {
 		}
 		for _, x := range []int32{v - 1, v, v + 1} {
 			rank := lowerBoundP(run, x)
-			lv.ranksStep(r, rank, x, 0, len(kids)-1, got)
+			lv.ranksStep(r, rank, got)
 			for c, kid := range kids {
 				if want := lowerBoundP(kid, x); int(got[c]) != want {
 					t.Fatalf("level %d run %d child %d threshold %v: step gives rank %d, want %d",

@@ -69,16 +69,19 @@ func CheckRows(rows int, form Form) error {
 	return nil
 }
 
-// leafRule reports whether a range of w rows is answered from level 0: on a
-// leaf-only structure always — it has nothing else, and a range wider than
-// LeafRows is the invariant violation CheckRows reports — and otherwise when
-// w is at most the leafRows cutoff.
-func leafRule(w int, form Form) bool {
+// LeafRule reports whether a range of w rows of a structure of the given
+// form is answered by a scan of its input in position order (a tree's level
+// 0, rangetree's partition arrays) instead of a descent: always on a
+// leaf-only structure, which has nothing else (a range wider than LeafRows
+// there is the invariant violation CheckRows reports), and otherwise when w
+// is at most the cutoff SetLeafRows last set. The kernels of this package and
+// rangetree's probe all take it.
+func LeafRule(w int, form Form) bool {
 	if form != Leaves {
 		return w <= leafRows
 	}
 	if err := CheckRows(w, Leaves); err != nil {
-		// Invariant: callers check CheckRows before probing a leaf-only structure; a wider range would read merge levels that were never built
+		// Invariant: callers check CheckRows before probing a leaf-only structure; a wider range would read levels or nodes that were never built
 		panic(err)
 	}
 	return true

@@ -35,7 +35,7 @@ var leafWidths = []int{1, LeafRows - 1, LeafRows, LeafRows + 1, 250}
 
 // TestLeafRule pins the leaf rule at its boundary: ranges of LeafRows−1,
 // LeafRows and LeafRows+1 rows at every start position, through the batched
-// count kernel of a striped, a deep and a NoCascading tree, and
+// count kernel of the default and a deep tree, and
 // through the aggregate kernels of an int64 tree — whose sums wrap — and of a
 // float64 tree, which never takes the leaf path. Every answer must match
 // brute force, and the batched kernels must report exactly the queries of at
@@ -71,7 +71,7 @@ func TestLeafRule(t *testing.T) {
 			}
 		}
 		out := make([]int32, m)
-		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}} {
+		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}} {
 			tree, err := Build(keys, opt)
 			if err != nil {
 				t.Fatal(err)

@@ -153,7 +153,7 @@ func selectKernel(t *tree, off, vlo, vhi, k, out []int32) (diffs int) {
 			q := int(lq[li])
 			o0, o1 := int(off[q]), int(off[q+1])
 			r := int(out[q])
-			c, rem := lv.selectStep(r, int(remQ[q]), vlo[o0:o1], vhi[o0:o1], rlo[o0:o1], rhi[o0:o1], scratch)
+			c, rem := lv.selectStep(r, int(remQ[q]), rlo[o0:o1], rhi[o0:o1], scratch)
 			out[q], remQ[q] = i32(r*t.f+c), i32(rem)
 		}
 	}

@@ -80,8 +80,7 @@ func (t *tree) resolveSelectDiffs(off, vlo, vhi, k, tlo, thi, dlo, dhi, scratch,
 			for j := 0; j < q1-q0; j++ {
 				c += band(t.topPos, thi[p0+j], thi[q0+j], 0, a) - band(t.topPos, tlo[p0+j], tlo[q0+j], 0, a)
 			}
-			lo, hi := vlo[q0:q1], vhi[q0:q1]
-			if pos := t.walk(lo, hi, int(a), c, int(k[q]), budget); pos >= 0 {
+			if pos := t.walk(vlo[q0:q1], vhi[q0:q1], int(a), c, int(k[q]), budget); pos >= 0 {
 				out[q] = i32(pos)
 				diffs++
 			} else {
@@ -92,7 +91,7 @@ func (t *tree) resolveSelectDiffs(off, vlo, vhi, k, tlo, thi, dlo, dhi, scratch,
 				for level := t.top(); level >= 1; level-- {
 					lv := t.view(level)
 					var child int
-					child, rem = lv.selectStep(run, rem, lo, hi, rlo, rhi, scratch)
+					child, rem = lv.selectStep(run, rem, rlo, rhi, scratch)
 					run = run*t.f + child
 				}
 				out[q] = i32(run)

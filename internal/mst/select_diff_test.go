@@ -15,8 +15,8 @@ import (
 // between the first and the last entry of a fixed frame, whose walks run to
 // either end of level 0 or past the budget; and frames stepping by half the
 // budget, whose band cost lands on it and one below. They run over a
-// permutation, keys with ties and keys above n, on striped, deep and
-// NoCascading trees, under both leaf seam settings. Every answer must equal
+// permutation, keys with ties and keys above n, on the default, a deep and a
+// fanout-5 tree, under both leaf seam settings. Every answer must equal
 // brute force, and the kernel must report
 // exactly the queries the anchor rule and the walk's reach name as answered
 // from their predecessor: some on every tree with top-run positions at the
@@ -49,7 +49,7 @@ func TestSelectBatchDifferential(t *testing.T) {
 		}
 		t.Run(in.name, func(t *testing.T) {
 			leafSeam(t, func(t *testing.T) {
-				for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 5, SampleEvery: 3, NoCascading: true}} {
+				for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 5, SampleEvery: 3}} {
 					tree, err := Build(in.keys, opt)
 					if err != nil {
 						t.Fatal(err)

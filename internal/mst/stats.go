@@ -4,7 +4,7 @@ package mst
 // §5.1: the tree has ⌈log_f n⌉·n payload elements plus
 // (⌈log_f n⌉−1)·n·f/k cascading pointers, so a larger fanout shrinks the
 // payload exponentially while growing the pointer share linearly. On top of
-// the paper's two terms every merge level of a cascading tree carries a
+// the paper's two terms every merge level of a full tree carries a
 // one-byte-per-element origin stripe, ⌈log_f n⌉·n bytes in all, and a
 // tree over keys in [0, n] keeps the top run's base positions (topPos,
 // count_diff.go, select_diff.go), 4·n bytes. The sliding form keeps level 0,

@@ -27,9 +27,8 @@ package mst
 //     the aggregate descents index each covered child's prefix aggregates
 //     with it (§4.3).
 //
-// A tree is in one of two states: striped (cascading; samples and origins
-// present, every rank exact) or NoCascading (neither; Figure 2's full binary
-// search per child, written once, in ranksStep).
+// Every merge level of a full tree carries both its samples and its origin
+// stripe, so every rank a step hands down is exact.
 
 // levelView is the per-level state of the step: the geometry of one merge
 // level and its stripes. The kernels hoist it once per level.
@@ -37,9 +36,9 @@ type levelView struct {
 	n, f, k          int
 	runLen, childLen int
 	kids             []int32 // levels[level-1]
-	samples          []int32 // samples[level]; nil without cascading
+	samples          []int32 // samples[level]
 	stride           int
-	origin           []uint8 // origin[level]; nil without cascading
+	origin           []uint8 // origin[level]
 }
 
 // view returns the step state of a merge level (level >= 1).
@@ -89,21 +88,16 @@ func (v *levelView) countStep(r, rank, lo, hi int, x int32) (covered int, partia
 	}
 	cFirst := (from - runStart) / v.childLen
 	cLast := (to - 1 - runStart) / v.childLen
-	var rFirst, rLast int
-	if v.origin != nil {
-		q := rank / v.k
-		nFirst, nLast, nMid := originCounts(v.origin[runStart+q*v.k:runStart+rank], cFirst, cLast)
-		row := v.samples[r*v.stride+q*v.f:]
-		rFirst = int(row[cFirst]) + nFirst
-		rLast = int(row[cLast]) + nLast
-		covered = nMid
-		if cLast > cFirst {
-			for _, s := range row[cFirst+1 : cLast] {
-				covered += int(s)
-			}
+	q := rank / v.k
+	nFirst, nLast, nMid := originCounts(v.origin[runStart+q*v.k:runStart+rank], cFirst, cLast)
+	row := v.samples[r*v.stride+q*v.f:]
+	rFirst := int(row[cFirst]) + nFirst
+	rLast := int(row[cLast]) + nLast
+	covered = nMid
+	if cLast > cFirst {
+		for _, s := range row[cFirst+1 : cLast] {
+			covered += int(s)
 		}
-	} else {
-		rFirst, rLast, covered = v.searchCounts(r, cFirst, cLast, x)
 	}
 	if from == runStart+cFirst*v.childLen && to >= min(from+v.childLen, runEnd) {
 		covered += rFirst
@@ -141,33 +135,13 @@ func originCounts(seg []uint8, cFirst, cLast int) (nFirst, nLast, nMid int) {
 	return nFirst, nLast, nMid
 }
 
-// searchCounts is countStep's three quantities on a NoCascading tree: the
-// searched ranks of children cFirst..cLast, split the way the stripes
-// deliver them. Kept apart so the striped step carries no rank buffer.
-func (v *levelView) searchCounts(r, cFirst, cLast int, x int32) (rFirst, rLast, mid int) {
-	var ranks [maxOriginFanout]int32
-	v.ranksStep(r, 0, x, cFirst, cLast, ranks[:])
-	for _, s := range ranks[cFirst+1 : max(cLast, cFirst+1)] {
-		mid += int(s)
-	}
-	return int(ranks[cFirst]), int(ranks[cLast]), mid
-}
-
 // ranksStep is the all-children form of the step: given rank, the exact
-// number of elements of run r smaller than x, it sets out[c] to the exact
-// number of elements of child c smaller than x for every child c in
-// [cFrom, cTo]; other entries of out, which must hold at least f entries,
-// are unspecified. A striped tree delivers every child at once and ignores the
-// child range; a NoCascading tree searches just the children asked for.
-func (v *levelView) ranksStep(r, rank int, x int32, cFrom, cTo int, out []int32) {
-	runStart, runEnd := v.span(r)
-	if v.origin == nil {
-		for c := cFrom; c <= cTo; c++ {
-			cs := runStart + c*v.childLen
-			out[c] = i32(lowerBoundP(v.kids[cs:min(cs+v.childLen, runEnd)], x))
-		}
-		return
-	}
+// number of elements of run r smaller than x, it sets out[c], for every
+// child c of the run, to the exact number of elements of child c smaller
+// than x; out must hold at least f entries, and those past the run's child
+// count are unspecified.
+func (v *levelView) ranksStep(r, rank int, out []int32) {
+	runStart := r * v.runLen
 	q := rank / v.k
 	copy(out, v.samples[r*v.stride+q*v.f:][:v.f])
 	for _, o := range v.origin[runStart+q*v.k : runStart+rank] {
@@ -183,22 +157,22 @@ func (v *levelView) ranksStep(r, rank int, x int32, cFrom, cTo int, out []int32)
 // counts finds the child holding the entry. selectStep returns that child
 // and the entry's index among the child's qualifying elements, and replaces
 // rlo/rhi by the child's ranks. scratch holds a lower-bound and an upper-bound
-// rank row per range, 2·len(vlo)·f entries.
-func (v *levelView) selectStep(r, i int, vlo, vhi, rlo, rhi, scratch []int32) (child, rem int) {
+// rank row per range, 2·len(rlo)·f entries.
+func (v *levelView) selectStep(r, i int, rlo, rhi, scratch []int32) (child, rem int) {
 	runStart, runEnd := v.span(r)
 	m := (runEnd - runStart + v.childLen - 1) / v.childLen
 	f := v.f
-	for j := range vlo {
-		v.ranksStep(r, int(rlo[j]), vlo[j], 0, m-1, scratch[2*j*f:][:f])
-		v.ranksStep(r, int(rhi[j]), vhi[j], 0, m-1, scratch[(2*j+1)*f:][:f])
+	for j := range rlo {
+		v.ranksStep(r, int(rlo[j]), scratch[2*j*f:][:f])
+		v.ranksStep(r, int(rhi[j]), scratch[(2*j+1)*f:][:f])
 	}
 	for c := 0; c < m; c++ {
 		cnt := 0
-		for j := range vlo {
+		for j := range rlo {
 			cnt += int(scratch[(2*j+1)*f+c] - scratch[2*j*f+c])
 		}
 		if i < cnt {
-			for j := range vlo {
+			for j := range rlo {
 				rlo[j], rhi[j] = scratch[2*j*f+c], scratch[(2*j+1)*f+c]
 			}
 			return c, i

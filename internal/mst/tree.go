@@ -100,11 +100,6 @@ type Options struct {
 	// k-th element of a run carries pointers into the child runs.
 	// 0 selects DefaultSampleEvery. Must be >= 1 otherwise.
 	SampleEvery int
-	// NoCascading disables fractional cascading entirely: no samples, no
-	// origin stripes; every child is then located with a full binary search,
-	// degrading queries to O((log n)²) as in Figure 2. Kept for the ablation
-	// benchmarks.
-	NoCascading bool
 	// Context, when non-nil, is the context construction runs under: its
 	// worker cap (parallel.ContextWithLimit) bounds the build's parallel
 	// loops, and once it is done they stop between tasks and the build
@@ -155,7 +150,7 @@ type tree struct {
 	// samples[l] (l >= 1) holds the cascading pointers of level l: for run
 	// r and sample s (covering the run prefix of length s·k), f int32
 	// consumed-element counts, one per child run. Flattened as
-	// samples[l][r*stride(l) + s*f + child]. nil when cascading is off.
+	// samples[l][r*stride(l) + s*f + child].
 	samples [][]int32
 	// stride[l] is the per-run sample stride at level l, padded to whole
 	// cache lines (sampleStride, soa.go).
@@ -163,7 +158,7 @@ type tree struct {
 	// origin[l] (l >= 1) is the merge-origin stripe of level l, parallel to
 	// levels[l]: origin[l][p] is the index, within its run's children, of
 	// the child run the merge took element p from. Together with the samples
-	// it makes every child rank exact (step.go). nil when cascading is off.
+	// it makes every child rank exact (step.go).
 	origin [][]uint8
 	// effLen[l] is the run length at level l (f^l), clamped to n at the top.
 	effLen []int
@@ -311,7 +306,7 @@ func (t *Tree) Len() int { return t.n }
 // is strictly smaller than threshold, lo and hi clamped to [0, Len()]: a
 // batch of one over CountBelowBatch. The window operator batches every
 // query; this stays exported only for bench/layers.go's per-query probe
-// timing (ROADMAP 2(i)).
+// timing (ROADMAP 18).
 func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
 	l, h := i32(min(max(lo, 0), t.n)), i32(min(max(hi, 0), t.n))
 	var out [1]int32

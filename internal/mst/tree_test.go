@@ -74,7 +74,6 @@ func optVariants() []Options {
 		{Fanout: 4, SampleEvery: 16}, //
 		{Fanout: 3, SampleEvery: 5},  // non-power-of-two fanout
 		{Fanout: 32, SampleEvery: 32, Context: serialBuild},
-		{NoCascading: true}, // plain O((log n)^2) queries
 		{Fanout: 64, SampleEvery: 4},
 	}
 }
@@ -197,7 +196,7 @@ func TestSelectKthRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 5, 64, 500, 2000} {
 		keys := randKeys(rng, n, int64(n))
-		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {NoCascading: true}} {
+		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}} {
 			tree, err := Build(keys, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -546,13 +545,6 @@ func TestStats(t *testing.T) {
 	if s.Pointers == 0 || s.Bytes == 0 {
 		t.Fatalf("stats missing pointer accounting: %+v", s)
 	}
-	noCascade, err := Build(keys, Options{NoCascading: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := noCascade.Stats().Pointers; p != 0 {
-		t.Fatalf("no-cascading tree reports %d pointers", p)
-	}
 }
 
 func TestDuplicateHeavyInput(t *testing.T) {
@@ -563,7 +555,7 @@ func TestDuplicateHeavyInput(t *testing.T) {
 	for i := 100; i < n; i += 500 {
 		keys[i] = int64(i)
 	}
-	for _, opt := range []Options{{}, {NoCascading: true}, {Fanout: 2, SampleEvery: 1}} {
+	for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}} {
 		tree, err := Build(keys, opt)
 		if err != nil {
 			t.Fatal(err)

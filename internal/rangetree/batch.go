@@ -10,9 +10,9 @@
 // the group instead of being paid per query; a group of one takes the same
 // call. Left and right boundary emissions go to separate streams: a node
 // appears as an l-node for one contiguous range of queries and as an r-node
-// for another, and mixing the two would split the groups. Frames of at most
-// mst.LeafRows rows never enter the walk: they are counted in window order
-// over the partition arrays (countLeaves).
+// for another, and mixing the two would split the groups. Frames the merge
+// sort trees' leaf rule (mst.LeafRule) takes never enter the walk: they are
+// counted in window order over the partition arrays (countLeaves).
 //
 // Results are checked against brute force by
 // TestCountDistinctBelowBatchMatchesScalar and FuzzDenseRankBatch, and
@@ -22,6 +22,7 @@ package rangetree
 
 import (
 	"holistic/internal/arena"
+	"holistic/internal/mst"
 	"holistic/internal/sortutil"
 )
 
@@ -72,7 +73,7 @@ func (t *DenseRankTree) CountDistinctBelowBatch(lo, hi []int32, rankThr, prevThr
 		ll[q], rr[q] = 0, 0
 		switch {
 		case l >= h:
-		case t.leaf(int(h - l)):
+		case mst.LeafRule(int(h-l), t.form):
 			out[q] = int32(t.countLeaves(int(l), int(h), rankThr[q], prevThr[q]))
 			leaves++
 		default:

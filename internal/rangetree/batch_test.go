@@ -9,20 +9,55 @@ import (
 	"holistic/internal/mst"
 )
 
-// leafSeam runs fn as one subtest per setting of the leaf seam: the
-// production cutoff, and off, which decomposes every query.
-func leafSeam(t *testing.T, fn func(t *testing.T)) {
+// leafSeam runs fn as one subtest per setting of the leaf seam
+// (mst.SetLeafRows), handing it the cutoff: the production one, and 0, which
+// decomposes every query.
+func leafSeam(t *testing.T, fn func(t *testing.T, cutoff int)) {
 	t.Helper()
 	for _, s := range []struct {
 		name string
 		rows int
 	}{{"leaves", mst.LeafRows}, {"descent", 0}} {
 		t.Run(s.name, func(t *testing.T) {
-			defer func(saved int) { leafRows = saved }(leafRows)
-			leafRows = s.rows
-			fn(t)
+			defer mst.SetLeafRows(mst.SetLeafRows(s.rows))
+			fn(t, s.rows)
 		})
 	}
+}
+
+// TestLeafSeamReachesDenseRank pins that the leaf rule DenseRankTree takes
+// is the merge sort trees' one: with the cutoff at 0, a full structure
+// decomposes even a 60-row frame, and at the production cutoff it scans it.
+func TestLeafSeamReachesDenseRank(t *testing.T) {
+	const n, w = 300, 60
+	rng := rand.New(rand.NewSource(83))
+	ranks, prevs := make([]int64, n), make([]int64, n)
+	last := map[int64]int64{}
+	for i := range ranks {
+		ranks[i] = rng.Int63n(40)
+		prevs[i] = last[ranks[i]] // shifted: 0 is "no previous occurrence"
+		last[ranks[i]] = int64(i) + 1
+	}
+	rt, err := New(ranks, prevs, mst.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := make([]int32, n-w), make([]int32, n-w)
+	rankThr, prevThr := make([]int64, n-w), make([]int64, n-w)
+	for q := range lo {
+		lo[q], hi[q] = int32(q), int32(q+w)
+		rankThr[q], prevThr[q] = ranks[q+w-1], int64(q)+1
+	}
+	out := make([]int32, n-w)
+	leafSeam(t, func(t *testing.T, cutoff int) {
+		want := 0
+		if cutoff >= w {
+			want = len(out)
+		}
+		if leaves := rt.CountDistinctBelowBatch(lo, hi, rankThr, prevThr, out); leaves != want {
+			t.Errorf("cutoff %d: %d of %d %d-row frames answered at the leaves, want %d", cutoff, leaves, len(out), w, want)
+		}
+	})
 }
 
 // TestCountDistinctBelowBatchMatchesScalar cross-checks the depth-
@@ -31,7 +66,7 @@ func leafSeam(t *testing.T, fn func(t *testing.T)) {
 // one row either side of the leaf cutoff), random frames, clamped ranges and
 // out-of-domain thresholds — under both leaf seam settings.
 func TestCountDistinctBelowBatchMatchesScalar(t *testing.T) {
-	leafSeam(t, testCountDistinctBelowBatchMatchesScalar)
+	leafSeam(t, func(t *testing.T, _ int) { testCountDistinctBelowBatchMatchesScalar(t) })
 }
 
 func testCountDistinctBelowBatchMatchesScalar(t *testing.T) {
@@ -101,7 +136,7 @@ func testCountDistinctBelowBatchMatchesScalar(t *testing.T) {
 // 1M of mst's crossover. EXPERIMENTS.md "Narrow frames at the leaves" has
 // the table.
 func BenchmarkLeafCrossover(b *testing.B) {
-	defer func(saved int) { leafRows = saved }(leafRows)
+	defer mst.SetLeafRows(mst.SetLeafRows(mst.LeafRows))
 	const m = 20_000
 	for _, n := range []int{2_000, 30_000, 200_000} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -130,7 +165,7 @@ func BenchmarkLeafCrossover(b *testing.B) {
 				name string
 				rows int
 			}{{"scan", math.MaxInt}, {"descent", 0}} {
-				leafRows = mode.rows
+				mst.SetLeafRows(mode.rows)
 				b.Run(fmt.Sprintf("dense/n=%d/w=%d/%s", n, w, mode.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						rt.CountDistinctBelowBatch(lo, hi, rankThr, prevThr, out)

@@ -32,10 +32,9 @@ func FuzzDenseRankBatch(f *testing.F) {
 			ranks[i] = int64(b % 16) // low cardinality: rank ties are the interesting case
 			prevs[i] = int64(int(b)%(len(data)+1)) - 1
 		}
-		opt := mst.Options{
+		opt := mst.Options{ // flags is unused: the corpus keeps decoding as it did
 			Fanout:      2 + int(fanout%7),
 			SampleEvery: 1 + int(sampleEvery%15),
-			NoCascading: flags&1 != 0, // flags&4 is unused: the corpus keeps decoding as it did
 		}
 		rt, err := New(ranks, prevs, opt)
 		// The decoding is unshifted: -1 means "no previous occurrence". Nodes
@@ -64,7 +63,7 @@ func FuzzDenseRankBatch(f *testing.F) {
 			bRank, bPrev = append(bRank, rankThr), append(bPrev, prevThr)
 		}
 		out := make([]int32, len(bLo))
-		leafSeam(t, func(t *testing.T) {
+		leafSeam(t, func(t *testing.T, cutoff int) {
 			wantLeaves := 0
 			leaves := rt.CountDistinctBelowBatch(bLo, bHi, bRank, bPrev, out)
 			for q := range bLo {
@@ -75,7 +74,7 @@ func FuzzDenseRankBatch(f *testing.F) {
 						want++
 					}
 				}
-				if qHi > qLo && qHi-qLo <= leafRows {
+				if qHi > qLo && qHi-qLo <= cutoff {
 					wantLeaves++
 				}
 				if int(out[q]) != want {

@@ -33,11 +33,6 @@ import (
 // smallNode is the node size below which a linear scan beats a nested tree.
 const smallNode = 16
 
-// leafRows is the widest frame answered by a scan of the partition arrays
-// instead of the canonical decomposition — the merge sort trees' leaf rule
-// (mst.LeafRows); tests set it to 0 to decompose every query.
-var leafRows = mst.LeafRows
-
 type node struct {
 	ranks []int64 // node's rank keys, sorted ascending
 	prevs []int64 // prevIdx of the same tuples, in rank-sorted order
@@ -190,20 +185,6 @@ func (t *DenseRankTree) Len() int { return t.n }
 // CheckRows returns a *mst.WidthError when the structure cannot answer a
 // frame of rows rows: only a leaf-only one has a limit, mst.LeafRows.
 func (t *DenseRankTree) CheckRows(rows int) error { return mst.CheckRows(rows, t.form) }
-
-// leaf reports whether a frame of w rows is scanned from the partition
-// arrays: on a leaf-only structure always — a frame wider than mst.LeafRows
-// there is a caller bug — and otherwise up to the leafRows cutoff.
-func (t *DenseRankTree) leaf(w int) bool {
-	if t.form != mst.Leaves {
-		return w <= leafRows
-	}
-	if err := mst.CheckRows(w, mst.Leaves); err != nil {
-		// Invariant: callers check CheckRows before probing a leaf-only structure; a wider frame would decompose into nodes that were never built
-		panic(err)
-	}
-	return true
-}
 
 // countLeaves is the leaf rule: the window positions [lo, hi) whose rank is
 // below rankThreshold and whose prevIdx is below prevThreshold, counted in

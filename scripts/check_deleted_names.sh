@@ -118,5 +118,10 @@ check 'one lattice' all \
 # of its string, so the comparator merge sort and its fork stay deleted
 check 'one sort engine' all \
     'sortutil\.SortFunc|SortIndicesContext|radixSortable|MergeSplit|MergeInto|splitMerge|mergePieces'
+# one tree state: every merge level of a full tree carries its samples and
+# its origin stripe, so the stripe-less descent and its option stay deleted;
+# Figure 2's searched tree is paperbench's segtree.SortedTree
+check 'one tree state' all \
+    'NoCascading|searchCounts|insertionSort\(|no-cascading'
 
 exit $fail
