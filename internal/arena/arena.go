@@ -36,9 +36,9 @@ var (
 
 // Arena is a slab allocator for elements of type T: New sizes one slab, and
 // Alloc hands out zeroed, disjoint slices carved from it. Nothing is freed
-// individually; the slab lives as long as any slice carved from it. Callers
-// size the slab to a total they know up front (a tree's levels, a segment
-// column); an allocation past its end gets a fresh make instead.
+// individually; the slab lives as long as any slice carved from it. The
+// caller sizes the slab to a total it knows up front (the tree build, to a
+// tree's levels); an allocation past its end gets a fresh make instead.
 //
 // The zero value is an arena with an empty slab. An Arena must not be
 // shared between goroutines without external synchronization.

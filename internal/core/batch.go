@@ -136,7 +136,7 @@ func sameRanges(ranges [][2]int, prev [3][2]int, prevNR int) bool {
 // whole-span count query per row — deduped when the span repeats — plus the
 // per-row exclusion-hole correction, which never touches the tree.
 func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree,
-	prev, next []int32, out *outBuilder, agg *batchAgg, lo, hi int) {
+	prev, next []int32, out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
 	ib := arena.Int32s.Get(5 * n)
 	qlo, qhi := ib[:n], ib[n:2*n]
@@ -199,7 +199,7 @@ func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *ms
 // range per row, all sharing the row's rank-key threshold, deduped when both
 // the ranges and the threshold repeat (peer rows of a RANGE frame).
 func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree *mst.Tree,
-	keysAll []int64, out *outBuilder, agg *batchAgg, lo, hi int) {
+	keysAll []int64, out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
 	ib := arena.Int32s.Get(12 * n)
 	qlo, qhi := ib[:3*n], ib[3*n:6*n]
@@ -304,7 +304,7 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 // rows reuse the previous row's query slots. The kernel answers most queries
 // of a sliding frame from the query before them; agg.diffs counts those.
 func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree *mst.Tree,
-	valueCol *Column, out *outBuilder, agg *batchAgg, lo, hi int) {
+	valueCol *Column, out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
 	ib := arena.Int32s.Get(9*n + 1)
 	off := ib[: 2*n+1 : 2*n+1]
@@ -419,7 +419,7 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 // with k = before + off. A row with an empty frame, a target outside
 // [0, size) or a select miss is NULL.
 func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree, keptRowno []int32,
-	valueCol *Column, off int64, out *outBuilder, agg *batchAgg, lo, hi int) {
+	valueCol *Column, off int64, out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
 	ib := arena.Int32s.Get(22*n + 1)
 	qlo, qhi, qout := ib[:6*n], ib[6*n:12*n], ib[12*n:18*n]
@@ -517,7 +517,7 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree
 // count buffer the kernel requires.
 func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tree *mst.AnnotatedTree[S],
 	prev, next []int32, values []S, add func(a, b S) S, emit func(row int, v S),
-	out *outBuilder, agg *batchAgg, lo, hi int) {
+	out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
 	ib := arena.Int32s.Get(11*n + 1)
 	rowSlot := ib[:n]
@@ -612,7 +612,7 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 // exclusion-hole correction, which never touches the tree.
 func denseRankChunk(p *partition, fl *filtered, fc *frame.Computer, rt *rangetree.DenseRankTree,
 	ranksAll, ranksKept, prevKept, nextKept []int64,
-	out *outBuilder, agg *batchAgg, lo, hi int) {
+	out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
 	ib := arena.Int32s.Get(11 * n)
 	rowSlot := ib[:n]

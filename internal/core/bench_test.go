@@ -88,7 +88,7 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out := newOutBuilder(f.Output, Int64, size.n)
+		out := newColumn(f.Output, Int64, size.n)
 		b.Run(size.name, func(b *testing.B) {
 			agg := &batchAgg{}
 			benchChunks(b, size.n, func(lo, hi int) {
@@ -117,7 +117,7 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	valueCol := p.t.Column(f.Arg)
-	out := newOutBuilder(f.Output, valueCol.Kind(), n)
+	out := newColumn(f.Output, valueCol.Kind(), n)
 	agg := &batchAgg{}
 	benchChunks(b, n, func(lo, hi int) {
 		selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, agg, lo, hi)
@@ -179,7 +179,7 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out := newOutBuilder(f.Output, Int64, size.n)
+		out := newColumn(f.Output, Int64, size.n)
 		emit := func(row int, v int64) { out.setInt(row, v) }
 		b.Run(size.name, func(b *testing.B) {
 			agg := &batchAgg{}
@@ -212,7 +212,7 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out := newOutBuilder(f.Output, Int64, size.n)
+		out := newColumn(f.Output, Int64, size.n)
 		b.Run(size.name, func(b *testing.B) {
 			agg := &batchAgg{}
 			benchChunks(b, size.n, func(lo, hi int) {

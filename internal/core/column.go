@@ -44,6 +44,8 @@ func (k Kind) String() string {
 
 // Column is a typed column with an optional NULL mask. A column is immutable:
 // the constructors take ownership of the value and mask slices they are given.
+// The one exception is a function's output, which a run fills in place
+// (newColumn) and which is immutable once the run finishes it.
 type Column struct {
 	name   string
 	kind   Kind
@@ -82,6 +84,67 @@ func NewStringColumn(name string, values []string, nulls []bool) *Column {
 // NewBoolColumn builds a BOOL column. nulls may be nil.
 func NewBoolColumn(name string, values []bool, nulls []bool) *Column {
 	return &Column{name: name, kind: Bool, bools: values, nulls: nullMask(nulls)}
+}
+
+// newColumn returns an n-row column of zero values and an all-false NULL
+// mask for a run to fill in place. Rows are written at their original row
+// index (the evaluator knows the original index of every sorted position),
+// so no separate scatter pass is needed; writes target disjoint rows and are
+// safe to issue concurrently. finish drops a mask that no row set.
+func newColumn(name string, kind Kind, n int) *Column {
+	c := &Column{name: name, kind: kind, nulls: make([]bool, n)}
+	switch kind {
+	case Int64:
+		c.ints = make([]int64, n)
+	case Float64:
+		c.floats = make([]float64, n)
+	case String:
+		c.strs = make([]string, n)
+	case Bool:
+		c.bools = make([]bool, n)
+	}
+	return c
+}
+
+func (c *Column) setInt(row int, v int64)     { c.ints[row] = v }
+func (c *Column) setFloat(row int, v float64) { c.floats[row] = v }
+func (c *Column) setNull(row int)             { c.nulls[row] = true }
+
+// copyFrom copies src's value at srcRow into row dstRow of a column being
+// filled, preserving NULLs. src must have the column's kind.
+func (c *Column) copyFrom(src *Column, srcRow, dstRow int) {
+	if src.IsNull(srcRow) {
+		c.nulls[dstRow] = true
+		return
+	}
+	switch c.kind {
+	case Int64:
+		c.ints[dstRow] = src.ints[srcRow]
+	case Float64:
+		c.floats[dstRow] = src.floats[srcRow]
+	case String:
+		c.strs[dstRow] = src.strs[srcRow]
+	case Bool:
+		c.bools[dstRow] = src.bools[srcRow]
+	}
+}
+
+// finish ends a run's writes into the column: from here on it is immutable.
+func (c *Column) finish() { c.nulls = nullMask(c.nulls) }
+
+// columnHeaderBytes is the Column struct itself: the name's string header,
+// the kind word and five 24-byte slice headers. At a median partition of 18
+// rows it is as large as a cached result's values, so it is charged.
+const columnHeaderBytes = 16 + 8 + 5*24
+
+// Bytes is the column's resident size, for cache accounting: the struct,
+// then what its slices hold (a string as its header and its bytes).
+func (c *Column) Bytes() int64 {
+	total := columnHeaderBytes + int64(len(c.nulls)+len(c.bools)) + 8*int64(len(c.ints)+len(c.floats))
+	for _, s := range c.strs {
+		total += 16 + int64(len(s))
+	}
+	return total
 }
 
 // RowSpan is rows [Lo, Hi) of source column Src, an index into the sources

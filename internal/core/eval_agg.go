@@ -11,7 +11,7 @@ import (
 // Leis et al. (§3.2): O(n) build, O(log n) per frame, no reliance on frame
 // overlap. These aggregates are the ones SQL already allows framing for;
 // they are part of the operator so that mixed queries run end-to-end.
-func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
+func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	fl := newFiltered(p, f, f.Arg)
 	col := p.t.Column(f.Arg)
 	switch f.Name {
@@ -83,7 +83,7 @@ func pickBy[T any](want int, cmp func(a, b T) int) func(a, b T) T {
 
 // runSegAgg builds a segment tree over the filtered values and merges each
 // frame's ranges. Empty frames yield SQL NULL.
-func runSegAgg[S any](p *partition, fc *frame.Computer, out *outBuilder, opt Options,
+func runSegAgg[S any](p *partition, fc *frame.Computer, out *Column, opt Options,
 	fl *filtered, valueOf func(j int) S, merge func(a, b S) S, emit func(row int, v S)) error {
 	values := make([]S, fl.k)
 	for j := range values {

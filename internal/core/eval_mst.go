@@ -78,7 +78,7 @@ func (fl *filtered) frameRanges(fc *frame.Computer, row int, scratch, out [][2]i
 }
 
 // evalMST dispatches a function to its merge-sort-tree evaluation.
-func evalMST(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
+func evalMST(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	switch f.Name {
 	case CountStar, Count:
 		return evalCounts(p, f, fc, out, opt)
@@ -100,7 +100,7 @@ func evalMST(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt
 
 // evalCounts evaluates COUNT(*) and COUNT(x): pure frame-size arithmetic in
 // the filtered domain — no index structure needed.
-func evalCounts(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
+func evalCounts(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	drop := ""
 	if f.Name == Count {
 		drop = f.Arg
@@ -477,7 +477,7 @@ func endBuild(sp *obs.Span, form mst.Form, bytes int64) {
 // sort tree of §4.2/§4.3. The preprocessed occurrence arrays and the tree
 // are cache-shared across queries: they depend only on the argument column,
 // the filter and the tree options, never on the frame.
-func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
+func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	s := structureOf(f, nil, out.kind)
 	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop)
@@ -561,7 +561,7 @@ func mergeTree[S any](merge func(a, b S) S) treeBuild[S] {
 // whose state matches S; aggBytes is the state's size for budget accounting.
 // rows bounds the ranges the tree is probed with; form is the form build
 // builds it in.
-func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
+func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *Column,
 	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, aggBytes int, build treeBuild[S],
 	valueOf func(j int) S, add func(a, b S) S, emit func(row int, v S)) error {
 	st, err := cacheGet(opt, s, func() (cachedAgg[S], int64, error) {
@@ -599,7 +599,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 // evalRankFamily evaluates RANK, PERCENT_RANK, ROW_NUMBER, CUME_DIST and
 // NTILE via counting queries on a merge sort tree over preprocessed rank
 // keys (§4.4, Figure 8).
-func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
+func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	s := structureOf(f, p.w.OrderBy, out.kind)
 	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop)
@@ -677,7 +677,7 @@ func ntileBucket(r, size, b int64) int64 {
 }
 
 // evalDenseRank evaluates the framed DENSE_RANK with the range tree of §4.4.
-func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
+func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	s := structureOf(f, p.w.OrderBy, out.kind)
 	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop)
@@ -730,7 +730,7 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 
 // evalSelectFamily evaluates percentiles and value functions via the
 // permutation-array merge sort tree of §4.5 (Figures 6 and 7).
-func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
+func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
 	if f.Name == PercentileDisc || f.Name == PercentileCont {
 		valueCol = p.t.Column(percentileValueColumn(f))
@@ -788,7 +788,7 @@ func percentileDiscIndex(p float64, size int) int {
 // the row's own row number inside the frame (counting queries on the
 // permutation tree), offset, then a selection query for the adjusted
 // position, both batched per chunk (leadLagChunk).
-func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
+func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
 	s := structureOf(f, p.w.OrderBy, out.kind)
 	fl := newFiltered(p, f, s.Drop)

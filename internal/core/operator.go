@@ -229,14 +229,14 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 	// partitions, so the trace is as long as the statement, not the table.
 	// Each function's options also carry the widest range its frames span,
 	// which bounds what its structures must answer.
-	outs := make([][]*outBuilder, len(windows))
+	outs := make([][]*Column, len(windows))
 	fopts := make([][]Options, len(windows))
 	for wi, w := range windows {
-		outs[wi] = make([]*outBuilder, len(w.Funcs))
+		outs[wi] = make([]*Column, len(w.Funcs))
 		fopts[wi] = make([]Options, len(w.Funcs))
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
-			outs[wi][i] = newOutBuilder(f.Output, outputKind(t, f), n)
+			outs[wi][i] = newColumn(f.Output, outputKind(t, f), n)
 			sp := root.Accumulator("eval")
 			sp.Set("function", f.Name.String())
 			sp.SetInt("partitions", int64(len(parts)))
@@ -292,11 +292,10 @@ func RunShared(t *Table, partitionBy []string, orderBy []SortKey, windows []*Win
 
 	results := make([]*Result, len(windows))
 	for wi := range windows {
-		cols := make([]*Column, len(outs[wi]))
-		for i, b := range outs[wi] {
-			cols[i] = b.column()
+		for _, c := range outs[wi] {
+			c.finish()
 		}
-		res, err := NewTable(cols...)
+		res, err := NewTable(outs[wi]...)
 		if err != nil {
 			return nil, err
 		}
@@ -438,7 +437,7 @@ func percentileValueColumn(f *FuncSpec) string {
 
 // evalFunc evaluates one function over one partition, as one entry into the
 // function's "eval" span (opt.trace).
-func evalFunc(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
+func evalFunc(p *partition, f *FuncSpec, out *Column, opt Options) error {
 	if sp := opt.trace.Enter(); sp != nil {
 		defer sp.End()
 		opt.trace = sp

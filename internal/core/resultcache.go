@@ -7,7 +7,9 @@ package core
 // untouched partition is exactly as reusable as its trees: the next epoch
 // scatters the cached values instead of probing at all. This is what makes
 // sustained mutation cheap — a batch that touches two partitions re-probes
-// two partitions, and the other ninety-eight cost one memcopy each.
+// two partitions, and the other ninety-eight cost one memcopy each. A
+// result vector is a Column like the output it is gathered from and
+// scattered back into, charged at Column.Bytes.
 //
 // Result vectors are a mutation-path structure: they are admitted only once
 // the dataset has applied a batch (DeltaView.Epoch > 0, which compactions
@@ -25,35 +27,11 @@ package core
 // result-invariant (enforced by the equivalence suites) and stays out of the
 // key.
 
-// cachedResult is one function's finished output over one partition, stored
-// in partition sort order (positional, not by row id: merged row ids shift
-// across epochs, positions within an untouched partition do not).
-type cachedResult struct {
-	kind   Kind
-	ints   []int64
-	floats []float64
-	strs   []string
-	bools  []bool
-	nulls  []bool
-}
-
-// cachedResultHeaderBytes is the struct itself: the kind word and five
-// 24-byte slice headers. At a median partition of 18 rows it is as large as
-// the values, so it is charged.
-const cachedResultHeaderBytes = 8 + 5*24
-
-// bytes is the vector's resident size: the struct, then what its slices hold.
-func (r *cachedResult) bytes() int64 {
-	total := cachedResultHeaderBytes +
-		int64(len(r.nulls)) + 8*int64(len(r.ints)+len(r.floats)) + int64(len(r.bools))
-	for _, s := range r.strs {
-		total += int64(len(s)) + 16
-	}
-	return total
-}
-
-// gatherRows returns src's values at rows, in that order.
+// gatherRows returns src's values at rows, in that order (nil for nil src).
 func gatherRows[T any](src []T, rows []int32) []T {
+	if src == nil {
+		return nil
+	}
 	out := make([]T, len(rows))
 	for i, row := range rows {
 		out[i] = src[row]
@@ -61,73 +39,67 @@ func gatherRows[T any](src []T, rows []int32) []T {
 	return out
 }
 
-// scatterRows writes vals to dst at rows.
+// scatterRows writes vals to dst at rows (nothing for nil vals).
 func scatterRows[T any](dst, vals []T, rows []int32) {
+	if vals == nil {
+		return
+	}
 	for i, row := range rows {
 		dst[row] = vals[i]
 	}
 }
 
-// gatherResult copies the partition's rows out of a freshly-written builder.
-func gatherResult(out *outBuilder, rows []int32) *cachedResult {
-	r := &cachedResult{kind: out.kind, nulls: gatherRows(out.nulls, rows)}
-	switch out.kind {
-	case Int64:
-		r.ints = gatherRows(out.ints, rows)
-	case Float64:
-		r.floats = gatherRows(out.floats, rows)
-	case String:
-		r.strs = gatherRows(out.strs, rows)
-	case Bool:
-		r.bools = gatherRows(out.bools, rows)
-	}
-	return r
+// gatherResult copies the partition's rows out of a freshly-written output
+// column into a cached result: one function's finished output over one
+// partition, in partition sort order (positional, not by row id: merged row
+// ids shift across epochs, positions within an untouched partition do not).
+// Only the output's kind has values, so only its slice is gathered.
+func gatherResult(out *Column, rows []int32) *Column {
+	return &Column{name: out.name, kind: out.kind,
+		ints: gatherRows(out.ints, rows), floats: gatherRows(out.floats, rows),
+		strs: gatherRows(out.strs, rows), bools: gatherRows(out.bools, rows),
+		nulls: nullMask(gatherRows(out.nulls, rows))}
 }
 
-// scatter writes the cached vector into the builder at the partition's
-// current row ids. Writes target disjoint rows per the builder contract.
-func (r *cachedResult) scatter(out *outBuilder, rows []int32) {
+// scatterResult writes a cached result into the output column at the
+// partition's current row ids. A result without a mask writes none: every
+// row of a fresh output starts non-NULL.
+func scatterResult(out, r *Column, rows []int32) {
+	scatterRows(out.ints, r.ints, rows)
+	scatterRows(out.floats, r.floats, rows)
+	scatterRows(out.strs, r.strs, rows)
+	scatterRows(out.bools, r.bools, rows)
 	scatterRows(out.nulls, r.nulls, rows)
-	switch r.kind {
-	case Int64:
-		scatterRows(out.ints, r.ints, rows)
-	case Float64:
-		scatterRows(out.floats, r.floats, rows)
-	case String:
-		scatterRows(out.strs, r.strs, rows)
-	case Bool:
-		scatterRows(out.bools, r.bools, rows)
-	}
 }
 
 // evalFuncCached evaluates one (partition, function) pair through the
 // result cache when the run is a delta run over a dataset that has
 // been mutated and the frame has no per-row offset expressions; otherwise it
 // evaluates directly.
-func evalFuncCached(p *partition, f *FuncSpec, out *outBuilder, opt Options) error {
+func evalFuncCached(p *partition, f *FuncSpec, out *Column, opt Options) error {
 	spec := p.w.effectiveFrame(f)
 	if opt.Delta == nil || opt.Delta.Epoch == 0 || spec.Start.OffsetFn != nil || spec.End.OffsetFn != nil {
 		return evalFunc(p, f, out, opt)
 	}
 	evaluated := false
 	rs := resultOf(p, f, spec)
-	res, err := cacheGet(opt, &rs, func() (*cachedResult, int64, error) {
+	res, err := cacheGet(opt, &rs, func() (*Column, int64, error) {
 		evaluated = true
 		if err := evalFunc(p, f, out, opt); err != nil {
 			return nil, 0, err
 		}
 		r := gatherResult(out, p.rows)
-		return r, r.bytes(), nil
+		return r, r.Bytes(), nil
 	})
 	if err != nil || evaluated {
 		return err // a miss has just written these rows itself
 	}
-	if len(res.nulls) != p.len() || res.kind != out.kind {
+	if res.Len() != p.len() || res.kind != out.kind {
 		// A key collision with an incompatible vector (should not happen
 		// under the key scheme): evaluate fresh rather than corrupt output.
 		return evalFunc(p, f, out, opt)
 	}
 	opt.trace.AddInt("result_hits", 1)
-	res.scatter(out, p.rows)
+	scatterResult(out, res, p.rows)
 	return nil
 }

@@ -361,7 +361,7 @@ func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := newOutBuilder(f.Output, Int64, n)
+	out := newColumn(f.Output, Int64, n)
 	agg := &batchAgg{}
 	const chunkRows = 512
 	row := 0

@@ -55,7 +55,7 @@ func (b *Buffer) Compact() (swapped bool, gen int64, err error) {
 		f:     &frozen{table: mat, gen: snap.f.gen + 1},
 		epoch: snap.epoch,
 	}
-	next.dirty.vals = emptyStore(mat)
+	next.dirty.vals = noImages(mat)
 	b.cur.Store(next)
 	if b.keyCol != "" {
 		b.keyIdx = newIdx

@@ -175,7 +175,7 @@ func NewBuffer(base *core.Table, keyColumn string, opt Options) (*Buffer, error)
 		b.keyIdx = idx
 	}
 	snap := &Snapshot{f: &frozen{table: base}}
-	snap.dirty.vals = emptyStore(base)
+	snap.dirty.vals = noImages(base)
 	b.cur.Store(snap)
 	return b, nil
 }
@@ -239,9 +239,10 @@ func (b *Buffer) Apply(expectedEpoch int64, muts []Mutation) (int64, error) {
 		return cur.epoch, nil
 	}
 	next := cur.cloneForApply()
+	im := images{old: len(cur.dirty.target)}
 	var nAppend, nUpsert, nDelete int64
 	for i := range muts {
-		if err := b.applyOne(next, &muts[i]); err != nil {
+		if err := b.applyOne(next, &im, &muts[i]); err != nil {
 			// The shared key index may have been partially updated; restore
 			// it from the still-current snapshot (error path only).
 			b.restoreKeyIndex(cur)
@@ -256,6 +257,7 @@ func (b *Buffer) Apply(expectedEpoch int64, muts []Mutation) (int64, error) {
 			nDelete++
 		}
 	}
+	next.dirty.vals = im.fold(next.dirty.vals)
 	b.cur.Store(next)
 	batchesTotal.Inc()
 	appendsTotal.Add(nAppend)
@@ -264,9 +266,9 @@ func (b *Buffer) Apply(expectedEpoch int64, muts []Mutation) (int64, error) {
 	return next.epoch, nil
 }
 
-// applyOne applies one mutation to the in-construction snapshot, updating
-// the buffer's key index alongside.
-func (b *Buffer) applyOne(s *Snapshot, m *Mutation) error {
+// applyOne applies one mutation to the in-construction snapshot, recording
+// its row image in im and updating the buffer's key index alongside.
+func (b *Buffer) applyOne(s *Snapshot, im *images, m *Mutation) error {
 	cols := s.f.table.Columns()
 	if len(m.Row) != len(cols) {
 		return fmt.Errorf("%s row has %d cells, table has %d columns", m.Op, len(m.Row), len(cols))
@@ -291,7 +293,8 @@ func (b *Buffer) applyOne(s *Snapshot, m *Mutation) error {
 				return fmt.Errorf("append of existing key %s=%s", b.keyCol, key[1:])
 			}
 		}
-		slot := s.dirty.append(m.Row, -1, s.epoch)
+		slot := s.dirty.append(-1, s.epoch)
+		im.set(slot, m.Row)
 		if b.keyCol != "" {
 			b.keyIdx[key] = loc{dirty: true, idx: slot}
 		}
@@ -302,7 +305,8 @@ func (b *Buffer) applyOne(s *Snapshot, m *Mutation) error {
 		}
 		l, exists := b.keyIdx[key]
 		if !exists {
-			slot := s.dirty.append(m.Row, -1, s.epoch)
+			slot := s.dirty.append(-1, s.epoch)
+			im.set(slot, m.Row)
 			b.keyIdx[key] = loc{dirty: true, idx: slot}
 			return nil
 		}
@@ -310,14 +314,16 @@ func (b *Buffer) applyOne(s *Snapshot, m *Mutation) error {
 			// The previous image is superseded and the slot is updated in
 			// place: the row keeps its logical position.
 			s.superseded++
-			s.dirty.overwrite(int(l.idx), m.Row, s.epoch)
+			s.dirty.epochs[l.idx] = s.epoch
+			im.set(l.idx, m.Row)
 			return nil
 		}
 		// First override of a frozen base row: the frozen image leaves the
 		// frozen sort order, the new image lives in the overlay at the same
 		// logical position.
 		s.markOverridden(l.idx)
-		slot := s.dirty.append(m.Row, l.idx, s.epoch)
+		slot := s.dirty.append(l.idx, s.epoch)
+		im.set(slot, m.Row)
 		b.keyIdx[key] = loc{dirty: true, idx: slot}
 		return nil
 	case OpDelete:
@@ -361,12 +367,11 @@ func (b *Buffer) restoreKeyIndex(s *Snapshot) {
 		}
 		idx[keyOfColumn(col, i)] = loc{idx: int32(i)}
 	}
-	kc := s.keyColPos(b.keyCol)
-	for slot := 0; slot < s.dirty.vals.n; slot++ {
-		if !s.dirty.alive[slot] {
-			continue
+	imageKeys := s.dirty.vals.Column(b.keyCol)
+	for slot, alive := range s.dirty.alive {
+		if alive {
+			idx[keyOfColumn(imageKeys, slot)] = loc{dirty: true, idx: int32(slot)}
 		}
-		idx[s.dirty.vals.keyAt(kc, slot)] = loc{dirty: true, idx: int32(slot)}
 	}
 	b.keyIdx = idx
 }

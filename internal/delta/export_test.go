@@ -18,21 +18,21 @@ func ReferenceMaterialize(s *Snapshot) (*core.Table, error) {
 	nOut := s.Rows()
 	cols := make([]*core.Column, 0, len(s.f.table.Columns()))
 	for ci, base := range s.f.table.Columns() {
-		db := &s.dirty.vals.cols[ci]
+		db := s.dirty.vals.Columns()[ci]
 		bld := newRefColBuilder(base.Name(), base.Kind(), nOut)
 		for r := int32(0); int(r) < nb; r++ {
 			if s.rowGone(r) {
 				continue
 			}
 			if slot, ok := slotOfBase[r]; ok {
-				bld.addFromBuf(db, int(slot))
+				bld.addFromColumn(db, int(slot))
 				continue
 			}
 			bld.addFromColumn(base, int(r))
 		}
-		for slot := 0; slot < s.dirty.vals.n; slot++ {
-			if s.dirty.alive[slot] && s.dirty.target[slot] < 0 {
-				bld.addFromBuf(db, slot)
+		for slot, alive := range s.dirty.alive {
+			if alive && s.dirty.target[slot] < 0 {
+				bld.addFromColumn(db, slot)
 			}
 		}
 		cols = append(cols, bld.column())
@@ -100,22 +100,6 @@ func (b *refColBuilder) addFromColumn(c *core.Column, i int) {
 			v = c.Bool(i)
 		}
 		b.bools = append(b.bools, v)
-	}
-}
-
-func (b *refColBuilder) addFromBuf(c *colBuf, i int) {
-	null := c.nulls[i]
-	b.nulls = append(b.nulls, null)
-	b.anyNull = b.anyNull || null
-	switch b.kind {
-	case core.Int64:
-		b.ints = append(b.ints, c.ints[i])
-	case core.Float64:
-		b.floats = append(b.floats, c.floats[i])
-	case core.String:
-		b.strs = append(b.strs, c.strs[i])
-	default:
-		b.bools = append(b.bools, c.bools[i])
 	}
 }
 

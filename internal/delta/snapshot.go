@@ -53,14 +53,16 @@ type Snapshot struct {
 }
 
 // dirtyState holds the overlay's current row images: appended rows and the
-// new images of overridden base rows.
+// new images of overridden base rows, one slot each.
 type dirtyState struct {
 	// target is the overridden base row, or -1 for appended rows.
 	target []int32
 	alive  []bool
 	// epochs is the epoch each live slot's image entered the table.
 	epochs []int64
-	vals   store
+	// vals holds each slot's image, in slot order, in the base's schema. It
+	// is immutable: Apply replaces it whole once a batch has succeeded.
+	vals *core.Table
 }
 
 // Epoch returns the snapshot's epoch.
@@ -79,7 +81,7 @@ func (s *Snapshot) Rows() int {
 // departed base rows — which is what the compaction threshold is measured
 // against.
 func (s *Snapshot) DeltaRows() int {
-	return s.dirty.vals.n + s.superseded + s.numOverridden
+	return len(s.dirty.target) + s.superseded + s.numOverridden
 }
 
 // Clean reports whether the snapshot carries no overlay at all, i.e. the
@@ -87,7 +89,7 @@ func (s *Snapshot) DeltaRows() int {
 // superseded image was a slot, and every gone base row left the frozen
 // order first.)
 func (s *Snapshot) Clean() bool {
-	return s.dirty.vals.n == 0 && s.numOverridden == 0
+	return len(s.dirty.target) == 0 && s.numOverridden == 0
 }
 
 func (s *Snapshot) rowGone(r int32) bool       { return s.gone != nil && s.gone[r] }
@@ -103,9 +105,9 @@ func (s *Snapshot) keyColPos(keyCol string) int {
 	return -1
 }
 
-// cloneForApply deep-copies the overlay (the frozen base is shared) and
-// advances the epoch, so the mutations of one batch never write into state a
-// concurrent reader can observe.
+// cloneForApply copies the overlay's slot state (the frozen base and the
+// immutable row images are shared) and advances the epoch, so the mutations
+// of one batch never write into state a concurrent reader can observe.
 func (s *Snapshot) cloneForApply() *Snapshot {
 	n := &Snapshot{
 		f:             s.f,
@@ -124,7 +126,7 @@ func (s *Snapshot) cloneForApply() *Snapshot {
 		target: append([]int32(nil), s.dirty.target...),
 		alive:  append([]bool(nil), s.dirty.alive...),
 		epochs: append([]int64(nil), s.dirty.epochs...),
-		vals:   s.dirty.vals.clone(),
+		vals:   s.dirty.vals,
 	}
 	return n
 }
@@ -172,20 +174,109 @@ func (d *dirtyState) numOverrides() int {
 	return n
 }
 
-// append adds a row image and returns its slot.
-func (d *dirtyState) append(row []Value, target int32, epoch int64) int32 {
+// append adds a slot and returns it; the caller records its image.
+func (d *dirtyState) append(target int32, epoch int64) int32 {
 	slot := int32(len(d.target))
 	d.target = append(d.target, target)
 	d.alive = append(d.alive, true)
 	d.epochs = append(d.epochs, epoch)
-	d.vals.appendRow(row)
 	return slot
 }
 
-// overwrite replaces a slot's image in place.
-func (d *dirtyState) overwrite(slot int, row []Value, epoch int64) {
-	d.epochs[slot] = epoch
-	d.vals.setRow(slot, row)
+// noImages is an overlay of t's schema without rows.
+func noImages(t *core.Table) *core.Table {
+	cols := make([]*core.Column, len(t.Columns()))
+	for ci, c := range t.Columns() {
+		cols[ci] = core.ConcatSpans([]*core.Column{c}, nil)
+	}
+	return core.MustNewTable(cols...)
+}
+
+// images is what one Apply records of its batch's row images until the whole
+// batch has succeeded: those of the slots it appends, and the new images of
+// older slots it overwrites in place. Each is a copy of the mutation's row,
+// which stays the caller's.
+type images struct {
+	old      int               // overlay slots before the batch
+	added    [][]Value         // the image of slot old+i
+	replaced map[int32][]Value // the new image of an older slot
+}
+
+// set records slot's current image.
+func (im *images) set(slot int32, row []Value) {
+	row = slices.Clone(row)
+	switch i := int(slot) - im.old; {
+	case i == len(im.added):
+		im.added = append(im.added, row)
+	case i >= 0:
+		im.added[i] = row
+	default:
+		if im.replaced == nil {
+			im.replaced = make(map[int32][]Value)
+		}
+		im.replaced[slot] = row
+	}
+}
+
+// Span sources of images.fold.
+const (
+	fromOld = iota
+	fromBatch
+)
+
+// fold returns the overlay after the batch: one core.ConcatSpans per column
+// over the old overlay, which readers may hold and which is never written,
+// and the batch's images. A batch that recorded no image (deletes only)
+// keeps the old overlay.
+func (im *images) fold(vals *core.Table) *core.Table {
+	if len(im.added) == 0 && len(im.replaced) == 0 {
+		return vals
+	}
+	slots := make([]int32, 0, len(im.replaced))
+	for slot := range im.replaced {
+		slots = append(slots, slot)
+	}
+	slices.Sort(slots)
+	rows := make([][]Value, 0, len(slots)+len(im.added))
+	var spans spanList
+	next := 0
+	for _, slot := range slots {
+		spans.add(fromOld, next, int(slot))
+		spans.add(fromBatch, len(rows), len(rows)+1)
+		rows = append(rows, im.replaced[slot])
+		next = int(slot) + 1
+	}
+	spans.add(fromOld, next, im.old)
+	spans.add(fromBatch, len(rows), len(rows)+len(im.added))
+	rows = append(rows, im.added...)
+	cols := make([]*core.Column, len(vals.Columns()))
+	for ci, c := range vals.Columns() {
+		cols[ci] = core.ConcatSpans([]*core.Column{c, imageColumn(c, rows, ci)}, spans)
+	}
+	return core.MustNewTable(cols...)
+}
+
+// imageColumn is column ci of rows, named and typed like c.
+func imageColumn(c *core.Column, rows [][]Value, ci int) *core.Column {
+	nulls := cells(rows, ci, func(v Value) bool { return v.Null })
+	switch c.Kind() {
+	case core.Int64:
+		return core.NewInt64Column(c.Name(), cells(rows, ci, func(v Value) int64 { return v.Int }), nulls)
+	case core.Float64:
+		return core.NewFloat64Column(c.Name(), cells(rows, ci, func(v Value) float64 { return v.Float }), nulls)
+	case core.String:
+		return core.NewStringColumn(c.Name(), cells(rows, ci, func(v Value) string { return v.Str }), nulls)
+	}
+	return core.NewBoolColumn(c.Name(), cells(rows, ci, func(v Value) bool { return v.Bool }), nulls)
+}
+
+// cells returns one field of column ci's cells.
+func cells[T any](rows [][]Value, ci int, field func(Value) T) []T {
+	out := make([]T, len(rows))
+	for i, row := range rows {
+		out[i] = field(row[ci])
+	}
+	return out
 }
 
 // Table materializes (lazily, once) the merged table at this epoch:
@@ -212,7 +303,7 @@ func (s *Snapshot) Table() (*core.Table, error) {
 // overlay holds.
 func (s *Snapshot) materialize() (*core.Table, error) {
 	base := s.f.table.Columns()
-	overlay := s.dirty.vals.table().Columns()
+	overlay := s.dirty.vals.Columns()
 	spans := s.mergedSpans()
 	cols := make([]*core.Column, len(base))
 	// One column per task: BenchmarkSnapshotMaterialize reads 3.3 ms against
@@ -250,32 +341,38 @@ func (s *Snapshot) mergedSpans() []core.RowSpan {
 	}
 	slices.SortFunc(patches, func(a, b patch) int { return cmp.Compare(a.row, b.row) })
 
-	spans := make([]core.RowSpan, 0, 2*len(patches)+2)
-	add := func(src, lo, hi int) {
-		if lo >= hi {
-			return
-		}
-		if n := len(spans); n > 0 && spans[n-1].Src == src && spans[n-1].Hi == lo {
-			spans[n-1].Hi = hi
-			return
-		}
-		spans = append(spans, core.RowSpan{Src: src, Lo: lo, Hi: hi})
-	}
+	spans := make(spanList, 0, 2*len(patches)+2)
 	next := 0 // first base row not yet placed
 	for _, p := range patches {
-		add(fromBase, next, p.row)
+		spans.add(fromBase, next, p.row)
 		if p.slot >= 0 {
-			add(fromOverlay, p.slot, p.slot+1)
+			spans.add(fromOverlay, p.slot, p.slot+1)
 		}
 		next = p.row + 1
 	}
-	add(fromBase, next, s.f.table.Rows())
+	spans.add(fromBase, next, s.f.table.Rows())
 	for slot, alive := range s.dirty.alive {
 		if alive && s.dirty.target[slot] < 0 {
-			add(fromOverlay, slot, slot+1)
+			spans.add(fromOverlay, slot, slot+1)
 		}
 	}
 	return spans
+}
+
+// spanList is a core.ConcatSpans list under construction.
+type spanList []core.RowSpan
+
+// add appends rows [lo, hi) of source src, extending the last span when it
+// ends where this one starts.
+func (l *spanList) add(src, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	if n := len(*l); n > 0 && (*l)[n-1].Src == src && (*l)[n-1].Hi == lo {
+		(*l)[n-1].Hi = hi
+		return
+	}
+	*l = append(*l, core.RowSpan{Src: src, Lo: lo, Hi: hi})
 }
 
 // View returns the core.DeltaView describing this snapshot's overlay
@@ -315,8 +412,8 @@ func (s *Snapshot) buildView() *core.DeltaView {
 	var dirtyIDs []int32
 	var dirtyEpochs []int64
 	appendOrd := int32(0)
-	for slot := 0; slot < s.dirty.vals.n; slot++ {
-		if !s.dirty.alive[slot] {
+	for slot, alive := range s.dirty.alive {
+		if !alive {
 			continue
 		}
 		if t := s.dirty.target[slot]; t >= 0 {

@@ -139,7 +139,8 @@ func batch(rng *rand.Rand, live *[]int64, nextKey *int64) []delta.Mutation {
 }
 
 // Funcs is one spec per window function and argument kind, with randomized
-// knobs: function ORDER BY, FILTER, IGNORE NULLS, N and fractions.
+// knobs: function ORDER BY, FILTER, IGNORE NULLS, N and fractions. LAG(flt)
+// is the one BOOL output, so every point checks that kind too.
 func Funcs(rng *rand.Rand) []core.FuncSpec {
 	ordV := []core.SortKey{{Column: "v"}}
 	ordVDesc := []core.SortKey{{Column: "v", Desc: true}}
@@ -181,6 +182,7 @@ func Funcs(rng *rand.Rand) []core.FuncSpec {
 		{Name: core.LastValue, Output: "o20", Arg: "fv", OrderBy: ordV},
 		{Name: core.Lead, Output: "o21", Arg: "v", N: int64(rng.Intn(3)), OrderBy: pick(ordV, ordVDesc), IgnoreNulls: ignoreNulls},
 		{Name: core.Lag, Output: "o22", Arg: "s", N: int64(rng.Intn(2)), OrderBy: ordV, Filter: maybeFilter()},
+		{Name: core.Lag, Output: "o23", Arg: "flt", N: int64(1 + rng.Intn(2)), OrderBy: pick(ordV, ordDV)},
 	}
 }
 

@@ -99,68 +99,47 @@ func (d *Dir) Close() error {
 // ("seg:<id>|col:<name>") — no dataset or version prefix — so when a
 // dataset is partially re-ingested, entries for untouched segments remain
 // valid and only the replaced segments' columns are re-read from disk.
-func loadCached(cache core.TreeCache, s *Reader, name string) (*colData, error) {
+func loadCached(cache core.TreeCache, s *Reader, name string) (*core.Column, error) {
 	if cache == nil {
-		return s.load(name)
+		return s.Column(name)
 	}
 	got, err := cache.GetOrBuild("seg:"+s.ID()+"|col:"+name, func() (any, int64, error) {
-		d, err := s.load(name)
+		c, err := s.Column(name)
 		if err != nil {
 			return nil, 0, err
 		}
-		return d, d.bytes(), nil
+		return c, c.Bytes(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if d, okType := got.(*colData); okType {
-		return d, nil
+	if c, okType := got.(*core.Column); okType {
+		return c, nil
 	}
-	return s.load(name)
+	return s.Column(name)
 }
 
 // File materializes the dataset into an in-memory table by concatenating
-// the per-segment columns, loading each through the cache. The result is
-// exactly what csvio.Read of the original source would have produced, so
-// the query path above (operator, tree cache, server) is oblivious to
-// whether a dataset arrived in one piece or as segments.
+// the per-segment columns (core.ConcatSpans), loading each through the
+// cache. The result is exactly what csvio.Read of the original source would
+// have produced, so the query path above (operator, tree cache, server) is
+// oblivious to whether a dataset arrived in one piece or as segments.
 func (d *Dir) File(cache core.TreeCache) (*csvio.File, error) {
 	first := d.segs[0].man
 	cols := make([]*core.Column, len(first.Columns))
 	dateCols := map[string]bool{}
 	for ci, meta := range first.Columns {
-		parts := make([]*colData, len(d.segs))
-		anyNull := false
+		parts := make([]*core.Column, len(d.segs))
+		spans := make([]core.RowSpan, len(d.segs))
 		for si, s := range d.segs {
 			p, err := loadCached(cache, s, meta.Name)
 			if err != nil {
 				return nil, err
 			}
 			parts[si] = p
-			anyNull = anyNull || p.nulls != nil
+			spans[si] = core.RowSpan{Src: si, Hi: p.Len()}
 		}
-		whole := &colData{encoding: meta.Encoding, date: meta.Date}
-		if anyNull {
-			whole.nulls = make([]bool, 0, d.rows)
-		}
-		for si, p := range parts {
-			switch meta.Encoding {
-			case EncInt64:
-				whole.ints = append(whole.ints, p.ints...)
-			case EncFloat64:
-				whole.floats = append(whole.floats, p.floats...)
-			case EncStrDict:
-				whole.strs = append(whole.strs, p.strs...)
-			}
-			if anyNull {
-				if p.nulls != nil {
-					whole.nulls = append(whole.nulls, p.nulls...)
-				} else {
-					whole.nulls = append(whole.nulls, make([]bool, d.segs[si].Rows())...)
-				}
-			}
-		}
-		cols[ci] = whole.column(meta.Name)
+		cols[ci] = core.ConcatSpans(parts, spans)
 		if meta.Date {
 			dateCols[meta.Name] = true
 		}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 
-	"holistic/internal/arena"
 	"holistic/internal/core"
 )
 
@@ -145,38 +144,6 @@ func (r *Reader) Manifest() *Manifest { return &r.man }
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// colData is a decoded column: exactly one of ints/floats/strs is set,
-// plus an optional null mask. It is the unit cached per (segment, column).
-type colData struct {
-	encoding string
-	date     bool
-	ints     []int64
-	floats   []float64
-	strs     []string
-	nulls    []bool // nil when the column has no NULLs in this segment
-}
-
-// bytes estimates the decoded column's resident size for cache accounting.
-func (d *colData) bytes() int64 {
-	total := int64(8*len(d.ints) + 8*len(d.floats) + len(d.nulls))
-	for _, s := range d.strs {
-		total += int64(16 + len(s))
-	}
-	return total
-}
-
-// column wraps decoded data into a core column.
-func (d *colData) column(name string) *core.Column {
-	switch d.encoding {
-	case EncInt64:
-		return core.NewInt64Column(name, d.ints, d.nulls)
-	case EncFloat64:
-		return core.NewFloat64Column(name, d.floats, d.nulls)
-	default:
-		return core.NewStringColumn(name, d.strs, d.nulls)
-	}
-}
-
 // meta returns the manifest entry for name, or nil.
 func (r *Reader) meta(name string) *ColumnMeta {
 	for i := range r.man.Columns {
@@ -187,34 +154,27 @@ func (r *Reader) meta(name string) *ColumnMeta {
 	return nil
 }
 
-// Column lazily loads one column into an arena-backed core column,
-// verifying each block's CRC as it is read.
+// Column loads one column, verifying each block's CRC as it is read. Its
+// values are one plain allocation per load, whatever the block count.
 func (r *Reader) Column(name string) (*core.Column, error) {
-	d, err := r.load(name)
-	if err != nil {
-		return nil, err
-	}
-	return d.column(name), nil
-}
-
-// load reads and decodes one column.
-func (r *Reader) load(name string) (*colData, error) {
 	meta := r.meta(name)
 	if meta == nil {
 		return nil, fmt.Errorf("segment: %s: no column %q", r.path, name)
 	}
 	rows := r.man.Rows
-	d := &colData{encoding: meta.Encoding, date: meta.Date}
-	// Decoded values live in arena slabs: one allocation per column load
-	// regardless of block count, matching the build-phase allocation
-	// discipline of the tree layer.
+	var (
+		ints   []int64
+		floats []float64
+		strs   []string
+		nulls  []bool // made at the first NULL: a column without one has no mask
+	)
 	switch meta.Encoding {
 	case EncInt64:
-		d.ints = arena.New[int64](rows).Alloc(rows)
+		ints = make([]int64, rows)
 	case EncFloat64:
-		d.floats = arena.New[float64](rows).Alloc(rows)
-	case EncStrDict:
-		d.strs = arena.New[string](rows).Alloc(rows)
+		floats = make([]float64, rows)
+	default:
+		strs = make([]string, rows)
 	}
 	var maxLen int64
 	for _, b := range meta.Blocks {
@@ -230,94 +190,91 @@ func (r *Reader) load(name string) (*colData, error) {
 		if got := crc32.Checksum(buf, castagnoli); got != b.CRC {
 			return nil, fmt.Errorf("segment: %s: column %q block %d: checksum mismatch (got %#x, want %#x)", r.path, name, bi, got, b.CRC)
 		}
-		hadNull, err := r.decodeBlock(d, buf, base, b.Rows)
+		bmLen := (b.Rows + 7) / 8
+		if len(buf) < bmLen {
+			return nil, fmt.Errorf("segment: %s: column %q block %d: block of %d bytes cannot hold a %d-row null bitmap", r.path, name, bi, len(buf), bmLen)
+		}
+		bm, payload := buf[:bmLen], buf[bmLen:]
+		var err error
+		switch meta.Encoding {
+		case EncInt64:
+			err = decodeFixed(payload, ints[base:base+b.Rows], func(u uint64) int64 { return int64(u) })
+		case EncFloat64:
+			err = decodeFixed(payload, floats[base:base+b.Rows], math.Float64frombits)
+		default:
+			err = decodeStrings(payload, bm, strs[base:base+b.Rows])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("segment: %s: column %q block %d: %w", r.path, name, bi, err)
 		}
-		if hadNull {
-			if d.nulls == nil {
-				// First NULL: materialize the mask lazily so fully
-				// populated columns stay mask-free (the core fast path).
-				d.nulls = arena.New[bool](rows).Alloc(rows)
-			}
-			bm := buf[:(b.Rows+7)/8]
-			for i := 0; i < b.Rows; i++ {
-				if bm[i/8]&(1<<(i%8)) != 0 {
-					d.nulls[base+i] = true
+		for i := 0; i < b.Rows; i++ {
+			if bm[i/8]&(1<<(i%8)) != 0 {
+				if nulls == nil {
+					nulls = make([]bool, rows)
 				}
+				nulls[base+i] = true
 			}
 		}
 		base += b.Rows
 	}
-	return d, nil
+	switch meta.Encoding {
+	case EncInt64:
+		return core.NewInt64Column(name, ints, nulls), nil
+	case EncFloat64:
+		return core.NewFloat64Column(name, floats, nulls), nil
+	}
+	return core.NewStringColumn(name, strs, nulls), nil
 }
 
-// decodeBlock decodes one verified block's payload into d at row offset
-// base, reporting whether the block contains any NULL. All offsets are
-// bounds-checked: a structurally valid but content-corrupt block yields an
-// error, never a panic.
-func (r *Reader) decodeBlock(d *colData, buf []byte, base, rows int) (bool, error) {
-	bmLen := (rows + 7) / 8
-	if len(buf) < bmLen {
-		return false, fmt.Errorf("block of %d bytes cannot hold a %d-row null bitmap", len(buf), bmLen)
+// decodeFixed decodes one block's 8-byte little-endian payload into dst.
+func decodeFixed[T any](payload []byte, dst []T, conv func(uint64) T) error {
+	if len(payload) != 8*len(dst) {
+		return fmt.Errorf("payload of %d bytes for %d fixed-width rows", len(payload), len(dst))
 	}
-	bm, payload := buf[:bmLen], buf[bmLen:]
-	hadNull := false
+	for i := range dst {
+		dst[i] = conv(binary.LittleEndian.Uint64(payload[8*i:]))
+	}
+	return nil
+}
+
+// decodeStrings decodes one block's dictionary payload into dst. All offsets
+// are bounds-checked: a structurally valid but content-corrupt block yields
+// an error, never a panic.
+func decodeStrings(payload, bm []byte, dst []string) error {
+	rows := len(dst)
+	if len(payload) < 4 {
+		return fmt.Errorf("string block too short for dictionary count")
+	}
+	dictCount := int(binary.LittleEndian.Uint32(payload))
+	if dictCount > rows {
+		return fmt.Errorf("dictionary of %d entries for %d rows", dictCount, rows)
+	}
+	p := 4
+	dict := make([]string, dictCount)
+	for j := 0; j < dictCount; j++ {
+		if p+4 > len(payload) {
+			return fmt.Errorf("string block truncated in dictionary entry %d", j)
+		}
+		sl := int(binary.LittleEndian.Uint32(payload[p:]))
+		p += 4
+		if sl < 0 || p+sl > len(payload) {
+			return fmt.Errorf("dictionary entry %d of %d bytes overruns block", j, sl)
+		}
+		dict[j] = string(payload[p : p+sl])
+		p += sl
+	}
+	if len(payload)-p != 4*rows {
+		return fmt.Errorf("code array of %d bytes for %d rows", len(payload)-p, rows)
+	}
 	for i := 0; i < rows; i++ {
+		code := int(binary.LittleEndian.Uint32(payload[p+4*i:]))
 		if bm[i/8]&(1<<(i%8)) != 0 {
-			hadNull = true
-			break
+			continue // NULL rows carry code 0 by convention
 		}
+		if code >= dictCount {
+			return fmt.Errorf("row %d references dictionary code %d of %d", i, code, dictCount)
+		}
+		dst[i] = dict[code]
 	}
-	switch d.encoding {
-	case EncInt64, EncFloat64:
-		if len(payload) != 8*rows {
-			return false, fmt.Errorf("payload of %d bytes for %d fixed-width rows", len(payload), rows)
-		}
-		if d.encoding == EncInt64 {
-			for i := 0; i < rows; i++ {
-				d.ints[base+i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
-			}
-		} else {
-			for i := 0; i < rows; i++ {
-				d.floats[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-			}
-		}
-	case EncStrDict:
-		if len(payload) < 4 {
-			return false, fmt.Errorf("string block too short for dictionary count")
-		}
-		dictCount := int(binary.LittleEndian.Uint32(payload))
-		if dictCount > rows {
-			return false, fmt.Errorf("dictionary of %d entries for %d rows", dictCount, rows)
-		}
-		p := 4
-		dict := make([]string, dictCount)
-		for j := 0; j < dictCount; j++ {
-			if p+4 > len(payload) {
-				return false, fmt.Errorf("string block truncated in dictionary entry %d", j)
-			}
-			sl := int(binary.LittleEndian.Uint32(payload[p:]))
-			p += 4
-			if sl < 0 || p+sl > len(payload) {
-				return false, fmt.Errorf("dictionary entry %d of %d bytes overruns block", j, sl)
-			}
-			dict[j] = string(payload[p : p+sl])
-			p += sl
-		}
-		if len(payload)-p != 4*rows {
-			return false, fmt.Errorf("code array of %d bytes for %d rows", len(payload)-p, rows)
-		}
-		for i := 0; i < rows; i++ {
-			code := int(binary.LittleEndian.Uint32(payload[p+4*i:]))
-			if bm[i/8]&(1<<(i%8)) != 0 {
-				continue // NULL rows carry code 0 by convention
-			}
-			if code >= dictCount {
-				return false, fmt.Errorf("row %d references dictionary code %d of %d", i, code, dictCount)
-			}
-			d.strs[base+i] = dict[code]
-		}
-	}
-	return hadNull, nil
+	return nil
 }

@@ -22,8 +22,10 @@ func testFile(seed int64, n int) *csvio.File {
 	v := make([]int64, n)
 	f := make([]float64, n)
 	s := make([]string, n)
+	late := make([]float64, n)
 	vNull := make([]bool, n)
 	sNull := make([]bool, n)
+	lateNull := make([]bool, n)
 	words := []string{"ash", "beech", "cedar", "fir", "oak"}
 	for i := range g {
 		g[i] = int64(rng.Intn(4))
@@ -33,6 +35,10 @@ func testFile(seed int64, n int) *csvio.File {
 		s[i] = words[rng.Intn(len(words))]
 		vNull[i] = rng.Intn(10) == 0
 		sNull[i] = rng.Intn(12) == 0
+		late[i] = float64(i%13) / 2
+		// NULLs only from row 97 on: split at 97, the parts before it
+		// carry no mask and the one after it does.
+		lateNull[i] = i >= 97 && i%3 == 0
 	}
 	table := core.MustNewTable(
 		core.NewInt64Column("g", g, nil),
@@ -40,6 +46,7 @@ func testFile(seed int64, n int) *csvio.File {
 		core.NewInt64Column("v", v, vNull),
 		core.NewFloat64Column("f", f, nil),
 		core.NewStringColumn("s", s, sNull),
+		core.NewFloat64Column("late", late, lateNull),
 	)
 	return &csvio.File{Table: table, DateColumns: map[string]bool{"d": true}}
 }
@@ -48,34 +55,7 @@ func testFile(seed int64, n int) *csvio.File {
 func sliceFile(f *csvio.File, lo, hi int) *csvio.File {
 	cols := make([]*core.Column, 0, len(f.Table.Columns()))
 	for _, c := range f.Table.Columns() {
-		n := hi - lo
-		var nulls []bool
-		if c.HasNulls() {
-			nulls = make([]bool, n)
-			for i := range nulls {
-				nulls[i] = c.IsNull(lo + i)
-			}
-		}
-		switch c.Kind() {
-		case core.Int64:
-			vals := make([]int64, n)
-			for i := range vals {
-				vals[i] = c.Int64(lo + i)
-			}
-			cols = append(cols, core.NewInt64Column(c.Name(), vals, nulls))
-		case core.Float64:
-			vals := make([]float64, n)
-			for i := range vals {
-				vals[i] = c.Float64(lo + i)
-			}
-			cols = append(cols, core.NewFloat64Column(c.Name(), vals, nulls))
-		default:
-			vals := make([]string, n)
-			for i := range vals {
-				vals[i] = c.StringAt(lo + i)
-			}
-			cols = append(cols, core.NewStringColumn(c.Name(), vals, nulls))
-		}
+		cols = append(cols, core.ConcatSpans([]*core.Column{c}, []core.RowSpan{{Lo: lo, Hi: hi}}))
 	}
 	return &csvio.File{Table: core.MustNewTable(cols...), DateColumns: f.DateColumns}
 }
@@ -251,6 +231,15 @@ func TestOpenDir(t *testing.T) {
 	if d.Rows() != 120 || len(d.Segments()) != 4 {
 		t.Fatalf("rows=%d segments=%d", d.Rows(), len(d.Segments()))
 	}
+	for i, s := range d.Segments() {
+		c, err := s.Column("late")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.HasNulls() != (i == 3) {
+			t.Fatalf("segment %d: late has a mask: %v, want only the last segment's", i, c.HasNulls())
+		}
+	}
 	got, err := d.File(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +321,7 @@ func TestDirFileCachesPerSegmentColumns(t *testing.T) {
 	if _, err := d.File(cache); err != nil {
 		t.Fatal(err)
 	}
-	want := 2 * len(f.Table.Columns()) // 2 segments x 5 columns
+	want := 2 * len(f.Table.Columns()) // 2 segments x 6 columns
 	if cache.builds != want {
 		t.Fatalf("first materialization built %d entries, want %d", cache.builds, want)
 	}

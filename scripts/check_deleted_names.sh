@@ -123,5 +123,10 @@ check 'one sort engine' all \
 # Figure 2's searched tree is paperbench's segtree.SortedTree
 check 'one tree state' all \
     'NoCascading|searchCounts|insertionSort\(|no-cascading'
+# one column type: a function's output, a cached per-partition result, a
+# decoded segment column and the delta overlay's row images are all
+# core.Columns, so the look-alike typed buffers stay deleted
+check 'one column type' all \
+    'outBuilder|cachedResult|colData|colBuf|emptyStore'
 
 exit $fail
