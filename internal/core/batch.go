@@ -410,28 +410,29 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 	arena.Int32s.Put(ib)
 }
 
-// leadLagChunk evaluates one probe chunk of LEAD/LAG (§4.6) on the
-// permutation tree, whose function-order position j holds the filtered
-// position of the j-th kept row. A row's row number inside its frame, before,
-// is how many frame rows sort strictly before it: per frame range, two count
-// queries over the function-order prefix [0, keptRowno[i]), one below each
-// range bound, differenced. The row off places after it is one select query
-// with k = before + off. A row with an empty frame, a target outside
-// [0, size) or a select miss is NULL.
-func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree, keptRowno []int32,
+// leadLagChunk evaluates one probe chunk of LEAD/LAG (§4.6). A row's row
+// number inside its frame, before, is how many frame rows sort strictly
+// before it: ROW_NUMBER's count on the rank-unique tree rank, one count query
+// per frame range, all under the row's key keysAll[i]. The row off places
+// after it is one select query with k = before + off on the permutation tree,
+// whose function-order position j holds the filtered position of the j-th
+// kept row. A row with an empty frame, a target outside [0, size) or a select
+// miss is NULL.
+func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, rank *mst.Tree, keysAll []int64, tree *mst.Tree,
 	valueCol *Column, off int64, out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := arena.Int32s.Get(22*n + 1)
-	qlo, qhi, qout := ib[:6*n], ib[6*n:12*n], ib[12*n:18*n]
-	soff := ib[18*n : 19*n+1 : 19*n+1]
-	sk, sout, rowSlot := ib[19*n+1:20*n+1], ib[20*n+1:21*n+1], ib[21*n+1:22*n+1]
-	lb := arena.Int64s.Get(12 * n)
-	qthr, vlo, vhi := lb[:6*n], lb[6*n:9*n], lb[9*n:]
+	ib := arena.Int32s.Get(13*n + 1)
+	qlo, qhi, qout := ib[:3*n], ib[3*n:6*n], ib[6*n:9*n]
+	soff := ib[9*n : 10*n+1 : 10*n+1]
+	sk, sout, rowSlot := ib[10*n+1:11*n+1], ib[11*n+1:12*n+1], ib[12*n+1:13*n+1]
+	lb := arena.Int64s.Get(9 * n)
+	qthr, vlo, vhi := lb[:3*n], lb[3*n:6*n], lb[6*n:]
 
-	// One select slot per row with a non-empty frame, its ranges flattened;
+	// One select slot per row with a non-empty frame; its ranges are both
+	// the count queries [soff[x], soff[x+1]) and the select's value ranges.
 	// sk holds the slot's frame size until its k is known.
 	var scratch, mapped [3][2]int
-	e, w, maxR := 0, 0, 0
+	e, w := 0, 0
 	soff[0] = 0
 	for i := lo; i < hi; i++ {
 		ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
@@ -444,43 +445,22 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree
 			continue
 		}
 		for _, r := range ranges {
+			qlo[w], qhi[w], qthr[w] = i32(r[0]), i32(r[1]), keysAll[i]
 			vlo[w], vhi[w] = int64(r[0]), int64(r[1])
 			w++
 		}
 		rowSlot[i-lo], sk[e] = i32(e), i32(size)
 		soff[e+1] = i32(w)
-		maxR = max(maxR, len(ranges))
 		e++
 	}
-
-	// Range j's count queries form two series, below its upper bounds and
-	// below its lower bounds, each contiguous in row order so the kernel's
-	// gallop and differential pass see neighbours. A row with fewer ranges
-	// leaves its slots empty.
-	m := 2 * maxR * e
-	for i := lo; i < hi; i++ {
-		x := int(rowSlot[i-lo])
-		if x < 0 {
-			continue
-		}
-		o0, nr := int(soff[x]), int(soff[x+1]-soff[x])
-		for j := 0; j < maxR; j++ {
-			u, l := 2*j*e+x, (2*j+1)*e+x
-			qlo[u], qlo[l], qhi[u], qhi[l] = 0, 0, 0, 0
-			if j < nr {
-				qhi[u], qhi[l] = keptRowno[i], keptRowno[i]
-				qthr[u], qthr[l] = vhi[o0+j], vlo[o0+j]
-			}
-		}
-	}
-	agg.countBatch(tree, qlo[:m], qhi[:m], qthr[:m], qout[:m])
+	agg.countBatch(rank, qlo[:w], qhi[:w], qthr[:w], qout[:w])
 
 	// Select the target row; one out of [0, size) asks k = -1, which the
 	// kernel answers -1 without a search.
 	for x := 0; x < e; x++ {
 		before := int64(0)
-		for j := 0; j < maxR; j++ {
-			before += int64(qout[2*j*e+x]) - int64(qout[(2*j+1)*e+x])
+		for q := soff[x]; q < soff[x+1]; q++ {
+			before += int64(qout[q])
 		}
 		target := before + off
 		if target < 0 || target >= int64(sk[x]) {
@@ -500,7 +480,7 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree
 		}
 		out.copyFrom(valueCol, fl.orig(int(tree.Value(int(sout[x])))), row)
 	}
-	agg.queries.Add(int64(m + e))
+	agg.queries.Add(int64(w + e))
 	arena.Int64s.Put(lb)
 	arena.Int32s.Put(ib)
 }
@@ -513,10 +493,11 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree
 // [a, d) it holds (threshold a+1), so a frame without exclusion holes is one
 // query; with holes, the values first seen in a hole that recur in a kept
 // range are merged in once each, in hole order. The answer is NULL unless a
-// query's ok output is set or such a hole value exists; kcnt is only the
-// count buffer the kernel requires.
+// query's ok output is set or such a hole value exists; emit gets the
+// answer with the count of values folded into it, the kernel's kcnt plus the
+// hole values merged in.
 func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tree *mst.AnnotatedTree[S],
-	prev, next []int32, values []S, add func(a, b S) S, emit func(row int, v S),
+	prev, next []int32, values []S, add func(a, b S) S, emit func(row int, v S, n int32),
 	out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
 	ib := arena.Int32s.Get(11*n + 1)
@@ -555,37 +536,38 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	}
 	slotQ[s] = i32(m)
 
-	// The aggregate states cannot live in pooled scratch (generic S); one
-	// short-lived slice per chunk is the cost of type genericity.
+	// The sums cannot live in pooled scratch (generic S); one short-lived
+	// slice per chunk is the cost of type genericity.
 	results := make([]S, m)
 	leaves, diffs := tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], results, okv[:m], kcnt[:m])
 	agg.leaves.Add(int64(leaves))
 	agg.diffs.Add(int64(diffs))
 
-	// A slot's answer goes to its first query's state.
+	// A slot's answer and count go to its first query's.
 	for sl := 0; sl < s; sl++ {
 		q0, q1 := int(slotQ[sl]), int(slotQ[sl+1])
 		if q1-q0 == 1 {
 			continue
 		}
-		acc, found := results[q0], okv[q0]
-		merge := func(v S) {
+		acc, found, cnt := results[q0], okv[q0], kcnt[q0]
+		merge := func(v S, n int32) {
 			if found {
 				acc = add(acc, v)
 			} else {
 				acc, found = v, true
 			}
+			cnt += n
 		}
 		for q := q0 + 1; q < q1; q++ {
 			if okv[q] {
-				merge(results[q])
+				merge(results[q], kcnt[q])
 			}
 		}
 		for ro := range q1 - q0 {
 			scratch[ro] = [2]int{int(qlo[q0+ro]), int(qhi[q0+ro])}
 		}
-		forEachHoleFirst(prev, next, scratch[:q1-q0], true, func(h int) { merge(values[h]) })
-		results[q0], okv[q0] = acc, found
+		forEachHoleFirst(prev, next, scratch[:q1-q0], true, func(h int) { merge(values[h], 1) })
+		results[q0], okv[q0], kcnt[q0] = acc, found, cnt
 	}
 
 	for i := lo; i < hi; i++ {
@@ -596,7 +578,7 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 			out.setNull(row)
 			continue
 		}
-		emit(row, results[slotQ[sl]])
+		emit(row, results[slotQ[sl]], kcnt[slotQ[sl]])
 	}
 	agg.queries.Add(int64(m))
 	agg.dedup.Add(int64(dedup))

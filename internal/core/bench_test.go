@@ -180,7 +180,7 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		out := newColumn(f.Output, Int64, size.n)
-		emit := func(row int, v int64) { out.setInt(row, v) }
+		emit := func(row int, v int64, _ int32) { out.setInt(row, v) }
 		b.Run(size.name, func(b *testing.B) {
 			agg := &batchAgg{}
 			benchChunks(b, size.n, func(lo, hi int) {

@@ -104,14 +104,14 @@ type (
 		prev, next []int32
 		tree       *mst.Tree
 	}
-	// cachedAgg backs SUM/AVG(DISTINCT) for one aggregate state type.
+	// cachedAgg backs SUM/AVG(DISTINCT) for one sum type.
 	cachedAgg[S any] struct {
 		prev, next []int32
 		values     []S
 		tree       *mst.AnnotatedTree[S]
 	}
-	// cachedRank backs the rank family: per-row rank keys plus the tree
-	// over the kept rows' keys.
+	// cachedRank backs the rank family and LEAD/LAG's row numbers: per-row
+	// rank keys plus the tree over the kept rows' keys.
 	cachedRank struct {
 		keysAll []int64
 		tree    *mst.Tree
@@ -126,7 +126,4 @@ type (
 	// cachedSelect backs percentiles, value selection and LEAD/LAG: the
 	// permutation tree.
 	cachedSelect struct{ tree *mst.Tree }
-	// cachedRowno backs LEAD/LAG beside the permutation tree: every row's
-	// insertion position among the kept rows.
-	cachedRowno struct{ keptRowno []int32 }
 )

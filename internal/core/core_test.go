@@ -214,10 +214,10 @@ func TestReferenceAcrossLeafCutoff(t *testing.T) {
 			// Per partition, eight structures are width-bound — COUNT and
 			// int64 SUM(DISTINCT), RANK and DENSE_RANK, each plain and
 			// FILTERed — and each class holds all eight; the float
-			// SUM/AVG(DISTINCT) trees are full under either frame.
+			// SUM/AVG(DISTINCT) share one tree, full under either frame.
 			tags := []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|"}
-			if leaf, full := cache.resident("w=leaf", tags...), cache.resident("w=full", tags...); leaf != 2*8 || full != 2*10 {
-				t.Errorf("%s: the cache holds %d leaf-only and %d full structures, want %d and %d", label, leaf, full, 2*8, 2*10)
+			if leaf, full := cache.resident("w=leaf", tags...), cache.resident("w=full", tags...); leaf != 2*8 || full != 2*9 {
+				t.Errorf("%s: the cache holds %d leaf-only and %d full structures, want %d and %d", label, leaf, full, 2*8, 2*9)
 			}
 		}
 	}
@@ -321,9 +321,14 @@ func leafCutoffWindow(fs frame.Spec, funcs []FuncSpec) *WindowSpec {
 // checkFloatDistinctDescent recomputes SUM and AVG(DISTINCT fv) over ROWS
 // frames of width rows with annotated trees built here and probed by
 // AggBelowBatch, partition by partition in window order (d, then row index),
-// and requires core's answers to carry the same bits.
+// and requires core's answers to carry the same bits. The AVG reference
+// folds its own (sum, count) state, independent of core's SUM tree.
 func checkFloatDistinctDescent(t *testing.T, g, d []int64, fv []float64, width int, sums, avgs *Column) {
 	t.Helper()
+	type avgRef struct {
+		sum float64
+		n   int64
+	}
 	byPart := map[int64][]int{}
 	for i, p := range g {
 		byPart[p] = append(byPart[p], i)
@@ -333,17 +338,17 @@ func checkFloatDistinctDescent(t *testing.T, g, d []int64, fv []float64, width i
 		prev := make([]int64, len(order))
 		last := map[float64]int64{}
 		vals := make([]float64, len(order))
-		avg := make([]avgState, len(order))
+		avg := make([]avgRef, len(order))
 		for j, row := range order {
 			prev[j] = last[fv[row]]
 			last[fv[row]] = int64(j) + 1
-			vals[j], avg[j] = fv[row], avgState{sum: fv[row], n: 1}
+			vals[j], avg[j] = fv[row], avgRef{sum: fv[row], n: 1}
 		}
 		st, err := mst.BuildAnnotated(prev, vals, func(a, b float64) float64 { return a + b }, mst.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		at, err := mst.BuildAnnotated(prev, avg, func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} }, mst.Options{})
+		at, err := mst.BuildAnnotated(prev, avg, func(a, b avgRef) avgRef { return avgRef{a.sum + b.sum, a.n + b.n} }, mst.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +359,7 @@ func checkFloatDistinctDescent(t *testing.T, g, d []int64, fv []float64, width i
 			a := max(j-width+1, 0)
 			lo[j], hi[j], thr[j] = int32(a), int32(j+1), int64(a)+1
 		}
-		ss, as := make([]float64, k), make([]avgState, k)
+		ss, as := make([]float64, k), make([]avgRef, k)
 		st.AggBelowBatch(lo, hi, thr, ss, ok, cnt)
 		at.AggBelowBatch(lo, hi, thr, as, ok, cnt)
 		for j, row := range order {

@@ -15,22 +15,21 @@ func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *Column
 	fl := newFiltered(p, f, f.Arg)
 	col := p.t.Column(f.Arg)
 	switch f.Name {
-	case Sum:
-		if col.Kind() == Int64 {
+	case Sum, Avg:
+		if f.Name == Sum && col.Kind() == Int64 {
 			return runSegAgg(p, fc, out, opt, fl,
 				func(j int) int64 { return col.Int64(fl.orig(j)) },
 				func(a, b int64) int64 { return a + b },
-				func(row int, v int64) { out.setInt(row, v) })
+				func(row int, v int64, _ int) { out.setInt(row, v) })
+		}
+		// AVG is the float SUM's fold over the frame's row count.
+		emit := func(row int, v float64, _ int) { out.setFloat(row, v) }
+		if f.Name == Avg {
+			emit = func(row int, v float64, n int) { out.setFloat(row, v/float64(n)) }
 		}
 		return runSegAgg(p, fc, out, opt, fl,
-			func(j int) float64 { return col.Float64(fl.orig(j)) },
-			func(a, b float64) float64 { return a + b },
-			func(row int, v float64) { out.setFloat(row, v) })
-	case Avg:
-		return runSegAgg(p, fc, out, opt, fl,
-			func(j int) avgState { return avgState{sum: col.Numeric(fl.orig(j)), n: 1} },
-			func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} },
-			func(row int, v avgState) { out.setFloat(row, v.sum/float64(v.n)) })
+			func(j int) float64 { return col.Numeric(fl.orig(j)) },
+			func(a, b float64) float64 { return a + b }, emit)
 	case Min, Max:
 		want := -1
 		if f.Name == Max {
@@ -41,17 +40,17 @@ func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *Column
 			return runSegAgg(p, fc, out, opt, fl,
 				func(j int) int64 { return col.Int64(fl.orig(j)) },
 				pickBy(want, func(a, b int64) int { return compareOrdered(a, b) }),
-				func(row int, v int64) { out.setInt(row, v) })
+				func(row int, v int64, _ int) { out.setInt(row, v) })
 		case Float64:
 			return runSegAgg(p, fc, out, opt, fl,
 				func(j int) float64 { return col.Float64(fl.orig(j)) },
 				pickBy(want, floatCompare),
-				func(row int, v float64) { out.setFloat(row, v) })
+				func(row int, v float64, _ int) { out.setFloat(row, v) })
 		case String:
 			return runSegAgg(p, fc, out, opt, fl,
 				func(j int) string { return col.StringAt(fl.orig(j)) },
 				pickBy(want, func(a, b string) int { return compareOrdered(a, b) }),
-				func(row int, v string) { out.strs[row] = v })
+				func(row int, v string, _ int) { out.strs[row] = v })
 		default:
 			return fmt.Errorf("min/max over %v column not supported", col.Kind())
 		}
@@ -82,9 +81,10 @@ func pickBy[T any](want int, cmp func(a, b T) int) func(a, b T) T {
 }
 
 // runSegAgg builds a segment tree over the filtered values and merges each
-// frame's ranges. Empty frames yield SQL NULL.
+// frame's ranges; emit gets the merged value and the frame's row count.
+// Empty frames yield SQL NULL.
 func runSegAgg[S any](p *partition, fc *frame.Computer, out *Column, opt Options,
-	fl *filtered, valueOf func(j int) S, merge func(a, b S) S, emit func(row int, v S)) error {
+	fl *filtered, valueOf func(j int) S, merge func(a, b S) S, emit func(row int, v S, n int)) error {
 	values := make([]S, fl.k)
 	for j := range values {
 		values[j] = valueOf(j)
@@ -96,8 +96,9 @@ func runSegAgg[S any](p *partition, fc *frame.Computer, out *Column, opt Options
 			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
 			row := p.orig(i)
 			var acc S
-			have := false
+			have, n := false, 0
 			for _, r := range ranges {
+				n += r[1] - r[0]
 				part, ok := tree.Query(r[0], r[1])
 				if !ok {
 					continue
@@ -112,7 +113,7 @@ func runSegAgg[S any](p *partition, fc *frame.Computer, out *Column, opt Options
 				out.setNull(row)
 				continue
 			}
-			emit(row, acc)
+			emit(row, acc, n)
 		}
 	})
 }

@@ -512,58 +512,50 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, op
 			distinctCountChunk(p, fl, fc, st.tree, st.prev, st.next, out, agg, lo, hi)
 		})
 
-	case SumDistinct:
-		if out.kind == Int64 {
-			return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8, mst.BuildSum[int32],
-				func(j int) int64 { return p.t.Column(f.Arg).Int64(fl.orig(j)) },
+	case SumDistinct, AvgDistinct:
+		col := p.t.Column(f.Arg)
+		if s.State == "int64" {
+			return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, mst.BuildSum[int32],
+				func(j int) int64 { return col.Int64(fl.orig(j)) },
 				func(a, b int64) int64 { return a + b },
-				func(row int, v int64) { out.setInt(row, v) })
+				func(row int, v int64, _ int32) { out.setInt(row, v) })
+		}
+		// AVG(DISTINCT) is the float SUM(DISTINCT) fold over the count of
+		// values folded, so both read one tree.
+		emit := func(row int, v float64, _ int32) { out.setFloat(row, v) }
+		if f.Name == AvgDistinct {
+			emit = func(row int, v float64, n int32) { out.setFloat(row, v/float64(n)) }
 		}
 		addFloat := func(a, b float64) float64 { return a + b }
-		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 8, mergeTree(addFloat),
-			func(j int) float64 { return p.t.Column(f.Arg).Float64(fl.orig(j)) },
-			addFloat,
-			func(row int, v float64) { out.setFloat(row, v) })
-
-	case AvgDistinct:
-		col := p.t.Column(f.Arg)
-		addAvg := func(a, b avgState) avgState { return avgState{a.sum + b.sum, a.n + b.n} }
-		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, 16, mergeTree(addAvg),
-			func(j int) avgState { return avgState{sum: col.Numeric(fl.orig(j)), n: 1} },
-			addAvg,
-			func(row int, v avgState) { out.setFloat(row, v.sum/float64(v.n)) })
+		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, mergeTree(addFloat),
+			func(j int) float64 { return col.Numeric(fl.orig(j)) }, addFloat, emit)
 	}
 	return fmt.Errorf("unhandled distinct function %v", f.Name)
 }
 
-type avgState struct {
-	sum float64
-	n   int64
-}
-
 // treeBuild builds runSumDistinct's annotated tree over prevIdcs and values
-// in a form: mst.BuildSum for an int64 sum, mergeTree's for any other state.
+// in a form: mst.BuildSum for an int64 sum, mergeTree's for a float64 one.
 type treeBuild[S any] func(prev []int32, values []S, opt mst.Options, form mst.Form) (*mst.AnnotatedTree[S], error)
 
-// mergeTree is the treeBuild of a state whose merge has no inverse the
-// kernel may use — a float sum, whose fold order is part of its answer, or
-// AVG's: mst.BuildAnnotated over merge. Structure.form builds such a tree in
-// full whatever its width, so form is always mst.Full.
+// mergeTree is the treeBuild of a float sum, whose merge has no inverse the
+// kernel may use — its fold order is part of its answer: mst.BuildAnnotated
+// over merge. Structure.form builds such a tree in full whatever its width,
+// so form is always mst.Full.
 func mergeTree[S any](merge func(a, b S) S) treeBuild[S] {
 	return func(prev []int32, values []S, opt mst.Options, _ mst.Form) (*mst.AnnotatedTree[S], error) {
 		return mst.BuildAnnotated(prev, values, merge, opt)
 	}
 }
 
-// runSumDistinct evaluates SUM/AVG(DISTINCT) generically over the aggregate
-// state type, with merges only (§4.3), exclusion holes included — a float
-// sum cannot subtract a NaN or an infinity back out. s is the tree's identity,
-// whose state matches S; aggBytes is the state's size for budget accounting.
-// rows bounds the ranges the tree is probed with; form is the form build
-// builds it in.
-func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *Column,
-	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, aggBytes int, build treeBuild[S],
-	valueOf func(j int) S, add func(a, b S) S, emit func(row int, v S)) error {
+// runSumDistinct evaluates SUM/AVG(DISTINCT) over an int64 or float64 sum,
+// with merges only (§4.3), exclusion holes included — a float sum cannot
+// subtract a NaN or an infinity back out. s is the tree's identity, whose
+// state matches S. rows bounds the ranges the tree is probed with; form is
+// the form build builds it in. emit gets each answer with the count of
+// values folded into it.
+func runSumDistinct[S int64 | float64](p *partition, f *FuncSpec, fc *frame.Computer, out *Column,
+	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, build treeBuild[S],
+	valueOf func(j int) S, add func(a, b S) S, emit func(row int, v S, n int32)) error {
 	st, err := cacheGet(opt, s, func() (cachedAgg[S], int64, error) {
 		prev, next, err := buildDistinctInputs(fl, f, opt)
 		if err != nil {
@@ -579,9 +571,9 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *C
 			sp.End()
 			return cachedAgg[S]{}, 0, buildErr
 		}
-		treeBytes := tree.MemBytes(aggBytes)
+		treeBytes := tree.MemBytes(8) // one int64 or float64 per entry
 		endBuild(sp, form, treeBytes)
-		bytes := sliceBytes(prev, next) + int64(aggBytes*len(values)) + treeBytes
+		bytes := sliceBytes(prev, next) + int64(8*len(values)) + treeBytes
 		return cachedAgg[S]{prev: prev, next: next, values: values, tree: tree}, bytes, nil
 	})
 	if err == nil {
@@ -601,64 +593,65 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *C
 // keys (§4.4, Figure 8).
 func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	s := structureOf(f, p.w.OrderBy, out.kind)
-	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop)
-	rows := opt.rowsBound(fl.k)
-	form := s.sized(rows, opt)
-
-	// Thresholds must exist for every row (also filtered-out ones), so rank
-	// keys are computed over the whole partition; the tree only holds the
-	// kept rows.
-	unique := s.Tag == tagRankUnique
-	st, err := cacheGet(opt, &s,
-		func() (cachedRank, int64, error) {
-			m := p.len()
-			sortedAll, err := p.sortedByFuncOrder(f, opt)
-			if err != nil {
-				return cachedRank{}, 0, err
-			}
-			var keysAll []int64
-			if unique {
-				// keptRowno: the number of kept rows sorted strictly before
-				// each row — unique among kept rows, and a valid insertion
-				// point for filtered-out rows.
-				keysAll = make([]int64, m)
-				keptBefore := int64(0)
-				for _, pos := range sortedAll {
-					keysAll[pos] = keptBefore
-					if fl.kept(int(pos)) {
-						keptBefore++
-					}
-				}
-			} else {
-				keysAll, _ = preprocess.DenseRanks(sortedAll, p.funcEqual(f))
-			}
-			// keysKept becomes the tree's level 0.
-			keysKept := make([]int32, fl.k)
-			for j := range keysKept {
-				keysKept[j] = i32(int(keysAll[fl.local(j)]))
-			}
-			sp := opt.trace.Phase("build merge sort tree")
-			tree, buildErr := mst.BuildForm(keysKept, opt.treeOptions(sp), form)
-			if buildErr != nil {
-				sp.End()
-				return cachedRank{}, 0, buildErr
-			}
-			treeBytes := int64(tree.Stats().Bytes)
-			endBuild(sp, form, treeBytes)
-			return cachedRank{keysAll: keysAll, tree: tree}, sliceBytes(keysAll) + treeBytes, nil
-		})
-	if err == nil {
-		err = st.tree.CheckRows(rows)
-	}
+	keysAll, tree, err := rankTree(p, f, &s, fl, opt)
 	if err != nil {
 		return err
 	}
-	keysAll, tree := st.keysAll, st.tree
-
 	return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
 		rankChunk(p, f, fl, fc, tree, keysAll, out, agg, lo, hi)
 	})
+}
+
+// rankTree fetches the rank structure s (tagRankDense or tagRankUnique) over
+// the kept rows of fl, sized by the rows its probes span: every partition
+// row's rank key and the tree over the kept rows' keys. Thresholds must
+// exist for every row (also filtered-out ones), so the keys are computed over
+// the whole partition; the tree only holds the kept rows.
+func rankTree(p *partition, f *FuncSpec, s *Structure, fl *filtered, opt Options) ([]int64, *mst.Tree, error) {
+	s.Part = p.id
+	rows := opt.rowsBound(fl.k)
+	form := s.sized(rows, opt)
+	st, err := cacheGet(opt, s, func() (cachedRank, int64, error) {
+		sortedAll, err := p.sortedByFuncOrder(f, opt)
+		if err != nil {
+			return cachedRank{}, 0, err
+		}
+		var keysAll []int64
+		if s.Tag == tagRankUnique {
+			// The number of kept rows sorted strictly before each row:
+			// unique among kept rows, and a valid insertion point for
+			// filtered-out rows.
+			keysAll = make([]int64, p.len())
+			keptBefore := int64(0)
+			for _, pos := range sortedAll {
+				keysAll[pos] = keptBefore
+				if fl.kept(int(pos)) {
+					keptBefore++
+				}
+			}
+		} else {
+			keysAll, _ = preprocess.DenseRanks(sortedAll, p.funcEqual(f))
+		}
+		// keysKept becomes the tree's level 0.
+		keysKept := make([]int32, fl.k)
+		for j := range keysKept {
+			keysKept[j] = i32(int(keysAll[fl.local(j)]))
+		}
+		sp := opt.trace.Phase("build merge sort tree")
+		tree, buildErr := mst.BuildForm(keysKept, opt.treeOptions(sp), form)
+		if buildErr != nil {
+			sp.End()
+			return cachedRank{}, 0, buildErr
+		}
+		treeBytes := int64(tree.Stats().Bytes)
+		endBuild(sp, form, treeBytes)
+		return cachedRank{keysAll: keysAll, tree: tree}, sliceBytes(keysAll) + treeBytes, nil
+	})
+	if err == nil {
+		err = st.tree.CheckRows(rows)
+	}
+	return st.keysAll, st.tree, err
 }
 
 // ntileBucket returns the 1-based NTILE bucket for the row at 0-based
@@ -785,9 +778,9 @@ func percentileDiscIndex(p float64, size int) int {
 }
 
 // evalLeadLag evaluates framed LEAD/LAG with an independent ORDER BY (§4.6):
-// the row's own row number inside the frame (counting queries on the
-// permutation tree), offset, then a selection query for the adjusted
-// position, both batched per chunk (leadLagChunk).
+// the row's own row number inside the frame (ROW_NUMBER's counting queries
+// on its rank-unique tree), offset, then a selection query for the adjusted
+// position on the permutation tree, both batched per chunk (leadLagChunk).
 func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
 	s := structureOf(f, p.w.OrderBy, out.kind)
@@ -796,28 +789,11 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt
 	if err != nil {
 		return err
 	}
-	rs := Structure{Part: p.id, Tag: tagRowno, Order: s.Order, Filter: s.Filter, Drop: s.Drop}
-	st, err := cacheGet(opt, &rs, func() (cachedRowno, int64, error) {
-		sortedAll, err := p.sortedByFuncOrder(f, opt)
-		if err != nil {
-			return cachedRowno{}, 0, err
-		}
-		// keptRowno: insertion position of every partition row among the
-		// kept rows in function order.
-		keptRowno := make([]int32, p.len())
-		keptBefore := int32(0)
-		for _, pos := range sortedAll {
-			keptRowno[pos] = keptBefore
-			if fl.kept(int(pos)) {
-				keptBefore++
-			}
-		}
-		return cachedRowno{keptRowno: keptRowno}, sliceBytes(keptRowno), nil
-	})
+	rs := Structure{Tag: tagRankUnique, Order: s.Order, Filter: s.Filter, Drop: s.Drop}
+	keysAll, rank, err := rankTree(p, f, &rs, fl, opt)
 	if err != nil {
 		return err
 	}
-	keptRowno := st.keptRowno
 
 	off := f.N
 	if off == 0 {
@@ -828,6 +804,6 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt
 	}
 
 	return runBatched(p, opt, famLeadLag, func(lo, hi int, agg *batchAgg) {
-		leadLagChunk(p, fl, fc, tree, keptRowno, valueCol, off, out, agg, lo, hi)
+		leadLagChunk(p, fl, fc, rank, keysAll, tree, valueCol, off, out, agg, lo, hi)
 	})
 }

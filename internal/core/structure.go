@@ -40,8 +40,9 @@ type Structure struct {
 	// Filter is the FILTER column, Drop the column whose NULL rows are
 	// dropped before building.
 	Filter, Drop string
-	// State is the aggregate state of an annotated tree: the fold of an
-	// int64 SUM, a float64 SUM or an AVG.
+	// State is the sum an annotated tree folds: "int64" for an INT64
+	// SUM(DISTINCT), "float64" for any other SUM(DISTINCT) and for every
+	// AVG(DISTINCT), which divides that sum by the count of values folded.
 	State string
 	// Width is the width class (Structure.form): a leaf-only entry answers
 	// only ranges of at most mst.LeafRows rows, and a sliding one is cheap
@@ -60,12 +61,11 @@ type Structure struct {
 // statement keys once, its sort.
 const (
 	tagDistinctCount = "distinct-count" // COUNT(DISTINCT): prevIdcs and the tree over them
-	tagDistinctAgg   = "distinct-agg"   // SUM/AVG(DISTINCT): prevIdcs and the annotated tree
+	tagDistinctAgg   = "distinct-agg"   // SUM/AVG(DISTINCT): prevIdcs and the annotated sum tree
 	tagRankDense     = "rank-dense"     // RANK, PERCENT_RANK, CUME_DIST: dense rank keys and their tree
-	tagRankUnique    = "rank-unique"    // ROW_NUMBER, NTILE: kept-row numbers and their tree
+	tagRankUnique    = "rank-unique"    // ROW_NUMBER, NTILE, LEAD/LAG's row numbers: kept-row numbers and their tree
 	tagDense         = "dense"          // DENSE_RANK: ranks, occurrence links and the range tree
 	tagSelect        = "select"         // percentiles, value functions, LEAD/LAG: the permutation tree
-	tagRowno         = "rowno"          // LEAD/LAG: every row's insertion position among the kept rows
 	tagSegTree       = "segtree"        // SUM/AVG/MIN/MAX: a segment tree per function, never cached
 	tagResult        = "result"         // one function's finished output over one partition
 
@@ -85,12 +85,9 @@ func structureOf(f *FuncSpec, windowOrder []SortKey, kind Kind) Structure {
 	case CountDistinct:
 		return Structure{Tag: tagDistinctCount, Arg: f.Arg, Filter: f.Filter, Drop: f.Arg}
 	case SumDistinct, AvgDistinct:
-		state := "avg"
-		if f.Name == SumDistinct {
-			state = "float64"
-			if kind == Int64 {
-				state = "int64"
-			}
+		state := "float64"
+		if f.Name == SumDistinct && kind == Int64 {
+			state = "int64"
 		}
 		return Structure{Tag: tagDistinctAgg, Arg: f.Arg, Filter: f.Filter, Drop: f.Arg, State: state}
 	case Rank, PercentRank, CumeDist:
@@ -149,8 +146,8 @@ func (s *Structure) Shared() bool { return s.Tag != "" && s.Tag != tagSegTree }
 // form is the form s is built in when its probes span at most rows rows:
 // leaf-only when no probe descends, so nothing above level 0 would ever be
 // read (mst/leaf.go), and full otherwise. A permutation tree is always full,
-// and so is a float or AVG annotated tree, whose fold order is part of its
-// answer. A COUNT(DISTINCT) tree is built sliding when slide holds — every
+// and so is a float64 sum tree, whose fold order is part of its answer. A
+// COUNT(DISTINCT) tree is built sliding when slide holds — every
 // frame a constant-offset ROWS frame no wider than a probe chunk. Between
 // neighbouring queries each edge then moves by at most one kept row and the
 // threshold's rank by at most one key, so all but the first query of a chunk
@@ -159,7 +156,7 @@ func (s *Structure) Shared() bool { return s.Tag != "" && s.Tag != tagSegTree }
 // (DESIGN.md §10.1).
 func (s *Structure) form(rows int, slide bool) mst.Form {
 	switch {
-	case s.Tag == tagSelect, s.Tag == tagDistinctAgg && s.State != "int64":
+	case s.Tag == tagSelect, s.State == "float64":
 		return mst.Full
 	case rows <= mst.LeafRows:
 		return mst.Leaves
@@ -298,8 +295,11 @@ func (s *Structure) Labels() (pre, tree string) {
 // InScope returns the match function of every key cached under scope or a
 // scope nested in it (scope + "|…"): what a dataset reload or a compaction
 // drops. It is the one invalidation rule: a key names content, never the
-// epoch it was asked at, so a mutation makes no entry wrong — the entries of
-// a partition's superseded content are no longer asked for and age out.
+// epoch it was asked at, so a mutation makes no entry wrong. The entries of
+// a partition's superseded content are no longer asked for, and only two
+// things bound them: the cache's byte budget, past which its LRU evicts the
+// entries asked for least recently, and the compaction swap, which drops
+// their generation's scope with this rule.
 func InScope(scope string) func(key string) bool {
 	prefix := scope + "|"
 	return func(key string) bool { return strings.HasPrefix(key, prefix) }

@@ -75,7 +75,7 @@ func TestStructureIdentity(t *testing.T) {
 		{"SUM(DISTINCT) argument", planned(fn(SumDistinct), whole, Int64),
 			planned(with(fn(SumDistinct), func(f *FuncSpec) { f.Arg = "d" }), whole, Int64), false},
 		{"int and float SUM(DISTINCT)", planned(fn(SumDistinct), whole, Int64), planned(fn(SumDistinct), whole, Float64), false},
-		{"float SUM and AVG(DISTINCT)", planned(fn(SumDistinct), whole, Float64), planned(fn(AvgDistinct), whole, Float64), false},
+		{"float SUM and AVG(DISTINCT)", planned(fn(SumDistinct), whole, Float64), planned(fn(AvgDistinct), whole, Float64), true},
 		{"int SUM and AVG(DISTINCT)", planned(fn(SumDistinct), whole, Int64), planned(fn(AvgDistinct), whole, Int64), false},
 		{"IGNORE NULLS", planned(fn(FirstValue), whole, Int64),
 			planned(with(fn(FirstValue), func(f *FuncSpec) { f.IgnoreNulls = true }), whole, Int64), false},

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"math/rand"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -239,6 +241,74 @@ func TestRunWithoutCacheSharesStructures(t *testing.T) {
 	})
 	if builds != 1 {
 		t.Errorf("%d build merge sort tree entries, want 1\n%s", builds, root.Render())
+	}
+}
+
+// TestLeadLagSharesRowNumberTree runs ROW_NUMBER and LAG(v), both ordered by
+// v, over a three-partition table. LAG's row number inside its frame is
+// ROW_NUMBER's count on its rank-unique tree, so per partition the statement
+// builds that tree once and the permutation tree once, and the other
+// function finds the rank-unique tree cached: three builds and one hit per
+// partition over the two eval spans, and no key of another structure.
+func TestLeadLagSharesRowNumberTree(t *testing.T) {
+	byV := []SortKey{{Column: "v"}}
+	w := traceWindow()
+	w.PartitionBy = []string{"g"}
+	w.Funcs = []FuncSpec{
+		{Name: RowNumber, Output: "rn", OrderBy: byV},
+		{Name: Lag, Output: "lg", Arg: "v", OrderBy: byV},
+	}
+	cache := newRecordingCache()
+	root := tracedRun(t, randTable(rand.New(rand.NewSource(5)), 900), w, Options{Cache: cache, CacheScope: "leadlag@v1"})
+	const parts = 3
+	builds, hits := 0, 0
+	root.Walk(func(sp *obs.Span, _ int) {
+		if sp.Name() == "eval" {
+			b, _ := strconv.Atoi(sp.Attr("cache_builds"))
+			h, _ := strconv.Atoi(sp.Attr("cache_hits"))
+			builds, hits = builds+b, hits+h
+		}
+	})
+	if builds != 2*parts || hits != parts {
+		t.Errorf("eval spans count %d cache builds and %d hits, want %d and %d\n%s", builds, hits, 2*parts, parts, root.Render())
+	}
+	tags := map[string]int{}
+	perPartition := regexp.MustCompile(`\|n[0-9]+\|([a-z-]+)\|`)
+	for key := range cache.keys {
+		if m := perPartition.FindStringSubmatch(key); m != nil {
+			tags[m[1]]++
+		}
+	}
+	if want := map[string]int{"rank-unique": parts, "select": parts}; !maps.Equal(tags, want) {
+		t.Errorf("per-partition structures by tag %v, want %v\n%v", tags, want, cache.keys)
+	}
+}
+
+// TestLeadLagQueryCount counts a LEAD statement's batched queries: one count
+// per frame range on the row-number tree and one select per row. The frame
+// excludes the current row, so every row but the first and the last has two
+// ranges.
+func TestLeadLagQueryCount(t *testing.T) {
+	const n = 1_000
+	w := traceWindow()
+	w.Frame = frame.Spec{Mode: frame.Rows,
+		Start:   frame.Bound{Type: frame.Preceding, Offset: 10},
+		End:     frame.Bound{Type: frame.Following, Offset: 10},
+		Exclude: frame.ExcludeCurrentRow}
+	w.Funcs = []FuncSpec{{Name: Lead, Output: "ld", Arg: "v", OrderBy: []SortKey{{Column: "v"}}}}
+	root := tracedRun(t, randTable(rand.New(rand.NewSource(6)), n), w, Options{})
+	spans := 0
+	root.Walk(func(sp *obs.Span, _ int) {
+		if sp.Name() != "mst.query.batch" {
+			return
+		}
+		spans++
+		if got, want := sp.Attr("batch_queries"), strconv.Itoa(2*n-2+n); sp.Attr("family") != "leadlag" || got != want {
+			t.Errorf("%s span: batch_queries=%s, want %s", sp.Attr("family"), got, want)
+		}
+	})
+	if spans != 1 {
+		t.Errorf("%d mst.query.batch spans, want 1", spans)
 	}
 }
 

@@ -3,26 +3,40 @@ package mst
 import (
 	"math"
 	"math/rand"
-	"strconv"
 	"testing"
 )
 
+// polyHash is the order witness of the aggregate tests: the polynomial hash
+// h of a sequence of values and p = polyBase^length, both mod 2⁶⁴. Folding
+// two states hashes their concatenation, (h₁,p₁)·(h₂,p₂) = (h₁·p₂+h₂, p₁·p₂),
+// so the fold is associative like string concatenation and, unlike a sum,
+// tells two orders of the same values apart — in O(1) per merge, where a
+// concatenated string grows with every value it takes.
+type polyHash struct{ h, p uint64 }
+
+// polyBase is odd, so no power of it is zero mod 2⁶⁴.
+const polyBase = 0x9e3779b97f4a7c15
+
+// witness is the one-value sequence v.
+func witness(v uint64) polyHash { return polyHash{v, polyBase} }
+
+func mergePoly(a, b polyHash) polyHash { return polyHash{a.h*b.p + b.h, a.p * b.p} }
+
 // TestAggBelowBatchMatchesScalar cross-checks AggBelowBatch against the
-// reference fold aggRef with a string-concatenation merge, so any deviation
-// in the take order — not just the take set — fails the test. The count
-// output is cross-checked too.
+// reference fold aggRef with the polyHash merge, so any deviation in the take
+// order — not just the take set — fails the test. The count output is
+// cross-checked too.
 func TestAggBelowBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	merge := func(a, b string) string { return a + "|" + b }
 	for _, opt := range batchVariants() {
 		for _, n := range []int{0, 1, 2, 7, 33, 257, 4000, 4596} {
 			keys := make([]int64, n)
-			values := make([]string, n)
+			values := make([]polyHash, n)
 			for i := range keys {
 				keys[i] = int64(rng.Intn(n + 1))
-				values[i] = strconv.Itoa(i)
+				values[i] = witness(uint64(i))
 			}
-			at, err := BuildAnnotated(keys, values, merge, opt)
+			at, err := BuildAnnotated(keys, values, mergePoly, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,15 +62,15 @@ func TestAggBelowBatchMatchesScalar(t *testing.T) {
 					thr[q] = []int64{-1, 0, int64(n) + 7, math.MaxInt64, 3}[rng.Intn(5)]
 				}
 			}
-			result := make([]string, m)
+			result := make([]polyHash, m)
 			okv := make([]bool, m)
 			cnt := make([]int32, m)
 			at.AggBelowBatch(lo, hi, thr, result, okv, cnt)
-			ref := newAggRef(at.t.effLen, keys, values, merge)
+			ref := newAggRef(at.t.effLen, keys, values, mergePoly)
 			for q := 0; q < m; q++ {
 				want, wantOK, wantCnt := ref.query(int(lo[q]), int(hi[q]), thr[q])
 				if okv[q] != wantOK || (wantOK && result[q] != want) {
-					t.Fatalf("opt=%+v n=%d query %d: AggBelowBatch(%d,%d,%d)=(%q,%v), reference=(%q,%v)",
+					t.Fatalf("opt=%+v n=%d query %d: AggBelowBatch(%d,%d,%d)=(%+v,%v), reference=(%+v,%v)",
 						opt, n, q, lo[q], hi[q], thr[q], result[q], okv[q], want, wantOK)
 				}
 				if int(cnt[q]) != wantCnt {

@@ -219,16 +219,14 @@ func fuzzSeedBytes(n int, seed int64) []byte {
 }
 
 // FuzzAggBatch cross-checks the batched aggregate kernel against the
-// reference fold aggRef: results must be byte-identical (the merge is an
-// order-sensitive string concatenation, so any reordering of the take fold
-// shows up immediately), ok flags must agree, and so must the count side
-// output. Two flag bits stretch the batch across the kernel's sub-batch
-// boundaries, and a sliding run closes it: a ROWS frame over every row,
-// narrower than LeafRows (aggFuzzBatch). The string arm reads at most
-// aggStringRows rows of the input: a fold's string grows with every entry it
-// takes, so the reference's cost grows with the square of the rows a query
-// covers, and a string state never takes the leaf path, so any tree of a few
-// rows already descends. The int64 arms read the whole input: — values whose sums wrap — check kernel against brute force under
+// reference fold aggRef: results must be identical (the merge is the
+// order-sensitive polyHash fold, so any reordering of the take fold shows up
+// immediately), ok flags must agree, and so must the count side output. Two
+// flag bits stretch the batch across the kernel's sub-batch boundaries, and
+// a sliding run closes it: a ROWS frame over every row, narrower than
+// LeafRows (aggFuzzBatch). A polyHash state never takes the leaf path, so
+// every query of its arm descends. The int64 arms — values whose sums wrap —
+// check kernel against brute force under
 // both leaf seam settings, with ranges one row either side of LeafRows in the
 // batch: a tree whose merge is addition but undeclared, which folds every
 // narrow range, and the sum tree (BuildSum), which answers a narrow range
@@ -254,27 +252,25 @@ func FuzzAggBatch(f *testing.F) {
 			Fanout:      2 + int(fanout%7),
 			SampleEvery: 1 + int(sampleEvery%15),
 		}
-		sdata := data[:min(len(data), aggStringRows)]
-		keys := aggFuzzKeys(sdata)
-		vals := make([]string, len(sdata))
-		for i, b := range sdata {
-			vals[i] = string(rune('a' + int(b)%26))
+		keys := aggFuzzKeys(data)
+		vals := make([]polyHash, len(data))
+		for i, b := range data {
+			vals[i] = witness(uint64(b % 26))
 		}
-		merge := func(a, b string) string { return a + "|" + b }
-		at, err := BuildAnnotated(keys, vals, merge, opt)
+		at, err := BuildAnnotated(keys, vals, mergePoly, opt)
 		if err != nil {
 			t.Fatalf("BuildAnnotated(%d keys, %+v): %v", len(keys), opt, err)
 		}
-		ref := newAggRef(at.t.effLen, keys, vals, merge)
+		ref := newAggRef(at.t.effLen, keys, vals, mergePoly)
 		bLo, bHi, bThr := aggFuzzBatch(len(keys), lo, hi, threshold, flags)
-		res := make([]string, len(bLo))
+		res := make([]polyHash, len(bLo))
 		ok := make([]bool, len(bLo))
 		cnt := make([]int32, len(bLo))
 		at.AggBelowBatch(bLo, bHi, bThr, res, ok, cnt)
 		for q := range bLo {
 			wantRes, wantOK, wantCnt := ref.query(int(bLo[q]), int(bHi[q]), bThr[q])
 			if ok[q] != wantOK || (ok[q] && res[q] != wantRes) {
-				t.Errorf("AggBelowBatch query %d (%d, %d, %d) = (%q, %v), reference (%q, %v) (opt %+v)",
+				t.Errorf("AggBelowBatch query %d (%d, %d, %d) = (%+v, %v), reference (%+v, %v) (opt %+v)",
 					q, bLo[q], bHi[q], bThr[q], res[q], ok[q], wantRes, wantOK, opt)
 			}
 			if int(cnt[q]) != wantCnt {
@@ -283,12 +279,10 @@ func FuzzAggBatch(f *testing.F) {
 			}
 		}
 
-		keys = aggFuzzKeys(data)
 		ivals := make([]int64, len(data))
 		for i, b := range data {
 			ivals[i] = int64(b)<<56 | int64(i) // two of them can wrap
 		}
-		bLo, bHi, bThr = aggFuzzBatch(len(keys), lo, hi, threshold, flags)
 		it, err := BuildAnnotated(keys, ivals, addInt64, opt)
 		if err != nil {
 			t.Fatalf("BuildAnnotated(%d int64 keys, %+v): %v", len(keys), opt, err)
@@ -310,10 +304,6 @@ func FuzzAggBatch(f *testing.F) {
 		leafOnlyAggs(t, keys, ivals, opt, lo, hi, threshold)
 	})
 }
-
-// aggStringRows is the most rows of a FuzzAggBatch input its string arm
-// reads.
-const aggStringRows = 64
 
 // aggFuzzKeys decodes FuzzAggBatch's keys: annotated keys live in the
 // previous-index domain [0, n].

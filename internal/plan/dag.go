@@ -12,14 +12,19 @@ import (
 // normalized groups. Within a sort group, functions declaring one core
 // structure identity (core.StructureOf) share one preprocess node and one
 // tree node, so TreesShared counts exactly the builds the structure cache
-// saves — with two understatements, both where core's width class depends on
-// what the plan cannot see. In a partition of at most mst.LeafRows rows every
-// structure is leaf-only, so functions the DAG gives different width classes
-// still share it there; and a bounded COUNT(DISTINCT) frame wider than
-// mst.LeafRows is keyed by its row bound, because whether it slides turns on
-// the probe chunk size, so two such frames of different widths count as two
-// trees even where both slide. kindOf resolves argument kinds (nil: treat
-// them as INT64, whose width classes split the most).
+// saves — with three understatements. Two are where core's width class
+// depends on what the plan cannot see. In a partition of at most
+// mst.LeafRows rows every structure is leaf-only, so functions the DAG gives
+// different width classes still share it there; and a bounded
+// COUNT(DISTINCT) frame wider than mst.LeafRows is keyed by its row bound,
+// because whether it slides turns on the probe chunk size, so two such
+// frames of different widths count as two trees even where both slide. The
+// third is LEAD/LAG's row-number structure, ROW_NUMBER's rank-unique tree,
+// which LEAD/LAG probe beside their permutation tree: it is not a DAG node,
+// so the DAG shows neither the row-number trees LEAD/LAG build nor the
+// builds they save by sharing one with each other or with a ROW_NUMBER.
+// kindOf resolves argument kinds (nil: treat them as INT64, whose width
+// classes split the most).
 func (p *Plan) buildDAG(kindOf KindResolver) {
 	var nodes []Node
 	st := Stats{}

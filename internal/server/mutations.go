@@ -18,7 +18,8 @@ import (
 // untouched (a bad cell in mutation 7 rolls back mutations 0-6). A stale
 // expected_epoch answers 409 conflict. A batch invalidates no cache entry:
 // keys name partition content, so the entries of untouched partitions are
-// asked for again and those of changed ones age out.
+// asked for again, and those of changed ones stay resident until the byte
+// budget evicts them or the next compaction swap drops their generation.
 func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ds, ok := s.lookup(name)

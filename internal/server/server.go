@@ -118,7 +118,11 @@ type dataset struct {
 	schema *core.Table
 	dates  map[string]bool
 	info   api.DatasetInfo
-	scope  string // cache key prefix: "name@v<version>"; queries append "|g<gen>"
+	// scope is the cache key prefix "name@v<version>"; queries append
+	// "|g<gen>". The compaction swap drops a folded generation's scope,
+	// and with it the entries of partitions its mutations superseded;
+	// until then only the cache's byte budget bounds those entries.
+	scope string
 	// buf is the live-mutation buffer over the registered table. Always
 	// non-nil; datasets registered without a key column are append-only.
 	buf *delta.Buffer

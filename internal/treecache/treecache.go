@@ -171,7 +171,9 @@ func (c *Cache) insertLocked(key string, val any, bytes int64) {
 // were removed. The match function comes from the code that writes the keys
 // (core.InScope): a dataset reload drops its old scope, a compaction its
 // folded generation. A mutation drops nothing: keys name content, so the
-// entries of changed partitions are no longer asked for and age out.
+// entries of changed partitions are no longer asked for; the LRU evicts them
+// under the byte budget, or the compaction that folds their generation drops
+// them.
 func (c *Cache) Invalidate(match func(key string) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

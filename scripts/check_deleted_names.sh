@@ -128,5 +128,10 @@ check 'one tree state' all \
 # core.Columns, so the look-alike typed buffers stay deleted
 check 'one column type' all \
     'outBuilder|cachedResult|colData|colBuf|emptyStore'
+# one structure per reduction: LEAD/LAG count on ROW_NUMBER's rank-unique
+# tree, and AVG is the float SUM's fold over its count, so the row-number
+# array of its own and the (sum, count) state stay deleted
+check 'one structure per reduction' all \
+    'tagRowno|cachedRowno|avgState'
 
 exit $fail
