@@ -488,16 +488,13 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, rank *mst.Tree
 // distinctAggChunk evaluates one probe chunk of SUM/AVG(DISTINCT x) with
 // merges only: one aggregate query per frame range per row — deduped when
 // the row's frame ranges exactly repeat the previous row's, in which case the
-// rows share the answer — answered by the annotated tree's batched kernel.
-// Each range asks for the values whose first occurrence in the row's span
-// [a, d) it holds (threshold a+1), so a frame without exclusion holes is one
-// query; with holes, the values first seen in a hole that recur in a kept
-// range are merged in once each, in hole order. The answer is NULL unless a
-// query's ok output is set or such a hole value exists; emit gets the
-// answer with the count of values folded into it, the kernel's kcnt plus the
-// hole values merged in.
-func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tree *mst.AnnotatedTree[S],
-	prev, next []int32, values []S, add func(a, b S) S, emit func(row int, v S, n int32),
+// rows share the answer — answered by every lane's annotated tree through
+// the batched kernel. Each range asks for the values whose first occurrence
+// in the row's span [a, d) it holds (threshold a+1), so a frame without
+// exclusion holes is one query; with holes, the values first seen in a hole
+// that recur in a kept range are added in once each. The answer is NULL
+// unless some value is summed: the kernel's count plus the hole values.
+func distinctAggChunk(p *partition, fl *filtered, fc *frame.Computer, st *cachedAgg, avg bool,
 	out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
 	ib := arena.Int32s.Get(11*n + 1)
@@ -536,52 +533,61 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	}
 	slotQ[s] = i32(m)
 
-	// The sums cannot live in pooled scratch (generic S); one short-lived
-	// slice per chunk is the cost of type genericity.
-	results := make([]S, m)
-	leaves, diffs := tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], results, okv[:m], kcnt[:m])
-	agg.leaves.Add(int64(leaves))
-	agg.diffs.Add(int64(diffs))
+	// Lane l's sums are sums[l*m : (l+1)*m], cleared first, so a query no
+	// entry qualifies for sums to 0. Every lane counts the same entries, so
+	// each call leaves the same ok and count behind.
+	lanes := st.sum.lanes
+	sums := arena.Int64s.Get(len(lanes) * m)
+	clear(sums)
+	for l, tree := range st.trees {
+		leaves, diffs := tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], sums[l*m:(l+1)*m], okv[:m], kcnt[:m])
+		if l == 0 {
+			agg.leaves.Add(int64(leaves))
+			agg.diffs.Add(int64(diffs))
+		}
+	}
 
-	// A slot's answer and count go to its first query's.
+	// A slot's sums and count go to its first query's.
 	for sl := 0; sl < s; sl++ {
 		q0, q1 := int(slotQ[sl]), int(slotQ[sl+1])
 		if q1-q0 == 1 {
 			continue
 		}
-		acc, found, cnt := results[q0], okv[q0], kcnt[q0]
-		merge := func(v S, n int32) {
-			if found {
-				acc = add(acc, v)
-			} else {
-				acc, found = v, true
-			}
-			cnt += n
-		}
 		for q := q0 + 1; q < q1; q++ {
-			if okv[q] {
-				merge(results[q], kcnt[q])
+			for l := range lanes {
+				sums[l*m+q0] += sums[l*m+q]
 			}
+			kcnt[q0] += kcnt[q]
 		}
 		for ro := range q1 - q0 {
 			scratch[ro] = [2]int{int(qlo[q0+ro]), int(qhi[q0+ro])}
 		}
-		forEachHoleFirst(prev, next, scratch[:q1-q0], true, func(h int) { merge(values[h], 1) })
-		results[q0], okv[q0], kcnt[q0] = acc, found, cnt
+		forEachHoleFirst(st.prev, st.next, scratch[:q1-q0], true, func(h int) {
+			for l, lane := range lanes {
+				sums[l*m+q0] += lane[h]
+			}
+			kcnt[q0]++
+		})
 	}
 
+	sum := make([]int64, len(lanes))
 	for i := lo; i < hi; i++ {
 		ri := i - lo
 		row := p.orig(i)
 		sl := rowSlot[ri]
-		if sl < 0 || !okv[slotQ[sl]] {
+		if sl < 0 || kcnt[slotQ[sl]] == 0 {
 			out.setNull(row)
 			continue
 		}
-		emit(row, results[slotQ[sl]], kcnt[slotQ[sl]])
+		q := int(slotQ[sl])
+		for l := range lanes {
+			sum[l] = sums[l*m+q]
+		}
+		st.sum.set(out, row, sum, int64(kcnt[q]), avg)
 	}
 	agg.queries.Add(int64(m))
 	agg.dedup.Add(int64(dedup))
+	arena.Int64s.Put(sums)
 	arena.Bools.Put(okv)
 	arena.Int64s.Put(qthr)
 	arena.Int32s.Put(ib)

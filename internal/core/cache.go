@@ -104,11 +104,12 @@ type (
 		prev, next []int32
 		tree       *mst.Tree
 	}
-	// cachedAgg backs SUM/AVG(DISTINCT) for one sum type.
-	cachedAgg[S any] struct {
+	// cachedAgg backs SUM/AVG(DISTINCT): Algorithm 1's links, the sum's
+	// lanes and one annotated sum tree per lane.
+	cachedAgg struct {
 		prev, next []int32
-		values     []S
-		tree       *mst.AnnotatedTree[S]
+		sum        *sumLanes
+		trees      []*mst.AnnotatedTree[int64]
 	}
 	// cachedRank backs the rank family and LEAD/LAG's row numbers: per-row
 	// rank keys plus the tree over the kept rows' keys.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -68,7 +67,7 @@ func compareToReference(t *testing.T, tab *Table, w *WindowSpec, f *FuncSpec, ou
 	res := oracleColumn(out)
 	for row, want := range oracle.Eval(toOracle(tab, w, f)) {
 		got := res.Value(row)
-		if !oracle.Near(got, want) {
+		if !oracle.Identical(got, want) {
 			t.Fatalf("%s row %d: got %+v, want %+v", label, row, got, want)
 		}
 	}
@@ -157,11 +156,9 @@ func TestDefaultFrames(t *testing.T) {
 // ORDER BY key has ties), over COUNT/SUM(DISTINCT), RANK and DENSE_RANK —
 // on NULL-free arguments, whose filtered frames are exactly those widths, and
 // with FILTER and NULL arguments — and an int64 SUM(DISTINCT) whose sums
-// overflow and wrap. Every answer must match the reference. Float
-// SUM/AVG(DISTINCT) always descend — their fold order is part of the answer —
-// so on the plain frames they must equal, bit for bit, AggBelowBatch over
-// annotated trees built in the test. -short keeps the three widths at the cutoff, plain and
-// EXCLUDE CURRENT ROW.
+// overflow and wrap. Every answer must be identical to the reference's,
+// float SUM/AVG(DISTINCT) over values of twelve magnitudes included. -short
+// keeps the three widths at the cutoff, plain and EXCLUDE CURRENT ROW.
 //
 // The frame width also picks the structures' form: a statement whose frames
 // span at most mst.LeafRows rows builds them leaf-only. One structure cache
@@ -170,7 +167,7 @@ func TestDefaultFrames(t *testing.T) {
 // cache must hold both width classes. A RANGE frame has no width bound, so
 // there a partition of 128 rows goes leaf-only and one of 129 does not.
 func TestReferenceAcrossLeafCutoff(t *testing.T) {
-	tab, g, d, fv := leafCutoffTable(2, 300)
+	tab := leafCutoffTable(2, 300)
 	funcs := leafCutoffFuncs()
 	widths := []int{mst.LeafRows - 1, mst.LeafRows, mst.LeafRows + 1, 250}
 	excludes := []frame.Exclusion{frame.ExcludeNoOthers, frame.ExcludeCurrentRow, frame.ExcludeGroup, frame.ExcludeTies}
@@ -187,9 +184,6 @@ func TestReferenceAcrossLeafCutoff(t *testing.T) {
 			for i := range w.Funcs {
 				f := &w.Funcs[i]
 				compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("%d-row frame ex%d %s", width, ex, f.Output))
-			}
-			if ex == frame.ExcludeNoOthers {
-				checkFloatDistinctDescent(t, g, d, fv, width, res.Column("sdf"), res.Column("adf"))
 			}
 		}
 	}
@@ -211,19 +205,19 @@ func TestReferenceAcrossLeafCutoff(t *testing.T) {
 					compareToReference(t, tab, w, f, res.Column(f.Output), fmt.Sprintf("%s, %d PRECEDING %s", label, fs.Start.Offset, f.Output))
 				}
 			}
-			// Per partition, eight structures are width-bound — COUNT and
+			// Per partition, nine structures are width-bound — COUNT and
 			// int64 SUM(DISTINCT), RANK and DENSE_RANK, each plain and
-			// FILTERed — and each class holds all eight; the float
-			// SUM/AVG(DISTINCT) share one tree, full under either frame.
+			// FILTERed, and the one tree the float SUM/AVG(DISTINCT)
+			// share — and each class holds all nine.
 			tags := []string{"|distinct-count|", "|distinct-agg|", "|rank-", "|dense|"}
-			if leaf, full := cache.resident("w=leaf", tags...), cache.resident("w=full", tags...); leaf != 2*8 || full != 2*9 {
-				t.Errorf("%s: the cache holds %d leaf-only and %d full structures, want %d and %d", label, leaf, full, 2*8, 2*9)
+			if leaf, full := cache.resident("w=leaf", tags...), cache.resident("w=full", tags...); leaf != 2*9 || full != 2*9 {
+				t.Errorf("%s: the cache holds %d leaf-only and %d full structures, want %d and %d", label, leaf, full, 2*9, 2*9)
 			}
 		}
 	}
 
 	for _, rows := range []int{mst.LeafRows, mst.LeafRows + 1} {
-		tab, _, _, _ := leafCutoffTable(2, rows)
+		tab := leafCutoffTable(2, rows)
 		rangeFrame := frame.Spec{
 			Mode:  frame.Range,
 			Start: frame.Bound{Type: frame.Preceding, Offset: 30},
@@ -254,15 +248,14 @@ func TestReferenceAcrossLeafCutoff(t *testing.T) {
 // leafCutoffTable is TestReferenceAcrossLeafCutoff's data: parts partitions
 // of rows rows each (g), a tied ORDER BY key d, an int64 argument v with
 // NULLs, int64 values big whose sums wrap, float values fv and a FILTER
-// column flt. It returns the table and the columns checkFloatDistinctDescent
-// reads.
-func leafCutoffTable(parts, rows int) (tab *Table, g, d []int64, fv []float64) {
+// column flt.
+func leafCutoffTable(parts, rows int) *Table {
 	rng := rand.New(rand.NewSource(128))
 	n := parts * rows
-	g, d = make([]int64, n), make([]int64, n)
+	g, d := make([]int64, n), make([]int64, n)
 	v, big := make([]int64, n), make([]int64, n)
 	vNull, flt := make([]bool, n), make([]bool, n)
-	fv = make([]float64, n)
+	fv := make([]float64, n)
 	for i := range g {
 		g[i], d[i], v[i] = int64(i%parts), rng.Int63n(100), rng.Int63n(60)
 		vNull[i] = rng.Intn(10) == 0
@@ -273,11 +266,10 @@ func leafCutoffTable(parts, rows int) (tab *Table, g, d []int64, fv []float64) {
 		flt[i] = rng.Intn(4) != 0
 		fv[i] = float64(1+rng.Intn(7)) * math.Pow(10, float64(rng.Intn(12)-6))
 	}
-	tab = MustNewTable(
+	return MustNewTable(
 		NewInt64Column("g", g, nil), NewInt64Column("d", d, nil),
 		NewInt64Column("v", v, vNull), NewInt64Column("big", big, nil),
 		NewFloat64Column("fv", fv, nil), NewBoolColumn("flt", flt, nil))
-	return tab, g, d, fv
 }
 
 // leafCutoffFuncs are the functions TestReferenceAcrossLeafCutoff checks.
@@ -318,62 +310,6 @@ func leafCutoffWindow(fs frame.Spec, funcs []FuncSpec) *WindowSpec {
 	}
 }
 
-// checkFloatDistinctDescent recomputes SUM and AVG(DISTINCT fv) over ROWS
-// frames of width rows with annotated trees built here and probed by
-// AggBelowBatch, partition by partition in window order (d, then row index),
-// and requires core's answers to carry the same bits. The AVG reference
-// folds its own (sum, count) state, independent of core's SUM tree.
-func checkFloatDistinctDescent(t *testing.T, g, d []int64, fv []float64, width int, sums, avgs *Column) {
-	t.Helper()
-	type avgRef struct {
-		sum float64
-		n   int64
-	}
-	byPart := map[int64][]int{}
-	for i, p := range g {
-		byPart[p] = append(byPart[p], i)
-	}
-	for _, order := range byPart {
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(d[a], d[b]) })
-		prev := make([]int64, len(order))
-		last := map[float64]int64{}
-		vals := make([]float64, len(order))
-		avg := make([]avgRef, len(order))
-		for j, row := range order {
-			prev[j] = last[fv[row]]
-			last[fv[row]] = int64(j) + 1
-			vals[j], avg[j] = fv[row], avgRef{sum: fv[row], n: 1}
-		}
-		st, err := mst.BuildAnnotated(prev, vals, func(a, b float64) float64 { return a + b }, mst.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		at, err := mst.BuildAnnotated(prev, avg, func(a, b avgRef) avgRef { return avgRef{a.sum + b.sum, a.n + b.n} }, mst.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := len(order)
-		lo, hi, cnt := make([]int32, k), make([]int32, k), make([]int32, k)
-		thr, ok := make([]int64, k), make([]bool, k)
-		for j := range order {
-			a := max(j-width+1, 0)
-			lo[j], hi[j], thr[j] = int32(a), int32(j+1), int64(a)+1
-		}
-		ss, as := make([]float64, k), make([]avgRef, k)
-		st.AggBelowBatch(lo, hi, thr, ss, ok, cnt)
-		at.AggBelowBatch(lo, hi, thr, as, ok, cnt)
-		for j, row := range order {
-			s, av := ss[j], as[j]
-			if got := sums.Float64(row); math.Float64bits(got) != math.Float64bits(s) {
-				t.Fatalf("%d-row frame row %d: SUM(DISTINCT) %v (%x), AggBelowBatch %v (%x)", width, row, got, math.Float64bits(got), s, math.Float64bits(s))
-			}
-			if got, want := avgs.Float64(row), av.sum/float64(av.n); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%d-row frame row %d: AVG(DISTINCT) %v, AggBelowBatch %v", width, row, got, want)
-			}
-		}
-	}
-}
-
 // TestReferenceLeadLag runs LEAD and LAG (leadLagChunk) against the reference
 // on partitions wider than mst.LeafRows — two of 300 rows, then one of 2,000
 // — so their count queries take the leaf rule, the differential pass and the
@@ -407,7 +343,7 @@ func TestReferenceLeadLag(t *testing.T) {
 		if testing.Short() && c.rows > 300 {
 			continue
 		}
-		tab, _, _, _ := leafCutoffTable(c.parts, c.rows)
+		tab := leafCutoffTable(c.parts, c.rows)
 		for _, ex := range c.excludes {
 			fs := frame.Spec{
 				Mode:    frame.Rows,

@@ -58,7 +58,7 @@ func TestReferenceDifferentialSelects(t *testing.T) {
 // report differential answers exactly when the cutoff is on.
 func checkDifferentialReference(t *testing.T, funcs []FuncSpec, families ...string) {
 	t.Helper()
-	tab, _, _, _ := leafCutoffTable(2, 600) // d: 100 tied values, ~6 rows each
+	tab := leafCutoffTable(2, 600) // d: 100 tied values, ~6 rows each
 	bound := func(typ frame.BoundType, off int64) frame.Bound { return frame.Bound{Type: typ, Offset: off} }
 	frames := []frame.Spec{
 		{Mode: frame.Rows, Start: bound(frame.Preceding, 200), End: bound(frame.CurrentRow, 0)},

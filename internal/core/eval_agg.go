@@ -7,113 +7,82 @@ import (
 	"holistic/internal/segtree"
 )
 
-// evalDistributive evaluates SUM, AVG, MIN and MAX with the segment tree of
-// Leis et al. (§3.2): O(n) build, O(log n) per frame, no reliance on frame
-// overlap. These aggregates are the ones SQL already allows framing for;
-// they are part of the operator so that mixed queries run end-to-end.
+// evalDistributive evaluates SUM, AVG, MIN and MAX, the aggregates SQL
+// already allows framing for, so that mixed queries run end-to-end. SUM and
+// AVG take per-lane prefix sums of their exact lanes (exactsum.go), O(1) per
+// frame range; MIN and MAX the segment tree of Leis et al. (§3.2), O(n)
+// build and O(log n) per frame, with no reliance on frame overlap.
 func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	fl := newFiltered(p, f, f.Arg)
 	col := p.t.Column(f.Arg)
 	switch f.Name {
 	case Sum, Avg:
-		if f.Name == Sum && col.Kind() == Int64 {
-			return runSegAgg(p, fc, out, opt, fl,
-				func(j int) int64 { return col.Int64(fl.orig(j)) },
-				func(a, b int64) int64 { return a + b },
-				func(row int, v int64, _ int) { out.setInt(row, v) })
+		sl := newSumLanes(col, fl.k, fl.orig, f.Name == Avg || col.Kind() != Int64)
+		pre := make([][]int64, len(sl.lanes))
+		for l, lane := range sl.lanes {
+			pre[l] = make([]int64, len(lane)+1)
+			for j, v := range lane {
+				pre[l][j+1] = pre[l][j] + v
+			}
 		}
-		// AVG is the float SUM's fold over the frame's row count.
-		emit := func(row int, v float64, _ int) { out.setFloat(row, v) }
-		if f.Name == Avg {
-			emit = func(row int, v float64, n int) { out.setFloat(row, v/float64(n)) }
-		}
-		return runSegAgg(p, fc, out, opt, fl,
-			func(j int) float64 { return col.Numeric(fl.orig(j)) },
-			func(a, b float64) float64 { return a + b }, emit)
-	case Min, Max:
-		want := -1
-		if f.Name == Max {
-			want = 1
-		}
-		switch col.Kind() {
-		case Int64:
-			return runSegAgg(p, fc, out, opt, fl,
-				func(j int) int64 { return col.Int64(fl.orig(j)) },
-				pickBy(want, func(a, b int64) int { return compareOrdered(a, b) }),
-				func(row int, v int64, _ int) { out.setInt(row, v) })
-		case Float64:
-			return runSegAgg(p, fc, out, opt, fl,
-				func(j int) float64 { return col.Float64(fl.orig(j)) },
-				pickBy(want, floatCompare),
-				func(row int, v float64, _ int) { out.setFloat(row, v) })
-		case String:
-			return runSegAgg(p, fc, out, opt, fl,
-				func(j int) string { return col.StringAt(fl.orig(j)) },
-				pickBy(want, func(a, b string) int { return compareOrdered(a, b) }),
-				func(row int, v string, _ int) { out.strs[row] = v })
-		default:
-			return fmt.Errorf("min/max over %v column not supported", col.Kind())
-		}
-	}
-	return fmt.Errorf("unhandled distributive function %v", f.Name)
-}
-
-func compareOrdered[T int64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// pickBy builds a min/max merge from a comparator (want = -1 for min, 1 for
-// max).
-func pickBy[T any](want int, cmp func(a, b T) int) func(a, b T) T {
-	return func(a, b T) T {
-		if c := cmp(b, a); (want < 0 && c < 0) || (want > 0 && c > 0) {
-			return b
-		}
-		return a
-	}
-}
-
-// runSegAgg builds a segment tree over the filtered values and merges each
-// frame's ranges; emit gets the merged value and the frame's row count.
-// Empty frames yield SQL NULL.
-func runSegAgg[S any](p *partition, fc *frame.Computer, out *Column, opt Options,
-	fl *filtered, valueOf func(j int) S, merge func(a, b S) S, emit func(row int, v S, n int)) error {
-	values := make([]S, fl.k)
-	for j := range values {
-		values[j] = valueOf(j)
-	}
-	tree := segtree.New(values, merge)
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			var acc S
-			have, n := false, 0
-			for _, r := range ranges {
-				n += r[1] - r[0]
-				part, ok := tree.Query(r[0], r[1])
-				if !ok {
+		return forEachRow(p, opt, func(lo, hi int) {
+			var scratch, mapped [3][2]int
+			s := make([]int64, len(pre))
+			for i := lo; i < hi; i++ {
+				clear(s)
+				n := int64(0)
+				for _, r := range fl.frameRanges(fc, i, scratch[:], mapped[:]) {
+					n += int64(r[1] - r[0])
+					for l, sums := range pre {
+						s[l] += sums[r[1]] - sums[r[0]]
+					}
+				}
+				if n == 0 {
+					out.setNull(p.orig(i))
 					continue
 				}
-				if have {
-					acc = merge(acc, part)
-				} else {
-					acc, have = part, true
-				}
+				sl.set(out, p.orig(i), s, n, f.Name == Avg)
 			}
-			if !have {
-				out.setNull(row)
-				continue
-			}
-			emit(row, acc, n)
+		})
+	case Min, Max:
+		if col.Kind() == Bool {
+			return fmt.Errorf("min/max over %v column not supported", col.Kind())
 		}
-	})
+		// A segment tree over positions into kept, the kept values in
+		// filtered order: a merge keeps the smaller value's for MIN, the
+		// larger's for MAX, the left of two equal ones; -1 is none.
+		want := 1
+		if f.Name == Min {
+			want = -1
+		}
+		kept, pos := newColumn(col.name, col.kind, fl.k), make([]int32, fl.k)
+		for j := range pos {
+			kept.copyFrom(col, fl.orig(j), j)
+			pos[j] = i32(j)
+		}
+		pick := func(a, b int32) int32 {
+			if a < 0 || kept.compareValues(int(b), int(a))*want > 0 {
+				return b
+			}
+			return a
+		}
+		tree := segtree.New(pos, pick)
+		return forEachRow(p, opt, func(lo, hi int) {
+			var scratch, mapped [3][2]int
+			for i := lo; i < hi; i++ {
+				best := int32(-1)
+				for _, r := range fl.frameRanges(fc, i, scratch[:], mapped[:]) {
+					if part, ok := tree.Query(r[0], r[1]); ok {
+						best = pick(best, part)
+					}
+				}
+				if best < 0 {
+					out.setNull(p.orig(i))
+					continue
+				}
+				out.copyFrom(kept, int(best), p.orig(i))
+			}
+		})
+	}
+	return fmt.Errorf("unhandled distributive function %v", f.Name)
 }

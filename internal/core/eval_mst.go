@@ -473,10 +473,11 @@ func endBuild(sp *obs.Span, form mst.Form, bytes int64) {
 	sp.End()
 }
 
-// evalDistinct evaluates COUNT/SUM/AVG(DISTINCT x) with the annotated merge
-// sort tree of §4.2/§4.3. The preprocessed occurrence arrays and the tree
-// are cache-shared across queries: they depend only on the argument column,
-// the filter and the tree options, never on the frame.
+// evalDistinct evaluates COUNT/SUM/AVG(DISTINCT x) with the merge sort
+// trees of §4.2/§4.3, SUM/AVG with merges only, exclusion holes included.
+// The occurrence arrays and the trees are cache-shared across queries: they
+// depend only on the argument column, the filter and the tree options,
+// never on the frame.
 func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	s := structureOf(f, nil, out.kind)
 	s.Part = p.id
@@ -513,79 +514,44 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, op
 		})
 
 	case SumDistinct, AvgDistinct:
-		col := p.t.Column(f.Arg)
-		if s.State == "int64" {
-			return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, mst.BuildSum[int32],
-				func(j int) int64 { return col.Int64(fl.orig(j)) },
-				func(a, b int64) int64 { return a + b },
-				func(row int, v int64, _ int32) { out.setInt(row, v) })
+		// The lanes of the sum s names (exactsum.go), one annotated sum tree
+		// each, all over the one key tree of prevIdcs (mst.BuildSum, Lane).
+		st, err := cacheGet(opt, &s, func() (cachedAgg, int64, error) {
+			prev, next, err := buildDistinctInputs(fl, f, opt)
+			if err != nil {
+				return cachedAgg{}, 0, err
+			}
+			sum := newSumLanes(p.t.Column(f.Arg), fl.k, fl.orig, s.State == "exact")
+			sp := opt.trace.Phase("build merge sort tree")
+			topt := opt.treeOptions(sp)
+			trees := make([]*mst.AnnotatedTree[int64], len(sum.lanes))
+			trees[0], err = mst.BuildSum(prev, sum.lanes[0], topt, form)
+			for l := 1; err == nil && l < len(trees); l++ {
+				trees[l], err = trees[0].Lane(sum.lanes[l], topt)
+			}
+			if err != nil {
+				sp.End()
+				return cachedAgg{}, 0, err
+			}
+			// Each lane's annotations take one int64 per entry; the lanes
+			// share the rest.
+			shared := trees[0].MemBytes(0)
+			treeBytes := shared + int64(len(trees))*(trees[0].MemBytes(8)-shared)
+			endBuild(sp, form, treeBytes)
+			bytes := sliceBytes(prev, next) + sliceBytes(sum.lanes...) + treeBytes
+			return cachedAgg{prev: prev, next: next, sum: sum, trees: trees}, bytes, nil
+		})
+		if err == nil {
+			err = st.trees[0].CheckRows(rows)
 		}
-		// AVG(DISTINCT) is the float SUM(DISTINCT) fold over the count of
-		// values folded, so both read one tree.
-		emit := func(row int, v float64, _ int32) { out.setFloat(row, v) }
-		if f.Name == AvgDistinct {
-			emit = func(row int, v float64, n int32) { out.setFloat(row, v/float64(n)) }
+		if err != nil {
+			return err
 		}
-		addFloat := func(a, b float64) float64 { return a + b }
-		return runSumDistinct(p, f, fc, out, opt, &s, fl, rows, form, mergeTree(addFloat),
-			func(j int) float64 { return col.Numeric(fl.orig(j)) }, addFloat, emit)
+		return runBatched(p, opt, famAgg, func(lo, hi int, agg *batchAgg) {
+			distinctAggChunk(p, fl, fc, &st, f.Name == AvgDistinct, out, agg, lo, hi)
+		})
 	}
 	return fmt.Errorf("unhandled distinct function %v", f.Name)
-}
-
-// treeBuild builds runSumDistinct's annotated tree over prevIdcs and values
-// in a form: mst.BuildSum for an int64 sum, mergeTree's for a float64 one.
-type treeBuild[S any] func(prev []int32, values []S, opt mst.Options, form mst.Form) (*mst.AnnotatedTree[S], error)
-
-// mergeTree is the treeBuild of a float sum, whose merge has no inverse the
-// kernel may use — its fold order is part of its answer: mst.BuildAnnotated
-// over merge. Structure.form builds such a tree in full whatever its width,
-// so form is always mst.Full.
-func mergeTree[S any](merge func(a, b S) S) treeBuild[S] {
-	return func(prev []int32, values []S, opt mst.Options, _ mst.Form) (*mst.AnnotatedTree[S], error) {
-		return mst.BuildAnnotated(prev, values, merge, opt)
-	}
-}
-
-// runSumDistinct evaluates SUM/AVG(DISTINCT) over an int64 or float64 sum,
-// with merges only (§4.3), exclusion holes included — a float sum cannot
-// subtract a NaN or an infinity back out. s is the tree's identity, whose
-// state matches S. rows bounds the ranges the tree is probed with; form is
-// the form build builds it in. emit gets each answer with the count of
-// values folded into it.
-func runSumDistinct[S int64 | float64](p *partition, f *FuncSpec, fc *frame.Computer, out *Column,
-	opt Options, s *Structure, fl *filtered, rows int, form mst.Form, build treeBuild[S],
-	valueOf func(j int) S, add func(a, b S) S, emit func(row int, v S, n int32)) error {
-	st, err := cacheGet(opt, s, func() (cachedAgg[S], int64, error) {
-		prev, next, err := buildDistinctInputs(fl, f, opt)
-		if err != nil {
-			return cachedAgg[S]{}, 0, err
-		}
-		values := make([]S, fl.k)
-		for j := range values {
-			values[j] = valueOf(j)
-		}
-		sp := opt.trace.Phase("build merge sort tree")
-		tree, buildErr := build(prev, values, opt.treeOptions(sp), form)
-		if buildErr != nil {
-			sp.End()
-			return cachedAgg[S]{}, 0, buildErr
-		}
-		treeBytes := tree.MemBytes(8) // one int64 or float64 per entry
-		endBuild(sp, form, treeBytes)
-		bytes := sliceBytes(prev, next) + int64(8*len(values)) + treeBytes
-		return cachedAgg[S]{prev: prev, next: next, values: values, tree: tree}, bytes, nil
-	})
-	if err == nil {
-		err = st.tree.CheckRows(rows)
-	}
-	if err != nil {
-		return err
-	}
-	prev, next, values, tree := st.prev, st.next, st.values, st.tree
-	return runBatched(p, opt, famAgg, func(lo, hi int, agg *batchAgg) {
-		distinctAggChunk(p, fl, fc, tree, prev, next, values, add, emit, out, agg, lo, hi)
-	})
 }
 
 // evalRankFamily evaluates RANK, PERCENT_RANK, ROW_NUMBER, CUME_DIST and

@@ -344,7 +344,7 @@ func TestCancelMidLink(t *testing.T) {
 // correction follows next), against the reference at the kernels' default
 // cutoff and at 0.
 func TestDistinctStringAgainstReference(t *testing.T) {
-	tab, _, _, _ := leafCutoffTable(2, 300)
+	tab := leafCutoffTable(2, 300)
 	rng := rand.New(rand.NewSource(5))
 	strs, strNulls := make([]string, tab.Rows()), make([]bool, tab.Rows())
 	for i := range strs {

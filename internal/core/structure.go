@@ -40,9 +40,8 @@ type Structure struct {
 	// Filter is the FILTER column, Drop the column whose NULL rows are
 	// dropped before building.
 	Filter, Drop string
-	// State is the sum an annotated tree folds: "int64" for an INT64
-	// SUM(DISTINCT), "float64" for any other SUM(DISTINCT) and for every
-	// AVG(DISTINCT), which divides that sum by the count of values folded.
+	// State is the sum an annotated tree's lanes hold (exactsum.go): "int64",
+	// the values themselves, for an INT64 SUM(DISTINCT), else "exact".
 	State string
 	// Width is the width class (Structure.form): a leaf-only entry answers
 	// only ranges of at most mst.LeafRows rows, and a sliding one is cheap
@@ -85,7 +84,7 @@ func structureOf(f *FuncSpec, windowOrder []SortKey, kind Kind) Structure {
 	case CountDistinct:
 		return Structure{Tag: tagDistinctCount, Arg: f.Arg, Filter: f.Filter, Drop: f.Arg}
 	case SumDistinct, AvgDistinct:
-		state := "float64"
+		state := "exact"
 		if f.Name == SumDistinct && kind == Int64 {
 			state = "int64"
 		}
@@ -145,9 +144,8 @@ func (s *Structure) Shared() bool { return s.Tag != "" && s.Tag != tagSegTree }
 
 // form is the form s is built in when its probes span at most rows rows:
 // leaf-only when no probe descends, so nothing above level 0 would ever be
-// read (mst/leaf.go), and full otherwise. A permutation tree is always full,
-// and so is a float64 sum tree, whose fold order is part of its answer. A
-// COUNT(DISTINCT) tree is built sliding when slide holds — every
+// read (mst/leaf.go), and full otherwise. A permutation tree is always full.
+// A COUNT(DISTINCT) tree is built sliding when slide holds — every
 // frame a constant-offset ROWS frame no wider than a probe chunk. Between
 // neighbouring queries each edge then moves by at most one kept row and the
 // threshold's rank by at most one key, so all but the first query of a chunk
@@ -156,7 +154,7 @@ func (s *Structure) Shared() bool { return s.Tag != "" && s.Tag != tagSegTree }
 // (DESIGN.md §10.1).
 func (s *Structure) form(rows int, slide bool) mst.Form {
 	switch {
-	case s.Tag == tagSelect, s.State == "float64":
+	case s.Tag == tagSelect:
 		return mst.Full
 	case rows <= mst.LeafRows:
 		return mst.Leaves

@@ -60,7 +60,7 @@ func TestStructureIdentity(t *testing.T) {
 		{"full frame offsets", planned(fn(Rank), rows(300, 0), Int64), planned(fn(Rank), rows(1000, 20), Int64), true},
 		{"full frame and whole partition", planned(fn(Rank), rows(300, 0), Int64), planned(fn(Rank), whole, Int64), true},
 		{"permutation tree over any frame", planned(fn(FirstValue), rows(3, 0), Int64), planned(fn(FirstValue), whole, Int64), true},
-		{"float SUM(DISTINCT) over any frame", planned(fn(SumDistinct), rows(3, 0), Float64), planned(fn(SumDistinct), whole, Float64), true},
+		{"float SUM(DISTINCT) width class", planned(fn(SumDistinct), rows(3, 0), Float64), planned(fn(SumDistinct), whole, Float64), false},
 		{"width class", planned(fn(CountDistinct), rows(5, 0), Int64), planned(fn(CountDistinct), unbounded, Int64), false},
 		{"int SUM(DISTINCT) width class", planned(fn(SumDistinct), rows(5, 0), Int64), planned(fn(SumDistinct), whole, Int64), false},
 		{"sliding bounds", planned(fn(CountDistinct), rows(200, 0), Int64), planned(fn(CountDistinct), rows(300, 0), Int64), false},

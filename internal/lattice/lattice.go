@@ -9,10 +9,9 @@
 // one point. The data sets the structures' width class instead: the tables
 // range from empty to partitions wider than mst.LeafRows.
 //
-// Rig.Run checks each point's answers: the first point of each tree shape
-// against the oracle, every later point of that shape bit for bit against
-// the first. Float fold order depends on the tree's fanout, so points of
-// different shapes meet only through the oracle.
+// Rig.Run checks each point's answers bit for bit (oracle.Identical): the
+// first point of each tree shape against the oracle, every later point of
+// that shape against the first.
 package lattice
 
 import (

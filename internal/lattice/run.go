@@ -31,8 +31,8 @@ type Rig struct {
 }
 
 // Run runs the rig. The oracle answers each epoch once; the first point of
-// each tree shape must match it, and every later point of that shape must
-// equal the first bit for bit. A failure names the seed, trial, epoch,
+// each tree shape must equal it bit for bit (oracle.Identical), and every
+// later point of that shape must equal the first. A failure names the seed, trial, epoch,
 // point, function and row.
 func (r Rig) Run(t *testing.T) {
 	t.Helper()
@@ -102,7 +102,7 @@ func (r Rig) Run(t *testing.T) {
 					}
 					g := Column(got)
 					for row, w := range want[i] {
-						if !oracle.Near(g.Value(row), w) {
+						if !oracle.Identical(g.Value(row), w) {
 							t.Fatalf("%s, row %d: got %+v, the oracle gives %+v", label, row, g.Value(row), w)
 						}
 					}

@@ -2,41 +2,87 @@ package mst
 
 import (
 	"math"
+	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// polyHash is the order witness of the aggregate tests: the polynomial hash
-// h of a sequence of values and p = polyBase^length, both mod 2⁶⁴. Folding
-// two states hashes their concatenation, (h₁,p₁)·(h₂,p₂) = (h₁·p₂+h₂, p₁·p₂),
-// so the fold is associative like string concatenation and, unlike a sum,
-// tells two orders of the same values apart — in O(1) per merge, where a
-// concatenated string grows with every value it takes.
-type polyHash struct{ h, p uint64 }
+// witness is the aggregate tests' state for entry i: mix64(i), summed with
+// wrapping addition (mergeWitness). The sum is commutative, as the kernel's
+// in-place adds require, and mix64 spreads positions over all 64 bits, so a
+// fold that takes an entry twice or misses one differs from the reference's.
+func witness(i int) uint64 { return mix64(uint64(i)) }
 
-// polyBase is odd, so no power of it is zero mod 2⁶⁴.
-const polyBase = 0x9e3779b97f4a7c15
+func mergeWitness(a, b uint64) uint64 { return a + b }
 
-// witness is the one-value sequence v.
-func witness(v uint64) polyHash { return polyHash{v, polyBase} }
+// mix64 is splitmix64's finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
 
-func mergePoly(a, b polyHash) polyHash { return polyHash{a.h*b.p + b.h, a.p * b.p} }
+// floatLanes cuts values, finite floats, into the int64 lanes of their exact
+// sum. With 2^low the lowest set bit among them, units[i] is values[i] in
+// units of 2^low, exactly, and lanes[l][i] is its l-th signed 32-bit digit.
+func floatLanes(values []float64) (lanes [][]int64, units []*big.Int) {
+	low, high := math.MaxInt, math.MinInt
+	for _, v := range values {
+		if v != 0 {
+			frac, e := math.Frexp(v)
+			m := uint64(math.Abs(frac) * (1 << 53))
+			low, high = min(low, e-53+bits.TrailingZeros64(m)), max(high, e-1)
+		}
+	}
+	if low > high {
+		low, high = 0, 0
+	}
+	lanes = make([][]int64, (high-low)/32+1)
+	for l := range lanes {
+		lanes[l] = make([]int64, len(values))
+	}
+	units = make([]*big.Int, len(values))
+	for i, v := range values {
+		units[i], _ = new(big.Float).SetMantExp(big.NewFloat(v), -low).Int(nil)
+		mag := new(big.Int).Abs(units[i])
+		for l := range lanes {
+			d := int64(new(big.Int).Rsh(mag, uint(32*l)).Uint64() & (1<<32 - 1))
+			if units[i].Sign() < 0 {
+				d = -d
+			}
+			lanes[l][i] = d
+		}
+	}
+	return lanes, units
+}
+
+// laneSum is Σ s[l]·2^(32l): the exact sum, in floatLanes' units, that lane
+// sums s stand for.
+func laneSum(s []int64) *big.Int {
+	sum := new(big.Int)
+	for l := len(s) - 1; l >= 0; l-- {
+		sum.Add(sum.Lsh(sum, 32), big.NewInt(s[l]))
+	}
+	return sum
+}
 
 // TestAggBelowBatchMatchesScalar cross-checks AggBelowBatch against the
-// reference fold aggRef with the polyHash merge, so any deviation in the take
-// order — not just the take set — fails the test. The count output is
-// cross-checked too.
+// reference fold aggRef with the witness sum, so a run prefix taken twice or
+// left out fails the test. The count output is cross-checked too.
 func TestAggBelowBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, opt := range batchVariants() {
 		for _, n := range []int{0, 1, 2, 7, 33, 257, 4000, 4596} {
 			keys := make([]int64, n)
-			values := make([]polyHash, n)
+			values := make([]uint64, n)
 			for i := range keys {
 				keys[i] = int64(rng.Intn(n + 1))
-				values[i] = witness(uint64(i))
+				values[i] = witness(i)
 			}
-			at, err := BuildAnnotated(keys, values, mergePoly, opt)
+			at, err := BuildAnnotated(keys, values, mergeWitness, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,11 +108,11 @@ func TestAggBelowBatchMatchesScalar(t *testing.T) {
 					thr[q] = []int64{-1, 0, int64(n) + 7, math.MaxInt64, 3}[rng.Intn(5)]
 				}
 			}
-			result := make([]polyHash, m)
+			result := make([]uint64, m)
 			okv := make([]bool, m)
 			cnt := make([]int32, m)
 			at.AggBelowBatch(lo, hi, thr, result, okv, cnt)
-			ref := newAggRef(at.t.effLen, keys, values, mergePoly)
+			ref := newAggRef(at.t.effLen, keys, values, mergeWitness)
 			for q := 0; q < m; q++ {
 				want, wantOK, wantCnt := ref.query(int(lo[q]), int(hi[q]), thr[q])
 				if okv[q] != wantOK || (wantOK && result[q] != want) {
@@ -82,15 +128,15 @@ func TestAggBelowBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestAggBelowBatchFloatBitIdentical pins the floating-point guarantee the
-// collectors rely on: batched SUM-style merges are bit-identical to the
-// reference fold, across magnitudes chosen so that any reordering changes the
-// rounding — at batch lengths on both sides of every sub-batch boundary
-// (aggSubBatch queries per descent), where a query answered from the wrong
-// sub-batch's scratch or left out of both would show.
+// TestAggBelowBatchFloatBitIdentical pins what the float sums core builds
+// rely on: a float column cut into lanes (floatLanes), one sum tree per lane
+// over shared keys (BuildSum, Lane), answers every query with the exact sum
+// of the qualifying values, summed in math/big — across magnitudes chosen
+// so that any float fold would round, at batch lengths on both sides of
+// every sub-batch boundary (aggSubBatch queries per descent), where a query
+// answered from the wrong sub-batch's scratch or left out of both would show.
 func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	merge := func(a, b float64) float64 { return a + b }
 	n := 3000
 	keys := make([]int64, n)
 	values := make([]float64, n)
@@ -98,11 +144,17 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 		keys[i] = int64(rng.Intn(n + 1))
 		values[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
 	}
-	at, err := BuildAnnotated(keys, values, merge, Options{})
-	if err != nil {
+	lanes, units := floatLanes(values)
+	trees := make([]*AnnotatedTree[int64], len(lanes))
+	var err error
+	if trees[0], err = BuildSum(keys, lanes[0], Options{}, Full); err != nil {
 		t.Fatal(err)
 	}
-	ref := newAggRef(at.t.effLen, keys, values, merge)
+	for l := 1; l < len(lanes); l++ {
+		if trees[l], err = trees[0].Lane(lanes[l], Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, m := range []int{aggSubBatch - 1, aggSubBatch, aggSubBatch + 1, 3*aggSubBatch + 1, 4 * n} {
 		lo := make([]int32, m)
 		hi := make([]int32, m)
@@ -112,21 +164,30 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 			hi[q] = lo[q] + int32(rng.Intn(n/2+1))
 			thr[q] = int64(rng.Intn(n + 2))
 		}
-		result := make([]float64, m)
+		sums := make([][]int64, len(trees))
 		okv := make([]bool, m)
 		cnt := make([]int32, m)
-		at.AggBelowBatch(lo, hi, thr, result, okv, cnt)
+		for l, at := range trees {
+			sums[l] = make([]int64, m)
+			at.AggBelowBatch(lo, hi, thr, sums[l], okv, cnt)
+		}
+		s := make([]int64, len(trees))
 		for q := 0; q < m; q++ {
-			want, wantOK, wantCnt := ref.query(int(lo[q]), int(hi[q]), thr[q])
-			if okv[q] != wantOK {
-				t.Fatalf("batch of %d, query %d: ok=%v reference=%v", m, q, okv[q], wantOK)
+			want, num := new(big.Int), 0
+			for j := lo[q]; j < min(hi[q], int32(n)); j++ {
+				if keys[j] < thr[q] {
+					want.Add(want, units[j])
+					num++
+				}
 			}
-			if wantOK && math.Float64bits(result[q]) != math.Float64bits(want) {
-				t.Fatalf("batch of %d, query %d: batch sum %x differs from reference %x",
-					m, q, math.Float64bits(result[q]), math.Float64bits(want))
+			if okv[q] != (num > 0) || int(cnt[q]) != num {
+				t.Fatalf("batch of %d, query %d: (ok %v, cnt %d), reference %d values", m, q, okv[q], cnt[q], num)
 			}
-			if int(cnt[q]) != wantCnt {
-				t.Fatalf("batch of %d, query %d: batch cnt=%d, reference=%d", m, q, cnt[q], wantCnt)
+			for l := range s {
+				s[l] = sums[l][q]
+			}
+			if got := laneSum(s); num > 0 && got.Cmp(want) != 0 {
+				t.Fatalf("batch of %d, query %d: lane sums give %v, the exact sum is %v", m, q, got, want)
 			}
 		}
 	}
@@ -137,22 +198,21 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 // constant, empty and whole-partition frames over previous-occurrence keys
 // with the DISTINCT threshold lo+1 — across the step's parameter grid. The
 // aggregate state pairs an integer sum, which brute force can reproduce, with
-// a polynomial hash that is neither commutative nor associative, which kernel
-// and reference (aggRef) only agree on when they fold the same takes in the
-// same order.
+// the witness sum, which kernel and reference (aggRef) only agree on when
+// they fold the same run prefixes.
 func TestAggBatchFrameShapes(t *testing.T) {
 	type state struct {
 		sum  int64
 		fold uint64
 	}
-	merge := func(a, b state) state { return state{a.sum + b.sum, a.fold*1000003 + b.fold} }
+	merge := func(a, b state) state { return state{a.sum + b.sum, a.fold + b.fold} }
 	rng := rand.New(rand.NewSource(61))
 	const n = 1531 // ragged last run at every fanout of the grid
 	vals := make([]int64, n)
 	states := make([]state, n)
 	for i := range vals {
 		vals[i] = int64(rng.Intn(40))
-		states[i] = state{vals[i], uint64(i) + 1}
+		states[i] = state{vals[i], witness(i)}
 	}
 	keys := prevIdcsRef(vals)
 	shapes := []struct {

@@ -19,9 +19,8 @@ package mst
 // parked while no workload asks for a wide sliding sum. A ROWS frame of a
 // constant offset slides both edges and its threshold lo+1 by at most one
 // row per query, so every query but a batch's first costs at most three
-// entries.
-// Trees of any other merge — a float sum, whose fold order is part of its
-// answer, an int64 MIN — never take it.
+// entries. Each lane of a sum (Lane) takes it on its own. Trees of any
+// other merge, an int64 MIN say, never take it.
 
 // sumDiff is aggLeaves' state for a sum tree: level 0's ranks and values,
 // topPos, the batch's results, and the query answered last — p, -1 before

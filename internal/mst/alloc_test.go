@@ -145,8 +145,7 @@ func TestAnnotatedPoolBalance(t *testing.T) {
 // 20,000-query AggBelowBatch — one probe chunk of the operator — on a
 // 33,000-row annotated tree at fanout 16 is answered a sub-batch at a time,
 // so it never asks the int32 pool for a buffer above 1 MiB and hands every
-// buffer back. In one descent its take list alone ran to 32 MiB, which each
-// P's pool then kept.
+// buffer back.
 func TestAggBatchScratchBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n, m = 33_000, 20_000

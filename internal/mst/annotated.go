@@ -11,9 +11,13 @@ import (
 
 // AnnotatedTree is a merge sort tree whose elements additionally carry
 // running prefix aggregates within every sorted run (Figure 5). It evaluates
-// framed DISTINCT variants of arbitrary distributive (or algebraic)
-// aggregates: the aggregate only needs a merge function — no inverse — which
-// is what makes the approach applicable to user-defined aggregates (§4.3).
+// framed DISTINCT variants of distributive aggregates: the aggregate only
+// needs a merge function — no inverse — which is what makes the approach
+// applicable to user-defined aggregates (§4.3). The merge must be
+// associative and commutative: a query adds each covered run prefix into
+// its answer in place, in descent order, and a narrow range folds level 0
+// in position order. Every sum core builds is a set of wrapping int64
+// lanes (BuildSum, Lane), a group, so no answer depends on either order.
 //
 // The tree is keyed by the previous-occurrence index of each tuple
 // (Algorithm 1): an entry's value contributes to a frame [lo, hi) exactly
@@ -25,27 +29,21 @@ import (
 // Only the order of the keys matters to any of this, never their values, so
 // the tree is built in the rank domain: element i's payload is its rank in
 // the stable sort by (key, position) — a permutation of 0…n−1, which makes
-// every element unique and every run's merge order reproducible (the float
-// prefix aggregates depend on it) at the 32-bit width of every other tree. A
-// key threshold t maps to below[t], the number of keys smaller than t, which
-// is also its exact rank in the top run: the top run is the identity.
+// every element unique at the 32-bit width of every other tree. A key
+// threshold t maps to below[t], the number of keys smaller than t, which is
+// also its exact rank in the top run: the top run is the identity.
 //
 // Level 0 holds each element's own state in position order (agg[0][j] is
-// values[j]), so for int64 states a range of at most LeafRows rows is folded
-// from there in position order instead of descending (leaf.go): every
-// integer aggregate's merge — wrapping addition, min, max — is associative
-// and commutative, so the bits cannot differ from the descent's order. A
-// float state's fold order is part of its answer, so it always descends. A
-// tree built by BuildSum, whose merge is wrapping int64 addition — a group —
-// also answers a narrow range from the one before it (agg_diff.go).
+// values[j]), so a range of at most LeafRows rows is folded from there
+// instead of descending (leaf.go). A tree built by BuildSum, whose merge is
+// wrapping int64 addition — a group — also answers a narrow range from the
+// one before it (agg_diff.go).
 type AnnotatedTree[S any] struct {
 	t     *tree
 	agg   [][]S
 	merge func(S, S) S
 	n     int
 	below []int32 // below[t] = #keys < t, for t in [0, n+1]
-	// leafFold is set when S is int64: narrow ranges fold level 0.
-	leafFold bool
 	// sum is set by BuildSum: the merge is wrapping int64 addition and t
 	// keeps topPos, so a narrow range is answered from the one before it.
 	sum bool
@@ -55,76 +53,67 @@ type AnnotatedTree[S any] struct {
 }
 
 // BuildAnnotated constructs an annotated merge sort tree over keys, where
-// values[i] is the aggregate input of tuple i and merge combines two
-// aggregate states. Keys must lie in [0, len(keys)] — the previous-index
-// domain of §5.1. For int64 states merge must be associative and
-// commutative, as every integer aggregate's is: narrow ranges fold in
-// position order. Like BuildForm it runs under Options.Context and returns
-// its error when that cut the build short.
+// values[i] is the aggregate input of tuple i and merge, associative and
+// commutative, combines two aggregate states. Keys must lie in [0,
+// len(keys)] — the previous-index domain of §5.1. Like BuildForm it runs
+// under Options.Context and returns its error when that cut the build
+// short.
 func BuildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
-	return buildAnnotated(keys, values, merge, opt, false)
+	return buildAnnotated(keys, values, merge, opt, Full, false)
 }
 
-// buildAnnotated is BuildAnnotated; with sum set the tree keeps the inverse
-// of the ranks as topPos (BuildSum).
-func buildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options, sum bool) (*AnnotatedTree[S], error) {
+// buildAnnotated is BuildAnnotated in the given form, Full or Leaves; with
+// sum set the tree keeps the inverse of the ranks as topPos (BuildSum).
+func buildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options, form Form, sum bool) (*AnnotatedTree[S], error) {
 	n := len(keys)
-	posOfRank := arena.Int32s.Get(n) // inverse of rank, needed only while annotating
-	defer arena.Int32s.Put(posOfRank)
-	opt, rank, below, err := annotatedRanks(keys, len(values), opt, posOfRank)
+	pos := arena.Int32s.Get(n) // inverse of rank
+	defer arena.Int32s.Put(pos)
+	opt, rank, below, err := annotatedRanks(keys, len(values), opt, pos)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := buildTree(rank, opt)
-	if err != nil {
+	var tr *tree
+	if form == Leaves {
+		traceSkippedLevels(n, opt, Leaves)
+		tr = leafTree(rank, opt)
+	} else if tr, err = buildTree(rank, opt); err != nil {
 		return nil, err
 	}
-	at := &AnnotatedTree[S]{
-		t:     tr,
-		merge: merge,
-		n:     n,
-		below: below,
-		sum:   sum,
-	}
-	_, at.leafFold = any(values).([]int64)
 	if sum {
-		tr.topPos = slices.Clone(posOfRank[:n])
+		tr.topPos = slices.Clone(pos[:n])
 	}
-	// Annotate every level with per-run prefix aggregates. The base position
-	// of an element is the inverse of its rank, so annotations can be
-	// computed after the build in one parallel pass per level.
+	at := &AnnotatedTree[S]{t: tr, merge: merge, n: n, below: below, sum: sum, form: form}
+	if err := at.annotate(values, pos, opt); err != nil {
+		return nil, err
+	}
+	return at, nil
+}
+
+// annotate sets agg from values: level 0 is a copy of values, and every
+// higher level holds its runs' prefix states, computed after the build in
+// one parallel pass per level from the base position pos[r] of the element
+// of rank r.
+func (at *AnnotatedTree[S]) annotate(values []S, pos []int32, opt Options) error {
+	n := at.n
 	at.agg = make([][]S, len(at.t.levels))
-	for l := range at.t.levels {
-		elems := at.t.levels[l]
-		agg := make([]S, len(elems))
-		rl := at.t.effLen[l]
-		numRuns := 1
-		if rl > 0 {
-			numRuns = (n + rl - 1) / rl
-		}
-		build := func(r int) {
-			start := r * rl
-			end := start + rl
-			if end > n {
-				end = n
-			}
-			var acc S
-			for i := start; i < end; i++ {
-				v := values[posOfRank[elems[i]]]
-				if i == start {
-					acc = v
-				} else {
-					acc = merge(acc, v)
-				}
+	at.agg[0] = slices.Clone(values)
+	for l := 1; l < len(at.t.levels); l++ {
+		elems, rl := at.t.levels[l], at.t.effLen[l]
+		agg := make([]S, n)
+		err := parallel.ForEachContext(opt.Context, (n+rl-1)/rl, func(r int) {
+			acc := values[pos[elems[r*rl]]]
+			agg[r*rl] = acc
+			for i := r*rl + 1; i < min(r*rl+rl, n); i++ {
+				acc = at.merge(acc, values[pos[elems[i]]])
 				agg[i] = acc
 			}
-		}
-		if err := parallel.ForEachContext(opt.Context, numRuns, build); err != nil {
-			return nil, err
+		})
+		if err != nil {
+			return err
 		}
 		at.agg[l] = agg
 	}
-	return at, nil
+	return nil
 }
 
 // annotatedRanks validates BuildAnnotated's input and ranks it: rank[i] is
@@ -193,50 +182,34 @@ func placeRanks[K int32 | int64](keys []K, cnt, rank, pos []int32) {
 	}
 }
 
-// buildAnnotatedLeaves builds the leaf-only form of BuildAnnotated's tree
-// (leaf.go): level 0's ranks, its states (agg[0]) and the threshold map,
-// answering AggBelowBatch over ranges of at most LeafRows rows; with sum set
-// it also keeps the inverse of the ranks as topPos (BuildSum). Only int64
-// states fold in position order, so any other S is refused; keys and values
-// are validated exactly as BuildAnnotated validates them.
-func buildAnnotatedLeaves[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options, sum bool) (*AnnotatedTree[S], error) {
-	if _, ok := any(values).([]int64); !ok {
-		return nil, fmt.Errorf("mst: a leaf-only annotated tree needs int64 states, got %T", values)
-	}
-	var pos []int32
-	if sum {
-		pos = make([]int32, len(keys))
-	}
-	opt, rank, below, err := annotatedRanks(keys, len(values), opt, pos)
-	if err != nil {
-		return nil, err
-	}
-	traceSkippedLevels(len(keys), opt, Leaves)
-	tr := leafTree(rank, opt)
-	tr.topPos = pos
-	return &AnnotatedTree[S]{
-		t:        tr,
-		agg:      [][]S{slices.Clone(values)},
-		merge:    merge,
-		n:        len(keys),
-		below:    below,
-		leafFold: true,
-		sum:      sum,
-		form:     Leaves,
-	}, nil
+// BuildSum builds the annotated tree of an int64 SUM over keys and values in
+// the given form, Leaves or Full: the one constructor that declares the
+// merge wrapping addition, whose inverse lets AggBelowBatch answer a narrow
+// range from the range before it (agg_diff.go). For that the tree also keeps
+// the base position of every rank, topPos, 4 bytes per element that MemBytes
+// charges. Its tree annotates further lanes of the same sum (Lane).
+func BuildSum[K int32 | int64](keys []K, values []int64, opt Options, form Form) (*AnnotatedTree[int64], error) {
+	return buildAnnotated(keys, values, addInt64, opt, form, true)
 }
 
-// BuildSum builds the annotated tree of an int64 SUM over keys and values in
-// the given form: the leaf-only one (buildAnnotatedLeaves) for Leaves,
-// BuildAnnotated's for any other. It is the one constructor that declares the merge wrapping
-// addition, whose inverse lets AggBelowBatch answer a narrow range from the
-// range before it (agg_diff.go); for that the tree also keeps the base
-// position of every rank, topPos, 4 bytes per element that MemBytes charges.
-func BuildSum[K int32 | int64](keys []K, values []int64, opt Options, form Form) (*AnnotatedTree[int64], error) {
-	if form == Leaves {
-		return buildAnnotatedLeaves(keys, values, addInt64, opt, true)
+// Lane returns the tree of one more lane of a sum over the keys of at, a
+// tree BuildSum built: values in position order, annotated over at's
+// ranks, topPos and threshold map, which the two trees share. It answers
+// like BuildSum over the same keys and values, in at's form. MemBytes of
+// the lane charges the shared structure again; MemBytes(8) − MemBytes(0)
+// is what the lane adds.
+func (at *AnnotatedTree[S]) Lane(values []S, opt Options) (*AnnotatedTree[S], error) {
+	if !at.sum {
+		return nil, fmt.Errorf("mst: Lane needs a tree BuildSum built")
 	}
-	return buildAnnotated(keys, values, addInt64, opt, true)
+	if len(values) != at.n {
+		return nil, fmt.Errorf("mst: %d keys but %d values", at.n, len(values))
+	}
+	lane := *at
+	if err := lane.annotate(values, at.t.topPos, opt); err != nil {
+		return nil, err
+	}
+	return &lane, nil
 }
 
 func addInt64(a, b int64) int64 { return a + b }
@@ -251,7 +224,7 @@ func (at *AnnotatedTree[S]) CheckRows(rows int) error {
 }
 
 // leaf reports whether a range of w rows folds from level 0 (leaf.go).
-func (at *AnnotatedTree[S]) leaf(w int) bool { return at.leafFold && LeafRule(w, at.form) }
+func (at *AnnotatedTree[S]) leaf(w int) bool { return LeafRule(w, at.form) }
 
 // MemBytes reports the approximate resident size of the tree: payloads,
 // cascading pointers and origin stripes, a sum tree's topPos, the threshold
@@ -267,7 +240,7 @@ func (at *AnnotatedTree[S]) MemBytes(aggBytes int) int64 {
 
 // foldLeaves is the aggregate leaf rule: the states of the entries at
 // positions [lo, hi) whose rank is below ct, merged in position order, and
-// how many there are. Callers guarantee 0 <= lo < hi <= n and leafFold.
+// how many there are. Callers guarantee 0 <= lo < hi <= n.
 func (at *AnnotatedTree[S]) foldLeaves(lo, hi int, ct int32) (result S, ok bool, cnt int32) {
 	vals := at.agg[0][lo:hi]
 	for j, r := range at.t.levels[0][lo:hi] {

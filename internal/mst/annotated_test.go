@@ -2,7 +2,6 @@ package mst
 
 import (
 	"cmp"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -25,16 +24,16 @@ func prevIdcsRef(vals []int64) []int64 {
 	return out
 }
 
-func bruteSumDistinct(vals []int64, lo, hi int) (float64, bool) {
+func bruteSumDistinct(vals []int64, lo, hi int) (int64, bool) {
 	seen := make(map[int64]bool)
-	sum := 0.0
+	sum := int64(0)
 	any := false
 	for i := lo; i < hi && i < len(vals); i++ {
 		if i < 0 || seen[vals[i]] {
 			continue
 		}
 		seen[vals[i]] = true
-		sum += float64(vals[i])
+		sum += vals[i]
 		any = true
 	}
 	return sum, any
@@ -56,9 +55,8 @@ func bruteMinDistinct(vals []int64, lo, hi int) (int64, bool) {
 // its code: per level, every run's positions sorted by (key, position) — the
 // order the tree is built in (annotated.go) — and a query folds, in every run
 // its range covers, the prefix of entries whose key lies below the threshold,
-// then merges those parts left to right. That is the fold order AggBelowBatch
-// pins for a merge that is neither associative nor commutative. effLen is the
-// tree's run length per level.
+// then merges those parts left to right. effLen is the tree's run length
+// per level.
 type aggRef[S any] struct {
 	effLen []int
 	keys   []int64
@@ -144,12 +142,8 @@ func TestAnnotatedSumDistinct(t *testing.T) {
 			vals[i] = rng.Int63n(int64(n)/4 + 2) // plenty of duplicates
 		}
 		keys := prevIdcsRef(vals)
-		aggVals := make([]float64, n)
-		for i, v := range vals {
-			aggVals[i] = float64(v)
-		}
 		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Context: serialBuild}} {
-			at, err := BuildAnnotated(keys, aggVals, func(a, b float64) float64 { return a + b }, opt)
+			at, err := BuildSum(keys, vals, opt, Full)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,24 +222,23 @@ func TestAnnotatedValidation(t *testing.T) {
 // TestAnnotatedRankOrderMatchesComposite pins the order an annotated tree is
 // built in: every run of every level must list the base positions sorted by
 // (key, position) — the order of the composite key·(n+1)+position, which at
-// n = 50,000 no longer fits 32 bits — and AggBelowBatch must fold its run
-// prefixes in exactly that order (aggRef). The merge is neither associative
-// nor commutative and the keys are duplicate-heavy, so a counting pass that
-// ranks equal keys in any but position order fails both checks.
+// n = 50,000 no longer fits 32 bits — and AggBelowBatch must take exactly
+// the run prefixes the reference fold takes in that order (aggRef, over the
+// witness sum). The keys are duplicate-heavy, so a counting pass that ranks
+// equal keys in any but position order fails the first check.
 func TestAnnotatedRankOrderMatchesComposite(t *testing.T) {
 	prev := parallel.SetMaxWorkers(4)
 	defer parallel.SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(83))
-	merge := func(a, b float64) float64 { return a*0.75 + b }
 	for _, f := range []int{2, 7, 32} {
 		for _, n := range []int{0, 1, 2, f, f*f - 1, f*f + 1, 50_000} {
 			keys := make([]int64, n)
-			values := make([]float64, n)
+			values := make([]uint64, n)
 			for i := range keys {
 				keys[i] = int64(rng.Intn(n/8 + 2)) // heavy duplicates, all <= n
-				values[i] = rng.NormFloat64()
+				values[i] = witness(i)
 			}
-			at, err := BuildAnnotated(keys, values, merge, Options{Fanout: f})
+			at, err := BuildAnnotated(keys, values, mergeWitness, Options{Fanout: f})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +267,7 @@ func TestAnnotatedRankOrderMatchesComposite(t *testing.T) {
 					}
 				}
 			}
-			ref := newAggRef(at.t.effLen, keys, values, merge)
+			ref := newAggRef(at.t.effLen, keys, values, mergeWitness)
 			const m = 64
 			lo, hi := make([]int32, m), make([]int32, m)
 			thr := make([]int64, m)
@@ -287,7 +280,7 @@ func TestAnnotatedRankOrderMatchesComposite(t *testing.T) {
 			res, ok, cnt := aggBatch(at, lo, hi, thr)
 			for q := range lo {
 				want, wantOK, wantCnt := ref.query(int(lo[q]), int(hi[q]), thr[q])
-				if ok[q] != wantOK || int(cnt[q]) != wantCnt || (wantOK && math.Float64bits(res[q]) != math.Float64bits(want)) {
+				if ok[q] != wantOK || int(cnt[q]) != wantCnt || (wantOK && res[q] != want) {
 					t.Fatalf("f=%d n=%d [%d,%d)<%d: AggBelowBatch (%v,%v,%d), reference fold (%v,%v,%d)",
 						f, n, lo[q], hi[q], thr[q], res[q], ok[q], cnt[q], want, wantOK, wantCnt)
 				}

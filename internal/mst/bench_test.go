@@ -261,10 +261,14 @@ func BenchmarkSelectKthRangesBatch(b *testing.B) {
 // BenchmarkAggBelowBatch is the batched aggregate probe in the shape a
 // framed SUM(DISTINCT) gives it: previous-occurrence keys of a skewed
 // 50,000-value column over 200k rows, threshold = lo+1, the same chunking
-// and frames as BenchmarkCountBelowBatch, over a float sum's tree. The sum/
-// arms probe an int64 sum's tree (BuildSum) with the narrow frames of
-// multi_partitioned_200k, which it answers from each query's predecessor
-// (agg_diff.go); diff/row is the share answered so.
+// and frames as BenchmarkCountBelowBatch. The frame arms probe a tree of
+// float64 states under a generic merge (BuildAnnotated). The lanes/ arms
+// probe what core builds for a float SUM(DISTINCT) over cents prices: the
+// value's cents as a price, cut into L = 3 int64 lanes (floatLanes), one
+// sum tree per lane over shared keys (BuildSum, Lane), each probed per
+// chunk. The sum/ arms probe an int64 sum's tree (BuildSum) with the narrow
+// frames of multi_partitioned_200k, which it answers from each query's
+// predecessor (agg_diff.go); diff/row is the share answered so.
 func BenchmarkAggBelowBatch(b *testing.B) {
 	const n, chunk = 200_000, 20_000
 	vals := skewedColumn(n)
@@ -280,6 +284,23 @@ func BenchmarkAggBelowBatch(b *testing.B) {
 	st, err := BuildSum(keys, vals, Options{}, Full)
 	if err != nil {
 		b.Fatal(err)
+	}
+	prices := make([]float64, n)
+	for i, v := range vals {
+		prices[i] = float64(v) / 100
+	}
+	priceLanes, _ := floatLanes(prices)
+	if len(priceLanes) != 3 {
+		b.Fatalf("cents prices take %d lanes, want 3", len(priceLanes))
+	}
+	lanes := make([]*AnnotatedTree[int64], len(priceLanes))
+	if lanes[0], err = BuildSum(keys, priceLanes[0], Options{}, Full); err != nil {
+		b.Fatal(err)
+	}
+	for l := 1; l < len(lanes); l++ {
+		if lanes[l], err = lanes[0].Lane(priceLanes[l], Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	lo, hi := make([]int32, chunk), make([]int32, chunk)
 	thr := make([]int64, chunk)
@@ -306,6 +327,16 @@ func BenchmarkAggBelowBatch(b *testing.B) {
 	for _, frame := range []int{100, 10_000, n / 2} {
 		b.Run(fmt.Sprintf("frame%d", frame), func(b *testing.B) {
 			probe(b, frame, func() (int, int) { return at.AggBelowBatch(lo, hi, thr, res, ok, cnt) })
+		})
+	}
+	for _, frame := range []int{100, 10_000, n / 2} {
+		b.Run(fmt.Sprintf("lanes/frame%d", frame), func(b *testing.B) {
+			probe(b, frame, func() (leaves, diffs int) {
+				for _, lane := range lanes {
+					leaves, diffs = lane.AggBelowBatch(lo, hi, thr, sums, ok, cnt)
+				}
+				return leaves, diffs
+			})
 		})
 	}
 	for _, frame := range []int{60, 100} {

@@ -220,19 +220,18 @@ func fuzzSeedBytes(n int, seed int64) []byte {
 
 // FuzzAggBatch cross-checks the batched aggregate kernel against the
 // reference fold aggRef: results must be identical (the merge is the
-// order-sensitive polyHash fold, so any reordering of the take fold shows up
+// witness sum, so a run prefix taken twice or left out shows up
 // immediately), ok flags must agree, and so must the count side output. Two
 // flag bits stretch the batch across the kernel's sub-batch boundaries, and
 // a sliding run closes it: a ROWS frame over every row, narrower than
-// LeafRows (aggFuzzBatch). A polyHash state never takes the leaf path, so
-// every query of its arm descends. The int64 arms — values whose sums wrap —
-// check kernel against brute force under
-// both leaf seam settings, with ranges one row either side of LeafRows in the
-// batch: a tree whose merge is addition but undeclared, which folds every
-// narrow range, and the sum tree (BuildSum), which answers a narrow range
-// from the one before it where the cost rule says so (wantAggCounts). A
-// leaf-only arm (leafOnlyAggs) checks buildAnnotatedLeaves' and BuildSum's
-// leaf-only forms of the int64 tree.
+// LeafRows (aggFuzzBatch). The int64 arms — values whose sums wrap — check
+// kernel against brute force under both leaf seam settings, with ranges one
+// row either side of LeafRows in the batch: a tree whose merge is addition
+// but undeclared, which folds every narrow range, and the sum tree
+// (BuildSum), which answers a narrow range from the one before it where the
+// cost rule says so (wantAggCounts), and a further lane of it (Lane) over
+// the negated values. A leaf-only arm (leafOnlyAggs) checks
+// the leaf-only forms of both int64 trees.
 func FuzzAggBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, 1, 3, int64(5), uint8(3), uint8(2), uint8(1))
@@ -253,17 +252,17 @@ func FuzzAggBatch(f *testing.F) {
 			SampleEvery: 1 + int(sampleEvery%15),
 		}
 		keys := aggFuzzKeys(data)
-		vals := make([]polyHash, len(data))
-		for i, b := range data {
-			vals[i] = witness(uint64(b % 26))
+		vals := make([]uint64, len(data))
+		for i := range data {
+			vals[i] = witness(i)
 		}
-		at, err := BuildAnnotated(keys, vals, mergePoly, opt)
+		at, err := BuildAnnotated(keys, vals, mergeWitness, opt)
 		if err != nil {
 			t.Fatalf("BuildAnnotated(%d keys, %+v): %v", len(keys), opt, err)
 		}
-		ref := newAggRef(at.t.effLen, keys, vals, mergePoly)
+		ref := newAggRef(at.t.effLen, keys, vals, mergeWitness)
 		bLo, bHi, bThr := aggFuzzBatch(len(keys), lo, hi, threshold, flags)
-		res := make([]polyHash, len(bLo))
+		res := make([]uint64, len(bLo))
 		ok := make([]bool, len(bLo))
 		cnt := make([]int32, len(bLo))
 		at.AggBelowBatch(bLo, bHi, bThr, res, ok, cnt)
@@ -291,6 +290,14 @@ func FuzzAggBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("BuildSum(%d keys, %+v): %v", len(keys), opt, err)
 		}
+		neg := make([]int64, len(ivals))
+		for i, v := range ivals {
+			neg[i] = -v
+		}
+		lane, err := st.Lane(neg, opt)
+		if err != nil {
+			t.Fatalf("Lane(%d values, %+v): %v", len(neg), opt, err)
+		}
 		leafSeam(t, func(t *testing.T) {
 			wantLeaves, _ := wantAggCounts(Full, false, keys, bLo, bHi, bThr)
 			if leaves, diffs := checkIntSums(t, "int64", it, keys, ivals, bLo, bHi, bThr, addInt64); leaves != wantLeaves || diffs != 0 {
@@ -299,6 +306,9 @@ func FuzzAggBatch(f *testing.F) {
 			wantL, wantD := wantAggCounts(Full, true, keys, bLo, bHi, bThr)
 			if leaves, diffs := checkIntSums(t, "sum", st, keys, ivals, bLo, bHi, bThr, addInt64); leaves != wantL || diffs != wantD {
 				t.Errorf("sum tree reports %d queries at the leaves and %d from their predecessor, the cost rule names %d and %d (opt %+v)", leaves, diffs, wantL, wantD, opt)
+			}
+			if leaves, diffs := checkIntSums(t, "lane", lane, keys, neg, bLo, bHi, bThr, addInt64); leaves != wantL || diffs != wantD {
+				t.Errorf("lane of the sum tree reports %d queries at the leaves and %d from their predecessor, the cost rule names %d and %d (opt %+v)", leaves, diffs, wantL, wantD, opt)
 			}
 		})
 		leafOnlyAggs(t, keys, ivals, opt, lo, hi, threshold)

@@ -7,15 +7,14 @@ import "fmt"
 // those rows instead of a descent: a counting pass costs about half a
 // nanosecond per row, a descent a fixed O(log n) steps however narrow the
 // range (paper §6.4, Fig. 11: a per-frame scan beats the tree below frames
-// of ~130 rows). The count and integer-aggregate kernels take the pass for
-// ranges of at most leafRows rows; aggregates whose fold order is part of
-// the answer (AnnotatedTree) always descend. The select kernel has no leaf
+// of ~130 rows). The count and aggregate kernels take the pass for ranges
+// of at most leafRows rows. The select kernel has no leaf
 // rule — a narrow value range is spread over all of level 0 — but walks
 // level 0 from its predecessor's answer when the frame barely moved
 // (select_diff.go).
 
-// LeafRows is the widest position range the count and integer-aggregate
-// kernels answer from level 0. It sits well below the measured scan/descent
+// LeafRows is the widest position range the count and aggregate kernels
+// answer from level 0. It sits well below the measured scan/descent
 // crossover of every kernel at every tree size — about 500 rows for the
 // int64 fold, 600 and more for the counts, from n = 2,000 up
 // (BenchmarkLeafCrossover here and in rangetree; EXPERIMENTS.md "Narrow

@@ -36,8 +36,8 @@ var leafWidths = []int{1, LeafRows - 1, LeafRows, LeafRows + 1, 250}
 // TestLeafRule pins the leaf rule at its boundary: ranges of LeafRows−1,
 // LeafRows and LeafRows+1 rows at every start position, through the batched
 // count kernel of the default and a deep tree, and
-// through the aggregate kernels of an int64 tree — whose sums wrap — and of a
-// float64 tree, which never takes the leaf path. Every answer must match
+// through the aggregate kernel of an int64 tree, whose sums wrap. Every
+// answer must match
 // brute force, and the batched kernels must report exactly the queries of at
 // most LeafRows rows as answered at the leaves, and none with the leaf path
 // off.
@@ -46,11 +46,9 @@ func TestLeafRule(t *testing.T) {
 	const n = 1000
 	vals := make([]int64, n)
 	wide := make([]int64, n)
-	floats := make([]float64, n)
 	for i := range vals {
 		vals[i] = int64(rng.Intn(60))
 		wide[i] = math.MaxInt64 - int64(rng.Intn(1000)) // any two of them wrap
-		floats[i] = float64(vals[i]) / 3
 	}
 	keys := prevIdcsRef(vals)
 	add := func(a, b int64) int64 { return a + b }
@@ -107,15 +105,6 @@ func TestLeafRule(t *testing.T) {
 				t.Fatalf("[%d,%d)<%d: kernel (%d, %v, cnt %d), brute force %d of %d",
 					lo[q], hi[q], thr[q], sums[q], okv[q], cnt[q], want, num)
 			}
-		}
-
-		fat, err := BuildAnnotated(keys, floats, func(a, b float64) float64 { return a + b }, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fsums := make([]float64, m)
-		if got, _ := fat.AggBelowBatch(lo, hi, thr, fsums, okv, cnt); got != 0 {
-			t.Errorf("float64 AggBelowBatch reports %d queries at the leaves, want 0: its fold order is part of the answer", got)
 		}
 	})
 }
@@ -246,19 +235,19 @@ func leafOnlyCounts(t *testing.T, keys []int64, opt Options, lo, hi int, thresho
 	}
 }
 
-// leafOnlyAggs is FuzzAggBatch's leaf-only arm: buildAnnotatedLeaves over the
-// same keys and int64 values answers narrow ranges like brute force, through
+// leafOnlyAggs is FuzzAggBatch's leaf-only arm: the leaf-only form of
+// BuildAnnotated's tree over the same keys and int64 values answers narrow ranges like brute force, through
 // AggBelowBatch, and refuses a wider one as leafOnlyCounts describes; so
 // does BuildSum's leaf-only form, which also keeps topPos and answers a
 // sliding run from each query's predecessor as the cost rule says.
 func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, threshold int64) {
 	t.Helper()
-	lt, err := buildAnnotatedLeaves(keys, vals, func(a, b int64) int64 { return a + b }, opt, false)
+	lt, err := buildAnnotated(keys, vals, addInt64, opt, Leaves, false)
 	if err != nil {
-		t.Fatalf("buildAnnotatedLeaves(%d keys, %+v): %v", len(keys), opt, err)
+		t.Fatalf("buildAnnotated(%d keys, %+v, Leaves): %v", len(keys), opt, err)
 	}
 	if got, want := lt.MemBytes(8), int64(4*len(keys)+4*(len(keys)+2)+8*len(keys)); got != want {
-		t.Errorf("buildAnnotatedLeaves(%d keys): MemBytes %d, want %d (ranks, threshold map, states)", len(keys), got, want)
+		t.Errorf("buildAnnotated(%d keys, Leaves): MemBytes %d, want %d (ranks, threshold map, states)", len(keys), got, want)
 	}
 	qLo, qHi, thr := narrowQueries(len(keys), lo, hi, threshold)
 	m := len(qLo)
@@ -288,7 +277,7 @@ func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, thr
 		t.Fatalf("BuildSum(%d keys, %+v, Leaves): %v", len(keys), opt, err)
 	}
 	if got, want := st.MemBytes(8), lt.MemBytes(8)+int64(4*len(keys)); got != want {
-		t.Errorf("BuildSum(%d keys, Leaves): MemBytes %d, want %d (buildAnnotatedLeaves' and topPos)", len(keys), got, want)
+		t.Errorf("BuildSum(%d keys, Leaves): MemBytes %d, want %d (the unsummed tree's and topPos)", len(keys), got, want)
 	}
 	_, sLo, sHi, sThr := slidingQueries(len(keys), slidingWidth(lo, hi))
 	qLo, qHi, thr = append(qLo, sLo...), append(qHi, sHi...), append(thr, sThr...)
@@ -307,7 +296,7 @@ func slidingWidth(lo, hi int) int { return 1 + absInt(hi-lo)%LeafRows }
 // cutoff: every range of at most LeafRows rows answers like the full tree's,
 // what they own is level 0 (and, annotated, the threshold map and the
 // states), and what they cannot do they refuse — a wider range, selection,
-// a non-int64 state.
+// a lane of a tree BuildSum did not build.
 func TestLeafOnlyStructures(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const n = 600
@@ -338,9 +327,12 @@ func TestLeafOnlyStructures(t *testing.T) {
 			probe()
 		}()
 	}
-	floats := make([]float64, n)
-	if _, err := buildAnnotatedLeaves(keys, floats, func(a, b float64) float64 { return a + b }, Options{}, false); err == nil {
-		t.Error("buildAnnotatedLeaves accepted float64 states, whose fold order is part of the answer")
+	at, err := buildAnnotated(keys, vals, addInt64, Options{}, Leaves, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := at.Lane(vals, Options{}); err == nil {
+		t.Error("Lane accepted a tree BuildSum did not build, which keeps no topPos")
 	}
 	if _, err := BuildForm([]int64{-1}, Options{}, Leaves); err == nil {
 		t.Error("BuildForm(Leaves) accepted a negative key")

@@ -32,13 +32,13 @@ func (g Gen) Ints(name string, n int64, nullEvery int) Column {
 	return c
 }
 
-// Floats draws halves in [0, 25); one value in thirty is instead NaN, +Inf,
-// −Inf, −0.0 or 0.0.
+// Floats draws tenths in [0, 5), whose sums round; one value in thirty is
+// instead NaN, +Inf, −Inf, −0.0 or 0.0.
 func (g Gen) Floats(name string, nullEvery int) Column {
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
 	v := make([]float64, g.N)
 	c := g.column(name, Float64, nullEvery, func(i int) {
-		v[i] = float64(g.Rng.Intn(50)) / 2
+		v[i] = float64(g.Rng.Intn(50)) / 10
 		if g.Rng.Intn(30) == 0 {
 			v[i] = special[g.Rng.Intn(len(special))]
 		}

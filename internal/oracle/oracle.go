@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/big"
 	"slices"
 
 	"holistic/internal/frame"
@@ -113,27 +114,15 @@ func (c *Column) Value(row int) Value {
 	return v
 }
 
-// Identical reports whether a and b are the same value bit for bit: floats
-// by their bits, so −0.0 differs from 0.0. Two runs of the same arithmetic
-// must agree this way.
+// Identical reports whether a and b are the same value bit for bit: two
+// NULLs whatever their kinds, else floats by their bits, so −0.0 differs
+// from 0.0 and one NaN from another. The program's answers must agree with
+// the oracle's, and with each other, this way.
 func Identical(a, b Value) bool {
-	return a.Null == b.Null && a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) &&
-		a.S == b.S && a.B == b.B
-}
-
-// Near reports whether got is want up to float rounding: NULL only where
-// want is NULL, and floats equal (infinities and −0.0/0.0 included), both
-// NaN, or both finite and within 1e-9 absolutely or relatively. An
-// evaluator that folds in another order than the oracle agrees with it this
-// way.
-func Near(got, want Value) bool {
-	if got.Null || want.Null {
-		return got.Null == want.Null
+	if a.Null || b.Null {
+		return a.Null == b.Null
 	}
-	a, b := got.F, want.F
-	d := math.Abs(a - b) // +Inf when either is infinite and they differ
-	return got.I == want.I && got.S == want.S && got.B == want.B &&
-		(a == b || math.IsNaN(a) && math.IsNaN(b) || d <= 1e-9 || d <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) && !math.IsInf(d, 0))
+	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S && a.B == b.B
 }
 
 func (v Value) number() float64 {
@@ -437,19 +426,40 @@ func (e *evaluation) eval(row int, in []int) Value {
 		if len(in) == 0 {
 			return null
 		}
-		var sum float64
-		var isum int64 // wraps like the SQL engine's int64 sum
+		avg := f.Name == "avg" || f.Name == "avg(distinct)"
+		// An INT64 SUM wraps modulo 2⁶⁴. Any other sum is NaN (math.NaN())
+		// when a NaN or both infinities are summed, the infinity when one is,
+		// −0.0 when only −0.0 is, else the exact sum — over the count for
+		// AVG — rounded once to nearest even.
+		sum, inf, negZeros, isum := new(big.Rat), 0.0, 0, int64(0)
 		for _, r := range in {
-			sum += arg.Value(r).number()
-			isum += arg.Value(r).I
+			v := arg.Value(r)
+			isum += v.I
+			switch {
+			case v.Kind == Int64:
+				sum.Add(sum, new(big.Rat).SetInt64(v.I))
+			case math.IsNaN(v.F) || math.IsInf(v.F, 0):
+				inf += v.F
+			default:
+				negZeros += boolInt(v.F == 0 && math.Signbit(v.F))
+				sum.Add(sum, new(big.Rat).SetFloat64(v.F))
+			}
 		}
+		if avg {
+			sum.Quo(sum, new(big.Rat).SetInt64(int64(len(in))))
+		}
+		x, _ := sum.Float64()
 		switch {
-		case f.Name == "avg" || f.Name == "avg(distinct)":
-			return float(sum / float64(len(in)))
-		case arg.Kind == Int64:
+		case arg.Kind == Int64 && !avg:
 			return integer(isum)
+		case math.IsNaN(inf):
+			return float(math.NaN())
+		case inf != 0:
+			return float(inf)
+		case negZeros == len(in):
+			return float(math.Copysign(0, -1))
 		}
-		return float(sum)
+		return float(x)
 	case "min", "max":
 		if len(in) == 0 {
 			return null

@@ -23,8 +23,8 @@ import (
 // which LEAD/LAG probe beside their permutation tree: it is not a DAG node,
 // so the DAG shows neither the row-number trees LEAD/LAG build nor the
 // builds they save by sharing one with each other or with a ROW_NUMBER.
-// kindOf resolves argument kinds (nil: treat them as INT64, whose width
-// classes split the most).
+// kindOf resolves argument kinds, which pick a DISTINCT sum's state (nil:
+// treat them as INT64).
 func (p *Plan) buildDAG(kindOf KindResolver) {
 	var nodes []Node
 	st := Stats{}

@@ -26,9 +26,9 @@
 // ties on original row index and is independent of the window sort).
 // Order-sensitive cases stay in their own group: ROWS-mode frames
 // (positional — except unbounded..unbounded, which is the whole partition
-// in any mode), SUM over FLOAT64 and AVG (floating-point accumulation
-// order follows tree structure), and MIN/MAX over FLOAT64 (-0.0 and +0.0
-// compare equal but render differently). Windows whose ORDER BY equals the
+// in any mode) and MIN/MAX over FLOAT64 (-0.0 and +0.0 compare equal but
+// render differently). SUM and AVG share: every sum is exact or wraps
+// modulo 2⁶⁴ (core's exactsum.go), so no order reaches the answer. Windows whose ORDER BY equals the
 // group's sort order exactly are unrestricted. The shared-plan equivalence
 // suite pins byte-identical results across all 22 functions.
 package plan
@@ -133,8 +133,8 @@ type Plan struct {
 }
 
 // KindResolver reports a column's type, when known. Build uses it to decide
-// whether SUM/MIN/MAX arguments are float (order-sensitive accumulation);
-// a nil resolver makes the planner conservative for those functions.
+// whether MIN/MAX arguments are float, whose winner among equals is
+// order-sensitive; a nil resolver treats every column as INT64.
 type KindResolver func(column string) (core.Kind, bool)
 
 // TableKinds adapts a table to a KindResolver.
@@ -318,29 +318,15 @@ func orderInsensitive(f *core.FuncSpec, orderBy []core.SortKey, kindOf KindResol
 			return false
 		}
 	}
-	isKind := func(col string, k core.Kind) bool {
-		got, ok := kindOf(col)
-		return ok && got == k
-	}
-	if kindOf == nil {
-		isKind = func(string, core.Kind) bool { return false }
-	}
-	switch f.Name {
-	case core.Sum, core.SumDistinct:
-		// INT64 sums accumulate exactly (two's-complement addition is
-		// associative); FLOAT64 sums depend on tree merge order.
-		return isKind(f.Arg, core.Int64)
-	case core.Avg, core.AvgDistinct:
-		// The running sum is a float64 regardless of the argument type.
-		return false
-	case core.Min, core.Max:
+	if (f.Name == core.Min || f.Name == core.Max) && kindOf != nil {
 		// floatCompare treats -0.0 and +0.0 (and all NaNs) as equal, so the
 		// winner among equals depends on merge order for floats.
-		return !isKind(f.Arg, core.Float64)
+		kind, ok := kindOf(f.Arg)
+		return !ok || kind != core.Float64
 	}
-	// Everything else — counts, distinct counts, the rank family,
+	// Everything else — sums, counts, distinct counts, the rank family,
 	// percentiles, value selection, LEAD/LAG — is a pure function of the
-	// frame's row set: the function-level order ties on original row index
-	// and is independent of the window sort.
+	// frame's row set: sums are exact or wrap, and the function-level order
+	// ties on original row index and is independent of the window sort.
 	return true
 }

@@ -147,12 +147,14 @@ func TestPlanDAGGolden(t *testing.T) {
 }
 
 // TestFloatSharingGate pins the soundness gate: a strict-prefix window
-// carrying a float SUM must NOT join the longer sort (float accumulation
-// order is tree-shaped), while the same window with an INT64 SUM must.
+// carrying a float MIN must NOT join the longer sort (-0.0 and +0.0 compare
+// equal, so the winner among them is order-sensitive), while the same window
+// with an INT64 MIN must — and so must one with a SUM of either kind, whose
+// exact sum no order reaches.
 func TestFloatSharingGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tab := lattice.RandTable(rng, 30)
-	build := func(arg string) plan.Stats {
+	build := func(name core.FuncName, arg string) plan.Stats {
 		stmt := &plan.Statement{Table: "t", Items: []plan.Item{
 			{
 				Name:        "r",
@@ -166,7 +168,7 @@ func TestFloatSharingGate(t *testing.T) {
 				Name:        "s",
 				PartitionBy: []string{"g"},
 				OrderBy:     []core.SortKey{{Column: "d"}},
-				Func:        &core.FuncSpec{Name: core.Sum, Output: "s", Arg: arg},
+				Func:        &core.FuncSpec{Name: name, Output: "s", Arg: arg},
 			},
 		}}
 		p, err := plan.Build(stmt, plan.TableKinds(tab))
@@ -175,10 +177,13 @@ func TestFloatSharingGate(t *testing.T) {
 		}
 		return p.Stats
 	}
-	if st := build("v"); st.SortsShared != 1 {
-		t.Fatalf("int64 sum: SortsShared = %d, want 1 (%+v)", st.SortsShared, st)
-	}
-	if st := build("fv"); st.SortsShared != 0 {
-		t.Fatalf("float sum: SortsShared = %d, want 0 (%+v)", st.SortsShared, st)
+	for _, c := range []struct {
+		name   core.FuncName
+		arg    string
+		shared int
+	}{{core.Min, "v", 1}, {core.Min, "fv", 0}, {core.Sum, "v", 1}, {core.Sum, "fv", 1}, {core.Avg, "fv", 1}} {
+		if st := build(c.name, c.arg); st.SortsShared != c.shared {
+			t.Errorf("%v(%s): SortsShared = %d, want %d (%+v)", c.name, c.arg, st.SortsShared, c.shared, st)
+		}
 	}
 }

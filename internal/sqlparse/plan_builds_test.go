@@ -71,7 +71,7 @@ func TestPlanMatchesBuilds(t *testing.T) {
 			sum(distinct fv) over (order by d rows 5 preceding) as c,
 			sum(distinct fv) over (order by d rows unbounded preceding) as e,
 			avg(distinct fv) over (order by d) as f
-			from t`, 3, 0},
+			from t`, 4, 0},
 		{"DENSE_RANK by width", `select
 			dense_rank() over (order by d rows 5 preceding) as a,
 			dense_rank() over (order by d) as b,

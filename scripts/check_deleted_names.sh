@@ -133,5 +133,11 @@ check 'one column type' all \
 # array of its own and the (sum, count) state stay deleted
 check 'one structure per reduction' all \
     'tagRowno|cachedRowno|avgState'
+# one sum arithmetic: every SUM and AVG is a sum of wrapping int64 lanes,
+# exact or INT64, so the float fold order — the agg kernel's take list and
+# ordered fold, the float-only tree builder, the always-descend rule — and
+# the oracle's tolerance stay deleted
+check 'one sum arithmetic' all \
+    'takeStride|takeCnt|mergeTree|treeBuild|leafFold|oracle\.Near'
 
 exit $fail
