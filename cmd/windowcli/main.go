@@ -84,7 +84,7 @@ func main() {
 		fail(fmt.Errorf("missing -query"))
 	}
 	if *explain {
-		sp, err := holistic.PlanSQL(*query, nil)
+		sp, err := holistic.PlanSQL(*query)
 		fail(err)
 		fmt.Print(holistic.RenderPlan(sp.Nodes))
 		fmt.Printf("operators=%d sorts_shared=%d trees_shared=%d preprocess_shared=%d\n",

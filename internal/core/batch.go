@@ -488,8 +488,8 @@ func leadLagChunk(p *partition, fl *filtered, fc *frame.Computer, rank *mst.Tree
 // distinctAggChunk evaluates one probe chunk of SUM/AVG(DISTINCT x) with
 // merges only: one aggregate query per frame range per row — deduped when
 // the row's frame ranges exactly repeat the previous row's, in which case the
-// rows share the answer — answered by every lane's annotated tree through
-// the batched kernel. Each range asks for the values whose first occurrence
+// rows share the answer — answered for every lane of the sum by one descent
+// of the batched kernel. Each range asks for the values whose first occurrence
 // in the row's span [a, d) it holds (threshold a+1), so a frame without
 // exclusion holes is one query; with holes, the values first seen in a hole
 // that recur in a kept range are added in once each. The answer is NULL
@@ -534,18 +534,13 @@ func distinctAggChunk(p *partition, fl *filtered, fc *frame.Computer, st *cached
 	slotQ[s] = i32(m)
 
 	// Lane l's sums are sums[l*m : (l+1)*m], cleared first, so a query no
-	// entry qualifies for sums to 0. Every lane counts the same entries, so
-	// each call leaves the same ok and count behind.
+	// entry qualifies for sums to 0; one descent answers every lane.
 	lanes := st.sum.lanes
 	sums := arena.Int64s.Get(len(lanes) * m)
 	clear(sums)
-	for l, tree := range st.trees {
-		leaves, diffs := tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], sums[l*m:(l+1)*m], okv[:m], kcnt[:m])
-		if l == 0 {
-			agg.leaves.Add(int64(leaves))
-			agg.diffs.Add(int64(diffs))
-		}
-	}
+	leaves, diffs := st.tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], sums, okv[:m], kcnt[:m])
+	agg.leaves.Add(int64(leaves))
+	agg.diffs.Add(int64(diffs))
 
 	// A slot's sums and count go to its first query's.
 	for sl := 0; sl < s; sl++ {

@@ -170,12 +170,12 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sum := newSumLanes(p.t.Column(f.Arg), fl.k, fl.orig, false)
-		tree, err := mst.BuildSum(prev, sum.lanes[0], opt.Tree, mst.Full)
+		sum := newSumLanes(p.t.Column(f.Arg), fl.k, fl.orig)
+		tree, err := mst.BuildSum(prev, sum.lanes, opt.Tree, mst.Full)
 		if err != nil {
 			b.Fatal(err)
 		}
-		st := &cachedAgg{prev: prev, next: next, sum: sum, trees: []*mst.AnnotatedTree[int64]{tree}}
+		st := &cachedAgg{prev: prev, next: next, sum: sum, tree: tree}
 		out := newColumn(f.Output, Int64, size.n)
 		b.Run(size.name, func(b *testing.B) {
 			agg := &batchAgg{}
@@ -259,37 +259,42 @@ func BenchmarkEvalLeadLag(b *testing.B) {
 // BenchmarkFloatSum measures SUM and SUM(DISTINCT) of a FLOAT64 column
 // through a warm-cache Run over one 200,000-row partition: cents prices
 // drawn from 20,000 values, under ROWS frames of 100 and 10,000 rows ordered
-// by a random key. It goes through Run alone, so it measures any version of
-// the operator unchanged. ns/row is one statement's time per row.
+// by a random key. The int64/ arms sum the same prices as INT64 cents, the
+// path of every plain INT64 SUM, which is never cached. It goes through Run
+// alone, so it measures any version of the operator unchanged. ns/row is one
+// statement's time per row.
 func BenchmarkFloatSum(b *testing.B) {
 	const n = 200_000
 	rng := rand.New(rand.NewSource(1234))
-	ts, price := make([]int64, n), make([]float64, n)
+	ts, price, cents := make([]int64, n), make([]float64, n), make([]int64, n)
 	for i := range ts {
-		ts[i], price[i] = rng.Int63(), float64(rng.Intn(20_000))/100
+		ts[i], cents[i] = rng.Int63(), int64(rng.Intn(20_000))
+		price[i] = float64(cents[i]) / 100
 	}
-	tab := MustNewTable(NewInt64Column("ts", ts, nil), NewFloat64Column("price", price, nil))
-	for _, name := range []FuncName{Sum, SumDistinct} {
-		for _, rows := range []int64{100, 10_000} {
-			w := &WindowSpec{
-				OrderBy: []SortKey{{Column: "ts"}},
-				Frame: frame.Spec{Mode: frame.Rows,
-					Start: frame.Bound{Type: frame.Preceding, Offset: rows - 1}, End: frame.Bound{Type: frame.CurrentRow}},
-				FrameSet: true,
-				Funcs:    []FuncSpec{{Name: name, Output: "s", Arg: "price"}},
-			}
-			opt := Options{Cache: treecache.New(256 << 20), CacheScope: "bench@v1"}
-			if _, err := Run(tab, w, opt); err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%v/frame%d", name, rows), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(tab, w, opt); err != nil {
-						b.Fatal(err)
-					}
+	tab := MustNewTable(NewInt64Column("ts", ts, nil), NewFloat64Column("price", price, nil), NewInt64Column("cents", cents, nil))
+	for _, arg := range []struct{ prefix, col string }{{"", "price"}, {"int64/", "cents"}} {
+		for _, name := range []FuncName{Sum, SumDistinct} {
+			for _, rows := range []int64{100, 10_000} {
+				w := &WindowSpec{
+					OrderBy: []SortKey{{Column: "ts"}},
+					Frame: frame.Spec{Mode: frame.Rows,
+						Start: frame.Bound{Type: frame.Preceding, Offset: rows - 1}, End: frame.Bound{Type: frame.CurrentRow}},
+					FrameSet: true,
+					Funcs:    []FuncSpec{{Name: name, Output: "s", Arg: arg.col}},
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
-			})
+				opt := Options{Cache: treecache.New(256 << 20), CacheScope: "bench@v1"}
+				if _, err := Run(tab, w, opt); err != nil {
+					b.Fatal(err)
+				}
+				b.Run(fmt.Sprintf("%s%v/frame%d", arg.prefix, name, rows), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := Run(tab, w, opt); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+				})
+			}
 		}
 	}
 }

@@ -105,11 +105,11 @@ type (
 		tree       *mst.Tree
 	}
 	// cachedAgg backs SUM/AVG(DISTINCT): Algorithm 1's links, the sum's
-	// lanes and one annotated sum tree per lane.
+	// lanes and the annotated sum tree that holds them as its level 0.
 	cachedAgg struct {
 		prev, next []int32
 		sum        *sumLanes
-		trees      []*mst.AnnotatedTree[int64]
+		tree       *mst.AnnotatedTree[int64]
 	}
 	// cachedRank backs the rank family and LEAD/LAG's row numbers: per-row
 	// rank keys plus the tree over the kept rows' keys.

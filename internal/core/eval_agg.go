@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"holistic/internal/frame"
@@ -17,7 +18,7 @@ func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *Column
 	col := p.t.Column(f.Arg)
 	switch f.Name {
 	case Sum, Avg:
-		sl := newSumLanes(col, fl.k, fl.orig, f.Name == Avg || col.Kind() != Int64)
+		sl := newSumLanes(col, fl.k, fl.orig)
 		pre := make([][]int64, len(sl.lanes))
 		for l, lane := range sl.lanes {
 			pre[l] = make([]int64, len(lane)+1)
@@ -49,19 +50,22 @@ func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *Column
 			return fmt.Errorf("min/max over %v column not supported", col.Kind())
 		}
 		// A segment tree over positions into kept, the kept values in
-		// filtered order: a merge keeps the smaller value's for MIN, the
-		// larger's for MAX, the left of two equal ones; -1 is none.
+		// filtered order: a merge keeps the first of the two in (value,
+		// table row) order for MIN, the last for MAX, so equal values that
+		// differ (−0.0 and +0.0, NaN payloads) give the same answer under
+		// any window order; -1 is none.
 		want := 1
 		if f.Name == Min {
 			want = -1
 		}
-		kept, pos := newColumn(col.name, col.kind, fl.k), make([]int32, fl.k)
+		kept, pos, rows := newColumn(col.name, col.kind, fl.k), make([]int32, fl.k), make([]int, fl.k)
 		for j := range pos {
-			kept.copyFrom(col, fl.orig(j), j)
+			rows[j] = fl.orig(j)
+			kept.copyFrom(col, rows[j], j)
 			pos[j] = i32(j)
 		}
 		pick := func(a, b int32) int32 {
-			if a < 0 || kept.compareValues(int(b), int(a))*want > 0 {
+			if a < 0 || cmp.Or(kept.compareValues(int(b), int(a)), cmp.Compare(rows[b], rows[a]))*want > 0 {
 				return b
 			}
 			return a

@@ -479,7 +479,7 @@ func endBuild(sp *obs.Span, form mst.Form, bytes int64) {
 // depend only on the argument column, the filter and the tree options,
 // never on the frame.
 func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
-	s := structureOf(f, nil, out.kind)
+	s := structureOf(f, nil)
 	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop)
 	rows := opt.rowsBound(fl.k)
@@ -514,35 +514,27 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, op
 		})
 
 	case SumDistinct, AvgDistinct:
-		// The lanes of the sum s names (exactsum.go), one annotated sum tree
-		// each, all over the one key tree of prevIdcs (mst.BuildSum, Lane).
+		// The lanes of the sum (exactsum.go), held by one annotated sum tree
+		// over prevIdcs (mst.BuildSum).
 		st, err := cacheGet(opt, &s, func() (cachedAgg, int64, error) {
 			prev, next, err := buildDistinctInputs(fl, f, opt)
 			if err != nil {
 				return cachedAgg{}, 0, err
 			}
-			sum := newSumLanes(p.t.Column(f.Arg), fl.k, fl.orig, s.State == "exact")
+			sum := newSumLanes(p.t.Column(f.Arg), fl.k, fl.orig)
 			sp := opt.trace.Phase("build merge sort tree")
-			topt := opt.treeOptions(sp)
-			trees := make([]*mst.AnnotatedTree[int64], len(sum.lanes))
-			trees[0], err = mst.BuildSum(prev, sum.lanes[0], topt, form)
-			for l := 1; err == nil && l < len(trees); l++ {
-				trees[l], err = trees[0].Lane(sum.lanes[l], topt)
-			}
-			if err != nil {
+			tree, buildErr := mst.BuildSum(prev, sum.lanes, opt.treeOptions(sp), form)
+			if buildErr != nil {
 				sp.End()
-				return cachedAgg{}, 0, err
+				return cachedAgg{}, 0, buildErr
 			}
-			// Each lane's annotations take one int64 per entry; the lanes
-			// share the rest.
-			shared := trees[0].MemBytes(0)
-			treeBytes := shared + int64(len(trees))*(trees[0].MemBytes(8)-shared)
+			// The tree's level 0 is the lanes, so its bytes count them.
+			treeBytes := tree.MemBytes(8)
 			endBuild(sp, form, treeBytes)
-			bytes := sliceBytes(prev, next) + sliceBytes(sum.lanes...) + treeBytes
-			return cachedAgg{prev: prev, next: next, sum: sum, trees: trees}, bytes, nil
+			return cachedAgg{prev: prev, next: next, sum: sum, tree: tree}, sliceBytes(prev, next) + treeBytes, nil
 		})
 		if err == nil {
-			err = st.trees[0].CheckRows(rows)
+			err = st.tree.CheckRows(rows)
 		}
 		if err != nil {
 			return err
@@ -558,7 +550,7 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, op
 // NTILE via counting queries on a merge sort tree over preprocessed rank
 // keys (§4.4, Figure 8).
 func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
-	s := structureOf(f, p.w.OrderBy, out.kind)
+	s := structureOf(f, p.w.OrderBy)
 	fl := newFiltered(p, f, s.Drop)
 	keysAll, tree, err := rankTree(p, f, &s, fl, opt)
 	if err != nil {
@@ -637,7 +629,7 @@ func ntileBucket(r, size, b int64) int64 {
 
 // evalDenseRank evaluates the framed DENSE_RANK with the range tree of §4.4.
 func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
-	s := structureOf(f, p.w.OrderBy, out.kind)
+	s := structureOf(f, p.w.OrderBy)
 	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop)
 	rows := opt.rowsBound(fl.k)
@@ -694,7 +686,7 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *Column
 	if f.Name == PercentileDisc || f.Name == PercentileCont {
 		valueCol = p.t.Column(percentileValueColumn(f))
 	}
-	s := structureOf(f, p.w.OrderBy, out.kind)
+	s := structureOf(f, p.w.OrderBy)
 	fl := newFiltered(p, f, s.Drop)
 	tree, err := permutationTree(p, f, &s, fl, opt)
 	if err != nil {
@@ -749,7 +741,7 @@ func percentileDiscIndex(p float64, size int) int {
 // position on the permutation tree, both batched per chunk (leadLagChunk).
 func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
-	s := structureOf(f, p.w.OrderBy, out.kind)
+	s := structureOf(f, p.w.OrderBy)
 	fl := newFiltered(p, f, s.Drop)
 	tree, err := permutationTree(p, f, &s, fl, opt)
 	if err != nil {

@@ -8,16 +8,16 @@ import (
 
 // Exact sums. Every SUM and AVG, plain and DISTINCT, is a sum of int64 lanes
 // under wrapping addition, a group, so no fold order, prefix difference or
-// differential pass reaches the answer. An INT64 SUM is one lane of the
-// values, and wraps modulo 2⁶⁴. Every other sum is exact: a finite value is
-// a whole number of units 2^low, the lowest set bit among the kept values,
-// cut into signed 32-bit digits, a lane each; with fewer than 2³¹ rows no
-// lane sum leaves int64. NaN, +Inf, −Inf and −0.0 take a counting lane each
-// when present. The answer is rounded once (roundExact).
+// differential pass reaches the answer. A finite value is a whole number of
+// units 2^low, the lowest set bit among the kept values, cut into signed
+// 32-bit digits, a lane each; with fewer than 2³¹ rows no lane sum leaves
+// int64. NaN, +Inf, −Inf and −0.0 take a counting lane each when present.
+// An INT64 SUM decodes the lanes modulo 2⁶⁴, so it wraps; every other sum is
+// the exact sum rounded once (roundExact). The encoding does not depend on
+// the output, so an INT64 SUM and AVG over one column share their lanes.
 type sumLanes struct {
 	lanes   [][]int64 // lanes[l][j]: lane l of kept value j
-	exact   bool
-	low     int // digit lane l counts units of 2^(low+32l)
+	low     int       // digit lane l counts units of 2^(low+32l)
 	digits  int
 	special [numSpecials]int // the lane counting each special value, or -1
 }
@@ -32,22 +32,27 @@ const (
 )
 
 // newSumLanes cuts the k kept values of col, value j at row orig(j), into
-// lanes: exact ones, or else one lane of the INT64 values.
-func newSumLanes(col *Column, k int, orig func(j int) int, exact bool) *sumLanes {
-	sl := &sumLanes{exact: exact, digits: 1, special: [numSpecials]int{-1, -1, -1, -1}}
-	if !exact {
-		sl.lanes = [][]int64{make([]int64, k)}
-		for j := range k {
-			sl.lanes[0][j] = col.Int64(orig(j))
-		}
-		return sl
-	}
+// lanes. An INT64 column finds its lowest and highest set bit in the OR of
+// its magnitudes, uint64(max(v, −v)), which holds |v| for every int64.
+func newSumLanes(col *Column, k int, orig func(j int) int) *sumLanes {
+	sl := &sumLanes{digits: 1, special: [numSpecials]int{-1, -1, -1, -1}}
 	low, high := math.MaxInt, math.MinInt
-	for j := range k {
-		if m, e, _, sp := splitValue(col, orig(j)); sp >= 0 {
-			sl.special[sp] = 0 // present: placed below
-		} else if m != 0 {
-			low, high = min(low, e+bits.TrailingZeros64(m)), max(high, e+63-bits.LeadingZeros64(m))
+	if col.kind == Int64 {
+		or := uint64(0)
+		for j := range k {
+			v := col.ints[orig(j)]
+			or |= uint64(max(v, -v))
+		}
+		if or != 0 {
+			low, high = bits.TrailingZeros64(or), 63-bits.LeadingZeros64(or)
+		}
+	} else {
+		for j := range k {
+			if m, e, _, sp := splitFloat(col.floats[orig(j)]); sp >= 0 {
+				sl.special[sp] = 0 // present: placed below
+			} else if m != 0 {
+				low, high = min(low, e+bits.TrailingZeros64(m)), max(high, e+63-bits.LeadingZeros64(m))
+			}
 		}
 	}
 	if low <= high {
@@ -64,37 +69,36 @@ func newSumLanes(col *Column, k int, orig func(j int) int, exact bool) *sumLanes
 		sl.lanes[l] = make([]int64, k)
 	}
 	for j := range k {
-		m, e, neg, sp := splitValue(col, orig(j))
-		if sp >= 0 {
+		if col.kind == Int64 {
+			v := col.ints[orig(j)]
+			sl.cut(j, uint64(max(v, -v)), 0, v < 0)
+		} else if m, e, neg, sp := splitFloat(col.floats[orig(j)]); sp >= 0 {
 			sl.lanes[sl.special[sp]][j] = 1
-			continue
-		}
-		for l, lane := range sl.lanes[:sl.digits] {
-			s := 32*l + sl.low - e
-			d := m >> uint(s) // a shift of 64 or more is 0
-			if s < 0 {
-				d = m << uint(-s)
-			}
-			if lane[j] = int64(d & (1<<32 - 1)); neg {
-				lane[j] = -lane[j]
-			}
+		} else {
+			sl.cut(j, m, e, neg)
 		}
 	}
 	return sl
 }
 
-// splitValue returns col's value at row, an INT64 or a finite FLOAT64, as
-// its magnitude m·2^e and its sign, with sp = -1; or the special lane it
-// counts in as sp.
-func splitValue(col *Column, row int) (m uint64, e int, neg bool, sp int) {
-	if col.kind == Int64 {
-		v := col.ints[row]
-		if v < 0 {
-			return -uint64(v), 0, true, -1
+// cut writes ±m·2^e, kept value j, into the digit lanes.
+func (sl *sumLanes) cut(j int, m uint64, e int, neg bool) {
+	for l, lane := range sl.lanes[:sl.digits] {
+		s := 32*l + sl.low - e
+		d := m >> uint(s) // a shift of 64 or more is 0
+		if s < 0 {
+			d = m << uint(-s)
 		}
-		return uint64(v), 0, false, -1
+		if lane[j] = int64(d & (1<<32 - 1)); neg {
+			lane[j] = -lane[j]
+		}
 	}
-	b := math.Float64bits(col.floats[row])
+}
+
+// splitFloat returns a finite x as its magnitude m·2^e and its sign, with
+// sp = -1; or the special lane it counts in as sp.
+func splitFloat(x float64) (m uint64, e int, neg bool, sp int) {
+	b := math.Float64bits(x)
 	neg = b>>63 != 0
 	exp, frac := int(b>>52&0x7ff), b&(1<<52-1)
 	switch {
@@ -113,12 +117,17 @@ func splitValue(col *Column, row int) (m uint64, e int, neg bool, sp int) {
 }
 
 // set writes SUM (avg false) or AVG of cnt > 0 values, whose lane sums are
-// s, to out's row: an INT64 SUM's lane, or else NaN (math.NaN()) when a NaN
-// or both infinities are summed, the infinity when one is, −0.0 when only
-// −0.0 is, and the exact sum, over cnt for AVG, rounded once.
+// s, to out's row: into an INT64 column, the sum modulo 2⁶⁴; else NaN
+// (math.NaN()) when a NaN or both infinities are summed, the infinity when
+// one is, −0.0 when only −0.0 is, and the exact sum, over cnt for AVG,
+// rounded once.
 func (sl *sumLanes) set(out *Column, row int, s []int64, cnt int64, avg bool) {
-	if !sl.exact {
-		out.setInt(row, s[0])
+	if out.kind == Int64 {
+		var v uint64
+		for l, x := range s[:sl.digits] {
+			v += uint64(x) << uint(sl.low+32*l) // a shift of 64 or more is 0
+		}
+		out.setInt(row, int64(v))
 		return
 	}
 	var n [numSpecials]int64

@@ -40,9 +40,6 @@ type Structure struct {
 	// Filter is the FILTER column, Drop the column whose NULL rows are
 	// dropped before building.
 	Filter, Drop string
-	// State is the sum an annotated tree's lanes hold (exactsum.go): "int64",
-	// the values themselves, for an INT64 SUM(DISTINCT), else "exact".
-	State string
 	// Width is the width class (Structure.form): a leaf-only entry answers
 	// only ranges of at most mst.LeafRows rows, and a sliding one is cheap
 	// only for the statements that chose it, so a statement choosing
@@ -72,10 +69,11 @@ const (
 )
 
 // structureOf declares the structure f builds over a partition of a window
-// ordered by windowOrder. kind is f's output kind, which picks the state of
-// SUM(DISTINCT). The width class is left to the caller, which knows the rows
-// a probe spans. COUNT builds nothing: its zero Tag.
-func structureOf(f *FuncSpec, windowOrder []SortKey, kind Kind) Structure {
+// ordered by windowOrder. It reads no column kind: SUM and AVG(DISTINCT) of
+// any kind hold the same lanes (exactsum.go). The width class is left to the
+// caller, which knows the rows a probe spans. COUNT builds nothing: its zero
+// Tag.
+func structureOf(f *FuncSpec, windowOrder []SortKey) Structure {
 	order := f.OrderBy
 	if len(order) == 0 {
 		order = windowOrder
@@ -84,11 +82,7 @@ func structureOf(f *FuncSpec, windowOrder []SortKey, kind Kind) Structure {
 	case CountDistinct:
 		return Structure{Tag: tagDistinctCount, Arg: f.Arg, Filter: f.Filter, Drop: f.Arg}
 	case SumDistinct, AvgDistinct:
-		state := "exact"
-		if f.Name == SumDistinct && kind == Int64 {
-			state = "int64"
-		}
-		return Structure{Tag: tagDistinctAgg, Arg: f.Arg, Filter: f.Filter, Drop: f.Arg, State: state}
+		return Structure{Tag: tagDistinctAgg, Arg: f.Arg, Filter: f.Filter, Drop: f.Arg}
 	case Rank, PercentRank, CumeDist:
 		return Structure{Tag: tagRankDense, Order: order, Filter: f.Filter}
 	case RowNumber, Ntile:
@@ -111,16 +105,15 @@ func structureOf(f *FuncSpec, windowOrder []SortKey, kind Kind) Structure {
 }
 
 // StructureOf is structureOf for the planner: the structure f builds under
-// a window ordered by windowOrder with frame spec, where argKind is the kind
-// of f's argument column (SUM(DISTINCT)'s output kind). Its width class is
+// a window ordered by windowOrder with frame spec. Its width class is
 // the one the operator gives when no partition caps the rows a probe spans.
 // Where that class also turns on the probe chunk size (a bounded
 // COUNT(DISTINCT) frame wider than mst.LeafRows slides only within one
 // chunk), the width is the row bound itself. Equal identities are built
 // once; unequal ones may still be built once, in partitions of at most
 // mst.LeafRows rows or where two bounds both slide.
-func StructureOf(f *FuncSpec, windowOrder []SortKey, spec frame.Spec, argKind Kind) Structure {
-	s := structureOf(f, windowOrder, argKind)
+func StructureOf(f *FuncSpec, windowOrder []SortKey, spec frame.Spec) Structure {
+	s := structureOf(f, windowOrder)
 	if !s.Shared() {
 		return s
 	}
@@ -217,10 +210,8 @@ func (s *Structure) key(opt Options) string {
 			b = strconv.AppendQuote(append(b, f.label...), f.v)
 		}
 	}
-	for _, f := range [...]struct{ label, v string }{{"|s=", s.State}, {"|w=", s.Width}} {
-		if f.v != "" {
-			b = append(append(b, f.label...), f.v...)
-		}
+	if s.Width != "" {
+		b = append(append(b, "|w="...), s.Width...)
 	}
 	if s.Part != "" {
 		b = strconv.AppendInt(append(b, "|t="...), int64(opt.Tree.Fanout), 10)

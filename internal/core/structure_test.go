@@ -29,8 +29,8 @@ func TestStructureIdentity(t *testing.T) {
 	unbounded := frame.Spec{Mode: frame.Rows,
 		Start: frame.Bound{Type: frame.UnboundedPreceding}, End: frame.Bound{Type: frame.CurrentRow}}
 	// planned renders f's identity under a window ordered by d.
-	planned := func(f FuncSpec, spec frame.Spec, argKind Kind) string {
-		s := StructureOf(&f, byD, spec, argKind)
+	planned := func(f FuncSpec, spec frame.Spec) string {
+		s := StructureOf(&f, byD, spec)
 		return s.String()
 	}
 	fn := func(name FuncName) FuncSpec { return FuncSpec{Name: name, Output: "x", Arg: "v", OrderBy: byV} }
@@ -42,47 +42,44 @@ func TestStructureIdentity(t *testing.T) {
 		a, b string
 		same bool
 	}{
-		{"RANK and PERCENT_RANK", planned(fn(Rank), whole, Int64), planned(fn(PercentRank), whole, Int64), true},
-		{"RANK and CUME_DIST", planned(fn(Rank), whole, Int64), planned(fn(CumeDist), whole, Int64), true},
-		{"ROW_NUMBER and NTILE", planned(fn(RowNumber), whole, Int64), planned(fn(Ntile), whole, Int64), true},
-		{"RANK and ROW_NUMBER", planned(fn(Rank), whole, Int64), planned(fn(RowNumber), whole, Int64), false},
-		{"RANK and DENSE_RANK", planned(fn(Rank), whole, Int64), planned(fn(DenseRank), whole, Int64), false},
+		{"RANK and PERCENT_RANK", planned(fn(Rank), whole), planned(fn(PercentRank), whole), true},
+		{"RANK and CUME_DIST", planned(fn(Rank), whole), planned(fn(CumeDist), whole), true},
+		{"ROW_NUMBER and NTILE", planned(fn(RowNumber), whole), planned(fn(Ntile), whole), true},
+		{"RANK and ROW_NUMBER", planned(fn(Rank), whole), planned(fn(RowNumber), whole), false},
+		{"RANK and DENSE_RANK", planned(fn(Rank), whole), planned(fn(DenseRank), whole), false},
 		{"percentile fraction",
-			planned(with(fn(PercentileDisc), func(f *FuncSpec) { f.Fraction = 0.5 }), whole, Int64),
-			planned(with(fn(PercentileCont), func(f *FuncSpec) { f.Fraction = 0.9 }), whole, Int64), true},
+			planned(with(fn(PercentileDisc), func(f *FuncSpec) { f.Fraction = 0.5 }), whole),
+			planned(with(fn(PercentileCont), func(f *FuncSpec) { f.Fraction = 0.9 }), whole), true},
 		{"LEAD and LAG offsets",
-			planned(with(fn(Lead), func(f *FuncSpec) { f.N = 1 }), whole, Int64),
-			planned(with(fn(Lag), func(f *FuncSpec) { f.N = 3 }), whole, Int64), true},
-		{"LAST_VALUE and LAG", planned(fn(LastValue), whole, Int64), planned(fn(Lag), whole, Int64), true},
-		{"NTH_VALUE argument", planned(fn(NthValue), whole, Int64),
-			planned(with(fn(NthValue), func(f *FuncSpec) { f.Arg = "fv" }), whole, Int64), true},
-		{"leaf frame offsets", planned(fn(CountDistinct), rows(3, 0), Int64), planned(fn(CountDistinct), rows(10, 5), Int64), true},
-		{"full frame offsets", planned(fn(Rank), rows(300, 0), Int64), planned(fn(Rank), rows(1000, 20), Int64), true},
-		{"full frame and whole partition", planned(fn(Rank), rows(300, 0), Int64), planned(fn(Rank), whole, Int64), true},
-		{"permutation tree over any frame", planned(fn(FirstValue), rows(3, 0), Int64), planned(fn(FirstValue), whole, Int64), true},
-		{"float SUM(DISTINCT) width class", planned(fn(SumDistinct), rows(3, 0), Float64), planned(fn(SumDistinct), whole, Float64), false},
-		{"width class", planned(fn(CountDistinct), rows(5, 0), Int64), planned(fn(CountDistinct), unbounded, Int64), false},
-		{"int SUM(DISTINCT) width class", planned(fn(SumDistinct), rows(5, 0), Int64), planned(fn(SumDistinct), whole, Int64), false},
-		{"sliding bounds", planned(fn(CountDistinct), rows(200, 0), Int64), planned(fn(CountDistinct), rows(300, 0), Int64), false},
-		{"FILTER on COUNT(DISTINCT)", planned(fn(CountDistinct), whole, Int64),
-			planned(with(fn(CountDistinct), func(f *FuncSpec) { f.Filter = "b" }), whole, Int64), false},
-		{"FILTER on RANK", planned(fn(Rank), whole, Int64),
-			planned(with(fn(Rank), func(f *FuncSpec) { f.Filter = "b" }), whole, Int64), false},
-		{"FILTER on the permutation tree", planned(fn(Lead), whole, Int64),
-			planned(with(fn(Lead), func(f *FuncSpec) { f.Filter = "b" }), whole, Int64), false},
-		{"COUNT(DISTINCT) argument", planned(fn(CountDistinct), whole, Int64),
-			planned(with(fn(CountDistinct), func(f *FuncSpec) { f.Arg = "d" }), whole, Int64), false},
-		{"SUM(DISTINCT) argument", planned(fn(SumDistinct), whole, Int64),
-			planned(with(fn(SumDistinct), func(f *FuncSpec) { f.Arg = "d" }), whole, Int64), false},
-		{"int and float SUM(DISTINCT)", planned(fn(SumDistinct), whole, Int64), planned(fn(SumDistinct), whole, Float64), false},
-		{"float SUM and AVG(DISTINCT)", planned(fn(SumDistinct), whole, Float64), planned(fn(AvgDistinct), whole, Float64), true},
-		{"int SUM and AVG(DISTINCT)", planned(fn(SumDistinct), whole, Int64), planned(fn(AvgDistinct), whole, Int64), false},
-		{"IGNORE NULLS", planned(fn(FirstValue), whole, Int64),
-			planned(with(fn(FirstValue), func(f *FuncSpec) { f.IgnoreNulls = true }), whole, Int64), false},
-		{"function ORDER BY", planned(fn(Rank), whole, Int64),
-			planned(with(fn(Rank), func(f *FuncSpec) { f.OrderBy = []SortKey{{Column: "v", Desc: true}} }), whole, Int64), false},
-		{"window ORDER BY fallback", planned(with(fn(Rank), func(f *FuncSpec) { f.OrderBy = nil }), whole, Int64),
-			planned(with(fn(Rank), func(f *FuncSpec) { f.OrderBy = byD }), whole, Int64), true},
+			planned(with(fn(Lead), func(f *FuncSpec) { f.N = 1 }), whole),
+			planned(with(fn(Lag), func(f *FuncSpec) { f.N = 3 }), whole), true},
+		{"LAST_VALUE and LAG", planned(fn(LastValue), whole), planned(fn(Lag), whole), true},
+		{"NTH_VALUE argument", planned(fn(NthValue), whole),
+			planned(with(fn(NthValue), func(f *FuncSpec) { f.Arg = "fv" }), whole), true},
+		{"leaf frame offsets", planned(fn(CountDistinct), rows(3, 0)), planned(fn(CountDistinct), rows(10, 5)), true},
+		{"full frame offsets", planned(fn(Rank), rows(300, 0)), planned(fn(Rank), rows(1000, 20)), true},
+		{"full frame and whole partition", planned(fn(Rank), rows(300, 0)), planned(fn(Rank), whole), true},
+		{"permutation tree over any frame", planned(fn(FirstValue), rows(3, 0)), planned(fn(FirstValue), whole), true},
+		{"width class", planned(fn(CountDistinct), rows(5, 0)), planned(fn(CountDistinct), unbounded), false},
+		{"SUM(DISTINCT) width class", planned(fn(SumDistinct), rows(5, 0)), planned(fn(SumDistinct), whole), false},
+		{"sliding bounds", planned(fn(CountDistinct), rows(200, 0)), planned(fn(CountDistinct), rows(300, 0)), false},
+		{"FILTER on COUNT(DISTINCT)", planned(fn(CountDistinct), whole),
+			planned(with(fn(CountDistinct), func(f *FuncSpec) { f.Filter = "b" }), whole), false},
+		{"FILTER on RANK", planned(fn(Rank), whole),
+			planned(with(fn(Rank), func(f *FuncSpec) { f.Filter = "b" }), whole), false},
+		{"FILTER on the permutation tree", planned(fn(Lead), whole),
+			planned(with(fn(Lead), func(f *FuncSpec) { f.Filter = "b" }), whole), false},
+		{"COUNT(DISTINCT) argument", planned(fn(CountDistinct), whole),
+			planned(with(fn(CountDistinct), func(f *FuncSpec) { f.Arg = "d" }), whole), false},
+		{"SUM(DISTINCT) argument", planned(fn(SumDistinct), whole),
+			planned(with(fn(SumDistinct), func(f *FuncSpec) { f.Arg = "d" }), whole), false},
+		{"SUM and AVG(DISTINCT)", planned(fn(SumDistinct), whole), planned(fn(AvgDistinct), whole), true},
+		{"IGNORE NULLS", planned(fn(FirstValue), whole),
+			planned(with(fn(FirstValue), func(f *FuncSpec) { f.IgnoreNulls = true }), whole), false},
+		{"function ORDER BY", planned(fn(Rank), whole),
+			planned(with(fn(Rank), func(f *FuncSpec) { f.OrderBy = []SortKey{{Column: "v", Desc: true}} }), whole), false},
+		{"window ORDER BY fallback", planned(with(fn(Rank), func(f *FuncSpec) { f.OrderBy = nil }), whole),
+			planned(with(fn(Rank), func(f *FuncSpec) { f.OrderBy = byD }), whole), true},
 	} {
 		if got := c.a == c.b; got != c.same {
 			t.Errorf("%s: same = %v, want %v\n a: %s\n b: %s", c.name, got, c.same, c.a, c.b)
@@ -95,7 +92,7 @@ func TestStructureIdentity(t *testing.T) {
 	w := &WindowSpec{OrderBy: byD}
 	at := func(p *partition, opt Options) string {
 		f := fn(Rank)
-		s := structureOf(&f, w.OrderBy, Int64)
+		s := structureOf(&f, w.OrderBy)
 		s.Part = p.id
 		s.sized(1000, opt)
 		opt.CacheScope = "t@v1"

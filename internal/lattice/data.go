@@ -163,6 +163,7 @@ func Funcs(rng *rand.Rand) []core.FuncSpec {
 		{Name: core.Min, Output: "o5", Arg: "s"},
 		{Name: core.Min, Output: "o5f", Arg: "fv"},
 		{Name: core.Max, Output: "o6", Arg: "v", Filter: maybeFilter()},
+		{Name: core.Max, Output: "o6f", Arg: "fv"},
 		{Name: core.CountDistinct, Output: "o7", Arg: "v", Filter: maybeFilter()},
 		{Name: core.CountDistinct, Output: "o7s", Arg: "s"},
 		{Name: core.SumDistinct, Output: "o8", Arg: "v"},

@@ -46,7 +46,7 @@ func (r Rig) Run(t *testing.T) {
 	for trial := range r.Trials {
 		tab := RandTable(rng, sizes[trial%len(sizes)])
 		stmt := statement(rng)
-		pl, err := plan.Build(stmt, plan.TableKinds(tab))
+		pl, err := plan.Build(stmt)
 		if err != nil {
 			t.Fatalf("seed %d trial %d: %v", r.Seed, trial, err)
 		}

@@ -5,8 +5,8 @@ import "holistic/internal/arena"
 // Batched, level-synchronous aggregate kernel over the annotated tree
 // (round 2 of the count/select kernels in count_batch.go/select_batch.go).
 // It descends the shared frontier exactly like countKernel, but where a
-// count adds a covered child's rank, it adds the child's run prefix state —
-// agg[level][runStart+rank-1] — into the query's answer in place. The
+// count adds a covered child's rank, it adds the child's run prefix state,
+// every lane's, into the query's answer in place. The
 // merge is associative and commutative (annotated.go), so the order the
 // descent meets the covered prefixes in leaves no trace in the answer.
 // TestAggBelowBatchMatchesScalar and TestAggBelowBatchFloatBitIdentical
@@ -25,21 +25,23 @@ import "holistic/internal/arena"
 // shares across queries (geometry, sample rows) is long amortised.
 const aggSubBatch = 1024
 
-// AggBelowBatch answers len(result) aggregate queries at once: result[q] is
-// the merged state of the entries at positions [lo[q], hi[q]) whose key is
-// strictly smaller than threshold[q]; ok[q] is false when no entry
-// qualifies (the SQL aggregate is then NULL); and cnt[q] is how many
+// AggBelowBatch answers m = len(lo) aggregate queries at once over a tree
+// of L lanes: result[l*m+q] is lane l's merged state of the entries at
+// positions [lo[q], hi[q]) whose key is strictly smaller than threshold[q];
+// ok[q] is false when no entry qualifies (the SQL aggregate is then NULL,
+// and the query's states are left as they were); and cnt[q] is how many
 // qualify — the distinct count falls out of the same descent for free, and
 // the DISTINCT-aggregate collectors need it for the NULL rule. Positions
-// are clamped to [0, Len()]. All six slices must have the same length. The
-// narrow queries are answered first, in query order (aggLeaves); the rest
-// are independent, so they descend aggSubBatch queries at a time. It
-// returns how many it answered at the leaves (leaf.go) and how many from
-// the narrow query before them (agg_diff.go), diffs only on a sum tree.
+// are clamped to [0, Len()]. result holds L·m states, the other five slices
+// m entries each. The narrow queries are answered first, in query order
+// (aggLeaves); the rest are independent, so they descend aggSubBatch
+// queries at a time, every lane in one descent. It returns how many it
+// answered at the leaves (leaf.go) and how many from the narrow query
+// before them (agg_diff.go), diffs only on a sum tree.
 func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt []int32) (leaves, diffs int) {
-	m := len(result)
-	if len(lo) != m || len(hi) != m || len(threshold) != m || len(ok) != m || len(cnt) != m {
-		// Invariant: the collector builds all six arrays with one length; a mismatch is a caller bug that would silently mis-answer queries
+	m := len(lo)
+	if len(hi) != m || len(threshold) != m || len(result) != len(at.lanes)*m || len(ok) != m || len(cnt) != m {
+		// Invariant: the collector sizes all six arrays from one query count; a mismatch is a caller bug that would silently mis-answer queries
 		panic("mst: AggBelowBatch slice length mismatch")
 	}
 	kb := arena.Int32s.Get(3 * m)
@@ -47,8 +49,7 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 	klo, khi, cthr := kb[:m], kb[m:2*m], kb[2*m:]
 	leaves, diffs, descend := at.aggLeaves(lo, hi, threshold, result, ok, cnt, klo, khi, cthr)
 	for s := 0; descend && s < m; s += aggSubBatch {
-		e := min(s+aggSubBatch, m)
-		at.aggBelowSubBatch(klo[s:e], khi[s:e], cthr[s:e], result[s:e], ok[s:e], cnt[s:e])
+		at.aggBelowSubBatch(klo, khi, cthr, result, ok, cnt, s, min(s+aggSubBatch, m))
 	}
 	return leaves, diffs
 }
@@ -61,11 +62,12 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 // the queries it resolved. It reports how many it answered each way and
 // whether a query is left for the descent.
 func (at *AnnotatedTree[S]) aggLeaves(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt, klo, khi, cthr []int32) (leaves, diffs int, descend bool) {
+	m := len(lo)
 	var d sumDiff
 	if at.sum {
-		d = sumDiff{lv0: at.t.levels[0], vals: any(at.agg[0]).([]int64), topPos: at.t.topPos, sums: any(result).([]int64), p: -1}
+		d = sumDiff{lv0: at.t.levels[0], lanes: any(at.lanes).([][]int64), topPos: at.t.topPos, sums: any(result).([]int64), m: m, p: -1}
 	}
-	for q := range result {
+	for q := range m {
 		ok[q], cnt[q], klo[q], khi[q] = false, 0, 0, 0
 		l, h, ct, valid := at.clip(int(lo[q]), int(hi[q]), threshold[q])
 		switch {
@@ -77,7 +79,7 @@ func (at *AnnotatedTree[S]) aggLeaves(lo, hi []int32, threshold []int64, result 
 		case at.sum && d.answer(q, l, h, ct, cnt):
 			diffs++
 		default:
-			result[q], ok[q], cnt[q] = at.foldLeaves(l, h, ct)
+			cnt[q] = at.foldLeaves(result, m, q, l, h, ct)
 			leaves++
 		}
 		ok[q] = cnt[q] > 0
@@ -86,32 +88,32 @@ func (at *AnnotatedTree[S]) aggLeaves(lo, hi []int32, threshold []int64, result 
 	return leaves, diffs, descend
 }
 
-// aggBelowSubBatch is one level-synchronous descent over at most aggSubBatch
-// queries, clipped by aggLeaves to [klo, khi) below rank cthr; it skips the
-// empty ranges of those aggLeaves resolved.
-func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S, ok []bool, cnt []int32) {
-	m := len(result)
+// aggBelowSubBatch is one level-synchronous descent over queries [s, e), at
+// most aggSubBatch of the batch's m, clipped by aggLeaves to [klo, khi)
+// below rank cthr; it skips the empty ranges of those aggLeaves resolved.
+func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S, ok []bool, cnt []int32, s, e int) {
+	m, w, nl := len(klo), e-s, len(at.lanes)
 	t := at.t
 	top := t.top()
 
 	// Frontier scratch, exactly countKernel's shape: at most two partial
 	// runs per query per level bound both frontiers.
-	fbuf := arena.Int32s.Get(12 * m)
-	cq, cr, crank := fbuf[:2*m], fbuf[2*m:4*m], fbuf[4*m:6*m]
-	nq, nr, nrank := fbuf[6*m:8*m], fbuf[8*m:10*m], fbuf[10*m:12*m]
+	fbuf := arena.Int32s.Get(12 * w)
+	cq, cr, crank := fbuf[:2*w], fbuf[2*w:4*w], fbuf[4*w:6*w]
+	nq, nr, nrank := fbuf[6*w:8*w], fbuf[8*w:10*w], fbuf[10*w:12*w]
 
 	// Top level: the top run is the identity permutation, so the clipped
 	// threshold is its own rank; full-span queries resolve directly against
 	// the top run's prefix aggregates.
 	cn := 0
-	for q := 0; q < m; q++ {
+	for q := s; q < e; q++ {
 		if klo[q] >= khi[q] {
 			continue
 		}
 		rank := int(cthr[q])
 		if klo[q] <= 0 && int(khi[q]) >= t.n {
 			if rank > 0 {
-				result[q] = at.agg[top][rank-1]
+				at.add(result, m, q, true, top, rank-1)
 				ok[q] = true
 				cnt[q] = i32(rank)
 			}
@@ -129,7 +131,10 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S,
 	for level := top; level >= 1 && cn > 0; level-- {
 		lv := t.view(level)
 		childLen := lv.childLen
-		prefixes := at.agg[level-1]
+		prefixes := at.agg[level-1] // one lane's, read inline
+		if level == 1 {
+			prefixes = at.lanes[0]
+		}
 		nn := 0
 		for it := 0; it < cn; it++ {
 			q := int(cq[it])
@@ -146,11 +151,14 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S,
 				if qlo <= cs && qhi >= ce {
 					if cRank > 0 {
 						cnt[q] += i32(cRank)
-						if part := prefixes[cs+cRank-1]; ok[q] {
-							result[q] = at.merge(result[q], part)
+						if e := cs + cRank - 1; nl > 1 {
+							at.add(result, m, q, !ok[q], level-1, e)
+						} else if ok[q] {
+							result[q] = at.merge(result[q], prefixes[e])
 						} else {
-							result[q], ok[q] = part, true
+							result[q] = prefixes[e]
 						}
+						ok[q] = true
 					}
 					continue
 				}

@@ -129,8 +129,8 @@ func TestAggBelowBatchMatchesScalar(t *testing.T) {
 }
 
 // TestAggBelowBatchFloatBitIdentical pins what the float sums core builds
-// rely on: a float column cut into lanes (floatLanes), one sum tree per lane
-// over shared keys (BuildSum, Lane), answers every query with the exact sum
+// rely on: a float column cut into lanes (floatLanes), all held by one sum
+// tree (BuildSum), answers every query with the exact sum
 // of the qualifying values, summed in math/big — across magnitudes chosen
 // so that any float fold would round, at batch lengths on both sides of
 // every sub-batch boundary (aggSubBatch queries per descent), where a query
@@ -145,15 +145,9 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 		values[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
 	}
 	lanes, units := floatLanes(values)
-	trees := make([]*AnnotatedTree[int64], len(lanes))
-	var err error
-	if trees[0], err = BuildSum(keys, lanes[0], Options{}, Full); err != nil {
+	at, err := BuildSum(keys, lanes, Options{}, Full)
+	if err != nil {
 		t.Fatal(err)
-	}
-	for l := 1; l < len(lanes); l++ {
-		if trees[l], err = trees[0].Lane(lanes[l], Options{}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for _, m := range []int{aggSubBatch - 1, aggSubBatch, aggSubBatch + 1, 3*aggSubBatch + 1, 4 * n} {
 		lo := make([]int32, m)
@@ -164,14 +158,11 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 			hi[q] = lo[q] + int32(rng.Intn(n/2+1))
 			thr[q] = int64(rng.Intn(n + 2))
 		}
-		sums := make([][]int64, len(trees))
+		sums := make([]int64, len(lanes)*m)
 		okv := make([]bool, m)
 		cnt := make([]int32, m)
-		for l, at := range trees {
-			sums[l] = make([]int64, m)
-			at.AggBelowBatch(lo, hi, thr, sums[l], okv, cnt)
-		}
-		s := make([]int64, len(trees))
+		at.AggBelowBatch(lo, hi, thr, sums, okv, cnt)
+		s := make([]int64, len(lanes))
 		for q := 0; q < m; q++ {
 			want, num := new(big.Int), 0
 			for j := lo[q]; j < min(hi[q], int32(n)); j++ {
@@ -184,7 +175,7 @@ func TestAggBelowBatchFloatBitIdentical(t *testing.T) {
 				t.Fatalf("batch of %d, query %d: (ok %v, cnt %d), reference %d values", m, q, okv[q], cnt[q], num)
 			}
 			for l := range s {
-				s[l] = sums[l][q]
+				s[l] = sums[l*m+q]
 			}
 			if got := laneSum(s); num > 0 && got.Cmp(want) != 0 {
 				t.Fatalf("batch of %d, query %d: lane sums give %v, the exact sum is %v", m, q, got, want)

@@ -19,61 +19,67 @@ package mst
 // parked while no workload asks for a wide sliding sum. A ROWS frame of a
 // constant offset slides both edges and its threshold lo+1 by at most one
 // row per query, so every query but a batch's first costs at most three
-// entries. Each lane of a sum (Lane) takes it on its own. Trees of any
+// entries. Each lane of a sum walks the same strips and band. Trees of any
 // other merge, an int64 MIN say, never take it.
 
-// sumDiff is aggLeaves' state for a sum tree: level 0's ranks and values,
-// topPos, the batch's results, and the query answered last — p, -1 before
-// the first — with its clipped range and rank.
+// sumDiff is aggLeaves' state for a sum tree: level 0's ranks and lanes,
+// topPos, the batch's lane-major results over m queries, and the query
+// answered last — p, -1 before the first — with its clipped range and rank.
 type sumDiff struct {
-	lv0        []int32
-	vals, sums []int64
-	topPos     []int32
-	p, lo, hi  int
-	ct         int32
+	lv0          []int32
+	lanes        [][]int64
+	sums         []int64
+	topPos       []int32
+	m, p, lo, hi int
+	ct           int32
 }
 
 // answer answers query q, clipped to [l, h) below rank ct, from query p
 // when that reads fewer entries than folding the range would, writing its
-// sum and count; it reports whether it did. Of each pair of loops over a
+// sums and count; it reports whether it did. Of each pair of loops over a
 // strip or the band at most one runs: the one for the direction it moved.
+// Each lane repeats the walk, so a lane's loops stay those of one sum.
 func (d *sumDiff) answer(q, l, h int, ct int32, cnt []int32) bool {
 	if d.p < 0 || absInt(l-d.lo)+absInt(h-d.hi)+absInt(int(ct)-int(d.ct)) >= h-l {
 		return false
 	}
-	s, c := d.sums[d.p], int(cnt[d.p])
-	lv0, vals, r := d.lv0, d.vals, d.ct
-	// The position strips, under the old rank r: a rank below r gives a
-	// mask of all ones (ranks lie in [0, math.MaxInt32], so e-r cannot
-	// overflow), which takes the value in without a branch.
-	for j := d.hi; j < h; j++ {
-		m := int64((lv0[j] - r) >> 31)
-		s, c = s+vals[j]&m, c-int(m)
-	}
-	for j := h; j < d.hi; j++ {
-		m := int64((lv0[j] - r) >> 31)
-		s, c = s-vals[j]&m, c+int(m)
-	}
-	for j := d.lo; j < l; j++ {
-		m := int64((lv0[j] - r) >> 31)
-		s, c = s-vals[j]&m, c+int(m)
-	}
-	for j := l; j < d.lo; j++ {
-		m := int64((lv0[j] - r) >> 31)
-		s, c = s+vals[j]&m, c-int(m)
-	}
-	// The value band, under the new range.
-	w := uint(h - l)
-	for _, p := range d.topPos[r:max(r, ct)] {
-		if uint(int(p)-l) < w {
-			s, c = s+vals[p], c+1
+	lv0, r, c := d.lv0, d.ct, 0
+	for lane, vals := range d.lanes {
+		s := d.sums[lane*d.m+d.p]
+		c = int(cnt[d.p])
+		// The position strips, under the old rank r: a rank below r gives a
+		// mask of all ones (ranks lie in [0, math.MaxInt32], so e-r cannot
+		// overflow), which takes the value in without a branch.
+		for j := d.hi; j < h; j++ {
+			m := int64((lv0[j] - r) >> 31)
+			s, c = s+vals[j]&m, c-int(m)
 		}
-	}
-	for _, p := range d.topPos[ct:max(r, ct)] {
-		if uint(int(p)-l) < w {
-			s, c = s-vals[p], c-1
+		for j := h; j < d.hi; j++ {
+			m := int64((lv0[j] - r) >> 31)
+			s, c = s-vals[j]&m, c+int(m)
 		}
+		for j := d.lo; j < l; j++ {
+			m := int64((lv0[j] - r) >> 31)
+			s, c = s-vals[j]&m, c+int(m)
+		}
+		for j := l; j < d.lo; j++ {
+			m := int64((lv0[j] - r) >> 31)
+			s, c = s+vals[j]&m, c-int(m)
+		}
+		// The value band, under the new range.
+		w := uint(h - l)
+		for _, p := range d.topPos[r:max(r, ct)] {
+			if uint(int(p)-l) < w {
+				s, c = s+vals[p], c+1
+			}
+		}
+		for _, p := range d.topPos[ct:max(r, ct)] {
+			if uint(int(p)-l) < w {
+				s, c = s-vals[p], c-1
+			}
+		}
+		d.sums[lane*d.m+q] = s
 	}
-	d.sums[q], cnt[q] = s, i32(c)
+	cnt[q] = i32(c)
 	return true
 }

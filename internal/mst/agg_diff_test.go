@@ -57,7 +57,7 @@ func testAggBatchDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, form := range []Form{Full, Leaves} {
-			st, err := BuildSum(keys, vals, opt, form)
+			st, err := BuildSum(keys, [][]int64{vals}, opt, form)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func testAggBatchDifferential(t *testing.T) {
 				if form == Leaves && b.name == "mixed wide" {
 					continue
 				}
-				leaves, diffs := checkIntSums(t, b.name, st, keys, vals, b.lo, b.hi, b.thr, addInt64)
+				leaves, diffs := checkIntSums(t, b.name, st, keys, [][]int64{vals}, b.lo, b.hi, b.thr, addInt64)
 				wantL, wantD := wantAggCounts(form, true, keys, b.lo, b.hi, b.thr)
 				if leaves != wantL || diffs != wantD {
 					t.Errorf("opt=%+v %s form, %s batch: %d queries at the leaves and %d from their predecessor, the cost rule names %d and %d",
@@ -89,39 +89,41 @@ func testAggBatchDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range batches {
-			if _, diffs := checkIntSums(t, "MIN "+b.name, mt, keys, vals, b.lo, b.hi, b.thr, minMerge); diffs != 0 {
+			if _, diffs := checkIntSums(t, "MIN "+b.name, mt, keys, [][]int64{vals}, b.lo, b.hi, b.thr, minMerge); diffs != 0 {
 				t.Errorf("opt=%+v, %s batch: an int64 MIN tree answered %d queries from their predecessor, want none", opt, b.name, diffs)
 			}
 		}
 	}
 }
 
-// checkIntSums runs one AggBelowBatch over an int64 tree whose merge is
-// merge and checks every answer against a brute-force fold of the values
-// whose key is below the threshold, in position order. It returns the
-// kernel's leaf and differential counts.
-func checkIntSums(t *testing.T, name string, at *AnnotatedTree[int64], keys, vals []int64, lo, hi []int32, thr []int64, merge func(a, b int64) int64) (leaves, diffs int) {
+// checkIntSums runs one AggBelowBatch over an int64 tree of the given lanes
+// whose merge is merge and checks every lane's answer against a brute-force
+// fold of the lane's values whose key is below the threshold, in position
+// order. It returns the kernel's leaf and differential counts.
+func checkIntSums(t *testing.T, name string, at *AnnotatedTree[int64], keys []int64, lanes [][]int64, lo, hi []int32, thr []int64, merge func(a, b int64) int64) (leaves, diffs int) {
 	t.Helper()
 	m := len(lo)
-	res, ok, cnt := make([]int64, m), make([]bool, m), make([]int32, m)
+	res, ok, cnt := make([]int64, len(lanes)*m), make([]bool, m), make([]int32, m)
 	leaves, diffs = at.AggBelowBatch(lo, hi, thr, res, ok, cnt)
 	for q := range lo {
 		l, h := clampRange(int(lo[q]), int(hi[q]), len(keys))
-		var want int64
-		num := 0
-		for j := l; j < h; j++ {
-			if keys[j] < thr[q] {
-				if num == 0 {
-					want = vals[j]
-				} else {
-					want = merge(want, vals[j])
+		for lane, vals := range lanes {
+			var want int64
+			num := 0
+			for j := l; j < h; j++ {
+				if keys[j] < thr[q] {
+					if num == 0 {
+						want = vals[j]
+					} else {
+						want = merge(want, vals[j])
+					}
+					num++
 				}
-				num++
 			}
-		}
-		if ok[q] != (num > 0) || int(cnt[q]) != num || (num > 0 && res[q] != want) {
-			t.Fatalf("%s query %d [%d,%d)<%d: kernel (%d, %v, cnt %d), brute force %d of %d",
-				name, q, lo[q], hi[q], thr[q], res[q], ok[q], cnt[q], want, num)
+			if got := res[lane*m+q]; ok[q] != (num > 0) || int(cnt[q]) != num || (num > 0 && got != want) {
+				t.Fatalf("%s query %d lane %d [%d,%d)<%d: kernel (%d, %v, cnt %d), brute force %d of %d",
+					name, q, lane, lo[q], hi[q], thr[q], got, ok[q], cnt[q], want, num)
+			}
 		}
 	}
 	return leaves, diffs

@@ -17,7 +17,8 @@ import (
 // associative and commutative: a query adds each covered run prefix into
 // its answer in place, in descent order, and a narrow range folds level 0
 // in position order. Every sum core builds is a set of wrapping int64
-// lanes (BuildSum, Lane), a group, so no answer depends on either order.
+// lanes held by one tree (BuildSum), a group, so no answer depends on either
+// order.
 //
 // The tree is keyed by the previous-occurrence index of each tuple
 // (Algorithm 1): an entry's value contributes to a frame [lo, hi) exactly
@@ -33,13 +34,19 @@ import (
 // threshold t maps to below[t], the number of keys smaller than t, which is
 // also its exact rank in the top run: the top run is the identity.
 //
-// Level 0 holds each element's own state in position order (agg[0][j] is
-// values[j]), so a range of at most LeafRows rows is folded from there
-// instead of descending (leaf.go). A tree built by BuildSum, whose merge is
+// A tree holds L lanes, states merged lane by lane: one for BuildAnnotated,
+// one per lane of a sum for BuildSum. Level 0 is each lane's values in
+// position order, the caller's slices, so a range of at most LeafRows rows
+// is folded from there instead of descending (leaf.go). Every higher level
+// holds an entry's L prefix states side by side, so one descent reads every
+// lane of a covered prefix at once. A tree built by BuildSum, whose merge is
 // wrapping int64 addition — a group — also answers a narrow range from the
 // one before it (agg_diff.go).
 type AnnotatedTree[S any] struct {
 	t     *tree
+	lanes [][]S // lanes[l][i]: lane l's value at position i, level 0
+	// agg[level][i*L+l], level ≥ 1: lane l's prefix state at entry i of
+	// that level; agg[0] is nil, level 0 being lanes.
 	agg   [][]S
 	merge func(S, S) S
 	n     int
@@ -52,26 +59,47 @@ type AnnotatedTree[S any] struct {
 	form Form
 }
 
-// BuildAnnotated constructs an annotated merge sort tree over keys, where
-// values[i] is the aggregate input of tuple i and merge, associative and
-// commutative, combines two aggregate states. Keys must lie in [0,
-// len(keys)] — the previous-index domain of §5.1. Like BuildForm it runs
-// under Options.Context and returns its error when that cut the build
-// short.
+// BuildAnnotated constructs an annotated merge sort tree of one lane over
+// keys, where values[i] is the aggregate input of tuple i and merge,
+// associative and commutative, combines two aggregate states. Keys must lie
+// in [0, len(keys)] — the previous-index domain of §5.1. The tree keeps
+// values as its level 0, uncopied. Like BuildForm it runs under
+// Options.Context and returns its error when that cut the build short.
 func BuildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
-	return buildAnnotated(keys, values, merge, opt, Full, false)
+	return buildAnnotated(keys, [][]S{values}, merge, opt, Full, false)
 }
 
-// buildAnnotated is BuildAnnotated in the given form, Full or Leaves; with
-// sum set the tree keeps the inverse of the ranks as topPos (BuildSum).
-func buildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, S) S, opt Options, form Form, sum bool) (*AnnotatedTree[S], error) {
+// buildAnnotated is BuildAnnotated over every lane of lanes in the given
+// form, Full or Leaves; with sum set the tree keeps the inverse of the ranks
+// as topPos (BuildSum). It validates its input, then ranks the keys: rank[i]
+// is key i's position in the stable sort by (key, position), pos its
+// inverse, and below[t] the number of keys smaller than t for t in [0, n+1].
+func buildAnnotated[K int32 | int64, S any](keys []K, lanes [][]S, merge func(S, S) S, opt Options, form Form, sum bool) (*AnnotatedTree[S], error) {
 	n := len(keys)
-	pos := arena.Int32s.Get(n) // inverse of rank
-	defer arena.Int32s.Put(pos)
-	opt, rank, below, err := annotatedRanks(keys, len(values), opt, pos)
-	if err != nil {
+	opt = opt.withDefaults()
+	if err := opt.validate(); err != nil {
 		return nil, err
 	}
+	if n >= math.MaxInt32 {
+		return nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", n)
+	}
+	if len(lanes) == 0 {
+		return nil, fmt.Errorf("mst: an annotated tree needs a lane")
+	}
+	for _, lane := range lanes {
+		if len(lane) != n {
+			return nil, fmt.Errorf("mst: %d keys but %d values", n, len(lane))
+		}
+	}
+	cnt := make([]int32, n+3)
+	if i := keyStarts(keys, cnt); i >= 0 {
+		return nil, fmt.Errorf("mst: key %d at position %d outside previous-index domain [0, %d]", keys[i], i, n)
+	}
+	pos := arena.Int32s.Get(n)
+	defer arena.Int32s.Put(pos)
+	rank, below := make([]int32, n), cnt[:n+2]
+	placeRanks(keys, cnt, rank, pos)
+	var err error
 	var tr *tree
 	if form == Leaves {
 		traceSkippedLevels(n, opt, Leaves)
@@ -82,30 +110,30 @@ func buildAnnotated[K int32 | int64, S any](keys []K, values []S, merge func(S, 
 	if sum {
 		tr.topPos = slices.Clone(pos[:n])
 	}
-	at := &AnnotatedTree[S]{t: tr, merge: merge, n: n, below: below, sum: sum, form: form}
-	if err := at.annotate(values, pos, opt); err != nil {
+	at := &AnnotatedTree[S]{t: tr, lanes: lanes, merge: merge, n: n, below: below, sum: sum, form: form}
+	if err := at.annotate(pos, opt); err != nil {
 		return nil, err
 	}
 	return at, nil
 }
 
-// annotate sets agg from values: level 0 is a copy of values, and every
-// higher level holds its runs' prefix states, computed after the build in
-// one parallel pass per level from the base position pos[r] of the element
-// of rank r.
-func (at *AnnotatedTree[S]) annotate(values []S, pos []int32, opt Options) error {
-	n := at.n
+// annotate sets agg from the lanes: every level above 0 holds its runs'
+// prefix states, computed after the build in one parallel pass per level
+// from the base position pos[r] of the element of rank r.
+func (at *AnnotatedTree[S]) annotate(pos []int32, opt Options) error {
+	n, nl := at.n, len(at.lanes)
 	at.agg = make([][]S, len(at.t.levels))
-	at.agg[0] = slices.Clone(values)
 	for l := 1; l < len(at.t.levels); l++ {
 		elems, rl := at.t.levels[l], at.t.effLen[l]
-		agg := make([]S, n)
+		agg := make([]S, n*nl)
 		err := parallel.ForEachContext(opt.Context, (n+rl-1)/rl, func(r int) {
-			acc := values[pos[elems[r*rl]]]
-			agg[r*rl] = acc
-			for i := r*rl + 1; i < min(r*rl+rl, n); i++ {
-				acc = at.merge(acc, values[pos[elems[i]]])
-				agg[i] = acc
+			for lane, values := range at.lanes {
+				acc := values[pos[elems[r*rl]]]
+				agg[r*rl*nl+lane] = acc
+				for i := r*rl + 1; i < min(r*rl+rl, n); i++ {
+					acc = at.merge(acc, values[pos[elems[i]]])
+					agg[i*nl+lane] = acc
+				}
 			}
 		})
 		if err != nil {
@@ -114,31 +142,6 @@ func (at *AnnotatedTree[S]) annotate(values []S, pos []int32, opt Options) error
 		at.agg[l] = agg
 	}
 	return nil
-}
-
-// annotatedRanks validates BuildAnnotated's input and ranks it: rank[i] is
-// key i's position in the stable sort by (key, position), and below[t] the
-// number of keys smaller than t for t in [0, n+1]. A non-nil pos receives the
-// inverse of rank. The returned options are resolved for n.
-func annotatedRanks[K int32 | int64](keys []K, nValues int, opt Options, pos []int32) (Options, []int32, []int32, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return opt, nil, nil, err
-	}
-	n := len(keys)
-	if nValues != n {
-		return opt, nil, nil, fmt.Errorf("mst: %d keys but %d values", n, nValues)
-	}
-	if n >= math.MaxInt32 {
-		return opt, nil, nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", n)
-	}
-	cnt := make([]int32, n+3)
-	if i := keyStarts(keys, cnt); i >= 0 {
-		return opt, nil, nil, fmt.Errorf("mst: key %d at position %d outside previous-index domain [0, %d]", keys[i], i, n)
-	}
-	rank := make([]int32, n)
-	placeRanks(keys, cnt, rank, pos)
-	return opt, rank, cnt[:n+2], nil
 }
 
 // keyStarts and placeRanks are the two halves of the one stable counting
@@ -182,34 +185,15 @@ func placeRanks[K int32 | int64](keys []K, cnt, rank, pos []int32) {
 	}
 }
 
-// BuildSum builds the annotated tree of an int64 SUM over keys and values in
-// the given form, Leaves or Full: the one constructor that declares the
-// merge wrapping addition, whose inverse lets AggBelowBatch answer a narrow
-// range from the range before it (agg_diff.go). For that the tree also keeps
-// the base position of every rank, topPos, 4 bytes per element that MemBytes
-// charges. Its tree annotates further lanes of the same sum (Lane).
-func BuildSum[K int32 | int64](keys []K, values []int64, opt Options, form Form) (*AnnotatedTree[int64], error) {
-	return buildAnnotated(keys, values, addInt64, opt, form, true)
-}
-
-// Lane returns the tree of one more lane of a sum over the keys of at, a
-// tree BuildSum built: values in position order, annotated over at's
-// ranks, topPos and threshold map, which the two trees share. It answers
-// like BuildSum over the same keys and values, in at's form. MemBytes of
-// the lane charges the shared structure again; MemBytes(8) − MemBytes(0)
-// is what the lane adds.
-func (at *AnnotatedTree[S]) Lane(values []S, opt Options) (*AnnotatedTree[S], error) {
-	if !at.sum {
-		return nil, fmt.Errorf("mst: Lane needs a tree BuildSum built")
-	}
-	if len(values) != at.n {
-		return nil, fmt.Errorf("mst: %d keys but %d values", at.n, len(values))
-	}
-	lane := *at
-	if err := lane.annotate(values, at.t.topPos, opt); err != nil {
-		return nil, err
-	}
-	return &lane, nil
+// BuildSum builds the annotated tree of an int64 sum over keys, one lane
+// per slice of lanes, in the given form, Leaves or Full: the one
+// constructor that declares the merge wrapping addition, whose inverse lets
+// AggBelowBatch answer a narrow range from the range before it
+// (agg_diff.go). For that the tree also keeps the base position of every
+// rank, topPos, 4 bytes per element that MemBytes charges. It keeps the
+// lanes as its level 0, uncopied.
+func BuildSum[K int32 | int64](keys []K, lanes [][]int64, opt Options, form Form) (*AnnotatedTree[int64], error) {
+	return buildAnnotated(keys, lanes, addInt64, opt, form, true)
 }
 
 func addInt64(a, b int64) int64 { return a + b }
@@ -228,33 +212,54 @@ func (at *AnnotatedTree[S]) leaf(w int) bool { return LeafRule(w, at.form) }
 
 // MemBytes reports the approximate resident size of the tree: payloads,
 // cascading pointers and origin stripes, a sum tree's topPos, the threshold
-// map, plus the per-element aggregate annotations, assuming aggBytes bytes
+// map, plus every lane's values and prefix states, assuming aggBytes bytes
 // per aggregate state. Used for cache budget accounting.
 func (at *AnnotatedTree[S]) MemBytes(aggBytes int) int64 {
-	total := int64(at.t.stats().Bytes) + int64(4*len(at.below))
+	states := len(at.lanes) * at.n
 	for _, lv := range at.agg {
-		total += int64(len(lv) * aggBytes)
+		states += len(lv)
 	}
-	return total
+	return int64(at.t.stats().Bytes) + int64(4*len(at.below)) + int64(states*aggBytes)
 }
 
-// foldLeaves is the aggregate leaf rule: the states of the entries at
-// positions [lo, hi) whose rank is below ct, merged in position order, and
-// how many there are. Callers guarantee 0 <= lo < hi <= n.
-func (at *AnnotatedTree[S]) foldLeaves(lo, hi int, ct int32) (result S, ok bool, cnt int32) {
-	vals := at.agg[0][lo:hi]
-	for j, r := range at.t.levels[0][lo:hi] {
-		if r >= ct {
-			continue
-		}
-		if cnt == 0 {
-			result = vals[j]
+// add merges every lane's state at entry i of level lv into query q's
+// answer, lane l at result[l*m+q], or sets the answer when first holds.
+func (at *AnnotatedTree[S]) add(result []S, m, q int, first bool, lv, i int) {
+	nl := len(at.lanes)
+	for l := range nl {
+		var s S
+		if lv == 0 {
+			s = at.lanes[l][i]
 		} else {
-			result = at.merge(result, vals[j])
+			s = at.agg[lv][i*nl+l]
 		}
-		cnt++
+		if !first {
+			s = at.merge(result[l*m+q], s)
+		}
+		result[l*m+q] = s
 	}
-	return result, cnt > 0, cnt
+}
+
+// foldLeaves is the aggregate leaf rule: it sets query q's answer, of m, to
+// the states of the entries at positions [lo, hi) whose rank is below ct,
+// merged lane by lane in position order, and returns how many there are.
+// Callers guarantee 0 <= lo < hi <= n.
+func (at *AnnotatedTree[S]) foldLeaves(result []S, m, q, lo, hi int, ct int32) (cnt int32) {
+	for l, values := range at.lanes {
+		cnt = 0
+		for j, r := range at.t.levels[0][lo:hi] {
+			if r >= ct {
+				continue
+			}
+			if cnt == 0 {
+				result[l*m+q] = values[lo+j]
+			} else {
+				result[l*m+q] = at.merge(result[l*m+q], values[lo+j])
+			}
+			cnt++
+		}
+	}
+	return cnt
 }
 
 // clip clamps the position range and maps the key threshold to the rank

@@ -143,7 +143,7 @@ func TestAnnotatedSumDistinct(t *testing.T) {
 		}
 		keys := prevIdcsRef(vals)
 		for _, opt := range []Options{{}, {Fanout: 2, SampleEvery: 1}, {Context: serialBuild}} {
-			at, err := BuildSum(keys, vals, opt, Full)
+			at, err := BuildSum(keys, [][]int64{vals}, opt, Full)
 			if err != nil {
 				t.Fatal(err)
 			}

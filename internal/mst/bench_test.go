@@ -264,9 +264,9 @@ func BenchmarkSelectKthRangesBatch(b *testing.B) {
 // and frames as BenchmarkCountBelowBatch. The frame arms probe a tree of
 // float64 states under a generic merge (BuildAnnotated). The lanes/ arms
 // probe what core builds for a float SUM(DISTINCT) over cents prices: the
-// value's cents as a price, cut into L = 3 int64 lanes (floatLanes), one
-// sum tree per lane over shared keys (BuildSum, Lane), each probed per
-// chunk. The sum/ arms probe an int64 sum's tree (BuildSum) with the narrow
+// value's cents as a price, cut into L = 3 int64 lanes (floatLanes), all
+// held by one sum tree (BuildSum) and probed by one descent per chunk. The
+// sum/ arms probe a one-lane int64 sum's tree (BuildSum) with the narrow
 // frames of multi_partitioned_200k, which it answers from each query's
 // predecessor (agg_diff.go); diff/row is the share answered so.
 func BenchmarkAggBelowBatch(b *testing.B) {
@@ -281,7 +281,7 @@ func BenchmarkAggBelowBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := BuildSum(keys, vals, Options{}, Full)
+	st, err := BuildSum(keys, [][]int64{vals}, Options{}, Full)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,18 +293,13 @@ func BenchmarkAggBelowBatch(b *testing.B) {
 	if len(priceLanes) != 3 {
 		b.Fatalf("cents prices take %d lanes, want 3", len(priceLanes))
 	}
-	lanes := make([]*AnnotatedTree[int64], len(priceLanes))
-	if lanes[0], err = BuildSum(keys, priceLanes[0], Options{}, Full); err != nil {
+	lt, err := BuildSum(keys, priceLanes, Options{}, Full)
+	if err != nil {
 		b.Fatal(err)
-	}
-	for l := 1; l < len(lanes); l++ {
-		if lanes[l], err = lanes[0].Lane(priceLanes[l], Options{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 	lo, hi := make([]int32, chunk), make([]int32, chunk)
 	thr := make([]int64, chunk)
-	res, sums := make([]float64, chunk), make([]int64, chunk)
+	res, sums, laneSums := make([]float64, chunk), make([]int64, chunk), make([]int64, len(priceLanes)*chunk)
 	ok := make([]bool, chunk)
 	cnt := make([]int32, chunk)
 	probe := func(b *testing.B, frame int, answer func() (leaves, diffs int)) {
@@ -331,12 +326,7 @@ func BenchmarkAggBelowBatch(b *testing.B) {
 	}
 	for _, frame := range []int{100, 10_000, n / 2} {
 		b.Run(fmt.Sprintf("lanes/frame%d", frame), func(b *testing.B) {
-			probe(b, frame, func() (leaves, diffs int) {
-				for _, lane := range lanes {
-					leaves, diffs = lane.AggBelowBatch(lo, hi, thr, sums, ok, cnt)
-				}
-				return leaves, diffs
-			})
+			probe(b, frame, func() (int, int) { return lt.AggBelowBatch(lo, hi, thr, laneSums, ok, cnt) })
 		})
 	}
 	for _, frame := range []int{60, 100} {

@@ -228,9 +228,9 @@ func fuzzSeedBytes(n int, seed int64) []byte {
 // kernel against brute force under both leaf seam settings, with ranges one
 // row either side of LeafRows in the batch: a tree whose merge is addition
 // but undeclared, which folds every narrow range, and the sum tree
-// (BuildSum), which answers a narrow range from the one before it where the
-// cost rule says so (wantAggCounts), and a further lane of it (Lane) over
-// the negated values. A leaf-only arm (leafOnlyAggs) checks
+// (BuildSum) of two lanes, the values and their negations, which answers a
+// narrow range from the one before it where the cost rule says so
+// (wantAggCounts). A leaf-only arm (leafOnlyAggs) checks
 // the leaf-only forms of both int64 trees.
 func FuzzAggBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 0, 0, 9}, 0, 7, int64(4), uint8(0), uint8(0), uint8(0))
@@ -286,29 +286,22 @@ func FuzzAggBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("BuildAnnotated(%d int64 keys, %+v): %v", len(keys), opt, err)
 		}
-		st, err := BuildSum(keys, ivals, opt, Full)
-		if err != nil {
-			t.Fatalf("BuildSum(%d keys, %+v): %v", len(keys), opt, err)
-		}
 		neg := make([]int64, len(ivals))
 		for i, v := range ivals {
 			neg[i] = -v
 		}
-		lane, err := st.Lane(neg, opt)
+		st, err := BuildSum(keys, [][]int64{ivals, neg}, opt, Full)
 		if err != nil {
-			t.Fatalf("Lane(%d values, %+v): %v", len(neg), opt, err)
+			t.Fatalf("BuildSum(%d keys, %+v): %v", len(keys), opt, err)
 		}
 		leafSeam(t, func(t *testing.T) {
 			wantLeaves, _ := wantAggCounts(Full, false, keys, bLo, bHi, bThr)
-			if leaves, diffs := checkIntSums(t, "int64", it, keys, ivals, bLo, bHi, bThr, addInt64); leaves != wantLeaves || diffs != 0 {
+			if leaves, diffs := checkIntSums(t, "int64", it, keys, [][]int64{ivals}, bLo, bHi, bThr, addInt64); leaves != wantLeaves || diffs != 0 {
 				t.Errorf("int64 AggBelowBatch reports %d queries at the leaves and %d from their predecessor, want %d and 0 (opt %+v)", leaves, diffs, wantLeaves, opt)
 			}
 			wantL, wantD := wantAggCounts(Full, true, keys, bLo, bHi, bThr)
-			if leaves, diffs := checkIntSums(t, "sum", st, keys, ivals, bLo, bHi, bThr, addInt64); leaves != wantL || diffs != wantD {
+			if leaves, diffs := checkIntSums(t, "sum", st, keys, [][]int64{ivals, neg}, bLo, bHi, bThr, addInt64); leaves != wantL || diffs != wantD {
 				t.Errorf("sum tree reports %d queries at the leaves and %d from their predecessor, the cost rule names %d and %d (opt %+v)", leaves, diffs, wantL, wantD, opt)
-			}
-			if leaves, diffs := checkIntSums(t, "lane", lane, keys, neg, bLo, bHi, bThr, addInt64); leaves != wantL || diffs != wantD {
-				t.Errorf("lane of the sum tree reports %d queries at the leaves and %d from their predecessor, the cost rule names %d and %d (opt %+v)", leaves, diffs, wantL, wantD, opt)
 			}
 		})
 		leafOnlyAggs(t, keys, ivals, opt, lo, hi, threshold)

@@ -242,7 +242,7 @@ func leafOnlyCounts(t *testing.T, keys []int64, opt Options, lo, hi int, thresho
 // sliding run from each query's predecessor as the cost rule says.
 func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, threshold int64) {
 	t.Helper()
-	lt, err := buildAnnotated(keys, vals, addInt64, opt, Leaves, false)
+	lt, err := buildAnnotated(keys, [][]int64{vals}, addInt64, opt, Leaves, false)
 	if err != nil {
 		t.Fatalf("buildAnnotated(%d keys, %+v, Leaves): %v", len(keys), opt, err)
 	}
@@ -272,7 +272,7 @@ func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, thr
 		wantWidthPanic(t, func() { lt.AggBelowBatch([]int32{0}, []int32{int32(n)}, []int64{1}, sums[:1], ok[:1], cnt[:1]) })
 	}
 
-	st, err := BuildSum(keys, vals, opt, Leaves)
+	st, err := BuildSum(keys, [][]int64{vals}, opt, Leaves)
 	if err != nil {
 		t.Fatalf("BuildSum(%d keys, %+v, Leaves): %v", len(keys), opt, err)
 	}
@@ -282,7 +282,7 @@ func leafOnlyAggs(t *testing.T, keys, vals []int64, opt Options, lo, hi int, thr
 	_, sLo, sHi, sThr := slidingQueries(len(keys), slidingWidth(lo, hi))
 	qLo, qHi, thr = append(qLo, sLo...), append(qHi, sHi...), append(thr, sThr...)
 	wantL, wantD := wantAggCounts(Leaves, true, keys, qLo, qHi, thr)
-	if leaves, diffs := checkIntSums(t, "leaf-only sum", st, keys, vals, qLo, qHi, thr, addInt64); leaves != wantL || diffs != wantD {
+	if leaves, diffs := checkIntSums(t, "leaf-only sum", st, keys, [][]int64{vals}, qLo, qHi, thr, addInt64); leaves != wantL || diffs != wantD {
 		t.Errorf("leaf-only sum tree reports %d queries at the leaves and %d from their predecessor, the cost rule names %d and %d", leaves, diffs, wantL, wantD)
 	}
 	wantWidthError(t, st.CheckRows(LeafRows+1), LeafRows+1)
@@ -296,7 +296,7 @@ func slidingWidth(lo, hi int) int { return 1 + absInt(hi-lo)%LeafRows }
 // cutoff: every range of at most LeafRows rows answers like the full tree's,
 // what they own is level 0 (and, annotated, the threshold map and the
 // states), and what they cannot do they refuse — a wider range, selection,
-// a lane of a tree BuildSum did not build.
+// a lane whose length is not the keys'.
 func TestLeafOnlyStructures(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const n = 600
@@ -327,12 +327,8 @@ func TestLeafOnlyStructures(t *testing.T) {
 			probe()
 		}()
 	}
-	at, err := buildAnnotated(keys, vals, addInt64, Options{}, Leaves, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := at.Lane(vals, Options{}); err == nil {
-		t.Error("Lane accepted a tree BuildSum did not build, which keeps no topPos")
+	if _, err := BuildSum(keys, [][]int64{vals, vals[1:]}, Options{}, Leaves); err == nil {
+		t.Error("BuildSum(Leaves) accepted a lane shorter than its keys")
 	}
 	if _, err := BuildForm([]int64{-1}, Options{}, Leaves); err == nil {
 		t.Error("BuildForm(Leaves) accepted a negative key")

@@ -431,24 +431,34 @@ func (e *evaluation) eval(row int, in []int) Value {
 		// when a NaN or both infinities are summed, the infinity when one is,
 		// −0.0 when only −0.0 is, else the exact sum — over the count for
 		// AVG — rounded once to nearest even.
-		sum, inf, negZeros, isum := new(big.Rat), 0.0, 0, int64(0)
+		// The exact sum is a whole number of units 2⁻¹⁰⁷⁴, as is every
+		// finite float64 and every int64, so it adds up in a big.Int and
+		// takes one division, by 2¹⁰⁷⁴ and the count, at the end.
+		sum, inf, negZeros, isum := new(big.Int), 0.0, 0, int64(0)
+		unit := new(big.Int)
 		for _, r := range in {
 			v := arg.Value(r)
 			isum += v.I
 			switch {
 			case v.Kind == Int64:
-				sum.Add(sum, new(big.Rat).SetInt64(v.I))
+				sum.Add(sum, unit.Lsh(unit.SetInt64(v.I), 1074))
 			case math.IsNaN(v.F) || math.IsInf(v.F, 0):
 				inf += v.F
 			default:
 				negZeros += boolInt(v.F == 0 && math.Signbit(v.F))
-				sum.Add(sum, new(big.Rat).SetFloat64(v.F))
+				frac, exp := math.Frexp(v.F) // v = m·2^(exp−53), m a whole number
+				m, sh := int64(frac*(1<<53)), exp-53+1074
+				if sh < 0 {
+					m, sh = m>>-sh, 0 // a subnormal: the bits shifted out are zero
+				}
+				sum.Add(sum, unit.Lsh(unit.SetInt64(m), uint(sh)))
 			}
 		}
+		div := new(big.Int).Lsh(big.NewInt(1), 1074)
 		if avg {
-			sum.Quo(sum, new(big.Rat).SetInt64(int64(len(in))))
+			div.Mul(div, big.NewInt(int64(len(in))))
 		}
-		x, _ := sum.Float64()
+		x, _ := new(big.Rat).SetFrac(sum, div).Float64()
 		switch {
 		case arg.Kind == Int64 && !avg:
 			return integer(isum)
@@ -464,9 +474,11 @@ func (e *evaluation) eval(row int, in []int) Value {
 		if len(in) == 0 {
 			return null
 		}
+		// The first row in (value, table row) order for MIN, the last for
+		// MAX, so of equal values (−0.0 and 0.0, NaNs) the table row picks.
 		best := in[0]
 		for _, r := range in[1:] {
-			if c := e.class[r] - e.class[best]; c < 0 && f.Name == "min" || c > 0 && f.Name == "max" {
+			if c := cmp.Or(e.class[r]-e.class[best], r-best); c < 0 && f.Name == "min" || c > 0 && f.Name == "max" {
 				best = r
 			}
 		}

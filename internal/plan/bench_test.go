@@ -57,7 +57,7 @@ func BenchmarkEvalMultiFunctionShared(b *testing.B) {
 		{Name: "s", PartitionBy: part,
 			Func: &core.FuncSpec{Name: core.Sum, Output: "s", Arg: "v"}},
 	}}
-	p, err := plan.Build(stmt, plan.TableKinds(tab))
+	p, err := plan.Build(stmt)
 	if err != nil {
 		b.Fatal(err)
 	}

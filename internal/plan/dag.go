@@ -23,9 +23,7 @@ import (
 // which LEAD/LAG probe beside their permutation tree: it is not a DAG node,
 // so the DAG shows neither the row-number trees LEAD/LAG build nor the
 // builds they save by sharing one with each other or with a ROW_NUMBER.
-// kindOf resolves argument kinds, which pick a DISTINCT sum's state (nil:
-// treat them as INT64).
-func (p *Plan) buildDAG(kindOf KindResolver) {
+func (p *Plan) buildDAG() {
 	var nodes []Node
 	st := Stats{}
 	for gi, g := range p.groups {
@@ -68,13 +66,7 @@ func (p *Plan) buildDAG(kindOf KindResolver) {
 		for _, w := range g.windows {
 			for i := range w.funcs {
 				f := &w.funcs[i]
-				argKind := core.Int64
-				if kindOf != nil {
-					if k, ok := kindOf(f.Arg); ok {
-						argKind = k
-					}
-				}
-				s := core.StructureOf(f, w.orderBy, effectiveFrame(f, w.orderBy), argKind)
+				s := core.StructureOf(f, w.orderBy, effectiveFrame(f, w.orderBy))
 				probeInput := partID
 				if s.Tag != "" {
 					key := s.String()

@@ -24,13 +24,14 @@
 // only if every one of its functions is order-insensitive: its result is
 // determined by the frame's row set (plus the function-level order, which
 // ties on original row index and is independent of the window sort).
-// Order-sensitive cases stay in their own group: ROWS-mode frames
+// Order-sensitive frames stay in their own group: ROWS-mode frames
 // (positional — except unbounded..unbounded, which is the whole partition
-// in any mode) and MIN/MAX over FLOAT64 (-0.0 and +0.0 compare equal but
-// render differently). SUM and AVG share: every sum is exact or wraps
-// modulo 2⁶⁴ (core's exactsum.go), so no order reaches the answer. Windows whose ORDER BY equals the
-// group's sort order exactly are unrestricted. The shared-plan equivalence
-// suite pins byte-identical results across all 22 functions.
+// in any mode) and per-row offset expressions. No function is: every sum is
+// exact or wraps modulo 2⁶⁴ (core's exactsum.go), and MIN/MAX break ties
+// between equal values by table row, so no order reaches an answer and the
+// plan reads no column type. Windows whose ORDER BY equals the group's sort
+// order exactly are unrestricted. The shared-plan equivalence suite pins
+// byte-identical results across all 22 functions.
 package plan
 
 import (
@@ -132,27 +133,10 @@ type Plan struct {
 	passThrough int
 }
 
-// KindResolver reports a column's type, when known. Build uses it to decide
-// whether MIN/MAX arguments are float, whose winner among equals is
-// order-sensitive; a nil resolver treats every column as INT64.
-type KindResolver func(column string) (core.Kind, bool)
-
-// TableKinds adapts a table to a KindResolver.
-func TableKinds(t *core.Table) KindResolver {
-	return func(column string) (core.Kind, bool) {
-		c := t.Column(column)
-		if c == nil {
-			return 0, false
-		}
-		return c.Kind(), true
-	}
-}
-
 // Build normalizes the statement's windows and constructs the shared plan:
 // identical windows merge, compatible windows cluster under one sort, and
-// the DAG records which functions consume every shared node. kindOf may be
-// nil (see KindResolver).
-func Build(stmt *Statement, kindOf KindResolver) (*Plan, error) {
+// the DAG records which functions consume every shared node.
+func Build(stmt *Statement) (*Plan, error) {
 	p := &Plan{stmt: stmt}
 	seen := make(map[string]bool, len(stmt.Items))
 
@@ -218,7 +202,7 @@ func Build(stmt *Statement, kindOf KindResolver) (*Plan, error) {
 				if !orderIsPrefix(w.orderBy, g.orderBy) {
 					continue
 				}
-				if len(w.orderBy) < len(g.orderBy) && !windowInsensitive(w, kindOf) {
+				if len(w.orderBy) < len(g.orderBy) && !windowInsensitive(w) {
 					continue
 				}
 				g.windows = append(g.windows, w)
@@ -246,7 +230,7 @@ func Build(stmt *Statement, kindOf KindResolver) (*Plan, error) {
 		sort.SliceStable(g.windows, func(i, j int) bool { return g.windows[i].first < g.windows[j].first })
 	}
 
-	p.buildDAG(kindOf)
+	p.buildDAG()
 	return p, nil
 }
 
@@ -287,9 +271,9 @@ func effectiveFrame(f *core.FuncSpec, orderBy []core.SortKey) frame.Spec {
 
 // windowInsensitive reports whether every function of the window tolerates
 // a refined sort order (see the package comment's soundness rules).
-func windowInsensitive(w *window, kindOf KindResolver) bool {
+func windowInsensitive(w *window) bool {
 	for i := range w.funcs {
-		if !orderInsensitive(&w.funcs[i], w.orderBy, kindOf) {
+		if !orderInsensitive(&w.funcs[i], w.orderBy) {
 			return false
 		}
 	}
@@ -298,35 +282,21 @@ func windowInsensitive(w *window, kindOf KindResolver) bool {
 
 // orderInsensitive reports whether one function's result is determined by
 // frame row sets alone, making it safe to evaluate under a sort refined
-// beyond its window's ORDER BY.
-func orderInsensitive(f *core.FuncSpec, orderBy []core.SortKey, kindOf KindResolver) bool {
+// beyond its window's ORDER BY. Every function is, over the same row set:
+// sums are exact or wrap, MIN/MAX and the function-level order tie on
+// original row index, independent of the window sort. So only the frame
+// decides.
+func orderInsensitive(f *core.FuncSpec, orderBy []core.SortKey) bool {
 	fr := effectiveFrame(f, orderBy)
 	// An unbounded..unbounded frame is the whole partition in any mode: the
 	// row set cannot depend on order. (This is the shape windows without an
 	// ORDER BY get, so unordered windows join any compatible sort.)
-	wholePartition := fr.Start.Type == frame.UnboundedPreceding &&
-		fr.End.Type == frame.UnboundedFollowing
-	if !wholePartition {
-		// ROWS frames select rows by position; an intra-peer permutation
-		// changes the selected set. RANGE and GROUPS frames are peer-aligned.
-		if fr.Mode == frame.Rows {
-			return false
-		}
-		// Per-row offset expressions are keyed by row id, not position, but
-		// the positions they shift from move — keep them unshared.
-		if fr.Start.OffsetFn != nil || fr.End.OffsetFn != nil {
-			return false
-		}
+	if fr.Start.Type == frame.UnboundedPreceding && fr.End.Type == frame.UnboundedFollowing {
+		return true
 	}
-	if (f.Name == core.Min || f.Name == core.Max) && kindOf != nil {
-		// floatCompare treats -0.0 and +0.0 (and all NaNs) as equal, so the
-		// winner among equals depends on merge order for floats.
-		kind, ok := kindOf(f.Arg)
-		return !ok || kind != core.Float64
-	}
-	// Everything else — sums, counts, distinct counts, the rank family,
-	// percentiles, value selection, LEAD/LAG — is a pure function of the
-	// frame's row set: sums are exact or wrap, and the function-level order
-	// ties on original row index and is independent of the window sort.
-	return true
+	// ROWS frames select rows by position; an intra-peer permutation
+	// changes the selected set. RANGE and GROUPS frames are peer-aligned.
+	// Per-row offset expressions are keyed by row id, not position, but the
+	// positions they shift from move — keep them unshared.
+	return fr.Mode != frame.Rows && fr.Start.OffsetFn == nil && fr.End.OffsetFn == nil
 }

@@ -664,15 +664,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err))
 		return
 	}
-	// The DAG benefits from column kinds (the planner's float-sensitivity
-	// gate and SUM(DISTINCT)'s state), so resolve the FROM dataset when it
-	// is registered; explaining against an unknown dataset still works,
-	// conservatively.
-	var tab *core.Table
-	if ds, ok := s.lookup(q.From); ok {
-		tab = ds.schema
-	}
-	p, err := sqlparse.BuildPlan(q, tab)
+	p, err := sqlparse.BuildPlan(q, nil)
 	if err != nil {
 		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err))
 		return

@@ -30,12 +30,6 @@ func ExecutePlanned(q *Query, tables map[string]*core.Table, opt core.Options) (
 	if !ok {
 		return nil, plan.Stats{}, fmt.Errorf("sql: unknown table %q", q.From)
 	}
-	for i := range q.Items {
-		item := &q.Items[i]
-		if item.Func == nil && src.Column(item.Column) == nil {
-			return nil, plan.Stats{}, fmt.Errorf("sql: unknown column %q", item.Column)
-		}
-	}
 	p, err := BuildPlan(q, src)
 	if err != nil {
 		return nil, plan.Stats{}, err
@@ -43,20 +37,20 @@ func ExecutePlanned(q *Query, tables map[string]*core.Table, opt core.Options) (
 	return p.Execute(src, opt)
 }
 
-// BuildPlan runs the shared-plan optimizer over a parsed query. The table
-// supplies column kinds for the planner's float-sensitivity gate; it may be
-// nil (explaining without data), which keeps the planner conservative about
-// sharing sorts under SUM/MIN/MAX.
+// BuildPlan runs the shared-plan optimizer over a parsed query. The plan
+// reads no column type, so t only checks that every projected column
+// exists; it may be nil (explaining without data), which skips the check.
 func BuildPlan(q *Query, t *core.Table) (*plan.Plan, error) {
+	for i := range q.Items {
+		if item := &q.Items[i]; t != nil && item.Func == nil && t.Column(item.Column) == nil {
+			return nil, fmt.Errorf("sql: unknown column %q", item.Column)
+		}
+	}
 	stmt, err := toStatement(q)
 	if err != nil {
 		return nil, err
 	}
-	var kinds plan.KindResolver
-	if t != nil {
-		kinds = plan.TableKinds(t)
-	}
-	return plan.Build(stmt, kinds)
+	return plan.Build(stmt)
 }
 
 // toStatement converts a parsed query to planner form: output names

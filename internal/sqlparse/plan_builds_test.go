@@ -72,6 +72,10 @@ func TestPlanMatchesBuilds(t *testing.T) {
 			sum(distinct fv) over (order by d rows unbounded preceding) as e,
 			avg(distinct fv) over (order by d) as f
 			from t`, 4, 0},
+		{"INT64 SUM and AVG(DISTINCT) share one structure", `select
+			sum(distinct v) over (order by d) as a,
+			avg(distinct v) over (order by d) as b
+			from t`, 1, 0},
 		{"DENSE_RANK by width", `select
 			dense_rank() over (order by d rows 5 preceding) as a,
 			dense_rank() over (order by d) as b,

@@ -139,5 +139,11 @@ check 'one structure per reduction' all \
 # the oracle's tolerance stay deleted
 check 'one sum arithmetic' all \
     'takeStride|takeCnt|mergeTree|treeBuild|leafFold|oracle\.Near'
+# plans read no column types: an INT64 SUM takes the exact lanes, MIN/MAX
+# break ties by table row and one annotated tree holds every lane of a sum,
+# so the kind resolver, the raw INT64 lane, the state label and the
+# per-lane trees stay deleted
+check 'plans read no column types' all \
+    'KindResolver|TableKinds|argKind|\.Lane\(|sl\.exact|State: *"'
 
 exit $fail

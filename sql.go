@@ -65,21 +65,14 @@ type SQLPlan struct {
 // it and returns the structured plan DAG: one sort node per shared-sort
 // cluster, partition-boundary, preprocessing and tree nodes annotated with
 // every function that consumes them, and one probe node per function (the
-// /v1/explain plan_dag field, locally; RenderPlan renders it).
-//
-// tables may be nil or missing the FROM table: column kinds are then
-// unknown and the optimizer is conservative about sharing sorts under
-// float-sensitive functions (SUM/MIN/MAX).
-func PlanSQL(query string, tables map[string]*Table) (*SQLPlan, error) {
+// /v1/explain plan_dag field, locally; RenderPlan renders it). The plan
+// reads no column type, so it needs no table.
+func PlanSQL(query string) (*SQLPlan, error) {
 	q, err := sqlparse.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	var src *core.Table
-	if tables != nil {
-		src = tables[q.From]
-	}
-	p, err := sqlparse.BuildPlan(q, src)
+	p, err := sqlparse.BuildPlan(q, nil)
 	if err != nil {
 		return nil, err
 	}

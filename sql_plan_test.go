@@ -22,8 +22,7 @@ const planTestSQL = `
 	window w as (partition by g order by d)`
 
 func TestPlanSQLStructured(t *testing.T) {
-	tables := map[string]*Table{"t": planTestTable()}
-	sp, err := PlanSQL(planTestSQL, tables)
+	sp, err := PlanSQL(planTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,25 +31,14 @@ func TestPlanSQLStructured(t *testing.T) {
 	}
 	// One sort serves all four functions: w and its frame variant merge into
 	// one window (dedup, not counted as sharing), the unordered SUM window
-	// (INT64 argument) joins the shared sort, and the two distinct counts
-	// share one tree.
+	// joins the shared sort — the plan reads no table, and a SUM of any kind
+	// shares — and the two distinct counts share one tree.
 	if sp.Stats.SortsShared != 1 || sp.Stats.TreesShared != 1 {
 		t.Fatalf("stats = %+v, want 1 sort and 1 tree shared", sp.Stats)
 	}
 	text := RenderPlan(sp.Nodes)
 	if !strings.Contains(text, "[shared by cd, cd2") {
 		t.Fatalf("rendering lacks shared-by annotation:\n%s", text)
-	}
-
-	// Without the FROM table the planner cannot see that v is INT64. A SUM
-	// shares whatever its kind — every sum is exact or wraps — so the
-	// kind-blind plan shares the same sort.
-	kindBlind, err := PlanSQL(planTestSQL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kindBlind.Stats.SortsShared != 1 {
-		t.Fatalf("kind-blind stats = %+v, want 1 sort shared", kindBlind.Stats)
 	}
 }
 
