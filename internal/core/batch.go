@@ -533,11 +533,10 @@ func distinctAggChunk(p *partition, fl *filtered, fc *frame.Computer, st *cached
 	}
 	slotQ[s] = i32(m)
 
-	// Lane l's sums are sums[l*m : (l+1)*m], cleared first, so a query no
-	// entry qualifies for sums to 0; one descent answers every lane.
+	// Lane l's sums are sums[l*m : (l+1)*m], 0 for a query no entry
+	// qualifies for; one descent answers every lane.
 	lanes := st.sum.lanes
 	sums := arena.Int64s.Get(len(lanes) * m)
-	clear(sums)
 	leaves, diffs := st.tree.AggBelowBatch(qlo[:m], qhi[:m], qthr[:m], sums, okv[:m], kcnt[:m])
 	agg.leaves.Add(int64(leaves))
 	agg.diffs.Add(int64(diffs))

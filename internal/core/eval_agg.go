@@ -65,7 +65,10 @@ func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *Column
 			pos[j] = i32(j)
 		}
 		pick := func(a, b int32) int32 {
-			if a < 0 || cmp.Or(kept.compareValues(int(b), int(a)), cmp.Compare(rows[b], rows[a]))*want > 0 {
+			if a < 0 {
+				return b
+			}
+			if c := kept.compareValues(int(b), int(a)); c*want > 0 || c == 0 && cmp.Compare(rows[b], rows[a])*want > 0 {
 				return b
 			}
 			return a

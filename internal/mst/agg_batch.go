@@ -6,14 +6,14 @@ import "holistic/internal/arena"
 // (round 2 of the count/select kernels in count_batch.go/select_batch.go).
 // It descends the shared frontier exactly like countKernel, but where a
 // count adds a covered child's rank, it adds the child's run prefix state,
-// every lane's, into the query's answer in place. The
-// merge is associative and commutative (annotated.go), so the order the
-// descent meets the covered prefixes in leaves no trace in the answer.
-// TestAggBelowBatchMatchesScalar and TestAggBelowBatchFloatBitIdentical
-// check it against an independent fold of the same decomposition. A query
-// whose range spans at most LeafRows rows never enters the descent: it
-// folds level 0 (leaf.go), or, on a sum tree, is answered from the narrow
-// query before it (agg_diff.go).
+// every lane's, into the query's answer in place, and a level-1 run left
+// on the frontier folds level 0 (leaf.go). The merge is associative and
+// commutative (annotated.go), so the order the descent meets the covered
+// prefixes in leaves no trace in the answer. TestAggBelowBatchMatchesScalar
+// and TestAggBelowBatchFloatBitIdentical check it against an independent
+// fold of the same decomposition. A query whose range spans at most
+// LeafRows rows never enters the descent: it folds level 0, or, on a sum
+// tree, is answered from the narrow query before it (agg_diff.go).
 //
 // The descent shares everything countKernel shares — per-level geometry
 // and sample rows loaded once per level, flat SoA frontier scratch — and
@@ -29,7 +29,7 @@ const aggSubBatch = 1024
 // of L lanes: result[l*m+q] is lane l's merged state of the entries at
 // positions [lo[q], hi[q]) whose key is strictly smaller than threshold[q];
 // ok[q] is false when no entry qualifies (the SQL aggregate is then NULL,
-// and the query's states are left as they were); and cnt[q] is how many
+// and the query's states are the zero state of S); and cnt[q] is how many
 // qualify — the distinct count falls out of the same descent for free, and
 // the DISTINCT-aggregate collectors need it for the NULL rule. Positions
 // are clamped to [0, Len()]. result holds L·m states, the other five slices
@@ -47,27 +47,27 @@ func (at *AnnotatedTree[S]) AggBelowBatch(lo, hi []int32, threshold []int64, res
 	kb := arena.Int32s.Get(3 * m)
 	defer arena.Int32s.Put(kb)
 	klo, khi, cthr := kb[:m], kb[m:2*m], kb[2*m:]
-	leaves, diffs, descend := at.aggLeaves(lo, hi, threshold, result, ok, cnt, klo, khi, cthr)
+	clear(result)
+	d := sumDiff{m: m, p: -1}
+	if at.sum {
+		d.lv0, d.lanes, d.topPos, d.sums = at.t.levels[0], any(at.lanes).([][]int64), at.t.topPos, any(result).([]int64)
+	}
+	leaves, diffs, descend := at.aggLeaves(lo, hi, threshold, result, ok, cnt, klo, khi, cthr, &d)
 	for s := 0; descend && s < m; s += aggSubBatch {
-		at.aggBelowSubBatch(klo, khi, cthr, result, ok, cnt, s, min(s+aggSubBatch, m))
+		at.aggBelowSubBatch(klo, khi, cthr, result, ok, cnt, s, min(s+aggSubBatch, m), &d)
 	}
 	return leaves, diffs
 }
 
-// aggLeaves clears ok and cnt of every query and answers each valid one
-// whose range the leaf rule takes: from the query it answered before it when
-// the tree is a sum tree and the difference costs fewer entries than the
-// range spans (agg_diff.go), else by folding level 0. It clips the rest for
-// the descent into [klo, khi) below rank cthr, leaving the range empty for
-// the queries it resolved. It reports how many it answered each way and
-// whether a query is left for the descent.
-func (at *AnnotatedTree[S]) aggLeaves(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt, klo, khi, cthr []int32) (leaves, diffs int, descend bool) {
-	m := len(lo)
-	var d sumDiff
-	if at.sum {
-		d = sumDiff{lv0: at.t.levels[0], lanes: any(at.lanes).([][]int64), topPos: at.t.topPos, sums: any(result).([]int64), m: m, p: -1}
-	}
-	for q := range m {
+// aggLeaves clears ok and cnt of every query, whose states AggBelowBatch
+// cleared, and answers each valid one whose range the leaf rule takes: on a
+// sum tree, d's, from the query it answered before it when the difference
+// costs fewer entries than the range spans (agg_diff.go), else by folding
+// level 0 (foldLeaves). It clips the rest for the descent into [klo, khi) below rank
+// cthr, leaving the range empty for the queries it resolved. It reports how
+// many it answered each way and whether a query is left for the descent.
+func (at *AnnotatedTree[S]) aggLeaves(lo, hi []int32, threshold []int64, result []S, ok []bool, cnt, klo, khi, cthr []int32, d *sumDiff) (leaves, diffs int, descend bool) {
+	for q := range lo {
 		ok[q], cnt[q], klo[q], khi[q] = false, 0, 0, 0
 		l, h, ct, valid := at.clip(int(lo[q]), int(hi[q]), threshold[q])
 		switch {
@@ -79,7 +79,7 @@ func (at *AnnotatedTree[S]) aggLeaves(lo, hi []int32, threshold []int64, result 
 		case at.sum && d.answer(q, l, h, ct, cnt):
 			diffs++
 		default:
-			cnt[q] = at.foldLeaves(result, m, q, l, h, ct)
+			cnt[q] = at.foldLeaves(result, d, q, l, h, ct, true)
 			leaves++
 		}
 		ok[q] = cnt[q] > 0
@@ -91,10 +91,12 @@ func (at *AnnotatedTree[S]) aggLeaves(lo, hi []int32, threshold []int64, result 
 // aggBelowSubBatch is one level-synchronous descent over queries [s, e), at
 // most aggSubBatch of the batch's m, clipped by aggLeaves to [klo, khi)
 // below rank cthr; it skips the empty ranges of those aggLeaves resolved.
-func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S, ok []bool, cnt []int32, s, e int) {
-	m, w, nl := len(klo), e-s, len(at.lanes)
+// A sum tree, d's, of any number of lanes adds an entry's L prefix states,
+// side by side at every level above 0, into the answers in place; any other
+// tree, one lane that BuildAnnotated built, merges its one.
+func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S, ok []bool, cnt []int32, s, e int, d *sumDiff) {
+	m, w, nl, sums := len(klo), e-s, len(at.lanes), d.sums
 	t := at.t
-	top := t.top()
 
 	// Frontier scratch, exactly countKernel's shape: at most two partial
 	// runs per query per level bound both frontiers.
@@ -103,37 +105,30 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S,
 	nq, nr, nrank := fbuf[6*w:8*w], fbuf[8*w:10*w], fbuf[10*w:12*w]
 
 	// Top level: the top run is the identity permutation, so the clipped
-	// threshold is its own rank; full-span queries resolve directly against
-	// the top run's prefix aggregates.
+	// threshold is its own rank, and every query starts as an item of the
+	// top run — run 0 of level 1 on a tree of one element, which the fold
+	// at the bottom takes.
 	cn := 0
 	for q := s; q < e; q++ {
-		if klo[q] >= khi[q] {
-			continue
+		if klo[q] < khi[q] {
+			cq[cn], cr[cn], crank[cn] = i32(q), 0, cthr[q]
+			cn++
 		}
-		rank := int(cthr[q])
-		if klo[q] <= 0 && int(khi[q]) >= t.n {
-			if rank > 0 {
-				at.add(result, m, q, true, top, rank-1)
-				ok[q] = true
-				cnt[q] = i32(rank)
-			}
-			continue
-		}
-		cq[cn], cr[cn], crank[cn] = i32(q), 0, i32(rank)
-		cn++
 	}
 
-	// Level-synchronous descent. One ranksStep (step.go) per frontier item
-	// ranks every overlapped child; covered children with a positive rank
-	// add their run prefix, partially covered children descend.
+	// Level-synchronous descent down to level 1's runs. One ranksStep
+	// (step.go) per frontier item ranks every overlapped child; covered
+	// children with a positive rank add their run prefix, partially covered
+	// children descend.
 	var ranks [maxOriginFanout]int32
 	f := t.f
-	for level := top; level >= 1 && cn > 0; level-- {
+	for level := t.top(); level >= 2 && cn > 0; level-- {
 		lv := t.view(level)
 		childLen := lv.childLen
-		prefixes := at.agg[level-1] // one lane's, read inline
-		if level == 1 {
-			prefixes = at.lanes[0]
+		prefixes := at.agg[level-1]
+		var psums []int64
+		if sums != nil {
+			psums = any(prefixes).([]int64)
 		}
 		nn := 0
 		for it := 0; it < cn; it++ {
@@ -151,12 +146,15 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S,
 				if qlo <= cs && qhi >= ce {
 					if cRank > 0 {
 						cnt[q] += i32(cRank)
-						if e := cs + cRank - 1; nl > 1 {
-							at.add(result, m, q, !ok[q], level-1, e)
-						} else if ok[q] {
-							result[q] = at.merge(result[q], prefixes[e])
-						} else {
-							result[q] = prefixes[e]
+						switch i := cs + cRank - 1; {
+						case sums != nil:
+							for l, v := range psums[i*nl : i*nl+nl] {
+								sums[l*m+q] += v
+							}
+						case ok[q]:
+							result[q] = at.merge(result[q], prefixes[i])
+						default:
+							result[q] = prefixes[i]
 						}
 						ok[q] = true
 					}
@@ -174,6 +172,17 @@ func (at *AnnotatedTree[S]) aggBelowSubBatch(klo, khi, cthr []int32, result []S,
 		cr, nr = nr, cr
 		crank, nrank = nrank, crank
 		cn = nn
+	}
+
+	// A level-1 run left on the frontier folds level 0 by the leaf rule:
+	// its children are single entries, and an entry qualifies when its rank
+	// is below the query's clipped rank.
+	for it := range cn {
+		q := int(cq[it])
+		runStart := int(cr[it]) * f
+		l, h := max(int(klo[q]), runStart), min(int(khi[q]), runStart+f)
+		cnt[q] += at.foldLeaves(result, d, q, l, h, cthr[q], !ok[q])
+		ok[q] = cnt[q] > 0
 	}
 
 	arena.Int32s.Put(fbuf)

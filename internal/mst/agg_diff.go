@@ -22,9 +22,10 @@ package mst
 // entries. Each lane of a sum walks the same strips and band. Trees of any
 // other merge, an int64 MIN say, never take it.
 
-// sumDiff is aggLeaves' state for a sum tree: level 0's ranks and lanes,
-// topPos, the batch's lane-major results over m queries, and the query
-// answered last — p, -1 before the first — with its clipped range and rank.
+// sumDiff is AggBelowBatch's state for a sum tree: level 0's ranks and
+// lanes, topPos, the batch's lane-major results over m queries, and the
+// query aggLeaves answered last — p, -1 before the first — with its clipped
+// range and rank. On any other tree only m and p are set.
 type sumDiff struct {
 	lv0          []int32
 	lanes        [][]int64
@@ -36,36 +37,22 @@ type sumDiff struct {
 
 // answer answers query q, clipped to [l, h) below rank ct, from query p
 // when that reads fewer entries than folding the range would, writing its
-// sums and count; it reports whether it did. Of each pair of loops over a
-// strip or the band at most one runs: the one for the direction it moved.
-// Each lane repeats the walk, so a lane's loops stay those of one sum.
+// sums and count; it reports whether it did. Of each pair of strips or
+// loops over the band at most one is non-empty: the one for the direction
+// it moved. Each lane repeats the walk, so a lane's loops stay those of one
+// sum.
 func (d *sumDiff) answer(q, l, h int, ct int32, cnt []int32) bool {
 	if d.p < 0 || absInt(l-d.lo)+absInt(h-d.hi)+absInt(int(ct)-int(d.ct)) >= h-l {
 		return false
 	}
-	lv0, r, c := d.lv0, d.ct, 0
+	r := d.ct
 	for lane, vals := range d.lanes {
-		s := d.sums[lane*d.m+d.p]
-		c = int(cnt[d.p])
-		// The position strips, under the old rank r: a rank below r gives a
-		// mask of all ones (ranks lie in [0, math.MaxInt32], so e-r cannot
-		// overflow), which takes the value in without a branch.
-		for j := d.hi; j < h; j++ {
-			m := int64((lv0[j] - r) >> 31)
-			s, c = s+vals[j]&m, c-int(m)
-		}
-		for j := h; j < d.hi; j++ {
-			m := int64((lv0[j] - r) >> 31)
-			s, c = s-vals[j]&m, c+int(m)
-		}
-		for j := d.lo; j < l; j++ {
-			m := int64((lv0[j] - r) >> 31)
-			s, c = s-vals[j]&m, c+int(m)
-		}
-		for j := l; j < d.lo; j++ {
-			m := int64((lv0[j] - r) >> 31)
-			s, c = s+vals[j]&m, c-int(m)
-		}
+		// The position strips, under the old rank r.
+		s1, c1 := d.masked(vals, d.hi, h, r)
+		s2, c2 := d.masked(vals, h, d.hi, r)
+		s3, c3 := d.masked(vals, d.lo, l, r)
+		s4, c4 := d.masked(vals, l, d.lo, r)
+		s, c := d.sums[lane*d.m+d.p]+s1-s2-s3+s4, cnt[d.p]+c1-c2-c3+c4
 		// The value band, under the new range.
 		w := uint(h - l)
 		for _, p := range d.topPos[r:max(r, ct)] {
@@ -78,8 +65,32 @@ func (d *sumDiff) answer(q, l, h int, ct int32, cnt []int32) bool {
 				s, c = s-vals[p], c-1
 			}
 		}
-		d.sums[lane*d.m+q] = s
+		d.sums[lane*d.m+q], cnt[q] = s, c
 	}
-	cnt[q] = i32(c)
 	return true
+}
+
+// fold adds into query q's sums the values of the level-0 entries at
+// positions [l, h) whose rank is below ct, lane by lane, and returns how
+// many there are: the sum tree's leaf rule, for aggLeaves and for the
+// bottom of the descent.
+func (d *sumDiff) fold(q, l, h int, ct int32) (c int32) {
+	for lane, vals := range d.lanes {
+		var s int64
+		s, c = d.masked(vals, l, h, ct)
+		d.sums[lane*d.m+q] += s
+	}
+	return c
+}
+
+// masked returns the sum and the number of the values vals[j], j in
+// [a, b), whose level-0 rank is below r, none when a >= b. A rank below r
+// gives a mask of all ones (ranks lie in [0, math.MaxInt32], so the
+// difference cannot overflow), which takes the value in without a branch.
+func (d *sumDiff) masked(vals []int64, a, b int, r int32) (s int64, c int32) {
+	for j := a; j < b; j++ {
+		m := int64((d.lv0[j] - r) >> 31)
+		s, c = s+vals[j]&m, c-int32(m)
+	}
+	return s, c
 }

@@ -99,11 +99,16 @@ func testAggBatchDifferential(t *testing.T) {
 // checkIntSums runs one AggBelowBatch over an int64 tree of the given lanes
 // whose merge is merge and checks every lane's answer against a brute-force
 // fold of the lane's values whose key is below the threshold, in position
-// order. It returns the kernel's leaf and differential counts.
+// order, or the zero state when none is. The result buffer starts with
+// garbage in it, as a reused one would. It returns the kernel's leaf and
+// differential counts.
 func checkIntSums(t *testing.T, name string, at *AnnotatedTree[int64], keys []int64, lanes [][]int64, lo, hi []int32, thr []int64, merge func(a, b int64) int64) (leaves, diffs int) {
 	t.Helper()
 	m := len(lo)
 	res, ok, cnt := make([]int64, len(lanes)*m), make([]bool, m), make([]int32, m)
+	for i := range res {
+		res[i] = -0x5eed_0000 - int64(i) // a reused buffer: no query may keep it
+	}
 	leaves, diffs = at.AggBelowBatch(lo, hi, thr, res, ok, cnt)
 	for q := range lo {
 		l, h := clampRange(int(lo[q]), int(hi[q]), len(keys))
@@ -120,7 +125,7 @@ func checkIntSums(t *testing.T, name string, at *AnnotatedTree[int64], keys []in
 					num++
 				}
 			}
-			if got := res[lane*m+q]; ok[q] != (num > 0) || int(cnt[q]) != num || (num > 0 && got != want) {
+			if got := res[lane*m+q]; ok[q] != (num > 0) || int(cnt[q]) != num || got != want {
 				t.Fatalf("%s query %d lane %d [%d,%d)<%d: kernel (%d, %v, cnt %d), brute force %d of %d",
 					name, q, lane, lo[q], hi[q], thr[q], got, ok[q], cnt[q], want, num)
 			}

@@ -222,42 +222,26 @@ func (at *AnnotatedTree[S]) MemBytes(aggBytes int) int64 {
 	return int64(at.t.stats().Bytes) + int64(4*len(at.below)) + int64(states*aggBytes)
 }
 
-// add merges every lane's state at entry i of level lv into query q's
-// answer, lane l at result[l*m+q], or sets the answer when first holds.
-func (at *AnnotatedTree[S]) add(result []S, m, q int, first bool, lv, i int) {
-	nl := len(at.lanes)
-	for l := range nl {
-		var s S
-		if lv == 0 {
-			s = at.lanes[l][i]
-		} else {
-			s = at.agg[lv][i*nl+l]
-		}
-		if !first {
-			s = at.merge(result[l*m+q], s)
-		}
-		result[l*m+q] = s
-	}
-}
-
-// foldLeaves is the aggregate leaf rule: it sets query q's answer, of m, to
+// foldLeaves is the aggregate leaf rule: it merges into query q's answer
 // the states of the entries at positions [lo, hi) whose rank is below ct,
-// merged lane by lane in position order, and returns how many there are.
-// Callers guarantee 0 <= lo < hi <= n.
-func (at *AnnotatedTree[S]) foldLeaves(result []S, m, q, lo, hi int, ct int32) (cnt int32) {
-	for l, values := range at.lanes {
-		cnt = 0
-		for j, r := range at.t.levels[0][lo:hi] {
-			if r >= ct {
-				continue
-			}
-			if cnt == 0 {
-				result[l*m+q] = values[lo+j]
-			} else {
-				result[l*m+q] = at.merge(result[l*m+q], values[lo+j])
-			}
-			cnt++
+// in position order, and returns how many there are; first says the answer
+// holds no state yet. A sum tree adds every lane with d.fold; any other,
+// one lane, calls its merge. Callers guarantee 0 <= lo < hi <= n.
+func (at *AnnotatedTree[S]) foldLeaves(result []S, d *sumDiff, q, lo, hi int, ct int32, first bool) (cnt int32) {
+	if at.sum {
+		return d.fold(q, lo, hi, ct)
+	}
+	values := at.lanes[0][lo:hi]
+	for j, r := range at.t.levels[0][lo:hi] {
+		if r >= ct {
+			continue
 		}
+		if first && cnt == 0 {
+			result[q] = values[j]
+		} else {
+			result[q] = at.merge(result[q], values[j])
+		}
+		cnt++
 	}
 	return cnt
 }

@@ -329,7 +329,7 @@ func BenchmarkAggBelowBatch(b *testing.B) {
 			probe(b, frame, func() (int, int) { return lt.AggBelowBatch(lo, hi, thr, laneSums, ok, cnt) })
 		})
 	}
-	for _, frame := range []int{60, 100} {
+	for _, frame := range []int{60, 100, 10_000} {
 		b.Run(fmt.Sprintf("sum/frame%d", frame), func(b *testing.B) {
 			probe(b, frame, func() (int, int) { return st.AggBelowBatch(lo, hi, thr, sums, ok, cnt) })
 		})
