@@ -20,7 +20,7 @@ func Count(column string) *Func {
 	return f
 }
 
-// Sum is SUM(x) OVER (...), evaluated with a segment tree.
+// Sum is SUM(x) OVER (...), evaluated from exact prefix sums.
 func Sum(column string) *Func {
 	f := newFunc(core.Sum, fmt.Sprintf("sum_%s", column))
 	f.spec.Arg = column

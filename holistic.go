@@ -23,8 +23,10 @@
 // evaluates the paper's motivating monthly-active-users query. The result
 // holds one column per function, aligned with the input row order.
 //
-// Every holistic function runs on its merge sort tree (SUM, AVG, MIN and MAX
-// on a segment tree); there is no other evaluation strategy to pick. The
+// Every holistic function runs on its merge sort tree, MIN and MAX on the
+// percentiles' permutation tree as the first and last value of the frame in
+// value order, and SUM and AVG on prefix sums; there is no other evaluation
+// strategy to pick. The
 // competitors the paper evaluates against — naive recomputation, Wesley &
 // Xu's incremental algorithms, order statistic trees and sorted-list segment
 // trees — are baselines, which the benchmark harness in cmd/paperbench

@@ -296,13 +296,14 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 }
 
 // selectChunk evaluates one probe chunk of the select family
-// (PERCENTILE_DISC/CONT, NTH_VALUE, FIRST_VALUE, LAST_VALUE): one or — for
-// an interpolating PERCENTILE_CONT — two selection queries per row, each
-// carrying the row's frame ranges as value ranges on the permutation tree.
-// Rows repeat their predecessor's ranges (and therefore ranks, which derive
-// from the frame size) verbatim under constant and peer-shared frames; those
-// rows reuse the previous row's query slots. The kernel answers most queries
-// of a sliding frame from the query before them; agg.diffs counts those.
+// (PERCENTILE_DISC/CONT, NTH_VALUE, FIRST_VALUE, LAST_VALUE, MIN, MAX): one
+// or — for an interpolating PERCENTILE_CONT — two selection queries per row,
+// each carrying the row's frame ranges as value ranges on the permutation
+// tree. Rows repeat their predecessor's ranges (and therefore ranks, which
+// derive from the frame size) verbatim under constant and peer-shared
+// frames; those rows reuse the previous row's query slots. The kernel
+// answers most queries of a sliding frame from the query before them;
+// agg.diffs counts those.
 func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree *mst.Tree,
 	valueCol *Column, out *Column, agg *batchAgg, lo, hi int) {
 	n := hi - lo
@@ -364,9 +365,9 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 				k = size // >= the qualifying total: the kernel answers -1
 			}
 			emit(ranges, k)
-		case FirstValue:
+		case FirstValue, Min:
 			emit(ranges, 0)
-		case LastValue:
+		case LastValue, Max:
 			emit(ranges, size-1)
 		}
 	}

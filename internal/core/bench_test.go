@@ -259,10 +259,9 @@ func BenchmarkEvalLeadLag(b *testing.B) {
 // BenchmarkFloatSum measures SUM and SUM(DISTINCT) of a FLOAT64 column
 // through a warm-cache Run over one 200,000-row partition: cents prices
 // drawn from 20,000 values, under ROWS frames of 100 and 10,000 rows ordered
-// by a random key. The int64/ arms sum the same prices as INT64 cents, the
-// path of every plain INT64 SUM, which is never cached. It goes through Run
-// alone, so it measures any version of the operator unchanged. ns/row is one
-// statement's time per row.
+// by a random key. The int64/ arms sum the same prices as INT64 cents. It
+// goes through Run alone, so it measures any version of the operator
+// unchanged. ns/row is one statement's time per row.
 func BenchmarkFloatSum(b *testing.B) {
 	const n = 200_000
 	rng := rand.New(rand.NewSource(1234))
@@ -287,6 +286,51 @@ func BenchmarkFloatSum(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.Run(fmt.Sprintf("%s%v/frame%d", arg.prefix, name, rows), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := Run(tab, w, opt); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkMinMax measures MIN and MAX of a FLOAT64 column through Run over
+// one 1M-row partition ordered by a random key, under ROWS frames of ±50 and
+// ±5,000 rows. A cold/ arm runs each statement on a fresh cache, so it sorts
+// and builds every time; a warm/ arm keeps one cache across statements, as a
+// server repeating a statement does. It goes through Run alone, so it
+// measures any version of the operator unchanged. ns/row is one statement's
+// time per row.
+func BenchmarkMinMax(b *testing.B) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewSource(1234))
+	ts, x := make([]int64, n), make([]float64, n)
+	for i := range ts {
+		ts[i], x[i] = rng.Int63(), rng.NormFloat64()
+	}
+	tab := MustNewTable(NewInt64Column("ts", ts, nil), NewFloat64Column("x", x, nil))
+	for _, name := range []FuncName{Min, Max} {
+		for _, half := range []int64{50, 5_000} {
+			w := &WindowSpec{
+				OrderBy: []SortKey{{Column: "ts"}},
+				Frame: frame.Spec{Mode: frame.Rows,
+					Start: frame.Bound{Type: frame.Preceding, Offset: half}, End: frame.Bound{Type: frame.Following, Offset: half}},
+				FrameSet: true,
+				Funcs:    []FuncSpec{{Name: name, Output: "m", Arg: "x"}},
+			}
+			for _, warm := range []bool{false, true} {
+				opt, arm := Options{}, "cold"
+				if warm {
+					opt, arm = Options{Cache: treecache.New(256 << 20), CacheScope: "bench@v1"}, "warm"
+					if _, err := Run(tab, w, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.Run(fmt.Sprintf("%v/%s/frame%d", name, arm, half), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if _, err := Run(tab, w, opt); err != nil {
 							b.Fatal(err)

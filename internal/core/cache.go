@@ -124,7 +124,13 @@ type (
 		prevKept, nextKept  []int64
 		rt                  *rangetree.DenseRankTree
 	}
-	// cachedSelect backs percentiles, value selection and LEAD/LAG: the
-	// permutation tree.
+	// cachedSelect backs percentiles, value selection, LEAD/LAG, MIN and
+	// MAX: the permutation tree.
 	cachedSelect struct{ tree *mst.Tree }
+	// cachedPrefix backs SUM and AVG: pre[l][j] is lane l's sum over the
+	// first j kept values, and sum decodes lane sums (its lanes dropped).
+	cachedPrefix struct {
+		sum *sumLanes
+		pre [][]int64
+	}
 )

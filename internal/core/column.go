@@ -1,9 +1,9 @@
 // Package core implements the window operator that ties the paper's pieces
 // together (§5): it partitions and orders the input, runs the per-function
 // preprocessing (package preprocess), builds each function's index
-// structure (a merge sort tree or range tree; a segment tree for SUM, AVG,
-// MIN and MAX), and probes it for every row, in parallel, with SQL NULL,
-// FILTER, IGNORE NULLS and frame-exclusion semantics.
+// structure (a merge sort tree or range tree; prefix sums for SUM and AVG),
+// and probes it for every row, in parallel, with SQL NULL, FILTER, IGNORE
+// NULLS and frame-exclusion semantics.
 package core
 
 import (

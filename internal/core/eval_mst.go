@@ -82,15 +82,15 @@ func evalMST(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Opt
 	switch f.Name {
 	case CountStar, Count:
 		return evalCounts(p, f, fc, out, opt)
-	case Sum, Avg, Min, Max:
-		return evalDistributive(p, f, fc, out, opt)
+	case Sum, Avg:
+		return evalSums(p, f, fc, out, opt)
 	case CountDistinct, SumDistinct, AvgDistinct:
 		return evalDistinct(p, f, fc, out, opt)
 	case Rank, PercentRank, RowNumber, CumeDist, Ntile:
 		return evalRankFamily(p, f, fc, out, opt)
 	case DenseRank:
 		return evalDenseRank(p, f, fc, out, opt)
-	case PercentileDisc, PercentileCont, NthValue, FirstValue, LastValue:
+	case PercentileDisc, PercentileCont, NthValue, FirstValue, LastValue, Min, Max:
 		return evalSelectFamily(p, f, fc, out, opt)
 	case Lead, Lag:
 		return evalLeadLag(p, f, fc, out, opt)
@@ -679,8 +679,8 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, o
 	})
 }
 
-// evalSelectFamily evaluates percentiles and value functions via the
-// permutation-array merge sort tree of §4.5 (Figures 6 and 7).
+// evalSelectFamily evaluates percentiles, value functions, MIN and MAX via
+// the permutation-array merge sort tree of §4.5 (Figures 6 and 7).
 func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
 	if f.Name == PercentileDisc || f.Name == PercentileCont {
@@ -699,7 +699,7 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *Column
 
 // permutationTree fetches the select family's structure s: the merge sort
 // tree over the permutation of the kept rows in function order (§4.5,
-// Figures 6 and 7). LEAD/LAG probe the same tree.
+// Figures 6 and 7). LEAD/LAG, MIN and MAX probe the same tree.
 func permutationTree(p *partition, f *FuncSpec, s *Structure, fl *filtered, opt Options) (*mst.Tree, error) {
 	s.Part = p.id
 	form := s.sized(fl.k, opt)

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"holistic/internal/obs"
 	"holistic/internal/oracle"
 )
 
@@ -54,5 +56,24 @@ func TestMinMaxAreFirstLastValue(t *testing.T) {
 		requireIdentical(t, label+": MAX against LAST_VALUE", res.Column("max"), res.Column("last"))
 		compareToReference(t, tab, w, &w.Funcs[0], res.Column("min"), label+": MIN")
 		compareToReference(t, tab, w, &w.Funcs[2], res.Column("max"), label+": MAX")
+	}
+}
+
+// TestMinMaxRejectBool checks that MIN and MAX over a BOOL column are
+// refused by validation, before the statement's sort, with the function and
+// its output named in the message.
+func TestMinMaxRejectBool(t *testing.T) {
+	tab := MustNewTable(NewInt64Column("d", []int64{2, 1, 3}, nil), NewBoolColumn("b", []bool{true, false, true}, nil))
+	for _, name := range []FuncName{Min, Max} {
+		w := &WindowSpec{OrderBy: []SortKey{{Column: "d"}}, Funcs: []FuncSpec{{Name: name, Output: "m", Arg: "b"}}}
+		root := obs.NewSpan("query")
+		_, err := Run(tab, w, Options{Trace: root})
+		root.End()
+		if want := fmt.Sprintf(`core: %v (m): argument "b" is BOOL`, name); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%v over BOOL: error %v, want one starting %q", name, err, want)
+		}
+		if n := countSpans(root); n != 1 {
+			t.Errorf("%v over BOOL: the refused statement opened spans:\n%s", name, root.Render())
+		}
 	}
 }

@@ -164,10 +164,7 @@ func (p *partition) frameComputer(spec frame.Spec) (*frame.Computer, error) {
 // funcKeysComparator compares partition-local positions by the
 // function-level ORDER BY keys only (no tiebreak) — the peer relation.
 func (p *partition) funcKeysComparator(f *FuncSpec) func(a, b int) int {
-	keys := f.OrderBy
-	if len(keys) == 0 {
-		keys = p.w.OrderBy
-	}
+	keys := p.effectiveOrderKeys(f)
 	cols := make([]*Column, len(keys))
 	for i, k := range keys {
 		cols[i] = p.t.Column(k.Column)
@@ -190,13 +187,9 @@ func (p *partition) funcEqual(f *FuncSpec) func(a, b int) bool {
 	return func(a, b int) bool { return keyCmp(a, b) == 0 }
 }
 
-// effectiveOrderKeys resolves a function's ORDER BY (with window fallback).
-func (p *partition) effectiveOrderKeys(f *FuncSpec) []SortKey {
-	if len(f.OrderBy) > 0 {
-		return f.OrderBy
-	}
-	return p.w.OrderBy
-}
+// effectiveOrderKeys resolves a function's order (funcOrder) under the
+// partition's window.
+func (p *partition) effectiveOrderKeys(f *FuncSpec) []SortKey { return funcOrder(f, p.w.OrderBy) }
 
 // sortedByFuncOrder returns all partition rows sorted by the function's
 // ORDER BY (original-index tiebreak). Functions sharing an ORDER BY share

@@ -28,7 +28,7 @@ const (
 	CountStar FuncName = iota
 	// Count is COUNT(x) — non-NULL arguments in the frame.
 	Count
-	// Sum is SUM(x) over the frame, evaluated with a segment tree.
+	// Sum is SUM(x) over the frame, from per-lane prefix sums (exactsum.go).
 	Sum
 	// Avg is AVG(x) over the frame.
 	Avg
@@ -229,6 +229,10 @@ func (f *FuncSpec) validate(t *Table, w *WindowSpec) error {
 	case Sum, Avg, SumDistinct, AvgDistinct:
 		if c := t.Column(f.Arg); c != nil && c.Kind() != Int64 && c.Kind() != Float64 {
 			return fmt.Errorf("core: %v (%s): argument %q is %v, want numeric", f.Name, f.Output, f.Arg, c.Kind())
+		}
+	case Min, Max:
+		if c := t.Column(f.Arg); c != nil && c.Kind() == Bool {
+			return fmt.Errorf("core: %v (%s): argument %q is %v, want INT64, FLOAT64 or STRING", f.Name, f.Output, f.Arg, c.Kind())
 		}
 	}
 	fr := w.effectiveFrame(f)

@@ -61,23 +61,20 @@ const (
 	tagRankDense     = "rank-dense"     // RANK, PERCENT_RANK, CUME_DIST: dense rank keys and their tree
 	tagRankUnique    = "rank-unique"    // ROW_NUMBER, NTILE, LEAD/LAG's row numbers: kept-row numbers and their tree
 	tagDense         = "dense"          // DENSE_RANK: ranks, occurrence links and the range tree
-	tagSelect        = "select"         // percentiles, value functions, LEAD/LAG: the permutation tree
-	tagSegTree       = "segtree"        // SUM/AVG/MIN/MAX: a segment tree per function, never cached
+	tagSelect        = "select"         // percentiles, value functions, LEAD/LAG, MIN/MAX: the permutation tree
+	tagPrefixSums    = "prefix-sums"    // SUM/AVG: the prefix sums of the sum's lanes
 	tagResult        = "result"         // one function's finished output over one partition
 
 	tagSort = "sort" // the (PARTITION BY, ORDER BY) sort order of the table the scope names
 )
 
 // structureOf declares the structure f builds over a partition of a window
-// ordered by windowOrder. It reads no column kind: SUM and AVG(DISTINCT) of
-// any kind hold the same lanes (exactsum.go). The width class is left to the
-// caller, which knows the rows a probe spans. COUNT builds nothing: its zero
-// Tag.
+// ordered by windowOrder. It reads no column kind: SUM and AVG, plain or
+// DISTINCT, of any kind hold the same lanes (exactsum.go). The width class is
+// left to the caller, which knows the rows a probe spans. COUNT builds
+// nothing: its zero Tag.
 func structureOf(f *FuncSpec, windowOrder []SortKey) Structure {
-	order := f.OrderBy
-	if len(order) == 0 {
-		order = windowOrder
-	}
+	order := funcOrder(f, windowOrder)
 	switch f.Name {
 	case CountDistinct:
 		return Structure{Tag: tagDistinctCount, Arg: f.Arg, Filter: f.Filter, Drop: f.Arg}
@@ -98,10 +95,27 @@ func structureOf(f *FuncSpec, windowOrder []SortKey) Structure {
 			s.Drop = f.Arg
 		}
 		return s
-	case Sum, Avg, Min, Max:
-		return Structure{Tag: tagSegTree, Arg: f.Arg, Filter: f.Filter}
+	case Min, Max:
+		// FIRST_VALUE and LAST_VALUE(x ORDER BY x IGNORE NULLS).
+		return Structure{Tag: tagSelect, Order: order, Filter: f.Filter, Drop: f.Arg}
+	case Sum, Avg:
+		return Structure{Tag: tagPrefixSums, Arg: f.Arg, Filter: f.Filter, Drop: f.Arg}
 	}
 	return Structure{}
+}
+
+// funcOrder is the order f's structure sorts a partition in: its own ORDER
+// BY, else windowOrder. MIN(x) and MAX(x) are the first and the last kept
+// row in (x, table row) order, so they order by x ascending whatever the
+// window's order.
+func funcOrder(f *FuncSpec, windowOrder []SortKey) []SortKey {
+	switch {
+	case f.Name == Min || f.Name == Max:
+		return []SortKey{{Column: f.Arg}}
+	case len(f.OrderBy) > 0:
+		return f.OrderBy
+	}
+	return windowOrder
 }
 
 // StructureOf is structureOf for the planner: the structure f builds under
@@ -114,9 +128,6 @@ func structureOf(f *FuncSpec, windowOrder []SortKey) Structure {
 // mst.LeafRows rows or where two bounds both slide.
 func StructureOf(f *FuncSpec, windowOrder []SortKey, spec frame.Spec) Structure {
 	s := structureOf(f, windowOrder)
-	if !s.Shared() {
-		return s
-	}
 	rows64, bounded := spec.MaxRows()
 	rows := math.MaxInt
 	if bounded && rows64 < math.MaxInt {
@@ -130,14 +141,10 @@ func StructureOf(f *FuncSpec, windowOrder []SortKey, spec frame.Spec) Structure 
 	return s
 }
 
-// Shared reports whether functions declaring s share one build through the
-// cache: false for no structure and for the plain aggregates' segment trees,
-// which each function builds for itself.
-func (s *Structure) Shared() bool { return s.Tag != "" && s.Tag != tagSegTree }
-
 // form is the form s is built in when its probes span at most rows rows:
 // leaf-only when no probe descends, so nothing above level 0 would ever be
-// read (mst/leaf.go), and full otherwise. A permutation tree is always full.
+// read (mst/leaf.go), and full otherwise. A permutation tree is always full,
+// and prefix sums, no tree, have that one form too.
 // A COUNT(DISTINCT) tree is built sliding when slide holds — every
 // frame a constant-offset ROWS frame no wider than a probe chunk. Between
 // neighbouring queries each edge then moves by at most one kept row and the
@@ -147,7 +154,7 @@ func (s *Structure) Shared() bool { return s.Tag != "" && s.Tag != tagSegTree }
 // (DESIGN.md §10.1).
 func (s *Structure) form(rows int, slide bool) mst.Form {
 	switch {
-	case s.Tag == tagSelect:
+	case s.Tag == tagSelect, s.Tag == tagPrefixSums:
 		return mst.Full
 	case rows <= mst.LeafRows:
 		return mst.Leaves
@@ -270,8 +277,8 @@ func (s *Structure) Labels() (pre, tree string) {
 		pre, tree = "dense ranks + occurrence links", "range tree (§4.4, O(n log² n))"
 	case tagSelect:
 		pre, tree = "permutation array (Fig. 6)", "merge sort tree over the permutation"
-	case tagSegTree:
-		return "", "segment tree over kept values (per function)"
+	case tagPrefixSums:
+		return "exact lanes of " + s.Arg + ", prefix sums per lane", ""
 	default:
 		return "", ""
 	}

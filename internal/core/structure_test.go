@@ -74,6 +74,14 @@ func TestStructureIdentity(t *testing.T) {
 		{"SUM(DISTINCT) argument", planned(fn(SumDistinct), whole),
 			planned(with(fn(SumDistinct), func(f *FuncSpec) { f.Arg = "d" }), whole), false},
 		{"SUM and AVG(DISTINCT)", planned(fn(SumDistinct), whole), planned(fn(AvgDistinct), whole), true},
+		{"MIN and FIRST_VALUE IGNORE NULLS", planned(fn(Min), rows(3, 0)),
+			planned(with(fn(FirstValue), func(f *FuncSpec) { f.IgnoreNulls = true }), whole), true},
+		{"MAX and PERCENTILE_DISC", planned(fn(Max), whole), planned(fn(PercentileDisc), rows(300, 0)), true},
+		{"MIN and MAX", planned(fn(Min), whole), planned(fn(Max), unbounded), true},
+		{"MIN argument", planned(fn(Min), whole), planned(with(fn(Min), func(f *FuncSpec) { f.Arg = "fv" }), whole), false},
+		{"SUM and AVG over any frame", planned(fn(Sum), rows(3, 0)), planned(fn(Avg), whole), true},
+		{"SUM and SUM(DISTINCT)", planned(fn(Sum), whole), planned(fn(SumDistinct), whole), false},
+		{"FILTER on SUM", planned(fn(Sum), whole), planned(with(fn(Sum), func(f *FuncSpec) { f.Filter = "b" }), whole), false},
 		{"IGNORE NULLS", planned(fn(FirstValue), whole),
 			planned(with(fn(FirstValue), func(f *FuncSpec) { f.IgnoreNulls = true }), whole), false},
 		{"function ORDER BY", planned(fn(Rank), whole),

@@ -80,7 +80,7 @@ func (r Rig) Run(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", where, err)
 			}
-			want := answers(stmt, oracleTable(tab))
+			want := Answers(stmt, tab)
 			results := make([]*core.Table, len(points))
 			for pi, p := range points {
 				if results[pi] = query(t, where, p, pl, snap, tab, caches[pi]); results[pi] == nil {
@@ -127,8 +127,9 @@ func RequireIdentical(t testing.TB, label string, got, want *core.Column) {
 	}
 }
 
-// answers evaluates every item of the statement with the oracle.
-func answers(stmt *plan.Statement, tab oracle.Table) [][]oracle.Value {
+// Answers evaluates every item of the statement over tab with the oracle.
+func Answers(stmt *plan.Statement, t *core.Table) [][]oracle.Value {
+	tab := oracleTable(t)
 	keys := func(ks []core.SortKey) (out []oracle.SortKey) {
 		for _, k := range ks {
 			out = append(out, oracle.SortKey(k))

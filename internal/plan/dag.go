@@ -70,9 +70,6 @@ func (p *Plan) buildDAG() {
 				probeInput := partID
 				if s.Tag != "" {
 					key := s.String()
-					if !s.Shared() {
-						key += "|" + f.Output // built per function
-					}
 					sn, ok := structures[key]
 					if !ok {
 						sn = &structureNodes{preIdx: -1, treeIdx: -1}

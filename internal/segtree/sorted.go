@@ -1,3 +1,10 @@
+// Package segtree implements the sorted-list-annotated segment tree (base
+// intervals, Arasu & Widom 2004), the percentile competitor the paper
+// compares against (§3.2, Table 1): every node carries the sorted list of
+// its leaves' values, so a percentile query covers the frame with O(log n)
+// nodes and binary searches the k-th element across their lists, costing
+// O((log n)²) per frame. cmd/paperbench drives it as a baseline; the window
+// operator does not use it.
 package segtree
 
 import (

@@ -59,7 +59,7 @@ func TestExplainDefaultsAndExclusion(t *testing.T) {
 		"rows unbounded preceding .. unbounded following", // the default frame without ORDER BY
 		"rows 3 preceding .. 1 following exclude ties",
 		"partition (g)",
-		"segment tree over kept values",
+		"exact lanes of v, prefix sums per lane",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("plan missing %q:\n%s", want, text)

@@ -1,7 +1,6 @@
 package sqlparse
 
 import (
-	"strings"
 	"testing"
 
 	"holistic/internal/core"
@@ -52,6 +51,14 @@ func TestPlanMatchesBuilds(t *testing.T) {
 			lead(v, 2) ignore nulls over (order by v) as c,
 			nth_value(v, 2) over (order by v) as e
 			from t`, 3, 1},
+		{"MIN and MAX on the permutation tree of FIRST_VALUE and MEDIAN", `select
+			min(v) over (order by d rows 5 preceding) as a,
+			max(v) over (order by d) as b,
+			first_value(v order by v) ignore nulls over (order by d) as c,
+			median(order by v) over (order by d rows 3 preceding) as e,
+			sum(v) over (order by d) as f,
+			avg(v) over (order by d rows 2 preceding) as g
+			from t`, 1, 0},
 		{"rank family", `select
 			rank() over (order by d) as a,
 			percent_rank() over (order by d) as b,
@@ -93,7 +100,7 @@ func TestPlanMatchesBuilds(t *testing.T) {
 			}
 			trees := map[string]bool{}
 			for _, node := range p.Nodes {
-				if node.Kind == "tree" && !strings.HasPrefix(node.Label, "segment tree") {
+				if node.Kind == "tree" {
 					trees[node.ID] = true
 				}
 			}

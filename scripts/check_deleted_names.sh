@@ -145,5 +145,11 @@ check 'one sum arithmetic' all \
 # per-lane trees stay deleted
 check 'plans read no column types' all \
     'KindResolver|TableKinds|argKind|\.Lane\(|sl\.exact|State: *"'
+# one structure kind: MIN and MAX select on the permutation tree and SUM/AVG
+# cache their prefix sums, so every structure is cached and shared and the
+# operator's segment tree, its per-function DAG key and the MIN/MAX arm stay
+# deleted; segtree keeps only paperbench's SortedTree
+check 'one structure kind' all \
+    'segtree\.New\(|segtree\.Tree\b|tagSegTree|evalDistributive|\.Shared\(\)'
 
 exit $fail

@@ -172,3 +172,15 @@ func TestRunSQLLongQueryRoundTrip(t *testing.T) {
 		t.Fatal("columns out of select order")
 	}
 }
+
+// TestRunSQLMinMaxRejectBool checks that MIN and MAX over a BOOL column fail
+// with the core validation error, which names the function and its output.
+func TestRunSQLMinMaxRejectBool(t *testing.T) {
+	table := MustNewTable(NewInt64Column("d", []int64{1, 2}, nil), NewBoolColumn("b", []bool{true, false}, nil))
+	for _, fn := range []string{"min", "max"} {
+		_, err := RunSQL("select "+fn+"(b) over (order by d) as m from t", map[string]*Table{"t": table})
+		if want := "core: " + fn + ` (m): argument "b" is BOOL`; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s over BOOL: error %v, want one starting %q", fn, err, want)
+		}
+	}
+}
