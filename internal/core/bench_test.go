@@ -304,7 +304,8 @@ func BenchmarkFloatSum(b *testing.B) {
 // and builds every time; a warm/ arm keeps one cache across statements, as a
 // server repeating a statement does. It goes through Run alone, so it
 // measures any version of the operator unchanged. ns/row is one statement's
-// time per row.
+// time per row; a warm arm's cache-MB is what its statement left in the
+// cache: the sort and whatever structures were cached.
 func BenchmarkMinMax(b *testing.B) {
 	const n = 1_000_000
 	rng := rand.New(rand.NewSource(1234))
@@ -324,8 +325,10 @@ func BenchmarkMinMax(b *testing.B) {
 			}
 			for _, warm := range []bool{false, true} {
 				opt, arm := Options{}, "cold"
+				var cache *treecache.Cache
 				if warm {
-					opt, arm = Options{Cache: treecache.New(256 << 20), CacheScope: "bench@v1"}, "warm"
+					cache = treecache.New(256 << 20)
+					opt, arm = Options{Cache: cache, CacheScope: "bench@v1"}, "warm"
 					if _, err := Run(tab, w, opt); err != nil {
 						b.Fatal(err)
 					}
@@ -337,6 +340,9 @@ func BenchmarkMinMax(b *testing.B) {
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+					if cache != nil {
+						b.ReportMetric(float64(cache.Stats().Bytes)/(1<<20), "cache-MB")
+					}
 				})
 			}
 		}

@@ -12,7 +12,6 @@ func evalSums(p *partition, f *FuncSpec, fc *frame.Computer, out *Column, opt Op
 	s := structureOf(f, nil)
 	s.Part = p.id
 	fl := newFiltered(p, f, s.Drop)
-	s.sized(fl.k, opt)
 	st, err := cacheGet(opt, &s, func() (cachedPrefix, int64, error) {
 		sum := newSumLanes(p.t.Column(f.Arg), fl.k, fl.orig)
 		pre := make([][]int64, len(sum.lanes))

@@ -33,7 +33,8 @@ type Structure struct {
 	// Partition is a statement-level entry's PARTITION BY.
 	Partition []string
 	// Order is the ORDER BY the structure is built in: the function's
-	// effective ORDER BY, or a statement-level sort's order.
+	// effective ORDER BY (funcOrder), or a statement-level sort's order. A
+	// result entry's Order is its window's ORDER BY.
 	Order []SortKey
 	// Arg is the column whose values the structure indexes.
 	Arg string
@@ -128,6 +129,9 @@ func funcOrder(f *FuncSpec, windowOrder []SortKey) []SortKey {
 // mst.LeafRows rows or where two bounds both slide.
 func StructureOf(f *FuncSpec, windowOrder []SortKey, spec frame.Spec) Structure {
 	s := structureOf(f, windowOrder)
+	if s.Tag == tagPrefixSums {
+		return s // no tree, so no width class
+	}
 	rows64, bounded := spec.MaxRows()
 	rows := math.MaxInt
 	if bounded && rows64 < math.MaxInt {
@@ -143,8 +147,7 @@ func StructureOf(f *FuncSpec, windowOrder []SortKey, spec frame.Spec) Structure 
 
 // form is the form s is built in when its probes span at most rows rows:
 // leaf-only when no probe descends, so nothing above level 0 would ever be
-// read (mst/leaf.go), and full otherwise. A permutation tree is always full,
-// and prefix sums, no tree, have that one form too.
+// read (mst/leaf.go), and full otherwise. A permutation tree is always full.
 // A COUNT(DISTINCT) tree is built sliding when slide holds — every
 // frame a constant-offset ROWS frame no wider than a probe chunk. Between
 // neighbouring queries each edge then moves by at most one kept row and the
@@ -154,7 +157,7 @@ func StructureOf(f *FuncSpec, windowOrder []SortKey, spec frame.Spec) Structure 
 // (DESIGN.md §10.1).
 func (s *Structure) form(rows int, slide bool) mst.Form {
 	switch {
-	case s.Tag == tagSelect, s.Tag == tagPrefixSums:
+	case s.Tag == tagSelect:
 		return mst.Full
 	case rows <= mst.LeafRows:
 		return mst.Leaves
@@ -173,10 +176,13 @@ func (s *Structure) sized(rows int, opt Options) mst.Form {
 }
 
 // resultOf is the identity of f's finished output over a partition: the
-// structure fields a result shares with its function's structures, plus
-// every probe-time parameter and the resolved frame.
+// window's ORDER BY, which draws the peer groups a frame is cut along, f's
+// own fields and every probe-time parameter, and the resolved frame. The
+// partition id names the executed sort, which windows of one shared group
+// have in common whatever their own ORDER BY, so the window order is named
+// here.
 func resultOf(p *partition, f *FuncSpec, spec frame.Spec) Structure {
-	return Structure{Part: p.id, Tag: tagResult, Order: p.effectiveOrderKeys(f), Arg: f.Arg, Filter: f.Filter, probe: f, probeFrame: spec}
+	return Structure{Part: p.id, Tag: tagResult, Order: p.w.OrderBy, Arg: f.Arg, Filter: f.Filter, probe: f, probeFrame: spec}
 }
 
 // sortOf is the identity of the (PARTITION BY, ORDER BY) sort order.
@@ -220,13 +226,16 @@ func (s *Structure) key(opt Options) string {
 	if s.Width != "" {
 		b = append(append(b, "|w="...), s.Width...)
 	}
-	if s.Part != "" {
+	if s.Part != "" && s.Tag != tagPrefixSums { // prefix sums are no tree
 		b = strconv.AppendInt(append(b, "|t="...), int64(opt.Tree.Fanout), 10)
 		b = strconv.AppendInt(append(b, ','), int64(opt.Tree.SampleEvery), 10)
 	}
 	if f, fr := s.probe, &s.probeFrame; f != nil {
 		b = fmt.Appendf(b, "|fn=%s|q=%b|n=%d|in=%t|fr=%d:%d,%d:%d,%d:%d", f.Name, f.Fraction, f.N, f.IgnoreNulls,
 			fr.Mode, fr.Start.Type, fr.Start.Offset, fr.End.Type, fr.End.Offset, fr.Exclude)
+		if len(f.OrderBy) > 0 {
+			b = AppendOrder(append(b, "|fo="...), f.OrderBy)
+		}
 	}
 	return string(b)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"math/rand"
 	"regexp"
@@ -124,6 +125,15 @@ func TestStructureIdentity(t *testing.T) {
 			t.Errorf("%s: same = %v, want %v\n base: %s\n key:  %s", c.name, got, c.same, base, c.key)
 		}
 	}
+	sums := func(opt Options) string {
+		f := fn(Sum)
+		s := structureOf(&f, nil)
+		s.Part = p0.id
+		return s.key(opt)
+	}
+	if plain, shaped := sums(Options{}), sums(Options{Tree: mst.Options{Fanout: 32, SampleEvery: 8}}); plain != shaped {
+		t.Errorf("tree options split prefix sums, which are no tree:\n %s\n %s", plain, shaped)
+	}
 	stamped := at(&partition{w: w, id: "sort|pk=i1;|pd4"}, Options{})
 	if other := at(&partition{w: w, id: "sort|pk=i1;|pd5"}, Options{}); other == stamped {
 		t.Errorf("a partition's last-change stamp does not split its key: %s", stamped)
@@ -152,6 +162,17 @@ func TestStructureIdentity(t *testing.T) {
 	} {
 		if got := result(f, spec); got == want {
 			t.Errorf("result key ignores the %s: %s", name, got)
+		}
+	}
+	// Windows of one shared group see one partition id under their own
+	// ORDER BY, which draws the peer groups their frames are cut along.
+	for _, order := range [][]SortKey{nil, {{Column: "d"}, {Column: "v"}}} {
+		refined := &partition{w: &WindowSpec{OrderBy: order}, id: p0.id}
+		for _, f := range []FuncSpec{probe, {Name: Min, Output: "m", Arg: "v"}} {
+			s, again := resultOf(refined, &f, spec), resultOf(p0, &f, spec)
+			if got := s.key(Options{CacheScope: "t@v1"}); got == again.key(Options{CacheScope: "t@v1"}) {
+				t.Errorf("%v: result key ignores the window ORDER BY %v: %s", f.Name, order, got)
+			}
 		}
 	}
 	for name, edit := range map[string]func(*frame.Spec){
@@ -246,5 +267,60 @@ func TestCleanViewKeysMatchPlainRun(t *testing.T) {
 	}
 	if len(plain) != 1+3*2 {
 		t.Fatalf("asked for %d keys, want one sort and two structures per partition:\n%v", len(plain), plain)
+	}
+}
+
+// TestResultKeyNamesWindowOrder runs, as one shared-sort delta statement,
+// MIN(v) and a median ordered by v under ORDER BY d and again under ORDER
+// BY d, e, each over GROUPS BETWEEN 1 PRECEDING AND CURRENT ROW. Both
+// windows run over the refined (d, e) sort, so their partitions share one
+// id, and their functions build in the order of v whatever the window's.
+// Yet the peer groups differ wherever d ties, so the answers do too: a
+// result entry must name the window's ORDER BY, or one window is served the
+// other's answers.
+func TestResultKeyNamesWindowOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const n = 200
+	g, d, e, v := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range n {
+		g[i], d[i], e[i], v[i] = rng.Int63n(2), rng.Int63n(8), rng.Int63n(5), rng.Int63n(50)
+	}
+	tab := MustNewTable(NewInt64Column("g", g, nil), NewInt64Column("d", d, nil),
+		NewInt64Column("e", e, nil), NewInt64Column("v", v, nil))
+	byV := []SortKey{{Column: "v"}}
+	window := func(order ...string) *WindowSpec {
+		w := &WindowSpec{PartitionBy: []string{"g"}, FrameSet: true, Frame: frame.Spec{Mode: frame.Groups,
+			Start: frame.Bound{Type: frame.Preceding, Offset: 1}, End: frame.Bound{Type: frame.CurrentRow}}, Funcs: []FuncSpec{
+			{Name: Min, Output: "min", Arg: "v"},
+			{Name: PercentileDisc, Output: "median", Fraction: 0.5, OrderBy: byV},
+		}}
+		for _, c := range order {
+			w.OrderBy = append(w.OrderBy, SortKey{Column: c})
+		}
+		return w
+	}
+	coarse, fine := window("d"), window("d", "e")
+	view := cleanView(tab)
+	view.Epoch = 1 // a mutated dataset: result entries are admitted
+	rc := newRecordingCache()
+	res, err := RunShared(tab, fine.PartitionBy, fine.OrderBy, []*WindowSpec{coarse, fine},
+		Options{Cache: rc, CacheScope: "t@v1|g0", Delta: view})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []*WindowSpec{coarse, fine} {
+		for j := range w.Funcs {
+			f := &w.Funcs[j]
+			compareToReference(t, tab, w, f, res[i].Column(f.Output), fmt.Sprintf("ORDER BY %v: %s", w.OrderBy, f.Output))
+		}
+	}
+	results := 0
+	for key := range rc.keys {
+		if strings.Contains(key, "|"+tagResult+"|") {
+			results++
+		}
+	}
+	if want := 2 * 2 * 2; results != want { // two partitions, two windows, two functions
+		t.Errorf("asked for %d result entries, want %d:\n%v", results, want, rc.keys)
 	}
 }
