@@ -44,8 +44,9 @@ func Rows(start, end Bound) Frame {
 	return Frame{Mode: frame.Rows, Start: start, End: end}
 }
 
-// Range builds a RANGE frame: offsets are order-key value deltas. Requires
-// a single INT64 window ORDER BY key.
+// Range builds a RANGE frame: offsets are order-key value deltas, which
+// require a single INT64 window ORDER BY key; CURRENT ROW is the current
+// row's peer group under any ORDER BY.
 func Range(start, end Bound) Frame {
 	return Frame{Mode: frame.Range, Start: start, End: end}
 }

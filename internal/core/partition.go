@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"holistic/internal/arena"
@@ -31,8 +30,8 @@ type partition struct {
 	peerOnce sync.Once
 	peers    []int32 // dense peer-group ids by window ORDER BY
 
-	rangeOnce sync.Once
-	rangeKeys []int64 // oriented keys for RANGE arithmetic
+	keysOnce sync.Once
+	keys     frame.Keys // oriented order keys for RANGE offsets
 
 	// fsort shares function-order sorts between functions with the same
 	// effective ORDER BY — the duplicated-work avoidance of Kohn et al. /
@@ -94,51 +93,40 @@ func (p *partition) peerGroups() []int32 {
 	return p.peers
 }
 
-// rangeKeysOriented lazily computes the RANGE-mode key array: the single
-// window ORDER BY column's values, oriented so the window order is
-// ascending (descending keys are negated) and NULLs map to the saturating
-// sentinel at the end they sort to. Validation guarantees the column is
-// INT64.
-func (p *partition) rangeKeysOriented() []int64 {
-	p.rangeOnce.Do(func() {
-		key := p.w.OrderBy[0]
-		col := p.t.Column(key.Column)
+// orderKeys lazily computes the keys RANGE offsets measure: the single
+// window ORDER BY column's non-NULL values, which sort contiguously, in
+// window order and oriented so that they ascend (a DESC key v as ^v, which
+// reverses the order and keeps distances). Validation guarantees the column
+// is INT64.
+func (p *partition) orderKeys() *frame.Keys {
+	p.keysOnce.Do(func() {
+		col := p.t.Column(p.w.OrderBy[0].Column)
 		n := p.len()
-		p.rangeKeys = make([]int64, n)
-		for i := 0; i < n; i++ {
-			o := p.orig(i)
-			if col.IsNull(o) {
-				// NULLs sort largest unless NullsSmallest; orientation flips
-				// for descending keys.
-				large := !key.NullsSmallest // sorts at the "large" end pre-orientation
-				if key.Desc {
-					large = !large
-				}
-				if large {
-					p.rangeKeys[i] = math.MaxInt64
-				} else {
-					p.rangeKeys[i] = math.MinInt64
-				}
-				continue
+		at := 0
+		for at < n && col.IsNull(p.orig(at)) {
+			at++
+		}
+		end := at
+		for end < n && !col.IsNull(p.orig(end)) {
+			end++
+		}
+		p.keys.At, p.keys.Values = at, make([]int64, end-at)
+		for i := range p.keys.Values {
+			v := col.Int64(p.orig(at + i))
+			if p.w.OrderBy[0].Desc {
+				v = ^v
 			}
-			v := col.Int64(o)
-			if key.Desc {
-				if v == math.MinInt64 {
-					v = math.MaxInt64
-				} else {
-					v = -v
-				}
-			}
-			p.rangeKeys[i] = v
+			p.keys.Values[i] = v
 		}
 	})
-	return p.rangeKeys
+	return &p.keys
 }
 
-// frameComputer builds the frame computer for this partition under spec.
-// Per-row offset expressions are rebased so they receive the ORIGINAL row
-// index — SQL frame-bound expressions are evaluated against the tuple, not
-// against its position in the sorted partition.
+// frameComputer builds the frame computer for this partition under spec,
+// from the inputs spec says it needs. Per-row offset expressions are
+// rebased so they receive the ORIGINAL row index — SQL frame-bound
+// expressions are evaluated against the tuple, not against its position in
+// the sorted partition.
 func (p *partition) frameComputer(spec frame.Spec) (*frame.Computer, error) {
 	rebase := func(b frame.Bound) frame.Bound {
 		if b.OffsetFn == nil {
@@ -150,12 +138,12 @@ func (p *partition) frameComputer(spec frame.Spec) (*frame.Computer, error) {
 	}
 	spec.Start = rebase(spec.Start)
 	spec.End = rebase(spec.End)
-	var keys []int64
-	if spec.Mode == frame.Range && needsRangeKeys(spec) {
-		keys = p.rangeKeysOriented()
+	var keys *frame.Keys
+	if spec.NeedsKeys() {
+		keys = p.orderKeys()
 	}
 	var peers []int32
-	if spec.Mode == frame.Groups || spec.Exclude == frame.ExcludeGroup || spec.Exclude == frame.ExcludeTies {
+	if spec.NeedsPeers() {
 		peers = p.peerGroups()
 	}
 	return frame.NewComputer(spec, p.len(), keys, peers)

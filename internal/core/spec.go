@@ -267,28 +267,15 @@ func (w *WindowSpec) validate(t *Table) error {
 		if err := f.validate(t, w); err != nil {
 			return err
 		}
-		fr := w.effectiveFrame(f)
-		if fr.Mode == frame.Range && needsRangeKeys(fr) {
+		if w.effectiveFrame(f).NeedsKeys() {
 			if len(w.OrderBy) != 1 {
-				return fmt.Errorf("core: %v (%s): RANGE frame requires exactly one window ORDER BY key", f.Name, f.Output)
+				return fmt.Errorf("core: %v (%s): RANGE frame requires exactly one window ORDER BY key for an offset bound", f.Name, f.Output)
 			}
 			oc := t.Column(w.OrderBy[0].Column)
 			if oc.Kind() != Int64 {
-				return fmt.Errorf("core: %v (%s): RANGE frame requires an INT64 order key, %q is %v", f.Name, f.Output, oc.Name(), oc.Kind())
+				return fmt.Errorf("core: %v (%s): RANGE frame requires an INT64 order key for an offset bound, %q is %v", f.Name, f.Output, oc.Name(), oc.Kind())
 			}
 		}
 	}
 	return nil
-}
-
-// needsRangeKeys reports whether a RANGE frame actually performs key
-// arithmetic (offset or CURRENT ROW bounds).
-func needsRangeKeys(s frame.Spec) bool {
-	for _, b := range []frame.Bound{s.Start, s.End} {
-		switch b.Type {
-		case frame.Preceding, frame.Following, frame.CurrentRow:
-			return true
-		}
-	}
-	return false
 }

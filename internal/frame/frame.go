@@ -4,10 +4,12 @@
 // the frame exclusion clauses, which break a continuous frame into at most
 // three continuous ranges.
 //
-// A Computer is built once per partition from the partition's sorted order
-// keys and peer-group numbering; Bounds then yields each row's continuous
-// frame and Ranges the post-exclusion decomposition. All positions are
-// partition-relative and half-open.
+// A Computer is built once per partition from what its Spec needs: the
+// partition's sorted order keys for RANGE offsets (NeedsKeys), its
+// peer-group numbering for every other bound that names peers (NeedsPeers).
+// Bounds then yields each row's continuous frame and Ranges the
+// post-exclusion decomposition. All positions are partition-relative and
+// half-open.
 package frame
 
 import (
@@ -22,8 +24,9 @@ type Mode int
 const (
 	// Rows counts physical rows.
 	Rows Mode = iota
-	// Range offsets the current row's order key by a value delta; requires
-	// a single numeric ORDER BY key.
+	// Range offsets the current row's order key by a value delta, which
+	// needs a single INT64 ORDER BY key; its CURRENT ROW is the current
+	// row's peer group, whatever the ORDER BY.
 	Range
 	// Groups counts peer groups (SQL:2011).
 	Groups
@@ -179,38 +182,70 @@ func (b Bound) rowOffset() (int64, bool) {
 	return 0, false
 }
 
+// Keys are the order keys a RANGE offset bound measures, for the partition
+// positions At to At+len(Values): the rows whose key is not NULL, oriented
+// so that the values ascend (a DESC key v as ^v, which reverses the order
+// and keeps distances). The partition's NULL rows lie all before or all
+// after them. A NULL is at no distance from another NULL and farther than
+// any offset from every number: a NULL row's offset bound stops at the edge
+// of the NULL rows, and a number's offset bound never reaches one.
+type Keys struct {
+	At     int
+	Values []int64
+}
+
+// NeedsKeys reports whether a Computer for s needs the partition's order
+// keys: a RANGE frame with an offset bound.
+func (s Spec) NeedsKeys() bool {
+	return s.Mode == Range && (s.Start.hasOffset() || s.End.hasOffset())
+}
+
+// NeedsPeers reports whether a Computer for s needs the partition's peer
+// groups: a RANGE or GROUPS frame with a CURRENT ROW bound, a GROUPS frame
+// with an offset bound, or EXCLUDE GROUP or TIES.
+func (s Spec) NeedsPeers() bool {
+	switch {
+	case s.Exclude == ExcludeGroup || s.Exclude == ExcludeTies:
+		return true
+	case s.Mode == Range:
+		return s.Start.Type == CurrentRow || s.End.Type == CurrentRow
+	case s.Mode == Groups:
+		return s.Start.Type != UnboundedPreceding || s.End.Type != UnboundedFollowing
+	}
+	return false
+}
+
+func (b Bound) hasOffset() bool { return b.Type == Preceding || b.Type == Following }
+
 // Computer evaluates a frame specification against one partition.
 type Computer struct {
 	spec Spec
 	n    int
-	// keys are the partition's order key values, oriented so the partition
-	// order is ascending. Required for Range mode.
-	keys []int64
-	// groups[i] is the dense peer-group id of row i (non-decreasing).
-	// Required for Groups mode and the GROUP/TIES exclusions; when nil,
-	// every row forms its own peer group.
+	// keys are the partition's order keys, when the spec needs them.
+	keys Keys
+	// groups[i] is the dense peer-group id of row i (non-decreasing), and
+	// group g spans the rows [edges[g], edges[g+1]); both only when the spec
+	// needs peer groups.
 	groups []int32
-	// groupStart[g] is the first row of peer group g; groupEnd[g] one past
-	// its last row. Derived lazily from groups.
-	groupStart, groupEnd []int32
+	edges  []int32
 }
 
-// NewComputer builds a frame computer for a partition of n rows. orderKeys
-// may be nil unless Mode is Range; peerGroups may be nil (each row its own
-// peer) unless Mode is Groups or an exclusion other than NO OTHERS /
-// CURRENT ROW is requested together with duplicate order keys.
-func NewComputer(spec Spec, n int, orderKeys []int64, peerGroups []int32) (*Computer, error) {
+// NewComputer builds a frame computer for a partition of n rows. It takes
+// the order keys when spec.NeedsKeys and the dense peer-group id of every
+// row when spec.NeedsPeers; it ignores either when the spec does not need
+// it.
+func NewComputer(spec Spec, n int, keys *Keys, peerGroups []int32) (*Computer, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Mode == Range && orderKeys == nil && needsKeys(spec) {
-		return nil, fmt.Errorf("frame: RANGE mode requires order keys")
+	c := &Computer{spec: spec, n: n}
+	if spec.NeedsKeys() {
+		if keys == nil || keys.At < 0 || keys.At+len(keys.Values) > n {
+			return nil, fmt.Errorf("frame: RANGE offsets need the order keys of %d rows", n)
+		}
+		c.keys = *keys
 	}
-	if spec.Mode == Groups && peerGroups == nil {
-		return nil, fmt.Errorf("frame: GROUPS mode requires peer groups")
-	}
-	c := &Computer{spec: spec, n: n, keys: orderKeys, groups: peerGroups}
-	if peerGroups != nil {
+	if spec.NeedsPeers() {
 		if len(peerGroups) != n {
 			return nil, fmt.Errorf("frame: %d peer groups for %d rows", len(peerGroups), n)
 		}
@@ -218,170 +253,115 @@ func NewComputer(spec Spec, n int, orderKeys []int64, peerGroups []int32) (*Comp
 		if n > 0 {
 			numGroups = int(peerGroups[n-1]) + 1
 		}
-		c.groupStart = make([]int32, numGroups)
-		c.groupEnd = make([]int32, numGroups)
-		for i := 0; i < n; i++ {
-			g := peerGroups[i]
-			if i == 0 || peerGroups[i-1] != g {
-				c.groupStart[g] = int32(i)
-			}
-			c.groupEnd[g] = int32(i + 1)
+		c.groups = peerGroups
+		c.edges = make([]int32, numGroups+1)
+		for i := n - 1; i >= 0; i-- {
+			c.edges[peerGroups[i]] = int32(i)
 		}
-	}
-	if spec.Mode == Range && orderKeys != nil && len(orderKeys) != n {
-		return nil, fmt.Errorf("frame: %d order keys for %d rows", len(orderKeys), n)
+		c.edges[numGroups] = int32(n)
 	}
 	return c, nil
 }
 
-// needsKeys reports whether any bound of a RANGE spec actually needs key
-// arithmetic (offset bounds) or peer lookup (current row).
-func needsKeys(spec Spec) bool {
-	for _, b := range []Bound{spec.Start, spec.End} {
-		switch b.Type {
-		case Preceding, Following, CurrentRow:
-			return true
-		}
+// offset is b's offset for row; a per-row offset below 0 counts as 0.
+func (b Bound) offset(row int) int64 {
+	if b.OffsetFn == nil {
+		return b.Offset
 	}
-	return false
+	return max(b.OffsetFn(row), 0)
 }
 
-func (b Bound) offset(row int) int64 {
-	if b.OffsetFn != nil {
-		if off := b.OffsetFn(row); off > 0 {
-			return off
-		}
-		return 0
+// shifted moves pos, in [0, limit], by b's offset for row — back for
+// PRECEDING, forward for FOLLOWING, not at all for CURRENT ROW — and clamps
+// the result to [-1, limit].
+func (b *Bound) shifted(pos, row, limit int) int {
+	switch b.Type {
+	case Preceding:
+		return pos - int(min(b.offset(row), int64(pos)+1))
+	case Following:
+		return pos + int(min(b.offset(row), int64(limit-pos)))
 	}
-	return b.Offset
+	return pos
 }
 
 // Bounds returns row's continuous frame [lo, hi) before exclusion, clamped
 // to [0, n). An empty frame yields lo == hi.
 func (c *Computer) Bounds(row int) (lo, hi int) {
-	lo = c.startBound(row)
-	hi = c.endBound(row)
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > c.n {
-		lo = c.n
-	}
-	if hi > c.n {
-		hi = c.n
-	}
-	if hi < lo {
-		hi = lo
-	}
+	lo = min(max(c.startBound(row), 0), c.n)
+	hi = min(max(c.endBound(row), lo), c.n)
 	return lo, hi
 }
 
+// startBound is the first row of row's frame. GROUPS bounds and RANGE's
+// CURRENT ROW start at a peer group's first row.
 func (c *Computer) startBound(row int) int {
-	b := c.spec.Start
-	switch c.spec.Mode {
-	case Rows:
-		switch b.Type {
-		case UnboundedPreceding:
-			return 0
-		case Preceding:
-			return row - clampInt(b.offset(row))
-		case CurrentRow:
-			return row
-		case Following:
-			return row + clampInt(b.offset(row))
-		}
-	case Range:
-		switch b.Type {
-		case UnboundedPreceding:
-			return 0
-		case Preceding:
-			return sortutil.LowerBound(c.keys, satSub(c.keys[row], b.offset(row)))
-		case CurrentRow:
-			return sortutil.LowerBound(c.keys, c.keys[row])
-		case Following:
-			return sortutil.LowerBound(c.keys, satAdd(c.keys[row], b.offset(row)))
-		}
-	case Groups:
-		g := int(c.groups[row])
-		switch b.Type {
-		case UnboundedPreceding:
-			return 0
-		case Preceding:
-			g -= clampInt(b.offset(row))
-		case CurrentRow:
-			// keep g
-		case Following:
-			g += clampInt(b.offset(row))
-		}
-		if g < 0 {
-			g = 0
-		}
-		if g >= len(c.groupStart) {
-			return c.n
-		}
-		return int(c.groupStart[g])
+	b := &c.spec.Start
+	switch {
+	case b.Type == UnboundedPreceding:
+		return 0
+	case c.spec.Mode == Rows:
+		return b.shifted(row, row, c.n)
+	case c.spec.Mode == Range && b.Type != CurrentRow:
+		return c.keyBound(row, b, true)
 	}
-	return 0
+	g := b.shifted(int(c.groups[row]), row, len(c.edges)-1)
+	return int(c.edges[max(g, 0)])
 }
 
+// endBound is one past the last row of row's frame. GROUPS bounds and
+// RANGE's CURRENT ROW end at a peer group's last row.
 func (c *Computer) endBound(row int) int {
-	b := c.spec.End
-	switch c.spec.Mode {
-	case Rows:
-		switch b.Type {
-		case UnboundedFollowing:
-			return c.n
-		case Preceding:
-			return row - clampInt(b.offset(row)) + 1
-		case CurrentRow:
-			return row + 1
-		case Following:
-			return row + clampInt(b.offset(row)) + 1
-		}
-	case Range:
-		switch b.Type {
-		case UnboundedFollowing:
-			return c.n
-		case Preceding:
-			return sortutil.UpperBound(c.keys, satSub(c.keys[row], b.offset(row)))
-		case CurrentRow:
-			return sortutil.UpperBound(c.keys, c.keys[row])
-		case Following:
-			return sortutil.UpperBound(c.keys, satAdd(c.keys[row], b.offset(row)))
-		}
-	case Groups:
-		g := int(c.groups[row])
-		switch b.Type {
-		case UnboundedFollowing:
-			return c.n
-		case Preceding:
-			g -= clampInt(b.offset(row))
-		case CurrentRow:
-			// keep g
-		case Following:
-			g += clampInt(b.offset(row))
-		}
-		if g < 0 {
-			return 0
-		}
-		if g >= len(c.groupEnd) {
-			return c.n
-		}
-		return int(c.groupEnd[g])
+	b := &c.spec.End
+	switch {
+	case b.Type == UnboundedFollowing:
+		return c.n
+	case c.spec.Mode == Rows:
+		return b.shifted(row, row, c.n) + 1
+	case c.spec.Mode == Range && b.Type != CurrentRow:
+		return c.keyBound(row, b, false)
 	}
-	return c.n
+	g := b.shifted(int(c.groups[row]), row, len(c.edges)-1)
+	return int(c.edges[min(g, len(c.edges)-2)+1])
+}
+
+// keyBound is where the RANGE offset bound b falls for row: for a start
+// bound the first row whose key reaches the current key moved by the
+// offset, for an end bound one past the last such row. A NULL row's bound is
+// the edge of the NULL rows; a moved key that leaves int64 lies beyond
+// every key.
+func (c *Computer) keyBound(row int, b *Bound, start bool) int {
+	at, keys := c.keys.At, c.keys.Values
+	end := at + len(keys)
+	if row < at || row >= end {
+		lo, hi := 0, at
+		if row >= end {
+			lo, hi = end, c.n
+		}
+		if start {
+			return lo
+		}
+		return hi
+	}
+	v, off := keys[row-at], b.offset(row)
+	if b.Type == Preceding {
+		off = -off
+	}
+	switch target := v + off; {
+	case off > 0 && target < v:
+		return end
+	case off < 0 && target > v:
+		return at
+	case start:
+		return at + sortutil.LowerBound(keys, target)
+	default:
+		return at + sortutil.UpperBound(keys, target)
+	}
 }
 
 // peerRange returns the peer group [lo, hi) of row.
 func (c *Computer) peerRange(row int) (int, int) {
-	if c.groups != nil {
-		g := c.groups[row]
-		return int(c.groupStart[g]), int(c.groupEnd[g])
-	}
-	if c.keys != nil {
-		return sortutil.LowerBound(c.keys, c.keys[row]), sortutil.UpperBound(c.keys, c.keys[row])
-	}
-	return row, row + 1
+	g := c.groups[row]
+	return int(c.edges[g]), int(c.edges[g+1])
 }
 
 // Ranges appends row's frame, after applying the exclusion clause, to buf as
@@ -426,22 +406,8 @@ func (c *Computer) Ranges(row int, buf [][2]int) [][2]int {
 	return buf
 }
 
-// Spec returns the specification the computer was built from.
-func (c *Computer) Spec() Spec { return c.spec }
-
-// Len returns the partition size.
-func (c *Computer) Len() int { return c.n }
-
-func clampInt(v int64) int {
-	const maxInt = int64(^uint(0) >> 1)
-	if v > maxInt {
-		return int(maxInt)
-	}
-	return int(v)
-}
-
-// satAdd and satSub saturate on overflow so RANGE offsets near the int64
-// limits behave like ±infinity.
+// satAdd and satSub saturate on overflow, so a bound far beyond the
+// partition stays beyond it.
 func satAdd(a, b int64) int64 {
 	s := a + b
 	if b > 0 && s < a {

@@ -2,17 +2,62 @@ package frame
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
-// mustComputer builds a computer or fails the test.
+// mustComputer builds a computer or fails the test. Keys, when given, are
+// every row's, and groups then default to their peer groups.
 func mustComputer(t *testing.T, spec Spec, n int, keys []int64, groups []int32) *Computer {
 	t.Helper()
-	c, err := NewComputer(spec, n, keys, groups)
+	var k *Keys
+	if keys != nil {
+		var peers []int32
+		k, peers = layout(keys, 0, false)
+		if groups == nil {
+			groups = peers
+		}
+	}
+	c, err := NewComputer(spec, n, k, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// layout lays out a partition of nulls NULL rows, before the ascending keys
+// when nullsFirst and after them otherwise, and numbers its peer groups.
+func layout(keys []int64, nulls int, nullsFirst bool) (*Keys, []int32) {
+	k := &Keys{Values: keys}
+	groups := make([]int32, 0, len(keys)+nulls)
+	for i, v := range keys {
+		g := int32(0)
+		if i > 0 {
+			g = groups[i-1]
+			if v != keys[i-1] {
+				g++
+			}
+		}
+		groups = append(groups, g)
+	}
+	if nulls == 0 {
+		return k, groups
+	}
+	if nullsFirst {
+		k.At = nulls
+		for i := range groups {
+			groups[i]++
+		}
+		return k, append(make([]int32, nulls), groups...)
+	}
+	g := int32(0)
+	if len(groups) > 0 {
+		g = groups[len(groups)-1] + 1
+	}
+	for range nulls {
+		groups = append(groups, g)
+	}
+	return k, groups
 }
 
 func bounds(c *Computer, n int) [][2]int {
@@ -60,6 +105,16 @@ func TestRowsBounds(t *testing.T) {
 			"1 following to 3 following",
 			Spec{Mode: Rows, Start: Bound{Type: Following, Offset: 1}, End: Bound{Type: Following, Offset: 3}},
 			[][2]int{{1, 4}, {2, 5}, {3, 6}, {4, 6}, {5, 6}, {6, 6}},
+		},
+		{
+			"current row to max following (reaches the end, no wrap)",
+			Spec{Mode: Rows, Start: Bound{Type: CurrentRow}, End: Bound{Type: Following, Offset: math.MaxInt64}},
+			[][2]int{{0, 6}, {1, 6}, {2, 6}, {3, 6}, {4, 6}, {5, 6}},
+		},
+		{
+			"max preceding to current row",
+			Spec{Mode: Rows, Start: Bound{Type: Preceding, Offset: math.MaxInt64}, End: Bound{Type: CurrentRow}},
+			[][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}},
 		},
 	}
 	for _, c := range cases {
@@ -124,19 +179,36 @@ func TestRangeUnboundedDefault(t *testing.T) {
 func TestGroupsBounds(t *testing.T) {
 	groups := []int32{0, 0, 1, 1, 1, 2, 3, 3}
 	n := len(groups)
-	spec := Spec{Mode: Groups,
-		Start: Bound{Type: Preceding, Offset: 1},
-		End:   Bound{Type: Following, Offset: 1}}
-	c := mustComputer(t, spec, n, nil, groups)
-	want := [][2]int{
-		{0, 5}, {0, 5}, // group 0: groups -1..1 -> rows 0..5
-		{0, 6}, {0, 6}, {0, 6}, // group 1: groups 0..2
-		{2, 8},         // group 2: groups 1..3
-		{5, 8}, {5, 8}, // group 3: groups 2..4 (clamped)
+	fol := func(o int64) Bound { return Bound{Type: Following, Offset: o} }
+	cases := []struct {
+		name string
+		spec Spec
+		want [][2]int
+	}{
+		{
+			"1 preceding to 1 following",
+			Spec{Mode: Groups, Start: Bound{Type: Preceding, Offset: 1}, End: fol(1)},
+			[][2]int{
+				{0, 5}, {0, 5}, // group 0: groups -1..1 -> rows 0..5
+				{0, 6}, {0, 6}, {0, 6}, // group 1: groups 0..2
+				{2, 8},         // group 2: groups 1..3
+				{5, 8}, {5, 8}, // group 3: groups 2..4 (clamped)
+			},
+		},
+		{
+			"current row to max following (reaches the end, no wrap)",
+			Spec{Mode: Groups, Start: Bound{Type: CurrentRow}, End: fol(math.MaxInt64)},
+			[][2]int{{0, 8}, {0, 8}, {2, 8}, {2, 8}, {2, 8}, {5, 8}, {6, 8}, {6, 8}},
+		},
+		{
+			"max following to max following",
+			Spec{Mode: Groups, Start: fol(math.MaxInt64), End: fol(math.MaxInt64)},
+			[][2]int{{8, 8}, {8, 8}, {8, 8}, {8, 8}, {8, 8}, {8, 8}, {8, 8}, {8, 8}},
+		},
 	}
-	for i, w := range want {
-		if lo, hi := c.Bounds(i); lo != w[0] || hi != w[1] {
-			t.Fatalf("row %d = [%d,%d), want %v", i, lo, hi, w)
+	for _, c := range cases {
+		if got := bounds(mustComputer(t, c.spec, n, nil, groups), n); !slices.Equal(got, c.want) {
+			t.Errorf("%s: frames %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -270,23 +342,108 @@ func TestValidation(t *testing.T) {
 	if _, err := NewComputer(Spec{Mode: Groups, Start: Bound{Type: CurrentRow}, End: Bound{Type: CurrentRow}}, 3, nil, nil); err == nil {
 		t.Error("GROUPS without peer groups must fail")
 	}
+	if _, err := NewComputer(Default(), 3, nil, nil); err == nil {
+		t.Error("RANGE CURRENT ROW without peer groups must fail")
+	}
 }
 
+// TestRangeOffsetSaturation checks that a key moved past an int64 limit
+// lies beyond every key, the limit itself included, instead of saturating
+// onto it.
 func TestRangeOffsetSaturation(t *testing.T) {
 	const big = int64(1) << 62
 	const huge = big + big/2
-	keys := []int64{-big, 0, big}
-	spec := Spec{Mode: Range,
-		Start: Bound{Type: Preceding, Offset: huge},
-		End:   Bound{Type: Following, Offset: huge}}
-	c := mustComputer(t, spec, 3, keys, nil)
-	// Row 0: key-huge saturates to -inf (lo 0); key+huge = big/2 < big, so
-	// row 2 stays out. Row 1 covers everything. Row 2: key+huge saturates
-	// to +inf, key-huge = -big/2 > -big, so row 0 stays out.
-	want := [][2]int{{0, 2}, {0, 3}, {1, 3}}
-	for i, w := range want {
-		if lo, hi := c.Bounds(i); lo != w[0] || hi != w[1] {
-			t.Fatalf("row %d = [%d,%d), want %v", i, lo, hi, w)
+	limits := []int64{math.MinInt64, math.MinInt64 + 1, 0, math.MaxInt64 - 1, math.MaxInt64}
+	cases := []struct {
+		name       string
+		keys       []int64
+		start, end Bound
+		want       [][2]int
+	}{
+		// Row 0: key-huge leaves int64 (lo 0); key+huge = big/2 < big, so
+		// row 2 stays out. Row 1 covers everything. Row 2: key+huge leaves
+		// int64, key-huge = -big/2 > -big, so row 0 stays out.
+		{"huge preceding and huge following", []int64{-big, 0, big},
+			Bound{Type: Preceding, Offset: huge}, Bound{Type: Following, Offset: huge},
+			[][2]int{{0, 2}, {0, 3}, {1, 3}}},
+		{"2 following and unbounded following", limits, Bound{Type: Following, Offset: 2}, Bound{Type: UnboundedFollowing},
+			[][2]int{{2, 5}, {2, 5}, {3, 5}, {5, 5}, {5, 5}}},
+		{"unbounded preceding and 2 preceding", limits, Bound{Type: UnboundedPreceding}, Bound{Type: Preceding, Offset: 2},
+			[][2]int{{0, 0}, {0, 0}, {0, 2}, {0, 3}, {0, 3}}},
+		{"max preceding and 0 following", limits, Bound{Type: Preceding, Offset: math.MaxInt64}, Bound{Type: Following},
+			[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {2, 5}}},
+	}
+	for _, c := range cases {
+		comp := mustComputer(t, Spec{Mode: Range, Start: c.start, End: c.end}, len(c.keys), c.keys, nil)
+		if got := bounds(comp, len(c.keys)); !slices.Equal(got, c.want) {
+			t.Errorf("%s: frames %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestRangeNullKeys checks PostgreSQL's rule for NULL keys under RANGE
+// offsets: a NULL is at no distance from another NULL and farther than any
+// offset from every number, while UNBOUNDED and CURRENT ROW bounds reach
+// NULLs like any peer group.
+func TestRangeNullKeys(t *testing.T) {
+	keys := []int64{1, 2, math.MaxInt64}
+	pre1, fol1 := Bound{Type: Preceding, Offset: 1}, Bound{Type: Following, Offset: 1}
+	cases := []struct {
+		name       string
+		nullsFirst bool
+		spec       Spec
+		want       [][2]int
+	}{
+		{"nulls last, 1 preceding and 1 following", false, Spec{Mode: Range, Start: pre1, End: fol1},
+			[][2]int{{0, 2}, {0, 2}, {2, 3}, {3, 5}, {3, 5}}},
+		{"nulls first, 1 preceding and 1 following", true, Spec{Mode: Range, Start: pre1, End: fol1},
+			[][2]int{{0, 2}, {0, 2}, {2, 4}, {2, 4}, {4, 5}}},
+		{"nulls last, 5 following and unbounded following", false,
+			Spec{Mode: Range, Start: Bound{Type: Following, Offset: 5}, End: Bound{Type: UnboundedFollowing}},
+			[][2]int{{2, 5}, {2, 5}, {3, 5}, {3, 5}, {3, 5}}},
+		{"nulls first, unbounded preceding and 1 preceding", true,
+			Spec{Mode: Range, Start: Bound{Type: UnboundedPreceding}, End: pre1},
+			[][2]int{{0, 2}, {0, 2}, {0, 2}, {0, 3}, {0, 4}}},
+		{"nulls last, 1 preceding and current row", false, Spec{Mode: Range, Start: pre1, End: Bound{Type: CurrentRow}},
+			[][2]int{{0, 1}, {0, 2}, {2, 3}, {3, 5}, {3, 5}}},
+	}
+	for _, tc := range cases {
+		k, groups := layout(keys, 2, tc.nullsFirst)
+		c, err := NewComputer(tc.spec, 5, k, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bounds(c, 5); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: frames %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestNeeds pins what each kind of spec asks NewComputer for: order keys
+// only for a RANGE offset, peer groups for every bound or exclusion that
+// names peers.
+func TestNeeds(t *testing.T) {
+	unbPre, unbFol, cur := Bound{Type: UnboundedPreceding}, Bound{Type: UnboundedFollowing}, Bound{Type: CurrentRow}
+	pre, fol := Bound{Type: Preceding, Offset: 2}, Bound{Type: Following, Offset: 1}
+	cases := []struct {
+		name         string
+		spec         Spec
+		keys, groups bool
+	}{
+		{"rows", Spec{Mode: Rows, Start: pre, End: fol}, false, false},
+		{"rows, exclude ties", Spec{Mode: Rows, Start: pre, End: cur, Exclude: ExcludeTies}, false, true},
+		{"whole partition range", Spec{Mode: Range, Start: unbPre, End: unbFol}, false, false},
+		{"default", Default(), false, true},
+		{"range offsets", Spec{Mode: Range, Start: pre, End: fol}, true, false},
+		{"range offset and current row", Spec{Mode: Range, Start: pre, End: cur}, true, true},
+		{"range offsets, exclude group", Spec{Mode: Range, Start: pre, End: fol, Exclude: ExcludeGroup}, true, true},
+		{"range offsets, exclude current row", Spec{Mode: Range, Start: pre, End: fol, Exclude: ExcludeCurrentRow}, true, false},
+		{"whole partition groups", Spec{Mode: Groups, Start: unbPre, End: unbFol}, false, false},
+		{"groups offset", Spec{Mode: Groups, Start: unbPre, End: fol}, false, true},
+	}
+	for _, c := range cases {
+		if k, g := c.spec.NeedsKeys(), c.spec.NeedsPeers(); k != c.keys || g != c.groups {
+			t.Errorf("%s: NeedsKeys %v, NeedsPeers %v; want %v, %v", c.name, k, g, c.keys, c.groups)
 		}
 	}
 }

@@ -14,18 +14,11 @@ func TestRangesWithinBoundsProperty(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(60)
 		keys := make([]int64, n)
-		groups := make([]int32, n)
-		cur := int64(0)
-		g := int32(0)
-		for i := 0; i < n; i++ {
-			if i > 0 && rng.Intn(3) > 0 {
-				cur += rng.Int63n(3) // duplicates allowed
-				if cur != keys[i-1] {
-					g++
-				}
+		for i := 1; i < n; i++ {
+			keys[i] = keys[i-1]
+			if rng.Intn(3) > 0 {
+				keys[i] += rng.Int63n(3) // duplicates allowed
 			}
-			keys[i] = cur
-			groups[i] = g
 		}
 		spec := Spec{
 			Mode:    Mode(rng.Intn(3)),
@@ -48,7 +41,9 @@ func TestRangesWithinBoundsProperty(t *testing.T) {
 		}
 		spec.Start = randBound(true)
 		spec.End = randBound(false)
-		c, err := NewComputer(spec, n, keys, groups)
+		nulls := rng.Intn(min(n, 3))
+		k, groups := layout(keys[nulls:], nulls, rng.Intn(2) == 0)
+		c, err := NewComputer(spec, n, k, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,19 +94,13 @@ func TestMonotonicFramesProperty(t *testing.T) {
 		for i := 1; i < n; i++ {
 			keys[i] = keys[i-1] + rng.Int63n(4)
 		}
-		groups := make([]int32, n)
-		for i := 1; i < n; i++ {
-			groups[i] = groups[i-1]
-			if keys[i] != keys[i-1] {
-				groups[i]++
-			}
-		}
+		k, groups := layout(keys, 0, false)
 		spec := Spec{Mode: Mode(rng.Intn(3))}
 		starts := []Bound{{Type: UnboundedPreceding}, {Type: Preceding, Offset: int64(rng.Intn(4))}, {Type: CurrentRow}, {Type: Following, Offset: int64(rng.Intn(4))}}
 		ends := []Bound{{Type: UnboundedFollowing}, {Type: Preceding, Offset: int64(rng.Intn(4))}, {Type: CurrentRow}, {Type: Following, Offset: int64(rng.Intn(4))}}
 		spec.Start = starts[rng.Intn(len(starts))]
 		spec.End = ends[rng.Intn(len(ends))]
-		c, err := NewComputer(spec, n, keys, groups)
+		c, err := NewComputer(spec, n, k, groups)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 
@@ -17,9 +18,17 @@ import (
 var sizes = []int{0, 1, 130, 3, 13, 450, 40, 7}
 
 // draw draws the columns of the rigs' table after its key k, with NULLs in
-// every column but g and special floats in fv.
+// every column but g, special floats in fv and, about one value in twenty,
+// an int64 limit or its neighbour in d, the key of the RANGE offsets.
 func draw(g oracle.Gen) oracle.Table {
-	return oracle.Table{g.Ints("g", 3, 0), g.Ints("d", 40, 15), g.Ints("v", 12, 10),
+	d := g.Ints("d", 40, 15)
+	limits := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64}
+	for i := range d.Ints {
+		if g.Rng.Intn(20) == 0 {
+			d.Ints[i] = limits[g.Rng.Intn(len(limits))]
+		}
+	}
+	return oracle.Table{g.Ints("g", 3, 0), d, g.Ints("v", 12, 10),
 		g.Floats("fv", 10), g.Strings("s", 6, 12), g.Bools("flt", 20)}
 }
 
@@ -187,10 +196,12 @@ func Funcs(rng *rand.Rand) []core.FuncSpec {
 	}
 }
 
-// statement spreads Funcs over five windows of one partitioning: equal
-// windows under different listings of it, a two-key order the one-key ones
-// prefix, an unordered window and one ordered by v. Each function takes a
-// frame of its own.
+// statement spreads Funcs over seven windows. Six share one partitioning:
+// equal windows under different listings of it, a two-key order the one-key
+// ones prefix, an unordered window, one ordered by v and one by a STRING then
+// a FLOAT64 key. The seventh orders the whole table by d the other way, so
+// RANGE offsets meet d's int64 limits in both directions and in one
+// partition. Each function takes a frame of its own.
 func statement(rng *rand.Rand) *plan.Statement {
 	part := [][]string{nil, {"g"}, {"g", "s"}}[rng.Intn(3)]
 	rev := slices.Clone(part)
@@ -205,6 +216,8 @@ func statement(rng *rand.Rand) *plan.Statement {
 		{rev, []core.SortKey{d}},
 		{part, nil},
 		{part, []core.SortKey{{Column: "v"}}},
+		{part, []core.SortKey{{Column: "s", Desc: true}, {Column: "fv", NullsSmallest: rng.Intn(2) == 0}}},
+		{nil, []core.SortKey{{Column: "d", Desc: !d.Desc, NullsSmallest: d.NullsSmallest}}},
 	}
 	stmt := &plan.Statement{Table: "t"}
 	for _, f := range Funcs(rng) {
@@ -216,20 +229,30 @@ func statement(rng *rand.Rand) *plan.Statement {
 }
 
 // randFrame draws a frame from oracle.RandFrame, or SQL's default (nil) one
-// time in four, and draws again until the window's order accepts it: RANGE
-// frames and the default frame need a single INT64 key, except that
-// without an ORDER BY the default is the whole partition.
+// time in four. A RANGE offset needs a single INT64 key, so an offset RANGE
+// frame drawn for a window that is not ordered by one becomes GROUPS with
+// the same bounds; default frames and offset-free RANGE frames are kept for
+// every window.
 func randFrame(rng *rand.Rand, order []core.SortKey) *frame.Spec {
-	for {
-		var fs *frame.Spec
-		if rng.Intn(4) != 0 {
-			s := oracle.RandFrame(rng)
-			fs = &s
-		}
-		if len(order) == 1 || fs == nil && len(order) == 0 || fs != nil && fs.Mode != frame.Range {
-			return fs
+	if rng.Intn(4) == 0 {
+		return nil
+	}
+	s := oracle.RandFrame(rng)
+	if s.NeedsKeys() && !int64Key(order) {
+		s.Mode = frame.Groups
+	}
+	return &s
+}
+
+// int64Key reports whether order is a single INT64 column of the rigs'
+// table.
+func int64Key(order []core.SortKey) bool {
+	for _, c := range draw(oracle.Gen{}) {
+		if len(order) == 1 && c.Name == order[0].Column {
+			return c.Kind == oracle.Int64
 		}
 	}
+	return false
 }
 
 // kinds is the oracle's kind for each core Kind, paired by name.

@@ -9,7 +9,8 @@
 // (TestIndependence enforces that). Its value rules are SQL's: NULLs are
 // equal to each other and sort as the largest values unless NullsSmallest;
 // −0.0 equals 0.0; NaN equals NaN and sorts above every number, +Inf
-// included.
+// included; and under a RANGE offset a NULL key is at no distance from
+// another NULL and farther than any offset from every number.
 package oracle
 
 import (
@@ -273,43 +274,59 @@ func Eval(t Table, w Window, f Func) []Value {
 	return out
 }
 
-// coordinates returns the scale a frame's bounds are measured on, one
-// value per position of the sorted partition: the position (ROWS), the
-// peer group (GROUPS, and RANGE over anything but one INT64 key, whose
-// bounds are then unbounded or CURRENT ROW), or the key oriented so that it
-// ascends, NULLs at the end the key sorts them to (RANGE).
-func (e *evaluation) coordinates(w Window, spec frame.Spec, part []int) []int64 {
-	c := make([]int64, len(part))
+// coordinate is a point of the scale a frame's bounds are measured on.
+// tier places the points that are not numbers: UNBOUNDED at ±3, past
+// everything; the NULLs of a RANGE key at ±2, the end of the order they sort
+// to; a key moved past an int64 limit by an offset at ±1. Every other point
+// has tier 0 and its value in at.
+type coordinate struct {
+	tier int
+	at   int64
+}
+
+// atMost reports whether c lies at or before d.
+func (c coordinate) atMost(d coordinate) bool {
+	return c.tier < d.tier || c.tier == d.tier && c.at <= d.at
+}
+
+// coordinates returns each position's point on the sorted partition's
+// scale: the position (ROWS); the peer group (GROUPS, and RANGE without an
+// offset bound, whose CURRENT ROW is the peer group whatever the ORDER BY);
+// or the one INT64 key, oriented so that it ascends, a NULL beyond every
+// number (RANGE with an offset bound).
+func (e *evaluation) coordinates(w Window, spec frame.Spec, part []int) []coordinate {
+	offset := func(b frame.Bound) bool { return b.Type == frame.Preceding || b.Type == frame.Following }
+	keyed := spec.Mode == frame.Range && (offset(spec.Start) || offset(spec.End))
+	c := make([]coordinate, len(part))
 	for i, row := range part {
 		switch {
 		case spec.Mode == frame.Rows:
-			c[i] = int64(i)
-		case spec.Mode == frame.Groups || len(w.OrderBy) != 1 || e.t.col(w.OrderBy[0].Column).Kind != Int64:
-			c[i] = int64(e.peer[row])
+			c[i].at = int64(i)
+		case !keyed:
+			c[i].at = int64(e.peer[row])
 		default:
 			k := w.OrderBy[0]
-			v := e.t.col(k.Column).Value(row)
-			c[i] = v.I
-			if v.Null {
-				c[i] = math.MaxInt64
-				if k.NullsSmallest {
-					c[i] = math.MinInt64
-				}
-			}
-			if k.Desc {
-				c[i] = ^c[i] // reverses the order and keeps distances
+			switch v := e.t.col(k.Column).Value(row); {
+			case v.Null && k.NullsSmallest != k.Desc:
+				c[i].tier = -2
+			case v.Null:
+				c[i].tier = 2
+			case k.Desc:
+				c[i].at = ^v.I // reverses the order and keeps distances
+			default:
+				c[i].at = v.I
 			}
 		}
 	}
 	return c
 }
 
-// markFrame marks the frame of the row at pos: the rows whose coordinate
-// lies between its two bounds, less those its EXCLUDE clause removes.
-func (e *evaluation) markFrame(spec frame.Spec, part []int, coords []int64, pos int) {
+// markFrame marks the frame of the row at pos: the rows whose point lies
+// between its two bounds, less those its EXCLUDE clause removes.
+func (e *evaluation) markFrame(spec frame.Spec, part []int, coords []coordinate, pos int) {
 	row := part[pos]
-	lo := bound(spec.Start, coords[pos], row, math.MinInt64)
-	hi := bound(spec.End, coords[pos], row, math.MaxInt64)
+	lo := bound(spec.Start, coords[pos], row, -1)
+	hi := bound(spec.End, coords[pos], row, 1)
 	for i, r := range part {
 		excluded := false
 		switch spec.Exclude {
@@ -320,15 +337,16 @@ func (e *evaluation) markFrame(spec frame.Spec, part []int, coords []int64, pos 
 		case frame.ExcludeTies:
 			excluded = r != row && e.peer[r] == e.peer[row]
 		}
-		if lo <= coords[i] && coords[i] <= hi && !excluded {
+		if lo.atMost(coords[i]) && coords[i].atMost(hi) && !excluded {
 			e.mark[r] = row + 1
 		}
 	}
 }
 
-// bound is the coordinate a frame bound reaches from the current row's
-// coordinate my, saturating; an offset below 0 counts as 0.
-func bound(b frame.Bound, my int64, row int, unbounded int64) int64 {
+// bound is the point a frame bound reaches from the current row's point my;
+// side is -1 for the start bound, 1 for the end bound. An offset below 0
+// counts as 0, and a NULL is at no distance from another NULL.
+func bound(b frame.Bound, my coordinate, row int, side int) coordinate {
 	off := b.Offset
 	if b.OffsetFn != nil {
 		off = max(b.OffsetFn(row), 0)
@@ -340,15 +358,19 @@ func bound(b frame.Bound, my int64, row int, unbounded int64) int64 {
 	case frame.CurrentRow:
 		return my
 	default:
-		return unbounded
+		return coordinate{tier: 3 * side}
 	}
-	if s := my + off; (off > 0) == (s > my) || off == 0 {
-		return s
+	if my.tier != 0 {
+		return my
 	}
-	if off > 0 {
-		return math.MaxInt64
+	switch s := my.at + off; {
+	case off > 0 && s < my.at:
+		return coordinate{tier: 1}
+	case off < 0 && s > my.at:
+		return coordinate{tier: -1}
+	default:
+		return coordinate{at: s}
 	}
-	return math.MinInt64
 }
 
 // kept reports whether f reads row: FILTER passes it and, for the functions

@@ -151,5 +151,12 @@ check 'plans read no column types' all \
 # deleted; segtree keeps only paperbench's SortedTree
 check 'one structure kind' all \
     'segtree\.New\(|segtree\.Tree\b|tagSegTree|evalDistributive|\.Shared\(\)'
+# one peer rule: RANGE's CURRENT ROW is a peer-group bound under any ORDER
+# BY, frame.Spec says which inputs a frame computer needs and RANGE keys
+# cover only a partition's non-NULL rows, so core's copy of the key
+# predicate, frame's own, the sentinel-keyed builder and the computer's
+# unused accessors stay deleted
+check 'one peer rule' all \
+    '\bneedsRangeKeys\b|\bneedsKeys\b|\brangeKeysOriented\b|func \(c \*Computer\) (Spec|Len)\('
 
 exit $fail
