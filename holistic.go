@@ -36,7 +36,6 @@ package holistic
 import (
 	"holistic/internal/core"
 	"holistic/internal/frame"
-	"holistic/internal/mst"
 )
 
 // Table is a named collection of equal-length columns.
@@ -105,15 +104,11 @@ func DescNullsLast(column string) SortKey {
 }
 
 // Options tunes execution and is the library's one configuration form
-// (RunOptions, RunSQLOptions): trace, context, task size, tree shape,
-// structure cache and the shared-plan opt-out are its fields. The
-// zero value uses the paper's defaults (f = k = 32 merge sort trees,
-// 20 000-row tasks) and a run-local structure cache.
+// (RunOptions, RunSQLOptions): trace, context, task size, structure cache
+// and the shared-plan opt-out are its fields. The zero value uses the
+// paper's 20 000-row tasks and a run-local structure cache. The tree shape
+// is no option: every merge sort tree has the paper's f = k = 32.
 type Options = core.Options
-
-// TreeOptions configures merge sort tree construction (fanout f, pointer
-// sampling k, cascading).
-type TreeOptions = mst.Options
 
 // Window builds an OVER clause.
 type Window struct {

@@ -85,7 +85,7 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tree, err := mst.Build(prev, opt.Tree)
+		tree, err := mst.Build(prev, mst.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 	}
 	sortedKept := keptOrder(fl, sortedAll)
 	perm := preprocess.Permutation(sortedKept)
-	tree, err := mst.Build(perm, opt.Tree)
+	tree, err := mst.Build(perm, mst.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		sum := newSumLanes(p.t.Column(f.Arg), fl.k, fl.orig)
-		tree, err := mst.BuildSum(prev, sum.lanes, opt.Tree, mst.Full)
+		tree, err := mst.BuildSum(prev, sum.lanes, mst.Options{}, mst.Full)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 			ranksKept[j] = ranksAll[fl.local(j)]
 		}
 		prevKept, nextKept := linkRanks(ranksKept, distinct)
-		rt, err := rangetree.New(ranksKept, prevKept, opt.Tree)
+		rt, err := rangetree.New(ranksKept, prevKept, mst.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,14 +37,13 @@ func (o Options) ctxErr() error {
 	return o.Context.Err()
 }
 
-// treeOptions returns the run's tree options with the run's context and
-// the given build-phase span threaded through: construction obeys the run's
-// worker cap and cancellation, and mst attaches its per-level merge spans
-// beneath the "build merge sort tree" phase.
+// treeOptions returns the build options of every tree of the run: the
+// default shape (f = k = 32) with the run's context and the given
+// build-phase span, so construction obeys the run's worker cap and
+// cancellation, and mst attaches its per-level merge spans beneath the
+// "build merge sort tree" phase.
 func (o Options) treeOptions(sp *obs.Span) mst.Options {
-	topt := o.Tree
-	topt.Context, topt.Trace = o.Context, sp
-	return topt
+	return mst.Options{Context: o.Context, Trace: sp}
 }
 
 // cacheGet fetches the structure s names from the run's cache (RunShared
@@ -58,7 +57,7 @@ func cacheGet[T any](opt Options, s *Structure, build func() (T, int64, error)) 
 	// so a cold-cache outlier is distinguishable from a slow probe at a
 	// glance.
 	built := false
-	got, err := opt.Cache.GetOrBuild(s.key(opt), func() (any, int64, error) {
+	got, err := opt.Cache.GetOrBuild(s.key(opt.CacheScope), func() (any, int64, error) {
 		built = true
 		v, bytes, err := build()
 		if err != nil {

@@ -13,12 +13,12 @@ import (
 	"holistic/internal/treecache"
 )
 
-// core's part of the lattice is its RAM points: every tree shape, task
-// size, worker cap and leaf cutoff, each statement planned shared and
-// unshared. Two RAM points of one tree shape run back to back and must agree
-// bit for bit, so pooled scratch that leaks into retained state, or is
-// assumed zeroed, shows as a difference; chunk boundaries inside partitions
-// (task size 16) exercise the batch collectors' dedup.
+// core's part of the lattice is its RAM points: every task size, worker
+// cap and leaf cutoff, each statement planned shared and unshared. RAM
+// points run back to back and must agree bit for bit, so pooled scratch
+// that leaks into retained state, or is assumed zeroed, shows as a
+// difference; chunk boundaries inside partitions (task size 16) exercise
+// the batch collectors' dedup.
 var ram = []lattice.Storage{lattice.RAM}
 
 func TestOperatorAgainstReferenceRandomized(t *testing.T) {

@@ -6,16 +6,15 @@ import (
 	"math"
 	"sync"
 
-	"holistic/internal/mst"
 	"holistic/internal/obs"
 	"holistic/internal/parallel"
 	"holistic/internal/treecache"
 )
 
-// Options tunes the window operator.
+// Options tunes the window operator. It has no tree shape: every merge
+// sort tree the operator builds has the paper's fanout f = 32 and pointer
+// sampling k = 32 (mst.Options' defaults).
 type Options struct {
-	// Tree configures the merge sort trees (fanout, sampling, cascading).
-	Tree mst.Options
 	// TaskSize is the parallel task granularity in rows (default 20 000,
 	// the Hyper task size the paper uses, §5.5).
 	TaskSize int

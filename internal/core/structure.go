@@ -192,21 +192,21 @@ func sortOf(w *WindowSpec) Structure {
 
 // String renders the identity alone, with no scope: what the planner groups
 // by and what a partition id's executed-sort prefix is.
-func (s *Structure) String() string { return s.key(Options{}) }
+func (s *Structure) String() string { return s.key("") }
 
-// key renders s as the string opt's cache stores it under; it is the one
-// place a key is spelled out, and it names content only:
+// key renders s as the string a cache under scope stores it under; it is
+// the one place a key is spelled out, and it names content only:
 //
-//	scope | [executed sort | pk=<PARTITION BY values> | pd<newest epoch> | n<rows> |] tag | fields | t=<tree options>
+//	scope | [executed sort | pk=<PARTITION BY values> | pd<newest epoch> | n<rows> |] tag | fields
 //
 // The scope comes first, then the partition id of a per-partition
-// structure, the tag and every non-empty field, each under its own label. A
-// per-partition key carries the tree options that shape a tree, and a
-// result key its probe fields.
-func (s *Structure) key(opt Options) string {
+// structure, the tag and every non-empty field, each under its own label;
+// a result key ends in its probe fields. Every tree has one shape (f = k =
+// 32), so no key names it.
+func (s *Structure) key(scope string) string {
 	b := make([]byte, 0, 128)
-	if opt.CacheScope != "" {
-		b = append(append(b, opt.CacheScope...), '|')
+	if scope != "" {
+		b = append(append(b, scope...), '|')
 	}
 	if s.Part != "" {
 		b = append(append(b, s.Part...), '|')
@@ -225,10 +225,6 @@ func (s *Structure) key(opt Options) string {
 	}
 	if s.Width != "" {
 		b = append(append(b, "|w="...), s.Width...)
-	}
-	if s.Part != "" && s.Tag != tagPrefixSums { // prefix sums are no tree
-		b = strconv.AppendInt(append(b, "|t="...), int64(opt.Tree.Fanout), 10)
-		b = strconv.AppendInt(append(b, ','), int64(opt.Tree.SampleEvery), 10)
 	}
 	if f, fr := s.probe, &s.probeFrame; f != nil {
 		b = fmt.Appendf(b, "|fn=%s|q=%b|n=%d|in=%t|fr=%d:%d,%d:%d,%d:%d", f.Name, f.Fraction, f.N, f.IgnoreNulls,

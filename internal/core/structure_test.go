@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -10,15 +9,12 @@ import (
 	"testing"
 
 	"holistic/internal/frame"
-	"holistic/internal/mst"
-	"holistic/internal/obs"
-	"holistic/internal/parallel"
 )
 
 // TestStructureIdentity pins which functions share a structure and which
 // fields split one, as pairs of rendered identities that must be equal or
 // must differ: the planner's (StructureOf) for the functions, a partition's
-// key for the result entries and the tree options.
+// key for where a structure lives and for the result entries.
 func TestStructureIdentity(t *testing.T) {
 	byD := []SortKey{{Column: "d"}}
 	byV := []SortKey{{Column: "v"}}
@@ -95,47 +91,33 @@ func TestStructureIdentity(t *testing.T) {
 		}
 	}
 
-	// Where a structure lives: partition content, executed sort, delta
-	// stamp and the tree options that shape a tree split a key; how the
-	// build is scheduled does not.
+	// Where a structure lives: partition content, executed sort and delta
+	// stamp split a key.
 	w := &WindowSpec{OrderBy: byD}
-	at := func(p *partition, opt Options) string {
+	at := func(p *partition) string {
 		f := fn(Rank)
 		s := structureOf(&f, w.OrderBy)
 		s.Part = p.id
-		s.sized(1000, opt)
-		opt.CacheScope = "t@v1"
-		return s.key(opt)
+		s.sized(1000, Options{})
+		return s.key("t@v1")
 	}
 	p0 := &partition{w: w, id: "sort|pk=i1;|pd0"}
-	base := at(p0, Options{})
+	base := at(p0)
 	for _, c := range []struct {
 		name string
 		key  string
 		same bool
 	}{
-		{"partition content", at(&partition{w: w, id: "sort|pk=i2;|pd0"}, Options{}), false},
-		{"executed sort", at(&partition{w: w, id: "sort|o=\"v\"+,|pk=i1;|pd0"}, Options{}), false},
-		{"delta stamp", at(&partition{w: w, id: "sort|pk=i1;|pd4"}, Options{}), false},
-		{"fanout", at(p0, Options{Tree: mst.Options{Fanout: 32}}), false},
-		{"sampling", at(p0, Options{Tree: mst.Options{SampleEvery: 8}}), false},
-		{"build context and trace", at(p0, Options{Tree: mst.Options{Context: parallel.ContextWithLimit(context.Background(), 1), Trace: obs.NewSpan("build")}}), true},
+		{"partition content", at(&partition{w: w, id: "sort|pk=i2;|pd0"}), false},
+		{"executed sort", at(&partition{w: w, id: "sort|o=\"v\"+,|pk=i1;|pd0"}), false},
+		{"delta stamp", at(&partition{w: w, id: "sort|pk=i1;|pd4"}), false},
 	} {
 		if got := c.key == base; got != c.same {
 			t.Errorf("%s: same = %v, want %v\n base: %s\n key:  %s", c.name, got, c.same, base, c.key)
 		}
 	}
-	sums := func(opt Options) string {
-		f := fn(Sum)
-		s := structureOf(&f, nil)
-		s.Part = p0.id
-		return s.key(opt)
-	}
-	if plain, shaped := sums(Options{}), sums(Options{Tree: mst.Options{Fanout: 32, SampleEvery: 8}}); plain != shaped {
-		t.Errorf("tree options split prefix sums, which are no tree:\n %s\n %s", plain, shaped)
-	}
-	stamped := at(&partition{w: w, id: "sort|pk=i1;|pd4"}, Options{})
-	if other := at(&partition{w: w, id: "sort|pk=i1;|pd5"}, Options{}); other == stamped {
+	stamped := at(&partition{w: w, id: "sort|pk=i1;|pd4"})
+	if other := at(&partition{w: w, id: "sort|pk=i1;|pd5"}); other == stamped {
 		t.Errorf("a partition's last-change stamp does not split its key: %s", stamped)
 	}
 
@@ -145,7 +127,7 @@ func TestStructureIdentity(t *testing.T) {
 		Start: frame.Bound{Type: frame.Preceding, Offset: 3}, End: frame.Bound{Type: frame.Following, Offset: 1}}
 	result := func(f FuncSpec, spec frame.Spec) string {
 		s := resultOf(p0, &f, spec)
-		return s.key(Options{CacheScope: "t@v1"})
+		return s.key("t@v1")
 	}
 	want := result(probe, spec)
 	if again := result(with(probe, func(f *FuncSpec) { f.Output = "y" }), spec); again != want {
@@ -170,7 +152,7 @@ func TestStructureIdentity(t *testing.T) {
 		refined := &partition{w: &WindowSpec{OrderBy: order}, id: p0.id}
 		for _, f := range []FuncSpec{probe, {Name: Min, Output: "m", Arg: "v"}} {
 			s, again := resultOf(refined, &f, spec), resultOf(p0, &f, spec)
-			if got := s.key(Options{CacheScope: "t@v1"}); got == again.key(Options{CacheScope: "t@v1"}) {
+			if got := s.key("t@v1"); got == again.key("t@v1") {
 				t.Errorf("%v: result key ignores the window ORDER BY %v: %s", f.Name, order, got)
 			}
 		}

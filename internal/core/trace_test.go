@@ -427,7 +427,7 @@ func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := mst.Build(prev, opt.Tree)
+	tree, err := mst.Build(prev, mst.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,10 @@ import (
 // mutation interleavings — mixed batches, delete-only batches and batches
 // into one partition, with a compaction midway — and at every epoch each
 // delta point (one structure cache across epochs, so stale reuse would show)
-// must equal, bit for bit, a from-scratch RAM evaluation of the merged table
-// under its tree shape, for every window function.
+// must equal, bit for bit, a from-scratch RAM evaluation of the merged table,
+// for every window function. Past epoch 0 the delta points keep result
+// entries, and each epoch's neighbour statement over the same cache checks
+// their keys by answers.
 func TestDeltaEquivalenceRandomized(t *testing.T) {
 	lattice.Rig{Seed: 99, Trials: 5, Epochs: 4, Storage: []lattice.Storage{lattice.RAM, lattice.Delta}}.Run(t)
 }

@@ -78,11 +78,22 @@ func BuildTable(rows [][]delta.Value) *core.Table {
 	return toCore(cols)
 }
 
-// RandTable draws an n-row table of RandRow rows keyed 0..n-1.
+// RandTable draws an n-row table of RandRow rows keyed 0..n-1. A row whose
+// d is an int64 limit or its neighbour is followed by its partner
+// (MinInt64 and MinInt64+1, MaxInt64-1 and MaxInt64) with the same g and s,
+// so the two values one apart at each limit share a partition far more
+// often than independent draws put them there, and RANGE offsets of 0 and 1
+// must tell them apart.
 func RandTable(rng *rand.Rand, n int) *core.Table {
 	rows := make([][]delta.Value, n)
 	for i := range rows {
 		rows[i] = RandRow(rng, int64(i))
+	}
+	for i := 0; i+1 < n; i++ { // a row is k, g, d, v, fv, s, flt
+		if d := rows[i][2]; !d.Null && (d.Int <= math.MinInt64+1 || d.Int >= math.MaxInt64-1) {
+			rows[i+1][1], rows[i+1][2], rows[i+1][5] = rows[i][1], delta.Int64Value(d.Int^1), rows[i][5]
+			i++
+		}
 	}
 	return BuildTable(rows)
 }
@@ -228,18 +239,133 @@ func statement(rng *rand.Rand) *plan.Statement {
 	return stmt
 }
 
+// fields are what a neighbour statement changes in one item, each a field
+// the item's result depends on.
+var fields = []string{"fraction", "N", "frame offset", "EXCLUDE", "FILTER", "IGNORE NULLS", "function ORDER BY", "window ORDER BY"}
+
+// edit sets the field of item to another value and reports whether item
+// has the field; it draws from rng only when it does.
+func edit(rng *rand.Rand, field string, item *plan.Item) bool {
+	f, fr := item.Func, item.Func.Frame
+	percentile := f.Name == core.PercentileDisc || f.Name == core.PercentileCont
+	switch field {
+	case "fraction":
+		if !percentile {
+			return false
+		}
+		f.Fraction = float64((int(math.Round(f.Fraction*100))+1+rng.Intn(100))%101) / 100
+	case "N":
+		if f.Name != core.Ntile && f.Name != core.NthValue && f.Name != core.Lead && f.Name != core.Lag {
+			return false
+		}
+		f.N = max(f.N, 1)%3 + 1 // LEAD and LAG read an N of 0 as 1
+	case "frame offset":
+		if fr == nil {
+			return false
+		}
+		var offsets []*frame.Bound
+		for _, b := range []*frame.Bound{&fr.Start, &fr.End} {
+			if b.Type == frame.Preceding || b.Type == frame.Following {
+				offsets = append(offsets, b)
+			}
+		}
+		if len(offsets) == 0 {
+			return false
+		}
+		offsets[rng.Intn(len(offsets))].Offset ^= 1
+	case "EXCLUDE":
+		if fr == nil {
+			return false
+		}
+		fr.Exclude = (fr.Exclude + frame.Exclusion(1+rng.Intn(3))) % 4
+	case "FILTER":
+		f.Filter = map[string]string{"": "flt", "flt": ""}[f.Filter]
+	case "IGNORE NULLS":
+		if f.Name != core.NthValue && f.Name != core.FirstValue && f.Name != core.LastValue && f.Name != core.Lead && f.Name != core.Lag {
+			return false
+		}
+		f.IgnoreNulls = !f.IgnoreNulls
+	case "function ORDER BY":
+		if len(f.OrderBy) == 0 {
+			return false
+		}
+		orders := [][]core.SortKey{{{Column: "v"}}, {{Column: "v", Desc: true}}, {{Column: "fv"}}, {{Column: "fv", Desc: true}}}
+		if !percentile {
+			orders = append(orders, []core.SortKey{{Column: "d"}, {Column: "v", Desc: true}})
+		}
+		orders = slices.DeleteFunc(orders, func(o []core.SortKey) bool { return slices.Equal(o, f.OrderBy) })
+		f.OrderBy = orders[rng.Intn(len(orders))]
+	case "window ORDER BY": // a refinement: one more key
+		if fr != nil && fr.NeedsKeys() {
+			return false // an offset RANGE frame needs its one key
+		}
+		cols := slices.DeleteFunc([]string{"d", "v", "fv", "s", "k"}, func(c string) bool {
+			return slices.ContainsFunc(item.OrderBy, func(k core.SortKey) bool { return k.Column == c })
+		})
+		key := core.SortKey{Column: cols[rng.Intn(len(cols))], Desc: rng.Intn(2) == 0}
+		item.OrderBy = append(slices.Clip(item.OrderBy), key)
+	}
+	return true
+}
+
+// neighbour returns stmt with one field of one item changed, the oracle's
+// answers to it over tab (stmt's answers, want, but for the changed item)
+// and the change's name. It tries fields[field] first, then the fields
+// after it, each over the items in a random order, and takes the first
+// change that changes the item's answers: a cache key that leaves that
+// field out then serves a wrong answer. Where no change does, as on an
+// empty table, it takes the first change that applies.
+func neighbour(rng *rand.Rand, stmt *plan.Statement, field int, tab oracle.Table, want [][]oracle.Value) (*plan.Statement, [][]oracle.Value, string) {
+	var next *plan.Statement
+	var nextWant [][]oracle.Value
+	var change string
+	order := rng.Perm(len(stmt.Items))
+	for fi := range fields {
+		name := fields[(field+fi)%len(fields)]
+		for _, i := range order {
+			item := stmt.Items[i]
+			f := *item.Func
+			if f.Frame != nil {
+				if f.Frame.Start.OffsetFn != nil || f.Frame.End.OffsetFn != nil {
+					continue // per-row offsets keep a result out of the cache
+				}
+				fr := *f.Frame
+				f.Frame = &fr
+			}
+			item.Func = &f
+			if !edit(rng, name, &item) {
+				continue
+			}
+			got := answer(tab, item)
+			if differs := !slices.EqualFunc(got, want[i], oracle.Identical); differs || next == nil {
+				next = &plan.Statement{Table: stmt.Table, Items: slices.Clone(stmt.Items)}
+				nextWant = slices.Clone(want)
+				next.Items[i], nextWant[i], change = item, got, name+" of "+item.Name
+				if differs {
+					return next, nextWant, change
+				}
+			}
+		}
+	}
+	return next, nextWant, change
+}
+
 // randFrame draws a frame from oracle.RandFrame, or SQL's default (nil) one
 // time in four. A RANGE offset needs a single INT64 key, so an offset RANGE
 // frame drawn for a window that is not ordered by one becomes GROUPS with
-// the same bounds; default frames and offset-free RANGE frames are kept for
-// every window.
+// the same bounds, and a GROUPS frame drawn for a window that is becomes
+// RANGE, where offsets measure key distances and meet d's int64 limits;
+// default frames and offset-free RANGE frames are kept for every window.
 func randFrame(rng *rand.Rand, order []core.SortKey) *frame.Spec {
 	if rng.Intn(4) == 0 {
 		return nil
 	}
 	s := oracle.RandFrame(rng)
-	if s.NeedsKeys() && !int64Key(order) {
+	switch {
+	case s.NeedsKeys() && !int64Key(order):
 		s.Mode = frame.Groups
+	case s.Mode == frame.Groups && int64Key(order):
+		s.Mode = frame.Range
 	}
 	return &s
 }

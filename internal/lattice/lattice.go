@@ -2,16 +2,19 @@
 // rigs and the one runner they call. It is test support: only _test.go files
 // import it (TestTestOnlyImports).
 //
-// A Point fixes every setting an answer must not depend on: the paper's tree
-// shape — fanout f and sampling k (§6.6, Fig. 13) — and the system's shared
-// plan, storage, task size (§5.5), worker cap and leaf cutoff. Points is a pairwise cover of those dimensions, not
-// their product: every pair of values from two dimensions meets in at least
-// one point. The data sets the structures' width class instead: the tables
-// range from empty to partitions wider than mst.LeafRows.
+// A Point fixes every setting an answer must not depend on: the system's
+// shared plan, storage, task size (§5.5), worker cap and leaf cutoff. The
+// tree shape is no dimension: the engine builds every tree at the paper's
+// f = k = 32, and the mst and rangetree tests build the other shapes. Points
+// is a pairwise cover of the dimensions, not their product: every pair of
+// values from two dimensions meets in at least one point. The data sets the
+// structures' width class instead: the tables range from empty to
+// partitions wider than mst.LeafRows.
 //
 // Rig.Run checks each point's answers bit for bit (oracle.Identical): the
-// first point of each tree shape against the oracle, every later point of
-// that shape against the first.
+// first point against the oracle, every later point against the first. A
+// point that keeps a cache across statements also answers a neighbour of
+// each statement from the same cache, checked against the oracle.
 package lattice
 
 import (
@@ -35,7 +38,6 @@ func (s Storage) String() string { return [...]string{"ram", "segment", "delta"}
 // Point is one configuration of the evaluator. Adding a dimension is one
 // field here, one column of Points and one row of dimensions.
 type Point struct {
-	Tree         mst.Options
 	NoSharedPlan bool
 	Storage      Storage
 	TaskSize     int // 0: core's default
@@ -43,17 +45,8 @@ type Point struct {
 	LeafRows     int // the kernels' leaf cutoff (mst.SetLeafRows)
 }
 
-// The tree shapes: the paper's f = k = 32, the narrowest fanout sampling
-// every element, and a middle shape.
-var (
-	f32  = mst.Options{}
-	f2k1 = mst.Options{Fanout: 2, SampleEvery: 1}
-	f8k8 = mst.Options{Fanout: 8, SampleEvery: 8}
-)
-
 // dimensions lists each dimension's values, in Point's field order.
 var dimensions = [...][]any{
-	{f32, f2k1, f8k8},
 	{false, true},
 	{RAM, Segment, Delta},
 	{16, 0},
@@ -61,29 +54,30 @@ var dimensions = [...][]any{
 	{mst.LeafRows, 0},
 }
 
-// Points is the lattice: 12 of the 144 configurations, covering every pair of
-// values. Each tree shape has two RAM points, which differ in the plan, then
-// one segment and one delta point; so every rig that runs RAM points checks
-// its own storage bit for bit against RAM.
+// Points is the lattice: 12 of the 24 configurations, covering every pair of
+// values. They come in three runs of two RAM points, which differ in the
+// plan, then one segment and one delta point; so every rig that runs RAM
+// points checks its own storage bit for bit against RAM, and points that
+// recycle the pools run back to back.
 var Points = []Point{
-	// tree   unshared  storage   task procs leaf rows
-	{f32, false, RAM, 0, 1, mst.LeafRows},
-	{f32, true, RAM, 16, 4, 0},
-	{f32, false, Segment, 16, 1, 0},
-	{f32, true, Delta, 0, 4, mst.LeafRows},
-	{f2k1, false, RAM, 16, 4, mst.LeafRows},
-	{f2k1, true, RAM, 0, 1, 0},
-	{f2k1, true, Segment, 16, 1, mst.LeafRows},
-	{f2k1, false, Delta, 0, 4, 0},
-	{f8k8, false, RAM, 0, 4, 0},
-	{f8k8, true, RAM, 16, 1, mst.LeafRows},
-	{f8k8, false, Segment, 0, 4, mst.LeafRows},
-	{f8k8, true, Delta, 16, 1, 0},
+	// unshared storage  task procs leaf rows
+	{false, RAM, 0, 1, mst.LeafRows},
+	{true, RAM, 16, 4, 0},
+	{false, Segment, 16, 1, 0},
+	{true, Delta, 0, 4, mst.LeafRows},
+	{false, RAM, 16, 4, mst.LeafRows},
+	{true, RAM, 0, 1, 0},
+	{true, Segment, 16, 1, mst.LeafRows},
+	{false, Delta, 0, 4, 0},
+	{false, RAM, 0, 4, 0},
+	{true, RAM, 16, 1, mst.LeafRows},
+	{false, Segment, 0, 4, mst.LeafRows},
+	{true, Delta, 16, 1, 0},
 }
 
-// String names the point in failure messages; 0 is the default fanout,
-// sampling and task size.
+// String names the point in failure messages; a task size of 0 is core's
+// default.
 func (p Point) String() string {
-	return fmt.Sprintf("{f=%d k=%d no-shared-plan=%v %v task-size=%d procs=%d leaf-rows=%d}", p.Tree.Fanout,
-		p.Tree.SampleEvery, p.NoSharedPlan, p.Storage, p.TaskSize, p.Procs, p.LeafRows)
+	return fmt.Sprintf("{no-shared-plan=%v %v task-size=%d procs=%d leaf-rows=%d}",
+		p.NoSharedPlan, p.Storage, p.TaskSize, p.Procs, p.LeafRows)
 }

@@ -30,9 +30,13 @@ type Rig struct {
 	Storage []Storage
 }
 
-// Run runs the rig. The oracle answers each epoch once; the first point of
-// each tree shape must equal it bit for bit (oracle.Identical), and every
-// later point of that shape must equal the first. A failure names the seed, trial, epoch,
+// Run runs the rig. The oracle answers each epoch once; the first point
+// must equal it bit for bit (oracle.Identical), and every later point must
+// equal the first. At every epoch a point whose storage keeps a cache across
+// statements (Segment, Delta) then runs a neighbour of the statement over
+// that cache, which must equal the oracle's answers to the neighbour: a
+// cache key that leaves out the changed field serves the statement's
+// structure or result instead. A failure names the seed, trial, epoch,
 // point, function and row.
 func (r Rig) Run(t *testing.T) {
 	t.Helper()
@@ -42,7 +46,12 @@ func (r Rig) Run(t *testing.T) {
 			points = append(points, p)
 		}
 	}
+	cached := slices.ContainsFunc(points, func(p Point) bool { return p.Storage != RAM })
 	rng := rand.New(rand.NewSource(r.Seed))
+	// Neighbours draw from their own source, so the tables and statements
+	// a seed draws are the same with or without them.
+	nrng := rand.New(rand.NewSource(r.Seed))
+	field := nrng.Intn(len(fields)) // the field the next neighbour changes first; each takes the next
 	for trial := range r.Trials {
 		tab := RandTable(rng, sizes[trial%len(sizes)])
 		stmt := statement(rng)
@@ -81,35 +90,66 @@ func (r Rig) Run(t *testing.T) {
 				t.Fatalf("%s: %v", where, err)
 			}
 			want := Answers(stmt, tab)
+			var next *plan.Statement
+			var nextPlan *plan.Plan
+			var nextWant [][]oracle.Value
+			if cached {
+				var change string
+				next, nextWant, change = neighbour(nrng, stmt, field%len(fields), oracleTable(tab), want)
+				field++
+				if nextPlan, err = plan.Build(next); err != nil {
+					t.Fatalf("%s, neighbour (%s): %v", where, change, err)
+				}
+				where += fmt.Sprintf(" (neighbour: %s)", change)
+			}
+			ref := -1 // the first point with a result
 			results := make([]*core.Table, len(points))
 			for pi, p := range points {
-				if results[pi] = query(t, where, p, pl, snap, tab, caches[pi]); results[pi] == nil {
+				plans := []*plan.Plan{pl}
+				if p.Storage != RAM {
+					plans = append(plans, nextPlan)
+				}
+				outs := query(t, where, p, snap, tab, caches[pi], plans...)
+				if outs == nil {
 					continue
 				}
-				ref := -1 // the first point of p's tree shape
-				for j := range pi {
-					if ref < 0 && results[j] != nil && points[j].Tree == p.Tree {
-						ref = j
+				results[pi] = outs[0]
+				label := fmt.Sprintf("%s, point %v", where, p)
+				if ref < 0 {
+					ref = pi
+					requireAnswers(t, label, stmt, outs[0], want)
+				} else {
+					for _, item := range stmt.Items {
+						RequireIdentical(t, fmt.Sprintf("%s: %s, against point %v", label, describe(item), points[ref]),
+							outs[0].Column(item.Name), results[ref].Column(item.Name))
 					}
 				}
-				for i, item := range stmt.Items {
-					f, got := item.Func, results[pi].Column(item.Name)
-					label := fmt.Sprintf("%s, point %v: %s = %v over (partition by %v order by %v) frame %+v",
-						where, p, item.Name, f.Name, item.PartitionBy, item.OrderBy, f.Frame)
-					if ref >= 0 {
-						RequireIdentical(t, fmt.Sprintf("%s, against point %v", label, points[ref]), got, results[ref].Column(item.Name))
-						continue
-					}
-					g := Column(got)
-					for row, w := range want[i] {
-						if !oracle.Identical(g.Value(row), w) {
-							t.Fatalf("%s, row %d: got %+v, the oracle gives %+v", label, row, g.Value(row), w)
-						}
-					}
+				if len(outs) > 1 {
+					requireAnswers(t, label+", neighbour", next, outs[1], nextWant)
 				}
 			}
 		}
 	}
+}
+
+// requireAnswers fails t at the first item and row where out differs from
+// the oracle's answers to stmt bit for bit (oracle.Identical).
+func requireAnswers(t *testing.T, label string, stmt *plan.Statement, out *core.Table, want [][]oracle.Value) {
+	t.Helper()
+	for i, item := range stmt.Items {
+		got := Column(out.Column(item.Name))
+		for row, w := range want[i] {
+			if !oracle.Identical(got.Value(row), w) {
+				t.Fatalf("%s: %s, row %d: got %+v, the oracle gives %+v", label, describe(item), row, got.Value(row), w)
+			}
+		}
+	}
+}
+
+// describe names an item in failure messages.
+func describe(item plan.Item) string {
+	f := item.Func
+	return fmt.Sprintf("%s = %v over (partition by %v order by %v) frame %+v", item.Name, f.Name, item.PartitionBy, item.OrderBy, f.Frame)
 }
 
 // RequireIdentical fails t at the first row where got and want differ bit
@@ -130,26 +170,32 @@ func RequireIdentical(t testing.TB, label string, got, want *core.Column) {
 // Answers evaluates every item of the statement over tab with the oracle.
 func Answers(stmt *plan.Statement, t *core.Table) [][]oracle.Value {
 	tab := oracleTable(t)
+	want := make([][]oracle.Value, len(stmt.Items))
+	for i, item := range stmt.Items {
+		want[i] = answer(tab, item)
+	}
+	return want
+}
+
+// answer evaluates one item over tab with the oracle.
+func answer(tab oracle.Table, item plan.Item) []oracle.Value {
 	keys := func(ks []core.SortKey) (out []oracle.SortKey) {
 		for _, k := range ks {
 			out = append(out, oracle.SortKey(k))
 		}
 		return out
 	}
-	want := make([][]oracle.Value, len(stmt.Items))
-	for i, item := range stmt.Items {
-		f := item.Func
-		want[i] = oracle.Eval(tab, oracle.Window{PartitionBy: item.PartitionBy, OrderBy: keys(item.OrderBy)},
-			oracle.Func{Name: f.Name.String(), Arg: f.Arg, OrderBy: keys(f.OrderBy), Fraction: f.Fraction, N: f.N,
-				Filter: f.Filter, IgnoreNulls: f.IgnoreNulls, Frame: f.Frame})
-	}
-	return want
+	f := item.Func
+	return oracle.Eval(tab, oracle.Window{PartitionBy: item.PartitionBy, OrderBy: keys(item.OrderBy)},
+		oracle.Func{Name: f.Name.String(), Arg: f.Arg, OrderBy: keys(f.OrderBy), Fraction: f.Fraction, N: f.N,
+			Filter: f.Filter, IgnoreNulls: f.IgnoreNulls, Frame: f.Frame})
 }
 
-// query runs the statement at one point.
-func query(t *testing.T, where string, p Point, pl *plan.Plan, snap *delta.Snapshot, tab *core.Table, cache *treecache.Cache) *core.Table {
+// query runs each plan at one point, in order and over one cache, and
+// returns their outputs; nil when the point cannot hold the table.
+func query(t *testing.T, where string, p Point, snap *delta.Snapshot, tab *core.Table, cache *treecache.Cache, plans ...*plan.Plan) []*core.Table {
 	t.Helper()
-	opt := core.Options{Tree: p.Tree, TaskSize: p.TaskSize, NoSharedPlan: p.NoSharedPlan,
+	opt := core.Options{TaskSize: p.TaskSize, NoSharedPlan: p.NoSharedPlan,
 		Context: parallel.ContextWithLimit(context.Background(), p.Procs)}
 	switch p.Storage {
 	case Segment:
@@ -166,11 +212,15 @@ func query(t *testing.T, where string, p Point, pl *plan.Plan, snap *delta.Snaps
 		opt.Delta, opt.Cache, opt.CacheScope = view, cache, fmt.Sprintf("lattice@g%d", snap.Gen())
 	}
 	defer mst.SetLeafRows(mst.SetLeafRows(p.LeafRows))
-	out, _, err := pl.Execute(tab, opt)
-	if err != nil {
-		t.Fatalf("%s, point %v: %v", where, p, err)
+	outs := make([]*core.Table, len(plans))
+	for i, pl := range plans {
+		out, _, err := pl.Execute(tab, opt)
+		if err != nil {
+			t.Fatalf("%s, point %v: %v", where, p, err)
+		}
+		outs[i] = out
 	}
-	return out
+	return outs
 }
 
 // segments writes tab as four segments (fewer when it has fewer rows),

@@ -15,7 +15,7 @@ import (
 // TestSharedPlanEquivalenceRandomized is plan's part of the lattice: random
 // window shapes — equal windows under different partition listings,
 // prefix-compatible orders, unordered windows — with every supported function
-// spread across them. Each tree shape runs the statement planned shared and
+// spread across them. The RAM points run the statement planned shared and
 // unshared (Options.NoSharedPlan), and the two must agree bit for bit: a
 // divergence means the optimizer shared something order-sensitive or
 // crossed a cache key.

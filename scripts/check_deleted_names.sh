@@ -158,5 +158,11 @@ check 'one structure kind' all \
 # unused accessors stay deleted
 check 'one peer rule' all \
     '\bneedsRangeKeys\b|\bneedsKeys\b|\brangeKeysOriented\b|func \(c \*Computer\) (Spec|Len)\('
+# one tree shape: the engine builds every tree at f = k = 32, so the
+# options' tree field, the public alias, the lattice's shape dimension and
+# the key's shape field stay deleted; mst.Options keeps Fanout and
+# SampleEvery for paperbench and the mst and rangetree tests
+check 'one tree shape' all \
+    'TreeOptions|Options\{Tree:|[^a-zA-Z]opt\.Tree\b|[^a-zA-Z]p\.Tree\b|"\|t="'
 
 exit $fail
