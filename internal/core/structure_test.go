@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -121,33 +122,10 @@ func TestStructureIdentity(t *testing.T) {
 		t.Errorf("a partition's last-change stamp does not split its key: %s", stamped)
 	}
 
-	// A result key differs whenever any probe field differs.
-	probe := FuncSpec{Name: PercentileDisc, Output: "x", Arg: "v", OrderBy: byV, Fraction: 0.5, N: 2, Filter: "b"}
-	spec := frame.Spec{Mode: frame.Rows,
-		Start: frame.Bound{Type: frame.Preceding, Offset: 3}, End: frame.Bound{Type: frame.Following, Offset: 1}}
-	result := func(f FuncSpec, spec frame.Spec) string {
-		s := resultOf(p0, &f, spec)
-		return s.key("t@v1")
-	}
-	want := result(probe, spec)
-	if again := result(with(probe, func(f *FuncSpec) { f.Output = "y" }), spec); again != want {
-		t.Errorf("the output name splits a result key:\n %s\n %s", want, again)
-	}
-	for name, f := range map[string]FuncSpec{
-		"function":     with(probe, func(f *FuncSpec) { f.Name = PercentileCont }),
-		"argument":     with(probe, func(f *FuncSpec) { f.Arg = "fv" }),
-		"ORDER BY":     with(probe, func(f *FuncSpec) { f.OrderBy = []SortKey{{Column: "v", Desc: true}} }),
-		"fraction":     with(probe, func(f *FuncSpec) { f.Fraction = 0.25 }),
-		"offset":       with(probe, func(f *FuncSpec) { f.N = 3 }),
-		"FILTER":       with(probe, func(f *FuncSpec) { f.Filter = "" }),
-		"IGNORE NULLS": with(probe, func(f *FuncSpec) { f.IgnoreNulls = true }),
-	} {
-		if got := result(f, spec); got == want {
-			t.Errorf("result key ignores the %s: %s", name, got)
-		}
-	}
 	// Windows of one shared group see one partition id under their own
 	// ORDER BY, which draws the peer groups their frames are cut along.
+	probe := FuncSpec{Name: PercentileDisc, Output: "x", Arg: "v", OrderBy: byV, Fraction: 0.5, N: 2, Filter: "b"}
+	spec := rows(3, 1)
 	for _, order := range [][]SortKey{nil, {{Column: "d"}, {Column: "v"}}} {
 		refined := &partition{w: &WindowSpec{OrderBy: order}, id: p0.id}
 		for _, f := range []FuncSpec{probe, {Name: Min, Output: "m", Arg: "v"}} {
@@ -157,18 +135,77 @@ func TestStructureIdentity(t *testing.T) {
 			}
 		}
 	}
-	for name, edit := range map[string]func(*frame.Spec){
-		"frame mode":   func(s *frame.Spec) { s.Mode = frame.Groups },
-		"start type":   func(s *frame.Spec) { s.Start.Type = frame.Following },
-		"start offset": func(s *frame.Spec) { s.Start.Offset = 4 },
-		"end type":     func(s *frame.Spec) { s.End.Type = frame.Preceding },
-		"end offset":   func(s *frame.Spec) { s.End.Offset = 2 },
-		"exclusion":    func(s *frame.Spec) { s.Exclude = frame.ExcludeTies },
-	} {
-		changed := spec
-		edit(&changed)
-		if got := result(probe, changed); got == want {
-			t.Errorf("result key ignores the %s: %s", name, got)
+}
+
+// TestResultKeyCoversEveryField changes the fields of a result entry's
+// inputs one at a time — every field of the function (FuncSpec) and of its
+// resolved frame (frame.Spec and its two frame.Bounds), found by reflection —
+// and requires each change to change the key. Three fields are not keyed:
+// Output names where an answer goes, not what it is; FuncSpec.Frame is
+// resolved into the frame resultOf takes; and a bound's OffsetFn, a per-row
+// offset, keeps a result out of the cache. A field added later without being
+// keyed fails here.
+func TestResultKeyCoversEveryField(t *testing.T) {
+	unkeyed := map[string]bool{"FuncSpec.Output": true, "FuncSpec.Frame": true, "Bound.OffsetFn": true}
+	f := FuncSpec{Name: PercentileDisc, Output: "x", Arg: "v", OrderBy: []SortKey{{Column: "v"}}, Fraction: 0.5, N: 2, Filter: "b"}
+	spec := frame.Spec{Mode: frame.Rows,
+		Start: frame.Bound{Type: frame.Preceding, Offset: 3}, End: frame.Bound{Type: frame.Following, Offset: 1}}
+	p := &partition{w: &WindowSpec{OrderBy: []SortKey{{Column: "d"}}}, id: "sort|pk=i1;|pd0"}
+	key := func() string {
+		s := resultOf(p, &f, spec)
+		return s.key("t@v1")
+	}
+	want := key()
+	seen := map[string]bool{}
+	// vary changes each field of the struct v, at path, in turn, requires
+	// the key to change and restores the field.
+	var vary func(path string, v reflect.Value)
+	vary = func(path string, v reflect.Value) {
+		for i := range v.NumField() {
+			fv, name := v.Field(i), v.Type().Name()+"."+v.Type().Field(i).Name
+			at := path + "." + v.Type().Field(i).Name
+			if unkeyed[name] {
+				seen[name] = true
+				continue
+			}
+			old := reflect.ValueOf(fv.Interface())
+			changed := func() {
+				if got := key(); got == want {
+					t.Errorf("the result key ignores %s: %s", at, got)
+				}
+				fv.Set(old)
+			}
+			switch fv.Kind() {
+			case reflect.String:
+				fv.SetString(fv.String() + "x")
+				changed()
+			case reflect.Int, reflect.Int64:
+				fv.SetInt(fv.Int() + 1)
+				changed()
+			case reflect.Float64:
+				fv.SetFloat(fv.Float() + 0.125)
+				changed()
+			case reflect.Bool:
+				fv.SetBool(!fv.Bool())
+				changed()
+			case reflect.Struct:
+				vary(at, fv)
+			case reflect.Slice: // one element more, then each field of a copy's first
+				fv.Set(reflect.Append(fv, fv.Index(0)))
+				changed()
+				fv.Set(reflect.AppendSlice(reflect.MakeSlice(fv.Type(), 0, fv.Len()), fv))
+				vary(at+"[0]", fv.Index(0))
+				fv.Set(old)
+			default:
+				t.Errorf("%s is a %s field, which this test cannot change: key it and teach the test to change it, or name it unkeyed", at, fv.Kind())
+			}
+		}
+	}
+	vary("FuncSpec", reflect.ValueOf(&f).Elem())
+	vary("Spec", reflect.ValueOf(&spec).Elem())
+	for name := range unkeyed {
+		if !seen[name] {
+			t.Errorf("the unkeyed field %s does not exist", name)
 		}
 	}
 }

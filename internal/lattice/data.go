@@ -240,8 +240,10 @@ func statement(rng *rand.Rand) *plan.Statement {
 }
 
 // fields are what a neighbour statement changes in one item, each a field
-// the item's result depends on.
-var fields = []string{"fraction", "N", "frame offset", "EXCLUDE", "FILTER", "IGNORE NULLS", "function ORDER BY", "window ORDER BY"}
+// the item's result depends on. "shared window ORDER BY" is "window ORDER
+// BY" with the item kept beside its refinement, both over one sort
+// (bothWindows).
+var fields = []string{"fraction", "N", "frame offset", "EXCLUDE", "FILTER", "IGNORE NULLS", "function ORDER BY", "window ORDER BY", "shared window ORDER BY"}
 
 // edit sets the field of item to another value and reports whether item
 // has the field; it draws from rng only when it does.
@@ -295,7 +297,7 @@ func edit(rng *rand.Rand, field string, item *plan.Item) bool {
 		}
 		orders = slices.DeleteFunc(orders, func(o []core.SortKey) bool { return slices.Equal(o, f.OrderBy) })
 		f.OrderBy = orders[rng.Intn(len(orders))]
-	case "window ORDER BY": // a refinement: one more key
+	case "window ORDER BY", "shared window ORDER BY": // a refinement: one more key
 		if fr != nil && fr.NeedsKeys() {
 			return false // an offset RANGE frame needs its one key
 		}
@@ -336,6 +338,18 @@ func neighbour(rng *rand.Rand, stmt *plan.Statement, field int, tab oracle.Table
 			if !edit(rng, name, &item) {
 				continue
 			}
+			if name == "shared window ORDER BY" {
+				coarse, refined := bothWindows(stmt.Items[i], item)
+				got, gotRefined := answer(tab, coarse), answer(tab, refined)
+				if differs := !slices.EqualFunc(got, gotRefined, oracle.Identical); differs || next == nil {
+					next = &plan.Statement{Table: stmt.Table, Items: append(slices.Clone(stmt.Items), coarse, refined)}
+					nextWant, change = append(slices.Clone(want), got, gotRefined), name+" of "+item.Name
+					if differs {
+						return next, nextWant, change
+					}
+				}
+				continue
+			}
 			got := answer(tab, item)
 			if differs := !slices.EqualFunc(got, want[i], oracle.Identical); differs || next == nil {
 				next = &plan.Statement{Table: stmt.Table, Items: slices.Clone(stmt.Items)}
@@ -348,6 +362,29 @@ func neighbour(rng *rand.Rand, stmt *plan.Statement, field int, tab oracle.Table
 		}
 	}
 	return next, nextWant, change
+}
+
+// bothWindows returns item's function over its own window and over
+// refined's, the window with one more ORDER BY key, as two items under a
+// PARTITION BY no other window takes and a frame the soundness gate passes
+// (DESIGN.md §14.2): a ROWS frame or an offset RANGE one becomes GROUPS with
+// the same bounds. The planner then runs both windows over the refined sort,
+// so their result entries share a partition id, and only the window ORDER BY
+// in the key tells them apart: wherever the extra key splits a peer group,
+// their answers differ.
+func bothWindows(item, refined plan.Item) (plan.Item, plan.Item) {
+	items := [2]plan.Item{item, refined}
+	for i, suffix := range []string{"c", "r"} {
+		f := *refined.Func
+		if f.Frame != nil && (f.Frame.Mode == frame.Rows || f.Frame.NeedsKeys()) {
+			fr := *f.Frame
+			fr.Mode = frame.Groups
+			f.Frame = &fr
+		}
+		f.Output = item.Name + suffix
+		items[i].Name, items[i].PartitionBy, items[i].Func = f.Output, []string{"s"}, &f
+	}
+	return items[0], items[1]
 }
 
 // randFrame draws a frame from oracle.RandFrame, or SQL's default (nil) one

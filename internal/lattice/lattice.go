@@ -29,7 +29,7 @@ type Storage int
 // The storages.
 const (
 	RAM     Storage = iota // the table as drawn
-	Segment                // written as segments, reopened through a column cache
+	Segment                // written as segments and reopened
 	Delta                  // a delta buffer's snapshot: its view, with one structure cache across epochs
 )
 

@@ -202,7 +202,7 @@ func query(t *testing.T, where string, p Point, snap *delta.Snapshot, tab *core.
 		if tab.Rows() == 0 {
 			return nil // a segment holds at least one row
 		}
-		tab, opt.CacheScope = segments(t, where, tab, cache)
+		tab, opt.CacheScope = segments(t, where, tab)
 		opt.Cache = cache
 	case Delta:
 		view, err := snap.View()
@@ -224,10 +224,10 @@ func query(t *testing.T, where string, p Point, snap *delta.Snapshot, tab *core.
 }
 
 // segments writes tab as four segments (fewer when it has fewer rows),
-// reopens them through cache and requires the loaded table to equal tab bit
-// for bit. It returns the loaded table and its cache scope. The format has
-// no BOOL encoding, so BOOL columns stay in RAM.
-func segments(t *testing.T, where string, tab *core.Table, cache *treecache.Cache) (*core.Table, string) {
+// reopens them and requires the loaded table to equal tab bit for bit. It
+// returns the loaded table and its cache scope. The format has no BOOL
+// encoding, so BOOL columns stay in RAM.
+func segments(t *testing.T, where string, tab *core.Table) (*core.Table, string) {
 	t.Helper()
 	dir := t.TempDir()
 	n := tab.Rows()
@@ -258,7 +258,7 @@ func segments(t *testing.T, where string, tab *core.Table, cache *treecache.Cach
 		t.Fatalf("%s: %v", where, err)
 	}
 	t.Cleanup(func() { d.Close() })
-	f, err := d.File(cache)
+	f, err := d.File(nil)
 	if err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}

@@ -7,11 +7,11 @@ import (
 	"holistic/internal/treecache"
 )
 
-// BenchmarkEvalSegmented measures the out-of-core query path end to end:
-// materialize a four-segment dataset through the column cache and evaluate
-// a framed window query. The cache is warmed
-// outside the loop, so the steady state — what a windowd request sees — is
-// measured.
+// BenchmarkEvalSegmented measures the query path over a segment dataset:
+// a four-segment dataset is materialized once, and a framed window query is
+// evaluated over it. The structure cache serves the queries only; it is
+// warmed outside the loop, so the steady state — what a windowd request
+// sees — is measured.
 func BenchmarkEvalSegmented(b *testing.B) {
 	const n = 20000
 	ram := testFile(99, n)
@@ -22,11 +22,11 @@ func BenchmarkEvalSegmented(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	cache := treecache.New(256 << 20)
-	segFile, err := d.File(cache)
+	segFile, err := d.File(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cache := treecache.New(256 << 20)
 	q := `select sum(v) over w as s, rank(order by v) over w as r
 	      from t window w as (partition by g order by d, v
 	                          rows between 100 preceding and 100 following)`
@@ -47,9 +47,8 @@ func BenchmarkEvalSegmented(b *testing.B) {
 	b.SetBytes(int64(n * 8))
 }
 
-// BenchmarkSegmentMaterialize measures the cold materialization path: per
-// iteration the column cache starts empty, so every block is read from
-// disk, CRC-checked and decoded.
+// BenchmarkSegmentMaterialize measures materialization: per iteration every
+// block is read from disk, CRC-checked and decoded into the table.
 func BenchmarkSegmentMaterialize(b *testing.B) {
 	const n = 20000
 	ram := testFile(98, n)

@@ -14,7 +14,6 @@ import (
 // Dir is an opened multi-segment dataset directory: every *.seg file,
 // schema-checked and ordered by start row into one logical table.
 type Dir struct {
-	path string
 	segs []*Reader
 	rows int
 }
@@ -26,7 +25,7 @@ func OpenDir(dir string) (*Dir, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Dir{path: dir}
+	d := &Dir{}
 	ok := false
 	defer func() {
 		if !ok {
@@ -69,9 +68,6 @@ func (d *Dir) Rows() int { return d.rows }
 // Segments returns the ordered segment readers (shared, not a copy).
 func (d *Dir) Segments() []*Reader { return d.segs }
 
-// Path returns the dataset directory.
-func (d *Dir) Path() string { return d.path }
-
 // Version derives a content version for the whole dataset from its
 // segments' IDs and row placement — suitable as a cache scope: any change
 // to any segment changes the version.
@@ -94,52 +90,31 @@ func (d *Dir) Close() error {
 	return first
 }
 
-// loadCached loads one segment's column through the cache (or directly
-// when cache is nil). Columns are cached under content-addressed keys
-// ("seg:<id>|col:<name>") — no dataset or version prefix — so when a
-// dataset is partially re-ingested, entries for untouched segments remain
-// valid and only the replaced segments' columns are re-read from disk.
-func loadCached(cache core.TreeCache, s *Reader, name string) (*core.Column, error) {
-	if cache == nil {
-		return s.Column(name)
-	}
-	got, err := cache.GetOrBuild("seg:"+s.ID()+"|col:"+name, func() (any, int64, error) {
-		c, err := s.Column(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		return c, c.Bytes(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if c, okType := got.(*core.Column); okType {
-		return c, nil
-	}
-	return s.Column(name)
-}
-
-// File materializes the dataset into an in-memory table by concatenating
-// the per-segment columns (core.ConcatSpans), loading each through the
-// cache. The result is exactly what csvio.Read of the original source would
-// have produced, so the query path above (operator, tree cache, server) is
-// oblivious to whether a dataset arrived in one piece or as segments.
-func (d *Dir) File(cache core.TreeCache) (*csvio.File, error) {
+// File materializes the dataset into an in-memory table: each column is
+// allocated once, Rows() rows long, and every segment's blocks decode
+// straight into it at the segment's start row, so no per-segment copy is
+// ever held. The result is exactly what csvio.Read of the original source
+// would have produced, so the query path above (operator, tree cache,
+// server) is oblivious to whether a dataset arrived in one piece or as
+// segments.
+//
+// The cache argument is ignored: the table is the dataset's one copy, and
+// the structure cache holds only structures built over it, under the
+// dataset's scope.
+func (d *Dir) File(_ core.TreeCache) (*csvio.File, error) {
 	first := d.segs[0].man
 	cols := make([]*core.Column, len(first.Columns))
 	dateCols := map[string]bool{}
 	for ci, meta := range first.Columns {
-		parts := make([]*core.Column, len(d.segs))
-		spans := make([]core.RowSpan, len(d.segs))
-		for si, s := range d.segs {
-			p, err := loadCached(cache, s, meta.Name)
-			if err != nil {
+		c := newColumn(meta.Encoding, d.rows)
+		for _, s := range d.segs {
+			// OpenDir checked that every segment lists the same columns in
+			// the same order.
+			if err := s.decode(&s.man.Columns[ci], c, int(s.StartRow())); err != nil {
 				return nil, err
 			}
-			parts[si] = p
-			spans[si] = core.RowSpan{Src: si, Hi: p.Len()}
 		}
-		cols[ci] = core.ConcatSpans(parts, spans)
+		cols[ci] = c.column(meta.Name)
 		if meta.Date {
 			dateCols[meta.Name] = true
 		}

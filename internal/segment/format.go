@@ -1,7 +1,7 @@
 // Package segment implements the on-disk columnar segment format behind
 // out-of-core datasets: a dataset directory holds one immutable segment
-// file per ingested row range, and queries open segments lazily, loading
-// only the columns they touch.
+// file per ingested row range, and Dir.File decodes every segment's blocks
+// straight into one in-memory table, the dataset's only copy.
 //
 // §5.1 of the paper observes that a built merge sort tree "could also be
 // spooled to disk" because it is nothing but flat integer arrays; segments
@@ -15,7 +15,7 @@
 //
 // Each block covers a fixed number of rows of one column (the last block
 // of a column may be short) and carries its own CRC-32C in the manifest,
-// so a lazy reader verifies exactly the bytes it loads. Every byte of the
+// so a reader verifies exactly the bytes it loads. Every byte of the
 // file is covered by a check: the two magics and the footer's structural
 // equation manifestOff+manifestLen == fileSize-24 pin the framing, the
 // manifest CRC covers the block index, and the block CRCs cover the data —
@@ -23,10 +23,10 @@
 // touches it.
 //
 // Segment identity is content-derived: the ID is the manifest CRC rendered
-// in hex. Since the manifest embeds every block's offset, length and CRC
-// plus the row range, two segments share an ID exactly when their bytes
-// are interchangeable — which is what lets per-segment cache entries
-// (keyed "seg:<id>|col:<name>") survive partial dataset reloads.
+// in hex. The manifest embeds every block's offset, length and CRC plus the
+// row range, so two segments share an ID exactly when their bytes are
+// interchangeable, and Dir.Version, a hash of the IDs, changes whenever any
+// segment does.
 package segment
 
 import (

@@ -11,17 +11,15 @@ import (
 	"holistic/internal/core"
 )
 
-// Reader opens one segment file for lazy column access. Open verifies the
+// Reader opens one segment file for column access. Open verifies the
 // framing (magics, footer structural equation, manifest CRC) eagerly, and
-// each column load verifies its blocks' CRCs — so the cost of integrity
-// checking is proportional to the bytes a query actually touches.
+// each column load verifies its blocks' CRCs as it reads them.
 //
 // A Reader is safe for concurrent column loads: all file access goes
 // through ReadAt and the Reader itself is immutable after Open.
 type Reader struct {
 	f    *os.File
 	path string
-	size int64
 	man  Manifest
 	id   string
 }
@@ -122,14 +120,11 @@ func verify(f *os.File, path string) (*Reader, error) {
 	if off != int64(manifestOff) {
 		return nil, fmt.Errorf("blocks end at %d but manifest starts at %d", off, manifestOff)
 	}
-	return &Reader{f: f, path: path, size: size, man: man, id: segmentID(manifestCRC)}, nil
+	return &Reader{f: f, path: path, man: man, id: segmentID(manifestCRC)}, nil
 }
 
 // ID returns the content-derived segment identity.
 func (r *Reader) ID() string { return r.id }
-
-// Path returns the file the reader was opened from.
-func (r *Reader) Path() string { return r.path }
 
 // Rows returns the segment's row count.
 func (r *Reader) Rows() int { return r.man.Rows }
@@ -161,69 +156,91 @@ func (r *Reader) Column(name string) (*core.Column, error) {
 	if meta == nil {
 		return nil, fmt.Errorf("segment: %s: no column %q", r.path, name)
 	}
-	rows := r.man.Rows
-	var (
-		ints   []int64
-		floats []float64
-		strs   []string
-		nulls  []bool // made at the first NULL: a column without one has no mask
-	)
-	switch meta.Encoding {
-	case EncInt64:
-		ints = make([]int64, rows)
-	case EncFloat64:
-		floats = make([]float64, rows)
-	default:
-		strs = make([]string, rows)
+	c := newColumn(meta.Encoding, r.man.Rows)
+	if err := r.decode(meta, c, 0); err != nil {
+		return nil, err
 	}
+	return c.column(name), nil
+}
+
+// column is a column being decoded: the values of its encoding's kind and
+// the NULL mask, made at the first NULL, so a column without one has none.
+type column struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+	nulls  []bool
+}
+
+// newColumn allocates a rows-row column for the encoding.
+func newColumn(encoding string, rows int) *column {
+	switch encoding {
+	case EncInt64:
+		return &column{ints: make([]int64, rows)}
+	case EncFloat64:
+		return &column{floats: make([]float64, rows)}
+	}
+	return &column{strs: make([]string, rows)}
+}
+
+// column returns the decoded column under name.
+func (c *column) column(name string) *core.Column {
+	switch {
+	case c.ints != nil:
+		return core.NewInt64Column(name, c.ints, c.nulls)
+	case c.floats != nil:
+		return core.NewFloat64Column(name, c.floats, c.nulls)
+	}
+	return core.NewStringColumn(name, c.strs, c.nulls)
+}
+
+// decode reads meta's blocks, verifying each one's CRC, and decodes them
+// into c from row base on.
+func (r *Reader) decode(meta *ColumnMeta, c *column, base int) error {
 	var maxLen int64
 	for _, b := range meta.Blocks {
 		maxLen = max(maxLen, b.Length)
 	}
 	raw := make([]byte, maxLen)
-	base := 0
 	for bi, b := range meta.Blocks {
+		fail := func(format string, args ...any) error {
+			return fmt.Errorf("segment: %s: column %q block %d: "+format, append([]any{r.path, meta.Name, bi}, args...)...)
+		}
 		buf := raw[:b.Length]
 		if _, err := r.f.ReadAt(buf, b.Offset); err != nil {
-			return nil, fmt.Errorf("segment: %s: column %q block %d: %w", r.path, name, bi, err)
+			return fail("%w", err)
 		}
 		if got := crc32.Checksum(buf, castagnoli); got != b.CRC {
-			return nil, fmt.Errorf("segment: %s: column %q block %d: checksum mismatch (got %#x, want %#x)", r.path, name, bi, got, b.CRC)
+			return fail("checksum mismatch (got %#x, want %#x)", got, b.CRC)
 		}
 		bmLen := (b.Rows + 7) / 8
 		if len(buf) < bmLen {
-			return nil, fmt.Errorf("segment: %s: column %q block %d: block of %d bytes cannot hold a %d-row null bitmap", r.path, name, bi, len(buf), bmLen)
+			return fail("block of %d bytes cannot hold a %d-row null bitmap", len(buf), bmLen)
 		}
 		bm, payload := buf[:bmLen], buf[bmLen:]
 		var err error
 		switch meta.Encoding {
 		case EncInt64:
-			err = decodeFixed(payload, ints[base:base+b.Rows], func(u uint64) int64 { return int64(u) })
+			err = decodeFixed(payload, c.ints[base:base+b.Rows], func(u uint64) int64 { return int64(u) })
 		case EncFloat64:
-			err = decodeFixed(payload, floats[base:base+b.Rows], math.Float64frombits)
+			err = decodeFixed(payload, c.floats[base:base+b.Rows], math.Float64frombits)
 		default:
-			err = decodeStrings(payload, bm, strs[base:base+b.Rows])
+			err = decodeStrings(payload, bm, c.strs[base:base+b.Rows])
 		}
 		if err != nil {
-			return nil, fmt.Errorf("segment: %s: column %q block %d: %w", r.path, name, bi, err)
+			return fail("%w", err)
 		}
-		for i := 0; i < b.Rows; i++ {
+		for i := range b.Rows {
 			if bm[i/8]&(1<<(i%8)) != 0 {
-				if nulls == nil {
-					nulls = make([]bool, rows)
+				if c.nulls == nil {
+					c.nulls = make([]bool, max(len(c.ints), len(c.floats), len(c.strs)))
 				}
-				nulls[base+i] = true
+				c.nulls[base+i] = true
 			}
 		}
 		base += b.Rows
 	}
-	switch meta.Encoding {
-	case EncInt64:
-		return core.NewInt64Column(name, ints, nulls), nil
-	case EncFloat64:
-		return core.NewFloat64Column(name, floats, nulls), nil
-	}
-	return core.NewStringColumn(name, strs, nulls), nil
+	return nil
 }
 
 // decodeFixed decodes one block's 8-byte little-endian payload into dst.

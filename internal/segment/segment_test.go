@@ -285,63 +285,3 @@ func TestOpenDirRejectsGapsAndSchemaDrift(t *testing.T) {
 		t.Fatal("empty directory accepted")
 	}
 }
-
-// countingCache wraps GetOrBuild with a build counter to observe reuse.
-type countingCache struct {
-	vals   map[string]any
-	builds int
-}
-
-func (c *countingCache) GetOrBuild(key string, build func() (any, int64, error)) (any, error) {
-	if v, ok := c.vals[key]; ok {
-		return v, nil
-	}
-	v, _, err := build()
-	if err != nil {
-		return nil, err
-	}
-	c.builds++
-	if c.vals == nil {
-		c.vals = map[string]any{}
-	}
-	c.vals[key] = v
-	return v, nil
-}
-
-func TestDirFileCachesPerSegmentColumns(t *testing.T) {
-	f := testFile(6, 80)
-	dir := t.TempDir()
-	writeSegments(t, dir, f, []int{40}, 16)
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	cache := &countingCache{}
-	if _, err := d.File(cache); err != nil {
-		t.Fatal(err)
-	}
-	want := 2 * len(f.Table.Columns()) // 2 segments x 6 columns
-	if cache.builds != want {
-		t.Fatalf("first materialization built %d entries, want %d", cache.builds, want)
-	}
-	if _, err := d.File(cache); err != nil {
-		t.Fatal(err)
-	}
-	if cache.builds != want {
-		t.Fatalf("second materialization rebuilt columns (%d builds, want %d)", cache.builds, want)
-	}
-	// Keys are content-addressed per segment: re-opening the same files
-	// yields the same IDs, so a fresh Dir hits the warm cache.
-	d2, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if _, err := d2.File(cache); err != nil {
-		t.Fatal(err)
-	}
-	if cache.builds != want {
-		t.Fatalf("re-opened dir missed the content-addressed cache (%d builds)", cache.builds)
-	}
-}

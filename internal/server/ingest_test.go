@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"holistic/internal/ingest"
 	"holistic/internal/server/api"
 )
 
@@ -148,6 +149,39 @@ func TestIngestAndSegmentedQuery(t *testing.T) {
 		if v, ok := m.Value("windowd_ingest_runs_total", "state="+state); !ok || v != 1 {
 			t.Fatalf("windowd_ingest_runs_total{state=%q} = %v (present %v), want 1", state, v, ok)
 		}
+	}
+}
+
+// TestSegmentReloadLeavesNoEntries re-registers a segment dataset under its
+// name after a statement has filled the cache: the reload invalidates the
+// previous version's scope, and since a segment's columns are never cache
+// entries, nothing is left behind.
+func TestSegmentReloadLeavesNoEntries(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	dir := t.TempDir()
+	src, dest := filepath.Join(dir, "src.csv"), filepath.Join(dir, "data")
+	if err := os.WriteFile(src, []byte(ingestCSV(600)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ingest.New(src, dest, ingest.Options{RowsPerSegment: 150}).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RegisterDir(ctx, "seg", dest); err != nil {
+		t.Fatal(err)
+	}
+	const q = `select g, rank(order by v) over (partition by g order by d) as r from seg`
+	if _, err := c.Query(ctx, api.QueryRequest{SQL: q}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.cache.Stats(); st.Entries == 0 {
+		t.Fatal("the statement left no cache entry")
+	}
+	if _, err := c.RegisterDir(ctx, "seg", dest); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.cache.Stats(); st.Entries != 0 {
+		t.Fatalf("%d cache entries (%d bytes) survive the reload, want none", st.Entries, st.Bytes)
 	}
 }
 

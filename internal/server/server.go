@@ -315,17 +315,17 @@ func (s *Server) RegisterPathKeyed(name, path, keyColumn string) (api.DatasetInf
 }
 
 // RegisterDir materializes a segment dataset directory (written by the
-// ingest pipeline or windowcli -ingest) and registers it under name. Column
-// loads go through the tree cache under content-addressed per-segment keys,
-// so re-registering a partially changed directory only rebuilds the columns
-// of segments whose content actually changed.
+// ingest pipeline or windowcli -ingest) and registers it under name. Every
+// segment decodes straight into the dataset's table, its one copy in
+// memory; a reload reads the whole directory again, and like any reload it
+// invalidates every cache entry under the previous version's scope.
 func (s *Server) RegisterDir(name, dir string) (api.DatasetInfo, error) {
 	d, err := segment.OpenDir(dir)
 	if err != nil {
 		return api.DatasetInfo{}, err
 	}
 	defer d.Close()
-	file, err := d.File(s.cache)
+	file, err := d.File(nil)
 	if err != nil {
 		return api.DatasetInfo{}, err
 	}

@@ -164,5 +164,11 @@ check 'one peer rule' all \
 # SampleEvery for paperbench and the mst and rangetree tests
 check 'one tree shape' all \
     'TreeOptions|Options\{Tree:|[^a-zA-Z]opt\.Tree\b|[^a-zA-Z]p\.Tree\b|"\|t="'
+# one owner per dataset byte: a segment dataset's columns decode straight
+# into its table, so the per-segment column cache, its unscoped
+# "seg:<id>|col:<name>" keys and its loader stay deleted, and every cache
+# entry is a structure under a dataset scope
+check 'one owner per dataset byte' nontest-nobench \
+    'loadCached|"seg:"'
 
 exit $fail
