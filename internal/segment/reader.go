@@ -139,56 +139,38 @@ func (r *Reader) Manifest() *Manifest { return &r.man }
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// meta returns the manifest entry for name, or nil.
-func (r *Reader) meta(name string) *ColumnMeta {
-	for i := range r.man.Columns {
-		if r.man.Columns[i].Name == name {
-			return &r.man.Columns[i]
-		}
-	}
-	return nil
-}
-
-// Column loads one column, verifying each block's CRC as it is read. Its
-// values are one plain allocation per load, whatever the block count.
-func (r *Reader) Column(name string) (*core.Column, error) {
-	meta := r.meta(name)
-	if meta == nil {
-		return nil, fmt.Errorf("segment: %s: no column %q", r.path, name)
-	}
-	c := newColumn(meta.Encoding, r.man.Rows)
-	if err := r.decode(meta, c, 0); err != nil {
-		return nil, err
-	}
-	return c.column(name), nil
-}
-
-// column is a column being decoded: the values of its encoding's kind and
-// the NULL mask, made at the first NULL, so a column without one has none.
+// column is a column being decoded: its encoding, its row count, the
+// values of the encoding's kind and the NULL mask, made at the first NULL,
+// so a column without one has none.
 type column struct {
-	ints   []int64
-	floats []float64
-	strs   []string
-	nulls  []bool
+	encoding string
+	rows     int
+	ints     []int64
+	floats   []float64
+	strs     []string
+	nulls    []bool
 }
 
 // newColumn allocates a rows-row column for the encoding.
 func newColumn(encoding string, rows int) *column {
+	c := &column{encoding: encoding, rows: rows}
 	switch encoding {
 	case EncInt64:
-		return &column{ints: make([]int64, rows)}
+		c.ints = make([]int64, rows)
 	case EncFloat64:
-		return &column{floats: make([]float64, rows)}
+		c.floats = make([]float64, rows)
+	default:
+		c.strs = make([]string, rows)
 	}
-	return &column{strs: make([]string, rows)}
+	return c
 }
 
 // column returns the decoded column under name.
 func (c *column) column(name string) *core.Column {
-	switch {
-	case c.ints != nil:
+	switch c.encoding {
+	case EncInt64:
 		return core.NewInt64Column(name, c.ints, c.nulls)
-	case c.floats != nil:
+	case EncFloat64:
 		return core.NewFloat64Column(name, c.floats, c.nulls)
 	}
 	return core.NewStringColumn(name, c.strs, c.nulls)
@@ -233,7 +215,7 @@ func (r *Reader) decode(meta *ColumnMeta, c *column, base int) error {
 		for i := range b.Rows {
 			if bm[i/8]&(1<<(i%8)) != 0 {
 				if c.nulls == nil {
-					c.nulls = make([]bool, max(len(c.ints), len(c.floats), len(c.strs)))
+					c.nulls = make([]bool, c.rows)
 				}
 				c.nulls[base+i] = true
 			}
