@@ -34,6 +34,7 @@ package main
 import (
 	"context"
 	"encoding/csv"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -320,31 +321,91 @@ func runRemote() error {
 			resp.Operators, resp.SortsShared, resp.TreesShared)
 		return nil
 	}
-	resp, err := c.Query(ctx, api.QueryRequest{SQL: *query, TimeoutMillis: *timeoutMS, IncludeTrace: *trace})
+	body, err := c.QueryBody(ctx, api.QueryRequest{SQL: *query, TimeoutMillis: *timeoutMS, IncludeTrace: *trace})
 	if err != nil {
 		return err
 	}
-	if resp.Trace != "" {
-		fmt.Fprint(os.Stderr, resp.Trace)
+	defer body.Close()
+	if *output == "-" {
+		return writeCSV(body, os.Stdout, os.Stderr)
 	}
-	var out io.Writer = os.Stdout
-	if *output != "-" {
-		f, err := os.Create(*output)
+	f, err := os.Create(*output)
+	if err != nil {
+		return err
+	}
+	if err := writeCSV(body, f, os.Stderr); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeCSV turns a /v1/query body into CSV while it is read: the columns,
+// then each element of "rows" as soon as it is decoded, so no more than one
+// row is held. A NULL is already an empty cell, so the rows of "nulls" are
+// read and dropped, and so are the stats; the trace goes to traceOut.
+func writeCSV(body io.Reader, out, traceOut io.Writer) error {
+	dec := json.NewDecoder(body)
+	cw := csv.NewWriter(out)
+	if err := expectDelim(dec, '{'); err != nil {
+		return err
+	}
+	var row []string
+	var mask []bool
+	for dec.More() {
+		key, err := dec.Token()
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		out = f
-	}
-	cw := csv.NewWriter(out)
-	if err := cw.Write(resp.Columns); err != nil {
-		return err
-	}
-	for _, row := range resp.Rows {
-		if err := cw.Write(row); err != nil {
+		switch key {
+		case "columns":
+			if err = dec.Decode(&row); err == nil {
+				err = cw.Write(row)
+			}
+		case "rows":
+			err = eachElement(dec, func() error {
+				if err := dec.Decode(&row); err != nil {
+					return err
+				}
+				return cw.Write(row)
+			})
+		case "nulls":
+			err = eachElement(dec, func() error { return dec.Decode(&mask) })
+		case "trace":
+			var trace string
+			if err = dec.Decode(&trace); err == nil {
+				_, err = fmt.Fprint(traceOut, trace)
+			}
+		default:
+			err = dec.Decode(new(json.RawMessage))
+		}
+		if err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// eachElement reads a JSON array from dec, calling elem to decode each of its
+// elements in turn.
+func eachElement(dec *json.Decoder, elem func() error) error {
+	if err := expectDelim(dec, '['); err != nil {
+		return err
+	}
+	for dec.More() {
+		if err := elem(); err != nil {
+			return err
+		}
+	}
+	return expectDelim(dec, ']')
+}
+
+// expectDelim reads the body's next token, which must be the delimiter d.
+func expectDelim(dec *json.Decoder, d json.Delim) error {
+	tok, err := dec.Token()
+	if err == nil && tok != d {
+		err = fmt.Errorf("response body: got %v, want %v", tok, d)
+	}
+	return err
 }

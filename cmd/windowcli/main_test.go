@@ -2,10 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"holistic/internal/csvio"
+	windowd "holistic/internal/server"
+	"holistic/internal/server/api"
 )
 
 // TestLocalDateOutputs runs statements through the local -query path and
@@ -43,5 +51,57 @@ func TestLocalDateOutputs(t *testing.T) {
 		if out.String() != tc.want {
 			t.Fatalf("%s\ngot:\n%swant:\n%s", tc.sql, out.String(), tc.want)
 		}
+	}
+}
+
+// TestRemoteCSVStreams runs -server's CSV writer on a live body from the real
+// handler and holds it to the CSV windowcli wrote from a fully decoded
+// response: the result spans three 1,024-row chunks, its LEAD is NULL at each
+// partition's last row (so the body carries "nulls") and its strings need
+// CSV quoting.
+func TestRemoteCSVStreams(t *testing.T) {
+	s := windowd.New(windowd.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := &api.Client{BaseURL: ts.URL}
+	ctx := context.Background()
+
+	var data strings.Builder
+	data.WriteString("k,g,v,s\n")
+	words := []string{"plain", `"a,b"`, `"say ""hi"""`, "x y"}
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&data, "%d,%d,%d,%s\n", i, i%7, i*37%1000, words[i%len(words)])
+	}
+	if _, err := c.UploadCSV(ctx, "t", []byte(data.String())); err != nil {
+		t.Fatal(err)
+	}
+	req := api.QueryRequest{SQL: `select k, s, lead(v) over (partition by g order by k rows between current row and unbounded following) as nx from t`}
+
+	resp, err := c.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Nulls == nil {
+		t.Fatal("the result holds no NULL")
+	}
+	var want bytes.Buffer
+	cw := csv.NewWriter(&want)
+	cw.Write(resp.Columns)
+	cw.WriteAll(resp.Rows)
+
+	body, err := c.QueryBody(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Close()
+	var got, trace bytes.Buffer
+	if err := writeCSV(body, &got, &trace); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() || trace.Len() != 0 {
+		t.Fatalf("streamed CSV (%d bytes, trace %q) differs from the decoded response's (%d bytes)", got.Len(), trace.String(), want.Len())
+	}
+	if lines := strings.Count(got.String(), "\n"); lines != 3001 {
+		t.Fatalf("streamed CSV has %d lines, want 3001", lines)
 	}
 }

@@ -77,7 +77,8 @@ type QueryResponse struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
 	// Nulls[i][j] reports whether cell (i, j) is SQL NULL — the empty
-	// string alone cannot distinguish NULL from an empty string value.
+	// string alone cannot distinguish NULL from an empty string value. The
+	// mask is absent when no cell is NULL: read a nil Nulls as all false.
 	Nulls [][]bool   `json:"nulls,omitempty"`
 	Stats QueryStats `json:"stats"`
 	// Trace is the indented span tree of the evaluation, present when the
@@ -300,43 +301,55 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do sends body (JSON-encoded unless raw) and decodes the response into out.
-// Non-2xx responses come back as *Error.
-func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+// send sends body and returns the body of a 2xx response, unread, for the
+// caller to close. Any other response comes back as *Error.
+func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp.Body, nil
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
+		return nil, err
+	}
+	var e ErrorResponse
+	if json.Unmarshal(data, &e) == nil && e.Error.Code != "" {
+		return nil, &Error{
+			Status:  resp.StatusCode,
+			Code:    e.Error.Code,
+			Message: e.Error.Message,
+			Detail:  e.Error.Detail,
+		}
+	}
+	return nil, &Error{
+		Status:  resp.StatusCode,
+		Code:    CodeInternal,
+		Message: string(bytes.TrimSpace(data)),
+	}
+}
+
+// do sends body and decodes the response into out. Non-2xx responses come
+// back as *Error.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+	rc, err := c.send(ctx, method, path, contentType, body)
+	if err != nil {
 		return err
 	}
-	if resp.StatusCode/100 != 2 {
-		var e ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error.Code != "" {
-			return &Error{
-				Status:  resp.StatusCode,
-				Code:    e.Error.Code,
-				Message: e.Error.Message,
-				Detail:  e.Error.Detail,
-			}
-		}
-		return &Error{
-			Status:  resp.StatusCode,
-			Code:    CodeInternal,
-			Message: string(bytes.TrimSpace(data)),
-		}
-	}
-	if out == nil {
-		return nil
+	defer rc.Close()
+	data, err := io.ReadAll(rc)
+	if err != nil || out == nil {
+		return err
 	}
 	return json.Unmarshal(data, out)
 }
@@ -360,6 +373,17 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// QueryBody evaluates a SQL statement and returns the response body unread:
+// the JSON of a QueryResponse, for a caller that decodes its rows as they
+// arrive. The caller closes it.
+func (c *Client) QueryBody(ctx context.Context, req QueryRequest) (io.ReadCloser, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	return c.send(ctx, http.MethodPost, PathQuery, "application/json", body)
 }
 
 // Explain fetches a statement's plan: the structured DAG with shared-node

@@ -351,35 +351,9 @@ func (b *bodyWriter) write(p []byte) error {
 	return nil
 }
 
-// writeNoNulls writes the "nulls" mask of a result without a NULL: every row
-// is the same bytes, so one block of rows is built once and written as often
-// as it takes.
-func (e *rowEncoder) writeNoNulls(out *bodyWriter) error {
-	row := appendNullsRow([]byte{','}, e.cols, e.nullable, 0)
-	blockRows := min(e.rows, max(flushBytes/len(row), 1))
-	block := responseBufs.Get(blockRows * len(row))
-	defer responseBufs.Put(block)
-	for i := 0; i < blockRows; i++ {
-		copy(block[i*len(row):], row)
-	}
-	if err := out.write([]byte(nullsOpen)); err != nil {
-		return err
-	}
-	for written := 0; written < e.rows; written += blockRows {
-		b := block[:min(e.rows-written, blockRows)*len(row)]
-		if written == 0 {
-			b = b[1:] // the array's first row has no comma before it
-		}
-		if err := out.write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // encodeResponse streams res to w as the JSON encoding/json produces for
-// api.QueryResponse — same field order, "nulls" omitted for a zero-row
-// result, HTML-safe string escaping, trailing newline — without ever holding
+// api.QueryResponse — same field order, "nulls" omitted when no cell is
+// NULL, HTML-safe string escaping, trailing newline — without ever holding
 // the rendered cells or a second copy of the body: the rows are rendered a
 // chunk at a time, on as many workers as the request may use, and written in
 // order as the chunks complete. It returns what it wrote and the error that
@@ -401,11 +375,6 @@ func encodeResponse(ctx context.Context, w io.Writer, res *queryResult) (sent, e
 	}
 	if err := e.stream(out, parallel.ContextWorkers(ctx)); err != nil {
 		return out.sent, err
-	}
-	if e.rows > 0 && !e.anyNullable {
-		if err := e.writeNoNulls(out); err != nil {
-			return out.sent, err
-		}
 	}
 
 	buf = append(buf[:0], `],"stats":`...)

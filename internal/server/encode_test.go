@@ -23,9 +23,11 @@ import (
 
 // referenceBody is the response path encodeResponse replaced, kept as the
 // oracle: render every cell to a string, collect [][]string and [][]bool, and
-// let encoding/json write them as api.QueryResponse. It shares no code with
-// the encoder — cell text comes from strconv and time directly — so byte
-// identity with it is the wire contract, not a tautology.
+// let encoding/json write them as api.QueryResponse — the [][]bool only when
+// some cell is NULL, so a result without one has no "nulls". It shares no
+// code with the encoder — cell text comes from strconv and time directly, and
+// NULLs are found by scanning every cell — so byte identity with it is the
+// wire contract, not a tautology.
 func referenceBody(t testing.TB, res *queryResult) []byte {
 	t.Helper()
 	var resp api.QueryResponse
@@ -36,13 +38,15 @@ func referenceBody(t testing.TB, res *queryResult) []byte {
 	}
 	n := res.table.Rows()
 	resp.Rows = make([][]string, n)
-	resp.Nulls = make([][]bool, n)
+	nullRows := make([][]bool, n)
+	anyNull := false
 	epoch := time.Unix(0, 0).UTC()
 	for i := 0; i < n; i++ {
 		row := make([]string, len(cols))
 		nulls := make([]bool, len(cols))
 		for c, col := range cols {
 			nulls[c] = col.IsNull(i)
+			anyNull = anyNull || nulls[c]
 			switch {
 			case nulls[c]:
 			case col.Kind() == core.Int64 && res.dates[col.Name()]:
@@ -58,7 +62,10 @@ func referenceBody(t testing.TB, res *queryResult) []byte {
 			}
 		}
 		resp.Rows[i] = row
-		resp.Nulls[i] = nulls
+		nullRows[i] = nulls
+	}
+	if anyNull {
+		resp.Nulls = nullRows
 	}
 	resp.Stats = res.stats
 	resp.Trace = res.trace
@@ -220,8 +227,14 @@ func checkAgainstReference(t testing.TB, res *queryResult) {
 	if decoded.Rows == nil {
 		t.Fatal(`"rows" decoded as null, want an array even for zero rows`)
 	}
-	if (n == 0) != (decoded.Nulls == nil) {
-		t.Fatalf("nulls present=%v for %d rows", decoded.Nulls != nil, n)
+	anyNull := false
+	for _, col := range res.table.Columns() {
+		for i := 0; i < n; i++ {
+			anyNull = anyNull || col.IsNull(i)
+		}
+	}
+	if anyNull != (decoded.Nulls != nil) {
+		t.Fatalf("nulls present=%v, want present iff a cell is NULL (%v)", decoded.Nulls != nil, anyNull)
 	}
 	for i := range decoded.Nulls {
 		for c, col := range res.table.Columns() {
@@ -238,9 +251,9 @@ func checkAgainstReference(t testing.TB, res *queryResult) {
 // TestEncodeResponseMatchesReference is the differential test of the wire
 // contract: over randomized results of every shape the encoder distinguishes
 // — all four kinds, date columns with negative days, NULL masks absent,
-// sparse, full and empty (the precomputed-row path is the absent/empty one),
-// zero rows, one and eight columns, bodies below and well above one flush,
-// trace on and off — the streamed body is the one encoding/json wrote.
+// sparse, full and empty (absent and empty ones send no "nulls"), zero rows,
+// one and eight columns, bodies below and well above one flush, trace on and
+// off — the streamed body is the one encoding/json wrote.
 func TestEncodeResponseMatchesReference(t *testing.T) {
 	modes := map[string]func(c int) nullMode{
 		"no-nulls":    func(int) nullMode { return nullsNone },
@@ -300,10 +313,10 @@ func boundaryResult(n int, mode nullMode, pad string, next func() uint64) *query
 
 // TestEncodeResponseChunkBoundaries holds the chunked encoder to the
 // reference where chunks meet: row counts around one and several chunks, with
-// a mask (rendered by the workers), without one (the pre-built block) and
-// with an empty one, and rows wide enough that a chunk outgrows its pooled
-// buffer — on one worker (the loop), two and four. Every buffer drawn from
-// the response pool is back when a body is complete.
+// a NULL (the "nulls" chunks follow the rows'), without one and with an empty
+// mask (no "nulls" at all), and rows wide enough that a chunk outgrows its
+// pooled buffer — on one worker (the loop), two and four. Every buffer drawn
+// from the response pool is back when a body is complete.
 func TestEncodeResponseChunkBoundaries(t *testing.T) {
 	wide := strings.Repeat("w", 2*chunkBufBytes/chunkRows)
 	poolsBefore := arena.Snapshot()
@@ -412,7 +425,8 @@ func (c *chunkRecorder) Write(b []byte) (int, error) {
 }
 
 // FuzzEncodeResponse draws column kinds, NULL masks and values from the fuzz
-// input and holds the encoder to the reference body.
+// input and holds the encoder to the reference body. Its seeds reach both
+// bodies: the second holds a NULL and carries "nulls", the others do not.
 func FuzzEncodeResponse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 3, 200, 17, 4, 99, 250, 0, 0, 1})
@@ -464,27 +478,30 @@ func TestEncodeResponseAllocs(t *testing.T) {
 // BenchmarkEncodeResponse measures the response path without a server: 200k
 // rows into io.Discard, over the cell mixes the benchmark workloads return
 // (an INT64 id beside INT64 and FLOAT64 function results) and the ones they
-// do not (dates, strings, NULLs).
+// do not (dates, strings, NULLs), plus cold_1m's shape: 1M rows of two INT64
+// columns without a NULL, whose body carries no "nulls".
 func BenchmarkEncodeResponse(b *testing.B) {
-	const rows = 200_000
 	mixes := []struct {
 		name  string
+		rows  int
 		kinds []core.Kind
 		dates []bool
+		modes []nullMode
 	}{
-		{"int+float", []core.Kind{core.Int64, core.Float64}, nil},
-		{"date+string", []core.Kind{core.Int64, core.String}, []bool{true, false}},
-		{"6mixed", []core.Kind{core.Int64, core.Int64, core.Float64, core.Int64, core.Int64, core.String},
-			[]bool{false, true, false, false, false, false}},
+		{"int+float", 200_000, []core.Kind{core.Int64, core.Float64}, nil, []nullMode{nullsNone, nullsSparse}},
+		{"date+string", 200_000, []core.Kind{core.Int64, core.String}, []bool{true, false}, []nullMode{nullsNone, nullsSparse}},
+		{"6mixed", 200_000, []core.Kind{core.Int64, core.Int64, core.Float64, core.Int64, core.Int64, core.String},
+			[]bool{false, true, false, false, false, false}, []nullMode{nullsNone, nullsSparse}},
+		{"cold_1m", 1_000_000, []core.Kind{core.Int64, core.Int64}, nil, []nullMode{nullsNone}},
 	}
 	for _, mix := range mixes {
-		for _, mode := range []nullMode{nullsNone, nullsSparse} {
+		for _, mode := range mix.modes {
 			rng := rand.New(rand.NewSource(3))
 			res := &queryResult{dates: map[string]bool{}}
 			cols := make([]*core.Column, len(mix.kinds))
 			for c, kind := range mix.kinds {
 				name := fmt.Sprintf("c%d", c)
-				cols[c] = benchColumn(name, kind, mode, rows, rng)
+				cols[c] = benchColumn(name, kind, mode, mix.rows, rng)
 				res.dates[name] = mix.dates != nil && mix.dates[c]
 			}
 			res.table = core.MustNewTable(cols...)
@@ -501,7 +518,7 @@ func BenchmarkEncodeResponse(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(mix.rows), "ns/row")
 				b.ReportMetric(float64(out.bytes)/(1<<20), "MB/op")
 			})
 		}

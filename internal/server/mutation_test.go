@@ -113,9 +113,9 @@ func TestMutationsEndToEnd(t *testing.T) {
 	}
 	for i := range got.Rows {
 		for j := range got.Rows[i] {
-			if got.Rows[i][j] != want.Rows[i][j] || got.Nulls[i][j] != want.Nulls[i][j] {
+			if got.Rows[i][j] != want.Rows[i][j] || cellNull(got, i, j) != cellNull(want, i, j) {
 				t.Fatalf("row %d col %d: mutated %q (null=%v) != rebuilt %q (null=%v)",
-					i, j, got.Rows[i][j], got.Nulls[i][j], want.Rows[i][j], want.Nulls[i][j])
+					i, j, got.Rows[i][j], cellNull(got, i, j), want.Rows[i][j], cellNull(want, i, j))
 			}
 		}
 	}
@@ -213,12 +213,12 @@ func TestEmptyMutationCellIsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 3 || len(got.Nulls) != 3 {
-		t.Fatalf("read back %d rows (%d null rows), want 3", len(got.Rows), len(got.Nulls))
+	if len(got.Rows) != 3 {
+		t.Fatalf("read back %d rows, want 3", len(got.Rows))
 	}
 	for i, row := range got.Rows {
 		for j, name := range []string{"d", "i", "f", "s"} {
-			if null, want := got.Nulls[i][j+1], row[0] != "1"; null != want {
+			if null, want := cellNull(got, i, j+1), row[0] != "1"; null != want {
 				t.Errorf("k=%s column %s: %q null=%v, want null=%v", row[0], name, row[j+1], null, want)
 			}
 		}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -41,6 +43,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *api.Client) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, &api.Client{BaseURL: ts.URL}
+}
+
+// cellNull reads cell (i, j)'s NULL flag from a response: a body without
+// "nulls" holds no NULL.
+func cellNull(resp *api.QueryResponse, i, j int) bool {
+	return resp.Nulls != nil && resp.Nulls[i][j]
 }
 
 func mustUpload(t *testing.T, c *api.Client, name, csvData string) *api.DatasetInfo {
@@ -128,6 +136,49 @@ func TestDateFlagFollowsSource(t *testing.T) {
 		for i, want := range tc.want {
 			if got := resp.Rows[i][tc.col]; got != want {
 				t.Fatalf("%s\ncolumn %q row %d = %q, want %q", tc.sql, resp.Columns[tc.col], i, got, want)
+			}
+		}
+	}
+}
+
+// TestResponseNullsOnlyWithANull posts a statement whose result holds no
+// NULL and one whose LEAD runs past each partition's end: the first body has
+// no "nulls" member, the second's mask marks exactly the NULL cells.
+func TestResponseNullsOnlyWithANull(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	mustUpload(t, c, "t", smallCSV)
+	post := func(sql string) []byte {
+		rc, err := c.QueryBody(context.Background(), api.QueryRequest{SQL: sql})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		defer rc.Close()
+		body, err := io.ReadAll(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	if body := post(`select d, rank() over (order by v) as r from t`); bytes.Contains(body, []byte(`"nulls"`)) {
+		t.Fatalf("a result without a NULL sent a mask: %s", body)
+	}
+
+	body := post(`select d, lead(v) over (partition by g order by d rows between current row and unbounded following) as nx from t`)
+	var resp api.QueryResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Nulls == nil {
+		t.Fatalf("a result with a NULL sent no mask: %s", body)
+	}
+	// Partition a is 01-01, 01-02, 01-05 and b is 01-03, 01-04: each one's
+	// last row has no next row.
+	for i, row := range resp.Rows {
+		for j := range row {
+			want := j == 1 && (row[0] == "2024-01-04" || row[0] == "2024-01-05")
+			if got := resp.Nulls[i][j]; got != want || (row[j] == "") != want {
+				t.Fatalf("row %d column %q = %q, null=%v; want null=%v", i, resp.Columns[j], row[j], got, want)
 			}
 		}
 	}

@@ -170,5 +170,10 @@ check 'one tree shape' all \
 # entry is a structure under a dataset scope
 check 'one owner per dataset byte' nontest-nobench \
     'loadCached|"seg:"'
+# one mask rule: a response carries "nulls" only when a cell is NULL, and
+# then renders it in chunks like its rows, so the pre-built block of
+# all-false rows stays deleted
+check 'one mask rule' nontest \
+    'writeNoNulls'
 
 exit $fail

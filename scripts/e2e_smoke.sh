@@ -47,6 +47,8 @@ r2=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$query")
 num() { printf '%s' "$1" | grep -o "\"$2\":[0-9]*" | head -1 | cut -d: -f2; }
 
 echo "$r1" | grep -q '"med"'       || { echo "FAIL: first query missing med column: $r1"; exit 1; }
+# No frame is empty, so no cell is NULL and the body carries no mask.
+[[ "$r1" != *'"nulls"'* ]]         || { echo "FAIL: a result without a NULL sent \"nulls\": $r1"; exit 1; }
 hits1=$(num "$r1" cache_hits); misses1=$(num "$r1" cache_misses)
 hits2=$(num "$r2" cache_hits); misses2=$(num "$r2" cache_misses)
 [ "$misses1" -gt 0 ]               || { echo "FAIL: cold query built nothing (misses=$misses1)"; exit 1; }
@@ -84,9 +86,12 @@ printf '%s' "$slide" | grep -q 'build merge sort tree[^\\]*form=slide' \
 
 # LEAD through its own batch family: per row a row-number count over the
 # function-order prefix and a select of the row the offset names.
+# The rows whose v is their frame's largest have no next value: those cells
+# are NULL, so this body carries "nulls".
 lead_query='{"sql":"select d, lead(v order by v) over (order by d rows between 99 preceding and 99 following) as ld from t"}'
-curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$lead_query" | grep -q '"ld"' \
-    || { echo "FAIL: lead query missing ld column"; exit 1; }
+lead=$(curl -sf "$base/v1/query" -H 'Content-Type: application/json' -d "$lead_query")
+printf '%s' "$lead" | grep -q '"ld"'    || { echo "FAIL: lead query missing ld column"; exit 1; }
+[[ "$lead" == *'"nulls"'* ]]            || { echo "FAIL: lead query's NULLs sent no \"nulls\""; exit 1; }
 
 # Shared-plan optimizer: a multi-window statement (named-window inheritance
 # included) must report the plan shape in its query stats, and /v1/explain
